@@ -41,10 +41,13 @@
 //     future IS its task (one allocation carries identity, state, an
 //     atomic completion word, and the result; the blocking gate is
 //     materialized only when a toucher actually parks), deque slots hold
-//     task pointers directly with top/bottom on separate cache lines, and
-//     a push wakes at most one parked worker — it takes no lock at all
-//     unless the atomic parked count says somebody is actually asleep
-//     (the version counter preserves lost-wakeup safety). Victim
+//     task pointers directly with top/bottom on separate cache lines and
+//     a touched task leaves the deque before it runs, so deques hold live
+//     work only. A worker's spawn and inline touch write no cache line
+//     other workers share, and a push wakes at most one parked worker — it
+//     takes no lock at all unless the atomic parked count says somebody is
+//     actually asleep (a parking worker re-reads every queue's length
+//     after raising that count, which preserves lost-wakeup safety). Victim
 //     selection is an inline xorshift, not a math/rand object. Both axes
 //     of the scheduler's decision surface are shared policy vocabulary
 //     with the simulator: the Discipline (FutureFirst / ParentFirst) —

@@ -604,6 +604,122 @@ func TestPtrLastItemRace(t *testing.T) {
 	}
 }
 
+// TestPtrPopBottomIfSingleThread pins the conditional pop's contract: it
+// pops v only when v is the bottom item, and a stale slot — one a thief
+// emptied but, as thieves never do, did not clear — is never delivered from
+// an empty deque.
+func TestPtrPopBottomIfSingleThread(t *testing.T) {
+	d := NewPtr[int](8)
+	a, b := 1, 2
+	if d.PopBottomIf(&a) {
+		t.Fatal("PopBottomIf on a fresh deque succeeded")
+	}
+	d.PushBottom(&a)
+	d.PushBottom(&b)
+	if d.PopBottomIf(&a) {
+		t.Fatal("PopBottomIf popped an item that is not at the bottom")
+	}
+	if d.Len() != 2 {
+		t.Fatalf("a refused PopBottomIf changed Len to %d", d.Len())
+	}
+	if !d.PopBottomIf(&b) || !d.PopBottomIf(&a) {
+		t.Fatal("PopBottomIf refused the bottom item")
+	}
+	if d.PopBottomIf(&a) {
+		t.Fatal("PopBottomIf delivered an item twice")
+	}
+
+	d.PushBottom(&a)
+	if v, ok := d.StealTop(); !ok || v != &a {
+		t.Fatalf("StealTop = %v,%v", v, ok)
+	}
+	// The slot below bottom still holds &a, and the deque is empty.
+	if d.PopBottomIf(&a) {
+		t.Fatal("PopBottomIf delivered a stolen item from its stale slot")
+	}
+	if d.Len() != 0 {
+		t.Fatalf("Len = %d after a refused PopBottomIf on an empty deque", d.Len())
+	}
+	d.PushBottom(&b)
+	if !d.PopBottomIf(&b) {
+		t.Fatal("PopBottomIf refused the bottom item after a stale-slot refusal")
+	}
+}
+
+// TestPtrPopBottomIfVsThieves runs the owner the way a creator-touch
+// fork-join worker runs: push a few items, then take them back newest first
+// with PopBottomIf, while thieves steal from the top. Every pushed pointer
+// must be delivered exactly once, to the owner or to a thief. A PopBottomIf
+// that trusted the stale slot a thief left behind would deliver that item a
+// second time. Run under -race in CI.
+func TestPtrPopBottomIfVsThieves(t *testing.T) {
+	const (
+		items   = 60000
+		thieves = 4
+	)
+	d := NewPtr[int](8)
+	vals := make([]int, items)
+	seen := make([]atomic.Int32, items)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+
+	record := func(v *int) {
+		if seen[*v].Add(1) != 1 {
+			t.Errorf("item %d delivered twice", *v)
+		}
+	}
+	for th := 0; th < thieves; th++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if v, ok := d.StealTop(); ok {
+					record(v)
+					continue
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	for next := 0; next < items; {
+		// Mostly shallow nests; an occasional deep one outgrows the ring.
+		depth := 1 + rng.Intn(4)
+		if rng.Intn(64) == 0 {
+			depth = 20
+		}
+		if depth > items-next {
+			depth = items - next
+		}
+		first := next
+		for ; next < first+depth; next++ {
+			vals[next] = next
+			d.PushBottom(&vals[next])
+		}
+		for i := next - 1; i >= first; i-- {
+			if d.PopBottomIf(&vals[i]) {
+				record(&vals[i])
+			}
+			// Otherwise a thief has item i, and with it every older item.
+		}
+		if n := d.Len(); n != 0 {
+			t.Fatalf("%d items left after the owner unwound its nest", n)
+		}
+	}
+	close(done)
+	wg.Wait()
+	for i := range seen {
+		if n := seen[i].Load(); n != 1 {
+			t.Fatalf("item %d delivered %d times", i, n)
+		}
+	}
+}
+
 func TestPtrStealNSingleThread(t *testing.T) {
 	d := NewPtr[int](2)
 	vals := make([]int, 10)

@@ -135,6 +135,24 @@ func (d *Ptr[T]) PopBottom() (v *T, ok bool) {
 	}
 }
 
+// PopBottomIf pops the bottom item only if it is v, and reports whether it
+// did. Owner-only. It lets an owner that is about to run v directly take v
+// off the deque first, so the deque holds live work only.
+//
+// The peek reads the slot below bottom without consulting top, so on an
+// empty deque it can see a stale pointer (thieves never clear the slots they
+// take). That is harmless: only the owner stores bottom or publishes slots,
+// so between the peek and the PopBottom the index bottom-1 still names the
+// same slot — PopBottom either delivers exactly that slot's v, or finds the
+// index already claimed by a thief and fails.
+func (d *Ptr[T]) PopBottomIf(v *T) bool {
+	if d.buf.Load().load(d.bottom.Load()-1) != v {
+		return false
+	}
+	_, ok := d.PopBottom()
+	return ok
+}
+
 // StealTop removes and returns the item at the thief end. Any goroutine.
 // ok is false when the deque is empty or the steal lost a race (callers
 // treat both as "try elsewhere").
@@ -186,6 +204,10 @@ func (d *Ptr[T]) StealN(out []*T) int {
 	}
 	return n
 }
+
+// Cap returns the ring's current capacity. The ring only grows, so this is
+// the deque's high-water depth rounded up to a power of two.
+func (d *Ptr[T]) Cap() int { return len(d.buf.Load().slots) }
 
 // Len returns a point-in-time size estimate (may be stale under concurrency).
 func (d *Ptr[T]) Len() int {

@@ -187,22 +187,31 @@ func TestAnalyzeReport(t *testing.T) {
 func TestRandomProgramsRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rt := runtime.New(runtime.WithWorkers(3), runtime.WithSeed(seed+1))
+		// Stolen tasks run body on other workers, so the shared generator is
+		// drawn from under a lock.
+		var rngMu sync.Mutex
 		rng := rand.New(rand.NewSource(seed))
 		var body func(w *runtime.W, depth int) int
 		body = func(w *runtime.W, depth int) int {
 			if depth == 0 {
 				return 1
 			}
+			rngMu.Lock()
 			k := 1 + rng.Intn(3)
+			depths := make([]int, k)
+			for i := range depths {
+				depths[i] = depth - 1 - rng.Intn(depth)
+			}
+			order := rng.Perm(k)
+			rngMu.Unlock()
 			futs := make([]*runtime.Future[int], k)
-			for i := range futs {
-				d := depth - 1 - rng.Intn(depth)
+			for i, d := range depths {
 				futs[i] = runtime.Spawn(rt, w, func(w *runtime.W) int { return body(w, d) })
 			}
 			// Touch in a random order — legal for futures, impossible in
 			// strict fork-join (Figure 5(a)).
 			acc := 0
-			for _, i := range rng.Perm(k) {
+			for _, i := range order {
 				acc += futs[i].Touch(w)
 			}
 			return acc

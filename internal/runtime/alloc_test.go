@@ -9,6 +9,7 @@ package runtime
 import (
 	stdruntime "runtime"
 	"testing"
+	"unsafe"
 )
 
 // leafFn is a package-level function value: spawning it allocates nothing
@@ -218,5 +219,17 @@ func TestTouchReadyAllocBudget(t *testing.T) {
 	// The spawn allocates the Future; the touch itself must add nothing.
 	if got > 1 {
 		t.Errorf("FutureFirst spawn + ready TryTouch = %.1f allocs/op, budget 1", got)
+	}
+}
+
+// TestFutureSize pins Future[int] inside the allocator's 96-byte size class.
+// One more word — or the single-touch latch back at the end of the struct —
+// moves every spawn to the 112-byte class, 16 bytes a task.
+func TestFutureSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Future[int]{}); sz > 96 {
+		t.Fatalf("Future[int] is %d bytes, want at most 96", sz)
+	}
+	if sz := unsafe.Sizeof(task{}); sz > 56 {
+		t.Fatalf("task is %d bytes, want at most 56", sz)
 	}
 }

@@ -131,7 +131,7 @@ func (r *jobRoot[T]) prepareForReuse() {
 	f.fn = nil
 	f.result = zero
 	f.panicked = nil
-	f.touched.Store(false)
+	f.comp.touched.Store(false)
 	f.comp.done.Store(0)
 	f.comp.gate.Store(nil)
 	f.state.Store(stateCreated)
@@ -805,8 +805,9 @@ func launchBatch[T any](rt *Runtime, fns []func(*W) T, dst []Job[T], tok int32) 
 		rt.recordSpawn(nil, j.f.id, ParentFirst, j.id)
 	}
 	// Publish the batch: chunked bulk pushes onto the global queue (one lock
-	// visit per chunk, no per-batch allocation), then one version bump and
-	// one wakeup decision sized to the batch — not k separate signals.
+	// visit per chunk, no per-batch allocation), then one wakeup decision
+	// sized to the batch — not k separate signals. The queue's size store
+	// precedes the parked load, as in push.
 	var buf [32]*task
 	pushed := 0
 	for pushed < k {
@@ -823,7 +824,6 @@ func launchBatch[T any](rt *Runtime, fns []func(*W) T, dst []Job[T], tok int32) 
 		rt.drainGlobal()
 		return dst
 	}
-	rt.version.Add(1)
 	if p := rt.parked.Load(); p > 0 {
 		want := k
 		if int(p) < want {

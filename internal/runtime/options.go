@@ -199,7 +199,7 @@ func New(opts ...Option) *Runtime {
 		w := &W{
 			rt:         rt,
 			id:         i,
-			dq:         deque.NewPtr[task](256),
+			dq:         deque.NewPtr[task](dequeInitCap),
 			tele:       rt.tele.Row(i),
 			domain:     assign.Domain[i],
 			rng:        seedXorshift(seed, i),
@@ -243,6 +243,13 @@ func New(opts ...Option) *Runtime {
 	}
 	return rt
 }
+
+// dequeInitCap is a worker deque's initial ring capacity. A touched task
+// leaves the deque before it runs (see W.runInline), so in fork-join code
+// the deque is as deep as the recursion, not as long as the run: 32 slots —
+// four cache lines — hold it without growing. Deeper nests and programs
+// that pass futures away grow the ring as ever.
+const dequeInitCap = 32
 
 // seedXorshift derives worker i's nonzero xorshift64 state from the seed
 // via a splitmix64 scramble, so nearby seeds (seed+0, seed+1, ...) still

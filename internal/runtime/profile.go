@@ -9,7 +9,10 @@ package runtime
 // Overhead discipline:
 //
 //   - disabled (the default): every hook is one atomic pointer load and a
-//     branch; Spawn additionally pays one atomic increment for the task ID.
+//     branch. A worker's Spawn pays no shared atomic increment for the
+//     task ID: the ID comes from the worker's reserved block
+//     (W.nextTaskID), one shared increment per 256 spawns. External spawns,
+//     producers and job roots take one increment each.
 //   - enabled: one event store plus one atomic length store per event, into
 //     a lock-free single-writer per-worker chunk log (see profile.Recorder).
 //

@@ -139,3 +139,102 @@ func TestProfileCountersMatchRuntimeStats(t *testing.T) {
 		t.Errorf("trace has %d blocked touches, Stats says %d", blocked, st.BlockedTouches)
 	}
 }
+
+// TestTaskIDBlocksUniqueAndReconstruct: workers draw task IDs from their
+// own reserved blocks while external spawns take single IDs from the same
+// counter. Every ID must still be unique, and a multi-worker trace whose IDs
+// are no longer dense in spawn order must reconstruct completely. A barrier
+// pins the four forks to four distinct workers, and each spawns more than
+// one block's worth, so every worker reserves at least twice.
+func TestTaskIDBlocksUniqueAndReconstruct(t *testing.T) {
+	const (
+		workers   = 4
+		perWorker = taskIDBlock + 44
+		externals = 2 * 40
+	)
+	rt := New(WithWorkers(workers))
+	defer rt.Shutdown()
+	if err := rt.StartProfile(); err != nil {
+		t.Fatal(err)
+	}
+	var ext sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		ext.Add(1)
+		go func() {
+			defer ext.Done()
+			for i := 0; i < externals/2; i++ {
+				Run(rt, leafIntFn)
+			}
+		}()
+	}
+	var arrived sync.WaitGroup
+	arrived.Add(workers)
+	got := Run(rt, func(w *W) int {
+		var forks [workers]*Future[int]
+		for i := range forks {
+			forks[i] = Spawn(rt, w, func(w *W) int {
+				// Blocks its worker until all four forks run at once.
+				arrived.Done()
+				arrived.Wait()
+				leaves := make([]*Future[int], perWorker)
+				for j := range leaves {
+					leaves[j] = Spawn(rt, w, leafIntFn)
+				}
+				sum := 0
+				for j := len(leaves) - 1; j >= 0; j-- {
+					sum += leaves[j].Touch(w)
+				}
+				return sum
+			})
+		}
+		total := 0
+		for _, f := range forks {
+			total += f.Touch(w)
+		}
+		return total
+	})
+	ext.Wait()
+	tr := rt.StopProfile()
+	if got != workers*perWorker {
+		t.Fatalf("result = %d, want %d", got, workers*perWorker)
+	}
+
+	seen := map[uint64]bool{}
+	for _, ev := range tr.Events() {
+		if ev.Kind != profile.KindSpawn {
+			continue
+		}
+		if ev.Other == 0 || seen[ev.Other] {
+			t.Fatalf("task ID %d is zero or was handed out twice", ev.Other)
+		}
+		seen[ev.Other] = true
+	}
+	if want := 1 + workers + workers*perWorker + externals; len(seen) != want {
+		t.Fatalf("trace has %d spawns, want %d", len(seen), want)
+	}
+	for i, log := range tr.PerWorker {
+		n := 0
+		for _, ev := range log {
+			if ev.Kind == profile.KindSpawn {
+				n++
+			}
+		}
+		if n < perWorker {
+			t.Errorf("worker %d recorded %d spawns; the barrier should have given it a fork's %d", i, n, perWorker)
+		}
+	}
+
+	rec, err := profile.Reconstruct(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Incomplete) > 0 {
+		t.Fatalf("reconstruction incomplete: %v", rec.Incomplete)
+	}
+	if err := rec.Graph.Validate(); err != nil {
+		t.Fatalf("reconstructed DAG invalid: %v", err)
+	}
+	if rec.Tasks != len(seen)+1 { // + the external context
+		t.Fatalf("reconstructed %d tasks, want %d", rec.Tasks, len(seen)+1)
+	}
+}

@@ -29,21 +29,24 @@
 // grouped into cache-locality domains by the machine topology (discovered
 // from sysfs, or injected synthetically): every steal is attributed intra-
 // vs cross-domain, and the parked-worker accounting and job registry are
-// striped per domain. A worker with
-// no work parks on its domain's condition
-// variable guarded by a version counter; push never takes the lock unless a
-// worker is actually parked (an atomic parked count gates it), and wakes
-// exactly one worker per new task — preferring a domain-local sleeper —
-// instead of broadcasting to the herd. A
-// touch of an unfinished future first tries to inline-run it (if nobody
-// started it), then helps by running other tasks, and only then blocks.
+// striped per domain. A worker with no work parks on its domain's condition
+// variable, sleeping only while every queue looks empty; push never takes
+// the lock unless a worker is actually parked (an atomic parked count gates
+// it), and wakes exactly one worker per new task — preferring a domain-local
+// sleeper — instead of broadcasting to the herd. A touch of an unfinished
+// future first tries to inline-run it (if nobody started it, popping it off
+// the toucher's own deque first, so deques hold live tasks only), then helps
+// by running other tasks, and only then blocks.
 //
 // The hot path is allocation-free past the future itself: a future IS its
 // task (one allocation carries id, state, completion word, and result
 // slot), deque slots store task pointers directly (no per-push box), and
 // completion is an atomic word whose channel wait gate is materialized only
-// when a toucher actually blocks. See DESIGN.md, "hot path anatomy", for
-// the per-operation budget.
+// when a toucher actually blocks. A worker-local spawn and inline touch also
+// write no cache line other workers share: task IDs are unique but not dense
+// in spawn order, because each worker draws them from the runtime's counter a
+// block at a time, and push reads the parked count without writing anything.
+// See DESIGN.md, "hot path anatomy", for the per-operation budget.
 //
 // Errors and cancellation: task panics surface through Touch (re-panicking
 // the original value) or TouchErr/RunErr (returned as errors, wrapping the
@@ -103,7 +106,12 @@ const (
 // allocates; the channel exists only when a waiter actually has to block.
 type completion struct {
 	done atomic.Uint32
-	gate atomic.Pointer[chan struct{}]
+	// touched is the single-touch latch of the value this word completes (a
+	// Future's result, a Stream cell's item). It lives here, in what would
+	// otherwise be padding before gate, rather than at the end of the
+	// embedding struct, where it cost Future[int] a whole size class.
+	touched atomic.Bool
+	gate    atomic.Pointer[chan struct{}]
 }
 
 // isDone reports completion. The atomic load synchronizes with complete's
@@ -157,8 +165,10 @@ const stealBatchMax = policy.StealBatchMax
 // and no done channel: one allocation carries id, state, completion word,
 // and the body's result slot.
 type task struct {
-	// id identifies the task in profiling traces (dense, from
-	// Runtime.taskSeq, starting at 1; 0 is the external context).
+	// id identifies the task in profiling traces (unique, from
+	// Runtime.taskSeq, starting at 1; 0 is the external context). Workers
+	// draw IDs in blocks (see W.nextTaskID), so IDs are not dense in spawn
+	// order across workers.
 	id    uint64
 	state atomic.Int32
 	// stolenBatch marks a displaced task: 0 for a task on its spawn-order
@@ -167,8 +177,9 @@ type task struct {
 	// only while the thief holds the task exclusively — between claiming it
 	// from the victim's deque and executing or re-publishing it — and every
 	// later reader receives the task through a deque operation or the exec
-	// CAS, which order the write before the read.
-	stolenBatch int32
+	// CAS, which order the write before the read. int16 (a batch is at most
+	// stealBatchMax) so it shares a word with state and stolenCross.
+	stolenBatch int16
 	// stolenCross marks a displaced task whose first displacement crossed a
 	// locality-domain (LLC) boundary — the expensive kind of steal the
 	// paper's miss bound prices. Written under the same exclusive-hold
@@ -199,9 +210,14 @@ type taskRunner interface {
 
 // Runtime is a work-stealing futures scheduler. Create with New, stop with
 // Shutdown (or a cancelled WithContext context). Safe for concurrent use.
+//
+// Layout: like W and deque.Ptr, the fields every spawn and steal reads but
+// (almost) nobody writes come first, then a cache line of padding, then the
+// state that submitters, parkers and finishers write — so a Submit's
+// counter bump or a park never invalidates the line a worker's spawn path
+// reads closed, prof and flight from.
 type Runtime struct {
 	workers []*W
-	global  deque.Locked[*task]
 
 	// discipline is the default fork discipline used by Spawn (set by
 	// WithDiscipline, immutable after New).
@@ -214,35 +230,20 @@ type Runtime struct {
 	// worker→domain striping. Both immutable after New.
 	topo   *topology.Topology
 	assign *topology.Assignment
-
-	mu sync.Mutex
 	// domainConds stripes the parked-worker accounting per locality domain:
 	// one condition variable (sharing mu) plus a sleeper count per domain,
 	// so push can wake a sleeper that shares the pusher's LLC instead of an
 	// arbitrary one. On a flat (single-domain) topology this degenerates to
-	// the one global cond the runtime always had.
+	// the one global cond the runtime always had. The slice is immutable
+	// after New; its elements are guarded by mu.
 	domainConds []domainCond
-	// version counts pushes; a worker records it before its last empty scan
-	// and re-checks under the lock before sleeping, which is what makes the
-	// lock-free wakeup check in push safe against lost wakeups (see push).
-	version atomic.Int64
-	// parked counts workers blocked in cond.Wait. It is written under mu
-	// but read without it by push, which skips the lock entirely — the
-	// common case — when nobody is parked.
-	parked atomic.Int32
+	// closed is written once, by Shutdown.
 	closed atomic.Bool
 	// stop is closed by Shutdown; it releases the WithContext watcher.
 	stop chan struct{}
 	// term is closed once shutdown has fully quiesced (workers exited,
 	// queues drained); duplicate Shutdown callers wait on it.
 	term chan struct{}
-	wg   sync.WaitGroup
-
-	// taskSeq allocates task IDs for profiling traces.
-	taskSeq atomic.Uint64
-	// jobRegistry is the job-server state: the in-flight job table, job IDs,
-	// and the admission semaphore (see job.go).
-	jobRegistry
 	// prof is the active profiling session, nil when profiling is off (see
 	// profile.go); the nil check is the entire disabled-mode overhead.
 	prof atomic.Pointer[profile.Recorder]
@@ -251,12 +252,28 @@ type Runtime struct {
 	// nil check is the entire disabled cost — and unlike prof it is a plain
 	// field, immutable after New, so the check is not even atomic.
 	flight *profile.Flight
-
 	// tele is the always-on counter matrix (one padded row per worker plus
 	// the external row teleExt); workers hold direct row pointers, so the
 	// Set itself is only touched by snapshots. See internal/telemetry.
 	tele    *telemetry.Set
 	teleExt *telemetry.Row
+
+	_ [cacheLine]byte
+
+	mu sync.Mutex
+	// parked counts workers inside park. It is written under mu but read
+	// without it by push, which skips the lock entirely — the common case —
+	// when nobody is parked (see push for the handshake).
+	parked atomic.Int32
+	// taskSeq allocates task IDs for profiling traces: one at a time for
+	// external spawns, producers and job roots, a block at a time for
+	// workers (W.nextTaskID).
+	taskSeq atomic.Uint64
+	global  deque.Locked[*task]
+	wg      sync.WaitGroup
+	// jobRegistry is the job-server state: the in-flight job table, job IDs,
+	// and the admission semaphore (see job.go).
+	jobRegistry
 	// latencyHist and queueWaitHist aggregate per-job submit→done and
 	// submit→first-execution latencies into log-bucketed histograms —
 	// job-rate observations (two atomic adds each at job completion), not
@@ -317,6 +334,9 @@ type W struct {
 	// outside any job). Owner-written in exec alongside cur; it is what
 	// spawns inherit and what touch events are attributed to.
 	curJob *jobState
+	// idNext..idEnd is what remains of the worker's reserved block of task
+	// IDs: the next spawn takes idNext+1. Owner-only (see nextTaskID).
+	idNext, idEnd uint64
 	// lastVictim is the index of the worker the last successful steal came
 	// from, or -1 — the LastVictimAffinity cache. Owner-only.
 	lastVictim int32
@@ -330,7 +350,24 @@ type W struct {
 	// lock visit when full (see flushJobFree). Owner-only.
 	jobFree []poolableRoot
 
-	_ [cacheLine*2 - 80]byte
+	_ [cacheLine*2 - 96]byte
+}
+
+// taskIDBlock is how many task IDs a worker reserves from Runtime.taskSeq
+// at a time: one shared-line write per 256 spawns instead of one per spawn.
+const taskIDBlock = 256
+
+// nextTaskID returns a fresh task ID from the worker's reserved block,
+// reserving the next block when it runs out. Owner-only. IDs are unique
+// runtime-wide and increase within a worker; across workers they do not
+// follow spawn order.
+func (w *W) nextTaskID() uint64 {
+	if w.idNext == w.idEnd {
+		w.idEnd = w.rt.taskSeq.Add(taskIDBlock)
+		w.idNext = w.idEnd - taskIDBlock
+	}
+	w.idNext++
+	return w.idNext
 }
 
 // nextRand advances the worker's xorshift64 state and returns it. Owner-only.
@@ -432,14 +469,18 @@ func (t *task) cancelIfUnclaimed() {
 // ever pop it).
 //
 // The common case — a worker-local push with no worker parked — is one
-// lock-free deque store, one atomic add on the version counter, and one
-// atomic load of the parked count: no mutex, no broadcast. The mutex is
-// taken only to Signal one parked worker (one new task needs one worker,
-// not the herd). Lost-wakeup safety is the version counter's job: the
-// version bump here is seq-cst-ordered before the parked load, and a
-// parking worker increments parked before re-checking the version under
-// the lock — so either this push observes the parker (and signals) or the
-// parker observes the new version (and never sleeps).
+// lock-free deque store and one atomic load of the parked count: no write
+// outside the worker's own deque, no mutex, no broadcast. The mutex is taken
+// only to Signal one parked worker (one new task needs one worker, not the
+// herd).
+//
+// No lost wakeup. The queue publication here (the deque's seq-cst bottom
+// store, or the global queue's size store) precedes the parked load; a
+// parking worker's parked.Add, made under mu, precedes its queue-length
+// loads (see park). Seq-cst order therefore leaves two cases: this push
+// observes parked > 0 and signals under mu — which it can only acquire once
+// the parker is inside Wait, or has already left park — or the parker
+// observes the non-empty queue and does not sleep.
 func (rt *Runtime) push(w *W, t *task) {
 	if rt.closed.Load() {
 		t.cancelIfUnclaimed()
@@ -460,7 +501,6 @@ func (rt *Runtime) push(w *W, t *task) {
 			return
 		}
 	}
-	rt.version.Add(1)
 	if rt.parked.Load() > 0 {
 		rt.signalOne(w)
 	}
@@ -471,9 +511,9 @@ func (rt *Runtime) push(w *W, t *task) {
 // the task just pushed (or a steal from the pusher's deque), so a
 // domain-local wakeup keeps that handoff inside the shared LLC. It scans
 // the other domains' stripes only when the local one is empty; finding no
-// sleeper at all is benign — every sleeper woke between the lock-free
-// parked gate and the lock, and the version bump already published the
-// work to them.
+// sleeper at all is benign — every worker counted by the lock-free parked
+// gate left park, or has yet to look at the queues, before we got the lock,
+// and either way it will see the work already published.
 func (rt *Runtime) signalOne(w *W) {
 	start := 0
 	if w != nil && w.rt == rt {
@@ -591,6 +631,24 @@ func (w *W) execCtx(t *task, fl execFlags) bool {
 		js.release(w)
 	}
 	return true
+}
+
+// runInline is the inline-touch path: the toucher w claims the still
+// unstarted task t of runtime rt and runs it itself. It first takes t off
+// its own deque when t is the bottom entry — in creator-touch fork-join it
+// always is — so the deque's depth is the recursion depth, not the number
+// of tasks the run has spawned: the ring stays small and cache-resident,
+// thieves meet only live tasks, and no finished future stays pinned by a
+// slot. A task that is not at the bottom (a passed future, or one a thief is
+// taking) just stays where it is; find's state filter skips it later.
+func (w *W) runInline(t *task, rt *Runtime) bool {
+	if t.state.Load() != stateCreated {
+		return false
+	}
+	if w.rt == rt {
+		w.dq.PopBottomIf(t)
+	}
+	return w.execCtx(t, execInline)
 }
 
 // jobID returns the task's job identity for event attribution (0 = no job).
@@ -772,7 +830,7 @@ func (w *W) stealFrom(v *W) *task {
 		}
 		return nil
 	}
-	batch := int32(len(live))
+	batch := int16(len(live))
 	first := live[0]
 	first.stolenBatch = batch
 	// Park the rest on our own deque in stolen (oldest-first) order: the
@@ -814,7 +872,7 @@ func (w *W) recordSteal(t *task) {
 	if js := t.job; js != nil {
 		js.steals.Add(1)
 	}
-	n := t.stolenBatch
+	n := int32(t.stolenBatch)
 	if n == 0 {
 		n = 1
 	}
@@ -830,7 +888,6 @@ func (w *W) loop() {
 			w.drainCancelled()
 			return
 		}
-		v := w.rt.version.Load()
 		if t, stolen := w.find(); t != nil {
 			var fl execFlags
 			if stolen {
@@ -843,7 +900,7 @@ func (w *W) loop() {
 			w.drainCancelled()
 			return
 		}
-		w.park(v)
+		w.park()
 	}
 }
 
@@ -862,25 +919,31 @@ func (w *W) drainCancelled() {
 	w.rt.drainGlobal()
 }
 
-// park blocks until the version moves past v or the runtime closes,
+// park blocks while every queue looks empty and the runtime is open,
 // sleeping on the worker's own domain stripe so push can prefer waking a
-// cache-local sleeper. The parked increment is ordered before the version
-// re-check, pairing with push's version-bump-then-parked-load (see push
-// for the full handshake); the per-domain sleeper count is maintained
-// under the same mutex, so signalOne's scan and this bookkeeping never
-// disagree.
-func (w *W) park(v int64) {
+// cache-local sleeper. The parked increment, under mu, is ordered before
+// the queue-length loads, pairing with push's publish-then-parked-load (see
+// push for the handshake); the per-domain sleeper count is maintained under
+// the same mutex, so signalOne's scan and this bookkeeping never disagree.
+//
+// A queue that looks non-empty sends the worker back to find, which may
+// still come up dry (the owner popped the task, another thief won it). That
+// cannot repeat forever: a worker blocks at a touch or parks only after
+// find drained its own deque, so a non-empty deque always belongs to a
+// worker that is running and will pop it, and each dry visit to the global
+// queue or to a dead entry removes what it looked at.
+func (w *W) park() {
 	rt := w.rt
 	d := &rt.domainConds[w.domain]
 	rt.mu.Lock()
 	rt.parked.Add(1)
 	d.parked++
 	slept := false
-	for rt.version.Load() == v && !rt.closed.Load() {
+	for !rt.queued() && !rt.closed.Load() {
 		if !slept {
-			// Count the park only when the worker actually goes to sleep — a
-			// version that moved between the lock-free scan and here is a
-			// near-miss, not an idle event.
+			// Count the park only when the worker actually goes to sleep — work
+			// that arrived between the lock-free scan and here is a near-miss,
+			// not an idle event.
 			slept = true
 			w.tele.Inc(telemetry.CParks)
 		}
@@ -889,6 +952,20 @@ func (w *W) park(v int64) {
 	d.parked--
 	rt.parked.Add(-1)
 	rt.mu.Unlock()
+}
+
+// queued reports whether any queue — the global one or a worker's deque —
+// looks non-empty. A snapshot made of atomic loads; park is its only caller.
+func (rt *Runtime) queued() bool {
+	if rt.global.Len() > 0 {
+		return true
+	}
+	for _, w := range rt.workers {
+		if w.dq.Len() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -929,13 +1006,16 @@ func (e *PanicError) Unwrap() error {
 // A Future IS its task: the schedulable unit is embedded, so one
 // allocation carries the task identity, scheduling state, completion word,
 // body, and result.
+//
+// Layout: task is 56 bytes and the single-touch latch lives inside its
+// completion word, so Future[int] is 96 bytes — exactly a size class
+// (TestFutureSize); a field added here lands in the 112-byte class.
 type Future[T any] struct {
 	task
 	rt       *Runtime
 	fn       func(*W) T
 	result   T
 	panicked any
-	touched  atomic.Bool
 }
 
 // runTask implements taskRunner: it executes the future's body, routing a
@@ -1003,10 +1083,10 @@ func SpawnWith[T any](rt *Runtime, w *W, d Discipline, fn func(*W) T) *Future[T]
 		panic("runtime: SpawnWith(" + d.String() + ")")
 	}
 	f := &Future[T]{rt: rt, fn: fn}
-	f.id = rt.taskSeq.Add(1)
 	f.runner = f
 	row := rt.teleExt
 	if w != nil && w.rt == rt {
+		f.id = w.nextTaskID()
 		// A spawn from inside a job's computation belongs to that job: the
 		// tag rides the task, so per-job Stats and Event.Job attribution
 		// survive however deep the computation forks. The tag is a liveness
@@ -1016,6 +1096,8 @@ func SpawnWith[T any](rt *Runtime, w *W, d Discipline, fn func(*W) T) *Future[T]
 			f.job.refs.Add(1)
 		}
 		row = w.tele
+	} else {
+		f.id = rt.taskSeq.Add(1)
 	}
 	if rt.closed.Load() {
 		f.cancelIfUnclaimed()
@@ -1072,7 +1154,7 @@ func (f *Future[T]) Done() bool {
 // "run the future thread first" choice the paper recommends); otherwise it
 // helps by running other tasks, and blocks only when no work is available.
 func (f *Future[T]) Touch(w *W) T {
-	if f.touched.Swap(true) {
+	if f.comp.touched.Swap(true) {
 		panic(ErrDoubleTouch)
 	}
 	f.await(w)
@@ -1085,7 +1167,7 @@ func (f *Future[T]) Touch(w *W) T {
 // cancellation as ErrClosed, and a second touch as ErrDoubleTouch. The
 // scheduling behavior (inline, help, block) is identical to Touch.
 func (f *Future[T]) TouchErr(w *W) (T, error) {
-	if f.touched.Swap(true) {
+	if f.comp.touched.Swap(true) {
 		var zero T
 		return zero, ErrDoubleTouch
 	}
@@ -1105,7 +1187,7 @@ func (f *Future[T]) TryTouch(w *W) (v T, ok bool) {
 	if !f.comp.isDone() {
 		return v, false
 	}
-	if f.touched.Swap(true) {
+	if f.comp.touched.Swap(true) {
 		panic(ErrDoubleTouch)
 	}
 	if w != nil && w.rt == f.rt {
@@ -1133,7 +1215,7 @@ func (f *Future[T]) wait(w *W) T {
 func (f *Future[T]) await(w *W) {
 	// Inline path: claim and run the task ourselves (the inline credit is
 	// applied inside execCtx, within the task's job-liveness window).
-	if f.state.Load() == stateCreated && w != nil && w.execCtx(&f.task, execInline) {
+	if w != nil && w.runInline(&f.task, f.rt) {
 		w.recordTouch(f.id, profile.ModeInline, 0, -1)
 		return
 	}

@@ -2,10 +2,14 @@ package runtime
 
 import (
 	"errors"
+	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
+
+	"futurelocality/internal/telemetry"
 )
 
 func newRT(t testing.TB, workers int) *Runtime {
@@ -314,7 +318,7 @@ func BenchmarkFibJoin8(b *testing.B) {
 // TestWakeupSignalStress hammers the park/signal protocol that replaced
 // lock-and-broadcast: each Run pushes exactly one task at an otherwise
 // idle pool, so nearly every iteration must wake a parked worker through
-// the atomic parked-count + version-counter handshake. A lost wakeup
+// the publish-then-parked-load handshake (see push). A lost wakeup
 // hangs the test (the package test timeout catches it); racing external
 // submitters exercise the parked.Load fast path against concurrent parks.
 func TestWakeupSignalStress(t *testing.T) {
@@ -334,6 +338,150 @@ func TestWakeupSignalStress(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestParkLostWakeup races one push against one park, round after round,
+// on a loop-less runtime where the test owns both sides: a parker goroutine
+// drives worker 0 (park, then find and run whatever woke it) and the test
+// goroutine makes the round's single push — from worker 1, from outside, or
+// through SubmitAll. The two are released together by the round counter,
+// and the pusher then waits a few nanoseconds more or less, so its parked
+// load falls on either side of the parker's parked increment. A push that
+// reads parked == 0 leaves the wakeup to the parker's own look at the
+// queues; if that look could miss the task, worker 0 would sleep on it, the
+// pusher would poll forever and the test would hang — so run it with a
+// short -timeout (and -race -count=10 in CI).
+func TestParkLostWakeup(t *testing.T) {
+	const rounds = 2000
+	pushers := []struct {
+		name string
+		// push publishes one leaf and returns a poll for its completion. The
+		// pusher polls rather than blocks in a touch, so both goroutines stay
+		// on their CPUs and each round is a fresh race.
+		push func(rt *Runtime) (done func() bool)
+	}{
+		{"worker", func(rt *Runtime) func() bool {
+			return SpawnWith(rt, rt.workers[1], ParentFirst, leafIntFn).Done
+		}},
+		{"external", func(rt *Runtime) func() bool {
+			return SpawnWith(rt, nil, ParentFirst, leafIntFn).Done
+		}},
+		{"SubmitAll", func(rt *Runtime) func() bool {
+			jobs, err := SubmitAll(rt, []func(*W) int{leafIntFn}, nil)
+			if err != nil {
+				panic(err)
+			}
+			return jobs[0].Done
+		}},
+	}
+	for _, p := range pushers {
+		t.Run(p.name, func(t *testing.T) {
+			rt := bareRuntime(RandomSingle, 2)
+			var round atomic.Int64
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := rt.workers[0]
+				// ran counts executed tasks, not parks: a drain can run the next
+				// round's task too when its push comes early.
+				for ran := int64(0); ran < rounds; {
+					// Spin, so that park starts within nanoseconds of the round's
+					// announcement; yield only if it is long in coming (one CPU).
+					for i := 0; round.Load() <= ran; i++ {
+						if i > 10000 {
+							stdruntime.Gosched()
+						}
+					}
+					w.park()
+					for {
+						task, stolen := w.find()
+						if task == nil {
+							break
+						}
+						var fl execFlags
+						if stolen {
+							fl = execStolen
+						}
+						w.execCtx(task, fl)
+						ran++
+					}
+				}
+			}()
+			for r := int64(1); r <= rounds; r++ {
+				round.Store(r)
+				for i := r % 128; i > 0; i-- {
+					round.Load() // a few ns per turn: where the push lands varies
+				}
+				for done := p.push(rt); !done(); {
+					stdruntime.Gosched()
+				}
+			}
+			wg.Wait()
+			snap := rt.TelemetrySnapshot()
+			t.Logf("%d rounds: worker 0 slept in %d, the push signalled in %d",
+				rounds, snap.Total(telemetry.CParks), snap.Total(telemetry.CWakeups))
+		})
+	}
+}
+
+// TestDequeDepthBoundedByRecursion pins the eager pop: a touched task leaves
+// its creator's deque before it runs, so the deque of a fork-join run is as
+// deep as the recursion (20 here), not as long as the run (about 11 000
+// tasks, which would have grown the ring to 16 384 slots).
+func TestDequeDepthBoundedByRecursion(t *testing.T) {
+	rt := newRT(t, 1)
+	var fib func(w *W, n int) int
+	fib = func(w *W, n int) int {
+		if n < 2 {
+			return n
+		}
+		f := Spawn(rt, w, func(w *W) int { return fib(w, n-1) })
+		y := fib(w, n-2)
+		return f.Touch(w) + y
+	}
+	if got := Run(rt, func(w *W) int { return fib(w, 20) }); got != 6765 {
+		t.Fatalf("fib(20) = %d", got)
+	}
+	if c := rt.workers[0].dq.Cap(); c > 64 {
+		t.Fatalf("deque ring grew to %d slots; want at most 64 (recursion depth 20)", c)
+	}
+	if st := rt.Stats(); st.InlineTouches == 0 {
+		t.Fatalf("no inline touch: %v", st)
+	}
+}
+
+// TestRuntimeLayout pins the Runtime's two sections: everything the spawn
+// and steal paths read but nobody writes after New (closed is written once)
+// sits at least a cache line before the first field that submitters, parkers
+// and finishers write.
+func TestRuntimeLayout(t *testing.T) {
+	var rt Runtime
+	end := func(off, size uintptr) uintptr { return off + size }
+	headerEnd := max(
+		end(unsafe.Offsetof(rt.workers), unsafe.Sizeof(rt.workers)),
+		end(unsafe.Offsetof(rt.discipline), unsafe.Sizeof(rt.discipline)),
+		end(unsafe.Offsetof(rt.stealPolicy), unsafe.Sizeof(rt.stealPolicy)),
+		end(unsafe.Offsetof(rt.domainConds), unsafe.Sizeof(rt.domainConds)),
+		end(unsafe.Offsetof(rt.closed), unsafe.Sizeof(rt.closed)),
+		end(unsafe.Offsetof(rt.prof), unsafe.Sizeof(rt.prof)),
+		end(unsafe.Offsetof(rt.flight), unsafe.Sizeof(rt.flight)),
+		end(unsafe.Offsetof(rt.tele), unsafe.Sizeof(rt.tele)),
+		end(unsafe.Offsetof(rt.teleExt), unsafe.Sizeof(rt.teleExt)),
+	)
+	firstWritten := min(
+		unsafe.Offsetof(rt.mu),
+		unsafe.Offsetof(rt.parked),
+		unsafe.Offsetof(rt.taskSeq),
+		unsafe.Offsetof(rt.global),
+		unsafe.Offsetof(rt.jobRegistry),
+		unsafe.Offsetof(rt.latencyHist),
+		unsafe.Offsetof(rt.queueWaitHist),
+	)
+	if firstWritten < headerEnd+cacheLine {
+		t.Fatalf("written state starts at offset %d, within a cache line of the read-mostly header ending at %d",
+			firstWritten, headerEnd)
+	}
 }
 
 // TestVictimSelectionDeterministic pins that the xorshift victim stream is

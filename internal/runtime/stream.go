@@ -48,9 +48,8 @@ type Stream[T any] struct {
 }
 
 type streamCell[T any] struct {
-	comp     completion
-	value    T
-	consumed atomic.Bool
+	comp  completion
+	value T
 }
 
 // runTask implements taskRunner: it is the producer body, computing every
@@ -137,7 +136,7 @@ func (s *Stream[T]) Ready(i int) bool {
 // same escalation as Future.Touch.
 func (s *Stream[T]) Get(w *W, i int) T {
 	c := &s.cells[i]
-	if c.consumed.Swap(true) {
+	if c.comp.touched.Swap(true) {
 		panic(ErrDoubleTouch)
 	}
 	// Fast path.
@@ -147,7 +146,7 @@ func (s *Stream[T]) Get(w *W, i int) T {
 	}
 	// Inline path: run the whole producer on this worker (the inline credit
 	// is applied inside execCtx, within the producer's job-liveness window).
-	if s.state.Load() == stateCreated && w != nil && w.execCtx(&s.task, execInline) {
+	if w != nil && w.runInline(&s.task, s.rt) {
 		s.recordGet(w, i, profile.ModeInline, 0)
 		return s.finish(c, i)
 	}

@@ -337,6 +337,7 @@ func TestConservation(t *testing.T) {
 	defer p.Shutdown()
 	const offered = 400
 	var jobs []Job[int]
+	waited := 0 // jobs[:waited] have been consumed
 	for i := 0; i < offered; i++ {
 		j, err := Submit(p, func(*runtime.W) int { return i * i })
 		if err != nil {
@@ -347,11 +348,14 @@ func TestConservation(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 		if len(jobs)%16 == 0 { // let the pool breathe so some jobs complete
-			jobs[len(jobs)-1].Wait()
+			for ; waited < len(jobs); waited++ {
+				jobs[waited].Wait()
+			}
 		}
 	}
-	for i := range jobs {
-		jobs[i].Wait()
+	// Each handle is waited exactly once: a second Wait is ErrDoubleTouch.
+	for ; waited < len(jobs); waited++ {
+		jobs[waited].Wait()
 	}
 	var submitted, completed, inFlight int64
 	for i := 0; i < p.Shards(); i++ {
