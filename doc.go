@@ -38,9 +38,10 @@
 //     specialized Chase–Lev deques, single-touch enforcement, touch-time
 //     helping, and both fork disciplines through one parameterized spawn
 //     primitive. The hot path is cache-conscious and allocation-lean: a
-//     future IS its task (one allocation carries identity, state, an
-//     atomic completion word, and the result; the blocking gate is
-//     materialized only when a toucher actually parks), deque slots hold
+//     future IS its task (one allocation carries identity, one atomic
+//     status word — scheduling state, completion and the single-touch
+//     latch — and the result; the blocking gate is materialized only
+//     when a toucher actually parks), deque slots hold
 //     task pointers directly with top/bottom on separate cache lines and
 //     a touched task leaves the deque before it runs, so deques hold live
 //     work only. A worker's spawn and inline touch write no cache line
@@ -130,7 +131,9 @@
 //
 //   - Observability (Runtime.TelemetrySnapshot, Runtime.WriteMetrics,
 //     WithFlightRecorder): always-on per-worker counters (one atomic add
-//     per scheduling event) and log-bucketed latency histograms, exposed
+//     per scheduling event; the once-per-task counts are batched by the
+//     worker and published before anyone can wait for the result) and
+//     log-bucketed latency histograms, exposed
 //     as a Prometheus text page (WriteMetrics) or an expvar map
 //     (MetricsMap). WithFlightRecorder adds a continuously-recording
 //     bounded event ring per worker: DumpFlight reconstructs the recent

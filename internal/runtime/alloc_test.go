@@ -29,7 +29,7 @@ func inWorker(t *testing.T, body func(w *W) float64) float64 {
 
 // TestSpawnTouchAllocBudget pins the tentpole number: a SpawnWith+Touch
 // pair costs at most 2 allocations under BOTH disciplines (measured: 1 —
-// the Future, which embeds its task, completion word, and result; the
+// the Future, which embeds its task, status word, and result; the
 // budget leaves one slot of headroom for a capturing closure).
 func TestSpawnTouchAllocBudget(t *testing.T) {
 	for _, d := range []Discipline{ParentFirst, FutureFirst} {
@@ -222,14 +222,15 @@ func TestTouchReadyAllocBudget(t *testing.T) {
 	}
 }
 
-// TestFutureSize pins Future[int] inside the allocator's 96-byte size class.
-// One more word — or the single-touch latch back at the end of the struct —
-// moves every spawn to the 112-byte class, 16 bytes a task.
+// TestFutureSize pins Future[int] inside the allocator's 80-byte size class
+// and the embedded task at six words. A panic slot back in the Future, or a
+// completion flag or touch latch beside the status word, moves every spawn to
+// the 96-byte class, 16 bytes a task.
 func TestFutureSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Future[int]{}); sz > 96 {
-		t.Fatalf("Future[int] is %d bytes, want at most 96", sz)
+	if sz := unsafe.Sizeof(Future[int]{}); sz > 72 {
+		t.Fatalf("Future[int] is %d bytes, want at most 72", sz)
 	}
-	if sz := unsafe.Sizeof(task{}); sz > 56 {
-		t.Fatalf("task is %d bytes, want at most 56", sz)
+	if sz := unsafe.Sizeof(task{}); sz > 48 {
+		t.Fatalf("task is %d bytes, want at most 48", sz)
 	}
 }

@@ -120,8 +120,8 @@ func newJobRoot[T any](rt *Runtime) *jobRoot[T] {
 	return r
 }
 
-// prepareForReuse scrubs the composite for its next tenant: the completion
-// word, touch latch, and scheduling state reset, and the result/panic/body
+// prepareForReuse scrubs the composite for its next tenant: the status word
+// goes back to created and untouched, and the result, body and wait-gate
 // slots drop their references so the pool never pins user data. The
 // invariant fields (rt, runner, owner) stay wired; identity fields are
 // assigned fresh at the next launch.
@@ -130,10 +130,7 @@ func (r *jobRoot[T]) prepareForReuse() {
 	var zero T
 	f.fn = nil
 	f.result = zero
-	f.panicked = nil
-	f.comp.touched.Store(false)
-	f.comp.done.Store(0)
-	f.comp.gate.Store(nil)
+	f.gate.Store(nil)
 	f.state.Store(stateCreated)
 	f.stolenBatch = 0
 	f.stolenCross = false
@@ -197,8 +194,8 @@ func (w *W) flushJobFree() {
 // removal, the in-flight gauge decrement, and the admission-token release.
 // Called exactly once, by the root task's completion path (normal,
 // panicking, or shutdown-cancelled), and ordered before the root future's
-// completion word is published — so a waiter that has observed Done sees
-// the final latency and a freed slot.
+// completion is published (task.retire) — so a waiter that has observed
+// Done sees the final latency and a freed slot.
 func (js *jobState) finish() {
 	lat := int64(time.Since(js.submitted))
 	js.latencyNs.Store(lat)
@@ -733,7 +730,7 @@ func launch[T any](rt *Runtime, fn func(*W) T, tok int32) Job[T] {
 		return j
 	}
 	rt.teleExt.Inc(telemetry.CSpawnsParentFirst)
-	rt.recordSpawn(nil, r.fut.id, ParentFirst, id)
+	rt.recordSpawn(nil, &r.fut.task, ParentFirst)
 	rt.push(nil, &r.fut.task)
 	return j
 }
@@ -802,7 +799,7 @@ func launchBatch[T any](rt *Runtime, fns []func(*W) T, dst []Job[T], tok int32) 
 	rt.teleExt.Add(telemetry.CSpawnsParentFirst, int64(k))
 	for i := 0; i < k; i++ {
 		j := &dst[base+i]
-		rt.recordSpawn(nil, j.f.id, ParentFirst, j.id)
+		rt.recordSpawn(nil, &j.f.task, ParentFirst)
 	}
 	// Publish the batch: chunked bulk pushes onto the global queue (one lock
 	// visit per chunk, no per-batch allocation), then one wakeup decision

@@ -380,7 +380,7 @@ func TestJobEventSeparationDeterministic(t *testing.T) {
 		if tk == nil {
 			t.Fatalf("step %d: no task to run", i)
 		}
-		if !w.exec(tk) {
+		if !w.execCtx(tk, 0) {
 			t.Fatalf("step %d: task already claimed", i)
 		}
 	}
@@ -490,7 +490,7 @@ func TestHelpAttributedToHelpedTasksJob(t *testing.T) {
 	// job-less, claimed (Created→Running) before anyone can inline it, and
 	// completed by hand mid-test the way its executing worker would.
 	passed := SpawnWith(rt, nil, ParentFirst, func(*W) int { return 0 })
-	if !passed.state.CompareAndSwap(stateCreated, stateRunning) {
+	if !passed.claim() {
 		t.Fatal("could not pre-claim the in-flight future")
 	}
 
@@ -502,7 +502,7 @@ func TestHelpAttributedToHelpedTasksJob(t *testing.T) {
 		// The "other worker" finishes passed while B runs — so A's await
 		// observes completion right after helping B, deterministically.
 		passed.result = 5
-		passed.comp.complete()
+		passed.complete()
 		return 9
 	})
 	if err != nil {
@@ -516,7 +516,7 @@ func TestHelpAttributedToHelpedTasksJob(t *testing.T) {
 	if tk == nil || stolen {
 		t.Fatalf("find: task=%v stolen=%v, want job A's root", tk, stolen)
 	}
-	if !w0.exec(tk) {
+	if !w0.execCtx(tk, 0) {
 		t.Fatal("exec of job A's root failed")
 	}
 	if got := jA.Wait(); got != 5 {

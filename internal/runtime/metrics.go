@@ -23,6 +23,8 @@ var ErrNoFlight = errors.New("runtime: no flight recorder (build the runtime wit
 
 // TelemetrySnapshot snapshots the always-on counter matrix (one row per
 // worker plus the external row). Subtract two snapshots for a rate window.
+// Tasks run, inline touches and spawns trail each running worker by at most
+// 256 (see Stats and W.publish); everything else is counted at the event.
 func (rt *Runtime) TelemetrySnapshot() telemetry.Snapshot { return rt.tele.Snapshot() }
 
 // LatencyHist snapshots the submit→done job latency histogram

@@ -8,11 +8,13 @@ package runtime
 //
 // Overhead discipline:
 //
-//   - disabled (the default): every hook is one atomic pointer load and a
-//     branch. A worker's Spawn pays no shared atomic increment for the
-//     task ID: the ID comes from the worker's reserved block
-//     (W.nextTaskID), one shared increment per 256 spawns. External spawns,
-//     producers and job roots take one increment each.
+//   - disabled (the default): every hook is one atomic pointer load, one
+//     plain load and two branches (Runtime.recording), taken before the
+//     event — and the job ID it carries — is even built. A worker's Spawn
+//     or Produce pays no shared atomic increment for the task ID: the ID
+//     comes from the worker's reserved block (W.nextTaskID), one shared
+//     increment per 256 spawns. External spawns and job roots take one
+//     increment each.
 //   - enabled: one event store plus one atomic length store per event, into
 //     a lock-free single-writer per-worker chunk log (see profile.Recorder).
 //
@@ -27,10 +29,17 @@ import (
 	"futurelocality/internal/profile"
 )
 
+// recording reports whether any event sink — a profiling session or the
+// flight recorder — is on: one plain load, one atomic load, two branches.
+// The scheduler's hooks ask it before they build an Event, so with both
+// sinks off a hook costs exactly that and never dereferences the task's job.
+func (rt *Runtime) recording() bool {
+	return rt.flight != nil || rt.prof.Load() != nil
+}
+
 // record appends ev to the active profiling session, if any, and to the
 // flight recorder, if the runtime has one. Only this worker writes to its
-// log and its ring, so both sinks are lock-free on the hot path; with both
-// disabled the hook is one atomic load, one plain load, and two branches.
+// log and its ring, so both sinks are lock-free on the hot path.
 func (w *W) record(ev profile.Event) {
 	if rec := w.rt.prof.Load(); rec != nil {
 		rec.Record(w.id, ev)
@@ -46,8 +55,20 @@ func (w *W) record(ev profile.Event) {
 // the external waiter's touch of a job root is recorded separately with the
 // root's job).
 func (w *W) recordTouch(other uint64, mode profile.TouchMode, helps, item int32) {
+	if !w.rt.recording() {
+		return
+	}
 	w.record(profile.Event{Kind: profile.KindTouch, Mode: mode,
 		Task: w.cur, Other: other, Arg: item, N: helps, Job: w.jobID()})
+}
+
+// recordExternalTouch records a touch of task t (item ≥ 0: of that stream
+// item) made by a goroutine outside the worker pool, attributed to t's job.
+func (rt *Runtime) recordExternalTouch(t *task, mode profile.TouchMode, item int32) {
+	if rt.recording() {
+		rt.recordExternal(profile.Event{Kind: profile.KindTouch, Mode: mode,
+			Other: t.id, Arg: item, Job: t.jobID()})
+	}
 }
 
 // recordExternal appends ev on behalf of a goroutine outside the worker
@@ -61,34 +82,22 @@ func (rt *Runtime) recordExternal(ev profile.Event) {
 	}
 }
 
-// recordSpawn records the creation of task id from the context of w (nil
+// recordSpawn records the creation of task t from the context of w (nil
 // or foreign w = external context, mirroring push's routing), tagged with
 // the fork discipline the spawn used so reconstruction can attribute
-// deviations to policy choice, and with the spawned task's job (jid, 0 for
+// deviations to policy choice, and with the spawned task's job (0 for
 // job-less work) so per-job trace splitting sees every task of a job —
 // including the root, whose spawn is recorded externally by Submit.
-func (rt *Runtime) recordSpawn(w *W, id uint64, d Discipline, jid uint64) {
-	rec := rt.prof.Load()
-	fl := rt.flight
-	if rec == nil && fl == nil {
+func (rt *Runtime) recordSpawn(w *W, t *task, d Discipline) {
+	if !rt.recording() {
 		return
 	}
+	ev := profile.Event{Kind: profile.KindSpawn, Other: t.id, Arg: -1, Disc: d, Job: t.jobID()}
 	if w != nil && w.rt == rt {
-		ev := profile.Event{Kind: profile.KindSpawn, Task: w.cur, Other: id, Arg: -1, Disc: d, Job: jid}
-		if rec != nil {
-			rec.Record(w.id, ev)
-		}
-		if fl != nil {
-			fl.Record(w.id, ev)
-		}
+		ev.Task = w.cur
+		w.record(ev)
 	} else {
-		ev := profile.Event{Kind: profile.KindSpawn, Other: id, Arg: -1, Disc: d, Job: jid}
-		if rec != nil {
-			rec.RecordExternal(ev)
-		}
-		if fl != nil {
-			fl.RecordExternal(ev)
-		}
+		rt.recordExternal(ev)
 	}
 }
 

@@ -39,14 +39,17 @@
 // by running other tasks, and only then blocks.
 //
 // The hot path is allocation-free past the future itself: a future IS its
-// task (one allocation carries id, state, completion word, and result
-// slot), deque slots store task pointers directly (no per-push box), and
-// completion is an atomic word whose channel wait gate is materialized only
-// when a toucher actually blocks. A worker-local spawn and inline touch also
-// write no cache line other workers share: task IDs are unique but not dense
-// in spawn order, because each worker draws them from the runtime's counter a
-// block at a time, and push reads the parked count without writing anything.
-// See DESIGN.md, "hot path anatomy", for the per-operation budget.
+// task (one allocation carries id, status word, and result slot), deque
+// slots store task pointers directly (no per-push box), and scheduling
+// state, completion and the single-touch latch are bits of one atomic word
+// whose channel wait gate is materialized only when a toucher actually
+// blocks. A worker-local spawn and inline touch also write no cache line
+// other workers share: task IDs are unique but not dense in spawn order,
+// because each worker draws them from the runtime's counter a block at a
+// time, push reads the parked count without writing anything, and the
+// per-task counters are plain fields of the worker, published to its
+// telemetry row before anyone can wait for the result. See DESIGN.md, "hot
+// path anatomy", for the per-operation budget.
 //
 // Errors and cancellation: task panics surface through Touch (re-panicking
 // the original value) or TouchErr/RunErr (returned as errors, wrapping the
@@ -93,65 +96,112 @@ import (
 // cores (64 bytes on amd64/arm64).
 const cacheLine = 64
 
-// task states.
+// A task's status word. The low two bits are the scheduling state, which only
+// moves forward — created → running → done — and the next bit up is the
+// single-touch latch of the future the task computes, which is set once and
+// never cleared:
+//
+//	bit 2     bits 1..0
+//	touched   0 created   published, nobody has claimed the body
+//	          1 running   one worker owns the body (claim: CAS created → running)
+//	          2 done      result and panic value published (complete: Add(1))
+//
+// One word instead of three (state, done flag, latch) is what lets a worker's
+// touch of an unstarted future claim the body and spend the touch with a
+// single CAS (created → running|touched), and lets completion be a single
+// Add that keeps a latch another goroutine sets at the same moment. Every
+// access is a sequentially consistent atomic, which the lost-wakeup argument
+// at wakeWaiters depends on.
 const (
-	stateCreated int32 = iota
+	stateCreated uint32 = iota
 	stateRunning
 	stateDone
+	stateMask    uint32 = 3
+	stateTouched uint32 = 4
 )
 
-// completion is a future's completion word: an atomic flag plus a lazily
-// materialized wait gate. The common case — the toucher inline-runs the
-// task, or finds it already finished — costs one atomic load and never
-// allocates; the channel exists only when a waiter actually has to block.
+// waitGate is what a task's or a stream cell's waiters block on, and — for a
+// future — where a panic value (ErrClosed after a cancellation) travels from
+// the completer to the toucher. It is allocated only when a toucher actually
+// has to block, or when the body panics or is cancelled: the common case,
+// an inline run or a touch of a finished future, never sees one.
+type waitGate struct {
+	ch chan struct{}
+	// panicked is written by the completer before it publishes completion
+	// and read by touchers after they observe it; the completion atomic
+	// orders the two.
+	panicked any
+}
+
+// materialize returns the gate behind p, installing a fresh one if there is
+// none. Any goroutine; all callers agree on one gate.
+func materialize(p *atomic.Pointer[waitGate]) *waitGate {
+	if g := p.Load(); g != nil {
+		return g
+	}
+	g := &waitGate{ch: make(chan struct{})}
+	if p.CompareAndSwap(nil, g) {
+		return g
+	}
+	return p.Load()
+}
+
+// The lazy gate's handshake, shared by tasks and stream cells. The completer
+// publishes done — an atomic write to its own word — and then calls
+// wakeWaiters, which loads the gate; a waiter that has seen done unset calls
+// blockUntil, which installs the gate and then loads done again. All four
+// accesses are sequentially consistent, so no wakeup is lost (Dekker): either
+// the completer's load sees the gate and closes it, or the waiter's install
+// comes after that load — hence after done was published — and its re-check
+// sees done and does not sleep.
+
+// wakeWaiters closes the gate behind p if a waiter materialized one. Call
+// exactly once, after publishing done.
+func wakeWaiters(p *atomic.Pointer[waitGate]) {
+	if g := p.Load(); g != nil {
+		close(g.ch)
+	}
+}
+
+// blockUntil sleeps on the gate behind p until the completer closes it,
+// unless done already holds once the gate is installed. Only this slow path
+// allocates the gate (shared by all waiters).
+func blockUntil(p *atomic.Pointer[waitGate], done func() bool) {
+	if g := materialize(p); !done() {
+		<-g.ch
+	}
+}
+
+// completion is a stream cell's completion word: an atomic flag, the cell's
+// single-touch latch, and a lazily materialized wait gate. A produced item
+// costs its consumer one atomic load and never allocates; the gate exists
+// only when a consumer actually has to block. (A future needs no separate
+// completion: its flag and latch are bits of its task's status word.)
 type completion struct {
 	done atomic.Uint32
-	// touched is the single-touch latch of the value this word completes (a
-	// Future's result, a Stream cell's item). It lives here, in what would
-	// otherwise be padding before gate, rather than at the end of the
-	// embedding struct, where it cost Future[int] a whole size class.
+	// touched is the single-touch latch of the cell's item. It lives here, in
+	// what would otherwise be padding before gate.
 	touched atomic.Bool
-	gate    atomic.Pointer[chan struct{}]
+	gate    atomic.Pointer[waitGate]
 }
 
 // isDone reports completion. The atomic load synchronizes with complete's
-// store, so a true result makes the completer's prior writes (result,
-// panic value) visible.
+// store, so a true result makes the producer's prior writes (the item, the
+// panic point) visible.
 func (c *completion) isDone() bool { return c.done.Load() != 0 }
 
-// complete publishes completion and wakes blocked waiters, if any
-// materialized a gate. Must be called exactly once.
+// complete publishes completion and wakes blocked waiters (see wakeWaiters).
+// Must be called exactly once.
 func (c *completion) complete() {
 	c.done.Store(1)
-	// Dekker-style handshake with wait: our done store is seq-cst-ordered
-	// before this gate load, and a waiter's gate install is ordered before
-	// its done re-check — so either we observe the gate (and close it) or
-	// the waiter observes done (and never blocks). No lost wakeup.
-	if g := c.gate.Load(); g != nil {
-		close(*g)
-	}
+	wakeWaiters(&c.gate)
 }
 
-// wait blocks until complete. Only this slow path ever allocates (the gate
-// channel, shared by all waiters of this completion).
+// wait blocks until complete.
 func (c *completion) wait() {
-	if c.done.Load() != 0 {
-		return
+	if !c.isDone() {
+		blockUntil(&c.gate, c.isDone)
 	}
-	g := c.gate.Load()
-	if g == nil {
-		ch := make(chan struct{})
-		if c.gate.CompareAndSwap(nil, &ch) {
-			g = &ch
-		} else {
-			g = c.gate.Load()
-		}
-	}
-	// Re-check after installing the gate (see complete).
-	if c.done.Load() != 0 {
-		return
-	}
-	<-*g
 }
 
 // stealBatchMax caps how many tasks one steal-half visit can take — it
@@ -162,21 +212,23 @@ const stealBatchMax = policy.StealBatchMax
 
 // task is the schedulable unit — embedded directly in Future and Stream, so
 // spawning allocates no separate task object, no closure wrapping the body,
-// and no done channel: one allocation carries id, state, completion word,
-// and the body's result slot.
+// and no done channel: one allocation carries id, status word and the body's
+// result slot. 48 bytes (TestFutureSize).
 type task struct {
 	// id identifies the task in profiling traces (unique, from
 	// Runtime.taskSeq, starting at 1; 0 is the external context). Workers
 	// draw IDs in blocks (see W.nextTaskID), so IDs are not dense in spawn
 	// order across workers.
-	id    uint64
-	state atomic.Int32
+	id uint64
+	// state is the status word: scheduling state, completion and the
+	// single-touch latch (see stateCreated).
+	state atomic.Uint32
 	// stolenBatch marks a displaced task: 0 for a task on its spawn-order
 	// path, k > 0 for a task taken in a steal batch of k (1 for a single
 	// steal under StealHalf). A plain field, not an atomic: it is written
 	// only while the thief holds the task exclusively — between claiming it
 	// from the victim's deque and executing or re-publishing it — and every
-	// later reader receives the task through a deque operation or the exec
+	// later reader receives the task through a deque operation or the claim
 	// CAS, which order the write before the read. int16 (a batch is at most
 	// stealBatchMax) so it shares a word with state and stolenCross.
 	stolenBatch int16
@@ -192,19 +244,68 @@ type task struct {
 	// everything the job's computation spawns — and read through the same
 	// publication edges as the body, so no atomics are needed. It is what
 	// threads per-job identity into Stats counters and profiler events.
-	job  *jobState
-	comp completion
+	job *jobState
+	// gate is nil until a toucher blocks on the task or its body panics or
+	// is cancelled (see waitGate). A Stream's producer task never gets one:
+	// consumers wait on cells.
+	gate atomic.Pointer[waitGate]
 	// runner executes the task body; it is the embedding object (a *Future
-	// or *Stream), stored as an interface so exec needs no per-spawn
+	// or *Stream), stored as an interface so run needs no per-spawn
 	// closure. Assigning the pointer allocates nothing.
 	runner taskRunner
 }
 
+// unstarted reports that nobody has claimed the task's body yet.
+func (t *task) unstarted() bool { return t.state.Load()&stateMask == stateCreated }
+
+// isDone reports completion. The atomic load synchronizes with complete's
+// Add, so a true result makes the completer's prior writes (result, panic
+// value, published counters) visible.
+func (t *task) isDone() bool { return t.state.Load()&stateMask == stateDone }
+
+// claim takes ownership of an unstarted task's body (created → running) and
+// reports whether it did. It keeps the touched bit, set or not: a future that
+// was touched before it started — its toucher is blocked, or is about to
+// claim it itself — is claimed like any other.
+func (t *task) claim() bool {
+	for {
+		s := t.state.Load()
+		if s&stateMask != stateCreated {
+			return false
+		}
+		if t.state.CompareAndSwap(s, s|stateRunning) {
+			return true
+		}
+	}
+}
+
+// spendTouch sets the single-touch latch and reports whether this call was
+// the one that spent it. Or, not a store: it must not disturb a claim or a
+// completion landing on the same word.
+func (t *task) spendTouch() bool { return t.state.Or(stateTouched)&stateTouched == 0 }
+
+// complete publishes completion (running → done) and wakes blocked waiters
+// (see wakeWaiters). Called exactly once, by whoever claimed the task. Add,
+// not a store: a toucher may set the touched bit at any moment, and the latch
+// has to survive.
+func (t *task) complete() {
+	t.state.Add(stateDone - stateRunning)
+	wakeWaiters(&t.gate)
+}
+
+// waitDone blocks until complete.
+func (t *task) waitDone() {
+	if !t.isDone() {
+		blockUntil(&t.gate, t.isDone)
+	}
+}
+
 // taskRunner is implemented by the types that embed task.
 type taskRunner interface {
-	// runTask executes the body. cancelled is true only when a shutdown
-	// drain is delivering ErrClosed instead of running the user function
-	// (w is nil then).
+	// runTask executes the body and stores its outcome; the caller, which
+	// claimed the task, publishes completion afterwards (task.retire).
+	// cancelled is true only when a shutdown drain is delivering ErrClosed
+	// instead of running the user function (w is nil then).
 	runTask(w *W, cancelled bool)
 }
 
@@ -266,8 +367,8 @@ type Runtime struct {
 	// when nobody is parked (see push for the handshake).
 	parked atomic.Int32
 	// taskSeq allocates task IDs for profiling traces: one at a time for
-	// external spawns, producers and job roots, a block at a time for
-	// workers (W.nextTaskID).
+	// external spawns and job roots, a block at a time for workers
+	// (W.nextTaskID).
 	taskSeq atomic.Uint64
 	global  deque.Locked[*task]
 	wg      sync.WaitGroup
@@ -296,13 +397,15 @@ type domainCond struct {
 // everywhere and routes through the global queue (used by external
 // goroutines).
 //
-// Layout: the read-mostly header and the owner-written scheduling state sit
-// on separate cache lines, so a neighboring allocation never bounces the
-// line the owner is hammering. The stats counters that used to occupy a
-// third section live in the worker's telemetry row now (reached through the
-// read-only tele pointer) — same one-atomic-add discipline, but padded
-// inside the runtime's counter matrix where Stats and the /metrics scraper
-// read them without touching W at all.
+// Layout: the read-mostly header fills the first two cache lines and the
+// owner-written scheduling state starts the third, so a thief reading
+// v.dq or v.domain never touches a line the owner is hammering; the struct is
+// a whole number of lines, so the allocator places it line-aligned and a
+// neighboring object shares none of them (TestWorkerLayout). The counters
+// that move once per task are plain owner-local fields (pend); everything
+// else is counted straight into the worker's telemetry row, reached through
+// the read-only tele pointer, where Stats and the /metrics scraper read
+// without touching W at all.
 type W struct {
 	rt *Runtime
 	id int
@@ -320,23 +423,26 @@ type W struct {
 	peers  []*W
 	remote []*W
 
-	_ [cacheLine]byte
+	_ [2*cacheLine - 88]byte
 
 	// rng is the xorshift64 state for victim selection (never zero); an
 	// inline generator instead of math/rand.Rand keeps the steal path free
 	// of pointer-chasing and interface calls.
 	rng uint64
 	// cur is the ID of the task this worker is currently executing (0 when
-	// idle). Owner-written in exec; read only by this worker when recording
+	// idle). Owner-written in run; read only by this worker when recording
 	// profile events.
 	cur uint64
 	// curJob is the job of the task this worker is currently executing (nil
-	// outside any job). Owner-written in exec alongside cur; it is what
+	// outside any job). Owner-written in run alongside cur; it is what
 	// spawns inherit and what touch events are attributed to.
 	curJob *jobState
 	// idNext..idEnd is what remains of the worker's reserved block of task
 	// IDs: the next spawn takes idNext+1. Owner-only (see nextTaskID).
 	idNext, idEnd uint64
+	// pend holds the per-task counters not yet published to tele (see
+	// publish). Owner-only.
+	pend pending
 	// lastVictim is the index of the worker the last successful steal came
 	// from, or -1 — the LastVictimAffinity cache. Owner-only.
 	lastVictim int32
@@ -350,7 +456,61 @@ type W struct {
 	// lock visit when full (see flushJobFree). Owner-only.
 	jobFree []poolableRoot
 
-	_ [cacheLine*2 - 96]byte
+	_ [2*cacheLine - 112]byte
+}
+
+// pending is a worker's unpublished share of the four counters that move
+// once per task: tasks run, inline touches, and spawns by discipline. The
+// owner bumps them with plain increments and publish folds them into the
+// telemetry row.
+type pending struct {
+	ran, inlined uint32
+	spawned      [2]uint32 // indexed by Discipline
+}
+
+// counterLag bounds how far a running worker's telemetry row may trail its
+// pending counters: they are published at the latest every counterLag tasks
+// run and every taskIDBlock spawns.
+const counterLag = 256
+
+// publish folds the pending counters into the worker's telemetry row, one
+// atomic add per counter that moved. Owner-only.
+//
+// The publication rule. A worker publishes (1) before it makes visible the
+// completion of any task it did not run as that task's own toucher or diving
+// spawner — every task run from the worker loop or while helping, which
+// includes every Run and job root; (2) before it blocks at a touch, and
+// before it parks; (3) after counterLag tasks and after taskIDBlock spawns.
+// A task run inline or dived into completes inside another task on the same
+// worker, so by (1) its counts are out before that enclosing task's
+// completion is. Hence a goroutine that has waited for a computation whose
+// futures were all touched — Run or Job.Wait returned, a worker parked —
+// reads exact counters, and a reader that synchronizes on nothing sees each
+// running worker at most counterLag tasks and taskIDBlock spawns behind.
+func (w *W) publish() {
+	if n := w.pend.ran; n != 0 {
+		w.tele.Add(telemetry.CTasksRun, int64(n))
+	}
+	if n := w.pend.inlined; n != 0 {
+		w.tele.Add(telemetry.CInlineTouches, int64(n))
+	}
+	for d, n := range w.pend.spawned {
+		if n != 0 {
+			w.tele.Add(telemetry.SpawnCounter(Discipline(d)), int64(n))
+		}
+	}
+	w.pend = pending{}
+}
+
+// countRun counts one executed task in the pending counters and reports
+// whether the rule at publish now calls for publication. Owner-only: two
+// plain increments and a compare, no atomic.
+func (w *W) countRun(fl execFlags) (due bool) {
+	w.pend.ran++
+	if fl&execInline != 0 {
+		w.pend.inlined++
+	}
+	return fl&(execInline|execDive) == 0 || w.pend.ran == counterLag
 }
 
 // taskIDBlock is how many task IDs a worker reserves from Runtime.taskSeq
@@ -363,11 +523,22 @@ const taskIDBlock = 256
 // follow spawn order.
 func (w *W) nextTaskID() uint64 {
 	if w.idNext == w.idEnd {
-		w.idEnd = w.rt.taskSeq.Add(taskIDBlock)
-		w.idNext = w.idEnd - taskIDBlock
+		w.reserveTaskIDs()
 	}
 	w.idNext++
 	return w.idNext
+}
+
+// reserveTaskIDs takes the worker's next block of IDs from the runtime's
+// counter. Every worker-local spawn and Produce draws its ID from a block, so
+// this — already the spawn path's one slow step — is also where the pending
+// spawn counters are published. Kept out of line so nextTaskID inlines.
+//
+//go:noinline
+func (w *W) reserveTaskIDs() {
+	w.publish()
+	w.idEnd = w.rt.taskSeq.Add(taskIDBlock)
+	w.idNext = w.idEnd - taskIDBlock
 }
 
 // nextRand advances the worker's xorshift64 state and returns it. Owner-only.
@@ -439,8 +610,8 @@ func (rt *Runtime) Shutdown() {
 }
 
 // drainGlobal cancels every still-unclaimed task in the global queue.
-// Concurrent calls are safe: cancellation is guarded by the task's state
-// CAS and the locked deque serializes removal.
+// Concurrent calls are safe: cancellation is guarded by the task's claim
+// and the locked deque serializes removal.
 func (rt *Runtime) drainGlobal() {
 	for {
 		t, ok := rt.global.StealTop()
@@ -455,12 +626,27 @@ func (rt *Runtime) drainGlobal() {
 // has claimed it. The cancellation spends the task's liveness reference on
 // its job, exactly as an execution would.
 func (t *task) cancelIfUnclaimed() {
-	if t.state.CompareAndSwap(stateCreated, stateDone) {
-		js := t.job
+	if t.claim() {
 		t.runner.runTask(nil, true)
-		if js != nil {
-			js.release(nil)
-		}
+		t.retire(nil)
+	}
+}
+
+// retire ends a claimed task whose body has run (or been cancelled). A job
+// root finishes its job first (latency capture, registry removal, admission
+// slot release), so a waiter that observes completion also sees the job's
+// final accounting — on every path, including a shutdown cancellation. Then
+// completion is published, and last the task's liveness reference on its job
+// is dropped: after that a pooled job root may be recycled at any moment, so
+// neither retire nor its caller reads the task again.
+func (t *task) retire(w *W) {
+	js := t.job
+	if js != nil && t.id == js.root {
+		js.finish()
+	}
+	t.complete()
+	if js != nil {
+		js.release(w)
 	}
 }
 
@@ -567,11 +753,11 @@ func (rt *Runtime) teleRow(w *W) *telemetry.Row {
 	return rt.teleExt
 }
 
-// execFlags describe the scheduling context of an execution, so execCtx can
+// execFlags describe the scheduling context of an execution, so run can
 // perform the displacement and touch accounting while it still holds the
 // task's liveness reference on its job — after the release, a pooled job
 // root may be recycled at any moment, so no caller may read the task or
-// credit its job post-exec.
+// credit its job post-run.
 type execFlags uint8
 
 const (
@@ -581,19 +767,26 @@ const (
 	execHelping
 	// execInline: the task was claimed inline by its own toucher.
 	execInline
+	// execDive: the task is a FutureFirst spawn run by its spawner before
+	// anyone else can hold the future.
+	execDive
 )
 
-// exec runs t on w if nobody else has claimed it (no displacement context).
-func (w *W) exec(t *task) bool { return w.execCtx(t, 0) }
-
-// execCtx runs t on w if nobody else has claimed it, performing the
-// context-dependent accounting (inline/steal/help credits and their
-// profiler events) before the job release that ends the task's liveness
-// window.
+// execCtx runs t on w, in scheduling context fl, if nobody else has claimed
+// it.
 func (w *W) execCtx(t *task, fl execFlags) bool {
-	if !t.state.CompareAndSwap(stateCreated, stateRunning) {
+	if !t.claim() {
 		return false
 	}
+	w.run(t, fl)
+	return true
+}
+
+// run executes the claimed task t on w and retires it. All accounting — the
+// owner-local counters, the context-dependent inline/steal/help credits and
+// their profiler events — happens before retire publishes completion, so
+// whoever waits on t finds it already counted.
+func (w *W) run(t *task, fl execFlags) {
 	js := t.job
 	prev, prevJob := w.cur, w.curJob
 	w.cur, w.curJob = t.id, js
@@ -605,17 +798,16 @@ func (w *W) execCtx(t *task, fl execFlags) bool {
 			js.queueWaitNs.Store(int64(time.Since(js.submitted)))
 		}
 	}
-	w.record(profile.Event{Kind: profile.KindBegin, Task: t.id, Arg: -1, Job: t.jobID()})
+	if w.rt.recording() {
+		w.record(profile.Event{Kind: profile.KindBegin, Task: t.id, Arg: -1, Job: t.jobID()})
+	}
 	t.runner.runTask(w, false)
-	t.state.Store(stateDone)
-	w.record(profile.Event{Kind: profile.KindEnd, Task: t.id, Arg: -1, Job: t.jobID()})
+	if w.rt.recording() {
+		w.record(profile.Event{Kind: profile.KindEnd, Task: t.id, Arg: -1, Job: t.jobID()})
+	}
 	w.cur, w.curJob = prev, prevJob
-	w.tele.Inc(telemetry.CTasksRun)
-	if fl&execInline != 0 {
-		w.tele.Inc(telemetry.CInlineTouches)
-		if js != nil {
-			js.inline.Add(1)
-		}
+	if fl&execInline != 0 && js != nil {
+		js.inline.Add(1)
 	}
 	if fl&execHelping != 0 {
 		w.tele.Inc(telemetry.CHelpedTasks)
@@ -627,28 +819,42 @@ func (w *W) execCtx(t *task, fl execFlags) bool {
 	} else if fl&execHelping != 0 {
 		w.recordHelp(t)
 	}
-	if js != nil {
-		js.release(w)
+	if w.countRun(fl) {
+		w.publish()
 	}
-	return true
+	t.retire(w)
 }
 
-// runInline is the inline-touch path: the toucher w claims the still
-// unstarted task t of runtime rt and runs it itself. It first takes t off
-// its own deque when t is the bottom entry — in creator-touch fork-join it
-// always is — so the deque's depth is the recursion depth, not the number
-// of tasks the run has spawned: the ring stays small and cache-resident,
-// thieves meet only live tasks, and no finished future stays pinned by a
-// slot. A task that is not at the bottom (a passed future, or one a thief is
-// taking) just stays where it is; find's state filter skips it later.
-func (w *W) runInline(t *task, rt *Runtime) bool {
-	if t.state.Load() != stateCreated {
+// runInline is the inline path of a touch or a private wait: w claims the
+// still unstarted task t of runtime rt and runs it itself. latch is
+// stateTouched when the call is the future's single touch, which the claiming
+// CAS then spends in the same instruction (it fails if the touch is already
+// spent), and 0 for waits that do not spend it.
+//
+// It first takes t off its own deque when t is the bottom entry — in
+// creator-touch fork-join it always is — so the deque's depth is the
+// recursion depth, not the number of tasks the run has spawned: the ring
+// stays small and cache-resident, thieves meet only live tasks, and no
+// finished future stays pinned by a slot. A task that is not at the bottom
+// (a passed future, or one a thief is taking) just stays where it is; find's
+// filter skips it later.
+func (w *W) runInline(t *task, rt *Runtime, latch uint32) bool {
+	s := t.state.Load()
+	if s&stateMask != stateCreated || s&latch != 0 {
 		return false
 	}
-	if w.rt == rt {
-		w.dq.PopBottomIf(t)
+	popped := w.rt == rt && w.dq.PopBottomIf(t)
+	if !t.state.CompareAndSwap(s, s|stateRunning|latch) {
+		// Between the load and the CAS somebody claimed t, or spent its touch.
+		// In the second case t is still live — its toucher may be blocked on
+		// it — and we have just taken it out of everyone's reach: put it back.
+		if popped && t.unstarted() {
+			rt.push(w, t)
+		}
+		return false
 	}
-	return w.execCtx(t, execInline)
+	w.run(t, execInline)
+	return true
 }
 
 // jobID returns the task's job identity for event attribution (0 = no job).
@@ -681,7 +887,7 @@ func (w *W) find() (t *task, stolen bool) {
 		if !ok {
 			break
 		}
-		if t.state.Load() == stateCreated {
+		if t.unstarted() {
 			// A task parked here by one of our own steal-half batches is
 			// still displaced work: its execution is the deviation the batch
 			// caused, charged per executed task, not per batch.
@@ -698,7 +904,7 @@ func (w *W) find() (t *task, stolen bool) {
 		if !ok {
 			break
 		}
-		if t.state.Load() == stateCreated {
+		if t.unstarted() {
 			return t, false
 		}
 	}
@@ -785,7 +991,7 @@ func (w *W) stealFrom(v *W) *task {
 	cross := w.domain != v.domain
 	if w.rt.stealPolicy != StealHalf {
 		t, ok := v.dq.StealTop()
-		if !ok || t.state.Load() != stateCreated {
+		if !ok || !t.unstarted() {
 			return nil
 		}
 		w.tele.Inc(telemetry.StealCounter(w.rt.stealPolicy))
@@ -812,7 +1018,7 @@ func (w *W) stealFrom(v *W) *task {
 	live := w.stealBuf[:0]
 	fresh := 0
 	for _, t := range w.stealBuf[:got] {
-		if t.state.Load() == stateCreated {
+		if t.unstarted() {
 			if t.stolenBatch == 0 {
 				fresh++
 				// First displacement: pin the locality of the boundary this
@@ -860,7 +1066,9 @@ func (w *W) recordHelp(t *task) {
 	if js := t.job; js != nil {
 		js.helped.Add(1)
 	}
-	w.record(profile.Event{Kind: profile.KindHelp, Task: t.id, Arg: -1, Job: t.jobID()})
+	if w.rt.recording() {
+		w.record(profile.Event{Kind: profile.KindHelp, Task: t.id, Arg: -1, Job: t.jobID()})
+	}
 }
 
 // recordSteal records the steal of t after the thief executed it, tagged
@@ -871,6 +1079,9 @@ func (w *W) recordHelp(t *task) {
 func (w *W) recordSteal(t *task) {
 	if js := t.job; js != nil {
 		js.steals.Add(1)
+	}
+	if !w.rt.recording() {
+		return
 	}
 	n := int32(t.stolenBatch)
 	if n == 0 {
@@ -925,6 +1136,8 @@ func (w *W) drainCancelled() {
 // the queue-length loads, pairing with push's publish-then-parked-load (see
 // push for the handshake); the per-domain sleeper count is maintained under
 // the same mutex, so signalOne's scan and this bookkeeping never disagree.
+// The worker publishes its pending counters first (W.publish, rule 2), so an
+// idle pool's telemetry rows are exact.
 //
 // A queue that looks non-empty sends the worker back to find, which may
 // still come up dry (the owner popped the task, another thief won it). That
@@ -935,6 +1148,7 @@ func (w *W) drainCancelled() {
 func (w *W) park() {
 	rt := w.rt
 	d := &rt.domainConds[w.domain]
+	w.publish()
 	rt.mu.Lock()
 	rt.parked.Add(1)
 	d.parked++
@@ -1004,45 +1218,46 @@ func (e *PanicError) Unwrap() error {
 // first wins, a second touch panics.
 //
 // A Future IS its task: the schedulable unit is embedded, so one
-// allocation carries the task identity, scheduling state, completion word,
-// body, and result.
+// allocation carries the task identity, the status word (scheduling state,
+// completion, single-touch latch), body, and result.
 //
-// Layout: task is 56 bytes and the single-touch latch lives inside its
-// completion word, so Future[int] is 96 bytes — exactly a size class
-// (TestFutureSize); a field added here lands in the 112-byte class.
+// Layout: task is 48 bytes, and a panic value lives in the task's lazily
+// allocated wait gate rather than here, so Future[int] is 72 bytes — the
+// allocator's 80-byte class (TestFutureSize); two more words land in the
+// 96-byte class.
 type Future[T any] struct {
 	task
-	rt       *Runtime
-	fn       func(*W) T
-	result   T
-	panicked any
+	rt     *Runtime
+	fn     func(*W) T
+	result T
 }
 
-// runTask implements taskRunner: it executes the future's body, routing a
-// shutdown cancellation to ErrClosed, and publishes completion last. A job
-// root finishes its job (latency capture, registry removal, admission slot
-// release) before the completion word is published, so a waiter that
-// observes Done also sees the job's final accounting — on every path,
-// including a shutdown cancellation.
+// runTask implements taskRunner: it executes the future's body, storing the
+// result, a recovered panic, or — for a shutdown cancellation — ErrClosed.
 func (f *Future[T]) runTask(w *W, cancelled bool) {
 	if cancelled {
-		f.panicked = ErrClosed
-		if f.job != nil && f.id == f.job.root {
-			f.job.finish()
-		}
-		f.comp.complete()
+		f.fail(ErrClosed)
 		return
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			f.panicked = r
+			f.fail(r)
 		}
-		if f.job != nil && f.id == f.job.root {
-			f.job.finish()
-		}
-		f.comp.complete()
 	}()
 	f.result = f.fn(w)
+}
+
+// fail stores the panic value the future's touch will surface. Called only
+// by whoever claimed the task, before it publishes completion.
+func (f *Future[T]) fail(r any) { materialize(&f.gate).panicked = r }
+
+// failure returns the stored panic value, nil when the body returned
+// normally. Valid once the future is done.
+func (f *Future[T]) failure() any {
+	if g := f.gate.Load(); g != nil {
+		return g.panicked
+	}
+	return nil
 }
 
 // Spawn creates a future computing fn under the runtime's default fork
@@ -1084,27 +1299,9 @@ func SpawnWith[T any](rt *Runtime, w *W, d Discipline, fn func(*W) T) *Future[T]
 	}
 	f := &Future[T]{rt: rt, fn: fn}
 	f.runner = f
-	row := rt.teleExt
-	if w != nil && w.rt == rt {
-		f.id = w.nextTaskID()
-		// A spawn from inside a job's computation belongs to that job: the
-		// tag rides the task, so per-job Stats and Event.Job attribution
-		// survive however deep the computation forks. The tag is a liveness
-		// reference — the job's root cannot be recycled while any of its
-		// tasks is still pending (released by exec or cancelIfUnclaimed).
-		if f.job = w.curJob; f.job != nil {
-			f.job.refs.Add(1)
-		}
-		row = w.tele
-	} else {
-		f.id = rt.taskSeq.Add(1)
-	}
-	if rt.closed.Load() {
-		f.cancelIfUnclaimed()
+	if !rt.adopt(w, &f.task, d) {
 		return f
 	}
-	row.Inc(telemetry.SpawnCounter(d))
-	rt.recordSpawn(w, f.id, d, f.jobID())
 	if d == FutureFirst {
 		f.dive(w)
 		return f
@@ -1113,14 +1310,46 @@ func SpawnWith[T any](rt *Runtime, w *W, d Discipline, fn func(*W) T) *Future[T]
 	return f
 }
 
+// adopt gives the new task t, spawned from w's context under discipline d,
+// its identity — ID and job tag — counts the spawn and records it. On a
+// closed runtime it cancels t instead and returns false. The part of
+// SpawnWith and Produce that does not depend on the result type.
+func (rt *Runtime) adopt(w *W, t *task, d Discipline) bool {
+	local := w != nil && w.rt == rt
+	if local {
+		t.id = w.nextTaskID()
+		// A spawn from inside a job's computation belongs to that job: the
+		// tag rides the task, so per-job Stats and Event.Job attribution
+		// survive however deep the computation forks. The tag is a liveness
+		// reference — the job's root cannot be recycled while any of its
+		// tasks is still pending (released by retire).
+		if t.job = w.curJob; t.job != nil {
+			t.job.refs.Add(1)
+		}
+	} else {
+		t.id = rt.taskSeq.Add(1)
+	}
+	if rt.closed.Load() {
+		t.cancelIfUnclaimed()
+		return false
+	}
+	if local {
+		w.pend.spawned[d]++
+	} else {
+		rt.teleExt.Inc(telemetry.SpawnCounter(d))
+	}
+	rt.recordSpawn(w, t, d)
+	return true
+}
+
 // dive is the FutureFirst spawn path: run the child now, on the spawning
 // worker when there is one, inline on the calling goroutine otherwise.
 func (f *Future[T]) dive(w *W) {
 	if w != nil && w.rt == f.rt {
-		if !w.exec(&f.task) {
+		if !w.execCtx(&f.task, execDive) {
 			// Unreachable in practice (the task was never published), but a
 			// lost race must still complete the future.
-			f.comp.wait()
+			f.waitDone()
 		}
 		return
 	}
@@ -1130,17 +1359,21 @@ func (f *Future[T]) dive(w *W) {
 	// not to the dived task (there is no worker whose `cur` could carry the
 	// attribution). Profile an external FutureFirst spawn of a nested
 	// workload through Run instead if parent edges matter.
-	if f.state.CompareAndSwap(stateCreated, stateRunning) {
-		f.rt.recordExternal(profile.Event{Kind: profile.KindBegin, Task: f.id, Arg: -1, Job: f.jobID()})
+	if f.claim() {
+		if f.rt.recording() {
+			f.rt.recordExternal(profile.Event{Kind: profile.KindBegin, Task: f.id, Arg: -1, Job: f.jobID()})
+		}
 		f.runTask(nil, false)
-		f.state.Store(stateDone)
-		f.rt.recordExternal(profile.Event{Kind: profile.KindEnd, Task: f.id, Arg: -1, Job: f.jobID()})
+		if f.rt.recording() {
+			f.rt.recordExternal(profile.Event{Kind: profile.KindEnd, Task: f.id, Arg: -1, Job: f.jobID()})
+		}
+		f.retire(nil)
 	}
 }
 
 // Done reports whether the future has completed (without touching it).
 func (f *Future[T]) Done() bool {
-	return f.comp.isDone()
+	return f.isDone()
 }
 
 // Touch consumes the future, blocking until its value is ready. The second
@@ -1154,10 +1387,9 @@ func (f *Future[T]) Done() bool {
 // "run the future thread first" choice the paper recommends); otherwise it
 // helps by running other tasks, and blocks only when no work is available.
 func (f *Future[T]) Touch(w *W) T {
-	if f.comp.touched.Swap(true) {
+	if !f.await(w, stateTouched) {
 		panic(ErrDoubleTouch)
 	}
-	f.await(w)
 	return f.finish()
 }
 
@@ -1167,11 +1399,10 @@ func (f *Future[T]) Touch(w *W) T {
 // cancellation as ErrClosed, and a second touch as ErrDoubleTouch. The
 // scheduling behavior (inline, help, block) is identical to Touch.
 func (f *Future[T]) TouchErr(w *W) (T, error) {
-	if f.comp.touched.Swap(true) {
+	if !f.await(w, stateTouched) {
 		var zero T
 		return zero, ErrDoubleTouch
 	}
-	f.await(w)
 	return f.finishErr()
 }
 
@@ -1184,17 +1415,16 @@ func (f *Future[T]) TouchErr(w *W) (T, error) {
 // goroutines) and determines which context the touch is attributed to in
 // profiling traces.
 func (f *Future[T]) TryTouch(w *W) (v T, ok bool) {
-	if !f.comp.isDone() {
+	if !f.isDone() {
 		return v, false
 	}
-	if f.comp.touched.Swap(true) {
+	if !f.spendTouch() {
 		panic(ErrDoubleTouch)
 	}
 	if w != nil && w.rt == f.rt {
 		w.recordTouch(f.id, profile.ModeReady, 0, -1)
 	} else {
-		f.rt.recordExternal(profile.Event{Kind: profile.KindTouch, Mode: profile.ModeReady,
-			Other: f.id, Arg: -1, Job: f.jobID()})
+		f.rt.recordExternalTouch(&f.task, profile.ModeReady, -1)
 	}
 	return f.finish(), true
 }
@@ -1203,7 +1433,7 @@ func (f *Future[T]) TryTouch(w *W) (v T, ok bool) {
 // Scope, whose extra waits are private and must not spend the user's
 // touch).
 func (f *Future[T]) wait(w *W) T {
-	f.await(w)
+	f.await(w, 0)
 	return f.finish()
 }
 
@@ -1212,33 +1442,42 @@ func (f *Future[T]) wait(w *W) T {
 // records the touch event with the mode that satisfied the wait. Touch-mode
 // counters are credited to the touched task's job (if any); helped tasks to
 // the job of the task that was actually run.
-func (f *Future[T]) await(w *W) {
-	// Inline path: claim and run the task ourselves (the inline credit is
-	// applied inside execCtx, within the task's job-liveness window).
-	if w != nil && w.runInline(&f.task, f.rt) {
+//
+// latch is stateTouched when the call is the future's single touch and 0 for
+// a private wait. A touch by a worker that finds the future unstarted spends
+// the latch and claims the body with one CAS (runInline); every other touch
+// latches first and then waits. await returns false, having waited for
+// nothing, only when asked to spend a touch that was already spent.
+func (f *Future[T]) await(w *W, latch uint32) bool {
+	if w != nil && w.runInline(&f.task, f.rt, latch) {
 		w.recordTouch(f.id, profile.ModeInline, 0, -1)
-		return
+		return true
+	}
+	if latch != 0 && !f.spendTouch() {
+		return false
 	}
 	if w == nil {
-		f.comp.wait()
-		f.rt.recordExternal(profile.Event{Kind: profile.KindTouch, Mode: profile.ModeExternal,
-			Other: f.id, Arg: -1, Job: f.jobID()})
-		return
+		f.waitDone()
+		f.rt.recordExternalTouch(&f.task, profile.ModeExternal, -1)
+		return true
 	}
 	// Help path: run other tasks while the future computes elsewhere.
 	var helps int32
 	for {
-		if f.comp.isDone() {
+		if f.isDone() {
 			mode := profile.ModeReady
 			if helps > 0 {
 				mode = profile.ModeHelped
 			}
 			w.recordTouch(f.id, mode, helps, -1)
-			return
+			return true
 		}
-		if f.state.Load() == stateCreated && w.execCtx(&f.task, execInline) {
+		// Unstarted after all (runInline's CAS lost to a latch landing on the
+		// word): claim it the general way. The inline credit is applied inside
+		// run, within the task's job-liveness window.
+		if w.execCtx(&f.task, execInline) {
 			w.recordTouch(f.id, profile.ModeInline, helps, -1)
-			return
+			return true
 		}
 		if t, stolen := w.find(); t != nil {
 			fl := execHelping
@@ -1255,36 +1494,37 @@ func (f *Future[T]) await(w *W) {
 		// job (the supported discipline — futures are consumed by the
 		// computation that spawned them); a foreign job may already have
 		// retired and recycled, so it is skipped rather than raced.
+		w.publish()
 		w.tele.Inc(telemetry.CBlockedTouches)
 		if js := f.job; js != nil && js == w.curJob {
 			js.blocked.Add(1)
 		}
-		f.comp.wait()
+		f.waitDone()
 		w.recordTouch(f.id, profile.ModeBlocked, helps, -1)
-		return
+		return true
 	}
 }
 
 // finish extracts the result, re-panicking if the task panicked (or was
 // cancelled — the panic value is then ErrClosed).
 func (f *Future[T]) finish() T {
-	f.comp.wait()
-	if f.panicked != nil {
-		panic(f.panicked)
+	f.waitDone()
+	if r := f.failure(); r != nil {
+		panic(r)
 	}
 	return f.result
 }
 
 // finishErr extracts the result, converting a captured panic into an error.
 func (f *Future[T]) finishErr() (T, error) {
-	f.comp.wait()
-	if f.panicked != nil {
+	f.waitDone()
+	if r := f.failure(); r != nil {
 		var zero T
-		if err, ok := f.panicked.(error); ok && errors.Is(err, ErrClosed) {
+		if err, ok := r.(error); ok && errors.Is(err, ErrClosed) {
 			// A cancellation is a runtime condition, not a task panic.
 			return zero, err
 		}
-		return zero, &PanicError{Value: f.panicked}
+		return zero, &PanicError{Value: r}
 	}
 	return f.result, nil
 }
@@ -1359,10 +1599,14 @@ type WorkerStats struct {
 	IntraSteals, CrossSteals        int64
 }
 
-// Stats snapshots the counters (approximate while tasks are in flight).
-// The values are read off the telemetry rows — Stats is a view over the
-// always-on counter matrix, with Steals summed across the per-policy
-// columns to keep the historical single-total contract.
+// Stats snapshots the counters. The values are read off the telemetry rows —
+// Stats is a view over the always-on counter matrix, with Steals summed
+// across the per-policy columns to keep the historical single-total
+// contract. Once a computation whose futures were all touched has been
+// waited for (Run or Job.Wait returned) its tasks are all counted; while
+// tasks are in flight TasksRun and InlineTouches trail each running worker by
+// at most 256 tasks (see W.publish), on top of the usual skew of reading
+// live counters one after another.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
 	for _, w := range rt.workers {

@@ -484,6 +484,31 @@ func TestRuntimeLayout(t *testing.T) {
 	}
 }
 
+// TestWorkerLayout pins W's two sections, whose padding is hand-computed:
+// the owner-written state starts on a cache line of its own, past everything
+// thieves read, and the struct is a whole number of lines — which is also
+// what makes the allocator place it line-aligned, so neither section shares
+// a line with a neighboring object.
+func TestWorkerLayout(t *testing.T) {
+	var w W
+	headerEnd := unsafe.Offsetof(w.remote) + unsafe.Sizeof(w.remote)
+	owner := unsafe.Offsetof(w.rng)
+	if owner%cacheLine != 0 || owner < headerEnd {
+		t.Fatalf("owner-written section starts at offset %d; want a multiple of %d at or past the header's end at %d",
+			owner, cacheLine, headerEnd)
+	}
+	if sz := unsafe.Sizeof(w); sz%cacheLine != 0 {
+		t.Fatalf("W is %d bytes, not a multiple of %d", sz, cacheLine)
+	}
+	// The fields a spawn, a touch and a run write fit the section's first line.
+	if end := unsafe.Offsetof(w.pend) + unsafe.Sizeof(w.pend); end > owner+cacheLine {
+		t.Fatalf("per-task owner state ends at offset %d, past the first owner line at %d", end, owner+cacheLine)
+	}
+	if addr := uintptr(unsafe.Pointer(newRT(t, 1).workers[0])); addr%cacheLine != 0 {
+		t.Fatalf("a worker was allocated at %#x, not line-aligned", addr)
+	}
+}
+
 // TestVictimSelectionDeterministic pins that the xorshift victim stream is
 // a pure function of WithSeed — the reproducibility contract math/rand
 // provided before it. It builds detached W values rather than starting a

@@ -214,7 +214,7 @@ func TestStealHalfBatchAccountingDeterministic(t *testing.T) {
 	if w0.dq.Len() != 3 {
 		t.Fatalf("victim left with %d tasks, want 3", w0.dq.Len())
 	}
-	if !w1.exec(first) {
+	if !w1.execCtx(first, 0) {
 		t.Fatal("thief lost exec of an exclusively held task")
 	}
 	w1.recordSteal(first)
@@ -223,7 +223,7 @@ func TestStealHalfBatchAccountingDeterministic(t *testing.T) {
 		if tk == nil || !stolen {
 			t.Fatalf("find() on parked extra %d = (%v, %v), want displaced task", i, tk, stolen)
 		}
-		if !w1.exec(tk) {
+		if !w1.execCtx(tk, 0) {
 			t.Fatal("thief lost exec of a parked extra")
 		}
 		w1.recordSteal(tk)
@@ -235,7 +235,7 @@ func TestStealHalfBatchAccountingDeterministic(t *testing.T) {
 		if tk == nil || stolen {
 			t.Fatalf("owner pop %d = (%v, stolen=%v), want own undisplaced task", i, tk, stolen)
 		}
-		w0.exec(tk)
+		w0.execCtx(tk, 0)
 	}
 	for _, f := range futs {
 		if v := f.Touch(w0); v != 1 {
@@ -301,7 +301,7 @@ func TestStealHalfClaimedMidBatch(t *testing.T) {
 	if w1.dq.Len() != 0 {
 		t.Fatalf("thief parked %d extras, want 0", w1.dq.Len())
 	}
-	if !w1.exec(first) {
+	if !w1.execCtx(first, 0) {
 		t.Fatal("thief lost exec")
 	}
 	w1.recordSteal(first)
@@ -311,7 +311,7 @@ func TestStealHalfClaimedMidBatch(t *testing.T) {
 		if tk == nil {
 			break
 		}
-		w0.exec(tk)
+		w0.execCtx(tk, 0)
 	}
 	for i, f := range futs {
 		if i == 1 {
@@ -349,13 +349,13 @@ func TestLastVictimAffinityCaching(t *testing.T) {
 	if w2.lastVictim != 0 {
 		t.Fatalf("lastVictim = %d after stealing from worker 0, want 0", w2.lastVictim)
 	}
-	w2.exec(tk)
+	w2.execCtx(tk, 0)
 	// Second steal: the cache points at worker 0, which still has work.
 	tk = w2.stealOnce()
 	if tk == nil {
 		t.Fatal("affinity revisit found nothing on a non-empty cached victim")
 	}
-	w2.exec(tk)
+	w2.execCtx(tk, 0)
 	if w2.lastVictim != 0 {
 		t.Fatalf("lastVictim = %d, want 0 retained", w2.lastVictim)
 	}

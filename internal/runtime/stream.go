@@ -80,7 +80,9 @@ func (s *Stream[T]) runTask(wk *W, cancelled bool) {
 		s.cells[next].value = s.fn(wk, next)
 		// Record the yield before publishing the item, so a consumer's
 		// touch of item i is always causally after yield i in the trace.
-		wk.record(profile.Event{Kind: profile.KindYield, Task: wk.cur, Arg: int32(next), Job: s.jobID()})
+		if wk.rt.recording() {
+			wk.record(profile.Event{Kind: profile.KindYield, Task: wk.cur, Arg: int32(next), Job: s.jobID()})
+		}
 		s.cells[next].comp.complete()
 	}
 }
@@ -99,23 +101,11 @@ func Produce[T any](rt *Runtime, w *W, n int, fn func(*W, int) T) *Stream[T] {
 	}
 	s := &Stream[T]{rt: rt, cells: make([]streamCell[T], n), fn: fn}
 	s.panicAt.Store(int64(n))
-	s.id = rt.taskSeq.Add(1)
 	s.runner = s
-	if w != nil && w.rt == rt {
-		if s.job = w.curJob; s.job != nil {
-			// A pipeline stage inside a job belongs to the job: tag it and
-			// take a liveness reference for the pending producer task
-			// (released when the producer executes or is cancelled).
-			s.job.refs.Add(1)
-		}
+	// A pipeline stage inside a job belongs to the job, like any spawn.
+	if rt.adopt(w, &s.task, ParentFirst) {
+		rt.push(w, &s.task)
 	}
-	if rt.closed.Load() {
-		s.cancelIfUnclaimed()
-		return s
-	}
-	rt.teleRow(w).Inc(telemetry.CSpawnsParentFirst)
-	rt.recordSpawn(w, s.id, ParentFirst, s.jobID())
-	rt.push(w, &s.task)
 	return s
 }
 
@@ -145,8 +135,9 @@ func (s *Stream[T]) Get(w *W, i int) T {
 		return s.finish(c, i)
 	}
 	// Inline path: run the whole producer on this worker (the inline credit
-	// is applied inside execCtx, within the producer's job-liveness window).
-	if w != nil && w.runInline(&s.task, s.rt) {
+	// is applied inside run, within the producer's job-liveness window). The
+	// producer task's own touched bit is never used: each cell has its latch.
+	if w != nil && w.runInline(&s.task, s.rt, 0) {
 		s.recordGet(w, i, profile.ModeInline, 0)
 		return s.finish(c, i)
 	}
@@ -176,6 +167,7 @@ func (s *Stream[T]) Get(w *W, i int) T {
 			}
 			continue
 		}
+		w.publish()
 		w.tele.Inc(telemetry.CBlockedTouches)
 		// Credit the blocked touch only when the stream belongs to the
 		// toucher's own running job, whose liveness the running task already
@@ -196,8 +188,7 @@ func (s *Stream[T]) recordGet(w *W, i int, mode profile.TouchMode, helps int32) 
 		w.recordTouch(s.id, mode, helps, int32(i))
 		return
 	}
-	s.rt.recordExternal(profile.Event{Kind: profile.KindTouch, Mode: profile.ModeExternal,
-		Other: s.id, Arg: int32(i), Job: s.jobID()})
+	s.rt.recordExternalTouch(&s.task, profile.ModeExternal, int32(i))
 }
 
 func (s *Stream[T]) finish(c *streamCell[T], i int) T {

@@ -12,7 +12,8 @@ import (
 // flight recorder. The telemetry counters cannot be compiled out — the PR's
 // contract is that they are always live — so the guard here is the direct
 // per-hook cost (one owner-local atomic add must stay in the
-// low-nanosecond range) plus a fib throughput pair showing the flight
+// low-nanosecond range, and the once-per-task counters must not be atomic
+// at all) plus a fib throughput pair showing the flight
 // recorder's marginal cost when it IS requested. Run with
 //
 //	go test ./internal/runtime -bench=FibFlight -benchtime=2s
@@ -59,6 +60,42 @@ func TestTelemetryIncOverhead(t *testing.T) {
 	perOp := time.Since(start) / iters
 	if perOp > time.Microsecond {
 		t.Fatalf("telemetry Inc costs %v/op; want well under 1µs", perOp)
+	}
+}
+
+// TestPendingCountOverhead guards the counters that move once per task:
+// counting a run is plain owner-local arithmetic that leaves the telemetry
+// row alone — the row moves only in publish, every counterLag tasks, by one
+// atomic add per counter — and nothing is lost between the two.
+func TestPendingCountOverhead(t *testing.T) {
+	rt := bareRuntime(RandomSingle, 1)
+	w := rt.workers[0]
+	for i := 0; i < counterLag-1; i++ {
+		if w.countRun(execInline) {
+			t.Fatalf("publication due after %d inline runs, want after %d", i+1, counterLag)
+		}
+	}
+	if ran, inl := w.tele.Load(telemetry.CTasksRun), w.tele.Load(telemetry.CInlineTouches); ran != 0 || inl != 0 {
+		t.Fatalf("counting %d runs moved the row to ran %d inline %d; only publish may", counterLag-1, ran, inl)
+	}
+	if !w.countRun(execInline) {
+		t.Fatalf("no publication due after %d runs", counterLag)
+	}
+	w.pend = pending{}
+	const iters = 1_000_000
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		if w.countRun(execInline) {
+			w.publish()
+		}
+	}
+	perOp := time.Since(start) / iters
+	w.publish()
+	if ran, inl := w.tele.Load(telemetry.CTasksRun), w.tele.Load(telemetry.CInlineTouches); ran != iters || inl != iters {
+		t.Fatalf("published ran %d inline %d after %d runs", ran, inl, iters)
+	}
+	if perOp > time.Microsecond {
+		t.Fatalf("counting a run costs %v/op; want well under 1µs", perOp)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package telemetry is the always-on counter layer of the runtime's
 // observability subsystem: one cache-line-padded row of atomic counters per
 // worker (plus one shared row for external goroutines), incremented from
-// the scheduler's existing recording hooks at one atomic add per event, and
-// snapshotted without stopping anything.
+// the scheduler's existing recording hooks at one atomic add per event — or,
+// for the counters that move once per task, one atomic add per batch the
+// worker has counted privately — and snapshotted without stopping anything.
 //
 // The design split mirrors the profiler's: the profiler records *events*
 // (heavyweight, windowed, reconstructable into a DAG), telemetry records
@@ -60,7 +61,11 @@ const (
 	CSpawnsParentFirst
 	// CParks counts workers actually going to sleep (a park that finds new
 	// work before waiting is not counted); CWakeups counts push-side signals
-	// to a parked worker.
+	// to a parked worker — signals, not workers woken: a signalled sleeper
+	// counts as parked until it has run, so on a serve load every push in
+	// that window signals it again and the counter reads some twenty per
+	// job against one park. Suppressing the repeats was measured and moved
+	// throughput by under 3 % (DESIGN.md, observability), so they stay.
 	CParks
 	CWakeups
 	// CJobsSubmitted, CJobsCompleted and CJobsShed count job-server
@@ -154,7 +159,12 @@ const rowPad = (cacheLine - (NumCounters*8)%cacheLine) % cacheLine
 
 // Row is one context's counters: owner-incremented (each worker owns its
 // row; the external row is shared by non-worker goroutines), reader-
-// snapshotted. Every update is exactly one atomic add.
+// snapshotted. An update is one atomic add: Inc at the event for most
+// counters; for CTasksRun, CInlineTouches and the two spawn counters of a
+// worker's row, Add of what the worker has counted in plain fields since it
+// last published — which it does before anyone can wait for the tasks
+// counted, and at least every 256 of them (see runtime.W.publish). Between
+// publications those four trail a running worker by at most that much.
 type Row struct {
 	c [NumCounters]atomic.Int64
 	_ [rowPad]byte
