@@ -182,6 +182,8 @@
 // future or a pipeline producer exists to overlap with its consumer).
 //
 // See DESIGN.md for the system inventory and the old-API migration table,
-// and EXPERIMENTS.md for the paper-vs-measured record of every theorem and
-// figure.
+// EXPERIMENTS.md for the paper-vs-measured record of every theorem and
+// figure, and bench/README.md for the repository's one benchmark
+// (go run ./bench [-workload …] [-trace 1]), which is how any statement
+// about the runtime's speed is measured.
 package futurelocality

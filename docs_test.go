@@ -1,0 +1,58 @@
+package futurelocality_test
+
+import (
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// The documents that tell a reader what to run. bench/README.md is the
+// benchmark's own manual and is checked by nobody here.
+var checkedDocs = []string{
+	"README.md",
+	"DESIGN.md",
+	"EXPERIMENTS.md",
+	".github/workflows/ci.yml",
+	".claude/skills/verify/SKILL.md",
+}
+
+// docPaths match the repository paths a document can tell a reader to run
+// or open: cmd/<x> and scripts/<x> with or without a leading "./", and
+// ./examples/<x> and ./bench with one. The leading group keeps them off
+// longer paths that merely end the same way (honnef.co/go/tools/cmd/...); a
+// placeholder such as ./examples/<name> has no name to match.
+var docPaths = []*regexp.Regexp{
+	regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:cmd|scripts)/[\w.-]+)`),
+	regexp.MustCompile(`(?:^|[^\w/.-])\./(examples/\w+|bench\b)`),
+}
+
+// retiredNames are commands and files that no longer exist; a document that
+// still names one sends its reader to nothing.
+var retiredNames = []string{"runtimebench", "BENCH_runtime", "go test -bench=."}
+
+// TestDocsNameOnlyWhatExists fails when a document names a command, example
+// or script that is not in the tree, or a retired one.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	for _, doc := range checkedDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(raw), "\n") {
+			for _, re := range docPaths {
+				for _, m := range re.FindAllStringSubmatch(line, -1) {
+					path := strings.TrimRight(m[1], ".")
+					if _, err := os.Stat(path); err != nil {
+						t.Errorf("%s:%d names %s, which does not exist", doc, n+1, path)
+					}
+				}
+			}
+			for _, name := range retiredNames {
+				if strings.Contains(line, name) {
+					t.Errorf("%s:%d still mentions %q", doc, n+1, name)
+				}
+			}
+		}
+	}
+}

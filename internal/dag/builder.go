@@ -76,9 +76,6 @@ func NewBuilder() *Builder {
 // Main returns the main thread (thread 0).
 func (b *Builder) Main() *Thread { return b.threads[0] }
 
-// NumNodes returns the number of nodes created so far.
-func (b *Builder) NumNodes() int { return len(b.nodes) }
-
 func (b *Builder) fail(format string, args ...any) {
 	if b.err == nil {
 		b.err = fmt.Errorf(format, args...)
@@ -364,15 +361,6 @@ func (b *Builder) build(superFinal bool) (*Graph, error) {
 // whose inputs are known valid.
 func (b *Builder) MustBuild() *Graph {
 	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// MustBuildSuperFinal is BuildSuperFinal that panics on error.
-func (b *Builder) MustBuildSuperFinal() *Graph {
-	g, err := b.BuildSuperFinal()
 	if err != nil {
 		panic(err)
 	}

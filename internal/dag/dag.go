@@ -121,16 +121,6 @@ func (n *Node) FutureChild() NodeID {
 	return None
 }
 
-// TouchChild returns the touch or join node fed by this node, or None.
-func (n *Node) TouchChild() NodeID {
-	for _, e := range n.OutEdges() {
-		if e.Kind == EdgeTouch || e.Kind == EdgeJoin {
-			return e.To
-		}
-	}
-	return None
-}
-
 // IsFork reports whether the node spawns a future thread.
 func (n *Node) IsFork() bool { return n.FutureChild() != None }
 
@@ -230,16 +220,6 @@ func (g *Graph) Span() int64 {
 	return max
 }
 
-// TouchOf returns the TouchInfo for the touch node id, or nil.
-func (g *Graph) TouchOf(id NodeID) *TouchInfo {
-	for i := range g.Touches {
-		if g.Touches[i].Node == id {
-			return &g.Touches[i]
-		}
-	}
-	return nil
-}
-
 // ThreadTouches returns the touches of future thread tid (touch nodes whose
 // value is computed by tid), in topological order. Joins are included when
 // withJoins is true.
@@ -263,15 +243,6 @@ func (g *Graph) Parents() [][]NodeID {
 		}
 	}
 	return parents
-}
-
-// Descendants returns the set of nodes reachable from start (inclusive),
-// marked in the returned boolean slice. It is an O(V+E) DFS; classification
-// runs it once or twice per fork.
-func (g *Graph) Descendants(start NodeID) []bool {
-	seen := make([]bool, len(g.Nodes))
-	g.descendantsInto(start, seen)
-	return seen
 }
 
 // descendantsInto marks nodes reachable from start (inclusive) in seen,

@@ -2,7 +2,7 @@
 // parsimonious work-stealing schedulers (Section 3): owners push and pop at
 // the bottom, thieves steal from the top.
 //
-// Four implementations share the same access pattern:
+// Three implementations share the same access pattern:
 //
 //   - Seq: a plain slice deque for the deterministic scheduler simulator
 //     (single goroutine, no synchronization).
@@ -10,11 +10,8 @@
 //     (SPAA '05) with the memory ordering of Lê et al. (PPoPP '13) — no
 //     per-push boxing, top/bottom on separate cache lines. This is the
 //     real runtime's worker deque.
-//   - ChaseLev: the generic (boxed) variant of the same algorithm, for
-//     value types; kept as the reference implementation the oracle tests
-//     cross-check.
-//   - Locked: a mutex-protected deque used as a linearizability oracle in
-//     stress tests and as a conservative fallback.
+//   - Locked: a mutex-protected deque — the linearizability oracle every
+//     Ptr test compares against, and the runtime's global injection queue.
 package deque
 
 // Seq is an unsynchronized deque for single-goroutine simulation.

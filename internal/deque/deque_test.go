@@ -80,182 +80,6 @@ func TestSeqSnapshot(t *testing.T) {
 	}
 }
 
-func TestChaseLevSingleThread(t *testing.T) {
-	d := NewChaseLev[int](2) // force growth
-	for i := 0; i < 100; i++ {
-		d.PushBottom(i)
-	}
-	if d.Len() != 100 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	// Steal half from the top: FIFO order.
-	for i := 0; i < 50; i++ {
-		v, ok := d.StealTop()
-		if !ok || v != i {
-			t.Fatalf("StealTop = %d,%v want %d", v, ok, i)
-		}
-	}
-	// Pop the rest from the bottom: LIFO order.
-	for i := 99; i >= 50; i-- {
-		v, ok := d.PopBottom()
-		if !ok || v != i {
-			t.Fatalf("PopBottom = %d,%v want %d", v, ok, i)
-		}
-	}
-	if _, ok := d.PopBottom(); ok {
-		t.Fatal("pop from empty should fail")
-	}
-	if _, ok := d.StealTop(); ok {
-		t.Fatal("steal from empty should fail")
-	}
-}
-
-// TestChaseLevVsOracle drives ChaseLev and Locked with the same
-// single-threaded operation sequence and demands identical results.
-func TestChaseLevVsOracle(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cl := NewChaseLev[int](4)
-		var or Locked[int]
-		next := 0
-		for op := 0; op < 400; op++ {
-			switch rng.Intn(3) {
-			case 0:
-				cl.PushBottom(next)
-				or.PushBottom(next)
-				next++
-			case 1:
-				v1, ok1 := cl.PopBottom()
-				v2, ok2 := or.PopBottom()
-				if ok1 != ok2 || (ok1 && v1 != v2) {
-					return false
-				}
-			case 2:
-				v1, ok1 := cl.StealTop()
-				v2, ok2 := or.StealTop()
-				if ok1 != ok2 || (ok1 && v1 != v2) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestChaseLevConcurrentStress: one owner pushes N items while popping some,
-// and several thieves steal concurrently. Every item must be consumed
-// exactly once, with none lost or duplicated.
-func TestChaseLevConcurrentStress(t *testing.T) {
-	const (
-		items   = 100000
-		thieves = 4
-	)
-	d := NewChaseLev[int](8)
-	seen := make([]atomic.Int32, items)
-	var consumed atomic.Int64
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-
-	record := func(v int) {
-		if seen[v].Add(1) != 1 {
-			t.Errorf("item %d consumed twice", v)
-		}
-		consumed.Add(1)
-	}
-
-	for th := 0; th < thieves; th++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if v, ok := d.StealTop(); ok {
-					record(v)
-					continue
-				}
-				select {
-				case <-done:
-					// Drain anything left after the owner stopped.
-					for {
-						v, ok := d.StealTop()
-						if !ok {
-							return
-						}
-						record(v)
-					}
-				default:
-				}
-			}
-		}()
-	}
-
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < items; i++ {
-		d.PushBottom(i)
-		if rng.Intn(3) == 0 {
-			if v, ok := d.PopBottom(); ok {
-				record(v)
-			}
-		}
-	}
-	for {
-		v, ok := d.PopBottom()
-		if !ok {
-			break
-		}
-		record(v)
-	}
-	close(done)
-	wg.Wait()
-	// Final drain by owner in case thieves raced the close.
-	for {
-		v, ok := d.StealTop()
-		if !ok {
-			break
-		}
-		record(v)
-	}
-	if got := consumed.Load(); got != items {
-		t.Fatalf("consumed %d of %d items", got, items)
-	}
-	for i := range seen {
-		if seen[i].Load() != 1 {
-			t.Fatalf("item %d consumed %d times", i, seen[i].Load())
-		}
-	}
-}
-
-// TestChaseLevLastItemRace exercises the owner/thief CAS race on the final
-// element: exactly one side must win each round.
-func TestChaseLevLastItemRace(t *testing.T) {
-	for round := 0; round < 2000; round++ {
-		d := NewChaseLev[int](8)
-		d.PushBottom(7)
-		var ownerGot, thiefGot atomic.Bool
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if _, ok := d.PopBottom(); ok {
-				ownerGot.Store(true)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if _, ok := d.StealTop(); ok {
-				thiefGot.Store(true)
-			}
-		}()
-		wg.Wait()
-		if ownerGot.Load() == thiefGot.Load() {
-			t.Fatalf("round %d: owner=%v thief=%v (exactly one must win)",
-				round, ownerGot.Load(), thiefGot.Load())
-		}
-	}
-}
-
 func TestLockedBasics(t *testing.T) {
 	var d Locked[string]
 	d.PushBottom("a")
@@ -379,36 +203,10 @@ func TestLockedLenConcurrent(t *testing.T) {
 	}
 }
 
-func BenchmarkChaseLevPushPop(b *testing.B) {
-	d := NewChaseLev[int](1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.PushBottom(i)
-		d.PopBottom()
-	}
-}
-
-func BenchmarkChaseLevStealThroughput(b *testing.B) {
-	d := NewChaseLev[int](1024)
-	for i := 0; i < 1024; i++ {
-		d.PushBottom(i)
-	}
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, ok := d.StealTop(); !ok {
-				// Keep the deque warm; only the owner may push, so refill
-				// contention-free via a mutex-less trick is not possible —
-				// treat empty steals as work too.
-				continue
-			}
-		}
-	})
-}
-
 // ---------------------------------------------------------------------------
-// Ptr (pointer-specialized Chase–Lev) tests. These mirror the boxed-variant
-// tests and add the dedicated multi-thief stress required by the Lê et al.
-// ordering audit: run with -race to exercise the owner/thief handshakes.
+// Ptr (pointer-specialized Chase–Lev) tests, including the dedicated
+// multi-thief stress required by the Lê et al. ordering audit: run with
+// -race to exercise the owner/thief handshakes.
 
 func TestPtrSingleThread(t *testing.T) {
 	d := NewPtr[int](2) // force growth
@@ -751,29 +549,6 @@ func TestPtrStealNSingleThread(t *testing.T) {
 	}
 	if n := d.StealN(nil); n != 0 {
 		t.Fatalf("StealN(nil) = %d, want 0", n)
-	}
-}
-
-func TestChaseLevStealN(t *testing.T) {
-	d := NewChaseLev[int](2)
-	for i := 0; i < 7; i++ {
-		d.PushBottom(i)
-	}
-	buf := make([]int, 3)
-	if n := d.StealN(buf); n != 3 {
-		t.Fatalf("StealN = %d, want 3", n)
-	}
-	for i, v := range buf {
-		if v != i {
-			t.Fatalf("buf[%d] = %d, want %d", i, v, i)
-		}
-	}
-	// Owner order after the batch: untouched items, LIFO from the bottom.
-	for i := 6; i >= 3; i-- {
-		v, ok := d.PopBottom()
-		if !ok || v != i {
-			t.Fatalf("PopBottom = %d,%v want %d", v, ok, i)
-		}
 	}
 }
 

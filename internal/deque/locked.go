@@ -5,9 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// Locked is a mutex-protected deque with the same owner/thief API as
-// ChaseLev. It serves as the linearizability oracle in stress tests and as
-// a conservative fallback implementation. The size is mirrored in an atomic
+// Locked is a mutex-protected deque with the same owner/thief API as Ptr.
+// It serves as the linearizability oracle in stress tests and as the
+// runtime's global injection queue. The size is mirrored in an atomic
 // counter so Len is a single load — cheap enough for placement heuristics
 // (the shard router's least-loaded tiebreak) to call on every decision
 // without touching the lock.

@@ -8,12 +8,13 @@ const cacheLineBytes = 64
 
 // Ptr is a pointer-specialized, lock-free, growable Chase–Lev work-stealing
 // deque: the owner pushes and pops *T at the bottom, thieves steal from the
-// top. It is the runtime's hot-path deque and differs from the generic
-// ChaseLev in two ways that matter there:
+// top. It is the runtime's hot-path deque and differs from a textbook
+// generic Chase–Lev deque in two ways that matter there:
 //
 //   - slots hold the pointers directly in atomic.Pointer[T] slots — no
-//     per-push boxing allocation (ChaseLev must box every value to publish
-//     it atomically, one short-lived heap object per push);
+//     per-push boxing allocation (a deque of arbitrary values must box
+//     each one to publish it atomically, one short-lived heap object per
+//     push);
 //   - top and bottom live on separate cache lines, so thieves hammering top
 //     with CAS do not invalidate the owner's line holding bottom (and vice
 //     versa) — the false-sharing half of the paper's cache-locality story

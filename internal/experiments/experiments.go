@@ -2,8 +2,7 @@
 // experiment in DESIGN.md's per-experiment index (E1–E15), each regenerating
 // the evidence for one theorem or figure of the paper and rendering a
 // markdown table. cmd/paperbench drives all of them to produce the numbers
-// recorded in EXPERIMENTS.md; the root bench_test.go wraps them as
-// testing.B benchmarks.
+// recorded in EXPERIMENTS.md.
 package experiments
 
 import (

@@ -137,8 +137,14 @@ func TestStealHalfNoDoubleAttribution(t *testing.T) {
 // stealFrom deterministically. Only the paths that never park may be used
 // (worker-local pushes, steals, exec); Shutdown must not be called.
 func bareRuntime(sp StealPolicy, workers int) *Runtime {
+	return bareRuntimeOn(sp, workers, topology.Flat(workers))
+}
+
+// bareRuntimeOn is bareRuntime on an explicit topology, so a test can place
+// workers in more than one locality domain.
+func bareRuntimeOn(sp StealPolicy, workers int, topo *topology.Topology) *Runtime {
 	rt := &Runtime{stealPolicy: sp}
-	rt.topo = topology.Flat(workers)
+	rt.topo = topo
 	rt.assign = rt.topo.Assign(workers)
 	rt.tele = telemetry.NewSet(workers)
 	rt.teleExt = rt.tele.External()
@@ -368,6 +374,61 @@ func TestLastVictimAffinityCaching(t *testing.T) {
 	}
 	f1.Touch(w0)
 	f2.Touch(w0)
+}
+
+// TestHierarchicalProbesPeersFirst drives the hierarchical tier order by
+// hand on a 2x2 layout (domains [0 0 1 1]): with one task on the thief's
+// domain peer and one on a remote worker, the first steal must take the
+// peer's and count intra-domain; only with the peer dry may the thief cross
+// the boundary, and that steal must count cross-domain. Swapping the two
+// stealScan calls in stealOnce fails the first half.
+func TestHierarchicalProbesPeersFirst(t *testing.T) {
+	topo, err := topology.Synthetic("2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := bareRuntimeOn(Hierarchical, 4, topo)
+	for i, want := range []int{0, 0, 1, 1} {
+		if got := rt.workers[i].domain; got != want {
+			t.Fatalf("worker %d in domain %d, want %d", i, got, want)
+		}
+	}
+	thief, peer, remote := rt.workers[0], rt.workers[1], rt.workers[2]
+	near := SpawnWith(rt, peer, ParentFirst, leafIntFn)
+	far := SpawnWith(rt, remote, ParentFirst, leafIntFn)
+	intra := func() int64 { return thief.tele.Load(telemetry.CStealsIntraDomain) }
+	cross := func() int64 { return thief.tele.Load(telemetry.CStealsCrossDomain) }
+
+	tk := thief.stealOnce()
+	if tk == nil {
+		t.Fatal("stealOnce found nothing with work on a peer and on a remote worker")
+	}
+	if tk.id != near.id {
+		t.Fatalf("first steal took task %d, want the domain peer's task %d (remote's is %d)", tk.id, near.id, far.id)
+	}
+	if tk.stolenCross || intra() != 1 || cross() != 0 {
+		t.Fatalf("peer steal: stolenCross=%v intra=%d cross=%d, want false 1 0", tk.stolenCross, intra(), cross())
+	}
+	thief.execCtx(tk, 0)
+
+	tk = thief.stealOnce()
+	if tk == nil {
+		t.Fatal("stealOnce found nothing with the peer dry and work on a remote worker")
+	}
+	if tk.id != far.id {
+		t.Fatalf("second steal took task %d, want the remote worker's task %d", tk.id, far.id)
+	}
+	if !tk.stolenCross || intra() != 1 || cross() != 1 {
+		t.Fatalf("remote steal: stolenCross=%v intra=%d cross=%d, want true 1 1", tk.stolenCross, intra(), cross())
+	}
+	thief.execCtx(tk, 0)
+
+	if tk = thief.stealOnce(); tk != nil {
+		t.Fatalf("stealOnce on empty deques returned task %d", tk.id)
+	}
+	if v := near.Touch(peer) + far.Touch(remote); v != 2 {
+		t.Fatalf("futures sum to %d, want 2", v)
+	}
 }
 
 // TestSingleWorkerDeviationParity is the sim-vs-runtime parity check on a

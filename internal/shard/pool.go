@@ -528,16 +528,6 @@ func (p *Pool) TelemetrySnapshots() []telemetry.Snapshot {
 	return out
 }
 
-// TelemetryTotal sums counter c across every shard — the pool-wide reading
-// of a per-runtime total.
-func (p *Pool) TelemetryTotal(c telemetry.Counter) int64 {
-	var n int64
-	for _, rt := range p.rts {
-		n += rt.TelemetrySnapshot().Total(c)
-	}
-	return n
-}
-
 // LatencyHist merges every shard's job-latency histogram into one pool-wide
 // snapshot (the power-of-two buckets merge exactly).
 func (p *Pool) LatencyHist() stats.HistSnapshot {

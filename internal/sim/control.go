@@ -28,15 +28,6 @@ func (v *View) Step() int64 { return v.e.steps }
 // Executed reports whether node n has been executed.
 func (v *View) Executed(n dag.NodeID) bool { return n != dag.None && v.e.when[n] >= 0 }
 
-// NumExecuted returns how many nodes have executed so far.
-func (v *View) NumExecuted() int64 { return v.e.executed }
-
-// DequeLen returns the size of processor p's deque.
-func (v *View) DequeLen(p ProcID) int { return v.e.deques[p].Len() }
-
-// DequeTop returns the node at the top (steal end) of p's deque.
-func (v *View) DequeTop(p ProcID) (dag.NodeID, bool) { return v.e.deques[p].PeekTop() }
-
 // Assigned returns the node processor p is about to execute (dag.None if
 // it has none).
 func (v *View) Assigned(p ProcID) dag.NodeID { return v.e.assigned[p] }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"futurelocality/internal/stats"
@@ -158,15 +157,4 @@ func Map(s Snapshot) map[string]any {
 	}
 	m["per_worker"] = perWorker
 	return m
-}
-
-// SortedKeys returns m's keys sorted — a rendering helper for deterministic
-// dumps of Map output in tests and CLI snapshots.
-func SortedKeys(m map[string]any) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
