@@ -457,32 +457,8 @@ func TestPtrPopBottomIfVsThieves(t *testing.T) {
 	)
 	d := NewPtr[int](8)
 	vals := make([]int, items)
-	seen := make([]atomic.Int32, items)
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-
-	record := func(v *int) {
-		if seen[*v].Add(1) != 1 {
-			t.Errorf("item %d delivered twice", *v)
-		}
-	}
-	for th := 0; th < thieves; th++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if v, ok := d.StealTop(); ok {
-					record(v)
-					continue
-				}
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
-		}()
-	}
+	seen := make(deliveries, items)
+	stop := seen.stealFrom(t, d, thieves)
 
 	rng := rand.New(rand.NewSource(7))
 	for next := 0; next < items; {
@@ -501,7 +477,7 @@ func TestPtrPopBottomIfVsThieves(t *testing.T) {
 		}
 		for i := next - 1; i >= first; i-- {
 			if d.PopBottomIf(&vals[i]) {
-				record(&vals[i])
+				seen.record(t, &vals[i])
 			}
 			// Otherwise a thief has item i, and with it every older item.
 		}
@@ -509,13 +485,114 @@ func TestPtrPopBottomIfVsThieves(t *testing.T) {
 			t.Fatalf("%d items left after the owner unwound its nest", n)
 		}
 	}
-	close(done)
-	wg.Wait()
+	stop()
+	seen.checkEachOnce(t)
+}
+
+// deliveries counts, per item, how often a deque handed it out.
+type deliveries []atomic.Int32
+
+func (seen deliveries) record(t *testing.T, v *int) {
+	if seen[*v].Add(1) != 1 {
+		t.Errorf("item %d delivered twice", *v)
+	}
+}
+
+// stealFrom starts n thieves that take from the top of d and record what
+// they get, until the returned stop is called; stop waits for them.
+func (seen deliveries) stealFrom(t *testing.T, d *Ptr[int], n int) (stop func()) {
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for th := 0; th < n; th++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if v, ok := d.StealTop(); ok {
+					seen.record(t, v)
+					continue
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
+func (seen deliveries) checkEachOnce(t *testing.T) {
+	t.Helper()
 	for i := range seen {
 		if n := seen[i].Load(); n != 1 {
 			t.Fatalf("item %d delivered %d times", i, n)
 		}
 	}
+}
+
+// TestPtrPeekBottomVsThieves runs the owner the way a worker trims its deque:
+// push a few items, then peek at the bottom and pop what was peeked until the
+// deque looks empty, while thieves steal from the top. The pop must deliver
+// exactly the peeked item or fail — a thief got there first — and never some
+// other item; an empty deque must peek as nil even though the slot a thief
+// emptied still holds its pointer. Every item is delivered exactly once. Run
+// under -race in CI.
+func TestPtrPeekBottomVsThieves(t *testing.T) {
+	const (
+		items   = 60000
+		thieves = 4
+	)
+	d := NewPtr[int](8)
+	if d.PeekBottom() != nil {
+		t.Fatal("PeekBottom on a fresh deque is not nil")
+	}
+	a := -1
+	d.PushBottom(&a)
+	if d.PeekBottom() != &a || d.Len() != 1 {
+		t.Fatalf("PeekBottom = %v with Len %d, want the one item left in place", d.PeekBottom(), d.Len())
+	}
+	if v, ok := d.StealTop(); !ok || v != &a {
+		t.Fatalf("StealTop = %v,%v", v, ok)
+	}
+	if d.PeekBottom() != nil {
+		t.Fatal("PeekBottom read a stolen item from its stale slot")
+	}
+
+	vals := make([]int, items)
+	seen := make(deliveries, items)
+	stop := seen.stealFrom(t, d, thieves)
+	rng := rand.New(rand.NewSource(11))
+	for next := 0; next < items; {
+		depth := min(1+rng.Intn(6), items-next)
+		for first := next; next < first+depth; next++ {
+			vals[next] = next
+			d.PushBottom(&vals[next])
+		}
+		for {
+			peeked := d.PeekBottom()
+			if peeked == nil {
+				break
+			}
+			v, ok := d.PopBottom()
+			if !ok {
+				continue // a thief took the last item between the peek and the pop
+			}
+			if v != peeked {
+				t.Fatalf("peeked item %d, popped item %d", *peeked, *v)
+			}
+			seen.record(t, v)
+		}
+		if n := d.Len(); n != 0 {
+			t.Fatalf("%d items left after the owner trimmed to empty", n)
+		}
+	}
+	stop()
+	seen.checkEachOnce(t)
 }
 
 func TestPtrStealNSingleThread(t *testing.T) {

@@ -147,11 +147,28 @@ func (d *Ptr[T]) PopBottom() (v *T, ok bool) {
 // same slot — PopBottom either delivers exactly that slot's v, or finds the
 // index already claimed by a thief and fails.
 func (d *Ptr[T]) PopBottomIf(v *T) bool {
-	if d.buf.Load().load(d.bottom.Load()-1) != v {
+	if d.PeekBottom() != v {
 		return false
 	}
 	_, ok := d.PopBottom()
 	return ok
+}
+
+// PeekBottom returns the item a PopBottom would deliver next, without
+// removing it, or nil when the deque looks empty. Owner-only. It lets the
+// owner look at its bottom entry before deciding to pop it — for instance to
+// drop entries whose work is already done.
+//
+// With a single item left a thief may take it between the peek and the pop;
+// the PopBottom then fails, it never delivers a different item (see
+// PopBottomIf: only the owner moves bottom or publishes slots). The top load
+// only spares the caller a stale pointer from an empty deque.
+func (d *Ptr[T]) PeekBottom() *T {
+	b := d.bottom.Load() - 1
+	if d.top.Load() > b {
+		return nil
+	}
+	return d.buf.Load().load(b)
 }
 
 // StealTop removes and returns the item at the thief end. Any goroutine.

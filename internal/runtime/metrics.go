@@ -114,6 +114,7 @@ func (rt *Runtime) WriteMetrics(w io.Writer) error {
 	e.Counter(metricPrefix+"blocked_touches_total", "Touches that blocked with no work available.", s.Total(telemetry.CBlockedTouches))
 	e.Counter(metricPrefix+"parks_total", "Workers that actually went to sleep.", s.Total(telemetry.CParks))
 	e.Counter(metricPrefix+"wakeups_total", "Push-side signals to a parked worker.", s.Total(telemetry.CWakeups))
+	e.Counter(metricPrefix+"poll_finds_total", "Dry episodes that ended with work found by polling, not in a park.", s.Total(telemetry.CPollFinds))
 	e.CounterVec(metricPrefix+"jobs_total", "Job admission outcomes.", []telemetry.LabeledValue{
 		{Labels: []string{"outcome", "submitted"}, Value: s.Total(telemetry.CJobsSubmitted)},
 		{Labels: []string{"outcome", "completed"}, Value: s.Total(telemetry.CJobsCompleted)},

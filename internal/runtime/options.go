@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"time"
 
 	"futurelocality/internal/deque"
 	"futurelocality/internal/policy"
@@ -228,6 +229,7 @@ func New(opts ...Option) *Runtime {
 			}
 		}
 	}
+	rt.born = time.Now()
 	rt.wg.Add(n)
 	for _, w := range rt.workers {
 		go w.loop()

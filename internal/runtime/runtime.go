@@ -29,14 +29,19 @@
 // grouped into cache-locality domains by the machine topology (discovered
 // from sysfs, or injected synthetically): every steal is attributed intra-
 // vs cross-domain, and the parked-worker accounting and job registry are
-// striped per domain. A worker with no work parks on its domain's condition
-// variable, sleeping only while every queue looks empty; push never takes
-// the lock unless a worker is actually parked (an atomic parked count gates
-// it), and wakes exactly one worker per new task — preferring a domain-local
+// striped per domain. A worker with no work first polls for a few tens of
+// microseconds, yielding its P between looks: it takes a job that arrives
+// meanwhile without having slept, and it robs a peer only after it has been
+// dry for a few microseconds, not the instant it runs out (see W.dry). Then
+// it parks on its domain's condition variable, sleeping only while every
+// queue looks empty; push never takes the lock unless a worker is actually
+// parked (an atomic parked count gates it — a polling worker is not counted),
+// and wakes exactly one worker per new task — preferring a domain-local
 // sleeper — instead of broadcasting to the herd. A touch of an unfinished
 // future first tries to inline-run it (if nobody started it, popping it off
-// the toucher's own deque first, so deques hold live tasks only), then helps
-// by running other tasks, and only then blocks.
+// the toucher's own deque first, and dropping finished entries it exposes,
+// so deques hold live tasks only), then helps by running other tasks, then
+// polls like a dry worker, and only then blocks.
 //
 // The hot path is allocation-free past the future itself: a future IS its
 // task (one allocation carries id, status word, and result slot), deque
@@ -80,6 +85,8 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -358,6 +365,9 @@ type Runtime struct {
 	// Set itself is only touched by snapshots. See internal/telemetry.
 	tele    *telemetry.Set
 	teleExt *telemetry.Row
+	// born is when New returned; the dry path keeps its one timestamp
+	// (W.pollAfter) as a duration since then. Immutable.
+	born time.Time
 
 	_ [cacheLine]byte
 
@@ -455,8 +465,12 @@ type W struct {
 	// lock-free and donates the stash to its domain's shard freelist in one
 	// lock visit when full (see flushJobFree). Owner-only.
 	jobFree []poolableRoot
+	// pollAfter, a duration since Runtime.born, is when the worker may poll
+	// again after a yield that showed its P is not to spare (see
+	// crowdedYield). Owner-only.
+	pollAfter time.Duration
 
-	_ [2*cacheLine - 112]byte
+	_ [2*cacheLine - 120]byte
 }
 
 // pending is a worker's unpublished share of the four counters that move
@@ -836,8 +850,10 @@ func (w *W) run(t *task, fl execFlags) {
 // recursion depth, not the number of tasks the run has spawned: the ring
 // stays small and cache-resident, thieves meet only live tasks, and no
 // finished future stays pinned by a slot. A task that is not at the bottom
-// (a passed future, or one a thief is taking) just stays where it is; find's
-// filter skips it later.
+// (a passed future, or one a thief is taking) stays where it is, on whichever
+// deque holds it. After the run the worker drops what is finished at the
+// bottom of its own deque (trimDone), so such an entry goes as soon as the
+// live ones above it have; popOwn's filter skips what is left.
 func (w *W) runInline(t *task, rt *Runtime, latch uint32) bool {
 	s := t.state.Load()
 	if s&stateMask != stateCreated || s&latch != 0 {
@@ -854,7 +870,29 @@ func (w *W) runInline(t *task, rt *Runtime, latch uint32) bool {
 		return false
 	}
 	w.run(t, execInline)
+	if w.rt == rt {
+		w.trimDone()
+	}
 	return true
+}
+
+// trimDone pops the entries at the bottom of the worker's deque whose tasks
+// somebody has already claimed: futures that were passed to another task and
+// run inline from there, not from the bottom. Without it nothing removes them
+// until the deque drains — one random-structure run of 8 414 tasks on one
+// worker ended with a ring of 8 192 slots — and a thief's StealTop meets
+// mostly corpses. Owner-only. A single remaining entry may go to a thief
+// between the peek and the pop; the pop then fails and the loop ends.
+func (w *W) trimDone() {
+	for {
+		t := w.dq.PeekBottom()
+		if t == nil || t.unstarted() {
+			return
+		}
+		if _, ok := w.dq.PopBottom(); !ok {
+			return
+		}
+	}
 }
 
 // jobID returns the task's job identity for event attribution (0 = no job).
@@ -873,19 +911,32 @@ func (w *W) jobID() uint64 {
 	return w.curJob.id.Load()
 }
 
-// find locates a runnable task: own deque first, then other workers' deques
-// under the runtime's steal policy, then the global queue. stolen reports
-// that executing the task is a displacement — it came from another worker's
-// deque now, or it was parked on our own deque by an earlier steal-half
-// batch; callers record the profiling steal event only once the steal leads
-// to an actual execution (a thief that loses the exec race to an inlining
-// toucher displaced nothing, so no deviation is charged). Returns nil when
-// everything is empty (a snapshot — new work may appear immediately after).
+// find locates a runnable task for a worker helping at a touch: own deque
+// first, then other workers' deques under the runtime's steal policy, then
+// the injection queue. (The worker loop takes the same three sources in
+// another order and at another pace — see dry.) stolen reports that executing
+// the task is a displacement — it came from another worker's deque now, or it
+// was parked on our own deque by an earlier steal-half batch; callers record
+// the profiling steal event only once the steal leads to an actual execution
+// (a thief that loses the exec race to an inlining toucher displaced nothing,
+// so no deviation is charged). Returns nil when everything is empty (a
+// snapshot — new work may appear immediately after).
 func (w *W) find() (t *task, stolen bool) {
+	if t, stolen = w.popOwn(); t != nil {
+		return t, stolen
+	}
+	if t := w.stealOnce(); t != nil {
+		return t, true
+	}
+	return w.rt.popInjected(), false
+}
+
+// popOwn pops the worker's own deque down to its first live task. Owner-only.
+func (w *W) popOwn() (t *task, stolen bool) {
 	for {
 		t, ok := w.dq.PopBottom()
 		if !ok {
-			break
+			return nil, false
 		}
 		if t.unstarted() {
 			// A task parked here by one of our own steal-half batches is
@@ -894,21 +945,19 @@ func (w *W) find() (t *task, stolen bool) {
 			return t, t.stolenBatch > 0
 		}
 	}
-	if len(w.rt.workers) > 1 {
-		if t := w.stealOnce(); t != nil {
-			return t, true
+}
+
+// popInjected takes the oldest live task off the injection queue, nil when
+// there is none.
+func (rt *Runtime) popInjected() *task {
+	// Len first: an empty queue, the usual answer to a poll, costs one load
+	// and leaves the queue's mutex to the submitters.
+	for rt.global.Len() > 0 {
+		if t, ok := rt.global.StealTop(); ok && t.unstarted() {
+			return t
 		}
 	}
-	for {
-		t, ok := w.rt.global.StealTop()
-		if !ok {
-			break
-		}
-		if t.unstarted() {
-			return t, false
-		}
-	}
-	return nil, false
+	return nil
 }
 
 // stealOnce makes one stealing sweep over the other workers under the
@@ -918,6 +967,9 @@ func (w *W) find() (t *task, stolen bool) {
 // domain-inside-out under Hierarchical, then two random-offset rounds)
 // lives here, per-victim take size lives in stealFrom.
 func (w *W) stealOnce() *task {
+	if len(w.rt.workers) == 1 {
+		return nil
+	}
 	if w.rt.stealPolicy == Hierarchical {
 		// Exhaust victims sharing our LLC domain before probing across a
 		// boundary: a cross-domain steal drags the task's working set
@@ -1091,28 +1143,229 @@ func (w *W) recordSteal(t *task) {
 		Steal: w.rt.stealPolicy, Cross: t.stolenCross, Job: t.jobID()})
 }
 
-// loop is the worker body.
+// loop is the worker body: run what the own deque holds, and when it is
+// empty go through the dry path (dry), which returns with a task, or with
+// nothing once the worker has slept or the runtime has closed.
 func (w *W) loop() {
 	defer w.rt.wg.Done()
-	for {
-		if w.rt.closed.Load() {
-			w.drainCancelled()
-			return
-		}
-		if t, stolen := w.find(); t != nil {
-			var fl execFlags
-			if stolen {
-				fl = execStolen
+	for !w.rt.closed.Load() {
+		t, stolen := w.popOwn()
+		if t == nil {
+			if t, stolen = w.dry(); t == nil {
+				continue
 			}
-			w.execCtx(t, fl)
-			continue
 		}
-		if w.rt.closed.Load() {
-			w.drainCancelled()
-			return
+		var fl execFlags
+		if stolen {
+			fl = execStolen
 		}
+		w.execCtx(t, fl)
+	}
+	w.drainCancelled()
+}
+
+// The dry path. A worker whose deque is empty looks for work in this order:
+// the injection queue, then a bounded poll of the injection queue that yields
+// the P between reads, with a steal sweep once the worker has been dry for
+// stealPatience and then once per patience interval, and only after pollLimit
+// the sleep in park. Two things are bought with it. A job that arrives within
+// the window is taken by a worker that is awake, so it changes hands without
+// park → Cond.Signal → goready → futex, which cost more than the job itself on
+// a serve load. And a worker that is dry only for the instant its client
+// needs to resubmit does not rob its peer of the top fragment of a job that
+// is microseconds long: such a steal ends in a blocked touch and buys no
+// parallelism, the kind of deviation the paper says is not worth its misses.
+// Whom a sweep robs is still stealOnce's decision; only when it is made
+// changed.
+//
+// A polling worker is awake and not counted in parked: push owes it no
+// signal, and park — still the only place a worker sleeps — re-reads every
+// queue under its handshake as before.
+
+const (
+	// stealPatience is how long a worker stays dry before its first steal
+	// sweep, and the interval between sweeps after that. Measured on the
+	// two-client closed serve loop (fib(20,12) + pipeline(512) jobs, 2 vCPUs):
+	// 0 µs 59 k jobs/s, 3 µs 76.6 k, 10 µs and 30 µs the same as 3. It is also
+	// the wait Go's scheduler gives a running P before taking its runnext
+	// (stealRunNextG). Fork-join pays it about nine times per 5-ms run.
+	stealPatience = 3 * time.Microsecond
+	// pollLimit is how long a dry worker polls before it parks: no longer than
+	// the wake-up it avoids (runtime.wake_us_p50 ≈ 105 µs on the same host)
+	// and below the 200 µs for which bench's wake rung idles, so that rung
+	// still times a real wake. The serve loop read the same for 10, 50 and
+	// 200 µs.
+	pollLimit = 50 * time.Microsecond
+	// noSweep is the time since the last sweep of an episode that has made
+	// none.
+	noSweep = time.Duration(math.MaxInt64)
+)
+
+// The admission rule. Polling yields with Gosched, which is free only while
+// the P has nobody else to run for long: the yielding worker goes to the back
+// of the scheduler's global run queue, so where CPU-bound goroutines crowd the
+// Ps it returns a time slice or several later, and a job that a parked worker
+// would have been woken for at once — readied into the signaller's runnext —
+// waits that long instead (TestTelemetryRaceStress, eight spinning readers:
+// 0.04 s without polling, 3 s with it at GOMAXPROCS = 2, 0.2 s and 27 s at 1).
+// Counting workers does not see this (the crowd need not be workers; a rule
+// "busy workers < GOMAXPROCS" left the 27 s at 24), so the worker measures it:
+// a yield that lasts crowdedYield or more is taken as proof that the P is not
+// to spare, ends the episode, and keeps the worker from polling for
+// crowdedBackoff times its length.
+const (
+	// crowdedYield is the scheduler's forced-preemption time slice
+	// (forcePreemptNS): a goroutine that gives a P back only when sysmon takes
+	// it away is CPU-bound, not a client about to block. Yields to the
+	// collector's mark workers and to a load generator's punctuality spin are
+	// shorter — of the serve benchmark's 2.7 million yields 2 077 exceeded the
+	// poll window (2 % of the workers' time), 34 a millisecond, none this —
+	// and backing off after those costs the whole gain: one worker that parks
+	// makes every push of the other signal.
+	crowdedYield = 10 * time.Millisecond
+	// crowdedBackoff bounds what a crowded P can cost a worker at 1 % of its
+	// time.
+	crowdedBackoff = 100
+)
+
+// dryAction is what a dry worker does next.
+type dryAction uint8
+
+const (
+	dryPoll   dryAction = iota // yield the P, then look again
+	dryInject                  // take a root from the injection queue
+	drySweep                   // one steal sweep over the other workers
+	dryPark                    // give up the episode and sleep in park
+)
+
+// dryDecision is the dry path's policy, a pure function of how long the
+// worker has been dry, how long ago its last steal sweep was (noSweep: none
+// this episode), the injection queue's length and whether a P is to spare.
+//
+// A worker without a spare P is not admitted to the poll phase (see the
+// admission rule): it does what every worker did before there was one — a
+// sweep at once, then park.
+func dryDecision(dryFor, sinceSweep time.Duration, injected int, spareP bool) dryAction {
+	switch {
+	case injected > 0:
+		return dryInject
+	case !spareP:
+		if sinceSweep == noSweep {
+			return drySweep
+		}
+		return dryPark
+	case dryFor >= stealPatience && sinceSweep >= stealPatience:
+		// Also the last thing before dryPark, however late the scheduler
+		// returned the P: a worker never sleeps on a peer's backlog unswept.
+		return drySweep
+	case dryFor >= pollLimit:
+		return dryPark
+	default:
+		return dryPoll
+	}
+}
+
+// dryEpisode is the state of one pass through the dry path.
+type dryEpisode struct {
+	// spareP is the admission decision, made when the episode opens and
+	// withdrawn by a slow yield.
+	spareP bool
+	// sweptAt is how long the worker had been dry at its last sweep (valid
+	// when swept).
+	sweptAt time.Duration
+	swept   bool
+	// polled records that the worker yielded at least once.
+	polled bool
+}
+
+// dryStep makes one decision of the episode ep, dryFor into it, and carries
+// it out unless it is dryPoll or dryPark, which are the caller's to perform.
+func (w *W) dryStep(ep *dryEpisode, dryFor time.Duration) (t *task, stolen bool, act dryAction) {
+	sinceSweep := noSweep
+	if ep.swept {
+		sinceSweep = dryFor - ep.sweptAt
+	}
+	act = dryDecision(dryFor, sinceSweep, w.rt.global.Len(), ep.spareP)
+	switch act {
+	case dryInject:
+		t = w.rt.popInjected()
+	case drySweep:
+		ep.swept, ep.sweptAt = true, dryFor
+		t = w.stealOnce()
+		stolen = t != nil
+	}
+	return t, stolen, act
+}
+
+// dry is the dry path of the worker loop. It returns a task to run, or nil
+// after the worker has been through park or has seen the runtime closed; the
+// loop then looks at its own deque again.
+func (w *W) dry() (t *task, stolen bool) {
+	start := time.Now()
+	ep := dryEpisode{spareP: w.mayPoll(start)}
+	var act dryAction
+	var dryFor time.Duration
+	for !w.rt.closed.Load() {
+		if t, stolen, act = w.dryStep(&ep, dryFor); t != nil || act == dryPark {
+			break
+		}
+		// After a sweep or a look at the injection queue that came up empty
+		// the next decision is due at once, on the same reading of the clock.
+		if act == dryPoll {
+			ep.polled = true
+			dryFor, ep.spareP = w.yield(start, dryFor)
+		}
+	}
+	switch {
+	case t != nil && ep.polled:
+		w.tele.Inc(telemetry.CPollFinds)
+	case act == dryPark:
 		w.park()
 	}
+	return t, stolen
+}
+
+// pollTouch is the poll phase of a touch that found nothing to help with:
+// under the same admission rule and for the same window as the worker loop's,
+// the toucher yields the P and looks again. It reports true as soon as t is
+// done or some deque holds something to steal, false when the toucher should
+// block. The injection queue is not part of the poll: a root taken here runs
+// a whole unrelated job inside the touch while the toucher's own job, and the
+// client behind it, wait (with it serve-runtime read 6–10 % lower in 4 of 5
+// pairs; without it the same in 3 of 6).
+func (w *W) pollTouch(t *task) bool {
+	start := time.Now()
+	spareP := w.mayPoll(start)
+	for age := time.Duration(0); spareP && age < pollLimit; {
+		if age, spareP = w.yield(start, age); t.isDone() || w.rt.dequeued() {
+			return true
+		}
+	}
+	return false
+}
+
+// mayPoll is the admission rule at the opening of an episode.
+func (w *W) mayPoll(at time.Time) bool { return at.Sub(w.rt.born) >= w.pollAfter }
+
+// yield gives the P away once, in an episode that began at start and whose
+// age was before when the worker last read the clock. It returns the episode's
+// age now and whether the P still looks spare. Gosched, not a spin: a client
+// goroutine that shares this P — the one about to resubmit — runs first.
+func (w *W) yield(start time.Time, before time.Duration) (now time.Duration, spareP bool) {
+	runtime.Gosched()
+	now = time.Since(start)
+	return now, w.sawYield(start.Add(now), now-before)
+}
+
+// sawYield is the admission rule after a yield that ended at end and lasted
+// took: it reports whether the P still looks spare, and if not sets the time
+// before which the worker will not poll again.
+func (w *W) sawYield(end time.Time, took time.Duration) (spareP bool) {
+	if took < crowdedYield {
+		return true
+	}
+	w.pollAfter = end.Sub(w.rt.born) + crowdedBackoff*took
+	return false
 }
 
 // drainCancelled is the cooperative shutdown drain: the exiting worker
@@ -1137,7 +1390,8 @@ func (w *W) drainCancelled() {
 // push for the handshake); the per-domain sleeper count is maintained under
 // the same mutex, so signalOne's scan and this bookkeeping never disagree.
 // The worker publishes its pending counters first (W.publish, rule 2), so an
-// idle pool's telemetry rows are exact.
+// idle pool's telemetry rows are exact. A worker still polling in dry has not
+// come here yet: it is awake, not counted in parked, and owed no signal.
 //
 // A queue that looks non-empty sends the worker back to find, which may
 // still come up dry (the owner popped the task, another thief won it). That
@@ -1170,10 +1424,11 @@ func (w *W) park() {
 
 // queued reports whether any queue — the global one or a worker's deque —
 // looks non-empty. A snapshot made of atomic loads; park is its only caller.
-func (rt *Runtime) queued() bool {
-	if rt.global.Len() > 0 {
-		return true
-	}
+func (rt *Runtime) queued() bool { return rt.global.Len() > 0 || rt.dequeued() }
+
+// dequeued reports whether some worker's deque looks non-empty, to park and
+// to a polling toucher.
+func (rt *Runtime) dequeued() bool {
 	for _, w := range rt.workers {
 		if w.dq.Len() > 0 {
 			return true
@@ -1489,11 +1744,17 @@ func (f *Future[T]) await(w *W, latch uint32) bool {
 			}
 			continue
 		}
-		// Nothing to do: block until the future completes. The blocked credit
-		// goes to the touched task's job only when that is the toucher's own
-		// job (the supported discipline — futures are consumed by the
-		// computation that spawned them); a foreign job may already have
-		// retired and recycled, so it is skipped rather than raced.
+		// Nothing to do. Poll before sleeping, as the worker loop does: the
+		// future may complete, or work to help with appear, sooner than a
+		// block and a wake-up take.
+		if w.pollTouch(&f.task) {
+			continue
+		}
+		// Block until the future completes. The blocked credit goes to the
+		// touched task's job only when that is the toucher's own job (the
+		// supported discipline — futures are consumed by the computation that
+		// spawned them); a foreign job may already have retired and recycled,
+		// so it is skipped rather than raced.
 		w.publish()
 		w.tele.Inc(telemetry.CBlockedTouches)
 		if js := f.job; js != nil && js == w.curJob {

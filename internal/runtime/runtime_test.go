@@ -264,7 +264,12 @@ func TestRuntimeQuiescesWhenIdle(t *testing.T) {
 	// stays healthy across an idle period and accepts new work.
 	rt := newRT(t, 4)
 	Run(rt, func(w *W) int { return fibSpawn(rt, w, 18) })
+	// The poll window is a bounded delay before the sleep, not a substitute.
+	waitUntil(func() bool { return rt.parked.Load() == 4 })
 	time.Sleep(20 * time.Millisecond)
+	if n := rt.parked.Load(); n != 4 {
+		t.Fatalf("%d of 4 workers parked on an idle runtime", n)
+	}
 	got := Run(rt, func(w *W) int { return fibSpawn(rt, w, 18) })
 	if got != 2584 {
 		t.Fatalf("fib(18) = %d, want 2584", got)
@@ -351,8 +356,12 @@ func TestWakeupSignalStress(t *testing.T) {
 // queues; if that look could miss the task, worker 0 would sleep on it, the
 // pusher would poll forever and the test would hang — so run it with a
 // short -timeout (and -race -count=10 in CI).
+//
+// Each pusher runs a second time with the parker going to sleep the way a
+// worker does, through dry: it polls, finds nothing and parks at the end of
+// the window, and the pusher aims at that moment instead. A task the poll
+// itself finds is run like any other.
 func TestParkLostWakeup(t *testing.T) {
-	const rounds = 2000
 	pushers := []struct {
 		name string
 		// push publishes one leaf and returns a poll for its completion. The
@@ -374,53 +383,75 @@ func TestParkLostWakeup(t *testing.T) {
 			return jobs[0].Done
 		}},
 	}
+	sleepers := []struct {
+		name string
+		// sleep takes worker 0 into park and returns what it finds afterwards.
+		sleep func(w *W) (*task, bool)
+		// after is how long after the round's announcement park is due, which
+		// is also what a round costs: the slower sleeper gets fewer.
+		after  time.Duration
+		rounds int64
+	}{
+		{"park", func(w *W) (*task, bool) {
+			w.park()
+			return w.find()
+		}, 0, 2000},
+		{"poll", func(w *W) (*task, bool) {
+			if t, stolen := w.dry(); t != nil {
+				return t, stolen
+			}
+			return w.find()
+		}, pollLimit, 500},
+	}
 	for _, p := range pushers {
 		t.Run(p.name, func(t *testing.T) {
-			rt := bareRuntime(RandomSingle, 2)
-			var round atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := rt.workers[0]
-				// ran counts executed tasks, not parks: a drain can run the next
-				// round's task too when its push comes early.
-				for ran := int64(0); ran < rounds; {
-					// Spin, so that park starts within nanoseconds of the round's
-					// announcement; yield only if it is long in coming (one CPU).
-					for i := 0; round.Load() <= ran; i++ {
-						if i > 10000 {
+			for _, sl := range sleepers {
+				t.Run(sl.name, func(t *testing.T) {
+					rounds := sl.rounds
+					rt := bareRuntime(RandomSingle, 2)
+					var round atomic.Int64
+					var wg sync.WaitGroup
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						w := rt.workers[0]
+						// ran counts executed tasks, not parks: a drain can run the next
+						// round's task too when its push comes early.
+						for ran := int64(0); ran < rounds; {
+							// Spin, so that park starts within nanoseconds of the round's
+							// announcement; yield only if it is long in coming (one CPU).
+							for i := 0; round.Load() <= ran; i++ {
+								if i > 10000 {
+									stdruntime.Gosched()
+								}
+							}
+							for task, stolen := sl.sleep(w); task != nil; task, stolen = w.find() {
+								var fl execFlags
+								if stolen {
+									fl = execStolen
+								}
+								w.execCtx(task, fl)
+								ran++
+							}
+						}
+					}()
+					for r := int64(1); r <= rounds; r++ {
+						round.Store(r)
+						for t0 := time.Now(); time.Since(t0) < sl.after; {
+						}
+						for i := r % 128; i > 0; i-- {
+							round.Load() // a few ns per turn: where the push lands varies
+						}
+						for done := p.push(rt); !done(); {
 							stdruntime.Gosched()
 						}
 					}
-					w.park()
-					for {
-						task, stolen := w.find()
-						if task == nil {
-							break
-						}
-						var fl execFlags
-						if stolen {
-							fl = execStolen
-						}
-						w.execCtx(task, fl)
-						ran++
-					}
-				}
-			}()
-			for r := int64(1); r <= rounds; r++ {
-				round.Store(r)
-				for i := r % 128; i > 0; i-- {
-					round.Load() // a few ns per turn: where the push lands varies
-				}
-				for done := p.push(rt); !done(); {
-					stdruntime.Gosched()
-				}
+					wg.Wait()
+					snap := rt.TelemetrySnapshot()
+					t.Logf("%d rounds: worker 0 slept in %d and found the task polling in %d, the push signalled in %d",
+						rounds, snap.Total(telemetry.CParks), snap.Total(telemetry.CPollFinds), snap.Total(telemetry.CWakeups))
+				})
 			}
-			wg.Wait()
-			snap := rt.TelemetrySnapshot()
-			t.Logf("%d rounds: worker 0 slept in %d, the push signalled in %d",
-				rounds, snap.Total(telemetry.CParks), snap.Total(telemetry.CWakeups))
 		})
 	}
 }
@@ -448,6 +479,72 @@ func TestDequeDepthBoundedByRecursion(t *testing.T) {
 	}
 	if st := rt.Stats(); st.InlineTouches == 0 {
 		t.Fatalf("no inline touch: %v", st)
+	}
+}
+
+// TestDequeDepthBoundedWithPassedFutures is the twin for futures that are not
+// touched by their creator: each task hands its oldest untouched future to the
+// next child it spawns, which touches it (the paper's Figure 5(b) pattern).
+// Such a future is run inline from the child, not from the bottom of the
+// deque, so its entry stays behind; the worker drops it once the live entries
+// above it are gone (trimDone). Without that nothing removes the entries
+// before the run ends, and the ring grows with the run — several thousand
+// tasks here — not with its depth of 12.
+func TestDequeDepthBoundedWithPassedFutures(t *testing.T) {
+	rt := newRT(t, 1)
+	next := func(r uint64) uint64 {
+		r ^= r << 13
+		r ^= r >> 7
+		r ^= r << 17
+		return r
+	}
+	var tasks atomic.Int64
+	var tree func(w *W, seed uint64, depth int) int
+	tree = func(w *W, seed uint64, depth int) int {
+		tasks.Add(1)
+		acc := int(seed & 0xff)
+		if depth == 0 {
+			return acc
+		}
+		r := next(seed)
+		var open []*Future[int]
+		for kids := 1 + int(r%3); kids > 0; kids-- {
+			r = next(r)
+			child := r
+			r = next(r)
+			var passed *Future[int]
+			if w != nil && len(open) > 0 && r&1 == 0 {
+				passed, open = open[0], open[1:]
+			}
+			body := func(w *W) int {
+				v := tree(w, child, depth-1)
+				if passed != nil {
+					v += passed.Touch(w)
+				}
+				return v
+			}
+			if w == nil { // the sequential reference
+				acc += body(nil)
+				continue
+			}
+			open = append(open, Spawn(rt, w, body))
+		}
+		for _, f := range open {
+			acc += f.Touch(w)
+		}
+		return acc
+	}
+	const seed, depth = 0x9e3779b97f4a7c15, 12
+	want := tree(nil, seed, depth)
+	tasks.Store(0)
+	if got := Run(rt, func(w *W) int { return tree(w, seed, depth) }); got != want {
+		t.Fatalf("tree = %d, want %d", got, want)
+	}
+	if n := tasks.Load(); n < 2000 {
+		t.Fatalf("only %d tasks: the run is too small to tell its length from its depth", n)
+	}
+	if c := rt.workers[0].dq.Cap(); c > 64 {
+		t.Fatalf("deque ring grew to %d slots over %d tasks; want at most 64 (depth %d, at most 3 children each)", c, tasks.Load(), depth)
 	}
 }
 

@@ -3,6 +3,7 @@ package runtime
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"futurelocality/internal/deque"
 	"futurelocality/internal/policy"
@@ -143,7 +144,7 @@ func bareRuntime(sp StealPolicy, workers int) *Runtime {
 // bareRuntimeOn is bareRuntime on an explicit topology, so a test can place
 // workers in more than one locality domain.
 func bareRuntimeOn(sp StealPolicy, workers int, topo *topology.Topology) *Runtime {
-	rt := &Runtime{stealPolicy: sp}
+	rt := &Runtime{stealPolicy: sp, born: time.Now()}
 	rt.topo = topo
 	rt.assign = rt.topo.Assign(workers)
 	rt.tele = telemetry.NewSet(workers)

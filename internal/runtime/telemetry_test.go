@@ -205,6 +205,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 		`futurelocality_jobs_total{outcome="shed"}`,
 		`futurelocality_jobs_total{outcome="completed"} 4`,
 		"futurelocality_tasks_run_total",
+		"futurelocality_poll_finds_total",
 		"futurelocality_jobs_in_flight 0",
 		`futurelocality_job_latency_seconds_bucket{le="+Inf"} 4`,
 		"futurelocality_job_latency_seconds_count 4",

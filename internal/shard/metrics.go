@@ -108,6 +108,7 @@ func (p *Pool) WriteMetrics(w io.Writer) error {
 	counterPer(metricPrefix+"blocked_touches_total", "Touches that blocked with no work available, per shard.", telemetry.CBlockedTouches)
 	counterPer(metricPrefix+"parks_total", "Workers that actually went to sleep, per shard.", telemetry.CParks)
 	counterPer(metricPrefix+"wakeups_total", "Push-side signals to a parked worker, per shard.", telemetry.CWakeups)
+	counterPer(metricPrefix+"poll_finds_total", "Dry episodes that ended with work found by polling, not in a park, per shard.", telemetry.CPollFinds)
 
 	subVec(metricPrefix+"jobs_total", "Job admission outcomes by shard. A shard's shed counts its local refusals; refusals the pool then forwarded elsewhere appear as the executing shard's submitted (see pool_jobs_total for pool-level drops).", "outcome", []struct {
 		val string

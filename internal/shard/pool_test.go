@@ -505,6 +505,7 @@ func TestPoolMetricsPage(t *testing.T) {
 		`futurelocality_jobs_total{shard="1",outcome="submitted"} 1`,
 		`futurelocality_jobs_total{shard="0",outcome="shed"} 1`,
 		`futurelocality_steals_total{shard="0",policy="random-single"}`,
+		`futurelocality_poll_finds_total{shard="1"}`,
 		`futurelocality_workers{shard="1"} 1`,
 		`futurelocality_flight_window_events{shard="0"}`,
 		`futurelocality_job_latency_seconds_count`,

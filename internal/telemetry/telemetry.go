@@ -59,15 +59,21 @@ const (
 	// discipline.
 	CSpawnsFutureFirst
 	CSpawnsParentFirst
-	// CParks counts workers actually going to sleep (a park that finds new
-	// work before waiting is not counted); CWakeups counts push-side signals
-	// to a parked worker — signals, not workers woken: a signalled sleeper
-	// counts as parked until it has run, so on a serve load every push in
-	// that window signals it again and the counter reads some twenty per
-	// job against one park. Suppressing the repeats was measured and moved
-	// throughput by under 3 % (DESIGN.md, observability), so they stay.
+	// CParks and CPollFinds count how a worker's dry episodes end: asleep
+	// (a park that finds new work before waiting is not counted), or with
+	// work found while the worker polled — from the injection queue or by a
+	// steal after the patience interval — counted once per episode, never per
+	// poll. Under a steady serve load nearly every episode ends the second
+	// way; parks rise only when arrivals are further apart than the poll
+	// window. CWakeups counts push-side signals to a parked worker —
+	// signals, not workers woken: a signalled sleeper counts as parked until
+	// it has run, so every push in that window signals it again and the
+	// counter can read many signals against one park. Suppressing the
+	// repeats was measured and moved throughput by under 3 % (DESIGN.md,
+	// observability), so they stay.
 	CParks
 	CWakeups
+	CPollFinds
 	// CJobsSubmitted, CJobsCompleted and CJobsShed count job-server
 	// admission outcomes: accepted submissions, completions (any path,
 	// including shutdown cancellation), and ErrSaturated rejections.
@@ -112,6 +118,8 @@ func (c Counter) Name() string {
 		return "parks"
 	case CWakeups:
 		return "wakeups"
+	case CPollFinds:
+		return "poll_finds"
 	case CJobsSubmitted:
 		return "jobs_submitted"
 	case CJobsCompleted:
