@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	fl "futurelocality"
+	"futurelocality/internal/telemetry"
 )
 
 // TestPublicAPIEndToEnd exercises the whole facade the way the README
@@ -416,7 +417,6 @@ func TestPublicPool(t *testing.T) {
 		fl.WithPoolTopology(topo),
 		fl.WithPoolWorkers(4),
 		fl.WithPoolMaxInFlight(8),
-		fl.WithPlacement(fl.PlaceRoundRobin),
 		fl.WithShardRuntimeOptions(fl.WithStealPolicy(fl.Hierarchical)),
 	)
 	defer p.Shutdown()
@@ -424,8 +424,14 @@ func TestPublicPool(t *testing.T) {
 		t.Fatalf("pool shape: shards=%d workers=%d cap=%d", p.Shards(), p.Workers(), p.MaxInFlight())
 	}
 
-	// Unkeyed round-robin: the handles name their executing shards.
-	var jobs []fl.PoolJob[int]
+	// Unkeyed placement is least-loaded: while a gated job holds one shard,
+	// the next submit must land on the other. The handles name their
+	// executing shards.
+	gate := make(chan struct{})
+	held, err := fl.PoolSubmit(p, func(*fl.W) int { <-gate; return 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 4; i++ {
 		j, err := fl.PoolSubmit(p, func(w *fl.W) int {
 			// Interior spawns go through the executing worker's own runtime:
@@ -436,18 +442,15 @@ func TestPublicPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, j)
-	}
-	seen := map[int]bool{}
-	for i := range jobs {
-		if v := jobs[i].Wait(); v != i+1 {
+		if j.Shard() == held.Shard() {
+			t.Fatalf("job %d placed on shard %d, which holds a job while the other is idle", i, j.Shard())
+		}
+		if v := j.Wait(); v != i+1 {
 			t.Fatalf("job %d = %d, want %d", i, v, i+1)
 		}
-		seen[jobs[i].Shard()] = true
 	}
-	if len(seen) != 2 {
-		t.Fatalf("round-robin used shards %v, want both", seen)
-	}
+	close(gate)
+	held.Wait()
 
 	// Keyed stickiness.
 	var shards []int
@@ -524,5 +527,29 @@ func TestPublicPoolWait(t *testing.T) {
 	close(release)
 	if v := <-done; v != 9 {
 		t.Fatalf("queued job = %d, want 9", v)
+	}
+}
+
+// TestFacadeCounterColumns: the facade re-exports every telemetry column.
+// The table lists the facade's C… constants in column order, so a column
+// added to internal/telemetry without its facade twin changes NumCounters
+// and fails here.
+func TestFacadeCounterColumns(t *testing.T) {
+	facade := []fl.TelemetryCounter{
+		fl.CTasksRun, fl.CStealAttempts,
+		fl.CStealsRandomSingle, fl.CStealsStealHalf, fl.CStealsLastVictim, fl.CStealsHierarchical,
+		fl.CStealsIntraDomain, fl.CStealsCrossDomain,
+		fl.CInlineTouches, fl.CHelpedTasks, fl.CBlockedTouches,
+		fl.CSpawnsFutureFirst, fl.CSpawnsParentFirst,
+		fl.CParks, fl.CWakeups, fl.CPollFinds,
+		fl.CJobsSubmitted, fl.CJobsCompleted, fl.CJobsShed,
+	}
+	if len(facade) != int(telemetry.NumCounters) {
+		t.Fatalf("facade re-exports %d counter columns, internal/telemetry has %d", len(facade), telemetry.NumCounters)
+	}
+	for i, c := range facade {
+		if c != telemetry.Counter(i) {
+			t.Errorf("facade column %d is %s, internal column %d is %s", i, c.Name(), i, telemetry.Counter(i).Name())
+		}
 	}
 }

@@ -65,9 +65,10 @@
 //     The domains come from the cache-topology subsystem (DetectTopology
 //     reads the host's sysfs cache hierarchy, SyntheticTopology builds an
 //     injectable DxC layout, WithTopology installs either), which also
-//     stripes the runtime's parked-worker accounting and job-registry
-//     shards per domain and splits every steal into intra- vs
-//     cross-domain telemetry. Errors and cancellation are first-class:
+//     stripes the runtime's parked-worker accounting per domain and
+//     splits every steal into intra- vs cross-domain telemetry (spreading
+//     *jobs* over domains is the sharded pool's work, below).
+//     Errors and cancellation are first-class:
 //     RunErr and
 //     Future.TouchErr return task panics as errors (*PanicError), and a
 //     runtime closed by Shutdown or a cancelled WithContext context fails
@@ -77,12 +78,12 @@
 //     the runtime as a multi-tenant service. Submit is non-blocking and
 //     returns a typed Job handle (Wait / WaitErr / TryWait / Done) — a
 //     value with a generation check, because job roots recycle through
-//     per-domain freelists and a steady-state Submit+Wait round trip
+//     a freelist and a steady-state Submit+Wait round trip
 //     allocates nothing; every task a job's computation spawns inherits
 //     the job's identity, so each job gets its own Stats (tasks, steals,
 //     touch modes), queue-wait and wall-latency capture, and profiler
 //     attribution (job IDs are never reused). SubmitAll admits a whole
-//     batch in one visit — one striped-CAS admission, one ID block, one
+//     batch in one visit — one admission CAS, one ID block, one
 //     wakeup decision; all-or-prefix at the cap. WithMaxInFlight adds
 //     admission control: at the cap Submit sheds load with ErrSaturated
 //     while SubmitWait queues; shutdown fails queued jobs fast with
@@ -92,12 +93,12 @@
 //     job — each concurrent DAG is checked against its own P·T∞², not a
 //     pooled blur (see Report.Jobs).
 //
-//   - Sharded pool (NewPool, PoolSubmit, PoolSubmitKeyed, WithShards,
-//     WithPlacement): the serve path scaled out — S independent runtimes,
-//     by default one per LLC locality domain with each shard's workers
-//     pinned inside its domain, behind a router with the same submit
-//     surface. Placement is least-loaded (O(1) in-flight gauges),
-//     round-robin, or consistent-hash on an optional job key (the ring
+//   - Sharded pool (NewPool, PoolSubmit, PoolSubmitKeyed, WithShards):
+//     the serve path scaled out — S independent runtimes, each one
+//     admission plane, by default one per LLC locality domain with each
+//     shard's workers pinned inside its domain, behind a router with the
+//     same submit surface. Placement is least-loaded (one in-flight word
+//     per shard), or consistent-hash on an optional job key (the ring
 //     depends only on shard identity, so resizing moves ~1/S of keys and
 //     none between surviving shards); when the placed shard's admission
 //     is saturated the router forwards the whole job to the least-loaded

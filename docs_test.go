@@ -27,9 +27,12 @@ var docPaths = []*regexp.Regexp{
 	regexp.MustCompile(`(?:^|[^\w/.-])\./(examples/\w+|bench\b)`),
 }
 
-// retiredNames are commands and files that no longer exist; a document that
-// still names one sends its reader to nothing.
-var retiredNames = []string{"runtimebench", "BENCH_runtime", "go test -bench=."}
+// retiredNames are commands, files and API names that no longer exist; a
+// document that still names one sends its reader to nothing.
+var retiredNames = []string{
+	"runtimebench", "BENCH_runtime", "go test -bench=.",
+	"WithPlacement", "WithForwarding", "PlaceRoundRobin", "JobStats(",
+}
 
 // TestDocsNameOnlyWhatExists fails when a document names a command, example
 // or script that is not in the tree, or a retired one.

@@ -124,13 +124,13 @@ func main() {
 		})
 		mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 			for i := 0; i < p.Shards(); i++ {
-				env, err := p.FlightEnvelope(i)
+				env, err := p.Runtime(i).FlightEnvelope()
 				if err != nil {
 					fmt.Fprintf(w, "shard %d: %v\n\n", i, err)
 					continue
 				}
 				fmt.Fprintf(w, "shard %d flight window: %s\n\n", i, env)
-				rep, err := p.FlightReport(i, fl.ProfileOptions{NoMatrix: true, Trials: 2})
+				rep, err := p.Runtime(i).FlightReport(fl.ProfileOptions{NoMatrix: true, Trials: 2})
 				if err != nil {
 					fmt.Fprintf(w, "report unavailable: %v\n\n", err)
 					continue
@@ -238,7 +238,7 @@ accept:
 	fmt.Printf("latency: p50=%v p95=%v p99=%v (n=%d)\n",
 		time.Duration(qs[0]), time.Duration(qs[1]), time.Duration(qs[2]), lat.Count())
 	for i := 0; i < p.Shards(); i++ {
-		if env, err := p.FlightEnvelope(i); err == nil {
+		if env, err := p.Runtime(i).FlightEnvelope(); err == nil {
 			fmt.Printf("shard %d flight window: %s\n", i, env)
 		}
 	}

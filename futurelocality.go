@@ -380,8 +380,8 @@ func SubmitWait[T any](rt *Runtime, fn func(*W) T) (Job[T], error) {
 	return runtime.SubmitWait(rt, fn)
 }
 
-// SubmitAll submits a batch of roots in one admission visit: one token grab
-// per admission stripe, one registry-shard lock for the whole batch, one
+// SubmitAll submits a batch of roots in one admission visit: one CAS on
+// the in-flight word, one freelist visit for the whole batch, one
 // bounded wakeup decision — the high-rate producer's amortized entry point.
 // It appends the handles to dst (pass nil, or a retained slice to keep the
 // steady state allocation-free) and returns the extended slice. On a
@@ -548,6 +548,7 @@ const (
 	CSpawnsParentFirst  = telemetry.CSpawnsParentFirst
 	CParks              = telemetry.CParks
 	CWakeups            = telemetry.CWakeups
+	CPollFinds          = telemetry.CPollFinds
 	CJobsSubmitted      = telemetry.CJobsSubmitted
 	CJobsCompleted      = telemetry.CJobsCompleted
 	CJobsShed           = telemetry.CJobsShed
@@ -574,33 +575,19 @@ type (
 	// Pool is a sharded job server: S independent Runtimes — by default one
 	// per LLC locality domain, each on a single-domain sub-topology — behind
 	// a router with the Submit/SubmitWait/SubmitAll surface of a single
-	// runtime, job placement policies, and an overflow exchange that
-	// forwards whole jobs (never interior tasks) off saturated shards.
+	// runtime, least-loaded placement with a consistent-hash ring for keyed
+	// submits, and an overflow exchange that forwards whole jobs (never
+	// interior tasks) off saturated shards.
 	Pool = shard.Pool
 	// PoolOption configures NewPool.
 	PoolOption = shard.Option
 	// PoolJob is a pool job handle: the member runtime's Job plus Shard(),
 	// the index of the runtime that admitted and executes it.
 	PoolJob[T any] = shard.Job[T]
-	// Placement selects how the pool routes unkeyed submits.
-	Placement = shard.Placement
-)
-
-// Placement policies for PoolSubmit routing.
-const (
-	// PlaceLeastLoaded routes to the shard with the fewest in-flight jobs,
-	// tiebreaking on global-queue backlog — the default.
-	PlaceLeastLoaded = shard.LeastLoaded
-	// PlaceRoundRobin rotates across shards — one atomic add per submit.
-	PlaceRoundRobin = shard.RoundRobin
-	// PlaceConsistentHash: keyed submits always use the ring; this makes
-	// unkeyed traffic fall back to least-loaded.
-	PlaceConsistentHash = shard.ConsistentHash
 )
 
 // NewPool starts a sharded pool. Defaults: one shard per LLC domain of the
-// host topology, GOMAXPROCS workers split across shards, least-loaded
-// placement, overflow forwarding on:
+// host topology, GOMAXPROCS workers split across shards, no admission cap:
 //
 //	p := futurelocality.NewPool(
 //	    futurelocality.WithShards(2),
@@ -626,15 +613,6 @@ func WithPoolMaxInFlight(n int) PoolOption { return shard.WithMaxInFlight(n) }
 // shard i is built on the single-domain carve-out of domain i mod D.
 func WithPoolTopology(t *Topology) PoolOption { return shard.WithTopology(t) }
 
-// WithPlacement sets the routing policy for unkeyed submits (default
-// PlaceLeastLoaded).
-func WithPlacement(p Placement) PoolOption { return shard.WithPlacement(p) }
-
-// WithForwarding enables or disables the overflow exchange (default on):
-// a saturated home shard forwards the whole job to the least-loaded other
-// shard before shedding.
-func WithForwarding(on bool) PoolOption { return shard.WithForwarding(on) }
-
 // WithShardRuntimeOptions appends RuntimeOptions applied to every member
 // runtime (steal policy, discipline, flight recorder, seed, context). The
 // pool-managed options — workers, topology, admission cap — win.
@@ -642,10 +620,12 @@ func WithShardRuntimeOptions(opts ...RuntimeOption) PoolOption {
 	return shard.WithRuntimeOptions(opts...)
 }
 
-// PoolSubmit routes fn by the pool's placement policy and submits it as a
-// job without blocking. Saturation at the placed shard triggers the
-// overflow exchange; only when every candidate refuses does it shed with
-// ErrSaturated. A closed pool returns ErrClosed.
+// PoolSubmit places fn on the least-loaded shard (fewest in-flight jobs,
+// tiebreaking on queue backlog) and submits it as a job without blocking.
+// Saturation at the placed shard triggers the overflow exchange — the whole
+// job is forwarded to the least-loaded other shard — and only when that one
+// refuses too does it shed with ErrSaturated. A closed pool returns
+// ErrClosed.
 func PoolSubmit[T any](p *Pool, fn func(*W) T) (PoolJob[T], error) { return shard.Submit(p, fn) }
 
 // PoolSubmitKeyed is PoolSubmit with consistent-hash placement on key:

@@ -13,9 +13,11 @@ package runtime
 //
 // Cost discipline (see DESIGN.md, "serve path anatomy"): the steady-state
 // Submit+Wait pair allocates nothing — the root future and the job state
-// live in one pooled composite (jobRoot) recycled through per-shard
-// freelists, admission is a CAS on a per-domain striped quota (no channel,
-// no lock), and the handle returned to the caller is a value. A spawn
+// live in one pooled composite (jobRoot) recycled through one freelist,
+// admission is a CAS on the in-flight word (no channel, no lock, no table of
+// jobs), and the handle returned to the caller is a value. The runtime is
+// one admission plane; a host that wants one per LLC domain builds a
+// shard.Pool of runtimes, which is what the pool is for. A spawn
 // *inside* a job pays exactly the non-job spawn path plus one pointer copy
 // (the inherited job tag) and, per executed task, a handful of atomic adds
 // on the job's counters. A job-less Run is unchanged.
@@ -47,14 +49,13 @@ var ErrSaturated = errors.New("runtime: job server saturated (max in-flight jobs
 // jobState is the runtime-side record of one submitted job: identity, the
 // root task it hangs off, wall-clock capture, the per-job counters every
 // worker credits as it executes the job's tasks, and the liveness refcount
-// that gates recycling. It lives in the runtime's registry while the job is
-// in flight; afterwards its final values survive in the handle (captured at
-// consume time), because the struct itself returns to a freelist.
+// that gates recycling. The job's handle is the only way to it; once the
+// handle consumes the result its final values survive in the handle (captured
+// at consume time), because the struct itself returns to the freelist.
 type jobState struct {
 	// gen is the handle-validity generation: bumped once each time the
 	// pooled root is recycled, so a stale Job handle copy detects reuse
-	// instead of consuming the next tenant's future. It doubles as the
-	// seqlock word for jobStats reads racing a recycle.
+	// instead of consuming the next tenant's future.
 	gen atomic.Uint64
 	// refs counts liveness references: the root task and the handle (2 at
 	// launch) plus one per still-pending task spawned by the job's
@@ -67,11 +68,6 @@ type jobState struct {
 	id   atomic.Uint64
 	root uint64
 	rt   *Runtime
-	// reg is the registry (and freelist) shard this job lives on; tok the
-	// admission stripe whose token finish returns (-1 when uncapped). Batch
-	// submission registers a whole batch on one shard, so reg is stored
-	// rather than derived from the ID.
-	reg, tok int32
 	// owner points back to the jobRoot composite, pre-erased to the pooling
 	// interface so the release path never converts (or allocates).
 	owner poolableRoot
@@ -150,8 +146,8 @@ func (r *jobRoot[T]) prepareForReuse() {
 // release drops one liveness reference; the last one retires the composite:
 // bump the generation (stale handles fail fast from here on), scrub, and
 // recycle — into the releasing worker's local stash when there is one
-// (flushed to its domain shard in one lock visit when full), else straight
-// onto the job's registry shard freelist.
+// (flushed to the freelist in one lock visit when full), else straight onto
+// the freelist.
 func (js *jobState) release(w *W) {
 	if js.refs.Add(-1) != 0 {
 		return
@@ -162,36 +158,28 @@ func (js *jobState) release(w *W) {
 	if w != nil && w.rt == rt {
 		w.jobFree = append(w.jobFree, js.owner)
 		if len(w.jobFree) == cap(w.jobFree) {
-			w.flushJobFree()
+			rt.recycle(w.jobFree)
+			clear(w.jobFree)
+			w.jobFree = w.jobFree[:0]
 		}
 		return
 	}
-	sh := &rt.shards[js.reg]
-	sh.mu.Lock()
-	if len(sh.free) < cap(sh.free) {
-		sh.free = append(sh.free, js.owner)
-	}
-	sh.mu.Unlock()
+	rt.recycle([]poolableRoot{js.owner})
 }
 
-// flushJobFree donates the worker's recycled-root stash to its domain's
-// shard freelist in one lock acquisition (overflow beyond the shard cap is
-// dropped to the garbage collector).
-func (w *W) flushJobFree() {
-	sh := &w.rt.shards[w.domain%len(w.rt.shards)]
-	sh.mu.Lock()
-	n := cap(sh.free) - len(sh.free)
-	if n > len(w.jobFree) {
-		n = len(w.jobFree)
-	}
-	sh.free = append(sh.free, w.jobFree[:n]...)
-	sh.mu.Unlock()
-	clear(w.jobFree)
-	w.jobFree = w.jobFree[:0]
+// recycle puts scrubbed roots on the freelist in one lock acquisition
+// (overflow beyond rootFreelistCap is dropped to the garbage collector).
+func (rt *Runtime) recycle(roots []poolableRoot) {
+	rt.freeMu.Lock()
+	n := min(cap(rt.free)-len(rt.free), len(roots))
+	rt.free = append(rt.free, roots[:n]...)
+	rt.freeMu.Unlock()
 }
 
-// finish publishes the job's completion: wall latency first, then registry
-// removal, the in-flight gauge decrement, and the admission-token release.
+// finish publishes the job's completion: wall latency first, then the
+// in-flight decrement that is also the admission slot's return, and a signal
+// to a queued SubmitWait caller if one is registered — the waiter gate keeps
+// the release lock-free when nobody queues, the overwhelming common case.
 // Called exactly once, by the root task's completion path (normal,
 // panicking, or shutdown-cancelled), and ordered before the root future's
 // completion is published (task.retire) — so a waiter that has observed
@@ -209,36 +197,27 @@ func (js *jobState) finish() {
 		rt.queueWaitHist.Observe(qw)
 	}
 	rt.teleExt.Inc(telemetry.CJobsCompleted)
-	sh := &rt.shards[js.reg]
-	sh.mu.Lock()
-	delete(sh.jobs, js.id.Load())
-	sh.mu.Unlock()
-	sh.inflight.Add(-1)
-	if js.tok >= 0 {
-		rt.releaseSlot(js.tok)
+	rt.inflight.Add(-1)
+	if rt.slotWaiters.Load() > 0 {
+		rt.mu.Lock()
+		rt.slotCond.Signal()
+		rt.mu.Unlock()
 	}
 }
 
 // jobStats snapshots the counters (approximate while the job is in flight).
-// The generation re-check discards a snapshot torn by a concurrent recycle
-// — a stale reader retries and returns the next tenant's (young, coherent)
-// view rather than a mix of two jobs.
+// Only a handle calls it, and an unconsumed handle's liveness reference
+// keeps the root from being recycled under the read.
 func (js *jobState) jobStats() JobStats {
-	for {
-		g := js.gen.Load()
-		s := JobStats{
-			ID:             js.id.Load(),
-			TasksRun:       js.tasksRun.Load(),
-			Steals:         js.steals.Load(),
-			InlineTouches:  js.inline.Load(),
-			HelpedTasks:    js.helped.Load(),
-			BlockedTouches: js.blocked.Load(),
-			QueueWait:      time.Duration(js.queueWaitNs.Load()),
-			Latency:        time.Duration(js.latencyNs.Load()),
-		}
-		if js.gen.Load() == g {
-			return s
-		}
+	return JobStats{
+		ID:             js.id.Load(),
+		TasksRun:       js.tasksRun.Load(),
+		Steals:         js.steals.Load(),
+		InlineTouches:  js.inline.Load(),
+		HelpedTasks:    js.helped.Load(),
+		BlockedTouches: js.blocked.Load(),
+		QueueWait:      time.Duration(js.queueWaitNs.Load()),
+		Latency:        time.Duration(js.latencyNs.Load()),
 	}
 }
 
@@ -409,176 +388,68 @@ func (j *Job[T]) Latency() time.Duration {
 	return time.Duration(j.js.latencyNs.Load())
 }
 
-// rootFreelistCap bounds each registry shard's recycled-root freelist, and
-// workerFreeCap each worker's local stash (flushed to the domain shard in
-// one lock visit when full). Overflow is dropped to the garbage collector —
-// the pool is an optimization, never an obligation.
+// rootFreelistCap bounds the recycled-root freelist, and workerFreeCap each
+// worker's local stash (flushed to the freelist in one lock visit when
+// full). Overflow is dropped to the garbage collector — the pool is an
+// optimization, never an obligation.
 const (
 	rootFreelistCap = 256
 	workerFreeCap   = 16
 )
 
-// jobRegistry is the runtime's in-flight job table plus admission state.
-// Split into its own struct so Runtime embeds one named field group. The
-// table is striped into one shard per locality domain (minimum one):
-// dense job IDs round-robin across the shards, so concurrent submitters
-// and finishers on a multi-domain machine contend on separate mutexes and
-// separate cache lines instead of one registry lock. The admission quota is
-// striped the same way (jobShard.avail): acquire is a CAS against the home
-// stripe with overflow borrowing from the others, so admit and
-// saturated-shed are both lock-free.
-type jobRegistry struct {
-	shards []jobShard
+// jobServer is the runtime's job-server state, split into its own struct so
+// Runtime embeds one named field group: the job ID sequence, the admission
+// word, and the root freelist. There is no table of in-flight jobs — a job
+// is reached through its handle.
+type jobServer struct {
 	jobSeq atomic.Uint64
-	// maxInFlight is the admission cap (0 = unlimited), the sum of the
-	// per-shard quotas.
+	// inflight counts jobs admitted and not yet finished. It is the gauge
+	// InFlight reads and, under a cap, the quota admit CASes against: one
+	// word, so the gauge can never disagree with what admission allowed.
+	inflight atomic.Int64
+	// maxInFlight is the admission cap (0 = unlimited). Immutable after New.
 	maxInFlight int
-	// slotWaiters gates the SubmitWait slow path: a token release takes the
-	// runtime mutex to signal only when a waiter is actually registered —
-	// the same lock-free-when-idle discipline push uses for parked workers.
+	// slotWaiters gates the SubmitWait slow path: finish takes the runtime
+	// mutex to signal only when a waiter is actually registered — the same
+	// lock-free-when-idle discipline push uses for parked workers.
 	slotWaiters atomic.Int32
 	// slotCond (sharing the runtime mutex) parks SubmitWait callers on a
 	// saturated server; Shutdown broadcasts it.
 	slotCond *sync.Cond
+	// free is the recycled-root freelist (type-erased; the pop path
+	// type-checks the top entry, so homogeneous workloads always hit), fed
+	// by the per-worker jobFree stashes.
+	freeMu sync.Mutex
+	free   []poolableRoot
 }
 
-// jobShard is one stripe of the in-flight job table: the admission-quota
-// stripe and the in-flight gauge each on their own cache line (they are
-// CAS/add-hammered by different submitters), then the mutex-guarded table
-// and root freelist.
-type jobShard struct {
-	// avail is the stripe's remaining admission quota (meaningful only with
-	// a cap; acquire CASes it down, release adds it back).
-	avail atomic.Int64
-	_     [cacheLine - 8]byte
-	// inflight counts jobs registered on this shard and not yet finished —
-	// the O(1) InFlight gauge, off the shard mutex.
-	inflight atomic.Int64
-	_        [cacheLine - 8]byte
-	mu       sync.Mutex
-	jobs     map[uint64]*jobState
-	// free is the shard's recycled-root freelist (type-erased; the pop path
-	// type-checks the top entry, so homogeneous workloads always hit).
-	free []poolableRoot
-	_    [cacheLine - 48]byte
-}
-
-// initJobShards sizes the registry stripe count (called once by New; the
-// count follows the topology's domain count, minimum one), preallocates the
-// per-shard tables and freelists, and stripes the admission quota.
-func (r *jobRegistry) initJobShards(n, maxInFlight int) {
-	if n < 1 {
-		n = 1
+// admit claims up to k admission slots and returns how many it got: all k
+// on an uncapped runtime (a plain add), otherwise min(k, cap − inflight)
+// in one CAS — 0 means saturated. finish returns a slot by decrementing the
+// same word.
+func (rt *Runtime) admit(k int) int {
+	if rt.maxInFlight == 0 {
+		rt.inflight.Add(int64(k))
+		return k
 	}
-	if maxInFlight < 0 {
-		maxInFlight = 0
-	}
-	r.maxInFlight = maxInFlight
-	r.shards = make([]jobShard, n)
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.jobs = make(map[uint64]*jobState, 64)
-		sh.free = make([]poolableRoot, 0, rootFreelistCap)
-		if maxInFlight > 0 {
-			// Distribute the cap across the stripes, remainder to the low
-			// ones; a stripe may legitimately hold zero (cap < stripes) —
-			// borrowing covers it.
-			q := int64(maxInFlight / n)
-			if i < maxInFlight%n {
-				q++
-			}
-			sh.avail.Store(q)
-		}
-	}
-}
-
-// acquireSlot claims one admission token, starting at a rotating home
-// stripe and borrowing from the others when it is dry. Returns the stripe
-// the token came from; false means every stripe is dry (saturated).
-// Lock-free: one CAS on the common path.
-func (rt *Runtime) acquireSlot() (int32, bool) {
-	n := len(rt.shards)
-	home := int(rt.jobSeq.Load() % uint64(n))
-	for i := 0; i < n; i++ {
-		idx := home + i
-		if idx >= n {
-			idx -= n
-		}
-		sh := &rt.shards[idx]
-		for {
-			a := sh.avail.Load()
-			if a <= 0 {
-				break
-			}
-			if sh.avail.CompareAndSwap(a, a-1) {
-				return int32(idx), true
-			}
-		}
-	}
-	return 0, false
-}
-
-// takeSlots claims up to want tokens from one stripe in a single CAS loop —
-// the batch-admission primitive.
-func takeSlots(sh *jobShard, want int) int {
 	for {
-		a := sh.avail.Load()
-		if a <= 0 {
+		n := rt.inflight.Load()
+		got := min(int64(k), int64(rt.maxInFlight)-n)
+		if got <= 0 {
 			return 0
 		}
-		take := int64(want)
-		if take > a {
-			take = a
-		}
-		if sh.avail.CompareAndSwap(a, a-take) {
-			return int(take)
+		if rt.inflight.CompareAndSwap(n, n+got) {
+			return int(got)
 		}
 	}
 }
 
-// releaseSlot returns one admission token to its stripe and wakes a queued
-// SubmitWait caller if any is registered. The waiter gate keeps the release
-// lock-free when nobody queues — the overwhelming common case.
-func (rt *Runtime) releaseSlot(tok int32) {
-	rt.shards[tok].avail.Add(1)
-	if rt.slotWaiters.Load() > 0 {
-		rt.mu.Lock()
-		rt.slotCond.Signal()
-		rt.mu.Unlock()
-	}
-}
-
-// InFlight returns the number of jobs admitted and not yet completed: the
-// sum of the per-shard gauges, no locks taken.
-func (rt *Runtime) InFlight() int {
-	var n int64
-	for i := range rt.shards {
-		n += rt.shards[i].inflight.Load()
-	}
-	return int(n)
-}
+// InFlight returns the number of jobs admitted and not yet completed: one
+// atomic load.
+func (rt *Runtime) InFlight() int { return int(rt.inflight.Load()) }
 
 // MaxInFlight returns the admission cap set by WithMaxInFlight (0 = none).
 func (rt *Runtime) MaxInFlight() int { return rt.maxInFlight }
-
-// JobStats looks up the per-job counters of an in-flight job by ID; ok is
-// false once the job has completed (read completed stats from the Job
-// handle, which outlives the registry entry). The scan starts at the ID's
-// natural stripe — where singly-submitted jobs live — and falls back to the
-// others, because a batch registers all its jobs on the batch's home shard.
-func (rt *Runtime) JobStats(id uint64) (JobStats, bool) {
-	n := len(rt.shards)
-	for i := 0; i < n; i++ {
-		sh := &rt.shards[(int(id%uint64(n))+i)%n]
-		sh.mu.Lock()
-		js := sh.jobs[id]
-		sh.mu.Unlock()
-		if js != nil {
-			return js.jobStats(), true
-		}
-	}
-	return JobStats{}, false
-}
 
 // Submit submits fn as a new job's root computation and returns its handle
 // without blocking: the fail-fast entry point of the job-server layer.
@@ -596,16 +467,11 @@ func Submit[T any](rt *Runtime, fn func(*W) T) (Job[T], error) {
 	if rt.closed.Load() {
 		return Job[T]{}, ErrClosed
 	}
-	tok := int32(-1)
-	if rt.maxInFlight > 0 {
-		t, ok := rt.acquireSlot()
-		if !ok {
-			rt.teleExt.Inc(telemetry.CJobsShed)
-			return Job[T]{}, ErrSaturated
-		}
-		tok = t
+	if rt.admit(1) == 0 {
+		rt.teleExt.Inc(telemetry.CJobsShed)
+		return Job[T]{}, ErrSaturated
 	}
-	return launch(rt, fn, tok), nil
+	return launch(rt, fn), nil
 }
 
 // SubmitWait is Submit with queueing backpressure: on a saturated runtime it
@@ -616,45 +482,40 @@ func SubmitWait[T any](rt *Runtime, fn func(*W) T) (Job[T], error) {
 	if rt.closed.Load() {
 		return Job[T]{}, ErrClosed
 	}
-	tok := int32(-1)
-	if rt.maxInFlight > 0 {
-		t, ok := rt.acquireSlot()
-		if !ok {
-			// Slow path: register as a waiter and park on the slot cond. The
-			// waiter count is incremented under the mutex but read atomically
-			// by releaseSlot, whose token store is sequenced before its load —
-			// so either the release sees us (and signals) or our re-acquire
-			// sees the token. No lost wakeup.
-			rt.mu.Lock()
-			rt.slotWaiters.Add(1)
-			for {
-				if rt.closed.Load() {
-					rt.slotWaiters.Add(-1)
-					rt.mu.Unlock()
-					return Job[T]{}, ErrClosed
-				}
-				if t, ok = rt.acquireSlot(); ok {
-					break
-				}
-				rt.slotCond.Wait()
+	if rt.admit(1) == 0 {
+		// Slow path: register as a waiter and retry under the slot cond. The
+		// waiter count is incremented under the mutex but read atomically by
+		// finish, whose in-flight decrement is sequenced before its load — so
+		// either the finish sees us (and signals) or our retry sees the freed
+		// slot. No lost wakeup.
+		rt.mu.Lock()
+		rt.slotWaiters.Add(1)
+		for {
+			if rt.closed.Load() {
+				rt.slotWaiters.Add(-1)
+				rt.mu.Unlock()
+				return Job[T]{}, ErrClosed
 			}
-			rt.slotWaiters.Add(-1)
-			rt.mu.Unlock()
+			if rt.admit(1) == 1 {
+				break
+			}
+			rt.slotCond.Wait()
 		}
-		tok = t
+		rt.slotWaiters.Add(-1)
+		rt.mu.Unlock()
 	}
-	return launch(rt, fn, tok), nil
+	return launch(rt, fn), nil
 }
 
 // SubmitAll submits every fn as its own job in one batch, appending the
 // handles of the admitted jobs to dst (pass a slice with capacity to keep
 // the call allocation-free) — the high-rate producer's entry point: one
-// admission visit per quota stripe, one registry-shard visit for the whole
-// batch, one bulk wakeup decision, and batch-consistent telemetry (the
-// submitted counter moves by the batch size at once).
+// admission CAS, one freelist visit and one ID block for the whole batch,
+// one bulk wakeup decision, and batch-consistent telemetry (the submitted
+// counter moves by the batch size at once).
 //
 // Admission is all-or-prefix: with a cap, the batch admits as many jobs as
-// tokens remain (in argument order) and returns ErrSaturated alongside the
+// slots remain (in argument order) and returns ErrSaturated alongside the
 // admitted handles when any were shed; with no cap, every fn is admitted.
 // A closed runtime returns ErrClosed and no handles; a runtime closing
 // concurrently may return handles whose Wait observes ErrClosed — every
@@ -666,66 +527,50 @@ func SubmitAll[T any](rt *Runtime, fns []func(*W) T, dst []Job[T]) ([]Job[T], er
 	if rt.closed.Load() {
 		return dst, ErrClosed
 	}
-	if rt.maxInFlight == 0 {
-		return launchBatch(rt, fns, dst, -1), nil
+	got := rt.admit(len(fns))
+	if got > 0 {
+		dst = launchBatch(rt, fns[:got], dst)
 	}
-	// Capped: sweep the quota stripes, launching each stripe's grant as one
-	// sub-batch tagged with that stripe's token. One stripe usually covers
-	// the whole batch; borrowing costs one extra sub-batch per extra stripe.
-	n := len(rt.shards)
-	home := int(rt.jobSeq.Load() % uint64(n))
-	done := 0
-	for i := 0; i < n && done < len(fns); i++ {
-		idx := home + i
-		if idx >= n {
-			idx -= n
-		}
-		if got := takeSlots(&rt.shards[idx], len(fns)-done); got > 0 {
-			dst = launchBatch(rt, fns[done:done+got], dst, int32(idx))
-			done += got
-		}
-	}
-	if done < len(fns) {
-		rt.teleExt.Add(telemetry.CJobsShed, int64(len(fns)-done))
+	if got < len(fns) {
+		rt.teleExt.Add(telemetry.CJobsShed, int64(len(fns)-got))
 		return dst, ErrSaturated
 	}
 	return dst, nil
 }
 
-// launch creates (or recycles) the job composite, registers it, and spawns
-// the root task tagged with the job — the admission token is already held
-// (finish releases it on every completion path, including a shutdown
-// cancellation).
-func launch[T any](rt *Runtime, fn func(*W) T, tok int32) Job[T] {
-	id := rt.jobSeq.Add(1)
-	reg := int32(id % uint64(len(rt.shards)))
-	sh := &rt.shards[reg]
-	var r *jobRoot[T]
-	sh.mu.Lock()
-	if n := len(sh.free); n > 0 {
-		if c, ok := sh.free[n-1].(*jobRoot[T]); ok {
-			sh.free[n-1] = nil
-			sh.free = sh.free[:n-1]
-			r = c
-		}
+// popRoot takes the freelist's top root if it is a *jobRoot[T]; nil on an
+// empty list or a foreign type on top (cold start, or a mixed-type
+// workload's minority type — the caller allocates). Caller holds freeMu.
+func popRoot[T any](rt *Runtime) *jobRoot[T] {
+	n := len(rt.free)
+	if n == 0 {
+		return nil
 	}
+	r, ok := rt.free[n-1].(*jobRoot[T])
+	if !ok {
+		return nil
+	}
+	rt.free[n-1] = nil
+	rt.free = rt.free[:n-1]
+	return r
+}
+
+// launch creates (or recycles) the job composite and spawns the root task
+// tagged with the job — the admission slot is already held (finish returns
+// it on every completion path, including a shutdown cancellation).
+func launch[T any](rt *Runtime, fn func(*W) T) Job[T] {
+	rt.freeMu.Lock()
+	r := popRoot[T](rt)
+	rt.freeMu.Unlock()
 	if r == nil {
-		// Freelist miss (cold start, or a mixed-type workload's minority
-		// type): allocate outside the lock and re-enter for the insert.
-		sh.mu.Unlock()
 		r = newJobRoot[T](rt)
-		sh.mu.Lock()
 	}
-	r.js.id.Store(id)
-	sh.jobs[id] = &r.js
-	sh.mu.Unlock()
-	sh.inflight.Add(1)
-	j := initRoot(rt, r, fn, id, reg, tok)
+	j := initRoot(rt, r, fn, rt.jobSeq.Add(1))
 	rt.teleExt.Inc(telemetry.CJobsSubmitted)
 	if rt.closed.Load() {
 		// Raced a shutdown past the entry check: fail the job fast — finish
-		// runs through the cancellation path, so the token and registry entry
-		// are released and Wait observes ErrClosed.
+		// runs through the cancellation path, so the slot is returned and
+		// Wait observes ErrClosed.
 		r.fut.cancelIfUnclaimed()
 		return j
 	}
@@ -735,17 +580,12 @@ func launch[T any](rt *Runtime, fn func(*W) T, tok int32) Job[T] {
 	return j
 }
 
-// launchBatch is launch for a contiguous sub-batch sharing one admission
-// stripe: one ID block, one registry shard for every job in the batch (its
-// home shard — derived from the first ID), bulk freelist pops and map
-// inserts under two short lock sections, batch-consistent telemetry, one
+// launchBatch is launch for an admitted batch: one ID block, bulk freelist
+// pops under one short lock section, batch-consistent telemetry, one
 // global-queue visit per push chunk, and a single bounded wakeup decision.
-func launchBatch[T any](rt *Runtime, fns []func(*W) T, dst []Job[T], tok int32) []Job[T] {
+func launchBatch[T any](rt *Runtime, fns []func(*W) T, dst []Job[T]) []Job[T] {
 	k := len(fns)
-	end := rt.jobSeq.Add(uint64(k))
-	first := end - uint64(k) + 1
-	reg := int32(first % uint64(len(rt.shards)))
-	sh := &rt.shards[reg]
+	first := rt.jobSeq.Add(uint64(k)) - uint64(k) + 1
 	base := len(dst)
 	for i := 0; i < k; i++ {
 		dst = append(dst, Job[T]{})
@@ -753,44 +593,27 @@ func launchBatch[T any](rt *Runtime, fns []func(*W) T, dst []Job[T], tok int32) 
 	// Bulk freelist pop: take matching roots off the top until it runs dry
 	// or a foreign type surfaces; allocate the misses outside the lock.
 	popped := 0
-	sh.mu.Lock()
-	for popped < k {
-		n := len(sh.free)
-		if n == 0 {
+	rt.freeMu.Lock()
+	for ; popped < k; popped++ {
+		r := popRoot[T](rt)
+		if r == nil {
 			break
 		}
-		c, ok := sh.free[n-1].(*jobRoot[T])
-		if !ok {
-			break
-		}
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
-		dst[base+popped].js = &c.js
-		popped++
+		dst[base+popped].js = &r.js
 	}
-	sh.mu.Unlock()
+	rt.freeMu.Unlock()
 	for i := popped; i < k; i++ {
 		dst[base+i].js = &newJobRoot[T](rt).js
 	}
-	// Initialize every composite, then register the whole batch in one lock
-	// visit. The jobs are unreachable until the insert, so the init needs no
-	// lock; a concurrent JobStats between insert and push just sees a
-	// freshly-queued job.
 	for i := 0; i < k; i++ {
 		j := &dst[base+i]
-		*j = initRoot(rt, j.js.owner.(*jobRoot[T]), fns[i], first+uint64(i), reg, tok)
+		*j = initRoot(rt, j.js.owner.(*jobRoot[T]), fns[i], first+uint64(i))
 	}
-	sh.mu.Lock()
-	for i := 0; i < k; i++ {
-		sh.jobs[dst[base+i].id] = dst[base+i].js
-	}
-	sh.mu.Unlock()
-	sh.inflight.Add(int64(k))
 	rt.teleExt.Add(telemetry.CJobsSubmitted, int64(k))
 	if rt.closed.Load() {
 		// Shutdown raced the batch: cancel every root — each runs its own
-		// finish, releasing tokens and registry entries, and every handle's
-		// Wait observes ErrClosed deterministically.
+		// finish, returning its slot, and every handle's Wait observes
+		// ErrClosed deterministically.
 		for i := 0; i < k; i++ {
 			dst[base+i].f.cancelIfUnclaimed()
 		}
@@ -833,10 +656,9 @@ func launchBatch[T any](rt *Runtime, fns []func(*W) T, dst []Job[T], tok int32) 
 
 // initRoot wires one (fresh or recycled) composite for its new tenant and
 // returns the generation-stamped handle.
-func initRoot[T any](rt *Runtime, r *jobRoot[T], fn func(*W) T, id uint64, reg, tok int32) Job[T] {
+func initRoot[T any](rt *Runtime, r *jobRoot[T], fn func(*W) T, id uint64) Job[T] {
 	js := &r.js
 	js.id.Store(id)
-	js.reg, js.tok = reg, tok
 	js.submitted = time.Now()
 	js.refs.Store(2) // the root task + the handle
 	f := &r.fut

@@ -111,9 +111,9 @@ func TestSubmitSaturationRejects(t *testing.T) {
 	if _, err := Submit(rt, func(*W) int { return 2 }); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("saturated Submit: %v, want ErrSaturated", err)
 	}
-	// The in-flight job's stats stay readable through the registry.
-	if _, ok := rt.JobStats(j1.ID()); !ok {
-		t.Fatalf("JobStats(%d) not found while in flight", j1.ID())
+	// The in-flight job's stats stay readable through its handle.
+	if s := j1.Stats(); s.ID != j1.ID() || s.Latency != 0 {
+		t.Fatalf("in-flight Stats = %+v, want ID %d and no latency yet", s, j1.ID())
 	}
 
 	// SubmitWait queues: it must block now and succeed once j1 finishes.

@@ -10,6 +10,7 @@ package runtime
 import (
 	"errors"
 	"io"
+	"strconv"
 
 	"futurelocality/internal/policy"
 	"futurelocality/internal/profile"
@@ -79,65 +80,184 @@ func (rt *Runtime) FlightReport(opts profile.Options) (*profile.Report, error) {
 // metricPrefix namespaces every exposed metric family.
 const metricPrefix = "futurelocality_"
 
-// WriteMetrics writes one Prometheus text-exposition page (format 0.0.4):
-// scheduler counters (steals split by policy, spawns by discipline), job
+// scrape is one runtime's contribution to a page, gathered once: its index
+// among the page's runtimes (the label value), the counter snapshot and,
+// when the runtime carries a flight recorder whose window reconstructs, its
+// envelope.
+type scrape struct {
+	rt     *Runtime
+	id     string
+	snap   telemetry.Snapshot
+	env    profile.Envelope
+	flight bool
+}
+
+// family is one row of the metrics table: a Prometheus family and how to
+// read its samples off a scrape. help is the HELP text on one runtime's own
+// page, helpPer on a page that shows several runtimes side by side under a
+// label (a shard.Pool's). typ is "gauge" or "counter"; a family with a key
+// has one sample per entry, labelled key="<sample.label>"; a histogram
+// family has hist instead of typ and samples and is merged across runtimes;
+// a flight family is emitted only for runtimes whose scrape has an envelope,
+// and omitted when none has.
+type family struct {
+	name, typ     string
+	help, helpPer string
+	key           string
+	samples       []sample
+	hist          func(*Runtime) stats.HistSnapshot
+	flight        bool
+}
+
+type sample struct {
+	label string
+	get   func(*scrape) int64
+}
+
+// one is the sample list of a single-sample family.
+func one(get func(*scrape) int64) []sample { return []sample{{get: get}} }
+
+// total reads one telemetry column, summed over the runtime's rows.
+func total(c telemetry.Counter) func(*scrape) int64 {
+	return func(s *scrape) int64 { return s.snap.Total(c) }
+}
+
+// families is the whole /metrics contract, in page order: scheduler counters
+// (steals split by policy and by locality, spawns by discipline), job
 // admission outcomes including sheds, the in-flight gauge, the job latency
-// and queue-wait histograms, and — when a flight recorder is present — the
-// rolling deviation-vs-envelope gauges of the current window.
-func (rt *Runtime) WriteMetrics(w io.Writer) error {
-	e := telemetry.NewExpo(w)
-	s := rt.tele.Snapshot()
-
-	e.Gauge(metricPrefix+"workers", "Worker count of the runtime.", float64(len(rt.workers)))
-	e.Gauge(metricPrefix+"domains", "Cache-locality (LLC) domain count of the topology assignment.", float64(rt.NumDomains()))
-	e.Gauge(metricPrefix+"jobs_in_flight", "Jobs admitted and not yet completed.", float64(rt.InFlight()))
-	e.Gauge(metricPrefix+"jobs_max_in_flight", "Admission cap (0 = unlimited).", float64(rt.MaxInFlight()))
-
-	e.Counter(metricPrefix+"tasks_run_total", "Tasks executed by the worker pool.", s.Total(telemetry.CTasksRun))
-	e.Counter(metricPrefix+"steal_attempts_total", "Steal probes, successful or dry.", s.Total(telemetry.CStealAttempts))
-	e.CounterVec(metricPrefix+"steals_total", "Claimed steals by steal policy.", []telemetry.LabeledValue{
-		{Labels: []string{"policy", policy.RandomSingle.String()}, Value: s.Total(telemetry.CStealsRandomSingle)},
-		{Labels: []string{"policy", policy.StealHalf.String()}, Value: s.Total(telemetry.CStealsStealHalf)},
-		{Labels: []string{"policy", policy.LastVictimAffinity.String()}, Value: s.Total(telemetry.CStealsLastVictim)},
-		{Labels: []string{"policy", policy.Hierarchical.String()}, Value: s.Total(telemetry.CStealsHierarchical)},
-	})
-	e.CounterVec(metricPrefix+"steals_locality_total", "Claimed steals by cache locality: whether the thief crossed an LLC-domain boundary.", []telemetry.LabeledValue{
-		{Labels: []string{"locality", "intra-domain"}, Value: s.Total(telemetry.CStealsIntraDomain)},
-		{Labels: []string{"locality", "cross-domain"}, Value: s.Total(telemetry.CStealsCrossDomain)},
-	})
-	e.CounterVec(metricPrefix+"spawns_total", "Spawns by fork discipline.", []telemetry.LabeledValue{
-		{Labels: []string{"discipline", policy.FutureFirst.String()}, Value: s.Total(telemetry.CSpawnsFutureFirst)},
-		{Labels: []string{"discipline", policy.ParentFirst.String()}, Value: s.Total(telemetry.CSpawnsParentFirst)},
-	})
-	e.Counter(metricPrefix+"inline_touches_total", "Touches satisfied by inline-running the task.", s.Total(telemetry.CInlineTouches))
-	e.Counter(metricPrefix+"helped_tasks_total", "Tasks executed while helping at a touch.", s.Total(telemetry.CHelpedTasks))
-	e.Counter(metricPrefix+"blocked_touches_total", "Touches that blocked with no work available.", s.Total(telemetry.CBlockedTouches))
-	e.Counter(metricPrefix+"parks_total", "Workers that actually went to sleep.", s.Total(telemetry.CParks))
-	e.Counter(metricPrefix+"wakeups_total", "Push-side signals to a parked worker.", s.Total(telemetry.CWakeups))
-	e.Counter(metricPrefix+"poll_finds_total", "Dry episodes that ended with work found by polling, not in a park.", s.Total(telemetry.CPollFinds))
-	e.CounterVec(metricPrefix+"jobs_total", "Job admission outcomes.", []telemetry.LabeledValue{
-		{Labels: []string{"outcome", "submitted"}, Value: s.Total(telemetry.CJobsSubmitted)},
-		{Labels: []string{"outcome", "completed"}, Value: s.Total(telemetry.CJobsCompleted)},
-		{Labels: []string{"outcome", "shed"}, Value: s.Total(telemetry.CJobsShed)},
-	})
-
-	e.Histogram(metricPrefix+"job_latency_seconds", "Submit to completion wall latency per job.",
-		rt.latencyHist.Snapshot(), 1e9)
-	e.Histogram(metricPrefix+"job_queue_wait_seconds", "Submit to first-execution delay per job.",
-		rt.queueWaitHist.Snapshot(), 1e9)
-
-	if rt.flight != nil {
-		if env, err := rt.FlightEnvelope(); err == nil {
-			e.Gauge(metricPrefix+"flight_window_events", "Events currently held by the flight-recorder window.", float64(env.Events))
-			e.Gauge(metricPrefix+"flight_window_deviations", "Measured deviations (steals+helped+blocked) in the flight window.", float64(env.Deviations))
-			e.Gauge(metricPrefix+"flight_window_envelope", "P*Tinf^2 deviation budget of the flight window's DAG (0 = class grants no bound).", float64(env.Budget))
-			within := 0.0
-			if env.Within() {
-				within = 1
+// and queue-wait histograms, and the rolling deviation-vs-envelope gauges of
+// the flight window. A new counter is one row here (internal/shard's
+// TestMetricsContract pins both renderings of every row).
+var families = []family{
+	{name: "workers", typ: "gauge", help: "Worker count of the runtime.", helpPer: "Worker count per shard.",
+		samples: one(func(s *scrape) int64 { return int64(len(s.rt.workers)) })},
+	{name: "domains", typ: "gauge", help: "Cache-locality (LLC) domain count of the topology assignment.", helpPer: "Cache-locality (LLC) domain count of each shard's topology assignment.",
+		samples: one(func(s *scrape) int64 { return int64(s.rt.NumDomains()) })},
+	{name: "jobs_in_flight", typ: "gauge", help: "Jobs admitted and not yet completed.", helpPer: "Jobs admitted and not yet completed per shard.",
+		samples: one(func(s *scrape) int64 { return int64(s.rt.InFlight()) })},
+	{name: "jobs_max_in_flight", typ: "gauge", help: "Admission cap (0 = unlimited).", helpPer: "Admission cap per shard (0 = unlimited).",
+		samples: one(func(s *scrape) int64 { return int64(s.rt.MaxInFlight()) })},
+	{name: "tasks_run_total", typ: "counter", help: "Tasks executed by the worker pool.", helpPer: "Tasks executed by each shard's worker pool.",
+		samples: one(total(telemetry.CTasksRun))},
+	{name: "steal_attempts_total", typ: "counter", help: "Steal probes, successful or dry.", helpPer: "Steal probes per shard, successful or dry.",
+		samples: one(total(telemetry.CStealAttempts))},
+	{name: "steals_total", typ: "counter", help: "Claimed steals by steal policy.", helpPer: "Claimed steals by shard and steal policy.",
+		key: "policy", samples: []sample{
+			{policy.RandomSingle.String(), total(telemetry.CStealsRandomSingle)},
+			{policy.StealHalf.String(), total(telemetry.CStealsStealHalf)},
+			{policy.LastVictimAffinity.String(), total(telemetry.CStealsLastVictim)},
+			{policy.Hierarchical.String(), total(telemetry.CStealsHierarchical)},
+		}},
+	{name: "steals_locality_total", typ: "counter", help: "Claimed steals by cache locality: whether the thief crossed an LLC-domain boundary.", helpPer: "Claimed steals by shard and cache locality (LLC-boundary crossing).",
+		key: "locality", samples: []sample{
+			{"intra-domain", total(telemetry.CStealsIntraDomain)},
+			{"cross-domain", total(telemetry.CStealsCrossDomain)},
+		}},
+	{name: "spawns_total", typ: "counter", help: "Spawns by fork discipline.", helpPer: "Spawns by shard and fork discipline.",
+		key: "discipline", samples: []sample{
+			{policy.FutureFirst.String(), total(telemetry.CSpawnsFutureFirst)},
+			{policy.ParentFirst.String(), total(telemetry.CSpawnsParentFirst)},
+		}},
+	{name: "inline_touches_total", typ: "counter", help: "Touches satisfied by inline-running the task.", helpPer: "Touches satisfied by inline-running the task, per shard.",
+		samples: one(total(telemetry.CInlineTouches))},
+	{name: "helped_tasks_total", typ: "counter", help: "Tasks executed while helping at a touch.", helpPer: "Tasks executed while helping at a touch, per shard.",
+		samples: one(total(telemetry.CHelpedTasks))},
+	{name: "blocked_touches_total", typ: "counter", help: "Touches that blocked with no work available.", helpPer: "Touches that blocked with no work available, per shard.",
+		samples: one(total(telemetry.CBlockedTouches))},
+	{name: "parks_total", typ: "counter", help: "Workers that actually went to sleep.", helpPer: "Workers that actually went to sleep, per shard.",
+		samples: one(total(telemetry.CParks))},
+	{name: "wakeups_total", typ: "counter", help: "Push-side signals to a parked worker.", helpPer: "Push-side signals to a parked worker, per shard.",
+		samples: one(total(telemetry.CWakeups))},
+	{name: "poll_finds_total", typ: "counter", help: "Dry episodes that ended with work found by polling, not in a park.", helpPer: "Dry episodes that ended with work found by polling, not in a park, per shard.",
+		samples: one(total(telemetry.CPollFinds))},
+	{name: "jobs_total", typ: "counter", help: "Job admission outcomes.", helpPer: "Job admission outcomes by shard. A shard's shed counts its local refusals; refusals the pool then forwarded elsewhere appear as the executing shard's submitted (see pool_jobs_total for pool-level drops).",
+		key: "outcome", samples: []sample{
+			{"submitted", total(telemetry.CJobsSubmitted)},
+			{"completed", total(telemetry.CJobsCompleted)},
+			{"shed", total(telemetry.CJobsShed)},
+		}},
+	{name: "job_latency_seconds", help: "Submit to completion wall latency per job.", helpPer: "Submit to completion wall latency per job, merged across shards.",
+		hist: (*Runtime).LatencyHist},
+	{name: "job_queue_wait_seconds", help: "Submit to first-execution delay per job.", helpPer: "Submit to first-execution delay per job, merged across shards.",
+		hist: (*Runtime).QueueWaitHist},
+	{name: "flight_window_events", typ: "gauge", help: "Events currently held by the flight-recorder window.", helpPer: "Events currently held by each shard's flight-recorder window.",
+		flight: true, samples: one(func(s *scrape) int64 { return int64(s.env.Events) })},
+	{name: "flight_window_deviations", typ: "gauge", help: "Measured deviations (steals+helped+blocked) in the flight window.", helpPer: "Measured deviations in each shard's flight window.",
+		flight: true, samples: one(func(s *scrape) int64 { return int64(s.env.Deviations) })},
+	{name: "flight_window_envelope", typ: "gauge", help: "P*Tinf^2 deviation budget of the flight window's DAG (0 = class grants no bound).", helpPer: "P*Tinf^2 deviation budget of each shard's flight window (0 = class grants no bound).",
+		flight: true, samples: one(func(s *scrape) int64 { return int64(s.env.Budget) })},
+	{name: "flight_window_within_bound", typ: "gauge", help: "1 when the flight window's deviations sit inside its envelope.", helpPer: "1 when a shard's flight-window deviations sit inside its envelope.",
+		flight: true, samples: one(func(s *scrape) int64 {
+			if s.env.Within() {
+				return 1
 			}
-			e.Gauge(metricPrefix+"flight_window_within_bound", "1 when the flight window's deviations sit inside its envelope.", within)
+			return 0
+		})},
+}
+
+// WriteMetricsPage renders the family table over rts onto e, each family
+// once (the Prometheus text format allows a family's HELP/TYPE block exactly
+// once, so a page over several runtimes is built family by family, never by
+// concatenating pages). With label empty the samples carry no runtime label
+// — one runtime's own page; otherwise every sample of runtime i is labelled
+// label="i" and the helpPer texts apply. Histograms are merged across rts
+// either way (the power-of-two buckets merge exactly).
+func WriteMetricsPage(e *telemetry.Expo, rts []*Runtime, label string) {
+	scrapes := make([]scrape, len(rts))
+	for i, rt := range rts {
+		s := &scrapes[i]
+		s.rt, s.id, s.snap = rt, strconv.Itoa(i), rt.tele.Snapshot()
+		if rt.flight != nil {
+			env, err := rt.FlightEnvelope()
+			s.env, s.flight = env, err == nil
 		}
 	}
+	for _, f := range families {
+		help := f.help
+		if label != "" {
+			help = f.helpPer
+		}
+		if f.hist != nil {
+			var h stats.HistSnapshot
+			for _, rt := range rts {
+				h = h.Merge(f.hist(rt))
+			}
+			e.Histogram(metricPrefix+f.name, help, h, 1e9)
+			continue
+		}
+		var vals []telemetry.LabeledValue
+		for i := range scrapes {
+			s := &scrapes[i]
+			if f.flight && !s.flight {
+				continue
+			}
+			for _, sm := range f.samples {
+				var labels []string
+				if label != "" {
+					labels = append(labels, label, s.id)
+				}
+				if f.key != "" {
+					labels = append(labels, f.key, sm.label)
+				}
+				vals = append(vals, telemetry.LabeledValue{Labels: labels, Value: sm.get(s)})
+			}
+		}
+		if f.flight && len(vals) == 0 {
+			continue
+		}
+		if f.typ == "gauge" {
+			e.GaugeVec(metricPrefix+f.name, help, vals)
+		} else {
+			e.CounterVec(metricPrefix+f.name, help, vals)
+		}
+	}
+}
+
+// WriteMetrics writes one Prometheus text-exposition page (format 0.0.4)
+// for this runtime: the family table, unlabelled.
+func (rt *Runtime) WriteMetrics(w io.Writer) error {
+	e := telemetry.NewExpo(w)
+	WriteMetricsPage(e, []*Runtime{rt}, "")
 	return e.Err()
 }
 

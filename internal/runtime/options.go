@@ -110,7 +110,7 @@ func WithStealPolicy(s StealPolicy) Option {
 // WithTopology injects the cache topology workers are grouped by (see
 // internal/topology): workers stripe across the topology's LLC domains,
 // every steal is attributed intra- vs cross-domain, the parked-worker
-// accounting and the job registry are striped per domain, and the
+// accounting is striped per domain, and the
 // Hierarchical steal policy prefers intra-domain victims. The default
 // (nil) is the host topology discovered from sysfs, falling back to a
 // single flat domain when discovery fails — pass a Synthetic topology
@@ -195,7 +195,8 @@ func New(opts ...Option) *Runtime {
 		rt.domainConds[i].cond = sync.NewCond(&rt.mu)
 	}
 	rt.slotCond = sync.NewCond(&rt.mu)
-	rt.initJobShards(assign.NumDomains(), o.maxInFlight)
+	rt.maxInFlight = max(o.maxInFlight, 0)
+	rt.free = make([]poolableRoot, 0, rootFreelistCap)
 	for i := 0; i < n; i++ {
 		w := &W{
 			rt:         rt,

@@ -28,7 +28,7 @@
 // policy is a policy-package change, not a scheduler rewire. Workers are
 // grouped into cache-locality domains by the machine topology (discovered
 // from sysfs, or injected synthetically): every steal is attributed intra-
-// vs cross-domain, and the parked-worker accounting and job registry are
+// vs cross-domain, and the parked-worker accounting is
 // striped per domain. A worker with no work first polls for a few tens of
 // microseconds, yielding its P between looks: it takes a job that arrives
 // meanwhile without having slept, and it robs a peer only after it has been
@@ -382,9 +382,9 @@ type Runtime struct {
 	taskSeq atomic.Uint64
 	global  deque.Locked[*task]
 	wg      sync.WaitGroup
-	// jobRegistry is the job-server state: the in-flight job table, job IDs,
-	// and the admission semaphore (see job.go).
-	jobRegistry
+	// jobServer is the job-server state: job IDs, the admission word and the
+	// root freelist (see job.go).
+	jobServer
 	// latencyHist and queueWaitHist aggregate per-job submit→done and
 	// submit→first-execution latencies into log-bucketed histograms —
 	// job-rate observations (two atomic adds each at job completion), not
@@ -462,8 +462,8 @@ type W struct {
 	stealBuf []*task
 	// jobFree is the worker's stash of recycled job-root composites — a
 	// worker that performs a job's last release parks the root here
-	// lock-free and donates the stash to its domain's shard freelist in one
-	// lock visit when full (see flushJobFree). Owner-only.
+	// lock-free and donates the stash to the runtime's freelist in one lock
+	// visit when full (see jobState.release). Owner-only.
 	jobFree []poolableRoot
 	// pollAfter, a duration since Runtime.born, is when the worker may poll
 	// again after a yield that showed its P is not to spare (see
@@ -647,8 +647,7 @@ func (t *task) cancelIfUnclaimed() {
 }
 
 // retire ends a claimed task whose body has run (or been cancelled). A job
-// root finishes its job first (latency capture, registry removal, admission
-// slot release), so a waiter that observes completion also sees the job's
+// root finishes its job first (latency capture, admission slot return), so a waiter that observes completion also sees the job's
 // final accounting — on every path, including a shutdown cancellation. Then
 // completion is published, and last the task's liveness reference on its job
 // is dropped: after that a pooled job root may be recycled at any moment, so

@@ -571,7 +571,7 @@ func TestRuntimeLayout(t *testing.T) {
 		unsafe.Offsetof(rt.parked),
 		unsafe.Offsetof(rt.taskSeq),
 		unsafe.Offsetof(rt.global),
-		unsafe.Offsetof(rt.jobRegistry),
+		unsafe.Offsetof(rt.jobServer),
 		unsafe.Offsetof(rt.latencyHist),
 		unsafe.Offsetof(rt.queueWaitHist),
 	)

@@ -154,7 +154,6 @@ func bareRuntimeOn(sp StealPolicy, workers int, topo *topology.Topology) *Runtim
 		rt.domainConds[i].cond = sync.NewCond(&rt.mu)
 	}
 	rt.slotCond = sync.NewCond(&rt.mu)
-	rt.initJobShards(rt.assign.NumDomains(), 0)
 	for i := 0; i < workers; i++ {
 		w := &W{rt: rt, id: i, dq: deque.NewPtr[task](64), tele: rt.tele.Row(i), domain: rt.assign.Domain[i], rng: uint64(i + 1), lastVictim: -1}
 		if sp == StealHalf {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"futurelocality/internal/telemetry"
+	"futurelocality/internal/topology"
 )
 
 // batchLeaf is a package-level job body so batched-submission tests (which
@@ -171,34 +172,62 @@ func TestSubmitAllCloseMidBatch(t *testing.T) {
 	}
 }
 
-// TestSubmitMixedStress runs single and batched submitters concurrently
-// against one capped runtime (the -race workhorse for the admission and
-// freelist paths): every admitted job must complete with the right result,
-// and the submitted/completed counters must balance exactly.
+// TestSubmitMixedStress runs fail-fast, queueing and batched submitters
+// concurrently against one capped runtime (the -race workhorse for the
+// admission word and the freelist): every admitted job must complete with
+// the right result, no job may ever observe more jobs in flight than the
+// cap, and submitted = completed = admitted with nothing left in flight.
+// The second run is on a two-domain topology, so it is on record that
+// nothing in admission depends on the domain count.
 func TestSubmitMixedStress(t *testing.T) {
-	rt := New(WithWorkers(4), WithMaxInFlight(64))
-	defer rt.Shutdown()
-	before := rt.TelemetrySnapshot()
+	t.Run("flat", func(t *testing.T) { submitMixedStress(t) })
+	t.Run("2x2", func(t *testing.T) {
+		topo, err := topology.Synthetic("2x2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitMixedStress(t, WithTopology(topo))
+	})
+}
 
+func submitMixedStress(t *testing.T, opts ...Option) {
 	const (
-		singles    = 4 // goroutines submitting one job at a time
+		capJobs    = 24
+		singles    = 4 // goroutines submitting one job at a time, shedding
+		waiters    = 2 // goroutines submitting one job at a time, queueing
 		batchers   = 4 // goroutines submitting 16-job batches
 		iterations = 50
 		batchSize  = 16
 	)
+	rt := New(append(opts, WithWorkers(4), WithMaxInFlight(capJobs))...)
+	defer rt.Shutdown()
+	before := rt.TelemetrySnapshot()
+
 	var (
-		wg       sync.WaitGroup
-		admitted atomic.Int64
+		wg          sync.WaitGroup
+		admitted    atomic.Int64
+		maxInFlight atomic.Int64
 	)
-	for g := 0; g < singles; g++ {
+	// The job body reads the gauge while it holds a slot itself.
+	body := func(*W) int {
+		n := int64(rt.InFlight())
+		for m := maxInFlight.Load(); n > m && !maxInFlight.CompareAndSwap(m, n); m = maxInFlight.Load() {
+		}
+		return 7
+	}
+	for g := 0; g < singles+waiters; g++ {
+		submit := Submit[int]
+		if g >= singles {
+			submit = SubmitWait[int]
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
-				j, err := Submit(rt, batchLeaf)
+				j, err := submit(rt, body)
 				if err != nil {
-					if !errors.Is(err, ErrSaturated) {
-						t.Errorf("Submit: %v", err)
+					if g >= singles || !errors.Is(err, ErrSaturated) {
+						t.Errorf("submitter %d: %v", g, err)
 					}
 					continue
 				}
@@ -211,7 +240,7 @@ func TestSubmitMixedStress(t *testing.T) {
 	}
 	fns := make([]func(*W) int, batchSize)
 	for i := range fns {
-		fns[i] = batchLeaf
+		fns[i] = body
 	}
 	for g := 0; g < batchers; g++ {
 		wg.Add(1)
@@ -237,6 +266,12 @@ func TestSubmitMixedStress(t *testing.T) {
 	}
 	wg.Wait()
 
+	if got := maxInFlight.Load(); got < 1 || got > capJobs {
+		t.Errorf("a job observed %d in flight, want 1..%d (the cap)", got, capJobs)
+	}
+	if want := int64(waiters * iterations); admitted.Load() < want {
+		t.Errorf("admitted %d jobs, want at least the %d SubmitWait ones", admitted.Load(), want)
+	}
 	d := rt.TelemetrySnapshot().Sub(before)
 	if got := d.Total(telemetry.CJobsSubmitted); got != admitted.Load() {
 		t.Errorf("jobs submitted delta = %d, want %d admitted", got, admitted.Load())

@@ -7,24 +7,21 @@
 // The sharding unit is the *job*, never the task. Herlihy & Liu's deviation
 // bound is per-computation and quadratic in the processor count, so
 // splitting P workers into S pools of P/S both multiplies the admission and
-// queue bandwidth (S global queues, S parked-worker protocols, S striped
-// admission planes) and shrinks every job's O(P·T∞²) envelope. Because a
-// job's interior tasks only ever execute inside the runtime that admitted
-// its root — spawns go through the executing worker's own runtime — each
-// job's per-job envelope verdict and flight-recorder attribution stay
-// well-defined no matter how the router places or forwards it.
+// queue bandwidth (S global queues, S parked-worker protocols, S admission
+// planes — a runtime is exactly one) and shrinks every job's O(P·T∞²)
+// envelope. Because a job's interior tasks only ever execute inside the
+// runtime that admitted its root — spawns go through the executing worker's
+// own runtime — each job's per-job envelope verdict and flight-recorder
+// attribution stay well-defined no matter how the router places or forwards
+// it.
 //
-// Placement policies (WithPlacement):
-//
-//   - RoundRobin: an atomic counter sweep — cheapest, balanced under
-//     uniform traffic.
-//   - LeastLoaded (default): pick the shard with the fewest in-flight jobs
-//     (each shard's O(1) InFlight gauge), tiebreaking on global-queue
-//     backlog (one atomic load per shard).
-//   - ConsistentHash: SubmitKeyed routes by key on a 64-virtual-node ring
-//     whose points depend only on shard identity, so resizing from S to
-//     S+1 shards remaps only ~1/(S+1) of the keyspace — sticky tenants
-//     keep their shard (and its warm cache) across resizes.
+// Placement is one rule plus a ring. An unkeyed submit goes to the shard
+// with the fewest in-flight jobs (each shard's InFlight word, one load),
+// tiebreaking on global-queue backlog (one more). SubmitKeyed routes by key
+// on a 64-virtual-node consistent-hash ring whose points depend only on
+// shard identity, so resizing from S to S+1 shards remaps only ~1/(S+1) of
+// the keyspace — sticky tenants keep their shard (and its warm cache)
+// across resizes.
 //
 // Overflow exchange: when the placed shard's admission is saturated, the
 // router forwards the whole job to the least-loaded other shard before
@@ -40,54 +37,15 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 	stdruntime "runtime"
 	"sort"
 	"sync/atomic"
 	"time"
 
-	"futurelocality/internal/profile"
 	"futurelocality/internal/runtime"
 	"futurelocality/internal/stats"
 	"futurelocality/internal/telemetry"
 	"futurelocality/internal/topology"
-)
-
-// Placement selects how the router picks a home shard for unkeyed submits.
-type Placement int
-
-const (
-	// LeastLoaded places on the shard with the fewest in-flight jobs,
-	// tiebreaking on global-queue backlog. The adaptive default: skewed
-	// job sizes drift traffic toward idle shards automatically.
-	LeastLoaded Placement = iota
-	// RoundRobin places on shards in rotation — one atomic add per submit.
-	RoundRobin
-	// ConsistentHash is LeastLoaded for unkeyed submits; keys passed via
-	// SubmitKeyed always route by the ring regardless of this setting.
-	ConsistentHash
-)
-
-// String names the placement policy ("least-loaded", "round-robin",
-// "consistent-hash").
-func (p Placement) String() string {
-	switch p {
-	case LeastLoaded:
-		return "least-loaded"
-	case RoundRobin:
-		return "round-robin"
-	case ConsistentHash:
-		return "consistent-hash"
-	}
-	return fmt.Sprintf("Placement(%d)", int(p))
-}
-
-// Per-shard lifecycle states. Placement only considers active shards;
-// draining shards finish their in-flight jobs, closed shards are gone.
-const (
-	shardActive int32 = iota
-	shardDraining
-	shardClosed
 )
 
 // Option configures a Pool at construction (see NewPool).
@@ -98,8 +56,6 @@ type config struct {
 	workers     int
 	maxInFlight int
 	topo        *topology.Topology
-	place       Placement
-	forward     bool
 	rtOpts      []runtime.Option
 }
 
@@ -134,19 +90,6 @@ func WithTopology(t *topology.Topology) Option {
 	return func(c *config) { c.topo = t }
 }
 
-// WithPlacement sets the routing policy for unkeyed submits (default
-// LeastLoaded).
-func WithPlacement(p Placement) Option {
-	return func(c *config) { c.place = p }
-}
-
-// WithForwarding enables or disables the overflow exchange (default on).
-// Disabled, a saturated home shard sheds immediately — the single-runtime
-// behavior, useful for isolating shards as hard capacity classes.
-func WithForwarding(on bool) Option {
-	return func(c *config) { c.forward = on }
-}
-
 // WithRuntimeOptions appends construction options applied to every member
 // runtime (steal policy, discipline, flight recorder, seed, context...).
 // The pool-managed options — workers, topology, admission cap — are
@@ -159,14 +102,12 @@ func WithRuntimeOptions(opts ...runtime.Option) Option {
 // with NewPool, submit through the package-level Submit/SubmitKeyed/
 // SubmitWait/SubmitAll, stop with Shutdown.
 type Pool struct {
-	rts   []*runtime.Runtime
-	topo  *topology.Topology
-	place Placement
-
-	forward bool
-	ring    []ringPoint
-	rr      atomic.Uint64
-	state   []atomic.Int32 // shardActive / shardDraining / shardClosed
+	rts  []*runtime.Runtime
+	topo *topology.Topology
+	ring []ringPoint
+	// draining[i] is set once the rolling drain reaches shard i: placement
+	// skips the shard from then on, while its in-flight jobs finish and after.
+	draining []atomic.Bool
 
 	// Router outcomes. offered counts every job presented to the pool;
 	// forwarded the subset admitted by a shard other than its placement
@@ -184,7 +125,7 @@ type Pool struct {
 // LLC domain of the host topology, GOMAXPROCS workers split across them,
 // no admission cap, least-loaded placement, overflow forwarding on.
 func NewPool(opts ...Option) *Pool {
-	cfg := config{forward: true}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -204,12 +145,10 @@ func NewPool(opts ...Option) *Pool {
 		workers = n
 	}
 	p := &Pool{
-		topo:    topo,
-		place:   cfg.place,
-		forward: cfg.forward,
-		ring:    buildRing(n),
-		state:   make([]atomic.Int32, n),
-		term:    make(chan struct{}),
+		topo:     topo,
+		ring:     buildRing(n),
+		draining: make([]atomic.Bool, n),
+		term:     make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
 		// Split totals as evenly as n divides them, earlier shards taking
@@ -248,9 +187,6 @@ func (p *Pool) Runtime(i int) *runtime.Runtime { return p.rts[i] }
 // Topology returns the machine topology the shards were carved from.
 func (p *Pool) Topology() *topology.Topology { return p.topo }
 
-// Placement returns the unkeyed routing policy.
-func (p *Pool) Placement() Placement { return p.place }
-
 // Workers returns the total worker count across shards.
 func (p *Pool) Workers() int {
 	n := 0
@@ -261,7 +197,7 @@ func (p *Pool) Workers() int {
 }
 
 // InFlight returns the jobs admitted and not yet completed, summed across
-// shards — S times the per-runtime O(1) gauge read.
+// shards — one atomic load per shard.
 func (p *Pool) InFlight() int {
 	n := 0
 	for _, rt := range p.rts {
@@ -307,63 +243,22 @@ type Job[T any] struct {
 // Shard returns the index of the shard that admitted (and executes) the job.
 func (j *Job[T]) Shard() int { return j.shard }
 
-// Submit routes fn to a shard by the pool's placement policy and submits it
-// as a job, never blocking. A saturated home shard triggers the overflow
-// exchange (unless disabled): the whole job is forwarded to the least-loaded
-// other shard, and only when every candidate refuses does Submit shed with
-// ErrSaturated. A fully closed pool returns ErrClosed.
+// Submit places fn on the least-loaded shard and submits it as a job, never
+// blocking. A saturated home shard triggers the overflow exchange: the whole
+// job is forwarded to the least-loaded other shard, and only when that one
+// refuses too does Submit shed with ErrSaturated. A fully closed pool
+// returns ErrClosed.
 func Submit[T any](p *Pool, fn func(*runtime.W) T) (Job[T], error) {
-	return route(p, p.home(), fn)
+	return route(p, p.leastLoaded(-1), fn, false)
 }
 
 // SubmitKeyed is Submit with consistent-hash placement on key: the same key
 // routes to the same shard for any fixed shard count, and a shard-count
 // change remaps only ~1/S of the keyspace — tenant affinity that survives
-// resizes. Keyed placement applies under every placement policy; the
-// overflow exchange still forwards when the key's shard is saturated
-// (stickiness yields to capacity, and the forward is counted).
+// resizes. The overflow exchange still forwards when the key's shard is
+// saturated (stickiness yields to capacity, and the forward is counted).
 func SubmitKeyed[T any](p *Pool, key uint64, fn func(*runtime.W) T) (Job[T], error) {
-	return route(p, p.ringLookup(key), fn)
-}
-
-// route is the submit core: try the home shard, reroute on a drained shard,
-// forward on saturation, shed when nothing will take the job.
-func route[T any](p *Pool, home int, fn func(*runtime.W) T) (Job[T], error) {
-	p.offered.Add(1)
-	if home < 0 {
-		p.shed.Add(1)
-		return Job[T]{}, runtime.ErrClosed
-	}
-	// A closed shard means placement raced the rolling drain: reroute (at
-	// most once per shard) without counting a forward — nothing refused for
-	// capacity.
-	for tries := 0; tries < len(p.rts); tries++ {
-		j, err := runtime.Submit(p.rts[home], fn)
-		if err == nil {
-			return Job[T]{Job: j, shard: home}, nil
-		}
-		if errors.Is(err, runtime.ErrClosed) {
-			if home = p.leastLoaded(home); home >= 0 {
-				continue
-			}
-			p.shed.Add(1)
-			return Job[T]{}, runtime.ErrClosed
-		}
-		// ErrSaturated: the overflow exchange. Whole job, one hop, to the
-		// least-loaded other shard.
-		if p.forward {
-			if alt := p.leastLoaded(home); alt >= 0 {
-				if j, err := runtime.Submit(p.rts[alt], fn); err == nil {
-					p.forwarded.Add(1)
-					return Job[T]{Job: j, shard: alt}, nil
-				}
-			}
-		}
-		p.shed.Add(1)
-		return Job[T]{}, runtime.ErrSaturated
-	}
-	p.shed.Add(1)
-	return Job[T]{}, runtime.ErrClosed
+	return route(p, p.ringLookup(key), fn, false)
 }
 
 // SubmitWait is Submit with queueing backpressure: a saturated pool first
@@ -372,29 +267,49 @@ func route[T any](p *Pool, home int, fn func(*runtime.W) T) (Job[T], error) {
 // path that counts against the pool's shed gauge — is a pool that closes
 // out from under the caller (ErrClosed).
 func SubmitWait[T any](p *Pool, fn func(*runtime.W) T) (Job[T], error) {
+	return route(p, p.leastLoaded(-1), fn, true)
+}
+
+// elsewhere is the router's one decision, asked after shard s refused a job
+// (or a batch's remainder) with err: the least-loaded other active shard,
+// and whether going there is an overflow forward — s was saturated, so
+// capacity found elsewhere is counted — or a reroute around a shard the
+// rolling drain closed under the placement, where nothing refused for
+// capacity and nothing is counted. -1 means no other shard is active.
+func (p *Pool) elsewhere(s int, err error) (next int, forward bool) {
+	return p.leastLoaded(s), errors.Is(err, runtime.ErrSaturated)
+}
+
+// route is the single-job submit core: try the home shard, reroute around a
+// drained one (at most once per shard), forward once on saturation, and when
+// the forward is refused too either shed or — for SubmitWait — queue at home
+// like a single runtime would.
+func route[T any](p *Pool, home int, fn func(*runtime.W) T, wait bool) (Job[T], error) {
 	p.offered.Add(1)
-	home := p.home()
 	for tries := 0; home >= 0 && tries < len(p.rts); tries++ {
 		j, err := runtime.Submit(p.rts[home], fn)
 		if err == nil {
 			return Job[T]{Job: j, shard: home}, nil
 		}
-		if errors.Is(err, runtime.ErrSaturated) {
-			if p.forward {
-				if alt := p.leastLoaded(home); alt >= 0 {
-					if j, err := runtime.Submit(p.rts[alt], fn); err == nil {
-						p.forwarded.Add(1)
-						return Job[T]{Job: j, shard: alt}, nil
-					}
-				}
-			}
-			// Everything is full: queue at home like a single runtime would.
-			j, err = runtime.SubmitWait(p.rts[home], fn)
-			if err == nil {
-				return Job[T]{Job: j, shard: home}, nil
+		alt, forward := p.elsewhere(home, err)
+		if !forward {
+			home = alt
+			continue
+		}
+		if alt >= 0 {
+			if j, err := runtime.Submit(p.rts[alt], fn); err == nil {
+				p.forwarded.Add(1)
+				return Job[T]{Job: j, shard: alt}, nil
 			}
 		}
-		// ErrClosed (placement raced the rolling drain): reroute.
+		if !wait {
+			p.shed.Add(1)
+			return Job[T]{}, runtime.ErrSaturated
+		}
+		if j, err := runtime.SubmitWait(p.rts[home], fn); err == nil {
+			return Job[T]{Job: j, shard: home}, nil
+		}
+		// The home shard closed while the job queued: reroute.
 		home = p.leastLoaded(home)
 	}
 	p.shed.Add(1)
@@ -404,71 +319,39 @@ func SubmitWait[T any](p *Pool, fn func(*runtime.W) T) (Job[T], error) {
 // SubmitAll batch-submits every fn, appending the admitted handles to dst
 // (pass a slice with capacity to avoid growth; one scratch slice per call
 // is allocated for the member-runtime handles). The whole batch is placed
-// on one home shard — one admission visit, one registry shard, one wakeup
-// decision, exactly the single-runtime batching contract — and on partial
-// admission the *remainder* overflows as a batch to the least-loaded next
-// shard, hop by hop, before the rest is shed with ErrSaturated.
+// on the least-loaded shard — one admission CAS, one freelist visit, one
+// wakeup decision, exactly the single-runtime batching contract — and on
+// partial admission the *remainder* overflows as a batch to the least-loaded
+// next shard, hop by hop, before the rest is shed with ErrSaturated.
 func SubmitAll[T any](p *Pool, fns []func(*runtime.W) T, dst []Job[T]) ([]Job[T], error) {
 	if len(fns) == 0 {
 		return dst, nil
 	}
 	p.offered.Add(int64(len(fns)))
-	s := p.home()
-	if s < 0 {
-		p.shed.Add(int64(len(fns)))
-		return dst, runtime.ErrClosed
-	}
+	s := p.leastLoaded(-1)
 	scratch := make([]runtime.Job[T], 0, len(fns))
-	remaining := fns
-	for hop := 0; ; hop++ {
-		out, err := runtime.SubmitAll(p.rts[s], remaining, scratch[:0])
+	err := runtime.ErrClosed // what a pool with no active shard answers
+	forwarding := false
+	for hop := 0; s >= 0 && hop <= len(p.rts); hop++ {
+		var out []runtime.Job[T]
+		out, err = runtime.SubmitAll(p.rts[s], fns, scratch[:0])
 		for k := range out {
 			dst = append(dst, Job[T]{Job: out[k], shard: s})
 		}
-		if hop > 0 {
+		if forwarding {
 			p.forwarded.Add(int64(len(out)))
 		}
-		remaining = remaining[len(out):]
-		if len(remaining) == 0 {
+		if fns = fns[len(out):]; len(fns) == 0 {
 			return dst, nil
 		}
 		// Partial admission (ErrSaturated) or a drained shard (ErrClosed,
 		// nothing admitted): the remainder's only hope is another shard.
-		next := -1
-		if p.forward || errors.Is(err, runtime.ErrClosed) {
-			next = p.leastLoaded(s)
-		}
-		if next < 0 || hop >= len(p.rts) {
-			p.shed.Add(int64(len(remaining)))
-			if errors.Is(err, runtime.ErrClosed) && next < 0 {
-				return dst, runtime.ErrClosed
-			}
-			return dst, runtime.ErrSaturated
-		}
-		s = next
+		var forward bool
+		s, forward = p.elsewhere(s, err)
+		forwarding = forwarding || forward
 	}
-}
-
-// home picks the placement shard for an unkeyed submit, skipping draining
-// and closed shards; -1 means no shard will take anything (pool closed).
-func (p *Pool) home() int {
-	switch p.place {
-	case RoundRobin:
-		n := len(p.rts)
-		start := int(p.rr.Add(1)-1) % n
-		for k := 0; k < n; k++ {
-			s := start + k
-			if s >= n {
-				s -= n
-			}
-			if p.state[s].Load() == shardActive {
-				return s
-			}
-		}
-		return -1
-	default: // LeastLoaded; ConsistentHash falls back here for unkeyed traffic
-		return p.leastLoaded(-1)
-	}
+	p.shed.Add(int64(len(fns)))
+	return dst, err
 }
 
 // leastLoaded returns the active shard (excluding except) with the fewest
@@ -479,7 +362,7 @@ func (p *Pool) leastLoaded(except int) int {
 	best := -1
 	var bestFlight, bestQueue int
 	for i := range p.rts {
-		if i == except || p.state[i].Load() != shardActive {
+		if i == except || p.draining[i].Load() {
 			continue
 		}
 		f := p.rts[i].InFlight()
@@ -504,12 +387,11 @@ func (p *Pool) Shutdown() {
 		return
 	}
 	for i := range p.rts {
-		p.state[i].Store(shardDraining)
+		p.draining[i].Store(true)
 		for p.rts[i].InFlight() > 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
 		p.rts[i].Shutdown()
-		p.state[i].Store(shardClosed)
 	}
 	close(p.term)
 }
@@ -547,20 +429,6 @@ func (p *Pool) QueueWaitHist() stats.HistSnapshot {
 	return h
 }
 
-// FlightEnvelope returns shard i's rolling flight-window envelope (requires
-// the shards to be built with a flight recorder via WithRuntimeOptions).
-// Per-shard recorders are the point: every envelope and SplitJobs verdict
-// is attributed to the runtime that actually executed the jobs.
-func (p *Pool) FlightEnvelope(i int) (profile.Envelope, error) {
-	return p.rts[i].FlightEnvelope()
-}
-
-// FlightReport runs the full flight-window analysis for shard i (see
-// Runtime.FlightReport).
-func (p *Pool) FlightReport(i int, opts profile.Options) (*profile.Report, error) {
-	return p.rts[i].FlightReport(opts)
-}
-
 // Consistent-hash ring: ringReplicas virtual nodes per shard, point
 // positions derived only from (shard, replica) — adding or removing a
 // shard leaves every other shard's points in place, which is the whole
@@ -596,7 +464,7 @@ func (p *Pool) ringLookup(key uint64) int {
 	i := sort.Search(n, func(i int) bool { return p.ring[i].h >= h })
 	for k := 0; k < n; k++ {
 		pt := p.ring[(i+k)%n]
-		if p.state[pt.shard].Load() == shardActive {
+		if !p.draining[pt.shard].Load() {
 			return int(pt.shard)
 		}
 	}

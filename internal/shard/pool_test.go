@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,7 +83,7 @@ func TestWorkerAndCapSplit(t *testing.T) {
 // keyspace and never reshuffles keys between surviving shards.
 func TestRingStability(t *testing.T) {
 	ringOnly := func(n int) *Pool {
-		return &Pool{ring: buildRing(n), state: make([]atomic.Int32, n)}
+		return &Pool{ring: buildRing(n), draining: make([]atomic.Bool, n)}
 	}
 	p4, p5 := ringOnly(4), ringOnly(5)
 	const keys = 4096
@@ -119,9 +120,9 @@ func TestRingStability(t *testing.T) {
 }
 
 // TestSubmitKeyedSticky: the same key lands on the same shard every time,
-// under any default placement policy.
+// whatever the unkeyed rule would have picked.
 func TestSubmitKeyedSticky(t *testing.T) {
-	p := NewPool(WithTopology(synth(t, "2x2")), WithWorkers(4), WithPlacement(RoundRobin))
+	p := NewPool(WithTopology(synth(t, "2x2")), WithWorkers(4))
 	defer p.Shutdown()
 	key := keyFor(t, p, 1)
 	for i := 0; i < 8; i++ {
@@ -177,32 +178,12 @@ func TestOverflowForward(t *testing.T) {
 	}
 }
 
-// TestForwardingDisabled: WithForwarding(false) restores the
-// single-runtime discipline — saturation sheds immediately.
-func TestForwardingDisabled(t *testing.T) {
-	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2), WithMaxInFlight(2), WithForwarding(false))
-	defer p.Shutdown()
-	release := make(chan struct{})
-	defer close(release)
-	key := keyFor(t, p, 0)
-	if _, err := SubmitKeyed(p, key, func(*runtime.W) int { <-release; return 0 }); err != nil {
-		t.Fatal(err)
-	}
-	_, err := SubmitKeyed(p, key, func(*runtime.W) int { return 1 })
-	if !errors.Is(err, runtime.ErrSaturated) {
-		t.Fatalf("err = %v, want ErrSaturated", err)
-	}
-	if f, s := p.Forwarded(), p.Shed(); f != 0 || s != 1 {
-		t.Fatalf("forwarded=%d shed=%d, want 0/1", f, s)
-	}
-}
-
 // TestShedWhenAllSaturated: with every shard full the exchange finds no
 // capacity and the job sheds — the skewed-placement load test in miniature:
 // the first wave of refusals converts into forwards, only the overflow of
 // the whole pool into sheds.
 func TestShedWhenAllSaturated(t *testing.T) {
-	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2), WithMaxInFlight(2), WithPlacement(RoundRobin))
+	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2), WithMaxInFlight(2))
 	defer p.Shutdown()
 	release := make(chan struct{})
 	defer close(release)
@@ -225,7 +206,7 @@ func TestShedWhenAllSaturated(t *testing.T) {
 
 // TestLeastLoadedPlacement: unkeyed traffic drifts away from busy shards.
 func TestLeastLoadedPlacement(t *testing.T) {
-	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2), WithPlacement(LeastLoaded))
+	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2))
 	defer p.Shutdown()
 	release := make(chan struct{})
 	defer close(release)
@@ -239,24 +220,6 @@ func TestLeastLoadedPlacement(t *testing.T) {
 	}
 	if j2.Shard() == j1.Shard() {
 		t.Fatalf("least-loaded placed both jobs on shard %d", j1.Shard())
-	}
-}
-
-// TestRoundRobinSpread: rotation reaches every shard.
-func TestRoundRobinSpread(t *testing.T) {
-	p := NewPool(WithTopology(synth(t, "2x2")), WithWorkers(4), WithPlacement(RoundRobin))
-	defer p.Shutdown()
-	seen := make(map[int]int)
-	for i := 0; i < 8; i++ {
-		j, err := Submit(p, func(*runtime.W) int { return i })
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[j.Shard()]++
-		j.Wait()
-	}
-	if seen[0] != 4 || seen[1] != 4 {
-		t.Fatalf("round-robin spread = %v, want 4/4", seen)
 	}
 }
 
@@ -333,7 +296,7 @@ func TestSubmitWaitQueues(t *testing.T) {
 //	offered == Σ_shards submitted + pool shed
 //	Σ submitted == Σ completed + Σ in_flight  (in_flight = 0 at quiescence)
 func TestConservation(t *testing.T) {
-	p := NewPool(WithTopology(synth(t, "2x2")), WithWorkers(4), WithMaxInFlight(8), WithPlacement(RoundRobin))
+	p := NewPool(WithTopology(synth(t, "2x2")), WithWorkers(4), WithMaxInFlight(8))
 	defer p.Shutdown()
 	const offered = 400
 	var jobs []Job[int]
@@ -473,8 +436,14 @@ func TestShutdownIdempotent(t *testing.T) {
 	}
 }
 
-// TestPoolMetricsPage: one exposition page, each family emitted once,
-// per-shard samples labeled, router outcomes present.
+// failingWriter refuses every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestPoolMetricsPage: what TestMetricsContract cannot say about the pool's
+// page — the values move with the router's outcomes and each shard's jobs,
+// a write error is sticky — plus the expvar map's shape.
 func TestPoolMetricsPage(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2), WithMaxInFlight(2),
 		WithRuntimeOptions(runtime.WithFlightRecorder(0)))
@@ -504,21 +473,15 @@ func TestPoolMetricsPage(t *testing.T) {
 		`futurelocality_jobs_total{shard="0",outcome="submitted"} 1`,
 		`futurelocality_jobs_total{shard="1",outcome="submitted"} 1`,
 		`futurelocality_jobs_total{shard="0",outcome="shed"} 1`,
-		`futurelocality_steals_total{shard="0",policy="random-single"}`,
-		`futurelocality_poll_finds_total{shard="1"}`,
 		`futurelocality_workers{shard="1"} 1`,
-		`futurelocality_flight_window_events{shard="0"}`,
-		`futurelocality_job_latency_seconds_count`,
+		`futurelocality_jobs_max_in_flight{shard="0"} 1`,
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("page missing %q", want)
 		}
 	}
-	// Prometheus text format: every family announced exactly once.
-	for _, family := range []string{"futurelocality_jobs_total", "futurelocality_steals_total", "futurelocality_workers"} {
-		if n := strings.Count(page, "# TYPE "+family+" "); n != 1 {
-			t.Errorf("family %s announced %d times, want 1", family, n)
-		}
+	if err := p.WriteMetrics(failingWriter{}); !errors.Is(err, io.ErrClosedPipe) {
+		t.Errorf("WriteMetrics to a failing writer = %v, want the writer's error", err)
 	}
 
 	m := p.MetricsMap()

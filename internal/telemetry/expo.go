@@ -58,14 +58,9 @@ func labelString(labels []string) string {
 	return sb.String()
 }
 
-// Counter emits a single-sample counter family.
-func (e *Expo) Counter(name, help string, v int64) {
-	e.header(name, help, "counter")
-	e.printf("%s %d\n", name, v)
-}
-
 // CounterVec emits a counter family with one sample per (labels, value)
-// entry; each entry's labels are alternating key/value strings.
+// entry; each entry's labels are alternating key/value strings (none for
+// a single-sample family).
 func (e *Expo) CounterVec(name, help string, samples []LabeledValue) {
 	e.header(name, help, "counter")
 	for _, s := range samples {

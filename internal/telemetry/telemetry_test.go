@@ -126,7 +126,7 @@ func TestConcurrentIncrements(t *testing.T) {
 func TestExpoFormat(t *testing.T) {
 	var sb strings.Builder
 	e := NewExpo(&sb)
-	e.Counter("test_tasks_total", "Tasks.", 42)
+	e.CounterVec("test_tasks_total", "Tasks.", []LabeledValue{{Value: 42}})
 	e.CounterVec("test_steals_total", "Steals.", []LabeledValue{
 		{Labels: []string{"policy", "random-single"}, Value: 7},
 		{Labels: []string{"policy", "steal-half"}, Value: 0},
