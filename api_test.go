@@ -417,7 +417,7 @@ func TestPublicPool(t *testing.T) {
 		fl.WithPoolTopology(topo),
 		fl.WithPoolWorkers(4),
 		fl.WithPoolMaxInFlight(8),
-		fl.WithShardRuntimeOptions(fl.WithStealPolicy(fl.Hierarchical)),
+		fl.WithShardRuntimeOptions(fl.WithSeed(3)),
 	)
 	defer p.Shutdown()
 	if p.Shards() != 2 || p.Workers() != 4 || p.MaxInFlight() != 8 {
@@ -537,7 +537,6 @@ func TestPublicPoolWait(t *testing.T) {
 func TestFacadeCounterColumns(t *testing.T) {
 	facade := []fl.TelemetryCounter{
 		fl.CTasksRun, fl.CStealAttempts,
-		fl.CStealsRandomSingle, fl.CStealsStealHalf, fl.CStealsLastVictim, fl.CStealsHierarchical,
 		fl.CStealsIntraDomain, fl.CStealsCrossDomain,
 		fl.CInlineTouches, fl.CHelpedTasks, fl.CBlockedTouches,
 		fl.CSpawnsFutureFirst, fl.CSpawnsParentFirst,

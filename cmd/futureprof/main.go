@@ -16,18 +16,18 @@
 //	futureprof -workload priority -n 32      # Figure 5(a) priority touches
 //	futureprof -workload fib -workers 8 -trials 16 -cache 32
 //	futureprof -workload fib -cachemodel 64,lru   # simulated extra-miss accounting
-//	futureprof -workload fib -steal steal-half   # batch-stealing thieves
-//	futureprof -workload fib -steal hierarchical -topology 2x2   # domain-tiered thieves
+//	futureprof -workload fib -topology 2x2   # two LLC domains: domain-tiered thieves
 //	futureprof -workload fib -events         # dump the raw event trace too
 //	futureprof -workload fib -jobs 4         # 4 concurrent jobs (Submit), one verdict each
 //	futureprof -workload fib -o report.txt   # also write the report to a file
 //
-// -discipline sets the runtime-wide default fork discipline and -steal the
-// workers' steal policy (both from the shared policy vocabulary also used
-// by the simulator); the report's "spawn disciplines" and "steal
-// attribution" lines show what was actually recorded per event, and its
-// (fork × steal) matrix replays the reconstructed DAG under every policy
-// pair.
+// -discipline sets the runtime-wide default fork discipline. The workers'
+// steal rule is not a flag: it is read off the topology (uniformly random
+// single steals where the workers share one LLC domain, domain-tiered where
+// -topology or the host gives them several) and printed with the run. The
+// report's "spawn disciplines" and "steal attribution" lines show what was
+// actually recorded per event, and its (fork × steal) matrix replays the
+// reconstructed DAG through the simulator under every policy pair.
 package main
 
 import (
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 
 	fl "futurelocality"
 )
@@ -146,8 +145,6 @@ func main() {
 		events     = flag.Bool("events", false, "also dump the raw event trace")
 		discipline = flag.String("discipline", "parent-first",
 			"default fork discipline for Spawn: future-first | parent-first")
-		steal = flag.String("steal", "random-single",
-			"steal policy for the workers: "+strings.Join(fl.StealPolicyNames(), " | "))
 		topoSpec = flag.String("topology", "",
 			"cache topology for worker domains and the sim replay: a synthetic DxC spec (e.g. 2x2), or empty for the host hierarchy discovered from sysfs")
 		jobs = flag.Int("jobs", 1,
@@ -163,13 +160,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "futureprof:", err)
 		os.Exit(1)
 	}
-	stealPol, err := fl.ParseStealPolicy(*steal)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "futureprof:", err)
-		os.Exit(1)
-	}
-	rtOpts := []fl.RuntimeOption{fl.WithWorkers(*workers), fl.WithDiscipline(disc),
-		fl.WithStealPolicy(stealPol)}
+	rtOpts := []fl.RuntimeOption{fl.WithWorkers(*workers), fl.WithDiscipline(disc)}
 	if *topoSpec != "" {
 		topo, err := fl.SyntheticTopology(*topoSpec)
 		if err != nil {
@@ -256,7 +247,7 @@ func main() {
 	}
 
 	fmt.Printf("futureprof: workload=%s workers=%d discipline=%s steal=%s jobs=%d (%d events traced)\n",
-		*workload, *workers, disc, stealPol, *jobs, tr.Len())
+		*workload, *workers, disc, rt.StealPolicy(), *jobs, tr.Len())
 	fmt.Printf("futureprof: topology source=%s, %d domains, workers striped %v\n\n",
 		rt.Topology().Source, rt.NumDomains(), rt.DomainAssignment())
 	if *events {

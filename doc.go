@@ -49,19 +49,23 @@
 //     takes no lock at all unless the atomic parked count says somebody is
 //     actually asleep (a parking worker re-reads every queue's length
 //     after raising that count, which preserves lost-wakeup safety). Victim
-//     selection is an inline xorshift, not a math/rand object. Both axes
-//     of the scheduler's decision surface are shared policy vocabulary
-//     with the simulator: the Discipline (FutureFirst / ParentFirst) —
-//     WithDiscipline sets the runtime-wide default, SpawnWith overrides
-//     it per call, SimConfig.Policy names the same constants — and the
-//     StealPolicy (RandomSingle / StealHalf / LastVictimAffinity /
-//     Hierarchical) — WithStealPolicy configures the workers' thief side,
-//     SimConfig.Steal the simulator's. RandomSingle is the parsimonious
-//     baseline the paper's bounds assume; StealHalf drains half a
-//     victim's deque per visit (each displaced task that executes is
-//     charged as its own deviation); LastVictimAffinity revisits the last
-//     successful victim first; Hierarchical exhausts victims inside the
-//     thief's own LLC locality domain before crossing a cache boundary.
+//     selection is an inline xorshift, not a math/rand object. The
+//     scheduler's decision surface has two axes, both vocabulary shared
+//     with the simulator. The Discipline (FutureFirst / ParentFirst) is
+//     configurable on both sides: WithDiscipline sets the runtime-wide
+//     default, SpawnWith overrides it per call, SimConfig.Policy names the
+//     same constants. The StealPolicy (RandomSingle / StealHalf /
+//     LastVictimAffinity / Hierarchical) configures the simulator only
+//     (SimConfig.Steal, and the profiler's replay matrix): the runtime has
+//     one steal rule and no option to choose another — one task from the
+//     top of a victim drawn uniformly among the workers of the thief's own
+//     LLC locality domain, and across a cache boundary only when all of
+//     those are dry — which Runtime.StealPolicy names RandomSingle, the
+//     parsimonious thief the paper's bounds assume, where the workers
+//     share one domain (always, under WithTopology(FlatTopology(n))), and
+//     Hierarchical where they span several. A steal is counted once, where
+//     the stolen task runs: Stats.Steals, the per-job counts and a
+//     whole-run trace's steal events are one number.
 //     The domains come from the cache-topology subsystem (DetectTopology
 //     reads the host's sysfs cache hierarchy, SyntheticTopology builds an
 //     injectable DxC layout, WithTopology installs either), which also

@@ -32,10 +32,15 @@ var docPaths = []*regexp.Regexp{
 var retiredNames = []string{
 	"runtimebench", "BENCH_runtime", "go test -bench=.",
 	"WithPlacement", "WithForwarding", "PlaceRoundRobin", "JobStats(",
+	"WithStealPolicy",
 }
 
+// retiredFlag matches a command line that passes a flag the command no longer
+// has: futureprof's -steal went with the runtime's steal-policy option.
+var retiredFlag = regexp.MustCompile(`futureprof\b.*\s-steal\b`)
+
 // TestDocsNameOnlyWhatExists fails when a document names a command, example
-// or script that is not in the tree, or a retired one.
+// or script that is not in the tree, or a retired one, or passes a retired flag.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	for _, doc := range checkedDocs {
 		raw, err := os.ReadFile(doc)
@@ -55,6 +60,9 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				if strings.Contains(line, name) {
 					t.Errorf("%s:%d still mentions %q", doc, n+1, name)
 				}
+			}
+			if m := retiredFlag.FindString(line); m != "" {
+				t.Errorf("%s:%d still runs %q", doc, n+1, m)
 			}
 		}
 	}

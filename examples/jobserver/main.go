@@ -86,8 +86,8 @@ func main() {
 	// The server: a sharded pool with admission control and the always-on
 	// observability stack — counters are unconditional, every shard's flight
 	// recorder rides along from construction.
-	rtOpts := []fl.RuntimeOption{fl.WithFlightRecorder(*flightSize)}
-	poolOpts := []fl.PoolOption{fl.WithPoolMaxInFlight(*maxInFlight)}
+	poolOpts := []fl.PoolOption{fl.WithPoolMaxInFlight(*maxInFlight),
+		fl.WithShardRuntimeOptions(fl.WithFlightRecorder(*flightSize))}
 	if *shards > 0 {
 		poolOpts = append(poolOpts, fl.WithShards(*shards))
 	}
@@ -97,9 +97,7 @@ func main() {
 			log.Fatalf("jobserver: %v", err)
 		}
 		poolOpts = append(poolOpts, fl.WithPoolTopology(topo))
-		rtOpts = append(rtOpts, fl.WithStealPolicy(fl.Hierarchical))
 	}
-	poolOpts = append(poolOpts, fl.WithShardRuntimeOptions(rtOpts...))
 	p := fl.NewPool(poolOpts...)
 	defer p.Shutdown()
 	fmt.Printf("topology %s: %d shards, %d workers total\n",

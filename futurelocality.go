@@ -96,9 +96,11 @@ const (
 // for CLI flags.
 func ParseDiscipline(s string) (Discipline, error) { return policy.Parse(s) }
 
-// StealPolicy is the steal-discipline vocabulary shared by the simulator
-// (SimConfig.Steal) and the runtime (WithStealPolicy): whom a thief robs
-// and how much one visit takes.
+// StealPolicy is the steal-discipline vocabulary: whom a thief robs and how
+// much one visit takes. The simulator replays a DAG under any of the four
+// (SimConfig.Steal); the runtime has one steal rule, which Runtime.StealPolicy
+// names RandomSingle where its workers share one cache-locality domain and
+// Hierarchical where they span several (see WithTopology).
 type StealPolicy = policy.StealPolicy
 
 // Steal policies — one vocabulary for the simulator and the runtime.
@@ -109,10 +111,10 @@ const (
 	RandomSingle = policy.RandomSingle
 	// StealHalf drains half the victim's deque per visit (Hendler–Shavit
 	// style); each displaced task that executes counts as its own
-	// deviation.
+	// deviation. Simulator only.
 	StealHalf = policy.StealHalf
 	// LastVictimAffinity revisits the thief's last successful victim before
-	// probing randomly.
+	// probing randomly. Simulator only.
 	LastVictimAffinity = policy.LastVictimAffinity
 	// Hierarchical exhausts victims inside the thief's cache-locality
 	// domain (LLC-sharing group, see WithTopology and SimConfig.Domains)
@@ -326,17 +328,14 @@ func WithSeed(seed int64) RuntimeOption { return runtime.WithSeed(seed) }
 // Spawn; per-call SpawnWith overrides it. Default ParentFirst.
 func WithDiscipline(d Discipline) RuntimeOption { return runtime.WithDiscipline(d) }
 
-// WithStealPolicy sets the steal discipline the workers follow: how a
-// thief picks its victim and how many tasks one visit takes. Default
-// RandomSingle — the parsimonious baseline every theorem assumes.
-func WithStealPolicy(s StealPolicy) RuntimeOption { return runtime.WithStealPolicy(s) }
-
 // WithTopology injects the cache topology workers are grouped by: workers
 // stripe across the topology's LLC domains, every steal is attributed
-// intra- vs cross-domain, and the Hierarchical steal policy prefers
-// intra-domain victims. Default (nil): the host topology discovered from
-// sysfs, falling back to one flat domain. Pass SyntheticTopology("2x2")
-// for deterministic tests on machines whose real hierarchy is flat.
+// intra- vs cross-domain, and a thief robs the workers of its own domain
+// before it crosses a boundary — so the topology also decides what
+// Runtime.StealPolicy reports. Default (nil): the host topology discovered
+// from sysfs, falling back to one flat domain. Pass SyntheticTopology("2x2")
+// for deterministic tests on machines whose real hierarchy is flat, and
+// FlatTopology(n) for the theorems' uniformly random thief on any machine.
 func WithTopology(t *Topology) RuntimeOption { return runtime.WithTopology(t) }
 
 // WithContext ties the runtime's lifetime to ctx: cancellation shuts the
@@ -518,7 +517,7 @@ type (
 	// with Sub for a rate window. Obtain one from Runtime.TelemetrySnapshot.
 	TelemetrySnapshot = telemetry.Snapshot
 	// TelemetryCounter indexes a column of the counter matrix (tasks run,
-	// steals by policy, touch modes, parks, job outcomes, ...).
+	// steals by locality, touch modes, parks, job outcomes, ...).
 	TelemetryCounter = telemetry.Counter
 	// HistSnapshot is a point-in-time copy of a log-bucketed latency
 	// histogram (Runtime.LatencyHist / Runtime.QueueWaitHist): mergeable,
@@ -533,25 +532,21 @@ type (
 // The counter columns of a TelemetrySnapshot (arguments to its Total and
 // Worker accessors), re-exported under their internal names.
 const (
-	CTasksRun           = telemetry.CTasksRun
-	CStealAttempts      = telemetry.CStealAttempts
-	CStealsRandomSingle = telemetry.CStealsRandomSingle
-	CStealsStealHalf    = telemetry.CStealsStealHalf
-	CStealsLastVictim   = telemetry.CStealsLastVictim
-	CStealsHierarchical = telemetry.CStealsHierarchical
-	CStealsIntraDomain  = telemetry.CStealsIntraDomain
-	CStealsCrossDomain  = telemetry.CStealsCrossDomain
-	CInlineTouches      = telemetry.CInlineTouches
-	CHelpedTasks        = telemetry.CHelpedTasks
-	CBlockedTouches     = telemetry.CBlockedTouches
-	CSpawnsFutureFirst  = telemetry.CSpawnsFutureFirst
-	CSpawnsParentFirst  = telemetry.CSpawnsParentFirst
-	CParks              = telemetry.CParks
-	CWakeups            = telemetry.CWakeups
-	CPollFinds          = telemetry.CPollFinds
-	CJobsSubmitted      = telemetry.CJobsSubmitted
-	CJobsCompleted      = telemetry.CJobsCompleted
-	CJobsShed           = telemetry.CJobsShed
+	CTasksRun          = telemetry.CTasksRun
+	CStealAttempts     = telemetry.CStealAttempts
+	CStealsIntraDomain = telemetry.CStealsIntraDomain
+	CStealsCrossDomain = telemetry.CStealsCrossDomain
+	CInlineTouches     = telemetry.CInlineTouches
+	CHelpedTasks       = telemetry.CHelpedTasks
+	CBlockedTouches    = telemetry.CBlockedTouches
+	CSpawnsFutureFirst = telemetry.CSpawnsFutureFirst
+	CSpawnsParentFirst = telemetry.CSpawnsParentFirst
+	CParks             = telemetry.CParks
+	CWakeups           = telemetry.CWakeups
+	CPollFinds         = telemetry.CPollFinds
+	CJobsSubmitted     = telemetry.CJobsSubmitted
+	CJobsCompleted     = telemetry.CJobsCompleted
+	CJobsShed          = telemetry.CJobsShed
 )
 
 // ErrNoFlight reports a flight-recorder operation (DumpFlight,

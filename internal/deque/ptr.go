@@ -210,6 +210,11 @@ func (d *Ptr[T]) StealTop() (v *T, ok bool) {
 // every claimed item below the crossing point. The bulk win is amortizing
 // the victim probe and the call overhead across a batch, not eliding the
 // per-item CAS.
+//
+// No scheduler calls it: the runtime's thief takes one task per visit, and
+// batch stealing lives in the simulator. It stays only because bench/ladder.go
+// times it (deque.ptr_stealn_ns_per_item) and bench/ is frozen outside
+// benchmark PRs; the next one of those removes the rung and this with it.
 func (d *Ptr[T]) StealN(out []*T) int {
 	n := 0
 	for n < len(out) {

@@ -90,7 +90,8 @@ func Parse(s string) (Discipline, error) {
 // StealPolicy selects how an out-of-work processor robs a victim: whom it
 // targets and how many tasks it takes per successful visit. Like
 // Discipline, it is one vocabulary for the simulator (sim.Config.Steal),
-// the runtime (WithStealPolicy), and the profiler (per-steal attribution).
+// the runtime (which has one steal rule and names it RandomSingle or
+// Hierarchical by its topology), and the profiler (per-steal attribution).
 type StealPolicy uint8
 
 const (
@@ -148,10 +149,9 @@ func StealNames() []string {
 }
 
 // StealBatchMax caps how many tasks one StealHalf visit may take. It is
-// part of the policy's definition — the simulator and the runtime must
-// honor the same cap, or a sim replay of a wide-deque DAG would take
-// batches the real scheduler never could and the (fork × steal) deviation
-// matrix would stop predicting runtime behavior.
+// part of the policy's definition: the cap a batch-stealing scheduler's
+// per-thief buffer would have, so a sim replay of a wide-deque DAG takes no
+// batch a real scheduler could not.
 const StealBatchMax = 32
 
 // ParseSteal reads a steal-policy name as written by String (CLI flags).

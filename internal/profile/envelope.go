@@ -12,6 +12,7 @@ import (
 
 	"futurelocality/internal/core"
 	"futurelocality/internal/dag"
+	"futurelocality/internal/sim"
 )
 
 // Envelope is one rolling envelope reading over a trace window: the
@@ -27,8 +28,9 @@ type Envelope struct {
 	Span  int64
 	// Deviations = steals + helped + blocked measured in the window.
 	Deviations int64
-	// Budget is P·T∞² when the classification grants a bound under the
-	// future-first × random-single policy pair the theorems cover, else 0.
+	// Budget is P·T∞² when the theorems grant a bound for the window's class
+	// under the policy pair the window ran under (WindowEnvelope's fork and
+	// steal: future-first × random-single is the one cell they cover), else 0.
 	Budget int64
 	// Truncated counts the reconstruction's Incomplete notes — nonzero for
 	// a flight window whose front was overwritten, the expected steady
@@ -37,7 +39,7 @@ type Envelope struct {
 }
 
 // Within reports whether the window's deviations stayed inside the budget
-// (vacuously true when the class grants none).
+// (vacuously true when none is granted).
 func (e Envelope) Within() bool { return e.Budget == 0 || e.Deviations <= e.Budget }
 
 // String renders the gauge compactly, e.g. for a CLI snapshot line.
@@ -47,7 +49,7 @@ func (e Envelope) String() string {
 	if e.Budget > 0 {
 		s += fmt.Sprintf(", envelope P·T∞²=%d·%d²=%d, within=%v", e.P, e.Span, e.Budget, e.Within())
 	} else {
-		s += fmt.Sprintf(", envelope none (class %q)", e.Class)
+		s += fmt.Sprintf(", envelope none (class %q under the recorder's policy pair)", e.Class)
 	}
 	if e.Truncated > 0 {
 		s += fmt.Sprintf(" [%d trace gaps]", e.Truncated)
@@ -57,10 +59,11 @@ func (e Envelope) String() string {
 
 // WindowEnvelope reconstructs tr (typically a Flight.Collect window) and
 // returns its envelope reading for p processors (p <= 0 defaults to the
-// trace's worker count). The bound is checked under future-first ×
-// random-single, the policy pair the theorems grant envelopes for, matching
-// Analyze's default.
-func WindowEnvelope(tr *Trace, p int) (Envelope, error) {
+// trace's worker count). The bound is checked under fork × steal, the policy
+// pair whoever recorded the window ran under; the zero values are future-first
+// × random-single, the pair the theorems grant envelopes for and Analyze's
+// default.
+func WindowEnvelope(tr *Trace, p int, fork sim.ForkPolicy, steal sim.StealPolicy) (Envelope, error) {
 	rec, err := Reconstruct(tr)
 	if err != nil {
 		return Envelope{}, err
@@ -81,8 +84,7 @@ func WindowEnvelope(tr *Trace, p int) (Envelope, error) {
 		Deviations: rec.MeasuredDeviations(),
 		Truncated:  len(rec.Incomplete),
 	}
-	var defaults Options // zero values = future-first × random-single
-	if core.BoundApplies(class, defaults.Policy, defaults.Steal) {
+	if core.BoundApplies(class, fork, steal) {
 		env.Budget = int64(p) * env.Span * env.Span
 	}
 	return env, nil

@@ -48,10 +48,11 @@ const (
 	// KindSteal records a deque steal that led to execution by the thief:
 	// Task is the stolen task, Worker the thief. Recorded after the task
 	// ran (a thief that loses the run race to an inlining toucher displaced
-	// nothing), so one KindSteal is exactly one out-of-order execution and
-	// the Stats.Steals counter may exceed the trace's steal count. A task
-	// stolen while its thief helps at a touch is recorded as a steal only,
-	// not also in the touch's helped count.
+	// nothing), so one KindSteal is exactly one out-of-order execution. The
+	// runtime counts a steal at the same moment and nowhere else: a trace of
+	// a whole run holds as many KindSteal events as Stats.Steals reads. A
+	// task stolen while its thief helps at a touch is recorded as a steal
+	// only, not also in the touch's helped count.
 	KindSteal
 	// KindTouch records a touch completing: Task is the toucher (0 for an
 	// external goroutine), Other the touched task, Mode how the wait was
@@ -156,11 +157,12 @@ type Event struct {
 	// -1 otherwise.
 	Arg int32
 	// N is the number of tasks run while helping (KindTouch), or the size
-	// of the displaced batch the stolen task arrived in (KindSteal; 1 for a
-	// single steal). A steal-half batch of k emits up to k KindSteal events
-	// — one per displaced task that actually executed — each carrying N=k,
-	// so reconstruction can both count deviations per task and recover the
-	// batch geometry.
+	// of the displaced batch the stolen task arrived in (KindSteal). The
+	// runtime's thief takes one task per visit and always writes 1; the
+	// format and Reconstruct keep the general reading for traces recorded by
+	// a batch-stealing scheduler, where a batch of k emits up to k KindSteal
+	// events — one per displaced task that actually executed — each carrying
+	// N=k.
 	N int32
 	// Job identifies the submitted job the event belongs to (0 = job-less
 	// work such as Run roots and the external context). Spawn events carry
@@ -176,13 +178,13 @@ type Event struct {
 	Disc policy.Discipline
 	// Steal is the steal policy in force when the task was displaced
 	// (KindSteal only), attributing each measured steal deviation to the
-	// steal discipline that caused it.
+	// steal discipline that caused it. The runtime stamps the name of its one
+	// steal rule (Runtime.StealPolicy: random-single where its workers share
+	// one locality domain, hierarchical where they span several).
 	Steal policy.StealPolicy
 	// Cross reports whether the steal crossed an LLC-domain boundary
 	// (KindSteal only): the thief and the victim sat in different
-	// cache-locality domains of the runtime's topology assignment. For a
-	// steal-half batch it reflects the first displacement — the visit that
-	// pulled the task off its home deque.
+	// cache-locality domains of the runtime's topology assignment.
 	Cross bool
 }
 

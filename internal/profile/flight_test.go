@@ -149,7 +149,7 @@ func TestFlightReconstructs(t *testing.T) {
 	if rec.Tasks < 2 {
 		t.Fatalf("reconstructed %d tasks from the window, want several", rec.Tasks)
 	}
-	env, err := WindowEnvelope(tr, 2)
+	env, err := WindowEnvelope(tr, 2, policy.FutureFirst, policy.RandomSingle)
 	if err != nil {
 		t.Fatalf("WindowEnvelope: %v", err)
 	}

@@ -325,6 +325,28 @@ func TestRecorderChunkRollover(t *testing.T) {
 // per-policy split, the max batch, and the deviation total must all come
 // out of the per-event tags.
 func TestStealAttributionSyntheticTrace(t *testing.T) {
+	rec, err := profile.Reconstruct(batchStealTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Steals != 3 {
+		t.Fatalf("Steals = %d, want 3", rec.Steals)
+	}
+	if rec.StealsByPolicy[policy.RandomSingle] != 1 || rec.StealsByPolicy[policy.StealHalf] != 2 {
+		t.Fatalf("StealsByPolicy = %v, want random-single:1 steal-half:2", rec.StealsByPolicy)
+	}
+	if rec.MaxStealBatch != 2 {
+		t.Fatalf("MaxStealBatch = %d, want 2", rec.MaxStealBatch)
+	}
+	if got := rec.MeasuredDeviations(); got != 3 {
+		t.Fatalf("MeasuredDeviations = %d, want 3 (steals only)", got)
+	}
+}
+
+// batchStealTrace is a hand-built trace of the kind only a recorder other
+// than this runtime's writes (the runtime's thief takes one task per visit):
+// one single steal and one steal-half batch of two.
+func batchStealTrace() *profile.Trace {
 	r := profile.NewRecorder(2)
 	// Worker 0 spawns three tasks from the external driver's root (task 1).
 	r.RecordExternal(profile.Event{Kind: profile.KindSpawn, Other: 1, Arg: -1})
@@ -350,36 +372,15 @@ func TestStealAttributionSyntheticTrace(t *testing.T) {
 			Task: 1, Other: id, Arg: -1})
 	}
 	r.Record(0, profile.Event{Kind: profile.KindEnd, Task: 1, Arg: -1})
-
-	rec, err := profile.Reconstruct(r.Collect())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Steals != 3 {
-		t.Fatalf("Steals = %d, want 3", rec.Steals)
-	}
-	if rec.StealsByPolicy[policy.RandomSingle] != 1 || rec.StealsByPolicy[policy.StealHalf] != 2 {
-		t.Fatalf("StealsByPolicy = %v, want random-single:1 steal-half:2", rec.StealsByPolicy)
-	}
-	if rec.MaxStealBatch != 2 {
-		t.Fatalf("MaxStealBatch = %d, want 2", rec.MaxStealBatch)
-	}
-	if got := rec.MeasuredDeviations(); got != 3 {
-		t.Fatalf("MeasuredDeviations = %d, want 3 (steals only)", got)
-	}
+	return r.Collect()
 }
 
 // TestReportPrintsMatrixAndAttribution: the rendered report must contain
-// the (fork × steal) matrix rows and, when steals were traced, the
-// per-policy attribution line.
+// the (fork × steal) matrix rows and, for a trace whose steals carry
+// policy stamps and batch sizes (the hand-built one: the runtime records
+// single steals only), the per-policy attribution line.
 func TestReportPrintsMatrixAndAttribution(t *testing.T) {
-	rt := runtime.New(runtime.WithWorkers(2), runtime.WithStealPolicy(runtime.StealHalf))
-	defer rt.Shutdown()
-	if err := rt.StartProfile(); err != nil {
-		t.Fatal(err)
-	}
-	runtime.Run(rt, func(w *runtime.W) int { return fib(rt, w, 15) })
-	rep, err := rt.ProfileReport(profile.Options{P: 2, Trials: 2})
+	rep, err := profile.Analyze(batchStealTrace(), profile.Options{P: 2, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,8 +394,8 @@ func TestReportPrintsMatrixAndAttribution(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
-	if rep.Recon.Steals > 0 && !strings.Contains(out, "steal attribution") {
-		t.Fatalf("steals traced but no attribution line:\n%s", out)
+	if rep.Recon.Steals != 3 || !strings.Contains(out, "steal attribution") {
+		t.Fatalf("%d steals traced, want 3 and an attribution line:\n%s", rep.Recon.Steals, out)
 	}
 	// The envelope star belongs to exactly one cell.
 	stars := 0

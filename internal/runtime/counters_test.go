@@ -100,7 +100,7 @@ func TestCounterFlushExactAfterWait(t *testing.T) {
 // TestCounterFlushBlockedWorker: a worker that blocks at a touch publishes
 // first, so the row of a worker that is going nowhere is exact.
 func TestCounterFlushBlockedWorker(t *testing.T) {
-	rt := bareRuntime(RandomSingle, 1)
+	rt := bareRuntime(1)
 	w0 := rt.workers[0]
 	passed := SpawnWith(rt, nil, ParentFirst, sevenFn)
 	if !passed.claim() {

@@ -56,12 +56,13 @@ func TestDryWorkerDecision(t *testing.T) {
 // task stays where it is; with no root the worker robs the peer, but only
 // once the interval is over, and then once per interval.
 func TestStealPatience(t *testing.T) {
-	rt := bareRuntime(RandomSingle, 2)
+	rt := bareRuntime(2)
 	peer, w := rt.workers[0], rt.workers[1]
 	attempts := func() int64 { return w.tele.Load(telemetry.CStealAttempts) }
 	step := func(ep *dryEpisode, dryFor time.Duration, wantAct dryAction, want *task, wantStolen bool) {
 		t.Helper()
-		got, stolen, act := w.dryStep(ep, dryFor)
+		got, fl, act := w.dryStep(ep, dryFor)
+		stolen := got != nil && fl == execStolen
 		if act != wantAct || got != want || stolen != wantStolen {
 			t.Fatalf("dry for %v: action %d task %p stolen %v, want action %d task %p stolen %v",
 				dryFor, act, got, stolen, wantAct, want, wantStolen)
@@ -122,7 +123,7 @@ func TestStealPatience(t *testing.T) {
 // ends the episode and keeps the worker from polling for crowdedBackoff
 // times what the yield took.
 func TestPollAdmission(t *testing.T) {
-	rt := bareRuntime(RandomSingle, 1)
+	rt := bareRuntime(1)
 	w := rt.workers[0]
 	at := rt.born.Add(time.Second)
 	if !w.mayPoll(rt.born) || !w.mayPoll(at) {

@@ -128,8 +128,6 @@ func (r *jobRoot[T]) prepareForReuse() {
 	f.result = zero
 	f.gate.Store(nil)
 	f.state.Store(stateCreated)
-	f.stolenBatch = 0
-	f.stolenCross = false
 	f.job = nil
 	f.id = 0
 	js := &r.js

@@ -345,7 +345,7 @@ func TestShutdownDuringConcurrentSubmitStress(t *testing.T) {
 // lands in exactly its own job's partition: temporal interleaving must not
 // blur Event.Job attribution.
 func TestJobEventSeparationDeterministic(t *testing.T) {
-	rt := bareRuntime(RandomSingle, 2)
+	rt := bareRuntime(2)
 	if err := rt.StartProfile(); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestPerJobStatsSeparation(t *testing.T) {
 // A's own verdict must not be inflated by it, and job B's sub-trace must
 // not lose it.
 func TestHelpAttributedToHelpedTasksJob(t *testing.T) {
-	rt := bareRuntime(RandomSingle, 2)
+	rt := bareRuntime(2)
 	if err := rt.StartProfile(); err != nil {
 		t.Fatal(err)
 	}
@@ -512,9 +512,9 @@ func TestHelpAttributedToHelpedTasksJob(t *testing.T) {
 	// w0 discards the claimed passed, executes A's root; A's touch of
 	// passed cannot inline (Running), so the await help loop runs the next
 	// global task — B's root — as a help.
-	tk, stolen := w0.find()
-	if tk == nil || stolen {
-		t.Fatalf("find: task=%v stolen=%v, want job A's root", tk, stolen)
+	tk, fl := w0.find()
+	if tk == nil || fl != 0 {
+		t.Fatalf("find: task=%v flags=%v, want job A's root", tk, fl)
 	}
 	if !w0.execCtx(tk, 0) {
 		t.Fatal("exec of job A's root failed")

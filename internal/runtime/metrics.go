@@ -52,13 +52,17 @@ func (rt *Runtime) DumpFlight() (*profile.Trace, error) {
 
 // FlightEnvelope reconstructs the flight window and returns the rolling
 // live-envelope reading: measured deviations in the window vs the P·T∞²
-// budget its DAG grants. Cheap enough for a scrape path (no sim replay).
+// budget its DAG grants under the policy pair this runtime runs — its
+// default fork discipline and its steal rule — so a runtime outside the
+// theorems' cell (parent-first by default, or workers spanning several
+// domains) reads budget 0, as the report's matrix does for that cell. Cheap
+// enough for a scrape path (no sim replay).
 func (rt *Runtime) FlightEnvelope() (profile.Envelope, error) {
 	tr, err := rt.DumpFlight()
 	if err != nil {
 		return profile.Envelope{}, err
 	}
-	return profile.WindowEnvelope(tr, len(rt.workers))
+	return profile.WindowEnvelope(tr, len(rt.workers), rt.discipline, rt.StealPolicy())
 }
 
 // FlightReport runs the full predicted-vs-measured analysis on the flight
@@ -98,12 +102,14 @@ type scrape struct {
 // label (a shard.Pool's). typ is "gauge" or "counter"; a family with a key
 // has one sample per entry, labelled key="<sample.label>"; a histogram
 // family has hist instead of typ and samples and is merged across runtimes;
+// a family with a keyOf has one sample per runtime, labelled key="<keyOf>";
 // a flight family is emitted only for runtimes whose scrape has an envelope,
 // and omitted when none has.
 type family struct {
 	name, typ     string
 	help, helpPer string
 	key           string
+	keyOf         func(*scrape) string
 	samples       []sample
 	hist          func(*Runtime) stats.HistSnapshot
 	flight        bool
@@ -123,11 +129,11 @@ func total(c telemetry.Counter) func(*scrape) int64 {
 }
 
 // families is the whole /metrics contract, in page order: scheduler counters
-// (steals split by policy and by locality, spawns by discipline), job
-// admission outcomes including sheds, the in-flight gauge, the job latency
-// and queue-wait histograms, and the rolling deviation-vs-envelope gauges of
-// the flight window. A new counter is one row here (internal/shard's
-// TestMetricsContract pins both renderings of every row).
+// (steals under the name of the runtime's steal rule and split by locality,
+// spawns by discipline), job admission outcomes including sheds, the
+// in-flight gauge, the job latency and queue-wait histograms, and the rolling
+// deviation-vs-envelope gauges of the flight window. A new counter is one row
+// here (internal/shard's TestMetricsContract pins both renderings of every row).
 var families = []family{
 	{name: "workers", typ: "gauge", help: "Worker count of the runtime.", helpPer: "Worker count per shard.",
 		samples: one(func(s *scrape) int64 { return int64(len(s.rt.workers)) })},
@@ -142,12 +148,8 @@ var families = []family{
 	{name: "steal_attempts_total", typ: "counter", help: "Steal probes, successful or dry.", helpPer: "Steal probes per shard, successful or dry.",
 		samples: one(total(telemetry.CStealAttempts))},
 	{name: "steals_total", typ: "counter", help: "Claimed steals by steal policy.", helpPer: "Claimed steals by shard and steal policy.",
-		key: "policy", samples: []sample{
-			{policy.RandomSingle.String(), total(telemetry.CStealsRandomSingle)},
-			{policy.StealHalf.String(), total(telemetry.CStealsStealHalf)},
-			{policy.LastVictimAffinity.String(), total(telemetry.CStealsLastVictim)},
-			{policy.Hierarchical.String(), total(telemetry.CStealsHierarchical)},
-		}},
+		key: "policy", keyOf: func(s *scrape) string { return s.rt.StealPolicy().String() },
+		samples: one(func(s *scrape) int64 { return s.snap.Steals() })},
 	{name: "steals_locality_total", typ: "counter", help: "Claimed steals by cache locality: whether the thief crossed an LLC-domain boundary.", helpPer: "Claimed steals by shard and cache locality (LLC-boundary crossing).",
 		key: "locality", samples: []sample{
 			{"intra-domain", total(telemetry.CStealsIntraDomain)},
@@ -236,7 +238,9 @@ func WriteMetricsPage(e *telemetry.Expo, rts []*Runtime, label string) {
 				if label != "" {
 					labels = append(labels, label, s.id)
 				}
-				if f.key != "" {
+				if f.keyOf != nil {
+					labels = append(labels, f.key, f.keyOf(s))
+				} else if f.key != "" {
 					labels = append(labels, f.key, sm.label)
 				}
 				vals = append(vals, telemetry.LabeledValue{Labels: labels, Value: sm.get(s)})

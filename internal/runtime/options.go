@@ -27,24 +27,20 @@ const (
 )
 
 // StealPolicy is the steal-discipline vocabulary shared with the simulator
-// (internal/policy): whom a thief robs and how much it takes per visit.
+// (internal/policy): whom a thief robs and how much it takes per visit. The
+// runtime has one steal rule (W.stealOnce) and uses the vocabulary only to
+// name it (Runtime.StealPolicy), by the two values below.
 type StealPolicy = policy.StealPolicy
 
 const (
-	// RandomSingle steals one task from a random victim's top — the paper's
-	// parsimonious baseline and the runtime default; the only steal policy
-	// the Theorem 8/12/16/18 envelopes cover.
+	// RandomSingle steals one task from the top of a uniformly random victim
+	// — the paper's parsimonious baseline, the only steal policy the Theorem
+	// 8/12/16/18 envelopes cover, and what the runtime's rule is where all
+	// workers share one locality domain.
 	RandomSingle = policy.RandomSingle
-	// StealHalf drains half the victim's deque per visit; the thief runs
-	// the oldest stolen task and parks the rest on its own deque. See
-	// WithStealPolicy for the deviation accounting.
-	StealHalf = policy.StealHalf
-	// LastVictimAffinity revisits the last successful victim before probing
-	// randomly.
-	LastVictimAffinity = policy.LastVictimAffinity
 	// Hierarchical exhausts victims inside the thief's cache-locality
 	// domain (LLC-sharing group, see WithTopology) before probing across a
-	// domain boundary.
+	// domain boundary — what the rule is where the workers span several.
 	Hierarchical = policy.Hierarchical
 )
 
@@ -55,7 +51,6 @@ type options struct {
 	workers     int
 	seed        int64
 	discipline  Discipline
-	steal       StealPolicy
 	topo        *topology.Topology
 	maxInFlight int
 	flight      bool
@@ -89,33 +84,17 @@ func WithDiscipline(d Discipline) Option {
 	}
 }
 
-// WithStealPolicy sets the steal discipline every worker's out-of-work path
-// follows. The default is RandomSingle — one task from the top of a random
-// victim, the parsimonious discipline of Section 3 under which the paper's
-// deviation bounds hold. StealHalf takes half the victim's deque per visit
-// (the thief executes the oldest and parks the rest on its own deque;
-// every parked task that later executes is charged as its own steal
-// deviation, not one per batch). LastVictimAffinity retries the victim of
-// the thief's last successful steal before probing randomly, and forgets
-// it after a dry visit.
-func WithStealPolicy(s StealPolicy) Option {
-	return func(o *options) {
-		if !s.Valid() {
-			panic("runtime: WithStealPolicy(" + s.String() + ")")
-		}
-		o.steal = s
-	}
-}
-
 // WithTopology injects the cache topology workers are grouped by (see
 // internal/topology): workers stripe across the topology's LLC domains,
 // every steal is attributed intra- vs cross-domain, the parked-worker
-// accounting is striped per domain, and the
-// Hierarchical steal policy prefers intra-domain victims. The default
+// accounting is striped per domain, and a thief exhausts the victims of its
+// own domain before it crosses a boundary (W.stealOnce) — so the topology is
+// also what decides the steal rule's name (Runtime.StealPolicy). The default
 // (nil) is the host topology discovered from sysfs, falling back to a
 // single flat domain when discovery fails — pass a Synthetic topology
 // (e.g. "2x2") for deterministic tests and sim-replay parity on machines
-// whose real hierarchy is flat.
+// whose real hierarchy is flat, and topology.Flat(n) for the theorems'
+// uniformly random thief on a machine whose hierarchy is not.
 func WithTopology(t *topology.Topology) Option {
 	return func(o *options) { o.topo = t }
 }
@@ -154,8 +133,7 @@ func WithContext(ctx context.Context) Option {
 }
 
 // New starts a runtime. With no options it uses GOMAXPROCS workers, seed 1,
-// the ParentFirst default spawn discipline, and the RandomSingle steal
-// policy:
+// the ParentFirst default spawn discipline, and the host's cache topology:
 //
 //	rt := runtime.New(runtime.WithWorkers(8), runtime.WithDiscipline(runtime.FutureFirst))
 //	defer rt.Shutdown()
@@ -178,12 +156,11 @@ func New(opts ...Option) *Runtime {
 	}
 	assign := topo.Assign(n)
 	rt := &Runtime{
-		discipline:  o.discipline,
-		stealPolicy: o.steal,
-		topo:        topo,
-		assign:      assign,
-		stop:        make(chan struct{}),
-		term:        make(chan struct{}),
+		discipline: o.discipline,
+		topo:       topo,
+		assign:     assign,
+		stop:       make(chan struct{}),
+		term:       make(chan struct{}),
 	}
 	rt.tele = telemetry.NewSet(n)
 	rt.teleExt = rt.tele.External()
@@ -199,25 +176,19 @@ func New(opts ...Option) *Runtime {
 	rt.free = make([]poolableRoot, 0, rootFreelistCap)
 	for i := 0; i < n; i++ {
 		w := &W{
-			rt:         rt,
-			id:         i,
-			dq:         deque.NewPtr[task](dequeInitCap),
-			tele:       rt.tele.Row(i),
-			domain:     assign.Domain[i],
-			rng:        seedXorshift(seed, i),
-			lastVictim: -1,
-			jobFree:    make([]poolableRoot, 0, workerFreeCap),
-		}
-		if o.steal == StealHalf {
-			// The batch buffer caps a steal-half visit; allocated once per
-			// worker, only under the policy that uses it.
-			w.stealBuf = make([]*task, stealBatchMax)
+			rt:      rt,
+			id:      i,
+			dq:      deque.NewPtr[task](dequeInitCap),
+			tele:    rt.tele.Row(i),
+			domain:  assign.Domain[i],
+			rng:     seedXorshift(seed, i),
+			jobFree: make([]poolableRoot, 0, workerFreeCap),
 		}
 		rt.workers = append(rt.workers, w)
 	}
-	// Precompute each worker's Hierarchical victim tiers (same-domain peers
-	// first, remote workers after) so the steal path never touches the
-	// topology structures.
+	// Precompute each worker's two victim tiers (same-domain peers first,
+	// remote workers after) so the steal path never touches the topology
+	// structures.
 	for _, w := range rt.workers {
 		for _, v := range rt.workers {
 			if v == w {

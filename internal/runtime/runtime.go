@@ -17,15 +17,15 @@
 // Workers run on dedicated goroutines, each owning a lock-free
 // pointer-specialized Chase–Lev deque (top/bottom on separate cache lines);
 // thieves pick victims with an inline xorshift generator, falling back to a
-// global injection queue. The steal discipline is pluggable through the
-// shared policy vocabulary (WithStealPolicy): RandomSingle — one task from
-// a random victim's top, the paper's parsimonious baseline and the default
-// — StealHalf (drain half the victim's deque per visit),
-// LastVictimAffinity (revisit the last successful victim first), or
-// Hierarchical (exhaust victims sharing the thief's LLC domain before
-// crossing a cache boundary — see WithTopology and internal/topology);
-// every policy funnels through one decision point (stealOnce), so adding a
-// policy is a policy-package change, not a scheduler rewire. Workers are
+// global injection queue. There is one steal rule and no option to choose
+// another (stealOnce): one task from the top of a victim drawn uniformly at
+// random among the workers that share the thief's LLC domain, and only when
+// all of those are dry the same among the workers across a cache boundary.
+// Where the workers share one domain that is the paper's uniformly random
+// single steal, the thief the theorems assume (WithTopology(topology.Flat(n))
+// asks for it on any machine); where they do not it is the domain-tiered
+// thief of the locality story. StealPolicy names which; the simulator alone
+// has the other steal policies of the shared vocabulary. Workers are
 // grouped into cache-locality domains by the machine topology (discovered
 // from sysfs, or injected synthetically): every steal is attributed intra-
 // vs cross-domain, and the parked-worker accounting is
@@ -92,7 +92,6 @@ import (
 	"time"
 
 	"futurelocality/internal/deque"
-	"futurelocality/internal/policy"
 	"futurelocality/internal/profile"
 	"futurelocality/internal/stats"
 	"futurelocality/internal/telemetry"
@@ -204,18 +203,19 @@ func (c *completion) complete() {
 	wakeWaiters(&c.gate)
 }
 
-// wait blocks until complete.
-func (c *completion) wait() {
+// waitDone blocks until complete.
+func (c *completion) waitDone() {
 	if !c.isDone() {
 		blockUntil(&c.gate, c.isDone)
 	}
 }
 
-// stealBatchMax caps how many tasks one steal-half visit can take — it
-// sizes the per-worker batch buffer allocated under WithStealPolicy(
-// StealHalf). The cap is part of the policy's shared definition (the
-// simulator honors the same bound).
-const stealBatchMax = policy.StealBatchMax
+// awaited is what a helping toucher waits for (see W.helpUntil): a task — a
+// future's touch — or one cell of a stream.
+type awaited interface {
+	isDone() bool
+	waitDone()
+}
 
 // task is the schedulable unit — embedded directly in Future and Stream, so
 // spawning allocates no separate task object, no closure wrapping the body,
@@ -230,20 +230,12 @@ type task struct {
 	// state is the status word: scheduling state, completion and the
 	// single-touch latch (see stateCreated).
 	state atomic.Uint32
-	// stolenBatch marks a displaced task: 0 for a task on its spawn-order
-	// path, k > 0 for a task taken in a steal batch of k (1 for a single
-	// steal under StealHalf). A plain field, not an atomic: it is written
-	// only while the thief holds the task exclusively — between claiming it
-	// from the victim's deque and executing or re-publishing it — and every
-	// later reader receives the task through a deque operation or the claim
-	// CAS, which order the write before the read. int16 (a batch is at most
-	// stealBatchMax) so it shares a word with state and stolenCross.
-	stolenBatch int16
-	// stolenCross marks a displaced task whose first displacement crossed a
-	// locality-domain (LLC) boundary — the expensive kind of steal the
-	// paper's miss bound prices. Written under the same exclusive-hold
-	// discipline as stolenBatch, and only at the first displacement, so the
-	// recorded event matches the telemetry locality counters exactly.
+	// stolenCross marks a stolen task that crossed a locality-domain (LLC)
+	// boundary — the expensive kind of steal the paper's miss bound prices.
+	// A plain field, not an atomic: the thief writes it between taking the
+	// task off the victim's deque and claiming it, and reads it back, if its
+	// claim wins, when it counts the steal (recordSteal). Nobody else reads it.
+	// It shares a word with state.
 	stolenCross bool
 	// job is the submitted job this task belongs to (nil for job-less work
 	// such as Run roots). Set once before the task is published — at Submit
@@ -330,9 +322,6 @@ type Runtime struct {
 	// discipline is the default fork discipline used by Spawn (set by
 	// WithDiscipline, immutable after New).
 	discipline Discipline
-	// stealPolicy is the steal discipline every worker follows (set by
-	// WithStealPolicy, immutable after New).
-	stealPolicy StealPolicy
 	// topo is the cache topology the workers are assigned onto (discovered
 	// from sysfs or injected by WithTopology) and assign the resulting
 	// worker→domain striping. Both immutable after New.
@@ -425,8 +414,8 @@ type W struct {
 	tele *telemetry.Row
 	// domain is this worker's locality-domain ID under the runtime's
 	// topology assignment; peers are the other workers of the same domain
-	// and remote the workers across an LLC boundary — the Hierarchical
-	// victim order, precomputed so the steal path never consults the
+	// and remote the workers across an LLC boundary — the two victim tiers
+	// of stealOnce, precomputed so the steal path never consults the
 	// topology. All immutable after New (read-mostly, so they live in the
 	// header section).
 	domain int
@@ -453,13 +442,6 @@ type W struct {
 	// pend holds the per-task counters not yet published to tele (see
 	// publish). Owner-only.
 	pend pending
-	// lastVictim is the index of the worker the last successful steal came
-	// from, or -1 — the LastVictimAffinity cache. Owner-only.
-	lastVictim int32
-	// stealBuf is the steal-half batch buffer (nil under the other
-	// policies). Owner-only; entries are cleared after every batch so the
-	// buffer never pins finished tasks.
-	stealBuf []*task
 	// jobFree is the worker's stash of recycled job-root composites — a
 	// worker that performs a job's last release parks the root here
 	// lock-free and donates the stash to the runtime's freelist in one lock
@@ -470,7 +452,7 @@ type W struct {
 	// crowdedYield). Owner-only.
 	pollAfter time.Duration
 
-	_ [2*cacheLine - 120]byte
+	_ [2*cacheLine - 88]byte
 }
 
 // pending is a worker's unpublished share of the four counters that move
@@ -585,9 +567,17 @@ func (rt *Runtime) QueueBacklog() int { return rt.global.Len() }
 // WithDiscipline).
 func (rt *Runtime) Discipline() Discipline { return rt.discipline }
 
-// StealPolicy returns the steal discipline the workers follow (see
-// WithStealPolicy).
-func (rt *Runtime) StealPolicy() StealPolicy { return rt.stealPolicy }
+// StealPolicy names the runtime's one steal rule (stealOnce) in the shared
+// policy vocabulary, read off where the workers landed: RandomSingle when
+// they all share one locality domain — nobody has a remote tier, so a victim
+// is uniform among the others — and Hierarchical when they span several.
+// Steal events are stamped with it and the envelope check is asked about it.
+func (rt *Runtime) StealPolicy() StealPolicy {
+	if len(rt.workers[0].remote) == 0 {
+		return RandomSingle
+	}
+	return Hierarchical
+}
 
 // Closed reports whether the runtime has been shut down (explicitly or by
 // context cancellation). Spawns on a closed runtime fail fast: their
@@ -774,7 +764,8 @@ func (rt *Runtime) teleRow(w *W) *telemetry.Row {
 type execFlags uint8
 
 const (
-	// execStolen: the task was displaced — charge and record a steal.
+	// execStolen: the task came off another worker's deque (stealOnce) —
+	// count and record a steal.
 	execStolen execFlags = 1 << iota
 	// execHelping: the task ran while its worker helped at a touch.
 	execHelping
@@ -911,37 +902,33 @@ func (w *W) jobID() uint64 {
 }
 
 // find locates a runnable task for a worker helping at a touch: own deque
-// first, then other workers' deques under the runtime's steal policy, then
-// the injection queue. (The worker loop takes the same three sources in
-// another order and at another pace — see dry.) stolen reports that executing
-// the task is a displacement — it came from another worker's deque now, or it
-// was parked on our own deque by an earlier steal-half batch; callers record
-// the profiling steal event only once the steal leads to an actual execution
-// (a thief that loses the exec race to an inlining toucher displaced nothing,
-// so no deviation is charged). Returns nil when everything is empty (a
-// snapshot — new work may appear immediately after).
-func (w *W) find() (t *task, stolen bool) {
-	if t, stolen = w.popOwn(); t != nil {
-		return t, stolen
+// first, then other workers' deques (stealOnce), then the injection queue.
+// (The worker loop takes the same three sources in another order and at
+// another pace — see dry.) fl is execStolen when the task came from
+// stealOnce, the one place a steal happens, and 0 otherwise; the steal is
+// counted and recorded only if the thief's claim then wins (see run — a thief
+// that loses the task to an inlining toucher displaced nothing). Returns nil
+// when everything is empty (a snapshot — new work may appear immediately
+// after).
+func (w *W) find() (t *task, fl execFlags) {
+	if t = w.popOwn(); t != nil {
+		return t, 0
 	}
-	if t := w.stealOnce(); t != nil {
-		return t, true
+	if t = w.stealOnce(); t != nil {
+		return t, execStolen
 	}
-	return w.rt.popInjected(), false
+	return w.rt.popInjected(), 0
 }
 
 // popOwn pops the worker's own deque down to its first live task. Owner-only.
-func (w *W) popOwn() (t *task, stolen bool) {
+func (w *W) popOwn() *task {
 	for {
 		t, ok := w.dq.PopBottom()
 		if !ok {
-			return nil, false
+			return nil
 		}
 		if t.unstarted() {
-			// A task parked here by one of our own steal-half batches is
-			// still displaced work: its execution is the deviation the batch
-			// caused, charged per executed task, not per batch.
-			return t, t.stolenBatch > 0
+			return t
 		}
 	}
 }
@@ -959,59 +946,25 @@ func (rt *Runtime) popInjected() *task {
 	return nil
 }
 
-// stealOnce makes one stealing sweep over the other workers under the
-// runtime's steal policy and returns the task the thief should execute now,
-// or nil when every probe came up dry. This is the runtime's single steal
-// decision point: victim order (affinity first under LastVictimAffinity,
-// domain-inside-out under Hierarchical, then two random-offset rounds)
-// lives here, per-victim take size lives in stealFrom.
+// stealOnce makes one stealing sweep over the other workers and returns the
+// task the thief should execute now, or nil when every probe came up dry. It
+// is the runtime's one steal rule: victims that share the thief's LLC domain
+// first, and across a boundary only when all of those are dry — a cross-domain
+// steal drags the task's working set through memory, the miss cost the
+// paper's bound prices. Within a tier the victim is uniform (stealScan) and a
+// visit takes one task from the top (stealFrom), so where all workers share
+// one domain this is the paper's uniformly random single steal.
 func (w *W) stealOnce() *task {
-	if len(w.rt.workers) == 1 {
-		return nil
+	if t := w.stealScan(w.peers); t != nil {
+		return t
 	}
-	if w.rt.stealPolicy == Hierarchical {
-		// Exhaust victims sharing our LLC domain before probing across a
-		// boundary: a cross-domain steal drags the task's working set
-		// through memory, the miss cost the paper's bound prices, so it is
-		// the last resort, not a 1/(n-1) coin flip.
-		if t := w.stealScan(w.peers); t != nil {
-			return t
-		}
-		return w.stealScan(w.remote)
-	}
-	ws := w.rt.workers
-	n := len(ws)
-	if w.rt.stealPolicy == LastVictimAffinity && w.lastVictim >= 0 {
-		// Affinity: revisit the last successful victim before probing. A dry
-		// visit forgets it, so a gone-cold victim costs one probe, not a
-		// permanent fixation.
-		if t := w.stealFrom(ws[w.lastVictim]); t != nil {
-			return t
-		}
-		w.lastVictim = -1
-	}
-	off := int(w.nextRand() % uint64(n))
-	for round := 0; round < 2; round++ {
-		for i := 0; i < n; i++ {
-			idx := (off + i) % n
-			v := ws[idx]
-			if v == w {
-				continue
-			}
-			if t := w.stealFrom(v); t != nil {
-				if w.rt.stealPolicy == LastVictimAffinity {
-					w.lastVictim = int32(idx)
-				}
-				return t
-			}
-		}
-	}
-	return nil
+	return w.stealScan(w.remote)
 }
 
 // stealScan probes a victim tier (the thief's domain peers, or the remote
-// workers) with the same two random-offset rounds the flat sweep uses.
-// Self is never in either tier, so no skip is needed.
+// workers) in two rounds from one random offset: the first victim is uniform
+// over the tier — the thief itself is in neither, so there is nobody to skip,
+// and no neighbour a skip would favour — and the rest follow in ring order.
 func (w *W) stealScan(vs []*W) *task {
 	n := len(vs)
 	if n == 0 {
@@ -1028,85 +981,20 @@ func (w *W) stealScan(vs []*W) *task {
 	return nil
 }
 
-// stealFrom robs victim v under the runtime's steal policy: one task from
-// the top (RandomSingle, LastVictimAffinity), or half of v's deque in one
-// visit (StealHalf — the thief keeps the oldest task to run and parks the
-// rest on its own deque, marked with the batch size so their executions are
-// attributed as steal deviations). Returns the task to execute, or nil when
-// the visit produced nothing runnable.
+// stealFrom robs victim v of the one task at the top of its deque, counting
+// the probe. Returns the task to execute, marked with whether it crossed an
+// LLC boundary to get here, or nil when the deque was empty, the steal lost a
+// race, or the task at the top had already been claimed (a toucher ran it
+// inline while it sat in the deque). Not a steal yet: that is counted when
+// the task runs (recordSteal).
 func (w *W) stealFrom(v *W) *task {
 	w.tele.Inc(telemetry.CStealAttempts)
-	// Locality attribution applies under every policy: whether this visit
-	// crosses an LLC boundary is a property of the (thief, victim) pair,
-	// not of the policy that chose the victim.
-	cross := w.domain != v.domain
-	if w.rt.stealPolicy != StealHalf {
-		t, ok := v.dq.StealTop()
-		if !ok || !t.unstarted() {
-			return nil
-		}
-		w.tele.Inc(telemetry.StealCounter(w.rt.stealPolicy))
-		w.tele.Inc(telemetry.LocalityCounter(cross))
-		t.stolenCross = cross
-		return t
-	}
-	// Steal half of the victim's current backlog, at least one task, capped
-	// by the batch buffer. Len is a racy estimate; StealN simply returns
-	// fewer when the deque drained under us.
-	want := (v.dq.Len() + 1) / 2
-	if want < 1 {
-		want = 1
-	}
-	if want > len(w.stealBuf) {
-		want = len(w.stealBuf)
-	}
-	got := v.dq.StealN(w.stealBuf[:want])
-	// Keep only tasks still unclaimed (a toucher may have inline-run one
-	// while it sat in the victim's deque); they alone displace work. fresh
-	// counts first-time displacements: a parked task re-stolen from another
-	// thief's deque is still the one displaced task it always was, so it
-	// must not bump Stats.Steals again.
-	live := w.stealBuf[:0]
-	fresh := 0
-	for _, t := range w.stealBuf[:got] {
-		if t.unstarted() {
-			if t.stolenBatch == 0 {
-				fresh++
-				// First displacement: pin the locality of the boundary this
-				// task actually crossed. A re-steal of an already-displaced
-				// task keeps its original attribution, mirroring the fresh
-				// counting above.
-				t.stolenCross = cross
-			}
-			live = append(live, t)
-		}
-	}
-	if len(live) == 0 {
-		for i := range w.stealBuf[:got] {
-			w.stealBuf[i] = nil
-		}
+	t, ok := v.dq.StealTop()
+	if !ok || !t.unstarted() {
 		return nil
 	}
-	batch := int16(len(live))
-	first := live[0]
-	first.stolenBatch = batch
-	// Park the rest on our own deque in stolen (oldest-first) order: the
-	// deque's top stays the oldest task — other thieves keep stealing
-	// shallowest-first — while we continue LIFO like any local work. No
-	// atomics beyond the Chase–Lev pushes themselves: the batch-size mark is
-	// a plain store made while the task is exclusively ours.
-	for _, t := range live[1:] {
-		t.stolenBatch = batch
-		w.dq.PushBottom(t)
-	}
-	for i := range w.stealBuf[:got] {
-		w.stealBuf[i] = nil
-	}
-	if fresh > 0 {
-		w.tele.Add(telemetry.CStealsStealHalf, int64(fresh))
-		w.tele.Add(telemetry.LocalityCounter(cross), int64(fresh))
-	}
-	return first
+	t.stolenCross = w.domain != v.domain
+	return t
 }
 
 // recordHelp credits and records one task executed while helping at a
@@ -1122,24 +1010,22 @@ func (w *W) recordHelp(t *task) {
 	}
 }
 
-// recordSteal records the steal of t after the thief executed it, tagged
-// with the steal policy in force, the size of the displaced batch t
-// arrived in (1 for a single steal), and whether the displacement crossed
-// a locality-domain boundary — one event per executed displaced task,
-// never one per batch.
+// recordSteal counts the steal of t, which the thief w has just executed,
+// everywhere a steal is counted: the thief's locality counter (whose two
+// columns are the steal count), t's job, and one KindSteal event stamped with
+// the runtime's steal rule and whether the task crossed a domain boundary.
+// One place and one time — run calls it before retire publishes completion —
+// so Stats.Steals, the per-job counts plus job-less steals, and a whole-run
+// trace's KindSteal count are the same number.
 func (w *W) recordSteal(t *task) {
+	w.tele.Inc(telemetry.LocalityCounter(t.stolenCross))
 	if js := t.job; js != nil {
 		js.steals.Add(1)
 	}
-	if !w.rt.recording() {
-		return
+	if w.rt.recording() {
+		w.record(profile.Event{Kind: profile.KindSteal, Task: t.id, Arg: -1, N: 1,
+			Steal: w.rt.StealPolicy(), Cross: t.stolenCross, Job: t.jobID()})
 	}
-	n := int32(t.stolenBatch)
-	if n == 0 {
-		n = 1
-	}
-	w.record(profile.Event{Kind: profile.KindSteal, Task: t.id, Arg: -1, N: n,
-		Steal: w.rt.stealPolicy, Cross: t.stolenCross, Job: t.jobID()})
 }
 
 // loop is the worker body: run what the own deque holds, and when it is
@@ -1148,15 +1034,12 @@ func (w *W) recordSteal(t *task) {
 func (w *W) loop() {
 	defer w.rt.wg.Done()
 	for !w.rt.closed.Load() {
-		t, stolen := w.popOwn()
+		var fl execFlags
+		t := w.popOwn()
 		if t == nil {
-			if t, stolen = w.dry(); t == nil {
+			if t, fl = w.dry(); t == nil {
 				continue
 			}
-		}
-		var fl execFlags
-		if stolen {
-			fl = execStolen
 		}
 		w.execCtx(t, fl)
 	}
@@ -1279,7 +1162,7 @@ type dryEpisode struct {
 
 // dryStep makes one decision of the episode ep, dryFor into it, and carries
 // it out unless it is dryPoll or dryPark, which are the caller's to perform.
-func (w *W) dryStep(ep *dryEpisode, dryFor time.Duration) (t *task, stolen bool, act dryAction) {
+func (w *W) dryStep(ep *dryEpisode, dryFor time.Duration) (t *task, fl execFlags, act dryAction) {
 	sinceSweep := noSweep
 	if ep.swept {
 		sinceSweep = dryFor - ep.sweptAt
@@ -1290,22 +1173,22 @@ func (w *W) dryStep(ep *dryEpisode, dryFor time.Duration) (t *task, stolen bool,
 		t = w.rt.popInjected()
 	case drySweep:
 		ep.swept, ep.sweptAt = true, dryFor
-		t = w.stealOnce()
-		stolen = t != nil
+		t, fl = w.stealOnce(), execStolen
 	}
-	return t, stolen, act
+	return t, fl, act
 }
 
-// dry is the dry path of the worker loop. It returns a task to run, or nil
-// after the worker has been through park or has seen the runtime closed; the
-// loop then looks at its own deque again.
-func (w *W) dry() (t *task, stolen bool) {
+// dry is the dry path of the worker loop. It returns a task to run and the
+// context to run it in (execStolen for one a sweep took), or nil after the
+// worker has been through park or has seen the runtime closed; the loop then
+// looks at its own deque again.
+func (w *W) dry() (t *task, fl execFlags) {
 	start := time.Now()
 	ep := dryEpisode{spareP: w.mayPoll(start)}
 	var act dryAction
 	var dryFor time.Duration
 	for !w.rt.closed.Load() {
-		if t, stolen, act = w.dryStep(&ep, dryFor); t != nil || act == dryPark {
+		if t, fl, act = w.dryStep(&ep, dryFor); t != nil || act == dryPark {
 			break
 		}
 		// After a sweep or a look at the injection queue that came up empty
@@ -1321,22 +1204,22 @@ func (w *W) dry() (t *task, stolen bool) {
 	case act == dryPark:
 		w.park()
 	}
-	return t, stolen
+	return t, fl
 }
 
 // pollTouch is the poll phase of a touch that found nothing to help with:
 // under the same admission rule and for the same window as the worker loop's,
-// the toucher yields the P and looks again. It reports true as soon as t is
+// the toucher yields the P and looks again. It reports true as soon as d is
 // done or some deque holds something to steal, false when the toucher should
 // block. The injection queue is not part of the poll: a root taken here runs
 // a whole unrelated job inside the touch while the toucher's own job, and the
 // client behind it, wait (with it serve-runtime read 6–10 % lower in 4 of 5
 // pairs; without it the same in 3 of 6).
-func (w *W) pollTouch(t *task) bool {
+func (w *W) pollTouch(d awaited) bool {
 	start := time.Now()
 	spareP := w.mayPoll(start)
 	for age := time.Duration(0); spareP && age < pollLimit; {
-		if age, spareP = w.yield(start, age); t.isDone() || w.rt.dequeued() {
+		if age, spareP = w.yield(start, age); d.isDone() || w.rt.dequeued() {
 			return true
 		}
 	}
@@ -1715,53 +1598,59 @@ func (f *Future[T]) await(w *W, latch uint32) bool {
 		f.rt.recordExternalTouch(&f.task, profile.ModeExternal, -1)
 		return true
 	}
-	// Help path: run other tasks while the future computes elsewhere.
+	w.helpUntil(&f.task, &f.task, -1)
+	return true
+}
+
+// helpUntil is the slow path of a worker's touch, shared by Future.await and
+// Stream.Get: until d is done — t itself for a future, the touched cell for a
+// stream whose producer is t — the worker runs other tasks, then polls like a
+// dry worker, and only then blocks. It records the touch (of t, item arg)
+// with the mode that satisfied the wait.
+func (w *W) helpUntil(t *task, d awaited, arg int32) {
 	var helps int32
 	for {
-		if f.isDone() {
+		if d.isDone() {
 			mode := profile.ModeReady
 			if helps > 0 {
 				mode = profile.ModeHelped
 			}
-			w.recordTouch(f.id, mode, helps, -1)
-			return true
+			w.recordTouch(t.id, mode, helps, arg)
+			return
 		}
 		// Unstarted after all (runInline's CAS lost to a latch landing on the
 		// word): claim it the general way. The inline credit is applied inside
 		// run, within the task's job-liveness window.
-		if w.execCtx(&f.task, execInline) {
-			w.recordTouch(f.id, profile.ModeInline, helps, -1)
-			return true
+		if w.execCtx(t, execInline) {
+			w.recordTouch(t.id, profile.ModeInline, helps, arg)
+			return
 		}
-		if t, stolen := w.find(); t != nil {
-			fl := execHelping
-			if stolen {
-				fl |= execStolen
-			}
-			if w.execCtx(t, fl) && !stolen {
+		if h, fl := w.find(); h != nil {
+			// A stolen task is a steal, not additionally a help (see run).
+			if w.execCtx(h, fl|execHelping) && fl&execStolen == 0 {
 				helps++
 			}
 			continue
 		}
-		// Nothing to do. Poll before sleeping, as the worker loop does: the
-		// future may complete, or work to help with appear, sooner than a
-		// block and a wake-up take.
-		if w.pollTouch(&f.task) {
+		// Nothing to do. Poll before sleeping, as the worker loop does: d may
+		// complete, or work to help with appear, sooner than a block and a
+		// wake-up take.
+		if w.pollTouch(d) {
 			continue
 		}
-		// Block until the future completes. The blocked credit goes to the
-		// touched task's job only when that is the toucher's own job (the
-		// supported discipline — futures are consumed by the computation that
-		// spawned them); a foreign job may already have retired and recycled,
-		// so it is skipped rather than raced.
+		// Block until d completes. The blocked credit goes to the touched
+		// task's job only when that is the toucher's own job (the supported
+		// discipline — futures are consumed by the computation that spawned
+		// them), whose liveness the running task guarantees; a foreign job may
+		// already have retired and recycled, so it is skipped rather than raced.
 		w.publish()
 		w.tele.Inc(telemetry.CBlockedTouches)
-		if js := f.job; js != nil && js == w.curJob {
+		if js := t.job; js != nil && js == w.curJob {
 			js.blocked.Add(1)
 		}
-		f.waitDone()
-		w.recordTouch(f.id, profile.ModeBlocked, helps, -1)
-		return true
+		d.waitDone()
+		w.recordTouch(t.id, profile.ModeBlocked, helps, arg)
+		return
 	}
 }
 
@@ -1860,26 +1749,28 @@ type WorkerStats struct {
 }
 
 // Stats snapshots the counters. The values are read off the telemetry rows —
-// Stats is a view over the always-on counter matrix, with Steals summed
-// across the per-policy columns to keep the historical single-total
-// contract. Once a computation whose futures were all touched has been
-// waited for (Run or Job.Wait returned) its tasks are all counted; while
-// tasks are in flight TasksRun and InlineTouches trail each running worker by
-// at most 256 tasks (see W.publish), on top of the usual skew of reading
-// live counters one after another.
+// Stats is a view over the always-on counter matrix, with Steals the sum of
+// its two locality columns. A steal is counted where the stolen task runs,
+// before the task's completion is published (recordSteal). Once a
+// computation whose futures were all touched has been waited for (Run or
+// Job.Wait returned) its tasks are all counted; while tasks are in flight
+// TasksRun and InlineTouches trail each running worker by at most 256 tasks
+// (see W.publish), on top of the usual skew of reading live counters one
+// after another.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
 	for _, w := range rt.workers {
+		intra, cross := w.tele.Load(telemetry.CStealsIntraDomain), w.tele.Load(telemetry.CStealsCrossDomain)
 		ws := WorkerStats{
 			ID:             w.id,
 			TasksRun:       w.tele.Load(telemetry.CTasksRun),
-			Steals:         w.tele.Steals(),
+			Steals:         intra + cross,
 			StealAttempts:  w.tele.Load(telemetry.CStealAttempts),
 			InlineTouches:  w.tele.Load(telemetry.CInlineTouches),
 			HelpedTasks:    w.tele.Load(telemetry.CHelpedTasks),
 			BlockedTouches: w.tele.Load(telemetry.CBlockedTouches),
-			IntraSteals:    w.tele.Load(telemetry.CStealsIntraDomain),
-			CrossSteals:    w.tele.Load(telemetry.CStealsCrossDomain),
+			IntraSteals:    intra,
+			CrossSteals:    cross,
 		}
 		s.TasksRun += ws.TasksRun
 		s.Steals += ws.Steals

@@ -386,19 +386,19 @@ func TestParkLostWakeup(t *testing.T) {
 	sleepers := []struct {
 		name string
 		// sleep takes worker 0 into park and returns what it finds afterwards.
-		sleep func(w *W) (*task, bool)
+		sleep func(w *W) (*task, execFlags)
 		// after is how long after the round's announcement park is due, which
 		// is also what a round costs: the slower sleeper gets fewer.
 		after  time.Duration
 		rounds int64
 	}{
-		{"park", func(w *W) (*task, bool) {
+		{"park", func(w *W) (*task, execFlags) {
 			w.park()
 			return w.find()
 		}, 0, 2000},
-		{"poll", func(w *W) (*task, bool) {
-			if t, stolen := w.dry(); t != nil {
-				return t, stolen
+		{"poll", func(w *W) (*task, execFlags) {
+			if t, fl := w.dry(); t != nil {
+				return t, fl
 			}
 			return w.find()
 		}, pollLimit, 500},
@@ -408,7 +408,7 @@ func TestParkLostWakeup(t *testing.T) {
 			for _, sl := range sleepers {
 				t.Run(sl.name, func(t *testing.T) {
 					rounds := sl.rounds
-					rt := bareRuntime(RandomSingle, 2)
+					rt := bareRuntime(2)
 					var round atomic.Int64
 					var wg sync.WaitGroup
 					wg.Add(1)
@@ -425,11 +425,7 @@ func TestParkLostWakeup(t *testing.T) {
 									stdruntime.Gosched()
 								}
 							}
-							for task, stolen := sl.sleep(w); task != nil; task, stolen = w.find() {
-								var fl execFlags
-								if stolen {
-									fl = execStolen
-								}
+							for task, fl := sl.sleep(w); task != nil; task, fl = w.find() {
 								w.execCtx(task, fl)
 								ran++
 							}
@@ -558,7 +554,6 @@ func TestRuntimeLayout(t *testing.T) {
 	headerEnd := max(
 		end(unsafe.Offsetof(rt.workers), unsafe.Sizeof(rt.workers)),
 		end(unsafe.Offsetof(rt.discipline), unsafe.Sizeof(rt.discipline)),
-		end(unsafe.Offsetof(rt.stealPolicy), unsafe.Sizeof(rt.stealPolicy)),
 		end(unsafe.Offsetof(rt.domainConds), unsafe.Sizeof(rt.domainConds)),
 		end(unsafe.Offsetof(rt.closed), unsafe.Sizeof(rt.closed)),
 		end(unsafe.Offsetof(rt.prof), unsafe.Sizeof(rt.prof)),

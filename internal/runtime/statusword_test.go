@@ -113,7 +113,7 @@ var touchCases = []struct {
 		// passed is running "elsewhere" (claimed by hand); the only other
 		// work is a task that completes it, so the toucher's help loop runs
 		// that task and then finds passed done.
-		rt := bareRuntime(RandomSingle, 2)
+		rt := bareRuntime(2)
 		w0 := rt.workers[0]
 		passed := SpawnWith(rt, nil, ParentFirst, sevenFn)
 		if !passed.claim() {
@@ -132,7 +132,7 @@ var touchCases = []struct {
 		return o
 	}},
 	{"blocked", true, nil, func(t *testing.T, e touchEntry) (o touchOutcome) {
-		rt := bareRuntime(RandomSingle, 1)
+		rt := bareRuntime(1)
 		w0 := rt.workers[0]
 		passed := SpawnWith(rt, nil, ParentFirst, sevenFn)
 		if !passed.claim() {
@@ -425,7 +425,7 @@ func TestStatusWordLatchSurvivesCompletion(t *testing.T) {
 // word ends done|touched.
 func TestStatusWordTouchVsThief(t *testing.T) {
 	const rounds = 1000
-	rt := bareRuntime(RandomSingle, 2)
+	rt := bareRuntime(2)
 	w0, w1 := rt.workers[0], rt.workers[1]
 	for r := 0; r < rounds; r++ {
 		var runs atomic.Int32
@@ -467,7 +467,7 @@ func TestStatusWordTouchVsThief(t *testing.T) {
 func TestStatusWordTouchedBeforeStart(t *testing.T) {
 	for _, via := range []string{"find", "stealFrom"} {
 		t.Run(via, func(t *testing.T) {
-			rt := bareRuntime(RandomSingle, 2)
+			rt := bareRuntime(2)
 			w0, w1 := rt.workers[0], rt.workers[1]
 			f := SpawnWith(rt, w0, ParentFirst, sevenFn)
 			res := make(chan int)

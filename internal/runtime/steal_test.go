@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	stdruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -17,34 +18,43 @@ import (
 // would work too; a named function keeps the deterministic tests readable).
 func leafIntFn(*W) int { return 1 }
 
+// stealTopologies are the two shapes the runtime's one steal rule takes at
+// four workers: all in one domain (the theorem's uniform thief) and striped
+// [0 0 1 1] over two (the domain-tiered thief).
+func stealTopologies(t *testing.T) []*topology.Topology {
+	return []*topology.Topology{topology.Flat(4), synth(t, "2x2")}
+}
+
 // TestStealPoliciesComputeCorrectly runs the same fib workload under every
-// (fork discipline × steal policy) pair on several workers: the result must
-// be identical everywhere — a steal policy moves work, it must never change
-// what is computed.
+// (fork discipline × topology) pair on several workers: the result must be
+// identical everywhere — where a thief looks first moves work, it must never
+// change what is computed.
 func TestStealPoliciesComputeCorrectly(t *testing.T) {
 	const n = 18
 	ref := -1
 	for _, d := range []Discipline{FutureFirst, ParentFirst} {
-		for _, sp := range policy.StealPolicies {
-			rt := New(WithWorkers(4), WithDiscipline(d), WithStealPolicy(sp), WithSeed(7))
+		for _, topo := range stealTopologies(t) {
+			rt := New(WithWorkers(4), WithDiscipline(d), WithTopology(topo), WithSeed(7))
 			got := Run(rt, func(w *W) int { return profFib(rt, w, n) })
 			rt.Shutdown()
 			if ref == -1 {
 				ref = got
 			}
 			if got != ref {
-				t.Fatalf("fib(%d) under %v × %v = %d, want %d", n, d, sp, got, ref)
+				t.Fatalf("fib(%d) under %v on %s = %d, want %d", n, d, topo.Source, got, ref)
 			}
 		}
 	}
 }
 
-// TestStealPolicyRecordedPerEvent: every traced steal must carry the steal
-// policy the runtime was configured with, and the reconstruction's
-// per-policy attribution must contain no other policy.
+// TestStealPolicyRecordedPerEvent: every traced steal must carry the name the
+// runtime derives for its steal rule from its topology, as a single steal,
+// and the reconstruction's per-policy attribution must contain no other
+// policy.
 func TestStealPolicyRecordedPerEvent(t *testing.T) {
-	for _, sp := range policy.StealPolicies {
-		rt := New(WithWorkers(4), WithStealPolicy(sp), WithSeed(3))
+	for _, topo := range stealTopologies(t) {
+		rt := New(WithWorkers(4), WithTopology(topo), WithSeed(3))
+		sp := rt.StealPolicy()
 		if err := rt.StartProfile(); err != nil {
 			t.Fatal(err)
 		}
@@ -62,74 +72,14 @@ func TestStealPolicyRecordedPerEvent(t *testing.T) {
 				t.Fatalf("policy %v: %d steals attributed to %v", sp, n, p)
 			}
 		}
-		for _, ev := range tr.Events() {
-			if ev.Kind != profile.KindSteal {
-				continue
-			}
+		for _, ev := range stealEvents(tr) {
 			if ev.Steal != sp {
-				t.Fatalf("steal event carries %v, runtime configured %v", ev.Steal, sp)
+				t.Fatalf("steal event carries %v, runtime on %s steals %v", ev.Steal, topo.Source, sp)
 			}
-			if ev.N < 1 || ev.N > stealBatchMax {
-				t.Fatalf("steal event batch size %d out of range [1, %d]", ev.N, stealBatchMax)
-			}
-			if sp != StealHalf && ev.N != 1 {
-				t.Fatalf("policy %v recorded batch size %d, want 1", sp, ev.N)
+			if ev.N != 1 {
+				t.Fatalf("steal event batch size %d, want 1", ev.N)
 			}
 		}
-	}
-}
-
-// TestStealHalfNoDoubleAttribution is the regression test for the
-// recordSteal double-attribution edge: a steal-half batch must contribute
-// one deviation per *executed displaced task* — never one event per batch
-// member at steal time, never two events for one task, and never an event
-// for a task whose execution the thief lost to an inlining toucher.
-func TestStealHalfNoDoubleAttribution(t *testing.T) {
-	rt := New(WithWorkers(4), WithStealPolicy(StealHalf), WithSeed(11))
-	if err := rt.StartProfile(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		Run(rt, func(w *W) int { return profFib(rt, w, 17) })
-	}
-	tr := rt.StopProfile()
-	stats := rt.Stats()
-	rt.Shutdown()
-
-	stolen := map[uint64]int{}
-	inline := map[uint64]bool{}
-	begun := map[uint64]bool{}
-	var traceSteals int64
-	for _, ev := range tr.Events() {
-		switch ev.Kind {
-		case profile.KindSteal:
-			stolen[ev.Task]++
-			traceSteals++
-		case profile.KindTouch:
-			if ev.Mode == profile.ModeInline {
-				inline[ev.Other] = true
-			}
-		case profile.KindBegin:
-			begun[ev.Task] = true
-		}
-	}
-	for id, n := range stolen {
-		if n != 1 {
-			t.Errorf("task %d has %d steal events, want exactly 1 per executed displaced task", id, n)
-		}
-		if inline[id] {
-			t.Errorf("task %d recorded both a steal and an inline touch: the thief lost the exec race and displaced nothing", id)
-		}
-		if !begun[id] {
-			t.Errorf("task %d recorded as stolen but never began executing", id)
-		}
-	}
-	// Stats count stolen tasks at steal time; the trace counts executed
-	// displaced tasks. A task can be batch-stolen and then claimed by a
-	// toucher before the thief runs it, so the trace may record fewer —
-	// but never more.
-	if traceSteals > stats.Steals {
-		t.Fatalf("trace records %d steal deviations, stats only %d stolen tasks", traceSteals, stats.Steals)
 	}
 }
 
@@ -137,14 +87,14 @@ func TestStealHalfNoDoubleAttribution(t *testing.T) {
 // worker loops: the test goroutine owns every W and can drive find/exec/
 // stealFrom deterministically. Only the paths that never park may be used
 // (worker-local pushes, steals, exec); Shutdown must not be called.
-func bareRuntime(sp StealPolicy, workers int) *Runtime {
-	return bareRuntimeOn(sp, workers, topology.Flat(workers))
+func bareRuntime(workers int) *Runtime {
+	return bareRuntimeOn(workers, topology.Flat(workers))
 }
 
 // bareRuntimeOn is bareRuntime on an explicit topology, so a test can place
 // workers in more than one locality domain.
-func bareRuntimeOn(sp StealPolicy, workers int, topo *topology.Topology) *Runtime {
-	rt := &Runtime{stealPolicy: sp, born: time.Now()}
+func bareRuntimeOn(workers int, topo *topology.Topology) *Runtime {
+	rt := &Runtime{born: time.Now()}
 	rt.topo = topo
 	rt.assign = rt.topo.Assign(workers)
 	rt.tele = telemetry.NewSet(workers)
@@ -155,10 +105,7 @@ func bareRuntimeOn(sp StealPolicy, workers int, topo *topology.Topology) *Runtim
 	}
 	rt.slotCond = sync.NewCond(&rt.mu)
 	for i := 0; i < workers; i++ {
-		w := &W{rt: rt, id: i, dq: deque.NewPtr[task](64), tele: rt.tele.Row(i), domain: rt.assign.Domain[i], rng: uint64(i + 1), lastVictim: -1}
-		if sp == StealHalf {
-			w.stealBuf = make([]*task, stealBatchMax)
-		}
+		w := &W{rt: rt, id: i, dq: deque.NewPtr[task](64), tele: rt.tele.Row(i), domain: rt.assign.Domain[i], rng: uint64(i + 1)}
 		rt.workers = append(rt.workers, w)
 	}
 	for _, w := range rt.workers {
@@ -187,207 +134,252 @@ func stealEvents(tr *profile.Trace) []profile.Event {
 	return out
 }
 
-// TestStealHalfBatchAccountingDeterministic drives one steal-half batch by
-// hand on a loop-less runtime: worker 0 spawns six tasks, worker 1 robs it
-// once (a batch of three), executes the first and drains the two parked
-// extras from its own deque. Exactly three steal events must appear — one
-// per executed displaced task — each tagged with the batch size, and the
-// three undisturbed tasks must still be on the victim's deque.
-func TestStealHalfBatchAccountingDeterministic(t *testing.T) {
-	rt := bareRuntime(StealHalf, 2)
-	w0, w1 := rt.workers[0], rt.workers[1]
+// TestStealCountedOnce drives the counted-once law by hand on a 2x2 layout
+// (domains [0 0 1 1]): a steal is counted where the stolen task runs, in
+// every place at once — the thief's locality counter (whose two columns are
+// Stats.Steals), the task's job and one KindSteal event — and a thief that
+// loses the task to a toucher between the deque and the claim counts a steal
+// attempt and nothing else.
+func TestStealCountedOnce(t *testing.T) {
+	rt := bareRuntimeOn(4, synth(t, "2x2"))
 	if err := rt.StartProfile(); err != nil {
 		t.Fatal(err)
 	}
-	var futs []*Future[int]
-	for i := 0; i < 6; i++ {
-		futs = append(futs, SpawnWith(rt, w0, ParentFirst, leafIntFn))
-	}
-	if w0.dq.Len() != 6 {
-		t.Fatalf("victim deque has %d tasks, want 6", w0.dq.Len())
-	}
+	thief, peer, remote := rt.workers[0], rt.workers[1], rt.workers[2]
 
-	first := w1.stealFrom(w0)
-	if first == nil {
-		t.Fatal("stealFrom found nothing on a full victim")
-	}
-	if first.stolenBatch != 3 {
-		t.Fatalf("batch size = %d, want 3 (half of 6)", first.stolenBatch)
-	}
-	if w1.dq.Len() != 2 {
-		t.Fatalf("thief parked %d extras, want 2", w1.dq.Len())
-	}
-	if w0.dq.Len() != 3 {
-		t.Fatalf("victim left with %d tasks, want 3", w0.dq.Len())
-	}
-	if !w1.execCtx(first, 0) {
-		t.Fatal("thief lost exec of an exclusively held task")
-	}
-	w1.recordSteal(first)
-	for i := 0; i < 2; i++ {
-		tk, stolen := w1.find()
-		if tk == nil || !stolen {
-			t.Fatalf("find() on parked extra %d = (%v, %v), want displaced task", i, tk, stolen)
-		}
-		if !w1.execCtx(tk, 0) {
-			t.Fatal("thief lost exec of a parked extra")
-		}
-		w1.recordSteal(tk)
-	}
-
-	// The three survivors run on their owner — ordinary pops, no deviation.
-	for i := 0; i < 3; i++ {
-		tk, stolen := w0.find()
-		if tk == nil || stolen {
-			t.Fatalf("owner pop %d = (%v, stolen=%v), want own undisplaced task", i, tk, stolen)
-		}
-		w0.execCtx(tk, 0)
-	}
-	for _, f := range futs {
-		if v := f.Touch(w0); v != 1 {
-			t.Fatalf("future = %d, want 1", v)
-		}
-	}
-
-	evs := stealEvents(rt.StopProfile())
-	if len(evs) != 3 {
-		t.Fatalf("trace has %d steal events, want exactly 3 (one per executed displaced task, not one per batch)", len(evs))
-	}
-	seen := map[uint64]bool{}
-	for _, ev := range evs {
-		if ev.N != 3 {
-			t.Errorf("steal event N = %d, want batch size 3", ev.N)
-		}
-		if ev.Steal != StealHalf {
-			t.Errorf("steal event policy = %v, want steal-half", ev.Steal)
-		}
-		if ev.Worker != 1 {
-			t.Errorf("steal event on worker %d, want the thief (1)", ev.Worker)
-		}
-		if seen[ev.Task] {
-			t.Errorf("task %d double-attributed", ev.Task)
-		}
-		seen[ev.Task] = true
-	}
-	if st := rt.Stats(); st.Steals != 3 {
-		t.Errorf("Stats.Steals = %d, want 3", st.Steals)
-	}
-}
-
-// TestStealHalfClaimedMidBatch is the other half of the double-attribution
-// edge: a task claimed by an inlining toucher while the batch was in
-// flight displaced nothing, so it must appear in no steal event and must
-// shrink the recorded batch size.
-func TestStealHalfClaimedMidBatch(t *testing.T) {
-	rt := bareRuntime(StealHalf, 2)
-	w0, w1 := rt.workers[0], rt.workers[1]
-	if err := rt.StartProfile(); err != nil {
-		t.Fatal(err)
-	}
-	var futs []*Future[int]
-	for i := 0; i < 4; i++ {
-		futs = append(futs, SpawnWith(rt, w0, ParentFirst, leafIntFn))
-	}
-	// The owner touches the second-oldest future: it executes inline while
-	// its (now stale) pointer still sits in the deque.
-	if v := futs[1].Touch(w0); v != 1 {
-		t.Fatal("inline touch failed")
-	}
-
-	first := w1.stealFrom(w0) // Len 4 → batch want 2 → takes futs[0], futs[1](claimed)
-	if first == nil {
-		t.Fatal("stealFrom found nothing")
-	}
-	if first != &futs[0].task {
-		t.Fatal("thief should hold the oldest unclaimed task")
-	}
-	if first.stolenBatch != 1 {
-		t.Fatalf("recorded batch = %d, want 1 (the claimed task displaced nothing)", first.stolenBatch)
-	}
-	if w1.dq.Len() != 0 {
-		t.Fatalf("thief parked %d extras, want 0", w1.dq.Len())
-	}
-	if !w1.execCtx(first, 0) {
-		t.Fatal("thief lost exec")
-	}
-	w1.recordSteal(first)
-
-	for {
-		tk, _ := w0.find()
-		if tk == nil {
-			break
-		}
-		w0.execCtx(tk, 0)
-	}
-	for i, f := range futs {
-		if i == 1 {
-			continue // already touched
-		}
-		if v := f.Touch(w0); v != 1 {
-			t.Fatalf("future %d = %d, want 1", i, v)
-		}
-	}
-
-	evs := stealEvents(rt.StopProfile())
-	if len(evs) != 1 {
-		t.Fatalf("trace has %d steal events, want 1", len(evs))
-	}
-	if evs[0].Task != futs[0].id || evs[0].N != 1 {
-		t.Fatalf("steal event = task %d N=%d, want task %d N=1", evs[0].Task, evs[0].N, futs[0].id)
-	}
-	if st := rt.Stats(); st.Steals != 1 {
-		t.Errorf("Stats.Steals = %d, want 1 (claimed batch member not counted)", st.Steals)
-	}
-}
-
-// TestLastVictimAffinityCaching drives the affinity cache by hand: a
-// successful steal must pin the victim, a dry revisit must unpin it.
-func TestLastVictimAffinityCaching(t *testing.T) {
-	rt := bareRuntime(LastVictimAffinity, 3)
-	w0, w2 := rt.workers[0], rt.workers[2]
-	f1 := SpawnWith(rt, w0, ParentFirst, leafIntFn)
-	f2 := SpawnWith(rt, w0, ParentFirst, leafIntFn)
-
-	tk := w2.stealOnce()
-	if tk == nil {
-		t.Fatal("stealOnce found nothing")
-	}
-	if w2.lastVictim != 0 {
-		t.Fatalf("lastVictim = %d after stealing from worker 0, want 0", w2.lastVictim)
-	}
-	w2.execCtx(tk, 0)
-	// Second steal: the cache points at worker 0, which still has work.
-	tk = w2.stealOnce()
-	if tk == nil {
-		t.Fatal("affinity revisit found nothing on a non-empty cached victim")
-	}
-	w2.execCtx(tk, 0)
-	if w2.lastVictim != 0 {
-		t.Fatalf("lastVictim = %d, want 0 retained", w2.lastVictim)
-	}
-	// Third sweep: every deque is empty — the dry visit must clear the pin.
-	if tk = w2.stealOnce(); tk != nil {
-		t.Fatalf("stealOnce on empty deques returned %v", tk)
-	}
-	if w2.lastVictim != -1 {
-		t.Fatalf("lastVictim = %d after dry sweep, want -1", w2.lastVictim)
-	}
-	f1.Touch(w0)
-	f2.Touch(w0)
-}
-
-// TestHierarchicalProbesPeersFirst drives the hierarchical tier order by
-// hand on a 2x2 layout (domains [0 0 1 1]): with one task on the thief's
-// domain peer and one on a remote worker, the first steal must take the
-// peer's and count intra-domain; only with the peer dry may the thief cross
-// the boundary, and that steal must count cross-domain. Swapping the two
-// stealScan calls in stealOnce fails the first half.
-func TestHierarchicalProbesPeersFirst(t *testing.T) {
-	topo, err := topology.Synthetic("2x2")
+	// Two jobs, their roots run by hand: job 1's on the thief's domain peer,
+	// where it leaves two children on the deque (lost on top, near under it),
+	// job 2's across the boundary, where it leaves one.
+	var lost, near, far *Future[int]
+	j1, err := Submit(rt, func(w *W) int {
+		lost = SpawnWith(rt, w, ParentFirst, leafIntFn)
+		near = SpawnWith(rt, w, ParentFirst, leafIntFn)
+		return 0
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := bareRuntimeOn(Hierarchical, 4, topo)
+	j2, err := Submit(rt, func(w *W) int {
+		far = SpawnWith(rt, w, ParentFirst, leafIntFn)
+		return 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []*W{peer, remote} {
+		if root := rt.popInjected(); root == nil || !w.execCtx(root, 0) {
+			t.Fatalf("worker %d could not run its job's root", w.id)
+		}
+	}
+	type counts struct{ attempts, steals, split, job1, job2 int64 }
+	read := func() counts {
+		st := rt.Stats()
+		return counts{thief.tele.Load(telemetry.CStealAttempts), st.Steals,
+			st.IntraSteals + st.CrossSteals, j1.Stats().Steals, j2.Stats().Steals}
+	}
+
+	// (a) The thief takes lost off the peer's deque; the peer touches it — it
+	// claims and runs it inline — before the thief's claim.
+	tk := thief.stealOnce()
+	if tk != &lost.task {
+		t.Fatal("the first steal did not take the task at the top of the peer's deque")
+	}
+	if lost.Touch(peer) != 1 {
+		t.Fatal("the toucher did not run the task the thief holds")
+	}
+	if thief.execCtx(tk, execStolen) {
+		t.Fatal("the thief claimed a task its toucher had already run")
+	}
+	if got, want := read(), (counts{attempts: 1}); got != want {
+		t.Fatalf("after a steal lost to a toucher: %+v, want %+v — one attempt and nothing else", got, want)
+	}
+
+	// (b) The thief takes near and runs it: counted everywhere, once.
+	if tk = thief.stealOnce(); tk != &near.task || !thief.execCtx(tk, execStolen) {
+		t.Fatal("the thief did not get to run the peer's second task")
+	}
+	if got, want := read(), (counts{attempts: 2, steals: 1, split: 1, job1: 1}); got != want {
+		t.Fatalf("after an executed intra-domain steal: %+v, want %+v", got, want)
+	}
+	// The same across the boundary, charged to the other job.
+	if tk = thief.stealOnce(); tk != &far.task || !thief.execCtx(tk, execStolen) {
+		t.Fatal("the thief did not get to run the remote worker's task")
+	}
+	got := read()
+	got.attempts = 0 // the dry peer tier and a random remote offset: 3 or 4 more
+	if want := (counts{steals: 2, split: 2, job1: 1, job2: 1}); got != want {
+		t.Fatalf("after an executed cross-domain steal: %+v, want %+v", got, want)
+	}
+	if st := rt.Stats(); st.IntraSteals != 1 || st.CrossSteals != 1 {
+		t.Fatalf("locality split %d/%d, want 1/1", st.IntraSteals, st.CrossSteals)
+	}
+
+	evs := stealEvents(rt.StopProfile())
+	want := []profile.Event{
+		{Task: near.id, Cross: false, Job: j1.ID()},
+		{Task: far.id, Cross: true, Job: j2.ID()},
+	}
+	if len(evs) != len(want) {
+		t.Fatalf("trace has %d steal events, want %d (none for the task the toucher ran): %v", len(evs), len(want), evs)
+	}
+	for i, ev := range evs {
+		if ev.Task != want[i].Task || ev.Cross != want[i].Cross || ev.Job != want[i].Job ||
+			ev.N != 1 || ev.Steal != Hierarchical || ev.Worker != int32(thief.id) {
+			t.Errorf("steal event %d = %v, want task %d cross=%v job %d, N=1, %v, on the thief",
+				i, ev, want[i].Task, want[i].Cross, want[i].Job, Hierarchical)
+		}
+	}
+	if near.Touch(peer)+far.Touch(remote)+j1.Wait()+j2.Wait() != 2 {
+		t.Fatal("wrong results")
+	}
+}
+
+// passedTree is fork-join with a passed future at every node (Figure 5(b)):
+// the node spawns a leaf and hands it to the child it forks next, which
+// touches it — so a touch meets a future that is on another task's deque, in
+// a thief's hands or running elsewhere, not only at the toucher's own deque
+// bottom. Only leaves are passed: a task that can itself block is touched by
+// its creator alone, so a helping worker never runs a toucher of something
+// suspended further down its own stack. The leaves of the tree yield, so that
+// thieves get to run on one P too. Returns 2^(depth+1) − 1.
+func passedTree(rt *Runtime, w *W, depth int) int {
+	if depth == 0 {
+		stdruntime.Gosched()
+		return 1
+	}
+	leaf := Spawn(rt, w, leafIntFn)
+	l := Spawn(rt, w, func(w *W) int { return passedTree(rt, w, depth-1) + leaf.Touch(w) })
+	r := passedTree(rt, w, depth-1)
+	return l.Touch(w) + r
+}
+
+// TestStealCountedOnceLive is the counted-once law on the running scheduler,
+// profiling the whole run, on both topologies: Stats.Steals, the trace's
+// KindSteal count and the per-job counts plus the job-less steals are one
+// number, and no stolen task has two steal events, or a steal event and an
+// inline touch (a thief that lost the task to its toucher stole nothing), or
+// a steal event and no execution.
+func TestStealCountedOnceLive(t *testing.T) {
+	for _, topo := range stealTopologies(t) {
+		rt := New(WithWorkers(4), WithTopology(topo), WithSeed(11))
+		if err := rt.StartProfile(); err != nil {
+			t.Fatal(err)
+		}
+		var jobSteals int64
+		for round := 0; round < 200 && (round < 10 || rt.Stats().Steals == 0); round++ {
+			if got := Run(rt, func(w *W) int { return profFib(rt, w, 16) + passedTree(rt, w, 7) }); got != 987+255 {
+				t.Fatalf("run = %d, want %d", got, 987+255)
+			}
+			var jobs []Job[int]
+			for i := 0; i < 4; i++ {
+				j, err := Submit(rt, func(w *W) int { return profFib(rt, w, 12) + passedTree(rt, w, 5) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs = append(jobs, j)
+			}
+			for _, j := range jobs {
+				if got := j.Wait(); got != 144+63 {
+					t.Fatalf("job = %d, want %d", got, 144+63)
+				}
+				jobSteals += j.Stats().Steals
+			}
+		}
+		tr := rt.StopProfile()
+		st := rt.Stats()
+		rt.Shutdown()
+		if st.Steals == 0 {
+			t.Fatalf("%s: no steal in 200 rounds at 4 workers", topo.Source)
+		}
+
+		stolen := map[uint64]int{}
+		inline := map[uint64]bool{}
+		begun := map[uint64]bool{}
+		var jobless, cross int64
+		for _, ev := range tr.Events() {
+			switch ev.Kind {
+			case profile.KindSteal:
+				stolen[ev.Task]++
+				if ev.Job == 0 {
+					jobless++
+				}
+				if ev.Cross {
+					cross++
+				}
+			case profile.KindTouch:
+				if ev.Mode == profile.ModeInline {
+					inline[ev.Other] = true
+				}
+			case profile.KindBegin:
+				begun[ev.Task] = true
+			}
+		}
+		for id, n := range stolen {
+			if n != 1 || inline[id] || !begun[id] {
+				t.Errorf("%s: task %d: %d steal events, inline touch %v, began %v — want 1, false, true",
+					topo.Source, id, n, inline[id], begun[id])
+			}
+		}
+		if n := int64(len(stealEvents(tr))); st.Steals != n || st.IntraSteals+st.CrossSteals != n ||
+			jobSteals+jobless != n || st.CrossSteals != cross {
+			t.Fatalf("%s: Stats.Steals %d, intra+cross %d+%d, per-job %d + job-less %d, trace %d steal events (%d cross) — want one number",
+				topo.Source, st.Steals, st.IntraSteals, st.CrossSteals, jobSteals, jobless, n, cross)
+		}
+		if topo.NumDomains() == 1 && st.CrossSteals != 0 {
+			t.Fatalf("flat topology counted %d cross-domain steals", st.CrossSteals)
+		}
+	}
+}
+
+// TestStealVictimUniformOnFlat: where all workers share one domain the
+// runtime's steal rule is the theorem's — every other worker is a peer, none
+// is remote, and the first victim of a sweep is uniform over them. (A sweep
+// that draws its offset over all n workers and skips the thief visits the
+// worker after the thief first with probability 2/n.)
+func TestStealVictimUniformOnFlat(t *testing.T) {
+	rt := bareRuntimeOn(4, topology.Flat(4))
+	if rt.StealPolicy() != RandomSingle {
+		t.Fatalf("flat topology steals %v, want %v", rt.StealPolicy(), RandomSingle)
+	}
+	for _, w := range rt.workers {
+		if len(w.peers) != 3 || len(w.remote) != 0 {
+			t.Fatalf("worker %d: %d peers, %d remote — want 3 and 0", w.id, len(w.peers), len(w.remote))
+		}
+	}
+	thief := rt.workers[0]
+	holder := map[*task]*W{}
+	for _, v := range thief.peers {
+		holder[&SpawnWith(rt, v, ParentFirst, leafIntFn).task] = v
+	}
+	const draws = 3000
+	first := map[int]int{}
+	for i := 0; i < draws; i++ {
+		tk := thief.stealOnce()
+		v := holder[tk]
+		if v == nil {
+			t.Fatalf("draw %d: stealOnce returned %v with every victim holding a task", i, tk)
+		}
+		first[v.id]++
+		v.dq.PushBottom(tk) // hand it back: every draw sees three full victims
+	}
+	for _, v := range thief.peers {
+		if n := first[v.id]; n < draws/3*9/10 || n > draws/3*11/10 {
+			t.Errorf("worker %d was robbed first in %d of %d sweeps, want a third ±10%% (%v)", v.id, n, draws, first)
+		}
+	}
+	if got := bareRuntimeOn(4, synth(t, "2x2")).StealPolicy(); got != Hierarchical {
+		t.Fatalf("2x2 topology steals %v, want %v", got, Hierarchical)
+	}
+}
+
+// TestHierarchicalProbesPeersFirst drives the tier order by hand on a 2x2
+// layout (domains [0 0 1 1]): with one task on the thief's domain peer and
+// one on a remote worker, the first steal must take the peer's and count
+// intra-domain once the thief has run it; only with the peer dry may the
+// thief cross the boundary, and that steal must count cross-domain. Swapping
+// the two stealScan calls in stealOnce fails the first half.
+func TestHierarchicalProbesPeersFirst(t *testing.T) {
+	rt := bareRuntimeOn(4, synth(t, "2x2"))
 	for i, want := range []int{0, 0, 1, 1} {
 		if got := rt.workers[i].domain; got != want {
 			t.Fatalf("worker %d in domain %d, want %d", i, got, want)
@@ -406,10 +398,10 @@ func TestHierarchicalProbesPeersFirst(t *testing.T) {
 	if tk.id != near.id {
 		t.Fatalf("first steal took task %d, want the domain peer's task %d (remote's is %d)", tk.id, near.id, far.id)
 	}
+	thief.execCtx(tk, execStolen)
 	if tk.stolenCross || intra() != 1 || cross() != 0 {
 		t.Fatalf("peer steal: stolenCross=%v intra=%d cross=%d, want false 1 0", tk.stolenCross, intra(), cross())
 	}
-	thief.execCtx(tk, 0)
 
 	tk = thief.stealOnce()
 	if tk == nil {
@@ -418,10 +410,10 @@ func TestHierarchicalProbesPeersFirst(t *testing.T) {
 	if tk.id != far.id {
 		t.Fatalf("second steal took task %d, want the remote worker's task %d", tk.id, far.id)
 	}
+	thief.execCtx(tk, execStolen)
 	if !tk.stolenCross || intra() != 1 || cross() != 1 {
 		t.Fatalf("remote steal: stolenCross=%v intra=%d cross=%d, want true 1 1", tk.stolenCross, intra(), cross())
 	}
-	thief.execCtx(tk, 0)
 
 	if tk = thief.stealOnce(); tk != nil {
 		t.Fatalf("stealOnce on empty deques returned task %d", tk.id)
@@ -433,12 +425,12 @@ func TestHierarchicalProbesPeersFirst(t *testing.T) {
 
 // TestSingleWorkerDeviationParity is the sim-vs-runtime parity check on a
 // deterministic single-worker schedule: with one worker there is nobody to
-// rob, so under every steal policy the measured deviation count and the
-// P=1 simulator replay of the reconstructed DAG must both be exactly zero
-// — the two layers agree on what the steal discipline cost.
+// rob, so the measured deviation count and the P=1 simulator replay of the
+// reconstructed DAG under every steal policy must both be exactly zero — the
+// two layers agree on what the steal discipline cost.
 func TestSingleWorkerDeviationParity(t *testing.T) {
 	for _, sp := range policy.StealPolicies {
-		rt := New(WithWorkers(1), WithStealPolicy(sp))
+		rt := New(WithWorkers(1))
 		if err := rt.StartProfile(); err != nil {
 			t.Fatal(err)
 		}
@@ -464,30 +456,26 @@ func TestSingleWorkerDeviationParity(t *testing.T) {
 	}
 }
 
-// TestWithStealPolicyValidates: an undefined steal policy must be rejected
-// at construction, like an undefined discipline.
-func TestWithStealPolicyValidates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WithStealPolicy(9) should panic")
-		}
-	}()
-	New(WithStealPolicy(policy.StealPolicy(9)))
-}
-
-// TestStealPolicyAccessor: the configured policy is visible on the runtime
-// and defaults to RandomSingle.
+// TestStealPolicyAccessor: the steal rule's name is read off where the
+// workers landed — one domain, or a topology whose second domain no worker
+// reached, is RandomSingle; workers across two domains are Hierarchical.
 func TestStealPolicyAccessor(t *testing.T) {
-	rt := New(WithWorkers(1))
-	if rt.StealPolicy() != RandomSingle {
-		t.Fatalf("default steal policy = %v, want RandomSingle", rt.StealPolicy())
+	for _, tc := range []struct {
+		workers int
+		topo    *topology.Topology
+		want    StealPolicy
+	}{
+		{1, topology.Flat(1), RandomSingle},
+		{4, topology.Flat(4), RandomSingle},
+		{2, synth(t, "2x2"), RandomSingle},
+		{4, synth(t, "2x2"), Hierarchical},
+	} {
+		rt := New(WithWorkers(tc.workers), WithTopology(tc.topo))
+		if got := rt.StealPolicy(); got != tc.want {
+			t.Errorf("%d workers on %s: StealPolicy() = %v, want %v", tc.workers, tc.topo.Source, got, tc.want)
+		}
+		rt.Shutdown()
 	}
-	rt.Shutdown()
-	rt = New(WithWorkers(1), WithStealPolicy(LastVictimAffinity))
-	if rt.StealPolicy() != LastVictimAffinity {
-		t.Fatalf("StealPolicy() = %v", rt.StealPolicy())
-	}
-	rt.Shutdown()
 }
 
 // TestMatrixCoversAllCells: the profile report's (fork × steal) matrix must

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"futurelocality/internal/profile"
-	"futurelocality/internal/telemetry"
 )
 
 // Stream is the runtime counterpart of the paper's local-touch pipelines
@@ -122,8 +121,9 @@ func (s *Stream[T]) Ready(i int) bool {
 // producer panicked before item i was produced, Get re-raises that panic.
 //
 // A worker whose item is not ready first tries to run the producer inline
-// (if nobody started it), then helps with other tasks, then blocks — the
-// same escalation as Future.Touch.
+// (if nobody started it), then helps with other tasks, then polls, then
+// blocks — the escalation of Future.Touch, and past the inline attempt the
+// same code (W.helpUntil).
 func (s *Stream[T]) Get(w *W, i int) T {
 	c := &s.cells[i]
 	if c.comp.touched.Swap(true) {
@@ -131,68 +131,37 @@ func (s *Stream[T]) Get(w *W, i int) T {
 	}
 	// Fast path.
 	if c.comp.isDone() {
-		s.recordGet(w, i, profile.ModeReady, 0)
+		s.recordGet(w, i, profile.ModeReady)
 		return s.finish(c, i)
 	}
 	// Inline path: run the whole producer on this worker (the inline credit
 	// is applied inside run, within the producer's job-liveness window). The
 	// producer task's own touched bit is never used: each cell has its latch.
 	if w != nil && w.runInline(&s.task, s.rt, 0) {
-		s.recordGet(w, i, profile.ModeInline, 0)
+		s.recordGet(w, i, profile.ModeInline)
 		return s.finish(c, i)
 	}
 	if w == nil {
-		c.comp.wait()
-		s.recordGet(w, i, profile.ModeExternal, 0)
+		c.comp.waitDone()
+		s.recordGet(w, i, profile.ModeExternal)
 		return s.finish(c, i)
 	}
-	// Help path.
-	var helps int32
-	for {
-		if c.comp.isDone() {
-			mode := profile.ModeReady
-			if helps > 0 {
-				mode = profile.ModeHelped
-			}
-			s.recordGet(w, i, mode, helps)
-			return s.finish(c, i)
-		}
-		if t, stolen := w.find(); t != nil {
-			fl := execHelping
-			if stolen {
-				fl |= execStolen
-			}
-			if w.execCtx(t, fl) && !stolen {
-				helps++
-			}
-			continue
-		}
-		w.publish()
-		w.tele.Inc(telemetry.CBlockedTouches)
-		// Credit the blocked touch only when the stream belongs to the
-		// toucher's own running job, whose liveness the running task already
-		// guarantees; a foreign job may have retired and recycled its state.
-		if js := s.job; js != nil && js == w.curJob {
-			js.blocked.Add(1)
-		}
-		c.comp.wait()
-		s.recordGet(w, i, profile.ModeBlocked, helps)
-		return s.finish(c, i)
-	}
+	w.helpUntil(&s.task, &c.comp, int32(i))
+	return s.finish(c, i)
 }
 
 // recordGet records the touch of stream item i (the single touch of the
 // i-th future the producer thread computes, in the paper's model).
-func (s *Stream[T]) recordGet(w *W, i int, mode profile.TouchMode, helps int32) {
+func (s *Stream[T]) recordGet(w *W, i int, mode profile.TouchMode) {
 	if w != nil {
-		w.recordTouch(s.id, mode, helps, int32(i))
+		w.recordTouch(s.id, mode, 0, int32(i))
 		return
 	}
 	s.rt.recordExternalTouch(&s.task, profile.ModeExternal, int32(i))
 }
 
 func (s *Stream[T]) finish(c *streamCell[T], i int) T {
-	c.comp.wait()
+	c.comp.waitDone()
 	if int64(i) >= s.panicAt.Load() {
 		// Item i was never produced: the producer panicked first. Items
 		// before the panic point remain consumable.

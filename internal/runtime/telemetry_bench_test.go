@@ -68,7 +68,7 @@ func TestTelemetryIncOverhead(t *testing.T) {
 // row alone — the row moves only in publish, every counterLag tasks, by one
 // atomic add per counter — and nothing is lost between the two.
 func TestPendingCountOverhead(t *testing.T) {
-	rt := bareRuntime(RandomSingle, 1)
+	rt := bareRuntime(1)
 	w := rt.workers[0]
 	for i := 0; i < counterLag-1; i++ {
 		if w.countRun(execInline) {

@@ -11,6 +11,7 @@ import (
 
 	"futurelocality/internal/profile"
 	"futurelocality/internal/telemetry"
+	"futurelocality/internal/topology"
 )
 
 // teleFib is the spawn-heavy probe workload for telemetry tests.
@@ -266,6 +267,43 @@ func TestFlightWithoutProfiling(t *testing.T) {
 	Run(rt, func(w *W) int { return teleFib(rt, w, 8) })
 	if tr := rt.StopProfile(); tr == nil || tr.Len() == 0 {
 		t.Error("profiling session lost while flight recorder active")
+	}
+}
+
+// TestFlightEnvelopeAsksTheRuntimesCell: the live envelope is granted for the
+// policy pair the runtime actually runs, not for the theorems' pair whatever
+// it runs. The same future-first fib at four workers reads budget P·T∞² where
+// the workers share one domain — the uniformly random thief the theorems
+// assume — and 0 where they span two and the thief is domain-tiered, the cell
+// DESIGN.md's table marks "no bound"; /metrics and MetricsMap export that
+// reading.
+func TestFlightEnvelopeAsksTheRuntimesCell(t *testing.T) {
+	for _, tc := range []struct {
+		topo    *topology.Topology
+		granted bool
+	}{
+		{topology.Flat(4), true},
+		{synth(t, "2x2"), false},
+	} {
+		rt := New(WithWorkers(4), WithTopology(tc.topo), WithDiscipline(FutureFirst), WithFlightRecorder(1<<14))
+		if got := Run(rt, func(w *W) int { return teleFib(rt, w, 12) }); got != 144 {
+			t.Fatalf("fib(12) = %d", got)
+		}
+		env, err := rt.FlightEnvelope()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if tc.granted {
+			want = 4 * env.Span * env.Span
+		}
+		if env.P != 4 || env.Span == 0 || env.Truncated != 0 || env.Budget != want {
+			t.Errorf("%s (%v): envelope %+v, want P=4, a whole window and budget %d", tc.topo.Source, rt.StealPolicy(), env, want)
+		}
+		if got := rt.MetricsMap()["flight"].(map[string]any)["envelope"]; got != want {
+			t.Errorf("%s: MetricsMap flight envelope = %v, want %d", tc.topo.Source, got, want)
+		}
+		rt.Shutdown()
 	}
 }
 

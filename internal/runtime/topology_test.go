@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"futurelocality/internal/profile"
-	"futurelocality/internal/telemetry"
 	"futurelocality/internal/topology"
 )
 
@@ -56,6 +55,17 @@ func TestWithTopologyWiring(t *testing.T) {
 	if m["topology_source"] != "synthetic:2x2" {
 		t.Fatalf("MetricsMap topology_source = %v", m["topology_source"])
 	}
+	// The steal count has one total and one split, by locality.
+	for _, key := range []string{"steals", "steals_intra_domain", "steals_cross_domain"} {
+		if _, ok := m[key]; !ok {
+			t.Errorf("MetricsMap lacks %q", key)
+		}
+	}
+	for key := range m {
+		if strings.HasPrefix(key, "steals_") && key != "steals_intra_domain" && key != "steals_cross_domain" {
+			t.Errorf("MetricsMap has a per-policy steal key %q", key)
+		}
+	}
 }
 
 // TestDefaultTopologyFlatSafe: without WithTopology the runtime detects the
@@ -78,24 +88,28 @@ func TestDefaultTopologyFlatSafe(t *testing.T) {
 	}
 }
 
-// TestLocalityAttributionConservation: across policies and topologies, the
-// intra + cross locality split must equal the per-policy steal total — the
-// conservation invariant of the telemetry layer — and on a single-domain
-// topology the cross count must be zero.
+// TestLocalityAttributionConservation: across topologies, the intra + cross
+// locality split is the steal total, per worker as in the sum; the steal
+// rule's name follows where the workers landed; and workers that share one
+// domain — on a flat topology, or on a 2x2 that two workers do not fill past
+// its first domain — never count a cross-domain steal.
 func TestLocalityAttributionConservation(t *testing.T) {
 	cases := []struct {
-		name string
-		spec string
-		sp   StealPolicy
+		name    string
+		spec    string
+		workers int
+		sp      StealPolicy
 	}{
-		{"flat-random", "1x4", RandomSingle},
-		{"2x2-random", "2x2", RandomSingle},
-		{"2x2-hier", "2x2", Hierarchical},
-		{"2x2-stealhalf", "2x2", StealHalf},
+		{"flat-random", "1x4", 4, RandomSingle},
+		{"2x2-random", "2x2", 2, RandomSingle},
+		{"2x2-hier", "2x2", 4, Hierarchical},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := New(WithWorkers(4), WithTopology(synth(t, tc.spec)), WithStealPolicy(tc.sp), WithSeed(5))
+			rt := New(WithWorkers(tc.workers), WithTopology(synth(t, tc.spec)), WithSeed(5))
+			if got := rt.StealPolicy(); got != tc.sp {
+				t.Fatalf("StealPolicy() = %v, want %v", got, tc.sp)
+			}
 			for i := 0; i < 10; i++ {
 				Run(rt, func(w *W) int { return profFib(rt, w, 16) })
 			}
@@ -104,8 +118,13 @@ func TestLocalityAttributionConservation(t *testing.T) {
 			if st.IntraSteals+st.CrossSteals != st.Steals {
 				t.Fatalf("intra %d + cross %d != steals %d", st.IntraSteals, st.CrossSteals, st.Steals)
 			}
-			if tc.spec == "1x4" && st.CrossSteals != 0 {
-				t.Fatalf("flat topology recorded %d cross-domain steals", st.CrossSteals)
+			for _, ws := range st.PerWorker {
+				if ws.IntraSteals+ws.CrossSteals != ws.Steals {
+					t.Fatalf("worker %d: intra %d + cross %d != steals %d", ws.ID, ws.IntraSteals, ws.CrossSteals, ws.Steals)
+				}
+			}
+			if tc.sp == RandomSingle && st.CrossSteals != 0 {
+				t.Fatalf("workers sharing one domain recorded %d cross-domain steals", st.CrossSteals)
 			}
 		})
 	}
@@ -113,9 +132,8 @@ func TestLocalityAttributionConservation(t *testing.T) {
 
 // TestStealEventsCarryCross: traced steals on a 2x2 topology carry the
 // Cross flag consistent with the thief/victim domains, and the trace's
-// split agrees with the telemetry counters (trace ≤ counters: a batch
-// member claimed before executing is counted at steal time but traced
-// never).
+// split is the telemetry counters' (a steal is counted and traced at the
+// same moment, where the stolen task runs).
 func TestStealEventsCarryCross(t *testing.T) {
 	rt := New(WithWorkers(4), WithTopology(synth(t, "2x2")), WithSeed(9))
 	if err := rt.StartProfile(); err != nil {
@@ -135,8 +153,8 @@ func TestStealEventsCarryCross(t *testing.T) {
 		t.Fatalf("recon intra %d + cross %d != steals %d",
 			rec.IntraDomainSteals, rec.CrossDomainSteals, rec.Steals)
 	}
-	if rec.IntraDomainSteals > st.IntraSteals || rec.CrossDomainSteals > st.CrossSteals {
-		t.Fatalf("trace split (%d/%d) exceeds counter split (%d/%d)",
+	if rec.IntraDomainSteals != st.IntraSteals || rec.CrossDomainSteals != st.CrossSteals {
+		t.Fatalf("trace split (%d/%d) is not the counter split (%d/%d)",
 			rec.IntraDomainSteals, rec.CrossDomainSteals, st.IntraSteals, st.CrossSteals)
 	}
 }
@@ -166,12 +184,12 @@ func TestMetricsExposeLocality(t *testing.T) {
 	}
 }
 
-// TestHierarchicalRuntimeComputes: the Hierarchical policy on a striped
-// topology computes the same results as the default — victim tiering moves
-// work, never changes it — and when steals happen at all, the telemetry
+// TestHierarchicalRuntimeComputes: the domain-tiered thief a striped
+// topology yields computes the same results as the flat one — victim tiering
+// moves work, never changes it — and when steals happen at all, the telemetry
 // split stays consistent with the per-worker breakdown.
 func TestHierarchicalRuntimeComputes(t *testing.T) {
-	rt := New(WithWorkers(4), WithTopology(synth(t, "2x2")), WithStealPolicy(Hierarchical), WithSeed(13))
+	rt := New(WithWorkers(4), WithTopology(synth(t, "2x2")), WithSeed(13))
 	defer rt.Shutdown()
 	if got := Run(rt, func(w *W) int { return profFib(rt, w, 18) }); got != 2584 {
 		t.Fatalf("fib(18) = %d", got)
@@ -186,9 +204,7 @@ func TestHierarchicalRuntimeComputes(t *testing.T) {
 		t.Fatalf("per-worker locality (%d/%d) disagrees with totals (%d/%d)",
 			intra, cross, st.IntraSteals, st.CrossSteals)
 	}
-	snap := rt.TelemetrySnapshot()
-	if snap.Total(telemetry.CStealsHierarchical) != st.Steals {
-		t.Fatalf("hierarchical counter %d != Stats.Steals %d",
-			snap.Total(telemetry.CStealsHierarchical), st.Steals)
+	if snap := rt.TelemetrySnapshot(); snap.Steals() != st.Steals {
+		t.Fatalf("snapshot steals %d != Stats.Steals %d", snap.Steals(), st.Steals)
 	}
 }

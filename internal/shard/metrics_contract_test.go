@@ -30,8 +30,8 @@ func contractLines(page string) string {
 }
 
 // metricsContract renders both exposition pages — a 2-shard pool on a
-// synthetic 2x2 and one plain runtime, flight recorders on, each member
-// having run a forking job — reduced by contractLines.
+// synthetic 2x2 and one plain one-domain runtime, flight recorders on, each
+// member having run a forking job — reduced by contractLines.
 func metricsContract(t *testing.T) string {
 	t.Helper()
 	forking := func(w *runtime.W) int {
@@ -58,7 +58,9 @@ func metricsContract(t *testing.T) string {
 		t.Fatal(err)
 	}
 
-	rt := runtime.New(runtime.WithWorkers(2), runtime.WithFlightRecorder(0))
+	// One domain, whatever the host's: the steals_total sample is labelled with
+	// the steal rule the topology yields.
+	rt := runtime.New(runtime.WithWorkers(2), runtime.WithTopology(synth(t, "1x2")), runtime.WithFlightRecorder(0))
 	defer rt.Shutdown()
 	for i := 0; i < 3; i++ {
 		j, err := runtime.Submit(rt, forking)

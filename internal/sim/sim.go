@@ -62,9 +62,10 @@ const (
 )
 
 // StealPolicy selects whom a thief robs and how much one visit takes. It
-// is the shared policy.StealPolicy vocabulary: the same constants configure
-// the real runtime (WithStealPolicy), so a simulator replay and a live run
-// name their steal discipline with one type.
+// is the shared policy.StealPolicy vocabulary: the real runtime names its one
+// steal rule with the same constants (RandomSingle or Hierarchical, by its
+// topology), so a simulator replay and a live run name their steal
+// discipline with one type. StealHalf and LastVictimAffinity exist here only.
 type StealPolicy = policy.StealPolicy
 
 const (
@@ -340,8 +341,8 @@ func (e *Engine) act(p ProcID) bool {
 	}
 	// Steal. Victim choice: under LastVictimAffinity a processor returns to
 	// the victim of its last successful steal while that victim still has
-	// work (mirroring the runtime's affinity cache, which falls back to
-	// random probing after a dry visit); under Hierarchical it scans its
+	// work (and falls back to random probing after a dry visit, so a victim
+	// gone cold costs one probe); under Hierarchical it scans its
 	// own locality domain for a victim with work before the cross-domain
 	// fallback (mirroring the runtime's peers-then-remote tiers — the scan
 	// is deterministic from p+1 so replays are exact); otherwise — and for
@@ -376,10 +377,10 @@ func (e *Engine) act(p ProcID) bool {
 	if e.cfg.Steal == StealHalf {
 		// Half the victim's backlog, at least one node, capped at the
 		// policy's shared batch bound — the thief executes the first
-		// (oldest) and parks the rest on its own deque, exactly the
-		// runtime's drain order (deque top stays oldest) and the runtime's
-		// batch-buffer cap, so replayed batch geometry matches what the
-		// real scheduler could do.
+		// (oldest) and parks the rest on its own deque in stolen order
+		// (deque top stays oldest), under the cap a real thief's batch
+		// buffer would have, so replayed batch geometry matches what a
+		// batch-stealing scheduler could do.
 		if l := e.deques[victim].Len(); l > 2 {
 			take = (l + 1) / 2
 			if take > policy.StealBatchMax {

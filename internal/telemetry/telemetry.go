@@ -23,7 +23,7 @@ import (
 )
 
 // Counter enumerates the per-row counters. The set covers the scheduler's
-// observable proxies (tasks, steal attempts, steals by policy, touch wait
+// observable proxies (tasks, steal attempts, steals by locality, touch wait
 // modes), the spawn mix by fork discipline, the park/wakeup traffic of the
 // idle path, and the job-server admission outcomes.
 type Counter uint8
@@ -33,20 +33,12 @@ const (
 	CTasksRun Counter = iota
 	// CStealAttempts counts steal probes (successful or dry).
 	CStealAttempts
-	// CStealsRandomSingle, CStealsStealHalf, CStealsLastVictim and
-	// CStealsHierarchical count claimed steals, split by the steal policy
-	// in force — one counter per policy so shed light on which discipline
-	// displaced the work without a label lookup on the hot path. Their sum
-	// is the Stats.Steals total.
-	CStealsRandomSingle
-	CStealsStealHalf
-	CStealsLastVictim
-	CStealsHierarchical
-	// CStealsIntraDomain and CStealsCrossDomain split the same claimed
-	// steals by cache locality instead of by policy: whether the thief and
-	// the victim share an LLC domain (see internal/topology). Under any
-	// policy, intra + cross equals the per-policy sum — they are a second
-	// axis over the same events, not new events.
+	// CStealsIntraDomain and CStealsCrossDomain count steals — stolen tasks
+	// the thief went on to execute, counted once each, where they run — by
+	// cache locality: whether the thief and the victim share an LLC domain
+	// (see internal/topology). There is no separate total: intra + cross is
+	// the steal count (Snapshot.Steals, Stats.Steals). A thief that loses the
+	// claim to an inlining toucher counts a steal attempt and no steal.
 	CStealsIntraDomain
 	CStealsCrossDomain
 	// CInlineTouches counts touches satisfied by inline-running the task.
@@ -92,14 +84,6 @@ func (c Counter) Name() string {
 		return "tasks_run"
 	case CStealAttempts:
 		return "steal_attempts"
-	case CStealsRandomSingle:
-		return "steals_random_single"
-	case CStealsStealHalf:
-		return "steals_steal_half"
-	case CStealsLastVictim:
-		return "steals_last_victim"
-	case CStealsHierarchical:
-		return "steals_hierarchical"
 	case CStealsIntraDomain:
 		return "steals_intra_domain"
 	case CStealsCrossDomain:
@@ -131,18 +115,9 @@ func (c Counter) Name() string {
 	}
 }
 
-// StealCounter maps a steal policy to its per-policy counter. Branch-free:
-// the steal counters are laid out in policy-value order (RandomSingle=0,
-// StealHalf=1, LastVictimAffinity=2, Hierarchical=3), pinned by
-// TestPolicyCounterMapping.
-func StealCounter(s policy.StealPolicy) Counter {
-	return CStealsRandomSingle + Counter(s)
-}
-
-// LocalityCounter maps a steal's domain crossing to its locality counter.
-// Branch-free for the steal path: cross=false → CStealsIntraDomain,
-// cross=true → CStealsCrossDomain (laid out adjacently, pinned by
-// TestPolicyCounterMapping).
+// LocalityCounter maps a steal's domain crossing to its locality counter:
+// cross=false → CStealsIntraDomain, cross=true → CStealsCrossDomain (pinned
+// by TestPolicyCounterMapping).
 func LocalityCounter(cross bool) Counter {
 	if cross {
 		return CStealsCrossDomain
@@ -186,12 +161,6 @@ func (r *Row) Add(c Counter, n int64) { r.c[c].Add(n) }
 
 // Load reads counter c.
 func (r *Row) Load(c Counter) int64 { return r.c[c].Load() }
-
-// Steals returns the row's total claimed steals across all policies.
-func (r *Row) Steals() int64 {
-	return r.c[CStealsRandomSingle].Load() + r.c[CStealsStealHalf].Load() +
-		r.c[CStealsLastVictim].Load() + r.c[CStealsHierarchical].Load()
-}
 
 // Set is a runtime's full counter matrix: one row per worker plus one
 // trailing row for external (non-worker) contexts. Allocated once at
@@ -258,10 +227,10 @@ func (s Snapshot) Worker(i int, c Counter) int64 { return s.Rows[i][c] }
 // External returns the external row's value of counter c.
 func (s Snapshot) External(c Counter) int64 { return s.Rows[len(s.Rows)-1][c] }
 
-// Steals returns the total claimed steals across all policies and rows.
+// Steals returns the steal count across all rows: intra-domain plus
+// cross-domain.
 func (s Snapshot) Steals() int64 {
-	return s.Total(CStealsRandomSingle) + s.Total(CStealsStealHalf) +
-		s.Total(CStealsLastVictim) + s.Total(CStealsHierarchical)
+	return s.Total(CStealsIntraDomain) + s.Total(CStealsCrossDomain)
 }
 
 // Sub returns the delta snapshot s - prev (counter-wise, row-wise). Both

@@ -12,10 +12,11 @@ import (
 )
 
 // TestRowPadding pins the anti-false-sharing layout: rows are cache-line
-// multiples, so two workers' rows never share a line.
+// multiples, so two workers' rows never share a line — two lines at the
+// current fifteen columns.
 func TestRowPadding(t *testing.T) {
-	if sz := unsafe.Sizeof(Row{}); sz%cacheLine != 0 {
-		t.Fatalf("Row size %d is not a cache-line multiple", sz)
+	if sz := unsafe.Sizeof(Row{}); sz%cacheLine != 0 || sz != 128 {
+		t.Fatalf("Row size %d, want 128 (a cache-line multiple)", sz)
 	}
 }
 
@@ -36,12 +37,6 @@ func TestCounterNames(t *testing.T) {
 
 // TestPolicyCounterMapping pins the policy→counter routing.
 func TestPolicyCounterMapping(t *testing.T) {
-	if StealCounter(policy.RandomSingle) != CStealsRandomSingle ||
-		StealCounter(policy.StealHalf) != CStealsStealHalf ||
-		StealCounter(policy.LastVictimAffinity) != CStealsLastVictim ||
-		StealCounter(policy.Hierarchical) != CStealsHierarchical {
-		t.Fatal("StealCounter mapping wrong")
-	}
 	if LocalityCounter(false) != CStealsIntraDomain || LocalityCounter(true) != CStealsCrossDomain {
 		t.Fatal("LocalityCounter mapping wrong")
 	}
@@ -56,9 +51,9 @@ func TestPolicyCounterMapping(t *testing.T) {
 func TestSnapshotDelta(t *testing.T) {
 	s := NewSet(2)
 	s.Row(0).Inc(CTasksRun)
-	s.Row(0).Add(CStealsRandomSingle, 3)
+	s.Row(0).Add(CStealsIntraDomain, 3)
 	s.Row(1).Add(CTasksRun, 4)
-	s.Row(1).Inc(CStealsStealHalf)
+	s.Row(1).Inc(CStealsCrossDomain)
 	s.External().Inc(CJobsSubmitted)
 
 	snap := s.Snapshot()
@@ -200,7 +195,7 @@ func TestExpoHistogramCumulative(t *testing.T) {
 func TestMap(t *testing.T) {
 	s := NewSet(2)
 	s.Row(1).Add(CTasksRun, 9)
-	s.Row(0).Inc(CStealsRandomSingle)
+	s.Row(0).Inc(CStealsIntraDomain)
 	m := Map(s.Snapshot())
 	if got := m["tasks_run"]; got != int64(9) {
 		t.Fatalf("map tasks_run = %v, want 9", got)
