@@ -33,6 +33,7 @@ var retiredNames = []string{
 	"runtimebench", "BENCH_runtime", "go test -bench=.",
 	"WithPlacement", "WithForwarding", "PlaceRoundRobin", "JobStats(",
 	"WithStealPolicy",
+	"ThreadTouches", "descendantsInto",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

@@ -235,16 +235,3 @@ func TestNewPanicsOnBadLines(t *testing.T) {
 	}()
 	New(LRU, 0)
 }
-
-func BenchmarkLRUAccess(b *testing.B) {
-	c := New(LRU, 64)
-	rng := rand.New(rand.NewSource(1))
-	blocks := make([]dag.BlockID, 1024)
-	for i := range blocks {
-		blocks[i] = dag.BlockID(rng.Intn(128))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(blocks[i&1023])
-	}
-}

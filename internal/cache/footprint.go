@@ -79,16 +79,18 @@ func DeriveFootprint(g *dag.Graph, w int) *Footprint {
 	}
 	if declared {
 		f := &Footprint{offsets: make([]int32, n+1)}
-		distinct := map[dag.BlockID]struct{}{}
+		f.flat = make([]dag.BlockID, 0, n)
+		distinct := newBlockTable(64)
 		for id := range g.Nodes {
 			f.offsets[id] = int32(len(f.flat))
 			if b := g.Nodes[id].Block; b != dag.NoBlock {
 				f.flat = append(f.flat, b)
-				distinct[b] = struct{}{}
+				if _, fresh := distinct.intern(b, int32(f.Blocks)); fresh {
+					f.Blocks++
+				}
 			}
 		}
 		f.offsets[n] = int32(len(f.flat))
-		f.Blocks = len(distinct)
 		return f
 	}
 
@@ -112,22 +114,30 @@ func DeriveFootprint(g *dag.Graph, w int) *Footprint {
 			k++
 		}
 	}
-	// extra[v] = the touched threads' frames for touch/join nodes (a super
-	// final node can be the target of many touch edges, so this accumulates).
-	extra := map[dag.NodeID][]dag.BlockID{}
-	for _, ti := range g.Touches {
-		extra[ti.Node] = append(extra[ti.Node], frame(ti.FutureThread))
-	}
-
-	f.flat = make([]dag.BlockID, 0, 2*n+len(g.Touches))
+	// Each node accesses its own frame and window slot, and a touch/join node
+	// also the touched threads' frames (a super final node can be the target
+	// of many touch edges). Two passes over the flat store: count each
+	// node's accesses into offsets, then fill.
 	for id := range g.Nodes {
-		f.offsets[id] = int32(len(f.flat))
-		tid := g.Nodes[id].Thread
-		f.flat = append(f.flat,
-			frame(tid),
-			dag.BlockID(int32(threads)+int32(tid)*int32(w)+pos[id]%int32(w)))
-		f.flat = append(f.flat, extra[dag.NodeID(id)]...)
+		f.offsets[id+1] = 2
 	}
-	f.offsets[n] = int32(len(f.flat))
+	for _, ti := range g.Touches {
+		f.offsets[ti.Node+1]++
+	}
+	for id := range g.Nodes {
+		f.offsets[id+1] += f.offsets[id]
+	}
+	f.flat = make([]dag.BlockID, f.offsets[n])
+	for id := range g.Nodes {
+		tid := g.Nodes[id].Thread
+		at := f.offsets[id]
+		f.flat[at] = frame(tid)
+		f.flat[at+1] = dag.BlockID(int32(threads) + int32(tid)*int32(w) + pos[id]%int32(w))
+		pos[id] = at + 2 // from here on: where the node's next touched frame goes
+	}
+	for _, ti := range g.Touches {
+		f.flat[pos[ti.Node]] = frame(ti.FutureThread)
+		pos[ti.Node]++
+	}
 	return f
 }

@@ -1,7 +1,7 @@
 package cache
 
 import (
-	"container/heap"
+	"math"
 
 	"futurelocality/internal/dag"
 )
@@ -10,7 +10,8 @@ import (
 // MIN) replacement policy on a block access trace with a fully associative
 // cache of c lines: on a miss with a full cache, evict the resident block
 // whose next use is farthest in the future (never used again beats
-// everything). O(len(trace)·log c).
+// everything). O(len(trace)·log c) time; 8 bytes per access plus O(c + distinct
+// blocks) space, and a constant number of allocations.
 //
 // OPT is unrealizable online, but it lower-bounds every replacement policy,
 // which gives it two jobs here:
@@ -30,66 +31,110 @@ func OptimalMisses(trace []dag.BlockID, c int) int64 {
 	if c < 1 {
 		panic("cache: OptimalMisses with c < 1")
 	}
-	// nextUse[i] = index of the next occurrence of trace[i] after i, or
-	// len(trace) when none.
-	n := len(trace)
-	next := make([]int, n)
-	last := map[dag.BlockID]int{}
-	for i := n - 1; i >= 0; i-- {
-		if trace[i] == dag.NoBlock {
-			next[i] = -1
-			continue
-		}
-		if j, ok := last[trace[i]]; ok {
-			next[i] = j
-		} else {
-			next[i] = n
-		}
-		last[trace[i]] = i
+	if len(trace) > math.MaxInt32 {
+		panic("cache: OptimalMisses trace longer than 2³¹ accesses")
 	}
+	n := int32(len(trace))
 
-	// Max-heap of resident blocks keyed by their next use; stale entries
-	// are skipped on pop (lazy deletion).
-	h := &optHeap{}
-	resident := map[dag.BlockID]int{} // block -> its current next-use key
-	var misses int64
+	// ids[i] is trace[i]'s block renumbered densely by first appearance
+	// (-1 for NoBlock), so that everything per block is a slice.
+	ids := make([]int32, n)
+	dense := newBlockTable(c)
+	var distinct int32
 	for i, b := range trace {
 		if b == dag.NoBlock {
+			ids[i] = -1
 			continue
 		}
-		if key, ok := resident[b]; ok && key == i {
-			// Hit: refresh the block's next use.
-			resident[b] = next[i]
-			heap.Push(h, optEntry{block: b, nextUse: next[i]})
+		id, fresh := dense.intern(b, distinct)
+		if fresh {
+			distinct++
+		}
+		ids[i] = id
+	}
+
+	// next[i] is the position of the next access to trace[i]'s block, or n
+	// when there is none.
+	next := make([]int32, n)
+	h := optHeap{key: make([]int32, distinct), pos: make([]int32, distinct)}
+	for id := range h.key {
+		h.key[id] = n // the backward pass's "last seen at"
+		h.pos[id] = -1
+	}
+	for i := n - 1; i >= 0; i-- {
+		if id := ids[i]; id >= 0 {
+			next[i] = h.key[id]
+			h.key[id] = i
+		}
+	}
+
+	var misses int64
+	for i, id := range ids {
+		if id < 0 {
+			continue
+		}
+		if p := h.pos[id]; p >= 0 {
+			// Hit: the block's next use moves further away.
+			h.key[id] = next[i]
+			h.up(p)
 			continue
 		}
 		misses++
-		if len(resident) == c {
-			// Evict the farthest-next-use resident block.
-			for {
-				top := heap.Pop(h).(optEntry)
-				if key, ok := resident[top.block]; ok && key == top.nextUse {
-					delete(resident, top.block)
-					break
-				}
-				// Stale heap entry; keep popping.
-			}
+		h.key[id] = next[i]
+		if len(h.ids) < c {
+			h.ids = append(h.ids, id)
+			h.pos[id] = int32(len(h.ids) - 1)
+			h.up(h.pos[id])
+			continue
 		}
-		resident[b] = next[i]
-		heap.Push(h, optEntry{block: b, nextUse: next[i]})
+		// Evict the resident block whose next use is farthest away.
+		h.pos[h.ids[0]] = -1
+		h.ids[0], h.pos[id] = id, 0
+		h.down(0)
 	}
 	return misses
 }
 
-type optEntry struct {
-	block   dag.BlockID
-	nextUse int
+// optHeap is a max-heap of the resident blocks' dense ids ordered by next
+// use. Each id's heap position is tracked, so a hit raises its key in place
+// and the heap never holds more than c entries.
+type optHeap struct {
+	ids []int32 // heap order
+	key []int32 // key[id]: next use of block id
+	pos []int32 // pos[id]: index in ids, -1 when not resident
 }
 
-type optHeap []optEntry
+func (h *optHeap) swap(i, j int32) {
+	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
+	h.pos[h.ids[i]], h.pos[h.ids[j]] = i, j
+}
 
-func (h optHeap) Len() int           { return len(h) }
-func (h optHeap) Less(i, j int) bool { return h[i].nextUse > h[j].nextUse } // max-heap
-func (h optHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *optHeap) Push(x any)        { *h = append(*h, x.(optEntry)) }
-func (h *optHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+// up restores heap order after the key at position i grew.
+func (h *optHeap) up(i int32) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.key[h.ids[parent]] >= h.key[h.ids[i]] {
+			return
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+// down restores heap order after the entry at position i was replaced.
+func (h *optHeap) down(i int32) {
+	n := int32(len(h.ids))
+	for {
+		big := i
+		for child := 2*i + 1; child <= 2*i+2 && child < n; child++ {
+			if h.key[h.ids[child]] > h.key[h.ids[big]] {
+				big = child
+			}
+		}
+		if big == i {
+			return
+		}
+		h.swap(i, big)
+		i = big
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -121,6 +122,8 @@ type CacheCost struct {
 	// MissEnvelope is C·(1 + P·T∞²) when the classification grants the
 	// deviation envelope for the replayed policy pair, else 0.
 	MissEnvelope int64
+
+	fp *cache.Footprint // what was replayed; see CacheCostOf's prev
 }
 
 // MeanExtra and MaxExtra summarize ExtraMisses.
@@ -160,38 +163,41 @@ func (cc *CacheCost) WithinEnvelope() bool {
 	return true
 }
 
-// orderOf recovers the global execution order of a result: When is dense
-// over all executed nodes, so order[When[v]] = v.
-func orderOf(r *sim.Result) []dag.NodeID {
-	order := make([]dag.NodeID, len(r.When))
+// scheduleOf recovers a result's global execution order (When is dense over
+// all executed nodes, so order[When[v]] = v) and flattens its processor
+// assignment for the replay driver, into buffers reused from trial to trial.
+func scheduleOf(r *sim.Result, order []dag.NodeID, who []int32) ([]dag.NodeID, []int32) {
+	order = slices.Grow(order[:0], len(r.When))[:len(r.When)]
+	who = slices.Grow(who[:0], len(r.Who))[:len(r.Who)]
 	for id, w := range r.When {
 		order[w] = dag.NodeID(id)
+		who[id] = int32(r.Who[id])
 	}
-	return order
-}
-
-// whoOf flattens a result's processor assignment for the replay driver.
-func whoOf(r *sim.Result) []int32 {
-	who := make([]int32, len(r.Who))
-	for id, p := range r.Who {
-		who[id] = int32(p)
-	}
-	return who
+	return order, who
 }
 
 // CacheCostOf replays the sequential baseline and each trial schedule
 // through a footprint-driven per-worker cache set and returns the cost
-// verdict. seq must be the 1-processor execution the trials are measured
-// against (same fork policy — the paper compares like with like); granted
-// says whether the classification grants the envelope for the replayed
-// policy pair (BoundApplies); domains, when non-nil, align the optional
-// shared-LLC tier with the topology's locality domains.
-func CacheCostOf(g *dag.Graph, model CacheModel, domains []int, granted bool,
+// verdict. prev, when non-nil, is an earlier verdict on the same graph: its
+// footprint is reused if the windows agree, so a caller charging several
+// schedule sets of one graph (the profiler's policy matrix) derives it once.
+// seq must be the 1-processor execution the trials are measured against
+// (same fork policy — the paper compares like with like); granted says
+// whether the classification grants the envelope for the replayed policy
+// pair (BoundApplies); domains, when non-nil, align the optional shared-LLC
+// tier with the topology's locality domains.
+func CacheCostOf(g *dag.Graph, model CacheModel, prev *CacheCost, domains []int, granted bool,
 	seq *sim.Result, trials []*sim.Result) (*CacheCost, error) {
 	if model.Lines < 1 {
 		return nil, fmt.Errorf("core: cache model with C = %d", model.Lines)
 	}
-	fp := cache.DeriveFootprint(g, model.window())
+	var fp *cache.Footprint
+	if prev != nil && prev.Model.window() == model.window() {
+		fp = prev.fp
+	}
+	if fp == nil {
+		fp = cache.DeriveFootprint(g, model.window())
+	}
 	seqOrder := seq.SeqOrder()
 
 	seqSet, err := cache.NewSet(cache.SetConfig{P: 1, Kind: model.Kind, Lines: model.Lines})
@@ -200,6 +206,7 @@ func CacheCostOf(g *dag.Graph, model CacheModel, domains []int, granted bool,
 	}
 	cc := &CacheCost{
 		Model:     model,
+		fp:        fp,
 		Synthetic: fp.Synthetic,
 		Blocks:    fp.Blocks,
 		SeqMisses: seqSet.Replay(fp, seqOrder, nil).TotalMisses,
@@ -207,18 +214,26 @@ func CacheCostOf(g *dag.Graph, model CacheModel, domains []int, granted bool,
 	if !model.NoIdeal {
 		cc.IdealMisses = cache.OptimalMisses(fp.Flatten(seqOrder), model.Lines)
 	}
+	// One cache set serves every trial (Replay resets it), and so do the two
+	// schedule buffers.
+	var set *cache.Set
+	var order []dag.NodeID
+	var who []int32
 	for _, res := range trials {
 		if cc.P == 0 {
 			cc.P = res.P
 		}
-		set, err := cache.NewSet(cache.SetConfig{
-			P: res.P, Kind: model.Kind, Lines: model.Lines,
-			Domains: domains, LLCLines: model.LLCLines, LLCKind: model.Kind,
-		})
-		if err != nil {
-			return nil, err
+		if set == nil || set.P() != res.P {
+			set, err = cache.NewSet(cache.SetConfig{
+				P: res.P, Kind: model.Kind, Lines: model.Lines,
+				Domains: domains, LLCLines: model.LLCLines, LLCKind: model.Kind,
+			})
+			if err != nil {
+				return nil, err
+			}
 		}
-		out := set.Replay(fp, orderOf(res), whoOf(res))
+		order, who = scheduleOf(res, order, who)
+		out := set.Replay(fp, order, who)
 		cc.TotalMisses = append(cc.TotalMisses, out.TotalMisses)
 		cc.ExtraMisses = append(cc.ExtraMisses, out.TotalMisses-cc.SeqMisses)
 		if model.LLCLines > 0 {

@@ -158,7 +158,7 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 
 	if opts.CacheModel != nil {
 		granted := BoundApplies(rep.Class, opts.Policy, opts.Steal)
-		cc, err := CacheCostOf(g, *opts.CacheModel, opts.Domains, granted, seq, trials)
+		cc, err := CacheCostOf(g, *opts.CacheModel, nil, opts.Domains, granted, seq, trials)
 		if err != nil {
 			return nil, fmt.Errorf("core: cache cost: %w", err)
 		}

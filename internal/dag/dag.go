@@ -220,19 +220,6 @@ func (g *Graph) Span() int64 {
 	return max
 }
 
-// ThreadTouches returns the touches of future thread tid (touch nodes whose
-// value is computed by tid), in topological order. Joins are included when
-// withJoins is true.
-func (g *Graph) ThreadTouches(tid ThreadID, withJoins bool) []TouchInfo {
-	var out []TouchInfo
-	for _, ti := range g.Touches {
-		if ti.FutureThread == tid && (withJoins || !ti.Join) {
-			out = append(out, ti)
-		}
-	}
-	return out
-}
-
 // Parents returns the reverse adjacency of the graph: Parents()[v] lists the
 // IDs of v's predecessors. It is computed on demand in O(V+E).
 func (g *Graph) Parents() [][]NodeID {
@@ -245,42 +232,19 @@ func (g *Graph) Parents() [][]NodeID {
 	return parents
 }
 
-// descendantsInto marks nodes reachable from start (inclusive) in seen,
-// which must have length Len(). Already-marked regions are not re-explored,
-// so repeated calls accumulate a union of reachability sets.
-func (g *Graph) descendantsInto(start NodeID, seen []bool) {
-	if start == None || seen[start] {
-		return
-	}
-	stack := []NodeID{start}
-	seen[start] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.Nodes[v].OutEdges() {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-}
-
-// Reaches reports whether there is a directed path from u to v (u == v counts).
+// Reaches reports whether there is a directed path from u to v (u == v
+// counts). IDs are topological, so a path can only increase them: the search
+// never leaves the ID interval (u, v), and its cost and its scratch space are
+// bounded by that interval's length, whatever the answer.
 func (g *Graph) Reaches(u, v NodeID) bool {
-	if u == None || v == None {
+	if u == None || v == None || u > v {
 		return false
 	}
 	if u == v {
 		return true
 	}
-	if u > v {
-		// IDs are topological: a path can only increase IDs.
-		return false
-	}
-	seen := make([]bool, len(g.Nodes))
+	seen := make([]bool, v-u) // seen[w-u] for u < w < v
 	stack := []NodeID{u}
-	seen[u] = true
 	for len(stack) > 0 {
 		w := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -288,8 +252,8 @@ func (g *Graph) Reaches(u, v NodeID) bool {
 			if e.To == v {
 				return true
 			}
-			if !seen[e.To] && e.To < v {
-				seen[e.To] = true
+			if e.To < v && !seen[e.To-u] {
+				seen[e.To-u] = true
 				stack = append(stack, e.To)
 			}
 		}

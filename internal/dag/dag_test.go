@@ -242,7 +242,8 @@ func TestSuperFinalBuild(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	// The touch recorded for f must target the final node.
-	tis := g.ThreadTouches(1, true)
+	start, grouped := touchesByThread(g)
+	tis := grouped[start[1]:start[2]]
 	if len(tis) != 1 || tis[0].Node != g.Final {
 		t.Fatalf("thread 1 touches = %+v, want single touch at final", tis)
 	}
@@ -292,7 +293,8 @@ func TestPromiseLocalTouch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if got := len(g.ThreadTouches(1, true)); got != 2 {
+	start, _ := touchesByThread(g)
+	if got := start[2] - start[1]; got != 2 {
 		t.Fatalf("thread 1 touches = %d, want 2", got)
 	}
 	if err := g.Validate(); err != nil {

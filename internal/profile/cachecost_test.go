@@ -139,3 +139,40 @@ func TestAnalyzeNoCacheModelNoCost(t *testing.T) {
 		t.Error("report String() renders a cache cost section without a model")
 	}
 }
+
+// TestMatrixPrimaryCellIsTheReplay pins the one shortcut the matrix takes:
+// the cell of the primary prediction's own policy pair is read off the
+// primary report, not replayed. A second analysis of the same trace whose
+// primary is a different pair has to replay that cell for real; the two
+// readings must agree in every column, and every other cell with them.
+func TestMatrixPrimaryCellIsTheReplay(t *testing.T) {
+	rt := runtime.New(runtime.WithWorkers(4))
+	defer rt.Shutdown()
+	if err := rt.StartProfile(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.Run(rt, func(w *runtime.W) int { return fib(rt, w, 14) })
+	tr := rt.StopProfile()
+
+	model := &core.CacheModel{Lines: 16, Kind: cache.LRU}
+	for _, fork := range []sim.ForkPolicy{sim.FutureFirst, sim.ParentFirst} {
+		opts := profile.Options{P: 4, Trials: 3, Seed: 5, Policy: fork, CacheModel: model, NoJobs: true}
+		filled, err := profile.Analyze(tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Steal = sim.StealHalf
+		replayed, err := profile.Analyze(tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(filled.Matrix) != len(replayed.Matrix) || len(filled.Matrix) == 0 {
+			t.Fatalf("matrix sizes %d and %d", len(filled.Matrix), len(replayed.Matrix))
+		}
+		for i, want := range replayed.Matrix {
+			if got := filled.Matrix[i]; got != want {
+				t.Errorf("primary %s: cell %s × %s\n  filled   %+v\n  replayed %+v", fork, want.Fork, want.Steal, got, want)
+			}
+		}
+	}
+}

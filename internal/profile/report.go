@@ -164,9 +164,9 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		opts.Trials = 8
 	}
 	if opts.Seed == 0 {
-		// Match core.Analyze's default up front, so the matrix's
-		// future-first × random-single cell replays the exact trials of the
-		// primary prediction line (same seeds, same numbers).
+		// Match core.Analyze's default up front, so the matrix cell of the
+		// primary's own policy pair names the exact trials of the primary
+		// prediction line (same seeds, same numbers) and is filled from it.
 		opts.Seed = 1
 	}
 	simRep, err := core.Analyze(recon.Graph, core.AnalyzeOptions{
@@ -196,7 +196,7 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		r.DeviationBound = int64(opts.P) * r.Span * r.Span
 	}
 	if !opts.NoMatrix {
-		r.Matrix, err = replayMatrix(recon, simRep.Class, opts)
+		r.Matrix, err = replayMatrix(recon, simRep, opts)
 		if err != nil {
 			return nil, fmt.Errorf("profile: (fork × steal) matrix: %w", err)
 		}
@@ -213,8 +213,9 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 // jobReports splits tr by job and produces one isolated verdict per job —
 // reconstruction, classification, and the job's own measured-vs-envelope
 // check — for the already-sorted job IDs the pooled reconstruction
-// observed. No sim replay per job: the pooled report's prediction already
-// covers the whole trace; what the split adds is attribution.
+// observed. No sim replay per job unless a cache model asks for the job's own
+// miss bill: the pooled report's prediction already covers the whole trace;
+// what the split adds is attribution.
 func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 	subs := SplitJobs(tr)
 	out := make([]JobReport, 0, len(ids))
@@ -230,19 +231,16 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 		jr := JobReport{
 			Job:                id,
 			Recon:              rec,
-			Class:              dag.Classify(rec.Graph),
 			Work:               rec.Graph.Work(),
 			Span:               rec.Graph.Span(),
 			Touches:            rec.Graph.NumTouches(),
 			MeasuredDeviations: rec.MeasuredDeviations(),
 		}
-		if core.BoundApplies(jr.Class, opts.Policy, opts.Steal) {
-			jr.DeviationBound = int64(opts.P) * jr.Span * jr.Span
-		}
 		if opts.CacheModel != nil {
 			// The job's own cache bill: sim trials over its isolated DAG,
 			// each replayed through the footprint. The OPT baseline is
-			// skipped per job — the pooled report already carries it.
+			// skipped per job — the pooled report already carries it. The
+			// analysis classifies the DAG on its way.
 			model := *opts.CacheModel
 			model.NoIdeal = true
 			jobSim, err := core.Analyze(rec.Graph, core.AnalyzeOptions{
@@ -257,7 +255,12 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("job %d cache cost: %w", id, err)
 			}
-			jr.CacheCost = jobSim.CacheCost
+			jr.Class, jr.CacheCost = jobSim.Class, jobSim.CacheCost
+		} else {
+			jr.Class = dag.Classify(rec.Graph)
+		}
+		if core.BoundApplies(jr.Class, opts.Policy, opts.Steal) {
+			jr.DeviationBound = int64(opts.P) * jr.Span * jr.Span
 		}
 		out = append(out, jr)
 	}
@@ -269,9 +272,14 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 // pair. Deviations in each cell are counted against the sequential
 // execution of that cell's own fork policy (the paper always compares like
 // with like); the envelope is attached only to the future-first ×
-// random-single cell, the one the theorems cover.
-func replayMatrix(recon *Recon, class dag.Class, opts Options) ([]MatrixCell, error) {
+// random-single cell, the one the theorems cover. The cell of the primary
+// replay's own pair is not run again when its trials would be the primary's
+// seed for seed: it is read off primary.
+func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCell, error) {
 	g := recon.Graph
+	// Cell (fork, steal) seeds trial i with Seed + i + 1000·steal; the primary
+	// seeds it with Seed + i. The two agree where the steal offset is zero.
+	cellSeed := func(steal sim.StealPolicy, i int) int64 { return opts.Seed + int64(i) + 1000*int64(steal) }
 	cells := make([]MatrixCell, 0, 2*len(sim.StealPolicies))
 	for _, fork := range []sim.ForkPolicy{sim.FutureFirst, sim.ParentFirst} {
 		seq, err := sim.Sequential(g, fork, 0, cache.LRU)
@@ -281,7 +289,19 @@ func replayMatrix(recon *Recon, class dag.Class, opts Options) ([]MatrixCell, er
 		seqOrder := seq.SeqOrder()
 		for _, steal := range sim.StealPolicies {
 			cell := MatrixCell{Fork: fork, Steal: steal}
-			var devSum, stealSum int64
+			granted := core.BoundApplies(primary.Class, fork, steal)
+			if granted {
+				cell.Bound = int64(opts.P) * g.Span() * g.Span()
+			}
+			if fork == opts.Policy && steal == opts.Steal && cellSeed(steal, 0) == opts.Seed {
+				cell.summarize(primary.Deviations, primary.Steals)
+				if primary.CacheCost != nil {
+					cell.charge(primary.CacheCost)
+				}
+				cells = append(cells, cell)
+				continue
+			}
+			var devs, steals []int64
 			var trials []*sim.Result
 			for i := 0; i < opts.Trials; i++ {
 				eng, err := sim.New(g, sim.Config{
@@ -289,8 +309,7 @@ func replayMatrix(recon *Recon, class dag.Class, opts Options) ([]MatrixCell, er
 					Policy:  fork,
 					Steal:   steal,
 					Domains: opts.Domains,
-					Control: sim.NewRandomControl(
-						opts.Seed + int64(i) + 1000*int64(steal)),
+					Control: sim.NewRandomControl(cellSeed(steal, i)),
 				})
 				if err != nil {
 					return nil, err
@@ -299,41 +318,49 @@ func replayMatrix(recon *Recon, class dag.Class, opts Options) ([]MatrixCell, er
 				if err != nil {
 					return nil, err
 				}
-				d := sim.Deviations(seqOrder, res)
-				devSum += d
-				stealSum += res.Steals
-				if d > cell.MaxDeviations {
-					cell.MaxDeviations = d
-				}
+				devs = append(devs, sim.Deviations(seqOrder, res))
+				steals = append(steals, res.Steals)
 				if opts.CacheModel != nil {
 					trials = append(trials, res)
 				}
 			}
-			cell.MeanDeviations = float64(devSum) / float64(opts.Trials)
-			cell.MeanSteals = float64(stealSum) / float64(opts.Trials)
-			granted := core.BoundApplies(class, fork, steal)
-			if granted {
-				cell.Bound = int64(opts.P) * g.Span() * g.Span()
-			}
+			cell.summarize(devs, steals)
 			if opts.CacheModel != nil {
 				// Charge each cell's schedules their footprint-replay miss
 				// bill against this fork policy's own sequential baseline
-				// (like with like, as the deviation count above). The OPT
-				// baseline is skipped — the primary replay carries it once.
+				// (like with like, as the deviation count above), over the
+				// footprint the primary replay derived. The OPT baseline is
+				// skipped — the primary replay carries it once.
 				model := *opts.CacheModel
 				model.NoIdeal = true
-				cc, err := core.CacheCostOf(g, model, opts.Domains, granted, seq, trials)
+				cc, err := core.CacheCostOf(g, model, primary.CacheCost, opts.Domains, granted, seq, trials)
 				if err != nil {
 					return nil, err
 				}
-				cell.MeanExtraMisses = cc.MeanExtra()
-				cell.MaxExtraMisses = cc.MaxExtra()
-				cell.MissBound = cc.MissEnvelope
+				cell.charge(cc)
 			}
 			cells = append(cells, cell)
 		}
 	}
 	return cells, nil
+}
+
+// summarize fills the cell's deviation and steal columns from per-trial
+// counts.
+func (c *MatrixCell) summarize(devs, steals []int64) {
+	var devSum, stealSum int64
+	for i, d := range devs {
+		devSum += d
+		stealSum += steals[i]
+		c.MaxDeviations = max(c.MaxDeviations, d)
+	}
+	c.MeanDeviations = float64(devSum) / float64(len(devs))
+	c.MeanSteals = float64(stealSum) / float64(len(devs))
+}
+
+// charge fills the cell's extra-miss columns from a cache-cost verdict.
+func (c *MatrixCell) charge(cc *core.CacheCost) {
+	c.MeanExtraMisses, c.MaxExtraMisses, c.MissBound = cc.MeanExtra(), cc.MaxExtra(), cc.MissEnvelope
 }
 
 // WithinBound reports whether the measured deviations stayed inside the

@@ -247,6 +247,9 @@ func New(g *dag.Graph, cfg Config) (*Engine, error) {
 	}
 	for p := range e.assigned {
 		e.assigned[p] = dag.None
+		// An even share each (everything, at P = 1); a processor that ends
+		// up executing more grows its order by append.
+		e.orders[p] = make([]dag.NodeID, 0, g.Len()/cfg.P+1)
 	}
 	if cfg.Steal == LastVictimAffinity {
 		e.lastVictim = make([]ProcID, cfg.P)
