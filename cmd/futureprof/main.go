@@ -11,10 +11,10 @@
 //	futureprof -workload fib                 # fib(20), default parent-first spawns
 //	futureprof -workload fib -discipline future-first   # same code, dived spawns
 //	futureprof -workload fibjoin -n 22       # work-first Join2 variant
-//	futureprof -workload matmul -n 64        # blocked divide-and-conquer
+//	futureprof -workload map -n 64           # matmul-style map over 64 rows
 //	futureprof -workload pipeline -n 256     # local-touch stream (§6.1)
 //	futureprof -workload priority -n 32      # Figure 5(a) priority touches
-//	futureprof -workload fib -workers 8 -trials 16 -cache 32
+//	futureprof -workload fib -workers 8 -trials 16
 //	futureprof -workload fib -cachemodel 64,lru   # simulated extra-miss accounting
 //	futureprof -workload fib -topology 2x2   # two LLC domains: domain-tiered thieves
 //	futureprof -workload fib -events         # dump the raw event trace too
@@ -31,115 +31,33 @@
 package main
 
 import (
-	"container/heap"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	fl "futurelocality"
+	"futurelocality/internal/experiments"
 )
 
-func fibSeq(n int) int {
-	if n < 2 {
-		return n
-	}
-	a, b := 0, 1
-	for i := 2; i <= n; i++ {
-		a, b = b, a+b
-	}
-	return b
-}
-
-func fibSpawn(rt *fl.Runtime, w *fl.W, n, cutoff int) int {
-	if n < cutoff {
-		return fibSeq(n)
-	}
-	f := fl.Spawn(rt, w, func(w *fl.W) int { return fibSpawn(rt, w, n-1, cutoff) })
-	y := fibSpawn(rt, w, n-2, cutoff)
-	return f.Touch(w) + y
-}
-
-func fibJoin(rt *fl.Runtime, w *fl.W, n, cutoff int) int {
-	if n < cutoff {
-		return fibSeq(n)
-	}
-	a, b := fl.Join2(rt, w,
-		func(w *fl.W) int { return fibJoin(rt, w, n-1, cutoff) },
-		func(w *fl.W) int { return fibJoin(rt, w, n-2, cutoff) },
-	)
-	return a + b
-}
-
-// matmul multiplies two n×n matrices with a parallel map over row blocks.
-func matmul(rt *fl.Runtime, w *fl.W, n int) float64 {
-	a := make([]float64, n*n)
-	b := make([]float64, n*n)
-	rng := rand.New(rand.NewSource(1))
-	for i := range a {
-		a[i], b[i] = rng.Float64(), rng.Float64()
-	}
-	c := make([]float64, n*n)
-	fl.ForEachPar(rt, w, n, 4, func(_ *fl.W, i int) {
-		for k := 0; k < n; k++ {
-			aik := a[i*n+k]
-			for j := 0; j < n; j++ {
-				c[i*n+j] += aik * b[k*n+j]
-			}
-		}
-	})
-	return c[0]
-}
-
-// pipeline is the Section 6.1 local-touch pattern: one producer stream,
-// touched in order by the caller.
-func pipeline(rt *fl.Runtime, w *fl.W, items int) int {
-	st := fl.Produce(rt, w, items, func(_ *fl.W, i int) int { return i*31 + 7 })
-	acc := 0
-	for i := 0; i < items; i++ {
-		acc ^= st.Get(w, i)
-	}
-	return acc
-}
-
-type pjob struct {
-	priority int
-	fut      *fl.Future[int]
-}
-type pqueue []*pjob
-
-func (q pqueue) Len() int           { return len(q) }
-func (q pqueue) Less(i, j int) bool { return q[i].priority > q[j].priority }
-func (q pqueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pqueue) Push(x any)        { *q = append(*q, x.(*pjob)) }
-func (q *pqueue) Pop() (x any)      { old := *q; n := len(old); x = old[n-1]; *q = old[:n-1]; return }
-
-// priority is the Figure 5(a) pattern: a batch of futures consumed in
-// priority order, decided at run time.
-func priority(rt *fl.Runtime, w *fl.W, jobs int) int {
-	rng := rand.New(rand.NewSource(7))
-	var q pqueue
-	for i := 0; i < jobs; i++ {
-		i := i
-		heap.Push(&q, &pjob{
-			priority: rng.Intn(1000),
-			fut:      fl.Spawn(rt, w, func(_ *fl.W) int { return fibSeq(20 + i%5) }),
-		})
-	}
-	acc := 0
-	for q.Len() > 0 {
-		acc ^= heap.Pop(&q).(*pjob).fut.Touch(w)
-	}
-	return acc
+// workloads are the live programs of internal/experiments by flag name:
+// each entry's default size and the call that runs it.
+var workloads = map[string]struct {
+	size int
+	run  func(rt *fl.Runtime, w *fl.W, n int)
+}{
+	"fib":      {20, func(rt *fl.Runtime, w *fl.W, n int) { experiments.Fib(rt, w, experiments.FibSpawn, n, 10, 0) }},
+	"fibjoin":  {20, func(rt *fl.Runtime, w *fl.W, n int) { experiments.Fib(rt, w, experiments.FibJoin, n, 10, 0) }},
+	"map":      {48, func(rt *fl.Runtime, w *fl.W, n int) { experiments.MapRows(rt, w, n, 8) }},
+	"pipeline": {256, func(rt *fl.Runtime, w *fl.W, n int) { experiments.Pipeline(rt, w, n, 0) }},
+	"priority": {32, func(rt *fl.Runtime, w *fl.W, n int) { experiments.PriorityTouches(rt, w, n, 0) }},
 }
 
 func main() {
 	var (
-		workload   = flag.String("workload", "fib", "fib | fibjoin | matmul | pipeline | priority")
+		workload   = flag.String("workload", "fib", "fib | fibjoin | map | pipeline | priority")
 		n          = flag.Int("n", 0, "workload size (default: per-workload preset)")
 		workers    = flag.Int("workers", 4, "runtime worker count")
 		trials     = flag.Int("trials", 8, "simulator replay trials")
-		cache      = flag.Int("cache", 0, "cache lines C for the sim replay (0 = deviations only)")
 		cacheModel = flag.String("cachemodel", "",
 			"cache-cost model for the footprint replay, \"C[,policy][,w=N][,llc=N][,noideal]\" (e.g. 64,lru); adds simulated extra-miss accounting per job and per (fork × steal) cell")
 		events     = flag.Bool("events", false, "also dump the raw event trace")
@@ -175,34 +93,15 @@ func main() {
 	rt := fl.NewRuntime(rtOpts...)
 	defer rt.Shutdown()
 
-	size := *n
-	preset := func(d int) int {
-		if size > 0 {
-			return size
-		}
-		return d
-	}
-	var run func(w *fl.W)
-	switch *workload {
-	case "fib":
-		k := preset(20)
-		run = func(w *fl.W) { fibSpawn(rt, w, k, 10) }
-	case "fibjoin":
-		k := preset(20)
-		run = func(w *fl.W) { fibJoin(rt, w, k, 10) }
-	case "matmul":
-		k := preset(48)
-		run = func(w *fl.W) { matmul(rt, w, k) }
-	case "pipeline":
-		k := preset(256)
-		run = func(w *fl.W) { pipeline(rt, w, k) }
-	case "priority":
-		k := preset(32)
-		run = func(w *fl.W) { priority(rt, w, k) }
-	default:
+	wl, ok := workloads[*workload]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "futureprof: unknown workload %q\n", *workload)
 		os.Exit(1)
 	}
+	if *n > 0 {
+		wl.size = *n
+	}
+	run := func(w *fl.W) { wl.run(rt, w, wl.size) }
 
 	// Flight mode diagnoses from the always-on ring; only the session mode
 	// opens an explicit profiling window.
@@ -264,8 +163,7 @@ func main() {
 		}
 	}
 	rep, err := fl.AnalyzeProfile(tr, fl.ProfileOptions{
-		P: *workers, Trials: *trials, CacheLines: *cache,
-		Domains: rt.DomainAssignment(), CacheModel: model,
+		P: *workers, Trials: *trials, Domains: rt.DomainAssignment(), CacheModel: model,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "futureprof:", err)

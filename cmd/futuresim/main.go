@@ -1,16 +1,20 @@
 // Command futuresim runs one figure or workload through the scheduler
 // simulator and prints the full locality analysis: classification,
 // deviations vs the paper's bound, cache misses vs the sequential baseline,
-// and steal counts.
+// and steal counts. With -graph it renders the figure's DAG as Graphviz DOT
+// and simulates nothing.
 //
 // Usage:
 //
 //	futuresim -fig fig6c -k 16 -n 4 -trials 1 -adversary
 //	futuresim -fig forkjoin -depth 8 -P 16 -C 64 -trials 32
 //	futuresim -fig fig8 -annotate -adversary -csv trace.csv -dot run.dot
+//	futuresim -fig fig6a -k 4 -graph - | dot -Tsvg > fig6a.svg
 //
 // With -adversary the figure's proof schedule is replayed (deterministic,
 // Trials forced to 1); otherwise random work stealing with -seed is used.
+// -chains, -csv and -dot all describe one extra run: the proof schedule
+// under -adversary, otherwise trial 0's schedule (random control -seed).
 package main
 
 import (
@@ -23,7 +27,6 @@ import (
 	"futurelocality/internal/dag"
 	"futurelocality/internal/figreg"
 	"futurelocality/internal/sim"
-	"futurelocality/internal/trace"
 )
 
 func main() {
@@ -44,18 +47,20 @@ func main() {
 		policy    = flag.String("policy", "", "future-first | parent-first (default: the figure's)")
 		trials    = flag.Int("trials", 8, "random-steal trials")
 		seed      = flag.Int64("seed", 1, "random seed")
-		csvOut    = flag.String("csv", "", "write the last trial's trace as CSV to this file")
-		dotOut    = flag.String("dot", "", "write the last trial's execution DOT to this file")
-		chains    = flag.Bool("chains", false, "print the deviation-chain decomposition of one run")
+		csvOut    = flag.String("csv", "", "write the extra run's trace as CSV to this file")
+		dotOut    = flag.String("dot", "", "write the extra run's execution DOT to this file")
+		chains    = flag.Bool("chains", false, "print the extra run's deviation-chain decomposition")
+		graphOut  = flag.String("graph", "", "write the DAG as DOT to this file (- for stdout) and exit without simulating")
 		saveGraph = flag.String("save", "", "serialize the built graph to this file and exit")
 		loadGraph = flag.String("load", "", "load a serialized graph instead of building -fig")
 	)
 	flag.Parse()
 
-	inst, err := figreg.Build(*fig, figreg.Spec{
+	spec := figreg.Spec{
 		K: *k, N: *n, C: *c, Depth: *depth, T: *tparam, Work: *work,
 		Stages: *stages, Items: *items, Seed: *seed, Annotate: *annotate,
-	})
+	}
+	inst, err := figreg.Build(*fig, spec)
 	if err != nil {
 		fatal(err)
 	}
@@ -75,6 +80,10 @@ func main() {
 	if *saveGraph != "" {
 		writeFile(*saveGraph, func(f *os.File) error { return dag.WriteBinary(f, inst.Graph) })
 		fmt.Printf("saved %s (%d nodes) to %s\n", inst.Name, inst.Graph.Len(), *saveGraph)
+		return
+	}
+	if *graphOut != "" {
+		writeFile(*graphOut, func(f *os.File) error { return dag.WriteDOT(f, inst.Graph, inst.Name) })
 		return
 	}
 	pol := inst.Policy
@@ -109,74 +118,62 @@ func main() {
 	}
 	fmt.Print(rep)
 
+	if !*chains && *csvOut == "" && *dotOut == "" {
+		return
+	}
+	// The one extra run all three outputs describe.
+	seq, err := sim.Sequential(inst.Graph, pol, *cacheC, cache.LRU)
+	if err != nil {
+		fatal(err)
+	}
+	var ctrl sim.Control = sim.NewRandomControl(*seed)
+	if *adversary {
+		// Analyze consumed the script, and scripts are single-use.
+		fresh, err := figreg.Build(*fig, spec)
+		if err != nil {
+			fatal(err)
+		}
+		ctrl = fresh.Script
+	}
+	eng, err := sim.New(inst.Graph, sim.Config{P: opts.P, Policy: pol, CacheLines: *cacheC, Control: ctrl})
+	if err != nil {
+		fatal(err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		fatal(err)
+	}
 	if *chains {
-		seq, err := sim.Sequential(inst.Graph, pol, 0, cache.LRU)
-		if err != nil {
-			fatal(err)
-		}
-		var ctrl sim.Control = sim.NewRandomControl(*seed)
-		if *adversary && inst.Script != nil {
-			inst2, _ := figreg.Build(*fig, figreg.Spec{
-				K: *k, N: *n, C: *c, Depth: *depth, T: *tparam, Work: *work,
-				Stages: *stages, Items: *items, Seed: *seed, Annotate: *annotate,
-			})
-			ctrl = inst2.Script
-		}
-		eng, err := sim.New(inst.Graph, sim.Config{P: opts.P, Policy: pol, Control: ctrl})
-		if err != nil {
-			fatal(err)
-		}
-		res, err := eng.Run()
-		if err != nil {
-			fatal(err)
-		}
 		fmt.Printf("chains:      %s\n", core.DeviationChains(inst.Graph, seq.SeqOrder(), res))
 	}
-
-	if *csvOut != "" || *dotOut != "" {
-		seq, err := sim.Sequential(inst.Graph, pol, *cacheC, cache.LRU)
-		if err != nil {
-			fatal(err)
-		}
-		var ctrl sim.Control = sim.NewRandomControl(*seed)
-		if *adversary {
-			// Rebuild a fresh script: scripts are single-use.
-			inst2, _ := figreg.Build(*fig, figreg.Spec{
-				K: *k, N: *n, C: *c, Depth: *depth, T: *tparam, Work: *work,
-				Stages: *stages, Items: *items, Seed: *seed, Annotate: *annotate,
-			})
-			ctrl = inst2.Script
-		}
-		eng, err := sim.New(inst.Graph, sim.Config{
-			P: opts.P, Policy: pol, CacheLines: *cacheC, Control: ctrl,
+	if *csvOut != "" {
+		writeFile(*csvOut, func(f *os.File) error { return sim.WriteCSV(f, inst.Graph, res) })
+		fmt.Printf("trace csv:   %s\n", *csvOut)
+	}
+	if *dotOut != "" {
+		writeFile(*dotOut, func(f *os.File) error {
+			return sim.WriteDOT(f, inst.Graph, res, seq.SeqOrder(), inst.Name)
 		})
-		if err != nil {
-			fatal(err)
-		}
-		res, err := eng.Run()
-		if err != nil {
-			fatal(err)
-		}
-		if *csvOut != "" {
-			writeFile(*csvOut, func(f *os.File) error { return trace.WriteCSV(f, inst.Graph, res) })
-			fmt.Printf("trace csv:   %s\n", *csvOut)
-		}
-		if *dotOut != "" {
-			writeFile(*dotOut, func(f *os.File) error {
-				return trace.WriteDOT(f, inst.Graph, res, seq.SeqOrder(), inst.Name)
-			})
-			fmt.Printf("trace dot:   %s\n", *dotOut)
-		}
+		fmt.Printf("trace dot:   %s\n", *dotOut)
 	}
 }
 
+// writeFile hands fn the named file, or standard output for "-".
 func writeFile(path string, fn func(*os.File) error) {
+	if path == "-" {
+		if err := fn(os.Stdout); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
 	if err := fn(f); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		fatal(err)
 	}
 }

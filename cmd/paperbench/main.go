@@ -1,12 +1,12 @@
 // Command paperbench regenerates every experiment of the reproduction
-// (E1–E15 in DESIGN.md) and emits the markdown tables recorded in
+// (E1–E16 in DESIGN.md) and emits the markdown tables recorded in
 // EXPERIMENTS.md.
 //
 // Usage:
 //
 //	paperbench                  # all experiments, full scale
 //	paperbench -scale quick     # fast smoke run
-//	paperbench -exp E2,E3       # a subset
+//	paperbench -exp E2,E16      # a subset
 //	paperbench -o EXPERIMENTS.body.md
 package main
 
@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		scale = flag.String("scale", "full", "quick | full")
-		exps  = flag.String("exp", "all", "comma-separated experiment ids (E1..E15) or all")
+		exps  = flag.String("exp", "all", "comma-separated experiment ids (E1..E16) or all")
 		out   = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
@@ -39,24 +39,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	runners := map[string]func(experiments.Scale) experiments.Result{
-		"E1": experiments.E1, "E2": experiments.E2, "E3": experiments.E3,
-		"E4": experiments.E4, "E5": experiments.E5, "E6": experiments.E6,
-		"E7": experiments.E7, "E8": experiments.E8, "E9": experiments.E9,
-		"E10": experiments.E10, "E11": experiments.E11, "E12": experiments.E12, "E13": experiments.E13, "E14": experiments.E14,
-		"E15": experiments.E15,
-	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15"}
-
 	want := map[string]bool{}
-	if *exps == "all" {
-		for _, id := range order {
-			want[id] = true
-		}
-	} else {
+	for _, e := range experiments.Registry {
+		want[e.ID] = *exps == "all"
+	}
+	if *exps != "all" {
 		for _, id := range strings.Split(*exps, ",") {
 			id = strings.TrimSpace(strings.ToUpper(id))
-			if _, ok := runners[id]; !ok {
+			if _, ok := want[id]; !ok {
 				fmt.Fprintf(os.Stderr, "paperbench: unknown experiment %q\n", id)
 				os.Exit(1)
 			}
@@ -65,13 +55,13 @@ func main() {
 	}
 
 	var results []experiments.Result
-	for _, id := range order {
-		if !want[id] {
+	for _, e := range experiments.Registry {
+		if !want[e.ID] {
 			continue
 		}
 		start := time.Now()
-		fmt.Fprintf(os.Stderr, "paperbench: running %s...", id)
-		results = append(results, runners[id](sc))
+		fmt.Fprintf(os.Stderr, "paperbench: running %s...", e.ID)
+		results = append(results, e.Run(sc))
 		fmt.Fprintf(os.Stderr, " done in %v\n", time.Since(start).Round(time.Millisecond))
 	}
 

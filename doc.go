@@ -186,9 +186,9 @@
 // default; Scope and Produce spawn help-first on purpose (a side-effect
 // future or a pipeline producer exists to overlap with its consumer).
 //
-// See DESIGN.md for the system inventory and the old-API migration table,
+// See DESIGN.md for the system as it is, one section per package,
 // EXPERIMENTS.md for the paper-vs-measured record of every theorem and
-// figure, and bench/README.md for the repository's one benchmark
+// figure (E1–E16; go run ./cmd/paperbench regenerates it), and bench/README.md for the repository's one benchmark
 // (go run ./bench [-workload …] [-trace 1]), which is how any statement
 // about the runtime's speed is measured.
 package futurelocality

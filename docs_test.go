@@ -18,12 +18,12 @@ var checkedDocs = []string{
 }
 
 // docPaths match the repository paths a document can tell a reader to run
-// or open: cmd/<x> and scripts/<x> with or without a leading "./", and
-// ./examples/<x> and ./bench with one. The leading group keeps them off
+// or open: cmd/<x>, scripts/<x> and internal/<x> with or without a leading
+// "./", and ./examples/<x> and ./bench with one. The leading group keeps them off
 // longer paths that merely end the same way (honnef.co/go/tools/cmd/...); a
 // placeholder such as ./examples/<name> has no name to match.
 var docPaths = []*regexp.Regexp{
-	regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:cmd|scripts)/[\w.-]+)`),
+	regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:cmd|scripts|internal)/[\w.-]+)`),
 	regexp.MustCompile(`(?:^|[^\w/.-])\./(examples/\w+|bench\b)`),
 }
 
@@ -34,14 +34,21 @@ var retiredNames = []string{
 	"WithPlacement", "WithForwarding", "PlaceRoundRobin", "JobStats(",
 	"WithStealPolicy",
 	"ThreadTouches", "descendantsInto",
+	"dagviz", "internal/trace",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer
-// has: futureprof's -steal went with the runtime's steal-policy option.
-var retiredFlag = regexp.MustCompile(`futureprof\b.*\s-steal\b`)
+// has: futureprof's -steal went with the runtime's steal-policy option, its
+// -cache with the in-engine caches a reconstructed DAG never touched.
+var retiredFlag = regexp.MustCompile(`futureprof\b.*\s-(?:steal|cache)\b`)
 
-// TestDocsNameOnlyWhatExists fails when a document names a command, example
-// or script that is not in the tree, or a retired one, or passes a retired flag.
+// changeNumber matches a reference to a numbered change. DESIGN.md describes
+// the tree as it is; what changed when is git log's and CHANGES.md's.
+var changeNumber = regexp.MustCompile(`\bPR \d+`)
+
+// TestDocsNameOnlyWhatExists fails when a document names a command, example,
+// script or internal package that is not in the tree, or a retired one, or
+// passes a retired flag — and when DESIGN.md dates itself.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	for _, doc := range checkedDocs {
 		raw, err := os.ReadFile(doc)
@@ -64,6 +71,9 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			}
 			if m := retiredFlag.FindString(line); m != "" {
 				t.Errorf("%s:%d still runs %q", doc, n+1, m)
+			}
+			if m := changeNumber.FindString(line); m != "" && doc == "DESIGN.md" {
+				t.Errorf("%s:%d cites %q: history belongs to git log and CHANGES.md", doc, n+1, m)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"futurelocality/internal/adversary"
 	"futurelocality/internal/cache"
 	"futurelocality/internal/core"
 	"futurelocality/internal/dag"
@@ -17,7 +16,6 @@ import (
 	"futurelocality/internal/stats"
 	"futurelocality/internal/telemetry"
 	"futurelocality/internal/topology"
-	"futurelocality/internal/trace"
 )
 
 // ---------------------------------------------------------------------------
@@ -71,8 +69,6 @@ type (
 	// executing processor runs first. The same FutureFirst/ParentFirst
 	// constants configure SimConfig.Policy, WithDiscipline, and SpawnWith.
 	Discipline = policy.Discipline
-	// ForkPolicy is the simulator-era name for Discipline (same type).
-	ForkPolicy = sim.ForkPolicy
 	// ProcID identifies a simulated processor.
 	ProcID = sim.ProcID
 	// CacheKind selects the cache replacement policy.
@@ -126,15 +122,6 @@ const (
 // sweeps.
 var StealPolicies = policy.StealPolicies
 
-// ParseStealPolicy reads a steal-policy name
-// ("random-single"/"steal-half"/"last-victim"/"hierarchical"), for CLI
-// flags.
-func ParseStealPolicy(s string) (StealPolicy, error) { return policy.ParseSteal(s) }
-
-// StealPolicyNames lists every steal policy's canonical name, in policy
-// order — the vocabulary ParseStealPolicy accepts, for CLI flag help.
-func StealPolicyNames() []string { return policy.StealNames() }
-
 // Cache replacement policies; the paper's model is LRU.
 const (
 	LRU          = cache.LRU
@@ -153,7 +140,7 @@ func Simulate(g *Graph, cfg SimConfig) (*SimResult, error) {
 }
 
 // Sequential runs the one-processor baseline execution.
-func Sequential(g *Graph, policy ForkPolicy, cacheLines int, kind CacheKind) (*SimResult, error) {
+func Sequential(g *Graph, policy Discipline, cacheLines int, kind CacheKind) (*SimResult, error) {
 	return sim.Sequential(g, policy, cacheLines, kind)
 }
 
@@ -222,12 +209,8 @@ func DeviationChains(g *Graph, seqOrder []NodeID, r *SimResult) *ChainReport {
 // ---------------------------------------------------------------------------
 // Paper workloads and adversarial schedules.
 
-type (
-	// RandomConfig parameterizes RandomStructured.
-	RandomConfig = graphs.RandomConfig
-	// AdversaryScript is a scripted schedule replaying a proof execution.
-	AdversaryScript = adversary.Script
-)
+// RandomConfig parameterizes RandomStructured.
+type RandomConfig = graphs.RandomConfig
 
 // ForkJoinTree builds a balanced divide-and-conquer computation.
 func ForkJoinTree(depth, leafWork int, annotate bool) *Graph {
@@ -257,11 +240,11 @@ func RandomStructured(seed int64, cfg RandomConfig) *Graph {
 // Execution traces.
 
 // WriteTraceCSV exports an execution as CSV.
-func WriteTraceCSV(w io.Writer, g *Graph, r *SimResult) error { return trace.WriteCSV(w, g, r) }
+func WriteTraceCSV(w io.Writer, g *Graph, r *SimResult) error { return sim.WriteCSV(w, g, r) }
 
 // WriteTraceDOT renders an execution over the DAG, marking deviations.
 func WriteTraceDOT(w io.Writer, g *Graph, r *SimResult, seqOrder []NodeID, name string) error {
-	return trace.WriteDOT(w, g, r, seqOrder, name)
+	return sim.WriteDOT(w, g, r, seqOrder, name)
 }
 
 // ---------------------------------------------------------------------------
@@ -443,15 +426,9 @@ func CriticalPath(g *Graph) []NodeID { return g.CriticalPath() }
 // ---------------------------------------------------------------------------
 // Cache topology: locality domains for hierarchical stealing.
 
-type (
-	// Topology is a discovered or synthetic cache-sharing hierarchy: CPUs
-	// grouped into LLC-sharing locality domains (internal/topology).
-	Topology = topology.Topology
-	// TopologyDomain is one LLC-sharing group of CPUs.
-	TopologyDomain = topology.Domain
-	// TopologyAssignment maps workers onto a topology's domains.
-	TopologyAssignment = topology.Assignment
-)
+// Topology is a discovered or synthetic cache-sharing hierarchy: CPUs
+// grouped into LLC-sharing locality domains (internal/topology).
+type Topology = topology.Topology
 
 // DetectTopology discovers the host's cache-sharing hierarchy from sysfs
 // (cached after the first call), falling back to one flat domain when
@@ -474,8 +451,6 @@ type (
 	// ProfileTrace is the collected event log of one profiling session
 	// (Runtime.StartProfile / Runtime.StopProfile).
 	ProfileTrace = profile.Trace
-	// ProfileEvent is one recorded scheduling event.
-	ProfileEvent = profile.Event
 	// ProfileRecon is the reconstruction of a session: the computation DAG
 	// the run performed plus the measured deviation account.
 	ProfileRecon = profile.Recon

@@ -105,9 +105,6 @@ func (s *Script) Victim(p sim.ProcID, v *sim.View) sim.ProcID {
 	return s.ds[s.cur].Victim
 }
 
-// Remaining reports how many directives have not completed (for tests).
-func (s *Script) Remaining() int { return len(s.ds) - s.cur }
-
 // ---------------------------------------------------------------------------
 // Figure 6 schedules (Theorem 9; future-first).
 

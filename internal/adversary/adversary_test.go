@@ -227,8 +227,8 @@ func TestScriptVictimFollowsDirective(t *testing.T) {
 	if err := res.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if s.Remaining() != 0 {
-		t.Fatalf("remaining directives: %d", s.Remaining())
+	if len(s.ds)-s.cur != 0 {
+		t.Fatalf("remaining directives: %d", len(s.ds)-s.cur)
 	}
 }
 
@@ -268,7 +268,7 @@ func TestScriptFallbackFinishes(t *testing.T) {
 	if err := res.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if s.Remaining() != 0 {
-		t.Fatalf("directives remaining: %d", s.Remaining())
+	if len(s.ds)-s.cur != 0 {
+		t.Fatalf("directives remaining: %d", len(s.ds)-s.cur)
 	}
 }

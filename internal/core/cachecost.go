@@ -9,6 +9,7 @@ import (
 	"futurelocality/internal/cache"
 	"futurelocality/internal/dag"
 	"futurelocality/internal/sim"
+	"futurelocality/internal/stats"
 )
 
 // CacheModel parameterizes the cache-cost pipeline: the footprint-driven
@@ -59,17 +60,24 @@ func (m CacheModel) String() string {
 	return s
 }
 
+// maxModelLines bounds each line count of a parsed model: 2²⁰ lines is a
+// 64 MiB cache, past any last-level cache this model is asked about.
+const maxModelLines = 1 << 20
+
 // ParseCacheModel parses the CLI spec "C[,policy][,opt...]": a line count,
 // an optional replacement policy name (lru, fifo, set-assoc-lru,
 // direct-mapped; default lru), and optional w=N (synthetic window),
 // llc=N (shared tier lines), and noideal tokens, in any order after C.
 //
 //	"64"  "64,lru"  "64,fifo,w=16"  "128,lru,llc=1024,noideal"
+//
+// Every count is at most maxModelLines: the caches are allocated at their
+// stated size, and the spec arrives from a command line.
 func ParseCacheModel(spec string) (*CacheModel, error) {
 	parts := strings.Split(spec, ",")
 	c, err := strconv.Atoi(strings.TrimSpace(parts[0]))
-	if err != nil || c < 1 {
-		return nil, fmt.Errorf("core: cache model %q: want C[,policy][,w=N][,llc=N][,noideal] with C ≥ 1", spec)
+	if err != nil || c < 1 || c > maxModelLines {
+		return nil, fmt.Errorf("core: cache model %q: want C[,policy][,w=N][,llc=N][,noideal] with 1 ≤ C ≤ %d", spec, maxModelLines)
 	}
 	m := &CacheModel{Lines: c, Kind: cache.LRU}
 	for _, raw := range parts[1:] {
@@ -78,11 +86,11 @@ func ParseCacheModel(spec string) (*CacheModel, error) {
 		case tok == "noideal":
 			m.NoIdeal = true
 		case strings.HasPrefix(tok, "w="):
-			if m.Window, err = strconv.Atoi(tok[2:]); err != nil || m.Window < 1 {
+			if m.Window, err = strconv.Atoi(tok[2:]); err != nil || m.Window < 1 || m.Window > maxModelLines {
 				return nil, fmt.Errorf("core: cache model %q: bad window %q", spec, tok)
 			}
 		case strings.HasPrefix(tok, "llc="):
-			if m.LLCLines, err = strconv.Atoi(tok[4:]); err != nil || m.LLCLines < 1 {
+			if m.LLCLines, err = strconv.Atoi(tok[4:]); err != nil || m.LLCLines < 1 || m.LLCLines > maxModelLines {
 				return nil, fmt.Errorf("core: cache model %q: bad llc %q", spec, tok)
 			}
 		default:
@@ -161,6 +169,46 @@ func (cc *CacheCost) WithinEnvelope() bool {
 		}
 	}
 	return true
+}
+
+// ccLabels are the words the two reports that print a cache-cost paragraph
+// differ in: Analyze's own (index 0) and the profiler's (index 1), which
+// names the policy pair and aligns with its wider label column.
+var ccLabels = [2]struct{ head, synthetic, seq, envelope string }{
+	{"cache cost:  model=[%s] footprint=%s blocks=%d\n", "synthetic",
+		"  seq misses=%d", "  envelope C·(1+P·T∞²)=%d  within=%v"},
+	{"cache cost model:   [%s]  footprint=%s  blocks=%d\n", "synthetic (DAG-derived)",
+		"  sequential misses=%d", "  envelope C·(1+P·T∞²)=%d within=%v"},
+}
+
+// Render writes the verdict's paragraph — model and footprint, the
+// sequential and ideal bills, the extra misses against the envelope, the
+// shared tier when there is one — for both reports that carry it. pair names
+// the (fork × steal) pair of the replayed schedules and selects the
+// profiler's wording; Analyze's own report passes "".
+func (cc *CacheCost) Render(sb *strings.Builder, pair string) {
+	l := ccLabels[0]
+	if pair != "" {
+		l, pair = ccLabels[1], " ("+pair+")"
+	}
+	src := "declared"
+	if cc.Synthetic {
+		src = l.synthetic
+	}
+	fmt.Fprintf(sb, l.head, cc.Model, src, cc.Blocks)
+	fmt.Fprintf(sb, l.seq, cc.SeqMisses)
+	if !cc.Model.NoIdeal {
+		fmt.Fprintf(sb, " (ideal/OPT=%d)", cc.IdealMisses)
+	}
+	fmt.Fprintf(sb, "  extra misses: mean=%.1f max=%d%s", cc.MeanExtra(), cc.MaxExtra(), pair)
+	if cc.MissEnvelope > 0 {
+		fmt.Fprintf(sb, l.envelope, cc.MissEnvelope, cc.WithinEnvelope())
+	}
+	sb.WriteByte('\n')
+	if cc.Model.LLCLines > 0 {
+		l := stats.Summarize(stats.Ints(cc.LLCMisses))
+		fmt.Fprintf(sb, "  llc (memory) misses: mean=%.1f max=%.0f\n", l.Mean, l.Max)
+	}
 }
 
 // scheduleOf recovers a result's global execution order (When is dense over

@@ -94,6 +94,51 @@ func BoundApplies(c dag.Class, fork sim.ForkPolicy, steal sim.StealPolicy) bool 
 	return c.SingleTouch || c.LocalTouch || c.SingleTouchSuperFinal || c.LocalTouchSuperFinal
 }
 
+// Trials is the account of a set of executions of one graph under one
+// configuration, entry i for trial i, each measured against the same
+// sequential baseline.
+type Trials struct {
+	Deviations, AdditionalMisses, Steals []int64
+	Premature                            []int
+	// Results holds the executions themselves, for a cache-cost replay of
+	// their schedules; nil unless RunTrials was asked to keep them.
+	Results []*sim.Result
+}
+
+// RunTrials executes g n times under cfg, trial i driven by control(i), and
+// measures each run against seq, the sequential execution under cfg's fork
+// policy and cache geometry (the paper compares like with like). It is the
+// one trial loop: Analyze runs it once, the profiler's (fork × steal) matrix
+// once per cell with the cell's own baseline and seeds.
+func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control func(i int) sim.Control, keep bool) (*Trials, error) {
+	seqOrder := seq.SeqOrder()
+	tr := &Trials{
+		Deviations:       make([]int64, 0, n),
+		AdditionalMisses: make([]int64, 0, n),
+		Steals:           make([]int64, 0, n),
+		Premature:        make([]int, 0, n),
+	}
+	for i := 0; i < n; i++ {
+		cfg.Control = control(i)
+		eng, err := sim.New(g, cfg)
+		if err != nil {
+			return nil, err
+		}
+		res, err := eng.Run()
+		if err != nil {
+			return nil, fmt.Errorf("core: trial %d: %w", i, err)
+		}
+		tr.Deviations = append(tr.Deviations, sim.Deviations(seqOrder, res))
+		tr.AdditionalMisses = append(tr.AdditionalMisses, res.TotalMisses-seq.TotalMisses)
+		tr.Steals = append(tr.Steals, res.Steals)
+		tr.Premature = append(tr.Premature, sim.PrematureTouches(g, res))
+		if keep {
+			tr.Results = append(tr.Results, res)
+		}
+	}
+	return tr, nil
+}
+
 // Analyze runs the full pipeline on g.
 func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 	if opts.P == 0 {
@@ -123,42 +168,28 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 		return nil, fmt.Errorf("core: sequential baseline: %w", err)
 	}
 	rep.SeqMisses = seq.TotalMisses
-	seqOrder := seq.SeqOrder()
-
-	var trials []*sim.Result
-	for i := 0; i < opts.Trials; i++ {
-		ctrl := opts.Control
-		if ctrl == nil {
-			ctrl = sim.NewRandomControl(opts.Seed + int64(i))
+	tr, err := RunTrials(g, sim.Config{
+		P:          opts.P,
+		Policy:     opts.Policy,
+		Steal:      opts.Steal,
+		Domains:    opts.Domains,
+		CacheLines: opts.CacheLines,
+		CacheKind:  opts.CacheKind,
+	}, seq, opts.Trials, func(i int) sim.Control {
+		if opts.Control != nil {
+			return opts.Control
 		}
-		eng, err := sim.New(g, sim.Config{
-			P:          opts.P,
-			Policy:     opts.Policy,
-			Steal:      opts.Steal,
-			Domains:    opts.Domains,
-			CacheLines: opts.CacheLines,
-			CacheKind:  opts.CacheKind,
-			Control:    ctrl,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := eng.Run()
-		if err != nil {
-			return nil, fmt.Errorf("core: trial %d: %w", i, err)
-		}
-		rep.Deviations = append(rep.Deviations, sim.Deviations(seqOrder, res))
-		rep.AdditionalMisses = append(rep.AdditionalMisses, res.TotalMisses-seq.TotalMisses)
-		rep.Steals = append(rep.Steals, res.Steals)
-		rep.Premature = append(rep.Premature, sim.PrematureTouches(g, res))
-		if opts.CacheModel != nil {
-			trials = append(trials, res)
-		}
+		return sim.NewRandomControl(opts.Seed + int64(i))
+	}, opts.CacheModel != nil)
+	if err != nil {
+		return nil, err
 	}
+	rep.Deviations, rep.AdditionalMisses, rep.Steals, rep.Premature =
+		tr.Deviations, tr.AdditionalMisses, tr.Steals, tr.Premature
 
 	if opts.CacheModel != nil {
 		granted := BoundApplies(rep.Class, opts.Policy, opts.Steal)
-		cc, err := CacheCostOf(g, *opts.CacheModel, nil, opts.Domains, granted, seq, trials)
+		cc, err := CacheCostOf(g, *opts.CacheModel, nil, opts.Domains, granted, seq, tr.Results)
 		if err != nil {
 			return nil, fmt.Errorf("core: cache cost: %w", err)
 		}
@@ -210,26 +241,8 @@ func (r *Report) String() string {
 	}
 	s := stats.Summarize(stats.Ints(r.Steals))
 	fmt.Fprintf(&sb, "steals:      mean=%.1f max=%.0f\n", s.Mean, s.Max)
-	if cc := r.CacheCost; cc != nil {
-		src := "declared"
-		if cc.Synthetic {
-			src = "synthetic"
-		}
-		fmt.Fprintf(&sb, "cache cost:  model=[%s] footprint=%s blocks=%d\n",
-			cc.Model, src, cc.Blocks)
-		fmt.Fprintf(&sb, "  seq misses=%d", cc.SeqMisses)
-		if !cc.Model.NoIdeal {
-			fmt.Fprintf(&sb, " (ideal/OPT=%d)", cc.IdealMisses)
-		}
-		fmt.Fprintf(&sb, "  extra misses: mean=%.1f max=%d", cc.MeanExtra(), cc.MaxExtra())
-		if cc.MissEnvelope > 0 {
-			fmt.Fprintf(&sb, "  envelope C·(1+P·T∞²)=%d  within=%v", cc.MissEnvelope, cc.WithinEnvelope())
-		}
-		sb.WriteByte('\n')
-		if cc.Model.LLCLines > 0 {
-			l := stats.Summarize(stats.Ints(cc.LLCMisses))
-			fmt.Fprintf(&sb, "  llc (memory) misses: mean=%.1f max=%.0f\n", l.Mean, l.Max)
-		}
+	if r.CacheCost != nil {
+		r.CacheCost.Render(&sb, "")
 	}
 	return sb.String()
 }

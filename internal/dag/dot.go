@@ -14,10 +14,7 @@ func WriteDOT(w io.Writer, g *Graph, name string) error {
 	if name == "" {
 		name = "computation"
 	}
-	if _, err := fmt.Fprintf(w, "digraph %q {\n  rankdir=TB;\n  node [shape=circle, fontsize=10];\n", name); err != nil {
-		return err
-	}
-	for id := range g.Nodes {
+	return WriteDOTWith(w, g, name, "shape=circle, fontsize=10", func(id NodeID) string {
 		n := &g.Nodes[id]
 		label := fmt.Sprintf("%d\\nt%d", id, n.Thread)
 		if n.Block != NoBlock {
@@ -25,33 +22,43 @@ func WriteDOT(w io.Writer, g *Graph, name string) error {
 		}
 		attrs := fmt.Sprintf("label=\"%s\"", label)
 		switch {
-		case NodeID(id) == g.Root:
+		case id == g.Root:
 			attrs += ", style=filled, fillcolor=palegreen"
-		case NodeID(id) == g.Final:
+		case id == g.Final:
 			attrs += ", style=filled, fillcolor=lightpink"
 		case n.IsFork():
 			attrs += ", style=filled, fillcolor=lightblue"
-		case g.Nodes[id].NIn >= 2:
+		case n.NIn >= 2:
 			attrs += ", style=filled, fillcolor=khaki"
 		}
-		if _, err := fmt.Fprintf(w, "  n%d [%s];\n", id, attrs); err != nil {
+		return attrs
+	})
+}
+
+// edgeStyle is the DOT attribute list of each edge kind.
+var edgeStyle = [...]string{
+	EdgeCont:   "style=solid",
+	EdgeFuture: "style=dashed, color=blue",
+	EdgeTouch:  "style=dotted, color=red",
+	EdgeJoin:   "style=dotted, color=gray",
+}
+
+// WriteDOTWith is the one DOT emitter: the graph's nodes, each with the
+// attribute list attrs gives it, under the node defaults in nodeDefaults,
+// then every edge styled by its kind. WriteDOT labels nodes by structure;
+// sim.WriteDOT overlays an execution.
+func WriteDOTWith(w io.Writer, g *Graph, name, nodeDefaults string, attrs func(NodeID) string) error {
+	if _, err := fmt.Fprintf(w, "digraph %q {\n  rankdir=TB;\n  node [%s];\n", name, nodeDefaults); err != nil {
+		return err
+	}
+	for id := range g.Nodes {
+		if _, err := fmt.Fprintf(w, "  n%d [%s];\n", id, attrs(NodeID(id))); err != nil {
 			return err
 		}
 	}
 	for id := range g.Nodes {
 		for _, e := range g.Nodes[id].OutEdges() {
-			style := ""
-			switch e.Kind {
-			case EdgeCont:
-				style = "style=solid"
-			case EdgeFuture:
-				style = "style=dashed, color=blue"
-			case EdgeTouch:
-				style = "style=dotted, color=red"
-			case EdgeJoin:
-				style = "style=dotted, color=gray"
-			}
-			if _, err := fmt.Fprintf(w, "  n%d -> n%d [%s];\n", id, e.To, style); err != nil {
+			if _, err := fmt.Fprintf(w, "  n%d -> n%d [%s];\n", id, e.To, edgeStyle[e.Kind]); err != nil {
 				return err
 			}
 		}

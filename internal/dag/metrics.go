@@ -36,51 +36,6 @@ func (g *Graph) CriticalPath() []NodeID {
 	return out
 }
 
-// Summary aggregates the standard measures of a computation.
-type Summary struct {
-	Nodes    int
-	Threads  int
-	Work     int64 // T1
-	Span     int64 // T∞
-	Touches  int   // t (joins excluded)
-	Joins    int
-	Forks    int
-	Blocks   int // distinct memory blocks accessed
-	MaxInDeg int32
-}
-
-// Summarize computes a Summary in one pass (plus the memoized span).
-func (g *Graph) Summarize() Summary {
-	s := Summary{
-		Nodes:   g.Len(),
-		Threads: g.NumThreads(),
-		Work:    g.Work(),
-		Span:    g.Span(),
-	}
-	blocks := map[BlockID]struct{}{}
-	for id := range g.Nodes {
-		n := &g.Nodes[id]
-		if n.IsFork() {
-			s.Forks++
-		}
-		if n.Block != NoBlock {
-			blocks[n.Block] = struct{}{}
-		}
-		if n.NIn > s.MaxInDeg {
-			s.MaxInDeg = n.NIn
-		}
-	}
-	for _, ti := range g.Touches {
-		if ti.Join {
-			s.Joins++
-		} else {
-			s.Touches++
-		}
-	}
-	s.Blocks = len(blocks)
-	return s
-}
-
 // IsForkJoin reports whether the computation is a strict fork-join (Cilk
 // spawn/sync) program: every future thread is touched exactly once, by its
 // own parent thread, and within each thread the touch order is the reverse

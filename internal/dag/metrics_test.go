@@ -42,36 +42,6 @@ func TestCriticalPathIsARealPath(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	b := NewBuilder()
-	m := b.Main()
-	m.Access(5)
-	f := m.Fork()
-	f.Access(5)
-	f.Access(6)
-	m.Step()
-	m.Touch(f)
-	j := m.Fork()
-	j.Step()
-	m.Step()
-	m.Join(j)
-	m.Step()
-	g := b.MustBuild()
-	s := g.Summarize()
-	if s.Forks != 2 || s.Touches != 1 || s.Joins != 1 {
-		t.Fatalf("forks/touches/joins = %d/%d/%d", s.Forks, s.Touches, s.Joins)
-	}
-	if s.Blocks != 2 {
-		t.Fatalf("blocks = %d, want 2", s.Blocks)
-	}
-	if s.Threads != 3 || s.MaxInDeg != 2 {
-		t.Fatalf("threads/maxin = %d/%d", s.Threads, s.MaxInDeg)
-	}
-	if s.Span != g.Span() || s.Work != g.Work() {
-		t.Fatal("span/work mismatch")
-	}
-}
-
 func TestIsForkJoinAcceptsCilkStyle(t *testing.T) {
 	// spawn; spawn; sync  == touch in LIFO order.
 	b := NewBuilder()

@@ -51,14 +51,6 @@ func (d *Seq[T]) StealTop() (v T, ok bool) {
 	return v, true
 }
 
-// PeekTop returns the top item without removing it.
-func (d *Seq[T]) PeekTop() (v T, ok bool) {
-	if len(d.items) == 0 {
-		return v, false
-	}
-	return d.items[0], true
-}
-
 // PeekBottom returns the bottom item without removing it.
 func (d *Seq[T]) PeekBottom() (v T, ok bool) {
 	if len(d.items) == 0 {

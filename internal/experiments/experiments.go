@@ -1,8 +1,10 @@
 // Package experiments implements the reproduction harness: one runner per
-// experiment in DESIGN.md's per-experiment index (E1–E15), each regenerating
+// experiment in DESIGN.md's per-experiment index (E1–E16), each regenerating
 // the evidence for one theorem or figure of the paper and rendering a
-// markdown table. cmd/paperbench drives all of them to produce the numbers
-// recorded in EXPERIMENTS.md.
+// markdown table, listed once in Registry. cmd/paperbench drives them to
+// produce the numbers recorded in EXPERIMENTS.md. The live workloads the
+// runtime experiments (E9, E15, E16) and cmd/futureprof run are in
+// workloads.go.
 package experiments
 
 import (
@@ -16,7 +18,6 @@ import (
 	"futurelocality/internal/graphs"
 	"futurelocality/internal/sim"
 	"futurelocality/internal/stats"
-	"futurelocality/internal/trace"
 )
 
 // Scale selects parameter presets.
@@ -46,9 +47,9 @@ func seqBaseline(g *dag.Graph, pol sim.ForkPolicy, c int) *sim.Result {
 	return seq
 }
 
-// scripted runs g under a scripted control.
-func scripted(g *dag.Graph, ctrl sim.Control, p int, pol sim.ForkPolicy, c int) *sim.Result {
-	eng, err := sim.New(g, sim.Config{P: p, Policy: pol, CacheLines: c, Control: ctrl})
+// run executes g under cfg or panics, like seqBaseline.
+func run(g *dag.Graph, cfg sim.Config) *sim.Result {
+	eng, err := sim.New(g, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -59,18 +60,20 @@ func scripted(g *dag.Graph, ctrl sim.Control, p int, pol sim.ForkPolicy, c int) 
 	return res
 }
 
-// randomTrials runs g with random controls and returns the per-trial
-// deviation and additional-miss series.
+// scripted runs g under a scripted control.
+func scripted(g *dag.Graph, ctrl sim.Control, p int, pol sim.ForkPolicy, c int) *sim.Result {
+	return run(g, sim.Config{P: p, Policy: pol, CacheLines: c, Control: ctrl})
+}
+
+// randomTrials runs g with random controls (core.RunTrials, seeds seed+i)
+// and returns the per-trial deviation, additional-miss and steal series.
 func randomTrials(g *dag.Graph, p int, pol sim.ForkPolicy, c, trials int, seed int64) (devs, extra, steals []float64) {
-	seq := seqBaseline(g, pol, c)
-	order := seq.SeqOrder()
-	for i := 0; i < trials; i++ {
-		res := scripted(g, sim.NewRandomControl(seed+int64(i)), p, pol, c)
-		devs = append(devs, float64(sim.Deviations(order, res)))
-		extra = append(extra, float64(res.TotalMisses-seq.TotalMisses))
-		steals = append(steals, float64(res.Steals))
+	tr, err := core.RunTrials(g, sim.Config{P: p, Policy: pol, CacheLines: c}, seqBaseline(g, pol, c), trials,
+		func(i int) sim.Control { return sim.NewRandomControl(seed + int64(i)) }, false)
+	if err != nil {
+		panic(err)
 	}
-	return devs, extra, steals
+	return stats.Ints(tr.Deviations), stats.Ints(tr.AdditionalMisses), stats.Ints(tr.Steals)
 }
 
 // ---------------------------------------------------------------------------
@@ -477,29 +480,20 @@ func E10(scale Scale) Result {
 		k, C = 64, 16
 		trials = 16
 	}
-	kinds := []cache.Kind{cache.LRU, cache.FIFO, cache.SetAssocLRU, cache.DirectMapped}
-
 	tb := stats.NewTable("workload", "policy", "seqMiss", "parMiss(max)", "extra(max)", "C·P·T∞²")
-	for _, kind := range kinds {
+	for _, kind := range cache.Kinds {
 		g, info := graphs.Fig6a(k, C, true)
 		seq, err := sim.Sequential(g, sim.FutureFirst, C, kind)
 		if err != nil {
 			panic(err)
 		}
-		eng, err := sim.New(g, sim.Config{P: 2, Policy: sim.FutureFirst, CacheLines: C,
+		res := run(g, sim.Config{P: 2, Policy: sim.FutureFirst, CacheLines: C,
 			CacheKind: kind, Control: adversary.Fig6a(info)})
-		if err != nil {
-			panic(err)
-		}
-		res, err := eng.Run()
-		if err != nil {
-			panic(err)
-		}
 		bound := int64(C) * 2 * g.Span() * g.Span()
 		tb.Add(fmt.Sprintf("Fig6a(k=%d,C=%d) adversarial", k, C), kind.String(),
 			seq.TotalMisses, res.TotalMisses, res.TotalMisses-seq.TotalMisses, bound)
 	}
-	for _, kind := range kinds {
+	for _, kind := range cache.Kinds {
 		g := graphs.ForkJoinTree(6, 6, true)
 		seq, err := sim.Sequential(g, sim.FutureFirst, C, kind)
 		if err != nil {
@@ -507,15 +501,8 @@ func E10(scale Scale) Result {
 		}
 		var worstPar, worstExtra int64
 		for i := 0; i < trials; i++ {
-			eng, err := sim.New(g, sim.Config{P: 8, Policy: sim.FutureFirst, CacheLines: C,
+			res := run(g, sim.Config{P: 8, Policy: sim.FutureFirst, CacheLines: C,
 				CacheKind: kind, Control: sim.NewRandomControl(int64(i) + 1)})
-			if err != nil {
-				panic(err)
-			}
-			res, err := eng.Run()
-			if err != nil {
-				panic(err)
-			}
 			if res.TotalMisses > worstPar {
 				worstPar = res.TotalMisses
 			}
@@ -556,18 +543,11 @@ func E11(scale Scale) Result {
 		for _, bottom := range []bool{false, true} {
 			var devs, steals []float64
 			for i := 0; i < trials; i++ {
-				eng, err := sim.New(g, sim.Config{
+				res := run(g, sim.Config{
 					P: 8, Policy: sim.FutureFirst, CacheLines: C,
 					Control:           sim.NewRandomControl(3000 + int64(d*trials+i)),
 					ThiefStealsBottom: bottom,
 				})
-				if err != nil {
-					panic(err)
-				}
-				res, err := eng.Run()
-				if err != nil {
-					panic(err)
-				}
 				devs = append(devs, float64(sim.Deviations(order, res)))
 				steals = append(steals, float64(res.Steals))
 			}
@@ -609,7 +589,7 @@ func E12(scale Scale) Result {
 		var lru, opt int64
 		for p := sim.ProcID(0); p < 2; p++ {
 			lru += res.Misses[p]
-			opt += cache.OptimalMisses(trace.BlockTrace(g, res, p), tc.c)
+			opt += cache.OptimalMisses(sim.BlockTrace(g, res, p), tc.c)
 		}
 		tb.Add(fmt.Sprintf("Fig6a(k=%d) thief+victim", tc.k), tc.c, lru, opt,
 			float64(lru)/float64(opt))
@@ -620,7 +600,7 @@ func E12(scale Scale) Result {
 		var lru, opt int64
 		for p := sim.ProcID(0); p < 2; p++ {
 			lru += res.Misses[p]
-			opt += cache.OptimalMisses(trace.BlockTrace(g, res, p), tc.c)
+			opt += cache.OptimalMisses(sim.BlockTrace(g, res, p), tc.c)
 		}
 		tb.Add(fmt.Sprintf("Fig7b(n=%d) one steal", 4*tc.c), tc.c, lru, opt,
 			float64(lru)/float64(opt))
@@ -769,15 +749,28 @@ func E14(scale Scale) Result {
 // ---------------------------------------------------------------------------
 // Registry.
 
-// All runs every experiment (the runtime experiment E9 lives in
-// experiments_runtime.go because it measures wall time; the live-profiler
-// experiment E15 in experiments_profile.go because it runs the real
-// runtime under the profiler).
+// Experiment is one entry of Registry.
+type Experiment struct {
+	ID  string
+	Run func(Scale) Result
+}
+
+// Registry lists every experiment once, in report order; All and
+// cmd/paperbench iterate it. E9 lives in experiments_runtime.go because it
+// measures wall time, E15 and E16 in experiments_profile.go because they run
+// the real runtime under the profiler.
+var Registry = []Experiment{
+	{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5}, {"E6", E6}, {"E7", E7}, {"E8", E8},
+	{"E9", E9}, {"E10", E10}, {"E11", E11}, {"E12", E12}, {"E13", E13}, {"E14", E14}, {"E15", E15}, {"E16", E16},
+}
+
+// All runs every experiment.
 func All(scale Scale) []Result {
-	return []Result{
-		E1(scale), E2(scale), E3(scale), E4(scale),
-		E5(scale), E6(scale), E7(scale), E8(scale), E9(scale), E10(scale), E11(scale), E12(scale), E13(scale), E14(scale), E15(scale),
+	rs := make([]Result, 0, len(Registry))
+	for _, e := range Registry {
+		rs = append(rs, e.Run(scale))
 	}
+	return rs
 }
 
 // Render formats results as a markdown document body.

@@ -8,61 +8,6 @@ import (
 	"futurelocality/internal/stats"
 )
 
-// fibSpawn is help-first parallel Fibonacci on the real runtime.
-func fibSpawn(rt *runtime.Runtime, w *runtime.W, n, cutoff int) int {
-	if n < 2 {
-		return n
-	}
-	if n < cutoff {
-		return fibSeq(n)
-	}
-	f := runtime.Spawn(rt, w, func(w *runtime.W) int { return fibSpawn(rt, w, n-1, cutoff) })
-	y := fibSpawn(rt, w, n-2, cutoff)
-	return f.Touch(w) + y
-}
-
-// fibDive is work-first Fibonacci via the per-spawn discipline override:
-// every future is dived into immediately (FutureFirst SpawnWith), so a
-// worker reproduces the sequential future-first order exactly.
-func fibDive(rt *runtime.Runtime, w *runtime.W, n, cutoff int) int {
-	if n < 2 {
-		return n
-	}
-	if n < cutoff {
-		return fibSeq(n)
-	}
-	f := runtime.SpawnWith(rt, w, runtime.FutureFirst,
-		func(w *runtime.W) int { return fibDive(rt, w, n-1, cutoff) })
-	y := fibDive(rt, w, n-2, cutoff)
-	return f.Touch(w) + y
-}
-
-// fibJoin is work-first parallel Fibonacci.
-func fibJoin(rt *runtime.Runtime, w *runtime.W, n, cutoff int) int {
-	if n < 2 {
-		return n
-	}
-	if n < cutoff {
-		return fibSeq(n)
-	}
-	a, b := runtime.Join2(rt, w,
-		func(w *runtime.W) int { return fibJoin(rt, w, n-1, cutoff) },
-		func(w *runtime.W) int { return fibJoin(rt, w, n-2, cutoff) },
-	)
-	return a + b
-}
-
-func fibSeq(n int) int {
-	if n < 2 {
-		return n
-	}
-	a, b := 0, 1
-	for i := 2; i <= n; i++ {
-		a, b = b, a+b
-	}
-	return b
-}
-
 // fibGoroutines is the naive goroutine-per-future baseline.
 func fibGoroutines(n, cutoff int) int {
 	if n < 2 {
@@ -92,30 +37,24 @@ func E9(scale Scale) Result {
 		"inline", "helped", "blocked")
 	want := fibSeq(n)
 	for _, wk := range workers {
-		for _, variant := range []string{"spawn(parent-first)", "spawnwith(future-first)", "join(work-first)"} {
+		for _, variant := range []struct {
+			name string
+			fork FibFork
+		}{{"spawn(parent-first)", FibSpawn}, {"spawnwith(future-first)", FibDive}, {"join(work-first)", FibJoin}} {
 			var times []float64
-			var st runtime.Stats
 			rt := runtime.New(runtime.WithWorkers(wk))
 			for r := 0; r < reps; r++ {
 				start := time.Now()
-				var got int
-				switch variant {
-				case "spawn(parent-first)":
-					got = runtime.Run(rt, func(w *runtime.W) int { return fibSpawn(rt, w, n, cutoff) })
-				case "spawnwith(future-first)":
-					got = runtime.Run(rt, func(w *runtime.W) int { return fibDive(rt, w, n, cutoff) })
-				default:
-					got = runtime.Run(rt, func(w *runtime.W) int { return fibJoin(rt, w, n, cutoff) })
-				}
+				got := runtime.Run(rt, func(w *runtime.W) int { return Fib(rt, w, variant.fork, n, cutoff, 0) })
 				times = append(times, float64(time.Since(start).Microseconds())/1000)
 				if got != want {
 					panic(fmt.Sprintf("fib(%d) = %d, want %d", n, got, want))
 				}
 			}
-			st = rt.Stats()
+			st := rt.Stats()
 			rt.Shutdown()
 			s := stats.Summarize(times)
-			tb.Add(variant, wk, s.Median, st.TasksRun/int64(reps), st.Steals/int64(reps),
+			tb.Add(variant.name, wk, s.Median, st.TasksRun/int64(reps), st.Steals/int64(reps),
 				st.InlineTouches/int64(reps), st.HelpedTasks/int64(reps), st.BlockedTouches/int64(reps))
 		}
 	}
@@ -141,16 +80,7 @@ func E9(scale Scale) Result {
 		var ptimes []float64
 		for r := 0; r < reps; r++ {
 			start := time.Now()
-			sum := runtime.Run(rt, func(w *runtime.W) int {
-				st := runtime.Produce(rt, w, items, func(_ *runtime.W, i int) int {
-					return i*31 + 7
-				})
-				acc := 0
-				for i := 0; i < items; i++ {
-					acc ^= st.Get(w, i)
-				}
-				return acc
-			})
+			sum := runtime.Run(rt, func(w *runtime.W) int { return Pipeline(rt, w, items, 0) })
 			ptimes = append(ptimes, float64(time.Since(start).Microseconds())/1000)
 			want := 0
 			for i := 0; i < items; i++ {

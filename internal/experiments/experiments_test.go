@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -49,5 +50,39 @@ func TestE8ReportsZeroViolations(t *testing.T) {
 	r := E8(Quick)
 	if !strings.Contains(r.Markdown, "**0 violations**") {
 		t.Fatalf("E8 should report zero violations:\n%s", r.Markdown)
+	}
+}
+
+// TestRegistryListsE1ToE16Once: the one list every driver iterates names
+// each experiment once, in report order, and each runner answers to its ID.
+func TestRegistryListsE1ToE16Once(t *testing.T) {
+	if len(Registry) != 16 {
+		t.Fatalf("Registry has %d entries, want 16", len(Registry))
+	}
+	for i, e := range Registry {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Fatalf("Registry[%d] is %s, want %s", i, e.ID, want)
+		}
+	}
+	for _, e := range []Experiment{Registry[1], Registry[7], Registry[15]} {
+		if got := e.Run(Quick).ID; got != e.ID {
+			t.Fatalf("Registry entry %s runs experiment %s", e.ID, got)
+		}
+	}
+}
+
+// TestE16StarsOnlyTheTheoremCell: the miss envelope is granted at
+// future-first × random-single and nowhere else, and the table is a function
+// of the program — two live runs print the same bytes.
+func TestE16StarsOnlyTheTheoremCell(t *testing.T) {
+	r := E16(Quick)
+	if n := strings.Count(r.Markdown, " * |"); n != 1 {
+		t.Fatalf("%d starred cells, want 1:\n%s", n, r.Markdown)
+	}
+	if !strings.Contains(r.Markdown, "| future-first | ") || !strings.Contains(r.Markdown, "within bound: true") {
+		t.Fatalf("E16 lacks its rows or its verdict:\n%s", r.Markdown)
+	}
+	if again := E16(Quick); again.Markdown != r.Markdown {
+		t.Fatalf("E16 differs between two runs:\n%s\n---\n%s", r.Markdown, again.Markdown)
 	}
 }

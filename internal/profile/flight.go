@@ -22,7 +22,7 @@ package profile
 // A reader that races a wrap sees seq 0 (mid-write) or a different
 // position's sequence, and drops the slot — torn events are discarded, not
 // misread. Collect therefore returns a best-effort recent window: per ring
-// at most Size events, minus any the writer lapped during the scan. The
+// at most its capacity, minus any the writer lapped during the scan. The
 // reconstructor tolerates exactly this shape (front-truncated traces
 // degrade to Incomplete notes, not errors).
 //
@@ -145,7 +145,6 @@ func unpackEvent(w *[flightWords]uint64) Event {
 type Flight struct {
 	rings []flightRing
 	extMu sync.Mutex
-	size  int
 }
 
 // NewFlight returns a Flight for the given worker count with a per-ring
@@ -159,16 +158,13 @@ func NewFlight(workers, size int) *Flight {
 	if size&(size-1) != 0 {
 		size = 1 << bits.Len(uint(size))
 	}
-	f := &Flight{rings: make([]flightRing, workers+1), size: size}
+	f := &Flight{rings: make([]flightRing, workers+1)}
 	for i := range f.rings {
 		f.rings[i].slots = make([]flightSlot, size)
 		f.rings[i].mask = uint64(size) - 1
 	}
 	return f
 }
-
-// Size returns the per-ring event capacity.
-func (f *Flight) Size() int { return f.size }
 
 // Workers returns the worker-ring count (excluding the external ring).
 func (f *Flight) Workers() int { return len(f.rings) - 1 }
@@ -188,8 +184,8 @@ func (f *Flight) RecordExternal(ev Event) {
 // Collect snapshots the rings' current window into a Trace — the same shape
 // a profiling session produces, so the whole analysis stack (Reconstruct,
 // Analyze, SplitJobs) applies unchanged. The window is best-effort recent
-// history: per ring the last up-to-Size events, front-truncated, with any
-// slots the writers lapped mid-scan dropped.
+// history: per ring the last events up to its capacity, front-truncated,
+// with any slots the writers lapped mid-scan dropped.
 func (f *Flight) Collect() *Trace {
 	t := &Trace{}
 	for i := 0; i < len(f.rings)-1; i++ {

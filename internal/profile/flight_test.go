@@ -32,8 +32,8 @@ func TestFlightPackRoundTrip(t *testing.T) {
 // after overflow, oldest first.
 func TestFlightWindow(t *testing.T) {
 	f := NewFlight(1, 8)
-	if f.Size() != 8 {
-		t.Fatalf("Size = %d, want 8", f.Size())
+	if len(f.rings[0].slots) != 8 {
+		t.Fatalf("Size = %d, want 8", len(f.rings[0].slots))
 	}
 	for i := 1; i <= 20; i++ {
 		f.Record(0, Event{Kind: KindBegin, Task: uint64(i), Arg: -1})
@@ -56,13 +56,13 @@ func TestFlightWindow(t *testing.T) {
 // TestFlightSizeRounding: capacities round up to powers of two; zero and
 // negative select the default.
 func TestFlightSizeRounding(t *testing.T) {
-	if got := NewFlight(1, 5000).Size(); got != 8192 {
+	if got := len(NewFlight(1, 5000).rings[0].slots); got != 8192 {
 		t.Errorf("Size(5000) = %d, want 8192", got)
 	}
-	if got := NewFlight(1, 0).Size(); got != 4096 {
+	if got := len(NewFlight(1, 0).rings[0].slots); got != 4096 {
 		t.Errorf("Size(0) = %d, want 4096", got)
 	}
-	if got := NewFlight(1, 1024).Size(); got != 1024 {
+	if got := len(NewFlight(1, 1024).rings[0].slots); got != 1024 {
 		t.Errorf("Size(1024) = %d, want 1024", got)
 	}
 }

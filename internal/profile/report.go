@@ -16,7 +16,10 @@ type Options struct {
 	// P is the processor count for the envelope and the sim replay
 	// (default: the traced runtime's worker count).
 	P int
-	// CacheLines is C for the sim replay; 0 skips cache simulation.
+	// CacheLines is ignored. It sized in-engine caches for the sim replay,
+	// which see no access on a reconstructed DAG (it declares no blocks), so
+	// it could only ever report zero misses; CacheModel is the account that
+	// works. The field remains because the frozen benchmark sets it.
 	CacheLines int
 	// Trials is the number of random-steal sim replays (default 8).
 	Trials int
@@ -37,7 +40,7 @@ type Options struct {
 	// cross-domain steal attribution in the replays. Nil means one flat
 	// domain.
 	Domains []int
-	// NoMatrix skips the (fork × steal) replay matrix (6 extra sim sweeps
+	// NoMatrix skips the (fork × steal) replay matrix (7 extra sim sweeps
 	// of Trials runs each); the primary replay and envelope check still
 	// run.
 	NoMatrix bool
@@ -136,7 +139,7 @@ type Report struct {
 	// deviations, steals and misses under the Section 3 model).
 	Sim *core.Report
 	// Matrix is the (fork × steal) replay of the same DAG — one cell per
-	// policy pair, rows future-first/parent-first, columns the three steal
+	// policy pair, rows future-first/parent-first, columns the four steal
 	// policies — attributing predicted deviation cost to policy choice.
 	// Empty when Options.NoMatrix was set.
 	Matrix []MatrixCell
@@ -171,7 +174,6 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 	}
 	simRep, err := core.Analyze(recon.Graph, core.AnalyzeOptions{
 		P:          opts.P,
-		CacheLines: opts.CacheLines,
 		Policy:     opts.Policy,
 		Steal:      opts.Steal,
 		Domains:    opts.Domains,
@@ -286,7 +288,6 @@ func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCel
 		if err != nil {
 			return nil, err
 		}
-		seqOrder := seq.SeqOrder()
 		for _, steal := range sim.StealPolicies {
 			cell := MatrixCell{Fork: fork, Steal: steal}
 			granted := core.BoundApplies(primary.Class, fork, steal)
@@ -301,30 +302,13 @@ func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCel
 				cells = append(cells, cell)
 				continue
 			}
-			var devs, steals []int64
-			var trials []*sim.Result
-			for i := 0; i < opts.Trials; i++ {
-				eng, err := sim.New(g, sim.Config{
-					P:       opts.P,
-					Policy:  fork,
-					Steal:   steal,
-					Domains: opts.Domains,
-					Control: sim.NewRandomControl(cellSeed(steal, i)),
-				})
-				if err != nil {
-					return nil, err
-				}
-				res, err := eng.Run()
-				if err != nil {
-					return nil, err
-				}
-				devs = append(devs, sim.Deviations(seqOrder, res))
-				steals = append(steals, res.Steals)
-				if opts.CacheModel != nil {
-					trials = append(trials, res)
-				}
+			tr, err := core.RunTrials(g, sim.Config{P: opts.P, Policy: fork, Steal: steal, Domains: opts.Domains},
+				seq, opts.Trials, func(i int) sim.Control { return sim.NewRandomControl(cellSeed(steal, i)) },
+				opts.CacheModel != nil)
+			if err != nil {
+				return nil, err
 			}
-			cell.summarize(devs, steals)
+			cell.summarize(tr.Deviations, tr.Steals)
 			if opts.CacheModel != nil {
 				// Charge each cell's schedules their footprint-replay miss
 				// bill against this fork policy's own sequential baseline
@@ -333,7 +317,7 @@ func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCel
 				// skipped — the primary replay carries it once.
 				model := *opts.CacheModel
 				model.NoIdeal = true
-				cc, err := core.CacheCostOf(g, model, primary.CacheCost, opts.Domains, granted, seq, trials)
+				cc, err := core.CacheCostOf(g, model, primary.CacheCost, opts.Domains, granted, seq, tr.Results)
 				if err != nil {
 					return nil, err
 				}
@@ -407,8 +391,14 @@ func (r *Report) String() string {
 	s := stats.Summarize(stats.Ints(r.Sim.Steals))
 	fmt.Fprintf(&sb, "sim prediction:     deviations mean=%.1f max=%.0f, steals mean=%.1f (P=%d, %d trials, %s × %s)\n",
 		d.Mean, d.Max, s.Mean, r.Sim.P, len(r.Sim.Deviations), r.Sim.Policy, r.Sim.Steal)
-	if len(r.Matrix) > 0 {
-		fmt.Fprintf(&sb, "sim (fork × steal) deviation matrix (mean/max per cell; * = P·T∞² envelope granted):\n")
+	// matrix renders one (fork × steal) table: a row per fork discipline, a
+	// column per steal policy, each cell "mean/max" and starred where its
+	// envelope is granted.
+	matrix := func(what, envelope string, cell func(*MatrixCell) (mean float64, mx, bound int64)) {
+		if len(r.Matrix) == 0 {
+			return
+		}
+		fmt.Fprintf(&sb, "sim (fork × steal) %s matrix (mean/max per cell; * = %s envelope granted):\n", what, envelope)
 		fmt.Fprintf(&sb, "  %-14s", "")
 		for _, sp := range sim.StealPolicies {
 			fmt.Fprintf(&sb, " %15s", sp.String())
@@ -416,12 +406,13 @@ func (r *Report) String() string {
 		sb.WriteByte('\n')
 		for _, fork := range []sim.ForkPolicy{sim.FutureFirst, sim.ParentFirst} {
 			fmt.Fprintf(&sb, "  %-14s", fork.String())
-			for _, cell := range r.Matrix {
-				if cell.Fork != fork {
+			for i := range r.Matrix {
+				if r.Matrix[i].Fork != fork {
 					continue
 				}
-				v := fmt.Sprintf("%.1f/%d", cell.MeanDeviations, cell.MaxDeviations)
-				if cell.Bound > 0 {
+				mean, mx, bound := cell(&r.Matrix[i])
+				v := fmt.Sprintf("%.1f/%d", mean, mx)
+				if bound > 0 {
 					v += "*"
 				}
 				fmt.Fprintf(&sb, " %15s", v)
@@ -429,50 +420,14 @@ func (r *Report) String() string {
 			sb.WriteByte('\n')
 		}
 	}
+	matrix("deviation", "P·T∞²", func(c *MatrixCell) (float64, int64, int64) {
+		return c.MeanDeviations, c.MaxDeviations, c.Bound
+	})
 	if cc := r.Sim.CacheCost; cc != nil {
-		src := "declared"
-		if cc.Synthetic {
-			src = "synthetic (DAG-derived)"
-		}
-		fmt.Fprintf(&sb, "cache cost model:   [%s]  footprint=%s  blocks=%d\n",
-			cc.Model, src, cc.Blocks)
-		fmt.Fprintf(&sb, "  sequential misses=%d", cc.SeqMisses)
-		if !cc.Model.NoIdeal {
-			fmt.Fprintf(&sb, " (ideal/OPT=%d)", cc.IdealMisses)
-		}
-		fmt.Fprintf(&sb, "  extra misses: mean=%.1f max=%d (%s × %s)",
-			cc.MeanExtra(), cc.MaxExtra(), r.Sim.Policy, r.Sim.Steal)
-		if cc.MissEnvelope > 0 {
-			fmt.Fprintf(&sb, "  envelope C·(1+P·T∞²)=%d within=%v",
-				cc.MissEnvelope, cc.WithinEnvelope())
-		}
-		sb.WriteByte('\n')
-		if cc.Model.LLCLines > 0 {
-			l := stats.Summarize(stats.Ints(cc.LLCMisses))
-			fmt.Fprintf(&sb, "  llc (memory) misses: mean=%.1f max=%.0f\n", l.Mean, l.Max)
-		}
-		if len(r.Matrix) > 0 {
-			fmt.Fprintf(&sb, "sim (fork × steal) extra-miss matrix (mean/max per cell; * = C·(1+P·T∞²) envelope granted):\n")
-			fmt.Fprintf(&sb, "  %-14s", "")
-			for _, sp := range sim.StealPolicies {
-				fmt.Fprintf(&sb, " %15s", sp.String())
-			}
-			sb.WriteByte('\n')
-			for _, fork := range []sim.ForkPolicy{sim.FutureFirst, sim.ParentFirst} {
-				fmt.Fprintf(&sb, "  %-14s", fork.String())
-				for _, cell := range r.Matrix {
-					if cell.Fork != fork {
-						continue
-					}
-					v := fmt.Sprintf("%.1f/%d", cell.MeanExtraMisses, cell.MaxExtraMisses)
-					if cell.MissBound > 0 {
-						v += "*"
-					}
-					fmt.Fprintf(&sb, " %15s", v)
-				}
-				sb.WriteByte('\n')
-			}
-		}
+		cc.Render(&sb, fmt.Sprintf("%s × %s", r.Sim.Policy, r.Sim.Steal))
+		matrix("extra-miss", "C·(1+P·T∞²)", func(c *MatrixCell) (float64, int64, int64) {
+			return c.MeanExtraMisses, c.MaxExtraMisses, c.MissBound
+		})
 	}
 	if len(r.Jobs) > 0 {
 		fmt.Fprintf(&sb, "per-job verdicts (%d jobs, each vs its own envelope):\n", len(r.Jobs))
@@ -491,11 +446,6 @@ func (r *Report) String() string {
 				fmt.Fprintf(&sb, "  envelope none (class %q)\n", jr.Class)
 			}
 		}
-	}
-	if r.Sim.CacheLines > 0 {
-		m := stats.Summarize(stats.Ints(r.Sim.AdditionalMisses))
-		fmt.Fprintf(&sb, "sim cache replay:   additional misses mean=%.1f max=%.0f (seq=%d, C=%d)\n",
-			m.Mean, m.Max, r.Sim.SeqMisses, r.Sim.CacheLines)
 	}
 	if len(c.Incomplete) > 0 {
 		fmt.Fprintf(&sb, "trace gaps:         %d (%s, ...)\n", len(c.Incomplete), c.Incomplete[0])

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"io"
+	"sort"
 
 	"futurelocality/internal/dag"
 )
@@ -50,52 +52,6 @@ func DeviationNodes(seqOrder []dag.NodeID, r *Result) []dag.NodeID {
 	return out
 }
 
-// DeviationBreakdown classifies deviated nodes against the graph structure:
-// touches (and joins), right children of forks (the only two kinds that can
-// deviate under future-first per Section 5.1), and anything else.
-type DeviationBreakdown struct {
-	Touches     int64
-	RightChilds int64
-	Other       int64
-}
-
-// Total sums the breakdown.
-func (b DeviationBreakdown) Total() int64 { return b.Touches + b.RightChilds + b.Other }
-
-// String renders the breakdown compactly.
-func (b DeviationBreakdown) String() string {
-	return fmt.Sprintf("touches=%d rightChildren=%d other=%d", b.Touches, b.RightChilds, b.Other)
-}
-
-// BreakdownDeviations classifies the deviated nodes of r structurally.
-func BreakdownDeviations(g *dag.Graph, seqOrder []dag.NodeID, r *Result) DeviationBreakdown {
-	isTouch := make([]bool, g.Len())
-	for _, ti := range g.Touches {
-		isTouch[ti.Node] = true
-	}
-	isRightChild := make([]bool, g.Len())
-	for id := range g.Nodes {
-		n := &g.Nodes[id]
-		if n.IsFork() {
-			if c := n.ContChild(); c != dag.None {
-				isRightChild[c] = true
-			}
-		}
-	}
-	var b DeviationBreakdown
-	for _, v := range DeviationNodes(seqOrder, r) {
-		switch {
-		case isTouch[v]:
-			b.Touches++
-		case isRightChild[v]:
-			b.RightChilds++
-		default:
-			b.Other++
-		}
-	}
-	return b
-}
-
 // PrematureTouches counts touches that were reached before their future
 // thread was spawned: the touch's local parent executed before the
 // corresponding fork. This is the pathology Figure 3 illustrates. For
@@ -140,4 +96,80 @@ func Compare(seq, r *Result) Comparison {
 		Steals:           r.Steals,
 		StealAttempts:    r.StealAttempts,
 	}
+}
+
+// BlockTrace extracts processor p's memory access sequence from an
+// execution (NoBlock accesses included as dag.NoBlock entries so positions
+// align with the execution order). Feed it to cache.OptimalMisses for
+// offline-optimal comparisons.
+func BlockTrace(g *dag.Graph, r *Result, p ProcID) []dag.BlockID {
+	order := r.Order[p]
+	out := make([]dag.BlockID, len(order))
+	for i, v := range order {
+		out[i] = g.Nodes[v].Block
+	}
+	return out
+}
+
+// WriteCSV emits one row per executed node: global order, processor,
+// node id, thread, block, and the node's position in its processor's local
+// order.
+func WriteCSV(w io.Writer, g *dag.Graph, r *Result) error {
+	if _, err := fmt.Fprintln(w, "order,proc,node,thread,block,local_index"); err != nil {
+		return err
+	}
+	type row struct {
+		when  int64
+		proc  ProcID
+		node  dag.NodeID
+		local int
+	}
+	rows := make([]row, 0, g.Len())
+	for p, order := range r.Order {
+		for i, v := range order {
+			rows = append(rows, row{r.When[v], ProcID(p), v, i})
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].when < rows[j].when })
+	for _, rr := range rows {
+		n := &g.Nodes[rr.node]
+		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d\n",
+			rr.when, rr.proc, rr.node, n.Thread, n.Block, rr.local); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// procPalette colors nodes by executing processor in WriteDOT.
+var procPalette = []string{
+	"lightblue", "palegreen", "khaki", "lightpink", "lightsalmon",
+	"plum", "lightgray", "wheat",
+}
+
+// WriteDOT renders the DAG with execution info (dag.WriteDOTWith draws it):
+// each node is labeled with its executing processor and global order, and
+// colored by processor. Deviated nodes (relative to seqOrder) get a bold red
+// border.
+func WriteDOT(w io.Writer, g *dag.Graph, r *Result, seqOrder []dag.NodeID, name string) error {
+	if name == "" {
+		name = "execution"
+	}
+	deviated := make([]bool, g.Len())
+	if seqOrder != nil {
+		for _, v := range DeviationNodes(seqOrder, r) {
+			deviated[v] = true
+		}
+	}
+	return dag.WriteDOTWith(w, g, name, "shape=circle, fontsize=9, style=filled", func(id dag.NodeID) string {
+		proc, color := r.Who[id], "white"
+		if proc >= 0 {
+			color = procPalette[int(proc)%len(procPalette)]
+		}
+		attrs := fmt.Sprintf("label=\"%d\\np%d@%d\", fillcolor=%s", id, proc, r.When[id], color)
+		if deviated[id] {
+			attrs += ", color=red, penwidth=2.5"
+		}
+		return attrs
+	})
 }

@@ -1,4 +1,4 @@
-package trace
+package sim
 
 import (
 	"strings"
@@ -6,16 +6,15 @@ import (
 
 	"futurelocality/internal/cache"
 	"futurelocality/internal/graphs"
-	"futurelocality/internal/sim"
 )
 
 func TestWriteCSVAndDOT(t *testing.T) {
 	g := graphs.ForkJoinTree(3, 2, true)
-	seq, err := sim.Sequential(g, sim.FutureFirst, 8, cache.LRU)
+	seq, err := Sequential(g, FutureFirst, 8, cache.LRU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sim.New(g, sim.Config{P: 3, CacheLines: 8, Control: sim.NewRandomControl(5)})
+	eng, err := New(g, Config{P: 3, CacheLines: 8, Control: NewRandomControl(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestWriteCSVAndDOT(t *testing.T) {
 
 func TestReplayAcceptsValidExecution(t *testing.T) {
 	g := graphs.Fib(8, 3)
-	eng, err := sim.New(g, sim.Config{P: 2, Control: sim.NewRandomControl(1)})
+	eng, err := New(g, Config{P: 2, Control: NewRandomControl(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +61,14 @@ func TestReplayAcceptsValidExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Replay(g, res); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReplayRejectsCorruptedWho(t *testing.T) {
 	g := graphs.Fib(8, 3)
-	eng, _ := sim.New(g, sim.Config{P: 2, Control: sim.NewRandomControl(1)})
+	eng, _ := New(g, Config{P: 2, Control: NewRandomControl(1)})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +78,7 @@ func TestReplayRejectsCorruptedWho(t *testing.T) {
 		t.Skip("proc 0 executed nothing")
 	}
 	res.Who[res.Order[0][0]] = 1
-	if err := Replay(g, res); err == nil {
-		t.Fatal("Replay should reject inconsistent Who")
+	if err := res.Validate(g); err == nil {
+		t.Fatal("Validate should reject inconsistent Who")
 	}
 }

@@ -83,22 +83,3 @@ func (c *RandomControl) Victim(p ProcID, v *View) ProcID {
 	}
 	return ProcID(k)
 }
-
-// StaggeredControl delays processor p until sweep p*Delay, then behaves
-// like RandomControl. It models processors joining a computation gradually,
-// a cheap source of "interesting" interleavings in tests.
-type StaggeredControl struct {
-	RandomControl
-	Delay int64
-}
-
-// NewStaggeredControl builds a staggered control with the given per-rank
-// delay in sweeps.
-func NewStaggeredControl(seed, delay int64) *StaggeredControl {
-	return &StaggeredControl{RandomControl: *NewRandomControl(seed), Delay: delay}
-}
-
-// Active delays processor p for p*Delay sweeps.
-func (c *StaggeredControl) Active(p ProcID, v *View) bool {
-	return v.Step() >= int64(p)*c.Delay
-}

@@ -533,12 +533,23 @@ func Sequential(g *dag.Graph, policy ForkPolicy, cacheLines int, kind cache.Kind
 }
 
 // Validate cross-checks a result against the graph: every node executed
-// exactly once and no edge ran backwards in global order. Used by tests and
-// the integration harness; O(V+E).
+// exactly once, no edge ran backwards in global order, and each processor's
+// local order is the nodes Who assigns it, in increasing global order. Used
+// by tests and the fuzz targets; O(V+E).
 func (r *Result) Validate(g *dag.Graph) error {
 	counted := int64(0)
-	for _, ord := range r.Order {
+	for p, ord := range r.Order {
 		counted += int64(len(ord))
+		last := int64(-1)
+		for _, v := range ord {
+			if r.Who[v] != ProcID(p) {
+				return fmt.Errorf("sim: node %d in proc %d's order but Who says %d", v, p, r.Who[v])
+			}
+			if r.When[v] <= last {
+				return fmt.Errorf("sim: proc %d order not increasing at node %d", p, v)
+			}
+			last = r.When[v]
+		}
 	}
 	if counted != g.Work() {
 		return fmt.Errorf("sim: executed %d of %d nodes", counted, g.Work())

@@ -110,7 +110,7 @@ func TestHistQuantileAgreement(t *testing.T) {
 	}
 	s := h.Snapshot()
 	for _, p := range []float64{0, 10, 50, 90, 95, 99, 99.9, 100} {
-		exact := Percentile(xs, p)
+		exact := Percentiles(xs, p)[0]
 		got := s.Quantile(p / 100)
 		// The exact quantile's covering bucket bounds the estimate's error.
 		b := histBucket(int64(exact))

@@ -53,17 +53,13 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Percentile returns the p-th percentile (p in [0, 100]) of xs by linear
-// interpolation between closest ranks — the convention latency dashboards
-// use, so a reported p99 matches what an operator expects. It panics on an
-// empty sample or a p outside [0, 100]. xs need not be sorted.
-func Percentile(xs []float64, p float64) float64 {
-	return Percentiles(xs, p)[0]
-}
-
-// Percentiles returns one percentile per requested p, sorting the sample
-// once however many ranks are read (the latency-report case: p50/p95/p99
-// off one series). Same contract as Percentile.
+// Percentiles returns the p-th percentile (p in [0, 100]) of xs for each
+// requested p, by linear interpolation between closest ranks — the
+// convention latency dashboards use, so a reported p99 matches what an
+// operator expects — sorting the sample once however many ranks are read. It
+// panics on an empty sample or a p outside [0, 100]. xs need not be sorted.
+// It is the exact reference the histogram's bucketed quantiles are tested
+// against.
 func Percentiles(xs []float64, ps ...float64) []float64 {
 	if len(xs) == 0 {
 		panic("stats: empty sample")
@@ -73,7 +69,7 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	for i, p := range ps {
 		if p < 0 || p > 100 {
-			panic(fmt.Sprintf("stats: Percentile(p=%v)", p))
+			panic(fmt.Sprintf("stats: Percentiles(p=%v)", p))
 		}
 		rank := p / 100 * float64(len(sorted)-1)
 		lo := int(math.Floor(rank))

@@ -112,27 +112,27 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {87.5, 4.5},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Fatalf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		if got := Percentiles(xs, c.p)[0]; got != c.want {
+			t.Fatalf("Percentiles(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if got := Percentile([]float64{7}, 99); got != 7 {
+	if got := Percentiles([]float64{7}, 99)[0]; got != 7 {
 		t.Fatalf("single-sample percentile = %v", got)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Percentile on empty sample must panic")
+			t.Fatal("Percentiles on empty sample must panic")
 		}
 	}()
-	Percentile(nil, 50)
+	Percentiles(nil, 50)
 }
 
 func TestPercentilesMatchesPercentile(t *testing.T) {
 	xs := []float64{9, 1, 7, 3, 5}
 	got := Percentiles(xs, 0, 50, 95, 100)
 	for i, p := range []float64{0, 50, 95, 100} {
-		if want := Percentile(xs, p); got[i] != want {
-			t.Fatalf("Percentiles[%d] = %v, Percentile(%v) = %v", i, got[i], p, want)
+		if want := Percentiles(xs, p)[0]; got[i] != want {
+			t.Fatalf("Percentiles[%d] = %v, alone Percentiles(%v) = %v", i, got[i], p, want)
 		}
 	}
 }

@@ -80,6 +80,10 @@ func Flat(n int) *Topology {
 	}
 }
 
+// maxCPUs bounds what a textual spec — a -topology flag, a sysfs CPU list —
+// can make this package allocate. Linux's own NR_CPUS limit is 8192.
+const maxCPUs = 1 << 16
+
 // Synthetic parses a "DxC" spec — D locality domains of C CPUs each, e.g.
 // "2x2" (two dual-CPU LLC domains) or "1x4" (one four-CPU domain) — into
 // an injectable topology. Specs are how tests, the simulator, and the
@@ -91,8 +95,8 @@ func Synthetic(spec string) (*Topology, error) {
 	}
 	d, err1 := strconv.Atoi(parts[0])
 	c, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil || d < 1 || c < 1 {
-		return nil, fmt.Errorf("topology: bad spec %q (want DxC with positive D, C)", spec)
+	if err1 != nil || err2 != nil || d < 1 || c < 1 || d > maxCPUs || c > maxCPUs/d {
+		return nil, fmt.Errorf("topology: bad spec %q (want DxC with positive D, C and at most %d CPUs)", spec, maxCPUs)
 	}
 	t := &Topology{CPUs: d * c, Source: "synthetic:" + parts[0] + "x" + parts[1]}
 	for i := 0; i < d; i++ {
@@ -248,8 +252,8 @@ func Detect() *Topology {
 
 // ParseCPUList parses the sysfs CPU-list syntax: comma-separated entries
 // that are either a single CPU ("3") or an inclusive range ("0-3"), e.g.
-// "0-1,4-5". Whitespace is trimmed; empty lists and descending ranges are
-// errors.
+// "0-1,4-5". Whitespace is trimmed; empty lists, descending ranges and lists
+// of more than maxCPUs entries are errors.
 func ParseCPUList(s string) ([]int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -258,20 +262,19 @@ func ParseCPUList(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
-		if lo, hi, ok := strings.Cut(part, "-"); ok {
-			a, err1 := strconv.Atoi(lo)
-			b, err2 := strconv.Atoi(hi)
-			if err1 != nil || err2 != nil || a < 0 || b < a {
-				return nil, fmt.Errorf("bad cpu range %q", part)
-			}
-			for c := a; c <= b; c++ {
-				out = append(out, c)
-			}
-		} else {
-			c, err := strconv.Atoi(part)
-			if err != nil || c < 0 {
-				return nil, fmt.Errorf("bad cpu %q", part)
-			}
+		lo, hi, isRange := strings.Cut(part, "-")
+		if !isRange {
+			hi = lo
+		}
+		a, err1 := strconv.Atoi(lo)
+		b, err2 := strconv.Atoi(hi)
+		if err1 != nil || err2 != nil || a < 0 || b < a {
+			return nil, fmt.Errorf("bad cpu or cpu range %q", part)
+		}
+		if b-a >= maxCPUs-len(out) {
+			return nil, fmt.Errorf("more than %d cpus in list", maxCPUs)
+		}
+		for c := a; c <= b; c++ {
 			out = append(out, c)
 		}
 	}
@@ -391,9 +394,6 @@ func (t *Topology) Assign(workers int) *Assignment {
 	}
 	return a
 }
-
-// SameDomain reports whether workers i and j share an LLC domain.
-func (a *Assignment) SameDomain(i, j int) bool { return a.Domain[i] == a.Domain[j] }
 
 // NumDomains returns the domain count (including domains no worker landed
 // in, which exist but have empty Members).

@@ -146,8 +146,8 @@ func TestAssign(t *testing.T) {
 	if !reflect.DeepEqual(a.Members[0], []int{0, 1}) || !reflect.DeepEqual(a.Members[1], []int{2, 3}) {
 		t.Fatalf("members = %+v", a.Members)
 	}
-	if !a.SameDomain(0, 1) || a.SameDomain(1, 2) || !a.SameDomain(2, 3) {
-		t.Fatal("SameDomain wrong")
+	if d := a.Domain; d[0] != d[1] || d[1] == d[2] || d[2] != d[3] {
+		t.Fatalf("workers striped %v, want two per domain", d)
 	}
 	// Oversubscription wraps.
 	if got := topo.Assign(6).Domain; !reflect.DeepEqual(got, []int{0, 0, 1, 1, 0, 0}) {
