@@ -35,6 +35,7 @@ var retiredNames = []string{
 	"WithStealPolicy",
 	"ThreadTouches", "descendantsInto",
 	"dagviz", "internal/trace",
+	"Trials.Results", "CacheCostOf",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

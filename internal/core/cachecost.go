@@ -102,16 +102,13 @@ func ParseCacheModel(spec string) (*CacheModel, error) {
 	return m, nil
 }
 
-// CacheCost is the cache-cost verdict of one computation: the sequential
-// baseline's simulated miss bill, the per-trial parallel bills of the same
-// footprint under the analyzed schedules, and the miss envelope the theorem
-// grants — C·(1 + P·T∞²), the O(C + P·T∞²·C) bound of Theorem 8's cache
-// corollary (one cold cache to begin with, plus at most C misses per
-// deviation).
-type CacheCost struct {
-	// Model echoes the cache model; P the worker count of the replays.
+// CacheBaseline is the part of a cache-cost verdict no schedule enters: what
+// the model makes of the graph and of its sequential execution under one
+// fork policy. Every set of schedules measured against that execution — the
+// four steal-policy cells of a fork's matrix row — shares one.
+type CacheBaseline struct {
+	// Model echoes the cache model.
 	Model CacheModel
-	P     int
 	// Synthetic reports a derived footprint (reconstructed trace) vs the
 	// graph's own declared blocks; Blocks is the distinct block count.
 	Synthetic bool
@@ -120,6 +117,21 @@ type CacheCost struct {
 	// Model.Kind; IdealMisses is Belady OPT over the same sequential trace
 	// (0 when Model.NoIdeal).
 	SeqMisses, IdealMisses int64
+
+	fp   *cache.Footprint // what is replayed; see NewCacheBaseline's prev
+	span int64            // the graph's T∞, for the envelope
+}
+
+// CacheCost is the cache-cost verdict of one computation: the sequential
+// baseline's simulated miss bill, the per-trial parallel bills of the same
+// footprint under the analyzed schedules, and the miss envelope the theorem
+// grants — C·(1 + P·T∞²), the O(C + P·T∞²·C) bound of Theorem 8's cache
+// corollary (one cold cache to begin with, plus at most C misses per
+// deviation).
+type CacheCost struct {
+	*CacheBaseline
+	// P is the worker count of the replays.
+	P int
 	// TotalMisses and ExtraMisses hold one entry per replayed schedule:
 	// the schedule's private-cache miss total and its difference from
 	// SeqMisses (negative is possible — P private caches hold P·C lines).
@@ -130,8 +142,6 @@ type CacheCost struct {
 	// MissEnvelope is C·(1 + P·T∞²) when the classification grants the
 	// deviation envelope for the replayed policy pair, else 0.
 	MissEnvelope int64
-
-	fp *cache.Footprint // what was replayed; see CacheCostOf's prev
 }
 
 // MeanExtra and MaxExtra summarize ExtraMisses.
@@ -224,18 +234,14 @@ func scheduleOf(r *sim.Result, order []dag.NodeID, who []int32) ([]dag.NodeID, [
 	return order, who
 }
 
-// CacheCostOf replays the sequential baseline and each trial schedule
-// through a footprint-driven per-worker cache set and returns the cost
-// verdict. prev, when non-nil, is an earlier verdict on the same graph: its
-// footprint is reused if the windows agree, so a caller charging several
-// schedule sets of one graph (the profiler's policy matrix) derives it once.
-// seq must be the 1-processor execution the trials are measured against
-// (same fork policy — the paper compares like with like); granted says
-// whether the classification grants the envelope for the replayed policy
-// pair (BoundApplies); domains, when non-nil, align the optional shared-LLC
-// tier with the topology's locality domains.
-func CacheCostOf(g *dag.Graph, model CacheModel, prev *CacheCost, domains []int, granted bool,
-	seq *sim.Result, trials []*sim.Result) (*CacheCost, error) {
+// NewCacheBaseline derives g's footprint under model and replays seq through
+// it: the sequential bill and, unless the model declines it, the OPT bill.
+// seq must be the 1-processor execution the schedules will be measured
+// against (same fork policy — the paper compares like with like). prev, when
+// non-nil, is an earlier baseline of the same graph: its footprint is reused
+// if the windows agree, so a caller with several baselines of one graph (the
+// profiler's two fork policies) derives it once.
+func NewCacheBaseline(g *dag.Graph, model CacheModel, prev *CacheBaseline, seq *sim.Result) (*CacheBaseline, error) {
 	if model.Lines < 1 {
 		return nil, fmt.Errorf("core: cache model with C = %d", model.Lines)
 	}
@@ -247,50 +253,66 @@ func CacheCostOf(g *dag.Graph, model CacheModel, prev *CacheCost, domains []int,
 		fp = cache.DeriveFootprint(g, model.window())
 	}
 	seqOrder := seq.SeqOrder()
-
 	seqSet, err := cache.NewSet(cache.SetConfig{P: 1, Kind: model.Kind, Lines: model.Lines})
 	if err != nil {
 		return nil, err
 	}
-	cc := &CacheCost{
+	b := &CacheBaseline{
 		Model:     model,
-		fp:        fp,
 		Synthetic: fp.Synthetic,
 		Blocks:    fp.Blocks,
 		SeqMisses: seqSet.Replay(fp, seqOrder, nil).TotalMisses,
+		fp:        fp,
+		span:      g.Span(),
 	}
 	if !model.NoIdeal {
-		cc.IdealMisses = cache.OptimalMisses(fp.Flatten(seqOrder), model.Lines)
+		b.IdealMisses = cache.OptimalMisses(fp.Flatten(seqOrder), model.Lines)
 	}
-	// One cache set serves every trial (Replay resets it), and so do the two
-	// schedule buffers.
-	var set *cache.Set
-	var order []dag.NodeID
-	var who []int32
-	for _, res := range trials {
-		if cc.P == 0 {
-			cc.P = res.P
-		}
-		if set == nil || set.P() != res.P {
-			set, err = cache.NewSet(cache.SetConfig{
-				P: res.P, Kind: model.Kind, Lines: model.Lines,
-				Domains: domains, LLCLines: model.LLCLines, LLCKind: model.Kind,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		order, who = scheduleOf(res, order, who)
-		out := set.Replay(fp, order, who)
-		cc.TotalMisses = append(cc.TotalMisses, out.TotalMisses)
-		cc.ExtraMisses = append(cc.ExtraMisses, out.TotalMisses-cc.SeqMisses)
-		if model.LLCLines > 0 {
-			cc.LLCMisses = append(cc.LLCMisses, out.LLCMisses)
+	return b, nil
+}
+
+// Cost opens a verdict against b for n schedules at p workers, every bill
+// still zero: RunTrials fills entry i from trial i. granted says whether the
+// classification grants the envelope for the schedules' policy pair
+// (BoundApplies).
+func (b *CacheBaseline) Cost(p, n int, granted bool) *CacheCost {
+	cc := &CacheCost{
+		CacheBaseline: b,
+		P:             p,
+		TotalMisses:   make([]int64, n),
+		ExtraMisses:   make([]int64, n),
+	}
+	if b.Model.LLCLines > 0 {
+		cc.LLCMisses = make([]int64, n)
+	}
+	if granted {
+		cc.MissEnvelope = int64(b.Model.Lines) * (1 + int64(p)*b.span*b.span)
+	}
+	return cc
+}
+
+// charge replays trial i's schedule on s — the scratch of the goroutine that
+// has just simulated it — and enters its bill. domains, when non-nil, align
+// the optional shared-LLC tier with the simulation's locality domains. One
+// cache set serves every trial of a goroutine (Replay resets it), and so do
+// the two schedule buffers.
+func (cc *CacheCost) charge(i int, s *trialScratch, domains []int, res *sim.Result) error {
+	if s.set == nil {
+		var err error
+		s.set, err = cache.NewSet(cache.SetConfig{
+			P: cc.P, Kind: cc.Model.Kind, Lines: cc.Model.Lines,
+			Domains: domains, LLCLines: cc.Model.LLCLines, LLCKind: cc.Model.Kind,
+		})
+		if err != nil {
+			return fmt.Errorf("core: cache cost: %w", err)
 		}
 	}
-	if granted && cc.P > 0 {
-		span := g.Span()
-		cc.MissEnvelope = int64(model.Lines) * (1 + int64(cc.P)*span*span)
+	s.order, s.who = scheduleOf(res, s.order, s.who)
+	out := s.set.Replay(cc.fp, s.order, s.who)
+	cc.TotalMisses[i] = out.TotalMisses
+	cc.ExtraMisses[i] = out.TotalMisses - cc.SeqMisses
+	if cc.LLCMisses != nil {
+		cc.LLCMisses[i] = out.LLCMisses
 	}
-	return cc, nil
+	return nil
 }

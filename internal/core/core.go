@@ -100,41 +100,76 @@ func BoundApplies(c dag.Class, fork sim.ForkPolicy, steal sim.StealPolicy) bool 
 type Trials struct {
 	Deviations, AdditionalMisses, Steals []int64
 	Premature                            []int
-	// Results holds the executions themselves, for a cache-cost replay of
-	// their schedules; nil unless RunTrials was asked to keep them.
-	Results []*sim.Result
+}
+
+// trialScratch is what one goroutine of RunTrials reuses from trial to trial:
+// the engine, and for a cache-cost replay the cache set and the schedule
+// buffers. A trial's schedule is replayed by the goroutine that simulated it,
+// straight away, and never leaves that goroutine's scratch.
+type trialScratch struct {
+	eng   sim.Engine
+	set   *cache.Set
+	order []dag.NodeID
+	who   []int32
 }
 
 // RunTrials executes g n times under cfg, trial i driven by control(i), and
 // measures each run against seq, the sequential execution under cfg's fork
-// policy and cache geometry (the paper compares like with like). It is the
-// one trial loop: Analyze runs it once, the profiler's (fork × steal) matrix
-// once per cell with the cell's own baseline and seeds.
-func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control func(i int) sim.Control, keep bool) (*Trials, error) {
-	seqOrder := seq.SeqOrder()
-	tr := &Trials{
-		Deviations:       make([]int64, 0, n),
-		AdditionalMisses: make([]int64, 0, n),
-		Steals:           make([]int64, 0, n),
-		Premature:        make([]int, 0, n),
+// policy and cache geometry (the paper compares like with like). cost, when
+// non-nil, is a verdict prepared for n schedules at cfg.P workers
+// (CacheBaseline.Cost): trial i's schedule is replayed through the cache
+// model and its bill written to entry i. It is the one trial loop: Analyze
+// runs it once, the profiler's (fork × steal) matrix once per cell with the
+// cell's own baseline and seeds.
+//
+// A trial is one unit — simulate, measure, replay — and the units fan out
+// (ForEach), so control must be safe to call from several goroutines at once;
+// the control it returns is used by one. Entry i depends on i alone, whatever
+// ran where.
+func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control func(i int) sim.Control, cost *CacheCost) (*Trials, error) {
+	if cost != nil && (len(cost.ExtraMisses) != n || cost.P != cfg.P) {
+		return nil, fmt.Errorf("core: cache cost prepared for %d trials at P=%d, asked for %d at P=%d",
+			len(cost.ExtraMisses), cost.P, n, cfg.P)
 	}
-	for i := 0; i < n; i++ {
+	seqPred := sim.NewSeqPred(seq.SeqOrder(), g.Len())
+	tr := &Trials{
+		Deviations:       make([]int64, n),
+		AdditionalMisses: make([]int64, n),
+		Steals:           make([]int64, n),
+		Premature:        make([]int, n),
+	}
+	// One scratch per goroutine ForEach puts to work, handed from a finished
+	// trial to the next one started; never more of them than trials.
+	free := make(chan *trialScratch, n)
+	err := ForEach(n, func(i int) error {
+		var s *trialScratch
+		select {
+		case s = <-free:
+		default:
+			s = new(trialScratch)
+		}
+		defer func() { free <- s }()
+
+		cfg := cfg
 		cfg.Control = control(i)
-		eng, err := sim.New(g, cfg)
+		if err := s.eng.Reset(g, cfg); err != nil {
+			return err
+		}
+		res, err := s.eng.Run()
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("core: trial %d: %w", i, err)
 		}
-		res, err := eng.Run()
-		if err != nil {
-			return nil, fmt.Errorf("core: trial %d: %w", i, err)
+		tr.Deviations[i] = seqPred.Deviations(res)
+		tr.AdditionalMisses[i] = res.TotalMisses - seq.TotalMisses
+		tr.Steals[i] = res.Steals
+		tr.Premature[i] = sim.PrematureTouches(g, res)
+		if cost != nil {
+			return cost.charge(i, s, cfg.Domains, res)
 		}
-		tr.Deviations = append(tr.Deviations, sim.Deviations(seqOrder, res))
-		tr.AdditionalMisses = append(tr.AdditionalMisses, res.TotalMisses-seq.TotalMisses)
-		tr.Steals = append(tr.Steals, res.Steals)
-		tr.Premature = append(tr.Premature, sim.PrematureTouches(g, res))
-		if keep {
-			tr.Results = append(tr.Results, res)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return tr, nil
 }
@@ -168,6 +203,14 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 		return nil, fmt.Errorf("core: sequential baseline: %w", err)
 	}
 	rep.SeqMisses = seq.TotalMisses
+	granted := BoundApplies(rep.Class, opts.Policy, opts.Steal)
+	if opts.CacheModel != nil {
+		base, err := NewCacheBaseline(g, *opts.CacheModel, nil, seq)
+		if err != nil {
+			return nil, fmt.Errorf("core: cache cost: %w", err)
+		}
+		rep.CacheCost = base.Cost(opts.P, opts.Trials, granted)
+	}
 	tr, err := RunTrials(g, sim.Config{
 		P:          opts.P,
 		Policy:     opts.Policy,
@@ -180,23 +223,14 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 			return opts.Control
 		}
 		return sim.NewRandomControl(opts.Seed + int64(i))
-	}, opts.CacheModel != nil)
+	}, rep.CacheCost)
 	if err != nil {
 		return nil, err
 	}
 	rep.Deviations, rep.AdditionalMisses, rep.Steals, rep.Premature =
 		tr.Deviations, tr.AdditionalMisses, tr.Steals, tr.Premature
 
-	if opts.CacheModel != nil {
-		granted := BoundApplies(rep.Class, opts.Policy, opts.Steal)
-		cc, err := CacheCostOf(g, *opts.CacheModel, nil, opts.Domains, granted, seq, tr.Results)
-		if err != nil {
-			return nil, fmt.Errorf("core: cache cost: %w", err)
-		}
-		rep.CacheCost = cc
-	}
-
-	if BoundApplies(rep.Class, opts.Policy, opts.Steal) {
+	if granted {
 		rep.DeviationBound = int64(opts.P) * rep.Span * rep.Span
 		if opts.CacheLines > 0 {
 			rep.MissBound = int64(opts.CacheLines) * rep.DeviationBound

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"futurelocality/internal/cache"
 	"futurelocality/internal/dag"
 	"futurelocality/internal/graphs"
 	"futurelocality/internal/sim"
@@ -178,5 +183,108 @@ func TestBoundApplies(t *testing.T) {
 	lt := dag.Class{LocalTouch: true}
 	if !BoundApplies(lt, sim.FutureFirst, sim.RandomSingle) {
 		t.Fatal("local-touch + future-first must get the bound (Theorem 12)")
+	}
+}
+
+// analysisInputs are the three kinds of graph the benchmark's analyze
+// workload analyses: future-parallel Fib, a random structured program (seed
+// 60 stops at 3 043 nodes) and the paper's Figure 6(c).
+func analysisInputs() map[string]*dag.Graph {
+	fig6c, _ := graphs.Fig6c(4, 16, 4, true)
+	return map[string]*dag.Graph{
+		"fib":        graphs.Fib(16, 2),
+		"randstruct": graphs.RandomStructured(60, graphs.RandomConfig{MaxNodes: 3000, MaxDepth: 12, MaxBlocks: 256}),
+		"fig6c":      fig6c,
+	}
+}
+
+// TestReportsIndependentOfGOMAXPROCS: trial i keeps seed i and nothing is
+// reduced in arrival order, so a report — in-engine caches, a shared-LLC
+// cache model and locality domains all on — is the same value and the same
+// text however many Ps the trials fanned out over.
+func TestReportsIndependentOfGOMAXPROCS(t *testing.T) {
+	opts := AnalyzeOptions{P: 4, CacheLines: 64, Trials: 8, Seed: 7, Domains: []int{0, 0, 1, 1},
+		CacheModel: &CacheModel{Lines: 64, LLCLines: 512}}
+	for name, g := range analysisInputs() {
+		var want *Report
+		for _, procs := range []int{1, 2, 8} {
+			withProcs(t, procs)
+			got, err := Analyze(g, opts)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS=%d: %v", name, procs, err)
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) || got.String() != want.String() {
+				t.Errorf("%s: report at GOMAXPROCS=%d differs from the one at 1:\n%s\nvs\n%s", name, procs, got, want)
+			}
+		}
+	}
+}
+
+// starve is a Control that never lets a processor act, and takes its time
+// saying so.
+type starve struct {
+	sim.AlwaysActive
+	delay time.Duration
+}
+
+func (s starve) Active(sim.ProcID, *sim.View) bool {
+	time.Sleep(s.delay)
+	return false
+}
+
+// TestRunTrialsReturnsLowestStuckTrial starves trials 3 and 5, trial 3 so
+// slowly that with more than one P trial 5 gives up first. The error is
+// trial 3's all the same, and the goroutines that ran the trials are gone
+// when RunTrials returns.
+func TestRunTrialsReturnsLowestStuckTrial(t *testing.T) {
+	g := graphs.Fib(10, 2)
+	seq, err := sim.Sequential(g, sim.FutureFirst, 0, cache.LRU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(t, procs)
+		before := runtime.NumGoroutine()
+		for round := 0; round < 5; round++ {
+			_, err := RunTrials(g, sim.Config{P: 4, MaxIdleSweeps: 8}, seq, 8, func(i int) sim.Control {
+				switch i {
+				case 3:
+					return starve{delay: 100 * time.Microsecond}
+				case 5:
+					return starve{}
+				}
+				return sim.NewRandomControl(int64(i))
+			}, nil)
+			if !errors.Is(err, sim.ErrStuck) || !strings.Contains(err.Error(), "trial 3:") {
+				t.Fatalf("GOMAXPROCS=%d round %d: got %v, want trial 3's ErrStuck", procs, round, err)
+			}
+		}
+		budgetReturned(t)
+		// A helper signals that it is done a moment before it is gone.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("GOMAXPROCS=%d: %d goroutines before, %d after", procs, before, runtime.NumGoroutine())
+			}
+		}
+	}
+}
+
+// BenchmarkAnalyze is one Analyze of each benchmark input with the cache
+// model on; read it under -cpu 1,2 for the fan-out's gain and its one-P cost.
+// A b.N loop, not b.Loop: testing takes a b.Loop benchmark's first sample at
+// whatever GOMAXPROCS the process was left at, not at the -cpu entry it
+// prints beside it.
+func BenchmarkAnalyze(b *testing.B) {
+	inputs := analysisInputs()
+	opts := AnalyzeOptions{P: 4, CacheLines: 64, Trials: 8, Seed: 7, CacheModel: &CacheModel{Lines: 64}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for name, g := range inputs {
+			if _, err := Analyze(g, opts); err != nil {
+				b.Fatalf("%s: %v", name, err)
+			}
+		}
 	}
 }

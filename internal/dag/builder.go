@@ -354,6 +354,7 @@ func (b *Builder) build(superFinal bool) (*Graph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	g.span = g.computeSpan()
 	return g, nil
 }
 

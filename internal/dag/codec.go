@@ -126,6 +126,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err := g.deriveTables(int(numThreads)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
+	g.span = g.computeSpan()
 	return g, nil
 }
 

@@ -171,7 +171,7 @@ type Graph struct {
 	// (Section 6.2): extra touch edges from thread ends are permitted.
 	SuperFinal bool
 
-	span int64 // memoized computation span; 0 = not computed (span ≥ 1 always)
+	span int64 // T∞, set once where the graph is made (Builder.build, ReadBinary)
 }
 
 // Len returns the number of nodes.
@@ -194,13 +194,13 @@ func (g *Graph) NumTouches() int {
 // Work returns T1, the total number of nodes.
 func (g *Graph) Work() int64 { return int64(len(g.Nodes)) }
 
-// Span returns T∞, the number of nodes on a longest directed path. The
-// result is memoized; Graph is safe for concurrent use only after the first
-// call (or call Span once before sharing).
-func (g *Graph) Span() int64 {
-	if g.span != 0 {
-		return g.span
-	}
+// Span returns T∞, the number of nodes on a longest directed path.
+func (g *Graph) Span() int64 { return g.span }
+
+// computeSpan is the longest-path sweep behind Span. The two places that
+// make a Graph run it once, after Validate, so a finished graph is never
+// written again and any number of goroutines may share it.
+func (g *Graph) computeSpan() int64 {
 	depth := make([]int64, len(g.Nodes))
 	var max int64
 	// IDs are topological, so one forward sweep suffices.
@@ -216,7 +216,6 @@ func (g *Graph) Span() int64 {
 			}
 		}
 	}
-	g.span = max
 	return max
 }
 

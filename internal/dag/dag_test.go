@@ -2,6 +2,7 @@ package dag
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -120,6 +121,42 @@ func TestForkTouchStructure(t *testing.T) {
 		}
 		if g.Nodes[ti.Node].NIn != 2 {
 			t.Fatalf("touch %d has in-degree %d, want 2", ti.Node, g.Nodes[ti.Node].NIn)
+		}
+	}
+}
+
+// TestSpanConcurrentFirstCalls shares a graph nobody has asked for its span
+// yet — one from a Builder, one from ReadBinary — among goroutines whose
+// first Span calls race one another. Under -race this fails on a Span that
+// memoises on first use; a graph is finished where it is made.
+func TestSpanConcurrentFirstCalls(t *testing.T) {
+	b := NewBuilder()
+	m := b.Main()
+	f := m.Fork()
+	f.Steps(10)
+	m.Step()
+	m.Touch(f)
+	built := b.MustBuild()
+	for name, g := range map[string]*Graph{"built": built, "decoded": roundTrip(t, built)} {
+		const readers = 8
+		got := make([]int64, readers)
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for i := range got {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				got[i] = g.Span()
+			}()
+		}
+		start.Done()
+		done.Wait()
+		for i, s := range got {
+			// fork, ten future nodes, touch.
+			if s != 12 {
+				t.Errorf("%s graph: reader %d saw Span = %d, want 12", name, i, s)
+			}
 		}
 	}
 }

@@ -69,7 +69,7 @@ func scripted(g *dag.Graph, ctrl sim.Control, p int, pol sim.ForkPolicy, c int) 
 // and returns the per-trial deviation, additional-miss and steal series.
 func randomTrials(g *dag.Graph, p int, pol sim.ForkPolicy, c, trials int, seed int64) (devs, extra, steals []float64) {
 	tr, err := core.RunTrials(g, sim.Config{P: p, Policy: pol, CacheLines: c}, seqBaseline(g, pol, c), trials,
-		func(i int) sim.Control { return sim.NewRandomControl(seed + int64(i)) }, false)
+		func(i int) sim.Control { return sim.NewRandomControl(seed + int64(i)) }, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -45,12 +45,21 @@ func TestAnalyzeCacheModelEndToEnd(t *testing.T) {
 		t.Errorf("MissEnvelope = %d, want %d", cc.MissEnvelope, wantEnv)
 	}
 
-	// The matrix: every cell carries a miss account, and the miss envelope
-	// is granted at future-first × random-single and nowhere else.
+	// The matrix: every cell carries a miss account, the miss envelope is
+	// granted at future-first × random-single and nowhere else, and a row's
+	// four cells are billed against one sequential replay — the primary's,
+	// in the primary's row.
 	if len(rep.Matrix) == 0 {
 		t.Fatal("matrix missing")
 	}
+	rowSeq := map[sim.ForkPolicy]int64{sim.FutureFirst: cc.SeqMisses}
 	for _, cell := range rep.Matrix {
+		if want, ok := rowSeq[cell.Fork]; !ok {
+			rowSeq[cell.Fork] = cell.SeqMisses
+		} else if cell.SeqMisses != want || want <= 0 {
+			t.Errorf("cell %s × %s billed against SeqMisses = %d, its row against %d",
+				cell.Fork, cell.Steal, cell.SeqMisses, want)
+		}
 		theorem := cell.Fork == sim.FutureFirst && cell.Steal == sim.RandomSingle
 		if theorem && cell.MissBound != wantEnv {
 			t.Errorf("theorem cell MissBound = %d, want %d", cell.MissBound, wantEnv)

@@ -109,10 +109,13 @@ type MatrixCell struct {
 	// additional cache misses over the same trials (footprint replay vs the
 	// cell's own fork-policy sequential baseline); MissBound is the
 	// C·(1+P·T∞²) miss envelope where the deviation envelope is granted.
-	// All zero unless Options.CacheModel was set.
+	// SeqMisses is that baseline's own bill, prepared once per fork policy:
+	// the four cells of a row carry one. All zero unless Options.CacheModel
+	// was set.
 	MeanExtraMisses float64
 	MaxExtraMisses  int64
 	MissBound       int64
+	SeqMisses       int64
 }
 
 // Report is the profiler's outcome: the reconstructed DAG's classification,
@@ -172,42 +175,55 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		// prediction line (same seeds, same numbers) and is filled from it.
 		opts.Seed = 1
 	}
-	simRep, err := core.Analyze(recon.Graph, core.AnalyzeOptions{
-		P:          opts.P,
-		Policy:     opts.Policy,
-		Steal:      opts.Steal,
-		Domains:    opts.Domains,
-		Trials:     opts.Trials,
-		Seed:       opts.Seed,
-		CacheModel: opts.CacheModel,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("profile: sim replay: %w", err)
-	}
 	r := &Report{
 		Recon:              recon,
-		Class:              simRep.Class,
 		Work:               recon.Graph.Work(),
 		Span:               recon.Graph.Span(),
 		Touches:            recon.Graph.NumTouches(),
 		P:                  opts.P,
 		MeasuredDeviations: recon.MeasuredDeviations(),
-		Sim:                simRep,
 	}
-	if core.BoundApplies(r.Class, opts.Policy, opts.Steal) {
-		r.DeviationBound = int64(opts.P) * r.Span * r.Span
-	}
-	if !opts.NoMatrix {
-		r.Matrix, err = replayMatrix(recon, simRep, opts)
+	pooled := func() error {
+		simRep, err := core.Analyze(recon.Graph, core.AnalyzeOptions{
+			P:          opts.P,
+			Policy:     opts.Policy,
+			Steal:      opts.Steal,
+			Domains:    opts.Domains,
+			Trials:     opts.Trials,
+			Seed:       opts.Seed,
+			CacheModel: opts.CacheModel,
+		})
 		if err != nil {
-			return nil, fmt.Errorf("profile: (fork × steal) matrix: %w", err)
+			return fmt.Errorf("profile: sim replay: %w", err)
 		}
+		r.Class, r.Sim = simRep.Class, simRep
+		if core.BoundApplies(r.Class, opts.Policy, opts.Steal) {
+			r.DeviationBound = int64(opts.P) * r.Span * r.Span
+		}
+		if !opts.NoMatrix {
+			r.Matrix, err = replayMatrix(recon, simRep, opts)
+			if err != nil {
+				return fmt.Errorf("profile: (fork × steal) matrix: %w", err)
+			}
+		}
+		return nil
 	}
-	if !opts.NoJobs && len(recon.Jobs) > 0 {
-		r.Jobs, err = jobReports(tr, recon.Jobs, opts)
-		if err != nil {
-			return nil, fmt.Errorf("profile: per-job split: %w", err)
+	perJob := func() (err error) {
+		if !opts.NoJobs && len(recon.Jobs) > 0 {
+			r.Jobs, err = jobReports(tr, recon.Jobs, opts)
+			if err != nil {
+				return fmt.Errorf("profile: per-job split: %w", err)
+			}
 		}
+		return nil
+	}
+	// The matrix reads the primary's class, footprint and own cell, so it
+	// follows it; the per-job verdicts read nothing of either, so they run
+	// beside them. Each side writes its own fields of r, and an error of the
+	// pooled side goes before one of the jobs'.
+	sides := []func() error{pooled, perJob}
+	if err := core.ForEach(len(sides), func(i int) error { return sides[i]() }); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -215,20 +231,22 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 // jobReports splits tr by job and produces one isolated verdict per job —
 // reconstruction, classification, and the job's own measured-vs-envelope
 // check — for the already-sorted job IDs the pooled reconstruction
-// observed. No sim replay per job unless a cache model asks for the job's own
-// miss bill: the pooled report's prediction already covers the whole trace;
-// what the split adds is attribution.
+// observed, the jobs side by side (core.ForEach). No sim replay per job
+// unless a cache model asks for the job's own miss bill: the pooled report's
+// prediction already covers the whole trace; what the split adds is
+// attribution.
 func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 	subs := SplitJobs(tr)
-	out := make([]JobReport, 0, len(ids))
-	for _, id := range ids {
+	out := make([]JobReport, len(ids))
+	err := core.ForEach(len(ids), func(i int) error {
+		id := ids[i]
 		sub := subs[id]
 		if sub == nil {
-			continue // unreachable: every observed job has at least one event
+			return fmt.Errorf("job %d: observed, but no event carries it", id)
 		}
 		rec, err := Reconstruct(sub)
 		if err != nil {
-			return nil, fmt.Errorf("job %d: %w", id, err)
+			return fmt.Errorf("job %d: %w", id, err)
 		}
 		jr := JobReport{
 			Job:                id,
@@ -255,7 +273,7 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 				CacheModel: &model,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("job %d cache cost: %w", id, err)
+				return fmt.Errorf("job %d cache cost: %w", id, err)
 			}
 			jr.Class, jr.CacheCost = jobSim.Class, jobSim.CacheCost
 		} else {
@@ -264,67 +282,92 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 		if core.BoundApplies(jr.Class, opts.Policy, opts.Steal) {
 			jr.DeviationBound = int64(opts.P) * jr.Span * jr.Span
 		}
-		out = append(out, jr)
+		out[i] = jr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // replayMatrix re-executes the reconstructed DAG under every (fork × steal)
 // pair, Trials random schedules each, and returns one summary cell per
-// pair. Deviations in each cell are counted against the sequential
-// execution of that cell's own fork policy (the paper always compares like
-// with like); the envelope is attached only to the future-first ×
-// random-single cell, the one the theorems cover. The cell of the primary
-// replay's own pair is not run again when its trials would be the primary's
-// seed for seed: it is read off primary.
+// pair, the cells side by side (core.ForEach). Deviations in each cell are
+// counted against the sequential execution of that cell's own fork policy
+// (the paper always compares like with like), and so are its extra misses:
+// the sequential execution and its miss bill are prepared once per row and
+// shared by the row's four cells. The envelope is attached only to the
+// future-first × random-single cell, the one the theorems cover. The cell of
+// the primary replay's own pair is not run again when its trials would be the
+// primary's seed for seed: it is read off primary.
 func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCell, error) {
 	g := recon.Graph
 	// Cell (fork, steal) seeds trial i with Seed + i + 1000·steal; the primary
 	// seeds it with Seed + i. The two agree where the steal offset is zero.
 	cellSeed := func(steal sim.StealPolicy, i int) int64 { return opts.Seed + int64(i) + 1000*int64(steal) }
-	cells := make([]MatrixCell, 0, 2*len(sim.StealPolicies))
-	for _, fork := range []sim.ForkPolicy{sim.FutureFirst, sim.ParentFirst} {
-		seq, err := sim.Sequential(g, fork, 0, cache.LRU)
-		if err != nil {
+	// A row is one fork policy: its sequential execution and, with a cache
+	// model, that execution's miss bill.
+	type matrixRow struct {
+		fork sim.ForkPolicy
+		seq  *sim.Result
+		base *core.CacheBaseline
+	}
+	rows := []matrixRow{{fork: sim.FutureFirst}, {fork: sim.ParentFirst}}
+	for f := range rows {
+		row := &rows[f]
+		var err error
+		if row.seq, err = sim.Sequential(g, row.fork, 0, cache.LRU); err != nil {
 			return nil, err
 		}
-		for _, steal := range sim.StealPolicies {
-			cell := MatrixCell{Fork: fork, Steal: steal}
-			granted := core.BoundApplies(primary.Class, fork, steal)
-			if granted {
-				cell.Bound = int64(opts.P) * g.Span() * g.Span()
-			}
-			if fork == opts.Policy && steal == opts.Steal && cellSeed(steal, 0) == opts.Seed {
-				cell.summarize(primary.Deviations, primary.Steals)
-				if primary.CacheCost != nil {
-					cell.charge(primary.CacheCost)
-				}
-				cells = append(cells, cell)
-				continue
-			}
-			tr, err := core.RunTrials(g, sim.Config{P: opts.P, Policy: fork, Steal: steal, Domains: opts.Domains},
-				seq, opts.Trials, func(i int) sim.Control { return sim.NewRandomControl(cellSeed(steal, i)) },
-				opts.CacheModel != nil)
-			if err != nil {
+		if pc := primary.CacheCost; pc != nil && row.fork == opts.Policy {
+			// The primary's own baseline is this row's.
+			row.base = pc.CacheBaseline
+		} else if pc != nil {
+			// The other fork policy has its own sequential order, and so its
+			// own bill, over the footprint the primary derived. The OPT
+			// baseline is skipped — the primary carries it once.
+			model := *opts.CacheModel
+			model.NoIdeal = true
+			if row.base, err = core.NewCacheBaseline(g, model, pc.CacheBaseline, row.seq); err != nil {
 				return nil, err
 			}
-			cell.summarize(tr.Deviations, tr.Steals)
-			if opts.CacheModel != nil {
-				// Charge each cell's schedules their footprint-replay miss
-				// bill against this fork policy's own sequential baseline
-				// (like with like, as the deviation count above), over the
-				// footprint the primary replay derived. The OPT baseline is
-				// skipped — the primary replay carries it once.
-				model := *opts.CacheModel
-				model.NoIdeal = true
-				cc, err := core.CacheCostOf(g, model, primary.CacheCost, opts.Domains, granted, seq, tr.Results)
-				if err != nil {
-					return nil, err
-				}
-				cell.charge(cc)
-			}
-			cells = append(cells, cell)
 		}
+	}
+	steals := sim.StealPolicies
+	cells := make([]MatrixCell, len(rows)*len(steals))
+	err := core.ForEach(len(cells), func(i int) error {
+		row, steal := &rows[i/len(steals)], steals[i%len(steals)]
+		fork, cell := row.fork, &cells[i]
+		cell.Fork, cell.Steal = fork, steal
+		granted := core.BoundApplies(primary.Class, fork, steal)
+		if granted {
+			cell.Bound = int64(opts.P) * g.Span() * g.Span()
+		}
+		if fork == opts.Policy && steal == opts.Steal && cellSeed(steal, 0) == opts.Seed {
+			cell.summarize(primary.Deviations, primary.Steals)
+			if primary.CacheCost != nil {
+				cell.charge(primary.CacheCost)
+			}
+			return nil
+		}
+		var cost *core.CacheCost
+		if row.base != nil {
+			cost = row.base.Cost(opts.P, opts.Trials, granted)
+		}
+		tr, err := core.RunTrials(g, sim.Config{P: opts.P, Policy: fork, Steal: steal, Domains: opts.Domains},
+			row.seq, opts.Trials, func(i int) sim.Control { return sim.NewRandomControl(cellSeed(steal, i)) }, cost)
+		if err != nil {
+			return err
+		}
+		cell.summarize(tr.Deviations, tr.Steals)
+		if cost != nil {
+			cell.charge(cost)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cells, nil
 }
@@ -345,6 +388,7 @@ func (c *MatrixCell) summarize(devs, steals []int64) {
 // charge fills the cell's extra-miss columns from a cache-cost verdict.
 func (c *MatrixCell) charge(cc *core.CacheCost) {
 	c.MeanExtraMisses, c.MaxExtraMisses, c.MissBound = cc.MeanExtra(), cc.MaxExtra(), cc.MissEnvelope
+	c.SeqMisses = cc.SeqMisses
 }
 
 // WithinBound reports whether the measured deviations stayed inside the

@@ -8,43 +8,78 @@ import (
 	"futurelocality/internal/dag"
 )
 
-// Deviations counts the deviations (Spoonhower et al.'s definition, quoted
-// in Section 4) of a parallel result relative to a sequential order:
+// SeqPred is a sequential order in the form deviation counting reads it:
+// each node's immediate predecessor in that order. It depends on the baseline
+// alone, so one SeqPred serves every trial measured against it.
+type SeqPred struct {
+	pred  []dag.NodeID // None for the order's first node and for nodes it lacks
+	first dag.NodeID   // the order's first node; None when it is empty
+}
+
+// NewSeqPred indexes seqOrder, an order over a graph of n nodes.
+func NewSeqPred(seqOrder []dag.NodeID, n int) SeqPred {
+	sp := SeqPred{pred: make([]dag.NodeID, n), first: dag.None}
+	for i := range sp.pred {
+		sp.pred[i] = dag.None
+	}
+	if len(seqOrder) > 0 {
+		sp.first = seqOrder[0]
+	}
+	for i := 1; i < len(seqOrder); i++ {
+		sp.pred[seqOrder[i]] = seqOrder[i-1]
+	}
+	return sp
+}
+
+// deviates reports whether a deviation (Spoonhower et al.'s definition,
+// quoted in Section 4) occurs at order[i], order being one processor's
+// execution order:
 //
 //	if v1 immediately precedes v2 in the sequential execution, then a
 //	deviation occurs at v2 when the processor executing v2 did not execute
 //	it immediately after v1 — because it executed something else in between,
 //	or because v1 ran on a different processor.
 //
-// The first node of the sequential order can never deviate.
-func Deviations(seqOrder []dag.NodeID, r *Result) int64 {
-	return int64(len(DeviationNodes(seqOrder, r)))
+// The first node of the sequential order deviates only when its processor
+// executed something before it.
+func (sp SeqPred) deviates(order []dag.NodeID, i int) bool {
+	v := order[i]
+	if pred := sp.pred[v]; pred != dag.None {
+		return i == 0 || order[i-1] != pred
+	}
+	return i != 0 && v == sp.first
 }
 
-// DeviationNodes returns the deviated nodes themselves, in node-ID order
-// (useful for classifying which structural positions deviate).
+// Deviations counts r's deviations from the sequential order, allocating
+// nothing.
+func (sp SeqPred) Deviations(r *Result) int64 {
+	var n int64
+	for _, order := range r.Order {
+		for i := range order {
+			if sp.deviates(order, i) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Deviations counts the deviations of a parallel result relative to a
+// sequential order. A caller with many results against one order builds the
+// SeqPred once.
+func Deviations(seqOrder []dag.NodeID, r *Result) int64 {
+	return NewSeqPred(seqOrder, len(r.When)).Deviations(r)
+}
+
+// DeviationNodes returns the deviated nodes themselves, processor by
+// processor in execution order (useful for classifying which structural
+// positions deviate).
 func DeviationNodes(seqOrder []dag.NodeID, r *Result) []dag.NodeID {
-	// seqPred[v] = node immediately before v in the sequential execution.
-	seqPred := make([]dag.NodeID, len(r.When))
-	for i := range seqPred {
-		seqPred[i] = dag.None
-	}
-	for i := 1; i < len(seqOrder); i++ {
-		seqPred[seqOrder[i]] = seqOrder[i-1]
-	}
+	sp := NewSeqPred(seqOrder, len(r.When))
 	var out []dag.NodeID
 	for _, order := range r.Order {
 		for i, v := range order {
-			pred := seqPred[v]
-			if pred == dag.None {
-				// v is the sequential root: executing it first is never a
-				// deviation; executing it after something else is.
-				if i != 0 && len(seqOrder) > 0 && seqOrder[0] == v {
-					out = append(out, v)
-				}
-				continue
-			}
-			if i == 0 || order[i-1] != pred {
+			if sp.deviates(order, i) {
 				out = append(out, v)
 			}
 		}

@@ -32,6 +32,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"futurelocality/internal/cache"
 	"futurelocality/internal/dag"
@@ -178,8 +179,11 @@ type Result struct {
 // MaxIdleSweeps consecutive sweeps.
 var ErrStuck = errors.New("sim: no progress (control starved the machine?)")
 
-// Engine is a single-use simulator instance. Create with New, drive with
-// Run. The zero value is not usable.
+// Engine is a simulator instance: New prepares one for a run, Run drives it,
+// and Reset prepares the same engine for another run — of any graph under
+// any configuration — on the storage the last run left behind, which is what
+// a loop of trials wants. An engine belongs to one goroutine at a time. The
+// zero value is ready for Reset.
 type Engine struct {
 	g    *dag.Graph
 	cfg  Config
@@ -189,11 +193,17 @@ type Engine struct {
 	waiting []int32 // remaining unexecuted parents
 	when    []int64
 	who     []ProcID
-	// Per-processor state.
+	// Per-processor state. orders and caches may be longer than cfg.P: only
+	// the first cfg.P entries belong to the current run, an earlier, wider
+	// run's stay behind them for the next.
 	assigned []dag.NodeID
 	deques   []deque.Seq[dag.NodeID]
-	caches   []cache.Cache
 	orders   [][]dag.NodeID
+	// caches are the in-engine caches of the last run that had any, all of
+	// cacheKind and cacheLines; this run uses them when cfg.CacheLines > 0.
+	caches     []cache.Cache
+	cacheKind  cache.Kind
+	cacheLines int
 	// central is the shared FIFO used only in CentralQueue mode.
 	central  deque.Seq[dag.NodeID]
 	executed int64
@@ -209,66 +219,102 @@ type Engine struct {
 	// lastVictim is the per-processor affinity cache (LastVictimAffinity
 	// only): the victim of the processor's last successful steal, or NoProc.
 	lastVictim []ProcID
+	// res and misses are what Run returns, kept here so that a reused engine
+	// allocates neither again.
+	res    Result
+	misses []int64
 }
 
-// New prepares an engine for one run over g.
+// New prepares an engine for a run over g: Reset on a new Engine.
 func New(g *dag.Graph, cfg Config) (*Engine, error) {
+	e := new(Engine)
+	if err := e.Reset(g, cfg); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// resize returns s with length n, on its own storage when that is large
+// enough. The contents are the caller's to set.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// Reset prepares e for a run over g under cfg. It is the one initialiser:
+// every field a run reads is set here from g and cfg alone, so a reused
+// engine runs exactly as a new one does. The Result of e's previous run
+// aliases the storage Reset hands to the next, and is dead from this call on.
+// On error e is unchanged.
+func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 	if cfg.P < 1 {
-		return nil, fmt.Errorf("sim: P = %d", cfg.P)
+		return fmt.Errorf("sim: P = %d", cfg.P)
 	}
 	if !cfg.Steal.Valid() {
-		return nil, fmt.Errorf("sim: steal policy %s", cfg.Steal)
+		return fmt.Errorf("sim: steal policy %s", cfg.Steal)
 	}
 	if cfg.Control == nil {
 		cfg.Control = NewRandomControl(1)
 	}
 	if cfg.Domains != nil && len(cfg.Domains) != cfg.P {
-		return nil, fmt.Errorf("sim: len(Domains) = %d, want P = %d", len(cfg.Domains), cfg.P)
+		return fmt.Errorf("sim: len(Domains) = %d, want P = %d", len(cfg.Domains), cfg.P)
 	}
 	if cfg.MaxIdleSweeps == 0 {
 		cfg.MaxIdleSweeps = 100000
 	}
-	e := &Engine{
-		g:        g,
-		cfg:      cfg,
-		ctrl:     cfg.Control,
-		waiting:  make([]int32, g.Len()),
-		when:     make([]int64, g.Len()),
-		who:      make([]ProcID, g.Len()),
-		assigned: make([]dag.NodeID, cfg.P),
-		deques:   make([]deque.Seq[dag.NodeID], cfg.P),
-		orders:   make([][]dag.NodeID, cfg.P),
-	}
-	e.view = View{e: e}
+	e.g, e.cfg, e.ctrl, e.view = g, cfg, cfg.Control, View{e: e}
+	e.executed, e.seq, e.steps, e.stealAtt = 0, 0, 0, 0
+	e.steals, e.visits, e.pops, e.intra, e.cross = 0, 0, 0, 0, 0
+	e.stolen = e.stolen[:0]
+	e.central.Reset()
+
+	n := g.Len()
+	e.waiting, e.when, e.who = resize(e.waiting, n), resize(e.when, n), resize(e.who, n)
 	for i := range e.when {
 		e.when[i] = -1
 		e.who[i] = NoProc
 		e.waiting[i] = g.Nodes[i].NIn
 	}
+
+	e.assigned, e.deques = resize(e.assigned, cfg.P), resize(e.deques, cfg.P)
 	for p := range e.assigned {
 		e.assigned[p] = dag.None
-		// An even share each (everything, at P = 1); a processor that ends
-		// up executing more grows its order by append.
-		e.orders[p] = make([]dag.NodeID, 0, g.Len()/cfg.P+1)
+		e.deques[p].Reset()
 	}
+	e.lastVictim = e.lastVictim[:0]
 	if cfg.Steal == LastVictimAffinity {
-		e.lastVictim = make([]ProcID, cfg.P)
+		e.lastVictim = resize(e.lastVictim, cfg.P)
 		for p := range e.lastVictim {
 			e.lastVictim[p] = NoProc
 		}
 	}
+	// Orders and caches own storage worth keeping, so these two slices only
+	// ever grow; the run uses their first cfg.P entries.
+	e.orders = slices.Grow(e.orders, max(0, cfg.P-len(e.orders)))
+	for p := 0; p < cfg.P; p++ {
+		if p == len(e.orders) {
+			// An even share each (everything, at P = 1); a processor that
+			// ends up executing more grows its order by append.
+			e.orders = append(e.orders, make([]dag.NodeID, 0, n/cfg.P+1))
+		}
+		e.orders[p] = e.orders[p][:0]
+	}
 	if cfg.CacheLines > 0 {
-		e.caches = make([]cache.Cache, cfg.P)
-		for p := range e.caches {
-			e.caches[p] = cache.New(cfg.CacheKind, cfg.CacheLines)
+		if e.cacheKind != cfg.CacheKind || e.cacheLines != cfg.CacheLines {
+			e.caches, e.cacheKind, e.cacheLines = nil, cfg.CacheKind, cfg.CacheLines
+		}
+		e.caches = slices.Grow(e.caches, max(0, cfg.P-len(e.caches)))
+		for p := 0; p < cfg.P; p++ {
+			if p == len(e.caches) {
+				e.caches = append(e.caches, cache.New(cfg.CacheKind, cfg.CacheLines))
+			}
+			e.caches[p].Reset()
 		}
 	}
 	// The root starts on processor 0.
 	e.assigned[0] = g.Root
-	return e, nil
+	return nil
 }
 
-// Run executes the whole computation and returns the result.
+// Run executes the whole computation and returns the result, which aliases
+// the engine's storage: it is valid until the engine's next Reset.
 func (e *Engine) Run() (*Result, error) {
 	total := int64(e.g.Len())
 	idle := 0
@@ -293,8 +339,8 @@ func (e *Engine) Run() (*Result, error) {
 			}
 		}
 	}
-	res := &Result{
-		Order:         e.orders,
+	e.res = Result{
+		Order:         e.orders[:e.cfg.P],
 		When:          e.when,
 		Who:           e.who,
 		Stolen:        e.stolen,
@@ -309,14 +355,15 @@ func (e *Engine) Run() (*Result, error) {
 		Steal:         e.cfg.Steal,
 		P:             e.cfg.P,
 	}
-	if e.caches != nil {
-		res.Misses = make([]int64, e.cfg.P)
-		for p, c := range e.caches {
-			res.Misses[p] = c.Misses()
-			res.TotalMisses += c.Misses()
+	if e.cfg.CacheLines > 0 {
+		e.misses = resize(e.misses, e.cfg.P)
+		for p := range e.misses {
+			e.misses[p] = e.caches[p].Misses()
+			e.res.TotalMisses += e.misses[p]
 		}
+		e.res.Misses = e.misses
 	}
-	return res, nil
+	return &e.res, nil
 }
 
 // act performs one processor activation; reports whether observable progress
@@ -449,7 +496,7 @@ func (e *Engine) execute(p ProcID, v dag.NodeID) {
 	e.who[v] = p
 	e.orders[p] = append(e.orders[p], v)
 	e.executed++
-	if e.caches != nil {
+	if e.cfg.CacheLines > 0 {
 		e.caches[p].Access(n.Block)
 	}
 
