@@ -36,6 +36,7 @@ var retiredNames = []string{
 	"ThreadTouches", "descendantsInto",
 	"dagviz", "internal/trace",
 	"Trials.Results", "CacheCostOf",
+	"LLCKind",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

@@ -97,9 +97,11 @@ func New(kind Kind, c int) Cache {
 	}
 	switch kind {
 	case LRU:
-		return newLRU(c)
+		l := newLRU(c, newBlockTable(c))
+		return &l
 	case FIFO:
-		return newFIFO(c)
+		f := newFIFO(c, newBlockTable(c))
+		return &f
 	case SetAssocLRU:
 		ways := 4
 		if c < 4 {
@@ -114,17 +116,52 @@ func New(kind Kind, c int) Cache {
 }
 
 // ---------------------------------------------------------------------------
-// Block table: the residency index of the fully associative caches.
+// Residency indexes: which line of a fully associative cache holds a block.
 //
-// A cache of C lines holds at most C blocks, so the index is a fixed
-// open-addressed table, not a growing map: a power of two ≥ 4C slots,
-// dag.NoBlock — which no cache ever holds — as the empty key, Fibonacci
-// hashing, linear probing, and deletion by backward shift, so there are no
-// tombstones and a probe sequence never outlives its keys. The load factor
-// is held to ¼, not the customary ½: a miss-dominated replay does a lookup,
-// a delete and an insert per access, each ending on an unpredictable branch
-// per collision, and BenchmarkReplay reads 38 ns per access at 2C slots, 23
-// at 4C and 17 at 8C — for C = 64 that is a 2 KB table, still L1-resident.
+// The list and ring code below is written once, over either of two indexes.
+// Which one serves is a matter of what the cache's owner knows, not of policy:
+// a cache built by New is handed arbitrary block identities and hashes them
+// (blockTable); a Set replays a Footprint, whose blocks are numbered 0..n-1,
+// and indexes a slice by them (directTable).
+
+type residency interface {
+	// get returns the line holding b.
+	get(b dag.BlockID) (line int32, ok bool)
+	// put records that line holds b, which must be absent.
+	put(b dag.BlockID, line int32)
+	// del forgets b, which must be present.
+	del(b dag.BlockID)
+}
+
+// directTable is the index over a known universe of dense block ids: entry b
+// is one more than the line holding block b, 0 while b is not resident. An
+// empty cache's table is all zeros over its whole capacity — Reset deletes
+// the resident blocks one by one, O(C) however large the universe — which is
+// what lets fit hand the same storage to the next footprint.
+type directTable []int32
+
+func (t directTable) get(b dag.BlockID) (int32, bool) { v := t[b]; return v - 1, v != 0 }
+func (t directTable) put(b dag.BlockID, line int32)   { t[b] = line + 1 }
+func (t directTable) del(b dag.BlockID)               { t[b] = 0 }
+
+// fit returns an empty table over n blocks, t's own storage when that is
+// large enough. t must be empty.
+func (t directTable) fit(n int) directTable {
+	if cap(t) < n {
+		return make(directTable, n)
+	}
+	return t[:n]
+}
+
+// blockTable is the index when the universe is unknown. A cache of C lines
+// holds at most C blocks, so it is a fixed open-addressed table, not a
+// growing map: a power of two ≥ 4C slots, dag.NoBlock — which no cache ever
+// holds — as the empty key, Fibonacci hashing, linear probing, and deletion
+// by backward shift, so there are no tombstones and a probe sequence never
+// outlives its keys. The load factor is held to ¼, not the customary ½: a
+// miss-dominated trace does a lookup, a delete and an insert per access, each
+// ending on an unpredictable branch per collision — for C = 64 that is a
+// 2 KB table, still L1-resident.
 
 type tableSlot struct {
 	key dag.BlockID
@@ -143,7 +180,9 @@ func newBlockTable(n int) blockTable {
 		bits++
 	}
 	t := blockTable{slots: make([]tableSlot, 1<<bits), shift: 32 - bits}
-	t.reset()
+	for i := range t.slots {
+		t.slots[i].key = dag.NoBlock
+	}
 	return t
 }
 
@@ -169,20 +208,12 @@ func (t *blockTable) intern(b dag.BlockID, n int32) (int32, bool) {
 	return n, true
 }
 
-// reset empties the table in O(len(slots)) = O(C).
-func (t *blockTable) reset() {
-	for i := range t.slots {
-		t.slots[i].key = dag.NoBlock
-	}
-}
-
 // home is b's preferred slot.
-func (t *blockTable) home(b dag.BlockID) uint32 {
+func (t blockTable) home(b dag.BlockID) uint32 {
 	return uint32(b) * 2654435769 >> t.shift // 2³²/φ
 }
 
-// get returns the value stored under b.
-func (t *blockTable) get(b dag.BlockID) (int32, bool) {
+func (t blockTable) get(b dag.BlockID) (int32, bool) {
 	mask := uint32(len(t.slots) - 1)
 	for i := t.home(b); ; i = (i + 1) & mask {
 		switch s := t.slots[i]; s.key {
@@ -194,9 +225,8 @@ func (t *blockTable) get(b dag.BlockID) (int32, bool) {
 	}
 }
 
-// put stores val under b, which must be absent; the caller keeps the table
-// at most half full.
-func (t *blockTable) put(b dag.BlockID, val int32) {
+// put: the caller keeps the table at most half full.
+func (t blockTable) put(b dag.BlockID, val int32) {
 	mask := uint32(len(t.slots) - 1)
 	i := t.home(b)
 	for t.slots[i].key != dag.NoBlock {
@@ -205,11 +235,10 @@ func (t *blockTable) put(b dag.BlockID, val int32) {
 	t.slots[i] = tableSlot{key: b, val: val}
 }
 
-// del removes b, which must be present, and closes the gap: each later
-// entry of the probe run moves back into the hole unless its home slot lies
-// cyclically after the hole, up to and including its current slot, where a
-// probe for it would no longer pass.
-func (t *blockTable) del(b dag.BlockID) {
+// del closes the gap it makes: each later entry of the probe run moves back
+// into the hole unless its home slot lies cyclically after the hole, up to
+// and including its current slot, where a probe for it would no longer pass.
+func (t blockTable) del(b dag.BlockID) {
 	mask := uint32(len(t.slots) - 1)
 	hole := t.home(b)
 	for t.slots[hole].key != b {
@@ -228,98 +257,82 @@ func (t *blockTable) del(b dag.BlockID) {
 // ---------------------------------------------------------------------------
 // Fully associative LRU.
 //
-// Implemented as an intrusive doubly linked list over a dense slice of
-// entries plus a block table from block to entry index. O(1) per access.
+// The lines form one circular doubly linked list in recency order, threaded
+// through a dense slice of entries: head is the most recently used line and
+// its predecessor on the ring the least. A residency index maps a block to
+// its line. O(1) per access, and a miss in a full cache — the common case of
+// a replay — relinks nothing: the least recently used line takes the new
+// block where it is and head steps back onto it.
 
 type lruEntry struct {
 	block      dag.BlockID
 	prev, next int32
 }
 
-type lru struct {
+type lru[I residency] struct {
 	entries  []lruEntry
-	index    blockTable
-	head     int32 // most recently used
-	tail     int32 // least recently used
+	index    I
+	head     int32 // most recently used; 0 while entries is empty
 	misses   int64
 	accesses int64
 }
 
-func newLRU(c int) *lru {
-	return &lru{
-		entries: make([]lruEntry, 0, c),
-		index:   newBlockTable(c),
-		head:    -1,
-		tail:    -1,
-	}
+func newLRU[I residency](c int, index I) lru[I] {
+	return lru[I]{entries: make([]lruEntry, 0, c), index: index}
 }
 
-func (l *lru) Name() string    { return "lru" }
-func (l *lru) Lines() int      { return cap(l.entries) }
-func (l *lru) Misses() int64   { return l.misses }
-func (l *lru) Accesses() int64 { return l.accesses }
+func (l *lru[I]) Name() string    { return "lru" }
+func (l *lru[I]) Lines() int      { return cap(l.entries) }
+func (l *lru[I]) Misses() int64   { return l.misses }
+func (l *lru[I]) Accesses() int64 { return l.accesses }
 
-func (l *lru) Reset() {
+func (l *lru[I]) Reset() {
+	for i := range l.entries {
+		l.index.del(l.entries[i].block)
+	}
 	l.entries = l.entries[:0]
-	l.index.reset()
-	l.head, l.tail = -1, -1
+	l.head = 0
 	l.misses, l.accesses = 0, 0
 }
 
-// unlink removes entry i from the list.
-func (l *lru) unlink(i int32) {
-	e := &l.entries[i]
-	if e.prev >= 0 {
-		l.entries[e.prev].next = e.next
-	} else {
-		l.head = e.next
-	}
-	if e.next >= 0 {
-		l.entries[e.next].prev = e.prev
-	} else {
-		l.tail = e.prev
-	}
-}
-
-// pushFront makes entry i the most recently used.
-func (l *lru) pushFront(i int32) {
-	e := &l.entries[i]
-	e.prev = -1
-	e.next = l.head
-	if l.head >= 0 {
-		l.entries[l.head].prev = i
-	}
+// pushFront links line i, which is not on the ring, in before head and makes
+// it the head.
+func (l *lru[I]) pushFront(i int32) {
+	es := l.entries
+	tail := es[l.head].prev
+	es[i].prev, es[i].next = tail, l.head
+	es[tail].next, es[l.head].prev = i, i
 	l.head = i
-	if l.tail < 0 {
-		l.tail = i
-	}
 }
 
-func (l *lru) Access(b dag.BlockID) bool {
+func (l *lru[I]) Access(b dag.BlockID) bool {
 	if b == dag.NoBlock {
 		return false
 	}
 	l.accesses++
+	es := l.entries
 	if i, ok := l.index.get(b); ok {
-		if l.head != i {
-			l.unlink(i)
+		if i != l.head {
+			e := es[i]
+			es[e.prev].next, es[e.next].prev = e.next, e.prev
 			l.pushFront(i)
 		}
 		return false
 	}
 	l.misses++
-	var i int32
-	if len(l.entries) < cap(l.entries) {
-		// Cold line available.
-		l.entries = append(l.entries, lruEntry{block: b})
-		i = int32(len(l.entries) - 1)
-	} else {
-		// Evict the LRU line.
-		i = l.tail
-		l.unlink(i)
-		l.index.del(l.entries[i].block)
-		l.entries[i].block = b
+	if len(es) == cap(es) {
+		// Evict. The line before head is the least recently used and sits
+		// where the most recently used belongs: it takes b as it is.
+		i := es[l.head].prev
+		l.index.del(es[i].block)
+		es[i].block = b
+		l.index.put(b, i)
+		l.head = i
+		return true
 	}
+	// Cold line available: a ring of one, joined to the rest.
+	i := int32(len(es))
+	l.entries = append(es, lruEntry{block: b, prev: i, next: i})
 	l.index.put(b, i)
 	l.pushFront(i)
 	return true
@@ -328,49 +341,48 @@ func (l *lru) Access(b dag.BlockID) bool {
 // ---------------------------------------------------------------------------
 // Fully associative FIFO.
 
-type fifo struct {
+type fifo[I residency] struct {
 	ring     []dag.BlockID
-	resident blockTable // block → its ring slot
+	index    I // block → its ring slot
 	next     int
 	filled   int
 	misses   int64
 	accesses int64
 }
 
-func newFIFO(c int) *fifo {
-	return &fifo{
-		ring:     make([]dag.BlockID, c),
-		resident: newBlockTable(c),
-	}
+func newFIFO[I residency](c int, index I) fifo[I] {
+	return fifo[I]{ring: make([]dag.BlockID, c), index: index}
 }
 
-func (f *fifo) Name() string    { return "fifo" }
-func (f *fifo) Lines() int      { return len(f.ring) }
-func (f *fifo) Misses() int64   { return f.misses }
-func (f *fifo) Accesses() int64 { return f.accesses }
+func (f *fifo[I]) Name() string    { return "fifo" }
+func (f *fifo[I]) Lines() int      { return len(f.ring) }
+func (f *fifo[I]) Misses() int64   { return f.misses }
+func (f *fifo[I]) Accesses() int64 { return f.accesses }
 
-func (f *fifo) Reset() {
-	f.resident.reset()
+func (f *fifo[I]) Reset() {
+	for _, b := range f.ring[:f.filled] {
+		f.index.del(b)
+	}
 	f.next, f.filled = 0, 0
 	f.misses, f.accesses = 0, 0
 }
 
-func (f *fifo) Access(b dag.BlockID) bool {
+func (f *fifo[I]) Access(b dag.BlockID) bool {
 	if b == dag.NoBlock {
 		return false
 	}
 	f.accesses++
-	if _, ok := f.resident.get(b); ok {
+	if _, ok := f.index.get(b); ok {
 		return false
 	}
 	f.misses++
 	if f.filled == len(f.ring) {
-		f.resident.del(f.ring[f.next])
+		f.index.del(f.ring[f.next])
 	} else {
 		f.filled++
 	}
 	f.ring[f.next] = b
-	f.resident.put(b, int32(f.next))
+	f.index.put(b, int32(f.next))
 	f.next++
 	if f.next == len(f.ring) {
 		f.next = 0

@@ -32,21 +32,34 @@ import (
 //     re-faults up to W+1 ≤ C blocks — precisely the per-deviation
 //     cold-restart charge of the Acar/Blelloch/Blumofe argument the
 //     theorem's C·deviations bound rests on.
+//
+// Block identities in a footprint are dense: the blocks in use are numbered
+// 0..n-1 and Of, Flatten and the replay deal in those numbers, so a cache can
+// index a slice by them instead of hashing. LRU, FIFO and OPT are blind to a
+// renaming; the policies that place a block by its identity (set-assoc-lru,
+// direct-mapped) are handed the original one through the raw table.
 type Footprint struct {
 	// Synthetic reports the derivation mode (false = declared blocks).
 	Synthetic bool
 	// Window is the per-thread working-set window W (0 in declared mode).
 	Window int
-	// Blocks is the number of distinct block identities in play.
+	// Blocks is the number of distinct block identities in play: the
+	// declared ones, or the synthetic layout's threads·(1 + W), whether or
+	// not a short thread reaches all its window slots.
 	Blocks int
-	// blocks[v] is node v's access list, in access order; backed by one
-	// flat allocation (see offsets).
+	// flat[offsets[v]:offsets[v+1]] is node v's access list, in access
+	// order, as dense ids.
 	flat    []dag.BlockID
 	offsets []int32
+	// raw[id] is the identity dense id stands for: the graph's declared
+	// block, or the synthetic layout's (frames first, one per thread, IDs
+	// 0..T-1, then each thread's window slots, T + tid·w + slot). Its length
+	// is the number of blocks in use.
+	raw []dag.BlockID
 }
 
-// Of returns node v's block access list, in access order. The slice aliases
-// the footprint's backing store and must not be mutated.
+// Of returns node v's block access list, in access order, as dense ids. The
+// slice aliases the footprint's backing store and must not be mutated.
 func (f *Footprint) Of(v dag.NodeID) []dag.BlockID {
 	return f.flat[f.offsets[v]:f.offsets[v+1]]
 }
@@ -78,41 +91,34 @@ func DeriveFootprint(g *dag.Graph, w int) *Footprint {
 		}
 	}
 	if declared {
+		// Dense ids by first use, in node order.
 		f := &Footprint{offsets: make([]int32, n+1)}
 		f.flat = make([]dag.BlockID, 0, n)
-		distinct := newBlockTable(64)
+		dense := newBlockTable(64)
 		for id := range g.Nodes {
 			f.offsets[id] = int32(len(f.flat))
 			if b := g.Nodes[id].Block; b != dag.NoBlock {
-				f.flat = append(f.flat, b)
-				if _, fresh := distinct.intern(b, int32(f.Blocks)); fresh {
-					f.Blocks++
+				d, fresh := dense.intern(b, int32(len(f.raw)))
+				if fresh {
+					f.raw = append(f.raw, b)
 				}
+				f.flat = append(f.flat, dag.BlockID(d))
 			}
 		}
 		f.offsets[n] = int32(len(f.flat))
+		f.Blocks = len(f.raw)
 		return f
 	}
 
-	// Synthetic mode. Block identity layout: frames first (one per thread,
-	// IDs 0..T-1), then each thread's window slots (T + tid·w + slot).
+	// Synthetic mode. Dense ids by construction, thread after thread: the
+	// thread's frame, then the window slots it reaches, min(length, w) of
+	// them.
 	threads := g.NumThreads()
 	f := &Footprint{
 		Synthetic: true,
 		Window:    w,
 		Blocks:    threads + threads*w,
 		offsets:   make([]int32, n+1),
-	}
-	frame := func(tid dag.ThreadID) dag.BlockID { return dag.BlockID(tid) }
-
-	// pos[v] = v's index along its thread's continuation chain.
-	pos := make([]int32, n)
-	for tid := 0; tid < threads; tid++ {
-		k := int32(0)
-		for v := g.ThreadFirst[tid]; v != dag.None; v = g.Nodes[v].ContChild() {
-			pos[v] = k
-			k++
-		}
 	}
 	// Each node accesses its own frame and window slot, and a touch/join node
 	// also the touched threads' frames (a super final node can be the target
@@ -128,16 +134,30 @@ func DeriveFootprint(g *dag.Graph, w int) *Footprint {
 		f.offsets[id+1] += f.offsets[id]
 	}
 	f.flat = make([]dag.BlockID, f.offsets[n])
-	for id := range g.Nodes {
-		tid := g.Nodes[id].Thread
-		at := f.offsets[id]
-		f.flat[at] = frame(tid)
-		f.flat[at+1] = dag.BlockID(int32(threads) + int32(tid)*int32(w) + pos[id]%int32(w))
-		pos[id] = at + 2 // from here on: where the node's next touched frame goes
+	f.raw = make([]dag.BlockID, 0, threads+min(n, threads*w))
+	for tid := 0; tid < threads; tid++ {
+		frame := dag.BlockID(len(f.raw))
+		f.raw = append(f.raw, dag.BlockID(tid))
+		k := 0 // the node's index along the thread's continuation chain
+		for v := g.ThreadFirst[tid]; v != dag.None; v = g.Nodes[v].ContChild() {
+			if k < w {
+				f.raw = append(f.raw, dag.BlockID(threads+tid*w+k))
+			}
+			at := f.offsets[v]
+			f.flat[at] = frame
+			f.flat[at+1] = frame + 1 + dag.BlockID(k%w)
+			k++
+		}
 	}
+	// g.Touches is in creation order, so the touches of one node are
+	// adjacent; a thread's frame is what its first node accesses first.
+	at, node := int32(0), dag.None
 	for _, ti := range g.Touches {
-		f.flat[pos[ti.Node]] = frame(ti.FutureThread)
-		pos[ti.Node]++
+		if ti.Node != node {
+			node, at = ti.Node, f.offsets[ti.Node]+2
+		}
+		f.flat[at] = f.flat[f.offsets[g.ThreadFirst[ti.FutureThread]]]
+		at++
 	}
 	return f
 }

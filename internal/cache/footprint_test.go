@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"futurelocality/internal/dag"
@@ -41,25 +42,44 @@ func TestDeriveFootprintSynthetic(t *testing.T) {
 	if fp.Blocks != 4 {
 		t.Fatalf("Blocks = %d, want 4", fp.Blocks)
 	}
-	// With w=1 every node of a thread touches the same window slot.
+	// With w=1 every node of a thread touches the same window slot. Dense
+	// ids go thread by thread, frame then slots; the identities behind them
+	// are the layout's, frames first.
 	want := map[dag.NodeID][]dag.BlockID{
-		0: {0, 2},
-		1: {0, 2},
-		2: {1, 3},
-		3: {1, 3},
-		4: {0, 2},
-		5: {0, 2, 1}, // touch: frame, window slot, touched thread's frame
+		0: {0, 1},
+		1: {0, 1},
+		2: {2, 3},
+		3: {2, 3},
+		4: {0, 1},
+		5: {0, 1, 2}, // touch: frame, window slot, touched thread's frame
 	}
 	for v, blocks := range want {
-		got := fp.Of(v)
-		if len(got) != len(blocks) {
+		if got := fp.Of(v); !slices.Equal(got, blocks) {
 			t.Fatalf("node %d footprint = %v, want %v", v, got, blocks)
 		}
-		for i := range blocks {
-			if got[i] != blocks[i] {
-				t.Fatalf("node %d footprint = %v, want %v", v, got, blocks)
-			}
-		}
+	}
+	if want := []dag.BlockID{0, 2, 1, 3}; !slices.Equal(fp.raw, want) {
+		t.Fatalf("raw identities = %v, want %v", fp.raw, want)
+	}
+}
+
+// TestDeriveFootprintNumbersOnlyBlocksInUse: a thread shorter than the window
+// gets ids for the slots it reaches, not for all w, while Blocks keeps
+// reporting the layout's nominal count.
+func TestDeriveFootprintNumbersOnlyBlocksInUse(t *testing.T) {
+	g := twoThreadGraph(t) // main thread 4 nodes, future thread 2
+	fp := DeriveFootprint(g, 3)
+	if fp.Blocks != 2+2*3 {
+		t.Fatalf("Blocks = %d, want the nominal 8", fp.Blocks)
+	}
+	// Thread 0: frame, slots 0..2 (node 5 wraps to slot 0). Thread 1: frame,
+	// slots 0..1.
+	want := []dag.BlockID{0, 2, 3, 4, 1, 5, 6}
+	if !slices.Equal(fp.raw, want) {
+		t.Fatalf("raw identities = %v, want %v", fp.raw, want)
+	}
+	if got, want := fp.Of(5), []dag.BlockID{0, 1, 4}; !slices.Equal(got, want) {
+		t.Fatalf("touch node footprint = %v, want %v", got, want)
 	}
 }
 
@@ -99,11 +119,14 @@ func TestDeriveFootprintDeclared(t *testing.T) {
 	if fp.Blocks != 2 {
 		t.Fatalf("Blocks = %d, want 2 distinct declared blocks", fp.Blocks)
 	}
-	if got := fp.Of(0); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("node 0 footprint = %v, want [7]", got)
+	// Nodes 0, 2, 3 declare 7, 7, 9: dense ids by first use.
+	for v, want := range [][]dag.BlockID{{0}, {}, {0}, {1}} {
+		if got := fp.Of(dag.NodeID(v)); !slices.Equal(got, want) {
+			t.Fatalf("node %d footprint = %v, want %v", v, got, want)
+		}
 	}
-	if got := fp.Of(1); len(got) != 0 {
-		t.Fatalf("node 1 (no block) footprint = %v, want empty", got)
+	if want := []dag.BlockID{7, 9}; !slices.Equal(fp.raw, want) {
+		t.Fatalf("raw identities = %v, want %v", fp.raw, want)
 	}
 }
 
@@ -112,14 +135,9 @@ func TestFootprintFlatten(t *testing.T) {
 	fp := DeriveFootprint(g, 1)
 	order := []dag.NodeID{0, 1, 2, 3, 4, 5}
 	flat := fp.Flatten(order)
-	want := []dag.BlockID{0, 2, 0, 2, 1, 3, 1, 3, 0, 2, 0, 2, 1}
-	if len(flat) != len(want) {
+	want := []dag.BlockID{0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2}
+	if !slices.Equal(flat, want) {
 		t.Fatalf("Flatten = %v, want %v", flat, want)
-	}
-	for i := range want {
-		if flat[i] != want[i] {
-			t.Fatalf("Flatten = %v, want %v", flat, want)
-		}
 	}
 }
 

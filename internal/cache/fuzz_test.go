@@ -52,7 +52,9 @@ func fuzzKeys(mode byte, c int) [keySpace]dag.BlockID {
 // byte-derived block trace and demands the same miss or hit on every access,
 // the same counters after every operation — Reset included — and, for the
 // whole trace, the same Belady-OPT miss count from OptimalMisses and its
-// reference.
+// reference. LRU and FIFO run twice: as New builds them, hashing the keys,
+// and over a direct table indexed by each key's number in the key space,
+// against the same references fed the keys themselves.
 func FuzzCachePolicies(f *testing.F) {
 	seq := func(header []byte, runs ...[]byte) []byte {
 		for _, r := range runs {
@@ -87,11 +89,24 @@ func FuzzCachePolicies(f *testing.F) {
 		}
 		c := 1 + int(data[0])%40
 		keys := fuzzKeys(data[1], c)
-		var trace []dag.BlockID
+		type subject struct {
+			name      string
+			got, want Cache
+			dense     bool // got takes the key's number, want the key
+		}
+		var subjects []subject
 		for _, kind := range Kinds {
-			got, want := New(kind, c), newReference(kind, c)
+			subjects = append(subjects, subject{kind.String(), New(kind, c), newReference(kind, c), false})
+		}
+		l, f := newLRU(c, make(directTable, keySpace)), newFIFO(c, make(directTable, keySpace))
+		subjects = append(subjects,
+			subject{"lru/direct", &l, newRefLRU(c), true},
+			subject{"fifo/direct", &f, newRefFIFO(c), true})
+		var trace []dag.BlockID
+		for si, s := range subjects {
+			got, want := s.got, s.want
 			if got.Lines() != want.Lines() {
-				t.Fatalf("%s C=%d: %d lines, reference %d", kind, c, got.Lines(), want.Lines())
+				t.Fatalf("%s C=%d: %d lines, reference %d", s.name, c, got.Lines(), want.Lines())
 			}
 			for i, op := range data[2:] {
 				switch op {
@@ -99,21 +114,34 @@ func FuzzCachePolicies(f *testing.F) {
 					got.Reset()
 					want.Reset()
 				default:
-					b := dag.NoBlock
+					b, id := dag.NoBlock, dag.NoBlock
 					if op != opNoBlock {
-						b = keys[int(op)%keySpace]
+						id = dag.BlockID(int(op) % keySpace)
+						b = keys[id]
 					}
-					if kind == Kinds[0] {
+					if si == 0 {
 						trace = append(trace, b)
 					}
-					if g, w := got.Access(b), want.Access(b); g != w {
-						t.Fatalf("%s C=%d op %d: access to block %d missed=%v, reference %v", kind, c, i, b, g, w)
+					if !s.dense {
+						id = b
+					}
+					if g, w := got.Access(id), want.Access(b); g != w {
+						t.Fatalf("%s C=%d op %d: access to block %d missed=%v, reference %v", s.name, c, i, b, g, w)
 					}
 				}
 				if got.Misses() != want.Misses() || got.Accesses() != want.Accesses() {
 					t.Fatalf("%s C=%d after op %d: %d misses of %d accesses, reference %d of %d",
-						kind, c, i, got.Misses(), got.Accesses(), want.Misses(), want.Accesses())
+						s.name, c, i, got.Misses(), got.Accesses(), want.Misses(), want.Accesses())
 				}
+			}
+		}
+		// What directTable.fit relies on: a cache that is Reset leaves
+		// nothing behind in its table.
+		l.Reset()
+		f.Reset()
+		for b := range keySpace {
+			if l.index[b] != 0 || f.index[b] != 0 {
+				t.Fatalf("C=%d: block %d still in a direct table after Reset (lru %d, fifo %d)", c, b, l.index[b], f.index[b])
 			}
 		}
 		if got, want := OptimalMisses(trace, c), optimalMissesReference(trace, c); got != want {

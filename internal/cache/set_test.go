@@ -80,7 +80,7 @@ func TestReplayLLCTier(t *testing.T) {
 	fp := DeriveFootprint(g, 1)
 	s, err := NewSet(SetConfig{
 		P: 2, Kind: LRU, Lines: 4,
-		Domains: []int{0, 0}, LLCLines: 8, LLCKind: LRU,
+		Domains: []int{0, 0}, LLCLines: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestReplayLLCSeparateDomains(t *testing.T) {
 	fp := DeriveFootprint(g, 1)
 	s, err := NewSet(SetConfig{
 		P: 2, Kind: LRU, Lines: 4,
-		Domains: []int{0, 1}, LLCLines: 8, LLCKind: LRU,
+		Domains: []int{0, 1}, LLCLines: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,5 +128,35 @@ func TestReplayResetsBetweenRuns(t *testing.T) {
 	second := s.Replay(fp, order, who)
 	if first.TotalMisses != second.TotalMisses || first.Accesses != second.Accesses {
 		t.Fatalf("replays differ: %+v vs %+v", first, second)
+	}
+}
+
+// TestFIFOSetEvictsFIFOInBothTiers: the shared tier has the set's policy. One
+// worker, two private lines over three shared ones, the declared trace
+// A B A C A D A B. FIFO privately: A and B miss, A hits, C evicts A, A evicts
+// B, D evicts C, A hits, B evicts A — six misses (LRU would keep A throughout:
+// five). The shared tier sees those six, A B C A D B: A, B, C miss, A hits, D
+// evicts A — FIFO, for A was just used — and B hits: four reach memory. An
+// LRU shared tier would evict B for D and miss on it again: five.
+func TestFIFOSetEvictsFIFOInBothTiers(t *testing.T) {
+	b := dag.NewBuilder()
+	m := b.Main()
+	const A, B, C, D = 10, 20, 30, 40
+	order := []dag.NodeID{}
+	for i, blk := range []dag.BlockID{A, B, A, C, A, D, A, B} {
+		m.Access(blk)
+		order = append(order, dag.NodeID(i))
+	}
+	fp := DeriveFootprint(b.MustBuild(), 1)
+	s, err := NewSet(SetConfig{P: 1, Kind: FIFO, Lines: 2, LLCLines: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := s.Replay(fp, order, nil)
+	if out.TotalMisses != 6 {
+		t.Errorf("private misses = %d, want 6 (FIFO)", out.TotalMisses)
+	}
+	if out.LLCMisses != 4 {
+		t.Errorf("llc misses = %d, want 4 (FIFO; 5 is an LRU shared tier)", out.LLCMisses)
 	}
 }

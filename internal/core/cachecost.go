@@ -253,7 +253,9 @@ func NewCacheBaseline(g *dag.Graph, model CacheModel, prev *CacheBaseline, seq *
 		fp = cache.DeriveFootprint(g, model.window())
 	}
 	seqOrder := seq.SeqOrder()
-	seqSet, err := cache.NewSet(cache.SetConfig{P: 1, Kind: model.Kind, Lines: model.Lines})
+	s := getScratch()
+	defer putScratch(s)
+	seqSet, err := setFor(&s.seq, cache.SetConfig{P: 1, Kind: model.Kind, Lines: model.Lines})
 	if err != nil {
 		return nil, err
 	}
@@ -293,22 +295,17 @@ func (b *CacheBaseline) Cost(p, n int, granted bool) *CacheCost {
 
 // charge replays trial i's schedule on s — the scratch of the goroutine that
 // has just simulated it — and enters its bill. domains, when non-nil, align
-// the optional shared-LLC tier with the simulation's locality domains. One
-// cache set serves every trial of a goroutine (Replay resets it), and so do
-// the two schedule buffers.
+// the optional shared-LLC tier with the simulation's locality domains.
 func (cc *CacheCost) charge(i int, s *trialScratch, domains []int, res *sim.Result) error {
-	if s.set == nil {
-		var err error
-		s.set, err = cache.NewSet(cache.SetConfig{
-			P: cc.P, Kind: cc.Model.Kind, Lines: cc.Model.Lines,
-			Domains: domains, LLCLines: cc.Model.LLCLines, LLCKind: cc.Model.Kind,
-		})
-		if err != nil {
-			return fmt.Errorf("core: cache cost: %w", err)
-		}
+	set, err := setFor(&s.set, cache.SetConfig{
+		P: cc.P, Kind: cc.Model.Kind, Lines: cc.Model.Lines,
+		Domains: domains, LLCLines: cc.Model.LLCLines,
+	})
+	if err != nil {
+		return fmt.Errorf("core: cache cost: %w", err)
 	}
 	s.order, s.who = scheduleOf(res, s.order, s.who)
-	out := s.set.Replay(cc.fp, s.order, s.who)
+	out := set.Replay(cc.fp, s.order, s.who)
 	cc.TotalMisses[i] = out.TotalMisses
 	cc.ExtraMisses[i] = out.TotalMisses - cc.SeqMisses
 	if cc.LLCMisses != nil {

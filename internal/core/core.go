@@ -7,7 +7,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 
 	"futurelocality/internal/cache"
 	"futurelocality/internal/dag"
@@ -102,15 +104,67 @@ type Trials struct {
 	Premature                            []int
 }
 
-// trialScratch is what one goroutine of RunTrials reuses from trial to trial:
-// the engine, and for a cache-cost replay the cache set and the schedule
-// buffers. A trial's schedule is replayed by the goroutine that simulated it,
-// straight away, and never leaves that goroutine's scratch.
+// trialScratch is what a trial runs on: the engine, and for a cache-cost
+// replay the cache sets — with their residency tables, as long as the largest
+// footprint they have replayed — and the schedule buffers. A trial's schedule
+// is replayed by the goroutine that simulated it, straight away, and never
+// leaves the scratch.
 type trialScratch struct {
-	eng   sim.Engine
-	set   *cache.Set
-	order []dag.NodeID
-	who   []int32
+	eng sim.Engine
+	// set replays the trials' schedules and seq, a set of one worker, the
+	// sequential baselines; each is kept for as long as the next replay asks
+	// for the same configuration (setFor).
+	set, seq *cache.Set
+	order    []dag.NodeID
+	who      []int32
+}
+
+// scratches is the process-wide free list of trial scratch, last in first
+// out. A trial takes one and puts it back, so a scratch outlives the
+// RunTrials call that made it and serves the next matrix cell, job or graph:
+// in a run of analyses each goroutine at work allocates its engine tables,
+// cache sets and buffers once and from then on only grows them. Nothing a
+// scratch holds carries from one use to the next — Engine.Reset and
+// Set.Replay both start from empty — so what a trial computes does not
+// depend on which scratch it drew.
+var scratches struct {
+	sync.Mutex
+	free []*trialScratch
+}
+
+func getScratch() *trialScratch {
+	scratches.Lock()
+	defer scratches.Unlock()
+	n := len(scratches.free)
+	if n == 0 {
+		return new(trialScratch)
+	}
+	s := scratches.free[n-1]
+	scratches.free = scratches.free[:n-1]
+	return s
+}
+
+// putScratch keeps at most one idle scratch per P, as many as ForEach can put
+// to work at once; one beyond that is left to the collector.
+func putScratch(s *trialScratch) {
+	scratches.Lock()
+	defer scratches.Unlock()
+	if len(scratches.free) < runtime.GOMAXPROCS(0) {
+		scratches.free = append(scratches.free, s)
+	}
+}
+
+// setFor returns *slot when it is the set cfg describes and replaces it with
+// a new one when not.
+func setFor(slot **cache.Set, cfg cache.SetConfig) (*cache.Set, error) {
+	if *slot == nil || !(*slot).Serves(cfg) {
+		set, err := cache.NewSet(cfg)
+		if err != nil {
+			return nil, err
+		}
+		*slot = set
+	}
+	return *slot, nil
 }
 
 // RunTrials executes g n times under cfg, trial i driven by control(i), and
@@ -138,17 +192,9 @@ func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control fun
 		Steals:           make([]int64, n),
 		Premature:        make([]int, n),
 	}
-	// One scratch per goroutine ForEach puts to work, handed from a finished
-	// trial to the next one started; never more of them than trials.
-	free := make(chan *trialScratch, n)
 	err := ForEach(n, func(i int) error {
-		var s *trialScratch
-		select {
-		case s = <-free:
-		default:
-			s = new(trialScratch)
-		}
-		defer func() { free <- s }()
+		s := getScratch()
+		defer putScratch(s)
 
 		cfg := cfg
 		cfg.Control = control(i)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -219,6 +220,70 @@ func TestReportsIndependentOfGOMAXPROCS(t *testing.T) {
 				t.Errorf("%s: report at GOMAXPROCS=%d differs from the one at 1:\n%s\nvs\n%s", name, procs, got, want)
 			}
 		}
+	}
+}
+
+// TestScratchReuseMatchesFresh: a trial's numbers do not depend on which
+// scratch it drew from the process-wide free list or on what that scratch ran
+// before. Analyses that differ in everything a scratch keeps — graph size up
+// and down, declared and synthetic footprints, worker count, policy, C, a
+// shared tier with and without domains, in-engine caches — are first run one
+// at a time, each on an emptied free list, and then all at once from four
+// goroutines over and over, every goroutine in its own order, on whatever the
+// others put back.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	withProcs(t, 4)
+	in := analysisInputs()
+	small := graphs.ForkJoinTree(4, 2, true)
+	cases := []struct {
+		g    *dag.Graph
+		opts AnalyzeOptions
+	}{
+		{in["fib"], AnalyzeOptions{P: 4, CacheLines: 64, Trials: 4, Seed: 7, CacheModel: &CacheModel{Lines: 64}}},
+		{small, AnalyzeOptions{P: 2, Trials: 3, CacheModel: &CacheModel{Lines: 4, Kind: cache.FIFO, LLCLines: 16}}},
+		{in["randstruct"], AnalyzeOptions{P: 4, Trials: 4, Domains: []int{0, 0, 1, 1},
+			CacheModel: &CacheModel{Lines: 64, LLCLines: 512}}},
+		{in["fig6c"], AnalyzeOptions{P: 3, CacheLines: 8, CacheKind: cache.FIFO, Trials: 3, Policy: sim.ParentFirst,
+			CacheModel: &CacheModel{Lines: 8, Kind: cache.SetAssocLRU}}},
+		{graphs.Fib(9, 2), AnalyzeOptions{P: 4, Trials: 4, Seed: 3, CacheModel: &CacheModel{Lines: 64}}},
+		{small, AnalyzeOptions{P: 4, Trials: 2, CacheModel: &CacheModel{Lines: 4, Kind: cache.DirectMapped, Window: 2}}},
+	}
+	want := make([]*Report, len(cases))
+	for i, c := range cases {
+		scratches.Lock()
+		scratches.free = nil
+		scratches.Unlock()
+		var err error
+		if want[i], err = Analyze(c.g, c.opts); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range cases {
+					i := (k + w + round) % len(cases)
+					if w%2 == 1 {
+						i = len(cases) - 1 - i
+					}
+					got, err := Analyze(cases[i].g, cases[i].opts)
+					if err != nil {
+						t.Errorf("case %d: %v", i, err)
+					} else if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("case %d on a reused scratch:\n%s\non a new one:\n%s", i, got, want[i])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	scratches.Lock()
+	defer scratches.Unlock()
+	if n := len(scratches.free); n == 0 || n > 4 {
+		t.Errorf("%d idle scratches after the run, want 1 to GOMAXPROCS = 4", n)
 	}
 }
 
