@@ -54,13 +54,13 @@
 //     with the simulator. The Discipline (FutureFirst / ParentFirst) is
 //     configurable on both sides: WithDiscipline sets the runtime-wide
 //     default, SpawnWith overrides it per call, SimConfig.Policy names the
-//     same constants. The StealPolicy (RandomSingle / StealHalf /
-//     LastVictimAffinity / Hierarchical) configures the simulator only
-//     (SimConfig.Steal, and the profiler's replay matrix): the runtime has
-//     one steal rule and no option to choose another — one task from the
-//     top of a victim drawn uniformly among the workers of the thief's own
-//     LLC locality domain, and across a cache boundary only when all of
-//     those are dry — which Runtime.StealPolicy names RandomSingle, the
+//     same constants. The StealPolicy (RandomSingle / Hierarchical)
+//     configures the simulator only (SimConfig.Steal, and the profiler's
+//     replay matrix): the runtime has one steal rule and no option to
+//     choose another — one task from the top of a victim drawn uniformly
+//     among the workers of the thief's own LLC locality domain, and across
+//     a cache boundary only when all of those are dry — which
+//     Runtime.StealPolicy names RandomSingle, the
 //     parsimonious thief the paper's bounds assume, where the workers
 //     share one domain (always, under WithTopology(FlatTopology(n))), and
 //     Hierarchical where they span several. A steal is counted once, where
@@ -117,11 +117,12 @@
 //     a near-zero-overhead event recorder wired into the runtime's
 //     scheduling paths; its trace reconstructs the computation DAG a real
 //     run performed — including the discipline of every spawn and the
-//     steal policy plus batch size of every steal — classifies it, and
-//     compares measured deviations (steals, helped tasks, blocked touches)
-//     against the theorem envelopes, a simulator replay of the same DAG,
-//     and a full (fork × steal) replay matrix attributing deviation cost
-//     to policy choice, connecting the model layer to live executions
+//     steal policy of every steal — classifies it, and compares measured
+//     deviations (steals, helped tasks, blocked touches) against the
+//     theorem envelopes, a simulator replay of the same DAG under
+//     future-first × random-single, and the (fork × steal) replay matrix
+//     over the runtime's two thieves attributing deviation cost to policy
+//     choice, connecting the model layer to live executions
 //     (cmd/futureprof is the CLI). With a CacheModel (ParseCacheModel
 //     reads "C,policy" specs; ProfileOptions.CacheModel /
 //     AnalyzeOptions.CacheModel install one), the analysis also prices

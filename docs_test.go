@@ -37,6 +37,8 @@ var retiredNames = []string{
 	"dagviz", "internal/trace",
 	"Trials.Results", "CacheCostOf",
 	"LLCKind",
+	"StealHalf", "LastVictimAffinity", "StealBatchMax", "ParseSteal", "StealNames",
+	"MaxStealBatch", "StealVisits", "NoJobs",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

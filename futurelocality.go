@@ -92,8 +92,8 @@ const (
 // for CLI flags.
 func ParseDiscipline(s string) (Discipline, error) { return policy.Parse(s) }
 
-// StealPolicy is the steal-discipline vocabulary: whom a thief robs and how
-// much one visit takes. The simulator replays a DAG under any of the four
+// StealPolicy is the steal-discipline vocabulary: whom a thief robs; every
+// visit takes one task. The simulator replays a DAG under either
 // (SimConfig.Steal); the runtime has one steal rule, which Runtime.StealPolicy
 // names RandomSingle where its workers share one cache-locality domain and
 // Hierarchical where they span several (see WithTopology).
@@ -105,13 +105,6 @@ const (
 	// victim — the parsimonious discipline of Section 3, the default, and
 	// the only one the paper's deviation bounds cover.
 	RandomSingle = policy.RandomSingle
-	// StealHalf drains half the victim's deque per visit (Hendler–Shavit
-	// style); each displaced task that executes counts as its own
-	// deviation. Simulator only.
-	StealHalf = policy.StealHalf
-	// LastVictimAffinity revisits the thief's last successful victim before
-	// probing randomly. Simulator only.
-	LastVictimAffinity = policy.LastVictimAffinity
 	// Hierarchical exhausts victims inside the thief's cache-locality
 	// domain (LLC-sharing group, see WithTopology and SimConfig.Domains)
 	// before probing across a domain boundary.

@@ -105,7 +105,7 @@ func ParseCacheModel(spec string) (*CacheModel, error) {
 // CacheBaseline is the part of a cache-cost verdict no schedule enters: what
 // the model makes of the graph and of its sequential execution under one
 // fork policy. Every set of schedules measured against that execution — the
-// four steal-policy cells of a fork's matrix row — shares one.
+// two steal-policy cells of a fork's matrix row — shares one.
 type CacheBaseline struct {
 	// Model echoes the cache model.
 	Model CacheModel

@@ -99,13 +99,13 @@ func TestAnalyzeCacheCostNoEnvelopeOffTheoremCell(t *testing.T) {
 	// Same covered class, but a steal policy outside the theorems'
 	// hypotheses: no miss envelope may be granted.
 	rep, err := Analyze(g, AnalyzeOptions{
-		P: 4, Trials: 2, Steal: sim.StealHalf, CacheModel: model,
+		P: 4, Trials: 2, Steal: sim.Hierarchical, CacheModel: model,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.CacheCost.MissEnvelope != 0 {
-		t.Errorf("MissEnvelope = %d at future-first × steal-half, want 0", rep.CacheCost.MissEnvelope)
+		t.Errorf("MissEnvelope = %d at future-first × hierarchical, want 0", rep.CacheCost.MissEnvelope)
 	}
 }
 

@@ -79,6 +79,26 @@ func TestAnalyzeCustomControlRequiresOneTrial(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRefusesUndefinedPolicy: an undefined fork policy or a retired
+// steal value reaches the caller as the engine's error, naming the value,
+// instead of running as some other policy.
+func TestAnalyzeRefusesUndefinedPolicy(t *testing.T) {
+	g := graphs.ForkJoinTree(2, 2, false)
+	for _, c := range []struct {
+		opts AnalyzeOptions
+		want string
+	}{
+		{AnalyzeOptions{Policy: sim.ForkPolicy(2)}, "discipline(2)"},
+		{AnalyzeOptions{Steal: sim.StealPolicy(1)}, "stealpolicy(1)"},
+		{AnalyzeOptions{Steal: sim.StealPolicy(2)}, "stealpolicy(2)"},
+	} {
+		c.opts.Trials = 2
+		if _, err := Analyze(g, c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Analyze(%+v) = %v, want an error naming %q", c.opts, err, c.want)
+		}
+	}
+}
+
 func TestCheckLemma4OnPaperFigures(t *testing.T) {
 	cases := []struct {
 		name string
@@ -172,11 +192,8 @@ func TestBoundApplies(t *testing.T) {
 	if BoundApplies(st, sim.ParentFirst, sim.RandomSingle) {
 		t.Fatal("parent-first never gets the bound")
 	}
-	if BoundApplies(st, sim.FutureFirst, sim.StealHalf) {
-		t.Fatal("steal-half is outside the theorems' steal assumptions")
-	}
-	if BoundApplies(st, sim.FutureFirst, sim.LastVictimAffinity) {
-		t.Fatal("victim affinity is outside the theorems' steal assumptions")
+	if BoundApplies(st, sim.FutureFirst, sim.Hierarchical) {
+		t.Fatal("hierarchical victims are outside the theorems' steal assumptions")
 	}
 	if BoundApplies(dag.Class{}, sim.FutureFirst, sim.RandomSingle) {
 		t.Fatal("unstructured never gets the bound")

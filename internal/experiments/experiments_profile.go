@@ -132,8 +132,7 @@ func E16(scale Scale) Result {
 		tb.String() + fmt.Sprintf(
 		"\n\\* = the C·(1+P·T∞²) envelope is granted — only at future-first × random-single, the "+
 			"parsimonious scheduler the proofs assume: %d·(1+%d·%d²) = **%d**, max extra misses there %d, "+
-			"within bound: %v. All four columns are simulator replays of the one reconstructed DAG; the "+
-			"live runtime that produced the trace has one steal rule.\n",
+			"within bound: %v.\n",
 		cc.Model.Lines, rep.P, rep.Span, cc.MissEnvelope, cc.MaxExtra(), cc.WithinEnvelope())
 	return Result{ID: "E16", Title: "Cache-miss replay across the fork × steal matrix (runtime ↔ cache model)", Markdown: md}
 }

@@ -2,8 +2,8 @@
 // scheduler simulator (internal/sim) and the real work-stealing runtime
 // (internal/runtime). Both layers schedule the same two abstract choices —
 // at a fork, which side does the executing processor run first; out of
-// work, how does a thief pick a victim and how much does it take — but
-// they used to spell them with disconnected (or hardwired) types. A single
+// work, how does a thief pick a victim — but they used to spell them with
+// disconnected (or hardwired) types. A single
 // Discipline and a single StealPolicy let a runtime configuration, a
 // per-spawn override, a recorded profile event, and a simulator replay all
 // name the policy identically, so measured deviations can be attributed to
@@ -20,31 +20,20 @@
 //     parent; the future thread is exposed for theft. Theorem 10 shows this
 //     can cost Ω(C·t·n) additional cache misses — catastrophically worse.
 //
-// The steal vocabulary names the discipline of the thief side:
+// The steal vocabulary names the two thieves the runtime can be; both take
+// one task from the top of the victim's deque per visit:
 //
-//   - RandomSingle: a thief robs one task from the top of a uniformly
-//     random victim — the parsimonious discipline every theorem assumes.
-//   - StealHalf: a thief drains half the victim's deque in one visit
-//     (Hendler & Shavit's steal-half heuristic), trading steal frequency
-//     for batch displacement. The bounds do not cover it: each displaced
-//     task is its own deviation, so a batch of k can cost k deviations
-//     where RandomSingle costs one.
-//   - LastVictimAffinity: a thief returns to the victim its last successful
-//     steal came from before probing randomly, modeling locality-aware
-//     victim selection for pointer-chasing workloads. Also outside the
-//     theorems' assumptions (victims are no longer uniform).
+//   - RandomSingle: a thief robs a uniformly random victim — the
+//     parsimonious discipline every theorem assumes.
 //   - Hierarchical: a thief exhausts victims inside its own cache-locality
 //     domain (LLC-sharing group, see internal/topology) before probing
 //     across a domain boundary — cache-topology-aware victim selection.
-//     Also outside the theorems' assumptions, but the closest to the
-//     paper's motivation: a cross-LLC steal is the expensive kind of
-//     deviation the miss bound prices.
+//     Outside the theorems' assumptions (victims are not uniform), but the
+//     closest to the paper's motivation: a cross-LLC steal is the expensive
+//     kind of deviation the miss bound prices.
 package policy
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Discipline selects which side of a fork the executing processor runs
 // first; the other side is exposed for theft.
@@ -87,31 +76,24 @@ func Parse(s string) (Discipline, error) {
 	}
 }
 
-// StealPolicy selects how an out-of-work processor robs a victim: whom it
-// targets and how many tasks it takes per successful visit. Like
-// Discipline, it is one vocabulary for the simulator (sim.Config.Steal),
-// the runtime (which has one steal rule and names it RandomSingle or
-// Hierarchical by its topology), and the profiler (per-steal attribution).
+// StealPolicy selects whom an out-of-work processor robs. Like Discipline,
+// it is one vocabulary for the simulator (sim.Config.Steal), the runtime
+// (which has one steal rule and names it RandomSingle or Hierarchical by its
+// topology), and the profiler (per-steal attribution).
 type StealPolicy uint8
 
 const (
 	// RandomSingle steals one task from the top of a uniformly random
 	// victim — the paper's parsimonious baseline, and the only steal
 	// discipline under which the Theorem 8/12/16/18 envelopes are granted.
-	RandomSingle StealPolicy = iota
-	// StealHalf steals half of the victim's deque (at least one task) in
-	// one visit; the thief runs the oldest and keeps the rest on its own
-	// deque. Fewer steal visits, but every displaced task that executes
-	// counts as its own deviation.
-	StealHalf
-	// LastVictimAffinity retries the victim of the thief's last successful
-	// steal before probing randomly, and forgets it after a dry visit.
-	LastVictimAffinity
+	RandomSingle StealPolicy = 0
 	// Hierarchical exhausts intra-domain victims (workers sharing the
 	// thief's LLC, per the runtime's topology assignment) before probing
 	// victims across a domain boundary; it takes one task from the top,
-	// like RandomSingle.
-	Hierarchical
+	// like RandomSingle. Its value is the profiler's seed offset: a replay
+	// matrix cell seeds trial i with Seed + i + 1000·steal, so renumbering
+	// it would move every printed hierarchical number.
+	Hierarchical StealPolicy = 3
 )
 
 // String names the steal policy.
@@ -119,10 +101,6 @@ func (s StealPolicy) String() string {
 	switch s {
 	case RandomSingle:
 		return "random-single"
-	case StealHalf:
-		return "steal-half"
-	case LastVictimAffinity:
-		return "last-victim"
 	case Hierarchical:
 		return "hierarchical"
 	default:
@@ -131,43 +109,8 @@ func (s StealPolicy) String() string {
 }
 
 // Valid reports whether s is one of the defined steal policies.
-func (s StealPolicy) Valid() bool { return s <= Hierarchical }
+func (s StealPolicy) Valid() bool { return s == RandomSingle || s == Hierarchical }
 
-// StealPolicies lists every defined steal policy, in declaration order —
-// the iteration set for (fork × steal) sweeps.
-var StealPolicies = []StealPolicy{RandomSingle, StealHalf, LastVictimAffinity, Hierarchical}
-
-// StealNames returns every steal policy's canonical name, in declaration
-// order. Error messages and flag help text enumerate from here, so adding
-// a policy cannot drift them.
-func StealNames() []string {
-	names := make([]string, len(StealPolicies))
-	for i, s := range StealPolicies {
-		names[i] = s.String()
-	}
-	return names
-}
-
-// StealBatchMax caps how many tasks one StealHalf visit may take. It is
-// part of the policy's definition: the cap a batch-stealing scheduler's
-// per-thief buffer would have, so a sim replay of a wide-deque DAG takes no
-// batch a real scheduler could not.
-const StealBatchMax = 32
-
-// ParseSteal reads a steal-policy name as written by String (CLI flags).
-func ParseSteal(s string) (StealPolicy, error) {
-	switch s {
-	case "random-single", "randomsingle", "random", "rs":
-		return RandomSingle, nil
-	case "steal-half", "stealhalf", "half", "sh":
-		return StealHalf, nil
-	case "last-victim", "lastvictim", "affinity", "lv":
-		return LastVictimAffinity, nil
-	case "hierarchical", "hier", "topo", "hr":
-		return Hierarchical, nil
-	default:
-		names := StealNames()
-		return 0, fmt.Errorf("policy: unknown steal policy %q (want %s or %s)",
-			s, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
-	}
-}
+// StealPolicies lists every defined steal policy — the iteration set for
+// (fork × steal) sweeps.
+var StealPolicies = []StealPolicy{RandomSingle, Hierarchical}

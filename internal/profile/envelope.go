@@ -70,8 +70,8 @@ func (e Envelope) String() string {
 // returns its envelope reading for p processors (p <= 0 defaults to the
 // trace's worker count). The bound is checked under fork × steal, the policy
 // pair whoever recorded the window ran under; the zero values are future-first
-// × random-single, the pair the theorems grant envelopes for and Analyze's
-// default.
+// × random-single, the pair the theorems grant envelopes for and the one
+// Analyze's primary replay runs.
 func WindowEnvelope(tr *Trace, p int, fork sim.ForkPolicy, steal sim.StealPolicy) (Envelope, error) {
 	rec, err := Reconstruct(tr)
 	if err != nil {

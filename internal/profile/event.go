@@ -156,13 +156,7 @@ type Event struct {
 	// Arg is the stream item index for KindYield and stream touches;
 	// -1 otherwise.
 	Arg int32
-	// N is the number of tasks run while helping (KindTouch), or the size
-	// of the displaced batch the stolen task arrived in (KindSteal). The
-	// runtime's thief takes one task per visit and always writes 1; the
-	// format and Reconstruct keep the general reading for traces recorded by
-	// a batch-stealing scheduler, where a batch of k emits up to k KindSteal
-	// events — one per displaced task that actually executed — each carrying
-	// N=k.
+	// N is the number of tasks run while helping (KindTouch); 0 otherwise.
 	N int32
 	// Job identifies the submitted job the event belongs to (0 = job-less
 	// work such as Run roots and the external context). Spawn events carry
@@ -211,9 +205,6 @@ func (e Event) text() string {
 		return fmt.Sprintf("w%d: task %d yields item %d", e.Worker, e.Task, e.Arg)
 	case KindSteal:
 		s := fmt.Sprintf("w%d: steal task %d (%s", e.Worker, e.Task, e.Steal)
-		if e.N > 1 {
-			s += fmt.Sprintf(", batch %d", e.N)
-		}
 		if e.Cross {
 			s += ", cross-domain"
 		}

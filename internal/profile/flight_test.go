@@ -14,7 +14,7 @@ func TestFlightPackRoundTrip(t *testing.T) {
 	evs := []Event{
 		{Kind: KindSpawn, Task: 7, Other: 8, Arg: -1, Disc: policy.FutureFirst, Job: 3},
 		{Kind: KindTouch, Mode: ModeHelped, Task: 1 << 40, Other: 2, Arg: 17, N: 5, Job: 1 << 33},
-		{Kind: KindSteal, Task: 9, Arg: -1, N: 32, Steal: policy.StealHalf},
+		{Kind: KindSteal, Task: 9, Arg: -1, Steal: policy.Hierarchical, Cross: true},
 		{Kind: KindYield, Task: 4, Arg: 2147483647},
 		{Kind: KindEnd, Task: 12, Arg: -1},
 	}

@@ -321,32 +321,28 @@ func TestRecorderChunkRollover(t *testing.T) {
 }
 
 // TestStealAttributionSyntheticTrace feeds the reconstructor a hand-built
-// trace with steals under two policies and mixed batch sizes: the
-// per-policy split, the max batch, and the deviation total must all come
-// out of the per-event tags.
+// trace with steals under both policies: the per-policy split and the
+// deviation total must come out of the per-event tags.
 func TestStealAttributionSyntheticTrace(t *testing.T) {
-	rec, err := profile.Reconstruct(batchStealTrace())
+	rec, err := profile.Reconstruct(mixedStealTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Steals != 3 {
 		t.Fatalf("Steals = %d, want 3", rec.Steals)
 	}
-	if rec.StealsByPolicy[policy.RandomSingle] != 1 || rec.StealsByPolicy[policy.StealHalf] != 2 {
-		t.Fatalf("StealsByPolicy = %v, want random-single:1 steal-half:2", rec.StealsByPolicy)
-	}
-	if rec.MaxStealBatch != 2 {
-		t.Fatalf("MaxStealBatch = %d, want 2", rec.MaxStealBatch)
+	if rec.StealsByPolicy[policy.RandomSingle] != 1 || rec.StealsByPolicy[policy.Hierarchical] != 2 {
+		t.Fatalf("StealsByPolicy = %v, want random-single:1 hierarchical:2", rec.StealsByPolicy)
 	}
 	if got := rec.MeasuredDeviations(); got != 3 {
 		t.Fatalf("MeasuredDeviations = %d, want 3 (steals only)", got)
 	}
 }
 
-// batchStealTrace is a hand-built trace of the kind only a recorder other
-// than this runtime's writes (the runtime's thief takes one task per visit):
-// one single steal and one steal-half batch of two.
-func batchStealTrace() *profile.Trace {
+// mixedStealTrace is a hand-built trace of the kind a merge of two runtimes'
+// traces makes (one runtime stamps one policy): one random-single steal and
+// two hierarchical ones.
+func mixedStealTrace() *profile.Trace {
 	r := profile.NewRecorder(2)
 	// Worker 0 spawns three tasks from the external driver's root (task 1).
 	r.RecordExternal(profile.Event{Kind: profile.KindSpawn, Other: 1, Arg: -1})
@@ -355,16 +351,16 @@ func batchStealTrace() *profile.Trace {
 		r.Record(0, profile.Event{Kind: profile.KindSpawn, Task: 1, Other: id, Arg: -1,
 			Disc: policy.ParentFirst})
 	}
-	// Worker 1 steals task 2 single, then tasks 3 and 4 as a batch of two.
-	r.Record(1, profile.Event{Kind: profile.KindBegin, Task: 2, Arg: -1})
-	r.Record(1, profile.Event{Kind: profile.KindEnd, Task: 2, Arg: -1})
-	r.Record(1, profile.Event{Kind: profile.KindSteal, Task: 2, Arg: -1, N: 1,
-		Steal: policy.RandomSingle})
-	for id := uint64(3); id <= 4; id++ {
+	// Worker 1 steals task 2 as random-single, then tasks 3 and 4 as
+	// hierarchical.
+	for id := uint64(2); id <= 4; id++ {
+		sp := policy.Hierarchical
+		if id == 2 {
+			sp = policy.RandomSingle
+		}
 		r.Record(1, profile.Event{Kind: profile.KindBegin, Task: id, Arg: -1})
 		r.Record(1, profile.Event{Kind: profile.KindEnd, Task: id, Arg: -1})
-		r.Record(1, profile.Event{Kind: profile.KindSteal, Task: id, Arg: -1, N: 2,
-			Steal: policy.StealHalf})
+		r.Record(1, profile.Event{Kind: profile.KindSteal, Task: id, Arg: -1, Steal: sp})
 	}
 	// The root touches all three (already done → ready mode), then ends.
 	for id := uint64(2); id <= 4; id++ {
@@ -377,18 +373,18 @@ func batchStealTrace() *profile.Trace {
 
 // TestReportPrintsMatrixAndAttribution: the rendered report must contain
 // the (fork × steal) matrix rows and, for a trace whose steals carry
-// policy stamps and batch sizes (the hand-built one: the runtime records
-// single steals only), the per-policy attribution line.
+// policy stamps, the per-policy attribution line.
 func TestReportPrintsMatrixAndAttribution(t *testing.T) {
-	rep, err := profile.Analyze(batchStealTrace(), profile.Options{P: 2, Trials: 2})
+	rep, err := profile.Analyze(mixedStealTrace(), profile.Options{P: 2, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := rep.String()
 	for _, want := range []string{
 		"(fork × steal) deviation matrix",
-		"random-single", "steal-half", "last-victim",
+		"random-single", "hierarchical",
 		"future-first", "parent-first",
+		"random-single=1 hierarchical=2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)

@@ -66,17 +66,12 @@ type Recon struct {
 	// SuperFinal reports that un-touched threads forced a super final node.
 	SuperFinal bool
 
-	// Steals counts executed displaced tasks — one per KindSteal event (a
-	// steal-half batch of k contributes up to k, one per member that
-	// actually ran).
+	// Steals counts executed displaced tasks — one per KindSteal event.
 	Steals int64
 	// StealsByPolicy splits Steals by the steal policy that displaced the
 	// task (a single run records one policy; merged traces may record
 	// several). Empty when no steals were traced.
 	StealsByPolicy map[policy.StealPolicy]int64
-	// MaxStealBatch is the largest displaced batch any traced steal arrived
-	// in (1 for single steals, 0 when no steals were traced).
-	MaxStealBatch int64
 	// IntraDomainSteals and CrossDomainSteals split Steals by cache
 	// locality: whether the displacing visit crossed an LLC-domain boundary
 	// of the runtime's topology assignment (Event.Cross). On a single-domain
@@ -182,9 +177,6 @@ func Reconstruct(tr *Trace) (*Recon, error) {
 					rec.CrossDomainSteals++
 				} else {
 					rec.IntraDomainSteals++
-				}
-				if int64(ev.N) > rec.MaxStealBatch {
-					rec.MaxStealBatch = int64(ev.N)
 				}
 			}
 		}

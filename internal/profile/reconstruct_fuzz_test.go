@@ -13,7 +13,7 @@ import (
 // log it is recorded in, a flag byte (discipline, steal policy, cross-domain,
 // and whether the three ids are spread over all 64 bits), task, other, job,
 // then Arg and N as little-endian int32 — so the fuzzer reaches a negative or
-// huge item index and batch size as easily as a small one, while ids stay in
+// huge item index and helped count as easily as a small one, while ids stay in
 // a space small enough for events to meet.
 const (
 	eventBytes = 16
@@ -74,7 +74,7 @@ func encodeTrace(tr *profile.Trace) []byte {
 // FuzzReconstruct feeds Reconstruct arbitrary event streams. It may refuse
 // one; what it returns must be a graph that passes Validate; and it may not
 // panic or allocate out of proportion to its input, whatever item index or
-// batch size an event claims.
+// count an event claims.
 func FuzzReconstruct(f *testing.F) {
 	golden := encodeTrace(jobTreesTrace(1))
 	f.Add(golden)

@@ -25,29 +25,16 @@ type Options struct {
 	Trials int
 	// Seed seeds the sim replays (default 1).
 	Seed int64
-	// Policy is the fork discipline for the sim replay and the envelope
-	// check (the shared policy.Discipline vocabulary; default FutureFirst —
-	// the paper's theorems grant envelopes only under it, so replaying the
-	// reconstructed DAG future-first gives the reference prediction even
-	// when the real run spawned parent-first).
-	Policy sim.ForkPolicy
-	// Steal is the steal policy for the primary sim replay (default
-	// RandomSingle — the parsimonious discipline the envelopes assume).
-	Steal sim.StealPolicy
 	// Domains assigns each sim processor to a cache-locality (LLC) domain
 	// (len must be P when non-nil; see sim.Config.Domains). It drives the
 	// Hierarchical steal policy's victim preference and the intra- vs
 	// cross-domain steal attribution in the replays. Nil means one flat
 	// domain.
 	Domains []int
-	// NoMatrix skips the (fork × steal) replay matrix (7 extra sim sweeps
+	// NoMatrix skips the (fork × steal) replay matrix (3 extra sim sweeps
 	// of Trials runs each); the primary replay and envelope check still
 	// run.
 	NoMatrix bool
-	// NoJobs skips the per-job splitting pass (one extra reconstruction and
-	// classification per submitted job); the pooled report still covers the
-	// whole trace.
-	NoJobs bool
 	// CacheModel, when non-nil, runs the cache-cost pipeline on the
 	// reconstructed DAG: a footprint is derived from the DAG's structure
 	// (reconstructed traces carry no block identities) and every replayed
@@ -76,7 +63,7 @@ type JobReport struct {
 	// MeasuredDeviations counts the job's own steals + helped + blocked.
 	MeasuredDeviations int64
 	// DeviationBound is P·T∞² of the job's own span when its classification
-	// grants an envelope under the analysis policy pair, else 0.
+	// grants a future-first envelope, else 0.
 	DeviationBound int64
 	// CacheCost is the job's own footprint-replay verdict (sim trials over
 	// the job's isolated DAG), present only when Options.CacheModel was set.
@@ -110,7 +97,7 @@ type MatrixCell struct {
 	// cell's own fork-policy sequential baseline); MissBound is the
 	// C·(1+P·T∞²) miss envelope where the deviation envelope is granted.
 	// SeqMisses is that baseline's own bill, prepared once per fork policy:
-	// the four cells of a row carry one. All zero unless Options.CacheModel
+	// the two cells of a row carry one. All zero unless Options.CacheModel
 	// was set.
 	MeanExtraMisses float64
 	MaxExtraMisses  int64
@@ -139,17 +126,17 @@ type Report struct {
 	// classification grants one under the future-first policy, else 0.
 	DeviationBound int64
 	// Sim is the simulator replay of the reconstructed DAG (predicted
-	// deviations, steals and misses under the Section 3 model).
+	// deviations, steals and misses under the Section 3 model: future-first
+	// × random-single, the cell the envelope belongs to).
 	Sim *core.Report
 	// Matrix is the (fork × steal) replay of the same DAG — one cell per
-	// policy pair, rows future-first/parent-first, columns the four steal
+	// policy pair, rows future-first/parent-first, columns the two steal
 	// policies — attributing predicted deviation cost to policy choice.
 	// Empty when Options.NoMatrix was set.
 	Matrix []MatrixCell
 	// Jobs holds one verdict per submitted job observed in the trace (split
 	// by Event.Job, each reconstructed and classified in isolation), sorted
-	// by job ID. Empty for single-tenant sessions or when Options.NoJobs was
-	// set.
+	// by job ID. Empty for single-tenant sessions.
 	Jobs []JobReport
 }
 
@@ -170,9 +157,10 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		opts.Trials = 8
 	}
 	if opts.Seed == 0 {
-		// Match core.Analyze's default up front, so the matrix cell of the
-		// primary's own policy pair names the exact trials of the primary
-		// prediction line (same seeds, same numbers) and is filled from it.
+		// Match core.Analyze's default up front, so the matrix's
+		// future-first × random-single cell names the exact trials of the
+		// primary prediction line (same seeds, same numbers) and is filled
+		// from it.
 		opts.Seed = 1
 	}
 	r := &Report{
@@ -184,10 +172,11 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		MeasuredDeviations: recon.MeasuredDeviations(),
 	}
 	pooled := func() error {
+		// The primary replay is future-first × random-single (core's
+		// defaults), the cell the envelope is granted for, so its bound is the
+		// report's.
 		simRep, err := core.Analyze(recon.Graph, core.AnalyzeOptions{
 			P:          opts.P,
-			Policy:     opts.Policy,
-			Steal:      opts.Steal,
 			Domains:    opts.Domains,
 			Trials:     opts.Trials,
 			Seed:       opts.Seed,
@@ -196,10 +185,7 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		if err != nil {
 			return fmt.Errorf("profile: sim replay: %w", err)
 		}
-		r.Class, r.Sim = simRep.Class, simRep
-		if core.BoundApplies(r.Class, opts.Policy, opts.Steal) {
-			r.DeviationBound = int64(opts.P) * r.Span * r.Span
-		}
+		r.Class, r.Sim, r.DeviationBound = simRep.Class, simRep, simRep.DeviationBound
 		if !opts.NoMatrix {
 			r.Matrix, err = replayMatrix(recon, simRep, opts)
 			if err != nil {
@@ -209,7 +195,7 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		return nil
 	}
 	perJob := func() (err error) {
-		if !opts.NoJobs && len(recon.Jobs) > 0 {
+		if len(recon.Jobs) > 0 {
 			r.Jobs, err = jobReports(tr, recon.Jobs, opts)
 			if err != nil {
 				return fmt.Errorf("profile: per-job split: %w", err)
@@ -265,8 +251,6 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 			model.NoIdeal = true
 			jobSim, err := core.Analyze(rec.Graph, core.AnalyzeOptions{
 				P:          opts.P,
-				Policy:     opts.Policy,
-				Steal:      opts.Steal,
 				Domains:    opts.Domains,
 				Trials:     opts.Trials,
 				Seed:       opts.Seed,
@@ -279,7 +263,7 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 		} else {
 			jr.Class = dag.Classify(rec.Graph)
 		}
-		if core.BoundApplies(jr.Class, opts.Policy, opts.Steal) {
+		if core.BoundApplies(jr.Class, sim.FutureFirst, sim.RandomSingle) {
 			jr.DeviationBound = int64(opts.P) * jr.Span * jr.Span
 		}
 		out[i] = jr
@@ -297,14 +281,14 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 // counted against the sequential execution of that cell's own fork policy
 // (the paper always compares like with like), and so are its extra misses:
 // the sequential execution and its miss bill are prepared once per row and
-// shared by the row's four cells. The envelope is attached only to the
-// future-first × random-single cell, the one the theorems cover. The cell of
-// the primary replay's own pair is not run again when its trials would be the
-// primary's seed for seed: it is read off primary.
+// shared by the row's two cells. The envelope is attached only to the
+// future-first × random-single cell, the one the theorems cover. That cell is
+// the primary replay's, seed for seed, so it is not run again but read off
+// primary: of the four cells, three are replayed.
 func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCell, error) {
 	g := recon.Graph
 	// Cell (fork, steal) seeds trial i with Seed + i + 1000·steal; the primary
-	// seeds it with Seed + i. The two agree where the steal offset is zero.
+	// seeds it with Seed + i, which is random-single's offset of zero.
 	cellSeed := func(steal sim.StealPolicy, i int) int64 { return opts.Seed + int64(i) + 1000*int64(steal) }
 	// A row is one fork policy: its sequential execution and, with a cache
 	// model, that execution's miss bill.
@@ -320,7 +304,7 @@ func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCel
 		if row.seq, err = sim.Sequential(g, row.fork, 0, cache.LRU); err != nil {
 			return nil, err
 		}
-		if pc := primary.CacheCost; pc != nil && row.fork == opts.Policy {
+		if pc := primary.CacheCost; pc != nil && row.fork == sim.FutureFirst {
 			// The primary's own baseline is this row's.
 			row.base = pc.CacheBaseline
 		} else if pc != nil {
@@ -344,7 +328,7 @@ func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCel
 		if granted {
 			cell.Bound = int64(opts.P) * g.Span() * g.Span()
 		}
-		if fork == opts.Policy && steal == opts.Steal && cellSeed(steal, 0) == opts.Seed {
+		if fork == sim.FutureFirst && steal == sim.RandomSingle {
 			cell.summarize(primary.Deviations, primary.Steals)
 			if primary.CacheCost != nil {
 				cell.charge(primary.CacheCost)
@@ -421,7 +405,7 @@ func (r *Report) String() string {
 				fmt.Fprintf(&sb, " %s=%d", sp, n)
 			}
 		}
-		fmt.Fprintf(&sb, "  max batch=%d\n", c.MaxStealBatch)
+		sb.WriteByte('\n')
 		fmt.Fprintf(&sb, "steal locality:     intra-domain=%d cross-domain=%d\n",
 			c.IntraDomainSteals, c.CrossDomainSteals)
 	}

@@ -42,7 +42,7 @@ func jobTreesTrace(depth int) *profile.Trace {
 				}
 				tree(job, on, kid, depth-1)
 				if on != worker {
-					r.Record(on, profile.Event{Kind: profile.KindSteal, Task: kid, Arg: -1, N: 1,
+					r.Record(on, profile.Event{Kind: profile.KindSteal, Task: kid, Arg: -1,
 						Job: job, Steal: policy.RandomSingle})
 				}
 				r.Record(worker, profile.Event{Kind: profile.KindTouch, Mode: mode, Task: task,
@@ -120,7 +120,7 @@ func TestReportsIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// BenchmarkProfileAnalyze is one full Analyze — primary, seven matrix cells,
+// BenchmarkProfileAnalyze is one full Analyze — primary, three matrix cells,
 // two jobs, the cache model on — of a 10 747-node reconstruction; read it
 // under -cpu 1,2 for the fan-out's gain and its one-P cost (a b.N loop for
 // the reason BenchmarkAnalyze in internal/core gives).

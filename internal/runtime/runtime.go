@@ -1023,7 +1023,7 @@ func (w *W) recordSteal(t *task) {
 		js.steals.Add(1)
 	}
 	if w.rt.recording() {
-		w.record(profile.Event{Kind: profile.KindSteal, Task: t.id, Arg: -1, N: 1,
+		w.record(profile.Event{Kind: profile.KindSteal, Task: t.id, Arg: -1,
 			Steal: w.rt.StealPolicy(), Cross: t.stolenCross, Job: t.jobID()})
 	}
 }

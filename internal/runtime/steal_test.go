@@ -76,8 +76,8 @@ func TestStealPolicyRecordedPerEvent(t *testing.T) {
 			if ev.Steal != sp {
 				t.Fatalf("steal event carries %v, runtime on %s steals %v", ev.Steal, topo.Source, sp)
 			}
-			if ev.N != 1 {
-				t.Fatalf("steal event batch size %d, want 1", ev.N)
+			if ev.N != 0 {
+				t.Fatalf("steal event carries N=%d; N counts helped tasks of a touch only", ev.N)
 			}
 		}
 	}
@@ -224,8 +224,8 @@ func TestStealCountedOnce(t *testing.T) {
 	}
 	for i, ev := range evs {
 		if ev.Task != want[i].Task || ev.Cross != want[i].Cross || ev.Job != want[i].Job ||
-			ev.N != 1 || ev.Steal != Hierarchical || ev.Worker != int32(thief.id) {
-			t.Errorf("steal event %d = %v, want task %d cross=%v job %d, N=1, %v, on the thief",
+			ev.Steal != Hierarchical || ev.Worker != int32(thief.id) {
+			t.Errorf("steal event %d = %v, want task %d cross=%v job %d, %v, on the thief",
 				i, ev, want[i].Task, want[i].Cross, want[i].Job, Hierarchical)
 		}
 	}
@@ -426,32 +426,30 @@ func TestHierarchicalProbesPeersFirst(t *testing.T) {
 // TestSingleWorkerDeviationParity is the sim-vs-runtime parity check on a
 // deterministic single-worker schedule: with one worker there is nobody to
 // rob, so the measured deviation count and the P=1 simulator replay of the
-// reconstructed DAG under every steal policy must both be exactly zero — the
-// two layers agree on what the steal discipline cost.
+// reconstructed DAG in every matrix cell — each fork under each steal policy —
+// must all be exactly zero: the two layers agree on what the steal discipline
+// cost.
 func TestSingleWorkerDeviationParity(t *testing.T) {
-	for _, sp := range policy.StealPolicies {
-		rt := New(WithWorkers(1))
-		if err := rt.StartProfile(); err != nil {
-			t.Fatal(err)
-		}
-		Run(rt, func(w *W) int { return profFib(rt, w, 15) })
-		rep, err := rt.ProfileReport(profile.Options{
-			P: 1, Trials: 2, Steal: sp, NoMatrix: true,
-		})
-		rt.Shutdown()
-		if err != nil {
-			t.Fatalf("%v: %v", sp, err)
-		}
-		if rep.MeasuredDeviations != 0 {
-			t.Fatalf("%v: measured %d deviations on one worker, want 0", sp, rep.MeasuredDeviations)
-		}
-		for _, d := range rep.Sim.Deviations {
-			if d != 0 {
-				t.Fatalf("%v: sim replay at P=1 predicts %d deviations, want 0 (parity broken)", sp, d)
-			}
-		}
-		if rep.Sim.Steal != sp {
-			t.Fatalf("sim replay ran %v, want %v", rep.Sim.Steal, sp)
+	rt := New(WithWorkers(1))
+	if err := rt.StartProfile(); err != nil {
+		t.Fatal(err)
+	}
+	Run(rt, func(w *W) int { return profFib(rt, w, 15) })
+	rep, err := rt.ProfileReport(profile.Options{P: 1, Trials: 2})
+	rt.Shutdown()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MeasuredDeviations != 0 {
+		t.Fatalf("measured %d deviations on one worker, want 0", rep.MeasuredDeviations)
+	}
+	if len(rep.Matrix) != 2*len(policy.StealPolicies) {
+		t.Fatalf("matrix has %d cells, want %d", len(rep.Matrix), 2*len(policy.StealPolicies))
+	}
+	for _, cell := range rep.Matrix {
+		if cell.MaxDeviations != 0 {
+			t.Fatalf("%v × %v: sim replay at P=1 predicts %d deviations, want 0 (parity broken)",
+				cell.Fork, cell.Steal, cell.MaxDeviations)
 		}
 	}
 }

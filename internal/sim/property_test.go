@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -263,9 +264,6 @@ func TestPropertyStealPoliciesValidate(t *testing.T) {
 				if int64(len(res.Stolen)) != res.Steals {
 					return false
 				}
-				if res.StealVisits > res.Steals {
-					return false
-				}
 			}
 		}
 		return true
@@ -307,39 +305,22 @@ func TestPropertySingleProcNoStealsAnyPolicy(t *testing.T) {
 	}
 }
 
-// TestPropertyStealHalfBatches: under StealHalf the visit count must not
-// exceed the stolen-node count, and whenever a victim had backlog the run
-// should show batches (steals > visits) at least sometimes across seeds —
-// i.e. the policy is actually taking more than one node per visit.
-func TestPropertyStealHalfBatches(t *testing.T) {
-	sawBatch := false
-	for seed := int64(1); seed <= 60 && !sawBatch; seed++ {
-		g := randomStructured(seed, false)
-		eng, err := New(g, Config{P: 4, Policy: ParentFirst, Steal: StealHalf,
-			Control: NewRandomControl(seed)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Validate(g); err != nil {
-			t.Fatal(err)
-		}
-		if res.Steals > res.StealVisits {
-			sawBatch = true
-		}
-	}
-	if !sawBatch {
-		t.Fatal("StealHalf never stole more than one node per visit across 60 seeds")
-	}
-}
-
-// TestInvalidStealPolicyRejected: New must reject an undefined steal policy.
+// TestInvalidStealPolicyRejected: Reset refuses an undefined fork or steal
+// policy — the retired steal values 1 and 2 included — with an error that
+// names the value.
 func TestInvalidStealPolicyRejected(t *testing.T) {
 	g := randomStructured(3, false)
-	if _, err := New(g, Config{P: 2, Steal: StealPolicy(9)}); err == nil {
-		t.Fatal("New accepted StealPolicy(9)")
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{P: 2, Policy: ForkPolicy(2)}, "fork policy discipline(2)"},
+		{Config{P: 2, Steal: StealPolicy(1)}, "steal policy stealpolicy(1)"},
+		{Config{P: 2, Steal: StealPolicy(2)}, "steal policy stealpolicy(2)"},
+		{Config{P: 2, Steal: StealPolicy(9)}, "steal policy stealpolicy(9)"},
+	} {
+		if _, err := New(g, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("New(%+v) = %v, want an error naming %q", c.cfg, err, c.want)
+		}
 	}
 }

@@ -39,8 +39,8 @@ func (c reuseCase) control() Control {
 // engineState renders every field a run reads, as Reset leaves it.
 func engineState(e *Engine) string {
 	p := e.cfg.P
-	s := fmt.Sprint(e.waiting, e.when, e.who, e.assigned, e.lastVictim, len(e.deques), len(e.stolen), e.central.Len(),
-		e.executed, e.seq, e.steps, e.stealAtt, e.steals, e.visits, e.pops, e.intra, e.cross)
+	s := fmt.Sprint(e.waiting, e.when, e.who, e.assigned, len(e.deques), len(e.stolen), e.central.Len(),
+		e.executed, e.seq, e.steps, e.stealAtt, e.steals, e.pops, e.intra, e.cross)
 	for q := 0; q < p; q++ {
 		s += fmt.Sprint(" ", e.deques[q].Len(), len(e.orders[q]))
 		if e.cfg.CacheLines > 0 {
@@ -87,21 +87,21 @@ func checkReuse(t *testing.T, reused *Engine, c reuseCase) {
 
 // TestEngineReuseMatchesFresh drives one engine through graphs of different
 // sizes under configurations that differ in everything Reset must redo —
-// processor count up and down, fork and steal policy, the affinity table,
-// the central queue, in-engine caches on, off, and of another policy and
-// size, and a run abandoned half way — and holds every run to a new engine's.
+// processor count up and down, fork and steal policy, domains, the central
+// queue, in-engine caches on, off, and of another policy and size, and a run
+// abandoned half way — and holds every run to a new engine's.
 func TestEngineReuseMatchesFresh(t *testing.T) {
 	var e Engine
 	for _, c := range []reuseCase{
 		{seed: 1, annotate: true, cfg: Config{P: 4, CacheLines: 8}},
-		{seed: 2, cfg: Config{P: 2, Policy: ParentFirst, Steal: StealHalf}},
-		{seed: 3, annotate: true, cfg: Config{P: 6, Steal: LastVictimAffinity, CacheLines: 8}},
-		{seed: 4, annotate: true, cfg: Config{P: 4, Steal: LastVictimAffinity, CacheLines: 8, MaxIdleSweeps: 3}, stuckAt: 6},
+		{seed: 2, cfg: Config{P: 2, Policy: ParentFirst, Steal: Hierarchical}},
+		{seed: 3, annotate: true, cfg: Config{P: 6, Steal: Hierarchical, Domains: []int{0, 0, 0, 1, 1, 1}, CacheLines: 8}},
+		{seed: 4, annotate: true, cfg: Config{P: 4, Steal: Hierarchical, CacheLines: 8, MaxIdleSweeps: 3}, stuckAt: 6},
 		{seed: 5, annotate: true, cfg: Config{P: 3, CentralQueue: true, CacheLines: 4, CacheKind: cache.FIFO}},
 		{seed: 4, cfg: Config{P: 5, CentralQueue: true, MaxIdleSweeps: 2}, stuckAt: 9},
 		{seed: 6, annotate: true, cfg: Config{P: 4, Steal: Hierarchical, Domains: []int{0, 0, 1, 1}, ThiefStealsBottom: true, CacheLines: 4, CacheKind: cache.FIFO}},
 		{seed: 1, annotate: true, cfg: Config{P: 1, CacheLines: 16}},
-		{seed: 7, cfg: Config{P: 8, Steal: StealHalf}},
+		{seed: 7, cfg: Config{P: 8, Policy: ParentFirst}},
 		{seed: 1, annotate: true, cfg: Config{P: 4, CacheLines: 8}},
 	} {
 		checkReuse(t, &e, c)
@@ -133,8 +133,8 @@ func fuzzCase(seed int64, p, knobs, stuck uint8) reuseCase {
 // FuzzEngineReuse runs three decoded cases back to back on one engine, each
 // held to a new engine's state and result.
 func FuzzEngineReuse(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(0xc1), uint8(0), int64(2), uint8(1), uint8(0x06), uint8(0), int64(3), uint8(5), uint8(0x89), uint8(0))
-	f.Add(int64(4), uint8(3), uint8(0xc9), uint8(0x0d), int64(5), uint8(2), uint8(0x91), uint8(0x10), int64(4), uint8(4), uint8(0x10), uint8(0x13))
+	f.Add(int64(1), uint8(3), uint8(0xc1), uint8(0), int64(2), uint8(1), uint8(0x0e), uint8(0), int64(3), uint8(5), uint8(0x8d), uint8(0))
+	f.Add(int64(4), uint8(3), uint8(0xcd), uint8(0x0d), int64(5), uint8(2), uint8(0x91), uint8(0x10), int64(4), uint8(4), uint8(0x10), uint8(0x13))
 	f.Add(int64(6), uint8(7), uint8(0x4d), uint8(0x20), int64(6), uint8(0), uint8(0xe1), uint8(0x30), int64(7), uint8(7), uint8(0x2c), uint8(0x05))
 	f.Fuzz(func(t *testing.T, s1 int64, p1, k1, x1 uint8, s2 int64, p2, k2, x2 uint8, s3 int64, p3, k3, x3 uint8) {
 		var e Engine

@@ -12,10 +12,10 @@
 //     if the deque is empty it steals from the top of a victim's deque.
 //
 // The steal side of the discipline is itself a policy (Config.Steal, the
-// shared policy.StealPolicy vocabulary): RandomSingle is Section 3's
-// parsimonious single top-steal, while StealHalf, LastVictimAffinity and
-// Hierarchical replay the same DAG under disciplines the theorems'
-// assumptions exclude, so their deviation cost can be measured against the
+// shared policy.StealPolicy vocabulary), one of the two thieves the runtime
+// can be: RandomSingle is Section 3's parsimonious single top-steal, while
+// Hierarchical replays the same DAG with a victim choice the theorems'
+// assumptions exclude, so its deviation cost can be measured against the
 // baseline. Any (fork × steal) pair is expressible, and Config.Domains
 // groups processors into cache-locality domains so every steal is
 // attributed intra- vs cross-domain.
@@ -62,26 +62,17 @@ const (
 	ParentFirst = policy.ParentFirst
 )
 
-// StealPolicy selects whom a thief robs and how much one visit takes. It
-// is the shared policy.StealPolicy vocabulary: the real runtime names its one
+// StealPolicy selects whom a thief robs; every visit takes one node. It is
+// the shared policy.StealPolicy vocabulary: the real runtime names its one
 // steal rule with the same constants (RandomSingle or Hierarchical, by its
 // topology), so a simulator replay and a live run name their steal
-// discipline with one type. StealHalf and LastVictimAffinity exist here only.
+// discipline with one type.
 type StealPolicy = policy.StealPolicy
 
 const (
 	// RandomSingle steals one node from the victim's top — the parsimonious
 	// discipline of Section 3 that every theorem assumes. Default.
 	RandomSingle = policy.RandomSingle
-	// StealHalf steals half the victim's deque per visit: the thief
-	// executes the oldest stolen node and pushes the rest onto its own
-	// deque. Outside the theorems' assumptions — each displaced node that
-	// executes out of sequential order is its own deviation.
-	StealHalf = policy.StealHalf
-	// LastVictimAffinity retries the victim of the thief's last successful
-	// steal (while it has work) before consulting the Control's victim
-	// choice. Outside the theorems' assumptions (victims are not uniform).
-	LastVictimAffinity = policy.LastVictimAffinity
 	// Hierarchical exhausts same-domain victims (Config.Domains) before
 	// consulting the Control's victim choice for a cross-domain probe.
 	// Outside the theorems' assumptions (victims are not uniform).
@@ -151,12 +142,8 @@ type Result struct {
 	Misses []int64
 	// TotalMisses is the sum of Misses.
 	TotalMisses int64
-	// StealAttempts counts steal attempts; Steals counts stolen nodes (under
-	// StealHalf one visit can steal several).
+	// StealAttempts counts steal attempts; Steals counts stolen nodes.
 	StealAttempts, Steals int64
-	// StealVisits counts successful steal visits — equal to Steals except
-	// under StealHalf, where Steals/StealVisits is the mean batch size.
-	StealVisits int64
 	// IntraSteals and CrossSteals split Steals by cache locality: whether
 	// the thief and the victim sat in different Config.Domains groups.
 	// With nil Domains every steal is intra-domain.
@@ -212,13 +199,9 @@ type Engine struct {
 	stealAtt int64
 	stolen   []dag.NodeID
 	steals   int64
-	visits   int64
 	pops     int64
 	intra    int64 // intra-domain stolen nodes
 	cross    int64 // cross-domain stolen nodes
-	// lastVictim is the per-processor affinity cache (LastVictimAffinity
-	// only): the victim of the processor's last successful steal, or NoProc.
-	lastVictim []ProcID
 	// res and misses are what Run returns, kept here so that a reused engine
 	// allocates neither again.
 	res    Result
@@ -247,6 +230,9 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 	if cfg.P < 1 {
 		return fmt.Errorf("sim: P = %d", cfg.P)
 	}
+	if !cfg.Policy.Valid() {
+		return fmt.Errorf("sim: fork policy %s", cfg.Policy)
+	}
 	if !cfg.Steal.Valid() {
 		return fmt.Errorf("sim: steal policy %s", cfg.Steal)
 	}
@@ -261,7 +247,7 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 	}
 	e.g, e.cfg, e.ctrl, e.view = g, cfg, cfg.Control, View{e: e}
 	e.executed, e.seq, e.steps, e.stealAtt = 0, 0, 0, 0
-	e.steals, e.visits, e.pops, e.intra, e.cross = 0, 0, 0, 0, 0
+	e.steals, e.pops, e.intra, e.cross = 0, 0, 0, 0
 	e.stolen = e.stolen[:0]
 	e.central.Reset()
 
@@ -277,13 +263,6 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 	for p := range e.assigned {
 		e.assigned[p] = dag.None
 		e.deques[p].Reset()
-	}
-	e.lastVictim = e.lastVictim[:0]
-	if cfg.Steal == LastVictimAffinity {
-		e.lastVictim = resize(e.lastVictim, cfg.P)
-		for p := range e.lastVictim {
-			e.lastVictim[p] = NoProc
-		}
 	}
 	// Orders and caches own storage worth keeping, so these two slices only
 	// ever grow; the run uses their first cfg.P entries.
@@ -346,7 +325,6 @@ func (e *Engine) Run() (*Result, error) {
 		Stolen:        e.stolen,
 		StealAttempts: e.stealAtt,
 		Steals:        e.steals,
-		StealVisits:   e.visits,
 		IntraSteals:   e.intra,
 		CrossSteals:   e.cross,
 		Pops:          e.pops,
@@ -389,25 +367,13 @@ func (e *Engine) act(p ProcID) bool {
 		e.execute(p, v)
 		return true
 	}
-	// Steal. Victim choice: under LastVictimAffinity a processor returns to
-	// the victim of its last successful steal while that victim still has
-	// work (and falls back to random probing after a dry visit, so a victim
-	// gone cold costs one probe); under Hierarchical it scans its
+	// Steal one node. Victim choice: under Hierarchical a processor scans its
 	// own locality domain for a victim with work before the cross-domain
 	// fallback (mirroring the runtime's peers-then-remote tiers — the scan
-	// is deterministic from p+1 so replays are exact); otherwise — and for
-	// the other policies' fallbacks always — the Control decides.
+	// is deterministic from p+1 so replays are exact); otherwise, and for
+	// that fallback, the Control decides.
 	victim := NoProc
-	switch e.cfg.Steal {
-	case LastVictimAffinity:
-		if lv := e.lastVictim[p]; lv != NoProc {
-			if e.deques[lv].Len() > 0 {
-				victim = lv
-			} else {
-				e.lastVictim[p] = NoProc
-			}
-		}
-	case Hierarchical:
+	if e.cfg.Steal == Hierarchical {
 		for i := 1; i < e.cfg.P; i++ {
 			c := ProcID((int(p) + i) % e.cfg.P)
 			if e.sameDomain(p, c) && e.deques[c].Len() > 0 {
@@ -423,56 +389,24 @@ func (e *Engine) act(p ProcID) bool {
 		return false
 	}
 	e.stealAtt++
-	take := 1
-	if e.cfg.Steal == StealHalf {
-		// Half the victim's backlog, at least one node, capped at the
-		// policy's shared batch bound — the thief executes the first
-		// (oldest) and parks the rest on its own deque in stolen order
-		// (deque top stays oldest), under the cap a real thief's batch
-		// buffer would have, so replayed batch geometry matches what a
-		// batch-stealing scheduler could do.
-		if l := e.deques[victim].Len(); l > 2 {
-			take = (l + 1) / 2
-			if take > policy.StealBatchMax {
-				take = policy.StealBatchMax
-			}
-		}
+	var v dag.NodeID
+	var ok bool
+	if e.cfg.ThiefStealsBottom {
+		v, ok = e.deques[victim].PopBottom()
+	} else {
+		v, ok = e.deques[victim].StealTop()
 	}
-	taken := 0
-	for i := 0; i < take; i++ {
-		var v dag.NodeID
-		var ok bool
-		if e.cfg.ThiefStealsBottom {
-			// The ablation composes: each batch item robs the victim's
-			// bottom instead of its top.
-			v, ok = e.deques[victim].PopBottom()
-		} else {
-			v, ok = e.deques[victim].StealTop()
-		}
-		if !ok {
-			break
-		}
-		e.steals++
-		if e.sameDomain(p, victim) {
-			e.intra++
-		} else {
-			e.cross++
-		}
-		e.stolen = append(e.stolen, v)
-		if taken == 0 {
-			e.assigned[p] = v
-		} else {
-			e.deques[p].PushBottom(v)
-		}
-		taken++
-	}
-	if taken == 0 {
+	if !ok {
 		return false
 	}
-	e.visits++
-	if e.cfg.Steal == LastVictimAffinity {
-		e.lastVictim[p] = victim
+	e.steals++
+	if e.sameDomain(p, victim) {
+		e.intra++
+	} else {
+		e.cross++
 	}
+	e.stolen = append(e.stolen, v)
+	e.assigned[p] = v
 	return true
 }
 
