@@ -39,6 +39,7 @@ var retiredNames = []string{
 	"LLCKind",
 	"StealHalf", "LastVictimAffinity", "StealBatchMax", "ParseSteal", "StealNames",
 	"MaxStealBatch", "StealVisits", "NoJobs",
+	"blockTable", "TestMissAccountsAgree", "cache.New(",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

@@ -33,7 +33,7 @@ func BenchmarkLRUAccess(b *testing.B) {
 			{"misses", cyclicTrace(4096, 4*lines)},
 		} {
 			b.Run(kind.String()+"/"+tr.name, func(b *testing.B) {
-				c := New(kind, lines)
+				c := newCache(kind, lines)
 				i := 0
 				for b.Loop() {
 					c.Access(tr.trace[i])

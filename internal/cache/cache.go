@@ -5,8 +5,8 @@
 // Blumofe), so FIFO, set-associative LRU and direct-mapped variants are
 // provided for the robustness experiments.
 //
-// Caches are driven by abstract block identities (dag.BlockID); only hits
-// and misses are modeled, never latency.
+// Caches are driven by dense block ids (a footprint's, or a dag.Graph's own);
+// only hits and misses are modeled, never latency.
 package cache
 
 import (
@@ -14,26 +14,6 @@ import (
 
 	"futurelocality/internal/dag"
 )
-
-// Cache is a single processor's cache simulator.
-//
-// Access returns true when the access misses (the block was not resident).
-// Accessing dag.NoBlock is a no-op and never misses.
-type Cache interface {
-	// Access touches the given block, updating replacement state, and
-	// reports whether it missed.
-	Access(dag.BlockID) bool
-	// Misses returns the number of misses since construction or Reset.
-	Misses() int64
-	// Accesses returns the number of block accesses (NoBlock excluded).
-	Accesses() int64
-	// Reset empties the cache and zeroes counters.
-	Reset()
-	// Lines returns the capacity C in lines.
-	Lines() int
-	// Name identifies the policy, e.g. "lru".
-	Name() string
-}
 
 // Kind selects a cache policy implementation.
 type Kind uint8
@@ -44,7 +24,8 @@ const (
 	LRU Kind = iota
 	// FIFO is fully associative with first-in-first-out replacement.
 	FIFO
-	// SetAssocLRU is a set-associative LRU cache; see NewSetAssoc.
+	// SetAssocLRU is a 4-way set-associative LRU cache (C-way below 4
+	// lines).
 	SetAssocLRU
 	// DirectMapped is a 1-way set-associative cache.
 	DirectMapped
@@ -88,56 +69,12 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// New constructs a cache of the given kind with c lines. Set-associative
-// kinds default to 4-way (DirectMapped to 1-way); use NewSetAssoc for other
-// geometries. It panics if c < 1.
-func New(kind Kind, c int) Cache {
-	if c < 1 {
-		panic(fmt.Sprintf("cache: %d lines", c))
-	}
-	switch kind {
-	case LRU:
-		l := newLRU(c, newBlockTable(c))
-		return &l
-	case FIFO:
-		f := newFIFO(c, newBlockTable(c))
-		return &f
-	case SetAssocLRU:
-		ways := 4
-		if c < 4 {
-			ways = c
-		}
-		return NewSetAssoc(c, ways)
-	case DirectMapped:
-		return NewSetAssoc(c, 1)
-	default:
-		panic("cache: unknown kind " + kind.String())
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Residency indexes: which line of a fully associative cache holds a block.
-//
-// The list and ring code below is written once, over either of two indexes.
-// Which one serves is a matter of what the cache's owner knows, not of policy:
-// a cache built by New is handed arbitrary block identities and hashes them
-// (blockTable); a Set replays a Footprint, whose blocks are numbered 0..n-1,
-// and indexes a slice by them (directTable).
-
-type residency interface {
-	// get returns the line holding b.
-	get(b dag.BlockID) (line int32, ok bool)
-	// put records that line holds b, which must be absent.
-	put(b dag.BlockID, line int32)
-	// del forgets b, which must be present.
-	del(b dag.BlockID)
-}
-
-// directTable is the index over a known universe of dense block ids: entry b
-// is one more than the line holding block b, 0 while b is not resident. An
-// empty cache's table is all zeros over its whole capacity — Reset deletes
-// the resident blocks one by one, O(C) however large the universe — which is
-// what lets fit hand the same storage to the next footprint.
+// directTable is the residency index of a fully associative cache: entry b
+// is one more than the line holding dense block b, 0 while b is not
+// resident. An empty cache's table is all zeros over its whole capacity —
+// Reset deletes the resident blocks one by one, O(C) however large the
+// universe — which is what lets fit hand the same storage to the next
+// footprint.
 type directTable []int32
 
 func (t directTable) get(b dag.BlockID) (int32, bool) { v := t[b]; return v - 1, v != 0 }
@@ -153,113 +90,12 @@ func (t directTable) fit(n int) directTable {
 	return t[:n]
 }
 
-// blockTable is the index when the universe is unknown. A cache of C lines
-// holds at most C blocks, so it is a fixed open-addressed table, not a
-// growing map: a power of two ≥ 4C slots, dag.NoBlock — which no cache ever
-// holds — as the empty key, Fibonacci hashing, linear probing, and deletion
-// by backward shift, so there are no tombstones and a probe sequence never
-// outlives its keys. The load factor is held to ¼, not the customary ½: a
-// miss-dominated trace does a lookup, a delete and an insert per access, each
-// ending on an unpredictable branch per collision — for C = 64 that is a
-// 2 KB table, still L1-resident.
-
-type tableSlot struct {
-	key dag.BlockID
-	val int32
-}
-
-type blockTable struct {
-	slots []tableSlot
-	shift uint8 // 32 - log2(len(slots))
-}
-
-// newBlockTable sizes a table for at most n resident keys.
-func newBlockTable(n int) blockTable {
-	bits := uint8(1)
-	for 1<<bits < 4*n {
-		bits++
-	}
-	t := blockTable{slots: make([]tableSlot, 1<<bits), shift: 32 - bits}
-	for i := range t.slots {
-		t.slots[i].key = dag.NoBlock
-	}
-	return t
-}
-
-// intern numbers blocks densely by first appearance: it returns b's number
-// and whether b is new, given that n blocks have been interned so far. It is
-// for callers that index all the blocks of a trace or a graph and cannot
-// know their number beforehand, so unlike a cache's table — sized once for
-// its C lines — this one doubles whenever it gets half full.
-func (t *blockTable) intern(b dag.BlockID, n int32) (int32, bool) {
-	if id, ok := t.get(b); ok {
-		return id, false
-	}
-	if 2*(int(n)+1) > len(t.slots) {
-		old := t.slots
-		*t = newBlockTable(len(old) / 2)
-		for _, s := range old {
-			if s.key != dag.NoBlock {
-				t.put(s.key, s.val)
-			}
-		}
-	}
-	t.put(b, n)
-	return n, true
-}
-
-// home is b's preferred slot.
-func (t blockTable) home(b dag.BlockID) uint32 {
-	return uint32(b) * 2654435769 >> t.shift // 2³²/φ
-}
-
-func (t blockTable) get(b dag.BlockID) (int32, bool) {
-	mask := uint32(len(t.slots) - 1)
-	for i := t.home(b); ; i = (i + 1) & mask {
-		switch s := t.slots[i]; s.key {
-		case b:
-			return s.val, true
-		case dag.NoBlock:
-			return 0, false
-		}
-	}
-}
-
-// put: the caller keeps the table at most half full.
-func (t blockTable) put(b dag.BlockID, val int32) {
-	mask := uint32(len(t.slots) - 1)
-	i := t.home(b)
-	for t.slots[i].key != dag.NoBlock {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = tableSlot{key: b, val: val}
-}
-
-// del closes the gap it makes: each later entry of the probe run moves back
-// into the hole unless its home slot lies cyclically after the hole, up to
-// and including its current slot, where a probe for it would no longer pass.
-func (t blockTable) del(b dag.BlockID) {
-	mask := uint32(len(t.slots) - 1)
-	hole := t.home(b)
-	for t.slots[hole].key != b {
-		hole = (hole + 1) & mask
-	}
-	for j := (hole + 1) & mask; t.slots[j].key != dag.NoBlock; j = (j + 1) & mask {
-		if (j-t.home(t.slots[j].key))&mask < (j-hole)&mask {
-			continue
-		}
-		t.slots[hole] = t.slots[j]
-		hole = j
-	}
-	t.slots[hole].key = dag.NoBlock
-}
-
 // ---------------------------------------------------------------------------
 // Fully associative LRU.
 //
 // The lines form one circular doubly linked list in recency order, threaded
 // through a dense slice of entries: head is the most recently used line and
-// its predecessor on the ring the least. A residency index maps a block to
+// its predecessor on the ring the least. The residency index maps a block to
 // its line. O(1) per access, and a miss in a full cache — the common case of
 // a replay — relinks nothing: the least recently used line takes the new
 // block where it is and head steps back onto it.
@@ -269,24 +105,20 @@ type lruEntry struct {
 	prev, next int32
 }
 
-type lru[I residency] struct {
+type lru struct {
 	entries  []lruEntry
-	index    I
+	index    directTable
 	head     int32 // most recently used; 0 while entries is empty
 	misses   int64
 	accesses int64
 }
 
-func newLRU[I residency](c int, index I) lru[I] {
-	return lru[I]{entries: make([]lruEntry, 0, c), index: index}
-}
+func newLRU(c int) lru { return lru{entries: make([]lruEntry, 0, c)} }
 
-func (l *lru[I]) Name() string    { return "lru" }
-func (l *lru[I]) Lines() int      { return cap(l.entries) }
-func (l *lru[I]) Misses() int64   { return l.misses }
-func (l *lru[I]) Accesses() int64 { return l.accesses }
+func (l *lru) Misses() int64   { return l.misses }
+func (l *lru) Accesses() int64 { return l.accesses }
 
-func (l *lru[I]) Reset() {
+func (l *lru) Reset() {
 	for i := range l.entries {
 		l.index.del(l.entries[i].block)
 	}
@@ -297,7 +129,7 @@ func (l *lru[I]) Reset() {
 
 // pushFront links line i, which is not on the ring, in before head and makes
 // it the head.
-func (l *lru[I]) pushFront(i int32) {
+func (l *lru) pushFront(i int32) {
 	es := l.entries
 	tail := es[l.head].prev
 	es[i].prev, es[i].next = tail, l.head
@@ -305,7 +137,9 @@ func (l *lru[I]) pushFront(i int32) {
 	l.head = i
 }
 
-func (l *lru[I]) Access(b dag.BlockID) bool {
+// Access touches block b, updating the recency order, and reports whether it
+// missed. Accessing dag.NoBlock is a no-op and never misses.
+func (l *lru) Access(b dag.BlockID) bool {
 	if b == dag.NoBlock {
 		return false
 	}
@@ -341,25 +175,21 @@ func (l *lru[I]) Access(b dag.BlockID) bool {
 // ---------------------------------------------------------------------------
 // Fully associative FIFO.
 
-type fifo[I residency] struct {
+type fifo struct {
 	ring     []dag.BlockID
-	index    I // block → its ring slot
+	index    directTable // block → its ring slot
 	next     int
 	filled   int
 	misses   int64
 	accesses int64
 }
 
-func newFIFO[I residency](c int, index I) fifo[I] {
-	return fifo[I]{ring: make([]dag.BlockID, c), index: index}
-}
+func newFIFO(c int) fifo { return fifo{ring: make([]dag.BlockID, c)} }
 
-func (f *fifo[I]) Name() string    { return "fifo" }
-func (f *fifo[I]) Lines() int      { return len(f.ring) }
-func (f *fifo[I]) Misses() int64   { return f.misses }
-func (f *fifo[I]) Accesses() int64 { return f.accesses }
+func (f *fifo) Misses() int64   { return f.misses }
+func (f *fifo) Accesses() int64 { return f.accesses }
 
-func (f *fifo[I]) Reset() {
+func (f *fifo) Reset() {
 	for _, b := range f.ring[:f.filled] {
 		f.index.del(b)
 	}
@@ -367,7 +197,9 @@ func (f *fifo[I]) Reset() {
 	f.misses, f.accesses = 0, 0
 }
 
-func (f *fifo[I]) Access(b dag.BlockID) bool {
+// Access is lru.Access under first-in-first-out replacement: a hit changes
+// nothing.
+func (f *fifo) Access(b dag.BlockID) bool {
 	if b == dag.NoBlock {
 		return false
 	}
@@ -391,48 +223,28 @@ func (f *fifo[I]) Access(b dag.BlockID) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Set-associative LRU (DirectMapped = 1 way). Blocks map to sets by modulo.
+// Set-associative LRU (DirectMapped = 1 way). Blocks map to sets by modulo,
+// so these caches are handed the identities blocks were declared with.
 
 type setAssoc struct {
 	sets     [][]dag.BlockID // each set ordered most- to least-recently used
 	ways     int
-	lines    int
 	misses   int64
 	accesses int64
 }
 
-// NewSetAssoc builds a set-associative LRU cache with the given total line
-// count and associativity. lines is rounded down to a multiple of ways (but
-// kept at least ways). It panics on non-positive arguments.
-func NewSetAssoc(lines, ways int) Cache {
-	if lines < 1 || ways < 1 {
-		panic(fmt.Sprintf("cache: lines=%d ways=%d", lines, ways))
-	}
-	if ways > lines {
-		ways = lines
-	}
-	nsets := lines / ways
-	if nsets < 1 {
-		nsets = 1
-	}
-	s := &setAssoc{
-		sets:  make([][]dag.BlockID, nsets),
-		ways:  ways,
-		lines: nsets * ways,
-	}
+// newSetAssoc builds a set-associative LRU cache with the given total line
+// count (≥ 1) and associativity (≥ 1). lines is rounded down to a multiple
+// of ways, and ways is cut to lines.
+func newSetAssoc(lines, ways int) setAssoc {
+	ways = min(ways, lines)
+	s := setAssoc{sets: make([][]dag.BlockID, lines/ways), ways: ways}
 	for i := range s.sets {
 		s.sets[i] = make([]dag.BlockID, 0, ways)
 	}
 	return s
 }
 
-func (s *setAssoc) Name() string {
-	if s.ways == 1 {
-		return "direct-mapped"
-	}
-	return fmt.Sprintf("set-assoc-lru-%dway", s.ways)
-}
-func (s *setAssoc) Lines() int      { return s.lines }
 func (s *setAssoc) Misses() int64   { return s.misses }
 func (s *setAssoc) Accesses() int64 { return s.accesses }
 
@@ -443,6 +255,7 @@ func (s *setAssoc) Reset() {
 	s.misses, s.accesses = 0, 0
 }
 
+// Access is lru.Access within the set b maps to.
 func (s *setAssoc) Access(b dag.BlockID) bool {
 	if b == dag.NoBlock {
 		return false

@@ -10,7 +10,7 @@ import (
 
 func TestLRUHandTrace(t *testing.T) {
 	// C=3; trace: 1m 2m 3m 1h 4m(evict 2) 2m(evict 3) 3m(evict 1) ...
-	c := New(LRU, 3)
+	c := newCache(LRU, 3)
 	type step struct {
 		block dag.BlockID
 		miss  bool
@@ -38,7 +38,7 @@ func TestLRUHandTrace(t *testing.T) {
 
 func TestFIFOHandTrace(t *testing.T) {
 	// C=3 FIFO; hit does not refresh position.
-	c := New(FIFO, 3)
+	c := newCache(FIFO, 3)
 	type step struct {
 		block dag.BlockID
 		miss  bool
@@ -60,7 +60,7 @@ func TestFIFOHandTrace(t *testing.T) {
 func TestLRUSequentialScanWorstCase(t *testing.T) {
 	// Cyclic scan over C+1 blocks: LRU misses every access after warmup.
 	const C = 8
-	c := New(LRU, C)
+	c := newCache(LRU, C)
 	for round := 0; round < 5; round++ {
 		for b := dag.BlockID(0); b <= C; b++ {
 			c.Access(b)
@@ -73,7 +73,7 @@ func TestLRUSequentialScanWorstCase(t *testing.T) {
 
 func TestNoBlockIsFree(t *testing.T) {
 	for _, kind := range []Kind{LRU, FIFO, SetAssocLRU, DirectMapped} {
-		c := New(kind, 4)
+		c := newCache(kind, 4)
 		for i := 0; i < 10; i++ {
 			if c.Access(dag.NoBlock) {
 				t.Fatalf("%s: NoBlock missed", kind)
@@ -87,7 +87,7 @@ func TestNoBlockIsFree(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	for _, kind := range []Kind{LRU, FIFO, SetAssocLRU, DirectMapped} {
-		c := New(kind, 4)
+		c := newCache(kind, 4)
 		for b := dag.BlockID(0); b < 8; b++ {
 			c.Access(b)
 		}
@@ -105,7 +105,7 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 	// Any policy: a working set of ≤ C distinct blocks in a fully
 	// associative cache incurs exactly one (cold) miss per block.
 	for _, kind := range []Kind{LRU, FIFO} {
-		c := New(kind, 16)
+		c := newCache(kind, 16)
 		rng := rand.New(rand.NewSource(1))
 		distinct := int64(16)
 		for i := 0; i < 10000; i++ {
@@ -119,7 +119,7 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 
 func TestDirectMappedConflicts(t *testing.T) {
 	// Two blocks mapping to the same set of a direct-mapped cache thrash.
-	c := NewSetAssoc(4, 1)
+	c := newSetAssoc(4, 1)
 	for i := 0; i < 10; i++ {
 		c.Access(0)
 		c.Access(4) // 4 % 4 == 0: same set
@@ -128,7 +128,7 @@ func TestDirectMappedConflicts(t *testing.T) {
 		t.Fatalf("conflict thrash: misses %d != accesses %d", c.Misses(), c.Accesses())
 	}
 	// A fully associative LRU with the same capacity holds both.
-	l := New(LRU, 4)
+	l := newCache(LRU, 4)
 	for i := 0; i < 10; i++ {
 		l.Access(0)
 		l.Access(4)
@@ -139,9 +139,9 @@ func TestDirectMappedConflicts(t *testing.T) {
 }
 
 func TestSetAssocGeometry(t *testing.T) {
-	c := NewSetAssoc(16, 4)
-	if c.Lines() != 16 {
-		t.Fatalf("Lines = %d, want 16", c.Lines())
+	c := newSetAssoc(16, 4)
+	if len(c.sets) != 4 || c.ways != 4 {
+		t.Fatalf("%d sets of %d ways, want 4 of 4", len(c.sets), c.ways)
 	}
 	// 4 sets of 4 ways: blocks 0,4,8,12 share set 0 and all fit.
 	for i := 0; i < 3; i++ {
@@ -194,7 +194,7 @@ func TestLRUMatchesReference(t *testing.T) {
 			trace[i] = dag.BlockID(rng.Intn(24))
 		}
 		want := ref(c, trace)
-		l := New(LRU, c)
+		l := newCache(LRU, c)
 		for i, b := range trace {
 			if l.Access(b) != want[i] {
 				return false
@@ -212,7 +212,7 @@ func TestLRUMatchesReference(t *testing.T) {
 func TestLRUInclusionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		small, big := New(LRU, 4), New(LRU, 16)
+		small, big := newCache(LRU, 4), newCache(LRU, 16)
 		for i := 0; i < 2000; i++ {
 			b := dag.BlockID(rng.Intn(32))
 			sm, bm := small.Access(b), big.Access(b)
@@ -225,13 +225,4 @@ func TestLRUInclusionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestNewPanicsOnBadLines(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(LRU, 0) should panic")
-		}
-	}()
-	New(LRU, 0)
 }

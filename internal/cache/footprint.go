@@ -15,7 +15,9 @@ import (
 //   - Declared: when the graph itself assigns blocks (Builder.Access — the
 //     model-layer graphs and the adversarial families), the footprint is
 //     exactly those declared blocks, one per node, the paper's own
-//     "each task accesses at most one block" reading.
+//     "each task accesses at most one block" reading. Such a footprint is a
+//     view of the graph, which numbered its blocks when it was made: it
+//     stores nothing per node.
 //
 //   - Synthetic: reconstructed traces carry no block identities (the
 //     profiler records scheduling events, not loads), so the footprint is
@@ -34,7 +36,7 @@ import (
 //     theorem's C·deviations bound rests on.
 //
 // Block identities in a footprint are dense: the blocks in use are numbered
-// 0..n-1 and Of, Flatten and the replay deal in those numbers, so a cache can
+// 0..n-1 and Flatten and the replay deal in those numbers, so a cache can
 // index a slice by them instead of hashing. LRU, FIFO and OPT are blind to a
 // renaming; the policies that place a block by its identity (set-assoc-lru,
 // direct-mapped) are handed the original one through the raw table.
@@ -47,68 +49,56 @@ type Footprint struct {
 	// declared ones, or the synthetic layout's threads·(1 + W), whether or
 	// not a short thread reaches all its window slots.
 	Blocks int
-	// flat[offsets[v]:offsets[v+1]] is node v's access list, in access
-	// order, as dense ids.
+	// nodes is the graph's node table in declared mode: node v accesses
+	// nodes[v].Block, already a dense id.
+	nodes []dag.Node
+	// flat[offsets[v]:offsets[v+1]] is node v's access list in synthetic
+	// mode, in access order, as dense ids.
 	flat    []dag.BlockID
 	offsets []int32
 	// raw[id] is the identity dense id stands for: the graph's declared
-	// block, or the synthetic layout's (frames first, one per thread, IDs
-	// 0..T-1, then each thread's window slots, T + tid·w + slot). Its length
-	// is the number of blocks in use.
+	// block (its RawBlocks), or the synthetic layout's (frames first, one
+	// per thread, IDs 0..T-1, then each thread's window slots,
+	// T + tid·w + slot). Its length is the number of blocks in use.
 	raw []dag.BlockID
 }
 
-// Of returns node v's block access list, in access order, as dense ids. The
-// slice aliases the footprint's backing store and must not be mutated.
-func (f *Footprint) Of(v dag.NodeID) []dag.BlockID {
-	return f.flat[f.offsets[v]:f.offsets[v+1]]
+// of returns node v's block access list, in access order, as dense ids. A
+// declared node's one access is returned in *one; otherwise the slice
+// aliases the footprint. It must not be mutated.
+func (f *Footprint) of(v dag.NodeID, one *[1]dag.BlockID) []dag.BlockID {
+	if f.Synthetic {
+		return f.flat[f.offsets[v]:f.offsets[v+1]]
+	}
+	if one[0] = f.nodes[v].Block; one[0] == dag.NoBlock {
+		return nil
+	}
+	return one[:]
 }
 
 // Flatten concatenates the footprints of the given execution order into one
 // block access trace — the input OptimalMisses wants for the ideal-cache
 // (Belady OPT) baseline.
 func (f *Footprint) Flatten(order []dag.NodeID) []dag.BlockID {
-	out := make([]dag.BlockID, 0, len(f.flat))
+	out := make([]dag.BlockID, 0, max(len(f.flat), len(order)))
+	var one [1]dag.BlockID
 	for _, v := range order {
-		out = append(out, f.Of(v)...)
+		out = append(out, f.of(v, &one)...)
 	}
 	return out
 }
 
 // DeriveFootprint builds the footprint of g with working-set window w
 // (w ≥ 1; ignored for graphs that declare their own blocks). It panics on a
-// non-positive window, mirroring New's contract for lines.
+// non-positive window.
 func DeriveFootprint(g *dag.Graph, w int) *Footprint {
 	if w < 1 {
 		panic(fmt.Sprintf("cache: footprint window %d", w))
 	}
+	if len(g.RawBlocks) > 0 {
+		return &Footprint{Blocks: len(g.RawBlocks), nodes: g.Nodes, raw: g.RawBlocks}
+	}
 	n := g.Len()
-	declared := false
-	for id := range g.Nodes {
-		if g.Nodes[id].Block != dag.NoBlock {
-			declared = true
-			break
-		}
-	}
-	if declared {
-		// Dense ids by first use, in node order.
-		f := &Footprint{offsets: make([]int32, n+1)}
-		f.flat = make([]dag.BlockID, 0, n)
-		dense := newBlockTable(64)
-		for id := range g.Nodes {
-			f.offsets[id] = int32(len(f.flat))
-			if b := g.Nodes[id].Block; b != dag.NoBlock {
-				d, fresh := dense.intern(b, int32(len(f.raw)))
-				if fresh {
-					f.raw = append(f.raw, b)
-				}
-				f.flat = append(f.flat, dag.BlockID(d))
-			}
-		}
-		f.offsets[n] = int32(len(f.flat))
-		f.Blocks = len(f.raw)
-		return f
-	}
 
 	// Synthetic mode. Dense ids by construction, thread after thread: the
 	// thread's frame, then the window slots it reaches, min(length, w) of

@@ -29,6 +29,11 @@ func twoThreadGraph(t *testing.T) *dag.Graph {
 	return b.MustBuild()
 }
 
+// accessesOf is node v's access list in fp.
+func accessesOf(fp *Footprint, v dag.NodeID) []dag.BlockID {
+	return fp.of(v, new([1]dag.BlockID))
+}
+
 func TestDeriveFootprintSynthetic(t *testing.T) {
 	g := twoThreadGraph(t)
 	fp := DeriveFootprint(g, 1)
@@ -54,7 +59,7 @@ func TestDeriveFootprintSynthetic(t *testing.T) {
 		5: {0, 1, 2}, // touch: frame, window slot, touched thread's frame
 	}
 	for v, blocks := range want {
-		if got := fp.Of(v); !slices.Equal(got, blocks) {
+		if got := accessesOf(fp, v); !slices.Equal(got, blocks) {
 			t.Fatalf("node %d footprint = %v, want %v", v, got, blocks)
 		}
 	}
@@ -78,7 +83,7 @@ func TestDeriveFootprintNumbersOnlyBlocksInUse(t *testing.T) {
 	if !slices.Equal(fp.raw, want) {
 		t.Fatalf("raw identities = %v, want %v", fp.raw, want)
 	}
-	if got, want := fp.Of(5), []dag.BlockID{0, 1, 4}; !slices.Equal(got, want) {
+	if got, want := accessesOf(fp, 5), []dag.BlockID{0, 1, 4}; !slices.Equal(got, want) {
 		t.Fatalf("touch node footprint = %v, want %v", got, want)
 	}
 }
@@ -94,7 +99,7 @@ func TestDeriveFootprintWindowRolls(t *testing.T) {
 		t.Fatalf("Blocks = %d, want 3", fp.Blocks)
 	}
 	for v := 0; v < 5; v++ {
-		got := fp.Of(dag.NodeID(v))
+		got := accessesOf(fp, dag.NodeID(v))
 		wantSlot := dag.BlockID(1 + v%2) // frames first: slot IDs start at 1
 		if len(got) != 2 || got[0] != 0 || got[1] != wantSlot {
 			t.Fatalf("node %d footprint = %v, want [0 %d]", v, got, wantSlot)
@@ -121,7 +126,7 @@ func TestDeriveFootprintDeclared(t *testing.T) {
 	}
 	// Nodes 0, 2, 3 declare 7, 7, 9: dense ids by first use.
 	for v, want := range [][]dag.BlockID{{0}, {}, {0}, {1}} {
-		if got := fp.Of(dag.NodeID(v)); !slices.Equal(got, want) {
+		if got := accessesOf(fp, dag.NodeID(v)); !slices.Equal(got, want) {
 			t.Fatalf("node %d footprint = %v, want %v", v, got, want)
 		}
 	}

@@ -14,34 +14,23 @@ const (
 	keySpace  = 48 // distinct blocks an input can name
 )
 
-// fuzzKeys maps an op byte to a block under the input's key mode: small
-// dense IDs; multiples of the table size; IDs whose home slots in a C-line
-// cache's table are three neighbours (key i's is the first plus i mod 3),
-// so the table is one long probe run of interleaved homes that every
-// eviction has to shift; and IDs spread over the whole int32 range,
-// negative ones included.
+// fuzzKeys maps a key number to a block identity under the input's key
+// mode: small dense IDs; multiples of a stride that both set counts a C-line
+// cache can have (4-way, direct-mapped) divide, so that every key lands in
+// set 0; keys three by three on the first three sets; and IDs spread over
+// the whole int32 range, negative ones included.
 func fuzzKeys(mode byte, c int) [keySpace]dag.BlockID {
 	var keys [keySpace]dag.BlockID
-	t := newBlockTable(c)
-	switch mode % 4 {
-	case 0:
-		for i := range keys {
+	stride := c * max(c/4, 1)
+	for i := range keys {
+		switch mode % 4 {
+		case 0:
 			keys[i] = dag.BlockID(i)
-		}
-	case 1:
-		for i := range keys {
-			keys[i] = dag.BlockID(i * len(t.slots))
-		}
-	case 2:
-		mask := uint32(len(t.slots) - 1)
-		for i, b := 0, dag.BlockID(0); i < keySpace; b++ {
-			if t.home(b) == (t.home(0)+uint32(i%3))&mask {
-				keys[i] = b
-				i++
-			}
-		}
-	default:
-		for i := range keys {
+		case 1:
+			keys[i] = dag.BlockID(i * stride)
+		case 2:
+			keys[i] = dag.BlockID(i/3*3*stride + i%3)
+		default:
 			keys[i] = dag.BlockID(uint32(i+1) * 0x9e3779b1)
 		}
 	}
@@ -52,9 +41,10 @@ func fuzzKeys(mode byte, c int) [keySpace]dag.BlockID {
 // byte-derived block trace and demands the same miss or hit on every access,
 // the same counters after every operation — Reset included — and, for the
 // whole trace, the same Belady-OPT miss count from OptimalMisses and its
-// reference. LRU and FIFO run twice: as New builds them, hashing the keys,
-// and over a direct table indexed by each key's number in the key space,
-// against the same references fed the keys themselves.
+// reference. The references are fed the keys themselves. LRU, FIFO and OPT
+// are fed each key's number in the key space, a dense id, as a graph or a
+// footprint numbers its blocks; the set-associative caches place a block by
+// its identity and are fed the key.
 func FuzzCachePolicies(f *testing.F) {
 	seq := func(header []byte, runs ...[]byte) []byte {
 		for _, r := range runs {
@@ -70,12 +60,10 @@ func FuzzCachePolicies(f *testing.F) {
 		return out
 	}
 	f.Add([]byte{0, 0, 1, 2, 1, 2, 2, 1})                                // C = 1
-	f.Add(seq([]byte{0, 2}, count(6), count(6)))                         // C = 1, one probe run
-	f.Add(seq([]byte{7, 1}, count(20), count(20)))                       // multiples of the table size
-	f.Add(seq([]byte{7, 2}, count(30), []byte{3, 1, 4, 1, 5}, count(9))) // one probe run, C = 8
-	f.Add(seq([]byte{31, 2}, count(keySpace), count(keySpace)))          // one probe run, C = 32
-	// C = 8: blocks 0 and 3 share a home slot; evicting 0 must move 3 back
-	// into it, or the last access cannot find 3.
+	f.Add(seq([]byte{0, 2}, count(6), count(6)))                         // C = 1, three sets' keys
+	f.Add(seq([]byte{7, 1}, count(20), count(20)))                       // every key in set 0
+	f.Add(seq([]byte{7, 2}, count(30), []byte{3, 1, 4, 1, 5}, count(9))) // three sets, C = 8
+	f.Add(seq([]byte{31, 2}, count(keySpace), count(keySpace)))          // three sets, C = 32
 	f.Add([]byte{7, 2, 0, 3, 1, 2, 4, 5, 7, 8, 10, 3})
 	f.Add([]byte{3, 0, opNoBlock, opNoBlock, 1, opNoBlock, opNoBlock, 1, 2, opNoBlock})
 	f.Add(seq([]byte{4, 0}, count(keySpace), count(keySpace))) // far more than 2C distinct blocks
@@ -90,24 +78,16 @@ func FuzzCachePolicies(f *testing.F) {
 		c := 1 + int(data[0])%40
 		keys := fuzzKeys(data[1], c)
 		type subject struct {
-			name      string
-			got, want Cache
-			dense     bool // got takes the key's number, want the key
+			kind      Kind
+			got, want model
 		}
 		var subjects []subject
 		for _, kind := range Kinds {
-			subjects = append(subjects, subject{kind.String(), New(kind, c), newReference(kind, c), false})
+			subjects = append(subjects, subject{kind, newCache(kind, c), newReference(kind, c)})
 		}
-		l, f := newLRU(c, make(directTable, keySpace)), newFIFO(c, make(directTable, keySpace))
-		subjects = append(subjects,
-			subject{"lru/direct", &l, newRefLRU(c), true},
-			subject{"fifo/direct", &f, newRefFIFO(c), true})
-		var trace []dag.BlockID
+		var trace, ids []dag.BlockID
 		for si, s := range subjects {
 			got, want := s.got, s.want
-			if got.Lines() != want.Lines() {
-				t.Fatalf("%s C=%d: %d lines, reference %d", s.name, c, got.Lines(), want.Lines())
-			}
 			for i, op := range data[2:] {
 				switch op {
 				case opReset:
@@ -120,31 +100,32 @@ func FuzzCachePolicies(f *testing.F) {
 						b = keys[id]
 					}
 					if si == 0 {
-						trace = append(trace, b)
+						trace, ids = append(trace, b), append(ids, id)
 					}
-					if !s.dense {
+					if s.kind == SetAssocLRU || s.kind == DirectMapped {
 						id = b
 					}
 					if g, w := got.Access(id), want.Access(b); g != w {
-						t.Fatalf("%s C=%d op %d: access to block %d missed=%v, reference %v", s.name, c, i, b, g, w)
+						t.Fatalf("%s C=%d op %d: access to block %d missed=%v, reference %v", s.kind, c, i, b, g, w)
 					}
 				}
 				if got.Misses() != want.Misses() || got.Accesses() != want.Accesses() {
 					t.Fatalf("%s C=%d after op %d: %d misses of %d accesses, reference %d of %d",
-						s.name, c, i, got.Misses(), got.Accesses(), want.Misses(), want.Accesses())
+						s.kind, c, i, got.Misses(), got.Accesses(), want.Misses(), want.Accesses())
 				}
 			}
 		}
 		// What directTable.fit relies on: a cache that is Reset leaves
 		// nothing behind in its table.
+		l, f := subjects[LRU].got.(*lru), subjects[FIFO].got.(*fifo)
 		l.Reset()
 		f.Reset()
-		for b := range keySpace {
+		for b := range testUniverse {
 			if l.index[b] != 0 || f.index[b] != 0 {
 				t.Fatalf("C=%d: block %d still in a direct table after Reset (lru %d, fifo %d)", c, b, l.index[b], f.index[b])
 			}
 		}
-		if got, want := OptimalMisses(trace, c), optimalMissesReference(trace, c); got != want {
+		if got, want := OptimalMisses(ids, c), optimalMissesReference(trace, c); got != want {
 			t.Fatalf("OptimalMisses C=%d over %d accesses = %d, reference %d", c, len(trace), got, want)
 		}
 	})

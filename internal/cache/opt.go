@@ -10,8 +10,11 @@ import (
 // MIN) replacement policy on a block access trace with a fully associative
 // cache of c lines: on a miss with a full cache, evict the resident block
 // whose next use is farthest in the future (never used again beats
-// everything). O(len(trace)·log c) time; 8 bytes per access plus O(c + distinct
-// blocks) space, and a constant number of allocations.
+// everything). The trace holds dense ids — dag.NoBlock or 0..n−1, as
+// Footprint.Flatten and a dag.Graph's nodes give them — and everything per
+// block is a slice as long as the largest id. O(len(trace)·log c) time; 4
+// bytes per access plus O(c + largest id) space, and a constant number of
+// allocations.
 //
 // OPT is unrealizable online, but it lower-bounds every replacement policy,
 // which gives it two jobs here:
@@ -35,44 +38,32 @@ func OptimalMisses(trace []dag.BlockID, c int) int64 {
 		panic("cache: OptimalMisses trace longer than 2³¹ accesses")
 	}
 	n := int32(len(trace))
-
-	// ids[i] is trace[i]'s block renumbered densely by first appearance
-	// (-1 for NoBlock), so that everything per block is a slice.
-	ids := make([]int32, n)
-	dense := newBlockTable(c)
-	var distinct int32
-	for i, b := range trace {
-		if b == dag.NoBlock {
-			ids[i] = -1
-			continue
-		}
-		id, fresh := dense.intern(b, distinct)
-		if fresh {
-			distinct++
-		}
-		ids[i] = id
+	var blocks dag.BlockID
+	for _, b := range trace {
+		blocks = max(blocks, b+1)
 	}
 
 	// next[i] is the position of the next access to trace[i]'s block, or n
 	// when there is none.
 	next := make([]int32, n)
-	h := optHeap{key: make([]int32, distinct), pos: make([]int32, distinct)}
+	h := optHeap{key: make([]int32, blocks), pos: make([]int32, blocks)}
 	for id := range h.key {
 		h.key[id] = n // the backward pass's "last seen at"
 		h.pos[id] = -1
 	}
 	for i := n - 1; i >= 0; i-- {
-		if id := ids[i]; id >= 0 {
+		if id := trace[i]; id != dag.NoBlock {
 			next[i] = h.key[id]
 			h.key[id] = i
 		}
 	}
 
 	var misses int64
-	for i, id := range ids {
-		if id < 0 {
+	for i, b := range trace {
+		if b == dag.NoBlock {
 			continue
 		}
+		id := int32(b)
 		if p := h.pos[id]; p >= 0 {
 			// Hit: the block's next use moves further away.
 			h.key[id] = next[i]

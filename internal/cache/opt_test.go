@@ -28,7 +28,7 @@ func TestOptimalCyclicScanBeatsLRU(t *testing.T) {
 			trace = append(trace, b)
 		}
 	}
-	lru := New(LRU, C)
+	lru := newCache(LRU, C)
 	for _, b := range trace {
 		lru.Access(b)
 	}
@@ -68,7 +68,7 @@ func TestOptimalLowerBoundsLRUProperty(t *testing.T) {
 		}
 		opt := OptimalMisses(trace, c)
 		for _, kind := range []Kind{LRU, FIFO} {
-			cc := New(kind, c)
+			cc := newCache(kind, c)
 			for _, b := range trace {
 				cc.Access(b)
 			}

@@ -6,11 +6,43 @@ import (
 	"futurelocality/internal/dag"
 )
 
-// The reference models FuzzCachePolicies holds the flat-table caches to:
-// fully associative LRU and FIFO indexed by a Go map, and Belady's OPT on
-// two maps and container/heap — the implementations this package shipped
-// before the block table, kept for what they are good at, being obviously
-// right.
+// The reference models FuzzCachePolicies holds the caches to: fully
+// associative LRU and FIFO indexed by a Go map, set-associative LRU on
+// literal slices, and Belady's OPT on two maps and container/heap — kept for
+// what they are good at, being obviously right. They take any block
+// identity; the fully associative caches under test take dense ids.
+
+// model is how the tests drive a cache, under test or reference.
+type model interface {
+	Access(dag.BlockID) bool
+	Misses() int64
+	Accesses() int64
+	Reset()
+}
+
+// testUniverse is the number of dense ids newCache's tables cover.
+const testUniverse = 256
+
+// newCache builds a cache of kind with c lines the way NewSet does, its
+// residency table over dense ids 0..testUniverse−1.
+func newCache(kind Kind, c int) model {
+	switch kind {
+	case LRU:
+		l := newLRU(c)
+		l.index = make(directTable, testUniverse)
+		return &l
+	case FIFO:
+		f := newFIFO(c)
+		f.index = make(directTable, testUniverse)
+		return &f
+	case SetAssocLRU:
+		s := newSetAssoc(c, 4)
+		return &s
+	default:
+		s := newSetAssoc(c, 1)
+		return &s
+	}
+}
 
 type refLRU struct {
 	lines    int
@@ -26,8 +58,6 @@ func newRefLRU(c int) *refLRU {
 	return &refLRU{lines: c, index: map[dag.BlockID]int32{}, head: -1, tail: -1}
 }
 
-func (l *refLRU) Name() string    { return "ref-lru" }
-func (l *refLRU) Lines() int      { return l.lines }
 func (l *refLRU) Misses() int64   { return l.misses }
 func (l *refLRU) Accesses() int64 { return l.accesses }
 
@@ -106,8 +136,6 @@ func newRefFIFO(c int) *refFIFO {
 	return &refFIFO{ring: make([]dag.BlockID, c), resident: map[dag.BlockID]struct{}{}}
 }
 
-func (f *refFIFO) Name() string    { return "ref-fifo" }
-func (f *refFIFO) Lines() int      { return len(f.ring) }
 func (f *refFIFO) Misses() int64   { return f.misses }
 func (f *refFIFO) Accesses() int64 { return f.accesses }
 
@@ -152,8 +180,6 @@ func newRefSetAssoc(lines, ways int) *refSetAssoc {
 	return &refSetAssoc{sets: make([][]dag.BlockID, max(lines/ways, 1)), ways: ways}
 }
 
-func (s *refSetAssoc) Name() string    { return "ref-set-assoc" }
-func (s *refSetAssoc) Lines() int      { return len(s.sets) * s.ways }
 func (s *refSetAssoc) Misses() int64   { return s.misses }
 func (s *refSetAssoc) Accesses() int64 { return s.accesses }
 
@@ -183,8 +209,8 @@ func (s *refSetAssoc) Access(b dag.BlockID) bool {
 	return miss
 }
 
-// newReference builds the reference model New(kind, c) is held to.
-func newReference(kind Kind, c int) Cache {
+// newReference builds the reference model newCache(kind, c) is held to.
+func newReference(kind Kind, c int) model {
 	switch kind {
 	case LRU:
 		return newRefLRU(c)

@@ -38,7 +38,8 @@ func replayGraph(family, size uint8, seed int64) *dag.Graph {
 }
 
 // referenceFootprint is each node's access list in the identities the
-// documentation gives them — a declared graph's own blocks; otherwise frame
+// documentation gives them — the blocks a declared graph was built with;
+// otherwise frame
 // tid, window slot T + tid·w + (position mod w), then the frame of every
 // thread the node touches, in g.Touches order — built the plain way, a slice
 // per node.
@@ -48,7 +49,7 @@ func referenceFootprint(g *dag.Graph, w int) [][]dag.BlockID {
 	for v := range g.Nodes {
 		if b := g.Nodes[v].Block; b != dag.NoBlock {
 			declared = true
-			out[v] = []dag.BlockID{b}
+			out[v] = []dag.BlockID{g.RawBlocks[b]}
 		}
 	}
 	if declared {
@@ -72,13 +73,13 @@ func referenceFootprint(g *dag.Graph, w int) [][]dag.BlockID {
 // and, with a shared tier, one per domain consulted on a private miss, fed
 // the raw identities access by access.
 func referenceReplay(cfg SetConfig, raw [][]dag.BlockID, order []dag.NodeID, who []int32) ReplayOutcome {
-	priv := make([]Cache, cfg.P)
+	priv := make([]model, cfg.P)
 	for p := range priv {
 		priv[p] = newReference(cfg.Kind, cfg.Lines)
 	}
-	var llc []Cache
+	var llc []model
 	if cfg.LLCLines > 0 {
-		llc = []Cache{newReference(cfg.Kind, cfg.LLCLines)}
+		llc = []model{newReference(cfg.Kind, cfg.LLCLines)}
 		for _, d := range cfg.Domains {
 			for len(llc) <= d {
 				llc = append(llc, newReference(cfg.Kind, cfg.LLCLines))
@@ -146,7 +147,7 @@ func FuzzReplay(f *testing.F) {
 			fp, raw := DeriveFootprint(g, w), referenceFootprint(g, w)
 			dense := map[dag.BlockID]dag.BlockID{} // identity → dense id
 			for v := range raw {
-				ids := fp.Of(dag.NodeID(v))
+				ids := accessesOf(fp, dag.NodeID(v))
 				if len(ids) != len(raw[v]) {
 					t.Fatalf("round %d node %d: %d accesses, reference %d", round, v, len(ids), len(raw[v]))
 				}

@@ -43,8 +43,8 @@ type Set struct {
 	// in the slice of cfg.Kind's concrete type, so that Replay calls no
 	// interface per access. The fully associative kinds index a directTable
 	// by the footprint's dense ids.
-	lru   []lru[directTable]
-	fifo  []fifo[directTable]
+	lru   []lru
+	fifo  []fifo
 	assoc []setAssoc
 	// misses backs ReplayOutcome.Misses.
 	misses []int64
@@ -58,6 +58,9 @@ func NewSet(cfg SetConfig) (*Set, error) {
 	}
 	if cfg.Lines < 1 {
 		return nil, fmt.Errorf("cache: set with %d lines", cfg.Lines)
+	}
+	if cfg.Kind > DirectMapped {
+		return nil, fmt.Errorf("cache: set of undefined policy %s", cfg.Kind)
 	}
 	if cfg.Domains != nil && len(cfg.Domains) != cfg.P {
 		return nil, fmt.Errorf("cache: len(Domains) = %d, want P = %d", len(cfg.Domains), cfg.P)
@@ -81,11 +84,13 @@ func NewSet(cfg SetConfig) (*Set, error) {
 		}
 		switch cfg.Kind {
 		case LRU:
-			s.lru = append(s.lru, newLRU[directTable](c, nil))
+			s.lru = append(s.lru, newLRU(c))
 		case FIFO:
-			s.fifo = append(s.fifo, newFIFO[directTable](c, nil))
+			s.fifo = append(s.fifo, newFIFO(c))
+		case SetAssocLRU:
+			s.assoc = append(s.assoc, newSetAssoc(c, 4))
 		default:
-			s.assoc = append(s.assoc, *New(cfg.Kind, c).(*setAssoc))
+			s.assoc = append(s.assoc, newSetAssoc(c, 1))
 		}
 	}
 	return s, nil
@@ -143,6 +148,7 @@ func (s *Set) Replay(fp *Footprint, order []dag.NodeID, who []int32) ReplayOutco
 	}
 	kind, tier, domains := s.cfg.Kind, s.cfg.LLCLines > 0, s.cfg.Domains
 	lru, fifo, assoc := s.lru, s.fifo, s.assoc
+	var one [1]dag.BlockID
 	for _, v := range order {
 		p := 0
 		if who != nil {
@@ -152,7 +158,7 @@ func (s *Set) Replay(fp *Footprint, order []dag.NodeID, who []int32) ReplayOutco
 		if domains != nil {
 			llc += domains[p]
 		}
-		for _, b := range fp.Of(v) {
+		for _, b := range fp.of(v, &one) {
 			switch kind {
 			case LRU:
 				if lru[p].Access(b) && tier {
@@ -181,7 +187,8 @@ func (s *Set) Replay(fp *Footprint, order []dag.NodeID, who []int32) ReplayOutco
 // out: as many private caches as out.Misses is long, then the shared ones.
 func tally[C any, PC interface {
 	*C
-	Cache
+	Misses() int64
+	Accesses() int64
 }](out *ReplayOutcome, caches []C) {
 	for i := range caches {
 		c := PC(&caches[i])

@@ -1,23 +1,28 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 
 	"futurelocality/internal/dag"
 )
 
+// TestNewSetValidation: every configuration NewSet cannot build is an error
+// naming the bad value, an undefined policy included.
 func TestNewSetValidation(t *testing.T) {
-	if _, err := NewSet(SetConfig{P: 0, Lines: 4}); err == nil {
-		t.Error("expected error for P = 0")
-	}
-	if _, err := NewSet(SetConfig{P: 2, Lines: 0}); err == nil {
-		t.Error("expected error for Lines = 0")
-	}
-	if _, err := NewSet(SetConfig{P: 2, Lines: 4, Domains: []int{0}}); err == nil {
-		t.Error("expected error for len(Domains) != P")
-	}
-	if _, err := NewSet(SetConfig{P: 2, Lines: 4, Domains: []int{0, -1}, LLCLines: 8}); err == nil {
-		t.Error("expected error for negative domain")
+	for _, c := range []struct {
+		cfg  SetConfig
+		want string
+	}{
+		{SetConfig{P: 0, Lines: 4}, "P = 0"},
+		{SetConfig{P: 2, Lines: 0}, "0 lines"},
+		{SetConfig{P: 2, Lines: 4, Domains: []int{0}}, "len(Domains) = 1"},
+		{SetConfig{P: 2, Lines: 4, Domains: []int{0, -1}, LLCLines: 8}, "domain -1"},
+		{SetConfig{P: 1, Lines: 4, Kind: 9}, "kind(9)"},
+	} {
+		if _, err := NewSet(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("NewSet(%+v) = %v, want an error naming %q", c.cfg, err, c.want)
+		}
 	}
 }
 

@@ -79,9 +79,10 @@ func TestAnalyzeCustomControlRequiresOneTrial(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRefusesUndefinedPolicy: an undefined fork policy or a retired
-// steal value reaches the caller as the engine's error, naming the value,
-// instead of running as some other policy.
+// TestAnalyzeRefusesUndefinedPolicy: an undefined fork policy, a retired
+// steal value, an undefined cache policy or a negative cache size reaches the
+// caller as the engine's error, naming the value, instead of running as some
+// other policy.
 func TestAnalyzeRefusesUndefinedPolicy(t *testing.T) {
 	g := graphs.ForkJoinTree(2, 2, false)
 	for _, c := range []struct {
@@ -91,6 +92,8 @@ func TestAnalyzeRefusesUndefinedPolicy(t *testing.T) {
 		{AnalyzeOptions{Policy: sim.ForkPolicy(2)}, "discipline(2)"},
 		{AnalyzeOptions{Steal: sim.StealPolicy(1)}, "stealpolicy(1)"},
 		{AnalyzeOptions{Steal: sim.StealPolicy(2)}, "stealpolicy(2)"},
+		{AnalyzeOptions{CacheLines: 4, CacheKind: cache.Kind(9)}, "kind(9)"},
+		{AnalyzeOptions{CacheLines: -1}, "CacheLines = -1"},
 	} {
 		c.opts.Trials = 2
 		if _, err := Analyze(g, c.opts); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -355,6 +355,7 @@ func (b *Builder) build(superFinal bool) (*Graph, error) {
 		return nil, err
 	}
 	g.span = g.computeSpan()
+	g.numberBlocks()
 	return g, nil
 }
 

@@ -60,6 +60,14 @@ func family(kind, a, b uint8, seed int64) *dag.Graph {
 	}
 }
 
+// declared is the block identity node v of g was declared with, or NoBlock.
+func declared(g *dag.Graph, v dag.NodeID) dag.BlockID {
+	if b := g.Nodes[v].Block; b != dag.NoBlock {
+		return g.RawBlocks[b]
+	}
+	return dag.NoBlock
+}
+
 // rebuild replays g (built without a super final node) through a Builder,
 // so every variant it returns has passed Validate, with up to two
 // departures from a faithful copy:
@@ -97,7 +105,7 @@ func rebuild(g *dag.Graph, super bool, drop uint16, src, at dag.NodeID) (*dag.Gr
 
 	for id := range g.Nodes {
 		v, n := dag.NodeID(id), &g.Nodes[id]
-		t := threads[n.Thread]
+		t, blk := threads[n.Thread], declared(g, v)
 		if v == at && extra != nil {
 			t.TouchPromise(extra, dag.NoBlock)
 		}
@@ -107,18 +115,18 @@ func rebuild(g *dag.Graph, super bool, drop uint16, src, at dag.NodeID) (*dag.Gr
 			closed++
 			switch {
 			case super && drop>>(closed%16)&1 == 1:
-				t.Access(n.Block)
+				t.Access(blk)
 			case ti.Join:
-				t.JoinAccess(threads[ti.FutureThread], n.Block)
+				t.JoinAccess(threads[ti.FutureThread], blk)
 			default:
-				t.TouchAccess(threads[ti.FutureThread], n.Block)
+				t.TouchAccess(threads[ti.FutureThread], blk)
 			}
 		case isTouch:
-			t.TouchPromise(promises[v], n.Block)
+			t.TouchPromise(promises[v], blk)
 		case n.IsFork():
-			threads[g.Nodes[n.FutureChild()].Thread] = t.ForkAccess(n.Block)
+			threads[g.Nodes[n.FutureChild()].Thread] = t.ForkAccess(blk)
 		default:
-			t.Access(n.Block)
+			t.Access(blk)
 		}
 		for _, w := range from[v] {
 			if closing[touchAt[w].FutureThread] != w {
@@ -156,7 +164,7 @@ func FuzzClassify(f *testing.F) {
 			// child, a node already at out-degree 2): not a graph.
 			t.Skip(err)
 		}
-		if !super && drop == 0 && src%n >= at%n && !reflect.DeepEqual(g.Nodes, base.Nodes) {
+		if !super && drop == 0 && src%n >= at%n && !sameTables(g, base) {
 			t.Fatalf("faithful rebuild of family %d differs from its source", kind%numFamilies)
 		}
 		got, walked := dag.ClassifyCost(g)

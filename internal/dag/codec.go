@@ -26,7 +26,8 @@ import (
 // a Graph carries are functions of them, so the format does not store a
 // second copy a reader would have to trust: ReadBinary derives both
 // (deriveTables) and rejects node lists whose threads are not continuation
-// chains.
+// chains. A node's block is stored as the identity it was declared with, and
+// ReadBinary numbers the blocks again as a Builder does.
 const (
 	codecMagic   = "FLDG"
 	codecVersion = 2
@@ -52,7 +53,11 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	put(codecVersion, sf, int64(len(g.Nodes)), int64(g.NumThreads()))
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
-		put(int64(n.Thread), int64(n.Block)+1, int64(n.NOut))
+		blk := n.Block
+		if blk != NoBlock {
+			blk = g.RawBlocks[blk]
+		}
+		put(int64(n.Thread), int64(blk)+1, int64(n.NOut))
 		for _, e := range n.OutEdges() {
 			put(int64(e.Kind), int64(e.To))
 		}
@@ -127,6 +132,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	g.span = g.computeSpan()
+	g.numberBlocks()
 	return g, nil
 }
 

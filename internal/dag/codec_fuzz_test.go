@@ -20,11 +20,12 @@ func encode(t testing.TB, g *dag.Graph) []byte {
 	return buf.Bytes()
 }
 
-// sameTables compares everything a Graph exports: the nodes and the thread
-// and touch tables ReadBinary derives from them.
+// sameTables compares everything a Graph exports: the nodes, the raw block
+// identities, and the thread and touch tables ReadBinary derives.
 func sameTables(a, b *dag.Graph) bool {
 	return a.Root == b.Root && a.Final == b.Final && a.SuperFinal == b.SuperFinal &&
-		reflect.DeepEqual(a.Nodes, b.Nodes) && reflect.DeepEqual(a.Touches, b.Touches) &&
+		reflect.DeepEqual(a.Nodes, b.Nodes) && reflect.DeepEqual(a.RawBlocks, b.RawBlocks) &&
+		reflect.DeepEqual(a.Touches, b.Touches) &&
 		reflect.DeepEqual(a.ThreadFirst, b.ThreadFirst) &&
 		reflect.DeepEqual(a.ThreadLast, b.ThreadLast) && reflect.DeepEqual(a.ThreadFork, b.ThreadFork)
 }
@@ -96,8 +97,9 @@ func TestCodecAllocationFollowsInput(t *testing.T) {
 }
 
 // FuzzReadBinary: any input is either refused with ErrBadFormat or is a graph
-// the rest of the tree can use — it re-encodes to itself, Classify accepts
-// it, and the simulator runs it to completion.
+// the rest of the tree can use — its blocks are numbered as a Builder numbers
+// them, it re-encodes to itself, Classify accepts it, and the simulator runs
+// it to completion.
 func FuzzReadBinary(f *testing.F) {
 	for _, g := range codecSeeds(f) {
 		f.Add(encode(f, g))
@@ -111,12 +113,13 @@ func FuzzReadBinary(f *testing.F) {
 			}
 			return
 		}
+		checkDense(t, "decoded graph", g, nil)
 		g2, err := dag.ReadBinary(bytes.NewReader(encode(t, g)))
 		if err != nil || !sameTables(g, g2) {
 			t.Fatalf("accepted graph does not re-encode to itself: %v", err)
 		}
 		dag.Classify(g)
-		eng, err := sim.New(g, sim.Config{P: 3, Control: sim.NewRandomControl(1)})
+		eng, err := sim.New(g, sim.Config{P: 3, CacheLines: 4, Control: sim.NewRandomControl(1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -22,7 +23,7 @@ func roundTrip(t *testing.T, g *Graph) *Graph {
 func graphsEqual(a, b *Graph) bool {
 	if a.Len() != b.Len() || a.Root != b.Root || a.Final != b.Final ||
 		a.SuperFinal != b.SuperFinal || a.NumThreads() != b.NumThreads() ||
-		len(a.Touches) != len(b.Touches) {
+		len(a.Touches) != len(b.Touches) || !slices.Equal(a.RawBlocks, b.RawBlocks) {
 		return false
 	}
 	for i := range a.Nodes {

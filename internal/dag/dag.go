@@ -33,8 +33,9 @@ type ThreadID int32
 // NoThread is the sentinel "no thread" value.
 const NoThread ThreadID = -1
 
-// BlockID identifies the memory block a node accesses. The cache model treats
-// blocks as opaque identities.
+// BlockID identifies the memory block a node accesses. A Builder takes any
+// identity; a finished Graph numbers the blocks it declares densely (see
+// Graph.RawBlocks), and the cache model indexes its tables by those numbers.
 type BlockID int32
 
 // NoBlock marks a node that performs no memory access.
@@ -93,7 +94,8 @@ type Node struct {
 	NIn int32
 	// Thread is the thread this node belongs to.
 	Thread ThreadID
-	// Block is the memory block accessed by this node, or NoBlock.
+	// Block is the dense id of the memory block accessed by this node, or
+	// NoBlock; Graph.RawBlocks gives the identity it was declared with.
 	Block BlockID
 }
 
@@ -170,6 +172,10 @@ type Graph struct {
 	// SuperFinal reports that the final node is a super final node
 	// (Section 6.2): extra touch edges from thread ends are permitted.
 	SuperFinal bool
+	// RawBlocks maps a dense block id to the identity the node was declared
+	// with: the graph's blocks are numbered 0..len(RawBlocks)−1 by first use
+	// in node order. Nil when no node accesses memory.
+	RawBlocks []BlockID
 
 	span int64 // T∞, set once where the graph is made (Builder.build, ReadBinary)
 }
@@ -217,6 +223,30 @@ func (g *Graph) computeSpan() int64 {
 		}
 	}
 	return max
+}
+
+// numberBlocks replaces the identities the nodes were declared with by dense
+// ids, by first use in node order, and keeps the identities in RawBlocks.
+// Like computeSpan it runs once, where a graph is made; a graph that declares
+// no block allocates nothing here.
+func (g *Graph) numberBlocks() {
+	var dense map[BlockID]BlockID
+	for id := range g.Nodes {
+		n := &g.Nodes[id]
+		if n.Block == NoBlock {
+			continue
+		}
+		d, ok := dense[n.Block]
+		if !ok {
+			if dense == nil {
+				dense = make(map[BlockID]BlockID)
+			}
+			d = BlockID(len(g.RawBlocks))
+			dense[n.Block] = d
+			g.RawBlocks = append(g.RawBlocks, n.Block)
+		}
+		n.Block = d
+	}
 }
 
 // Parents returns the reverse adjacency of the graph: Parents()[v] lists the

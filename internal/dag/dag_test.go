@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -400,12 +401,18 @@ func TestAccessBlocks(t *testing.T) {
 	m := b.Main()
 	m.Access(7)
 	m.AccessSeq(1, 2, 3)
+	m.Step()
+	m.Access(1)
 	g := b.MustBuild()
-	want := []BlockID{7, 1, 2, 3}
+	// Dense ids by first use; RawBlocks keeps the identities.
+	want := []BlockID{0, 1, 2, 3, NoBlock, 1}
 	for i, w := range want {
 		if g.Nodes[i].Block != w {
 			t.Fatalf("node %d block = %d, want %d", i, g.Nodes[i].Block, w)
 		}
+	}
+	if raw := []BlockID{7, 1, 2, 3}; !reflect.DeepEqual(g.RawBlocks, raw) {
+		t.Fatalf("RawBlocks = %v, want %v", g.RawBlocks, raw)
 	}
 }
 

@@ -18,7 +18,7 @@ func WriteDOT(w io.Writer, g *Graph, name string) error {
 		n := &g.Nodes[id]
 		label := fmt.Sprintf("%d\\nt%d", id, n.Thread)
 		if n.Block != NoBlock {
-			label += fmt.Sprintf("\\nm%d", n.Block)
+			label += fmt.Sprintf("\\nm%d", g.RawBlocks[n.Block])
 		}
 		attrs := fmt.Sprintf("label=\"%s\"", label)
 		switch {

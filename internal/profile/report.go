@@ -16,10 +16,10 @@ type Options struct {
 	// P is the processor count for the envelope and the sim replay
 	// (default: the traced runtime's worker count).
 	P int
-	// CacheLines is ignored. It sized in-engine caches for the sim replay,
-	// which see no access on a reconstructed DAG (it declares no blocks), so
-	// it could only ever report zero misses; CacheModel is the account that
-	// works. The field remains because the frozen benchmark sets it.
+	// CacheLines is ignored. A reconstructed DAG declares no blocks, so a
+	// sim replay's miss count could only ever be zero; CacheModel is the
+	// account that works. The field remains because the frozen benchmark
+	// sets it.
 	CacheLines int
 	// Trials is the number of random-steal sim replays (default 8).
 	Trials int

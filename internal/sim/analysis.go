@@ -134,9 +134,9 @@ func Compare(seq, r *Result) Comparison {
 }
 
 // BlockTrace extracts processor p's memory access sequence from an
-// execution (NoBlock accesses included as dag.NoBlock entries so positions
-// align with the execution order). Feed it to cache.OptimalMisses for
-// offline-optimal comparisons.
+// execution, as g's dense block ids (NoBlock accesses included as
+// dag.NoBlock entries so positions align with the execution order). Feed it
+// to cache.OptimalMisses for offline-optimal comparisons.
 func BlockTrace(g *dag.Graph, r *Result, p ProcID) []dag.BlockID {
 	order := r.Order[p]
 	out := make([]dag.BlockID, len(order))
@@ -147,8 +147,8 @@ func BlockTrace(g *dag.Graph, r *Result, p ProcID) []dag.BlockID {
 }
 
 // WriteCSV emits one row per executed node: global order, processor,
-// node id, thread, block, and the node's position in its processor's local
-// order.
+// node id, thread, block (the identity it was declared with), and the node's
+// position in its processor's local order.
 func WriteCSV(w io.Writer, g *dag.Graph, r *Result) error {
 	if _, err := fmt.Fprintln(w, "order,proc,node,thread,block,local_index"); err != nil {
 		return err
@@ -168,8 +168,12 @@ func WriteCSV(w io.Writer, g *dag.Graph, r *Result) error {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].when < rows[j].when })
 	for _, rr := range rows {
 		n := &g.Nodes[rr.node]
+		blk := n.Block
+		if blk != dag.NoBlock {
+			blk = g.RawBlocks[blk]
+		}
 		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d\n",
-			rr.when, rr.proc, rr.node, n.Thread, n.Block, rr.local); err != nil {
+			rr.when, rr.proc, rr.node, n.Thread, blk, rr.local); err != nil {
 			return err
 		}
 	}

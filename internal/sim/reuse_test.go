@@ -43,10 +43,9 @@ func engineState(e *Engine) string {
 		e.executed, e.seq, e.steps, e.stealAtt, e.steals, e.pops, e.intra, e.cross)
 	for q := 0; q < p; q++ {
 		s += fmt.Sprint(" ", e.deques[q].Len(), len(e.orders[q]))
-		if e.cfg.CacheLines > 0 {
-			c := e.caches[q]
-			s += fmt.Sprint(" ", c.Name(), c.Lines(), c.Misses(), c.Accesses())
-		}
+	}
+	if e.cfg.CacheLines > 0 {
+		s += fmt.Sprint(" replay set serves: ", e.set.Serves(cache.SetConfig{P: 1, Kind: e.cfg.CacheKind, Lines: e.cfg.CacheLines}))
 	}
 	return s
 }
@@ -88,7 +87,7 @@ func checkReuse(t *testing.T, reused *Engine, c reuseCase) {
 // TestEngineReuseMatchesFresh drives one engine through graphs of different
 // sizes under configurations that differ in everything Reset must redo —
 // processor count up and down, fork and steal policy, domains, the central
-// queue, in-engine caches on, off, and of another policy and size, and a run
+// queue, the miss count on, off, and of another policy and size, and a run
 // abandoned half way — and holds every run to a new engine's.
 func TestEngineReuseMatchesFresh(t *testing.T) {
 	var e Engine

@@ -20,8 +20,9 @@
 // groups processors into cache-locality domains so every steal is
 // attributed intra- vs cross-domain.
 //
-// Each processor owns a private cache simulator (Section 3's model); a node
-// that declares a memory block accesses it when executed.
+// Each processor has a private cache (Section 3's model). The engine only
+// schedules: when a run is asked for cache misses and the graph declares
+// blocks, Run ends by replaying each processor's order through one cache.
 //
 // The simulator is single-goroutine and fully deterministic given its
 // Control, which decides which processors act and whom they steal from. This
@@ -101,7 +102,7 @@ type Config struct {
 	// Hierarchical degenerates to a deterministic scan of all victims.
 	Domains []int
 	// CacheLines is C, the per-processor cache capacity in lines; 0 disables
-	// cache simulation (deviation-only runs are much faster).
+	// the miss count.
 	CacheLines int
 	// CacheKind selects the replacement policy (default LRU).
 	CacheKind cache.Kind
@@ -138,7 +139,9 @@ type Result struct {
 	When []int64
 	// Who maps node ID → executing processor.
 	Who []ProcID
-	// Misses is per-processor cache misses (empty when CacheLines == 0).
+	// Misses is per-processor cache misses: each processor's Order replayed
+	// through a private cache of CacheLines lines that starts empty. Empty
+	// when CacheLines == 0, zeros when the graph declares no blocks.
 	Misses []int64
 	// TotalMisses is the sum of Misses.
 	TotalMisses int64
@@ -180,17 +183,16 @@ type Engine struct {
 	waiting []int32 // remaining unexecuted parents
 	when    []int64
 	who     []ProcID
-	// Per-processor state. orders and caches may be longer than cfg.P: only
-	// the first cfg.P entries belong to the current run, an earlier, wider
-	// run's stay behind them for the next.
+	// Per-processor state. orders may be longer than cfg.P: only the first
+	// cfg.P entries belong to the current run, an earlier, wider run's stay
+	// behind them for the next.
 	assigned []dag.NodeID
 	deques   []deque.Seq[dag.NodeID]
 	orders   [][]dag.NodeID
-	// caches are the in-engine caches of the last run that had any, all of
-	// cacheKind and cacheLines; this run uses them when cfg.CacheLines > 0.
-	caches     []cache.Cache
-	cacheKind  cache.Kind
-	cacheLines int
+	// set is one private cache of cfg's kind and size, through which Run
+	// replays each processor's order; it is kept while it serves the next
+	// run's configuration.
+	set *cache.Set
 	// central is the shared FIFO used only in CentralQueue mode.
 	central  deque.Seq[dag.NodeID]
 	executed int64
@@ -245,7 +247,18 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 	if cfg.MaxIdleSweeps == 0 {
 		cfg.MaxIdleSweeps = 100000
 	}
-	e.g, e.cfg, e.ctrl, e.view = g, cfg, cfg.Control, View{e: e}
+	if cfg.CacheLines < 0 {
+		return fmt.Errorf("sim: CacheLines = %d", cfg.CacheLines)
+	}
+	set := e.set
+	sc := cache.SetConfig{P: 1, Kind: cfg.CacheKind, Lines: cfg.CacheLines}
+	if cfg.CacheLines > 0 && (set == nil || !set.Serves(sc)) {
+		var err error
+		if set, err = cache.NewSet(sc); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+	}
+	e.g, e.cfg, e.ctrl, e.view, e.set = g, cfg, cfg.Control, View{e: e}, set
 	e.executed, e.seq, e.steps, e.stealAtt = 0, 0, 0, 0
 	e.steals, e.pops, e.intra, e.cross = 0, 0, 0, 0
 	e.stolen = e.stolen[:0]
@@ -264,8 +277,8 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 		e.assigned[p] = dag.None
 		e.deques[p].Reset()
 	}
-	// Orders and caches own storage worth keeping, so these two slices only
-	// ever grow; the run uses their first cfg.P entries.
+	// Orders own storage worth keeping, so this slice only ever grows; the
+	// run uses its first cfg.P entries.
 	e.orders = slices.Grow(e.orders, max(0, cfg.P-len(e.orders)))
 	for p := 0; p < cfg.P; p++ {
 		if p == len(e.orders) {
@@ -274,18 +287,6 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 			e.orders = append(e.orders, make([]dag.NodeID, 0, n/cfg.P+1))
 		}
 		e.orders[p] = e.orders[p][:0]
-	}
-	if cfg.CacheLines > 0 {
-		if e.cacheKind != cfg.CacheKind || e.cacheLines != cfg.CacheLines {
-			e.caches, e.cacheKind, e.cacheLines = nil, cfg.CacheKind, cfg.CacheLines
-		}
-		e.caches = slices.Grow(e.caches, max(0, cfg.P-len(e.caches)))
-		for p := 0; p < cfg.P; p++ {
-			if p == len(e.caches) {
-				e.caches = append(e.caches, cache.New(cfg.CacheKind, cfg.CacheLines))
-			}
-			e.caches[p].Reset()
-		}
 	}
 	// The root starts on processor 0.
 	e.assigned[0] = g.Root
@@ -335,9 +336,16 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	if e.cfg.CacheLines > 0 {
 		e.misses = resize(e.misses, e.cfg.P)
-		for p := range e.misses {
-			e.misses[p] = e.caches[p].Misses()
-			e.res.TotalMisses += e.misses[p]
+		clear(e.misses)
+		if len(e.g.RawBlocks) > 0 {
+			// The processors' caches are private and start empty, so each
+			// one's misses are its own order's, replayed alone. The window
+			// is ignored: the graph declares its blocks.
+			fp := cache.DeriveFootprint(e.g, 1)
+			for p, order := range e.res.Order {
+				e.misses[p] = e.set.Replay(fp, order, nil).TotalMisses
+				e.res.TotalMisses += e.misses[p]
+			}
 		}
 		e.res.Misses = e.misses
 	}
@@ -430,9 +438,6 @@ func (e *Engine) execute(p ProcID, v dag.NodeID) {
 	e.who[v] = p
 	e.orders[p] = append(e.orders[p], v)
 	e.executed++
-	if e.cfg.CacheLines > 0 {
-		e.caches[p].Access(n.Block)
-	}
 
 	// Enable children.
 	var enabled [2]dag.NodeID
@@ -496,7 +501,7 @@ func (e *Engine) execute(p ProcID, v dag.NodeID) {
 }
 
 // Sequential runs the one-processor parsimonious execution of g under the
-// given fork policy, with optional cache simulation, returning its result.
+// given fork policy, with an optional miss count, returning its result.
 // This is the baseline against which deviations and additional misses are
 // defined.
 func Sequential(g *dag.Graph, policy ForkPolicy, cacheLines int, kind cache.Kind) (*Result, error) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"futurelocality/internal/cache"
@@ -256,10 +257,22 @@ func TestStuckDetection(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: a configuration the engine cannot run is an error
+// naming the bad value — an undefined cache policy and a negative cache size
+// included, which are not runs without caches.
 func TestConfigValidation(t *testing.T) {
 	g := forkJoin(t, 1, 1)
-	if _, err := New(g, Config{P: 0}); err == nil {
-		t.Fatal("P=0 must fail")
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{P: 0}, "P = 0"},
+		{Config{P: 1, CacheLines: -1}, "CacheLines = -1"},
+		{Config{P: 1, CacheLines: 4, CacheKind: 9}, "kind(9)"},
+	} {
+		if _, err := New(g, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("New(%+v) = %v, want an error naming %q", c.cfg, err, c.want)
+		}
 	}
 }
 
