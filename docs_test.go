@@ -40,6 +40,7 @@ var retiredNames = []string{
 	"StealHalf", "LastVictimAffinity", "StealBatchMax", "ParseSteal", "StealNames",
 	"MaxStealBatch", "StealVisits", "NoJobs",
 	"blockTable", "TestMissAccountsAgree", "cache.New(",
+	"stolenCross",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

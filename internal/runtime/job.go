@@ -117,9 +117,9 @@ func newJobRoot[T any](rt *Runtime) *jobRoot[T] {
 }
 
 // prepareForReuse scrubs the composite for its next tenant: the status word
-// goes back to created and untouched, and the result, body and wait-gate
-// slots drop their references so the pool never pins user data. The
-// invariant fields (rt, runner, owner) stay wired; identity fields are
+// goes back to ID 0, created and untouched, and the result, body and
+// wait-gate slots drop their references so the pool never pins user data.
+// The invariant fields (rt, runner, owner) stay wired; identity fields are
 // assigned fresh at the next launch.
 func (r *jobRoot[T]) prepareForReuse() {
 	f := &r.fut
@@ -127,9 +127,8 @@ func (r *jobRoot[T]) prepareForReuse() {
 	f.fn = nil
 	f.result = zero
 	f.gate.Store(nil)
-	f.state.Store(stateCreated)
+	f.status.Store(0)
 	f.job = nil
-	f.id = 0
 	js := &r.js
 	js.root = 0
 	js.queueWaitNs.Store(0)
@@ -661,8 +660,8 @@ func initRoot[T any](rt *Runtime, r *jobRoot[T], fn func(*W) T, id uint64) Job[T
 	js.refs.Store(2) // the root task + the handle
 	f := &r.fut
 	f.fn = fn
-	f.id = rt.taskSeq.Add(1)
+	js.root = rt.taskSeq.Add(1)
+	f.setID(js.root)
 	f.job = js
-	js.root = f.id
 	return Job[T]{f: f, js: js, id: id, gen: js.gen.Load()}
 }

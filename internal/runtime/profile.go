@@ -67,7 +67,7 @@ func (w *W) recordTouch(other uint64, mode profile.TouchMode, helps, item int32)
 func (rt *Runtime) recordExternalTouch(t *task, mode profile.TouchMode, item int32) {
 	if rt.recording() {
 		rt.recordExternal(profile.Event{Kind: profile.KindTouch, Mode: mode,
-			Other: t.id, Arg: item, Job: t.jobID()})
+			Other: t.id(), Arg: item, Job: t.jobID()})
 	}
 }
 
@@ -92,7 +92,7 @@ func (rt *Runtime) recordSpawn(w *W, t *task, d Discipline) {
 	if !rt.recording() {
 		return
 	}
-	ev := profile.Event{Kind: profile.KindSpawn, Other: t.id, Arg: -1, Disc: d, Job: t.jobID()}
+	ev := profile.Event{Kind: profile.KindSpawn, Other: t.id(), Arg: -1, Disc: d, Job: t.jobID()}
 	if w != nil && w.rt == rt {
 		ev.Task = w.cur
 		w.record(ev)

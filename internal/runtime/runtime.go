@@ -44,15 +44,15 @@
 // polls like a dry worker, and only then blocks.
 //
 // The hot path is allocation-free past the future itself: a future IS its
-// task (one allocation carries id, status word, and result slot), deque
-// slots store task pointers directly (no per-push box), and scheduling
-// state, completion and the single-touch latch are bits of one atomic word
-// whose channel wait gate is materialized only when a toucher actually
-// blocks. A worker-local spawn and inline touch also write no cache line
-// other workers share: task IDs are unique but not dense in spawn order,
-// because each worker draws them from the runtime's counter a block at a
-// time, push reads the parked count without writing anything, and the
-// per-task counters are plain fields of the worker, published to its
+// task (one 64-byte allocation for a Future[int] carries status word and
+// result slot), deque slots store task pointers directly (no per-push box),
+// and the task's ID, scheduling state, completion and the single-touch latch
+// are bits of one atomic word whose channel wait gate is materialized only
+// when a toucher actually blocks. A worker-local spawn and inline touch also
+// write no cache line other workers share: task IDs are unique but not dense
+// in spawn order, because each worker draws them from the runtime's counter a
+// block at a time, push reads the parked count without writing anything, and
+// the per-task counters are plain fields of the worker, published to its
 // telemetry row before anyone can wait for the result. See DESIGN.md, "hot
 // path anatomy", for the per-operation budget.
 //
@@ -103,27 +103,32 @@ import (
 const cacheLine = 64
 
 // A task's status word. The low two bits are the scheduling state, which only
-// moves forward — created → running → done — and the next bit up is the
+// moves forward — created → running → done — the next bit up is the
 // single-touch latch of the future the task computes, which is set once and
-// never cleared:
+// never cleared, and the bits above hold the task's ID:
 //
-//	bit 2     bits 1..0
-//	touched   0 created   published, nobody has claimed the body
-//	          1 running   one worker owns the body (claim: CAS created → running)
-//	          2 done      result and panic value published (complete: Add(1))
+//	bits 63..3   bit 2     bits 1..0
+//	task ID      touched   0 created   published, nobody has claimed the body
+//	                       1 running   one worker owns the body (claim: CAS created → running)
+//	                       2 done      result and panic value published (complete: Add(1))
 //
 // One word instead of three (state, done flag, latch) is what lets a worker's
 // touch of an unstarted future claim the body and spend the touch with a
 // single CAS (created → running|touched), and lets completion be a single
-// Add that keeps a latch another goroutine sets at the same moment. Every
-// access is a sequentially consistent atomic, which the lost-wakeup argument
-// at wakeWaiters depends on.
+// Add that keeps a latch another goroutine sets at the same moment. The ID
+// rides along because every writer operates on the word it loaded and none
+// carries into bit 3: it is stored once, before the task is published, and
+// then only read. Every access is a sequentially consistent atomic, which the
+// lost-wakeup argument at wakeWaiters depends on.
 const (
-	stateCreated uint32 = iota
+	stateCreated uint64 = iota
 	stateRunning
 	stateDone
-	stateMask    uint32 = 3
-	stateTouched uint32 = 4
+	stateMask    uint64 = 3
+	stateTouched uint64 = 4
+	// idShift places the ID above the state and the latch: 61 bits, 73 years
+	// of IDs at 10⁹ spawns a second.
+	idShift = 3
 )
 
 // waitGate is what a task's or a stream cell's waiters block on, and — for a
@@ -219,24 +224,16 @@ type awaited interface {
 
 // task is the schedulable unit — embedded directly in Future and Stream, so
 // spawning allocates no separate task object, no closure wrapping the body,
-// and no done channel: one allocation carries id, status word and the body's
-// result slot. 48 bytes (TestFutureSize).
+// and no done channel: one allocation carries ID, status word and the body's
+// result slot. 40 bytes, so a Future[int] is one 64-byte line
+// (TestFutureSize).
 type task struct {
-	// id identifies the task in profiling traces (unique, from
-	// Runtime.taskSeq, starting at 1; 0 is the external context). Workers
-	// draw IDs in blocks (see W.nextTaskID), so IDs are not dense in spawn
-	// order across workers.
-	id uint64
-	// state is the status word: scheduling state, completion and the
-	// single-touch latch (see stateCreated).
-	state atomic.Uint32
-	// stolenCross marks a stolen task that crossed a locality-domain (LLC)
-	// boundary — the expensive kind of steal the paper's miss bound prices.
-	// A plain field, not an atomic: the thief writes it between taking the
-	// task off the victim's deque and claiming it, and reads it back, if its
-	// claim wins, when it counts the steal (recordSteal). Nobody else reads it.
-	// It shares a word with state.
-	stolenCross bool
+	// status is the status word: the task's ID, scheduling state, completion
+	// and the single-touch latch (see stateCreated). The ID identifies the
+	// task in profiling traces (unique, from Runtime.taskSeq, starting at 1;
+	// 0 is the external context); workers draw IDs in blocks (see
+	// W.nextTaskID), so IDs are not dense in spawn order across workers.
+	status atomic.Uint64
 	// job is the submitted job this task belongs to (nil for job-less work
 	// such as Run roots). Set once before the task is published — at Submit
 	// for a job root, inherited from the spawning worker's current job for
@@ -254,13 +251,19 @@ type task struct {
 	runner taskRunner
 }
 
+// setID gives an unpublished task its ID, created and untouched.
+func (t *task) setID(id uint64) { t.status.Store(id << idShift) }
+
+// id returns the task's ID.
+func (t *task) id() uint64 { return t.status.Load() >> idShift }
+
 // unstarted reports that nobody has claimed the task's body yet.
-func (t *task) unstarted() bool { return t.state.Load()&stateMask == stateCreated }
+func (t *task) unstarted() bool { return t.status.Load()&stateMask == stateCreated }
 
 // isDone reports completion. The atomic load synchronizes with complete's
 // Add, so a true result makes the completer's prior writes (result, panic
 // value, published counters) visible.
-func (t *task) isDone() bool { return t.state.Load()&stateMask == stateDone }
+func (t *task) isDone() bool { return t.status.Load()&stateMask == stateDone }
 
 // claim takes ownership of an unstarted task's body (created → running) and
 // reports whether it did. It keeps the touched bit, set or not: a future that
@@ -268,11 +271,11 @@ func (t *task) isDone() bool { return t.state.Load()&stateMask == stateDone }
 // claim it itself — is claimed like any other.
 func (t *task) claim() bool {
 	for {
-		s := t.state.Load()
+		s := t.status.Load()
 		if s&stateMask != stateCreated {
 			return false
 		}
-		if t.state.CompareAndSwap(s, s|stateRunning) {
+		if t.status.CompareAndSwap(s, s|stateRunning) {
 			return true
 		}
 	}
@@ -281,14 +284,14 @@ func (t *task) claim() bool {
 // spendTouch sets the single-touch latch and reports whether this call was
 // the one that spent it. Or, not a store: it must not disturb a claim or a
 // completion landing on the same word.
-func (t *task) spendTouch() bool { return t.state.Or(stateTouched)&stateTouched == 0 }
+func (t *task) spendTouch() bool { return t.status.Or(stateTouched)&stateTouched == 0 }
 
 // complete publishes completion (running → done) and wakes blocked waiters
 // (see wakeWaiters). Called exactly once, by whoever claimed the task. Add,
 // not a store: a toucher may set the touched bit at any moment, and the latch
-// has to survive.
+// and the ID have to survive.
 func (t *task) complete() {
-	t.state.Add(stateDone - stateRunning)
+	t.status.Add(stateDone - stateRunning)
 	wakeWaiters(&t.gate)
 }
 
@@ -644,7 +647,7 @@ func (t *task) cancelIfUnclaimed() {
 // neither retire nor its caller reads the task again.
 func (t *task) retire(w *W) {
 	js := t.job
-	if js != nil && t.id == js.root {
+	if js != nil && t.id() == js.root {
 		js.finish()
 	}
 	t.complete()
@@ -767,6 +770,10 @@ const (
 	// execStolen: the task came off another worker's deque (stealOnce) —
 	// count and record a steal.
 	execStolen execFlags = 1 << iota
+	// execCross: with execStolen, the victim was across a locality-domain
+	// (LLC) boundary from the thief — the expensive kind of steal the paper's
+	// miss bound prices. Set by stealFrom, where the fact is known.
+	execCross
 	// execHelping: the task ran while its worker helped at a touch.
 	execHelping
 	// execInline: the task was claimed inline by its own toucher.
@@ -791,23 +798,23 @@ func (w *W) execCtx(t *task, fl execFlags) bool {
 // their profiler events — happens before retire publishes completion, so
 // whoever waits on t finds it already counted.
 func (w *W) run(t *task, fl execFlags) {
-	js := t.job
+	js, id := t.job, t.id()
 	prev, prevJob := w.cur, w.curJob
-	w.cur, w.curJob = t.id, js
+	w.cur, w.curJob = id, js
 	if js != nil {
 		js.tasksRun.Add(1)
-		if t.id == js.root {
+		if id == js.root {
 			// First execution of the job's root: the submit→begin delay is
 			// the job's queue wait (published once — the root runs once).
 			js.queueWaitNs.Store(int64(time.Since(js.submitted)))
 		}
 	}
 	if w.rt.recording() {
-		w.record(profile.Event{Kind: profile.KindBegin, Task: t.id, Arg: -1, Job: t.jobID()})
+		w.record(profile.Event{Kind: profile.KindBegin, Task: id, Arg: -1, Job: t.jobID()})
 	}
 	t.runner.runTask(w, false)
 	if w.rt.recording() {
-		w.record(profile.Event{Kind: profile.KindEnd, Task: t.id, Arg: -1, Job: t.jobID()})
+		w.record(profile.Event{Kind: profile.KindEnd, Task: id, Arg: -1, Job: t.jobID()})
 	}
 	w.cur, w.curJob = prev, prevJob
 	if fl&execInline != 0 && js != nil {
@@ -819,7 +826,7 @@ func (w *W) run(t *task, fl execFlags) {
 	if fl&execStolen != 0 {
 		// A stolen task is charged as a steal, not additionally as a help —
 		// one out-of-order execution, one measured deviation.
-		w.recordSteal(t)
+		w.recordSteal(t, fl&execCross != 0)
 	} else if fl&execHelping != 0 {
 		w.recordHelp(t)
 	}
@@ -844,13 +851,13 @@ func (w *W) run(t *task, fl execFlags) {
 // deque holds it. After the run the worker drops what is finished at the
 // bottom of its own deque (trimDone), so such an entry goes as soon as the
 // live ones above it have; popOwn's filter skips what is left.
-func (w *W) runInline(t *task, rt *Runtime, latch uint32) bool {
-	s := t.state.Load()
+func (w *W) runInline(t *task, rt *Runtime, latch uint64) bool {
+	s := t.status.Load()
 	if s&stateMask != stateCreated || s&latch != 0 {
 		return false
 	}
 	popped := w.rt == rt && w.dq.PopBottomIf(t)
-	if !t.state.CompareAndSwap(s, s|stateRunning|latch) {
+	if !t.status.CompareAndSwap(s, s|stateRunning|latch) {
 		// Between the load and the CAS somebody claimed t, or spent its touch.
 		// In the second case t is still live — its toucher may be blocked on
 		// it — and we have just taken it out of everyone's reach: put it back.
@@ -904,18 +911,18 @@ func (w *W) jobID() uint64 {
 // find locates a runnable task for a worker helping at a touch: own deque
 // first, then other workers' deques (stealOnce), then the injection queue.
 // (The worker loop takes the same three sources in another order and at
-// another pace — see dry.) fl is execStolen when the task came from
-// stealOnce, the one place a steal happens, and 0 otherwise; the steal is
-// counted and recorded only if the thief's claim then wins (see run — a thief
-// that loses the task to an inlining toucher displaced nothing). Returns nil
-// when everything is empty (a snapshot — new work may appear immediately
-// after).
+// another pace — see dry.) fl is execStolen, with execCross when it crossed a
+// domain boundary, when the task came from stealOnce, the one place a steal
+// happens, and 0 otherwise; the steal is counted and recorded only if the
+// thief's claim then wins (see run — a thief that loses the task to an
+// inlining toucher displaced nothing). Returns nil when everything is empty (a
+// snapshot — new work may appear immediately after).
 func (w *W) find() (t *task, fl execFlags) {
 	if t = w.popOwn(); t != nil {
 		return t, 0
 	}
-	if t = w.stealOnce(); t != nil {
-		return t, execStolen
+	if t, fl = w.stealOnce(); t != nil {
+		return t, fl
 	}
 	return w.rt.popInjected(), 0
 }
@@ -947,16 +954,17 @@ func (rt *Runtime) popInjected() *task {
 }
 
 // stealOnce makes one stealing sweep over the other workers and returns the
-// task the thief should execute now, or nil when every probe came up dry. It
-// is the runtime's one steal rule: victims that share the thief's LLC domain
-// first, and across a boundary only when all of those are dry — a cross-domain
-// steal drags the task's working set through memory, the miss cost the
-// paper's bound prices. Within a tier the victim is uniform (stealScan) and a
-// visit takes one task from the top (stealFrom), so where all workers share
-// one domain this is the paper's uniformly random single steal.
-func (w *W) stealOnce() *task {
-	if t := w.stealScan(w.peers); t != nil {
-		return t
+// task the thief should execute now, with the flags to execute it under (see
+// stealFrom), or nil when every probe came up dry. It is the runtime's one
+// steal rule: victims that share the thief's LLC domain first, and across a
+// boundary only when all of those are dry — a cross-domain steal drags the
+// task's working set through memory, the miss cost the paper's bound prices.
+// Within a tier the victim is uniform (stealScan) and a visit takes one task
+// from the top (stealFrom), so where all workers share one domain this is the
+// paper's uniformly random single steal.
+func (w *W) stealOnce() (*task, execFlags) {
+	if t, fl := w.stealScan(w.peers); t != nil {
+		return t, fl
 	}
 	return w.stealScan(w.remote)
 }
@@ -965,36 +973,38 @@ func (w *W) stealOnce() *task {
 // workers) in two rounds from one random offset: the first victim is uniform
 // over the tier — the thief itself is in neither, so there is nobody to skip,
 // and no neighbour a skip would favour — and the rest follow in ring order.
-func (w *W) stealScan(vs []*W) *task {
+func (w *W) stealScan(vs []*W) (*task, execFlags) {
 	n := len(vs)
 	if n == 0 {
-		return nil
+		return nil, 0
 	}
 	off := int(w.nextRand() % uint64(n))
 	for round := 0; round < 2; round++ {
 		for i := 0; i < n; i++ {
-			if t := w.stealFrom(vs[(off+i)%n]); t != nil {
-				return t
+			if t, fl := w.stealFrom(vs[(off+i)%n]); t != nil {
+				return t, fl
 			}
 		}
 	}
-	return nil
+	return nil, 0
 }
 
 // stealFrom robs victim v of the one task at the top of its deque, counting
-// the probe. Returns the task to execute, marked with whether it crossed an
-// LLC boundary to get here, or nil when the deque was empty, the steal lost a
-// race, or the task at the top had already been claimed (a toucher ran it
-// inline while it sat in the deque). Not a steal yet: that is counted when
-// the task runs (recordSteal).
-func (w *W) stealFrom(v *W) *task {
+// the probe. Returns the task to execute and execStolen, with execCross when
+// the task crossed an LLC boundary to get here, or nil when the deque was
+// empty, the steal lost a race, or the task at the top had already been
+// claimed (a toucher ran it inline while it sat in the deque). Not a steal
+// yet: that is counted when the task runs (recordSteal).
+func (w *W) stealFrom(v *W) (*task, execFlags) {
 	w.tele.Inc(telemetry.CStealAttempts)
 	t, ok := v.dq.StealTop()
 	if !ok || !t.unstarted() {
-		return nil
+		return nil, 0
 	}
-	t.stolenCross = w.domain != v.domain
-	return t
+	if w.domain != v.domain {
+		return t, execStolen | execCross
+	}
+	return t, execStolen
 }
 
 // recordHelp credits and records one task executed while helping at a
@@ -1006,25 +1016,26 @@ func (w *W) recordHelp(t *task) {
 		js.helped.Add(1)
 	}
 	if w.rt.recording() {
-		w.record(profile.Event{Kind: profile.KindHelp, Task: t.id, Arg: -1, Job: t.jobID()})
+		w.record(profile.Event{Kind: profile.KindHelp, Task: t.id(), Arg: -1, Job: t.jobID()})
 	}
 }
 
 // recordSteal counts the steal of t, which the thief w has just executed,
 // everywhere a steal is counted: the thief's locality counter (whose two
 // columns are the steal count), t's job, and one KindSteal event stamped with
-// the runtime's steal rule and whether the task crossed a domain boundary.
-// One place and one time — run calls it before retire publishes completion —
-// so Stats.Steals, the per-job counts plus job-less steals, and a whole-run
-// trace's KindSteal count are the same number.
-func (w *W) recordSteal(t *task) {
-	w.tele.Inc(telemetry.LocalityCounter(t.stolenCross))
+// the runtime's steal rule and whether the task crossed a domain boundary
+// (cross, the execCross flag stealFrom returned). One place and one time — run
+// calls it before retire publishes completion — so Stats.Steals, the per-job
+// counts plus job-less steals, and a whole-run trace's KindSteal count are the
+// same number.
+func (w *W) recordSteal(t *task, cross bool) {
+	w.tele.Inc(telemetry.LocalityCounter(cross))
 	if js := t.job; js != nil {
 		js.steals.Add(1)
 	}
 	if w.rt.recording() {
-		w.record(profile.Event{Kind: profile.KindSteal, Task: t.id, Arg: -1,
-			Steal: w.rt.StealPolicy(), Cross: t.stolenCross, Job: t.jobID()})
+		w.record(profile.Event{Kind: profile.KindSteal, Task: t.id(), Arg: -1,
+			Steal: w.rt.StealPolicy(), Cross: cross, Job: t.jobID()})
 	}
 }
 
@@ -1173,15 +1184,15 @@ func (w *W) dryStep(ep *dryEpisode, dryFor time.Duration) (t *task, fl execFlags
 		t = w.rt.popInjected()
 	case drySweep:
 		ep.swept, ep.sweptAt = true, dryFor
-		t, fl = w.stealOnce(), execStolen
+		t, fl = w.stealOnce()
 	}
 	return t, fl, act
 }
 
 // dry is the dry path of the worker loop. It returns a task to run and the
-// context to run it in (execStolen for one a sweep took), or nil after the
-// worker has been through park or has seen the runtime closed; the loop then
-// looks at its own deque again.
+// context to run it in (stealOnce's flags for one a sweep took), or nil after
+// the worker has been through park or has seen the runtime closed; the loop
+// then looks at its own deque again.
 func (w *W) dry() (t *task, fl execFlags) {
 	start := time.Now()
 	ep := dryEpisode{spareP: w.mayPoll(start)}
@@ -1355,13 +1366,13 @@ func (e *PanicError) Unwrap() error {
 // first wins, a second touch panics.
 //
 // A Future IS its task: the schedulable unit is embedded, so one
-// allocation carries the task identity, the status word (scheduling state,
-// completion, single-touch latch), body, and result.
+// allocation carries the status word (task ID, scheduling state, completion,
+// single-touch latch), body, and result.
 //
-// Layout: task is 48 bytes, and a panic value lives in the task's lazily
-// allocated wait gate rather than here, so Future[int] is 72 bytes — the
-// allocator's 80-byte class (TestFutureSize); two more words land in the
-// 96-byte class.
+// Layout: task is 40 bytes, and a panic value lives in the task's lazily
+// allocated wait gate rather than here, so Future[int] is 64 bytes — the
+// allocator's 64-byte class, one cache line (TestFutureSize); one more word
+// lands in the 80-byte class and spans two lines.
 type Future[T any] struct {
 	task
 	rt     *Runtime
@@ -1454,7 +1465,7 @@ func SpawnWith[T any](rt *Runtime, w *W, d Discipline, fn func(*W) T) *Future[T]
 func (rt *Runtime) adopt(w *W, t *task, d Discipline) bool {
 	local := w != nil && w.rt == rt
 	if local {
-		t.id = w.nextTaskID()
+		t.setID(w.nextTaskID())
 		// A spawn from inside a job's computation belongs to that job: the
 		// tag rides the task, so per-job Stats and Event.Job attribution
 		// survive however deep the computation forks. The tag is a liveness
@@ -1464,7 +1475,7 @@ func (rt *Runtime) adopt(w *W, t *task, d Discipline) bool {
 			t.job.refs.Add(1)
 		}
 	} else {
-		t.id = rt.taskSeq.Add(1)
+		t.setID(rt.taskSeq.Add(1))
 	}
 	if rt.closed.Load() {
 		t.cancelIfUnclaimed()
@@ -1498,11 +1509,11 @@ func (f *Future[T]) dive(w *W) {
 	// workload through Run instead if parent edges matter.
 	if f.claim() {
 		if f.rt.recording() {
-			f.rt.recordExternal(profile.Event{Kind: profile.KindBegin, Task: f.id, Arg: -1, Job: f.jobID()})
+			f.rt.recordExternal(profile.Event{Kind: profile.KindBegin, Task: f.id(), Arg: -1, Job: f.jobID()})
 		}
 		f.runTask(nil, false)
 		if f.rt.recording() {
-			f.rt.recordExternal(profile.Event{Kind: profile.KindEnd, Task: f.id, Arg: -1, Job: f.jobID()})
+			f.rt.recordExternal(profile.Event{Kind: profile.KindEnd, Task: f.id(), Arg: -1, Job: f.jobID()})
 		}
 		f.retire(nil)
 	}
@@ -1559,7 +1570,7 @@ func (f *Future[T]) TryTouch(w *W) (v T, ok bool) {
 		panic(ErrDoubleTouch)
 	}
 	if w != nil && w.rt == f.rt {
-		w.recordTouch(f.id, profile.ModeReady, 0, -1)
+		w.recordTouch(f.id(), profile.ModeReady, 0, -1)
 	} else {
 		f.rt.recordExternalTouch(&f.task, profile.ModeReady, -1)
 	}
@@ -1585,9 +1596,9 @@ func (f *Future[T]) wait(w *W) T {
 // the latch and claims the body with one CAS (runInline); every other touch
 // latches first and then waits. await returns false, having waited for
 // nothing, only when asked to spend a touch that was already spent.
-func (f *Future[T]) await(w *W, latch uint32) bool {
+func (f *Future[T]) await(w *W, latch uint64) bool {
 	if w != nil && w.runInline(&f.task, f.rt, latch) {
-		w.recordTouch(f.id, profile.ModeInline, 0, -1)
+		w.recordTouch(f.id(), profile.ModeInline, 0, -1)
 		return true
 	}
 	if latch != 0 && !f.spendTouch() {
@@ -1615,14 +1626,14 @@ func (w *W) helpUntil(t *task, d awaited, arg int32) {
 			if helps > 0 {
 				mode = profile.ModeHelped
 			}
-			w.recordTouch(t.id, mode, helps, arg)
+			w.recordTouch(t.id(), mode, helps, arg)
 			return
 		}
 		// Unstarted after all (runInline's CAS lost to a latch landing on the
 		// word): claim it the general way. The inline credit is applied inside
 		// run, within the task's job-liveness window.
 		if w.execCtx(t, execInline) {
-			w.recordTouch(t.id, profile.ModeInline, helps, arg)
+			w.recordTouch(t.id(), profile.ModeInline, helps, arg)
 			return
 		}
 		if h, fl := w.find(); h != nil {
@@ -1649,7 +1660,7 @@ func (w *W) helpUntil(t *task, d awaited, arg int32) {
 			js.blocked.Add(1)
 		}
 		d.waitDone()
-		w.recordTouch(t.id, profile.ModeBlocked, helps, arg)
+		w.recordTouch(t.id(), profile.ModeBlocked, helps, arg)
 		return
 	}
 }

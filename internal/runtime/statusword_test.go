@@ -10,11 +10,12 @@ import (
 	"futurelocality/internal/telemetry"
 )
 
-// Tests for the task status word: scheduling state, completion and the
-// single-touch latch share one atomic word, so every touch entry point, in
-// every situation a future can be in, must deliver the result exactly once
-// and answer every later touch with ErrDoubleTouch. CI runs the tests named
-// DoubleTouch and StatusWord under -race -count=10 at GOMAXPROCS=4.
+// Tests for the task status word: the task's ID, scheduling state,
+// completion and the single-touch latch share one atomic word, so every touch
+// entry point, in every situation a future can be in, must deliver the result
+// exactly once and answer every later touch with ErrDoubleTouch, and no
+// writer may disturb the ID. CI runs the tests named DoubleTouch and
+// StatusWord under -race -count=10 at GOMAXPROCS=4.
 
 func sevenFn(*W) int { return 7 }
 
@@ -410,7 +411,7 @@ func TestStatusWordLatchSurvivesCompletion(t *testing.T) {
 		}()
 		start.Done()
 		done.Wait()
-		if got := tk.state.Load(); got != stateDone|stateTouched {
+		if got := tk.status.Load(); got != stateDone|stateTouched {
 			t.Fatalf("round %d: status word = %#x, want done|touched (%#x)", r, got, stateDone|stateTouched)
 		}
 		if granted.Load() != 1 || tk.spendTouch() {
@@ -440,11 +441,12 @@ func TestStatusWordTouchVsThief(t *testing.T) {
 			start.Wait()
 			v, err = f.TouchErr(w0)
 		}()
+		id := f.id()
 		go func() {
 			defer done.Done()
 			start.Wait()
-			if tk := w1.stealFrom(w0); tk != nil {
-				w1.execCtx(tk, execStolen)
+			if tk, fl := w1.stealFrom(w0); tk != nil {
+				w1.execCtx(tk, fl)
 			}
 		}()
 		start.Done()
@@ -452,9 +454,7 @@ func TestStatusWordTouchVsThief(t *testing.T) {
 		if err != nil || v != r || runs.Load() != 1 {
 			t.Fatalf("round %d: touch = %d, %v after %d runs of the body; want %d, nil, 1", r, v, err, runs.Load(), r)
 		}
-		if got := f.state.Load(); got != stateDone|stateTouched {
-			t.Fatalf("round %d: status word = %#x, want done|touched", r, got)
-		}
+		wantWord(t, "touch against thief", &f.task, id, stateDone|stateTouched)
 		if _, err := f.TouchErr(w0); !errors.Is(err, ErrDoubleTouch) {
 			t.Fatalf("round %d: second touch: %v", r, err)
 		}
@@ -470,30 +470,208 @@ func TestStatusWordTouchedBeforeStart(t *testing.T) {
 			rt := bareRuntime(2)
 			w0, w1 := rt.workers[0], rt.workers[1]
 			f := SpawnWith(rt, w0, ParentFirst, sevenFn)
+			id := f.id()
 			res := make(chan int)
 			go func() { res <- f.Touch(nil) }()
 			waitUntil(func() bool { return f.gate.Load() != nil })
-			if got := f.state.Load(); got != stateCreated|stateTouched {
-				t.Fatalf("status word = %#x, want created|touched", got)
-			}
-			w, tk := w0, (*task)(nil)
+			wantWord(t, "touched before start", &f.task, id, stateCreated|stateTouched)
+			w, tk, fl := w0, (*task)(nil), execFlags(0)
 			if via == "find" {
-				tk, _ = w0.find()
+				tk, fl = w0.find()
 			} else {
-				w, tk = w1, w1.stealFrom(w0)
+				w = w1
+				tk, fl = w1.stealFrom(w0)
 			}
 			if tk != &f.task {
 				t.Fatalf("%s returned %p, want the touched, unstarted future %p", via, tk, &f.task)
 			}
-			if !w.execCtx(tk, 0) {
+			if !w.execCtx(tk, fl) {
 				t.Fatal("could not claim the touched, unstarted future")
 			}
 			if got := <-res; got != 7 {
 				t.Fatalf("Touch = %d, want 7", got)
 			}
-			if got := f.state.Load(); got != stateDone|stateTouched {
-				t.Fatalf("status word = %#x, want done|touched", got)
-			}
+			wantWord(t, "run after the touch", &f.task, id, stateDone|stateTouched)
 		})
 	}
+}
+
+// spin waits for cond, yielding the P now and then: a toucher spinning on
+// its own P starts the instant cond holds.
+func spin(cond func() bool) {
+	for i := 1; !cond(); i++ {
+		if i%1024 == 0 {
+			stdruntime.Gosched()
+		}
+	}
+}
+
+// wantWord fails the test unless tk's status word holds the ID id and
+// exactly the state and latch bits bits.
+func wantWord(t *testing.T, step string, tk *task, id, bits uint64) {
+	t.Helper()
+	if got := tk.status.Load(); got != id<<idShift|bits {
+		t.Fatalf("%s: status word %#x is ID %d with bits %#x, want ID %d with bits %#x",
+			step, got, got>>idShift, got&(1<<idShift-1), id, bits)
+	}
+}
+
+// TestStatusWordKeepsTaskID: a task's ID shares the status word with its
+// state and latch, so every writer of the word — claim, the touch latch,
+// completion, a worker's inline claim+latch, the push-back after that CAS is
+// lost, a shutdown cancellation — must leave the ID as it found it and set
+// exactly its own bits; a recycled job root must come back with no ID at all
+// before its next launch gives it a new one; and the widest ID must fit.
+func TestStatusWordKeepsTaskID(t *testing.T) {
+	t.Run("claim, latch, complete", func(t *testing.T) {
+		rt := bareRuntime(1)
+		w := rt.workers[0]
+		f := SpawnWith(rt, w, ParentFirst, sevenFn)
+		id := w.idNext // the ID the spawn drew from the worker's block
+		wantWord(t, "spawned", &f.task, id, stateCreated)
+		if !f.claim() {
+			t.Fatal("claim of a fresh task failed")
+		}
+		wantWord(t, "claimed", &f.task, id, stateRunning)
+		if !f.spendTouch() {
+			t.Fatal("the first touch was refused")
+		}
+		wantWord(t, "latched", &f.task, id, stateRunning|stateTouched)
+		f.complete()
+		wantWord(t, "completed", &f.task, id, stateDone|stateTouched)
+	})
+
+	t.Run("inline claim and latch", func(t *testing.T) {
+		rt := bareRuntime(1)
+		w := rt.workers[0]
+		var f *Future[int]
+		var running uint64
+		f = SpawnWith(rt, w, ParentFirst, func(*W) int { running = f.status.Load(); return 7 })
+		id := w.idNext
+		if !w.runInline(&f.task, rt, stateTouched) {
+			t.Fatal("the worker did not run its own unstarted future inline")
+		}
+		if running != id<<idShift|stateRunning|stateTouched {
+			t.Fatalf("the body saw the status word %#x, want ID %d running|touched", running, id)
+		}
+		wantWord(t, "inline run", &f.task, id, stateDone|stateTouched)
+		if v := f.finish(); v != 7 {
+			t.Fatalf("inline run computed %d, want 7", v)
+		}
+	})
+
+	t.Run("push-back after a lost claim", func(t *testing.T) {
+		// The worker's touch and an outside touch race for one future, round
+		// after round, the worker starting a little later each round: the
+		// outside latch lands after the worker's CAS, before its first look,
+		// and — now and then — between its pop and its CAS, where the worker
+		// pushes the still-live task back. Every round must keep the ID.
+		const rounds = 512
+		rt := bareRuntime(1)
+		w := rt.workers[0]
+		var cur atomic.Pointer[Future[int]]
+		var outside [rounds]error
+		var settled atomic.Int32 // rounds the outside toucher has finished
+		var quit atomic.Bool
+		exited := make(chan struct{})
+		go func() {
+			defer close(exited)
+			for r := range outside {
+				spin(func() bool { return cur.Load() != nil || quit.Load() })
+				f := cur.Swap(nil)
+				if f == nil {
+					return
+				}
+				_, outside[r] = f.TouchErr(nil)
+				settled.Add(1)
+			}
+		}()
+		defer func() { quit.Store(true); <-exited }()
+		for r := 0; r < rounds; r++ {
+			var f *Future[int]
+			var running uint64
+			f = SpawnWith(rt, w, ParentFirst, func(*W) int { running = f.status.Load(); return 7 })
+			id := w.idNext
+			cur.Store(f)
+			for i := r; i > 0; i-- {
+				f.Done()
+			}
+			_, err := f.TouchErr(w)
+			// Run what a losing touch left on the deque: the winner may be
+			// asleep on it.
+			for tk, fl := w.find(); tk != nil; tk, fl = w.find() {
+				w.execCtx(tk, fl)
+			}
+			spin(func() bool { return settled.Load() > int32(r) })
+			if (err == nil) == (outside[r] == nil) {
+				t.Fatalf("round %d: touch errors %v, %v — want exactly one ErrDoubleTouch", r, err, outside[r])
+			}
+			if running != id<<idShift|stateRunning|stateTouched {
+				t.Fatalf("round %d: the body saw the status word %#x, want ID %d running|touched", r, running, id)
+			}
+			wantWord(t, "raced touches", &f.task, id, stateDone|stateTouched)
+		}
+	})
+
+	t.Run("cancelled on a closed runtime", func(t *testing.T) {
+		rt := bareRuntime(1)
+		w := rt.workers[0]
+		queued := SpawnWith(rt, w, ParentFirst, sevenFn)
+		id := w.idNext
+		rt.closed.Store(true)
+		late := SpawnWith(rt, w, ParentFirst, sevenFn) // cancelled inside the spawn
+		w.drainCancelled()
+		for i, f := range []*Future[int]{queued, late} {
+			fid := id + uint64(i) // consecutive IDs from the worker's block
+			wantWord(t, "cancelled", &f.task, fid, stateDone)
+			if _, err := f.TouchErr(nil); !errors.Is(err, ErrClosed) {
+				t.Fatalf("touch of a cancelled future: %v, want ErrClosed", err)
+			}
+			wantWord(t, "cancelled, then touched", &f.task, fid, stateDone|stateTouched)
+		}
+	})
+
+	t.Run("recycled job root", func(t *testing.T) {
+		rt := bareRuntime(1)
+		rt.free = make([]poolableRoot, 0, rootFreelistCap)
+		w := rt.workers[0]
+		var prev *Future[int]
+		for round := 0; round < 2; round++ {
+			j, err := Submit(rt, sevenFn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 1 && j.f != prev {
+				t.Fatal("the second job did not get the first one's recycled root")
+			}
+			prev = j.f
+			id := rt.taskSeq.Load() // the launch drew the last ID
+			if j.js.root != id {
+				t.Fatalf("round %d: job root ID %d, want %d", round, j.js.root, id)
+			}
+			wantWord(t, "launched", &j.f.task, id, stateCreated)
+			if root := rt.popInjected(); root != &j.f.task || !w.execCtx(root, 0) {
+				t.Fatalf("round %d: the job's root did not run", round)
+			}
+			if v := j.Wait(); v != 7 {
+				t.Fatalf("round %d: job = %d, want 7", round, v)
+			}
+			wantWord(t, "recycled", &prev.task, 0, stateCreated)
+		}
+	})
+
+	t.Run("widest ID", func(t *testing.T) {
+		const widest = 1<<(64-idShift) - 1
+		var tk task
+		tk.setID(widest)
+		wantWord(t, "set", &tk, widest, stateCreated)
+		if !tk.claim() || !tk.spendTouch() {
+			t.Fatal("claim or touch of a fresh task failed")
+		}
+		tk.complete()
+		wantWord(t, "completed", &tk, widest, stateDone|stateTouched)
+		if got := tk.id(); got != widest {
+			t.Fatalf("id() = %d, want %d", got, widest)
+		}
+	})
 }

@@ -180,14 +180,14 @@ func TestStealCountedOnce(t *testing.T) {
 
 	// (a) The thief takes lost off the peer's deque; the peer touches it — it
 	// claims and runs it inline — before the thief's claim.
-	tk := thief.stealOnce()
+	tk, fl := thief.stealOnce()
 	if tk != &lost.task {
 		t.Fatal("the first steal did not take the task at the top of the peer's deque")
 	}
 	if lost.Touch(peer) != 1 {
 		t.Fatal("the toucher did not run the task the thief holds")
 	}
-	if thief.execCtx(tk, execStolen) {
+	if thief.execCtx(tk, fl) {
 		t.Fatal("the thief claimed a task its toucher had already run")
 	}
 	if got, want := read(), (counts{attempts: 1}); got != want {
@@ -195,14 +195,14 @@ func TestStealCountedOnce(t *testing.T) {
 	}
 
 	// (b) The thief takes near and runs it: counted everywhere, once.
-	if tk = thief.stealOnce(); tk != &near.task || !thief.execCtx(tk, execStolen) {
+	if tk, fl = thief.stealOnce(); tk != &near.task || !thief.execCtx(tk, fl) {
 		t.Fatal("the thief did not get to run the peer's second task")
 	}
 	if got, want := read(), (counts{attempts: 2, steals: 1, split: 1, job1: 1}); got != want {
 		t.Fatalf("after an executed intra-domain steal: %+v, want %+v", got, want)
 	}
 	// The same across the boundary, charged to the other job.
-	if tk = thief.stealOnce(); tk != &far.task || !thief.execCtx(tk, execStolen) {
+	if tk, fl = thief.stealOnce(); tk != &far.task || !thief.execCtx(tk, fl) {
 		t.Fatal("the thief did not get to run the remote worker's task")
 	}
 	got := read()
@@ -216,8 +216,8 @@ func TestStealCountedOnce(t *testing.T) {
 
 	evs := stealEvents(rt.StopProfile())
 	want := []profile.Event{
-		{Task: near.id, Cross: false, Job: j1.ID()},
-		{Task: far.id, Cross: true, Job: j2.ID()},
+		{Task: near.id(), Cross: false, Job: j1.ID()},
+		{Task: far.id(), Cross: true, Job: j2.ID()},
 	}
 	if len(evs) != len(want) {
 		t.Fatalf("trace has %d steal events, want %d (none for the task the toucher ran): %v", len(evs), len(want), evs)
@@ -354,10 +354,13 @@ func TestStealVictimUniformOnFlat(t *testing.T) {
 	const draws = 3000
 	first := map[int]int{}
 	for i := 0; i < draws; i++ {
-		tk := thief.stealOnce()
+		tk, fl := thief.stealOnce()
 		v := holder[tk]
 		if v == nil {
 			t.Fatalf("draw %d: stealOnce returned %v with every victim holding a task", i, tk)
+		}
+		if fl != execStolen {
+			t.Fatalf("draw %d: a steal on one domain came with flags %#x, want execStolen alone", i, fl)
 		}
 		first[v.id]++
 		v.dq.PushBottom(tk) // hand it back: every draw sees three full victims
@@ -374,10 +377,11 @@ func TestStealVictimUniformOnFlat(t *testing.T) {
 
 // TestHierarchicalProbesPeersFirst drives the tier order by hand on a 2x2
 // layout (domains [0 0 1 1]): with one task on the thief's domain peer and
-// one on a remote worker, the first steal must take the peer's and count
-// intra-domain once the thief has run it; only with the peer dry may the
-// thief cross the boundary, and that steal must count cross-domain. Swapping
-// the two stealScan calls in stealOnce fails the first half.
+// one on a remote worker, the first steal must take the peer's, come without
+// the cross-domain flag and count intra-domain once the thief has run it; only
+// with the peer dry may the thief cross the boundary, and that steal must come
+// flagged execCross and count cross-domain. Swapping the two stealScan calls
+// in stealOnce fails the first half.
 func TestHierarchicalProbesPeersFirst(t *testing.T) {
 	rt := bareRuntimeOn(4, synth(t, "2x2"))
 	for i, want := range []int{0, 0, 1, 1} {
@@ -391,32 +395,32 @@ func TestHierarchicalProbesPeersFirst(t *testing.T) {
 	intra := func() int64 { return thief.tele.Load(telemetry.CStealsIntraDomain) }
 	cross := func() int64 { return thief.tele.Load(telemetry.CStealsCrossDomain) }
 
-	tk := thief.stealOnce()
+	tk, fl := thief.stealOnce()
 	if tk == nil {
 		t.Fatal("stealOnce found nothing with work on a peer and on a remote worker")
 	}
-	if tk.id != near.id {
-		t.Fatalf("first steal took task %d, want the domain peer's task %d (remote's is %d)", tk.id, near.id, far.id)
+	if tk != &near.task {
+		t.Fatalf("first steal took task %d, want the domain peer's task %d (remote's is %d)", tk.id(), near.id(), far.id())
 	}
-	thief.execCtx(tk, execStolen)
-	if tk.stolenCross || intra() != 1 || cross() != 0 {
-		t.Fatalf("peer steal: stolenCross=%v intra=%d cross=%d, want false 1 0", tk.stolenCross, intra(), cross())
+	thief.execCtx(tk, fl)
+	if fl != execStolen || intra() != 1 || cross() != 0 {
+		t.Fatalf("peer steal: flags %#x intra=%d cross=%d, want execStolen alone, 1, 0", fl, intra(), cross())
 	}
 
-	tk = thief.stealOnce()
+	tk, fl = thief.stealOnce()
 	if tk == nil {
 		t.Fatal("stealOnce found nothing with the peer dry and work on a remote worker")
 	}
-	if tk.id != far.id {
-		t.Fatalf("second steal took task %d, want the remote worker's task %d", tk.id, far.id)
+	if tk != &far.task {
+		t.Fatalf("second steal took task %d, want the remote worker's task %d", tk.id(), far.id())
 	}
-	thief.execCtx(tk, execStolen)
-	if !tk.stolenCross || intra() != 1 || cross() != 1 {
-		t.Fatalf("remote steal: stolenCross=%v intra=%d cross=%d, want true 1 1", tk.stolenCross, intra(), cross())
+	thief.execCtx(tk, fl)
+	if fl != execStolen|execCross || intra() != 1 || cross() != 1 {
+		t.Fatalf("remote steal: flags %#x intra=%d cross=%d, want execStolen|execCross, 1, 1", fl, intra(), cross())
 	}
 
-	if tk = thief.stealOnce(); tk != nil {
-		t.Fatalf("stealOnce on empty deques returned task %d", tk.id)
+	if tk, fl = thief.stealOnce(); tk != nil || fl != 0 {
+		t.Fatalf("stealOnce on empty deques returned %p, flags %#x", tk, fl)
 	}
 	if v := near.Touch(peer) + far.Touch(remote); v != 2 {
 		t.Fatalf("futures sum to %d, want 2", v)

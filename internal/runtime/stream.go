@@ -154,7 +154,7 @@ func (s *Stream[T]) Get(w *W, i int) T {
 // i-th future the producer thread computes, in the paper's model).
 func (s *Stream[T]) recordGet(w *W, i int, mode profile.TouchMode) {
 	if w != nil {
-		w.recordTouch(s.id, mode, 0, int32(i))
+		w.recordTouch(s.id(), mode, 0, int32(i))
 		return
 	}
 	s.rt.recordExternalTouch(&s.task, profile.ModeExternal, int32(i))
