@@ -79,9 +79,9 @@ func TestScopeAllocBudget(t *testing.T) {
 }
 
 // TestProduceDrainAllocBudget: producing and draining a whole stream costs
-// at most 3 allocations regardless of length (measured: 2 — the Stream,
-// which embeds the producer task, and the cell array; cells carry atomic
-// completion words, not channels).
+// at most 3 allocations regardless of length (measured 3: the Stream, which
+// embeds the producer task, the value array and the latch bitmap; a produced
+// count and one lazy gate stand in for channels).
 func TestProduceDrainAllocBudget(t *testing.T) {
 	const n = 64
 	got := inWorker(t, func(w *W) float64 {
@@ -96,6 +96,36 @@ func TestProduceDrainAllocBudget(t *testing.T) {
 	if got > 3 {
 		t.Errorf("Produce+drain(%d) = %.1f allocs/op, budget 3", n, got)
 	}
+}
+
+// itemFn is a package-level producer function, so a stream's bytes are the
+// runtime's alone.
+func itemFn(_ *W, i int) int { return i }
+
+// TestProduceDrainBytesBudget pins the bytes of a 512-int stream produced and
+// drained on one worker: the Stream (144-byte class), 4 096 bytes of values
+// and a 64-byte latch bitmap — measured 4 304 B per stream. A four-byte
+// atomic.Bool latch per item costs 6 288, and 24-byte cells, value and
+// completion word side by side, about 12.4 KB.
+func TestProduceDrainBytesBudget(t *testing.T) {
+	const n, streams = 512, 200
+	got := inWorker(t, func(w *W) float64 {
+		rt := w.Runtime()
+		var before, after stdruntime.MemStats
+		stdruntime.ReadMemStats(&before)
+		for k := 0; k < streams; k++ {
+			st := Produce(rt, w, n, itemFn)
+			for i := 0; i < n; i++ {
+				st.Get(w, i)
+			}
+		}
+		stdruntime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / streams
+	})
+	if got > 4800 {
+		t.Errorf("Produce+drain(%d) = %.1f B/stream, budget 4800", n, got)
+	}
+	t.Logf("Produce+drain(%d) = %.2f B/stream", n, got)
 }
 
 // TestSpawnTouchAllocBudgetFlight re-pins the tentpole number with the full

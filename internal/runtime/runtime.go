@@ -119,7 +119,7 @@ const cacheLine = 64
 // rides along because every writer operates on the word it loaded and none
 // carries into bit 3: it is stored once, before the task is published, and
 // then only read. Every access is a sequentially consistent atomic, which the
-// lost-wakeup argument at wakeWaiters depends on.
+// lost-wakeup argument of the lazy gate's handshake depends on.
 const (
 	stateCreated uint64 = iota
 	stateRunning
@@ -131,7 +131,7 @@ const (
 	idShift = 3
 )
 
-// waitGate is what a task's or a stream cell's waiters block on, and — for a
+// waitGate is what a task's or a stream's waiters block on, and — for a
 // future — where a panic value (ErrClosed after a cancellation) travels from
 // the completer to the toucher. It is allocated only when a toucher actually
 // has to block, or when the body panics or is cancelled: the common case,
@@ -145,81 +145,40 @@ type waitGate struct {
 }
 
 // materialize returns the gate behind p, installing a fresh one if there is
-// none. Any goroutine; all callers agree on one gate.
+// none. Any goroutine; all callers agree on one gate. A stream's producer
+// takes its gate out again (Stream.publish), so a lost install is followed
+// by another look, which may find the slot empty once more.
 func materialize(p *atomic.Pointer[waitGate]) *waitGate {
-	if g := p.Load(); g != nil {
-		return g
-	}
-	g := &waitGate{ch: make(chan struct{})}
-	if p.CompareAndSwap(nil, g) {
-		return g
-	}
-	return p.Load()
-}
-
-// The lazy gate's handshake, shared by tasks and stream cells. The completer
-// publishes done — an atomic write to its own word — and then calls
-// wakeWaiters, which loads the gate; a waiter that has seen done unset calls
-// blockUntil, which installs the gate and then loads done again. All four
-// accesses are sequentially consistent, so no wakeup is lost (Dekker): either
-// the completer's load sees the gate and closes it, or the waiter's install
-// comes after that load — hence after done was published — and its re-check
-// sees done and does not sleep.
-
-// wakeWaiters closes the gate behind p if a waiter materialized one. Call
-// exactly once, after publishing done.
-func wakeWaiters(p *atomic.Pointer[waitGate]) {
-	if g := p.Load(); g != nil {
-		close(g.ch)
+	var fresh *waitGate
+	for {
+		if g := p.Load(); g != nil {
+			return g
+		}
+		if fresh == nil {
+			fresh = &waitGate{ch: make(chan struct{})}
+		}
+		if p.CompareAndSwap(nil, fresh) {
+			return fresh
+		}
 	}
 }
 
-// blockUntil sleeps on the gate behind p until the completer closes it,
-// unless done already holds once the gate is installed. Only this slow path
-// allocates the gate (shared by all waiters).
-func blockUntil(p *atomic.Pointer[waitGate], done func() bool) {
-	if g := materialize(p); !done() {
-		<-g.ch
-	}
-}
-
-// completion is a stream cell's completion word: an atomic flag, the cell's
-// single-touch latch, and a lazily materialized wait gate. A produced item
-// costs its consumer one atomic load and never allocates; the gate exists
-// only when a consumer actually has to block. (A future needs no separate
-// completion: its flag and latch are bits of its task's status word.)
-type completion struct {
-	done atomic.Uint32
-	// touched is the single-touch latch of the cell's item. It lives here, in
-	// what would otherwise be padding before gate.
-	touched atomic.Bool
-	gate    atomic.Pointer[waitGate]
-}
-
-// isDone reports completion. The atomic load synchronizes with complete's
-// store, so a true result makes the producer's prior writes (the item, the
-// panic point) visible.
-func (c *completion) isDone() bool { return c.done.Load() != 0 }
-
-// complete publishes completion and wakes blocked waiters (see wakeWaiters).
-// Must be called exactly once.
-func (c *completion) complete() {
-	c.done.Store(1)
-	wakeWaiters(&c.gate)
-}
-
-// waitDone blocks until complete.
-func (c *completion) waitDone() {
-	if !c.isDone() {
-		blockUntil(&c.gate, c.isDone)
-	}
-}
+// The lazy gate's handshake, shared by tasks and streams. The completer
+// publishes done — an atomic write to its own word — and then loads the
+// gate, closing it if a waiter installed one (task.complete); a waiter that
+// has seen done unset installs the gate and then loads done again, sleeping
+// only if it is still unset (task.waitDone). All four accesses are
+// sequentially consistent, so no wakeup is lost (Dekker): either the
+// completer's load sees the gate and closes it, or the waiter's install comes
+// after that load — hence after done was published — and its re-check sees
+// done and does not sleep. A stream runs the same handshake once per item,
+// with its produced count for done (Stream.publish).
 
 // awaited is what a helping toucher waits for (see W.helpUntil): a task — a
-// future's touch — or one cell of a stream.
+// future's touch, which ignores arg — or item arg of a stream.
 type awaited interface {
-	isDone() bool
-	waitDone()
+	readyAt(arg int32) bool
+	waitAt(arg int32)
 }
 
 // task is the schedulable unit — embedded directly in Future and Stream, so
@@ -242,8 +201,9 @@ type task struct {
 	// threads per-job identity into Stats counters and profiler events.
 	job *jobState
 	// gate is nil until a toucher blocks on the task or its body panics or
-	// is cancelled (see waitGate). A Stream's producer task never gets one:
-	// consumers wait on cells.
+	// is cancelled (see waitGate). A Stream's producer task lends it to the
+	// stream: it is the one gate the stream's consumers block on, whatever
+	// item they wait for (see Stream.publish).
 	gate atomic.Pointer[waitGate]
 	// runner executes the task body; it is the embedding object (a *Future
 	// or *Stream), stored as an interface so run needs no per-spawn
@@ -287,20 +247,29 @@ func (t *task) claim() bool {
 func (t *task) spendTouch() bool { return t.status.Or(stateTouched)&stateTouched == 0 }
 
 // complete publishes completion (running → done) and wakes blocked waiters
-// (see wakeWaiters). Called exactly once, by whoever claimed the task. Add,
-// not a store: a toucher may set the touched bit at any moment, and the latch
-// and the ID have to survive.
+// (see the lazy gate's handshake). Called exactly once, by whoever claimed the
+// task. Add, not a store: a toucher may set the touched bit at any moment, and
+// the latch and the ID have to survive.
 func (t *task) complete() {
 	t.status.Add(stateDone - stateRunning)
-	wakeWaiters(&t.gate)
-}
-
-// waitDone blocks until complete.
-func (t *task) waitDone() {
-	if !t.isDone() {
-		blockUntil(&t.gate, t.isDone)
+	if g := t.gate.Load(); g != nil {
+		close(g.ch)
 	}
 }
+
+// waitDone blocks until complete. Only this slow path allocates the gate
+// (shared by all waiters).
+func (t *task) waitDone() {
+	if !t.isDone() {
+		if g := materialize(&t.gate); !t.isDone() {
+			<-g.ch
+		}
+	}
+}
+
+// readyAt and waitAt implement awaited for a future's touch.
+func (t *task) readyAt(int32) bool { return t.isDone() }
+func (t *task) waitAt(int32)       { t.waitDone() }
 
 // taskRunner is implemented by the types that embed task.
 type taskRunner interface {
@@ -1221,16 +1190,16 @@ func (w *W) dry() (t *task, fl execFlags) {
 // pollTouch is the poll phase of a touch that found nothing to help with:
 // under the same admission rule and for the same window as the worker loop's,
 // the toucher yields the P and looks again. It reports true as soon as d is
-// done or some deque holds something to steal, false when the toucher should
-// block. The injection queue is not part of the poll: a root taken here runs
-// a whole unrelated job inside the touch while the toucher's own job, and the
-// client behind it, wait (with it serve-runtime read 6–10 % lower in 4 of 5
-// pairs; without it the same in 3 of 6).
-func (w *W) pollTouch(d awaited) bool {
+// ready at arg or some deque holds something to steal, false when the toucher
+// should block. The injection queue is not part of the poll: a root taken
+// here runs a whole unrelated job inside the touch while the toucher's own
+// job, and the client behind it, wait (with it serve-runtime read 6–10 %
+// lower in 4 of 5 pairs; without it the same in 3 of 6).
+func (w *W) pollTouch(d awaited, arg int32) bool {
 	start := time.Now()
 	spareP := w.mayPoll(start)
 	for age := time.Duration(0); spareP && age < pollLimit; {
-		if age, spareP = w.yield(start, age); d.isDone() || w.rt.dequeued() {
+		if age, spareP = w.yield(start, age); d.readyAt(arg) || w.rt.dequeued() {
 			return true
 		}
 	}
@@ -1614,14 +1583,14 @@ func (f *Future[T]) await(w *W, latch uint64) bool {
 }
 
 // helpUntil is the slow path of a worker's touch, shared by Future.await and
-// Stream.Get: until d is done — t itself for a future, the touched cell for a
-// stream whose producer is t — the worker runs other tasks, then polls like a
-// dry worker, and only then blocks. It records the touch (of t, item arg)
-// with the mode that satisfied the wait.
+// Stream.Get: until d is ready at arg — t itself for a future, item arg of
+// the stream whose producer is t — the worker runs other tasks, then polls
+// like a dry worker, and only then blocks. It records the touch (of t, item
+// arg) with the mode that satisfied the wait.
 func (w *W) helpUntil(t *task, d awaited, arg int32) {
 	var helps int32
 	for {
-		if d.isDone() {
+		if d.readyAt(arg) {
 			mode := profile.ModeReady
 			if helps > 0 {
 				mode = profile.ModeHelped
@@ -1646,7 +1615,7 @@ func (w *W) helpUntil(t *task, d awaited, arg int32) {
 		// Nothing to do. Poll before sleeping, as the worker loop does: d may
 		// complete, or work to help with appear, sooner than a block and a
 		// wake-up take.
-		if w.pollTouch(d) {
+		if w.pollTouch(d, arg) {
 			continue
 		}
 		// Block until d completes. The blocked credit goes to the touched
@@ -1659,7 +1628,7 @@ func (w *W) helpUntil(t *task, d awaited, arg int32) {
 		if js := t.job; js != nil && js == w.curJob {
 			js.blocked.Add(1)
 		}
-		d.waitDone()
+		d.waitAt(arg)
 		w.recordTouch(t.id(), profile.ModeBlocked, helps, arg)
 		return
 	}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"futurelocality/internal/profile"
@@ -23,10 +24,15 @@ import (
 // Each slot is consumable exactly once (the single-touch discipline per
 // future); a second Get of the same index panics with ErrDoubleTouch.
 //
-// Like Future, a Stream IS its producer task (the task is embedded), and
-// each cell carries an atomic completion word instead of a channel — so
-// Produce costs two allocations (the Stream and the cell array) however
-// long the stream is, and a Get of a produced item is one atomic load.
+// Like Future, a Stream IS its producer task (the task is embedded). The
+// items are dense — the values in one array, the single-touch latches one
+// bit each in another — because one producer publishes them strictly in
+// order: a single produced count says which are ready, and a single wait
+// gate, the producer task's own, serves every blocked consumer whatever
+// item it waits for. So Produce costs three allocations however long the
+// stream is (4 304 bytes for 512 ints), a Get of a produced item is one
+// atomic load and one locked instruction on its latch word, and a consumer
+// reads eight int items per cache line.
 //
 // Helping caveat: a worker Get on a not-yet-started producer runs the WHOLE
 // production inline (the same work-first helping as Future.Touch). Producer
@@ -36,31 +42,32 @@ import (
 // the future thread's values depend only on nodes before the touches.
 type Stream[T any] struct {
 	task
-	rt    *Runtime
-	cells []streamCell[T]
-	fn    func(*W, int) T
+	rt   *Runtime
+	vals []T
+	// touched holds the single-touch latches, bit i%32 of word i/32 for
+	// item i (see spend). A bit, not a byte: sync/atomic has no 8-bit
+	// exchange, and an atomic.Bool takes four bytes.
+	touched []atomic.Uint32
+	fn      func(*W, int) T
+	// produced is the number of items published: item i is ready once
+	// produced > i. Only the producer writes it, and it only grows, to
+	// len(vals) at the latest (see publish).
+	produced atomic.Int64
 	// panicAt is the first index NOT produced when the producer panicked
-	// (len(cells) when it completed normally); panicVal is the panic value,
-	// published before panicAt is stored.
+	// (len(vals) when it completed normally); panicVal is the panic value.
+	// Both are written before produced reaches len(vals).
 	panicAt  atomic.Int64
 	panicVal any
 }
 
-type streamCell[T any] struct {
-	comp  completion
-	value T
-}
-
 // runTask implements taskRunner: it is the producer body, computing every
-// cell in order and publishing each through its completion word.
+// item in order and publishing each through the produced count.
 func (s *Stream[T]) runTask(wk *W, cancelled bool) {
-	n := len(s.cells)
+	n := len(s.vals)
 	if cancelled {
 		s.panicVal = ErrClosed
 		s.panicAt.Store(0)
-		for i := range s.cells {
-			s.cells[i].comp.complete()
-		}
+		s.publish(n)
 		return
 	}
 	next := 0
@@ -69,20 +76,49 @@ func (s *Stream[T]) runTask(wk *W, cancelled bool) {
 			s.panicVal = r
 			s.panicAt.Store(int64(next))
 		}
-		// Release every remaining cell so blocked consumers wake and
-		// observe the panic point.
-		for ; next < n; next++ {
-			s.cells[next].comp.complete()
+		// Release every remaining item so blocked consumers wake and observe
+		// the panic point.
+		if next < n {
+			s.publish(n)
 		}
 	}()
 	for ; next < n; next++ {
-		s.cells[next].value = s.fn(wk, next)
+		s.vals[next] = s.fn(wk, next)
 		// Record the yield before publishing the item, so a consumer's
 		// touch of item i is always causally after yield i in the trace.
 		if wk.rt.recording() {
 			wk.record(profile.Event{Kind: profile.KindYield, Task: wk.cur, Arg: int32(next), Job: s.jobID()})
 		}
-		s.cells[next].comp.complete()
+		s.publish(next + 1)
+	}
+}
+
+// publish makes the items below n ready and wakes the consumers blocked on
+// the stream's gate. The lazy-gate handshake of a task, with a count in
+// place of the done bit: the store to produced precedes the gate load here,
+// and a waiter's gate install precedes its load of produced (waitAt), so
+// either this load sees the waiter's gate or the waiter sees the new count.
+// A gate is taken out before it is closed, so the next waiter installs a
+// fresh one; the waiters on items still unproduced wake and sleep again.
+// Only the producer takes a gate out, so the Swap returns the gate just
+// loaded, and the producer task's completion, after the last publish, can
+// find only a gate installed since — never a closed one.
+func (s *Stream[T]) publish(n int) {
+	s.produced.Store(int64(n))
+	if s.gate.Load() != nil {
+		close(s.gate.Swap(nil).ch)
+	}
+}
+
+// readyAt implements awaited: item i has been published.
+func (s *Stream[T]) readyAt(i int32) bool { return s.produced.Load() > int64(i) }
+
+// waitAt implements awaited: it blocks until item i is published.
+func (s *Stream[T]) waitAt(i int32) {
+	for !s.readyAt(i) {
+		if g := materialize(&s.gate); !s.readyAt(i) {
+			<-g.ch
+		}
 	}
 }
 
@@ -94,11 +130,12 @@ func (s *Stream[T]) runTask(wk *W, cancelled bool) {
 // default: diving into it would run the whole production before Produce
 // returns, destroying the production/consumption overlap that is the point
 // of a pipeline. On a closed runtime every item fails fast with ErrClosed.
+// n is at most math.MaxInt32, the range of an item index in a trace event.
 func Produce[T any](rt *Runtime, w *W, n int, fn func(*W, int) T) *Stream[T] {
-	if n < 0 {
+	if n < 0 || n > math.MaxInt32 {
 		panic(fmt.Sprintf("runtime: Produce(n=%d)", n))
 	}
-	s := &Stream[T]{rt: rt, cells: make([]streamCell[T], n), fn: fn}
+	s := &Stream[T]{rt: rt, vals: make([]T, n), touched: make([]atomic.Uint32, (n+31)/32), fn: fn}
 	s.panicAt.Store(int64(n))
 	s.runner = s
 	// A pipeline stage inside a job belongs to the job, like any spawn.
@@ -109,11 +146,20 @@ func Produce[T any](rt *Runtime, w *W, n int, fn func(*W, int) T) *Stream[T] {
 }
 
 // Len returns the stream length.
-func (s *Stream[T]) Len() int { return len(s.cells) }
+func (s *Stream[T]) Len() int { return len(s.vals) }
+
+// checkIndex panics unless i is an item of the stream. It compares with the
+// length and reads no item: vals[i] may be being written by the producer.
+func (s *Stream[T]) checkIndex(i int) {
+	if uint(i) >= uint(len(s.vals)) {
+		panic(fmt.Sprintf("runtime: Stream index %d out of range [0:%d]", i, len(s.vals)))
+	}
+}
 
 // Ready reports whether item i has been produced (without consuming it).
 func (s *Stream[T]) Ready(i int) bool {
-	return s.cells[i].comp.isDone()
+	s.checkIndex(i)
+	return s.readyAt(int32(i))
 }
 
 // Get consumes item i, blocking until it is produced. Each index may be
@@ -125,47 +171,59 @@ func (s *Stream[T]) Ready(i int) bool {
 // blocks — the escalation of Future.Touch, and past the inline attempt the
 // same code (W.helpUntil).
 func (s *Stream[T]) Get(w *W, i int) T {
-	c := &s.cells[i]
-	if c.comp.touched.Swap(true) {
+	s.checkIndex(i)
+	if !s.spend(i) {
 		panic(ErrDoubleTouch)
 	}
 	// Fast path.
-	if c.comp.isDone() {
+	if s.readyAt(int32(i)) {
 		s.recordGet(w, i, profile.ModeReady)
-		return s.finish(c, i)
+		return s.finish(i)
 	}
 	// Inline path: run the whole producer on this worker (the inline credit
 	// is applied inside run, within the producer's job-liveness window). The
-	// producer task's own touched bit is never used: each cell has its latch.
+	// producer task's own touched bit is never used: each item has its latch.
 	if w != nil && w.runInline(&s.task, s.rt, 0) {
 		s.recordGet(w, i, profile.ModeInline)
-		return s.finish(c, i)
+		return s.finish(i)
 	}
 	if w == nil {
-		c.comp.waitDone()
+		s.waitAt(int32(i))
 		s.recordGet(w, i, profile.ModeExternal)
-		return s.finish(c, i)
+		return s.finish(i)
 	}
-	w.helpUntil(&s.task, &c.comp, int32(i))
-	return s.finish(c, i)
+	w.helpUntil(&s.task, s, int32(i))
+	return s.finish(i)
+}
+
+// spend sets item i's single-touch latch and reports whether this call was
+// the one that spent it. The first try assumes in-order consumption — every
+// earlier item of the latch word spent, no later one — and is then a single
+// CAS with no load before it; otherwise Or, whose old bit decides.
+func (s *Stream[T]) spend(i int) bool {
+	u := uint(i)
+	word, bit := &s.touched[u/32], uint32(1)<<(u%32)
+	return word.CompareAndSwap(bit-1, bit|(bit-1)) || word.Or(bit)&bit == 0
 }
 
 // recordGet records the touch of stream item i (the single touch of the
-// i-th future the producer thread computes, in the paper's model).
+// i-th future the producer thread computes, in the paper's model). The
+// recording check comes first, so an unrecorded worker Get makes no call.
 func (s *Stream[T]) recordGet(w *W, i int, mode profile.TouchMode) {
-	if w != nil {
+	if w == nil {
+		s.rt.recordExternalTouch(&s.task, profile.ModeExternal, int32(i))
+	} else if w.rt.recording() {
 		w.recordTouch(s.id(), mode, 0, int32(i))
-		return
 	}
-	s.rt.recordExternalTouch(&s.task, profile.ModeExternal, int32(i))
 }
 
-func (s *Stream[T]) finish(c *streamCell[T], i int) T {
-	c.comp.waitDone()
+// finish returns item i, which has been published, or re-raises the
+// producer's panic if the producer stopped before item i.
+func (s *Stream[T]) finish(i int) T {
 	if int64(i) >= s.panicAt.Load() {
 		// Item i was never produced: the producer panicked first. Items
 		// before the panic point remain consumable.
 		panic(s.panicVal)
 	}
-	return c.value
+	return s.vals[i]
 }
