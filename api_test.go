@@ -217,7 +217,11 @@ func TestPublicDisciplineEndToEnd(t *testing.T) {
 		// Every spawn except Run's root submission (always help-first) must
 		// carry the requested discipline.
 		checked := 0
-		for id, got := range recon.TaskDiscipline {
+		for _, task := range recon.Tasks {
+			if !task.Spawned {
+				continue
+			}
+			id, got := task.ID, task.Discipline
 			if id == 1 { // Run's root task
 				if got != fl.ParentFirst {
 					t.Fatalf("root spawn recorded %v, want parent-first", got)

@@ -41,6 +41,7 @@ var retiredNames = []string{
 	"MaxStealBatch", "StealVisits", "NoJobs",
 	"blockTable", "TestMissAccountsAgree", "cache.New(",
 	"stolenCross",
+	"TaskThread", "TaskDiscipline", "TaskJob",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

@@ -447,6 +447,9 @@ type (
 	// ProfileRecon is the reconstruction of a session: the computation DAG
 	// the run performed plus the measured deviation account.
 	ProfileRecon = profile.Recon
+	// ProfileTaskInfo is one row of ProfileRecon.Tasks, the reconstruction's
+	// ID-sorted task table: the task's DAG thread, spawn discipline and job.
+	ProfileTaskInfo = profile.TaskInfo
 	// ProfileOptions configures AnalyzeProfile (and Runtime.ProfileReport).
 	ProfileOptions = profile.Options
 	// ProfileReport is the predicted-vs-measured outcome: reconstructed

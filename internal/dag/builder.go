@@ -3,6 +3,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Builder constructs computation DAGs with a program-like API that mirrors
@@ -31,8 +32,11 @@ type Builder struct {
 	threadFork  []NodeID
 	touches     []TouchInfo
 	threads     []*Thread
-	err         error // first construction error, reported by Build
-	built       bool
+	// slab is the chunk new Thread handles are carved from. A full chunk is
+	// replaced, never grown in place, so handles into older chunks stay valid.
+	slab  []Thread
+	err   error // first construction error, reported by Build
+	built bool
 }
 
 // Thread is a handle to one thread under construction. All methods append
@@ -65,12 +69,43 @@ type Promise struct {
 // NewBuilder returns an empty Builder with a main thread ready for nodes.
 func NewBuilder() *Builder {
 	b := &Builder{}
-	mt := &Thread{b: b, id: 0, last: None, pendingFrom: None}
-	b.threads = append(b.threads, mt)
+	b.newThread(None)
+	return b
+}
+
+// minSlab is the first slab chunk's length; later chunks match the threads
+// already made, so a builder that is never Reserved allocates handles O(log n)
+// times.
+const minSlab = 16
+
+// newThread registers a thread whose first node is reached from fork (the
+// main thread's from None) and hands out its handle from the slab.
+func (b *Builder) newThread(fork NodeID) *Thread {
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]Thread, 0, max(minSlab, len(b.threads)))
+	}
+	b.slab = append(b.slab, Thread{b: b, id: ThreadID(len(b.threads)), last: None, pendingFrom: fork, pendingKind: EdgeFuture})
+	t := &b.slab[len(b.slab)-1]
+	b.threads = append(b.threads, t)
 	b.threadFirst = append(b.threadFirst, None)
 	b.threadLast = append(b.threadLast, None)
-	b.threadFork = append(b.threadFork, None)
-	return b
+	b.threadFork = append(b.threadFork, fork)
+	return t
+}
+
+// Reserve presizes the builder for a graph of up to nodes nodes and threads
+// threads (the main thread included): building one no larger allocates
+// nothing more for nodes or threads. A smaller graph only wastes the space.
+func (b *Builder) Reserve(nodes, threads int) {
+	b.nodes = slices.Grow(b.nodes, max(0, nodes-len(b.nodes)))
+	more := max(0, threads-len(b.threads))
+	b.threads = slices.Grow(b.threads, more)
+	b.threadFirst = slices.Grow(b.threadFirst, more)
+	b.threadLast = slices.Grow(b.threadLast, more)
+	b.threadFork = slices.Grow(b.threadFork, more)
+	if more > cap(b.slab)-len(b.slab) {
+		b.slab = make([]Thread, 0, more)
+	}
 }
 
 // Main returns the main thread (thread 0).
@@ -170,12 +205,7 @@ func (t *Thread) ForkAccess(blk BlockID) *Thread {
 		// Builder already failed; return a dead handle so callers can chain.
 		return &Thread{b: b, id: NoThread, last: None, closed: true}
 	}
-	nt := &Thread{b: b, id: ThreadID(len(b.threads)), last: None, pendingFrom: fork, pendingKind: EdgeFuture}
-	b.threads = append(b.threads, nt)
-	b.threadFirst = append(b.threadFirst, None)
-	b.threadLast = append(b.threadLast, None)
-	b.threadFork = append(b.threadFork, fork)
-	return nt
+	return b.newThread(fork)
 }
 
 // Promise captures the thread's current last node as a future parent for a

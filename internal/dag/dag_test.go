@@ -459,3 +459,49 @@ func TestValidateCatchesNonTopo(t *testing.T) {
 		t.Fatal("Validate should reject a backward edge")
 	}
 }
+
+// TestThreadHandlesSurviveSlabRefill forks past several slab chunks, then
+// works every handle taken along the way: each must still step, be touched and
+// end up in the built graph as the thread it was handed out for.
+func TestThreadHandlesSurviveSlabRefill(t *testing.T) {
+	const forks = 5 * minSlab
+	b := NewBuilder()
+	m := b.Main()
+	m.Step()
+	var kids []*Thread
+	chunks := 0
+	for i := 0; i < forks; i++ {
+		before := cap(b.slab)
+		kids = append(kids, m.Fork())
+		if cap(b.slab) != before || i == 0 {
+			chunks++
+		}
+	}
+	if chunks < 3 {
+		t.Fatalf("%d forks filled %d slab chunks, want several", forks, chunks)
+	}
+	for _, k := range kids {
+		k.Steps(2)
+	}
+	m.Step()
+	for i := len(kids) - 1; i >= 0; i-- {
+		m.Touch(kids[i])
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumThreads() != forks+1 || len(g.Touches) != forks {
+		t.Fatalf("%d threads, %d touches; want %d and %d", g.NumThreads(), len(g.Touches), forks+1, forks)
+	}
+	for i, k := range kids {
+		id := ThreadID(i + 1)
+		if k.ID() != id || g.ThreadLast[id] != k.Last() || g.ThreadLast[id]-g.ThreadFirst[id] != 1 {
+			t.Fatalf("handle %d: id %d, last %d; graph thread %d spans %d..%d",
+				i, k.ID(), k.Last(), id, g.ThreadFirst[id], g.ThreadLast[id])
+		}
+		if g.Nodes[g.ThreadFirst[id]].Thread != id || g.Touches[forks-1-i].FutureThread != id {
+			t.Fatalf("handle %d: its nodes or its touch went to another thread", i)
+		}
+	}
+}

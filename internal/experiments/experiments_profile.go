@@ -73,7 +73,7 @@ func E15(scale Scale) Result {
 		if rep.DeviationBound > 0 {
 			within = fmt.Sprintf("%v", rep.WithinBound())
 		}
-		tb.Add(wl.name, rep.Recon.Tasks, rep.Class.String(), rep.Work, rep.Span,
+		tb.Add(wl.name, len(rep.Recon.Tasks), rep.Class.String(), rep.Work, rep.Span,
 			rep.Touches, rep.MeasuredDeviations, rep.DeviationBound, within, d.Max, s.Mean)
 	}
 	md := tb.String() + fmt.Sprintf(
@@ -128,7 +128,7 @@ func E16(scale Scale) Result {
 	}
 	cc := rep.Sim.CacheCost
 	md := fmt.Sprintf("fib(%d), cutoff %d → %d tasks, T∞=%d, P=%d, model [%s]; sequential misses **%d**, "+
-		"ideal/OPT **%d**.\n\n", fibN, cutoff, rep.Recon.Tasks, rep.Span, rep.P, cc.Model, cc.SeqMisses, cc.IdealMisses) +
+		"ideal/OPT **%d**.\n\n", fibN, cutoff, len(rep.Recon.Tasks), rep.Span, rep.P, cc.Model, cc.SeqMisses, cc.IdealMisses) +
 		tb.String() + fmt.Sprintf(
 		"\n\\* = the C·(1+P·T∞²) envelope is granted — only at future-first × random-single, the "+
 			"parsimonious scheduler the proofs assume: %d·(1+%d·%d²) = **%d**, max extra misses there %d, "+

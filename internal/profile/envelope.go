@@ -7,14 +7,16 @@ package profile
 // bound check the paper's theorems state: reconstruct the window, classify
 // the DAG, compare measured deviations against P·T∞². No replay.
 //
-// What that costs: Reconstruct is one pass over the window's events plus a
-// Builder replay of the tasks they name, and it is nearly all of the bill —
-// about half a microsecond per event, 8 ms for a four-worker window of 4 096
-// events per ring and 30 ms at 16 384. dag.Classify on the result (a graph
-// Builder.Build has validated, which Classify requires) searches from each
-// fork only as far as the touch it is matched with: 0.06 ms and 1.2 ms on
-// those two windows. So the gauge scales with the ring size the operator
-// chose, not with its square.
+// What that costs: Reconstruct is three sweeps over the window's events (the
+// counters, the task index, the steps laid out task by task) plus a Builder
+// replay of the tasks they name, and it is most of the bill — 120–190 ns per
+// event on a 2-vCPU Xeon, 2–3 ms for a four-worker fib window of 4 096 events
+// per ring and 9–13 ms at 16 384 (8 ms and 39 ms while it kept per-task
+// objects in maps). dag.Classify on the result (a graph Builder.Build has
+// validated, which Classify requires) searches from each fork only as far as
+// the touch it is matched with: 0.3–0.4 ms and 1.2–2 ms on those two windows.
+// So the gauge scales with the ring size the operator chose, not with its
+// square.
 
 import (
 	"fmt"
@@ -87,7 +89,7 @@ func WindowEnvelope(tr *Trace, p int, fork sim.ForkPolicy, steal sim.StealPolicy
 	env := Envelope{
 		P:          p,
 		Events:     tr.Len(),
-		Tasks:      rec.Tasks,
+		Tasks:      len(rec.Tasks),
 		Class:      class,
 		Span:       rec.Graph.Span(),
 		Deviations: rec.MeasuredDeviations(),

@@ -146,8 +146,8 @@ func TestFlightReconstructs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reconstruct(flight window): %v", err)
 	}
-	if rec.Tasks < 2 {
-		t.Fatalf("reconstructed %d tasks from the window, want several", rec.Tasks)
+	if len(rec.Tasks) < 2 {
+		t.Fatalf("reconstructed %d tasks from the window, want several", len(rec.Tasks))
 	}
 	env, err := WindowEnvelope(tr, 2, policy.FutureFirst, policy.RandomSingle)
 	if err != nil {

@@ -54,8 +54,8 @@ func TestFibRoundTrip(t *testing.T) {
 	}
 	// fib(18) with sequential cutoff at 10 spawns fib(17..10) recursions:
 	// tasks = futures + producer-less root + external context.
-	if rec.Tasks < 10 {
-		t.Fatalf("suspiciously few tasks: %d", rec.Tasks)
+	if len(rec.Tasks) < 10 {
+		t.Fatalf("suspiciously few tasks: %d", len(rec.Tasks))
 	}
 	c := dag.Classify(rec.Graph)
 	if !c.Structured || !c.SingleTouch || !c.LocalTouch {

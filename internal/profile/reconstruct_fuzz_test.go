@@ -53,6 +53,22 @@ func decodeTrace(data []byte) *profile.Trace {
 	return r.Collect()
 }
 
+// namedTasks counts the distinct task IDs tr's spawn, touch and yield events
+// name, the external context's included.
+func namedTasks(tr *profile.Trace) int {
+	ids := map[uint64]bool{0: true}
+	for _, ev := range tr.Events() {
+		switch ev.Kind {
+		case profile.KindSpawn, profile.KindTouch:
+			ids[ev.Other] = true
+			fallthrough
+		case profile.KindYield:
+			ids[ev.Task] = true
+		}
+	}
+	return len(ids)
+}
+
 // encodeTrace is decodeTrace's inverse for traces whose ids fit a byte.
 func encodeTrace(tr *profile.Trace) []byte {
 	var out []byte
@@ -71,10 +87,11 @@ func encodeTrace(tr *profile.Trace) []byte {
 	return out
 }
 
-// FuzzReconstruct feeds Reconstruct arbitrary event streams. It may refuse
-// one; what it returns must be a graph that passes Validate; and it may not
-// panic or allocate out of proportion to its input, whatever item index or
-// count an event claims.
+// FuzzReconstruct feeds Reconstruct arbitrary event streams and holds it to
+// reconstructReference: both refuse a stream alike or agree on what they
+// return (checkAgainstReference), which must be a graph that passes Validate.
+// Reconstruct may not panic or allocate out of proportion to its input,
+// whatever item index or count an event claims.
 func FuzzReconstruct(f *testing.F) {
 	golden := encodeTrace(jobTreesTrace(1))
 	f.Add(golden)
@@ -111,17 +128,22 @@ func FuzzReconstruct(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		rec, err := profile.Reconstruct(tr)
 		runtime.ReadMemStats(&after)
-		// A node, its edges, a thread and the per-task tables come to some
-		// 300 bytes per event (the golden trace: 25 KB for 93); the harness's
-		// own goroutines allocate a little beside.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32<<10+2048*tr.Len()); got > limit {
+		// The budget is per event (its step, the nodes and threads it may add)
+		// and per task the events name (the dense tables, the task's row of
+		// the result): all told some 100 bytes per event of a recorded trace,
+		// up to 550 where every event names new tasks. Per-task objects and
+		// maps cost three times the first. The harness's own goroutines
+		// allocate a little beside.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32<<10+128*tr.Len()+320*namedTasks(tr)); got > limit {
 			t.Fatalf("%d events: Reconstruct allocated %d bytes, limit %d", tr.Len(), got, limit)
 		}
-		if err != nil {
-			return
+		if err == nil {
+			if err := rec.Graph.Validate(); err != nil {
+				t.Fatalf("%d events: Reconstruct returned a graph that fails Validate: %v", tr.Len(), err)
+			}
 		}
-		if err := rec.Graph.Validate(); err != nil {
-			t.Fatalf("%d events: Reconstruct returned a graph that fails Validate: %v", tr.Len(), err)
+		if msg := checkAgainstReference(tr); msg != "" {
+			t.Fatalf("%d events: %s", tr.Len(), msg)
 		}
 	})
 }

@@ -133,6 +133,12 @@ func (t *Trace) Len() int {
 	return n
 }
 
+// logs returns the per-worker logs followed by the external one: the order
+// reconstruction reads a trace in.
+func (t *Trace) logs() [][]Event {
+	return append(t.PerWorker[:len(t.PerWorker):len(t.PerWorker)], t.External)
+}
+
 // Workers returns the worker count of the traced runtime.
 func (t *Trace) Workers() int { return len(t.PerWorker) }
 

@@ -214,23 +214,19 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 	return r, nil
 }
 
-// jobReports splits tr by job and produces one isolated verdict per job —
-// reconstruction, classification, and the job's own measured-vs-envelope
-// check — for the already-sorted job IDs the pooled reconstruction
-// observed, the jobs side by side (core.ForEach). No sim replay per job
-// unless a cache model asks for the job's own miss bill: the pooled report's
-// prediction already covers the whole trace; what the split adds is
-// attribution.
+// jobReports groups tr's events by job once and produces one isolated
+// verdict per job — reconstruction, classification, and the job's own
+// measured-vs-envelope check — for the already-sorted job IDs the pooled
+// reconstruction observed, the jobs side by side (core.ForEach). No sim
+// replay per job unless a cache model asks for the job's own miss bill: the
+// pooled report's prediction already covers the whole trace; what the split
+// adds is attribution.
 func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
-	subs := SplitJobs(tr)
+	runs := jobRuns(tr, ids)
 	out := make([]JobReport, len(ids))
 	err := core.ForEach(len(ids), func(i int) error {
 		id := ids[i]
-		sub := subs[id]
-		if sub == nil {
-			return fmt.Errorf("job %d: observed, but no event carries it", id)
-		}
-		rec, err := Reconstruct(sub)
+		rec, err := reconstruct(runs[i])
 		if err != nil {
 			return fmt.Errorf("job %d: %w", id, err)
 		}
@@ -387,7 +383,7 @@ func (r *Report) String() string {
 	var sb strings.Builder
 	c := r.Recon
 	fmt.Fprintf(&sb, "reconstructed DAG:  %d tasks → T1=%d nodes, T∞=%d, t=%d touches",
-		c.Tasks, r.Work, r.Span, r.Touches)
+		len(c.Tasks), r.Work, r.Span, r.Touches)
 	if c.SuperFinal {
 		sb.WriteString(" (super final node)")
 	}

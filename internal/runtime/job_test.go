@@ -413,17 +413,17 @@ func TestJobEventSeparationDeterministic(t *testing.T) {
 		if len(rec.Incomplete) != 0 {
 			t.Fatalf("job %d: trace gaps %v — events leaked across jobs", id, rec.Incomplete)
 		}
-		if rec.Tasks != 4 { // external context + root + two children
-			t.Fatalf("job %d: %d tasks, want 4", id, rec.Tasks)
+		if len(rec.Tasks) != 4 { // external context + root + two children
+			t.Fatalf("job %d: %d tasks, want 4", id, len(rec.Tasks))
 		}
-		for task := range rec.TaskThread {
-			if task == 0 {
+		for _, task := range rec.Tasks {
+			if task.ID == 0 {
 				continue
 			}
-			if seen[task] {
-				t.Fatalf("task %d appears in two job partitions", task)
+			if seen[task.ID] {
+				t.Fatalf("task %d appears in two job partitions", task.ID)
 			}
-			seen[task] = true
+			seen[task.ID] = true
 		}
 	}
 	// Full-trace reconstruction agrees on the task→job mapping.
@@ -435,11 +435,13 @@ func TestJobEventSeparationDeterministic(t *testing.T) {
 		t.Fatalf("Recon.Jobs = %v, want both jobs", rec.Jobs)
 	}
 	byJob := map[uint64]int{}
-	for _, jid := range rec.TaskJob {
-		byJob[jid]++
+	for _, task := range rec.Tasks {
+		if task.Job != 0 {
+			byJob[task.Job]++
+		}
 	}
 	if byJob[j1.ID()] != 3 || byJob[j2.ID()] != 3 {
-		t.Fatalf("TaskJob partition = %v, want 3 tasks per job", byJob)
+		t.Fatalf("task → job partition = %v, want 3 tasks per job", byJob)
 	}
 }
 

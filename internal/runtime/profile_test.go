@@ -234,7 +234,7 @@ func TestTaskIDBlocksUniqueAndReconstruct(t *testing.T) {
 	if err := rec.Graph.Validate(); err != nil {
 		t.Fatalf("reconstructed DAG invalid: %v", err)
 	}
-	if rec.Tasks != len(seen)+1 { // + the external context
-		t.Fatalf("reconstructed %d tasks, want %d", rec.Tasks, len(seen)+1)
+	if len(rec.Tasks) != len(seen)+1 { // + the external context
+		t.Fatalf("reconstructed %d tasks, want %d", len(rec.Tasks), len(seen)+1)
 	}
 }
