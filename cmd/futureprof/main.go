@@ -68,7 +68,7 @@ func main() {
 		jobs = flag.Int("jobs", 1,
 			"concurrent copies of the workload to Submit as jobs (>1 profiles the multi-tenant job server and reports one per-job verdict each)")
 		flight = flag.Int("flight", 0,
-			"use the flight recorder instead of a profiling session: ring of N events per worker (0 = off); the report covers the recent window the ring holds")
+			"use the flight recorder instead of a profiling session: keep the last N events per worker (0 = off); the report covers the recent window the recorder holds")
 		outPath = flag.String("o", "", "also write the report to this file (for CI artifacts)")
 	)
 	flag.Parse()
@@ -76,6 +76,10 @@ func main() {
 	disc, err := fl.ParseDiscipline(*discipline)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "futureprof:", err)
+		os.Exit(1)
+	}
+	if *flight < 0 || *flight > fl.MaxFlightWindow {
+		fmt.Fprintf(os.Stderr, "futureprof: -flight %d: want 0 (a profiling session) or 1..%d events per worker\n", *flight, fl.MaxFlightWindow)
 		os.Exit(1)
 	}
 	rtOpts := []fl.RuntimeOption{fl.WithWorkers(*workers), fl.WithDiscipline(disc)}
@@ -103,7 +107,7 @@ func main() {
 	}
 	run := func(w *fl.W) { wl.run(rt, w, wl.size) }
 
-	// Flight mode diagnoses from the always-on ring; only the session mode
+	// Flight mode diagnoses from the always-on recorder; only the session mode
 	// opens an explicit profiling window.
 	if *flight == 0 {
 		if err := rt.StartProfile(); err != nil {
@@ -140,7 +144,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "futureprof:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("futureprof: flight window (ring %d/worker) — the report covers the recent window, not the whole run\n", *flight)
+		fmt.Printf("futureprof: flight window (%d events/worker) — the report covers the recent window, not the whole run\n", *flight)
 	} else {
 		tr = rt.StopProfile()
 	}

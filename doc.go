@@ -142,7 +142,7 @@
 //     log-bucketed latency histograms, exposed
 //     as a Prometheus text page (WriteMetrics) or an expvar map
 //     (MetricsMap). WithFlightRecorder adds a continuously-recording
-//     bounded event ring per worker: DumpFlight reconstructs the recent
+//     bounded event log per worker: DumpFlight reconstructs the recent
 //     window through the profiler's analysis stack on demand — no
 //     profiling session needed — and FlightEnvelope reads the rolling
 //     deviations-vs-P·T∞² gauge off it.

@@ -42,6 +42,7 @@ var retiredNames = []string{
 	"blockTable", "TestMissAccountsAgree", "cache.New(",
 	"stolenCross",
 	"TaskThread", "TaskDiscipline", "TaskJob",
+	"FlightEnabled", "NewFlight", "packEvent",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

@@ -17,7 +17,7 @@
 //	              pool_jobs_total{outcome=offered|forwarded|shed} counters
 //	/debug/flight each shard's flight window reconstructed into the full
 //	              predicted-vs-measured deviation report — no StartProfile
-//	              needed, the rings are always recording
+//	              needed, the recorders are always recording
 //	/debug/vars   the standard expvar page: the pool map (router outcomes at
 //	              the top, each shard's full map under "shard") under the
 //	              "futurelocality" key
@@ -76,12 +76,15 @@ func main() {
 		requests    = flag.Int("requests", 64, "simulated requests to serve (0: run until SIGINT)")
 		maxInFlight = flag.Int("max-in-flight", 8, "admission-control cap, split across shards (jobs in flight before forwarding/shedding)")
 		batchSize   = flag.Int("batch", 1, "requests submitted per SubmitAll batch (1 = one Submit per request)")
-		flightSize  = flag.Int("flight", 4096, "flight-recorder ring size per worker (0: default)")
+		flightSize  = flag.Int("flight", 4096, "flight-recorder window per worker, in events (<= 0: the default)")
 		pace        = flag.Duration("pace", 200*time.Microsecond, "delay between request arrivals")
 		topoSpec    = flag.String("topology", "", "cache topology for shard/worker placement: a synthetic DxC spec (e.g. 2x2), or empty for the host hierarchy from sysfs")
 		shards      = flag.Int("shards", 0, "pool shard count (0: one shard per llc domain of the topology)")
 	)
 	flag.Parse()
+	if *flightSize > fl.MaxFlightWindow {
+		log.Fatalf("jobserver: -flight %d: above the %d-event bound", *flightSize, fl.MaxFlightWindow)
+	}
 
 	// The server: a sharded pool with admission control and the always-on
 	// observability stack — counters are unconditional, every shard's flight

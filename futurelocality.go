@@ -525,13 +525,18 @@ const (
 // WithFlightRecorder.
 var ErrNoFlight = runtime.ErrNoFlight
 
+// MaxFlightWindow is the largest size WithFlightRecorder accepts (2²⁴
+// events per worker).
+const MaxFlightWindow = runtime.MaxFlightWindow
+
 // WithFlightRecorder equips the runtime with an always-recording bounded
-// event ring (size events per worker; size <= 0 selects the 4096 default).
-// Unlike StartProfile, it runs continuously in constant memory from
-// construction; Runtime.DumpFlight reconstructs the recent window into the
-// standard DAG/deviation analysis on demand, and Runtime.WriteMetrics /
-// Runtime.MetricsMap expose the rolling envelope alongside the always-on
-// counters.
+// event log (the last size events per worker, rounded up to a power of two;
+// size <= 0 selects the 4096 default, and NewRuntime panics on a size above
+// MaxFlightWindow). Unlike StartProfile, it runs continuously in constant
+// memory from construction; Runtime.DumpFlight reconstructs the recent window
+// into the standard DAG/deviation analysis on demand, and
+// Runtime.WriteMetrics / Runtime.MetricsMap expose the rolling envelope
+// alongside the always-on counters.
 func WithFlightRecorder(size int) RuntimeOption { return runtime.WithFlightRecorder(size) }
 
 // ---------------------------------------------------------------------------

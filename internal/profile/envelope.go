@@ -11,11 +11,11 @@ package profile
 // counters, the task index, the steps laid out task by task) plus a Builder
 // replay of the tasks they name, and it is most of the bill — 120–190 ns per
 // event on a 2-vCPU Xeon, 2–3 ms for a four-worker fib window of 4 096 events
-// per ring and 9–13 ms at 16 384 (8 ms and 39 ms while it kept per-task
+// per worker and 9–13 ms at 16 384 (8 ms and 39 ms while it kept per-task
 // objects in maps). dag.Classify on the result (a graph Builder.Build has
 // validated, which Classify requires) searches from each fork only as far as
 // the touch it is matched with: 0.3–0.4 ms and 1.2–2 ms on those two windows.
-// So the gauge scales with the ring size the operator chose, not with its
+// So the gauge scales with the window the operator chose, not with its
 // square.
 
 import (

@@ -16,10 +16,12 @@
 // The pieces:
 //
 //   - Event, Recorder (recorder.go): the wire format and the lock-free
-//     per-worker chunked event log the runtime writes into. Recording costs
-//     one atomic pointer load when disabled; one event store plus one
-//     atomic length store when enabled.
-//   - Trace: the collected event log of one profiling session.
+//     per-worker chunked event log the runtime writes into — unbounded for
+//     a profiling session, recycling its oldest chunk for a flight
+//     recorder. Recording costs one atomic pointer load when disabled; one
+//     event store plus one atomic length store when enabled.
+//   - Trace: the collected event log of a profiling session or a flight
+//     window.
 //   - Reconstruct (reconstruct.go): replays a Trace into a dag.Builder,
 //     producing the run's computation DAG plus the measured counters.
 //   - Analyze, Report (report.go): classification, measured deviations vs

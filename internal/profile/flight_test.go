@@ -8,38 +8,14 @@ import (
 	"futurelocality/internal/policy"
 )
 
-// TestFlightPackRoundTrip: the five-word packing preserves every Event
-// field the ring stores (Worker is re-stamped from the ring index).
-func TestFlightPackRoundTrip(t *testing.T) {
-	evs := []Event{
-		{Kind: KindSpawn, Task: 7, Other: 8, Arg: -1, Disc: policy.FutureFirst, Job: 3},
-		{Kind: KindTouch, Mode: ModeHelped, Task: 1 << 40, Other: 2, Arg: 17, N: 5, Job: 1 << 33},
-		{Kind: KindSteal, Task: 9, Arg: -1, Steal: policy.Hierarchical, Cross: true},
-		{Kind: KindYield, Task: 4, Arg: 2147483647},
-		{Kind: KindEnd, Task: 12, Arg: -1},
-	}
-	for _, ev := range evs {
-		var w [flightWords]uint64
-		packEvent(&ev, &w)
-		got := unpackEvent(&w)
-		if got != ev {
-			t.Errorf("round trip changed event:\n  in  %+v\n  out %+v", ev, got)
-		}
-	}
-}
-
-// TestFlightWindow: a ring of capacity n holds exactly the last n events
+// TestFlightWindow: a log with a window of n holds exactly the last n events
 // after overflow, oldest first.
 func TestFlightWindow(t *testing.T) {
-	f := NewFlight(1, 8)
-	if len(f.rings[0].slots) != 8 {
-		t.Fatalf("Size = %d, want 8", len(f.rings[0].slots))
-	}
+	r := NewRecorder(1, 8)
 	for i := 1; i <= 20; i++ {
-		f.Record(0, Event{Kind: KindBegin, Task: uint64(i), Arg: -1})
+		r.Record(0, Event{Kind: KindBegin, Task: uint64(i), Arg: -1})
 	}
-	tr := f.Collect()
-	got := tr.PerWorker[0]
+	got := r.Collect().PerWorker[0]
 	if len(got) != 8 {
 		t.Fatalf("window holds %d events, want 8", len(got))
 	}
@@ -53,38 +29,40 @@ func TestFlightWindow(t *testing.T) {
 	}
 }
 
-// TestFlightSizeRounding: capacities round up to powers of two; zero and
-// negative select the default.
+// TestFlightSizeRounding: windows round up to powers of two; a window of 0
+// keeps every event.
 func TestFlightSizeRounding(t *testing.T) {
-	if got := len(NewFlight(1, 5000).rings[0].slots); got != 8192 {
-		t.Errorf("Size(5000) = %d, want 8192", got)
-	}
-	if got := len(NewFlight(1, 0).rings[0].slots); got != 4096 {
-		t.Errorf("Size(0) = %d, want 4096", got)
-	}
-	if got := len(NewFlight(1, 1024).rings[0].slots); got != 1024 {
-		t.Errorf("Size(1024) = %d, want 1024", got)
+	for _, tc := range []struct{ window, want int }{
+		{5000, 8192}, {1024, 1024}, {3, 4}, {1, 1}, {0, 3 * 8192},
+	} {
+		r := NewRecorder(1, tc.window)
+		for i := 0; i < 3*8192; i++ {
+			r.Record(0, Event{Kind: KindBegin, Task: uint64(i + 1), Arg: -1})
+		}
+		if got := len(r.Collect().PerWorker[0]); got != tc.want {
+			t.Errorf("window %d keeps %d events, want %d", tc.window, got, tc.want)
+		}
 	}
 }
 
-// TestFlightExternalRing: external events land in the trailing ring,
-// stamped Worker -1, and are safe from concurrent callers.
+// TestFlightExternalRing: external events land in the trailing log, stamped
+// Worker -1, and are safe from concurrent callers.
 func TestFlightExternalRing(t *testing.T) {
-	f := NewFlight(2, 64)
+	r := NewRecorder(2, 64)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				f.RecordExternal(Event{Kind: KindSpawn, Other: 1, Arg: -1})
+				r.RecordExternal(Event{Kind: KindSpawn, Other: 1, Arg: -1})
 			}
 		}()
 	}
 	wg.Wait()
-	tr := f.Collect()
+	tr := r.Collect()
 	if len(tr.External) != 40 {
-		t.Fatalf("external ring holds %d events, want 40", len(tr.External))
+		t.Fatalf("external log holds %d events, want 40", len(tr.External))
 	}
 	for _, ev := range tr.External {
 		if ev.Worker != -1 {
@@ -96,27 +74,34 @@ func TestFlightExternalRing(t *testing.T) {
 	}
 }
 
-// TestFlightConcurrentCollect hammers one ring from its writer while
-// readers Collect continuously: no torn events may surface (every collected
-// event must be one the writer actually wrote), and the -race build proves
-// the protocol clean. This is the seqlock property the per-slot sequence
-// exists for.
+// TestFlightConcurrentCollect hammers a 16-event window — chunks of 4, one
+// recycled every 4 events — from its writer while three readers Collect
+// continuously. Every collected window must be gap-free and in order: the
+// events the writer recorded last, consecutive task IDs, exactly 16 of them
+// once 16 were written. The -race build checks the protocol: a reader copies
+// under the log's mutex, and the writer recycles a chunk only under it.
 func TestFlightConcurrentCollect(t *testing.T) {
-	f := NewFlight(1, 64)
+	r := NewRecorder(1, 16)
 	const writes = 200000
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
+	for range 3 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				tr := f.Collect()
-				for _, ev := range tr.PerWorker[0] {
-					// The writer only ever writes internally consistent
-					// events: Task==Other==Job+1 by construction below.
-					if ev.Other != ev.Task || ev.Job+1 != ev.Task {
-						t.Errorf("torn event surfaced: %+v", ev)
+				got := r.Collect().PerWorker[0]
+				if len(got) == 0 {
+					continue
+				}
+				last := got[len(got)-1].Task
+				if want := min(last, 16); uint64(len(got)) != want {
+					t.Errorf("window ending at task %d holds %d events, want %d", last, len(got), want)
+					return
+				}
+				for i, ev := range got {
+					if want := last - uint64(len(got)-1-i); ev.Task != want || ev.Other != want {
+						t.Errorf("window[%d] = %+v, want task %d: a gap or a torn event", i, ev, want)
 						return
 					}
 				}
@@ -124,7 +109,7 @@ func TestFlightConcurrentCollect(t *testing.T) {
 		}()
 	}
 	for i := uint64(1); i <= writes; i++ {
-		f.Record(0, Event{Kind: KindSpawn, Task: i, Other: i, Job: i - 1, Arg: -1})
+		r.Record(0, Event{Kind: KindSpawn, Task: i, Other: i, Arg: -1})
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -133,15 +118,15 @@ func TestFlightConcurrentCollect(t *testing.T) {
 // TestFlightReconstructs: a flight window — even one whose front was
 // overwritten mid-computation — reconstructs through the standard stack.
 func TestFlightReconstructs(t *testing.T) {
-	f := NewFlight(1, 16) // small: guarantees truncation below
+	r := NewRecorder(1, 16) // small: guarantees truncation below
 	// Simulate a worker running a chain of spawn+begin+end triples; only the
-	// tail survives the ring.
+	// tail survives the window.
 	for i := uint64(1); i <= 20; i++ {
-		f.Record(0, Event{Kind: KindSpawn, Task: 0, Other: i, Arg: -1, Disc: policy.ParentFirst})
-		f.Record(0, Event{Kind: KindBegin, Task: i, Arg: -1})
-		f.Record(0, Event{Kind: KindEnd, Task: i, Arg: -1})
+		r.Record(0, Event{Kind: KindSpawn, Task: 0, Other: i, Arg: -1, Disc: policy.ParentFirst})
+		r.Record(0, Event{Kind: KindBegin, Task: i, Arg: -1})
+		r.Record(0, Event{Kind: KindEnd, Task: i, Arg: -1})
 	}
-	tr := f.Collect()
+	tr := r.Collect()
 	rec, err := Reconstruct(tr)
 	if err != nil {
 		t.Fatalf("Reconstruct(flight window): %v", err)

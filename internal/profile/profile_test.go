@@ -304,7 +304,7 @@ func TestEmptyTrace(t *testing.T) {
 // TestRecorderChunkRollover pushes a single log past several chunk
 // boundaries and checks nothing is lost or reordered.
 func TestRecorderChunkRollover(t *testing.T) {
-	r := profile.NewRecorder(1)
+	r := profile.NewRecorder(1, 0)
 	const n = 10000 // > 2 chunks
 	for i := 0; i < n; i++ {
 		r.Record(0, profile.Event{Kind: profile.KindSpawn, Task: 0, Other: uint64(i + 1)})
@@ -343,7 +343,7 @@ func TestStealAttributionSyntheticTrace(t *testing.T) {
 // traces makes (one runtime stamps one policy): one random-single steal and
 // two hierarchical ones.
 func mixedStealTrace() *profile.Trace {
-	r := profile.NewRecorder(2)
+	r := profile.NewRecorder(2, 0)
 	// Worker 0 spawns three tasks from the external driver's root (task 1).
 	r.RecordExternal(profile.Event{Kind: profile.KindSpawn, Other: 1, Arg: -1})
 	r.Record(0, profile.Event{Kind: profile.KindBegin, Task: 1, Arg: -1})

@@ -28,7 +28,7 @@ func wideID(b byte, wide bool) uint64 {
 }
 
 func decodeTrace(data []byte) *profile.Trace {
-	r := profile.NewRecorder(fuzzLogs)
+	r := profile.NewRecorder(fuzzLogs, 0)
 	for ; len(data) >= eventBytes; data = data[eventBytes:] {
 		flags := data[3]
 		wide := flags&0x80 != 0

@@ -80,7 +80,7 @@ type namedTrace struct {
 // referenceTraces records the runtime's kinds of computation — fork-join,
 // passed futures, a stream pipeline, a scope with untouched futures, Join2,
 // two submitted jobs — beside the hand-built two-job trace, and adds a cut of
-// each with its front (a wrapped flight ring) and with its back (a session
+// each with its front (a recycled flight window) and with its back (a session
 // stopped mid-run) lost.
 func referenceTraces(t *testing.T) []namedTrace {
 	var rngMu sync.Mutex
@@ -280,7 +280,7 @@ func TestReconstructMatchesReference(t *testing.T) {
 }
 
 // TestIncompleteNotesDeterministic: a trace whose front is lost — the steady
-// state of a wrapped flight ring — sheds more unknown-spawn notes than the cap
+// state of a recycled flight window — sheds more unknown-spawn notes than the cap
 // keeps, and every call must keep the same ones, in task-ID order.
 func TestIncompleteNotesDeterministic(t *testing.T) {
 	tr := cutTrace(jobTreesTrace(8), func(log []profile.Event) []profile.Event { return log[len(log)/3:] })

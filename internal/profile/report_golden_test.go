@@ -21,7 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/report.golden fr
 // root records one helped task. Every event is a literal, so the trace — and
 // everything Analyze derives from it — is the same on every host.
 func jobTreesTrace(depth int) *profile.Trace {
-	r := profile.NewRecorder(4)
+	r := profile.NewRecorder(4, 0)
 	next := uint64(0)
 	var tree func(job uint64, worker int, task uint64, depth int)
 	tree = func(job uint64, worker int, task uint64, depth int) {

@@ -36,13 +36,10 @@ func (rt *Runtime) LatencyHist() stats.HistSnapshot { return rt.latencyHist.Snap
 // (nanosecond observations, one per job whose root began executing).
 func (rt *Runtime) QueueWaitHist() stats.HistSnapshot { return rt.queueWaitHist.Snapshot() }
 
-// FlightEnabled reports whether the runtime carries a flight recorder.
-func (rt *Runtime) FlightEnabled() bool { return rt.flight != nil }
-
 // DumpFlight snapshots the flight recorder's current window as a Trace —
 // the same shape StopProfile returns, so the whole analysis stack applies —
-// without interrupting recording (the rings keep writing; the dump is the
-// recent past, best-effort where writers lapped the reader).
+// without interrupting recording: per log exactly the last size events (as
+// WithFlightRecorder rounded it), or all of them while fewer were recorded.
 func (rt *Runtime) DumpFlight() (*profile.Trace, error) {
 	if rt.flight == nil {
 		return nil, ErrNoFlight

@@ -1,8 +1,10 @@
 package runtime
 
 import (
+	"cmp"
 	"context"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -53,8 +55,7 @@ type options struct {
 	discipline  Discipline
 	topo        *topology.Topology
 	maxInFlight int
-	flight      bool
-	flightSize  int
+	flight      int // flight-recorder window per worker (0 = none)
 	ctx         context.Context
 }
 
@@ -108,20 +109,32 @@ func WithMaxInFlight(n int) Option {
 	return func(o *options) { o.maxInFlight = n }
 }
 
+// MaxFlightWindow is the largest window WithFlightRecorder accepts: 2²⁴
+// events per worker, which hold 960 MiB per worker.
+const MaxFlightWindow = 1 << 24
+
 // WithFlightRecorder equips the runtime with an always-recording bounded
-// event ring of at least size events per worker (size <= 0 selects the
-// 4096-event default). Unlike StartProfile — a windowed session somebody
-// must remember to open — the flight recorder runs continuously from
-// construction in constant memory, and DumpFlight reconstructs whatever
-// recent window the rings hold into the standard DAG/deviation analysis on
-// demand: post-hoc diagnosis of a latency spike that already happened.
-// Cost: seven owner-local atomic stores per scheduling event — measurable
-// on spawn-dense microbenchmarks (the fib kernel roughly doubles; see
-// BenchmarkFibFlightOff/On), negligible for request-sized jobs; runtimes
-// built without it pay one nil-check branch (TestNoFlightRecordOverhead
-// proves the off path free).
+// event log that keeps the last size events per worker, rounded up to a
+// power of two (size <= 0 selects the 4096-event default; New panics on a
+// size above MaxFlightWindow). Unlike StartProfile — a windowed session
+// somebody must remember to open — the flight recorder runs continuously
+// from construction in constant memory, 60 bytes per event of the window
+// (240 KiB per worker at the default), and DumpFlight reconstructs whatever
+// recent window the logs hold into the standard DAG/deviation analysis on
+// demand: post-hoc diagnosis of a latency spike that already happened. It is
+// the profiling session's own recorder (profile.Recorder) with a bound: per
+// scheduling event one event store and one owner-local atomic length store,
+// and a mutex once per size/4 events — measurable on spawn-dense
+// microbenchmarks (see BenchmarkFibFlightOff/On), negligible for
+// request-sized jobs; runtimes built without it pay one nil-check branch
+// (TestNoFlightRecordOverhead proves the off path free).
 func WithFlightRecorder(size int) Option {
-	return func(o *options) { o.flight = true; o.flightSize = size }
+	return func(o *options) {
+		if size > MaxFlightWindow {
+			panic("runtime: WithFlightRecorder(" + strconv.Itoa(size) + ") above MaxFlightWindow")
+		}
+		o.flight = cmp.Or(max(size, 0), 4096)
+	}
 }
 
 // WithContext ties the runtime's lifetime to ctx: when ctx is cancelled
@@ -164,8 +177,8 @@ func New(opts ...Option) *Runtime {
 	}
 	rt.tele = telemetry.NewSet(n)
 	rt.teleExt = rt.tele.External()
-	if o.flight {
-		rt.flight = profile.NewFlight(n, o.flightSize)
+	if o.flight > 0 {
+		rt.flight = profile.NewRecorder(n, o.flight)
 	}
 	rt.domainConds = make([]domainCond, assign.NumDomains())
 	for i := range rt.domainConds {

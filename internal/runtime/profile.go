@@ -15,8 +15,10 @@ package runtime
 //     comes from the worker's reserved block (W.nextTaskID), one shared
 //     increment per 256 spawns. External spawns and job roots take one
 //     increment each.
-//   - enabled: one event store plus one atomic length store per event, into
-//     a lock-free single-writer per-worker chunk log (see profile.Recorder).
+//   - enabled: one event store plus one atomic length store per event and
+//     sink, into a lock-free single-writer per-worker chunk log (see
+//     profile.Recorder). The flight recorder is the same log with a bound:
+//     it recycles its oldest chunk where a session appends a new one.
 //
 // Known trace gaps, tolerated by the reconstructor: external (nil-worker)
 // calls — including everything an external FutureFirst dive executes — are
@@ -39,7 +41,7 @@ func (rt *Runtime) recording() bool {
 
 // record appends ev to the active profiling session, if any, and to the
 // flight recorder, if the runtime has one. Only this worker writes to its
-// log and its ring, so both sinks are lock-free on the hot path.
+// log in either, so both sinks are lock-free on the hot path.
 func (w *W) record(ev profile.Event) {
 	if rec := w.rt.prof.Load(); rec != nil {
 		rec.Record(w.id, ev)
@@ -72,7 +74,7 @@ func (rt *Runtime) recordExternalTouch(t *task, mode profile.TouchMode, item int
 }
 
 // recordExternal appends ev on behalf of a goroutine outside the worker
-// pool (serialized inside the recorder and the flight ring).
+// pool (serialized inside each recorder).
 func (rt *Runtime) recordExternal(ev profile.Event) {
 	if rec := rt.prof.Load(); rec != nil {
 		rec.RecordExternal(ev)
@@ -113,7 +115,7 @@ var ErrNoProfile = errors.New("runtime: no active profiling session")
 // profiling before submitting the workload. Returns ErrProfileActive if a
 // session is already running.
 func (rt *Runtime) StartProfile() error {
-	rec := profile.NewRecorder(len(rt.workers))
+	rec := profile.NewRecorder(len(rt.workers), 0)
 	if !rt.prof.CompareAndSwap(nil, rec) {
 		return ErrProfileActive
 	}

@@ -316,11 +316,11 @@ type Runtime struct {
 	// prof is the active profiling session, nil when profiling is off (see
 	// profile.go); the nil check is the entire disabled-mode overhead.
 	prof atomic.Pointer[profile.Recorder]
-	// flight is the always-recording bounded event ring, nil unless the
+	// flight is the always-recording bounded event log, nil unless the
 	// runtime was built WithFlightRecorder (see metrics.go); like prof, the
 	// nil check is the entire disabled cost — and unlike prof it is a plain
 	// field, immutable after New, so the check is not even atomic.
-	flight *profile.Flight
+	flight *profile.Recorder
 	// tele is the always-on counter matrix (one padded row per worker plus
 	// the external row teleExt); workers hold direct row pointers, so the
 	// Set itself is only touched by snapshots. See internal/telemetry.

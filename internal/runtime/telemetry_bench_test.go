@@ -25,7 +25,7 @@ import (
 // and live (it always is), no flight recorder.
 func BenchmarkFibFlightOff(b *testing.B) { benchFlightFib(b, false) }
 
-// BenchmarkFibFlightOn adds the always-recording flight ring.
+// BenchmarkFibFlightOn adds the always-recording flight recorder.
 func BenchmarkFibFlightOn(b *testing.B) { benchFlightFib(b, true) }
 
 func benchFlightFib(b *testing.B, flight bool) {
@@ -96,6 +96,27 @@ func TestPendingCountOverhead(t *testing.T) {
 	}
 	if perOp > time.Microsecond {
 		t.Fatalf("counting a run costs %v/op; want well under 1µs", perOp)
+	}
+}
+
+// TestFlightRecordOverhead bounds the enabled-recorder hook: one event store
+// and one owner-local atomic length store into a chunk allocated at
+// construction, plus a mutex once per chunk. Far looser than the disabled
+// bound, but still well under a microsecond, under -race too — the recorder
+// is meant to run in production.
+func TestFlightRecordOverhead(t *testing.T) {
+	rt := New(WithWorkers(1), WithFlightRecorder(4096))
+	defer rt.Shutdown()
+	w := rt.workers[0]
+	const iters = 1_000_000
+	probe := profile.Event{Kind: profile.KindBegin, Task: 1, Arg: -1}
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		w.record(probe)
+	}
+	perOp := time.Since(start) / iters
+	if perOp > time.Microsecond {
+		t.Fatalf("flight record costs %v/op; want well under 1µs", perOp)
 	}
 }
 

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -230,9 +232,6 @@ func TestWriteMetricsExposition(t *testing.T) {
 func TestFlightWithoutProfiling(t *testing.T) {
 	rt := New(WithWorkers(4), WithFlightRecorder(4096))
 	defer rt.Shutdown()
-	if !rt.FlightEnabled() {
-		t.Fatal("FlightEnabled = false")
-	}
 	if got := Run(rt, func(w *W) int { return teleFib(rt, w, 14) }); got != 377 {
 		t.Fatalf("fib(14) = %d", got)
 	}
@@ -268,6 +267,50 @@ func TestFlightWithoutProfiling(t *testing.T) {
 	if tr := rt.StopProfile(); tr == nil || tr.Len() == 0 {
 		t.Error("profiling session lost while flight recorder active")
 	}
+}
+
+// TestFlightMatchesSession: the flight recorder and a profiling session are
+// one recorder with and without a bound, fed by the same hook. Where the
+// window holds the whole run, both return the same events, log for log.
+func TestFlightMatchesSession(t *testing.T) {
+	rt := New(WithWorkers(4), WithFlightRecorder(1<<14))
+	if err := rt.StartProfile(); err != nil {
+		t.Fatal(err)
+	}
+	if got := Run(rt, func(w *W) int { return teleFib(rt, w, 12) }); got != 144 {
+		t.Fatalf("fib(12) = %d", got)
+	}
+	rt.Shutdown() // quiescent: no worker records past this point
+	session := rt.StopProfile()
+	flight, err := rt.DumpFlight()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if session.Len() == 0 || !reflect.DeepEqual(flight, session) {
+		t.Fatalf("flight window (%d events) differs from the session (%d events)", flight.Len(), session.Len())
+	}
+}
+
+// TestFlightWindowBounds: a size at or below zero selects the 4096-event
+// window, and New refuses a size above MaxFlightWindow by name.
+func TestFlightWindowBounds(t *testing.T) {
+	for _, size := range []int{0, -5} {
+		rt := New(WithWorkers(1), WithFlightRecorder(size))
+		for i := range 5000 {
+			rt.workers[0].record(profile.Event{Kind: profile.KindBegin, Task: uint64(i + 1), Arg: -1})
+		}
+		tr, err := rt.DumpFlight()
+		rt.Shutdown()
+		if err != nil || len(tr.PerWorker[0]) != 4096 {
+			t.Errorf("WithFlightRecorder(%d) keeps %d events (%v), want 4096", size, len(tr.PerWorker[0]), err)
+		}
+	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "MaxFlightWindow") {
+			t.Errorf("New with a window above MaxFlightWindow panicked with %v, want a named refusal", r)
+		}
+	}()
+	New(WithFlightRecorder(MaxFlightWindow + 1))
 }
 
 // TestFlightEnvelopeAsksTheRuntimesCell: the live envelope is granted for the
