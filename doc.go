@@ -82,8 +82,9 @@
 //     the runtime as a multi-tenant service. Submit is non-blocking and
 //     returns a typed Job handle (Wait / WaitErr / TryWait / Done) — a
 //     value with a generation check, because job roots recycle through
-//     a freelist and a steady-state Submit+Wait round trip
-//     allocates nothing; every task a job's computation spawns inherits
+//     a freelist: a steady-state Submit allocates nothing, nor does a
+//     Wait that finds the job done (one that blocks allocates its wait
+//     gate, 2 allocations); every task a job's computation spawns inherits
 //     the job's identity, so each job gets its own Stats (tasks, steals,
 //     touch modes), queue-wait and wall-latency capture, and profiler
 //     attribution (job IDs are never reused). SubmitAll admits a whole

@@ -12,10 +12,12 @@ package runtime
 // even with many DAGs in flight at once.
 //
 // Cost discipline (see DESIGN.md, "serve path anatomy"): the steady-state
-// Submit+Wait pair allocates nothing — the root future and the job state
-// live in one pooled composite (jobRoot) recycled through one freelist,
-// admission is a CAS on the in-flight word (no channel, no lock, no table of
-// jobs), and the handle returned to the caller is a value. The runtime is
+// Submit allocates nothing — the root future and the job state live in one
+// pooled composite (jobRoot) recycled through one freelist, admission is a
+// CAS on the in-flight word (no channel, no lock, no table of jobs), and the
+// handle returned to the caller is a value. A Wait that finds the job done
+// allocates nothing either; one that blocks materializes the root's wait
+// gate, a gate and its channel: 2 allocations. The runtime is
 // one admission plane; a host that wants one per LLC domain builds a
 // shard.Pool of runtimes, which is what the pool is for. A spawn
 // *inside* a job pays exactly the non-job spawn path plus one pointer copy
@@ -69,7 +71,8 @@ type jobState struct {
 	root uint64
 	rt   *Runtime
 	// owner points back to the jobRoot composite, pre-erased to the pooling
-	// interface so the release path never converts (or allocates).
+	// interface so the release path never converts (or allocates). It is nil
+	// only in a runtime's job 0 (isJob).
 	owner poolableRoot
 	// submitted is the Submit timestamp (immutable while the job is live).
 	submitted time.Time
@@ -92,6 +95,11 @@ type jobState struct {
 	inline, helped, blocked atomic.Int64
 }
 
+// isJob reports whether js is a submitted job rather than its runtime's job
+// 0, which nothing counts into or refcounts. One plain load of a field that
+// never changes.
+func (js *jobState) isJob() bool { return js.owner != nil }
+
 // poolableRoot is the type-erased face of jobRoot[T] the recycling path
 // sees: scrub yourself for the next tenant.
 type poolableRoot interface{ prepareForReuse() }
@@ -105,12 +113,11 @@ type jobRoot[T any] struct {
 }
 
 // newJobRoot allocates a fresh composite (the freelist-miss path) with the
-// invariant fields — runtime pointers, the runner interface, the owner
+// invariant fields — the runtime pointer, the root's job tag, the owner
 // back-pointer — wired once for the struct's whole pooled lifetime.
 func newJobRoot[T any](rt *Runtime) *jobRoot[T] {
 	r := &jobRoot[T]{}
-	r.fut.rt = rt
-	r.fut.runner = &r.fut
+	r.fut.job = &r.js
 	r.js.rt = rt
 	r.js.owner = r
 	return r
@@ -119,16 +126,15 @@ func newJobRoot[T any](rt *Runtime) *jobRoot[T] {
 // prepareForReuse scrubs the composite for its next tenant: the status word
 // goes back to ID 0, created and untouched, and the result, body and
 // wait-gate slots drop their references so the pool never pins user data.
-// The invariant fields (rt, runner, owner) stay wired; identity fields are
+// The invariant fields (rt, job, owner) stay wired; identity fields are
 // assigned fresh at the next launch.
 func (r *jobRoot[T]) prepareForReuse() {
 	f := &r.fut
 	var zero T
-	f.fn = nil
+	f.body = nil
 	f.result = zero
 	f.gate.Store(nil)
 	f.status.Store(0)
-	f.job = nil
 	js := &r.js
 	js.root = 0
 	js.queueWaitNs.Store(0)
@@ -459,7 +465,8 @@ func (rt *Runtime) MaxInFlight() int { return rt.maxInFlight }
 // The root is pushed help-first onto the global queue like Run's root; every
 // task the job's computation spawns inherits the job's identity for per-job
 // Stats and profiling attribution (Event.Job). In steady state (freelist
-// warm) a Submit+Wait pair allocates nothing.
+// warm) Submit allocates nothing, and neither does a Wait that finds the job
+// done; a Wait that blocks allocates its wait gate (2 allocations).
 func Submit[T any](rt *Runtime, fn func(*W) T) (Job[T], error) {
 	if rt.closed.Load() {
 		return Job[T]{}, ErrClosed
@@ -659,9 +666,8 @@ func initRoot[T any](rt *Runtime, r *jobRoot[T], fn func(*W) T, id uint64) Job[T
 	js.submitted = time.Now()
 	js.refs.Store(2) // the root task + the handle
 	f := &r.fut
-	f.fn = fn
+	f.body = futureBody[T](fn)
 	js.root = rt.taskSeq.Add(1)
 	f.setID(js.root)
-	f.job = js
 	return Job[T]{f: f, js: js, id: id, gen: js.gen.Load()}
 }

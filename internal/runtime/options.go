@@ -175,6 +175,7 @@ func New(opts ...Option) *Runtime {
 		stop:       make(chan struct{}),
 		term:       make(chan struct{}),
 	}
+	rt.solo.rt = rt
 	rt.tele = telemetry.NewSet(n)
 	rt.teleExt = rt.tele.External()
 	if o.flight > 0 {
@@ -195,6 +196,7 @@ func New(opts ...Option) *Runtime {
 			tele:    rt.tele.Row(i),
 			domain:  assign.Domain[i],
 			rng:     seedXorshift(seed, i),
+			curJob:  &rt.solo,
 			jobFree: make([]poolableRoot, 0, workerFreeCap),
 		}
 		rt.workers = append(rt.workers, w)

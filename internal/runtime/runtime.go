@@ -44,8 +44,8 @@
 // polls like a dry worker, and only then blocks.
 //
 // The hot path is allocation-free past the future itself: a future IS its
-// task (one 64-byte allocation for a Future[int] carries status word and
-// result slot), deque slots store task pointers directly (no per-push box),
+// task (one 48-byte allocation for a Future[int] carries status word, body
+// and result slot), deque slots store task pointers directly (no per-push box),
 // and the task's ID, scheduling state, completion and the single-touch latch
 // are bits of one atomic word whose channel wait gate is materialized only
 // when a toucher actually blocks. A worker-local spawn and inline touch also
@@ -90,6 +90,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"futurelocality/internal/deque"
 	"futurelocality/internal/profile"
@@ -183,9 +184,14 @@ type awaited interface {
 
 // task is the schedulable unit — embedded directly in Future and Stream, so
 // spawning allocates no separate task object, no closure wrapping the body,
-// and no done channel: one allocation carries ID, status word and the body's
-// result slot. 40 bytes, so a Future[int] is one 64-byte line
-// (TestFutureSize).
+// and no done channel: one allocation carries ID, status word, body and the
+// body's result slot. 40 bytes, so a Future[int] is 48, the allocator's
+// 48-byte class (TestFutureSize).
+//
+// A task sits at offset 0 of the Future or Stream that embeds it, so a
+// *task converts back to its embedding object (TestTaskAtOffsetZero); the
+// body does that conversion, the one unsafe step of the runtime, and -race
+// builds check that it stays inside the object's allocation (checkptr).
 type task struct {
 	// status is the status word: the task's ID, scheduling state, completion
 	// and the single-touch latch (see stateCreated). The ID identifies the
@@ -193,10 +199,11 @@ type task struct {
 	// 0 is the external context); workers draw IDs in blocks (see
 	// W.nextTaskID), so IDs are not dense in spawn order across workers.
 	status atomic.Uint64
-	// job is the submitted job this task belongs to (nil for job-less work
-	// such as Run roots). Set once before the task is published — at Submit
-	// for a job root, inherited from the spawning worker's current job for
-	// everything the job's computation spawns — and read through the same
+	// job is the submitted job this task belongs to, or its runtime's job 0
+	// (Runtime.solo) for job-less work such as Run roots: never nil, so a
+	// task's runtime is job.rt. Set once before the task is published — at
+	// Submit for a job root, inherited from the spawning worker's current job
+	// for everything the job's computation spawns — and read through the same
 	// publication edges as the body, so no atomics are needed. It is what
 	// threads per-job identity into Stats counters and profiler events.
 	job *jobState
@@ -205,10 +212,11 @@ type task struct {
 	// stream: it is the one gate the stream's consumers block on, whatever
 	// item they wait for (see Stream.publish).
 	gate atomic.Pointer[waitGate]
-	// runner executes the task body; it is the embedding object (a *Future
-	// or *Stream), stored as an interface so run needs no per-spawn
-	// closure. Assigning the pointer allocates nothing.
-	runner taskRunner
+	// body executes the task: a Future's is the caller's function itself
+	// (futureBody), a Stream's a zero-size value (streamBody). Both are
+	// pointer-shaped or empty, so storing one in the interface allocates
+	// nothing.
+	body taskBody
 }
 
 // setID gives an unpublished task its ID, created and untouched.
@@ -271,13 +279,15 @@ func (t *task) waitDone() {
 func (t *task) readyAt(int32) bool { return t.isDone() }
 func (t *task) waitAt(int32)       { t.waitDone() }
 
-// taskRunner is implemented by the types that embed task.
-type taskRunner interface {
-	// runTask executes the body and stores its outcome; the caller, which
-	// claimed the task, publishes completion afterwards (task.retire).
-	// cancelled is true only when a shutdown drain is delivering ErrClosed
-	// instead of running the user function (w is nil then).
-	runTask(w *W, cancelled bool)
+// taskBody is the body of a task t, which it reaches through t's embedding
+// object.
+type taskBody interface {
+	// runTask executes the body and stores its outcome in the object that
+	// embeds t; the caller, which claimed t, publishes completion afterwards
+	// (task.retire). cancelled is true only when a shutdown drain is
+	// delivering ErrClosed instead of running the user function (w is nil
+	// then).
+	runTask(t *task, w *W, cancelled bool)
 }
 
 // Runtime is a work-stealing futures scheduler. Create with New, stop with
@@ -329,6 +339,11 @@ type Runtime struct {
 	// born is when New returned; the dry path keeps its one timestamp
 	// (W.pollAfter) as a duration since then. Immutable.
 	born time.Time
+	// solo is job 0, the job of every task outside any submitted job: ID 0,
+	// rt set, no owner (see jobState.isJob). Nothing counts into it or
+	// refcounts it, so every spawn and run may read it and nobody writes it
+	// after New.
+	solo jobState
 
 	_ [cacheLine]byte
 
@@ -404,9 +419,10 @@ type W struct {
 	// idle). Owner-written in run; read only by this worker when recording
 	// profile events.
 	cur uint64
-	// curJob is the job of the task this worker is currently executing (nil
-	// outside any job). Owner-written in run alongside cur; it is what
-	// spawns inherit and what touch events are attributed to.
+	// curJob is the job of the task this worker is currently executing (the
+	// runtime's job 0 when idle or outside any job; never nil). Owner-written
+	// in run alongside cur; it is what spawns inherit and what touch events
+	// are attributed to.
 	curJob *jobState
 	// idNext..idEnd is what remains of the worker's reserved block of task
 	// IDs: the next spawn takes idNext+1. Owner-only (see nextTaskID).
@@ -603,7 +619,7 @@ func (rt *Runtime) drainGlobal() {
 // its job, exactly as an execution would.
 func (t *task) cancelIfUnclaimed() {
 	if t.claim() {
-		t.runner.runTask(nil, true)
+		t.body.runTask(t, nil, true)
 		t.retire(nil)
 	}
 }
@@ -616,11 +632,11 @@ func (t *task) cancelIfUnclaimed() {
 // neither retire nor its caller reads the task again.
 func (t *task) retire(w *W) {
 	js := t.job
-	if js != nil && t.id() == js.root {
+	if js.isJob() && t.id() == js.root {
 		js.finish()
 	}
 	t.complete()
-	if js != nil {
+	if js.isJob() {
 		js.release(w)
 	}
 }
@@ -770,7 +786,7 @@ func (w *W) run(t *task, fl execFlags) {
 	js, id := t.job, t.id()
 	prev, prevJob := w.cur, w.curJob
 	w.cur, w.curJob = id, js
-	if js != nil {
+	if js.isJob() {
 		js.tasksRun.Add(1)
 		if id == js.root {
 			// First execution of the job's root: the submit→begin delay is
@@ -781,12 +797,12 @@ func (w *W) run(t *task, fl execFlags) {
 	if w.rt.recording() {
 		w.record(profile.Event{Kind: profile.KindBegin, Task: id, Arg: -1, Job: t.jobID()})
 	}
-	t.runner.runTask(w, false)
+	t.body.runTask(t, w, false)
 	if w.rt.recording() {
 		w.record(profile.Event{Kind: profile.KindEnd, Task: id, Arg: -1, Job: t.jobID()})
 	}
 	w.cur, w.curJob = prev, prevJob
-	if fl&execInline != 0 && js != nil {
+	if fl&execInline != 0 && js.isJob() {
 		js.inline.Add(1)
 	}
 	if fl&execHelping != 0 {
@@ -806,10 +822,10 @@ func (w *W) run(t *task, fl execFlags) {
 }
 
 // runInline is the inline path of a touch or a private wait: w claims the
-// still unstarted task t of runtime rt and runs it itself. latch is
-// stateTouched when the call is the future's single touch, which the claiming
-// CAS then spends in the same instruction (it fails if the touch is already
-// spent), and 0 for waits that do not spend it.
+// still unstarted task t, of its own runtime or another, and runs it itself.
+// latch is stateTouched when the call is the future's single touch, which the
+// claiming CAS then spends in the same instruction (it fails if the touch is
+// already spent), and 0 for waits that do not spend it.
 //
 // It first takes t off its own deque when t is the bottom entry — in
 // creator-touch fork-join it always is — so the deque's depth is the
@@ -819,26 +835,26 @@ func (w *W) run(t *task, fl execFlags) {
 // (a passed future, or one a thief is taking) stays where it is, on whichever
 // deque holds it. After the run the worker drops what is finished at the
 // bottom of its own deque (trimDone), so such an entry goes as soon as the
-// live ones above it have; popOwn's filter skips what is left.
-func (w *W) runInline(t *task, rt *Runtime, latch uint64) bool {
+// live ones above it have; popOwn's filter skips what is left. A task of
+// another runtime is never on w's deque, so its PopBottomIf fails and nothing
+// else in the call depends on whose task t is.
+func (w *W) runInline(t *task, latch uint64) bool {
 	s := t.status.Load()
 	if s&stateMask != stateCreated || s&latch != 0 {
 		return false
 	}
-	popped := w.rt == rt && w.dq.PopBottomIf(t)
+	popped := w.dq.PopBottomIf(t)
 	if !t.status.CompareAndSwap(s, s|stateRunning|latch) {
 		// Between the load and the CAS somebody claimed t, or spent its touch.
 		// In the second case t is still live — its toucher may be blocked on
 		// it — and we have just taken it out of everyone's reach: put it back.
 		if popped && t.unstarted() {
-			rt.push(w, t)
+			w.rt.push(w, t)
 		}
 		return false
 	}
 	w.run(t, execInline)
-	if w.rt == rt {
-		w.trimDone()
-	}
+	w.trimDone()
 	return true
 }
 
@@ -862,20 +878,10 @@ func (w *W) trimDone() {
 }
 
 // jobID returns the task's job identity for event attribution (0 = no job).
-func (t *task) jobID() uint64 {
-	if t.job == nil {
-		return 0
-	}
-	return t.job.id.Load()
-}
+func (t *task) jobID() uint64 { return t.job.id.Load() }
 
 // jobID returns the job identity of the worker's current task (0 = none).
-func (w *W) jobID() uint64 {
-	if w.curJob == nil {
-		return 0
-	}
-	return w.curJob.id.Load()
-}
+func (w *W) jobID() uint64 { return w.curJob.id.Load() }
 
 // find locates a runnable task for a worker helping at a touch: own deque
 // first, then other workers' deques (stealOnce), then the injection queue.
@@ -981,7 +987,7 @@ func (w *W) stealFrom(v *W) (*task, execFlags) {
 // (Event.Job = t's job), not to whichever job the helping worker was
 // waiting in — per-job trace splitting and JobStats agree on that reading.
 func (w *W) recordHelp(t *task) {
-	if js := t.job; js != nil {
+	if js := t.job; js.isJob() {
 		js.helped.Add(1)
 	}
 	if w.rt.recording() {
@@ -999,7 +1005,7 @@ func (w *W) recordHelp(t *task) {
 // same number.
 func (w *W) recordSteal(t *task, cross bool) {
 	w.tele.Inc(telemetry.LocalityCounter(cross))
-	if js := t.job; js != nil {
+	if js := t.job; js.isJob() {
 		js.steals.Add(1)
 	}
 	if w.rt.recording() {
@@ -1338,20 +1344,25 @@ func (e *PanicError) Unwrap() error {
 // allocation carries the status word (task ID, scheduling state, completion,
 // single-touch latch), body, and result.
 //
-// Layout: task is 40 bytes, and a panic value lives in the task's lazily
-// allocated wait gate rather than here, so Future[int] is 64 bytes — the
-// allocator's 64-byte class, one cache line (TestFutureSize); one more word
-// lands in the 80-byte class and spans two lines.
+// Layout: task is 40 bytes, its body is the caller's function itself, its
+// runtime is its job's, and a panic value lives in the task's lazily
+// allocated wait gate, so Future[int] is 48 bytes — the allocator's 48-byte
+// class (TestFutureSize); one more word lands in the 64-byte class.
 type Future[T any] struct {
 	task
-	rt     *Runtime
-	fn     func(*W) T
 	result T
 }
 
-// runTask implements taskRunner: it executes the future's body, storing the
-// result, a recovered panic, or — for a shutdown cancellation — ErrClosed.
-func (f *Future[T]) runTask(w *W, cancelled bool) {
+// futureBody is the body of a Future[T]: the function the caller spawned. A
+// func value is one pointer, so task.body holds it without allocating.
+type futureBody[T any] func(*W) T
+
+// runTask implements taskBody: it executes fn for the future whose task is
+// t, storing the result, a recovered panic, or — for a shutdown cancellation
+// — ErrClosed. t is at offset 0 of its Future[T] (TestTaskAtOffsetZero), and
+// only a Future[T]'s task has a futureBody[T].
+func (fn futureBody[T]) runTask(t *task, w *W, cancelled bool) {
+	f := (*Future[T])(unsafe.Pointer(t))
 	if cancelled {
 		f.fail(ErrClosed)
 		return
@@ -1361,7 +1372,7 @@ func (f *Future[T]) runTask(w *W, cancelled bool) {
 			f.fail(r)
 		}
 	}()
-	f.result = f.fn(w)
+	f.result = fn(w)
 }
 
 // fail stores the panic value the future's touch will surface. Called only
@@ -1414,13 +1425,12 @@ func SpawnWith[T any](rt *Runtime, w *W, d Discipline, fn func(*W) T) *Future[T]
 	if !d.Valid() {
 		panic("runtime: SpawnWith(" + d.String() + ")")
 	}
-	f := &Future[T]{rt: rt, fn: fn}
-	f.runner = f
+	f := &Future[T]{task: task{body: futureBody[T](fn)}}
 	if !rt.adopt(w, &f.task, d) {
 		return f
 	}
 	if d == FutureFirst {
-		f.dive(w)
+		f.dive(rt, w)
 		return f
 	}
 	rt.push(w, &f.task)
@@ -1433,15 +1443,19 @@ func SpawnWith[T any](rt *Runtime, w *W, d Discipline, fn func(*W) T) *Future[T]
 // SpawnWith and Produce that does not depend on the result type.
 func (rt *Runtime) adopt(w *W, t *task, d Discipline) bool {
 	local := w != nil && w.rt == rt
+	t.job = &rt.solo
 	if local {
 		t.setID(w.nextTaskID())
 		// A spawn from inside a job's computation belongs to that job: the
 		// tag rides the task, so per-job Stats and Event.Job attribution
 		// survive however deep the computation forks. The tag is a liveness
 		// reference — the job's root cannot be recycled while any of its
-		// tasks is still pending (released by retire).
-		if t.job = w.curJob; t.job != nil {
-			t.job.refs.Add(1)
+		// tasks is still pending (released by retire). A job of another
+		// runtime, whose task this worker is running as a foreign toucher,
+		// is not inherited: the task's job is always of the runtime it runs on.
+		if js := w.curJob; js.isJob() && js.rt == rt {
+			t.job = js
+			js.refs.Add(1)
 		}
 	} else {
 		t.setID(rt.taskSeq.Add(1))
@@ -1459,10 +1473,11 @@ func (rt *Runtime) adopt(w *W, t *task, d Discipline) bool {
 	return true
 }
 
-// dive is the FutureFirst spawn path: run the child now, on the spawning
-// worker when there is one, inline on the calling goroutine otherwise.
-func (f *Future[T]) dive(w *W) {
-	if w != nil && w.rt == f.rt {
+// dive is the FutureFirst spawn path of a future spawned on rt: run the child
+// now, on the spawning worker when there is one, inline on the calling
+// goroutine otherwise.
+func (f *Future[T]) dive(rt *Runtime, w *W) {
+	if w != nil && w.rt == rt {
 		if !w.execCtx(&f.task, execDive) {
 			// Unreachable in practice (the task was never published), but a
 			// lost race must still complete the future.
@@ -1477,12 +1492,12 @@ func (f *Future[T]) dive(w *W) {
 	// attribution). Profile an external FutureFirst spawn of a nested
 	// workload through Run instead if parent edges matter.
 	if f.claim() {
-		if f.rt.recording() {
-			f.rt.recordExternal(profile.Event{Kind: profile.KindBegin, Task: f.id(), Arg: -1, Job: f.jobID()})
+		if rt.recording() {
+			rt.recordExternal(profile.Event{Kind: profile.KindBegin, Task: f.id(), Arg: -1, Job: f.jobID()})
 		}
-		f.runTask(nil, false)
-		if f.rt.recording() {
-			f.rt.recordExternal(profile.Event{Kind: profile.KindEnd, Task: f.id(), Arg: -1, Job: f.jobID()})
+		f.body.runTask(&f.task, nil, false)
+		if rt.recording() {
+			rt.recordExternal(profile.Event{Kind: profile.KindEnd, Task: f.id(), Arg: -1, Job: f.jobID()})
 		}
 		f.retire(nil)
 	}
@@ -1538,10 +1553,10 @@ func (f *Future[T]) TryTouch(w *W) (v T, ok bool) {
 	if !f.spendTouch() {
 		panic(ErrDoubleTouch)
 	}
-	if w != nil && w.rt == f.rt {
+	if rt := f.job.rt; w != nil && w.rt == rt {
 		w.recordTouch(f.id(), profile.ModeReady, 0, -1)
 	} else {
-		f.rt.recordExternalTouch(&f.task, profile.ModeReady, -1)
+		rt.recordExternalTouch(&f.task, profile.ModeReady, -1)
 	}
 	return f.finish(), true
 }
@@ -1566,7 +1581,7 @@ func (f *Future[T]) wait(w *W) T {
 // latches first and then waits. await returns false, having waited for
 // nothing, only when asked to spend a touch that was already spent.
 func (f *Future[T]) await(w *W, latch uint64) bool {
-	if w != nil && w.runInline(&f.task, f.rt, latch) {
+	if w != nil && w.runInline(&f.task, latch) {
 		w.recordTouch(f.id(), profile.ModeInline, 0, -1)
 		return true
 	}
@@ -1575,7 +1590,7 @@ func (f *Future[T]) await(w *W, latch uint64) bool {
 	}
 	if w == nil {
 		f.waitDone()
-		f.rt.recordExternalTouch(&f.task, profile.ModeExternal, -1)
+		f.job.rt.recordExternalTouch(&f.task, profile.ModeExternal, -1)
 		return true
 	}
 	w.helpUntil(&f.task, &f.task, -1)
@@ -1625,7 +1640,7 @@ func (w *W) helpUntil(t *task, d awaited, arg int32) {
 		// already have retired and recycled, so it is skipped rather than raced.
 		w.publish()
 		w.tele.Inc(telemetry.CBlockedTouches)
-		if js := t.job; js != nil && js == w.curJob {
+		if js := t.job; js.isJob() && js == w.curJob {
 			js.blocked.Add(1)
 		}
 		d.waitAt(arg)

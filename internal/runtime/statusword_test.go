@@ -548,7 +548,7 @@ func TestStatusWordKeepsTaskID(t *testing.T) {
 		var running uint64
 		f = SpawnWith(rt, w, ParentFirst, func(*W) int { running = f.status.Load(); return 7 })
 		id := w.idNext
-		if !w.runInline(&f.task, rt, stateTouched) {
+		if !w.runInline(&f.task, stateTouched) {
 			t.Fatal("the worker did not run its own unstarted future inline")
 		}
 		if running != id<<idShift|stateRunning|stateTouched {

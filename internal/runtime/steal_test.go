@@ -95,6 +95,7 @@ func bareRuntime(workers int) *Runtime {
 // workers in more than one locality domain.
 func bareRuntimeOn(workers int, topo *topology.Topology) *Runtime {
 	rt := &Runtime{born: time.Now()}
+	rt.solo.rt = rt
 	rt.topo = topo
 	rt.assign = rt.topo.Assign(workers)
 	rt.tele = telemetry.NewSet(workers)
@@ -105,7 +106,8 @@ func bareRuntimeOn(workers int, topo *topology.Topology) *Runtime {
 	}
 	rt.slotCond = sync.NewCond(&rt.mu)
 	for i := 0; i < workers; i++ {
-		w := &W{rt: rt, id: i, dq: deque.NewPtr[task](64), tele: rt.tele.Row(i), domain: rt.assign.Domain[i], rng: uint64(i + 1)}
+		w := &W{rt: rt, id: i, dq: deque.NewPtr[task](64), tele: rt.tele.Row(i), domain: rt.assign.Domain[i],
+			rng: uint64(i + 1), curJob: &rt.solo}
 		rt.workers = append(rt.workers, w)
 	}
 	for _, w := range rt.workers {

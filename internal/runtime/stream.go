@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+	"unsafe"
 
 	"futurelocality/internal/profile"
 )
@@ -60,9 +61,16 @@ type Stream[T any] struct {
 	panicVal any
 }
 
-// runTask implements taskRunner: it is the producer body, computing every
-// item in order and publishing each through the produced count.
-func (s *Stream[T]) runTask(wk *W, cancelled bool) {
+// streamBody is the body of a Stream[T]'s producer task. It carries nothing:
+// the producer function is a field of the stream, and an empty value in
+// task.body allocates nothing.
+type streamBody[T any] struct{}
+
+// runTask implements taskBody: it is the producer body of the stream whose
+// task is t, computing every item in order and publishing each through the
+// produced count. t is at offset 0 of its Stream[T] (TestTaskAtOffsetZero).
+func (streamBody[T]) runTask(t *task, wk *W, cancelled bool) {
+	s := (*Stream[T])(unsafe.Pointer(t))
 	n := len(s.vals)
 	if cancelled {
 		s.panicVal = ErrClosed
@@ -135,9 +143,9 @@ func Produce[T any](rt *Runtime, w *W, n int, fn func(*W, int) T) *Stream[T] {
 	if n < 0 || n > math.MaxInt32 {
 		panic(fmt.Sprintf("runtime: Produce(n=%d)", n))
 	}
-	s := &Stream[T]{rt: rt, vals: make([]T, n), touched: make([]atomic.Uint32, (n+31)/32), fn: fn}
+	s := &Stream[T]{task: task{body: streamBody[T]{}}, rt: rt, vals: make([]T, n),
+		touched: make([]atomic.Uint32, (n+31)/32), fn: fn}
 	s.panicAt.Store(int64(n))
-	s.runner = s
 	// A pipeline stage inside a job belongs to the job, like any spawn.
 	if rt.adopt(w, &s.task, ParentFirst) {
 		rt.push(w, &s.task)
@@ -183,7 +191,7 @@ func (s *Stream[T]) Get(w *W, i int) T {
 	// Inline path: run the whole producer on this worker (the inline credit
 	// is applied inside run, within the producer's job-liveness window). The
 	// producer task's own touched bit is never used: each item has its latch.
-	if w != nil && w.runInline(&s.task, s.rt, 0) {
+	if w != nil && w.runInline(&s.task, 0) {
 		s.recordGet(w, i, profile.ModeInline)
 		return s.finish(i)
 	}

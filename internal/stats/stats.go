@@ -82,11 +82,11 @@ func LogLogSlope(xs, ys []float64) float64 {
 	if len(lx) < 2 {
 		return math.NaN()
 	}
-	return Slope(lx, ly)
+	return slope(lx, ly)
 }
 
-// Slope returns the least-squares slope of y against x.
-func Slope(xs, ys []float64) float64 {
+// slope returns the least-squares slope of y against x.
+func slope(xs, ys []float64) float64 {
 	n := float64(len(xs))
 	var sx, sy, sxx, sxy float64
 	for i := range xs {
