@@ -138,8 +138,9 @@
 //
 //   - Observability (Runtime.TelemetrySnapshot, Runtime.WriteMetrics,
 //     WithFlightRecorder): always-on per-worker counters (one atomic add
-//     per scheduling event; the once-per-task counts are batched by the
-//     worker and published before anyone can wait for the result) and
+//     per scheduling event; the per-task counts are batched by the
+//     worker and published, to its row and its job at once, before anyone
+//     can wait for the result) and
 //     log-bucketed latency histograms, exposed
 //     as a Prometheus text page (WriteMetrics) or an expvar map
 //     (MetricsMap). WithFlightRecorder adds a continuously-recording

@@ -8,12 +8,13 @@ import (
 	"futurelocality/internal/telemetry"
 )
 
-// Tests for the owner-local counters (W.pend, W.publish): tasks run, inline
-// touches and spawns are plain fields of the worker, so what the telemetry
-// rows show is only as good as the publication rule. These tests pin the two
-// halves of it — exact wherever an observer can synchronise, at most
-// counterLag behind per running worker otherwise. CI runs the tests named
-// CounterFlush under -race -count=10 at GOMAXPROCS=4.
+// Tests for the owner-local counters (W.pend, W.publish): the per-task
+// counts are a plain table in the worker, so what the telemetry rows and the
+// jobs show is only as good as the publication rule. These tests pin it —
+// exact wherever an observer can synchronise, at most counterLag behind per
+// running worker otherwise, and never in another job's counters. CI runs the
+// tests named CounterFlush and JobCountsExactAcrossJobs under -race
+// -count=10 at GOMAXPROCS=4.
 
 // cutFib is help-first fib that forks down to n < cutoff: every call at or
 // above the cutoff spawns one future and touches it.
@@ -165,8 +166,9 @@ func TestCounterFlushParkedWorkers(t *testing.T) {
 // spawns about as often as it runs, either would cover for the other.
 func TestCounterFlushLagBound(t *testing.T) {
 	const workers, bursts, burst = 2, 40, 8 * counterLag
-	// A task between its last statement and countRun, or a spawn between the
-	// test's own count and adopt's, is one more per worker the rows may miss.
+	// A task between its last statement and its count in run, or a spawn
+	// between the test's own count and adopt's, is one more per worker the
+	// rows may miss.
 	const slack = (counterLag + 1) * workers
 	rt := newRT(t, workers)
 	var spawned, finished atomic.Int64
@@ -224,4 +226,36 @@ func TestCounterFlushLagBound(t *testing.T) {
 		t.Fatalf("TasksRun after Run = %d, want %d", ran, want)
 	}
 	t.Logf("%d concurrent reads over %d tasks", reads, lastRan)
+}
+
+// TestJobCountsExactAcrossJobs: a worker's pending counts are those of the
+// job whose task it is running, and it publishes them on entering and on
+// leaving a task of another job. So concurrent jobs whose tasks interleave on
+// the same workers — a worker loop going from one job's task to the next
+// job's, a helper running another job's task — never hand counts to each
+// other: every job counts exactly its own tasks.
+func TestJobCountsExactAcrossJobs(t *testing.T) {
+	const workers, rounds, jobs, n, cutoff = 4, 50, 16, 14, 4
+	want := cutFibSpawns(n, cutoff) + 1
+	fib := cutFib(nil, nil, n, n+1)
+	rt := newRT(t, workers)
+	handles := make([]Job[int], 0, jobs)
+	for r := 0; r < rounds; r++ {
+		handles = handles[:0]
+		for i := 0; i < jobs; i++ {
+			j, err := Submit(rt, func(w *W) int { return cutFib(rt, w, n, cutoff) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles = append(handles, j)
+		}
+		for _, j := range handles {
+			if got := j.Wait(); got != fib {
+				t.Fatalf("round %d: job %d = %d, want %d", r, j.ID(), got, fib)
+			}
+			if ran := j.Stats().TasksRun; ran != want {
+				t.Fatalf("round %d: job %d counted %d tasks, want %d", r, j.ID(), ran, want)
+			}
+		}
+	}
 }

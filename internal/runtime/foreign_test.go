@@ -233,8 +233,8 @@ func TestJobZeroNeverCounted(t *testing.T) {
 	}
 	js := &rt.solo
 	for name, v := range map[string]int64{
-		"refs": js.refs.Load(), "tasksRun": js.tasksRun.Load(), "steals": js.steals.Load(),
-		"inline": js.inline.Load(), "helped": js.helped.Load(), "blocked": js.blocked.Load(),
+		"refs": js.refs.Load(), "tasksRun": js.counts[jobTasks].Load(), "steals": js.counts[jobSteals].Load(),
+		"inline": js.counts[jobInline].Load(), "helped": js.counts[jobHelped].Load(), "blocked": js.counts[jobBlocked].Load(),
 		"queueWaitNs": js.queueWaitNs.Load(), "latencyNs": js.latencyNs.Load(),
 		"gen": int64(js.gen.Load()), "id": int64(js.id.Load()), "root": int64(js.root),
 	} {

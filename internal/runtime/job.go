@@ -21,8 +21,9 @@ package runtime
 // one admission plane; a host that wants one per LLC domain builds a
 // shard.Pool of runtimes, which is what the pool is for. A spawn
 // *inside* a job pays exactly the non-job spawn path plus one pointer copy
-// (the inherited job tag) and, per executed task, a handful of atomic adds
-// on the job's counters. A job-less Run is unchanged.
+// (the inherited job tag) and the liveness reference; its tasks are counted
+// in the worker's pending table like any, and reach the job's counters in the
+// worker's batched publication. A job-less Run is unchanged.
 //
 // Recycling safety: a pooled root may only be reused once nothing can reach
 // it — not the handle, not the root task, not any still-pending task of the
@@ -83,16 +84,38 @@ type jobState struct {
 	// once by finish (0 while in flight).
 	latencyNs atomic.Int64
 
-	// Per-job counters, scoped to this job's tasks: tasksRun and steals are
-	// credited to the executed task's job, inline/blocked touches to the
-	// touched task's job, helped tasks to the helped (executed) task's job.
-	// Unlike the pooled Stats.HelpedTasks — which counts every task run
-	// while helping, stolen or not — helped here follows the deviation
-	// semantics the profiler uses: a task stolen during a help is counted
-	// in steals only, so steals+helped+blocked never double-charges one
-	// displaced execution.
-	tasksRun, steals        atomic.Int64
-	inline, helped, blocked atomic.Int64
+	// counts are the per-job counters, one per job column: tasks run,
+	// steals, inline touches and helped tasks of the job's executed tasks,
+	// and blocked touches of its futures by its own computation. W.publish
+	// is their only writer, adding the same pending counts it adds to the
+	// worker's telemetry row, so Σ JobStats, Stats and a trace agree by
+	// construction: a task stolen during a help is one steal in each, and
+	// steals+helped+blocked never double-charges one displaced execution.
+	counts [numJobColumns]atomic.Int64
+}
+
+// The job columns: what a job counts of the worker's per-task counters.
+const (
+	jobTasks = iota
+	jobSteals
+	jobInline
+	jobHelped
+	jobBlocked
+	numJobColumns
+)
+
+// jobColumn maps each pending counter to the job column publish also adds it
+// to, or to −1 for the counters only the rows keep: steal attempts and spawns.
+var jobColumn = [len(pending{})]int8{
+	telemetry.CTasksRun:          jobTasks,
+	telemetry.CStealAttempts:     -1,
+	telemetry.CStealsIntraDomain: jobSteals,
+	telemetry.CStealsCrossDomain: jobSteals,
+	telemetry.CInlineTouches:     jobInline,
+	telemetry.CHelpedTasks:       jobHelped,
+	telemetry.CBlockedTouches:    jobBlocked,
+	telemetry.CSpawnsFutureFirst: -1,
+	telemetry.CSpawnsParentFirst: -1,
 }
 
 // isJob reports whether js is a submitted job rather than its runtime's job
@@ -139,11 +162,9 @@ func (r *jobRoot[T]) prepareForReuse() {
 	js.root = 0
 	js.queueWaitNs.Store(0)
 	js.latencyNs.Store(0)
-	js.tasksRun.Store(0)
-	js.steals.Store(0)
-	js.inline.Store(0)
-	js.helped.Store(0)
-	js.blocked.Store(0)
+	for i := range js.counts {
+		js.counts[i].Store(0)
+	}
 }
 
 // release drops one liveness reference; the last one retires the composite:
@@ -214,11 +235,11 @@ func (js *jobState) finish() {
 func (js *jobState) jobStats() JobStats {
 	return JobStats{
 		ID:             js.id.Load(),
-		TasksRun:       js.tasksRun.Load(),
-		Steals:         js.steals.Load(),
-		InlineTouches:  js.inline.Load(),
-		HelpedTasks:    js.helped.Load(),
-		BlockedTouches: js.blocked.Load(),
+		TasksRun:       js.counts[jobTasks].Load(),
+		Steals:         js.counts[jobSteals].Load(),
+		InlineTouches:  js.counts[jobInline].Load(),
+		HelpedTasks:    js.counts[jobHelped].Load(),
+		BlockedTouches: js.counts[jobBlocked].Load(),
 		QueueWait:      time.Duration(js.queueWaitNs.Load()),
 		Latency:        time.Duration(js.latencyNs.Load()),
 	}
@@ -239,8 +260,7 @@ type JobStats struct {
 	// wait mode. HelpedTasks counts this job's tasks executed out of spawn
 	// order by a helping worker, excluding stolen ones (those are in Steals
 	// — one displaced execution, one counter, matching the profiler's
-	// deviation accounting; the pooled Stats.HelpedTasks by contrast counts
-	// stolen helps in both columns).
+	// deviation accounting).
 	InlineTouches, HelpedTasks, BlockedTouches int64
 	// QueueWait is the submit→first-execution delay of the root task (0
 	// while it is still queued).

@@ -39,49 +39,46 @@ func (rt *Runtime) recording() bool {
 	return rt.flight != nil || rt.prof.Load() != nil
 }
 
-// record appends ev to the active profiling session, if any, and to the
-// flight recorder, if the runtime has one. Only this worker writes to its
-// log in either, so both sinks are lock-free on the hot path.
-func (w *W) record(ev profile.Event) {
-	if rec := w.rt.prof.Load(); rec != nil {
-		rec.Record(w.id, ev)
-	}
-	if fl := w.rt.flight; fl != nil {
-		fl.Record(w.id, ev)
-	}
-}
-
-// recordTouch records a completed touch of task other from w's context,
-// attributed to the job of the toucher (jobs are isolation domains: a job's
-// futures are touched by its own computation, so toucher and touched agree;
-// the external waiter's touch of a job root is recorded separately with the
-// root's job).
-func (w *W) recordTouch(other uint64, mode profile.TouchMode, helps, item int32) {
-	if !w.rt.recording() {
+// emit appends ev to the active profiling session, if any, and to the flight
+// recorder, if the runtime has one: to w's log when w is one of rt's workers
+// — only w writes there, so both sinks are lock-free on that path — and as an
+// external event otherwise (a nil or another runtime's worker; serialized
+// inside each recorder), the routing push uses for a task. Callers check
+// recording before they build ev.
+func (rt *Runtime) emit(w *W, ev profile.Event) {
+	if w != nil && w.rt == rt {
+		if rec := rt.prof.Load(); rec != nil {
+			rec.Record(w.id, ev)
+		}
+		if fl := rt.flight; fl != nil {
+			fl.Record(w.id, ev)
+		}
 		return
 	}
-	w.record(profile.Event{Kind: profile.KindTouch, Mode: mode,
-		Task: w.cur, Other: other, Arg: item, N: helps, Job: w.jobID()})
-}
-
-// recordExternalTouch records a touch of task t (item ≥ 0: of that stream
-// item) made by a goroutine outside the worker pool, attributed to t's job.
-func (rt *Runtime) recordExternalTouch(t *task, mode profile.TouchMode, item int32) {
-	if rt.recording() {
-		rt.recordExternal(profile.Event{Kind: profile.KindTouch, Mode: mode,
-			Other: t.id(), Arg: item, Job: t.jobID()})
-	}
-}
-
-// recordExternal appends ev on behalf of a goroutine outside the worker
-// pool (serialized inside each recorder).
-func (rt *Runtime) recordExternal(ev profile.Event) {
 	if rec := rt.prof.Load(); rec != nil {
 		rec.RecordExternal(ev)
 	}
 	if fl := rt.flight; fl != nil {
 		fl.RecordExternal(ev)
 	}
+}
+
+// recordTouch records a completed touch of task t (item ≥ 0: of that stream
+// item) after helps helped tasks, from the context of w. From one of rt's
+// workers it is attributed to the worker's current task and job (jobs are
+// isolation domains: a job's futures are touched by its own computation, so
+// toucher and touched agree); from anywhere else to the external context and
+// t's job — so the external waiter's touch of a job root carries the root's
+// job.
+func (rt *Runtime) recordTouch(w *W, t *task, mode profile.TouchMode, helps, item int32) {
+	if !rt.recording() {
+		return
+	}
+	ev := profile.Event{Kind: profile.KindTouch, Mode: mode, Other: t.id(), Arg: item, N: helps, Job: t.jobID()}
+	if w != nil && w.rt == rt {
+		ev.Task, ev.Job = w.cur, w.jobID()
+	}
+	rt.emit(w, ev)
 }
 
 // recordSpawn records the creation of task t from the context of w (nil
@@ -97,10 +94,8 @@ func (rt *Runtime) recordSpawn(w *W, t *task, d Discipline) {
 	ev := profile.Event{Kind: profile.KindSpawn, Other: t.id(), Arg: -1, Disc: d, Job: t.jobID()}
 	if w != nil && w.rt == rt {
 		ev.Task = w.cur
-		w.record(ev)
-	} else {
-		rt.recordExternal(ev)
 	}
+	rt.emit(w, ev)
 }
 
 // ErrProfileActive reports a StartProfile while a session is running.

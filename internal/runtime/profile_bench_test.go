@@ -45,7 +45,7 @@ func BenchmarkFibProfilingDisabled(b *testing.B) { benchFib(b, false) }
 func BenchmarkFibProfilingEnabled(b *testing.B) { benchFib(b, true) }
 
 // TestDisabledRecordOverhead asserts the disabled-mode hook cost is within
-// noise: a record call with no active session is one atomic load and a
+// noise: an emit with no active session is one atomic load and a
 // branch, so even under the race detector a call must stay far below a
 // microsecond. This guards against someone accidentally making the
 // disabled path allocate, lock, or log.
@@ -57,7 +57,7 @@ func TestDisabledRecordOverhead(t *testing.T) {
 	probe := profile.Event{Kind: profile.KindBegin, Task: 1, Arg: -1}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		w.record(probe)
+		rt.emit(w, probe)
 	}
 	perOp := time.Since(start) / iters
 	if perOp > time.Microsecond {

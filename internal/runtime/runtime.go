@@ -52,9 +52,9 @@
 // write no cache line other workers share: task IDs are unique but not dense
 // in spawn order, because each worker draws them from the runtime's counter a
 // block at a time, push reads the parked count without writing anything, and
-// the per-task counters are plain fields of the worker, published to its
-// telemetry row before anyone can wait for the result. See DESIGN.md, "hot
-// path anatomy", for the per-operation budget.
+// the per-task counters are a plain table in the worker, published to its
+// telemetry row and its job before anyone can wait for the result. See
+// DESIGN.md, "hot path anatomy", for the per-operation budget.
 //
 // Errors and cancellation: task panics surface through Touch (re-panicking
 // the original value) or TouchErr/RunErr (returned as errors, wrapping the
@@ -387,11 +387,11 @@ type domainCond struct {
 // owner-written scheduling state starts the third, so a thief reading
 // v.dq or v.domain never touches a line the owner is hammering; the struct is
 // a whole number of lines, so the allocator places it line-aligned and a
-// neighboring object shares none of them (TestWorkerLayout). The counters
-// that move once per task are plain owner-local fields (pend); everything
-// else is counted straight into the worker's telemetry row, reached through
-// the read-only tele pointer, where Stats and the /metrics scraper read
-// without touching W at all.
+// neighboring object shares none of them (TestWorkerLayout). The per-task
+// counters are an owner-local table (pend); everything else is counted
+// straight into the worker's telemetry row, reached through the read-only
+// tele pointer, where Stats and the /metrics scraper read without touching W
+// at all.
 type W struct {
 	rt *Runtime
 	id int
@@ -427,8 +427,8 @@ type W struct {
 	// idNext..idEnd is what remains of the worker's reserved block of task
 	// IDs: the next spawn takes idNext+1. Owner-only (see nextTaskID).
 	idNext, idEnd uint64
-	// pend holds the per-task counters not yet published to tele (see
-	// publish). Owner-only.
+	// pend holds the per-task counters not yet published, all of them
+	// curJob's (see publish). Owner-only.
 	pend pending
 	// jobFree is the worker's stash of recycled job-root composites — a
 	// worker that performs a job's last release parks the root here
@@ -440,61 +440,59 @@ type W struct {
 	// crowdedYield). Owner-only.
 	pollAfter time.Duration
 
-	_ [2*cacheLine - 88]byte
+	_ [2*cacheLine - 96]byte
 }
 
-// pending is a worker's unpublished share of the four counters that move
-// once per task: tasks run, inline touches, and spawns by discipline. The
-// owner bumps them with plain increments and publish folds them into the
-// telemetry row.
-type pending struct {
-	ran, inlined uint32
-	spawned      [2]uint32 // indexed by Discipline
-}
+// pending is a worker's unpublished share of the per-task counters, indexed
+// by telemetry counter: tasks run, steals by locality, inline touches, helped
+// tasks, blocked touches and spawns by discipline (a steal attempt goes
+// straight to the row, so its slot stays 0). The owner bumps them with plain
+// increments and publish moves them out. Sixteen bits are enough: publication
+// comes at the latest after counterLag tasks and taskIDBlock spawns, and
+// after every steal, help and blocked touch.
+type pending [telemetry.CSpawnsParentFirst + 1]uint16
 
 // counterLag bounds how far a running worker's telemetry row may trail its
 // pending counters: they are published at the latest every counterLag tasks
 // run and every taskIDBlock spawns.
 const counterLag = 256
 
-// publish folds the pending counters into the worker's telemetry row, one
-// atomic add per counter that moved. Owner-only.
+// publish moves the pending counters out, one atomic add per counter that
+// moved into the worker's telemetry row and, while the worker runs a job's
+// task, one into the job's column (jobColumn). It is the only writer of a
+// job's counters, so the rows, the jobs and a trace count every fact once and
+// alike. Owner-only.
 //
 // The publication rule. A worker publishes (1) before it makes visible the
 // completion of any task it did not run as that task's own toucher or diving
 // spawner — every task run from the worker loop or while helping, which
 // includes every Run and job root; (2) before it blocks at a touch, and
-// before it parks; (3) after counterLag tasks and after taskIDBlock spawns.
-// A task run inline or dived into completes inside another task on the same
-// worker, so by (1) its counts are out before that enclosing task's
+// before it parks; (3) on entering or leaving a task of another job, so the
+// pending counts are always curJob's and never outlive the running task's
+// liveness reference on it; (4) after counterLag tasks and after taskIDBlock
+// spawns. A task run inline or dived into completes inside another task on
+// the same worker, so by (1) its counts are out before that enclosing task's
 // completion is. Hence a goroutine that has waited for a computation whose
 // futures were all touched — Run or Job.Wait returned, a worker parked —
 // reads exact counters, and a reader that synchronizes on nothing sees each
 // running worker at most counterLag tasks and taskIDBlock spawns behind.
+//
+// Kept out of line: it runs once per stolen, helped or counterLag-th task,
+// and inlined at run's two call sites it doubles the code every inline touch
+// runs through.
+//
+//go:noinline
 func (w *W) publish() {
-	if n := w.pend.ran; n != 0 {
-		w.tele.Add(telemetry.CTasksRun, int64(n))
-	}
-	if n := w.pend.inlined; n != 0 {
-		w.tele.Add(telemetry.CInlineTouches, int64(n))
-	}
-	for d, n := range w.pend.spawned {
+	js := w.curJob
+	for c, n := range w.pend {
 		if n != 0 {
-			w.tele.Add(telemetry.SpawnCounter(Discipline(d)), int64(n))
+			w.tele.Add(telemetry.Counter(c), int64(n))
+			if col := jobColumn[c]; col >= 0 && js.isJob() {
+				js.counts[col].Add(int64(n))
+			}
 		}
 	}
 	w.pend = pending{}
-}
-
-// countRun counts one executed task in the pending counters and reports
-// whether the rule at publish now calls for publication. Owner-only: two
-// plain increments and a compare, no atomic.
-func (w *W) countRun(fl execFlags) (due bool) {
-	w.pend.ran++
-	if fl&execInline != 0 {
-		w.pend.inlined++
-	}
-	return fl&(execInline|execDive) == 0 || w.pend.ran == counterLag
 }
 
 // taskIDBlock is how many task IDs a worker reserves from Runtime.taskSeq
@@ -779,45 +777,59 @@ func (w *W) execCtx(t *task, fl execFlags) bool {
 }
 
 // run executes the claimed task t on w and retires it. All accounting — the
-// owner-local counters, the context-dependent inline/steal/help credits and
-// their profiler events — happens before retire publishes completion, so
-// whoever waits on t finds it already counted.
+// pending counts and the profiler events of a steal or a help — happens while
+// w.curJob is t's job, and is published, when the rule at publish calls for
+// it, before retire publishes completion; so whoever waits on t finds it
+// already counted, and t's job receives its counts while t's liveness
+// reference still holds it.
+//
+// An execution is counted once, as the first that applies of a steal, a help
+// and an inline touch: one out-of-order execution, one measured deviation. A
+// steal and a help are charged to t's job (Event.Job = t's job), not to
+// whichever job the helping worker was waiting in, so per-job trace
+// splitting and JobStats agree.
 func (w *W) run(t *task, fl execFlags) {
 	js, id := t.job, t.id()
 	prev, prevJob := w.cur, w.curJob
+	switched := js != prevJob
+	if switched {
+		w.publish()
+	}
 	w.cur, w.curJob = id, js
-	if js.isJob() {
-		js.tasksRun.Add(1)
-		if id == js.root {
-			// First execution of the job's root: the submit→begin delay is
-			// the job's queue wait (published once — the root runs once).
-			js.queueWaitNs.Store(int64(time.Since(js.submitted)))
-		}
+	if id == js.root {
+		// First execution of the job's root (job 0's root is 0, which no task
+		// has): the submit→begin delay is the job's queue wait (published
+		// once — the root runs once).
+		js.queueWaitNs.Store(int64(time.Since(js.submitted)))
 	}
 	if w.rt.recording() {
-		w.record(profile.Event{Kind: profile.KindBegin, Task: id, Arg: -1, Job: t.jobID()})
+		w.rt.emit(w, profile.Event{Kind: profile.KindBegin, Task: id, Arg: -1, Job: t.jobID()})
 	}
 	t.body.runTask(t, w, false)
 	if w.rt.recording() {
-		w.record(profile.Event{Kind: profile.KindEnd, Task: id, Arg: -1, Job: t.jobID()})
+		w.rt.emit(w, profile.Event{Kind: profile.KindEnd, Task: id, Arg: -1, Job: t.jobID()})
 	}
-	w.cur, w.curJob = prev, prevJob
-	if fl&execInline != 0 && js.isJob() {
-		js.inline.Add(1)
+	w.pend[telemetry.CTasksRun]++
+	switch {
+	case fl&execStolen != 0:
+		cross := fl&execCross != 0
+		w.pend[telemetry.LocalityCounter(cross)]++
+		if w.rt.recording() {
+			w.rt.emit(w, profile.Event{Kind: profile.KindSteal, Task: id, Arg: -1,
+				Steal: w.rt.StealPolicy(), Cross: cross, Job: t.jobID()})
+		}
+	case fl&execHelping != 0:
+		w.pend[telemetry.CHelpedTasks]++
+		if w.rt.recording() {
+			w.rt.emit(w, profile.Event{Kind: profile.KindHelp, Task: id, Arg: -1, Job: t.jobID()})
+		}
+	case fl&execInline != 0:
+		w.pend[telemetry.CInlineTouches]++
 	}
-	if fl&execHelping != 0 {
-		w.tele.Inc(telemetry.CHelpedTasks)
-	}
-	if fl&execStolen != 0 {
-		// A stolen task is charged as a steal, not additionally as a help —
-		// one out-of-order execution, one measured deviation.
-		w.recordSteal(t, fl&execCross != 0)
-	} else if fl&execHelping != 0 {
-		w.recordHelp(t)
-	}
-	if w.countRun(fl) {
+	if switched || fl&(execInline|execDive) == 0 || w.pend[telemetry.CTasksRun] == counterLag {
 		w.publish()
 	}
+	w.cur, w.curJob = prev, prevJob
 	t.retire(w)
 }
 
@@ -969,7 +981,7 @@ func (w *W) stealScan(vs []*W) (*task, execFlags) {
 // the task crossed an LLC boundary to get here, or nil when the deque was
 // empty, the steal lost a race, or the task at the top had already been
 // claimed (a toucher ran it inline while it sat in the deque). Not a steal
-// yet: that is counted when the task runs (recordSteal).
+// yet: that is counted when the task runs (see run).
 func (w *W) stealFrom(v *W) (*task, execFlags) {
 	w.tele.Inc(telemetry.CStealAttempts)
 	t, ok := v.dq.StealTop()
@@ -980,38 +992,6 @@ func (w *W) stealFrom(v *W) (*task, execFlags) {
 		return t, execStolen | execCross
 	}
 	return t, execStolen
-}
-
-// recordHelp credits and records one task executed while helping at a
-// touch: like a steal, the deviation belongs to the displaced task's job
-// (Event.Job = t's job), not to whichever job the helping worker was
-// waiting in — per-job trace splitting and JobStats agree on that reading.
-func (w *W) recordHelp(t *task) {
-	if js := t.job; js.isJob() {
-		js.helped.Add(1)
-	}
-	if w.rt.recording() {
-		w.record(profile.Event{Kind: profile.KindHelp, Task: t.id(), Arg: -1, Job: t.jobID()})
-	}
-}
-
-// recordSteal counts the steal of t, which the thief w has just executed,
-// everywhere a steal is counted: the thief's locality counter (whose two
-// columns are the steal count), t's job, and one KindSteal event stamped with
-// the runtime's steal rule and whether the task crossed a domain boundary
-// (cross, the execCross flag stealFrom returned). One place and one time — run
-// calls it before retire publishes completion — so Stats.Steals, the per-job
-// counts plus job-less steals, and a whole-run trace's KindSteal count are the
-// same number.
-func (w *W) recordSteal(t *task, cross bool) {
-	w.tele.Inc(telemetry.LocalityCounter(cross))
-	if js := t.job; js.isJob() {
-		js.steals.Add(1)
-	}
-	if w.rt.recording() {
-		w.record(profile.Event{Kind: profile.KindSteal, Task: t.id(), Arg: -1,
-			Steal: w.rt.StealPolicy(), Cross: cross, Job: t.jobID()})
-	}
 }
 
 // loop is the worker body: run what the own deque holds, and when it is
@@ -1465,7 +1445,7 @@ func (rt *Runtime) adopt(w *W, t *task, d Discipline) bool {
 		return false
 	}
 	if local {
-		w.pend.spawned[d]++
+		w.pend[telemetry.SpawnCounter(d)]++
 	} else {
 		rt.teleExt.Inc(telemetry.SpawnCounter(d))
 	}
@@ -1493,11 +1473,11 @@ func (f *Future[T]) dive(rt *Runtime, w *W) {
 	// workload through Run instead if parent edges matter.
 	if f.claim() {
 		if rt.recording() {
-			rt.recordExternal(profile.Event{Kind: profile.KindBegin, Task: f.id(), Arg: -1, Job: f.jobID()})
+			rt.emit(nil, profile.Event{Kind: profile.KindBegin, Task: f.id(), Arg: -1, Job: f.jobID()})
 		}
 		f.body.runTask(&f.task, nil, false)
 		if rt.recording() {
-			rt.recordExternal(profile.Event{Kind: profile.KindEnd, Task: f.id(), Arg: -1, Job: f.jobID()})
+			rt.emit(nil, profile.Event{Kind: profile.KindEnd, Task: f.id(), Arg: -1, Job: f.jobID()})
 		}
 		f.retire(nil)
 	}
@@ -1553,11 +1533,7 @@ func (f *Future[T]) TryTouch(w *W) (v T, ok bool) {
 	if !f.spendTouch() {
 		panic(ErrDoubleTouch)
 	}
-	if rt := f.job.rt; w != nil && w.rt == rt {
-		w.recordTouch(f.id(), profile.ModeReady, 0, -1)
-	} else {
-		rt.recordExternalTouch(&f.task, profile.ModeReady, -1)
-	}
+	f.job.rt.recordTouch(w, &f.task, profile.ModeReady, 0, -1)
 	return f.finish(), true
 }
 
@@ -1582,7 +1558,7 @@ func (f *Future[T]) wait(w *W) T {
 // nothing, only when asked to spend a touch that was already spent.
 func (f *Future[T]) await(w *W, latch uint64) bool {
 	if w != nil && w.runInline(&f.task, latch) {
-		w.recordTouch(f.id(), profile.ModeInline, 0, -1)
+		w.rt.recordTouch(w, &f.task, profile.ModeInline, 0, -1)
 		return true
 	}
 	if latch != 0 && !f.spendTouch() {
@@ -1590,7 +1566,7 @@ func (f *Future[T]) await(w *W, latch uint64) bool {
 	}
 	if w == nil {
 		f.waitDone()
-		f.job.rt.recordExternalTouch(&f.task, profile.ModeExternal, -1)
+		f.job.rt.recordTouch(nil, &f.task, profile.ModeExternal, 0, -1)
 		return true
 	}
 	w.helpUntil(&f.task, &f.task, -1)
@@ -1610,14 +1586,14 @@ func (w *W) helpUntil(t *task, d awaited, arg int32) {
 			if helps > 0 {
 				mode = profile.ModeHelped
 			}
-			w.recordTouch(t.id(), mode, helps, arg)
+			w.rt.recordTouch(w, t, mode, helps, arg)
 			return
 		}
 		// Unstarted after all (runInline's CAS lost to a latch landing on the
 		// word): claim it the general way. The inline credit is applied inside
 		// run, within the task's job-liveness window.
 		if w.execCtx(t, execInline) {
-			w.recordTouch(t.id(), profile.ModeInline, helps, arg)
+			w.rt.recordTouch(w, t, profile.ModeInline, helps, arg)
 			return
 		}
 		if h, fl := w.find(); h != nil {
@@ -1633,18 +1609,19 @@ func (w *W) helpUntil(t *task, d awaited, arg int32) {
 		if w.pollTouch(d, arg) {
 			continue
 		}
-		// Block until d completes. The blocked credit goes to the touched
-		// task's job only when that is the toucher's own job (the supported
-		// discipline — futures are consumed by the computation that spawned
-		// them), whose liveness the running task guarantees; a foreign job may
-		// already have retired and recycled, so it is skipped rather than raced.
-		w.publish()
-		w.tele.Inc(telemetry.CBlockedTouches)
-		if js := t.job; js.isJob() && js == w.curJob {
-			js.blocked.Add(1)
+		// Block until d completes. The blocked touch is pending like any
+		// count of the toucher's own job when the touched task is of that job
+		// (the supported discipline — futures are consumed by the computation
+		// that spawned them); another job may already have retired and
+		// recycled, so its blocked touch counts in the row only.
+		if t.job == w.curJob {
+			w.pend[telemetry.CBlockedTouches]++
+		} else {
+			w.tele.Inc(telemetry.CBlockedTouches)
 		}
+		w.publish()
 		d.waitAt(arg)
-		w.recordTouch(t.id(), profile.ModeBlocked, helps, arg)
+		w.rt.recordTouch(w, t, profile.ModeBlocked, helps, arg)
 		return
 	}
 }
@@ -1746,11 +1723,14 @@ type WorkerStats struct {
 // Stats snapshots the counters. The values are read off the telemetry rows —
 // Stats is a view over the always-on counter matrix, with Steals the sum of
 // its two locality columns. A steal is counted where the stolen task runs,
-// before the task's completion is published (recordSteal). Once a
-// computation whose futures were all touched has been waited for (Run or
-// Job.Wait returned) its tasks are all counted; while tasks are in flight
-// TasksRun and InlineTouches trail each running worker by at most 256 tasks
-// (see W.publish), on top of the usual skew of reading live counters one
+// and an execution is counted once, as a steal, a help or an inline touch
+// (see W.run); the per-task counters reach the rows and the jobs' JobStats in
+// one publication (W.publish), so Stats equals Σ JobStats plus the job-less
+// counts (and the blocked touches of another job's futures, which only the
+// rows count). Once a computation whose futures were all touched has been
+// waited for (Run or Job.Wait returned) its tasks are all counted; while
+// tasks are in flight TasksRun and InlineTouches trail each running worker by
+// at most 256 tasks, on top of the usual skew of reading live counters one
 // after another.
 func (rt *Runtime) Stats() Stats {
 	var s Stats

@@ -260,14 +260,16 @@ func passedTree(rt *Runtime, w *W, depth int) int {
 // KindSteal count and the per-job counts plus the job-less steals are one
 // number, and no stolen task has two steal events, or a steal event and an
 // inline touch (a thief that lost the task to its toucher stole nothing), or
-// a steal event and no execution.
+// a steal event and no execution. Helped tasks obey the same law: a task
+// stolen while its worker helped is a steal only, so Stats.HelpedTasks, the
+// trace's KindHelp count and the per-job plus job-less helps are one number.
 func TestStealCountedOnceLive(t *testing.T) {
 	for _, topo := range stealTopologies(t) {
 		rt := New(WithWorkers(4), WithTopology(topo), WithSeed(11))
 		if err := rt.StartProfile(); err != nil {
 			t.Fatal(err)
 		}
-		var jobSteals int64
+		var jobSteals, jobHelped int64
 		for round := 0; round < 200 && (round < 10 || rt.Stats().Steals == 0); round++ {
 			if got := Run(rt, func(w *W) int { return profFib(rt, w, 16) + passedTree(rt, w, 7) }); got != 987+255 {
 				t.Fatalf("run = %d, want %d", got, 987+255)
@@ -284,7 +286,9 @@ func TestStealCountedOnceLive(t *testing.T) {
 				if got := j.Wait(); got != 144+63 {
 					t.Fatalf("job = %d, want %d", got, 144+63)
 				}
-				jobSteals += j.Stats().Steals
+				js := j.Stats()
+				jobSteals += js.Steals
+				jobHelped += js.HelpedTasks
 			}
 		}
 		tr := rt.StopProfile()
@@ -297,9 +301,14 @@ func TestStealCountedOnceLive(t *testing.T) {
 		stolen := map[uint64]int{}
 		inline := map[uint64]bool{}
 		begun := map[uint64]bool{}
-		var jobless, cross int64
+		var jobless, cross, helped, joblessHelped int64
 		for _, ev := range tr.Events() {
 			switch ev.Kind {
+			case profile.KindHelp:
+				helped++
+				if ev.Job == 0 {
+					joblessHelped++
+				}
 			case profile.KindSteal:
 				stolen[ev.Task]++
 				if ev.Job == 0 {
@@ -326,6 +335,10 @@ func TestStealCountedOnceLive(t *testing.T) {
 			jobSteals+jobless != n || st.CrossSteals != cross {
 			t.Fatalf("%s: Stats.Steals %d, intra+cross %d+%d, per-job %d + job-less %d, trace %d steal events (%d cross) — want one number",
 				topo.Source, st.Steals, st.IntraSteals, st.CrossSteals, jobSteals, jobless, n, cross)
+		}
+		if st.HelpedTasks != helped || jobHelped+joblessHelped != helped {
+			t.Fatalf("%s: Stats.HelpedTasks %d, per-job %d + job-less %d, trace %d help events — want one number",
+				topo.Source, st.HelpedTasks, jobHelped, joblessHelped, helped)
 		}
 		if topo.NumDomains() == 1 && st.CrossSteals != 0 {
 			t.Fatalf("flat topology counted %d cross-domain steals", st.CrossSteals)

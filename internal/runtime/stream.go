@@ -95,7 +95,7 @@ func (streamBody[T]) runTask(t *task, wk *W, cancelled bool) {
 		// Record the yield before publishing the item, so a consumer's
 		// touch of item i is always causally after yield i in the trace.
 		if wk.rt.recording() {
-			wk.record(profile.Event{Kind: profile.KindYield, Task: wk.cur, Arg: int32(next), Job: s.jobID()})
+			wk.rt.emit(wk, profile.Event{Kind: profile.KindYield, Task: wk.cur, Arg: int32(next), Job: s.jobID()})
 		}
 		s.publish(next + 1)
 	}
@@ -219,9 +219,9 @@ func (s *Stream[T]) spend(i int) bool {
 // recording check comes first, so an unrecorded worker Get makes no call.
 func (s *Stream[T]) recordGet(w *W, i int, mode profile.TouchMode) {
 	if w == nil {
-		s.rt.recordExternalTouch(&s.task, profile.ModeExternal, int32(i))
+		s.rt.recordTouch(nil, &s.task, profile.ModeExternal, 0, int32(i))
 	} else if w.rt.recording() {
-		w.recordTouch(s.id(), mode, 0, int32(i))
+		w.rt.recordTouch(w, &s.task, mode, 0, int32(i))
 	}
 }
 

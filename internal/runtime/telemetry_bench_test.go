@@ -63,36 +63,50 @@ func TestTelemetryIncOverhead(t *testing.T) {
 	}
 }
 
-// TestPendingCountOverhead guards the counters that move once per task:
-// counting a run is plain owner-local arithmetic that leaves the telemetry
-// row alone — the row moves only in publish, every counterLag tasks, by one
-// atomic add per counter — and nothing is lost between the two.
+// TestPendingCountOverhead guards the per-task counters: counting a run is
+// plain owner-local arithmetic in the pending table that leaves the telemetry
+// row alone — the row moves only in publish, after counterLag inline runs, by
+// one atomic add per counter that moved — and nothing is lost between the
+// two. The first half drives run itself, on one job-less task run inline over
+// and over; the second times the table's counts and publications alone.
 func TestPendingCountOverhead(t *testing.T) {
 	rt := bareRuntime(1)
 	w := rt.workers[0]
-	for i := 0; i < counterLag-1; i++ {
-		if w.countRun(execInline) {
-			t.Fatalf("publication due after %d inline runs, want after %d", i+1, counterLag)
-		}
+	f := &Future[int]{task: task{job: &rt.solo, body: futureBody[int](func(*W) int { return 0 })}}
+	runInline := func() {
+		f.setID(1)
+		f.claim()
+		w.run(&f.task, execInline)
 	}
-	if ran, inl := w.tele.Load(telemetry.CTasksRun), w.tele.Load(telemetry.CInlineTouches); ran != 0 || inl != 0 {
+	row := func() (ran, inline int64) {
+		return w.tele.Load(telemetry.CTasksRun), w.tele.Load(telemetry.CInlineTouches)
+	}
+	for i := 0; i < counterLag-1; i++ {
+		runInline()
+	}
+	if ran, inl := row(); ran != 0 || inl != 0 {
 		t.Fatalf("counting %d runs moved the row to ran %d inline %d; only publish may", counterLag-1, ran, inl)
 	}
-	if !w.countRun(execInline) {
-		t.Fatalf("no publication due after %d runs", counterLag)
+	if p := w.pend; p[telemetry.CTasksRun] != counterLag-1 || p[telemetry.CInlineTouches] != counterLag-1 {
+		t.Fatalf("%d inline runs pending as ran %d inline %d", counterLag-1, p[telemetry.CTasksRun], p[telemetry.CInlineTouches])
 	}
-	w.pend = pending{}
+	runInline()
+	if ran, inl := row(); ran != counterLag || inl != counterLag || w.pend != (pending{}) {
+		t.Fatalf("after %d inline runs the row reads ran %d inline %d, pending %v; want all published", counterLag, ran, inl, w.pend)
+	}
 	const iters = 1_000_000
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		if w.countRun(execInline) {
+		w.pend[telemetry.CTasksRun]++
+		w.pend[telemetry.CInlineTouches]++
+		if w.pend[telemetry.CTasksRun] == counterLag {
 			w.publish()
 		}
 	}
 	perOp := time.Since(start) / iters
 	w.publish()
-	if ran, inl := w.tele.Load(telemetry.CTasksRun), w.tele.Load(telemetry.CInlineTouches); ran != iters || inl != iters {
-		t.Fatalf("published ran %d inline %d after %d runs", ran, inl, iters)
+	if ran, inl := row(); ran != iters+counterLag || inl != iters+counterLag {
+		t.Fatalf("published ran %d inline %d after %d runs", ran, inl, iters+counterLag)
 	}
 	if perOp > time.Microsecond {
 		t.Fatalf("counting a run costs %v/op; want well under 1µs", perOp)
@@ -112,7 +126,7 @@ func TestFlightRecordOverhead(t *testing.T) {
 	probe := profile.Event{Kind: profile.KindBegin, Task: 1, Arg: -1}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		w.record(probe)
+		rt.emit(w, probe)
 	}
 	perOp := time.Since(start) / iters
 	if perOp > time.Microsecond {
@@ -132,7 +146,7 @@ func TestNoFlightRecordOverhead(t *testing.T) {
 	probe := profile.Event{Kind: profile.KindBegin, Task: 1, Arg: -1}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		w.record(probe)
+		rt.emit(w, probe)
 	}
 	perOp := time.Since(start) / iters
 	if perOp > time.Microsecond {

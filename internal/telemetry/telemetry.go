@@ -2,8 +2,11 @@
 // observability subsystem: one cache-line-padded row of atomic counters per
 // worker (plus one shared row for external goroutines), incremented from
 // the scheduler's existing recording hooks at one atomic add per event — or,
-// for the counters that move once per task, one atomic add per batch the
-// worker has counted privately — and snapshotted without stopping anything.
+// for the per-task counters (tasks run, steals, inline touches, helped tasks,
+// blocked touches, spawns), one atomic add per batch the worker has counted
+// privately and publishes to its row and its job's counters at once, so the
+// rows and the per-job counts agree — and snapshotted without stopping
+// anything.
 //
 // The design split mirrors the profiler's: the profiler records *events*
 // (heavyweight, windowed, reconstructable into a DAG), telemetry records
@@ -43,7 +46,10 @@ const (
 	CStealsCrossDomain
 	// CInlineTouches counts touches satisfied by inline-running the task.
 	CInlineTouches
-	// CHelpedTasks counts tasks executed while helping at a touch.
+	// CHelpedTasks counts tasks executed while helping at a touch, except
+	// stolen ones: those are steals. An execution is counted at most once, as
+	// a steal, a help or an inline touch, in the rows as in the per-job
+	// counts and the trace.
 	CHelpedTasks
 	// CBlockedTouches counts touches that blocked with no work available.
 	CBlockedTouches
