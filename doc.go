@@ -47,8 +47,9 @@
 //     work only. A worker's spawn and inline touch write no cache line
 //     other workers share, and a push wakes at most one parked worker — it
 //     takes no lock at all unless the atomic parked count says somebody is
-//     actually asleep (a parking worker re-reads every queue's length
-//     after raising that count, which preserves lost-wakeup safety). Victim
+//     asleep and not yet signalled (a parking worker re-reads every queue's
+//     length after raising that count, and raises it again before every
+//     sleep, which preserves lost-wakeup safety). Victim
 //     selection is an inline xorshift, not a math/rand object. The
 //     scheduler's decision surface has two axes, both vocabulary shared
 //     with the simulator. The Discipline (FutureFirst / ParentFirst) is
@@ -83,8 +84,8 @@
 //     returns a typed Job handle (Wait / WaitErr / TryWait / Done) — a
 //     value with a generation check, because job roots recycle through
 //     a freelist: a steady-state Submit allocates nothing, nor does a
-//     Wait that finds the job done (one that blocks allocates its wait
-//     gate, 2 allocations); every task a job's computation spawns inherits
+//     Wait (a blocked Wait on a warm root allocates nothing: it reuses the
+//     gate its root keeps); every task a job's computation spawns inherits
 //     the job's identity, so each job gets its own Stats (tasks, steals,
 //     touch modes), queue-wait and wall-latency capture, and profiler
 //     attribution (job IDs are never reused). SubmitAll admits a whole

@@ -344,8 +344,8 @@ func Run[T any](rt *Runtime, fn func(*W) T) T { return runtime.Run(rt, fn) }
 // the worker pool, each with its own ID, Stats, latency capture, and
 // profiler attribution (Event.Job). On a saturated runtime (WithMaxInFlight)
 // it rejects with ErrSaturated; on a closed one, with ErrClosed. The handle
-// is a value (a steady-state Submit allocates nothing, and a Wait only the
-// gate it blocks on, if it must block); copy it freely
+// is a value (a steady-state Submit allocates nothing, and a blocked Wait on
+// a warm root allocates nothing either); copy it freely
 // but consume it — Wait/WaitErr/TryWait — exactly once across all copies.
 func Submit[T any](rt *Runtime, fn func(*W) T) (Job[T], error) { return runtime.Submit(rt, fn) }
 

@@ -156,8 +156,8 @@ func TestSpawnTouchAllocBudgetFlight(t *testing.T) {
 // allocates NOTHING — the root future and job state recycle through the
 // freelist, admission is a CAS on the in-flight word, and the returned handle
 // is a value. The waiter spins on Done before consuming so the measurement
-// never materializes the blocking gate (a waiter that actually blocks pays
-// for the gate; see TestSubmitWaitBlockedAllocBudget).
+// never installs the blocking gate (a waiter that blocks installs the gate
+// its root keeps; see TestSubmitWaitBlockedAllocBudget).
 func TestSubmitWaitAllocBudget(t *testing.T) {
 	for _, capped := range []bool{false, true} {
 		opts := []Option{WithWorkers(1)}
@@ -196,9 +196,11 @@ func TestSubmitWaitAllocBudget(t *testing.T) {
 }
 
 // TestSubmitWaitBlockedAllocBudget pins what a Submit+Wait pair costs when
-// the waiter blocks, as every waiter of a job that is still running does: the
-// wait gate and its channel, 2 allocations, and nothing on the submit path.
-// The job returns only once its root's gate exists, so every Wait blocks.
+// the waiter blocks, as every waiter of a job that is still running does:
+// nothing. The first blocked waiter of a composite makes its gate and
+// channel, and every later tenant's waiter installs that gate again
+// (jobState.waitRoot). The job returns only once its root's gate is
+// installed, so every Wait blocks.
 func TestSubmitWaitBlockedAllocBudget(t *testing.T) {
 	rt := New(WithWorkers(1))
 	defer rt.Shutdown()
@@ -226,8 +228,8 @@ func TestSubmitWaitBlockedAllocBudget(t *testing.T) {
 		round() // warm the freelist
 	}
 	got := testing.AllocsPerRun(200, round)
-	if got > 2 {
-		t.Errorf("steady-state Submit+blocked Wait = %.1f allocs/op, budget 2", got)
+	if got > 0 {
+		t.Errorf("steady-state Submit+blocked Wait = %.1f allocs/op, budget 0", got)
 	}
 	t.Logf("steady-state Submit+blocked Wait = %.2f allocs/op", got)
 }

@@ -16,20 +16,23 @@ package runtime
 // pooled composite (jobRoot) recycled through one freelist, admission is a
 // CAS on the in-flight word (no channel, no lock, no table of jobs), and the
 // handle returned to the caller is a value. A Wait that finds the job done
-// allocates nothing either; one that blocks materializes the root's wait
-// gate, a gate and its channel: 2 allocations. The runtime is
-// one admission plane; a host that wants one per LLC domain builds a
-// shard.Pool of runtimes, which is what the pool is for. A spawn
-// *inside* a job pays exactly the non-job spawn path plus one pointer copy
-// (the inherited job tag) and the liveness reference; its tasks are counted
-// in the worker's pending table like any, and reach the job's counters in the
+// allocates nothing either, and neither does one that blocks on a warm root:
+// the composite keeps the wait gate its first blocked waiter materialized
+// (jobState.gate). The runtime is one admission plane; a host that wants one
+// per LLC domain builds a shard.Pool of runtimes, which is what the pool is
+// for. A spawn *inside* a job pays exactly the non-job spawn path plus one
+// pointer copy (the inherited job tag) and a liveness reference drawn from
+// the worker's block; its tasks are counted in the worker's pending table
+// like any, and their counts and deferred releases reach the job in the
 // worker's batched publication. A job-less Run is unchanged.
 //
 // Recycling safety: a pooled root may only be reused once nothing can reach
 // it — not the handle, not the root task, not any still-pending task of the
 // job (a job may legally abandon spawned futures that execute after the
-// root returns). jobState.refs counts exactly those references; the last
-// release recycles. Handles are generation-checked (jobState.gen) so a
+// root returns). jobState.refs counts those references — never fewer: a
+// worker reserves them in blocks and returns the rest, with the releases it
+// deferred, when it publishes — and the release that brings it to zero
+// recycles. Handles are generation-checked (jobState.gen) so a
 // stale copy of an already-consumed handle fails fast with ErrDoubleTouch
 // instead of touching the pool's next tenant. Job IDs themselves are never
 // recycled — they stay dense and monotone from jobSeq — so profiler
@@ -62,8 +65,9 @@ type jobState struct {
 	gen atomic.Uint64
 	// refs counts liveness references: the root task and the handle (2 at
 	// launch) plus one per still-pending task spawned by the job's
-	// computation. The release that drops it to zero recycles the root
-	// composite into a freelist.
+	// computation, plus the unused rest of every worker's block and the
+	// releases workers have deferred (W.refsHeld, W.refsDropped). The release
+	// that drops it to zero recycles the root composite into a freelist.
 	refs atomic.Int64
 	// id is atomic only because a stale reader (an external toucher holding
 	// a job future across the job's retirement) may race a recycle: it then
@@ -83,6 +87,11 @@ type jobState struct {
 	// latencyNs is the submit→completion wall latency, published exactly
 	// once by finish (0 while in flight).
 	latencyNs atomic.Int64
+	// gate is the root's wait gate, kept across tenants: made by the first
+	// waiter that blocks (waitRoot), with a one-slot channel, installed
+	// again by every later one. Written only by the handle holder, and read
+	// by prepareForReuse after the last release.
+	gate *waitGate
 
 	// counts are the per-job counters, one per job column: tasks run,
 	// steals, inline touches and helped tasks of the job's executed tasks,
@@ -149,8 +158,11 @@ func newJobRoot[T any](rt *Runtime) *jobRoot[T] {
 // prepareForReuse scrubs the composite for its next tenant: the status word
 // goes back to ID 0, created and untouched, and the result, body and
 // wait-gate slots drop their references so the pool never pins user data.
-// The invariant fields (rt, job, owner) stay wired; identity fields are
-// assigned fresh at the next launch.
+// The kept gate is uninstalled, loses its panic value, and gives up the
+// token its tenant's completion sent if the waiter, re-checking after the
+// install, saw the job done and never took it. The invariant fields (rt,
+// job, owner, the kept gate) stay wired; identity fields are assigned fresh
+// at the next launch.
 func (r *jobRoot[T]) prepareForReuse() {
 	f := &r.fut
 	var zero T
@@ -159,6 +171,13 @@ func (r *jobRoot[T]) prepareForReuse() {
 	f.gate.Store(nil)
 	f.status.Store(0)
 	js := &r.js
+	if g := js.gate; g != nil {
+		g.panicked = nil
+		select {
+		case <-g.ch:
+		default:
+		}
+	}
 	js.root = 0
 	js.queueWaitNs.Store(0)
 	js.latencyNs.Store(0)
@@ -167,13 +186,13 @@ func (r *jobRoot[T]) prepareForReuse() {
 	}
 }
 
-// release drops one liveness reference; the last one retires the composite:
+// release drops n liveness references; the last one retires the composite:
 // bump the generation (stale handles fail fast from here on), scrub, and
 // recycle — into the releasing worker's local stash when there is one
 // (flushed to the freelist in one lock visit when full), else straight onto
 // the freelist.
-func (js *jobState) release(w *W) {
-	if js.refs.Add(-1) != 0 {
+func (js *jobState) release(w *W, n int64) {
+	if js.refs.Add(-n) != 0 {
 		return
 	}
 	js.gen.Add(1)
@@ -323,7 +342,26 @@ func (j *Job[T]) settle() {
 	j.consumed = true
 	j.fin = j.js.jobStats()
 	j.fin.ID = j.id
-	j.js.release(nil)
+	j.js.release(nil, 1)
+}
+
+// waitRoot blocks until the job's root task t completes, on the gate the
+// composite keeps (jobState.gate) through the lazy gate's handshake. The
+// completion sends that gate one token instead of closing it, which is
+// enough: the handle holder is the root's one possible waiter, since a stale
+// handle copy fails its generation check before it touches the root. A gate
+// another goroutine installed first — the completer's, for a panic value — is
+// an ordinary one, closed on completion.
+func (js *jobState) waitRoot(t *task) {
+	if t.isDone() {
+		return
+	}
+	if js.gate == nil {
+		js.gate = &waitGate{ch: make(chan struct{}, 1)}
+	}
+	if g := materialize(&t.gate, js.gate); !t.isDone() {
+		<-g.ch
+	}
 }
 
 // isDoubleTouch reports whether a recovered panic value is the
@@ -352,6 +390,7 @@ func (j *Job[T]) Wait() T {
 			panic(r)
 		}
 	}()
+	j.js.waitRoot(&j.f.task)
 	v := j.f.Touch(nil)
 	j.settle()
 	return v
@@ -365,6 +404,7 @@ func (j *Job[T]) WaitErr() (T, error) {
 		var zero T
 		return zero, ErrDoubleTouch
 	}
+	j.js.waitRoot(&j.f.task)
 	v, err := j.f.TouchErr(nil)
 	if err != nil && errors.Is(err, ErrDoubleTouch) {
 		return v, err
@@ -485,8 +525,9 @@ func (rt *Runtime) MaxInFlight() int { return rt.maxInFlight }
 // The root is pushed help-first onto the global queue like Run's root; every
 // task the job's computation spawns inherits the job's identity for per-job
 // Stats and profiling attribution (Event.Job). In steady state (freelist
-// warm) Submit allocates nothing, and neither does a Wait that finds the job
-// done; a Wait that blocks allocates its wait gate (2 allocations).
+// warm) Submit allocates nothing, and neither does Wait: one that finds the
+// job done needs no gate, and one that blocks on a warm root installs the
+// gate the root keeps.
 func Submit[T any](rt *Runtime, fn func(*W) T) (Job[T], error) {
 	if rt.closed.Load() {
 		return Job[T]{}, ErrClosed

@@ -567,3 +567,139 @@ func TestHelpAttributedToHelpedTasksJob(t *testing.T) {
 		t.Fatalf("job A helped-mode waits = %d, want 1", recA.HelpedWaits)
 	}
 }
+
+// TestAbandonedFuturesRecycleRootOnce: a job may abandon futures that run
+// after its Wait has returned. Their liveness references keep the root from
+// recycling until the last of them retires, and then it recycles exactly
+// once: the generation moves by one and the composite is pooled once. Each
+// abandoned future takes a token from the test, so on one worker the k-th
+// send completes only after the first k−1 have retired. The recycling worker
+// stashes the root, and its stash reaches the freelist when the
+// workerFreeCap-th root arrives, so the Submit after that many rounds gets
+// the last root back.
+func TestAbandonedFuturesRecycleRootOnce(t *testing.T) {
+	const abandoned = 8
+	rt := newRT(t, 1)
+	token := make(chan struct{})
+	take := func(*W) int { <-token; return 0 }
+	var last *jobState
+	for round := 0; round < workerFreeCap; round++ {
+		j, err := Submit(rt, func(w *W) int {
+			for i := 0; i < abandoned; i++ {
+				SpawnWith(rt, w, ParentFirst, take)
+			}
+			return 1
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, gen := j.js, j.gen
+		if got := j.Wait(); got != 1 {
+			t.Fatalf("round %d: Wait = %d, want 1", round, got)
+		}
+		for k := 1; k <= abandoned; k++ {
+			if g := js.gen.Load(); g != gen {
+				t.Fatalf("round %d: root recycled with %d of %d abandoned futures still pending", round, abandoned-k+1, abandoned)
+			}
+			token <- struct{}{}
+		}
+		waitFor(t, "the root recycles", func() bool { return js.gen.Load() != gen })
+		waitFor(t, "the worker parks", func() bool { return rt.parked.Load() == 1 })
+		if g := js.gen.Load(); g != gen+1 {
+			t.Fatalf("round %d: generation moved %d times, want once", round, g-gen)
+		}
+		w := rt.workers[0]
+		pooled := 0
+		for _, r := range w.jobFree {
+			if r == js.owner {
+				pooled++
+			}
+		}
+		rt.freeMu.Lock()
+		for _, r := range rt.free {
+			if r == js.owner {
+				pooled++
+			}
+		}
+		rt.freeMu.Unlock()
+		if pooled != 1 {
+			t.Fatalf("round %d: root pooled %d times, want once", round, pooled)
+		}
+		last = js
+	}
+	j, err := Submit(rt, func(*W) int { return 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.js != last {
+		t.Fatal("the Submit after a full stash reached the freelist allocated a new root")
+	}
+	if got := j.Wait(); got != 2 {
+		t.Fatalf("Wait on the recycled root = %d, want 2", got)
+	}
+}
+
+// TestSubmitWaitBlockedReusesRootGate: a blocked Wait installs the gate its
+// root keeps, and the root's completion sends it one token, over many
+// tenants of one composite: blocked waits, panicking roots (whose panic value
+// rides the kept gate, and is gone for the next tenant), roots that panic
+// before anyone waits (an ordinary gate, closed), and a token left behind by
+// a waiter that installed the gate and then saw the job done, which the
+// recycle must drain — left in place, the next completion's send would never
+// return. Every Wait must return its own tenant's outcome, and a composite
+// makes its gate once.
+func TestSubmitWaitBlockedReusesRootGate(t *testing.T) {
+	rt := newRT(t, 1)
+	var root atomic.Pointer[task]
+	installed := func() {
+		waitUntil(func() bool { r := root.Load(); return r != nil && r.gate.Load() != nil })
+	}
+	cases := []struct {
+		name string
+		body func(w *W) int
+		// leave installs the kept gate without blocking on it, as a waiter
+		// that re-checks after the install and sees the job done.
+		leave  bool
+		panics bool
+	}{
+		{"blocked", func(*W) int { installed(); return 1 }, false, false},
+		{"blocked then panics", func(*W) int { installed(); panic("boom") }, false, true},
+		{"panics first", func(*W) int { panic("boom") }, false, true},
+		{"token left behind", func(*W) int { return 1 }, true, false},
+	}
+	kept := map[*jobState]*waitGate{}
+	for round := 0; round < 200; round++ {
+		c := cases[round%len(cases)]
+		release := make(chan struct{})
+		j, err := Submit(rt, func(w *W) int { <-release; return c.body(w) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.Store(&j.f.task)
+		if c.leave {
+			if j.js.gate == nil {
+				j.js.gate = &waitGate{ch: make(chan struct{}, 1)}
+			}
+			materialize(&j.f.gate, j.js.gate)
+			close(release)
+			waitUntil(j.Done)
+		} else {
+			close(release)
+		}
+		v, err := j.WaitErr()
+		root.Store(nil)
+		var pe *PanicError
+		switch {
+		case c.panics && (!errors.As(err, &pe) || pe.Value != "boom"):
+			t.Fatalf("round %d (%s): WaitErr = %v, %v; want the root's panic", round, c.name, v, err)
+		case !c.panics && (err != nil || v != 1):
+			t.Fatalf("round %d (%s): WaitErr = %v, %v; want 1", round, c.name, v, err)
+		}
+		// A root recycled by the worker waits in its stash, so the next
+		// Submit may get another composite; none may make a second gate.
+		if g, ok := kept[j.js]; ok && g != j.js.gate {
+			t.Fatalf("round %d (%s): the root made a second gate", round, c.name)
+		}
+		kept[j.js] = j.js.gate
+	}
+}

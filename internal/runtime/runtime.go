@@ -137,6 +137,11 @@ const (
 // the completer to the toucher. It is allocated only when a toucher actually
 // has to block, or when the body panics or is cancelled: the common case,
 // an inline run or a touch of a finished future, never sees one.
+//
+// ch is unbuffered, and closed to wake every waiter at once, except in the
+// gate a job root keeps across tenants (jobState.gate): that root has one
+// possible waiter, the handle holder, so its channel has one slot and the
+// completion sends it one token, leaving the gate reusable (see wake).
 type waitGate struct {
 	ch chan struct{}
 	// panicked is written by the completer before it publishes completion
@@ -145,28 +150,40 @@ type waitGate struct {
 	panicked any
 }
 
-// materialize returns the gate behind p, installing a fresh one if there is
-// none. Any goroutine; all callers agree on one gate. A stream's producer
-// takes its gate out again (Stream.publish), so a lost install is followed
-// by another look, which may find the slot empty once more.
-func materialize(p *atomic.Pointer[waitGate]) *waitGate {
-	var fresh *waitGate
+// materialize returns the gate behind p, installing spare if there is none,
+// or a fresh gate when spare is nil. Any goroutine; all callers agree on one
+// gate. A stream's producer takes its gate out again (Stream.publish), so a
+// lost install is followed by another look, which may find the slot empty
+// once more.
+func materialize(p *atomic.Pointer[waitGate], spare *waitGate) *waitGate {
 	for {
 		if g := p.Load(); g != nil {
 			return g
 		}
-		if fresh == nil {
-			fresh = &waitGate{ch: make(chan struct{})}
+		if spare == nil {
+			spare = &waitGate{ch: make(chan struct{})}
 		}
-		if p.CompareAndSwap(nil, fresh) {
-			return fresh
+		if p.CompareAndSwap(nil, spare) {
+			return spare
 		}
+	}
+}
+
+// wake releases the gate's waiters: a kept root gate gets the one token its
+// one waiter takes (the channel's slot is free: each tenant's completion
+// sends at most once, and jobRoot.prepareForReuse drains a token nobody
+// took), any other gate is closed.
+func (g *waitGate) wake() {
+	if cap(g.ch) == 0 {
+		close(g.ch)
+	} else {
+		g.ch <- struct{}{}
 	}
 }
 
 // The lazy gate's handshake, shared by tasks and streams. The completer
 // publishes done — an atomic write to its own word — and then loads the
-// gate, closing it if a waiter installed one (task.complete); a waiter that
+// gate, waking it if a waiter installed one (task.complete); a waiter that
 // has seen done unset installs the gate and then loads done again, sleeping
 // only if it is still unset (task.waitDone). All four accesses are
 // sequentially consistent, so no wakeup is lost (Dekker): either the
@@ -261,15 +278,16 @@ func (t *task) spendTouch() bool { return t.status.Or(stateTouched)&stateTouched
 func (t *task) complete() {
 	t.status.Add(stateDone - stateRunning)
 	if g := t.gate.Load(); g != nil {
-		close(g.ch)
+		g.wake()
 	}
 }
 
 // waitDone blocks until complete. Only this slow path allocates the gate
-// (shared by all waiters).
+// (shared by all waiters; a job's root, whose waiter brings the gate its
+// composite keeps, blocks in jobState.waitRoot instead).
 func (t *task) waitDone() {
 	if !t.isDone() {
-		if g := materialize(&t.gate); !t.isDone() {
+		if g := materialize(&t.gate, nil); !t.isDone() {
 			<-g.ch
 		}
 	}
@@ -348,9 +366,10 @@ type Runtime struct {
 	_ [cacheLine]byte
 
 	mu sync.Mutex
-	// parked counts workers inside park. It is written under mu but read
-	// without it by push, which skips the lock entirely — the common case —
-	// when nobody is parked (see push for the handshake).
+	// parked counts the workers asleep in park that nobody has signalled yet
+	// (see park). It is written under mu but read without it by push, which
+	// skips the lock entirely — the common case — when there is nobody left
+	// to wake (see push for the handshake).
 	parked atomic.Int32
 	// taskSeq allocates task IDs for profiling traces: one at a time for
 	// external spawns and job roots, a block at a time for workers
@@ -370,9 +389,9 @@ type Runtime struct {
 }
 
 // domainCond is one locality domain's parking stripe: a condition variable
-// sharing the runtime mutex plus the count of workers asleep on it (guarded
-// by that mutex — the lock-free gate stays the runtime-wide atomic parked
-// count).
+// sharing the runtime mutex plus the count of workers asleep on it that
+// nobody has signalled yet (guarded by that mutex — the lock-free gate stays
+// the runtime-wide atomic parked count, which is the stripes' sum).
 type domainCond struct {
 	cond   *sync.Cond
 	parked int32
@@ -430,6 +449,11 @@ type W struct {
 	// pend holds the per-task counters not yet published, all of them
 	// curJob's (see publish). Owner-only.
 	pend pending
+	// refsHeld is what remains of the block of liveness references the worker
+	// took on curJob (see refBlock), and refsDropped the references of
+	// curJob's tasks it retired and has not yet returned; publish returns both
+	// in one add. Owner-only.
+	refsHeld, refsDropped uint16
 	// jobFree is the worker's stash of recycled job-root composites — a
 	// worker that performs a job's last release parks the root here
 	// lock-free and donates the stash to the runtime's freelist in one lock
@@ -461,18 +485,20 @@ const counterLag = 256
 // moved into the worker's telemetry row and, while the worker runs a job's
 // task, one into the job's column (jobColumn). It is the only writer of a
 // job's counters, so the rows, the jobs and a trace count every fact once and
-// alike. Owner-only.
+// alike. It also settles the worker's liveness references on curJob: the
+// unused rest of its block and the releases it deferred go back in one add,
+// which recycles the job's root if it brings the count to zero. Owner-only.
 //
 // The publication rule. A worker publishes (1) before it makes visible the
 // completion of any task it did not run as that task's own toucher or diving
 // spawner — every task run from the worker loop or while helping, which
 // includes every Run and job root; (2) before it blocks at a touch, and
 // before it parks; (3) on entering or leaving a task of another job, so the
-// pending counts are always curJob's and never outlive the running task's
-// liveness reference on it; (4) after counterLag tasks and after taskIDBlock
-// spawns. A task run inline or dived into completes inside another task on
-// the same worker, so by (1) its counts are out before that enclosing task's
-// completion is. Hence a goroutine that has waited for a computation whose
+// pending counts and references are always curJob's and never outlive the
+// running task's liveness reference on it; (4) after counterLag tasks and
+// after taskIDBlock spawns. A task run inline or dived into completes inside
+// another task on the same worker, so by (1) its counts are out before that
+// enclosing task's completion is. Hence a goroutine that has waited for a computation whose
 // futures were all touched — Run or Job.Wait returned, a worker parked —
 // reads exact counters, and a reader that synchronizes on nothing sees each
 // running worker at most counterLag tasks and taskIDBlock spawns behind.
@@ -493,7 +519,18 @@ func (w *W) publish() {
 		}
 	}
 	w.pend = pending{}
+	if n := int64(w.refsHeld) + int64(w.refsDropped); n != 0 {
+		w.refsHeld, w.refsDropped = 0, 0
+		js.release(w, n)
+	}
 }
+
+// refBlock is how many liveness references a worker takes on its current job
+// at a time (W.refsHeld): one locked add on the job's shared line per 64
+// in-job spawns instead of one per spawn. Reservations only add and deferred
+// releases only wait, so jobState.refs never reads below the number of live
+// references, and the root cannot recycle early.
+const refBlock = 64
 
 // taskIDBlock is how many task IDs a worker reserves from Runtime.taskSeq
 // at a time: one shared-line write per 256 spawns instead of one per spawn.
@@ -614,7 +651,7 @@ func (rt *Runtime) drainGlobal() {
 
 // cancelIfUnclaimed completes the task's future with ErrClosed if no worker
 // has claimed it. The cancellation spends the task's liveness reference on
-// its job, exactly as an execution would.
+// its job at once, as an execution outside its job's tasks does.
 func (t *task) cancelIfUnclaimed() {
 	if t.claim() {
 		t.body.runTask(t, nil, true)
@@ -623,39 +660,60 @@ func (t *task) cancelIfUnclaimed() {
 }
 
 // retire ends a claimed task whose body has run (or been cancelled). A job
-// root finishes its job first (latency capture, admission slot return), so a waiter that observes completion also sees the job's
-// final accounting — on every path, including a shutdown cancellation. Then
-// completion is published, and last the task's liveness reference on its job
-// is dropped: after that a pooled job root may be recycled at any moment, so
-// neither retire nor its caller reads the task again.
+// root finishes its job first (latency capture, admission slot return), so a
+// waiter that observes completion also sees the job's final accounting — on
+// every path, including a shutdown cancellation. Then completion is
+// published, and last the task's liveness reference on its job is dropped:
+// after that a pooled job root may be recycled at any moment, so neither
+// retire nor its caller reads the task again.
+//
+// A task retired inside another task of its own job — run inline, dived
+// into or helped by a worker whose curJob is that job — defers the release
+// to the worker's next publication. That comes at the latest as the worker
+// leaves the outermost task of the job on its stack, a job switch (rule (3)
+// at W.publish, job 0 included), and that task holds its own reference until
+// then, so the count cannot reach zero early. Everything else releases at
+// once: a task run from the worker loop or inside another job's task, a
+// cancellation, and every root, which never runs inside its own job (every
+// other task of the job descends from the root's run).
 func (t *task) retire(w *W) {
 	js := t.job
-	if js.isJob() && t.id() == js.root {
+	if !js.isJob() {
+		t.complete()
+		return
+	}
+	if t.id() == js.root {
 		js.finish()
 	}
 	t.complete()
-	if js.isJob() {
-		js.release(w)
+	if w != nil && w.curJob == js {
+		w.refsDropped++
+		return
 	}
+	js.release(w, 1)
 }
 
 // push makes t available for execution, preferring w's own deque. On a
 // closed runtime the task is cancelled instead (fail fast — nothing would
 // ever pop it).
 //
-// The common case — a worker-local push with no worker parked — is one
-// lock-free deque store and one atomic load of the parked count: no write
-// outside the worker's own deque, no mutex, no broadcast. The mutex is taken
-// only to Signal one parked worker (one new task needs one worker, not the
-// herd).
+// The common case — a worker-local push with no sleeper left to wake — is
+// one lock-free deque store and one atomic load of the parked count: no
+// write outside the worker's own deque, no mutex, no broadcast. The mutex is
+// taken only to Signal one parked worker that nobody has signalled yet (one
+// new task needs one worker, not the herd, and a sleeper needs one signal).
 //
 // No lost wakeup. The queue publication here (the deque's seq-cst bottom
 // store, or the global queue's size store) precedes the parked load; a
 // parking worker's parked.Add, made under mu, precedes its queue-length
-// loads (see park). Seq-cst order therefore leaves two cases: this push
-// observes parked > 0 and signals under mu — which it can only acquire once
-// the parker is inside Wait, or has already left park — or the parker
-// observes the non-empty queue and does not sleep.
+// loads, and it makes that Add again before every sleep (see park).
+// Seq-cst order therefore leaves three cases: this push observes parked > 0
+// and signals under mu — which it can only acquire once the parker is
+// inside Wait, or has already left park; or the parker's Add comes after
+// the parked load, so its queue loads observe the non-empty queue and it
+// does not sleep; or the parker is not counted because a signaller counted
+// it out, and then it re-checks every queue under mu, after the Add that
+// counts it back in, before it sleeps again.
 func (rt *Runtime) push(w *W, t *task) {
 	if rt.closed.Load() {
 		t.cancelIfUnclaimed()
@@ -685,10 +743,11 @@ func (rt *Runtime) push(w *W, t *task) {
 // worker's own locality domain: the woken worker's likeliest next pop is
 // the task just pushed (or a steal from the pusher's deque), so a
 // domain-local wakeup keeps that handoff inside the shared LLC. It scans
-// the other domains' stripes only when the local one is empty; finding no
-// sleeper at all is benign — every worker counted by the lock-free parked
-// gate left park, or has yet to look at the queues, before we got the lock,
-// and either way it will see the work already published.
+// the other domains' stripes only when the local one holds no sleeper that
+// is still unsignalled; finding none at all is benign — every worker
+// counted by the lock-free parked gate was signalled, left park, or has yet
+// to look at the queues before we got the lock, and each of those will see
+// the work already published.
 func (rt *Runtime) signalOne(w *W) {
 	start := 0
 	if w != nil && w.rt == rt {
@@ -699,7 +758,7 @@ func (rt *Runtime) signalOne(w *W) {
 	n := len(rt.domainConds)
 	for i := 0; i < n; i++ {
 		if d := &rt.domainConds[(start+i)%n]; d.parked > 0 {
-			d.cond.Signal()
+			rt.wakeOne(d)
 			signaled = true
 			break
 		}
@@ -720,16 +779,25 @@ func (rt *Runtime) signalN(n int) {
 	signaled := 0
 	rt.mu.Lock()
 	for i := 0; i < len(rt.domainConds) && signaled < n; i++ {
-		d := &rt.domainConds[i]
-		for j := int32(0); j < d.parked && signaled < n; j++ {
-			d.cond.Signal()
-			signaled++
+		for d := &rt.domainConds[i]; d.parked > 0 && signaled < n; signaled++ {
+			rt.wakeOne(d)
 		}
 	}
 	rt.mu.Unlock()
 	if signaled > 0 {
 		rt.teleExt.Add(telemetry.CWakeups, int64(signaled))
 	}
+}
+
+// wakeOne signals one of stripe d's unsignalled sleepers and counts it out,
+// so no later push signals it again. Caller holds mu and has seen
+// d.parked > 0. Cond.Signal wakes the longest waiter not yet signalled, and
+// d.parked is exactly how many of those the stripe has: each sleeper counted
+// itself in right before its Wait, under the same mutex.
+func (rt *Runtime) wakeOne(d *domainCond) {
+	d.parked--
+	rt.parked.Add(-1)
+	d.cond.Signal()
 }
 
 // teleRow routes counter updates to w's row when w belongs to this runtime,
@@ -1241,6 +1309,16 @@ func (w *W) drainCancelled() {
 // idle pool's telemetry rows are exact. A worker still polling in dry has not
 // come here yet: it is awake, not counted in parked, and owed no signal.
 //
+// One signal per sleeper. The counts hold only the sleepers nobody has
+// signalled yet: the signaller counts a sleeper out as it signals it
+// (wakeOne), so the pushes that follow while the woken worker is on its way
+// pass over it. Before Shutdown a worker returns from Wait only because a
+// signaller counted it out, so when it finds every queue still empty it
+// counts itself back in, before its queue loads, and sleeps again. Shutdown
+// wakes every sleeper with a Broadcast that counts nobody out; after it the
+// counts are stale, and nothing reads them but a push or SubmitAll that
+// raced the close, whose signal no sleeper needs any more.
+//
 // A queue that looks non-empty sends the worker back to find, which may
 // still come up dry (the owner popped the task, another thief won it). That
 // cannot repeat forever: a worker blocks at a touch or parks only after
@@ -1252,10 +1330,14 @@ func (w *W) park() {
 	d := &rt.domainConds[w.domain]
 	w.publish()
 	rt.mu.Lock()
-	rt.parked.Add(1)
-	d.parked++
-	slept := false
-	for !rt.queued() && !rt.closed.Load() {
+	for slept := false; ; {
+		rt.parked.Add(1)
+		d.parked++
+		if rt.queued() || rt.closed.Load() {
+			d.parked--
+			rt.parked.Add(-1)
+			break
+		}
 		if !slept {
 			// Count the park only when the worker actually goes to sleep — work
 			// that arrived between the lock-free scan and here is a near-miss,
@@ -1263,10 +1345,8 @@ func (w *W) park() {
 			slept = true
 			w.tele.Inc(telemetry.CParks)
 		}
-		d.cond.Wait()
+		d.cond.Wait() // returns counted out (wakeOne), or after Shutdown
 	}
-	d.parked--
-	rt.parked.Add(-1)
 	rt.mu.Unlock()
 }
 
@@ -1357,7 +1437,7 @@ func (fn futureBody[T]) runTask(t *task, w *W, cancelled bool) {
 
 // fail stores the panic value the future's touch will surface. Called only
 // by whoever claimed the task, before it publishes completion.
-func (f *Future[T]) fail(r any) { materialize(&f.gate).panicked = r }
+func (f *Future[T]) fail(r any) { materialize(&f.gate, nil).panicked = r }
 
 // failure returns the stored panic value, nil when the body returned
 // normally. Valid once the future is done.
@@ -1430,12 +1510,17 @@ func (rt *Runtime) adopt(w *W, t *task, d Discipline) bool {
 		// tag rides the task, so per-job Stats and Event.Job attribution
 		// survive however deep the computation forks. The tag is a liveness
 		// reference — the job's root cannot be recycled while any of its
-		// tasks is still pending (released by retire). A job of another
-		// runtime, whose task this worker is running as a foreign toucher,
-		// is not inherited: the task's job is always of the runtime it runs on.
+		// tasks is still pending (released by retire) — drawn from the
+		// worker's block (refBlock). A job of another runtime, whose task
+		// this worker is running as a foreign toucher, is not inherited: the
+		// task's job is always of the runtime it runs on.
 		if js := w.curJob; js.isJob() && js.rt == rt {
 			t.job = js
-			js.refs.Add(1)
+			if w.refsHeld == 0 {
+				js.refs.Add(refBlock)
+				w.refsHeld = refBlock
+			}
+			w.refsHeld--
 		}
 	} else {
 		t.setID(rt.taskSeq.Add(1))

@@ -309,6 +309,37 @@ func BenchmarkFibSpawn8(b *testing.B) {
 	}
 }
 
+// BenchmarkSpawnTouch times a worker-local ParentFirst spawn and its inline
+// touch outside any job, the pair the benchmark ladder's
+// runtime.spawn_touch_pf_ns rung times, and BenchmarkSpawnTouchInJob the same
+// pair inside a submitted job, where the spawn takes a liveness reference on
+// the job and the retire gives it back.
+func BenchmarkSpawnTouch(b *testing.B)      { benchSpawnTouch(b, false) }
+func BenchmarkSpawnTouchInJob(b *testing.B) { benchSpawnTouch(b, true) }
+
+func benchSpawnTouch(b *testing.B, inJob bool) {
+	rt := New(WithWorkers(1))
+	defer rt.Shutdown()
+	leaf := func(*W) int { return 1 }
+	body := func(w *W) int {
+		for i := 0; i < b.N; i++ {
+			SpawnWith(rt, w, ParentFirst, leaf).Touch(w)
+		}
+		return 0
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if !inJob {
+		Run(rt, body)
+		return
+	}
+	j, err := Submit(rt, body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	j.Wait()
+}
+
 func BenchmarkFibJoin8(b *testing.B) {
 	rt := New(WithWorkers(8))
 	defer rt.Shutdown()
@@ -593,7 +624,7 @@ func TestWorkerLayout(t *testing.T) {
 		t.Fatalf("W is %d bytes, not a multiple of %d", sz, cacheLine)
 	}
 	// The fields a spawn, a touch and a run write fit the section's first line.
-	if end := unsafe.Offsetof(w.pend) + unsafe.Sizeof(w.pend); end > owner+cacheLine {
+	if end := unsafe.Offsetof(w.refsDropped) + unsafe.Sizeof(w.refsDropped); end > owner+cacheLine {
 		t.Fatalf("per-task owner state ends at offset %d, past the first owner line at %d", end, owner+cacheLine)
 	}
 	if addr := uintptr(unsafe.Pointer(newRT(t, 1).workers[0])); addr%cacheLine != 0 {

@@ -124,7 +124,7 @@ func (s *Stream[T]) readyAt(i int32) bool { return s.produced.Load() > int64(i) 
 // waitAt implements awaited: it blocks until item i is published.
 func (s *Stream[T]) waitAt(i int32) {
 	for !s.readyAt(i) {
-		if g := materialize(&s.gate); !s.readyAt(i) {
+		if g := materialize(&s.gate, nil); !s.readyAt(i) {
 			<-g.ch
 		}
 	}

@@ -63,12 +63,11 @@ const (
 	// steal after the patience interval — counted once per episode, never per
 	// poll. Under a steady serve load nearly every episode ends the second
 	// way; parks rise only when arrivals are further apart than the poll
-	// window. CWakeups counts push-side signals to a parked worker —
-	// signals, not workers woken: a signalled sleeper counts as parked until
-	// it has run, so every push in that window signals it again and the
-	// counter can read many signals against one park. Suppressing the
-	// repeats was measured and moved throughput by under 3 % (DESIGN.md,
-	// observability), so they stay.
+	// window. CWakeups counts push-side signals to a parked worker, and
+	// each is a wake-up: the signaller counts the sleeper out of the parked
+	// count as it signals it, so no later push signals it again, and a
+	// worker that wakes to empty queues counts itself back in before it
+	// sleeps again. Wake-ups can exceed parks only by those second sleeps.
 	CParks
 	CWakeups
 	CPollFinds
