@@ -16,18 +16,18 @@
 //	futureprof -workload priority -n 32      # Figure 5(a) priority touches
 //	futureprof -workload fib -workers 8 -trials 16
 //	futureprof -workload fib -cachemodel 64,lru   # simulated extra-miss accounting
-//	futureprof -workload fib -topology 2x2   # two LLC domains: domain-tiered thieves
+//	futureprof -workload fib -topology 2x2   # the topology the header reports
 //	futureprof -workload fib -events         # dump the raw event trace too
 //	futureprof -workload fib -jobs 4         # 4 concurrent jobs (Submit), one verdict each
 //	futureprof -workload fib -o report.txt   # also write the report to a file
 //
 // -discipline sets the runtime-wide default fork discipline. The workers'
-// steal rule is not a flag: it is read off the topology (uniformly random
-// single steals where the workers share one LLC domain, domain-tiered where
-// -topology or the host gives them several) and printed with the run. The
-// report's "spawn disciplines" and "steal attribution" lines show what was
-// actually recorded per event, and its (fork × steal) matrix replays the
-// reconstructed DAG through the simulator under every policy pair.
+// steal rule is not a flag: a runtime is one steal domain whose thief robs a
+// uniformly random other worker, on any topology; -topology only sets the
+// topology the runtime reports, printed with the run. The report's "spawn
+// disciplines" line shows what was actually recorded per spawn, and its
+// matrix replays the reconstructed DAG through the simulator under each fork
+// discipline.
 package main
 
 import (
@@ -59,12 +59,12 @@ func main() {
 		workers    = flag.Int("workers", 4, "runtime worker count")
 		trials     = flag.Int("trials", 8, "simulator replay trials")
 		cacheModel = flag.String("cachemodel", "",
-			"cache-cost model for the footprint replay, \"C[,policy][,w=N][,llc=N][,noideal]\" (e.g. 64,lru); adds simulated extra-miss accounting per job and per (fork × steal) cell")
+			"cache-cost model for the footprint replay, \"C[,policy][,w=N][,llc=N][,noideal]\" (e.g. 64,lru); adds simulated extra-miss accounting per job and per matrix cell")
 		events     = flag.Bool("events", false, "also dump the raw event trace")
 		discipline = flag.String("discipline", "parent-first",
 			"default fork discipline for Spawn: future-first | parent-first")
 		topoSpec = flag.String("topology", "",
-			"cache topology for worker domains and the sim replay: a synthetic DxC spec (e.g. 2x2), or empty for the host hierarchy discovered from sysfs")
+			"cache topology the runtime reports — it shapes nothing else, since a runtime is one steal domain: a synthetic DxC spec (e.g. 2x2), or empty for the host hierarchy discovered from sysfs")
 		jobs = flag.Int("jobs", 1,
 			"concurrent copies of the workload to Submit as jobs (>1 profiles the multi-tenant job server and reports one per-job verdict each)")
 		flight = flag.Int("flight", 0,
@@ -149,10 +149,8 @@ func main() {
 		tr = rt.StopProfile()
 	}
 
-	fmt.Printf("futureprof: workload=%s workers=%d discipline=%s steal=%s jobs=%d (%d events traced)\n",
-		*workload, *workers, disc, rt.StealPolicy(), *jobs, tr.Len())
-	fmt.Printf("futureprof: topology source=%s, %d domains, workers striped %v\n\n",
-		rt.Topology().Source, rt.NumDomains(), rt.DomainAssignment())
+	fmt.Printf("futureprof: workload=%s workers=%d discipline=%s steal=%s topology=%s jobs=%d (%d events traced)\n\n",
+		*workload, *workers, disc, rt.StealPolicy(), rt.Topology().Source, *jobs, tr.Len())
 	if *events {
 		for _, ev := range tr.Events() {
 			fmt.Println("  ", ev)
@@ -166,9 +164,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	rep, err := fl.AnalyzeProfile(tr, fl.ProfileOptions{
-		P: *workers, Trials: *trials, Domains: rt.DomainAssignment(), CacheModel: model,
-	})
+	rep, err := fl.AnalyzeProfile(tr, fl.ProfileOptions{P: *workers, Trials: *trials, CacheModel: model})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "futureprof:", err)
 		os.Exit(1)

@@ -55,24 +55,16 @@
 //     with the simulator. The Discipline (FutureFirst / ParentFirst) is
 //     configurable on both sides: WithDiscipline sets the runtime-wide
 //     default, SpawnWith overrides it per call, SimConfig.Policy names the
-//     same constants. The StealPolicy (RandomSingle / Hierarchical)
-//     configures the simulator only (SimConfig.Steal, and the profiler's
-//     replay matrix): the runtime has one steal rule and no option to
-//     choose another — one task from the top of a victim drawn uniformly
-//     among the workers of the thief's own LLC locality domain, and across
-//     a cache boundary only when all of those are dry — which
-//     Runtime.StealPolicy names RandomSingle, the
-//     parsimonious thief the paper's bounds assume, where the workers
-//     share one domain (always, under WithTopology(FlatTopology(n))), and
-//     Hierarchical where they span several. A steal is counted once, where
-//     the stolen task runs: Stats.Steals, the per-job counts and a
-//     whole-run trace's steal events are one number.
-//     The domains come from the cache-topology subsystem (DetectTopology
-//     reads the host's sysfs cache hierarchy, SyntheticTopology builds an
-//     injectable DxC layout, WithTopology installs either), which also
-//     stripes the runtime's parked-worker accounting per domain and
-//     splits every steal into intra- vs cross-domain telemetry (spreading
-//     *jobs* over domains is the sharded pool's work, below).
+//     same constants. The StealPolicy has one value, RandomSingle, which
+//     SimConfig.Steal and Runtime.StealPolicy both name: the runtime has one
+//     steal rule and no option to choose another — one task from the top of
+//     a victim drawn uniformly among all the other workers, the
+//     parsimonious thief the paper's bounds assume. A runtime is one steal
+//     domain on any machine, with one parking condition variable; following
+//     the machine's LLC domains is the sharded pool's work (below), and
+//     WithTopology only sets the topology a runtime reports. A steal is
+//     counted once, where the stolen task runs: Stats.Steals, the per-job
+//     counts and a whole-run trace's steal events are one number.
 //     Errors and cancellation are first-class:
 //     RunErr and
 //     Future.TouchErr return task panics as errors (*PanicError), and a
@@ -101,10 +93,13 @@
 //
 //   - Sharded pool (NewPool, PoolSubmit, PoolSubmitKeyed, WithShards):
 //     the serve path scaled out — S independent runtimes, each one
-//     admission plane, by default one per LLC locality domain with each
-//     shard's workers pinned inside its domain, behind a router with the
-//     same submit surface. Placement is least-loaded (one in-flight word
-//     per shard), or consistent-hash on an optional job key (the ring
+//     admission plane and one steal domain, by default one per LLC locality
+//     domain of the topology (DetectTopology reads the host's sysfs cache
+//     hierarchy, SyntheticTopology builds an injectable DxC layout,
+//     WithPoolTopology installs either) — the one layer that follows the
+//     machine's caches — behind a router with the same submit surface.
+//     Placement is least-loaded (one in-flight word per shard), or
+//     consistent-hash on an optional job key (the ring
 //     depends only on shard identity, so resizing moves ~1/S of keys and
 //     none between surviving shards); when the placed shard's admission
 //     is saturated the router forwards the whole job to the least-loaded
@@ -118,20 +113,19 @@
 //   - Profiler (Runtime.StartProfile, ReconstructProfile, AnalyzeProfile):
 //     a near-zero-overhead event recorder wired into the runtime's
 //     scheduling paths; its trace reconstructs the computation DAG a real
-//     run performed — including the discipline of every spawn and the
-//     steal policy of every steal — classifies it, and compares measured
-//     deviations (steals, helped tasks, blocked touches) against the
-//     theorem envelopes, a simulator replay of the same DAG under
-//     future-first × random-single, and the (fork × steal) replay matrix
-//     over the runtime's two thieves attributing deviation cost to policy
-//     choice, connecting the model layer to live executions
+//     run performed — including the discipline of every spawn — classifies
+//     it, and compares measured deviations (steals, helped tasks, blocked
+//     touches) against the theorem envelopes, a simulator replay of the
+//     same DAG under future-first × random-single, and a replay under each
+//     fork discipline attributing deviation cost to policy choice,
+//     connecting the model layer to live executions
 //     (cmd/futureprof is the CLI). With a CacheModel (ParseCacheModel
 //     reads "C,policy" specs; ProfileOptions.CacheModel /
 //     AnalyzeOptions.CacheModel install one), the analysis also prices
 //     every replayed schedule in cache misses: a block footprint is
 //     derived from the DAG (per-thread frame + working-set window, the
 //     touched thread's frame read at each touch), replayed through P
-//     private caches (optionally a shared LLC tier per topology domain),
+//     private caches (optionally one shared LLC tier),
 //     and reported as extra misses over the sequential baseline — per
 //     report, per matrix cell, and per job — with Belady's OPT as the
 //     ideal-cache yardstick and the C·(1+P·T∞²) envelope granted only at

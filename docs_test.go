@@ -43,6 +43,8 @@ var retiredNames = []string{
 	"stolenCross",
 	"TaskThread", "TaskDiscipline", "TaskJob",
 	"FlightEnabled", "NewFlight", "packEvent",
+	"DomainAssignment", "domainConds", "steals_locality_total", "StealsByPolicy",
+	"HierarchicalProbesPeersFirst", "WakeCrossesDomains", "SplitJobs(",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

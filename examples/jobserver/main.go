@@ -78,7 +78,7 @@ func main() {
 		batchSize   = flag.Int("batch", 1, "requests submitted per SubmitAll batch (1 = one Submit per request)")
 		flightSize  = flag.Int("flight", 4096, "flight-recorder window per worker, in events (<= 0: the default)")
 		pace        = flag.Duration("pace", 200*time.Microsecond, "delay between request arrivals")
-		topoSpec    = flag.String("topology", "", "cache topology for shard/worker placement: a synthetic DxC spec (e.g. 2x2), or empty for the host hierarchy from sysfs")
+		topoSpec    = flag.String("topology", "", "cache topology the pool carves its shards from: a synthetic DxC spec (e.g. 2x2), or empty for the host hierarchy from sysfs")
 		shards      = flag.Int("shards", 0, "pool shard count (0: one shard per llc domain of the topology)")
 	)
 	flag.Parse()

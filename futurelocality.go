@@ -93,27 +93,14 @@ const (
 func ParseDiscipline(s string) (Discipline, error) { return policy.Parse(s) }
 
 // StealPolicy is the steal-discipline vocabulary: whom a thief robs; every
-// visit takes one task. The simulator replays a DAG under either
-// (SimConfig.Steal); the runtime has one steal rule, which Runtime.StealPolicy
-// names RandomSingle where its workers share one cache-locality domain and
-// Hierarchical where they span several (see WithTopology).
+// visit takes one task. It has one value, RandomSingle: the simulator's
+// thief (SimConfig.Steal) and the runtime's (Runtime.StealPolicy) alike.
 type StealPolicy = policy.StealPolicy
 
-// Steal policies — one vocabulary for the simulator and the runtime.
-const (
-	// RandomSingle steals one task from the top of a uniformly random
-	// victim — the parsimonious discipline of Section 3, the default, and
-	// the only one the paper's deviation bounds cover.
-	RandomSingle = policy.RandomSingle
-	// Hierarchical exhausts victims inside the thief's cache-locality
-	// domain (LLC-sharing group, see WithTopology and SimConfig.Domains)
-	// before probing across a domain boundary.
-	Hierarchical = policy.Hierarchical
-)
-
-// StealPolicies lists every defined steal policy, for (fork × steal)
-// sweeps.
-var StealPolicies = policy.StealPolicies
+// RandomSingle steals one task from the top of a uniformly random victim —
+// the parsimonious discipline of Section 3, and the one the paper's
+// deviation bounds cover.
+const RandomSingle = policy.RandomSingle
 
 // Cache replacement policies; the paper's model is LRU.
 const (
@@ -304,14 +291,12 @@ func WithSeed(seed int64) RuntimeOption { return runtime.WithSeed(seed) }
 // Spawn; per-call SpawnWith overrides it. Default ParentFirst.
 func WithDiscipline(d Discipline) RuntimeOption { return runtime.WithDiscipline(d) }
 
-// WithTopology injects the cache topology workers are grouped by: workers
-// stripe across the topology's LLC domains, every steal is attributed
-// intra- vs cross-domain, and a thief robs the workers of its own domain
-// before it crosses a boundary — so the topology also decides what
-// Runtime.StealPolicy reports. Default (nil): the host topology discovered
-// from sysfs, falling back to one flat domain. Pass SyntheticTopology("2x2")
-// for deterministic tests on machines whose real hierarchy is flat, and
-// FlatTopology(n) for the theorems' uniformly random thief on any machine.
+// WithTopology sets the machine topology the runtime reports
+// (Runtime.Topology). It does not change scheduling: a runtime is one steal
+// domain whose thief robs any other worker uniformly at random, the thief
+// the theorems assume. To follow a machine's LLC domains, run a Pool
+// (WithPoolTopology), one runtime per domain. Default (nil): the host
+// topology discovered from sysfs, falling back to one flat domain.
 func WithTopology(t *Topology) RuntimeOption { return runtime.WithTopology(t) }
 
 // WithContext ties the runtime's lifetime to ctx: cancellation shuts the
@@ -418,7 +403,7 @@ func IsForkJoin(g *Graph) bool { return g.IsForkJoin() }
 func CriticalPath(g *Graph) []NodeID { return g.CriticalPath() }
 
 // ---------------------------------------------------------------------------
-// Cache topology: locality domains for hierarchical stealing.
+// Cache topology: the LLC domains a Pool carves its shards from.
 
 // Topology is a discovered or synthetic cache-sharing hierarchy: CPUs
 // grouped into LLC-sharing locality domains (internal/topology).
@@ -586,7 +571,7 @@ func WithPoolMaxInFlight(n int) PoolOption { return shard.WithMaxInFlight(n) }
 func WithPoolTopology(t *Topology) PoolOption { return shard.WithTopology(t) }
 
 // WithShardRuntimeOptions appends RuntimeOptions applied to every member
-// runtime (steal policy, discipline, flight recorder, seed, context). The
+// runtime (discipline, flight recorder, seed, context). The
 // pool-managed options — workers, topology, admission cap — win.
 func WithShardRuntimeOptions(opts ...RuntimeOption) PoolOption {
 	return shard.WithRuntimeOptions(opts...)

@@ -32,8 +32,7 @@ type SetConfig struct {
 // an optional shared-LLC tier per locality domain, all of one policy. It is
 // what the cache-cost replay drives — the multi-processor reading of the
 // paper's "each processor has its own cache of C blocks" (Section 3),
-// extended one level so that topology-aware schedules can be charged
-// cross-domain refills distinctly.
+// extended one level to a shared last-level cache.
 //
 // A Set is reusable: each Replay starts from empty caches, whatever the
 // footprint, so one Set serves every schedule its owner replays.

@@ -30,9 +30,9 @@ type CacheModel struct {
 	// O(C + P·T∞²·C) envelope is built from. Ignored for graphs that
 	// declare their own blocks.
 	Window int
-	// LLCLines, when > 0, adds one shared last-level cache of this many
-	// lines per locality domain (aligned with the Domains assignment the
-	// analysis was given).
+	// LLCLines, when > 0, adds one last-level cache of this many lines
+	// shared by all P processors, as one LLC is shared by the workers of one
+	// runtime.
 	LLCLines int
 	// NoIdeal skips the Belady-OPT ideal-cache baseline over the sequential
 	// trace (it costs O(accesses·log C); everything else is linear).
@@ -104,8 +104,8 @@ func ParseCacheModel(spec string) (*CacheModel, error) {
 
 // CacheBaseline is the part of a cache-cost verdict no schedule enters: what
 // the model makes of the graph and of its sequential execution under one
-// fork policy. Every set of schedules measured against that execution — the
-// two steal-policy cells of a fork's matrix row — shares one.
+// fork policy. Every set of schedules measured against that execution
+// shares one.
 type CacheBaseline struct {
 	// Model echoes the cache model.
 	Model CacheModel
@@ -194,7 +194,7 @@ var ccLabels = [2]struct{ head, synthetic, seq, envelope string }{
 // Render writes the verdict's paragraph — model and footprint, the
 // sequential and ideal bills, the extra misses against the envelope, the
 // shared tier when there is one — for both reports that carry it. pair names
-// the (fork × steal) pair of the replayed schedules and selects the
+// the fork and steal policy of the replayed schedules and selects the
 // profiler's wording; Analyze's own report passes "".
 func (cc *CacheCost) Render(sb *strings.Builder, pair string) {
 	l := ccLabels[0]
@@ -294,12 +294,10 @@ func (b *CacheBaseline) Cost(p, n int, granted bool) *CacheCost {
 }
 
 // charge replays trial i's schedule on s — the scratch of the goroutine that
-// has just simulated it — and enters its bill. domains, when non-nil, align
-// the optional shared-LLC tier with the simulation's locality domains.
-func (cc *CacheCost) charge(i int, s *trialScratch, domains []int, res *sim.Result) error {
+// has just simulated it — and enters its bill.
+func (cc *CacheCost) charge(i int, s *trialScratch, res *sim.Result) error {
 	set, err := setFor(&s.set, cache.SetConfig{
-		P: cc.P, Kind: cc.Model.Kind, Lines: cc.Model.Lines,
-		Domains: domains, LLCLines: cc.Model.LLCLines,
+		P: cc.P, Kind: cc.Model.Kind, Lines: cc.Model.Lines, LLCLines: cc.Model.LLCLines,
 	})
 	if err != nil {
 		return fmt.Errorf("core: cache cost: %w", err)

@@ -96,16 +96,16 @@ func TestAnalyzeCacheCostEnvelope(t *testing.T) {
 func TestAnalyzeCacheCostNoEnvelopeOffTheoremCell(t *testing.T) {
 	g := graphs.ForkJoinTree(5, 4, false)
 	model := &CacheModel{Lines: 16, Kind: cache.LRU}
-	// Same covered class, but a steal policy outside the theorems'
+	// Same covered class, but a fork policy outside the theorems'
 	// hypotheses: no miss envelope may be granted.
 	rep, err := Analyze(g, AnalyzeOptions{
-		P: 4, Trials: 2, Steal: sim.Hierarchical, CacheModel: model,
+		P: 4, Trials: 2, Policy: sim.ParentFirst, CacheModel: model,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.CacheCost.MissEnvelope != 0 {
-		t.Errorf("MissEnvelope = %d at future-first × hierarchical, want 0", rep.CacheCost.MissEnvelope)
+		t.Errorf("MissEnvelope = %d at parent-first, want 0", rep.CacheCost.MissEnvelope)
 	}
 }
 

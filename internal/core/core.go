@@ -27,14 +27,9 @@ type AnalyzeOptions struct {
 	CacheKind cache.Kind
 	// Policy is the fork policy (default FutureFirst).
 	Policy sim.ForkPolicy
-	// Steal is the steal policy (default RandomSingle — the parsimonious
-	// discipline the theorems assume; the envelope is granted only under
-	// it).
+	// Steal is the steal policy: RandomSingle, the parsimonious discipline
+	// the theorems assume and the only one there is.
 	Steal sim.StealPolicy
-	// Domains assigns each processor to a cache-locality (LLC) domain
-	// (len must be P when non-nil; see sim.Config.Domains). Nil means one
-	// flat domain.
-	Domains []int
 	// Trials is the number of random-steal executions (default 8).
 	Trials int
 	// Seed seeds trial i with Seed+i (default 1).
@@ -85,12 +80,12 @@ type Report struct {
 }
 
 // BoundApplies reports whether the paper guarantees the O(P·T∞²) envelope
-// for this class × fork × steal combination. The theorems assume the full
-// parsimonious discipline: the future-first fork policy AND random single
-// top-steals — any other cell of the (fork × steal) grid is outside their
-// hypotheses, so no envelope is granted there.
-func BoundApplies(c dag.Class, fork sim.ForkPolicy, steal sim.StealPolicy) bool {
-	if fork != sim.FutureFirst || steal != sim.RandomSingle {
+// for this class under this fork policy. The theorems assume the full
+// parsimonious discipline: random single top-steals, the only thief the
+// simulator and the runtime have, AND the future-first fork policy — under
+// parent-first no envelope is granted.
+func BoundApplies(c dag.Class, fork sim.ForkPolicy) bool {
+	if fork != sim.FutureFirst {
 		return false
 	}
 	return c.SingleTouch || c.LocalTouch || c.SingleTouchSuperFinal || c.LocalTouchSuperFinal
@@ -173,8 +168,8 @@ func setFor(slot **cache.Set, cfg cache.SetConfig) (*cache.Set, error) {
 // non-nil, is a verdict prepared for n schedules at cfg.P workers
 // (CacheBaseline.Cost): trial i's schedule is replayed through the cache
 // model and its bill written to entry i. It is the one trial loop: Analyze
-// runs it once, the profiler's (fork × steal) matrix once per cell with the
-// cell's own baseline and seeds.
+// runs it once, the profiler's fork matrix once for its replayed cell with
+// the cell's own baseline.
 //
 // A trial is one unit — simulate, measure, replay — and the units fan out
 // (ForEach), so control must be safe to call from several goroutines at once;
@@ -210,7 +205,7 @@ func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control fun
 		tr.Steals[i] = res.Steals
 		tr.Premature[i] = sim.PrematureTouches(g, res)
 		if cost != nil {
-			return cost.charge(i, s, cfg.Domains, res)
+			return cost.charge(i, s, res)
 		}
 		return nil
 	})
@@ -249,7 +244,7 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 		return nil, fmt.Errorf("core: sequential baseline: %w", err)
 	}
 	rep.SeqMisses = seq.TotalMisses
-	granted := BoundApplies(rep.Class, opts.Policy, opts.Steal)
+	granted := BoundApplies(rep.Class, opts.Policy)
 	if opts.CacheModel != nil {
 		base, err := NewCacheBaseline(g, *opts.CacheModel, nil, seq)
 		if err != nil {
@@ -261,7 +256,6 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 		P:          opts.P,
 		Policy:     opts.Policy,
 		Steal:      opts.Steal,
-		Domains:    opts.Domains,
 		CacheLines: opts.CacheLines,
 		CacheKind:  opts.CacheKind,
 	}, seq, opts.Trials, func(i int) sim.Control {

@@ -92,6 +92,7 @@ func TestAnalyzeRefusesUndefinedPolicy(t *testing.T) {
 		{AnalyzeOptions{Policy: sim.ForkPolicy(2)}, "discipline(2)"},
 		{AnalyzeOptions{Steal: sim.StealPolicy(1)}, "stealpolicy(1)"},
 		{AnalyzeOptions{Steal: sim.StealPolicy(2)}, "stealpolicy(2)"},
+		{AnalyzeOptions{Steal: sim.StealPolicy(3)}, "stealpolicy(3)"},
 		{AnalyzeOptions{CacheLines: 4, CacheKind: cache.Kind(9)}, "kind(9)"},
 		{AnalyzeOptions{CacheLines: -1}, "CacheLines = -1"},
 	} {
@@ -189,20 +190,17 @@ func TestCheckLemma11OnSuperFinal(t *testing.T) {
 
 func TestBoundApplies(t *testing.T) {
 	st := dag.Class{SingleTouch: true}
-	if !BoundApplies(st, sim.FutureFirst, sim.RandomSingle) {
+	if !BoundApplies(st, sim.FutureFirst) {
 		t.Fatal("single-touch + future-first × random-single must get the bound")
 	}
-	if BoundApplies(st, sim.ParentFirst, sim.RandomSingle) {
+	if BoundApplies(st, sim.ParentFirst) {
 		t.Fatal("parent-first never gets the bound")
 	}
-	if BoundApplies(st, sim.FutureFirst, sim.Hierarchical) {
-		t.Fatal("hierarchical victims are outside the theorems' steal assumptions")
-	}
-	if BoundApplies(dag.Class{}, sim.FutureFirst, sim.RandomSingle) {
+	if BoundApplies(dag.Class{}, sim.FutureFirst) {
 		t.Fatal("unstructured never gets the bound")
 	}
 	lt := dag.Class{LocalTouch: true}
-	if !BoundApplies(lt, sim.FutureFirst, sim.RandomSingle) {
+	if !BoundApplies(lt, sim.FutureFirst) {
 		t.Fatal("local-touch + future-first must get the bound (Theorem 12)")
 	}
 }
@@ -220,11 +218,11 @@ func analysisInputs() map[string]*dag.Graph {
 }
 
 // TestReportsIndependentOfGOMAXPROCS: trial i keeps seed i and nothing is
-// reduced in arrival order, so a report — in-engine caches, a shared-LLC
-// cache model and locality domains all on — is the same value and the same
+// reduced in arrival order, so a report — in-engine caches and a shared-LLC
+// cache model both on — is the same value and the same
 // text however many Ps the trials fanned out over.
 func TestReportsIndependentOfGOMAXPROCS(t *testing.T) {
-	opts := AnalyzeOptions{P: 4, CacheLines: 64, Trials: 8, Seed: 7, Domains: []int{0, 0, 1, 1},
+	opts := AnalyzeOptions{P: 4, CacheLines: 64, Trials: 8, Seed: 7,
 		CacheModel: &CacheModel{Lines: 64, LLCLines: 512}}
 	for name, g := range analysisInputs() {
 		var want *Report
@@ -247,7 +245,7 @@ func TestReportsIndependentOfGOMAXPROCS(t *testing.T) {
 // scratch it drew from the process-wide free list or on what that scratch ran
 // before. Analyses that differ in everything a scratch keeps — graph size up
 // and down, declared and synthetic footprints, worker count, policy, C, a
-// shared tier with and without domains, in-engine caches — are first run one
+// shared tier, in-engine caches — are first run one
 // at a time, each on an emptied free list, and then all at once from four
 // goroutines over and over, every goroutine in its own order, on whatever the
 // others put back.
@@ -261,7 +259,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}{
 		{in["fib"], AnalyzeOptions{P: 4, CacheLines: 64, Trials: 4, Seed: 7, CacheModel: &CacheModel{Lines: 64}}},
 		{small, AnalyzeOptions{P: 2, Trials: 3, CacheModel: &CacheModel{Lines: 4, Kind: cache.FIFO, LLCLines: 16}}},
-		{in["randstruct"], AnalyzeOptions{P: 4, Trials: 4, Domains: []int{0, 0, 1, 1},
+		{in["randstruct"], AnalyzeOptions{P: 4, Trials: 4,
 			CacheModel: &CacheModel{Lines: 64, LLCLines: 512}}},
 		{in["fig6c"], AnalyzeOptions{P: 3, CacheLines: 8, CacheKind: cache.FIFO, Trials: 3, Policy: sim.ParentFirst,
 			CacheModel: &CacheModel{Lines: 8, Kind: cache.SetAssocLRU}}},

@@ -12,9 +12,6 @@ import (
 	"futurelocality/internal/stats"
 )
 
-// gomaxprocs reports the host parallelism the measured columns depend on.
-func gomaxprocs() int { return gort.GOMAXPROCS(0) }
-
 // profiled runs workload on a fresh runtime under the profiler and returns
 // the predicted-vs-measured report.
 func profiled(workers int, opts profile.Options, workload func(*runtime.Runtime, *runtime.W)) *profile.Report {
@@ -82,18 +79,19 @@ func E15(scale Scale) Result {
 			"construction, and the measured deviation count (steals + helped tasks + blocked "+
 			"touches) sits inside the Theorem 8/12 envelope P·T∞² wherever the classification "+
 			"grants one — the paper's bounds observed on real executions, not just in the "+
-			"simulator. The measured column reflects the host's actual parallelism "+
-			"(GOMAXPROCS=%d here): on a single-CPU host runs serialize and measured "+
-			"deviations approach zero, while the sim column predicts the random-steal "+
-			"P-processor execution of the same DAG.\n", gomaxprocs())
+			"simulator. The measured column reflects the parallelism of the host it was "+
+			"taken on (%d CPUs, GOMAXPROCS=%d, %s): with fewer CPUs than workers the runs "+
+			"partly serialize and measured deviations stay small, while the sim column "+
+			"predicts the random-steal P-processor execution of the same DAG.\n",
+		gort.NumCPU(), gort.GOMAXPROCS(0), gort.Version())
 	return Result{ID: "E15", Title: "Live profiler: predicted vs measured deviations (runtime ↔ model)", Markdown: md}
 }
 
 // E16 measures the payoff where E1–E15 measure the proxy: the shared fib
 // workload runs on the real runtime under the profiler, its DAG is
 // reconstructed, a block footprint is derived from the DAG's thread
-// structure, and every (fork × steal) cell's replayed schedules are driven
-// through P private 64-line LRU caches. A cell's extra misses are its
+// structure, and each fork discipline's replayed random-single schedules are
+// driven through P private 64-line LRU caches. A cell's extra misses are its
 // trials' misses minus the same footprint's misses under that fork
 // discipline's own sequential order. The reconstructed DAG — and so the
 // whole table — is a function of the program, not of the run's schedule.
@@ -107,24 +105,13 @@ func E16(scale Scale) Result {
 	rep := profiled(workers, profile.Options{Trials: trials, CacheModel: model},
 		func(rt *runtime.Runtime, w *runtime.W) { Fib(rt, w, FibSpawn, fibN, cutoff, 0) })
 
-	head := []string{"extra misses (mean/max)"}
-	for _, sp := range sim.StealPolicies {
-		head = append(head, sp.String())
-	}
-	tb := stats.NewTable(head...)
-	for _, fork := range []sim.ForkPolicy{sim.FutureFirst, sim.ParentFirst} {
-		row := []any{fork.String()}
-		for _, cell := range rep.Matrix {
-			if cell.Fork != fork {
-				continue
-			}
-			v := fmt.Sprintf("%.1f / %d", cell.MeanExtraMisses, cell.MaxExtraMisses)
-			if cell.MissBound > 0 {
-				v += " *"
-			}
-			row = append(row, v)
+	tb := stats.NewTable("extra misses (mean/max)", sim.RandomSingle.String())
+	for _, cell := range rep.Matrix {
+		v := fmt.Sprintf("%.1f / %d", cell.MeanExtraMisses, cell.MaxExtraMisses)
+		if cell.MissBound > 0 {
+			v += " *"
 		}
-		tb.Add(row...)
+		tb.Add(cell.Fork.String(), v)
 	}
 	cc := rep.Sim.CacheCost
 	md := fmt.Sprintf("fib(%d), cutoff %d → %d tasks, T∞=%d, P=%d, model [%s]; sequential misses **%d**, "+

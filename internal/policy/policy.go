@@ -20,17 +20,9 @@
 //     parent; the future thread is exposed for theft. Theorem 10 shows this
 //     can cost Ω(C·t·n) additional cache misses — catastrophically worse.
 //
-// The steal vocabulary names the two thieves the runtime can be; both take
-// one task from the top of the victim's deque per visit:
-//
-//   - RandomSingle: a thief robs a uniformly random victim — the
-//     parsimonious discipline every theorem assumes.
-//   - Hierarchical: a thief exhausts victims inside its own cache-locality
-//     domain (LLC-sharing group, see internal/topology) before probing
-//     across a domain boundary — cache-topology-aware victim selection.
-//     Outside the theorems' assumptions (victims are not uniform), but the
-//     closest to the paper's motivation: a cross-LLC steal is the expensive
-//     kind of deviation the miss bound prices.
+// The steal vocabulary has one word, the thief the runtime is and every
+// theorem assumes: RandomSingle, one task from the top of a uniformly random
+// victim's deque per visit.
 package policy
 
 import "fmt"
@@ -77,40 +69,23 @@ func Parse(s string) (Discipline, error) {
 }
 
 // StealPolicy selects whom an out-of-work processor robs. Like Discipline,
-// it is one vocabulary for the simulator (sim.Config.Steal), the runtime
-// (which has one steal rule and names it RandomSingle or Hierarchical by its
-// topology), and the profiler (per-steal attribution).
+// it is one vocabulary for the simulator (sim.Config.Steal) and the runtime,
+// which has one steal rule and names it with RandomSingle (see
+// runtime.Runtime.StealPolicy).
 type StealPolicy uint8
 
-const (
-	// RandomSingle steals one task from the top of a uniformly random
-	// victim — the paper's parsimonious baseline, and the only steal
-	// discipline under which the Theorem 8/12/16/18 envelopes are granted.
-	RandomSingle StealPolicy = 0
-	// Hierarchical exhausts intra-domain victims (workers sharing the
-	// thief's LLC, per the runtime's topology assignment) before probing
-	// victims across a domain boundary; it takes one task from the top,
-	// like RandomSingle. Its value is the profiler's seed offset: a replay
-	// matrix cell seeds trial i with Seed + i + 1000·steal, so renumbering
-	// it would move every printed hierarchical number.
-	Hierarchical StealPolicy = 3
-)
+// RandomSingle steals one task from the top of a uniformly random victim —
+// the paper's parsimonious baseline, the only steal discipline under which
+// the Theorem 8/12/16/18 envelopes are granted, and the only one defined.
+const RandomSingle StealPolicy = 0
 
 // String names the steal policy.
 func (s StealPolicy) String() string {
-	switch s {
-	case RandomSingle:
+	if s == RandomSingle {
 		return "random-single"
-	case Hierarchical:
-		return "hierarchical"
-	default:
-		return fmt.Sprintf("stealpolicy(%d)", uint8(s))
 	}
+	return fmt.Sprintf("stealpolicy(%d)", uint8(s))
 }
 
-// Valid reports whether s is one of the defined steal policies.
-func (s StealPolicy) Valid() bool { return s == RandomSingle || s == Hierarchical }
-
-// StealPolicies lists every defined steal policy — the iteration set for
-// (fork × steal) sweeps.
-var StealPolicies = []StealPolicy{RandomSingle, Hierarchical}
+// Valid reports whether s is the defined steal policy.
+func (s StealPolicy) Valid() bool { return s == RandomSingle }

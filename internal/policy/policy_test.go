@@ -42,30 +42,20 @@ func TestInvalid(t *testing.T) {
 	}
 }
 
-// TestStealStringRoundTrip: the two thieves have their names, and the value
-// of Hierarchical is the profiler's seed offset, so it may not move.
+// TestStealStringRoundTrip: the one thief has its name.
 func TestStealStringRoundTrip(t *testing.T) {
-	want := map[StealPolicy]string{RandomSingle: "random-single", Hierarchical: "hierarchical"}
-	for _, s := range StealPolicies {
-		if !s.Valid() || s.String() != want[s] {
-			t.Fatalf("%d: Valid = %v, String = %q, want %q", uint8(s), s.Valid(), s.String(), want[s])
-		}
-	}
-	if Hierarchical != 3 {
-		t.Fatalf("Hierarchical = %d, want 3 (the matrix's seed offset)", uint8(Hierarchical))
+	if !RandomSingle.Valid() || RandomSingle.String() != "random-single" {
+		t.Fatalf("RandomSingle: Valid = %v, String = %q", RandomSingle.Valid(), RandomSingle.String())
 	}
 }
 
 func TestStealInvalid(t *testing.T) {
-	for _, s := range []StealPolicy{1, 2, 9} {
+	for _, s := range []StealPolicy{1, 2, 3, 9} {
 		if s.Valid() {
 			t.Fatalf("StealPolicy(%d) must not be valid", uint8(s))
 		}
 	}
 	if s := StealPolicy(9).String(); s != "stealpolicy(9)" {
 		t.Fatalf("String = %q", s)
-	}
-	if len(StealPolicies) != 2 {
-		t.Fatalf("StealPolicies = %v, want both thieves", StealPolicies)
 	}
 }

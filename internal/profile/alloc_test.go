@@ -27,9 +27,9 @@ func TestReconstructAllocBudget(t *testing.T) {
 	}
 }
 
-// TestProfileAnalyzeAllocBudget pins BenchmarkProfileAnalyze's pass — the
-// pooled reconstruction, two jobs reconstructed from runs of the one trace,
-// the primary replay and three matrix cells with a cache model — at what the
+// TestProfileAnalyzeAllocBudget pins BenchmarkProfileAnalyze's pass — the pooled
+// reconstruction, two jobs reconstructed from runs of the one trace, the primary
+// replay and the one replayed matrix cell with a cache model — at what the
 // analysis itself allocates. It took 22 890 allocations while reconstruction
 // allocated per task and every job's sub-trace was copied out.
 func TestProfileAnalyzeAllocBudget(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // live trace: profile a fib run, reconstruct, and check the report carries
 // the footprint-replay verdict — primary cost, a populated extra-miss
 // matrix, and the miss envelope granted only at the theorem's own
-// future-first × random-single cell.
+// future-first cell.
 func TestAnalyzeCacheModelEndToEnd(t *testing.T) {
 	rt := runtime.New(runtime.WithWorkers(4))
 	defer rt.Shutdown()
@@ -45,32 +45,28 @@ func TestAnalyzeCacheModelEndToEnd(t *testing.T) {
 		t.Errorf("MissEnvelope = %d, want %d", cc.MissEnvelope, wantEnv)
 	}
 
-	// The matrix: every cell carries a miss account, the miss envelope is
-	// granted at future-first × random-single and nowhere else, and a row's
-	// two cells are billed against one sequential replay — the primary's,
-	// in the primary's row.
-	if len(rep.Matrix) == 0 {
-		t.Fatal("matrix missing")
+	// The matrix: one cell per fork discipline, each with a miss account;
+	// the miss envelope is granted at future-first and nowhere else, and the
+	// future-first cell is billed against the primary's sequential replay.
+	if len(rep.Matrix) != 2 || rep.Matrix[0].Fork != sim.FutureFirst || rep.Matrix[1].Fork != sim.ParentFirst {
+		t.Fatalf("matrix = %+v, want a future-first and a parent-first cell", rep.Matrix)
 	}
-	rowSeq := map[sim.ForkPolicy]int64{sim.FutureFirst: cc.SeqMisses}
+	if got := rep.Matrix[0].SeqMisses; got != cc.SeqMisses {
+		t.Errorf("future-first cell billed against SeqMisses = %d, the primary against %d", got, cc.SeqMisses)
+	}
 	for _, cell := range rep.Matrix {
-		if want, ok := rowSeq[cell.Fork]; !ok {
-			rowSeq[cell.Fork] = cell.SeqMisses
-		} else if cell.SeqMisses != want || want <= 0 {
-			t.Errorf("cell %s × %s billed against SeqMisses = %d, its row against %d",
-				cell.Fork, cell.Steal, cell.SeqMisses, want)
+		theorem := cell.Fork == sim.FutureFirst
+		if cell.SeqMisses <= 0 {
+			t.Errorf("cell %s billed against SeqMisses = %d", cell.Fork, cell.SeqMisses)
 		}
-		theorem := cell.Fork == sim.FutureFirst && cell.Steal == sim.RandomSingle
 		if theorem && cell.MissBound != wantEnv {
 			t.Errorf("theorem cell MissBound = %d, want %d", cell.MissBound, wantEnv)
 		}
 		if !theorem && cell.MissBound != 0 {
-			t.Errorf("cell %s × %s has MissBound %d, want 0 (outside the theorems)",
-				cell.Fork, cell.Steal, cell.MissBound)
+			t.Errorf("cell %s has MissBound %d, want 0 (outside the theorems)", cell.Fork, cell.MissBound)
 		}
 		if cell.MaxExtraMisses < 0 && cell.MeanExtraMisses > 0 {
-			t.Errorf("cell %s × %s inconsistent: mean %f max %d",
-				cell.Fork, cell.Steal, cell.MeanExtraMisses, cell.MaxExtraMisses)
+			t.Errorf("cell %s inconsistent: mean %f max %d", cell.Fork, cell.MeanExtraMisses, cell.MaxExtraMisses)
 		}
 	}
 
@@ -149,38 +145,33 @@ func TestAnalyzeNoCacheModelNoCost(t *testing.T) {
 	}
 }
 
-// TestMatrixCellsAreOrdinaryReplays holds every matrix cell — the
-// future-first × random-single one, which is filled from the primary rather
-// than replayed, included — to an independent core.Analyze of the
-// reconstructed DAG under the cell's policy pair, trial i seeded Seed + i +
-// 1000·steal, with and without a cache model. The seed offsets are written
-// out, not derived from the constants: they are what the printed numbers
-// were made with. Two domains, because on one a hierarchical thief always
-// finds its victim by the deterministic scan and no seed can show.
+// TestMatrixCellsAreOrdinaryReplays holds both matrix cells — the
+// future-first one, which is filled from the primary rather than replayed,
+// included — to an independent core.Analyze of the reconstructed DAG under
+// the cell's fork discipline, trial i seeded Seed + i, with and without a
+// cache model.
 func TestMatrixCellsAreOrdinaryReplays(t *testing.T) {
 	tr := jobTreesTrace(3)
 	const p, trials, seed = 4, 3, 5
-	domains := []int{0, 0, 1, 1}
-	offset := map[sim.StealPolicy]int64{sim.RandomSingle: 0, sim.Hierarchical: 3000}
 	for _, model := range []*core.CacheModel{nil, {Lines: 16, Kind: cache.LRU}} {
 		with := "without a cache model"
 		if model != nil {
 			with = "with a cache model"
 		}
-		rep, err := profile.Analyze(tr, profile.Options{P: p, Trials: trials, Seed: seed, Domains: domains, CacheModel: model})
+		rep, err := profile.Analyze(tr, profile.Options{P: p, Trials: trials, Seed: seed, CacheModel: model})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rep.Matrix) != 4 {
-			t.Fatalf("matrix has %d cells, want fork × {random-single, hierarchical}", len(rep.Matrix))
+		if len(rep.Matrix) != 2 {
+			t.Fatalf("matrix has %d cells, want one per fork discipline", len(rep.Matrix))
 		}
 		for _, got := range rep.Matrix {
-			ref, err := core.Analyze(rep.Recon.Graph, core.AnalyzeOptions{P: p, Policy: got.Fork, Steal: got.Steal,
-				Domains: domains, Trials: trials, Seed: seed + offset[got.Steal], CacheModel: model})
+			ref, err := core.Analyze(rep.Recon.Graph, core.AnalyzeOptions{P: p, Policy: got.Fork,
+				Trials: trials, Seed: seed, CacheModel: model})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := profile.MatrixCell{Fork: got.Fork, Steal: got.Steal, Bound: ref.DeviationBound}
+			want := profile.MatrixCell{Fork: got.Fork, Bound: ref.DeviationBound}
 			var devs, steals int64
 			for i, d := range ref.Deviations {
 				devs += d
@@ -194,7 +185,7 @@ func TestMatrixCellsAreOrdinaryReplays(t *testing.T) {
 				want.MissBound, want.SeqMisses = cc.MissEnvelope, cc.SeqMisses
 			}
 			if got != want {
-				t.Errorf("%s: cell %s × %s\n  matrix %+v\n  replay %+v", with, got.Fork, got.Steal, got, want)
+				t.Errorf("%s: cell %s\n  matrix %+v\n  replay %+v", with, got.Fork, got, want)
 			}
 		}
 	}

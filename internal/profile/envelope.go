@@ -2,7 +2,7 @@ package profile
 
 // The live envelope gauge: the slice of the analysis stack a /metrics scrape
 // can afford. A full Analyze replays the DAG through the simulator (Trials
-// schedules, optionally a 6-cell policy matrix) — right for a debug dump,
+// schedules, optionally a second for the fork matrix) — right for a debug dump,
 // wrong for an endpoint hit every few seconds. WindowEnvelope does only the
 // bound check the paper's theorems state: reconstruct the window, classify
 // the DAG, compare measured deviations against P·T∞². No replay.
@@ -40,8 +40,8 @@ type Envelope struct {
 	// Deviations = steals + helped + blocked measured in the window.
 	Deviations int64
 	// Budget is P·T∞² when the theorems grant a bound for the window's class
-	// under the policy pair the window ran under (WindowEnvelope's fork and
-	// steal: future-first × random-single is the one cell they cover), else 0.
+	// under the fork discipline the window ran under (WindowEnvelope's fork:
+	// future-first is the one they cover), else 0.
 	Budget int64
 	// Truncated counts the reconstruction's Incomplete notes — nonzero for
 	// a flight window whose front was overwritten, the expected steady
@@ -60,7 +60,7 @@ func (e Envelope) String() string {
 	if e.Budget > 0 {
 		s += fmt.Sprintf(", envelope P·T∞²=%d·%d²=%d, within=%v", e.P, e.Span, e.Budget, e.Within())
 	} else {
-		s += fmt.Sprintf(", envelope none (class %q under the recorder's policy pair)", e.Class)
+		s += fmt.Sprintf(", envelope none (class %q under the recorder's fork discipline)", e.Class)
 	}
 	if e.Truncated > 0 {
 		s += fmt.Sprintf(" [%d trace gaps]", e.Truncated)
@@ -70,11 +70,11 @@ func (e Envelope) String() string {
 
 // WindowEnvelope reconstructs tr (typically a Flight.Collect window) and
 // returns its envelope reading for p processors (p <= 0 defaults to the
-// trace's worker count). The bound is checked under fork × steal, the policy
-// pair whoever recorded the window ran under; the zero values are future-first
-// × random-single, the pair the theorems grant envelopes for and the one
-// Analyze's primary replay runs.
-func WindowEnvelope(tr *Trace, p int, fork sim.ForkPolicy, steal sim.StealPolicy) (Envelope, error) {
+// trace's worker count). The bound is checked under fork, the discipline
+// whoever recorded the window ran under, and the random-single thief the
+// runtime is; the zero value is future-first, the discipline the theorems
+// grant envelopes for and the one Analyze's primary replay runs.
+func WindowEnvelope(tr *Trace, p int, fork sim.ForkPolicy) (Envelope, error) {
 	rec, err := Reconstruct(tr)
 	if err != nil {
 		return Envelope{}, err
@@ -95,7 +95,7 @@ func WindowEnvelope(tr *Trace, p int, fork sim.ForkPolicy, steal sim.StealPolicy
 		Deviations: rec.MeasuredDeviations(),
 		Truncated:  len(rec.Incomplete),
 	}
-	if core.BoundApplies(class, fork, steal) {
+	if core.BoundApplies(class, fork) {
 		env.Budget = int64(p) * env.Span * env.Span
 	}
 	return env, nil

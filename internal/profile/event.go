@@ -172,16 +172,6 @@ type Event struct {
 	// shared policy vocabulary, so reconstruction can attribute deviations
 	// to the policy that scheduled each task.
 	Disc policy.Discipline
-	// Steal is the steal policy in force when the task was displaced
-	// (KindSteal only), attributing each measured steal deviation to the
-	// steal discipline that caused it. The runtime stamps the name of its one
-	// steal rule (Runtime.StealPolicy: random-single where its workers share
-	// one locality domain, hierarchical where they span several).
-	Steal policy.StealPolicy
-	// Cross reports whether the steal crossed an LLC-domain boundary
-	// (KindSteal only): the thief and the victim sat in different
-	// cache-locality domains of the runtime's topology assignment.
-	Cross bool
 }
 
 // String renders the event compactly (for debugging and tests).
@@ -206,11 +196,7 @@ func (e Event) text() string {
 	case KindYield:
 		return fmt.Sprintf("w%d: task %d yields item %d", e.Worker, e.Task, e.Arg)
 	case KindSteal:
-		s := fmt.Sprintf("w%d: steal task %d (%s", e.Worker, e.Task, e.Steal)
-		if e.Cross {
-			s += ", cross-domain"
-		}
-		return s + ")"
+		return fmt.Sprintf("w%d: steal task %d", e.Worker, e.Task)
 	default:
 		return fmt.Sprintf("w%d: %s task %d", e.Worker, e.Kind, e.Task)
 	}

@@ -134,7 +134,7 @@ func TestFlightReconstructs(t *testing.T) {
 	if len(rec.Tasks) < 2 {
 		t.Fatalf("reconstructed %d tasks from the window, want several", len(rec.Tasks))
 	}
-	env, err := WindowEnvelope(tr, 2, policy.FutureFirst, policy.RandomSingle)
+	env, err := WindowEnvelope(tr, 2, policy.FutureFirst)
 	if err != nil {
 		t.Fatalf("WindowEnvelope: %v", err)
 	}

@@ -14,11 +14,13 @@ package profile
 import "slices"
 
 // jobRuns groups tr's events by job, every job at once in two sweeps (count,
-// then fill), and copies none of them: runs[k] holds the events of job ids[k] as maximal runs of consecutive
-// events within one log, each log's in order, logs in trace order — the order
-// Reconstruct reads a trace in, so reconstruct(runs[k]) is the reconstruction
-// of SplitJobs(tr)[ids[k]]. ids must be sorted; events of jobs not in it are
-// left out.
+// then fill), and copies none of them: runs[k] holds the events of job ids[k]
+// as maximal runs of consecutive events within one log, each log's in order,
+// logs in trace order — the order Reconstruct reads a trace in, so
+// reconstruct(runs[k]) is the reconstruction of the sub-trace that holds job
+// ids[k]'s events alone, each worker's in its order
+// (TestJobReportsMatchSplitJobs). ids must be sorted; events of jobs not in
+// it are left out.
 func jobRuns(tr *Trace, ids []uint64) [][][]Event {
 	logs := tr.logs()
 	each := func(fn func(k int, run []Event)) {
@@ -51,39 +53,4 @@ func jobRuns(tr *Trace, ids []uint64) [][][]Event {
 	}
 	each(func(k int, run []Event) { runs[k] = append(runs[k], run) })
 	return runs
-}
-
-// SplitJobs partitions tr by Event.Job: one sub-trace per nonzero job ID,
-// preserving the per-worker log shape (and therefore per-task program order,
-// which is all reconstruction relies on). Events of other jobs — and job 0's
-// background events — are absent from a job's sub-trace, so reconstructing
-// it yields the DAG of that job's computation alone, hung off the external
-// context that submitted it.
-func SplitJobs(tr *Trace) map[uint64]*Trace {
-	out := map[uint64]*Trace{}
-	sub := func(id uint64) *Trace {
-		s := out[id]
-		if s == nil {
-			s = &Trace{PerWorker: make([][]Event, len(tr.PerWorker))}
-			out[id] = s
-		}
-		return s
-	}
-	for wi, log := range tr.PerWorker {
-		for _, ev := range log {
-			if ev.Job == 0 {
-				continue
-			}
-			s := sub(ev.Job)
-			s.PerWorker[wi] = append(s.PerWorker[wi], ev)
-		}
-	}
-	for _, ev := range tr.External {
-		if ev.Job == 0 {
-			continue
-		}
-		s := sub(ev.Job)
-		s.External = append(s.External, ev)
-	}
-	return out
 }

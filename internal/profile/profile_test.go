@@ -321,28 +321,24 @@ func TestRecorderChunkRollover(t *testing.T) {
 }
 
 // TestStealAttributionSyntheticTrace feeds the reconstructor a hand-built
-// trace with steals under both policies: the per-policy split and the
-// deviation total must come out of the per-event tags.
+// trace with three steals: the steal count and the deviation total must come
+// out of the KindSteal events.
 func TestStealAttributionSyntheticTrace(t *testing.T) {
-	rec, err := profile.Reconstruct(mixedStealTrace())
+	rec, err := profile.Reconstruct(stealTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Steals != 3 {
 		t.Fatalf("Steals = %d, want 3", rec.Steals)
 	}
-	if rec.StealsByPolicy[policy.RandomSingle] != 1 || rec.StealsByPolicy[policy.Hierarchical] != 2 {
-		t.Fatalf("StealsByPolicy = %v, want random-single:1 hierarchical:2", rec.StealsByPolicy)
-	}
 	if got := rec.MeasuredDeviations(); got != 3 {
 		t.Fatalf("MeasuredDeviations = %d, want 3 (steals only)", got)
 	}
 }
 
-// mixedStealTrace is a hand-built trace of the kind a merge of two runtimes'
-// traces makes (one runtime stamps one policy): one random-single steal and
-// two hierarchical ones.
-func mixedStealTrace() *profile.Trace {
+// stealTrace is a hand-built trace in which worker 1 steals all three
+// children of worker 0's root.
+func stealTrace() *profile.Trace {
 	r := profile.NewRecorder(2, 0)
 	// Worker 0 spawns three tasks from the external driver's root (task 1).
 	r.RecordExternal(profile.Event{Kind: profile.KindSpawn, Other: 1, Arg: -1})
@@ -351,16 +347,11 @@ func mixedStealTrace() *profile.Trace {
 		r.Record(0, profile.Event{Kind: profile.KindSpawn, Task: 1, Other: id, Arg: -1,
 			Disc: policy.ParentFirst})
 	}
-	// Worker 1 steals task 2 as random-single, then tasks 3 and 4 as
-	// hierarchical.
+	// Worker 1 steals tasks 2, 3 and 4.
 	for id := uint64(2); id <= 4; id++ {
-		sp := policy.Hierarchical
-		if id == 2 {
-			sp = policy.RandomSingle
-		}
 		r.Record(1, profile.Event{Kind: profile.KindBegin, Task: id, Arg: -1})
 		r.Record(1, profile.Event{Kind: profile.KindEnd, Task: id, Arg: -1})
-		r.Record(1, profile.Event{Kind: profile.KindSteal, Task: id, Arg: -1, Steal: sp})
+		r.Record(1, profile.Event{Kind: profile.KindSteal, Task: id, Arg: -1})
 	}
 	// The root touches all three (already done → ready mode), then ends.
 	for id := uint64(2); id <= 4; id++ {
@@ -372,26 +363,29 @@ func mixedStealTrace() *profile.Trace {
 }
 
 // TestReportPrintsMatrixAndAttribution: the rendered report must contain
-// the (fork × steal) matrix rows and, for a trace whose steals carry
-// policy stamps, the per-policy attribution line.
+// the matrix — one random-single column, a row per fork discipline — and
+// attribute the traced steals in the measured line, with no steal column or
+// line beyond the one thief.
 func TestReportPrintsMatrixAndAttribution(t *testing.T) {
-	rep, err := profile.Analyze(mixedStealTrace(), profile.Options{P: 2, Trials: 2})
+	rep, err := profile.Analyze(stealTrace(), profile.Options{P: 2, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := rep.String()
 	for _, want := range []string{
 		"(fork × steal) deviation matrix",
-		"random-single", "hierarchical",
+		"random-single\n",
 		"future-first", "parent-first",
-		"random-single=1 hierarchical=2\n",
+		"(steals=3 helped=0 blocked=0)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
-	if rep.Recon.Steals != 3 || !strings.Contains(out, "steal attribution") {
-		t.Fatalf("%d steals traced, want 3 and an attribution line:\n%s", rep.Recon.Steals, out)
+	for _, gone := range []string{"hierarchical", "steal attribution", "steal locality"} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("report still prints %q:\n%s", gone, out)
+		}
 	}
 	// The envelope star belongs to exactly one cell.
 	stars := 0

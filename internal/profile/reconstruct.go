@@ -66,15 +66,6 @@ type Recon struct {
 
 	// Steals counts executed displaced tasks — one per KindSteal event.
 	Steals int64
-	// StealsByPolicy splits Steals by the steal policy that displaced the
-	// task (a single run records one policy; merged traces may record
-	// several). Nil when no steals were traced.
-	StealsByPolicy map[policy.StealPolicy]int64
-	// IntraDomainSteals and CrossDomainSteals split Steals by cache
-	// locality: whether the displacing visit crossed an LLC-domain boundary
-	// of the runtime's topology assignment (Event.Cross). On a single-domain
-	// (flat) topology every steal is intra-domain.
-	IntraDomainSteals, CrossDomainSteals int64
 	// InlineTouches, ReadyTouches, HelpedWaits, BlockedWaits, ExternalWaits
 	// count touches by wait mode (stream Gets included).
 	InlineTouches, ReadyTouches, HelpedWaits, BlockedWaits, ExternalWaits int64
@@ -243,15 +234,6 @@ func reconstruct(runs [][]Event) (*Recon, error) {
 				rec.HelpedTasks++
 			case KindSteal:
 				rec.Steals++
-				if rec.StealsByPolicy == nil {
-					rec.StealsByPolicy = map[policy.StealPolicy]int64{}
-				}
-				rec.StealsByPolicy[ev.Steal]++
-				if ev.Cross {
-					rec.CrossDomainSteals++
-				} else {
-					rec.IntraDomainSteals++
-				}
 			}
 		}
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // An event of a FuzzReconstruct input is eventBytes bytes: kind, mode, the
-// log it is recorded in, a flag byte (discipline, steal policy, cross-domain,
-// and whether the three ids are spread over all 64 bits), task, other, job,
+// log it is recorded in, a flag byte (discipline, and whether the three ids
+// are spread over all 64 bits), task, other, job,
 // then Arg and N as little-endian int32 — so the fuzzer reaches a negative or
 // huge item index and helped count as easily as a small one, while ids stay in
 // a space small enough for events to meet.
@@ -41,8 +41,6 @@ func decodeTrace(data []byte) *profile.Trace {
 			Arg:   int32(binary.LittleEndian.Uint32(data[8:])),
 			N:     int32(binary.LittleEndian.Uint32(data[12:])),
 			Disc:  policy.Discipline(flags & 1),
-			Steal: policy.StealPolicy(flags >> 1 & 3),
-			Cross: flags&8 != 0,
 		}
 		if log := int(data[2] % (fuzzLogs + 1)); log < fuzzLogs {
 			r.Record(log, ev)
@@ -75,11 +73,7 @@ func encodeTrace(tr *profile.Trace) []byte {
 	logs := append(append([][]profile.Event{}, tr.PerWorker...), tr.External)
 	for log, evs := range logs {
 		for _, ev := range evs {
-			flags := byte(ev.Disc)&1 | byte(ev.Steal)&3<<1
-			if ev.Cross {
-				flags |= 8
-			}
-			b := []byte{byte(ev.Kind), byte(ev.Mode), byte(log), flags, byte(ev.Task), byte(ev.Other), byte(ev.Job), 0}
+			b := []byte{byte(ev.Kind), byte(ev.Mode), byte(log), byte(ev.Disc) & 1, byte(ev.Task), byte(ev.Other), byte(ev.Job), 0}
 			b = binary.LittleEndian.AppendUint32(b, uint32(ev.Arg))
 			out = append(out, binary.LittleEndian.AppendUint32(b, uint32(ev.N))...)
 		}

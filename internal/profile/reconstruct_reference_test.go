@@ -43,7 +43,6 @@ func reconstructReference(tr *profile.Trace) (*referenceRecon, error) {
 		TaskDiscipline: map[uint64]policy.Discipline{},
 		TaskJob:        map[uint64]uint64{},
 	}
-	rec.StealsByPolicy = map[policy.StealPolicy]int64{}
 	jobsSeen := map[uint64]bool{}
 	tasks := map[uint64]*referenceTask{0: {id: 0, spawned: true}}
 	get := func(id uint64) *referenceTask {
@@ -105,12 +104,6 @@ func reconstructReference(tr *profile.Trace) (*referenceRecon, error) {
 				rec.HelpedTasks++
 			case profile.KindSteal:
 				rec.Steals++
-				rec.StealsByPolicy[ev.Steal]++
-				if ev.Cross {
-					rec.CrossDomainSteals++
-				} else {
-					rec.IntraDomainSteals++
-				}
 			}
 		}
 	}

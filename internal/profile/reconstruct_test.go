@@ -3,7 +3,6 @@ package profile_test
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -179,14 +178,11 @@ func checkAgainstReference(tr *profile.Trace) string {
 			g.Final, g.SuperFinal, g.Span(), wg.Final, wg.SuperFinal, wg.Span())
 	}
 	counters := func(r profile.Recon) profile.Recon {
-		r.Graph, r.Tasks, r.Incomplete, r.StealsByPolicy = nil, nil, nil, nil
+		r.Graph, r.Tasks, r.Incomplete = nil, nil, nil
 		return r
 	}
 	if c, wc := counters(*got), counters(want.Recon); !reflect.DeepEqual(c, wc) {
 		return fmt.Sprintf("counters %+v, reference %+v", c, wc)
-	}
-	if !maps.Equal(got.StealsByPolicy, want.StealsByPolicy) {
-		return fmt.Sprintf("steals by policy %v, reference %v", got.StealsByPolicy, want.StealsByPolicy)
 	}
 	if msg := checkTaskTable(got, want); msg != "" {
 		return msg
@@ -304,16 +300,46 @@ func TestIncompleteNotesDeterministic(t *testing.T) {
 	}
 }
 
+// splitJobs partitions tr by Event.Job, the reference for the runs Analyze
+// reconstructs each job from: one sub-trace per nonzero job ID, preserving
+// the per-worker log shape (and therefore per-task program order, which is
+// all reconstruction relies on). Events of other jobs — and job 0's
+// background events — are absent from a job's sub-trace.
+func splitJobs(tr *profile.Trace) map[uint64]*profile.Trace {
+	out := map[uint64]*profile.Trace{}
+	sub := func(id uint64) *profile.Trace {
+		s := out[id]
+		if s == nil {
+			s = &profile.Trace{PerWorker: make([][]profile.Event, len(tr.PerWorker))}
+			out[id] = s
+		}
+		return s
+	}
+	for wi, log := range tr.PerWorker {
+		for _, ev := range log {
+			if ev.Job != 0 {
+				sub(ev.Job).PerWorker[wi] = append(sub(ev.Job).PerWorker[wi], ev)
+			}
+		}
+	}
+	for _, ev := range tr.External {
+		if ev.Job != 0 {
+			sub(ev.Job).External = append(sub(ev.Job).External, ev)
+		}
+	}
+	return out
+}
+
 // TestJobReportsMatchSplitJobs: Analyze reconstructs each job from runs of the
 // one trace; every job's reconstruction must equal Reconstruct of the job's
-// sub-trace as SplitJobs copies it out.
+// sub-trace as splitJobs copies it out.
 func TestJobReportsMatchSplitJobs(t *testing.T) {
 	for _, nt := range referenceTraces(t) {
 		rep, err := profile.Analyze(nt.tr, profile.Options{P: 2, Trials: 1, NoMatrix: true})
 		if err != nil {
 			continue // the pooled reconstruction refused the cut
 		}
-		subs := profile.SplitJobs(nt.tr)
+		subs := splitJobs(nt.tr)
 		if len(rep.Jobs) != len(subs) {
 			t.Fatalf("%s: %d job reports, %d sub-traces", nt.name, len(rep.Jobs), len(subs))
 		}
@@ -323,7 +349,7 @@ func TestJobReportsMatchSplitJobs(t *testing.T) {
 				t.Fatalf("%s job %d: %v", nt.name, jr.Job, err)
 			}
 			if !reflect.DeepEqual(jr.Recon, want) {
-				t.Errorf("%s job %d: reconstruction differs from its SplitJobs sub-trace's", nt.name, jr.Job)
+				t.Errorf("%s job %d: reconstruction differs from its splitJobs sub-trace's", nt.name, jr.Job)
 			}
 		}
 	}

@@ -25,21 +25,14 @@ type Options struct {
 	Trials int
 	// Seed seeds the sim replays (default 1).
 	Seed int64
-	// Domains assigns each sim processor to a cache-locality (LLC) domain
-	// (len must be P when non-nil; see sim.Config.Domains). It drives the
-	// Hierarchical steal policy's victim preference and the intra- vs
-	// cross-domain steal attribution in the replays. Nil means one flat
-	// domain.
-	Domains []int
-	// NoMatrix skips the (fork × steal) replay matrix (3 extra sim sweeps
-	// of Trials runs each); the primary replay and envelope check still
-	// run.
+	// NoMatrix skips the fork replay matrix (one extra sim sweep of Trials
+	// runs); the primary replay and envelope check still run.
 	NoMatrix bool
 	// CacheModel, when non-nil, runs the cache-cost pipeline on the
 	// reconstructed DAG: a footprint is derived from the DAG's structure
 	// (reconstructed traces carry no block identities) and every replayed
-	// schedule — the primary prediction, each (fork × steal) matrix cell,
-	// and each job's own replay — is charged its simulated cache misses
+	// schedule — the primary prediction, each matrix cell, and each job's
+	// own replay — is charged its simulated cache misses
 	// against the sequential baseline. See core.CacheModel.
 	CacheModel *core.CacheModel
 }
@@ -76,15 +69,13 @@ func (jr *JobReport) WithinBound() bool {
 	return jr.DeviationBound == 0 || jr.MeasuredDeviations <= jr.DeviationBound
 }
 
-// MatrixCell is one cell of the (fork × steal) replay matrix: the
-// reconstructed DAG re-executed under one fork discipline and one steal
-// policy, so the deviation cost of every policy pair can be compared on
-// the same computation. Bound is the P·T∞² envelope when the theorems
-// grant one for this cell — only future-first × random-single on a covered
-// class — else 0.
+// MatrixCell is one cell of the fork replay matrix: the reconstructed DAG
+// re-executed under one fork discipline and the random-single thief, so the
+// deviation cost of either discipline can be compared on the same
+// computation. Bound is the P·T∞² envelope when the theorems grant one for
+// this cell — only future-first on a covered class — else 0.
 type MatrixCell struct {
-	Fork  sim.ForkPolicy
-	Steal sim.StealPolicy
+	Fork sim.ForkPolicy
 	// MeanDeviations and MaxDeviations summarize the per-trial deviation
 	// counts against the cell's own fork-policy sequential baseline;
 	// MeanSteals summarizes stolen nodes.
@@ -96,9 +87,8 @@ type MatrixCell struct {
 	// additional cache misses over the same trials (footprint replay vs the
 	// cell's own fork-policy sequential baseline); MissBound is the
 	// C·(1+P·T∞²) miss envelope where the deviation envelope is granted.
-	// SeqMisses is that baseline's own bill, prepared once per fork policy:
-	// the two cells of a row carry one. All zero unless Options.CacheModel
-	// was set.
+	// SeqMisses is that baseline's own bill. All zero unless
+	// Options.CacheModel was set.
 	MeanExtraMisses float64
 	MaxExtraMisses  int64
 	MissBound       int64
@@ -129,10 +119,10 @@ type Report struct {
 	// deviations, steals and misses under the Section 3 model: future-first
 	// × random-single, the cell the envelope belongs to).
 	Sim *core.Report
-	// Matrix is the (fork × steal) replay of the same DAG — one cell per
-	// policy pair, rows future-first/parent-first, columns the two steal
-	// policies — attributing predicted deviation cost to policy choice.
-	// Empty when Options.NoMatrix was set.
+	// Matrix is the fork replay of the same DAG — one cell per fork
+	// discipline, future-first then parent-first, each under the
+	// random-single thief — attributing predicted deviation cost to the fork
+	// policy. Empty when Options.NoMatrix was set.
 	Matrix []MatrixCell
 	// Jobs holds one verdict per submitted job observed in the trace (split
 	// by Event.Job, each reconstructed and classified in isolation), sorted
@@ -177,7 +167,6 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		// report's.
 		simRep, err := core.Analyze(recon.Graph, core.AnalyzeOptions{
 			P:          opts.P,
-			Domains:    opts.Domains,
 			Trials:     opts.Trials,
 			Seed:       opts.Seed,
 			CacheModel: opts.CacheModel,
@@ -189,7 +178,7 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		if !opts.NoMatrix {
 			r.Matrix, err = replayMatrix(recon, simRep, opts)
 			if err != nil {
-				return fmt.Errorf("profile: (fork × steal) matrix: %w", err)
+				return fmt.Errorf("profile: fork matrix: %w", err)
 			}
 		}
 		return nil
@@ -247,7 +236,6 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 			model.NoIdeal = true
 			jobSim, err := core.Analyze(rec.Graph, core.AnalyzeOptions{
 				P:          opts.P,
-				Domains:    opts.Domains,
 				Trials:     opts.Trials,
 				Seed:       opts.Seed,
 				CacheModel: &model,
@@ -259,7 +247,7 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 		} else {
 			jr.Class = dag.Classify(rec.Graph)
 		}
-		if core.BoundApplies(jr.Class, sim.FutureFirst, sim.RandomSingle) {
+		if core.BoundApplies(jr.Class, sim.FutureFirst) {
 			jr.DeviationBound = int64(opts.P) * jr.Span * jr.Span
 		}
 		out[i] = jr
@@ -271,83 +259,50 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 	return out, nil
 }
 
-// replayMatrix re-executes the reconstructed DAG under every (fork × steal)
-// pair, Trials random schedules each, and returns one summary cell per
-// pair, the cells side by side (core.ForEach). Deviations in each cell are
-// counted against the sequential execution of that cell's own fork policy
-// (the paper always compares like with like), and so are its extra misses:
-// the sequential execution and its miss bill are prepared once per row and
-// shared by the row's two cells. The envelope is attached only to the
-// future-first × random-single cell, the one the theorems cover. That cell is
-// the primary replay's, seed for seed, so it is not run again but read off
-// primary: of the four cells, three are replayed.
+// replayMatrix re-executes the reconstructed DAG under each fork
+// discipline, Trials random-single schedules each, and returns one summary
+// cell per discipline. Deviations in each cell are counted against the
+// sequential execution of that cell's own fork policy (the paper always
+// compares like with like), and so are its extra misses. The envelope is
+// attached only to the future-first cell, the one the theorems cover. That
+// cell is the primary replay's, seed for seed, so it is not run again but
+// read off primary: of the two cells, one is replayed.
 func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCell, error) {
 	g := recon.Graph
-	// Cell (fork, steal) seeds trial i with Seed + i + 1000·steal; the primary
-	// seeds it with Seed + i, which is random-single's offset of zero.
-	cellSeed := func(steal sim.StealPolicy, i int) int64 { return opts.Seed + int64(i) + 1000*int64(steal) }
-	// A row is one fork policy: its sequential execution and, with a cache
-	// model, that execution's miss bill.
-	type matrixRow struct {
-		fork sim.ForkPolicy
-		seq  *sim.Result
-		base *core.CacheBaseline
+	cells := []MatrixCell{{Fork: sim.FutureFirst}, {Fork: sim.ParentFirst}}
+	ff, pf := &cells[0], &cells[1]
+	if core.BoundApplies(primary.Class, sim.FutureFirst) {
+		ff.Bound = int64(opts.P) * g.Span() * g.Span()
 	}
-	rows := []matrixRow{{fork: sim.FutureFirst}, {fork: sim.ParentFirst}}
-	for f := range rows {
-		row := &rows[f]
-		var err error
-		if row.seq, err = sim.Sequential(g, row.fork, 0, cache.LRU); err != nil {
-			return nil, err
-		}
-		if pc := primary.CacheCost; pc != nil && row.fork == sim.FutureFirst {
-			// The primary's own baseline is this row's.
-			row.base = pc.CacheBaseline
-		} else if pc != nil {
-			// The other fork policy has its own sequential order, and so its
-			// own bill, over the footprint the primary derived. The OPT
-			// baseline is skipped — the primary carries it once.
-			model := *opts.CacheModel
-			model.NoIdeal = true
-			if row.base, err = core.NewCacheBaseline(g, model, pc.CacheBaseline, row.seq); err != nil {
-				return nil, err
-			}
-		}
+	ff.summarize(primary.Deviations, primary.Steals)
+	if primary.CacheCost != nil {
+		ff.charge(primary.CacheCost)
 	}
-	steals := sim.StealPolicies
-	cells := make([]MatrixCell, len(rows)*len(steals))
-	err := core.ForEach(len(cells), func(i int) error {
-		row, steal := &rows[i/len(steals)], steals[i%len(steals)]
-		fork, cell := row.fork, &cells[i]
-		cell.Fork, cell.Steal = fork, steal
-		granted := core.BoundApplies(primary.Class, fork, steal)
-		if granted {
-			cell.Bound = int64(opts.P) * g.Span() * g.Span()
-		}
-		if fork == sim.FutureFirst && steal == sim.RandomSingle {
-			cell.summarize(primary.Deviations, primary.Steals)
-			if primary.CacheCost != nil {
-				cell.charge(primary.CacheCost)
-			}
-			return nil
-		}
-		var cost *core.CacheCost
-		if row.base != nil {
-			cost = row.base.Cost(opts.P, opts.Trials, granted)
-		}
-		tr, err := core.RunTrials(g, sim.Config{P: opts.P, Policy: fork, Steal: steal, Domains: opts.Domains},
-			row.seq, opts.Trials, func(i int) sim.Control { return sim.NewRandomControl(cellSeed(steal, i)) }, cost)
-		if err != nil {
-			return err
-		}
-		cell.summarize(tr.Deviations, tr.Steals)
-		if cost != nil {
-			cell.charge(cost)
-		}
-		return nil
-	})
+	// Parent-first has its own sequential order, and so its own bill over
+	// the footprint the primary derived. The OPT baseline is skipped — the
+	// primary carries it once. Trial i is seeded Seed + i, as the primary's.
+	seq, err := sim.Sequential(g, sim.ParentFirst, 0, cache.LRU)
 	if err != nil {
 		return nil, err
+	}
+	var cost *core.CacheCost
+	if pc := primary.CacheCost; pc != nil {
+		model := *opts.CacheModel
+		model.NoIdeal = true
+		base, err := core.NewCacheBaseline(g, model, pc.CacheBaseline, seq)
+		if err != nil {
+			return nil, err
+		}
+		cost = base.Cost(opts.P, opts.Trials, false)
+	}
+	tr, err := core.RunTrials(g, sim.Config{P: opts.P, Policy: sim.ParentFirst}, seq, opts.Trials,
+		func(i int) sim.Control { return sim.NewRandomControl(opts.Seed + int64(i)) }, cost)
+	if err != nil {
+		return nil, err
+	}
+	pf.summarize(tr.Deviations, tr.Steals)
+	if cost != nil {
+		pf.charge(cost)
 	}
 	return cells, nil
 }
@@ -394,17 +349,6 @@ func (r *Report) String() string {
 	fmt.Fprintf(&sb, "measured:           deviations=%d (steals=%d helped=%d blocked=%d)  touches: inline=%d ready=%d helped=%d blocked=%d external=%d\n",
 		r.MeasuredDeviations, c.Steals, c.HelpedTasks, c.BlockedWaits,
 		c.InlineTouches, c.ReadyTouches, c.HelpedWaits, c.BlockedWaits, c.ExternalWaits)
-	if c.Steals > 0 {
-		sb.WriteString("steal attribution: ")
-		for _, sp := range sim.StealPolicies {
-			if n := c.StealsByPolicy[sp]; n > 0 {
-				fmt.Fprintf(&sb, " %s=%d", sp, n)
-			}
-		}
-		sb.WriteByte('\n')
-		fmt.Fprintf(&sb, "steal locality:     intra-domain=%d cross-domain=%d\n",
-			c.IntraDomainSteals, c.CrossDomainSteals)
-	}
 	if r.DeviationBound > 0 {
 		fmt.Fprintf(&sb, "envelope:           P·T∞² = %d·%d² = %d  → measured within bound: %v\n",
 			r.P, r.Span, r.DeviationBound, r.WithinBound())
@@ -415,33 +359,22 @@ func (r *Report) String() string {
 	s := stats.Summarize(stats.Ints(r.Sim.Steals))
 	fmt.Fprintf(&sb, "sim prediction:     deviations mean=%.1f max=%.0f, steals mean=%.1f (P=%d, %d trials, %s × %s)\n",
 		d.Mean, d.Max, s.Mean, r.Sim.P, len(r.Sim.Deviations), r.Sim.Policy, r.Sim.Steal)
-	// matrix renders one (fork × steal) table: a row per fork discipline, a
-	// column per steal policy, each cell "mean/max" and starred where its
+	// matrix renders one fork × steal table: a row per fork discipline under
+	// the one steal column, each cell "mean/max" and starred where its
 	// envelope is granted.
 	matrix := func(what, envelope string, cell func(*MatrixCell) (mean float64, mx, bound int64)) {
 		if len(r.Matrix) == 0 {
 			return
 		}
 		fmt.Fprintf(&sb, "sim (fork × steal) %s matrix (mean/max per cell; * = %s envelope granted):\n", what, envelope)
-		fmt.Fprintf(&sb, "  %-14s", "")
-		for _, sp := range sim.StealPolicies {
-			fmt.Fprintf(&sb, " %15s", sp.String())
-		}
-		sb.WriteByte('\n')
-		for _, fork := range []sim.ForkPolicy{sim.FutureFirst, sim.ParentFirst} {
-			fmt.Fprintf(&sb, "  %-14s", fork.String())
-			for i := range r.Matrix {
-				if r.Matrix[i].Fork != fork {
-					continue
-				}
-				mean, mx, bound := cell(&r.Matrix[i])
-				v := fmt.Sprintf("%.1f/%d", mean, mx)
-				if bound > 0 {
-					v += "*"
-				}
-				fmt.Fprintf(&sb, " %15s", v)
+		fmt.Fprintf(&sb, "  %-14s %15s\n", "", sim.RandomSingle)
+		for i := range r.Matrix {
+			mean, mx, bound := cell(&r.Matrix[i])
+			v := fmt.Sprintf("%.1f/%d", mean, mx)
+			if bound > 0 {
+				v += "*"
 			}
-			sb.WriteByte('\n')
+			fmt.Fprintf(&sb, "  %-14s %15s\n", r.Matrix[i].Fork, v)
 		}
 	}
 	matrix("deviation", "P·T∞²", func(c *MatrixCell) (float64, int64, int64) {

@@ -42,8 +42,7 @@ func jobTreesTrace(depth int) *profile.Trace {
 				}
 				tree(job, on, kid, depth-1)
 				if on != worker {
-					r.Record(on, profile.Event{Kind: profile.KindSteal, Task: kid, Arg: -1,
-						Job: job, Steal: policy.RandomSingle})
+					r.Record(on, profile.Event{Kind: profile.KindSteal, Task: kid, Arg: -1, Job: job})
 				}
 				r.Record(worker, profile.Event{Kind: profile.KindTouch, Mode: mode, Task: task,
 					Other: kid, Arg: -1, Job: job})
@@ -64,12 +63,12 @@ func jobTreesTrace(depth int) *profile.Trace {
 	return r.Collect()
 }
 
-// goldenOptions turn everything on: a cache model with a shared tier, two
-// locality domains, the (fork × steal) matrix and the per-job split.
-// Options.CacheLines is set to show that it is ignored.
+// goldenOptions turn everything on: a cache model with a shared tier, the
+// fork matrix and the per-job split. Options.CacheLines is set to show that
+// it is ignored.
 func goldenOptions() profile.Options {
 	return profile.Options{
-		P: 4, Trials: 4, Seed: 5, CacheLines: 8, Domains: []int{0, 0, 1, 1},
+		P: 4, Trials: 4, Seed: 5, CacheLines: 8,
 		CacheModel: &core.CacheModel{Lines: 8, Kind: cache.LRU, LLCLines: 32},
 	}
 }
@@ -120,8 +119,8 @@ func TestReportsIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// BenchmarkProfileAnalyze is one full Analyze — primary, three matrix cells,
-// two jobs, the cache model on — of a 10 747-node reconstruction; read it
+// BenchmarkProfileAnalyze is one full Analyze — primary, one replayed matrix
+// cell, two jobs, the cache model on — of a 10 747-node reconstruction; read it
 // under -cpu 1,2 for the fan-out's gain and its one-P cost (a b.N loop for
 // the reason BenchmarkAnalyze in internal/core gives).
 func BenchmarkProfileAnalyze(b *testing.B) {

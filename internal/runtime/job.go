@@ -36,7 +36,8 @@ package runtime
 // stale copy of an already-consumed handle fails fast with ErrDoubleTouch
 // instead of touching the pool's next tenant. Job IDs themselves are never
 // recycled — they stay dense and monotone from jobSeq — so profiler
-// attribution (Event.Job, SplitJobs) needs no generation bits in the ID.
+// attribution (Event.Job, the per-job reports) needs no generation bits in
+// the ID.
 
 import (
 	"errors"
@@ -114,12 +115,13 @@ const (
 )
 
 // jobColumn maps each pending counter to the job column publish also adds it
-// to, or to −1 for the counters only the rows keep: steal attempts and spawns.
+// to, or to −1 for the counters only the rows keep: steal attempts and spawns
+// (and the cross-domain steal column, which nothing writes).
 var jobColumn = [len(pending{})]int8{
 	telemetry.CTasksRun:          jobTasks,
 	telemetry.CStealAttempts:     -1,
-	telemetry.CStealsIntraDomain: jobSteals,
-	telemetry.CStealsCrossDomain: jobSteals,
+	telemetry.CSteals:            jobSteals,
+	telemetry.CStealsCrossDomain: -1,
 	telemetry.CInlineTouches:     jobInline,
 	telemetry.CHelpedTasks:       jobHelped,
 	telemetry.CBlockedTouches:    jobBlocked,

@@ -398,18 +398,14 @@ func TestJobEventSeparationDeterministic(t *testing.T) {
 			t.Fatalf("event %v: job %d, want %d or %d", ev, ev.Job, j1.ID(), j2.ID())
 		}
 	}
-	subs := profile.SplitJobs(tr)
-	if len(subs) != 2 {
-		t.Fatalf("SplitJobs: %d partitions, want 2", len(subs))
+	recs := jobRecons(t, tr)
+	if len(recs) != 2 {
+		t.Fatalf("per-job reconstructions: %d, want 2", len(recs))
 	}
-	// Each partition must reconstruct cleanly on its own (no cross-job
+	// Each job must reconstruct cleanly on its own (no cross-job
 	// references) and describe exactly one root + two children.
 	seen := map[uint64]bool{}
-	for id, sub := range subs {
-		rec, err := profile.Reconstruct(sub)
-		if err != nil {
-			t.Fatalf("job %d: %v", id, err)
-		}
+	for id, rec := range recs {
 		if len(rec.Incomplete) != 0 {
 			t.Fatalf("job %d: trace gaps %v — events leaked across jobs", id, rec.Incomplete)
 		}
@@ -544,15 +540,8 @@ func TestHelpAttributedToHelpedTasksJob(t *testing.T) {
 	if sa, sb := jA.Stats().HelpedTasks, jB.Stats().HelpedTasks; sa != 0 || sb != 1 {
 		t.Fatalf("JobStats helped: A=%d B=%d, want 0 and 1", sa, sb)
 	}
-	subs := profile.SplitJobs(tr)
-	recA, err := profile.Reconstruct(subs[jA.ID()])
-	if err != nil {
-		t.Fatal(err)
-	}
-	recB, err := profile.Reconstruct(subs[jB.ID()])
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := jobRecons(t, tr)
+	recA, recB := recs[jA.ID()], recs[jB.ID()]
 	if recA.HelpedTasks != 0 || recA.MeasuredDeviations() != 0 {
 		t.Fatalf("job A recon: helped=%d deviations=%d, want 0/0 — contaminated by job B's displacement",
 			recA.HelpedTasks, recA.MeasuredDeviations())
@@ -702,4 +691,19 @@ func TestSubmitWaitBlockedReusesRootGate(t *testing.T) {
 		}
 		kept[j.js] = j.js.gate
 	}
+}
+
+// jobRecons reconstructs each job of tr on its own, the way the profile
+// report's per-job verdicts do, by job ID.
+func jobRecons(t *testing.T, tr *profile.Trace) map[uint64]*profile.Recon {
+	t.Helper()
+	rep, err := profile.Analyze(tr, profile.Options{Trials: 1, NoMatrix: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := map[uint64]*profile.Recon{}
+	for _, jr := range rep.Jobs {
+		recs[jr.Job] = jr.Recon
+	}
+	return recs
 }

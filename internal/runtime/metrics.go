@@ -49,17 +49,16 @@ func (rt *Runtime) DumpFlight() (*profile.Trace, error) {
 
 // FlightEnvelope reconstructs the flight window and returns the rolling
 // live-envelope reading: measured deviations in the window vs the P·T∞²
-// budget its DAG grants under the policy pair this runtime runs — its
-// default fork discipline and its steal rule — so a runtime outside the
-// theorems' cell (parent-first by default, or workers spanning several
-// domains) reads budget 0, as the report's matrix does for that cell. Cheap
-// enough for a scrape path (no sim replay).
+// budget its DAG grants under the runtime's default fork discipline and its
+// random-single thief — so a parent-first runtime, the default, reads budget
+// 0, as the report's matrix does for that cell. Cheap enough for a scrape
+// path (no sim replay).
 func (rt *Runtime) FlightEnvelope() (profile.Envelope, error) {
 	tr, err := rt.DumpFlight()
 	if err != nil {
 		return profile.Envelope{}, err
 	}
-	return profile.WindowEnvelope(tr, len(rt.workers), rt.discipline, rt.StealPolicy())
+	return profile.WindowEnvelope(tr, len(rt.workers), rt.discipline)
 }
 
 // FlightReport runs the full predicted-vs-measured analysis on the flight
@@ -126,16 +125,14 @@ func total(c telemetry.Counter) func(*scrape) int64 {
 }
 
 // families is the whole /metrics contract, in page order: scheduler counters
-// (steals under the name of the runtime's steal rule and split by locality,
-// spawns by discipline), job admission outcomes including sheds, the
-// in-flight gauge, the job latency and queue-wait histograms, and the rolling
-// deviation-vs-envelope gauges of the flight window. A new counter is one row
-// here (internal/shard's TestMetricsContract pins both renderings of every row).
+// (steals under the name of the runtime's steal rule, spawns by discipline), job
+// admission outcomes including sheds, the in-flight gauge, the job latency and
+// queue-wait histograms, and the rolling deviation-vs-envelope gauges of the
+// flight window. A new counter is one row here (internal/shard's
+// TestMetricsContract pins both renderings of every row).
 var families = []family{
 	{name: "workers", typ: "gauge", help: "Worker count of the runtime.", helpPer: "Worker count per shard.",
 		samples: one(func(s *scrape) int64 { return int64(len(s.rt.workers)) })},
-	{name: "domains", typ: "gauge", help: "Cache-locality (LLC) domain count of the topology assignment.", helpPer: "Cache-locality (LLC) domain count of each shard's topology assignment.",
-		samples: one(func(s *scrape) int64 { return int64(s.rt.NumDomains()) })},
 	{name: "jobs_in_flight", typ: "gauge", help: "Jobs admitted and not yet completed.", helpPer: "Jobs admitted and not yet completed per shard.",
 		samples: one(func(s *scrape) int64 { return int64(s.rt.InFlight()) })},
 	{name: "jobs_max_in_flight", typ: "gauge", help: "Admission cap (0 = unlimited).", helpPer: "Admission cap per shard (0 = unlimited).",
@@ -147,11 +144,6 @@ var families = []family{
 	{name: "steals_total", typ: "counter", help: "Claimed steals by steal policy.", helpPer: "Claimed steals by shard and steal policy.",
 		key: "policy", keyOf: func(s *scrape) string { return s.rt.StealPolicy().String() },
 		samples: one(func(s *scrape) int64 { return s.snap.Steals() })},
-	{name: "steals_locality_total", typ: "counter", help: "Claimed steals by cache locality: whether the thief crossed an LLC-domain boundary.", helpPer: "Claimed steals by shard and cache locality (LLC-boundary crossing).",
-		key: "locality", samples: []sample{
-			{"intra-domain", total(telemetry.CStealsIntraDomain)},
-			{"cross-domain", total(telemetry.CStealsCrossDomain)},
-		}},
 	{name: "spawns_total", typ: "counter", help: "Spawns by fork discipline.", helpPer: "Spawns by shard and fork discipline.",
 		key: "discipline", samples: []sample{
 			{policy.FutureFirst.String(), total(telemetry.CSpawnsFutureFirst)},
@@ -269,7 +261,6 @@ func (rt *Runtime) WriteMetrics(w io.Writer) error {
 func (rt *Runtime) MetricsMap() map[string]any {
 	m := telemetry.Map(rt.tele.Snapshot())
 	m["workers"] = len(rt.workers)
-	m["domains"] = rt.NumDomains()
 	m["topology_source"] = rt.topo.Source
 	m["jobs_in_flight"] = rt.InFlight()
 	m["jobs_max_in_flight"] = rt.MaxInFlight()

@@ -31,20 +31,13 @@ const (
 // StealPolicy is the steal-discipline vocabulary shared with the simulator
 // (internal/policy): whom a thief robs and how much it takes per visit. The
 // runtime has one steal rule (W.stealOnce) and uses the vocabulary only to
-// name it (Runtime.StealPolicy), by the two values below.
+// name it (Runtime.StealPolicy).
 type StealPolicy = policy.StealPolicy
 
-const (
-	// RandomSingle steals one task from the top of a uniformly random victim
-	// — the paper's parsimonious baseline, the only steal policy the Theorem
-	// 8/12/16/18 envelopes cover, and what the runtime's rule is where all
-	// workers share one locality domain.
-	RandomSingle = policy.RandomSingle
-	// Hierarchical exhausts victims inside the thief's cache-locality
-	// domain (LLC-sharing group, see WithTopology) before probing across a
-	// domain boundary — what the rule is where the workers span several.
-	Hierarchical = policy.Hierarchical
-)
+// RandomSingle steals one task from the top of a uniformly random victim —
+// the paper's parsimonious baseline, the only steal policy the Theorem
+// 8/12/16/18 envelopes cover, and the runtime's rule.
+const RandomSingle = policy.RandomSingle
 
 // Option configures a Runtime at construction (see New).
 type Option func(*options)
@@ -85,17 +78,14 @@ func WithDiscipline(d Discipline) Option {
 	}
 }
 
-// WithTopology injects the cache topology workers are grouped by (see
-// internal/topology): workers stripe across the topology's LLC domains,
-// every steal is attributed intra- vs cross-domain, the parked-worker
-// accounting is striped per domain, and a thief exhausts the victims of its
-// own domain before it crosses a boundary (W.stealOnce) — so the topology is
-// also what decides the steal rule's name (Runtime.StealPolicy). The default
-// (nil) is the host topology discovered from sysfs, falling back to a
-// single flat domain when discovery fails — pass a Synthetic topology
-// (e.g. "2x2") for deterministic tests and sim-replay parity on machines
-// whose real hierarchy is flat, and topology.Flat(n) for the theorems'
-// uniformly random thief on a machine whose hierarchy is not.
+// WithTopology sets the machine topology the runtime reports (Topology; see
+// internal/topology). It does not change how the runtime schedules: a
+// runtime is one steal domain, its thief robs any other worker uniformly at
+// random, and its sleepers share one condition variable, whatever the
+// topology. The machine's LLC domains shape a shard.Pool instead, which runs
+// one runtime per domain and hands each its domain's carve-out. The default
+// (nil) is the host topology discovered from sysfs, falling back to a single
+// flat domain when discovery fails.
 func WithTopology(t *topology.Topology) Option {
 	return func(o *options) { o.topo = t }
 }
@@ -146,7 +136,8 @@ func WithContext(ctx context.Context) Option {
 }
 
 // New starts a runtime. With no options it uses GOMAXPROCS workers, seed 1,
-// the ParentFirst default spawn discipline, and the host's cache topology:
+// the ParentFirst default spawn discipline, and reports the host's cache
+// topology:
 //
 //	rt := runtime.New(runtime.WithWorkers(8), runtime.WithDiscipline(runtime.FutureFirst))
 //	defer rt.Shutdown()
@@ -167,11 +158,9 @@ func New(opts ...Option) *Runtime {
 	if topo == nil {
 		topo = topology.Detect()
 	}
-	assign := topo.Assign(n)
 	rt := &Runtime{
 		discipline: o.discipline,
 		topo:       topo,
-		assign:     assign,
 		stop:       make(chan struct{}),
 		term:       make(chan struct{}),
 	}
@@ -181,10 +170,7 @@ func New(opts ...Option) *Runtime {
 	if o.flight > 0 {
 		rt.flight = profile.NewRecorder(n, o.flight)
 	}
-	rt.domainConds = make([]domainCond, assign.NumDomains())
-	for i := range rt.domainConds {
-		rt.domainConds[i].cond = sync.NewCond(&rt.mu)
-	}
+	rt.idle = sync.NewCond(&rt.mu)
 	rt.slotCond = sync.NewCond(&rt.mu)
 	rt.maxInFlight = max(o.maxInFlight, 0)
 	rt.free = make([]poolableRoot, 0, rootFreelistCap)
@@ -194,25 +180,16 @@ func New(opts ...Option) *Runtime {
 			id:      i,
 			dq:      deque.NewPtr[task](dequeInitCap),
 			tele:    rt.tele.Row(i),
-			domain:  assign.Domain[i],
 			rng:     seedXorshift(seed, i),
 			curJob:  &rt.solo,
 			jobFree: make([]poolableRoot, 0, workerFreeCap),
 		}
 		rt.workers = append(rt.workers, w)
 	}
-	// Precompute each worker's two victim tiers (same-domain peers first,
-	// remote workers after) so the steal path never touches the topology
-	// structures.
 	for _, w := range rt.workers {
 		for _, v := range rt.workers {
-			if v == w {
-				continue
-			}
-			if v.domain == w.domain {
-				w.peers = append(w.peers, v)
-			} else {
-				w.remote = append(w.remote, v)
+			if v != w {
+				w.victims = append(w.victims, v)
 			}
 		}
 	}

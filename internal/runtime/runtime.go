@@ -19,29 +19,23 @@
 // thieves pick victims with an inline xorshift generator, falling back to a
 // global injection queue. There is one steal rule and no option to choose
 // another (stealOnce): one task from the top of a victim drawn uniformly at
-// random among the workers that share the thief's LLC domain, and only when
-// all of those are dry the same among the workers across a cache boundary.
-// Where the workers share one domain that is the paper's uniformly random
-// single steal, the thief the theorems assume (WithTopology(topology.Flat(n))
-// asks for it on any machine); where they do not it is the domain-tiered
-// thief of the locality story. StealPolicy names which; the simulator alone
-// has the other steal policies of the shared vocabulary. Workers are
-// grouped into cache-locality domains by the machine topology (discovered
-// from sysfs, or injected synthetically): every steal is attributed intra-
-// vs cross-domain, and the parked-worker accounting is
-// striped per domain. A worker with no work first polls for a few tens of
+// random among all the other workers — the paper's uniformly random single
+// steal, the thief the theorems assume. A runtime is one steal domain
+// whatever machine it runs on; a host with several last-level caches runs
+// one runtime per cache behind a shard.Pool, the one layer that knows the
+// machine's topology. A worker with no work first polls for a few tens of
 // microseconds, yielding its P between looks: it takes a job that arrives
 // meanwhile without having slept, and it robs a peer only after it has been
 // dry for a few microseconds, not the instant it runs out (see W.dry). Then
-// it parks on its domain's condition variable, sleeping only while every
+// it parks on the runtime's condition variable, sleeping only while every
 // queue looks empty; push never takes the lock unless a worker is actually
 // parked (an atomic parked count gates it — a polling worker is not counted),
-// and wakes exactly one worker per new task — preferring a domain-local
-// sleeper — instead of broadcasting to the herd. A touch of an unfinished
-// future first tries to inline-run it (if nobody started it, popping it off
-// the toucher's own deque first, and dropping finished entries it exposes,
-// so deques hold live tasks only), then helps by running other tasks, then
-// polls like a dry worker, and only then blocks.
+// and wakes exactly one worker per new task instead of broadcasting to the
+// herd. A touch of an unfinished future first tries to inline-run it (if
+// nobody started it, popping it off the toucher's own deque first, and
+// dropping finished entries it exposes, so deques hold live tasks only), then
+// helps by running other tasks, then polls like a dry worker, and only then
+// blocks.
 //
 // The hot path is allocation-free past the future itself: a future IS its
 // task (one 48-byte allocation for a Future[int] carries status word, body
@@ -322,18 +316,12 @@ type Runtime struct {
 	// discipline is the default fork discipline used by Spawn (set by
 	// WithDiscipline, immutable after New).
 	discipline Discipline
-	// topo is the cache topology the workers are assigned onto (discovered
-	// from sysfs or injected by WithTopology) and assign the resulting
-	// worker→domain striping. Both immutable after New.
-	topo   *topology.Topology
-	assign *topology.Assignment
-	// domainConds stripes the parked-worker accounting per locality domain:
-	// one condition variable (sharing mu) plus a sleeper count per domain,
-	// so push can wake a sleeper that shares the pusher's LLC instead of an
-	// arbitrary one. On a flat (single-domain) topology this degenerates to
-	// the one global cond the runtime always had. The slice is immutable
-	// after New; its elements are guarded by mu.
-	domainConds []domainCond
+	// topo is the machine topology the runtime reports (Topology: discovered
+	// from sysfs or injected by WithTopology). Nothing schedules by it.
+	// Immutable after New.
+	topo *topology.Topology
+	// idle (sharing mu) is where parked workers sleep. Immutable after New.
+	idle *sync.Cond
 	// closed is written once, by Shutdown.
 	closed atomic.Bool
 	// stop is closed by Shutdown; it releases the WithContext watcher.
@@ -366,7 +354,7 @@ type Runtime struct {
 	_ [cacheLine]byte
 
 	mu sync.Mutex
-	// parked counts the workers asleep in park that nobody has signalled yet
+	// parked counts the workers asleep on idle that nobody has signalled yet
 	// (see park). It is written under mu but read without it by push, which
 	// skips the lock entirely — the common case — when there is nobody left
 	// to wake (see push for the handshake).
@@ -388,24 +376,15 @@ type Runtime struct {
 	queueWaitHist stats.Histogram
 }
 
-// domainCond is one locality domain's parking stripe: a condition variable
-// sharing the runtime mutex plus the count of workers asleep on it that
-// nobody has signalled yet (guarded by that mutex — the lock-free gate stays
-// the runtime-wide atomic parked count, which is the stripes' sum).
-type domainCond struct {
-	cond   *sync.Cond
-	parked int32
-}
-
 // W is a worker context. Task functions receive the worker executing them
 // and pass it to Spawn/Touch for deque-local scheduling; a nil *W is valid
 // everywhere and routes through the global queue (used by external
 // goroutines).
 //
 // Layout: the read-mostly header fills the first two cache lines and the
-// owner-written scheduling state starts the third, so a thief reading
-// v.dq or v.domain never touches a line the owner is hammering; the struct is
-// a whole number of lines, so the allocator places it line-aligned and a
+// owner-written scheduling state starts the third, so a thief reading v.dq
+// never touches a line the owner is hammering; the struct is a whole number
+// of lines, so the allocator places it line-aligned and a
 // neighboring object shares none of them (TestWorkerLayout). The per-task
 // counters are an owner-local table (pend); everything else is counted
 // straight into the worker's telemetry row, reached through the read-only
@@ -418,17 +397,11 @@ type W struct {
 	// tele is this worker's always-on counter row; set once at construction
 	// and owner-incremented ever after (see internal/telemetry).
 	tele *telemetry.Row
-	// domain is this worker's locality-domain ID under the runtime's
-	// topology assignment; peers are the other workers of the same domain
-	// and remote the workers across an LLC boundary — the two victim tiers
-	// of stealOnce, precomputed so the steal path never consults the
-	// topology. All immutable after New (read-mostly, so they live in the
-	// header section).
-	domain int
-	peers  []*W
-	remote []*W
+	// victims are the other workers, in worker order: the ones stealOnce
+	// draws from. Immutable after New.
+	victims []*W
 
-	_ [2*cacheLine - 88]byte
+	_ [2*cacheLine - 56]byte
 
 	// rng is the xorshift64 state for victim selection (never zero); an
 	// inline generator instead of math/rand.Rand keeps the steal path free
@@ -591,16 +564,8 @@ func (rt *Runtime) QueueBacklog() int { return rt.global.Len() }
 func (rt *Runtime) Discipline() Discipline { return rt.discipline }
 
 // StealPolicy names the runtime's one steal rule (stealOnce) in the shared
-// policy vocabulary, read off where the workers landed: RandomSingle when
-// they all share one locality domain — nobody has a remote tier, so a victim
-// is uniform among the others — and Hierarchical when they span several.
-// Steal events are stamped with it and the envelope check is asked about it.
-func (rt *Runtime) StealPolicy() StealPolicy {
-	if len(rt.workers[0].remote) == 0 {
-		return RandomSingle
-	}
-	return Hierarchical
-}
+// policy vocabulary: RandomSingle, on every topology.
+func (rt *Runtime) StealPolicy() StealPolicy { return RandomSingle }
 
 // Closed reports whether the runtime has been shut down (explicitly or by
 // context cancellation). Spawns on a closed runtime fail fast: their
@@ -621,9 +586,7 @@ func (rt *Runtime) Shutdown() {
 	}
 	close(rt.stop)
 	rt.mu.Lock()
-	for i := range rt.domainConds {
-		rt.domainConds[i].cond.Broadcast()
-	}
+	rt.idle.Broadcast()
 	// Queued SubmitWait callers must observe the close and return ErrClosed
 	// instead of waiting for slots on a server that will never drain.
 	rt.slotCond.Broadcast()
@@ -739,29 +702,16 @@ func (rt *Runtime) push(w *W, t *task) {
 	}
 }
 
-// signalOne wakes one parked worker, preferring a sleeper in the pushing
-// worker's own locality domain: the woken worker's likeliest next pop is
-// the task just pushed (or a steal from the pusher's deque), so a
-// domain-local wakeup keeps that handoff inside the shared LLC. It scans
-// the other domains' stripes only when the local one holds no sleeper that
-// is still unsignalled; finding none at all is benign — every worker
-// counted by the lock-free parked gate was signalled, left park, or has yet
-// to look at the queues before we got the lock, and each of those will see
-// the work already published.
+// signalOne wakes one parked worker that nobody has signalled yet. Finding
+// none is benign — every worker counted by the lock-free parked gate was
+// signalled, left park, or has yet to look at the queues before we got the
+// lock, and each of those will see the work already published.
 func (rt *Runtime) signalOne(w *W) {
-	start := 0
-	if w != nil && w.rt == rt {
-		start = w.domain
-	}
 	signaled := false
 	rt.mu.Lock()
-	n := len(rt.domainConds)
-	for i := 0; i < n; i++ {
-		if d := &rt.domainConds[(start+i)%n]; d.parked > 0 {
-			rt.wakeOne(d)
-			signaled = true
-			break
-		}
+	if rt.parked.Load() > 0 {
+		rt.wakeOne()
+		signaled = true
 	}
 	rt.mu.Unlock()
 	if signaled {
@@ -778,10 +728,8 @@ func (rt *Runtime) signalN(n int) {
 	}
 	signaled := 0
 	rt.mu.Lock()
-	for i := 0; i < len(rt.domainConds) && signaled < n; i++ {
-		for d := &rt.domainConds[i]; d.parked > 0 && signaled < n; signaled++ {
-			rt.wakeOne(d)
-		}
+	for ; rt.parked.Load() > 0 && signaled < n; signaled++ {
+		rt.wakeOne()
 	}
 	rt.mu.Unlock()
 	if signaled > 0 {
@@ -789,15 +737,14 @@ func (rt *Runtime) signalN(n int) {
 	}
 }
 
-// wakeOne signals one of stripe d's unsignalled sleepers and counts it out,
-// so no later push signals it again. Caller holds mu and has seen
-// d.parked > 0. Cond.Signal wakes the longest waiter not yet signalled, and
-// d.parked is exactly how many of those the stripe has: each sleeper counted
-// itself in right before its Wait, under the same mutex.
-func (rt *Runtime) wakeOne(d *domainCond) {
-	d.parked--
+// wakeOne signals one unsignalled sleeper and counts it out, so no later
+// push signals it again. Caller holds mu and has seen parked > 0.
+// Cond.Signal wakes the longest waiter not yet signalled, and parked is
+// exactly how many of those there are: each sleeper counted itself in right
+// before its Wait, under the same mutex.
+func (rt *Runtime) wakeOne() {
 	rt.parked.Add(-1)
-	d.cond.Signal()
+	rt.idle.Signal()
 }
 
 // teleRow routes counter updates to w's row when w belongs to this runtime,
@@ -821,10 +768,6 @@ const (
 	// execStolen: the task came off another worker's deque (stealOnce) —
 	// count and record a steal.
 	execStolen execFlags = 1 << iota
-	// execCross: with execStolen, the victim was across a locality-domain
-	// (LLC) boundary from the thief — the expensive kind of steal the paper's
-	// miss bound prices. Set by stealFrom, where the fact is known.
-	execCross
 	// execHelping: the task ran while its worker helped at a touch.
 	execHelping
 	// execInline: the task was claimed inline by its own toucher.
@@ -833,16 +776,6 @@ const (
 	// anyone else can hold the future.
 	execDive
 )
-
-// execCtx runs t on w, in scheduling context fl, if nobody else has claimed
-// it.
-func (w *W) execCtx(t *task, fl execFlags) bool {
-	if !t.claim() {
-		return false
-	}
-	w.run(t, fl)
-	return true
-}
 
 // run executes the claimed task t on w and retires it. All accounting — the
 // pending counts and the profiler events of a steal or a help — happens while
@@ -880,11 +813,9 @@ func (w *W) run(t *task, fl execFlags) {
 	w.pend[telemetry.CTasksRun]++
 	switch {
 	case fl&execStolen != 0:
-		cross := fl&execCross != 0
-		w.pend[telemetry.LocalityCounter(cross)]++
+		w.pend[telemetry.CSteals]++
 		if w.rt.recording() {
-			w.rt.emit(w, profile.Event{Kind: profile.KindSteal, Task: id, Arg: -1,
-				Steal: w.rt.StealPolicy(), Cross: cross, Job: t.jobID()})
+			w.rt.emit(w, profile.Event{Kind: profile.KindSteal, Task: id, Arg: -1, Job: t.jobID()})
 		}
 	case fl&execHelping != 0:
 		w.pend[telemetry.CHelpedTasks]++
@@ -899,6 +830,16 @@ func (w *W) run(t *task, fl execFlags) {
 	}
 	w.cur, w.curJob = prev, prevJob
 	t.retire(w)
+}
+
+// execCtx runs t on w, in scheduling context fl, if nobody else has claimed
+// it.
+func (w *W) execCtx(t *task, fl execFlags) bool {
+	if !t.claim() {
+		return false
+	}
+	w.run(t, fl)
+	return true
 }
 
 // runInline is the inline path of a touch or a private wait: w claims the
@@ -966,12 +907,12 @@ func (w *W) jobID() uint64 { return w.curJob.id.Load() }
 // find locates a runnable task for a worker helping at a touch: own deque
 // first, then other workers' deques (stealOnce), then the injection queue.
 // (The worker loop takes the same three sources in another order and at
-// another pace — see dry.) fl is execStolen, with execCross when it crossed a
-// domain boundary, when the task came from stealOnce, the one place a steal
-// happens, and 0 otherwise; the steal is counted and recorded only if the
-// thief's claim then wins (see run — a thief that loses the task to an
-// inlining toucher displaced nothing). Returns nil when everything is empty (a
-// snapshot — new work may appear immediately after).
+// another pace — see dry.) fl is execStolen when the task came from
+// stealOnce, the one place a steal happens, and 0 otherwise; the steal is
+// counted and recorded only if the thief's claim then wins (see run — a thief
+// that loses the task to an inlining toucher displaced nothing). Returns nil
+// when everything is empty (a snapshot — new work may appear immediately
+// after).
 func (w *W) find() (t *task, fl execFlags) {
 	if t = w.popOwn(); t != nil {
 		return t, 0
@@ -1006,60 +947,6 @@ func (rt *Runtime) popInjected() *task {
 		}
 	}
 	return nil
-}
-
-// stealOnce makes one stealing sweep over the other workers and returns the
-// task the thief should execute now, with the flags to execute it under (see
-// stealFrom), or nil when every probe came up dry. It is the runtime's one
-// steal rule: victims that share the thief's LLC domain first, and across a
-// boundary only when all of those are dry — a cross-domain steal drags the
-// task's working set through memory, the miss cost the paper's bound prices.
-// Within a tier the victim is uniform (stealScan) and a visit takes one task
-// from the top (stealFrom), so where all workers share one domain this is the
-// paper's uniformly random single steal.
-func (w *W) stealOnce() (*task, execFlags) {
-	if t, fl := w.stealScan(w.peers); t != nil {
-		return t, fl
-	}
-	return w.stealScan(w.remote)
-}
-
-// stealScan probes a victim tier (the thief's domain peers, or the remote
-// workers) in two rounds from one random offset: the first victim is uniform
-// over the tier — the thief itself is in neither, so there is nobody to skip,
-// and no neighbour a skip would favour — and the rest follow in ring order.
-func (w *W) stealScan(vs []*W) (*task, execFlags) {
-	n := len(vs)
-	if n == 0 {
-		return nil, 0
-	}
-	off := int(w.nextRand() % uint64(n))
-	for round := 0; round < 2; round++ {
-		for i := 0; i < n; i++ {
-			if t, fl := w.stealFrom(vs[(off+i)%n]); t != nil {
-				return t, fl
-			}
-		}
-	}
-	return nil, 0
-}
-
-// stealFrom robs victim v of the one task at the top of its deque, counting
-// the probe. Returns the task to execute and execStolen, with execCross when
-// the task crossed an LLC boundary to get here, or nil when the deque was
-// empty, the steal lost a race, or the task at the top had already been
-// claimed (a toucher ran it inline while it sat in the deque). Not a steal
-// yet: that is counted when the task runs (see run).
-func (w *W) stealFrom(v *W) (*task, execFlags) {
-	w.tele.Inc(telemetry.CStealAttempts)
-	t, ok := v.dq.StealTop()
-	if !ok || !t.unstarted() {
-		return nil, 0
-	}
-	if w.domain != v.domain {
-		return t, execStolen | execCross
-	}
-	return t, execStolen
 }
 
 // loop is the worker body: run what the own deque holds, and when it is
@@ -1284,6 +1171,45 @@ func (w *W) sawYield(end time.Time, took time.Duration) (spareP bool) {
 	return false
 }
 
+// stealOnce makes one stealing sweep over the other workers and returns the
+// task the thief should execute now, with the flags to execute it under (see
+// stealFrom), or nil when every probe came up dry. It is the runtime's one
+// steal rule, the paper's uniformly random single steal: two rounds over the
+// victims from one random offset, so the first victim is uniform over the
+// other workers — the thief is not among them, so there is nobody to skip,
+// and no neighbour a skip would favour — the rest follow in ring order, and a
+// visit takes one task from the top (stealFrom).
+func (w *W) stealOnce() (*task, execFlags) {
+	vs := w.victims
+	n := len(vs)
+	if n == 0 {
+		return nil, 0
+	}
+	off := int(w.nextRand() % uint64(n))
+	for round := 0; round < 2; round++ {
+		for i := 0; i < n; i++ {
+			if t, fl := w.stealFrom(vs[(off+i)%n]); t != nil {
+				return t, fl
+			}
+		}
+	}
+	return nil, 0
+}
+
+// stealFrom robs victim v of the one task at the top of its deque, counting
+// the probe. Returns the task to execute and execStolen, or nil when the
+// deque was empty, the steal lost a race, or the task at the top had already
+// been claimed (a toucher ran it inline while it sat in the deque). Not a
+// steal yet: that is counted when the task runs (see run).
+func (w *W) stealFrom(v *W) (*task, execFlags) {
+	w.tele.Inc(telemetry.CStealAttempts)
+	t, ok := v.dq.StealTop()
+	if !ok || !t.unstarted() {
+		return nil, 0
+	}
+	return t, execStolen
+}
+
 // drainCancelled is the cooperative shutdown drain: the exiting worker
 // cancels everything left in its own deque and in the global queue, so
 // futures whose tasks will never run fail fast with ErrClosed (and touchers
@@ -1300,23 +1226,21 @@ func (w *W) drainCancelled() {
 }
 
 // park blocks while every queue looks empty and the runtime is open,
-// sleeping on the worker's own domain stripe so push can prefer waking a
-// cache-local sleeper. The parked increment, under mu, is ordered before
-// the queue-length loads, pairing with push's publish-then-parked-load (see
-// push for the handshake); the per-domain sleeper count is maintained under
-// the same mutex, so signalOne's scan and this bookkeeping never disagree.
-// The worker publishes its pending counters first (W.publish, rule 2), so an
-// idle pool's telemetry rows are exact. A worker still polling in dry has not
-// come here yet: it is awake, not counted in parked, and owed no signal.
+// sleeping on the runtime's condition variable. The parked increment, under
+// mu, is ordered before the queue-length loads, pairing with push's
+// publish-then-parked-load (see push for the handshake). The worker
+// publishes its pending counters first (W.publish, rule 2), so an idle pool's
+// telemetry rows are exact. A worker still polling in dry has not come here
+// yet: it is awake, not counted in parked, and owed no signal.
 //
-// One signal per sleeper. The counts hold only the sleepers nobody has
+// One signal per sleeper. The count holds only the sleepers nobody has
 // signalled yet: the signaller counts a sleeper out as it signals it
 // (wakeOne), so the pushes that follow while the woken worker is on its way
 // pass over it. Before Shutdown a worker returns from Wait only because a
 // signaller counted it out, so when it finds every queue still empty it
 // counts itself back in, before its queue loads, and sleeps again. Shutdown
 // wakes every sleeper with a Broadcast that counts nobody out; after it the
-// counts are stale, and nothing reads them but a push or SubmitAll that
+// count is stale, and nothing reads it but a push or SubmitAll that
 // raced the close, whose signal no sleeper needs any more.
 //
 // A queue that looks non-empty sends the worker back to find, which may
@@ -1327,14 +1251,11 @@ func (w *W) drainCancelled() {
 // queue or to a dead entry removes what it looked at.
 func (w *W) park() {
 	rt := w.rt
-	d := &rt.domainConds[w.domain]
 	w.publish()
 	rt.mu.Lock()
 	for slept := false; ; {
 		rt.parked.Add(1)
-		d.parked++
 		if rt.queued() || rt.closed.Load() {
-			d.parked--
 			rt.parked.Add(-1)
 			break
 		}
@@ -1345,7 +1266,7 @@ func (w *W) park() {
 			slept = true
 			w.tele.Inc(telemetry.CParks)
 		}
-		d.cond.Wait() // returns counted out (wakeOne), or after Shutdown
+		rt.idle.Wait() // returns counted out (wakeOne), or after Shutdown
 	}
 	rt.mu.Unlock()
 }
@@ -1789,8 +1710,9 @@ type Stats struct {
 	InlineTouches  int64
 	HelpedTasks    int64
 	BlockedTouches int64
-	// IntraSteals and CrossSteals split Steals by cache locality: whether
-	// the thief shared the victim's LLC domain. Their sum equals Steals.
+	// IntraSteals and CrossSteals are Steals split by cache locality. A
+	// runtime is one steal domain, so IntraSteals equals Steals and
+	// CrossSteals is 0.
 	IntraSteals int64
 	CrossSteals int64
 	PerWorker   []WorkerStats
@@ -1806,31 +1728,29 @@ type WorkerStats struct {
 }
 
 // Stats snapshots the counters. The values are read off the telemetry rows —
-// Stats is a view over the always-on counter matrix, with Steals the sum of
-// its two locality columns. A steal is counted where the stolen task runs,
-// and an execution is counted once, as a steal, a help or an inline touch
-// (see W.run); the per-task counters reach the rows and the jobs' JobStats in
-// one publication (W.publish), so Stats equals Σ JobStats plus the job-less
-// counts (and the blocked touches of another job's futures, which only the
-// rows count). Once a computation whose futures were all touched has been
-// waited for (Run or Job.Wait returned) its tasks are all counted; while
-// tasks are in flight TasksRun and InlineTouches trail each running worker by
-// at most 256 tasks, on top of the usual skew of reading live counters one
-// after another.
+// Stats is a view over the always-on counter matrix. A steal is counted where
+// the stolen task runs, and an execution is counted once, as a steal, a help or
+// an inline touch (see W.run); the per-task counters reach the rows and the
+// jobs' JobStats in one publication (W.publish), so Stats equals Σ JobStats plus
+// the job-less counts (and the blocked touches of another job's futures, which
+// only the rows count). Once a computation whose futures were all touched has
+// been waited for (Run or Job.Wait returned) its tasks are all counted; while
+// tasks are in flight TasksRun and InlineTouches trail each running worker by at
+// most 256 tasks, on top of the usual skew of reading live counters one after
+// another.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
 	for _, w := range rt.workers {
-		intra, cross := w.tele.Load(telemetry.CStealsIntraDomain), w.tele.Load(telemetry.CStealsCrossDomain)
+		steals := w.tele.Load(telemetry.CSteals)
 		ws := WorkerStats{
 			ID:             w.id,
 			TasksRun:       w.tele.Load(telemetry.CTasksRun),
-			Steals:         intra + cross,
+			Steals:         steals,
 			StealAttempts:  w.tele.Load(telemetry.CStealAttempts),
 			InlineTouches:  w.tele.Load(telemetry.CInlineTouches),
 			HelpedTasks:    w.tele.Load(telemetry.CHelpedTasks),
 			BlockedTouches: w.tele.Load(telemetry.CBlockedTouches),
-			IntraSteals:    intra,
-			CrossSteals:    cross,
+			IntraSteals:    steals,
 		}
 		s.TasksRun += ws.TasksRun
 		s.Steals += ws.Steals
@@ -1847,27 +1767,11 @@ func (rt *Runtime) Stats() Stats {
 
 // String renders the aggregate counters.
 func (s Stats) String() string {
-	return fmt.Sprintf("tasks=%d steals=%d/%d (intra=%d cross=%d) inline=%d helped=%d blocked=%d",
-		s.TasksRun, s.Steals, s.StealAttempts, s.IntraSteals, s.CrossSteals,
-		s.InlineTouches, s.HelpedTasks, s.BlockedTouches)
+	return fmt.Sprintf("tasks=%d steals=%d/%d inline=%d helped=%d blocked=%d",
+		s.TasksRun, s.Steals, s.StealAttempts, s.InlineTouches, s.HelpedTasks, s.BlockedTouches)
 }
 
-// Topology returns the cache topology the runtime's workers are assigned
-// onto (see WithTopology; defaults to the host topology discovered from
-// sysfs, or a flat fallback).
+// Topology returns the machine topology the runtime reports (see
+// WithTopology; defaults to the host topology discovered from sysfs, or a
+// flat fallback).
 func (rt *Runtime) Topology() *topology.Topology { return rt.topo }
-
-// DomainAssignment returns each worker's locality-domain ID (index =
-// worker ID) — the sim.Config.Domains shape, so a profiler replay can run
-// under the same striping the real run had.
-func (rt *Runtime) DomainAssignment() []int {
-	out := make([]int, len(rt.workers))
-	for i, w := range rt.workers {
-		out[i] = w.domain
-	}
-	return out
-}
-
-// NumDomains returns the locality-domain count of the runtime's topology
-// assignment.
-func (rt *Runtime) NumDomains() int { return len(rt.domainConds) }

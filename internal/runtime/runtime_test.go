@@ -585,7 +585,7 @@ func TestRuntimeLayout(t *testing.T) {
 	headerEnd := max(
 		end(unsafe.Offsetof(rt.workers), unsafe.Sizeof(rt.workers)),
 		end(unsafe.Offsetof(rt.discipline), unsafe.Sizeof(rt.discipline)),
-		end(unsafe.Offsetof(rt.domainConds), unsafe.Sizeof(rt.domainConds)),
+		end(unsafe.Offsetof(rt.idle), unsafe.Sizeof(rt.idle)),
 		end(unsafe.Offsetof(rt.closed), unsafe.Sizeof(rt.closed)),
 		end(unsafe.Offsetof(rt.prof), unsafe.Sizeof(rt.prof)),
 		end(unsafe.Offsetof(rt.flight), unsafe.Sizeof(rt.flight)),
@@ -614,7 +614,7 @@ func TestRuntimeLayout(t *testing.T) {
 // a line with a neighboring object.
 func TestWorkerLayout(t *testing.T) {
 	var w W
-	headerEnd := unsafe.Offsetof(w.remote) + unsafe.Sizeof(w.remote)
+	headerEnd := unsafe.Offsetof(w.victims) + unsafe.Sizeof(w.victims)
 	owner := unsafe.Offsetof(w.rng)
 	if owner%cacheLine != 0 || owner < headerEnd {
 		t.Fatalf("owner-written section starts at offset %d; want a multiple of %d at or past the header's end at %d",

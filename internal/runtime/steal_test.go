@@ -2,14 +2,13 @@ package runtime
 
 import (
 	stdruntime "runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"futurelocality/internal/deque"
-	"futurelocality/internal/policy"
 	"futurelocality/internal/profile"
-	"futurelocality/internal/sim"
 	"futurelocality/internal/telemetry"
 	"futurelocality/internal/topology"
 )
@@ -18,9 +17,9 @@ import (
 // would work too; a named function keeps the deterministic tests readable).
 func leafIntFn(*W) int { return 1 }
 
-// stealTopologies are the two shapes the runtime's one steal rule takes at
-// four workers: all in one domain (the theorem's uniform thief) and striped
-// [0 0 1 1] over two (the domain-tiered thief).
+// stealTopologies are two machine shapes a four-worker runtime can report:
+// one LLC domain and two. The steal rule is the same on both — a runtime is
+// one steal domain.
 func stealTopologies(t *testing.T) []*topology.Topology {
 	return []*topology.Topology{topology.Flat(4), synth(t, "2x2")}
 }
@@ -47,14 +46,13 @@ func TestStealPoliciesComputeCorrectly(t *testing.T) {
 	}
 }
 
-// TestStealPolicyRecordedPerEvent: every traced steal must carry the name the
-// runtime derives for its steal rule from its topology, as a single steal,
-// and the reconstruction's per-policy attribution must contain no other
-// policy.
+// TestStealPolicyRecordedPerEvent: on every topology the traced steals are
+// single steals, one per stolen execution: no steal event carries a helped
+// count, and the trace holds as many as the counters read, every one of them
+// intra-domain.
 func TestStealPolicyRecordedPerEvent(t *testing.T) {
 	for _, topo := range stealTopologies(t) {
 		rt := New(WithWorkers(4), WithTopology(topo), WithSeed(3))
-		sp := rt.StealPolicy()
 		if err := rt.StartProfile(); err != nil {
 			t.Fatal(err)
 		}
@@ -62,23 +60,17 @@ func TestStealPolicyRecordedPerEvent(t *testing.T) {
 			Run(rt, func(w *W) int { return profFib(rt, w, 16) })
 		}
 		tr := rt.StopProfile()
+		st := rt.Stats()
 		rt.Shutdown()
-		rec, err := profile.Reconstruct(tr)
-		if err != nil {
-			t.Fatalf("%v: %v", sp, err)
-		}
-		for p, n := range rec.StealsByPolicy {
-			if p != sp {
-				t.Fatalf("policy %v: %d steals attributed to %v", sp, n, p)
-			}
-		}
-		for _, ev := range stealEvents(tr) {
-			if ev.Steal != sp {
-				t.Fatalf("steal event carries %v, runtime on %s steals %v", ev.Steal, topo.Source, sp)
-			}
+		evs := stealEvents(tr)
+		for _, ev := range evs {
 			if ev.N != 0 {
 				t.Fatalf("steal event carries N=%d; N counts helped tasks of a touch only", ev.N)
 			}
+		}
+		if n := int64(len(evs)); st.Steals != n || st.IntraSteals != n || st.CrossSteals != 0 {
+			t.Fatalf("%s: %d steal events, Stats steals %d (intra %d, cross %d) — want one number and no cross",
+				topo.Source, n, st.Steals, st.IntraSteals, st.CrossSteals)
 		}
 	}
 }
@@ -88,37 +80,22 @@ func TestStealPolicyRecordedPerEvent(t *testing.T) {
 // stealFrom deterministically. Only the paths that never park may be used
 // (worker-local pushes, steals, exec); Shutdown must not be called.
 func bareRuntime(workers int) *Runtime {
-	return bareRuntimeOn(workers, topology.Flat(workers))
-}
-
-// bareRuntimeOn is bareRuntime on an explicit topology, so a test can place
-// workers in more than one locality domain.
-func bareRuntimeOn(workers int, topo *topology.Topology) *Runtime {
 	rt := &Runtime{born: time.Now()}
 	rt.solo.rt = rt
-	rt.topo = topo
-	rt.assign = rt.topo.Assign(workers)
+	rt.topo = topology.Flat(workers)
 	rt.tele = telemetry.NewSet(workers)
 	rt.teleExt = rt.tele.External()
-	rt.domainConds = make([]domainCond, rt.assign.NumDomains())
-	for i := range rt.domainConds {
-		rt.domainConds[i].cond = sync.NewCond(&rt.mu)
-	}
+	rt.idle = sync.NewCond(&rt.mu)
 	rt.slotCond = sync.NewCond(&rt.mu)
 	for i := 0; i < workers; i++ {
-		w := &W{rt: rt, id: i, dq: deque.NewPtr[task](64), tele: rt.tele.Row(i), domain: rt.assign.Domain[i],
+		w := &W{rt: rt, id: i, dq: deque.NewPtr[task](64), tele: rt.tele.Row(i),
 			rng: uint64(i + 1), curJob: &rt.solo}
 		rt.workers = append(rt.workers, w)
 	}
 	for _, w := range rt.workers {
 		for _, v := range rt.workers {
-			if v == w {
-				continue
-			}
-			if v.domain == w.domain {
-				w.peers = append(w.peers, v)
-			} else {
-				w.remote = append(w.remote, v)
+			if v != w {
+				w.victims = append(w.victims, v)
 			}
 		}
 	}
@@ -136,22 +113,22 @@ func stealEvents(tr *profile.Trace) []profile.Event {
 	return out
 }
 
-// TestStealCountedOnce drives the counted-once law by hand on a 2x2 layout
-// (domains [0 0 1 1]): a steal is counted where the stolen task runs, in
-// every place at once — the thief's locality counter (whose two columns are
-// Stats.Steals), the task's job and one KindSteal event — and a thief that
-// loses the task to a toucher between the deque and the claim counts a steal
+// TestStealCountedOnce drives the counted-once law by hand on two workers: a
+// steal is counted where the stolen task runs, in every place at once — the
+// thief's steal counter (Stats.Steals, which is also IntraSteals; CrossSteals
+// stays 0), the task's job and one KindSteal event — and a thief that loses
+// the task to a toucher between the deque and the claim counts a steal
 // attempt and nothing else.
 func TestStealCountedOnce(t *testing.T) {
-	rt := bareRuntimeOn(4, synth(t, "2x2"))
+	rt := bareRuntime(2)
 	if err := rt.StartProfile(); err != nil {
 		t.Fatal(err)
 	}
-	thief, peer, remote := rt.workers[0], rt.workers[1], rt.workers[2]
+	thief, victim := rt.workers[0], rt.workers[1]
 
-	// Two jobs, their roots run by hand: job 1's on the thief's domain peer,
-	// where it leaves two children on the deque (lost on top, near under it),
-	// job 2's across the boundary, where it leaves one.
+	// Two jobs, their roots run by hand on the victim: job 1's leaves two
+	// children on its deque (lost on top, near under it), job 2's one more
+	// (far, at the bottom).
 	var lost, near, far *Future[int]
 	j1, err := Submit(rt, func(w *W) int {
 		lost = SpawnWith(rt, w, ParentFirst, leafIntFn)
@@ -168,25 +145,25 @@ func TestStealCountedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []*W{peer, remote} {
-		if root := rt.popInjected(); root == nil || !w.execCtx(root, 0) {
-			t.Fatalf("worker %d could not run its job's root", w.id)
+	for range 2 {
+		if root := rt.popInjected(); root == nil || !victim.execCtx(root, 0) {
+			t.Fatal("the victim could not run a job's root")
 		}
 	}
-	type counts struct{ attempts, steals, split, job1, job2 int64 }
+	type counts struct{ attempts, steals, intra, cross, job1, job2 int64 }
 	read := func() counts {
 		st := rt.Stats()
 		return counts{thief.tele.Load(telemetry.CStealAttempts), st.Steals,
-			st.IntraSteals + st.CrossSteals, j1.Stats().Steals, j2.Stats().Steals}
+			st.IntraSteals, st.CrossSteals, j1.Stats().Steals, j2.Stats().Steals}
 	}
 
-	// (a) The thief takes lost off the peer's deque; the peer touches it — it
-	// claims and runs it inline — before the thief's claim.
+	// (a) The thief takes lost off the victim's deque; the victim touches it —
+	// it claims and runs it inline — before the thief's claim.
 	tk, fl := thief.stealOnce()
 	if tk != &lost.task {
-		t.Fatal("the first steal did not take the task at the top of the peer's deque")
+		t.Fatal("the first steal did not take the task at the top of the victim's deque")
 	}
-	if lost.Touch(peer) != 1 {
+	if lost.Touch(victim) != 1 {
 		t.Fatal("the toucher did not run the task the thief holds")
 	}
 	if thief.execCtx(tk, fl) {
@@ -197,41 +174,31 @@ func TestStealCountedOnce(t *testing.T) {
 	}
 
 	// (b) The thief takes near and runs it: counted everywhere, once.
-	if tk, fl = thief.stealOnce(); tk != &near.task || !thief.execCtx(tk, fl) {
-		t.Fatal("the thief did not get to run the peer's second task")
+	if tk, fl = thief.stealOnce(); tk != &near.task || fl != execStolen || !thief.execCtx(tk, fl) {
+		t.Fatal("the thief did not get to run the victim's second task")
 	}
-	if got, want := read(), (counts{attempts: 2, steals: 1, split: 1, job1: 1}); got != want {
-		t.Fatalf("after an executed intra-domain steal: %+v, want %+v", got, want)
+	if got, want := read(), (counts{attempts: 2, steals: 1, intra: 1, job1: 1}); got != want {
+		t.Fatalf("after an executed steal: %+v, want %+v", got, want)
 	}
-	// The same across the boundary, charged to the other job.
+	// The same for the other job's task, charged to that job.
 	if tk, fl = thief.stealOnce(); tk != &far.task || !thief.execCtx(tk, fl) {
-		t.Fatal("the thief did not get to run the remote worker's task")
+		t.Fatal("the thief did not get to run the victim's third task")
 	}
-	got := read()
-	got.attempts = 0 // the dry peer tier and a random remote offset: 3 or 4 more
-	if want := (counts{steals: 2, split: 2, job1: 1, job2: 1}); got != want {
-		t.Fatalf("after an executed cross-domain steal: %+v, want %+v", got, want)
-	}
-	if st := rt.Stats(); st.IntraSteals != 1 || st.CrossSteals != 1 {
-		t.Fatalf("locality split %d/%d, want 1/1", st.IntraSteals, st.CrossSteals)
+	if got, want := read(), (counts{attempts: 3, steals: 2, intra: 2, job1: 1, job2: 1}); got != want {
+		t.Fatalf("after a steal of the other job's task: %+v, want %+v", got, want)
 	}
 
 	evs := stealEvents(rt.StopProfile())
-	want := []profile.Event{
-		{Task: near.id(), Cross: false, Job: j1.ID()},
-		{Task: far.id(), Cross: true, Job: j2.ID()},
-	}
+	want := []profile.Event{{Task: near.id(), Job: j1.ID()}, {Task: far.id(), Job: j2.ID()}}
 	if len(evs) != len(want) {
 		t.Fatalf("trace has %d steal events, want %d (none for the task the toucher ran): %v", len(evs), len(want), evs)
 	}
 	for i, ev := range evs {
-		if ev.Task != want[i].Task || ev.Cross != want[i].Cross || ev.Job != want[i].Job ||
-			ev.Steal != Hierarchical || ev.Worker != int32(thief.id) {
-			t.Errorf("steal event %d = %v, want task %d cross=%v job %d, %v, on the thief",
-				i, ev, want[i].Task, want[i].Cross, want[i].Job, Hierarchical)
+		if ev.Task != want[i].Task || ev.Job != want[i].Job || ev.Worker != int32(thief.id) {
+			t.Errorf("steal event %d = %v, want task %d job %d on the thief", i, ev, want[i].Task, want[i].Job)
 		}
 	}
-	if near.Touch(peer)+far.Touch(remote)+j1.Wait()+j2.Wait() != 2 {
+	if near.Touch(victim)+far.Touch(victim)+j1.Wait()+j2.Wait() != 2 {
 		t.Fatal("wrong results")
 	}
 }
@@ -263,6 +230,8 @@ func passedTree(rt *Runtime, w *W, depth int) int {
 // a steal event and no execution. Helped tasks obey the same law: a task
 // stolen while its worker helped is a steal only, so Stats.HelpedTasks, the
 // trace's KindHelp count and the per-job plus job-less helps are one number.
+// Every worker's steals are intra-domain (a runtime is one steal domain), and
+// the telemetry snapshot reads the same total.
 func TestStealCountedOnceLive(t *testing.T) {
 	for _, topo := range stealTopologies(t) {
 		rt := New(WithWorkers(4), WithTopology(topo), WithSeed(11))
@@ -293,6 +262,7 @@ func TestStealCountedOnceLive(t *testing.T) {
 		}
 		tr := rt.StopProfile()
 		st := rt.Stats()
+		snapSteals := rt.TelemetrySnapshot().Steals()
 		rt.Shutdown()
 		if st.Steals == 0 {
 			t.Fatalf("%s: no steal in 200 rounds at 4 workers", topo.Source)
@@ -301,7 +271,7 @@ func TestStealCountedOnceLive(t *testing.T) {
 		stolen := map[uint64]int{}
 		inline := map[uint64]bool{}
 		begun := map[uint64]bool{}
-		var jobless, cross, helped, joblessHelped int64
+		var jobless, helped, joblessHelped int64
 		for _, ev := range tr.Events() {
 			switch ev.Kind {
 			case profile.KindHelp:
@@ -313,9 +283,6 @@ func TestStealCountedOnceLive(t *testing.T) {
 				stolen[ev.Task]++
 				if ev.Job == 0 {
 					jobless++
-				}
-				if ev.Cross {
-					cross++
 				}
 			case profile.KindTouch:
 				if ev.Mode == profile.ModeInline {
@@ -331,39 +298,37 @@ func TestStealCountedOnceLive(t *testing.T) {
 					topo.Source, id, n, inline[id], begun[id])
 			}
 		}
-		if n := int64(len(stealEvents(tr))); st.Steals != n || st.IntraSteals+st.CrossSteals != n ||
-			jobSteals+jobless != n || st.CrossSteals != cross {
-			t.Fatalf("%s: Stats.Steals %d, intra+cross %d+%d, per-job %d + job-less %d, trace %d steal events (%d cross) — want one number",
-				topo.Source, st.Steals, st.IntraSteals, st.CrossSteals, jobSteals, jobless, n, cross)
+		if n := int64(len(stealEvents(tr))); st.Steals != n || st.IntraSteals != n || st.CrossSteals != 0 ||
+			jobSteals+jobless != n || snapSteals != n {
+			t.Fatalf("%s: Stats.Steals %d, intra/cross %d/%d, per-job %d + job-less %d, snapshot %d, trace %d steal events — want one number and no cross",
+				topo.Source, st.Steals, st.IntraSteals, st.CrossSteals, jobSteals, jobless, snapSteals, n)
+		}
+		for _, ws := range st.PerWorker {
+			if ws.IntraSteals != ws.Steals || ws.CrossSteals != 0 {
+				t.Fatalf("%s: worker %d: intra %d, cross %d, steals %d", topo.Source, ws.ID, ws.IntraSteals, ws.CrossSteals, ws.Steals)
+			}
 		}
 		if st.HelpedTasks != helped || jobHelped+joblessHelped != helped {
 			t.Fatalf("%s: Stats.HelpedTasks %d, per-job %d + job-less %d, trace %d help events — want one number",
 				topo.Source, st.HelpedTasks, jobHelped, joblessHelped, helped)
 		}
-		if topo.NumDomains() == 1 && st.CrossSteals != 0 {
-			t.Fatalf("flat topology counted %d cross-domain steals", st.CrossSteals)
-		}
 	}
 }
 
-// TestStealVictimUniformOnFlat: where all workers share one domain the
-// runtime's steal rule is the theorem's — every other worker is a peer, none
-// is remote, and the first victim of a sweep is uniform over them. (A sweep
-// that draws its offset over all n workers and skips the thief visits the
-// worker after the thief first with probability 2/n.)
+// TestStealVictimUniformOnFlat: the runtime's steal rule is the theorem's —
+// every other worker is a victim, and the first victim of a sweep is uniform
+// over them. (A sweep that draws its offset over all n workers and skips the
+// thief visits the worker after the thief first with probability 2/n.)
 func TestStealVictimUniformOnFlat(t *testing.T) {
-	rt := bareRuntimeOn(4, topology.Flat(4))
-	if rt.StealPolicy() != RandomSingle {
-		t.Fatalf("flat topology steals %v, want %v", rt.StealPolicy(), RandomSingle)
-	}
+	rt := bareRuntime(4)
 	for _, w := range rt.workers {
-		if len(w.peers) != 3 || len(w.remote) != 0 {
-			t.Fatalf("worker %d: %d peers, %d remote — want 3 and 0", w.id, len(w.peers), len(w.remote))
+		if len(w.victims) != 3 {
+			t.Fatalf("worker %d: %d victims, want the 3 others", w.id, len(w.victims))
 		}
 	}
 	thief := rt.workers[0]
 	holder := map[*task]*W{}
-	for _, v := range thief.peers {
+	for _, v := range thief.victims {
 		holder[&SpawnWith(rt, v, ParentFirst, leafIntFn).task] = v
 	}
 	const draws = 3000
@@ -375,79 +340,23 @@ func TestStealVictimUniformOnFlat(t *testing.T) {
 			t.Fatalf("draw %d: stealOnce returned %v with every victim holding a task", i, tk)
 		}
 		if fl != execStolen {
-			t.Fatalf("draw %d: a steal on one domain came with flags %#x, want execStolen alone", i, fl)
+			t.Fatalf("draw %d: a steal came with flags %#x, want execStolen alone", i, fl)
 		}
 		first[v.id]++
 		v.dq.PushBottom(tk) // hand it back: every draw sees three full victims
 	}
-	for _, v := range thief.peers {
+	for _, v := range thief.victims {
 		if n := first[v.id]; n < draws/3*9/10 || n > draws/3*11/10 {
 			t.Errorf("worker %d was robbed first in %d of %d sweeps, want a third ±10%% (%v)", v.id, n, draws, first)
 		}
-	}
-	if got := bareRuntimeOn(4, synth(t, "2x2")).StealPolicy(); got != Hierarchical {
-		t.Fatalf("2x2 topology steals %v, want %v", got, Hierarchical)
-	}
-}
-
-// TestHierarchicalProbesPeersFirst drives the tier order by hand on a 2x2
-// layout (domains [0 0 1 1]): with one task on the thief's domain peer and
-// one on a remote worker, the first steal must take the peer's, come without
-// the cross-domain flag and count intra-domain once the thief has run it; only
-// with the peer dry may the thief cross the boundary, and that steal must come
-// flagged execCross and count cross-domain. Swapping the two stealScan calls
-// in stealOnce fails the first half.
-func TestHierarchicalProbesPeersFirst(t *testing.T) {
-	rt := bareRuntimeOn(4, synth(t, "2x2"))
-	for i, want := range []int{0, 0, 1, 1} {
-		if got := rt.workers[i].domain; got != want {
-			t.Fatalf("worker %d in domain %d, want %d", i, got, want)
-		}
-	}
-	thief, peer, remote := rt.workers[0], rt.workers[1], rt.workers[2]
-	near := SpawnWith(rt, peer, ParentFirst, leafIntFn)
-	far := SpawnWith(rt, remote, ParentFirst, leafIntFn)
-	intra := func() int64 { return thief.tele.Load(telemetry.CStealsIntraDomain) }
-	cross := func() int64 { return thief.tele.Load(telemetry.CStealsCrossDomain) }
-
-	tk, fl := thief.stealOnce()
-	if tk == nil {
-		t.Fatal("stealOnce found nothing with work on a peer and on a remote worker")
-	}
-	if tk != &near.task {
-		t.Fatalf("first steal took task %d, want the domain peer's task %d (remote's is %d)", tk.id(), near.id(), far.id())
-	}
-	thief.execCtx(tk, fl)
-	if fl != execStolen || intra() != 1 || cross() != 0 {
-		t.Fatalf("peer steal: flags %#x intra=%d cross=%d, want execStolen alone, 1, 0", fl, intra(), cross())
-	}
-
-	tk, fl = thief.stealOnce()
-	if tk == nil {
-		t.Fatal("stealOnce found nothing with the peer dry and work on a remote worker")
-	}
-	if tk != &far.task {
-		t.Fatalf("second steal took task %d, want the remote worker's task %d", tk.id(), far.id())
-	}
-	thief.execCtx(tk, fl)
-	if fl != execStolen|execCross || intra() != 1 || cross() != 1 {
-		t.Fatalf("remote steal: flags %#x intra=%d cross=%d, want execStolen|execCross, 1, 1", fl, intra(), cross())
-	}
-
-	if tk, fl = thief.stealOnce(); tk != nil || fl != 0 {
-		t.Fatalf("stealOnce on empty deques returned %p, flags %#x", tk, fl)
-	}
-	if v := near.Touch(peer) + far.Touch(remote); v != 2 {
-		t.Fatalf("futures sum to %d, want 2", v)
 	}
 }
 
 // TestSingleWorkerDeviationParity is the sim-vs-runtime parity check on a
 // deterministic single-worker schedule: with one worker there is nobody to
 // rob, so the measured deviation count and the P=1 simulator replay of the
-// reconstructed DAG in every matrix cell — each fork under each steal policy —
-// must all be exactly zero: the two layers agree on what the steal discipline
-// cost.
+// reconstructed DAG in both matrix cells — one per fork discipline — must all
+// be exactly zero: the two layers agree on what the steal discipline cost.
 func TestSingleWorkerDeviationParity(t *testing.T) {
 	rt := New(WithWorkers(1))
 	if err := rt.StartProfile(); err != nil {
@@ -462,43 +371,57 @@ func TestSingleWorkerDeviationParity(t *testing.T) {
 	if rep.MeasuredDeviations != 0 {
 		t.Fatalf("measured %d deviations on one worker, want 0", rep.MeasuredDeviations)
 	}
-	if len(rep.Matrix) != 2*len(policy.StealPolicies) {
-		t.Fatalf("matrix has %d cells, want %d", len(rep.Matrix), 2*len(policy.StealPolicies))
+	if len(rep.Matrix) != 2 {
+		t.Fatalf("matrix has %d cells, want 2", len(rep.Matrix))
 	}
 	for _, cell := range rep.Matrix {
 		if cell.MaxDeviations != 0 {
-			t.Fatalf("%v × %v: sim replay at P=1 predicts %d deviations, want 0 (parity broken)",
-				cell.Fork, cell.Steal, cell.MaxDeviations)
+			t.Fatalf("%v: sim replay at P=1 predicts %d deviations, want 0 (parity broken)",
+				cell.Fork, cell.MaxDeviations)
 		}
 	}
 }
 
-// TestStealPolicyAccessor: the steal rule's name is read off where the
-// workers landed — one domain, or a topology whose second domain no worker
-// reached, is RandomSingle; workers across two domains are Hierarchical.
+// TestStealPolicyAccessor: the steal rule's name is RandomSingle on every
+// topology — one domain, a topology whose second domain no worker reaches,
+// and workers spread over two — and the metrics page files the steals under
+// it, with no locality family and no domain gauge.
 func TestStealPolicyAccessor(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		topo    *topology.Topology
-		want    StealPolicy
 	}{
-		{1, topology.Flat(1), RandomSingle},
-		{4, topology.Flat(4), RandomSingle},
-		{2, synth(t, "2x2"), RandomSingle},
-		{4, synth(t, "2x2"), Hierarchical},
+		{1, topology.Flat(1)},
+		{4, topology.Flat(4)},
+		{2, synth(t, "2x2")},
+		{4, synth(t, "2x2")},
 	} {
 		rt := New(WithWorkers(tc.workers), WithTopology(tc.topo))
-		if got := rt.StealPolicy(); got != tc.want {
-			t.Errorf("%d workers on %s: StealPolicy() = %v, want %v", tc.workers, tc.topo.Source, got, tc.want)
+		Run(rt, func(w *W) int { return profFib(rt, w, 14) })
+		if got := rt.StealPolicy(); got != RandomSingle {
+			t.Errorf("%d workers on %s: StealPolicy() = %v, want %v", tc.workers, tc.topo.Source, got, RandomSingle)
+		}
+		var sb strings.Builder
+		if err := rt.WriteMetrics(&sb); err != nil {
+			t.Fatal(err)
 		}
 		rt.Shutdown()
+		page := sb.String()
+		if !strings.Contains(page, `futurelocality_steals_total{policy="random-single"}`) {
+			t.Errorf("%d workers on %s: metrics page lacks the random-single steal count", tc.workers, tc.topo.Source)
+		}
+		for _, gone := range []string{"steals_locality_total", "futurelocality_domains"} {
+			if strings.Contains(page, gone) {
+				t.Errorf("%d workers on %s: metrics page still carries %s", tc.workers, tc.topo.Source, gone)
+			}
+		}
 	}
 }
 
-// TestMatrixCoversAllCells: the profile report's (fork × steal) matrix must
-// contain one cell per policy pair, with the envelope granted exactly at
-// future-first × random-single (the computation is structured
-// single-touch, so the bound applies there and only there).
+// TestMatrixCoversAllCells: the profile report's matrix must contain one cell
+// per fork discipline, with the envelope granted exactly at future-first (the
+// computation is structured single-touch, so the bound applies there and only
+// there).
 func TestMatrixCoversAllCells(t *testing.T) {
 	rt := New(WithWorkers(2))
 	if err := rt.StartProfile(); err != nil {
@@ -510,20 +433,12 @@ func TestMatrixCoversAllCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Matrix) != 2*len(policy.StealPolicies) {
-		t.Fatalf("matrix has %d cells, want %d", len(rep.Matrix), 2*len(policy.StealPolicies))
+	if len(rep.Matrix) != 2 || rep.Matrix[0].Fork != FutureFirst || rep.Matrix[1].Fork != ParentFirst {
+		t.Fatalf("matrix = %+v, want a future-first and a parent-first cell", rep.Matrix)
 	}
-	seen := map[[2]uint8]bool{}
 	for _, cell := range rep.Matrix {
-		key := [2]uint8{uint8(cell.Fork), uint8(cell.Steal)}
-		if seen[key] {
-			t.Fatalf("duplicate matrix cell %v × %v", cell.Fork, cell.Steal)
-		}
-		seen[key] = true
-		wantBound := cell.Fork == sim.FutureFirst && cell.Steal == sim.RandomSingle
-		if (cell.Bound > 0) != wantBound {
-			t.Errorf("cell %v × %v: bound=%d, envelope should be granted only at future-first × random-single",
-				cell.Fork, cell.Steal, cell.Bound)
+		if wantBound := cell.Fork == FutureFirst; (cell.Bound > 0) != wantBound {
+			t.Errorf("cell %v: bound=%d, envelope should be granted only at future-first", cell.Fork, cell.Bound)
 		}
 	}
 }

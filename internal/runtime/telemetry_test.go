@@ -312,21 +312,22 @@ func TestFlightWindowBounds(t *testing.T) {
 }
 
 // TestFlightEnvelopeAsksTheRuntimesCell: the live envelope is granted for the
-// policy pair the runtime actually runs, not for the theorems' pair whatever
-// it runs. The same future-first fib at four workers reads budget P·T∞² where
-// the workers share one domain — the uniformly random thief the theorems
-// assume — and 0 where they span two and the thief is domain-tiered, the cell
-// DESIGN.md's table marks "no bound"; /metrics and MetricsMap export that
-// reading.
+// fork discipline the runtime actually runs, not for the theorems' whatever it
+// runs. A parent-first fib reads budget 0, the cell DESIGN.md's table marks
+// "no bound"; the same fib future-first reads P·T∞², on one domain and on two
+// alike, since the thief is the uniformly random one the theorems assume on
+// every topology. /metrics and MetricsMap export that reading.
 func TestFlightEnvelopeAsksTheRuntimesCell(t *testing.T) {
 	for _, tc := range []struct {
 		topo    *topology.Topology
+		disc    Discipline
 		granted bool
 	}{
-		{topology.Flat(4), true},
-		{synth(t, "2x2"), false},
+		{topology.Flat(4), FutureFirst, true},
+		{synth(t, "2x2"), FutureFirst, true},
+		{topology.Flat(4), ParentFirst, false},
 	} {
-		rt := New(WithWorkers(4), WithTopology(tc.topo), WithDiscipline(FutureFirst), WithFlightRecorder(1<<14))
+		rt := New(WithWorkers(4), WithTopology(tc.topo), WithDiscipline(tc.disc), WithFlightRecorder(1<<14))
 		if got := Run(rt, func(w *W) int { return teleFib(rt, w, 12) }); got != 144 {
 			t.Fatalf("fib(12) = %d", got)
 		}
@@ -339,12 +340,53 @@ func TestFlightEnvelopeAsksTheRuntimesCell(t *testing.T) {
 			want = 4 * env.Span * env.Span
 		}
 		if env.P != 4 || env.Span == 0 || env.Truncated != 0 || env.Budget != want {
-			t.Errorf("%s (%v): envelope %+v, want P=4, a whole window and budget %d", tc.topo.Source, rt.StealPolicy(), env, want)
+			t.Errorf("%s %v: envelope %+v, want P=4, a whole window and budget %d", tc.topo.Source, tc.disc, env, want)
 		}
 		if got := rt.MetricsMap()["flight"].(map[string]any)["envelope"]; got != want {
-			t.Errorf("%s: MetricsMap flight envelope = %v, want %d", tc.topo.Source, got, want)
+			t.Errorf("%s %v: MetricsMap flight envelope = %v, want %d", tc.topo.Source, tc.disc, got, want)
 		}
 		rt.Shutdown()
+	}
+}
+
+// TestFlightEnvelopeAgreesWithJobVerdictOn2x2: on a 4-worker runtime that
+// reports two LLC domains, a future-first fib job gets a live envelope —
+// budget P·T∞² > 0 — and the profile report of the same flight window grants
+// the job the same envelope and the same verdict: the flight gauge and the
+// per-job verdicts read one run alike.
+func TestFlightEnvelopeAgreesWithJobVerdictOn2x2(t *testing.T) {
+	rt := New(WithWorkers(4), WithTopology(synth(t, "2x2")), WithDiscipline(FutureFirst), WithFlightRecorder(1<<14))
+	defer rt.Shutdown()
+	j, err := Submit(rt, func(w *W) int { return teleFib(rt, w, 12) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Wait(); got != 144 {
+		t.Fatalf("fib(12) = %d", got)
+	}
+	env, err := rt.FlightEnvelope()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Budget <= 0 || env.Budget != 4*env.Span*env.Span || env.Truncated != 0 {
+		t.Fatalf("flight envelope %+v, want a whole window and budget 4·T∞² > 0", env)
+	}
+	rep, err := rt.FlightReport(profile.Options{Trials: 1, NoMatrix: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Jobs) != 1 || rep.Jobs[0].Job != j.ID() {
+		t.Fatalf("report has %d job verdicts, want job %d's alone", len(rep.Jobs), j.ID())
+	}
+	jr := &rep.Jobs[0]
+	if jr.DeviationBound != env.Budget || jr.Span != env.Span || jr.MeasuredDeviations != env.Deviations ||
+		jr.WithinBound() != env.Within() {
+		t.Fatalf("job verdict: bound %d, T∞ %d, deviations %d, within %v; flight: budget %d, T∞ %d, deviations %d, within %v",
+			jr.DeviationBound, jr.Span, jr.MeasuredDeviations, jr.WithinBound(),
+			env.Budget, env.Span, env.Deviations, env.Within())
+	}
+	if rep.DeviationBound != env.Budget {
+		t.Fatalf("pooled report grants %d, the flight gauge %d", rep.DeviationBound, env.Budget)
 	}
 }
 

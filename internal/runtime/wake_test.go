@@ -78,55 +78,3 @@ func TestWakeupsMatchParks(t *testing.T) {
 		t.Fatalf("%d wake-ups for %d jobs on %d workers: more than one signal per sleeper per job", wakes, jobs, workers)
 	}
 }
-
-// TestWakeCrossesDomains: a push passes over a stripe whose sleepers have
-// all been signalled already and wakes one in another domain. On 2x2 at 4
-// workers a task waits until the other three workers sleep, then pushes two
-// tasks back to back and spins without touching either. The first push
-// signals the pusher's domain peer; the peer can run only one of the two,
-// and each finishes only once both are running, so the second must wake a
-// worker across the boundary. Signalling the peer's stripe again, whose
-// only sleeper is already on its way, wakes nobody and leaves the one task
-// running until the deadline, when it gives up.
-func TestWakeCrossesDomains(t *testing.T) {
-	rt := New(WithWorkers(4), WithTopology(synth(t, "2x2")))
-	defer rt.Shutdown()
-	deadline := time.Now().Add(2 * time.Second)
-	var running atomic.Int32
-	// pair reports whether both tasks were running before the deadline: the
-	// count is read before the clock.
-	pair := func(*W) int {
-		running.Add(1)
-		for {
-			both := running.Load() == 2
-			if time.Now().After(deadline) {
-				return 0
-			}
-			if both {
-				return 1
-			}
-			stdruntime.Gosched()
-		}
-	}
-	together := Run(rt, func(w *W) int {
-		for rt.parked.Load() != 3 {
-			if time.Now().After(deadline) {
-				return -1
-			}
-			stdruntime.Gosched()
-		}
-		a := SpawnWith(rt, w, ParentFirst, pair)
-		b := SpawnWith(rt, w, ParentFirst, pair)
-		for running.Load() < 2 && time.Now().Before(deadline) {
-			stdruntime.Gosched()
-		}
-		return a.Touch(w) + b.Touch(w)
-	})
-	if together < 0 {
-		t.Fatal("the other three workers did not all sleep within 2 s")
-	}
-	if together != 2 {
-		s := rt.Stats()
-		t.Fatalf("the two pushed tasks were not both running within 2 s (steals intra %d, cross %d)", s.IntraSteals, s.CrossSteals)
-	}
-}

@@ -91,7 +91,7 @@ func WithTopology(t *topology.Topology) Option {
 }
 
 // WithRuntimeOptions appends construction options applied to every member
-// runtime (steal policy, discipline, flight recorder, seed, context...).
+// runtime (discipline, flight recorder, seed, context...).
 // The pool-managed options — workers, topology, admission cap — are
 // applied after these and win.
 func WithRuntimeOptions(opts ...runtime.Option) Option {

@@ -52,8 +52,8 @@ func TestAutoShardsFromTopology(t *testing.T) {
 		if rt.Workers() != 2 {
 			t.Fatalf("shard %d workers = %d, want 2", i, rt.Workers())
 		}
-		if rt.NumDomains() != 1 {
-			t.Fatalf("shard %d domains = %d, want 1 (workers stay inside one LLC)", i, rt.NumDomains())
+		if n := rt.Topology().NumDomains(); n != 1 {
+			t.Fatalf("shard %d domains = %d, want 1 (workers stay inside one LLC)", i, n)
 		}
 		want := "synthetic:2x2/domain" + string(rune('0'+i))
 		if got := rt.Topology().Source; got != want {

@@ -238,32 +238,31 @@ func TestPropertySequentialDeterminism(t *testing.T) {
 }
 
 // TestPropertyStealPoliciesValidate replays random structured DAGs under
-// every (fork × steal) pair: each run must execute every node exactly once
-// in dependency order, whatever the steal discipline.
+// both fork policies with the random-single thief: each run must execute
+// every node exactly once in dependency order, echo its policies, and list
+// each stolen node once.
 func TestPropertyStealPoliciesValidate(t *testing.T) {
 	f := func(seed int64, pSel uint8) bool {
 		g := randomStructured(seed, false)
 		p := 2 + int(pSel%7)
 		for _, fork := range []ForkPolicy{FutureFirst, ParentFirst} {
-			for _, steal := range StealPolicies {
-				eng, err := New(g, Config{P: p, Policy: fork, Steal: steal,
-					Control: NewRandomControl(seed*31 + int64(steal))})
-				if err != nil {
-					return false
-				}
-				res, err := eng.Run()
-				if err != nil {
-					return false
-				}
-				if res.Validate(g) != nil {
-					return false
-				}
-				if res.Steal != steal || res.Policy != fork {
-					return false
-				}
-				if int64(len(res.Stolen)) != res.Steals {
-					return false
-				}
+			eng, err := New(g, Config{P: p, Policy: fork, Steal: RandomSingle,
+				Control: NewRandomControl(seed * 31)})
+			if err != nil {
+				return false
+			}
+			res, err := eng.Run()
+			if err != nil {
+				return false
+			}
+			if res.Validate(g) != nil {
+				return false
+			}
+			if res.Steal != RandomSingle || res.Policy != fork {
+				return false
+			}
+			if int64(len(res.Stolen)) != res.Steals {
+				return false
 			}
 		}
 		return true
@@ -274,9 +273,9 @@ func TestPropertyStealPoliciesValidate(t *testing.T) {
 }
 
 // TestPropertySingleProcNoStealsAnyPolicy: with P = 1 there is nobody to
-// rob, so every steal policy degenerates to the sequential execution — zero
-// steals, zero deviations. This is the sim half of the runtime's
-// single-worker parity test.
+// rob, so the thief degenerates to the sequential execution — zero steals,
+// zero deviations. This is the sim half of the runtime's single-worker
+// parity test.
 func TestPropertySingleProcNoStealsAnyPolicy(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomStructured(seed, false)
@@ -284,21 +283,15 @@ func TestPropertySingleProcNoStealsAnyPolicy(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, steal := range StealPolicies {
-			eng, err := New(g, Config{P: 1, Policy: FutureFirst, Steal: steal,
-				Control: AlwaysActive{}})
-			if err != nil {
-				return false
-			}
-			res, err := eng.Run()
-			if err != nil {
-				return false
-			}
-			if res.Steals != 0 || Deviations(seq.SeqOrder(), res) != 0 {
-				return false
-			}
+		eng, err := New(g, Config{P: 1, Policy: FutureFirst, Control: AlwaysActive{}})
+		if err != nil {
+			return false
 		}
-		return true
+		res, err := eng.Run()
+		if err != nil {
+			return false
+		}
+		return res.Steals == 0 && Deviations(seq.SeqOrder(), res) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -306,8 +299,8 @@ func TestPropertySingleProcNoStealsAnyPolicy(t *testing.T) {
 }
 
 // TestInvalidStealPolicyRejected: Reset refuses an undefined fork or steal
-// policy — the retired steal values 1 and 2 included — with an error that
-// names the value.
+// policy — the retired steal values 1, 2 and 3 included — with an error
+// that names the value.
 func TestInvalidStealPolicyRejected(t *testing.T) {
 	g := randomStructured(3, false)
 	for _, c := range []struct {
@@ -317,6 +310,7 @@ func TestInvalidStealPolicyRejected(t *testing.T) {
 		{Config{P: 2, Policy: ForkPolicy(2)}, "fork policy discipline(2)"},
 		{Config{P: 2, Steal: StealPolicy(1)}, "steal policy stealpolicy(1)"},
 		{Config{P: 2, Steal: StealPolicy(2)}, "steal policy stealpolicy(2)"},
+		{Config{P: 2, Steal: StealPolicy(3)}, "steal policy stealpolicy(3)"},
 		{Config{P: 2, Steal: StealPolicy(9)}, "steal policy stealpolicy(9)"},
 	} {
 		if _, err := New(g, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {

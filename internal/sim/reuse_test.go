@@ -40,7 +40,7 @@ func (c reuseCase) control() Control {
 func engineState(e *Engine) string {
 	p := e.cfg.P
 	s := fmt.Sprint(e.waiting, e.when, e.who, e.assigned, len(e.deques), len(e.stolen), e.central.Len(),
-		e.executed, e.seq, e.steps, e.stealAtt, e.steals, e.pops, e.intra, e.cross)
+		e.executed, e.seq, e.steps, e.stealAtt, e.steals, e.pops)
 	for q := 0; q < p; q++ {
 		s += fmt.Sprint(" ", e.deques[q].Len(), len(e.orders[q]))
 	}
@@ -86,19 +86,19 @@ func checkReuse(t *testing.T, reused *Engine, c reuseCase) {
 
 // TestEngineReuseMatchesFresh drives one engine through graphs of different
 // sizes under configurations that differ in everything Reset must redo —
-// processor count up and down, fork and steal policy, domains, the central
-// queue, the miss count on, off, and of another policy and size, and a run
-// abandoned half way — and holds every run to a new engine's.
+// processor count up and down, fork policy, the central queue, the miss count
+// on, off, and of another policy and size, and a run abandoned half way — and
+// holds every run to a new engine's.
 func TestEngineReuseMatchesFresh(t *testing.T) {
 	var e Engine
 	for _, c := range []reuseCase{
 		{seed: 1, annotate: true, cfg: Config{P: 4, CacheLines: 8}},
-		{seed: 2, cfg: Config{P: 2, Policy: ParentFirst, Steal: Hierarchical}},
-		{seed: 3, annotate: true, cfg: Config{P: 6, Steal: Hierarchical, Domains: []int{0, 0, 0, 1, 1, 1}, CacheLines: 8}},
-		{seed: 4, annotate: true, cfg: Config{P: 4, Steal: Hierarchical, CacheLines: 8, MaxIdleSweeps: 3}, stuckAt: 6},
+		{seed: 2, cfg: Config{P: 2, Policy: ParentFirst}},
+		{seed: 3, annotate: true, cfg: Config{P: 6, CacheLines: 8}},
+		{seed: 4, annotate: true, cfg: Config{P: 4, CacheLines: 8, MaxIdleSweeps: 3}, stuckAt: 6},
 		{seed: 5, annotate: true, cfg: Config{P: 3, CentralQueue: true, CacheLines: 4, CacheKind: cache.FIFO}},
 		{seed: 4, cfg: Config{P: 5, CentralQueue: true, MaxIdleSweeps: 2}, stuckAt: 9},
-		{seed: 6, annotate: true, cfg: Config{P: 4, Steal: Hierarchical, Domains: []int{0, 0, 1, 1}, ThiefStealsBottom: true, CacheLines: 4, CacheKind: cache.FIFO}},
+		{seed: 6, annotate: true, cfg: Config{P: 4, ThiefStealsBottom: true, CacheLines: 4, CacheKind: cache.FIFO}},
 		{seed: 1, annotate: true, cfg: Config{P: 1, CacheLines: 16}},
 		{seed: 7, cfg: Config{P: 8, Policy: ParentFirst}},
 		{seed: 1, annotate: true, cfg: Config{P: 4, CacheLines: 8}},
@@ -112,7 +112,6 @@ func fuzzCase(seed int64, p, knobs, stuck uint8) reuseCase {
 	c := reuseCase{seed: seed, annotate: knobs&1 == 1, cfg: Config{
 		P:                 1 + int(p%8),
 		Policy:            ForkPolicy(knobs >> 1 & 1),
-		Steal:             StealPolicies[int(knobs>>2&3)%len(StealPolicies)],
 		CentralQueue:      knobs>>4&1 == 1,
 		ThiefStealsBottom: knobs>>5&1 == 1,
 		CacheLines:        []int{0, 0, 4, 8}[knobs>>6],
@@ -120,11 +119,6 @@ func fuzzCase(seed int64, p, knobs, stuck uint8) reuseCase {
 	}}
 	if stuck&1 == 1 {
 		c.stuckAt, c.cfg.MaxIdleSweeps = 1+int64(stuck>>1&7), 2
-	}
-	if c.cfg.Steal == Hierarchical {
-		for q := 0; q < c.cfg.P; q++ {
-			c.cfg.Domains = append(c.cfg.Domains, q*2/c.cfg.P)
-		}
 	}
 	return c
 }

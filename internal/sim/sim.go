@@ -11,14 +11,10 @@
 //   - 0 enabled children → the processor pops the bottom of its own deque;
 //     if the deque is empty it steals from the top of a victim's deque.
 //
-// The steal side of the discipline is itself a policy (Config.Steal, the
-// shared policy.StealPolicy vocabulary), one of the two thieves the runtime
-// can be: RandomSingle is Section 3's parsimonious single top-steal, while
-// Hierarchical replays the same DAG with a victim choice the theorems'
-// assumptions exclude, so its deviation cost can be measured against the
-// baseline. Any (fork × steal) pair is expressible, and Config.Domains
-// groups processors into cache-locality domains so every steal is
-// attributed intra- vs cross-domain.
+// The steal side of the discipline is Section 3's parsimonious single
+// top-steal from a victim the Control picks (Config.Steal names it with the
+// shared policy.StealPolicy vocabulary, RandomSingle — the runtime's one
+// steal rule too).
 //
 // Each processor has a private cache (Section 3's model). The engine only
 // schedules: when a run is asked for cache misses and the graph declares
@@ -64,25 +60,14 @@ const (
 )
 
 // StealPolicy selects whom a thief robs; every visit takes one node. It is
-// the shared policy.StealPolicy vocabulary: the real runtime names its one
-// steal rule with the same constants (RandomSingle or Hierarchical, by its
-// topology), so a simulator replay and a live run name their steal
-// discipline with one type.
+// the shared policy.StealPolicy vocabulary, which the real runtime names its
+// one steal rule with too.
 type StealPolicy = policy.StealPolicy
 
-const (
-	// RandomSingle steals one node from the victim's top — the parsimonious
-	// discipline of Section 3 that every theorem assumes. Default.
-	RandomSingle = policy.RandomSingle
-	// Hierarchical exhausts same-domain victims (Config.Domains) before
-	// consulting the Control's victim choice for a cross-domain probe.
-	// Outside the theorems' assumptions (victims are not uniform).
-	Hierarchical = policy.Hierarchical
-)
-
-// StealPolicies lists every defined steal policy — the iteration set for
-// (fork × steal) sweeps.
-var StealPolicies = policy.StealPolicies
+// RandomSingle steals one node from the top of the victim the Control picks —
+// the parsimonious discipline of Section 3 that every theorem assumes, and
+// the only steal policy.
+const RandomSingle = policy.RandomSingle
 
 // Config parameterizes a simulation run.
 type Config struct {
@@ -90,17 +75,9 @@ type Config struct {
 	P int
 	// Policy is the fork policy (default FutureFirst).
 	Policy ForkPolicy
-	// Steal is the steal policy (default RandomSingle — the discipline of
-	// Section 3). Together with Policy it spans the (fork × steal) grid a
-	// DAG can be replayed under.
+	// Steal is the steal policy; RandomSingle, the discipline of Section 3,
+	// is the only valid one and the zero value.
 	Steal StealPolicy
-	// Domains assigns each processor to a cache-locality (LLC) domain —
-	// Domains[p] is processor p's domain ID. When non-nil its length must
-	// equal P. It drives the Hierarchical policy's victim preference and
-	// the Result's intra- vs cross-domain steal attribution (under every
-	// policy). Nil means one flat domain: every steal is intra-domain and
-	// Hierarchical degenerates to a deterministic scan of all victims.
-	Domains []int
 	// CacheLines is C, the per-processor cache capacity in lines; 0 disables
 	// the miss count.
 	CacheLines int
@@ -147,10 +124,6 @@ type Result struct {
 	TotalMisses int64
 	// StealAttempts counts steal attempts; Steals counts stolen nodes.
 	StealAttempts, Steals int64
-	// IntraSteals and CrossSteals split Steals by cache locality: whether
-	// the thief and the victim sat in different Config.Domains groups.
-	// With nil Domains every steal is intra-domain.
-	IntraSteals, CrossSteals int64
 	// Stolen lists the stolen nodes in steal order (length == Steals).
 	Stolen []dag.NodeID
 	// Pops counts successful pops from the processor's own deque.
@@ -202,8 +175,6 @@ type Engine struct {
 	stolen   []dag.NodeID
 	steals   int64
 	pops     int64
-	intra    int64 // intra-domain stolen nodes
-	cross    int64 // cross-domain stolen nodes
 	// res and misses are what Run returns, kept here so that a reused engine
 	// allocates neither again.
 	res    Result
@@ -241,9 +212,6 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 	if cfg.Control == nil {
 		cfg.Control = NewRandomControl(1)
 	}
-	if cfg.Domains != nil && len(cfg.Domains) != cfg.P {
-		return fmt.Errorf("sim: len(Domains) = %d, want P = %d", len(cfg.Domains), cfg.P)
-	}
 	if cfg.MaxIdleSweeps == 0 {
 		cfg.MaxIdleSweeps = 100000
 	}
@@ -260,7 +228,7 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 	}
 	e.g, e.cfg, e.ctrl, e.view, e.set = g, cfg, cfg.Control, View{e: e}, set
 	e.executed, e.seq, e.steps, e.stealAtt = 0, 0, 0, 0
-	e.steals, e.pops, e.intra, e.cross = 0, 0, 0, 0
+	e.steals, e.pops = 0, 0
 	e.stolen = e.stolen[:0]
 	e.central.Reset()
 
@@ -326,8 +294,6 @@ func (e *Engine) Run() (*Result, error) {
 		Stolen:        e.stolen,
 		StealAttempts: e.stealAtt,
 		Steals:        e.steals,
-		IntraSteals:   e.intra,
-		CrossSteals:   e.cross,
 		Pops:          e.pops,
 		Steps:         e.steps,
 		Policy:        e.cfg.Policy,
@@ -375,24 +341,8 @@ func (e *Engine) act(p ProcID) bool {
 		e.execute(p, v)
 		return true
 	}
-	// Steal one node. Victim choice: under Hierarchical a processor scans its
-	// own locality domain for a victim with work before the cross-domain
-	// fallback (mirroring the runtime's peers-then-remote tiers — the scan
-	// is deterministic from p+1 so replays are exact); otherwise, and for
-	// that fallback, the Control decides.
-	victim := NoProc
-	if e.cfg.Steal == Hierarchical {
-		for i := 1; i < e.cfg.P; i++ {
-			c := ProcID((int(p) + i) % e.cfg.P)
-			if e.sameDomain(p, c) && e.deques[c].Len() > 0 {
-				victim = c
-				break
-			}
-		}
-	}
-	if victim == NoProc {
-		victim = e.ctrl.Victim(p, &e.view)
-	}
+	// Steal one node from the victim the Control picks.
+	victim := e.ctrl.Victim(p, &e.view)
 	if victim == NoProc || victim == p || int(victim) >= e.cfg.P {
 		return false
 	}
@@ -408,23 +358,9 @@ func (e *Engine) act(p ProcID) bool {
 		return false
 	}
 	e.steals++
-	if e.sameDomain(p, victim) {
-		e.intra++
-	} else {
-		e.cross++
-	}
 	e.stolen = append(e.stolen, v)
 	e.assigned[p] = v
 	return true
-}
-
-// sameDomain reports whether processors a and b share a locality domain
-// (always true with no Domains configured — one flat domain).
-func (e *Engine) sameDomain(a, b ProcID) bool {
-	if e.cfg.Domains == nil {
-		return true
-	}
-	return e.cfg.Domains[a] == e.cfg.Domains[b]
 }
 
 // execute runs node v on processor p and chooses p's next assignment.

@@ -131,15 +131,14 @@ func formatLe(v float64) string {
 }
 
 // Map renders a snapshot as an expvar-compatible map: one entry per counter
-// total, a "per_worker" sub-map of rows, and a "steals" convenience total.
+// total (the steal count under "steals") and a "per_worker" sub-map of rows.
 // Values are plain ints/maps so expvar's JSON rendering needs no custom
 // types.
 func Map(s Snapshot) map[string]any {
-	m := make(map[string]any, int(NumCounters)+2)
+	m := make(map[string]any, int(NumCounters)+1)
 	for c := Counter(0); c < NumCounters; c++ {
 		m[c.Name()] = s.Total(c)
 	}
-	m["steals"] = s.Steals()
 	perWorker := make(map[string]any, s.Workers())
 	for i := 0; i < s.Workers(); i++ {
 		row := make(map[string]any, int(NumCounters))

@@ -26,9 +26,9 @@ import (
 )
 
 // Counter enumerates the per-row counters. The set covers the scheduler's
-// observable proxies (tasks, steal attempts, steals by locality, touch wait
-// modes), the spawn mix by fork discipline, the park/wakeup traffic of the
-// idle path, and the job-server admission outcomes.
+// observable proxies (tasks, steal attempts, steals, touch wait modes), the
+// spawn mix by fork discipline, the park/wakeup traffic of the idle path, and
+// the job-server admission outcomes.
 type Counter uint8
 
 const (
@@ -36,13 +36,14 @@ const (
 	CTasksRun Counter = iota
 	// CStealAttempts counts steal probes (successful or dry).
 	CStealAttempts
-	// CStealsIntraDomain and CStealsCrossDomain count steals — stolen tasks
-	// the thief went on to execute, counted once each, where they run — by
-	// cache locality: whether the thief and the victim share an LLC domain
-	// (see internal/topology). There is no separate total: intra + cross is
-	// the steal count (Snapshot.Steals, Stats.Steals). A thief that loses the
-	// claim to an inlining toucher counts a steal attempt and no steal.
-	CStealsIntraDomain
+	// CSteals counts steals — stolen tasks the thief went on to execute,
+	// counted once each, where they run. A thief that loses the claim to an
+	// inlining toucher counts a steal attempt and no steal.
+	CSteals
+	// CStealsCrossDomain is never written and reads 0: a runtime is one steal
+	// domain, so no steal crosses a cache-locality boundary inside it. It and
+	// CStealsIntraDomain (the steal count under its locality name) stay for
+	// callers that still add the two.
 	CStealsCrossDomain
 	// CInlineTouches counts touches satisfied by inline-running the task.
 	CInlineTouches
@@ -81,6 +82,10 @@ const (
 	NumCounters
 )
 
+// CStealsIntraDomain is CSteals: with one steal domain every steal is
+// intra-domain.
+const CStealsIntraDomain = CSteals
+
 // Name returns the counter's snake_case metric name (the Prometheus suffix
 // and expvar key).
 func (c Counter) Name() string {
@@ -89,8 +94,8 @@ func (c Counter) Name() string {
 		return "tasks_run"
 	case CStealAttempts:
 		return "steal_attempts"
-	case CStealsIntraDomain:
-		return "steals_intra_domain"
+	case CSteals:
+		return "steals"
 	case CStealsCrossDomain:
 		return "steals_cross_domain"
 	case CInlineTouches:
@@ -118,16 +123,6 @@ func (c Counter) Name() string {
 	default:
 		return "unknown"
 	}
-}
-
-// LocalityCounter maps a steal's domain crossing to its locality counter:
-// cross=false → CStealsIntraDomain, cross=true → CStealsCrossDomain (pinned
-// by TestPolicyCounterMapping).
-func LocalityCounter(cross bool) Counter {
-	if cross {
-		return CStealsCrossDomain
-	}
-	return CStealsIntraDomain
 }
 
 // SpawnCounter maps a fork discipline to its spawn counter. Branch-free for
@@ -232,11 +227,8 @@ func (s Snapshot) Worker(i int, c Counter) int64 { return s.Rows[i][c] }
 // External returns the external row's value of counter c.
 func (s Snapshot) External(c Counter) int64 { return s.Rows[len(s.Rows)-1][c] }
 
-// Steals returns the steal count across all rows: intra-domain plus
-// cross-domain.
-func (s Snapshot) Steals() int64 {
-	return s.Total(CStealsIntraDomain) + s.Total(CStealsCrossDomain)
-}
+// Steals returns the steal count across all rows.
+func (s Snapshot) Steals() int64 { return s.Total(CSteals) }
 
 // Sub returns the delta snapshot s - prev (counter-wise, row-wise). Both
 // snapshots must come from the same Set; counters are monotone, so the

@@ -35,10 +35,11 @@ func TestCounterNames(t *testing.T) {
 	}
 }
 
-// TestPolicyCounterMapping pins the policy→counter routing.
+// TestPolicyCounterMapping pins the policy→counter routing, and the steal
+// column's locality name.
 func TestPolicyCounterMapping(t *testing.T) {
-	if LocalityCounter(false) != CStealsIntraDomain || LocalityCounter(true) != CStealsCrossDomain {
-		t.Fatal("LocalityCounter mapping wrong")
+	if CStealsIntraDomain != CSteals {
+		t.Fatal("CStealsIntraDomain is not the steal column")
 	}
 	if SpawnCounter(policy.FutureFirst) != CSpawnsFutureFirst ||
 		SpawnCounter(policy.ParentFirst) != CSpawnsParentFirst {
@@ -51,9 +52,9 @@ func TestPolicyCounterMapping(t *testing.T) {
 func TestSnapshotDelta(t *testing.T) {
 	s := NewSet(2)
 	s.Row(0).Inc(CTasksRun)
-	s.Row(0).Add(CStealsIntraDomain, 3)
+	s.Row(0).Add(CSteals, 3)
 	s.Row(1).Add(CTasksRun, 4)
-	s.Row(1).Inc(CStealsCrossDomain)
+	s.Row(1).Inc(CSteals)
 	s.External().Inc(CJobsSubmitted)
 
 	snap := s.Snapshot()
@@ -195,7 +196,7 @@ func TestExpoHistogramCumulative(t *testing.T) {
 func TestMap(t *testing.T) {
 	s := NewSet(2)
 	s.Row(1).Add(CTasksRun, 9)
-	s.Row(0).Inc(CStealsIntraDomain)
+	s.Row(0).Inc(CSteals)
 	m := Map(s.Snapshot())
 	if got := m["tasks_run"]; got != int64(9) {
 		t.Fatalf("map tasks_run = %v, want 9", got)

@@ -1,22 +1,20 @@
-// Package topology discovers the machine's cache-sharing hierarchy and
-// groups workers into locality domains — the scheduling unit the paper's
-// subject (cache locality) actually cares about, as opposed to the flat
-// core count every other layer sees.
+// Package topology discovers the machine's cache-sharing hierarchy: the
+// last-level-cache (LLC) domains a sharded pool carves its member runtimes
+// from, one runtime per domain.
 //
 // The paper's model charges a deviation whenever a processor executes a
 // node out of sequential order, because a deviation is where cache state
 // is lost. On real hardware the cost of that loss is not uniform: a task
-// stolen by a worker sharing the victim's last-level cache (LLC) finds
-// much of its working set warm, while a steal that crosses an LLC boundary
-// pays the full miss cost the theorems budget for. The topology layer
-// makes that boundary visible to the scheduler: Discover parses the
+// stolen by a worker sharing the victim's LLC finds much of its working set
+// warm, while a steal that crosses an LLC boundary pays the full miss cost
+// the theorems budget for. The paper's bounds hold for a uniformly random
+// thief, so a runtime stays one flat steal domain, and the boundary is
+// respected one layer up: shard.Pool runs one runtime per domain
+// (SubDomain), whose steals never cross it. Discover parses the
 // cache-sharing sets Linux exposes in sysfs
 // (/sys/devices/system/cpu/cpu*/cache/index*/shared_cpu_list) into nested
-// levels, Synthetic builds injectable "DxC" topologies (D domains of C
-// CPUs) for tests, the 1-CPU dev box, and deterministic sim replay, and
-// Assign stripes a runtime's workers across the LLC domains so the
-// Hierarchical steal policy can exhaust intra-domain victims before
-// crossing a boundary.
+// levels, and Synthetic builds injectable "DxC" topologies (D domains of C
+// CPUs) for tests and hosts that lack the hierarchy they describe.
 package topology
 
 import (
@@ -52,8 +50,8 @@ type Level struct {
 }
 
 // Topology is a machine's cache-sharing hierarchy: the CPU count, the
-// per-level sharing partitions, and the LLC-level Domains the scheduler
-// stripes by. Source records provenance ("sysfs", "synthetic:2x2",
+// per-level sharing partitions, and the LLC-level Domains a pool carves
+// shards from. Source records provenance ("sysfs", "synthetic:2x2",
 // "flat") for logs and CI artifacts.
 type Topology struct {
 	CPUs    int
@@ -86,8 +84,8 @@ const maxCPUs = 1 << 16
 
 // Synthetic parses a "DxC" spec — D locality domains of C CPUs each, e.g.
 // "2x2" (two dual-CPU LLC domains) or "1x4" (one four-CPU domain) — into
-// an injectable topology. Specs are how tests, the simulator, and the
-// 1-CPU dev box describe the multi-socket machines they do not have.
+// an injectable topology. Specs are how tests and small hosts describe the
+// multi-socket machines they do not have.
 func Synthetic(spec string) (*Topology, error) {
 	parts := strings.SplitN(strings.ToLower(strings.TrimSpace(spec)), "x", 2)
 	if len(parts) != 2 {
@@ -301,15 +299,14 @@ func cpuListKey(set []int) string {
 // NumDomains returns the LLC domain count.
 func (t *Topology) NumDomains() int { return len(t.Domains) }
 
-// SubDomain carves out the single-domain topology covering only domain d's
-// CPUs — the shape a sharded pool hands each member runtime so its workers
-// stripe inside one LLC instead of across the whole machine. The result has
-// one domain with ID 0 (domain IDs are positional within a topology), the
-// same CPU list as t.Domains[d], and a Source recording the provenance
-// ("sysfs/domain1"). Cache levels below the LLC are not carried over: a
-// single-domain runtime has no cross-domain boundary for the scheduler to
-// respect, so the sub-levels would be dead weight. Out-of-range d panics —
-// it is a construction-time programming error, not a runtime condition.
+// SubDomain carves out the single-domain topology covering only domain d's CPUs
+// — the shape a sharded pool hands each member runtime so its workers stripe
+// inside one LLC instead of across the whole machine. The result has one domain
+// with ID 0 (domain IDs are positional within a topology), the same CPU list as
+// t.Domains[d], and a Source recording the provenance ("sysfs/domain1"). Cache
+// levels below the LLC are not carried over: they would be dead weight for a
+// runtime, which schedules by none of them. Out-of-range d panics — it is a
+// construction-time programming error, not a runtime condition.
 func (t *Topology) SubDomain(d int) *Topology {
 	if d < 0 || d >= len(t.Domains) {
 		panic(fmt.Sprintf("topology: SubDomain(%d) of %d-domain topology", d, len(t.Domains)))
@@ -357,44 +354,3 @@ func formatCPUList(cpus []int) string {
 	}
 	return sb.String()
 }
-
-// Assignment maps a runtime's workers onto a topology's domains: Domain[w]
-// is worker w's domain ID, Members[d] the workers in domain d. Workers are
-// striped across per-CPU slots (domain 0's CPUs first, then domain 1's,
-// wrapping when workers outnumber CPUs), so a 4-worker runtime on a 2x2
-// topology yields domains [0 0 1 1].
-type Assignment struct {
-	Topo    *Topology
-	Domain  []int
-	Members [][]int
-}
-
-// Assign stripes workers across t's domains. Every worker gets a domain;
-// when workers exceed CPUs the striping wraps (oversubscription shares
-// caches anyway).
-func (t *Topology) Assign(workers int) *Assignment {
-	if workers < 1 {
-		workers = 1
-	}
-	var slots []int
-	for _, d := range t.Domains {
-		for range d.CPUs {
-			slots = append(slots, d.ID)
-		}
-	}
-	a := &Assignment{
-		Topo:    t,
-		Domain:  make([]int, workers),
-		Members: make([][]int, len(t.Domains)),
-	}
-	for w := 0; w < workers; w++ {
-		d := slots[w%len(slots)]
-		a.Domain[w] = d
-		a.Members[d] = append(a.Members[d], w)
-	}
-	return a
-}
-
-// NumDomains returns the domain count (including domains no worker landed
-// in, which exist but have empty Members).
-func (a *Assignment) NumDomains() int { return len(a.Members) }

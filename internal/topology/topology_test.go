@@ -52,7 +52,7 @@ func TestDiscoverSMTSibling(t *testing.T) {
 }
 
 // TestDiscoverSingleLLC: the common laptop shape — one shared L3 — is one
-// domain, i.e. hierarchical stealing degenerates to the flat behavior.
+// domain, so a default pool runs one shard.
 func TestDiscoverSingleLLC(t *testing.T) {
 	topo, err := Discover("testdata/single_llc")
 	if err != nil {
@@ -134,32 +134,6 @@ func TestParseCPUList(t *testing.T) {
 	}
 }
 
-// TestAssign: workers stripe across per-CPU slots and wrap under
-// oversubscription; the acceptance configuration (2x2 at 4 workers) pins
-// the [0 0 1 1] layout the runtime and sim tests rely on.
-func TestAssign(t *testing.T) {
-	topo, _ := Synthetic("2x2")
-	a := topo.Assign(4)
-	if !reflect.DeepEqual(a.Domain, []int{0, 0, 1, 1}) {
-		t.Fatalf("2x2@4 domains = %v, want [0 0 1 1]", a.Domain)
-	}
-	if !reflect.DeepEqual(a.Members[0], []int{0, 1}) || !reflect.DeepEqual(a.Members[1], []int{2, 3}) {
-		t.Fatalf("members = %+v", a.Members)
-	}
-	if d := a.Domain; d[0] != d[1] || d[1] == d[2] || d[2] != d[3] {
-		t.Fatalf("workers striped %v, want two per domain", d)
-	}
-	// Oversubscription wraps.
-	if got := topo.Assign(6).Domain; !reflect.DeepEqual(got, []int{0, 0, 1, 1, 0, 0}) {
-		t.Fatalf("2x2@6 domains = %v", got)
-	}
-	// Fewer workers than CPUs leaves a domain empty but present.
-	a2 := topo.Assign(2)
-	if !reflect.DeepEqual(a2.Domain, []int{0, 0}) || len(a2.Members[1]) != 0 || a2.NumDomains() != 2 {
-		t.Fatalf("2x2@2 = %+v", a2)
-	}
-}
-
 // TestSubDomain: the carve-out a sharded pool builds each member runtime
 // on — one domain, the parent's CPU list, provenance in Source, and no
 // aliasing back into the parent.
@@ -180,9 +154,9 @@ func TestSubDomain(t *testing.T) {
 	if topo.Domains[1].CPUs[0] != 3 {
 		t.Fatal("SubDomain aliases the parent's CPU slice")
 	}
-	// Assign on a sub-domain puts every worker in domain 0.
-	if got := sub.SubDomain(0).Assign(4).Domain; !reflect.DeepEqual(got, []int{0, 0, 0, 0}) {
-		t.Fatalf("sub assign = %v", got)
+	// A carve-out of a carve-out is the same single domain.
+	if sub2 := sub.SubDomain(0); len(sub2.Domains) != 1 || !reflect.DeepEqual(sub2.Domains[0].CPUs, sub.Domains[0].CPUs) {
+		t.Fatalf("SubDomain(0) of a carve-out = %+v", sub2)
 	}
 	defer func() {
 		if recover() == nil {
