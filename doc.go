@@ -40,8 +40,8 @@
 //     primitive. The hot path is cache-conscious and allocation-lean: a
 //     future IS its task (one allocation carries identity, one atomic
 //     status word — scheduling state, completion and the single-touch
-//     latch — and the result; the blocking gate is materialized only
-//     when a toucher actually parks), deque slots hold
+//     latch — and the result; a toucher that blocks sleeps on a one-token
+//     slot it already owns or borrows), deque slots hold
 //     task pointers directly with top/bottom on separate cache lines and
 //     a touched task leaves the deque before it runs, so deques hold live
 //     work only. A worker's spawn and inline touch write no cache line
@@ -60,7 +60,8 @@
 //     steal rule and no option to choose another — one task from the top of
 //     a victim drawn uniformly among all the other workers, the
 //     parsimonious thief the paper's bounds assume. A runtime is one steal
-//     domain on any machine, with one parking condition variable; following
+//     domain on any machine, whose parked workers sleep on their own slots
+//     on one idle stack; following
 //     the machine's LLC domains is the sharded pool's work (below), and
 //     WithTopology only sets the topology a runtime reports. A steal is
 //     counted once, where the stolen task runs: Stats.Steals, the per-job
@@ -76,8 +77,7 @@
 //     returns a typed Job handle (Wait / WaitErr / TryWait / Done) — a
 //     value with a generation check, because job roots recycle through
 //     a freelist: a steady-state Submit allocates nothing, nor does a
-//     Wait (a blocked Wait on a warm root allocates nothing: it reuses the
-//     gate its root keeps); every task a job's computation spawns inherits
+//     Wait (a blocked Wait sleeps on a pooled slot); every task a job's computation spawns inherits
 //     the job's identity, so each job gets its own Stats (tasks, steals,
 //     touch modes), queue-wait and wall-latency capture, and profiler
 //     attribution (job IDs are never reused). SubmitAll admits a whole

@@ -45,6 +45,7 @@ var retiredNames = []string{
 	"FlightEnabled", "NewFlight", "packEvent",
 	"DomainAssignment", "domainConds", "steals_locality_total", "StealsByPolicy",
 	"HierarchicalProbesPeersFirst", "WakeCrossesDomains", "SplitJobs(",
+	"waitRoot", "slotCond", "signalOne", "signalN(", "materialize(", "ReplayLLCSeparateDomains",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

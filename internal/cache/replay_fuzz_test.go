@@ -70,30 +70,22 @@ func referenceFootprint(g *dag.Graph, w int) [][]dag.BlockID {
 }
 
 // referenceReplay is Set.Replay on the reference models: a cache per worker
-// and, with a shared tier, one per domain consulted on a private miss, fed
-// the raw identities access by access.
+// and, with a shared tier, one more consulted on a private miss, fed the raw
+// identities access by access.
 func referenceReplay(cfg SetConfig, raw [][]dag.BlockID, order []dag.NodeID, who []int32) ReplayOutcome {
 	priv := make([]model, cfg.P)
 	for p := range priv {
 		priv[p] = newReference(cfg.Kind, cfg.Lines)
 	}
-	var llc []model
+	var llc model
 	if cfg.LLCLines > 0 {
-		llc = []model{newReference(cfg.Kind, cfg.LLCLines)}
-		for _, d := range cfg.Domains {
-			for len(llc) <= d {
-				llc = append(llc, newReference(cfg.Kind, cfg.LLCLines))
-			}
-		}
+		llc = newReference(cfg.Kind, cfg.LLCLines)
 	}
 	for _, v := range order {
-		p, d := int(who[v]), 0
-		if cfg.Domains != nil {
-			d = cfg.Domains[p]
-		}
+		p := int(who[v])
 		for _, b := range raw[v] {
 			if priv[p].Access(b) && llc != nil {
-				llc[d].Access(b)
+				llc.Access(b)
 			}
 		}
 	}
@@ -103,15 +95,15 @@ func referenceReplay(cfg SetConfig, raw [][]dag.BlockID, order []dag.NodeID, who
 		out.TotalMisses += c.Misses()
 		out.Accesses += c.Accesses()
 	}
-	for _, c := range llc {
-		out.LLCMisses += c.Misses()
+	if llc != nil {
+		out.LLCMisses = llc.Misses()
 	}
 	return out
 }
 
 // FuzzReplay holds Set.Replay — dense ids, direct tables, the ring, reset by
 // forgetting — to the reference models fed raw identities, for all four
-// policies, with and without a shared tier and domains. One Set replays three
+// policies, with and without a shared tier. One Set replays three
 // footprints in a row, the middle one of another graph and so usually of
 // another size, and each replay must be what a new set of reference caches
 // makes of it: nothing may survive a Replay, in a table of any length. The
@@ -122,7 +114,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add(int64(2), uint8(4), uint8(9), uint8(2), uint8(4), uint8(1), uint8(0x25), uint8(0), uint8(1))   // fifo, window 3
 	f.Add(int64(3), uint8(8), uint8(7), uint8(0), uint8(90), uint8(2), uint8(0x17), uint8(0), uint8(3))  // set-assoc over synthetic ids
 	f.Add(int64(4), uint8(6), uint8(13), uint8(11), uint8(30), uint8(3), uint8(5), uint8(0), uint8(2))   // direct-mapped
-	f.Add(int64(5), uint8(2), uint8(5), uint8(4), uint8(10), uint8(0), uint8(1), uint8(0x85), uint8(3))  // lru, shared tier, two domains
+	f.Add(int64(5), uint8(2), uint8(5), uint8(4), uint8(10), uint8(0), uint8(1), uint8(0x85), uint8(3))  // lru, shared tier
 	f.Add(int64(6), uint8(10), uint8(33), uint8(8), uint8(2), uint8(1), uint8(2), uint8(0x07), uint8(2)) // fifo, one shared tier
 	f.Add(int64(7), uint8(1), uint8(77), uint8(9), uint8(8), uint8(2), uint8(0x0b), uint8(0x93), uint8(3))
 	f.Add(int64(8), uint8(4), uint8(10), uint8(4), uint8(2), uint8(0), uint8(0x3f), uint8(0), uint8(0)) // one worker; large then small
@@ -131,11 +123,6 @@ func FuzzReplay(f *testing.F) {
 		w := 1 + int(geometry>>4)
 		if tier&3 != 0 {
 			cfg.LLCLines = 1 + int(tier>>2&0x1f)
-			if tier&0x80 != 0 {
-				for p := 0; p < cfg.P; p++ {
-					cfg.Domains = append(cfg.Domains, p*2/cfg.P)
-				}
-			}
 		}
 		set, err := NewSet(cfg)
 		if err != nil {

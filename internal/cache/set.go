@@ -2,15 +2,13 @@ package cache
 
 import (
 	"fmt"
-	"slices"
 
 	"futurelocality/internal/dag"
 )
 
 // SetConfig parameterizes a per-worker cache set: P private caches of the
-// Section 3 model, optionally backed by one shared last-level cache per
-// locality domain (the internal/topology alignment: workers of one LLC
-// domain share one simulated LLC tier).
+// Section 3 model, optionally backed by one last-level cache all of them
+// share — one LLC domain, as every Runtime is.
 type SetConfig struct {
 	// P is the number of workers (≥ 1), one private cache each.
 	P int
@@ -18,18 +16,15 @@ type SetConfig struct {
 	// capacity C (Lines ≥ 1).
 	Kind  Kind
 	Lines int
-	// Domains assigns each worker to a locality domain (len must be P when
-	// non-nil; nil means one flat domain). Only meaningful with LLCLines > 0.
-	Domains []int
-	// LLCLines enables the shared tier: each domain gets one cache of this
-	// many lines, consulted on a private miss (0 disables the tier). An
-	// access that misses the private cache but hits the domain LLC models an
-	// on-package refill; missing both models a memory fetch.
+	// LLCLines enables the shared tier: one cache of this many lines,
+	// consulted on a private miss (0 disables the tier). An access that
+	// misses the private cache but hits the LLC models an on-package refill;
+	// missing both models a memory fetch.
 	LLCLines int
 }
 
 // Set is a per-worker cache hierarchy: P independent private simulators plus
-// an optional shared-LLC tier per locality domain, all of one policy. It is
+// an optional shared-LLC tier, all of one policy. It is
 // what the cache-cost replay drives — the multi-processor reading of the
 // paper's "each processor has its own cache of C blocks" (Section 3),
 // extended one level to a shared last-level cache.
@@ -38,8 +33,8 @@ type SetConfig struct {
 // footprint, so one Set serves every schedule its owner replays.
 type Set struct {
 	cfg SetConfig
-	// The caches, private ones first and then one shared cache per domain,
-	// in the slice of cfg.Kind's concrete type, so that Replay calls no
+	// The caches, private ones first and then the shared one, if any, in
+	// the slice of cfg.Kind's concrete type, so that Replay calls no
 	// interface per access. The fully associative kinds index a directTable
 	// by the footprint's dense ids.
 	lru   []lru
@@ -49,8 +44,7 @@ type Set struct {
 	misses []int64
 }
 
-// NewSet builds the cache set. It validates like sim.New: Domains, when
-// given, must cover exactly P workers.
+// NewSet builds the cache set.
 func NewSet(cfg SetConfig) (*Set, error) {
 	if cfg.P < 1 {
 		return nil, fmt.Errorf("cache: set with P = %d", cfg.P)
@@ -61,19 +55,9 @@ func NewSet(cfg SetConfig) (*Set, error) {
 	if cfg.Kind > DirectMapped {
 		return nil, fmt.Errorf("cache: set of undefined policy %s", cfg.Kind)
 	}
-	if cfg.Domains != nil && len(cfg.Domains) != cfg.P {
-		return nil, fmt.Errorf("cache: len(Domains) = %d, want P = %d", len(cfg.Domains), cfg.P)
-	}
-	cfg.Domains = slices.Clone(cfg.Domains)
 	shared := 0
 	if cfg.LLCLines > 0 {
 		shared = 1
-		for _, d := range cfg.Domains {
-			if d < 0 {
-				return nil, fmt.Errorf("cache: negative domain %d", d)
-			}
-			shared = max(shared, d+1)
-		}
 	}
 	s := &Set{cfg: cfg, misses: make([]int64, cfg.P)}
 	for i := 0; i < cfg.P+shared; i++ {
@@ -97,11 +81,7 @@ func NewSet(cfg SetConfig) (*Set, error) {
 
 // Serves reports whether s is the set NewSet(cfg) would build, so that its
 // holder may go on replaying through it.
-func (s *Set) Serves(cfg SetConfig) bool {
-	return s.cfg.P == cfg.P && s.cfg.Kind == cfg.Kind && s.cfg.Lines == cfg.Lines &&
-		s.cfg.LLCLines == cfg.LLCLines &&
-		(s.cfg.Domains == nil) == (cfg.Domains == nil) && slices.Equal(s.cfg.Domains, cfg.Domains)
-}
+func (s *Set) Serves(cfg SetConfig) bool { return s.cfg == cfg }
 
 // ReplayOutcome is the miss account of one schedule replayed through a Set.
 type ReplayOutcome struct {
@@ -121,7 +101,7 @@ type ReplayOutcome struct {
 // that executed it (nil = everything on worker 0 — the sequential baseline).
 // Each node's footprint blocks are accessed in footprint order on the
 // executing worker's private cache and, on a miss there with a shared tier
-// configured, on its domain's LLC too — so LLCMisses counts true memory
+// configured, on the LLC too — so LLCMisses counts true memory
 // fetches while TotalMisses counts private-cache misses, the quantity the
 // paper's C·deviations charge bounds. The returned outcome is the schedule's
 // simulated miss bill; subtracting the sequential baseline's gives the
@@ -145,17 +125,13 @@ func (s *Set) Replay(fp *Footprint, order []dag.NodeID, who []int32) ReplayOutco
 	for i := range s.assoc {
 		s.assoc[i].Reset()
 	}
-	kind, tier, domains := s.cfg.Kind, s.cfg.LLCLines > 0, s.cfg.Domains
+	kind, tier, llc := s.cfg.Kind, s.cfg.LLCLines > 0, s.cfg.P
 	lru, fifo, assoc := s.lru, s.fifo, s.assoc
 	var one [1]dag.BlockID
 	for _, v := range order {
 		p := 0
 		if who != nil {
 			p = int(who[v])
-		}
-		llc := s.cfg.P // p's shared cache
-		if domains != nil {
-			llc += domains[p]
 		}
 		for _, b := range fp.of(v, &one) {
 			switch kind {

@@ -16,8 +16,6 @@ func TestNewSetValidation(t *testing.T) {
 	}{
 		{SetConfig{P: 0, Lines: 4}, "P = 0"},
 		{SetConfig{P: 2, Lines: 0}, "0 lines"},
-		{SetConfig{P: 2, Lines: 4, Domains: []int{0}}, "len(Domains) = 1"},
-		{SetConfig{P: 2, Lines: 4, Domains: []int{0, -1}, LLCLines: 8}, "domain -1"},
 		{SetConfig{P: 1, Lines: 4, Kind: 9}, "kind(9)"},
 	} {
 		if _, err := NewSet(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -77,16 +75,13 @@ func TestReplayGoldenDeviatedSchedule(t *testing.T) {
 }
 
 // TestReplayLLCTier checks the shared-tier accounting on the same golden
-// schedule: both workers in one domain share an LLC, so the touch's frame
+// schedule: both workers share the LLC, so the touch's frame
 // fetch misses privately but hits the LLC (worker 1 installed it) — only the
 // four cold blocks reach memory.
 func TestReplayLLCTier(t *testing.T) {
 	g := twoThreadGraph(t)
 	fp := DeriveFootprint(g, 1)
-	s, err := NewSet(SetConfig{
-		P: 2, Kind: LRU, Lines: 4,
-		Domains: []int{0, 0}, LLCLines: 8,
-	})
+	s, err := NewSet(SetConfig{P: 2, Kind: LRU, Lines: 4, LLCLines: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,25 +91,6 @@ func TestReplayLLCTier(t *testing.T) {
 	}
 	if out.LLCMisses != 4 {
 		t.Fatalf("llc (memory) misses = %d, want 4 cold blocks", out.LLCMisses)
-	}
-}
-
-// TestReplayLLCSeparateDomains puts the workers in distinct domains: with no
-// shared tier between them, every private miss is also an LLC miss.
-func TestReplayLLCSeparateDomains(t *testing.T) {
-	g := twoThreadGraph(t)
-	fp := DeriveFootprint(g, 1)
-	s, err := NewSet(SetConfig{
-		P: 2, Kind: LRU, Lines: 4,
-		Domains: []int{0, 1}, LLCLines: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := s.Replay(fp, []dag.NodeID{0, 1, 2, 3, 4, 5}, []int32{0, 0, 1, 1, 0, 0})
-	if out.LLCMisses != out.TotalMisses {
-		t.Fatalf("llc misses = %d, want %d (no sharing across domains)",
-			out.LLCMisses, out.TotalMisses)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	stdruntime "runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -82,7 +83,7 @@ func TestScopeAllocBudget(t *testing.T) {
 // TestProduceDrainAllocBudget: producing and draining a whole stream costs
 // at most 3 allocations regardless of length (measured 3: the Stream, which
 // embeds the producer task, the value array and the latch bitmap; a produced
-// count and one lazy gate stand in for channels).
+// count and one lazy gate stand in for per-item channels).
 func TestProduceDrainAllocBudget(t *testing.T) {
 	const n = 64
 	got := inWorker(t, func(w *W) float64 {
@@ -156,8 +157,8 @@ func TestSpawnTouchAllocBudgetFlight(t *testing.T) {
 // allocates NOTHING — the root future and job state recycle through the
 // freelist, admission is a CAS on the in-flight word, and the returned handle
 // is a value. The waiter spins on Done before consuming so the measurement
-// never installs the blocking gate (a waiter that blocks installs the gate
-// its root keeps; see TestSubmitWaitBlockedAllocBudget).
+// never installs a slot (see TestSubmitWaitBlockedAllocBudget for a waiter
+// that blocks).
 func TestSubmitWaitAllocBudget(t *testing.T) {
 	for _, capped := range []bool{false, true} {
 		opts := []Option{WithWorkers(1)}
@@ -197,17 +198,16 @@ func TestSubmitWaitAllocBudget(t *testing.T) {
 
 // TestSubmitWaitBlockedAllocBudget pins what a Submit+Wait pair costs when
 // the waiter blocks, as every waiter of a job that is still running does:
-// nothing. The first blocked waiter of a composite makes its gate and
-// channel, and every later tenant's waiter installs that gate again
-// (jobState.waitRoot). The job returns only once its root's gate is
-// installed, so every Wait blocks.
+// nothing. The waiter sleeps on a slot it borrows from the pool. The job
+// returns only once the waiter's slot is installed in its root, so every
+// Wait blocks.
 func TestSubmitWaitBlockedAllocBudget(t *testing.T) {
 	rt := New(WithWorkers(1))
 	defer rt.Shutdown()
 	var root atomic.Pointer[task]
 	body := func(*W) int {
 		for {
-			if r := root.Load(); r != nil && r.gate.Load() != nil {
+			if r := root.Load(); r != nil && r.waiter.Load() != nil {
 				return 1
 			}
 			stdruntime.Gosched()
@@ -232,6 +232,71 @@ func TestSubmitWaitBlockedAllocBudget(t *testing.T) {
 		t.Errorf("steady-state Submit+blocked Wait = %.1f allocs/op, budget 0", got)
 	}
 	t.Logf("steady-state Submit+blocked Wait = %.2f allocs/op", got)
+}
+
+// spinFn is a package-level body that runs for 100 µs, long enough that
+// whoever touches its future from outside blocks on it.
+func spinFn(*W) int {
+	for start := time.Now(); time.Since(start) < 100*time.Microsecond; {
+	}
+	return 1
+}
+
+// TestRunExternalAllocBudget: Run of a package-level function from a
+// goroutine that is not a worker allocates the root future and nothing else,
+// though its touch blocks: the caller sleeps on a slot it borrows from the
+// pool.
+func TestRunExternalAllocBudget(t *testing.T) {
+	rt := New(WithWorkers(1))
+	defer rt.Shutdown()
+	got := testing.AllocsPerRun(200, func() {
+		if Run(rt, spinFn) != 1 {
+			panic("bad result")
+		}
+	})
+	if got > 1 {
+		t.Errorf("external Run = %.1f allocs/op, budget 1 (the root future)", got)
+	}
+	t.Logf("external Run = %.2f allocs/op", got)
+}
+
+// heldTask is the task heldFn holds its worker on: heldFn returns once a
+// toucher's slot is installed in it.
+var heldTask atomic.Pointer[task]
+
+func heldFn(*W) int {
+	for {
+		if t := heldTask.Load(); t != nil && t.waiter.Load() != nil {
+			return 1
+		}
+		stdruntime.Gosched()
+	}
+}
+
+// TestBlockedTouchAllocBudget: a worker's touch of a future that another
+// worker is running, and that finishes only once the toucher has installed
+// its slot, allocates nothing: the toucher blocks on the slot it owns. The
+// spawn allocates the future, so the pair costs one allocation.
+func TestBlockedTouchAllocBudget(t *testing.T) {
+	rt := New(WithWorkers(2))
+	defer rt.Shutdown()
+	got := Run(rt, func(w *W) float64 {
+		return testing.AllocsPerRun(100, func() {
+			f := SpawnWith(rt, w, ParentFirst, heldFn)
+			heldTask.Store(&f.task)
+			for f.unstarted() {
+				stdruntime.Gosched() // until the other worker steals it
+			}
+			if f.Touch(w) != 1 {
+				panic("bad result")
+			}
+			heldTask.Store(nil)
+		})
+	})
+	if got > 1 {
+		t.Errorf("spawn + blocked touch = %.1f allocs/op, budget 1 (the future)", got)
+	}
+	t.Logf("spawn + blocked touch = %.2f allocs/op", got)
 }
 
 // TestSubmitAllAllocBudget: a warm 64-job SubmitAll+drain into a retained
@@ -274,8 +339,7 @@ func TestSubmitAllAllocBudget(t *testing.T) {
 }
 
 // TestTouchReadyAllocBudget: touching an already-completed future is
-// allocation-free (the completion gate materializes only when a toucher
-// actually blocks).
+// allocation-free.
 func TestTouchReadyAllocBudget(t *testing.T) {
 	got := inWorker(t, func(w *W) float64 {
 		rt := w.Runtime()
@@ -294,9 +358,10 @@ func TestTouchReadyAllocBudget(t *testing.T) {
 
 // TestFutureSize pins a Future with a result of one word or less in the
 // allocator's 48-byte size class, and the embedded task at five words: the
-// status word, the job tag, the gate and the two-word body. A runtime pointer
-// or a self-pointer back in the task, a panic slot in the Future: any one
-// more word moves every spawn to the 64-byte class, 16 bytes a task.
+// status word, the job tag, the waiter word and the two-word body. A
+// runtime pointer or a self-pointer back in the task, a panic slot in the
+// Future: any one more word moves every spawn to the 64-byte class, 16
+// bytes a task.
 func TestFutureSize(t *testing.T) {
 	if sz := unsafe.Sizeof(task{}); sz > 40 {
 		t.Fatalf("task is %d bytes, want at most 40", sz)

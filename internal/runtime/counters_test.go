@@ -121,7 +121,7 @@ func TestCounterFlushBlockedWorker(t *testing.T) {
 			t.Error("could not run the root")
 		}
 	}()
-	waitUntil(func() bool { return passed.gate.Load() != nil })
+	waitUntil(func() bool { return passed.waiter.Load() != nil })
 	row := func(c telemetry.Counter) int64 { return w0.tele.Load(c) }
 	if ran, inl, sp, bl := row(telemetry.CTasksRun), row(telemetry.CInlineTouches), row(telemetry.CSpawnsParentFirst), row(telemetry.CBlockedTouches); ran != 3 || inl != 3 || sp != 3 || bl != 1 {
 		t.Errorf("blocked worker's row: ran %d inline %d spawned %d blocked %d; want 3 3 3 1", ran, inl, sp, bl)

@@ -214,7 +214,7 @@ func TestJobZeroNeverCounted(t *testing.T) {
 	gate := make(chan struct{})
 	var held atomic.Pointer[Future[int]]
 	go func() {
-		waitUntil(func() bool { f := held.Load(); return f != nil && f.gate.Load() != nil })
+		waitUntil(func() bool { f := held.Load(); return f != nil && f.waiter.Load() != nil })
 		close(gate)
 	}()
 	Run(rt, func(w *W) int {

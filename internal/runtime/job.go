@@ -15,16 +15,16 @@ package runtime
 // Submit allocates nothing — the root future and the job state live in one
 // pooled composite (jobRoot) recycled through one freelist, admission is a
 // CAS on the in-flight word (no channel, no lock, no table of jobs), and the
-// handle returned to the caller is a value. A Wait that finds the job done
-// allocates nothing either, and neither does one that blocks on a warm root:
-// the composite keeps the wait gate its first blocked waiter materialized
-// (jobState.gate). The runtime is one admission plane; a host that wants one
-// per LLC domain builds a shard.Pool of runtimes, which is what the pool is
-// for. A spawn *inside* a job pays exactly the non-job spawn path plus one
-// pointer copy (the inherited job tag) and a liveness reference drawn from
-// the worker's block; its tasks are counted in the worker's pending table
-// like any, and their counts and deferred releases reach the job in the
-// worker's batched publication. A job-less Run is unchanged.
+// handle returned to the caller is a value. A Wait allocates nothing either,
+// whether it finds the job done or blocks: a blocked waiter sleeps on a slot
+// it borrows from a pool, as any external toucher does. The runtime is one
+// admission plane; a host that wants one per LLC domain builds a shard.Pool
+// of runtimes, which is what the pool is for. A spawn *inside* a job pays
+// exactly the non-job spawn path plus one pointer copy (the inherited job
+// tag) and a liveness reference drawn from the worker's block; its tasks are
+// counted in the worker's pending table like any, and their counts and
+// deferred releases reach the job in the worker's batched publication. A
+// job-less Run is unchanged.
 //
 // Recycling safety: a pooled root may only be reused once nothing can reach
 // it — not the handle, not the root task, not any still-pending task of the
@@ -88,11 +88,6 @@ type jobState struct {
 	// latencyNs is the submit→completion wall latency, published exactly
 	// once by finish (0 while in flight).
 	latencyNs atomic.Int64
-	// gate is the root's wait gate, kept across tenants: made by the first
-	// waiter that blocks (waitRoot), with a one-slot channel, installed
-	// again by every later one. Written only by the handle holder, and read
-	// by prepareForReuse after the last release.
-	gate *waitGate
 
 	// counts are the per-job counters, one per job column: tasks run,
 	// steals, inline touches and helped tasks of the job's executed tasks,
@@ -158,28 +153,18 @@ func newJobRoot[T any](rt *Runtime) *jobRoot[T] {
 }
 
 // prepareForReuse scrubs the composite for its next tenant: the status word
-// goes back to ID 0, created and untouched, and the result, body and
-// wait-gate slots drop their references so the pool never pins user data.
-// The kept gate is uninstalled, loses its panic value, and gives up the
-// token its tenant's completion sent if the waiter, re-checking after the
-// install, saw the job done and never took it. The invariant fields (rt,
-// job, owner, the kept gate) stay wired; identity fields are assigned fresh
-// at the next launch.
+// goes back to ID 0, created and untouched, and the result, the body (or the
+// panic value in its place) and the waiter word drop their references so the
+// pool never pins user data. The invariant fields (rt, job, owner) stay
+// wired; identity fields are assigned fresh at the next launch.
 func (r *jobRoot[T]) prepareForReuse() {
 	f := &r.fut
 	var zero T
 	f.body = nil
 	f.result = zero
-	f.gate.Store(nil)
+	f.waiter.Store(nil)
 	f.status.Store(0)
 	js := &r.js
-	if g := js.gate; g != nil {
-		g.panicked = nil
-		select {
-		case <-g.ch:
-		default:
-		}
-	}
 	js.root = 0
 	js.queueWaitNs.Store(0)
 	js.latencyNs.Store(0)
@@ -222,9 +207,10 @@ func (rt *Runtime) recycle(roots []poolableRoot) {
 }
 
 // finish publishes the job's completion: wall latency first, then the
-// in-flight decrement that is also the admission slot's return, and a signal
-// to a queued SubmitWait caller if one is registered — the waiter gate keeps
-// the release lock-free when nobody queues, the overwhelming common case.
+// in-flight decrement that is also the admission's return, and a wakeup for
+// the first queued SubmitWait caller if one is registered — the waiter count
+// keeps the release lock-free when nobody queues, the overwhelming common
+// case.
 // Called exactly once, by the root task's completion path (normal,
 // panicking, or shutdown-cancelled), and ordered before the root future's
 // completion is published (task.retire) — so a waiter that has observed
@@ -243,9 +229,11 @@ func (js *jobState) finish() {
 	}
 	rt.teleExt.Inc(telemetry.CJobsCompleted)
 	rt.inflight.Add(-1)
-	if rt.slotWaiters.Load() > 0 {
+	if rt.admitWaiters.Load() > 0 {
 		rt.mu.Lock()
-		rt.slotCond.Signal()
+		if len(rt.admitQ) > 0 {
+			unlist(&rt.admitQ, 0)
+		}
 		rt.mu.Unlock()
 	}
 }
@@ -347,25 +335,6 @@ func (j *Job[T]) settle() {
 	j.js.release(nil, 1)
 }
 
-// waitRoot blocks until the job's root task t completes, on the gate the
-// composite keeps (jobState.gate) through the lazy gate's handshake. The
-// completion sends that gate one token instead of closing it, which is
-// enough: the handle holder is the root's one possible waiter, since a stale
-// handle copy fails its generation check before it touches the root. A gate
-// another goroutine installed first — the completer's, for a panic value — is
-// an ordinary one, closed on completion.
-func (js *jobState) waitRoot(t *task) {
-	if t.isDone() {
-		return
-	}
-	if js.gate == nil {
-		js.gate = &waitGate{ch: make(chan struct{}, 1)}
-	}
-	if g := materialize(&t.gate, js.gate); !t.isDone() {
-		<-g.ch
-	}
-}
-
 // isDoubleTouch reports whether a recovered panic value is the
 // ErrDoubleTouch sentinel (a loser of the touch race — it did not consume).
 func isDoubleTouch(r any) bool {
@@ -392,7 +361,6 @@ func (j *Job[T]) Wait() T {
 			panic(r)
 		}
 	}()
-	j.js.waitRoot(&j.f.task)
 	v := j.f.Touch(nil)
 	j.settle()
 	return v
@@ -406,7 +374,6 @@ func (j *Job[T]) WaitErr() (T, error) {
 		var zero T
 		return zero, ErrDoubleTouch
 	}
-	j.js.waitRoot(&j.f.task)
 	v, err := j.f.TouchErr(nil)
 	if err != nil && errors.Is(err, ErrDoubleTouch) {
 		return v, err
@@ -474,13 +441,14 @@ type jobServer struct {
 	inflight atomic.Int64
 	// maxInFlight is the admission cap (0 = unlimited). Immutable after New.
 	maxInFlight int
-	// slotWaiters gates the SubmitWait slow path: finish takes the runtime
-	// mutex to signal only when a waiter is actually registered — the same
+	// admitWaiters gates the SubmitWait slow path: finish takes the runtime
+	// mutex to wake a caller only when one is actually registered — the same
 	// lock-free-when-idle discipline push uses for parked workers.
-	slotWaiters atomic.Int32
-	// slotCond (sharing the runtime mutex) parks SubmitWait callers on a
-	// saturated server; Shutdown broadcasts it.
-	slotCond *sync.Cond
+	admitWaiters atomic.Int32
+	// admitQ (under the runtime mutex) is the queue of the slots SubmitWait
+	// callers sleep on while the server is saturated, oldest first: finish
+	// wakes the first, Shutdown all of them.
+	admitQ []*slot
 	// free is the recycled-root freelist (type-erased; the pop path
 	// type-checks the top entry, so homogeneous workloads always hit), fed
 	// by the per-worker jobFree stashes.
@@ -527,9 +495,7 @@ func (rt *Runtime) MaxInFlight() int { return rt.maxInFlight }
 // The root is pushed help-first onto the global queue like Run's root; every
 // task the job's computation spawns inherits the job's identity for per-job
 // Stats and profiling attribution (Event.Job). In steady state (freelist
-// warm) Submit allocates nothing, and neither does Wait: one that finds the
-// job done needs no gate, and one that blocks on a warm root installs the
-// gate the root keeps.
+// warm) Submit allocates nothing, and neither does Wait.
 func Submit[T any](rt *Runtime, fn func(*W) T) (Job[T], error) {
 	if rt.closed.Load() {
 		return Job[T]{}, ErrClosed
@@ -549,29 +515,34 @@ func SubmitWait[T any](rt *Runtime, fn func(*W) T) (Job[T], error) {
 	if rt.closed.Load() {
 		return Job[T]{}, ErrClosed
 	}
-	if rt.admit(1) == 0 {
-		// Slow path: register as a waiter and retry under the slot cond. The
-		// waiter count is incremented under the mutex but read atomically by
-		// finish, whose in-flight decrement is sequenced before its load — so
-		// either the finish sees us (and signals) or our retry sees the freed
-		// slot. No lost wakeup.
-		rt.mu.Lock()
-		rt.slotWaiters.Add(1)
-		for {
-			if rt.closed.Load() {
-				rt.slotWaiters.Add(-1)
-				rt.mu.Unlock()
-				return Job[T]{}, ErrClosed
-			}
-			if rt.admit(1) == 1 {
-				break
-			}
-			rt.slotCond.Wait()
-		}
-		rt.slotWaiters.Add(-1)
-		rt.mu.Unlock()
+	if rt.admit(1) == 0 && !rt.awaitAdmission() {
+		return Job[T]{}, ErrClosed
 	}
 	return launch(rt, fn), nil
+}
+
+// awaitAdmission is SubmitWait's slow path: it registers as a waiter and
+// retries until it is admitted (true) or the runtime closes (false), asleep
+// on a borrowed slot on the admission queue in between. The waiter count is
+// incremented under the mutex but read atomically by finish, whose in-flight
+// decrement is sequenced before its load — so either the finish sees us and
+// wakes the queue's first slot under the mutex, which it can only take once
+// we have queued ours, or our retry sees the freed admission. No lost wakeup.
+func (rt *Runtime) awaitAdmission() bool {
+	s := slots.Get().(*slot)
+	rt.mu.Lock()
+	rt.admitWaiters.Add(1)
+	admitted := false
+	for !rt.closed.Load() {
+		if admitted = rt.admit(1) == 1; admitted {
+			break
+		}
+		rt.sleepListed(&rt.admitQ, s)
+	}
+	rt.admitWaiters.Add(-1)
+	rt.mu.Unlock()
+	slots.Put(s)
+	return admitted
 }
 
 // SubmitAll submits every fn as its own job in one batch, appending the
@@ -711,12 +682,8 @@ func launchBatch[T any](rt *Runtime, fns []func(*W) T, dst []Job[T]) []Job[T] {
 		rt.drainGlobal()
 		return dst
 	}
-	if p := rt.parked.Load(); p > 0 {
-		want := k
-		if int(p) < want {
-			want = int(p)
-		}
-		rt.signalN(want)
+	if rt.parked.Load() > 0 {
+		rt.signal(nil, k)
 	}
 	return dst
 }

@@ -628,26 +628,27 @@ func TestAbandonedFuturesRecycleRootOnce(t *testing.T) {
 	}
 }
 
-// TestSubmitWaitBlockedReusesRootGate: a blocked Wait installs the gate its
-// root keeps, and the root's completion sends it one token, over many
-// tenants of one composite: blocked waits, panicking roots (whose panic value
-// rides the kept gate, and is gone for the next tenant), roots that panic
-// before anyone waits (an ordinary gate, closed), and a token left behind by
-// a waiter that installed the gate and then saw the job done, which the
-// recycle must drain — left in place, the next completion's send would never
-// return. Every Wait must return its own tenant's outcome, and a composite
-// makes its gate once.
+// TestSubmitWaitBlockedReusesRootGate: a blocked Wait on a recycled root
+// sleeps on its own slot, over many tenants of the composites of one worker:
+// blocked waits, panicking roots (whose panic value takes the body's place,
+// and is gone for the next tenant), roots that panic before anyone waits,
+// and a token left behind in a pooled slot by a completion whose waiter
+// installed the slot and then saw the job done. That token ends the next
+// blocked Wait's sleep early if that Wait borrows the slot, and the Wait must
+// sleep again. Every recycled root starts with an empty waiter word, and
+// every Wait must return its own tenant's outcome.
 func TestSubmitWaitBlockedReusesRootGate(t *testing.T) {
 	rt := newRT(t, 1)
 	var root atomic.Pointer[task]
 	installed := func() {
-		waitUntil(func() bool { r := root.Load(); return r != nil && r.gate.Load() != nil })
+		waitUntil(func() bool { r := root.Load(); return r != nil && r.waiter.Load() != nil })
 	}
 	cases := []struct {
 		name string
 		body func(w *W) int
-		// leave installs the kept gate without blocking on it, as a waiter
-		// that re-checks after the install and sees the job done.
+		// leave installs a slot without blocking on it, as a waiter that
+		// re-checks after the install and sees the job done, and returns the
+		// slot to the pool with the completion's token in it.
 		leave  bool
 		panics bool
 	}{
@@ -656,7 +657,6 @@ func TestSubmitWaitBlockedReusesRootGate(t *testing.T) {
 		{"panics first", func(*W) int { panic("boom") }, false, true},
 		{"token left behind", func(*W) int { return 1 }, true, false},
 	}
-	kept := map[*jobState]*waitGate{}
 	for round := 0; round < 200; round++ {
 		c := cases[round%len(cases)]
 		release := make(chan struct{})
@@ -664,14 +664,17 @@ func TestSubmitWaitBlockedReusesRootGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if s := j.f.waiter.Load(); s != nil {
+			t.Fatalf("round %d (%s): the root starts with a slot installed", round, c.name)
+		}
 		root.Store(&j.f.task)
 		if c.leave {
-			if j.js.gate == nil {
-				j.js.gate = &waitGate{ch: make(chan struct{}, 1)}
-			}
-			materialize(&j.f.gate, j.js.gate)
+			s := slots.Get().(*slot)
+			j.f.waiter.Store(s)
 			close(release)
-			waitUntil(j.Done)
+			// The completion sends the token after it publishes done.
+			waitUntil(func() bool { return len(s.ch) == 1 })
+			slots.Put(s)
 		} else {
 			close(release)
 		}
@@ -684,12 +687,6 @@ func TestSubmitWaitBlockedReusesRootGate(t *testing.T) {
 		case !c.panics && (err != nil || v != 1):
 			t.Fatalf("round %d (%s): WaitErr = %v, %v; want 1", round, c.name, v, err)
 		}
-		// A root recycled by the worker waits in its stash, so the next
-		// Submit may get another composite; none may make a second gate.
-		if g, ok := kept[j.js]; ok && g != j.js.gate {
-			t.Fatalf("round %d (%s): the root made a second gate", round, c.name)
-		}
-		kept[j.js] = j.js.gate
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"futurelocality/internal/deque"
@@ -81,7 +80,7 @@ func WithDiscipline(d Discipline) Option {
 // WithTopology sets the machine topology the runtime reports (Topology; see
 // internal/topology). It does not change how the runtime schedules: a
 // runtime is one steal domain, its thief robs any other worker uniformly at
-// random, and its sleepers share one condition variable, whatever the
+// random, and its parked workers sleep on one idle stack, whatever the
 // topology. The machine's LLC domains shape a shard.Pool instead, which runs
 // one runtime per domain and hands each its domain's carve-out. The default
 // (nil) is the host topology discovered from sysfs, falling back to a single
@@ -170,8 +169,7 @@ func New(opts ...Option) *Runtime {
 	if o.flight > 0 {
 		rt.flight = profile.NewRecorder(n, o.flight)
 	}
-	rt.idle = sync.NewCond(&rt.mu)
-	rt.slotCond = sync.NewCond(&rt.mu)
+	rt.idle = make([]*slot, 0, n)
 	rt.maxInFlight = max(o.maxInFlight, 0)
 	rt.free = make([]poolableRoot, 0, rootFreelistCap)
 	for i := 0; i < n; i++ {
@@ -180,6 +178,7 @@ func New(opts ...Option) *Runtime {
 			id:      i,
 			dq:      deque.NewPtr[task](dequeInitCap),
 			tele:    rt.tele.Row(i),
+			slot:    newSlot(),
 			rng:     seedXorshift(seed, i),
 			curJob:  &rt.solo,
 			jobFree: make([]poolableRoot, 0, workerFreeCap),

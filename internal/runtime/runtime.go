@@ -27,22 +27,25 @@
 // microseconds, yielding its P between looks: it takes a job that arrives
 // meanwhile without having slept, and it robs a peer only after it has been
 // dry for a few microseconds, not the instant it runs out (see W.dry). Then
-// it parks on the runtime's condition variable, sleeping only while every
-// queue looks empty; push never takes the lock unless a worker is actually
-// parked (an atomic parked count gates it — a polling worker is not counted),
-// and wakes exactly one worker per new task instead of broadcasting to the
-// herd. A touch of an unfinished future first tries to inline-run it (if
-// nobody started it, popping it off the toucher's own deque first, and
-// dropping finished entries it exposes, so deques hold live tasks only), then
-// helps by running other tasks, then polls like a dry worker, and only then
-// blocks.
+// it parks, sleeping only while every queue looks empty, with its slot on the
+// runtime's idle stack. A slot is how every goroutine of the runtime sleeps:
+// a channel with room for one token, owned by each worker and borrowed from a
+// pool by any other goroutine for one wait. Push never takes the lock unless
+// a worker is actually parked (an atomic parked count, the stack's height,
+// gates it — a polling worker is not counted), and wakes exactly one worker
+// per new task, the one that parked last, instead of broadcasting to the herd.
+// A touch of an unfinished future first tries to inline-run it (if nobody
+// started it, popping it off the toucher's own deque first, and dropping
+// finished entries it exposes, so deques hold live tasks only), then helps by
+// running other tasks, then polls like a dry worker, and only then blocks on
+// its slot, which it installs in the task for the completer to wake.
 //
 // The hot path is allocation-free past the future itself: a future IS its
 // task (one 48-byte allocation for a Future[int] carries status word, body
-// and result slot), deque slots store task pointers directly (no per-push box),
-// and the task's ID, scheduling state, completion and the single-touch latch
-// are bits of one atomic word whose channel wait gate is materialized only
-// when a toucher actually blocks. A worker-local spawn and inline touch also
+// and result), a deque stores task pointers directly (no per-push box), the
+// task's ID, scheduling state, completion and the single-touch latch
+// are bits of one atomic word, and a blocked touch sleeps on a slot the
+// toucher already has. A worker-local spawn and inline touch also
 // write no cache line other workers share: task IDs are unique but not dense
 // in spawn order, because each worker draws them from the runtime's counter a
 // block at a time, push reads the parked count without writing anything, and
@@ -81,6 +84,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,7 +118,7 @@ const cacheLine = 64
 // rides along because every writer operates on the word it loaded and none
 // carries into bit 3: it is stored once, before the task is published, and
 // then only read. Every access is a sequentially consistent atomic, which the
-// lost-wakeup argument of the lazy gate's handshake depends on.
+// lost-wakeup argument of the slot handshake depends on.
 const (
 	stateCreated uint64 = iota
 	stateRunning
@@ -126,71 +130,61 @@ const (
 	idShift = 3
 )
 
-// waitGate is what a task's or a stream's waiters block on, and — for a
-// future — where a panic value (ErrClosed after a cancellation) travels from
-// the completer to the toucher. It is allocated only when a toucher actually
-// has to block, or when the body panics or is cancelled: the common case,
-// an inline run or a touch of a finished future, never sees one.
+// slot is how a goroutine of the runtime sleeps: a channel with room for one
+// token. Every worker owns one (W.slot); a goroutine that is not a worker
+// borrows one from slots for the length of one wait. A sleeper puts its slot
+// where its waker will look — in the waiter word of the task it waits for, on
+// the idle stack when it parks, on the admission queue when SubmitWait has to
+// wait — and the waker sends the token.
 //
-// ch is unbuffered, and closed to wake every waiter at once, except in the
-// gate a job root keeps across tenants (jobState.gate): that root has one
-// possible waiter, the handle holder, so its channel has one slot and the
-// completion sends it one token, leaving the gate reusable (see wake).
-type waitGate struct {
+// A token is a hint, not a count. A send never blocks: a token already in
+// the channel is enough. A waker can find the slot of a waiter that re-checked
+// and left without sleeping, and the token it leaves there may end a later
+// sleep on the same slot early. So every sleeper re-checks after it wakes and
+// sleeps again while its condition does not hold: a toucher while the task is
+// unfinished, a listed sleeper while its slot is still listed (sleepListed).
+type slot struct {
 	ch chan struct{}
-	// panicked is written by the completer before it publishes completion
-	// and read by touchers after they observe it; the completion atomic
-	// orders the two.
-	panicked any
+	// listed is set while the slot is on one of the runtime's lists, the idle
+	// stack or the admission queue, and cleared by whoever takes it off and
+	// wakes it (unlist). Guarded by Runtime.mu.
+	listed bool
 }
 
-// materialize returns the gate behind p, installing spare if there is none,
-// or a fresh gate when spare is nil. Any goroutine; all callers agree on one
-// gate. A stream's producer takes its gate out again (Stream.publish), so a
-// lost install is followed by another look, which may find the slot empty
-// once more.
-func materialize(p *atomic.Pointer[waitGate], spare *waitGate) *waitGate {
-	for {
-		if g := p.Load(); g != nil {
-			return g
-		}
-		if spare == nil {
-			spare = &waitGate{ch: make(chan struct{})}
-		}
-		if p.CompareAndSwap(nil, spare) {
-			return spare
-		}
+func newSlot() *slot { return &slot{ch: make(chan struct{}, 1)} }
+
+// wake leaves the token in s, unless one is already there.
+func (s *slot) wake() {
+	select {
+	case s.ch <- struct{}{}:
+	default:
 	}
 }
 
-// wake releases the gate's waiters: a kept root gate gets the one token its
-// one waiter takes (the channel's slot is free: each tenant's completion
-// sends at most once, and jobRoot.prepareForReuse drains a token nobody
-// took), any other gate is closed.
-func (g *waitGate) wake() {
-	if cap(g.ch) == 0 {
-		close(g.ch)
-	} else {
-		g.ch <- struct{}{}
-	}
-}
+// slots lends slots to the goroutines that are not workers.
+var slots = sync.Pool{New: func() any { return newSlot() }}
 
-// The lazy gate's handshake, shared by tasks and streams. The completer
-// publishes done — an atomic write to its own word — and then loads the
-// gate, waking it if a waiter installed one (task.complete); a waiter that
-// has seen done unset installs the gate and then loads done again, sleeping
-// only if it is still unset (task.waitDone). All four accesses are
-// sequentially consistent, so no wakeup is lost (Dekker): either the
-// completer's load sees the gate and closes it, or the waiter's install comes
-// after that load — hence after done was published — and its re-check sees
-// done and does not sleep. A stream runs the same handshake once per item,
-// with its produced count for done (Stream.publish).
+// The slot handshake of a task. The completer publishes done — an atomic
+// write to its status word — and then loads the waiter word, waking the slot
+// it finds (task.complete); a waiter that has seen done unset installs its
+// slot and then loads done again, sleeping only if it is still unset
+// (task.waitDone). All four accesses are sequentially consistent, so no
+// wakeup is lost (Dekker): either the completer's load sees the slot, or the
+// install comes after that load — hence after done was published — and the
+// re-check sees done and does not sleep.
+//
+// The single-touch discipline leaves a task one waiter. A Scope's private
+// wait (SpawnIn) can add a second: its install displaces the first slot, and
+// it passes a token to the displaced slot as it leaves, so each waiter is
+// woken by the completer or by the waiter that displaced it.
 
 // awaited is what a helping toucher waits for (see W.helpUntil): a task — a
 // future's touch, which ignores arg — or item arg of a stream.
 type awaited interface {
 	readyAt(arg int32) bool
-	waitAt(arg int32)
+	// waitAt blocks until readyAt(arg): a task's waiter sleeps on s, the
+	// caller's slot, a stream's on the stream's gate.
+	waitAt(arg int32, s *slot)
 }
 
 // task is the schedulable unit — embedded directly in Future and Stream, so
@@ -218,15 +212,14 @@ type task struct {
 	// publication edges as the body, so no atomics are needed. It is what
 	// threads per-job identity into Stats counters and profiler events.
 	job *jobState
-	// gate is nil until a toucher blocks on the task or its body panics or
-	// is cancelled (see waitGate). A Stream's producer task lends it to the
-	// stream: it is the one gate the stream's consumers block on, whatever
-	// item they wait for (see Stream.publish).
-	gate atomic.Pointer[waitGate]
+	// waiter is the slot of the goroutine blocked on the task, nil until one
+	// blocks (see the slot handshake).
+	waiter atomic.Pointer[slot]
 	// body executes the task: a Future's is the caller's function itself
 	// (futureBody), a Stream's a zero-size value (streamBody). Both are
 	// pointer-shaped or empty, so storing one in the interface allocates
-	// nothing.
+	// nothing. A future whose body panicked or was cancelled has its panic
+	// value here once the body has run (see failed).
 	body taskBody
 }
 
@@ -265,31 +258,35 @@ func (t *task) claim() bool {
 // completion landing on the same word.
 func (t *task) spendTouch() bool { return t.status.Or(stateTouched)&stateTouched == 0 }
 
-// complete publishes completion (running → done) and wakes blocked waiters
-// (see the lazy gate's handshake). Called exactly once, by whoever claimed the
-// task. Add, not a store: a toucher may set the touched bit at any moment, and
-// the latch and the ID have to survive.
+// complete publishes completion (running → done) and wakes the blocked waiter
+// (see the slot handshake). Called exactly once, by whoever claimed the task.
+// Add, not a store: a toucher may set the touched bit at any moment, and the
+// latch and the ID have to survive.
 func (t *task) complete() {
 	t.status.Add(stateDone - stateRunning)
-	if g := t.gate.Load(); g != nil {
-		g.wake()
+	if s := t.waiter.Load(); s != nil {
+		s.wake()
 	}
 }
 
-// waitDone blocks until complete. Only this slow path allocates the gate
-// (shared by all waiters; a job's root, whose waiter brings the gate its
-// composite keeps, blocks in jobState.waitRoot instead).
-func (t *task) waitDone() {
-	if !t.isDone() {
-		if g := materialize(&t.gate, nil); !t.isDone() {
-			<-g.ch
-		}
+// waitDone blocks until complete, sleeping on s. It wakes a slot its install
+// displaced as it leaves (see the slot handshake).
+func (t *task) waitDone(s *slot) {
+	if t.isDone() {
+		return
+	}
+	prev := t.waiter.Swap(s)
+	for !t.isDone() {
+		<-s.ch
+	}
+	if prev != nil {
+		prev.wake()
 	}
 }
 
 // readyAt and waitAt implement awaited for a future's touch.
-func (t *task) readyAt(int32) bool { return t.isDone() }
-func (t *task) waitAt(int32)       { t.waitDone() }
+func (t *task) readyAt(int32) bool      { return t.isDone() }
+func (t *task) waitAt(_ int32, s *slot) { t.waitDone(s) }
 
 // taskBody is the body of a task t, which it reaches through t's embedding
 // object.
@@ -320,8 +317,6 @@ type Runtime struct {
 	// from sysfs or injected by WithTopology). Nothing schedules by it.
 	// Immutable after New.
 	topo *topology.Topology
-	// idle (sharing mu) is where parked workers sleep. Immutable after New.
-	idle *sync.Cond
 	// closed is written once, by Shutdown.
 	closed atomic.Bool
 	// stop is closed by Shutdown; it releases the WithContext watcher.
@@ -354,10 +349,12 @@ type Runtime struct {
 	_ [cacheLine]byte
 
 	mu sync.Mutex
-	// parked counts the workers asleep on idle that nobody has signalled yet
-	// (see park). It is written under mu but read without it by push, which
-	// skips the lock entirely — the common case — when there is nobody left
-	// to wake (see push for the handshake).
+	// idle (under mu) is the stack of the slots of the parked workers that
+	// nobody has signalled yet, the one that parked last on top (see park).
+	idle []*slot
+	// parked is idle's height. It is written under mu but read without it by
+	// push, which skips the lock entirely — the common case — when there is
+	// nobody left to wake (see push for the handshake).
 	parked atomic.Int32
 	// taskSeq allocates task IDs for profiling traces: one at a time for
 	// external spawns and job roots, a block at a time for workers
@@ -400,8 +397,11 @@ type W struct {
 	// victims are the other workers, in worker order: the ones stealOnce
 	// draws from. Immutable after New.
 	victims []*W
+	// slot is what the worker sleeps on, parked or blocked at a touch.
+	// Immutable after New.
+	slot *slot
 
-	_ [2*cacheLine - 56]byte
+	_ [2*cacheLine - 64]byte
 
 	// rng is the xorshift64 state for victim selection (never zero); an
 	// inline generator instead of math/rand.Rand keeps the steal path free
@@ -586,10 +586,15 @@ func (rt *Runtime) Shutdown() {
 	}
 	close(rt.stop)
 	rt.mu.Lock()
-	rt.idle.Broadcast()
-	// Queued SubmitWait callers must observe the close and return ErrClosed
-	// instead of waiting for slots on a server that will never drain.
-	rt.slotCond.Broadcast()
+	// Wake every sleeper: the parked workers exit, and the queued SubmitWait
+	// callers return ErrClosed instead of waiting for admissions on a server
+	// that will never drain.
+	for len(rt.idle) > 0 {
+		rt.wakeOne()
+	}
+	for len(rt.admitQ) > 0 {
+		unlist(&rt.admitQ, 0)
+	}
 	rt.mu.Unlock()
 	rt.wg.Wait()
 	// Cancel stragglers: tasks pushed to the global queue by external
@@ -663,7 +668,7 @@ func (t *task) retire(w *W) {
 // The common case — a worker-local push with no sleeper left to wake — is
 // one lock-free deque store and one atomic load of the parked count: no
 // write outside the worker's own deque, no mutex, no broadcast. The mutex is
-// taken only to Signal one parked worker that nobody has signalled yet (one
+// taken only to wake one parked worker that nobody has signalled yet (one
 // new task needs one worker, not the herd, and a sleeper needs one signal).
 //
 // No lost wakeup. The queue publication here (the deque's seq-cst bottom
@@ -671,12 +676,13 @@ func (t *task) retire(w *W) {
 // parking worker's parked.Add, made under mu, precedes its queue-length
 // loads, and it makes that Add again before every sleep (see park).
 // Seq-cst order therefore leaves three cases: this push observes parked > 0
-// and signals under mu — which it can only acquire once the parker is
-// inside Wait, or has already left park; or the parker's Add comes after
-// the parked load, so its queue loads observe the non-empty queue and it
-// does not sleep; or the parker is not counted because a signaller counted
-// it out, and then it re-checks every queue under mu, after the Add that
-// counts it back in, before it sleeps again.
+// and, under mu, pops the parker's slot off the idle stack and sends it the
+// token, which waits in the slot if the parker has not reached its receive
+// yet; or the parker's Add comes after the parked load, so its queue loads
+// observe the non-empty queue and it does not sleep; or the parker is not
+// counted because a signaller counted it out, and then it re-checks every
+// queue under mu, after the Add that counts it back in, before it sleeps
+// again.
 func (rt *Runtime) push(w *W, t *task) {
 	if rt.closed.Load() {
 		t.cancelIfUnclaimed()
@@ -698,34 +704,18 @@ func (rt *Runtime) push(w *W, t *task) {
 		}
 	}
 	if rt.parked.Load() > 0 {
-		rt.signalOne(w)
+		rt.signal(w, 1)
 	}
 }
 
-// signalOne wakes one parked worker that nobody has signalled yet. Finding
-// none is benign — every worker counted by the lock-free parked gate was
-// signalled, left park, or has yet to look at the queues before we got the
-// lock, and each of those will see the work already published.
-func (rt *Runtime) signalOne(w *W) {
-	signaled := false
-	rt.mu.Lock()
-	if rt.parked.Load() > 0 {
-		rt.wakeOne()
-		signaled = true
-	}
-	rt.mu.Unlock()
-	if signaled {
-		rt.teleRow(w).Inc(telemetry.CWakeups)
-	}
-}
-
-// signalN wakes up to n parked workers under one lock acquisition — the
-// batched analogue of signalOne, used by SubmitAll: a batch of k new roots
-// warrants min(k, parked) wakeups decided once, not k lock visits.
-func (rt *Runtime) signalN(n int) {
-	if n <= 0 {
-		return
-	}
+// signal wakes up to n parked workers that nobody has signalled yet, under
+// one lock acquisition, and counts the wakeups in w's row: one for a push,
+// and for a SubmitAll batch of k new roots min(k, parked) decided once, not k
+// lock visits. Finding fewer is benign — every worker counted by the
+// lock-free parked gate was signalled, left park, or has yet to look at the
+// queues before we got the lock, and each of those will see the work already
+// published.
+func (rt *Runtime) signal(w *W, n int) {
 	signaled := 0
 	rt.mu.Lock()
 	for ; rt.parked.Load() > 0 && signaled < n; signaled++ {
@@ -733,18 +723,8 @@ func (rt *Runtime) signalN(n int) {
 	}
 	rt.mu.Unlock()
 	if signaled > 0 {
-		rt.teleExt.Add(telemetry.CWakeups, int64(signaled))
+		rt.teleRow(w).Add(telemetry.CWakeups, int64(signaled))
 	}
-}
-
-// wakeOne signals one unsignalled sleeper and counts it out, so no later
-// push signals it again. Caller holds mu and has seen parked > 0.
-// Cond.Signal wakes the longest waiter not yet signalled, and parked is
-// exactly how many of those there are: each sleeper counted itself in right
-// before its Wait, under the same mutex.
-func (rt *Runtime) wakeOne() {
-	rt.parked.Add(-1)
-	rt.idle.Signal()
 }
 
 // teleRow routes counter updates to w's row when w belongs to this runtime,
@@ -973,7 +953,7 @@ func (w *W) loop() {
 // stealPatience and then once per patience interval, and only after pollLimit
 // the sleep in park. Two things are bought with it. A job that arrives within
 // the window is taken by a worker that is awake, so it changes hands without
-// park → Cond.Signal → goready → futex, which cost more than the job itself on
+// park → wakeOne → goready → futex, which cost more than the job itself on
 // a serve load. And a worker that is dry only for the instant its client
 // needs to resubmit does not rob its peer of the top fragment of a job that
 // is microseconds long: such a steal ends in a blocked touch and buys no
@@ -1226,22 +1206,21 @@ func (w *W) drainCancelled() {
 }
 
 // park blocks while every queue looks empty and the runtime is open,
-// sleeping on the runtime's condition variable. The parked increment, under
-// mu, is ordered before the queue-length loads, pairing with push's
-// publish-then-parked-load (see push for the handshake). The worker
+// sleeping on the worker's slot with the slot on the idle stack. The parked
+// increment, under mu, is ordered before the queue-length loads, pairing with
+// push's publish-then-parked-load (see push for the handshake). The worker
 // publishes its pending counters first (W.publish, rule 2), so an idle pool's
 // telemetry rows are exact. A worker still polling in dry has not come here
 // yet: it is awake, not counted in parked, and owed no signal.
 //
-// One signal per sleeper. The count holds only the sleepers nobody has
-// signalled yet: the signaller counts a sleeper out as it signals it
-// (wakeOne), so the pushes that follow while the woken worker is on its way
-// pass over it. Before Shutdown a worker returns from Wait only because a
-// signaller counted it out, so when it finds every queue still empty it
-// counts itself back in, before its queue loads, and sleeps again. Shutdown
-// wakes every sleeper with a Broadcast that counts nobody out; after it the
-// count is stale, and nothing reads it but a push or SubmitAll that
-// raced the close, whose signal no sleeper needs any more.
+// One signal per sleeper. The stack holds only the sleepers nobody has
+// signalled yet: the signaller pops a sleeper as it wakes it (wakeOne), so
+// the pushes that follow while the woken worker is on its way pass over it.
+// A worker stops sleeping only once it is off the stack — a token left in its
+// slot by an earlier blocked touch ends a sleep early, and it sleeps again
+// (sleepListed) — so when it finds every queue still empty it counts itself
+// back in, before its queue loads, and sleeps again. Shutdown pops every
+// sleeper.
 //
 // A queue that looks non-empty sends the worker back to find, which may
 // still come up dry (the owner popped the task, another thief won it). That
@@ -1266,9 +1245,39 @@ func (w *W) park() {
 			slept = true
 			w.tele.Inc(telemetry.CParks)
 		}
-		rt.idle.Wait() // returns counted out (wakeOne), or after Shutdown
+		rt.sleepListed(&rt.idle, w.slot) // returns counted out (wakeOne)
 	}
 	rt.mu.Unlock()
+}
+
+// wakeOne pops the worker that parked last off the idle stack and wakes it,
+// counting it out, so no later push signals it again. Caller holds mu and
+// has seen parked > 0.
+func (rt *Runtime) wakeOne() {
+	rt.parked.Add(-1)
+	unlist(&rt.idle, len(rt.idle)-1)
+}
+
+// unlist takes the i-th slot off list and wakes it. Caller holds mu.
+func unlist(list *[]*slot, i int) {
+	s := (*list)[i]
+	*list = slices.Delete(*list, i, i+1)
+	s.listed = false
+	s.wake()
+}
+
+// sleepListed puts s on list, where a waker will find it, and sleeps on s
+// until a waker has taken it off. A token an earlier use of s left behind
+// ends a sleep with s still listed, and the sleeper sleeps again. Caller
+// holds mu, which is released while it sleeps.
+func (rt *Runtime) sleepListed(list *[]*slot, s *slot) {
+	s.listed = true
+	*list = append(*list, s)
+	for s.listed {
+		rt.mu.Unlock()
+		<-s.ch
+		rt.mu.Lock()
+	}
 }
 
 // queued reports whether any queue — the global one or a worker's deque —
@@ -1326,8 +1335,8 @@ func (e *PanicError) Unwrap() error {
 // single-touch latch), body, and result.
 //
 // Layout: task is 40 bytes, its body is the caller's function itself, its
-// runtime is its job's, and a panic value lives in the task's lazily
-// allocated wait gate, so Future[int] is 48 bytes — the allocator's 48-byte
+// runtime is its job's, and a panic value takes the body's place once the
+// body has run, so Future[int] is 48 bytes — the allocator's 48-byte
 // class (TestFutureSize); one more word lands in the 64-byte class.
 type Future[T any] struct {
 	task
@@ -1356,15 +1365,24 @@ func (fn futureBody[T]) runTask(t *task, w *W, cancelled bool) {
 	f.result = fn(w)
 }
 
+// failed is the body of a future whose body panicked or was cancelled: a box
+// for the panic value, allocated only then. A task runs once, so its body
+// field is free after the run, and the value travels to the toucher there;
+// the box's type marks it. Its runTask is never called.
+type failed struct{ val any }
+
+func (*failed) runTask(*task, *W, bool) {}
+
 // fail stores the panic value the future's touch will surface. Called only
-// by whoever claimed the task, before it publishes completion.
-func (f *Future[T]) fail(r any) { materialize(&f.gate, nil).panicked = r }
+// by whoever claimed the task, after the body ran and before it publishes
+// completion, which orders the store before the toucher's load.
+func (f *Future[T]) fail(r any) { f.body = &failed{val: r} }
 
 // failure returns the stored panic value, nil when the body returned
 // normally. Valid once the future is done.
 func (f *Future[T]) failure() any {
-	if g := f.gate.Load(); g != nil {
-		return g.panicked
+	if b, ok := f.body.(*failed); ok {
+		return b.val
 	}
 	return nil
 }
@@ -1467,7 +1485,7 @@ func (f *Future[T]) dive(rt *Runtime, w *W) {
 		if !w.execCtx(&f.task, execDive) {
 			// Unreachable in practice (the task was never published), but a
 			// lost race must still complete the future.
-			f.waitDone()
+			f.waitDone(w.slot)
 		}
 		return
 	}
@@ -1571,7 +1589,9 @@ func (f *Future[T]) await(w *W, latch uint64) bool {
 		return false
 	}
 	if w == nil {
-		f.waitDone()
+		s := slots.Get().(*slot)
+		f.waitDone(s)
+		slots.Put(s)
 		f.job.rt.recordTouch(nil, &f.task, profile.ModeExternal, 0, -1)
 		return true
 	}
@@ -1626,25 +1646,24 @@ func (w *W) helpUntil(t *task, d awaited, arg int32) {
 			w.tele.Inc(telemetry.CBlockedTouches)
 		}
 		w.publish()
-		d.waitAt(arg)
+		d.waitAt(arg, w.slot)
 		w.rt.recordTouch(w, t, profile.ModeBlocked, helps, arg)
 		return
 	}
 }
 
-// finish extracts the result, re-panicking if the task panicked (or was
-// cancelled — the panic value is then ErrClosed).
+// finish extracts the result of the completed future, re-panicking if the
+// task panicked (or was cancelled — the panic value is then ErrClosed).
 func (f *Future[T]) finish() T {
-	f.waitDone()
 	if r := f.failure(); r != nil {
 		panic(r)
 	}
 	return f.result
 }
 
-// finishErr extracts the result, converting a captured panic into an error.
+// finishErr extracts the result of the completed future, converting a
+// captured panic into an error.
 func (f *Future[T]) finishErr() (T, error) {
-	f.waitDone()
 	if r := f.failure(); r != nil {
 		var zero T
 		if err, ok := r.(error); ok && errors.Is(err, ErrClosed) {

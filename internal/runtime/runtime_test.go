@@ -585,7 +585,6 @@ func TestRuntimeLayout(t *testing.T) {
 	headerEnd := max(
 		end(unsafe.Offsetof(rt.workers), unsafe.Sizeof(rt.workers)),
 		end(unsafe.Offsetof(rt.discipline), unsafe.Sizeof(rt.discipline)),
-		end(unsafe.Offsetof(rt.idle), unsafe.Sizeof(rt.idle)),
 		end(unsafe.Offsetof(rt.closed), unsafe.Sizeof(rt.closed)),
 		end(unsafe.Offsetof(rt.prof), unsafe.Sizeof(rt.prof)),
 		end(unsafe.Offsetof(rt.flight), unsafe.Sizeof(rt.flight)),
@@ -594,6 +593,7 @@ func TestRuntimeLayout(t *testing.T) {
 	)
 	firstWritten := min(
 		unsafe.Offsetof(rt.mu),
+		unsafe.Offsetof(rt.idle),
 		unsafe.Offsetof(rt.parked),
 		unsafe.Offsetof(rt.taskSeq),
 		unsafe.Offsetof(rt.global),

@@ -140,9 +140,9 @@ var touchCases = []struct {
 			t.Fatal("could not pre-claim the future")
 		}
 		go func() {
-			// The gate exists only once the toucher is past its last look
-			// for work and about to sleep.
-			waitUntil(func() bool { return passed.gate.Load() != nil })
+			// The toucher's slot is installed only once it is past its last
+			// look for work and about to sleep.
+			waitUntil(func() bool { return passed.waiter.Load() != nil })
 			passed.result = 7
 			passed.complete()
 		}()
@@ -158,7 +158,7 @@ var touchCases = []struct {
 		release := make(chan struct{})
 		f := Spawn(rt, nil, func(*W) int { <-release; return 7 })
 		go func() {
-			waitUntil(func() bool { return f.gate.Load() != nil })
+			waitUntil(func() bool { return f.waiter.Load() != nil })
 			close(release)
 		}()
 		o.v, o.err1 = e.call(f, nil)
@@ -256,7 +256,7 @@ func TestDoubleTouchJobTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			go func() {
-				waitUntil(func() bool { return j.f.gate.Load() != nil })
+				waitUntil(func() bool { return j.f.waiter.Load() != nil })
 				close(release)
 			}()
 			return j
@@ -387,7 +387,7 @@ func TestDoubleTouchConcurrent(t *testing.T) {
 
 // TestStatusWordLatchSurvivesCompletion races the three writers of one
 // status word: the completing Add, a toucher's Or, and a waiter installing
-// its gate. The latch must survive the Add, the touch must be granted
+// its slot. The latch must survive the Add, the touch must be granted
 // exactly once, and the waiter must wake.
 func TestStatusWordLatchSurvivesCompletion(t *testing.T) {
 	const rounds = 2000
@@ -401,7 +401,7 @@ func TestStatusWordLatchSurvivesCompletion(t *testing.T) {
 		start.Add(1)
 		done.Add(3)
 		go func() { defer done.Done(); start.Wait(); tk.complete() }()
-		go func() { defer done.Done(); start.Wait(); tk.waitDone() }()
+		go func() { defer done.Done(); start.Wait(); tk.waitDone(newSlot()) }()
 		go func() {
 			defer done.Done()
 			start.Wait()
@@ -473,7 +473,7 @@ func TestStatusWordTouchedBeforeStart(t *testing.T) {
 			id := f.id()
 			res := make(chan int)
 			go func() { res <- f.Touch(nil) }()
-			waitUntil(func() bool { return f.gate.Load() != nil })
+			waitUntil(func() bool { return f.waiter.Load() != nil })
 			wantWord(t, "touched before start", &f.task, id, stateCreated|stateTouched)
 			w, tk, fl := w0, (*task)(nil), execFlags(0)
 			if via == "find" {

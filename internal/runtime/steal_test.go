@@ -3,7 +3,6 @@ package runtime
 import (
 	stdruntime "runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -85,11 +84,9 @@ func bareRuntime(workers int) *Runtime {
 	rt.topo = topology.Flat(workers)
 	rt.tele = telemetry.NewSet(workers)
 	rt.teleExt = rt.tele.External()
-	rt.idle = sync.NewCond(&rt.mu)
-	rt.slotCond = sync.NewCond(&rt.mu)
 	for i := 0; i < workers; i++ {
 		w := &W{rt: rt, id: i, dq: deque.NewPtr[task](64), tele: rt.tele.Row(i),
-			rng: uint64(i + 1), curJob: &rt.solo}
+			slot: newSlot(), rng: uint64(i + 1), curJob: &rt.solo}
 		rt.workers = append(rt.workers, w)
 	}
 	for _, w := range rt.workers {

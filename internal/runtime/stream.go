@@ -29,9 +29,9 @@ import (
 // items are dense — the values in one array, the single-touch latches one
 // bit each in another — because one producer publishes them strictly in
 // order: a single produced count says which are ready, and a single wait
-// gate, the producer task's own, serves every blocked consumer whatever
-// item it waits for. So Produce costs three allocations however long the
-// stream is (4 304 bytes for 512 ints), a Get of a produced item is one
+// gate serves every blocked consumer whatever item it waits for. So Produce
+// costs three allocations however long the stream is (4 304 bytes for 512
+// ints), a Get of a produced item is one
 // atomic load and one locked instruction on its latch word, and a consumer
 // reads eight int items per cache line.
 //
@@ -59,7 +59,16 @@ type Stream[T any] struct {
 	// Both are written before produced reaches len(vals).
 	panicAt  atomic.Int64
 	panicVal any
+	// gate is what blocked consumers sleep on, nil until one blocks after a
+	// publish (see waitGate).
+	gate atomic.Pointer[waitGate]
 }
+
+// waitGate is what a stream's blocked consumers sleep on. A stream is the
+// one object of the runtime with several possible waiters at once — each
+// consumer waiting for an item — so its producer wakes them all by closing
+// the gate, where every other sleeper waits on its own slot.
+type waitGate struct{ ch chan struct{} }
 
 // streamBody is the body of a Stream[T]'s producer task. It carries nothing:
 // the producer function is a field of the stream, and an empty value in
@@ -102,15 +111,14 @@ func (streamBody[T]) runTask(t *task, wk *W, cancelled bool) {
 }
 
 // publish makes the items below n ready and wakes the consumers blocked on
-// the stream's gate. The lazy-gate handshake of a task, with a count in
-// place of the done bit: the store to produced precedes the gate load here,
-// and a waiter's gate install precedes its load of produced (waitAt), so
-// either this load sees the waiter's gate or the waiter sees the new count.
-// A gate is taken out before it is closed, so the next waiter installs a
-// fresh one; the waiters on items still unproduced wake and sleep again.
-// Only the producer takes a gate out, so the Swap returns the gate just
-// loaded, and the producer task's completion, after the last publish, can
-// find only a gate installed since — never a closed one.
+// the stream's gate. The slot handshake of a task, with a count in place of
+// the done bit and a gate in place of the slot: the store to produced
+// precedes the gate load here, and a waiter's gate install precedes its load
+// of produced (waitAt), so either this load sees the waiter's gate or the
+// waiter sees the new count. A gate is taken out before it is closed, so the
+// next waiter installs a fresh one; the waiters on items still unproduced
+// wake and sleep again. Only the producer takes a gate out, so the Swap
+// returns the gate just loaded.
 func (s *Stream[T]) publish(n int) {
 	s.produced.Store(int64(n))
 	if s.gate.Load() != nil {
@@ -121,10 +129,21 @@ func (s *Stream[T]) publish(n int) {
 // readyAt implements awaited: item i has been published.
 func (s *Stream[T]) readyAt(i int32) bool { return s.produced.Load() > int64(i) }
 
-// waitAt implements awaited: it blocks until item i is published.
-func (s *Stream[T]) waitAt(i int32) {
+// waitAt implements awaited: it blocks until item i is published, on the
+// stream's gate, not on the caller's slot. A consumer that finds no gate
+// installs one; all agree on one gate. The producer takes the gate out again
+// (publish), so a lost install is followed by another look, which may find
+// the word empty once more.
+func (s *Stream[T]) waitAt(i int32, _ *slot) {
 	for !s.readyAt(i) {
-		if g := materialize(&s.gate, nil); !s.readyAt(i) {
+		g := s.gate.Load()
+		if g == nil {
+			g = &waitGate{ch: make(chan struct{})}
+			if !s.gate.CompareAndSwap(nil, g) {
+				continue
+			}
+		}
+		if !s.readyAt(i) {
 			<-g.ch
 		}
 	}
@@ -196,7 +215,7 @@ func (s *Stream[T]) Get(w *W, i int) T {
 		return s.finish(i)
 	}
 	if w == nil {
-		s.waitAt(int32(i))
+		s.waitAt(int32(i), nil)
 		s.recordGet(w, i, profile.ModeExternal)
 		return s.finish(i)
 	}

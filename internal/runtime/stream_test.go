@@ -206,7 +206,7 @@ func isErr(r any, target error) bool {
 // the stream's gate while the producer takes it out, and wake together at
 // each item; each item is won exactly once, and every other Get of it panics
 // with ErrDoubleTouch. A gate install that hands back the empty slot after
-// losing its CAS (see materialize) fails here in a few runs in a hundred.
+// losing its CAS (see Stream.waitAt) fails here in a few runs in a hundred.
 func TestStreamStressRacingGets(t *testing.T) {
 	rt := newRT(t, 2)
 	const n, racers = 2000, 8

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	stdruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -76,5 +77,106 @@ func TestWakeupsMatchParks(t *testing.T) {
 	t.Logf("%d jobs: %d wake-ups, %d parks %v", jobs, wakes, parks, perJob)
 	if wakes > workers*jobs {
 		t.Fatalf("%d wake-ups for %d jobs on %d workers: more than one signal per sleeper per job", wakes, jobs, workers)
+	}
+}
+
+// TestStaleTokenParkedWorkerSleepsAgain: a token left in a worker's slot —
+// by a completion whose toucher re-checked and never slept — ends the
+// worker's next sleep in park early. The worker is still on the idle stack
+// then, so it sleeps again: no second parked increment, no second park and
+// no wakeup, the rule of one signal per sleeper.
+func TestStaleTokenParkedWorkerSleepsAgain(t *testing.T) {
+	rt := newRT(t, 1)
+	w := rt.workers[0]
+	asleep := func() bool { return rt.parked.Load() == 1 }
+	waitFor(t, "the worker sleeps", asleep)
+	count := func(c telemetry.Counter) int64 { return rt.TelemetrySnapshot().Total(c) }
+	parks, wakes := count(telemetry.CParks), count(telemetry.CWakeups)
+	// Run wakes the sleeper once, and its body leaves a token in the
+	// worker's own slot.
+	if got := Run(rt, func(w *W) int { w.slot.wake(); return 1 }); got != 1 {
+		t.Fatalf("Run = %d, want 1", got)
+	}
+	waitFor(t, "the worker takes the token asleep", func() bool { return asleep() && len(w.slot.ch) == 0 })
+	// A worker that took the token for a wakeup would leave park, poll for
+	// 50 µs and park once more.
+	time.Sleep(20 * time.Millisecond)
+	rt.mu.Lock()
+	stacked, listed := len(rt.idle), w.slot.listed
+	rt.mu.Unlock()
+	if n := rt.parked.Load(); n != 1 || stacked != 1 || !listed {
+		t.Fatalf("parked = %d, idle stack %d, slot listed %v; want 1, 1, true", n, stacked, listed)
+	}
+	if p, k := count(telemetry.CParks)-parks, count(telemetry.CWakeups)-wakes; p != 1 || k != 1 {
+		t.Fatalf("%d parks and %d wakeups for one Run; want 1 and 1", p, k)
+	}
+	if got := Run(rt, leafIntFn); got != 1 {
+		t.Fatalf("Run after the stale token = %d, want 1", got)
+	}
+}
+
+// TestStaleTokenExternalWaiter: a token left in a pooled slot ends the sleep
+// of the next external waiter that borrows the slot early. The waiter sees
+// its future unfinished, sleeps again, and returns the future's own value.
+func TestStaleTokenExternalWaiter(t *testing.T) {
+	rt := newRT(t, 1)
+	held := func(f *Future[int], release chan struct{}) {
+		waitUntil(func() bool { return f.waiter.Load() != nil })
+		time.Sleep(100 * time.Microsecond)
+		close(release)
+	}
+	for round := 1; round <= 50; round++ {
+		// The pool hands the slot out again, most likely to this goroutine.
+		s := slots.Get().(*slot)
+		s.wake()
+		slots.Put(s)
+		release := make(chan struct{})
+		f := Spawn(rt, nil, func(*W) int { <-release; return round })
+		go held(f, release)
+		if got := f.Touch(nil); got != round {
+			t.Fatalf("round %d: Touch = %d", round, got)
+		}
+	}
+	// A slot known to hold a token.
+	s := newSlot()
+	s.wake()
+	release := make(chan struct{})
+	f := Spawn(rt, nil, func(*W) int { <-release; return 1 })
+	go held(f, release)
+	f.waitDone(s)
+	if !f.Done() {
+		t.Fatal("waitDone returned on a stale token before the future finished")
+	}
+}
+
+// TestSlotRelaysDisplacedWaiter: two goroutines wait on one task, as a
+// Scope's tracker and the future's own toucher can. The second install
+// displaces the first slot, and the second waiter passes a token on as it
+// leaves, so both wake. Every other round the two race the completion.
+func TestSlotRelaysDisplacedWaiter(t *testing.T) {
+	for r := 0; r < 2000; r++ {
+		var tk task
+		if !tk.claim() {
+			t.Fatal("claim of a fresh task failed")
+		}
+		a, b := newSlot(), newSlot()
+		var done sync.WaitGroup
+		done.Add(2)
+		go func() { defer done.Done(); tk.waitDone(a) }()
+		if r%2 == 0 {
+			waitUntil(func() bool { return tk.waiter.Load() == a })
+		}
+		go func() { defer done.Done(); tk.waitDone(b) }()
+		if r%2 == 0 {
+			waitUntil(func() bool { return tk.waiter.Load() == b })
+		}
+		tk.complete()
+		finished := make(chan struct{})
+		go func() { done.Wait(); close(finished) }()
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: a waiter never woke", r)
+		}
 	}
 }
