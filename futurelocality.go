@@ -60,7 +60,9 @@ func WriteDOT(w io.Writer, g *Graph, name string) error { return dag.WriteDOT(w,
 type (
 	// SimConfig parameterizes a simulation run.
 	SimConfig = sim.Config
-	// SimResult captures one execution.
+	// SimResult captures one execution. Its schedule is the one sequence
+	// the nodes ran in (Order, with When its inverse) and who ran each
+	// (Who); a processor's own order is the part of Order Who gives it.
 	SimResult = sim.Result
 	// Control drives steal victims and processor activity.
 	Control = sim.Control

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -221,19 +220,6 @@ func (cc *CacheCost) Render(sb *strings.Builder, pair string) {
 	}
 }
 
-// scheduleOf recovers a result's global execution order (When is dense over
-// all executed nodes, so order[When[v]] = v) and flattens its processor
-// assignment for the replay driver, into buffers reused from trial to trial.
-func scheduleOf(r *sim.Result, order []dag.NodeID, who []int32) ([]dag.NodeID, []int32) {
-	order = slices.Grow(order[:0], len(r.When))[:len(r.When)]
-	who = slices.Grow(who[:0], len(r.Who))[:len(r.Who)]
-	for id, w := range r.When {
-		order[w] = dag.NodeID(id)
-		who[id] = int32(r.Who[id])
-	}
-	return order, who
-}
-
 // NewCacheBaseline derives g's footprint under model and replays seq through
 // it: the sequential bill and, unless the model declines it, the OPT bill.
 // seq must be the 1-processor execution the schedules will be measured
@@ -302,8 +288,7 @@ func (cc *CacheCost) charge(i int, s *trialScratch, res *sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("core: cache cost: %w", err)
 	}
-	s.order, s.who = scheduleOf(res, s.order, s.who)
-	out := set.Replay(cc.fp, s.order, s.who)
+	out := set.Replay(cc.fp, res.Order, res.Who)
 	cc.TotalMisses[i] = out.TotalMisses
 	cc.ExtraMisses[i] = out.TotalMisses - cc.SeqMisses
 	if cc.LLCMisses != nil {

@@ -99,19 +99,20 @@ type Trials struct {
 	Premature                            []int
 }
 
-// trialScratch is what a trial runs on: the engine, and for a cache-cost
-// replay the cache sets — with their residency tables, as long as the largest
-// footprint they have replayed — and the schedule buffers. A trial's schedule
-// is replayed by the goroutine that simulated it, straight away, and never
-// leaves the scratch.
+// trialScratch is what a trial runs on: the engine, the random control a
+// trial reseeds, and for a cache-cost replay the cache sets, with their
+// residency tables as long as the largest footprint they have replayed. A
+// trial's schedule is replayed by the goroutine that simulated it, straight
+// away, and never leaves the scratch. A sequential baseline runs on a scratch
+// too (WithSequential), held for as long as its trials are measured against
+// it.
 type trialScratch struct {
 	eng sim.Engine
+	rc  sim.RandomControl
 	// set replays the trials' schedules and seq, a set of one worker, the
 	// sequential baselines; each is kept for as long as the next replay asks
 	// for the same configuration (setFor).
 	set, seq *cache.Set
-	order    []dag.NodeID
-	who      []int32
 }
 
 // scratches is the process-wide free list of trial scratch, last in first
@@ -139,12 +140,13 @@ func getScratch() *trialScratch {
 	return s
 }
 
-// putScratch keeps at most one idle scratch per P, as many as ForEach can put
-// to work at once; one beyond that is left to the collector.
+// putScratch keeps at most two idle scratches per P: ForEach puts at most one
+// trial to work per P, and an analysis that a P runs holds one more for its
+// baseline while its trials run. One beyond that is left to the collector.
 func putScratch(s *trialScratch) {
 	scratches.Lock()
 	defer scratches.Unlock()
-	if len(scratches.free) < runtime.GOMAXPROCS(0) {
+	if len(scratches.free) < 2*runtime.GOMAXPROCS(0) {
 		scratches.free = append(scratches.free, s)
 	}
 }
@@ -162,20 +164,44 @@ func setFor(slot **cache.Set, cfg cache.SetConfig) (*cache.Set, error) {
 	return *slot, nil
 }
 
-// RunTrials executes g n times under cfg, trial i driven by control(i), and
-// measures each run against seq, the sequential execution under cfg's fork
-// policy and cache geometry (the paper compares like with like). cost, when
-// non-nil, is a verdict prepared for n schedules at cfg.P workers
-// (CacheBaseline.Cost): trial i's schedule is replayed through the cache
-// model and its bill written to entry i. It is the one trial loop: Analyze
-// runs it once, the profiler's fork matrix once for its replayed cell with
-// the cell's own baseline.
+// WithSequential runs the sequential execution of g under policy, with an
+// optional miss count, on the engine of a trial scratch, and calls fn with its
+// result, which is dead once fn returns. It is how a baseline that a set of
+// trials is measured against (RunTrials) is run without an engine of its own.
+func WithSequential(g *dag.Graph, policy sim.ForkPolicy, cacheLines int, kind cache.Kind, fn func(seq *sim.Result) error) error {
+	s := getScratch()
+	defer putScratch(s)
+	seq, err := s.eng.Sequential(g, policy, cacheLines, kind)
+	if err != nil {
+		return fmt.Errorf("core: sequential baseline: %w", err)
+	}
+	return fn(seq)
+}
+
+// Seeded is the control of Analyze's trials: trial i reseeds its own random
+// control with seed + i.
+func Seeded(seed int64) func(int, *sim.RandomControl) sim.Control {
+	return func(i int, rc *sim.RandomControl) sim.Control {
+		rc.Reseed(seed + int64(i))
+		return rc
+	}
+}
+
+// RunTrials executes g n times under cfg, trial i driven by control(i, rc),
+// and measures each run against seq, the sequential execution under cfg's
+// fork policy and cache geometry (the paper compares like with like). rc is
+// the random control the trial's scratch keeps, for control to reseed and
+// return (Seeded) or to ignore. cost, when non-nil, is a verdict prepared for
+// n schedules at cfg.P workers (CacheBaseline.Cost): trial i's schedule is
+// replayed through the cache model and its bill written to entry i. It is the
+// one trial loop: Analyze runs it once, the profiler's fork matrix once for
+// its replayed cell with the cell's own baseline.
 //
 // A trial is one unit — simulate, measure, replay — and the units fan out
 // (ForEach), so control must be safe to call from several goroutines at once;
 // the control it returns is used by one. Entry i depends on i alone, whatever
 // ran where.
-func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control func(i int) sim.Control, cost *CacheCost) (*Trials, error) {
+func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control func(i int, rc *sim.RandomControl) sim.Control, cost *CacheCost) (*Trials, error) {
 	if cost != nil && (len(cost.ExtraMisses) != n || cost.P != cfg.P) {
 		return nil, fmt.Errorf("core: cache cost prepared for %d trials at P=%d, asked for %d at P=%d",
 			len(cost.ExtraMisses), cost.P, n, cfg.P)
@@ -192,7 +218,7 @@ func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control fun
 		defer putScratch(s)
 
 		cfg := cfg
-		cfg.Control = control(i)
+		cfg.Control = control(i, &s.rc)
 		if err := s.eng.Reset(g, cfg); err != nil {
 			return err
 		}
@@ -239,36 +265,37 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 		Policy:     opts.Policy,
 		Steal:      opts.Steal,
 	}
-	seq, err := sim.Sequential(g, opts.Policy, opts.CacheLines, opts.CacheKind)
-	if err != nil {
-		return nil, fmt.Errorf("core: sequential baseline: %w", err)
-	}
-	rep.SeqMisses = seq.TotalMisses
 	granted := BoundApplies(rep.Class, opts.Policy)
-	if opts.CacheModel != nil {
-		base, err := NewCacheBaseline(g, *opts.CacheModel, nil, seq)
-		if err != nil {
-			return nil, fmt.Errorf("core: cache cost: %w", err)
-		}
-		rep.CacheCost = base.Cost(opts.P, opts.Trials, granted)
+	control := Seeded(opts.Seed)
+	if opts.Control != nil {
+		control = func(int, *sim.RandomControl) sim.Control { return opts.Control }
 	}
-	tr, err := RunTrials(g, sim.Config{
-		P:          opts.P,
-		Policy:     opts.Policy,
-		Steal:      opts.Steal,
-		CacheLines: opts.CacheLines,
-		CacheKind:  opts.CacheKind,
-	}, seq, opts.Trials, func(i int) sim.Control {
-		if opts.Control != nil {
-			return opts.Control
+	err := WithSequential(g, opts.Policy, opts.CacheLines, opts.CacheKind, func(seq *sim.Result) error {
+		rep.SeqMisses = seq.TotalMisses
+		if opts.CacheModel != nil {
+			base, err := NewCacheBaseline(g, *opts.CacheModel, nil, seq)
+			if err != nil {
+				return fmt.Errorf("core: cache cost: %w", err)
+			}
+			rep.CacheCost = base.Cost(opts.P, opts.Trials, granted)
 		}
-		return sim.NewRandomControl(opts.Seed + int64(i))
-	}, rep.CacheCost)
+		tr, err := RunTrials(g, sim.Config{
+			P:          opts.P,
+			Policy:     opts.Policy,
+			Steal:      opts.Steal,
+			CacheLines: opts.CacheLines,
+			CacheKind:  opts.CacheKind,
+		}, seq, opts.Trials, control, rep.CacheCost)
+		if err != nil {
+			return err
+		}
+		rep.Deviations, rep.AdditionalMisses, rep.Steals, rep.Premature =
+			tr.Deviations, tr.AdditionalMisses, tr.Steals, tr.Premature
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	rep.Deviations, rep.AdditionalMisses, rep.Steals, rep.Premature =
-		tr.Deviations, tr.AdditionalMisses, tr.Steals, tr.Premature
 
 	if granted {
 		rep.DeviationBound = int64(opts.P) * rep.Span * rep.Span

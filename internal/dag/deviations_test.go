@@ -1,6 +1,7 @@
 package dag_test
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -10,9 +11,11 @@ import (
 )
 
 // deviationNodesReference is the definition as it was first written: build
-// the predecessor table, collect the nodes, take the length. The counting
-// path (sim.SeqPred.Deviations) builds no node list and shares the table
-// between trials; it and sim.DeviationNodes are held to this.
+// the predecessor table, walk each processor's own order, collect the nodes,
+// take the length. The counting path (sim.SeqPred.Deviations) builds no node
+// list, shares the table between trials and walks the one execution
+// sequence; it and sim.DeviationNodes are held to this. The list is
+// processor by processor.
 func deviationNodesReference(seqOrder []dag.NodeID, r *sim.Result) []dag.NodeID {
 	seqPred := make([]dag.NodeID, len(r.When))
 	for i := range seqPred {
@@ -21,8 +24,17 @@ func deviationNodesReference(seqOrder []dag.NodeID, r *sim.Result) []dag.NodeID 
 	for i := 1; i < len(seqOrder); i++ {
 		seqPred[seqOrder[i]] = seqOrder[i-1]
 	}
+	// Each processor's order, rebuilt from (When, Who).
+	byWhen := make([]dag.NodeID, len(r.When))
+	for v, w := range r.When {
+		byWhen[w] = dag.NodeID(v)
+	}
+	orders := make([][]dag.NodeID, r.P)
+	for _, v := range byWhen {
+		orders[r.Who[v]] = append(orders[r.Who[v]], v)
+	}
 	var out []dag.NodeID
-	for _, order := range r.Order {
+	for _, order := range orders {
 		for i, v := range order {
 			pred := seqPred[v]
 			if pred == dag.None {
@@ -42,7 +54,7 @@ func deviationNodesReference(seqOrder []dag.NodeID, r *sim.Result) []dag.NodeID 
 // TestDeviationCountMatchesNodes: on every generator family — plain, with a
 // super final node, with a promise touch — under both fork policies and one
 // SeqPred per baseline shared by all its trials, the count equals the node
-// list's length and the node list is the reference's.
+// list's length and the node list is the reference's, in execution order.
 func TestDeviationCountMatchesNodes(t *testing.T) {
 	for i, g := range codecSeeds(t) {
 		for _, fork := range []sim.ForkPolicy{sim.FutureFirst, sim.ParentFirst} {
@@ -63,6 +75,7 @@ func TestDeviationCountMatchesNodes(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := deviationNodesReference(seqOrder, res)
+				slices.SortFunc(want, func(a, b dag.NodeID) int { return cmp.Compare(res.When[a], res.When[b]) })
 				if got := sim.DeviationNodes(seqOrder, res); !slices.Equal(got, want) {
 					t.Fatalf("seed %d %s trial %d: DeviationNodes = %v, reference %v", i, fork, trial, got, want)
 				}

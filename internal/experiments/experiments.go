@@ -47,10 +47,11 @@ func seqBaseline(g *dag.Graph, pol sim.ForkPolicy, c int) *sim.Result {
 	return seq
 }
 
-// run executes g under cfg or panics, like seqBaseline.
-func run(g *dag.Graph, cfg sim.Config) *sim.Result {
-	eng, err := sim.New(g, cfg)
-	if err != nil {
+// run executes g under cfg on eng or panics, like seqBaseline. Each
+// experiment runs one engine through all its executions, so the result is
+// dead at the experiment's next run.
+func run(eng *sim.Engine, g *dag.Graph, cfg sim.Config) *sim.Result {
+	if err := eng.Reset(g, cfg); err != nil {
 		panic(err)
 	}
 	res, err := eng.Run()
@@ -60,16 +61,16 @@ func run(g *dag.Graph, cfg sim.Config) *sim.Result {
 	return res
 }
 
-// scripted runs g under a scripted control.
-func scripted(g *dag.Graph, ctrl sim.Control, p int, pol sim.ForkPolicy, c int) *sim.Result {
-	return run(g, sim.Config{P: p, Policy: pol, CacheLines: c, Control: ctrl})
+// scripted runs g on eng under a scripted control.
+func scripted(eng *sim.Engine, g *dag.Graph, ctrl sim.Control, p int, pol sim.ForkPolicy, c int) *sim.Result {
+	return run(eng, g, sim.Config{P: p, Policy: pol, CacheLines: c, Control: ctrl})
 }
 
 // randomTrials runs g with random controls (core.RunTrials, seeds seed+i)
 // and returns the per-trial deviation, additional-miss and steal series.
 func randomTrials(g *dag.Graph, p int, pol sim.ForkPolicy, c, trials int, seed int64) (devs, extra, steals []float64) {
 	tr, err := core.RunTrials(g, sim.Config{P: p, Policy: pol, CacheLines: c}, seqBaseline(g, pol, c), trials,
-		func(i int) sim.Control { return sim.NewRandomControl(seed + int64(i)) }, nil)
+		core.Seeded(seed), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -158,6 +159,7 @@ func E1(scale Scale) Result {
 // deviations against the construction's target, and the cache-annotated
 // variant's additional misses.
 func E2(scale Scale) Result {
+	var eng sim.Engine
 	ks6a := []int{8, 16, 32}
 	ks6b := []int{4, 8}
 	cfg6c := []struct{ n, k int }{{2, 8}, {3, 8}}
@@ -171,14 +173,14 @@ func E2(scale Scale) Result {
 	for _, k := range ks6a {
 		g, info := graphs.Fig6a(k, 1, false)
 		seq := seqBaseline(g, sim.FutureFirst, 0)
-		res := scripted(g, adversary.Fig6a(info), 2, sim.FutureFirst, 0)
+		res := scripted(&eng, g, adversary.Fig6a(info), 2, sim.FutureFirst, 0)
 		d := sim.Deviations(seq.SeqOrder(), res)
 		tb.Add(fmt.Sprintf("Fig6a(k=%d)", k), 2, g.Span(), 2*k+2, d, float64(d)/float64(2*k+2), res.Steals)
 	}
 	for _, k := range ks6b {
 		g, info := graphs.Fig6b(k, 1, false)
 		seq := seqBaseline(g, sim.FutureFirst, 0)
-		res := scripted(g, adversary.Fig6b(info), 3, sim.FutureFirst, 0)
+		res := scripted(&eng, g, adversary.Fig6b(info), 3, sim.FutureFirst, 0)
 		d := sim.Deviations(seq.SeqOrder(), res)
 		target := 2*k*k + 4*k
 		tb.Add(fmt.Sprintf("Fig6b(k=%d)", k), 3, g.Span(), target, d, float64(d)/float64(target), res.Steals)
@@ -186,7 +188,7 @@ func E2(scale Scale) Result {
 	for _, c := range cfg6c {
 		g, info := graphs.Fig6c(c.n, c.k, 1, false)
 		seq := seqBaseline(g, sim.FutureFirst, 0)
-		res := scripted(g, adversary.Fig6c(info), adversary.Procs6c(info), sim.FutureFirst, 0)
+		res := scripted(&eng, g, adversary.Fig6c(info), adversary.Procs6c(info), sim.FutureFirst, 0)
 		d := sim.Deviations(seq.SeqOrder(), res)
 		target := c.n * (2*c.k*c.k + 4*c.k)
 		tb.Add(fmt.Sprintf("Fig6c(n=%d,k=%d)", c.n, c.k), 3*c.n, g.Span(), target, d,
@@ -203,7 +205,7 @@ func E2(scale Scale) Result {
 	for _, kc := range kcs {
 		g, info := graphs.Fig6a(kc.k, kc.c, true)
 		seq := seqBaseline(g, sim.FutureFirst, kc.c)
-		res := scripted(g, adversary.Fig6a(info), 2, sim.FutureFirst, kc.c)
+		res := scripted(&eng, g, adversary.Fig6a(info), 2, sim.FutureFirst, kc.c)
 		extra := res.TotalMisses - seq.TotalMisses
 		tb2.Add(kc.k, kc.c, seq.TotalMisses, res.TotalMisses, extra,
 			float64(extra)/float64(kc.c*kc.k))
@@ -221,7 +223,7 @@ func E2(scale Scale) Result {
 	for _, c := range cfg6cm {
 		g, info := graphs.Fig6c(c.n, c.k, c.c, true)
 		seq := seqBaseline(g, sim.FutureFirst, c.c)
-		res := scripted(g, adversary.Fig6c(info), adversary.Procs6c(info), sim.FutureFirst, c.c)
+		res := scripted(&eng, g, adversary.Fig6c(info), adversary.Procs6c(info), sim.FutureFirst, c.c)
 		extra := res.TotalMisses - seq.TotalMisses
 		target := int64(c.n) * int64(c.k) * int64(c.k) * int64(c.c)
 		tb3.Add(fmt.Sprintf("Fig6c(n=%d,k=%d,C=%d)", c.n, c.k, c.c), 3*c.n, g.Span(),
@@ -237,6 +239,7 @@ func E2(scale Scale) Result {
 // E3 measures the single-steal parent-first executions: deviations Ω(t·n),
 // additional misses Ω(C·t·n), sequential misses O(C + t).
 func E3(scale Scale) Result {
+	var eng sim.Engine
 	cfg7b := []struct{ k, n, c int }{{4, 16, 8}, {6, 32, 8}}
 	cfg8 := []struct{ d, n, c int }{{4, 12, 6}}
 	if scale == Full {
@@ -248,7 +251,7 @@ func E3(scale Scale) Result {
 	for _, c := range cfg7b {
 		g, info := graphs.Fig7b(c.k, c.n, c.c, true)
 		seq := seqBaseline(g, sim.ParentFirst, c.c)
-		res := scripted(g, adversary.OneSteal(info.R, info.S[0]), 2, sim.ParentFirst, c.c)
+		res := scripted(&eng, g, adversary.OneSteal(info.R, info.S[0]), 2, sim.ParentFirst, c.c)
 		extra := res.TotalMisses - seq.TotalMisses
 		d := sim.Deviations(seq.SeqOrder(), res)
 		ctn := int64(c.c) * int64(c.n) // one terminal block: t·n with t=1 block
@@ -258,7 +261,7 @@ func E3(scale Scale) Result {
 	for _, c := range cfg8 {
 		g, info := graphs.Fig8(c.d, c.n, c.c, true)
 		seq := seqBaseline(g, sim.ParentFirst, c.c)
-		res := scripted(g, adversary.OneSteal(info.R, info.SRoot), 2, sim.ParentFirst, c.c)
+		res := scripted(&eng, g, adversary.OneSteal(info.R, info.SRoot), 2, sim.ParentFirst, c.c)
 		extra := res.TotalMisses - seq.TotalMisses
 		d := sim.Deviations(seq.SeqOrder(), res)
 		leaves := len(info.LeafBlocks)
@@ -280,6 +283,7 @@ func E3(scale Scale) Result {
 // parent-first, worst-of-seeds random for future-first) and on fork-join
 // trees under random stealing.
 func E4(scale Scale) Result {
+	var eng sim.Engine
 	cfg := []struct{ d, n, c int }{{4, 12, 6}}
 	seeds := int64(6)
 	if scale == Full {
@@ -292,14 +296,14 @@ func E4(scale Scale) Result {
 		name := fmt.Sprintf("Fig8(d=%d,n=%d,C=%d)", c.d, c.n, c.c)
 
 		seqPF := seqBaseline(g, sim.ParentFirst, c.c)
-		resPF := scripted(g, adversary.OneSteal(info.R, info.SRoot), 2, sim.ParentFirst, c.c)
+		resPF := scripted(&eng, g, adversary.OneSteal(info.R, info.SRoot), 2, sim.ParentFirst, c.c)
 		tb.Add(name, "parent-first", "adversarial (1 steal)",
 			sim.Deviations(seqPF.SeqOrder(), resPF), resPF.TotalMisses-seqPF.TotalMisses)
 
 		seqFF := seqBaseline(g, sim.FutureFirst, c.c)
 		var worstDev, worstExtra int64
 		for s := int64(1); s <= seeds; s++ {
-			res := scripted(g, sim.NewRandomControl(s), 2, sim.FutureFirst, c.c)
+			res := scripted(&eng, g, sim.NewRandomControl(s), 2, sim.FutureFirst, c.c)
 			if d := sim.Deviations(seqFF.SeqOrder(), res); d > worstDev {
 				worstDev = d
 			}
@@ -390,6 +394,7 @@ func E6(scale Scale) Result {
 // E7 measures premature touch checks on Figure 3 versus the structural
 // impossibility on structured computations, plus the deviation comparison.
 func E7(scale Scale) Result {
+	var eng sim.Engine
 	ts := []int{4, 8}
 	if scale == Full {
 		ts = []int{4, 8, 16, 32, 64}
@@ -398,7 +403,7 @@ func E7(scale Scale) Result {
 	for _, t := range ts {
 		g, info := graphs.Fig3(t, 4, false)
 		seq := seqBaseline(g, sim.FutureFirst, 0)
-		res := scripted(g, adversary.Fig3(info), 2, sim.FutureFirst, 0)
+		res := scripted(&eng, g, adversary.Fig3(info), 2, sim.FutureFirst, 0)
 		tb.Add(fmt.Sprintf("Fig3(t=%d)", t), dag.Classify(g).String(), g.NumTouches(),
 			sim.PrematureTouches(g, res), sim.Deviations(seq.SeqOrder(), res))
 	}
@@ -407,7 +412,7 @@ func E7(scale Scale) Result {
 	runs := 0
 	for seed := int64(0); seed < 20; seed++ {
 		g := graphs.RandomStructured(seed, graphs.RandomConfig{MaxNodes: 400})
-		res := scripted(g, sim.NewRandomControl(seed), 4, sim.FutureFirst, 0)
+		res := scripted(&eng, g, sim.NewRandomControl(seed), 4, sim.FutureFirst, 0)
 		if p := sim.PrematureTouches(g, res); p > worst {
 			worst = p
 		}
@@ -474,6 +479,7 @@ func E8(scale Scale) Result {
 // policies: the Fig6a lower-bound run and a fork-join upper-bound run are
 // repeated under LRU, FIFO, set-associative LRU and direct-mapped caches.
 func E10(scale Scale) Result {
+	var eng sim.Engine
 	k, C := 32, 16
 	trials := 8
 	if scale == Full {
@@ -487,7 +493,7 @@ func E10(scale Scale) Result {
 		if err != nil {
 			panic(err)
 		}
-		res := run(g, sim.Config{P: 2, Policy: sim.FutureFirst, CacheLines: C,
+		res := run(&eng, g, sim.Config{P: 2, Policy: sim.FutureFirst, CacheLines: C,
 			CacheKind: kind, Control: adversary.Fig6a(info)})
 		bound := int64(C) * 2 * g.Span() * g.Span()
 		tb.Add(fmt.Sprintf("Fig6a(k=%d,C=%d) adversarial", k, C), kind.String(),
@@ -501,7 +507,7 @@ func E10(scale Scale) Result {
 		}
 		var worstPar, worstExtra int64
 		for i := 0; i < trials; i++ {
-			res := run(g, sim.Config{P: 8, Policy: sim.FutureFirst, CacheLines: C,
+			res := run(&eng, g, sim.Config{P: 8, Policy: sim.FutureFirst, CacheLines: C,
 				CacheKind: kind, Control: sim.NewRandomControl(int64(i) + 1)})
 			if res.TotalMisses > worstPar {
 				worstPar = res.TotalMisses
@@ -528,6 +534,7 @@ func E10(scale Scale) Result {
 // paper — assumes top-stealing; the ablation quantifies how much of the
 // locality comes from that choice alone.
 func E11(scale Scale) Result {
+	var eng sim.Engine
 	depths := []int{5, 6}
 	trials := 8
 	if scale == Full {
@@ -543,7 +550,7 @@ func E11(scale Scale) Result {
 		for _, bottom := range []bool{false, true} {
 			var devs, steals []float64
 			for i := 0; i < trials; i++ {
-				res := run(g, sim.Config{
+				res := run(&eng, g, sim.Config{
 					P: 8, Policy: sim.FutureFirst, CacheLines: C,
 					Control:           sim.NewRandomControl(3000 + int64(d*trials+i)),
 					ThiefStealsBottom: bottom,
@@ -577,6 +584,7 @@ func E11(scale Scale) Result {
 // extends the upper bounds to all simple policies); OPT is the unrealizable
 // floor.
 func E12(scale Scale) Result {
+	var eng sim.Engine
 	tb := stats.NewTable("trace", "C", "LRU misses", "OPT misses", "LRU/OPT")
 	type cfg struct{ k, c int }
 	cfgs := []cfg{{16, 8}, {32, 16}}
@@ -585,7 +593,7 @@ func E12(scale Scale) Result {
 	}
 	for _, tc := range cfgs {
 		g, info := graphs.Fig6a(tc.k, tc.c, true)
-		res := scripted(g, adversary.Fig6a(info), 2, sim.FutureFirst, tc.c)
+		res := scripted(&eng, g, adversary.Fig6a(info), 2, sim.FutureFirst, tc.c)
 		var lru, opt int64
 		for p := sim.ProcID(0); p < 2; p++ {
 			lru += res.Misses[p]
@@ -596,7 +604,7 @@ func E12(scale Scale) Result {
 	}
 	for _, tc := range cfgs {
 		g, info := graphs.Fig7b(6, 4*tc.c, tc.c, true)
-		res := scripted(g, adversary.OneSteal(info.R, info.S[0]), 2, sim.ParentFirst, tc.c)
+		res := scripted(&eng, g, adversary.OneSteal(info.R, info.S[0]), 2, sim.ParentFirst, tc.c)
 		var lru, opt int64
 		for p := sim.ProcID(0); p < 2; p++ {
 			lru += res.Misses[p]
@@ -622,6 +630,7 @@ func E12(scale Scale) Result {
 // T∞ — giving deviations ≤ steals · (2·T∞ + 1) pointwise, the inequality
 // behind the O(P·T∞²) bound.
 func E13(scale Scale) Result {
+	var eng sim.Engine
 	tb := stats.NewTable("workload", "P", "steals", "chains", "maxChainLen", "T∞",
 		"deviations", "chainSlots", "uncovered")
 	trials := 4
@@ -634,7 +643,7 @@ func E13(scale Scale) Result {
 	{
 		g, info := graphs.Fig6a(16, 1, false)
 		seq := seqBaseline(g, sim.FutureFirst, 0)
-		res := scripted(g, adversary.Fig6a(info), 2, sim.FutureFirst, 0)
+		res := scripted(&eng, g, adversary.Fig6a(info), 2, sim.FutureFirst, 0)
 		rep := core.DeviationChains(g, seq.SeqOrder(), res)
 		slots := int64(0)
 		for _, ch := range rep.Chains {
@@ -650,7 +659,7 @@ func E13(scale Scale) Result {
 		g := graphs.RandomStructured(seed, graphs.RandomConfig{MaxNodes: 500, MaxBlocks: 16})
 		seq := seqBaseline(g, sim.FutureFirst, 0)
 		for i := 0; i < trials; i++ {
-			res := scripted(g, sim.NewRandomControl(seed*100+int64(i)), 8, sim.FutureFirst, 0)
+			res := scripted(&eng, g, sim.NewRandomControl(seed*100+int64(i)), 8, sim.FutureFirst, 0)
 			rep := core.DeviationChains(g, seq.SeqOrder(), res)
 			uncovered += len(rep.Uncovered)
 			if rep.Steals > 0 && rep.Deviations > 0 {
@@ -684,6 +693,7 @@ func E13(scale Scale) Result {
 // parsimonious scheduler keeps branches depth-first and pays only steal
 // overheads. This is the baseline that motivates the paper's whole setting.
 func E14(scale Scale) Result {
+	var eng sim.Engine
 	branches := []int{8, 16}
 	if scale == Full {
 		branches = []int{8, 16, 32, 64}
@@ -714,27 +724,13 @@ func E14(scale Scale) Result {
 		seq := seqBaseline(g, sim.FutureFirst, C)
 		tb.Add(nb, "deque (paper model)", 1, seq.TotalMisses, 1.0)
 		for _, p := range []int{1, 4} {
-			eng, err := sim.New(g, sim.Config{P: p, CentralQueue: true, CacheLines: C,
+			res := run(&eng, g, sim.Config{P: p, CentralQueue: true, CacheLines: C,
 				Control: sim.AlwaysActive{}})
-			if err != nil {
-				panic(err)
-			}
-			res, err := eng.Run()
-			if err != nil {
-				panic(err)
-			}
 			tb.Add(nb, "central FIFO", p, res.TotalMisses,
 				float64(res.TotalMisses)/float64(seq.TotalMisses))
 		}
-		eng, err := sim.New(g, sim.Config{P: 4, Policy: sim.FutureFirst, CacheLines: C,
+		res := run(&eng, g, sim.Config{P: 4, Policy: sim.FutureFirst, CacheLines: C,
 			Control: sim.NewRandomControl(int64(nb))})
-		if err != nil {
-			panic(err)
-		}
-		res, err := eng.Run()
-		if err != nil {
-			panic(err)
-		}
 		tb.Add(nb, "deque + random WS", 4, res.TotalMisses,
 			float64(res.TotalMisses)/float64(seq.TotalMisses))
 	}

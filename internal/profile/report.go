@@ -281,28 +281,30 @@ func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCel
 	// Parent-first has its own sequential order, and so its own bill over
 	// the footprint the primary derived. The OPT baseline is skipped — the
 	// primary carries it once. Trial i is seeded Seed + i, as the primary's.
-	seq, err := sim.Sequential(g, sim.ParentFirst, 0, cache.LRU)
-	if err != nil {
-		return nil, err
-	}
-	var cost *core.CacheCost
-	if pc := primary.CacheCost; pc != nil {
-		model := *opts.CacheModel
-		model.NoIdeal = true
-		base, err := core.NewCacheBaseline(g, model, pc.CacheBaseline, seq)
-		if err != nil {
-			return nil, err
+	err := core.WithSequential(g, sim.ParentFirst, 0, cache.LRU, func(seq *sim.Result) error {
+		var cost *core.CacheCost
+		if pc := primary.CacheCost; pc != nil {
+			model := *opts.CacheModel
+			model.NoIdeal = true
+			base, err := core.NewCacheBaseline(g, model, pc.CacheBaseline, seq)
+			if err != nil {
+				return err
+			}
+			cost = base.Cost(opts.P, opts.Trials, false)
 		}
-		cost = base.Cost(opts.P, opts.Trials, false)
-	}
-	tr, err := core.RunTrials(g, sim.Config{P: opts.P, Policy: sim.ParentFirst}, seq, opts.Trials,
-		func(i int) sim.Control { return sim.NewRandomControl(opts.Seed + int64(i)) }, cost)
+		tr, err := core.RunTrials(g, sim.Config{P: opts.P, Policy: sim.ParentFirst}, seq, opts.Trials,
+			core.Seeded(opts.Seed), cost)
+		if err != nil {
+			return err
+		}
+		pf.summarize(tr.Deviations, tr.Steals)
+		if cost != nil {
+			pf.charge(cost)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	pf.summarize(tr.Deviations, tr.Steals)
-	if cost != nil {
-		pf.charge(cost)
 	}
 	return cells, nil
 }

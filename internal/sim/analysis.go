@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"futurelocality/internal/dag"
 )
@@ -32,8 +31,8 @@ func NewSeqPred(seqOrder []dag.NodeID, n int) SeqPred {
 }
 
 // deviates reports whether a deviation (Spoonhower et al.'s definition,
-// quoted in Section 4) occurs at order[i], order being one processor's
-// execution order:
+// quoted in Section 4) occurs at v, the next node processor p runs, and
+// records v as the last node p ran; last[p] is dag.None until p has run one:
 //
 //	if v1 immediately precedes v2 in the sequential execution, then a
 //	deviation occurs at v2 when the processor executing v2 did not execute
@@ -42,23 +41,37 @@ func NewSeqPred(seqOrder []dag.NodeID, n int) SeqPred {
 //
 // The first node of the sequential order deviates only when its processor
 // executed something before it.
-func (sp SeqPred) deviates(order []dag.NodeID, i int) bool {
-	v := order[i]
+func (sp SeqPred) deviates(last []dag.NodeID, p ProcID, v dag.NodeID) bool {
+	prev := last[p]
+	last[p] = v
 	if pred := sp.pred[v]; pred != dag.None {
-		return i == 0 || order[i-1] != pred
+		return prev != pred
 	}
-	return i != 0 && v == sp.first
+	return prev != dag.None && v == sp.first
 }
 
-// Deviations counts r's deviations from the sequential order, allocating
-// nothing.
+// lastRan returns a table of p entries, each dag.None: the last node each
+// processor ran, before any has run. It is buf when buf can hold p.
+func lastRan(buf []dag.NodeID, p int) []dag.NodeID {
+	if p > cap(buf) {
+		buf = make([]dag.NodeID, p)
+	}
+	last := buf[:p]
+	for i := range last {
+		last[i] = dag.None
+	}
+	return last
+}
+
+// Deviations counts r's deviations from the sequential order, walking r's
+// one sequence once; up to 64 processors it allocates nothing.
 func (sp SeqPred) Deviations(r *Result) int64 {
+	var buf [64]dag.NodeID
+	last := lastRan(buf[:0], r.P)
 	var n int64
-	for _, order := range r.Order {
-		for i := range order {
-			if sp.deviates(order, i) {
-				n++
-			}
+	for _, v := range r.Order {
+		if sp.deviates(last, r.Who[v], v) {
+			n++
 		}
 	}
 	return n
@@ -71,17 +84,15 @@ func Deviations(seqOrder []dag.NodeID, r *Result) int64 {
 	return NewSeqPred(seqOrder, len(r.When)).Deviations(r)
 }
 
-// DeviationNodes returns the deviated nodes themselves, processor by
-// processor in execution order (useful for classifying which structural
-// positions deviate).
+// DeviationNodes returns the deviated nodes themselves, in execution order
+// (useful for classifying which structural positions deviate).
 func DeviationNodes(seqOrder []dag.NodeID, r *Result) []dag.NodeID {
 	sp := NewSeqPred(seqOrder, len(r.When))
+	last := lastRan(nil, r.P)
 	var out []dag.NodeID
-	for _, order := range r.Order {
-		for i, v := range order {
-			if sp.deviates(order, i) {
-				out = append(out, v)
-			}
+	for _, v := range r.Order {
+		if sp.deviates(last, r.Who[v], v) {
+			out = append(out, v)
 		}
 	}
 	return out
@@ -138,10 +149,11 @@ func Compare(seq, r *Result) Comparison {
 // dag.NoBlock entries so positions align with the execution order). Feed it
 // to cache.OptimalMisses for offline-optimal comparisons.
 func BlockTrace(g *dag.Graph, r *Result, p ProcID) []dag.BlockID {
-	order := r.Order[p]
-	out := make([]dag.BlockID, len(order))
-	for i, v := range order {
-		out[i] = g.Nodes[v].Block
+	var out []dag.BlockID
+	for _, v := range r.Order {
+		if r.Who[v] == p {
+			out = append(out, g.Nodes[v].Block)
+		}
 	}
 	return out
 }
@@ -153,29 +165,18 @@ func WriteCSV(w io.Writer, g *dag.Graph, r *Result) error {
 	if _, err := fmt.Fprintln(w, "order,proc,node,thread,block,local_index"); err != nil {
 		return err
 	}
-	type row struct {
-		when  int64
-		proc  ProcID
-		node  dag.NodeID
-		local int
-	}
-	rows := make([]row, 0, g.Len())
-	for p, order := range r.Order {
-		for i, v := range order {
-			rows = append(rows, row{r.When[v], ProcID(p), v, i})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].when < rows[j].when })
-	for _, rr := range rows {
-		n := &g.Nodes[rr.node]
+	local := make([]int, r.P) // each processor's nodes so far
+	for k, v := range r.Order {
+		p, n := r.Who[v], &g.Nodes[v]
 		blk := n.Block
 		if blk != dag.NoBlock {
 			blk = g.RawBlocks[blk]
 		}
 		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d\n",
-			rr.when, rr.proc, rr.node, n.Thread, blk, rr.local); err != nil {
+			k, p, v, n.Thread, blk, local[p]); err != nil {
 			return err
 		}
+		local[p]++
 	}
 	return nil
 }

@@ -66,19 +66,27 @@ func TestReplayAcceptsValidExecution(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsCorruptedWho: Validate refuses a schedule whose Who names
+// no processor of the run, and one whose Order is not When's inverse.
 func TestReplayRejectsCorruptedWho(t *testing.T) {
 	g := graphs.Fib(8, 3)
-	eng, _ := New(g, Config{P: 2, Control: NewRandomControl(1)})
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the executor of some node in proc 0's order.
-	if len(res.Order[0]) == 0 {
-		t.Skip("proc 0 executed nothing")
-	}
-	res.Who[res.Order[0][0]] = 1
-	if err := res.Validate(g); err == nil {
-		t.Fatal("Validate should reject inconsistent Who")
+	for _, c := range []struct {
+		name    string
+		corrupt func(r *Result)
+	}{
+		{"processor past P", func(r *Result) { r.Who[r.Order[0]] = ProcID(r.P) }},
+		{"no processor", func(r *Result) { r.Who[r.Order[0]] = NoProc }},
+		{"order swapped", func(r *Result) { r.Order[0], r.Order[1] = r.Order[1], r.Order[0] }},
+		{"a node run twice", func(r *Result) { r.Order[1] = r.Order[0] }},
+	} {
+		eng, _ := New(g, Config{P: 2, Control: NewRandomControl(1)})
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.corrupt(res)
+		if err := res.Validate(g); err == nil {
+			t.Fatalf("%s: Validate accepted the schedule", c.name)
+		}
 	}
 }

@@ -58,7 +58,7 @@ func (AlwaysActive) Victim(p ProcID, v *View) ProcID {
 // RandomControl keeps every processor active and picks uniformly random
 // steal victims — the standard randomized work-stealing model whose steal
 // count is O(P·T∞) in expectation (Arora–Blumofe–Plaxton), which Theorem 8
-// relies on.
+// relies on. The zero value is ready for Reseed.
 type RandomControl struct {
 	rng *rand.Rand
 }
@@ -66,6 +66,17 @@ type RandomControl struct {
 // NewRandomControl returns a control seeded for reproducibility.
 func NewRandomControl(seed int64) *RandomControl {
 	return &RandomControl{rng: rand.New(rand.NewSource(seed))}
+}
+
+// Reseed restarts c as NewRandomControl(seed) starts, on the source c already
+// has: a loop of trials reseeds one control instead of allocating a source
+// per trial.
+func (c *RandomControl) Reseed(seed int64) {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(seed))
+		return
+	}
+	c.rng.Seed(seed)
 }
 
 // Active always reports true.

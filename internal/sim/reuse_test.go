@@ -36,16 +36,18 @@ func (c reuseCase) control() Control {
 	return rc
 }
 
-// engineState renders every field a run reads, as Reset leaves it.
+// engineState renders every field a run reads, as Reset leaves it. Of order
+// and who only the lengths count: a run writes every entry before it reads
+// it.
 func engineState(e *Engine) string {
 	p := e.cfg.P
-	s := fmt.Sprint(e.waiting, e.when, e.who, e.assigned, len(e.deques), len(e.stolen), e.central.Len(),
-		e.executed, e.seq, e.steps, e.stealAtt, e.steals, e.pops)
+	s := fmt.Sprint(e.when, len(e.who), len(e.order), e.assigned, len(e.deques), len(e.stolen), e.central.Len(),
+		e.executed, e.steps, e.stealAtt, e.steals, e.pops)
 	for q := 0; q < p; q++ {
-		s += fmt.Sprint(" ", e.deques[q].Len(), len(e.orders[q]))
+		s += fmt.Sprint(" ", e.deques[q].Len())
 	}
 	if e.cfg.CacheLines > 0 {
-		s += fmt.Sprint(" replay set serves: ", e.set.Serves(cache.SetConfig{P: 1, Kind: e.cfg.CacheKind, Lines: e.cfg.CacheLines}))
+		s += fmt.Sprint(" replay set serves: ", e.set.Serves(cache.SetConfig{P: p, Kind: e.cfg.CacheKind, Lines: e.cfg.CacheLines}))
 	}
 	return s
 }

@@ -18,7 +18,7 @@
 //
 // Each processor has a private cache (Section 3's model). The engine only
 // schedules: when a run is asked for cache misses and the graph declares
-// blocks, Run ends by replaying each processor's order through one cache.
+// blocks, Run ends by replaying the schedule through P private caches.
 //
 // The simulator is single-goroutine and fully deterministic given its
 // Control, which decides which processors act and whom they steal from. This
@@ -37,8 +37,9 @@ import (
 	"futurelocality/internal/policy"
 )
 
-// ProcID identifies a simulated processor, 0-based.
-type ProcID int32
+// ProcID identifies a simulated processor, 0-based. It is an int32, so that
+// a Result's Who is the worker table cache.Set.Replay takes.
+type ProcID = int32
 
 // NoProc is the sentinel "no processor" value.
 const NoProc ProcID = -1
@@ -107,18 +108,22 @@ type Config struct {
 	CentralQueue bool
 }
 
-// Result captures everything the analyses need about one execution.
+// Result captures everything the analyses need about one execution. The
+// schedule is Order and Who: the sequence in which the nodes ran, over all
+// processors, and who ran each. A processor's own order is the subsequence of
+// Order that Who gives it.
 type Result struct {
-	// Order is the per-processor execution order of node IDs.
-	Order [][]dag.NodeID
-	// When maps node ID → global execution index (0-based, dense over all
-	// executed nodes, consistent with the dependency order).
-	When []int64
-	// Who maps node ID → executing processor.
+	// Order is the execution sequence: Order[k] is the k-th node to run.
+	Order []dag.NodeID
+	// When is Order's inverse: When[v] is node v's place in Order, so the
+	// dependency order puts every edge's head after its tail.
+	When []int32
+	// Who maps node ID → the processor that ran it.
 	Who []ProcID
-	// Misses is per-processor cache misses: each processor's Order replayed
-	// through a private cache of CacheLines lines that starts empty. Empty
-	// when CacheLines == 0, zeros when the graph declares no blocks.
+	// Misses is per-processor cache misses: each processor's part of Order
+	// replayed through a private cache of CacheLines lines that starts
+	// empty. Empty when CacheLines == 0, zeros when the graph declares no
+	// blocks.
 	Misses []int64
 	// TotalMisses is the sum of Misses.
 	TotalMisses int64
@@ -152,24 +157,24 @@ type Engine struct {
 	cfg  Config
 	ctrl Control
 	view View
-	// Per-node state.
-	waiting []int32 // remaining unexecuted parents
-	when    []int64
-	who     []ProcID
-	// Per-processor state. orders may be longer than cfg.P: only the first
-	// cfg.P entries belong to the current run, an earlier, wider run's stay
-	// behind them for the next.
+	// The schedule, and all the per-node state there is: order[:executed]
+	// is the sequence run so far, who[v] the processor that ran v, and
+	// when[v] v's place in order once v has run. Before that when[v] counts
+	// down v's parents still to run as −1 − that count, so −1 is ready.
+	// Every entry of order and who is written before it is read.
+	when     []int32
+	who      []ProcID
+	order    []dag.NodeID
+	executed int
+	// Per-processor state.
 	assigned []dag.NodeID
 	deques   []deque.Seq[dag.NodeID]
-	orders   [][]dag.NodeID
-	// set is one private cache of cfg's kind and size, through which Run
-	// replays each processor's order; it is kept while it serves the next
-	// run's configuration.
+	// set holds cfg.P private caches of cfg's kind and size, through which
+	// Run replays the schedule; it is kept while it serves the next run's
+	// configuration.
 	set *cache.Set
 	// central is the shared FIFO used only in CentralQueue mode.
 	central  deque.Seq[dag.NodeID]
-	executed int64
-	seq      int64 // global execution counter
 	steps    int64
 	stealAtt int64
 	stolen   []dag.NodeID
@@ -219,7 +224,7 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 		return fmt.Errorf("sim: CacheLines = %d", cfg.CacheLines)
 	}
 	set := e.set
-	sc := cache.SetConfig{P: 1, Kind: cfg.CacheKind, Lines: cfg.CacheLines}
+	sc := cache.SetConfig{P: cfg.P, Kind: cfg.CacheKind, Lines: cfg.CacheLines}
 	if cfg.CacheLines > 0 && (set == nil || !set.Serves(sc)) {
 		var err error
 		if set, err = cache.NewSet(sc); err != nil {
@@ -227,34 +232,21 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 		}
 	}
 	e.g, e.cfg, e.ctrl, e.view, e.set = g, cfg, cfg.Control, View{e: e}, set
-	e.executed, e.seq, e.steps, e.stealAtt = 0, 0, 0, 0
+	e.executed, e.steps, e.stealAtt = 0, 0, 0
 	e.steals, e.pops = 0, 0
 	e.stolen = e.stolen[:0]
 	e.central.Reset()
 
 	n := g.Len()
-	e.waiting, e.when, e.who = resize(e.waiting, n), resize(e.when, n), resize(e.who, n)
+	e.when, e.who, e.order = resize(e.when, n), resize(e.who, n), resize(e.order, n)
 	for i := range e.when {
-		e.when[i] = -1
-		e.who[i] = NoProc
-		e.waiting[i] = g.Nodes[i].NIn
+		e.when[i] = -1 - g.Nodes[i].NIn
 	}
 
 	e.assigned, e.deques = resize(e.assigned, cfg.P), resize(e.deques, cfg.P)
 	for p := range e.assigned {
 		e.assigned[p] = dag.None
 		e.deques[p].Reset()
-	}
-	// Orders own storage worth keeping, so this slice only ever grows; the
-	// run uses its first cfg.P entries.
-	e.orders = slices.Grow(e.orders, max(0, cfg.P-len(e.orders)))
-	for p := 0; p < cfg.P; p++ {
-		if p == len(e.orders) {
-			// An even share each (everything, at P = 1); a processor that
-			// ends up executing more grows its order by append.
-			e.orders = append(e.orders, make([]dag.NodeID, 0, n/cfg.P+1))
-		}
-		e.orders[p] = e.orders[p][:0]
 	}
 	// The root starts on processor 0.
 	e.assigned[0] = g.Root
@@ -264,7 +256,7 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 // Run executes the whole computation and returns the result, which aliases
 // the engine's storage: it is valid until the engine's next Reset.
 func (e *Engine) Run() (*Result, error) {
-	total := int64(e.g.Len())
+	total := e.g.Len()
 	idle := 0
 	for e.executed < total {
 		progressed := false
@@ -288,7 +280,7 @@ func (e *Engine) Run() (*Result, error) {
 		}
 	}
 	e.res = Result{
-		Order:         e.orders[:e.cfg.P],
+		Order:         e.order,
 		When:          e.when,
 		Who:           e.who,
 		Stolen:        e.stolen,
@@ -304,14 +296,12 @@ func (e *Engine) Run() (*Result, error) {
 		e.misses = resize(e.misses, e.cfg.P)
 		clear(e.misses)
 		if len(e.g.RawBlocks) > 0 {
-			// The processors' caches are private and start empty, so each
-			// one's misses are its own order's, replayed alone. The window
-			// is ignored: the graph declares its blocks.
-			fp := cache.DeriveFootprint(e.g, 1)
-			for p, order := range e.res.Order {
-				e.misses[p] = e.set.Replay(fp, order, nil).TotalMisses
-				e.res.TotalMisses += e.misses[p]
-			}
+			// The processors' caches are private, have no shared tier and
+			// start empty. The window is ignored: the graph declares its
+			// blocks.
+			out := e.set.Replay(cache.DeriveFootprint(e.g, 1), e.order, e.who)
+			copy(e.misses, out.Misses)
+			e.res.TotalMisses = out.TotalMisses
 		}
 		e.res.Misses = e.misses
 	}
@@ -365,14 +355,13 @@ func (e *Engine) act(p ProcID) bool {
 
 // execute runs node v on processor p and chooses p's next assignment.
 func (e *Engine) execute(p ProcID, v dag.NodeID) {
-	if e.waiting[v] != 0 {
-		panic(fmt.Sprintf("sim: node %d executed with %d unmet dependencies", v, e.waiting[v]))
+	if w := e.when[v]; w != -1 {
+		panic(fmt.Sprintf("sim: node %d executed when not ready (when = %d)", v, w))
 	}
 	n := &e.g.Nodes[v]
-	e.when[v] = e.seq
-	e.seq++
+	e.when[v] = int32(e.executed)
+	e.order[e.executed] = v
 	e.who[v] = p
-	e.orders[p] = append(e.orders[p], v)
 	e.executed++
 
 	// Enable children.
@@ -380,11 +369,12 @@ func (e *Engine) execute(p ProcID, v dag.NodeID) {
 	var kinds [2]dag.EdgeKind
 	ne := 0
 	for _, edge := range n.OutEdges() {
-		e.waiting[edge.To]--
-		if e.waiting[edge.To] < 0 {
+		w := e.when[edge.To] + 1
+		if w > -1 {
 			panic(fmt.Sprintf("sim: node %d over-enabled", edge.To))
 		}
-		if e.waiting[edge.To] == 0 {
+		e.when[edge.To] = w
+		if w == -1 {
 			enabled[ne] = edge.To
 			kinds[ne] = edge.Kind
 			ne++
@@ -441,45 +431,47 @@ func (e *Engine) execute(p ProcID, v dag.NodeID) {
 // This is the baseline against which deviations and additional misses are
 // defined.
 func Sequential(g *dag.Graph, policy ForkPolicy, cacheLines int, kind cache.Kind) (*Result, error) {
-	eng, err := New(g, Config{
-		P:          1,
-		Policy:     policy,
-		CacheLines: cacheLines,
-		CacheKind:  kind,
-		Control:    AlwaysActive{},
-	})
+	eng, err := New(g, seqConfig(policy, cacheLines, kind))
 	if err != nil {
 		return nil, err
 	}
 	return eng.Run()
 }
 
-// Validate cross-checks a result against the graph: every node executed
-// exactly once, no edge ran backwards in global order, and each processor's
-// local order is the nodes Who assigns it, in increasing global order. Used
-// by tests and the fuzz targets; O(V+E).
-func (r *Result) Validate(g *dag.Graph) error {
-	counted := int64(0)
-	for p, ord := range r.Order {
-		counted += int64(len(ord))
-		last := int64(-1)
-		for _, v := range ord {
-			if r.Who[v] != ProcID(p) {
-				return fmt.Errorf("sim: node %d in proc %d's order but Who says %d", v, p, r.Who[v])
-			}
-			if r.When[v] <= last {
-				return fmt.Errorf("sim: proc %d order not increasing at node %d", p, v)
-			}
-			last = r.When[v]
-		}
+// Sequential resets e for the sequential execution of g (the package-level
+// Sequential) and runs it; the result aliases e as Run's does.
+func (e *Engine) Sequential(g *dag.Graph, policy ForkPolicy, cacheLines int, kind cache.Kind) (*Result, error) {
+	if err := e.Reset(g, seqConfig(policy, cacheLines, kind)); err != nil {
+		return nil, err
 	}
-	if counted != g.Work() {
-		return fmt.Errorf("sim: executed %d of %d nodes", counted, g.Work())
+	return e.Run()
+}
+
+// seqConfig configures the sequential execution: one processor, always
+// active.
+func seqConfig(policy ForkPolicy, cacheLines int, kind cache.Kind) Config {
+	return Config{P: 1, Policy: policy, CacheLines: cacheLines, CacheKind: kind, Control: AlwaysActive{}}
+}
+
+// Validate cross-checks a result against the graph: Order runs every node
+// exactly once and When is its inverse, Who names one of the run's P
+// processors for every node, and no edge ran backwards. Used by tests and the
+// fuzz targets; O(V+E).
+func (r *Result) Validate(g *dag.Graph) error {
+	n := g.Len()
+	if len(r.Order) != n || len(r.When) != n || len(r.Who) != n {
+		return fmt.Errorf("sim: schedule of %d nodes (When %d, Who %d) for a graph of %d",
+			len(r.Order), len(r.When), len(r.Who), n)
+	}
+	for k, v := range r.Order {
+		if v < 0 || int(v) >= n || r.When[v] != int32(k) {
+			return fmt.Errorf("sim: Order[%d] = %d, which When does not place there", k, v)
+		}
+		if p := r.Who[v]; p < 0 || int(p) >= r.P {
+			return fmt.Errorf("sim: node %d ran on processor %d of %d", v, p, r.P)
+		}
 	}
 	for id := range g.Nodes {
-		if r.When[id] < 0 {
-			return fmt.Errorf("sim: node %d never executed", id)
-		}
 		for _, edge := range g.Nodes[id].OutEdges() {
 			if r.When[edge.To] <= r.When[id] {
 				return fmt.Errorf("sim: edge %d->%d executed out of order (%d, %d)",
@@ -490,10 +482,10 @@ func (r *Result) Validate(g *dag.Graph) error {
 	return nil
 }
 
-// SeqOrder flattens a sequential (P=1) result into its single order slice.
+// SeqOrder returns a sequential (P=1) result's order.
 func (r *Result) SeqOrder() []dag.NodeID {
 	if r.P != 1 {
 		panic("sim: SeqOrder on a parallel result")
 	}
-	return r.Order[0]
+	return r.Order
 }

@@ -294,8 +294,9 @@ func TestDeviationRootRule(t *testing.T) {
 	// is a deviation too.
 	seqOrder := []dag.NodeID{0, 1, 2}
 	r := &Result{
-		Order: [][]dag.NodeID{{1, 0}, {2}},
-		When:  []int64{1, 0, 2},
+		Order: []dag.NodeID{1, 0, 2},
+		When:  []int32{1, 0, 2},
+		Who:   []ProcID{0, 0, 1},
 		P:     2,
 	}
 	if d := Deviations(seqOrder, r); d != 3 {
@@ -366,7 +367,7 @@ func TestSuperFinalGraphExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The super final node must execute last.
-	if seq.When[g.Final] != int64(g.Len()-1) {
+	if seq.When[g.Final] != int32(g.Len()-1) {
 		t.Fatalf("super final executed at %d, want %d", seq.When[g.Final], g.Len()-1)
 	}
 	eng, err := New(g, Config{P: 3, Control: NewRandomControl(4)})
