@@ -73,7 +73,13 @@ func NewRandomControl(seed int64) *RandomControl {
 // per trial.
 func (c *RandomControl) Reseed(seed int64) {
 	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(seed))
+		// Through NewRandomControl, so that rand.New is inlined in one
+		// place: each inlined copy adds a type-assertion cache to the
+		// binary's data, and one more (32 bytes with alignment) moved the
+		// Go runtime's globals after it off their cache lines, among them
+		// mheap_'s per-size-class locks, which are padded to one line
+		// each.
+		c.rng = NewRandomControl(seed).rng
 		return
 	}
 	c.rng.Seed(seed)
