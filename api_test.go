@@ -172,7 +172,7 @@ func TestPublicProfiler(t *testing.T) {
 	}
 	if rep.DeviationBound == 0 || !rep.WithinBound() {
 		t.Fatalf("expected a satisfied P·T∞² envelope, got bound=%d measured=%d",
-			rep.DeviationBound, rep.MeasuredDeviations)
+			rep.DeviationBound, rep.MaxDeviations)
 	}
 	for _, want := range []string{"class:", "measured:", "envelope:", "sim prediction:"} {
 		if !strings.Contains(rep.String(), want) {
@@ -259,7 +259,7 @@ func TestPublicDisciplineEndToEnd(t *testing.T) {
 			t.Fatalf("%v: fib must reconstruct single-touch", d)
 		}
 		if rep.DeviationBound == 0 || !rep.WithinBound() {
-			t.Fatalf("%v: bound=%d measured=%d", d, rep.DeviationBound, rep.MeasuredDeviations)
+			t.Fatalf("%v: bound=%d measured=%d", d, rep.DeviationBound, rep.MaxDeviations)
 		}
 		if !strings.Contains(rep.String(), "spawn disciplines:") {
 			t.Fatalf("report missing spawn-discipline line:\n%s", rep)
@@ -401,7 +401,7 @@ func TestPublicJobServer(t *testing.T) {
 		}
 		if !v.WithinBound() {
 			t.Fatalf("job %d: measured %d exceeds its own envelope %d",
-				v.Job, v.MeasuredDeviations, v.DeviationBound)
+				v.Job, v.MaxDeviations, v.DeviationBound)
 		}
 	}
 	if !strings.Contains(rep.String(), "per-job verdicts") {

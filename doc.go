@@ -142,7 +142,8 @@
 //     bounded event log per worker: DumpFlight reconstructs the recent
 //     window through the profiler's analysis stack on demand — no
 //     profiling session needed — and FlightEnvelope reads the rolling
-//     deviations-vs-P·T∞² gauge off it.
+//     deviations-vs-P·T∞² gauge off it, a ProfileReading like the one
+//     each ProfileReport and each of its per-job verdicts embeds.
 //
 // A minimal model session:
 //

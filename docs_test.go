@@ -46,6 +46,7 @@ var retiredNames = []string{
 	"DomainAssignment", "domainConds", "steals_locality_total", "StealsByPolicy",
 	"HierarchicalProbesPeersFirst", "WakeCrossesDomains", "SplitJobs(",
 	"waitRoot", "slotCond", "signalOne", "signalN(", "materialize(", "ReplayLLCSeparateDomains",
+	"WindowEnvelope", "Envelope.Within", "profile.Envelope", "futurelocality.FlightEnvelope",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

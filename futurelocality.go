@@ -444,6 +444,12 @@ type (
 	// class, measured deviations vs the P·T∞² envelope, and the simulator
 	// replay of the same DAG.
 	ProfileReport = profile.Report
+	// ProfileReading is a traced run judged against the envelope: its
+	// reconstruction, class, T1, T∞, t and the Verdict on its measured
+	// deviations. A ProfileReport and each of its per-job verdicts embed one;
+	// Runtime.FlightEnvelope returns the flight window's, the rolling
+	// live-envelope gauge.
+	ProfileReading = profile.Reading
 )
 
 // ErrProfileActive reports StartProfile with a session already running.
@@ -482,10 +488,6 @@ type (
 	// histogram (Runtime.LatencyHist / Runtime.QueueWaitHist): mergeable,
 	// with quantiles answered from bucket counts at factor-2 resolution.
 	HistSnapshot = stats.HistSnapshot
-	// FlightEnvelope is the rolling live-envelope reading of the flight
-	// window: measured deviations vs the P·T∞² budget of the window's DAG.
-	// Obtain one from Runtime.FlightEnvelope.
-	FlightEnvelope = profile.Envelope
 )
 
 // The counter columns of a TelemetrySnapshot (arguments to its Total and

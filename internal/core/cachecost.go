@@ -138,8 +138,8 @@ type CacheCost struct {
 	// LLCMisses is the shared-tier (memory-fetch) miss count per schedule,
 	// present only when Model.LLCLines > 0.
 	LLCMisses []int64
-	// MissEnvelope is C·(1 + P·T∞²) when the classification grants the
-	// deviation envelope for the replayed policy pair, else 0.
+	// MissEnvelope is Budget's MissBound for the replayed fork policy:
+	// C·(1 + P·T∞²) where the deviation envelope is granted, else 0.
 	MissEnvelope int64
 }
 
@@ -166,18 +166,11 @@ func (cc *CacheCost) MaxExtra() int64 {
 	return mx
 }
 
-// WithinEnvelope reports whether every replayed schedule's additional misses
-// stayed inside the miss envelope (vacuously true when none is granted).
+// WithinEnvelope is Verdict.WithinBound of the worst replayed schedule's
+// additional misses against the miss envelope. It remains because the frozen
+// benchmark calls it.
 func (cc *CacheCost) WithinEnvelope() bool {
-	if cc.MissEnvelope == 0 {
-		return true
-	}
-	for _, e := range cc.ExtraMisses {
-		if e > cc.MissEnvelope {
-			return false
-		}
-	}
-	return true
+	return Verdict{MaxExtraMisses: cc.MaxExtra(), MissBound: cc.MissEnvelope}.WithinBound()
 }
 
 // ccLabels are the words the two reports that print a cache-cost paragraph
@@ -260,21 +253,18 @@ func NewCacheBaseline(g *dag.Graph, model CacheModel, prev *CacheBaseline, seq *
 }
 
 // Cost opens a verdict against b for n schedules at p workers, every bill
-// still zero: RunTrials fills entry i from trial i. granted says whether the
-// classification grants the envelope for the schedules' policy pair
-// (BoundApplies).
-func (b *CacheBaseline) Cost(p, n int, granted bool) *CacheCost {
+// still zero: RunTrials fills entry i from trial i. Its miss envelope is the
+// one Budget grants the graph's class c under the schedules' fork policy.
+func (b *CacheBaseline) Cost(p, n int, c dag.Class, fork sim.ForkPolicy) *CacheCost {
 	cc := &CacheCost{
 		CacheBaseline: b,
 		P:             p,
 		TotalMisses:   make([]int64, n),
 		ExtraMisses:   make([]int64, n),
+		MissEnvelope:  Budget(c, fork, p, b.span, b.Model.Lines).MissBound,
 	}
 	if b.Model.LLCLines > 0 {
 		cc.LLCMisses = make([]int64, n)
-	}
-	if granted {
-		cc.MissEnvelope = int64(b.Model.Lines) * (1 + int64(p)*b.span*b.span)
 	}
 	return cc
 }

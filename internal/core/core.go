@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -57,6 +58,11 @@ type Report struct {
 	Policy     sim.ForkPolicy
 	Steal      sim.StealPolicy
 
+	// Verdict judges the worst trial against the envelope the class grants
+	// under Policy (Budget): the largest of Deviations against P·T∞², and
+	// with C > 0 the largest of AdditionalMisses against C·(1+P·T∞²).
+	Verdict
+
 	// SeqMisses is the sequential baseline's miss count.
 	SeqMisses int64
 	// Deviations, AdditionalMisses, Steals hold one entry per trial.
@@ -66,13 +72,6 @@ type Report struct {
 	// Premature counts premature touches per trial (non-zero only for
 	// unstructured computations).
 	Premature []int
-
-	// DeviationBound is the Theorem 8/12/16/18 envelope P·T∞² when the
-	// classification grants one (future-first + structured single-touch or
-	// local-touch, with or without super final node), else 0.
-	DeviationBound int64
-	// MissBound is C·DeviationBound (0 when no bound applies or C == 0).
-	MissBound int64
 
 	// CacheCost is the footprint-replay cost verdict, present only when
 	// AnalyzeOptions.CacheModel was set.
@@ -89,6 +88,46 @@ func BoundApplies(c dag.Class, fork sim.ForkPolicy) bool {
 		return false
 	}
 	return c.SingleTouch || c.LocalTouch || c.SingleTouchSuperFinal || c.LocalTouchSuperFinal
+}
+
+// Verdict is the paper's one decision: the worst counts of a run or a set of
+// trials against the budgets the theorems grant them. A model trial, a
+// profiled run, a job and a flight window are all judged by it.
+type Verdict struct {
+	// MaxDeviations is the worst deviation count judged: the largest over a
+	// set of trials, or a traced run's one measured count.
+	MaxDeviations int64
+	// DeviationBound is the Theorem 8/12/16/18 envelope P·T∞² where it is
+	// granted (BoundApplies), else 0.
+	DeviationBound int64
+	// MaxExtraMisses is the worst count of additional cache misses judged.
+	MaxExtraMisses int64
+	// MissBound is the cache corollary's C·(1+P·T∞²): one cold cache to begin
+	// with plus at most C misses per deviation. 0 where the deviation
+	// envelope is not granted or there is no cache (C = 0).
+	MissBound int64
+}
+
+// Budget returns the verdict on a computation of class c and span T∞ run on
+// p processors under fork, each with a cache of C = lines lines, its counts
+// still zero for the caller to fill. It is the one place the envelope is
+// computed.
+func Budget(c dag.Class, fork sim.ForkPolicy, p int, span int64, lines int) Verdict {
+	if !BoundApplies(c, fork) {
+		return Verdict{}
+	}
+	v := Verdict{DeviationBound: int64(p) * span * span}
+	if lines > 0 {
+		v.MissBound = int64(lines) * (1 + v.DeviationBound)
+	}
+	return v
+}
+
+// WithinBound reports whether every count that has a budget is at or under
+// it (vacuously true where none is granted).
+func (v Verdict) WithinBound() bool {
+	return (v.DeviationBound == 0 || v.MaxDeviations <= v.DeviationBound) &&
+		(v.MissBound == 0 || v.MaxExtraMisses <= v.MissBound)
 }
 
 // Trials is the account of a set of executions of one graph under one
@@ -265,7 +304,7 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 		Policy:     opts.Policy,
 		Steal:      opts.Steal,
 	}
-	granted := BoundApplies(rep.Class, opts.Policy)
+	rep.Verdict = Budget(rep.Class, opts.Policy, opts.P, rep.Span, opts.CacheLines)
 	control := Seeded(opts.Seed)
 	if opts.Control != nil {
 		control = func(int, *sim.RandomControl) sim.Control { return opts.Control }
@@ -277,7 +316,7 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 			if err != nil {
 				return fmt.Errorf("core: cache cost: %w", err)
 			}
-			rep.CacheCost = base.Cost(opts.P, opts.Trials, granted)
+			rep.CacheCost = base.Cost(opts.P, opts.Trials, rep.Class, opts.Policy)
 		}
 		tr, err := RunTrials(g, sim.Config{
 			P:          opts.P,
@@ -296,28 +335,8 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	if granted {
-		rep.DeviationBound = int64(opts.P) * rep.Span * rep.Span
-		if opts.CacheLines > 0 {
-			rep.MissBound = int64(opts.CacheLines) * rep.DeviationBound
-		}
-	}
+	rep.MaxDeviations, rep.MaxExtraMisses = slices.Max(rep.Deviations), slices.Max(rep.AdditionalMisses)
 	return rep, nil
-}
-
-// WithinBound reports whether every trial stayed inside the deviation
-// envelope (vacuously true when no bound applies).
-func (r *Report) WithinBound() bool {
-	if r.DeviationBound == 0 {
-		return true
-	}
-	for _, d := range r.Deviations {
-		if d > r.DeviationBound {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders a human-readable report.
@@ -336,7 +355,7 @@ func (r *Report) String() string {
 		m := stats.Summarize(stats.Ints(r.AdditionalMisses))
 		fmt.Fprintf(&sb, "addl misses: mean=%.1f max=%.0f (seq=%d)", m.Mean, m.Max, r.SeqMisses)
 		if r.MissBound > 0 {
-			fmt.Fprintf(&sb, "  bound C·P·T∞²=%d", r.MissBound)
+			fmt.Fprintf(&sb, "  bound C·(1+P·T∞²)=%d", r.MissBound)
 		}
 		sb.WriteByte('\n')
 	}

@@ -99,15 +99,15 @@ func E1(scale Scale) Result {
 		"dev(mean)", "dev(max)", "P·T∞²", "maxdev/bound", "extraMiss(max)", "C·P·T∞²")
 	for _, d := range depths {
 		g := graphs.ForkJoinTree(d, 6, true)
-		span := g.Span()
+		class, span := dag.Classify(g), g.Span()
 		for _, p := range procs {
 			devs, extra, steals := randomTrials(g, p, sim.FutureFirst, C, trials, 1000+int64(d*37+p))
 			ds := stats.Summarize(devs)
 			es := stats.Summarize(extra)
 			ss := stats.Summarize(steals)
-			bound := float64(p) * float64(span) * float64(span)
+			bound := core.Budget(class, sim.FutureFirst, p, span, 0).DeviationBound
 			tb.Add(fmt.Sprintf("forkjoin(d=%d)", d), p, g.Work(), span, g.NumTouches(),
-				ss.Mean, ds.Mean, ds.Max, int64(bound), ds.Max/bound, es.Max, int64(C)*int64(bound))
+				ss.Mean, ds.Mean, ds.Max, bound, ds.Max/float64(bound), es.Max, C*bound)
 		}
 	}
 	// Span-scaling shape check: fix the tree shape (so t and the steal
@@ -495,7 +495,7 @@ func E10(scale Scale) Result {
 		}
 		res := run(&eng, g, sim.Config{P: 2, Policy: sim.FutureFirst, CacheLines: C,
 			CacheKind: kind, Control: adversary.Fig6a(info)})
-		bound := int64(C) * 2 * g.Span() * g.Span()
+		bound := int64(C) * core.Budget(dag.Classify(g), sim.FutureFirst, 2, g.Span(), 0).DeviationBound
 		tb.Add(fmt.Sprintf("Fig6a(k=%d,C=%d) adversarial", k, C), kind.String(),
 			seq.TotalMisses, res.TotalMisses, res.TotalMisses-seq.TotalMisses, bound)
 	}
@@ -516,7 +516,7 @@ func E10(scale Scale) Result {
 				worstExtra = e
 			}
 		}
-		bound := int64(C) * 8 * g.Span() * g.Span()
+		bound := int64(C) * core.Budget(dag.Classify(g), sim.FutureFirst, 8, g.Span(), 0).DeviationBound
 		tb.Add("forkjoin(d=6) random", kind.String(), seq.TotalMisses, worstPar, worstExtra, bound)
 	}
 	md := tb.String() + "\nThe additional-miss envelope is policy-independent, as the paper's " +

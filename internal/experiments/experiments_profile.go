@@ -71,7 +71,7 @@ func E15(scale Scale) Result {
 			within = fmt.Sprintf("%v", rep.WithinBound())
 		}
 		tb.Add(wl.name, len(rep.Recon.Tasks), rep.Class.String(), rep.Work, rep.Span,
-			rep.Touches, rep.MeasuredDeviations, rep.DeviationBound, within, d.Max, s.Mean)
+			rep.Touches, rep.MaxDeviations, rep.DeviationBound, within, d.Max, s.Mean)
 	}
 	md := tb.String() + fmt.Sprintf(
 		"\nEvery workload is reconstructed from the live event trace of the real "+

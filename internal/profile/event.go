@@ -4,8 +4,9 @@
 // performed, classifies it against the paper's structure definitions
 // (Definitions 1/2/3/13/17 via dag.Classify), counts the measured runtime
 // deviations (steals plus helped and blocked touches — the observable
-// proxies of Section 4's deviation count), and compares them against the
-// Theorem 8/9/10 envelopes and against a simulator replay of the same DAG.
+// proxies of Section 4's deviation count), and judges them against the
+// envelopes of Theorems 8, 12, 16 and 18 (core.Budget) and against a
+// simulator replay of the same DAG.
 //
 // This closes the repro gap internal/runtime's doc comment concedes: the
 // model layers (internal/dag, internal/sim) and the real runtime never
@@ -26,6 +27,9 @@
 //     producing the run's computation DAG plus the measured counters.
 //   - Analyze, Report (report.go): classification, measured deviations vs
 //     the P·T∞² envelope, and the sim-replayed prediction for the same DAG.
+//     The pooled report, each job's report and the flight window
+//     (WindowReading, window.go) are each one Reading, judged by one
+//     core.Verdict.
 package profile
 
 import (

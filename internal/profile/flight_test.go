@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"futurelocality/internal/core"
 	"futurelocality/internal/policy"
 )
 
@@ -134,17 +135,20 @@ func TestFlightReconstructs(t *testing.T) {
 	if len(rec.Tasks) < 2 {
 		t.Fatalf("reconstructed %d tasks from the window, want several", len(rec.Tasks))
 	}
-	env, err := WindowEnvelope(tr, 2, policy.FutureFirst)
+	if tr.Len() != 16 {
+		t.Errorf("window holds %d events, want 16", tr.Len())
+	}
+	env, err := WindowReading(tr, 2, policy.FutureFirst)
 	if err != nil {
-		t.Fatalf("WindowEnvelope: %v", err)
+		t.Fatalf("WindowReading: %v", err)
 	}
-	if env.Events != 16 {
-		t.Errorf("envelope Events = %d, want 16", env.Events)
+	if len(env.Recon.Tasks) != len(rec.Tasks) {
+		t.Errorf("window reading has %d tasks, want the reconstruction's %d", len(env.Recon.Tasks), len(rec.Tasks))
 	}
-	if env.P != 2 {
-		t.Errorf("envelope P = %d, want 2", env.P)
+	if want := core.Budget(env.Class, policy.FutureFirst, 2, env.Span, 0); env.DeviationBound != want.DeviationBound {
+		t.Errorf("window budget = %d, want %d for P = 2", env.DeviationBound, want.DeviationBound)
 	}
 	if env.String() == "" {
-		t.Error("empty envelope rendering")
+		t.Error("empty reading rendering")
 	}
 }

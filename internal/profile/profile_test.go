@@ -165,7 +165,7 @@ func TestAnalyzeReport(t *testing.T) {
 	}
 	if !rep.WithinBound() {
 		t.Fatalf("measured deviations %d exceed the Theorem 8 envelope %d",
-			rep.MeasuredDeviations, rep.DeviationBound)
+			rep.MaxDeviations, rep.DeviationBound)
 	}
 	if rep.Sim == nil || len(rep.Sim.Deviations) != 4 {
 		t.Fatal("sim replay missing or wrong trial count")
@@ -390,7 +390,7 @@ func TestReportPrintsMatrixAndAttribution(t *testing.T) {
 	// The envelope star belongs to exactly one cell.
 	stars := 0
 	for _, cell := range rep.Matrix {
-		if cell.Bound > 0 {
+		if cell.DeviationBound > 0 {
 			stars++
 		}
 	}

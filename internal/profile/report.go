@@ -37,62 +37,86 @@ type Options struct {
 	CacheModel *core.CacheModel
 }
 
+// Reading is a traced run judged against the paper's envelope: its
+// reconstruction, the reconstructed DAG's class, T1, T∞ and t, and the
+// verdict on its measured deviations. The pooled report, each job's report
+// and the flight gauge are each one reading, all built by read.
+type Reading struct {
+	// Recon is the reconstruction the reading is computed from.
+	Recon *Recon
+	// Class is dag.Classify of the reconstructed DAG.
+	Class dag.Class
+	// Work, Span, Touches are T1, T∞ and t of the reconstructed DAG.
+	Work, Span int64
+	Touches    int
+	// Verdict judges the measured deviations (Recon.MeasuredDeviations:
+	// steals + helped tasks + blocked touches) against the P·T∞² envelope
+	// where the class grants it under the fork discipline the run is judged
+	// under. A traced run has no miss count of its own: its miss budget is 0.
+	core.Verdict
+}
+
+// read is the reading of rec, whose DAG classifies as class, judged for p
+// processors under fork.
+func read(rec *Recon, class dag.Class, p int, fork sim.ForkPolicy) Reading {
+	g := rec.Graph
+	v := core.Budget(class, fork, p, g.Span(), 0)
+	v.MaxDeviations = rec.MeasuredDeviations()
+	return Reading{Recon: rec, Class: class, Work: g.Work(), Span: g.Span(), Touches: g.NumTouches(), Verdict: v}
+}
+
+// String renders the reading on one line, the flight gauge's CLI form.
+func (r Reading) String() string {
+	s := fmt.Sprintf("%d tasks, class=%s, T∞=%d, deviations=%d", len(r.Recon.Tasks), r.Class, r.Span, r.MaxDeviations)
+	if r.DeviationBound > 0 {
+		s += fmt.Sprintf(", envelope P·T∞²=%d, within=%v", r.DeviationBound, r.WithinBound())
+	} else {
+		s += fmt.Sprintf(", envelope none (class %q under the recorder's fork discipline)", r.Class)
+	}
+	if n := len(r.Recon.Incomplete); n > 0 {
+		s += fmt.Sprintf(" [%d trace gaps]", n)
+	}
+	return s
+}
+
 // JobReport is one submitted job's own verdict: the job's sub-trace
 // reconstructed in isolation, classified, and its measured deviations
-// checked against the job's own P·T∞² envelope. This is the per-computation
-// reading of the paper's bound that a pooled multi-tenant report blurs —
-// each concurrent DAG gets the envelope its own structure and span grant,
-// not a share of a global one.
+// checked against the job's own P·T∞² envelope under future-first, the
+// primary replay's discipline. This is the per-computation reading of the
+// paper's bound that a pooled multi-tenant report blurs — each concurrent
+// DAG gets the envelope its own structure and span grant, not a share of a
+// global one.
 type JobReport struct {
 	// Job is the runtime-assigned job ID (Event.Job).
 	Job uint64
-	// Recon is the reconstruction of the job's sub-trace alone.
-	Recon *Recon
-	// Class classifies the job's own DAG; Work, Span, Touches are its T1,
-	// T∞ and t.
-	Class      dag.Class
-	Work, Span int64
-	Touches    int
-	// MeasuredDeviations counts the job's own steals + helped + blocked.
-	MeasuredDeviations int64
-	// DeviationBound is P·T∞² of the job's own span when its classification
-	// grants a future-first envelope, else 0.
-	DeviationBound int64
+	// Reading is the job's sub-trace alone, reconstructed and judged.
+	Reading
 	// CacheCost is the job's own footprint-replay verdict (sim trials over
 	// the job's isolated DAG), present only when Options.CacheModel was set.
 	CacheCost *core.CacheCost
 }
 
-// WithinBound reports whether the job's measured deviations stayed inside
-// its own envelope (vacuously true when its class grants none).
-func (jr *JobReport) WithinBound() bool {
-	return jr.DeviationBound == 0 || jr.MeasuredDeviations <= jr.DeviationBound
-}
-
 // MatrixCell is one cell of the fork replay matrix: the reconstructed DAG
 // re-executed under one fork discipline and the random-single thief, so the
 // deviation cost of either discipline can be compared on the same
-// computation. Bound is the P·T∞² envelope when the theorems grant one for
-// this cell — only future-first on a covered class — else 0.
+// computation.
 type MatrixCell struct {
 	Fork sim.ForkPolicy
-	// MeanDeviations and MaxDeviations summarize the per-trial deviation
-	// counts against the cell's own fork-policy sequential baseline;
-	// MeanSteals summarizes stolen nodes.
+	// MeanDeviations summarizes the per-trial deviation counts against the
+	// cell's own fork-policy sequential baseline; MeanSteals summarizes
+	// stolen nodes.
 	MeanDeviations float64
-	MaxDeviations  int64
 	MeanSteals     float64
-	Bound          int64
-	// MeanExtraMisses and MaxExtraMisses summarize the cell's simulated
-	// additional cache misses over the same trials (footprint replay vs the
-	// cell's own fork-policy sequential baseline); MissBound is the
-	// C·(1+P·T∞²) miss envelope where the deviation envelope is granted.
-	// SeqMisses is that baseline's own bill. All zero unless
-	// Options.CacheModel was set.
+	// MeanExtraMisses summarizes the cell's simulated additional cache
+	// misses over the same trials (footprint replay vs the cell's own
+	// fork-policy sequential baseline), and SeqMisses is that baseline's own
+	// bill. Both zero unless Options.CacheModel was set.
 	MeanExtraMisses float64
-	MaxExtraMisses  int64
-	MissBound       int64
 	SeqMisses       int64
+	// Verdict judges the cell's worst trial: its budgets are the ones the
+	// theorems grant this cell — only future-first on a covered class — and
+	// its miss budget is 0 unless Options.CacheModel was set.
+	core.Verdict
 }
 
 // Report is the profiler's outcome: the reconstructed DAG's classification,
@@ -100,21 +124,11 @@ type MatrixCell struct {
 // classification grants, and the simulator's prediction for the same DAG —
 // predicted vs. measured in one place.
 type Report struct {
-	// Recon is the reconstruction the report is computed from.
-	Recon *Recon
-	// Class is dag.Classify of the reconstructed DAG.
-	Class dag.Class
-	// Work, Span, Touches are T1, T∞ and t of the reconstructed DAG.
-	Work, Span int64
-	Touches    int
+	// Reading is the whole trace's, judged under future-first, the primary
+	// replay's discipline.
+	Reading
 	// P is the processor count used for the envelope and sim replay.
 	P int
-	// MeasuredDeviations = steals + helped tasks + blocked touches of the
-	// real run.
-	MeasuredDeviations int64
-	// DeviationBound is the Theorem 8/12/16/18 envelope P·T∞² when the
-	// classification grants one under the future-first policy, else 0.
-	DeviationBound int64
 	// Sim is the simulator replay of the reconstructed DAG (predicted
 	// deviations, steals and misses under the Section 3 model: future-first
 	// × random-single, the cell the envelope belongs to).
@@ -153,18 +167,11 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		// from it.
 		opts.Seed = 1
 	}
-	r := &Report{
-		Recon:              recon,
-		Work:               recon.Graph.Work(),
-		Span:               recon.Graph.Span(),
-		Touches:            recon.Graph.NumTouches(),
-		P:                  opts.P,
-		MeasuredDeviations: recon.MeasuredDeviations(),
-	}
+	r := &Report{P: opts.P}
 	pooled := func() error {
 		// The primary replay is future-first × random-single (core's
-		// defaults), the cell the envelope is granted for, so its bound is the
-		// report's.
+		// defaults), the cell the envelope is granted for, and the report is
+		// judged under the same discipline.
 		simRep, err := core.Analyze(recon.Graph, core.AnalyzeOptions{
 			P:          opts.P,
 			Trials:     opts.Trials,
@@ -174,7 +181,7 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		if err != nil {
 			return fmt.Errorf("profile: sim replay: %w", err)
 		}
-		r.Class, r.Sim, r.DeviationBound = simRep.Class, simRep, simRep.DeviationBound
+		r.Reading, r.Sim = read(recon, simRep.Class, opts.P, sim.FutureFirst), simRep
 		if !opts.NoMatrix {
 			r.Matrix, err = replayMatrix(recon, simRep, opts)
 			if err != nil {
@@ -219,14 +226,8 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 		if err != nil {
 			return fmt.Errorf("job %d: %w", id, err)
 		}
-		jr := JobReport{
-			Job:                id,
-			Recon:              rec,
-			Work:               rec.Graph.Work(),
-			Span:               rec.Graph.Span(),
-			Touches:            rec.Graph.NumTouches(),
-			MeasuredDeviations: rec.MeasuredDeviations(),
-		}
+		jr := JobReport{Job: id}
+		var class dag.Class
 		if opts.CacheModel != nil {
 			// The job's own cache bill: sim trials over its isolated DAG,
 			// each replayed through the footprint. The OPT baseline is
@@ -243,13 +244,11 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 			if err != nil {
 				return fmt.Errorf("job %d cache cost: %w", id, err)
 			}
-			jr.Class, jr.CacheCost = jobSim.Class, jobSim.CacheCost
+			class, jr.CacheCost = jobSim.Class, jobSim.CacheCost
 		} else {
-			jr.Class = dag.Classify(rec.Graph)
+			class = dag.Classify(rec.Graph)
 		}
-		if core.BoundApplies(jr.Class, sim.FutureFirst) {
-			jr.DeviationBound = int64(opts.P) * jr.Span * jr.Span
-		}
+		jr.Reading = read(rec, class, opts.P, sim.FutureFirst)
 		out[i] = jr
 		return nil
 	})
@@ -263,17 +262,22 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 // discipline, Trials random-single schedules each, and returns one summary
 // cell per discipline. Deviations in each cell are counted against the
 // sequential execution of that cell's own fork policy (the paper always
-// compares like with like), and so are its extra misses. The envelope is
-// attached only to the future-first cell, the one the theorems cover. That
-// cell is the primary replay's, seed for seed, so it is not run again but
-// read off primary: of the two cells, one is replayed.
+// compares like with like), and so are its extra misses. Each cell's budgets
+// are the ones core.Budget grants its fork discipline: only the future-first
+// cell, the one the theorems cover, has any. That cell is the primary
+// replay's, seed for seed, so it is not run again but read off primary: of
+// the two cells, one is replayed.
 func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCell, error) {
 	g := recon.Graph
-	cells := []MatrixCell{{Fork: sim.FutureFirst}, {Fork: sim.ParentFirst}}
-	ff, pf := &cells[0], &cells[1]
-	if core.BoundApplies(primary.Class, sim.FutureFirst) {
-		ff.Bound = int64(opts.P) * g.Span() * g.Span()
+	lines := 0
+	if opts.CacheModel != nil {
+		lines = opts.CacheModel.Lines
 	}
+	cells := []MatrixCell{{Fork: sim.FutureFirst}, {Fork: sim.ParentFirst}}
+	for i := range cells {
+		cells[i].Verdict = core.Budget(primary.Class, cells[i].Fork, opts.P, g.Span(), lines)
+	}
+	ff, pf := &cells[0], &cells[1]
 	ff.summarize(primary.Deviations, primary.Steals)
 	if primary.CacheCost != nil {
 		ff.charge(primary.CacheCost)
@@ -290,7 +294,7 @@ func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCel
 			if err != nil {
 				return err
 			}
-			cost = base.Cost(opts.P, opts.Trials, false)
+			cost = base.Cost(opts.P, opts.Trials, primary.Class, sim.ParentFirst)
 		}
 		tr, err := core.RunTrials(g, sim.Config{P: opts.P, Policy: sim.ParentFirst}, seq, opts.Trials,
 			core.Seeded(opts.Seed), cost)
@@ -324,14 +328,7 @@ func (c *MatrixCell) summarize(devs, steals []int64) {
 
 // charge fills the cell's extra-miss columns from a cache-cost verdict.
 func (c *MatrixCell) charge(cc *core.CacheCost) {
-	c.MeanExtraMisses, c.MaxExtraMisses, c.MissBound = cc.MeanExtra(), cc.MaxExtra(), cc.MissEnvelope
-	c.SeqMisses = cc.SeqMisses
-}
-
-// WithinBound reports whether the measured deviations stayed inside the
-// envelope (vacuously true when the classification grants none).
-func (r *Report) WithinBound() bool {
-	return r.DeviationBound == 0 || r.MeasuredDeviations <= r.DeviationBound
+	c.MeanExtraMisses, c.MaxExtraMisses, c.SeqMisses = cc.MeanExtra(), cc.MaxExtra(), cc.SeqMisses
 }
 
 // String renders the report: reconstruction summary, classification,
@@ -349,7 +346,7 @@ func (r *Report) String() string {
 	fmt.Fprintf(&sb, "spawn disciplines:  future-first=%d parent-first=%d\n",
 		c.FutureFirstSpawns, c.ParentFirstSpawns)
 	fmt.Fprintf(&sb, "measured:           deviations=%d (steals=%d helped=%d blocked=%d)  touches: inline=%d ready=%d helped=%d blocked=%d external=%d\n",
-		r.MeasuredDeviations, c.Steals, c.HelpedTasks, c.BlockedWaits,
+		r.MaxDeviations, c.Steals, c.HelpedTasks, c.BlockedWaits,
 		c.InlineTouches, c.ReadyTouches, c.HelpedWaits, c.BlockedWaits, c.ExternalWaits)
 	if r.DeviationBound > 0 {
 		fmt.Fprintf(&sb, "envelope:           P·T∞² = %d·%d² = %d  → measured within bound: %v\n",
@@ -380,7 +377,7 @@ func (r *Report) String() string {
 		}
 	}
 	matrix("deviation", "P·T∞²", func(c *MatrixCell) (float64, int64, int64) {
-		return c.MeanDeviations, c.MaxDeviations, c.Bound
+		return c.MeanDeviations, c.MaxDeviations, c.DeviationBound
 	})
 	if cc := r.Sim.CacheCost; cc != nil {
 		cc.Render(&sb, fmt.Sprintf("%s × %s", r.Sim.Policy, r.Sim.Steal))
@@ -393,7 +390,7 @@ func (r *Report) String() string {
 		for i := range r.Jobs {
 			jr := &r.Jobs[i]
 			fmt.Fprintf(&sb, "  job %-4d class=%s T1=%d T∞=%d deviations=%d (steals=%d helped=%d blocked=%d)",
-				jr.Job, jr.Class, jr.Work, jr.Span, jr.MeasuredDeviations,
+				jr.Job, jr.Class, jr.Work, jr.Span, jr.MaxDeviations,
 				jr.Recon.Steals, jr.Recon.HelpedTasks, jr.Recon.BlockedWaits)
 			if jr.CacheCost != nil {
 				fmt.Fprintf(&sb, "  extra misses mean=%.1f max=%d",

@@ -47,18 +47,27 @@ func (rt *Runtime) DumpFlight() (*profile.Trace, error) {
 	return rt.flight.Collect(), nil
 }
 
-// FlightEnvelope reconstructs the flight window and returns the rolling
-// live-envelope reading: measured deviations in the window vs the P·T∞²
-// budget its DAG grants under the runtime's default fork discipline and its
-// random-single thief — so a parent-first runtime, the default, reads budget
-// 0, as the report's matrix does for that cell. Cheap enough for a scrape
-// path (no sim replay).
-func (rt *Runtime) FlightEnvelope() (profile.Envelope, error) {
+// FlightEnvelope reconstructs the flight window and returns its reading:
+// measured deviations in the window against the P·T∞² budget its DAG grants
+// under the runtime's default fork discipline and its random-single thief —
+// so a parent-first runtime, the default, reads budget 0, as the report's
+// matrix does for that cell. The pooled and per-job verdicts of FlightReport
+// on the same window do grant the budget: they are judged under
+// future-first, the discipline of the report's primary replay. Cheap enough
+// for a scrape path (no sim replay).
+func (rt *Runtime) FlightEnvelope() (profile.Reading, error) {
+	r, _, err := rt.flightReading()
+	return r, err
+}
+
+// flightReading is FlightEnvelope plus the window's event count.
+func (rt *Runtime) flightReading() (profile.Reading, int, error) {
 	tr, err := rt.DumpFlight()
 	if err != nil {
-		return profile.Envelope{}, err
+		return profile.Reading{}, 0, err
 	}
-	return profile.WindowEnvelope(tr, len(rt.workers), rt.discipline)
+	r, err := profile.WindowReading(tr, len(rt.workers), rt.discipline)
+	return r, tr.Len(), err
 }
 
 // FlightReport runs the full predicted-vs-measured analysis on the flight
@@ -82,13 +91,14 @@ const metricPrefix = "futurelocality_"
 
 // scrape is one runtime's contribution to a page, gathered once: its index
 // among the page's runtimes (the label value), the counter snapshot and,
-// when the runtime carries a flight recorder whose window reconstructs, its
-// envelope.
+// when the runtime carries a flight recorder whose window reconstructs, the
+// window's reading and event count.
 type scrape struct {
 	rt     *Runtime
 	id     string
 	snap   telemetry.Snapshot
-	env    profile.Envelope
+	env    profile.Reading
+	events int
 	flight bool
 }
 
@@ -172,14 +182,14 @@ var families = []family{
 	{name: "job_queue_wait_seconds", help: "Submit to first-execution delay per job.", helpPer: "Submit to first-execution delay per job, merged across shards.",
 		hist: (*Runtime).QueueWaitHist},
 	{name: "flight_window_events", typ: "gauge", help: "Events currently held by the flight-recorder window.", helpPer: "Events currently held by each shard's flight-recorder window.",
-		flight: true, samples: one(func(s *scrape) int64 { return int64(s.env.Events) })},
+		flight: true, samples: one(func(s *scrape) int64 { return int64(s.events) })},
 	{name: "flight_window_deviations", typ: "gauge", help: "Measured deviations (steals+helped+blocked) in the flight window.", helpPer: "Measured deviations in each shard's flight window.",
-		flight: true, samples: one(func(s *scrape) int64 { return int64(s.env.Deviations) })},
+		flight: true, samples: one(func(s *scrape) int64 { return s.env.MaxDeviations })},
 	{name: "flight_window_envelope", typ: "gauge", help: "P*Tinf^2 deviation budget of the flight window's DAG (0 = class grants no bound).", helpPer: "P*Tinf^2 deviation budget of each shard's flight window (0 = class grants no bound).",
-		flight: true, samples: one(func(s *scrape) int64 { return int64(s.env.Budget) })},
+		flight: true, samples: one(func(s *scrape) int64 { return s.env.DeviationBound })},
 	{name: "flight_window_within_bound", typ: "gauge", help: "1 when the flight window's deviations sit inside its envelope.", helpPer: "1 when a shard's flight-window deviations sit inside its envelope.",
 		flight: true, samples: one(func(s *scrape) int64 {
-			if s.env.Within() {
+			if s.env.WithinBound() {
 				return 1
 			}
 			return 0
@@ -199,8 +209,8 @@ func WriteMetricsPage(e *telemetry.Expo, rts []*Runtime, label string) {
 		s := &scrapes[i]
 		s.rt, s.id, s.snap = rt, strconv.Itoa(i), rt.tele.Snapshot()
 		if rt.flight != nil {
-			env, err := rt.FlightEnvelope()
-			s.env, s.flight = env, err == nil
+			env, events, err := rt.flightReading()
+			s.env, s.events, s.flight = env, events, err == nil
 		}
 	}
 	for _, f := range families {
@@ -267,15 +277,15 @@ func (rt *Runtime) MetricsMap() map[string]any {
 	m["job_latency_ns"] = histMap(rt.latencyHist.Snapshot())
 	m["job_queue_wait_ns"] = histMap(rt.queueWaitHist.Snapshot())
 	if rt.flight != nil {
-		if env, err := rt.FlightEnvelope(); err == nil {
+		if env, events, err := rt.flightReading(); err == nil {
 			m["flight"] = map[string]any{
-				"events":       env.Events,
-				"tasks":        env.Tasks,
+				"events":       events,
+				"tasks":        len(env.Recon.Tasks),
 				"class":        env.Class.String(),
 				"span":         env.Span,
-				"deviations":   env.Deviations,
-				"envelope":     env.Budget,
-				"within_bound": env.Within(),
+				"deviations":   env.MaxDeviations,
+				"envelope":     env.DeviationBound,
+				"within_bound": env.WithinBound(),
 			}
 		}
 	}

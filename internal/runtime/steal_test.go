@@ -365,8 +365,8 @@ func TestSingleWorkerDeviationParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MeasuredDeviations != 0 {
-		t.Fatalf("measured %d deviations on one worker, want 0", rep.MeasuredDeviations)
+	if rep.MaxDeviations != 0 {
+		t.Fatalf("measured %d deviations on one worker, want 0", rep.MaxDeviations)
 	}
 	if len(rep.Matrix) != 2 {
 		t.Fatalf("matrix has %d cells, want 2", len(rep.Matrix))
@@ -434,8 +434,8 @@ func TestMatrixCoversAllCells(t *testing.T) {
 		t.Fatalf("matrix = %+v, want a future-first and a parent-first cell", rep.Matrix)
 	}
 	for _, cell := range rep.Matrix {
-		if wantBound := cell.Fork == FutureFirst; (cell.Bound > 0) != wantBound {
-			t.Errorf("cell %v: bound=%d, envelope should be granted only at future-first", cell.Fork, cell.Bound)
+		if wantBound := cell.Fork == FutureFirst; (cell.DeviationBound > 0) != wantBound {
+			t.Errorf("cell %v: bound=%d, envelope should be granted only at future-first", cell.Fork, cell.DeviationBound)
 		}
 	}
 }

@@ -244,8 +244,8 @@ func TestFlightWithoutProfiling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FlightEnvelope: %v", err)
 	}
-	if env.Events == 0 || env.Tasks == 0 {
-		t.Errorf("empty envelope: %+v", env)
+	if len(env.Recon.Tasks) == 0 || env.Work == 0 {
+		t.Errorf("empty flight reading: %v", env)
 	}
 	rep, err := rt.FlightReport(profile.Options{NoMatrix: true, Trials: 2})
 	if err != nil {
@@ -339,8 +339,8 @@ func TestFlightEnvelopeAsksTheRuntimesCell(t *testing.T) {
 		if tc.granted {
 			want = 4 * env.Span * env.Span
 		}
-		if env.P != 4 || env.Span == 0 || env.Truncated != 0 || env.Budget != want {
-			t.Errorf("%s %v: envelope %+v, want P=4, a whole window and budget %d", tc.topo.Source, tc.disc, env, want)
+		if env.Span == 0 || len(env.Recon.Incomplete) != 0 || env.DeviationBound != want {
+			t.Errorf("%s %v: reading %v, want a whole window and budget %d", tc.topo.Source, tc.disc, env, want)
 		}
 		if got := rt.MetricsMap()["flight"].(map[string]any)["envelope"]; got != want {
 			t.Errorf("%s %v: MetricsMap flight envelope = %v, want %d", tc.topo.Source, tc.disc, got, want)
@@ -350,43 +350,53 @@ func TestFlightEnvelopeAsksTheRuntimesCell(t *testing.T) {
 }
 
 // TestFlightEnvelopeAgreesWithJobVerdictOn2x2: on a 4-worker runtime that
-// reports two LLC domains, a future-first fib job gets a live envelope —
-// budget P·T∞² > 0 — and the profile report of the same flight window grants
-// the job the same envelope and the same verdict: the flight gauge and the
-// per-job verdicts read one run alike.
+// reports two LLC domains, a fib job's flight reading and the profile
+// report of the same window read one run. Under future-first the window's
+// reading and the job's are one value — same reconstruction counts, class,
+// span, deviations and verdict, budget P·T∞² > 0 — and the pooled report
+// grants the same budget. Under parent-first they disagree, and the test
+// says how: the flight gauge judges the window under the runtime's own
+// discipline and grants nothing, while the pooled and per-job verdicts are
+// judged under future-first, the primary replay's discipline, and grant
+// P·T∞². Which discipline a live run is judged under is open (ROADMAP item
+// 17); this row pins today's answer until it is settled.
 func TestFlightEnvelopeAgreesWithJobVerdictOn2x2(t *testing.T) {
-	rt := New(WithWorkers(4), WithTopology(synth(t, "2x2")), WithDiscipline(FutureFirst), WithFlightRecorder(1<<14))
-	defer rt.Shutdown()
-	j, err := Submit(rt, func(w *W) int { return teleFib(rt, w, 12) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := j.Wait(); got != 144 {
-		t.Fatalf("fib(12) = %d", got)
-	}
-	env, err := rt.FlightEnvelope()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Budget <= 0 || env.Budget != 4*env.Span*env.Span || env.Truncated != 0 {
-		t.Fatalf("flight envelope %+v, want a whole window and budget 4·T∞² > 0", env)
-	}
-	rep, err := rt.FlightReport(profile.Options{Trials: 1, NoMatrix: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Jobs) != 1 || rep.Jobs[0].Job != j.ID() {
-		t.Fatalf("report has %d job verdicts, want job %d's alone", len(rep.Jobs), j.ID())
-	}
-	jr := &rep.Jobs[0]
-	if jr.DeviationBound != env.Budget || jr.Span != env.Span || jr.MeasuredDeviations != env.Deviations ||
-		jr.WithinBound() != env.Within() {
-		t.Fatalf("job verdict: bound %d, T∞ %d, deviations %d, within %v; flight: budget %d, T∞ %d, deviations %d, within %v",
-			jr.DeviationBound, jr.Span, jr.MeasuredDeviations, jr.WithinBound(),
-			env.Budget, env.Span, env.Deviations, env.Within())
-	}
-	if rep.DeviationBound != env.Budget {
-		t.Fatalf("pooled report grants %d, the flight gauge %d", rep.DeviationBound, env.Budget)
+	for _, disc := range []Discipline{FutureFirst, ParentFirst} {
+		t.Run(disc.String(), func(t *testing.T) {
+			rt := New(WithWorkers(4), WithTopology(synth(t, "2x2")), WithDiscipline(disc), WithFlightRecorder(1<<14))
+			defer rt.Shutdown()
+			j, err := Submit(rt, func(w *W) int { return teleFib(rt, w, 12) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := j.Wait(); got != 144 {
+				t.Fatalf("fib(12) = %d", got)
+			}
+			env, err := rt.FlightEnvelope()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := rt.FlightReport(profile.Options{Trials: 1, NoMatrix: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Jobs) != 1 || rep.Jobs[0].Job != j.ID() {
+				t.Fatalf("report has %d job verdicts, want job %d's alone", len(rep.Jobs), j.ID())
+			}
+			job := rep.Jobs[0].Reading
+			budget := 4 * job.Span * job.Span
+			if job.DeviationBound != budget || rep.DeviationBound != budget || len(env.Recon.Incomplete) != 0 {
+				t.Fatalf("job budget %d, pooled budget %d, window gaps %d; want both budgets 4·T∞² = %d on a whole window",
+					job.DeviationBound, rep.DeviationBound, len(env.Recon.Incomplete), budget)
+			}
+			want := job
+			if disc == ParentFirst {
+				want.DeviationBound = 0 // the flight gauge's own-discipline rule
+			}
+			if !reflect.DeepEqual(env, want) {
+				t.Fatalf("flight reading %+v, want %+v (the job's reading under %v)", env, want, disc)
+			}
+		})
 	}
 }
 
