@@ -75,6 +75,48 @@ func BenchmarkReplay(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
 }
 
+// BenchmarkReplayConverged replays BenchmarkReplay's footprint in runs:
+// ID order, which is Fib's future-first order and the sequential one here,
+// dealt to the four workers 256 nodes at a time, so each worker deviates
+// every 256 nodes. Both the converged and the full replay of that schedule
+// are timed. ns/access divides by every access of the schedule, the ones
+// charged from the sequential record included; simulated/access is the share
+// of accesses the converged replay simulates.
+func BenchmarkReplayConverged(b *testing.B) {
+	fp, order, who := replayInput()
+	seqPred := make([]dag.NodeID, len(order))
+	for v := range seqPred {
+		seqPred[v] = dag.NodeID(v - 1)
+		who[v] = int32(v / 256 % 4)
+	}
+	seqSet, err := NewSet(SetConfig{P: 1, Kind: LRU, Lines: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seqMiss := make([]int32, len(order))
+	total := seqSet.ReplayRecording(fp, order, seqMiss).Accesses
+	set, err := NewSet(SetConfig{P: 4, Kind: LRU, Lines: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("converged", func(b *testing.B) {
+		b.ReportAllocs()
+		var simulated int64
+		for b.Loop() {
+			simulated += set.ReplayConverged(fp, order, who, seqPred, seqMiss).Accesses
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total)/float64(b.N), "ns/access")
+		b.ReportMetric(float64(simulated)/float64(total)/float64(b.N), "simulated/access")
+	})
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			set.Replay(fp, order, who)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total)/float64(b.N), "ns/access")
+	})
+}
+
 func BenchmarkOptimalMisses(b *testing.B) {
 	fp, order, _ := replayInput()
 	trace := fp.Flatten(order)

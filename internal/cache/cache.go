@@ -111,6 +111,9 @@ type lru struct {
 	head     int32 // most recently used; 0 while entries is empty
 	misses   int64
 	accesses int64
+	// stamp[i] is the run that last accessed line i, for the converged
+	// replay to count a run's distinct blocks by; nil until it first runs.
+	stamp []int32
 }
 
 func newLRU(c int) lru { return lru{entries: make([]lruEntry, 0, c)} }
@@ -119,12 +122,17 @@ func (l *lru) Misses() int64   { return l.misses }
 func (l *lru) Accesses() int64 { return l.accesses }
 
 func (l *lru) Reset() {
+	l.forget()
+	l.misses, l.accesses = 0, 0
+}
+
+// forget empties the cache, block by block, and keeps its counters.
+func (l *lru) forget() {
 	for i := range l.entries {
 		l.index.del(l.entries[i].block)
 	}
 	l.entries = l.entries[:0]
 	l.head = 0
-	l.misses, l.accesses = 0, 0
 }
 
 // pushFront links line i, which is not on the ring, in before head and makes

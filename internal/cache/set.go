@@ -42,6 +42,8 @@ type Set struct {
 	assoc []setAssoc
 	// misses backs ReplayOutcome.Misses.
 	misses []int64
+	// runs is ReplayConverged's account of each worker's current run.
+	runs []run
 }
 
 // NewSet builds the cache set.
@@ -92,7 +94,8 @@ type ReplayOutcome struct {
 	// TotalMisses sums Misses; LLCMisses counts shared-tier (memory) misses
 	// when the Set carries an LLC tier.
 	TotalMisses, LLCMisses int64
-	// Accesses is the number of block accesses replayed.
+	// Accesses is the number of block accesses simulated: every access of
+	// the schedule for Replay, the runs' heads for ReplayConverged.
 	Accesses int64
 }
 
@@ -112,19 +115,7 @@ type ReplayOutcome struct {
 // length, so the tables are cleared in proportion to C and allocated only
 // when a footprint is larger than any before it.
 func (s *Set) Replay(fp *Footprint, order []dag.NodeID, who []int32) ReplayOutcome {
-	for i := range s.lru {
-		c := &s.lru[i]
-		c.Reset()
-		c.index = c.index.fit(len(fp.raw))
-	}
-	for i := range s.fifo {
-		c := &s.fifo[i]
-		c.Reset()
-		c.index = c.index.fit(len(fp.raw))
-	}
-	for i := range s.assoc {
-		s.assoc[i].Reset()
-	}
+	s.empty(fp)
 	kind, tier, llc := s.cfg.Kind, s.cfg.LLCLines > 0, s.cfg.P
 	lru, fifo, assoc := s.lru, s.fifo, s.assoc
 	var one [1]dag.BlockID
@@ -156,6 +147,24 @@ func (s *Set) Replay(fp *Footprint, order []dag.NodeID, who []int32) ReplayOutco
 	tally(&out, fifo)
 	tally(&out, assoc)
 	return out
+}
+
+// empty empties every cache of s and fits the residency tables of the fully
+// associative ones to fp's blocks.
+func (s *Set) empty(fp *Footprint) {
+	for i := range s.lru {
+		c := &s.lru[i]
+		c.Reset()
+		c.index = c.index.fit(len(fp.raw))
+	}
+	for i := range s.fifo {
+		c := &s.fifo[i]
+		c.Reset()
+		c.index = c.index.fit(len(fp.raw))
+	}
+	for i := range s.assoc {
+		s.assoc[i].Reset()
+	}
 }
 
 // tally enters the counters of a Set's caches, whichever type they have, in

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"futurelocality/internal/cache"
 	"futurelocality/internal/dag"
@@ -119,6 +121,41 @@ type CacheBaseline struct {
 
 	fp   *cache.Footprint // what is replayed; see NewCacheBaseline's prev
 	span int64            // the graph's T∞, for the envelope
+	// policy is the fork policy of the sequential execution, whose order
+	// seqMiss follows.
+	policy sim.ForkPolicy
+	// seqMiss[v] is the misses node v took in the sequential replay, the
+	// charge of a converged run (cache.Set.ReplayConverged); nil where the
+	// model and footprint keep the full replay or the engine bills the
+	// trials. 4 bytes a node.
+	seqMiss []int32
+	// check replays every schedule the full way too and fails on any
+	// difference (ReplayCheckEnv).
+	check bool
+}
+
+// ReplayCheckEnv names the environment variable that, when non-empty at
+// NewCacheBaseline, makes the baseline and every schedule charged against it
+// replay the full way as well, and fail the analysis where the two bills
+// differ per worker or in total: a self-check of the converged replay and of
+// bills taken from the engine, which the test suites of the analysis
+// packages run under.
+const ReplayCheckEnv = "FUTURELOCALITY_REPLAY_CHECK"
+
+// replayCheck reports whether ReplayCheckEnv is set. It asks syscall, which
+// os.Getenv wraps in a test-log hook: the wrapper would put two more
+// functions ahead of the runtime in the linked binary and move the runtime's
+// hot code off its cache-line offsets (scripts/layout_diff.sh).
+func replayCheck() bool {
+	v, _ := syscall.Getenv(ReplayCheckEnv)
+	return v != ""
+}
+
+// engineBilled reports whether r's own miss count is the bill the model
+// would make of r's schedule: declared blocks, the model's caches, no shared
+// tier. Then the engine's replay is the only one.
+func (b *CacheBaseline) engineBilled(r *sim.Result) bool {
+	return !b.Synthetic && b.Model.LLCLines == 0 && r.CacheLines == b.Model.Lines && r.CacheKind == b.Model.Kind
 }
 
 // CacheCost is the cache-cost verdict of one computation: the sequential
@@ -242,9 +279,24 @@ func NewCacheBaseline(g *dag.Graph, model CacheModel, prev *CacheBaseline, seq *
 		Model:     model,
 		Synthetic: fp.Synthetic,
 		Blocks:    fp.Blocks,
-		SeqMisses: seqSet.Replay(fp, seqOrder, nil).TotalMisses,
 		fp:        fp,
 		span:      g.Span(),
+		policy:    seq.Policy,
+		check:     replayCheck(),
+	}
+	switch {
+	case b.engineBilled(seq):
+		b.SeqMisses = seq.TotalMisses
+		if b.check {
+			if full := seqSet.Replay(fp, seqOrder, nil).TotalMisses; full != b.SeqMisses {
+				return nil, fmt.Errorf("core: replay check: the engine's sequential bill is %d misses, the replay's %d", b.SeqMisses, full)
+			}
+		}
+	case cache.SetConfig{Kind: model.Kind, Lines: model.Lines, LLCLines: model.LLCLines}.Converges(fp):
+		b.seqMiss = make([]int32, g.Len())
+		b.SeqMisses = seqSet.ReplayRecording(fp, seqOrder, b.seqMiss).TotalMisses
+	default:
+		b.SeqMisses = seqSet.Replay(fp, seqOrder, nil).TotalMisses
 	}
 	if !model.NoIdeal {
 		b.IdealMisses = cache.OptimalMisses(fp.Flatten(seqOrder), model.Lines)
@@ -269,16 +321,38 @@ func (b *CacheBaseline) Cost(p, n int, c dag.Class, fork sim.ForkPolicy) *CacheC
 	return cc
 }
 
-// charge replays trial i's schedule on s — the scratch of the goroutine that
-// has just simulated it — and enters its bill.
-func (cc *CacheCost) charge(i int, s *trialScratch, res *sim.Result) error {
-	set, err := setFor(&s.set, cache.SetConfig{
-		P: cc.P, Kind: cc.Model.Kind, Lines: cc.Model.Lines, LLCLines: cc.Model.LLCLines,
-	})
-	if err != nil {
-		return fmt.Errorf("core: cache cost: %w", err)
+// charge enters trial i's bill: the engine's own where it is the model's
+// (engineBilled), else a replay on s — the scratch of the goroutine that has
+// just simulated the trial — converged where the baseline recorded the
+// sequential misses per node, full otherwise. seqPred indexes the sequential
+// order the baseline replayed.
+func (cc *CacheCost) charge(i int, s *trialScratch, seqPred sim.SeqPred, res *sim.Result) error {
+	cfg := cache.SetConfig{P: cc.P, Kind: cc.Model.Kind, Lines: cc.Model.Lines, LLCLines: cc.Model.LLCLines}
+	var out cache.ReplayOutcome
+	if cc.engineBilled(res) {
+		out = cache.ReplayOutcome{Misses: res.Misses, TotalMisses: res.TotalMisses}
+	} else {
+		set, err := setFor(&s.set, cfg)
+		if err != nil {
+			return fmt.Errorf("core: cache cost: %w", err)
+		}
+		if cc.seqMiss != nil {
+			out = set.ReplayConverged(cc.fp, res.Order, res.Who, seqPred.Preds(), cc.seqMiss)
+		} else {
+			out = set.Replay(cc.fp, res.Order, res.Who)
+		}
 	}
-	out := set.Replay(cc.fp, res.Order, res.Who)
+	if cc.check {
+		full, err := setFor(&s.check, cfg)
+		if err != nil {
+			return fmt.Errorf("core: cache cost: %w", err)
+		}
+		if want := full.Replay(cc.fp, res.Order, res.Who); !slices.Equal(out.Misses, want.Misses) ||
+			out.TotalMisses != want.TotalMisses || out.LLCMisses != want.LLCMisses {
+			return fmt.Errorf("core: replay check: trial %d billed %v (total %d), the full replay %v (total %d)",
+				i, out.Misses, out.TotalMisses, want.Misses, want.TotalMisses)
+		}
+	}
 	cc.TotalMisses[i] = out.TotalMisses
 	cc.ExtraMisses[i] = out.TotalMisses - cc.SeqMisses
 	if cc.LLCMisses != nil {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"futurelocality/internal/cache"
+	"futurelocality/internal/dag"
 	"futurelocality/internal/graphs"
 	"futurelocality/internal/sim"
 )
@@ -172,5 +174,55 @@ func TestZeroDeviationsZeroExtraMisses(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDeclaredBillIsTheEnginesOwn: when the model's caches are the engine's
+// — declared blocks, the same kind and C, no shared tier — the cost verdict
+// takes the engine's bills instead of replaying each schedule again, so the
+// report's additional misses and the verdict's extra misses are one count,
+// sequential baseline included. A model of another C replays.
+func TestDeclaredBillIsTheEnginesOwn(t *testing.T) {
+	g := analysisInputs()["randstruct"]
+	opts := AnalyzeOptions{P: 4, CacheLines: 64, Trials: 4, Seed: 7, CacheModel: &CacheModel{Lines: 64}}
+	rep, err := Analyze(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := rep.CacheCost
+	if cc.Synthetic || cc.seqMiss != nil || cc.SeqMisses != rep.SeqMisses || !slices.Equal(cc.ExtraMisses, rep.AdditionalMisses) {
+		t.Fatalf("engine-billed model: sequential %d against %d, extra %v against additional %v",
+			cc.SeqMisses, rep.SeqMisses, cc.ExtraMisses, rep.AdditionalMisses)
+	}
+	opts.CacheModel = &CacheModel{Lines: 32}
+	if rep, err = Analyze(g, opts); err != nil {
+		t.Fatal(err)
+	}
+	if rep.CacheCost.seqMiss == nil {
+		t.Fatal("a model of C = 32 against the engine's 64 took no replay of its own")
+	}
+}
+
+// TestRunTrialsRefusesAnotherPolicysBaseline: a converged replay reads the
+// sequential order of the baseline and of the trials' SeqPred as one, so a
+// cost measured against one fork policy's sequential execution is refused
+// for trials measured against the other's.
+func TestRunTrialsRefusesAnotherPolicysBaseline(t *testing.T) {
+	g := graphs.Fib(10, 2)
+	var cost *CacheCost
+	err := WithSequential(g, sim.FutureFirst, 0, cache.LRU, func(seq *sim.Result) error {
+		base, err := NewCacheBaseline(g, CacheModel{Lines: 8, NoIdeal: true}, nil, seq)
+		cost = base.Cost(2, 2, dag.Classify(g), sim.ParentFirst)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = WithSequential(g, sim.ParentFirst, 0, cache.LRU, func(seq *sim.Result) error {
+		_, err := RunTrials(g, sim.Config{P: 2, Policy: sim.ParentFirst}, seq, 2, Seeded(1), cost)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "future-first") {
+		t.Fatalf("RunTrials against a parent-first execution with a future-first baseline: %v", err)
 	}
 }

@@ -149,9 +149,10 @@ type trialScratch struct {
 	eng sim.Engine
 	rc  sim.RandomControl
 	// set replays the trials' schedules and seq, a set of one worker, the
-	// sequential baselines; each is kept for as long as the next replay asks
+	// sequential baselines; check is the full replay a replay check compares
+	// with (ReplayCheckEnv). Each is kept for as long as the next replay asks
 	// for the same configuration (setFor).
-	set, seq *cache.Set
+	set, seq, check *cache.Set
 }
 
 // scratches is the process-wide free list of trial scratch, last in first
@@ -239,13 +240,18 @@ func Seeded(seed int64) func(int, *sim.RandomControl) sim.Control {
 // A trial is one unit — simulate, measure, replay — and the units fan out
 // (ForEach), so control must be safe to call from several goroutines at once;
 // the control it returns is used by one. Entry i depends on i alone, whatever
-// ran where.
+// ran where. RunTrials indexes seq's order on seq's own storage
+// (sim.Result.SeqPred), so calls against one seq take turns.
 func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control func(i int, rc *sim.RandomControl) sim.Control, cost *CacheCost) (*Trials, error) {
 	if cost != nil && (len(cost.ExtraMisses) != n || cost.P != cfg.P) {
 		return nil, fmt.Errorf("core: cache cost prepared for %d trials at P=%d, asked for %d at P=%d",
 			len(cost.ExtraMisses), cost.P, n, cfg.P)
 	}
-	seqPred := sim.NewSeqPred(seq.SeqOrder(), g.Len())
+	if cost != nil && cost.policy != seq.Policy {
+		return nil, fmt.Errorf("core: cache cost measured against a %s sequential execution, trials against a %s one",
+			cost.policy, seq.Policy)
+	}
+	seqPred := seq.SeqPred()
 	tr := &Trials{
 		Deviations:       make([]int64, n),
 		AdditionalMisses: make([]int64, n),
@@ -270,7 +276,7 @@ func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control fun
 		tr.Steals[i] = res.Steals
 		tr.Premature[i] = sim.PrematureTouches(g, res)
 		if cost != nil {
-			return cost.charge(i, s, res)
+			return cost.charge(i, s, seqPred, res)
 		}
 		return nil
 	})

@@ -35,6 +35,7 @@ func TestReconstructAllocBudget(t *testing.T) {
 // while every sequential baseline ran on a new engine and every trial drew a
 // new random source.
 func TestProfileAnalyzeAllocBudget(t *testing.T) {
+	t.Setenv(core.ReplayCheckEnv, "") // what an analysis allocates, not its check
 	tr := jobTreesTrace(8)
 	opts := profile.Options{P: 4, Trials: 8, Seed: 7, CacheModel: &core.CacheModel{Lines: 64}}
 	got := testing.AllocsPerRun(3, func() {
@@ -42,7 +43,7 @@ func TestProfileAnalyzeAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 320 {
-		t.Fatalf("Analyze allocated %.0f times, budget 320", got)
+	if got > 312 {
+		t.Fatalf("Analyze allocated %.0f times, budget 312", got)
 	}
 }

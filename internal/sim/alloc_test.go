@@ -6,8 +6,10 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
+	"futurelocality/internal/cache"
 	"futurelocality/internal/graphs"
 )
 
@@ -35,5 +37,28 @@ func TestEngineBytesPerNode(t *testing.T) {
 	if got > budget {
 		t.Fatalf("New+Run of %d nodes allocated %d bytes (%.1f a node), budget 12·n + %d = %d",
 			g.Len(), got, float64(got)/float64(g.Len()), slack, budget)
+	}
+}
+
+// TestResultSeqPredKeepsItsStorage: a sequential result indexes its order on
+// storage the engine keeps, so a reused engine's next baseline builds its
+// SeqPred without allocating, and the table is NewSeqPred's.
+func TestResultSeqPredKeepsItsStorage(t *testing.T) {
+	g := graphs.Fib(12, 2)
+	var e Engine
+	seq, err := e.Sequential(g, FutureFirst, 0, cache.LRU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq.SeqPred()
+	if seq, err = e.Sequential(g, ParentFirst, 0, cache.LRU); err != nil {
+		t.Fatal(err)
+	}
+	var sp SeqPred
+	if n := testing.AllocsPerRun(5, func() { sp = seq.SeqPred() }); n != 0 {
+		t.Fatalf("SeqPred on a reused engine allocated %.0f times", n)
+	}
+	if want := NewSeqPred(seq.SeqOrder(), g.Len()); !slices.Equal(sp.Preds(), want.Preds()) || sp.first != want.first {
+		t.Fatal("the result's SeqPred differs from NewSeqPred's")
 	}
 }

@@ -16,8 +16,11 @@ type SeqPred struct {
 }
 
 // NewSeqPred indexes seqOrder, an order over a graph of n nodes.
-func NewSeqPred(seqOrder []dag.NodeID, n int) SeqPred {
-	sp := SeqPred{pred: make([]dag.NodeID, n), first: dag.None}
+func NewSeqPred(seqOrder []dag.NodeID, n int) SeqPred { return seqPredOn(nil, seqOrder, n) }
+
+// seqPredOn is NewSeqPred on buf's storage when it is large enough.
+func seqPredOn(buf []dag.NodeID, seqOrder []dag.NodeID, n int) SeqPred {
+	sp := SeqPred{pred: resize(buf, n), first: dag.None}
 	for i := range sp.pred {
 		sp.pred[i] = dag.None
 	}
@@ -29,6 +32,11 @@ func NewSeqPred(seqOrder []dag.NodeID, n int) SeqPred {
 	}
 	return sp
 }
+
+// Preds is the table itself: entry v is v's predecessor in the order,
+// dag.None for its first node and for nodes it lacks. It aliases sp and must
+// not be mutated.
+func (sp SeqPred) Preds() []dag.NodeID { return sp.pred }
 
 // deviates reports whether a deviation (Spoonhower et al.'s definition,
 // quoted in Section 4) occurs at v, the next node processor p runs, and

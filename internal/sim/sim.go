@@ -141,6 +141,12 @@ type Result struct {
 	Steal StealPolicy
 	// P is the processor count of the run.
 	P int
+	// CacheLines and CacheKind echo the caches Misses was counted with.
+	CacheLines int
+	CacheKind  cache.Kind
+
+	// pred is the storage SeqPred builds on, kept across the engine's runs.
+	pred []dag.NodeID
 }
 
 // ErrStuck is returned when the machine makes no progress for
@@ -291,6 +297,9 @@ func (e *Engine) Run() (*Result, error) {
 		Policy:        e.cfg.Policy,
 		Steal:         e.cfg.Steal,
 		P:             e.cfg.P,
+		CacheLines:    e.cfg.CacheLines,
+		CacheKind:     e.cfg.CacheKind,
+		pred:          e.res.pred,
 	}
 	if e.cfg.CacheLines > 0 {
 		e.misses = resize(e.misses, e.cfg.P)
@@ -488,4 +497,14 @@ func (r *Result) SeqOrder() []dag.NodeID {
 		panic("sim: SeqOrder on a parallel result")
 	}
 	return r.Order
+}
+
+// SeqPred indexes a sequential result's order as NewSeqPred does, on storage
+// the engine keeps from run to run: a reused engine builds it without
+// allocating. It aliases the engine like the result, dead at its next Reset,
+// and rebuilds that storage, so one goroutine at a time may call it.
+func (r *Result) SeqPred() SeqPred {
+	sp := seqPredOn(r.pred, r.SeqOrder(), len(r.When))
+	r.pred = sp.pred
+	return sp
 }

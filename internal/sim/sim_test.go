@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -221,13 +222,37 @@ func TestCacheMissAccounting(t *testing.T) {
 	}
 }
 
+// TestCompare checks Compare against a count made by hand. The fork-join
+// declares its blocks: the root reads 0 and forks; the future thread reads 1
+// then 2; the continuation reads 0 then 3; the touch reads 2, the future's
+// value. With C = 8 nothing is evicted, so each worker misses once per
+// distinct block it reads.
+//
+// Sequential (future-first): 0, fork, 1, 2, 0, 3, touch — blocks 0,1,2,3
+// miss once each: 4. Two workers under sleeperControl: p0 runs the root and
+// the fork, p1 wakes and steals the continuation in the same sweep; then p0
+// runs the future thread (misses 0, 1, 2) while p1 runs the continuation
+// (misses 0, 3), and p1, which finishes the touch's second parent last in
+// its sweep, runs the touch too and misses 2: 3 + 3 = 6, two more than the
+// sequential run — the continuation's re-read of block 0 and the future
+// value crossing the touch edge.
 func TestCompare(t *testing.T) {
-	g := forkJoin(t, 20, 20)
+	b := dag.NewBuilder()
+	m := b.Main()
+	m.Access(0)
+	f := m.Fork()
+	f.Access(1)
+	f.Access(2)
+	m.Access(0)
+	m.Access(3)
+	m.TouchAccess(f, 2)
+	g := b.MustBuild()
 	seq, err := Sequential(g, FutureFirst, 8, cache.LRU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(g, Config{P: 4, Policy: FutureFirst, CacheLines: 8, Control: NewRandomControl(3)})
+	ctrl := &sleeperControl{only: 0, trigger: g.ThreadFork[1], victim: 0}
+	eng, err := New(g, Config{P: 2, Policy: FutureFirst, CacheLines: 8, Control: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +260,15 @@ func TestCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp := Compare(seq, res)
-	if cmp.SeqMisses != seq.TotalMisses || cmp.ParMisses != res.TotalMisses {
-		t.Fatal("Compare mismatch")
+	if !slices.Equal(res.Misses, []int64{3, 3}) {
+		t.Fatalf("per-worker misses %v, want [3 3]", res.Misses)
 	}
-	if cmp.AdditionalMisses != res.TotalMisses-seq.TotalMisses {
-		t.Fatal("AdditionalMisses mismatch")
+	cmp := Compare(seq, res)
+	if cmp.SeqMisses != 4 || cmp.ParMisses != 6 || cmp.AdditionalMisses != 2 {
+		t.Fatalf("Compare = %+v, want 4 sequential, 6 parallel, 2 additional misses", cmp)
+	}
+	if cmp.Steals != 1 {
+		t.Fatalf("%d steals, want the one of the continuation", cmp.Steals)
 	}
 }
 
