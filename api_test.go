@@ -2,21 +2,23 @@ package futurelocality_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
 	fl "futurelocality"
-	"futurelocality/internal/telemetry"
 )
 
-// TestPublicAPIEndToEnd exercises the whole facade the way the README
-// advertises it: build, classify, simulate, analyze, check lemmas, trace.
+// TestPublicAPIEndToEnd exercises the model half of the facade the way the
+// README advertises it: build, classify, analyze, check lemmas.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	b := fl.NewBuilder()
 	m := b.Main()
 	m.Step()
 	f := m.Fork()
-	f.AccessSeq(1, 2, 3)
+	for _, blk := range []fl.BlockID{1, 2, 3} {
+		f.Access(blk)
+	}
 	m.Access(4)
 	m.Touch(f)
 	m.Step()
@@ -28,25 +30,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	c := fl.Classify(g)
 	if !c.SingleTouch || !c.LocalTouch {
 		t.Fatalf("classification: %v", c)
-	}
-
-	seq, err := fl.Sequential(g, fl.FutureFirst, 8, fl.LRU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fl.Simulate(g, fl.SimConfig{P: 2, CacheLines: 8, Control: fl.RandomControl(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmp := fl.Compare(seq, res)
-	if cmp.SeqMisses != 4 {
-		t.Fatalf("seq misses = %d, want 4 cold misses", cmp.SeqMisses)
-	}
-	if fl.Deviations(seq.SeqOrder(), res) != cmp.Deviations {
-		t.Fatal("Deviations disagrees with Compare")
-	}
-	if fl.PrematureTouches(g, res) != 0 {
-		t.Fatal("structured graph cannot have premature touches")
 	}
 
 	rep, err := fl.Analyze(g, fl.AnalyzeOptions{P: 4, CacheLines: 8, Trials: 4})
@@ -64,57 +47,21 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if len(vs) != 0 {
 		t.Fatalf("lemma violations: %v", vs)
 	}
-
-	var dot, csv strings.Builder
-	if err := fl.WriteDOT(&dot, g, "api"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.WriteTraceCSV(&csv, g, res); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.WriteTraceDOT(&dot, g, res, seq.SeqOrder(), "api"); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestPublicWorkloads(t *testing.T) {
-	if g := fl.ForkJoinTree(3, 2, false); !fl.Classify(g).SingleTouch {
-		t.Fatal("ForkJoinTree")
-	}
-	if g := fl.Fib(8, 3); !fl.Classify(g).SingleTouch {
-		t.Fatal("Fib")
-	}
-	if g := fl.Pipeline(2, 3, 2, false); !fl.Classify(g).LocalTouch {
+	g := fl.Pipeline(2, 3, 2, false)
+	if !fl.Classify(g).LocalTouch {
 		t.Fatal("Pipeline")
 	}
-	if g := fl.RandomStructured(1, fl.RandomConfig{MaxNodes: 100}); !fl.Classify(g).SingleTouch {
-		t.Fatal("RandomStructured")
+	if vs, err := fl.CheckLemma11(g); err != nil || len(vs) != 0 {
+		t.Fatalf("CheckLemma11(Pipeline) = %v, %v", vs, err)
 	}
 }
 
 func TestPublicCombinators(t *testing.T) {
 	rt := fl.NewRuntime(fl.WithWorkers(4))
 	defer rt.Shutdown()
-	got := fl.Run(rt, func(w *fl.W) int {
-		xs := make([]int, 100)
-		for i := range xs {
-			xs[i] = i
-		}
-		sq := fl.MapPar(rt, w, xs, 8, func(_ *fl.W, x int) int { return x * x })
-		total := fl.ReducePar(rt, w, sq, 8, 0, func(a, b int) int { return a + b })
-		parts := fl.JoinN(rt, w,
-			func(*fl.W) int { return total },
-			func(*fl.W) int { return 1 },
-		)
-		return parts[0] + parts[1]
-	})
-	want := 1
-	for i := 0; i < 100; i++ {
-		want += i * i
-	}
-	if got != want {
-		t.Fatalf("combinators = %d, want %d", got, want)
-	}
 	var hits [64]bool
 	fl.Run(rt, func(w *fl.W) struct{} {
 		fl.ForEachPar(rt, w, 64, 4, func(_ *fl.W, i int) { hits[i] = true })
@@ -127,22 +74,11 @@ func TestPublicCombinators(t *testing.T) {
 	}
 }
 
-func TestPublicStructureHelpers(t *testing.T) {
-	g := fl.ForkJoinTree(3, 2, false)
-	if !fl.IsForkJoin(g) {
-		t.Fatal("fork-join tree must classify as fork-join")
-	}
-	p := fl.CriticalPath(g)
-	if int64(len(p)) != g.Span() {
-		t.Fatalf("critical path %d != span %d", len(p), g.Span())
-	}
-}
-
 // TestPublicProfiler exercises the live-profiler facade end to end:
 // profile a run on the real runtime, reconstruct the DAG it performed,
 // classify it, and read the predicted-vs-measured report.
 func TestPublicProfiler(t *testing.T) {
-	rt := fl.NewRuntime(fl.WithWorkers(2))
+	rt := fl.NewRuntime(fl.WithWorkers(2), fl.WithDiscipline(fl.FutureFirst))
 	defer rt.Shutdown()
 
 	if err := rt.StartProfile(); err != nil {
@@ -158,17 +94,12 @@ func TestPublicProfiler(t *testing.T) {
 		t.Fatal("empty trace from a profiled run")
 	}
 
-	recon, err := fl.ReconstructProfile(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := fl.Classify(recon.Graph); !c.SingleTouch {
-		t.Fatalf("spawn/touch run must reconstruct single-touch, got %v", c)
-	}
-
 	rep, err := fl.AnalyzeProfile(tr, fl.ProfileOptions{Trials: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c := fl.Classify(rep.Recon.Graph); !c.SingleTouch {
+		t.Fatalf("spawn/touch run must reconstruct single-touch, got %v", c)
 	}
 	if rep.DeviationBound == 0 || !rep.WithinBound() {
 		t.Fatalf("expected a satisfied P·T∞² envelope, got bound=%d measured=%d",
@@ -183,8 +114,9 @@ func TestPublicProfiler(t *testing.T) {
 
 // TestPublicDisciplineEndToEnd is the acceptance path of the unified
 // spawn-discipline API: a profiled fib run under each discipline
-// reconstructs, classifies, and reports measured deviations, and the
-// recorded per-spawn discipline matches what was requested.
+// reconstructs, classifies, and reports measured deviations, the recorded
+// per-spawn discipline matches what was requested, and the envelope is
+// granted only where every fork was future-first.
 func TestPublicDisciplineEndToEnd(t *testing.T) {
 	var fib func(rt *fl.Runtime, w *fl.W, n int) int
 	fib = func(rt *fl.Runtime, w *fl.W, n int) int {
@@ -198,9 +130,6 @@ func TestPublicDisciplineEndToEnd(t *testing.T) {
 
 	for _, d := range []fl.Discipline{fl.FutureFirst, fl.ParentFirst} {
 		rt := fl.NewRuntime(fl.WithWorkers(2), fl.WithDiscipline(d))
-		if rt.Discipline() != d {
-			t.Fatalf("Discipline() = %v, want %v", rt.Discipline(), d)
-		}
 		if err := rt.StartProfile(); err != nil {
 			t.Fatal(err)
 		}
@@ -210,10 +139,13 @@ func TestPublicDisciplineEndToEnd(t *testing.T) {
 		tr := rt.StopProfile()
 		rt.Shutdown()
 
-		recon, err := fl.ReconstructProfile(tr)
+		// Full report: classify, measure deviations against the envelope,
+		// replay through the simulator.
+		rep, err := fl.AnalyzeProfile(tr, fl.ProfileOptions{Trials: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		recon := rep.Recon
 		// Every spawn except Run's root submission (always help-first) must
 		// carry the requested discipline.
 		checked := 0
@@ -249,16 +181,10 @@ func TestPublicDisciplineEndToEnd(t *testing.T) {
 			}
 		}
 
-		// Full report: classify, measure deviations against the envelope,
-		// replay through the simulator.
-		rep, err := fl.AnalyzeProfile(tr, fl.ProfileOptions{Trials: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !fl.Classify(rep.Recon.Graph).SingleTouch {
+		if !fl.Classify(recon.Graph).SingleTouch {
 			t.Fatalf("%v: fib must reconstruct single-touch", d)
 		}
-		if rep.DeviationBound == 0 || !rep.WithinBound() {
+		if granted := rep.DeviationBound > 0; granted != (d == fl.FutureFirst) || !rep.WithinBound() {
 			t.Fatalf("%v: bound=%d measured=%d", d, rep.DeviationBound, rep.MaxDeviations)
 		}
 		if !strings.Contains(rep.String(), "spawn disciplines:") {
@@ -280,22 +206,13 @@ func TestPublicSpawnWithAndErrors(t *testing.T) {
 		t.Fatalf("SpawnWith = %d", got)
 	}
 
-	if _, err := fl.RunErr(rt, func(*fl.W) int { panic("bang") }); err == nil {
-		t.Fatal("RunErr swallowed a task panic")
-	} else {
-		var pe *fl.PanicError
-		if !errors.As(err, &pe) || pe.Value != "bang" {
-			t.Fatalf("RunErr = %v, want PanicError{bang}", err)
-		}
+	if _, err := fl.RunErr(rt, func(*fl.W) int { panic("bang") }); err == nil || !strings.Contains(err.Error(), "bang") {
+		t.Fatalf("RunErr = %v, want the task's panic as an error", err)
 	}
 
 	rt.Shutdown()
-	if _, err := fl.RunErr(rt, func(*fl.W) int { return 0 }); !errors.Is(err, fl.ErrClosed) {
-		t.Fatalf("RunErr on closed runtime = %v, want ErrClosed", err)
-	}
-	f := fl.Spawn(rt, nil, func(*fl.W) int { return 1 })
-	if _, err := f.TouchErr(nil); !errors.Is(err, fl.ErrClosed) {
-		t.Fatalf("TouchErr on closed runtime = %v, want ErrClosed", err)
+	if _, err := fl.RunErr(rt, func(*fl.W) int { return 0 }); err == nil {
+		t.Fatal("RunErr on a closed runtime returned no error")
 	}
 }
 
@@ -318,21 +235,14 @@ func TestPublicRuntime(t *testing.T) {
 	if f.Touch(nil) != "hi" {
 		t.Fatal("Spawn/Touch")
 	}
-	defer func() {
-		r := recover()
-		err, ok := r.(error)
-		if !ok || !errors.Is(err, fl.ErrDoubleTouch) {
-			t.Fatalf("want ErrDoubleTouch, got %v", r)
-		}
-	}()
-	f.Touch(nil)
 }
 
 // TestPublicJobServer is the acceptance path of the job-server layer: two
 // concurrent jobs of different shapes share one pool, each keeps its own
-// identity, stats and latency, and AnalyzeProfile reports one deviation
-// verdict per job — each checked against its own envelope, with distinct
-// spans — instead of one blurred pooled verdict.
+// identity, and AnalyzeProfile reports one deviation verdict per job — each
+// judged on its own DAG, with distinct spans — instead of one blurred pooled
+// verdict: the future-first fib is granted its own envelope, the pipeline,
+// whose producer is a parent-first fork, none.
 func TestPublicJobServer(t *testing.T) {
 	var fib func(rt *fl.Runtime, w *fl.W, n int) int
 	fib = func(rt *fl.Runtime, w *fl.W, n int) int {
@@ -344,7 +254,7 @@ func TestPublicJobServer(t *testing.T) {
 		return f.Touch(w) + y
 	}
 
-	rt := fl.NewRuntime(fl.WithWorkers(2), fl.WithMaxInFlight(8))
+	rt := fl.NewRuntime(fl.WithWorkers(2), fl.WithMaxInFlight(8), fl.WithDiscipline(fl.FutureFirst))
 	defer rt.Shutdown()
 	if err := rt.StartProfile(); err != nil {
 		t.Fatal(err)
@@ -373,9 +283,6 @@ func TestPublicJobServer(t *testing.T) {
 	if got := j2.Wait(); got != 120 {
 		t.Fatalf("job2 = %d, want 120", got)
 	}
-	if j1.Latency() <= 0 || j2.Latency() <= 0 {
-		t.Fatal("completed jobs must capture latency")
-	}
 	tr := rt.StopProfile()
 
 	rep, err := fl.AnalyzeProfile(tr, fl.ProfileOptions{Trials: 2})
@@ -395,14 +302,12 @@ func TestPublicJobServer(t *testing.T) {
 	if v1.Span == v2.Span {
 		t.Fatalf("fib and pipeline jobs reconstructed the same span %d — split failed", v1.Span)
 	}
-	for _, v := range rep.Jobs {
-		if v.DeviationBound == 0 {
-			t.Fatalf("job %d: expected its own P·T∞² envelope, class %v", v.Job, v.Class)
-		}
-		if !v.WithinBound() {
-			t.Fatalf("job %d: measured %d exceeds its own envelope %d",
-				v.Job, v.MaxDeviations, v.DeviationBound)
-		}
+	if v1.DeviationBound == 0 || !v1.WithinBound() {
+		t.Fatalf("fib job: bound %d, measured %d; want its own satisfied P·T∞² envelope, class %v",
+			v1.DeviationBound, v1.MaxDeviations, v1.Class)
+	}
+	if v2.DeviationBound != 0 || !strings.Contains(v2.String(), "parent-first forks") {
+		t.Fatalf("pipeline job: bound %d (%s); want none, for its parent-first producer", v2.DeviationBound, v2)
 	}
 	if !strings.Contains(rep.String(), "per-job verdicts") {
 		t.Fatalf("report missing per-job section:\n%s", rep)
@@ -410,8 +315,8 @@ func TestPublicJobServer(t *testing.T) {
 }
 
 // TestPublicPool drives the sharded pool exactly as the README's scale-out
-// quickstart does: explicit topology, keyed and unkeyed submits, the
-// overflow exchange, merged metrics, rolling shutdown.
+// quickstart does: explicit topology, single and batched submits, merged
+// metrics, rolling shutdown.
 func TestPublicPool(t *testing.T) {
 	topo, err := fl.SyntheticTopology("2x2")
 	if err != nil {
@@ -421,21 +326,13 @@ func TestPublicPool(t *testing.T) {
 		fl.WithPoolTopology(topo),
 		fl.WithPoolWorkers(4),
 		fl.WithPoolMaxInFlight(8),
-		fl.WithShardRuntimeOptions(fl.WithSeed(3)),
+		fl.WithShardRuntimeOptions(fl.WithDiscipline(fl.FutureFirst)),
 	)
 	defer p.Shutdown()
 	if p.Shards() != 2 || p.Workers() != 4 || p.MaxInFlight() != 8 {
 		t.Fatalf("pool shape: shards=%d workers=%d cap=%d", p.Shards(), p.Workers(), p.MaxInFlight())
 	}
 
-	// Unkeyed placement is least-loaded: while a gated job holds one shard,
-	// the next submit must land on the other. The handles name their
-	// executing shards.
-	gate := make(chan struct{})
-	held, err := fl.PoolSubmit(p, func(*fl.W) int { <-gate; return 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 4; i++ {
 		j, err := fl.PoolSubmit(p, func(w *fl.W) int {
 			// Interior spawns go through the executing worker's own runtime:
@@ -446,28 +343,9 @@ func TestPublicPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.Shard() == held.Shard() {
-			t.Fatalf("job %d placed on shard %d, which holds a job while the other is idle", i, j.Shard())
-		}
 		if v := j.Wait(); v != i+1 {
 			t.Fatalf("job %d = %d, want %d", i, v, i+1)
 		}
-	}
-	close(gate)
-	held.Wait()
-
-	// Keyed stickiness.
-	var shards []int
-	for i := 0; i < 3; i++ {
-		j, err := fl.PoolSubmitKeyed(p, 42, func(*fl.W) int { return i })
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.Wait()
-		shards = append(shards, j.Shard())
-	}
-	if shards[0] != shards[1] || shards[1] != shards[2] {
-		t.Fatalf("key 42 wandered across shards %v", shards)
 	}
 
 	// Batch entry point and the merged metrics page.
@@ -500,8 +378,8 @@ func TestPublicPool(t *testing.T) {
 	}
 }
 
-// TestPublicPoolWait exercises PoolSubmitWait's backpressure through the
-// facade: fill the pool, queue one, release, observe completion.
+// TestPublicPoolWait exercises the pool's admission through the facade: fill
+// the pool, see the next submit shed, release, and see one admitted again.
 func TestPublicPoolWait(t *testing.T) {
 	topo, err := fl.SyntheticTopology("2x1")
 	if err != nil {
@@ -518,41 +396,15 @@ func TestPublicPoolWait(t *testing.T) {
 	if _, err := fl.PoolSubmit(p, func(*fl.W) int { return 0 }); !errors.Is(err, fl.ErrSaturated) {
 		t.Fatalf("full pool Submit err = %v, want ErrSaturated", err)
 	}
-	done := make(chan int, 1)
-	go func() {
-		j, err := fl.PoolSubmitWait(p, func(*fl.W) int { return 9 })
-		if err != nil {
-			t.Error(err)
-			done <- -1
-			return
-		}
-		done <- j.Wait()
-	}()
 	close(release)
-	if v := <-done; v != 9 {
-		t.Fatalf("queued job = %d, want 9", v)
+	for p.InFlight() > 0 {
+		runtime.Gosched()
 	}
-}
-
-// TestFacadeCounterColumns: the facade re-exports every telemetry column.
-// The table lists the facade's C… constants in column order, so a column
-// added to internal/telemetry without its facade twin changes NumCounters
-// and fails here.
-func TestFacadeCounterColumns(t *testing.T) {
-	facade := []fl.TelemetryCounter{
-		fl.CTasksRun, fl.CStealAttempts,
-		fl.CStealsIntraDomain, fl.CStealsCrossDomain,
-		fl.CInlineTouches, fl.CHelpedTasks, fl.CBlockedTouches,
-		fl.CSpawnsFutureFirst, fl.CSpawnsParentFirst,
-		fl.CParks, fl.CWakeups, fl.CPollFinds,
-		fl.CJobsSubmitted, fl.CJobsCompleted, fl.CJobsShed,
+	j, err := fl.PoolSubmit(p, func(*fl.W) int { return 9 })
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(facade) != int(telemetry.NumCounters) {
-		t.Fatalf("facade re-exports %d counter columns, internal/telemetry has %d", len(facade), telemetry.NumCounters)
-	}
-	for i, c := range facade {
-		if c != telemetry.Counter(i) {
-			t.Errorf("facade column %d is %s, internal column %d is %s", i, c.Name(), i, telemetry.Counter(i).Name())
-		}
+	if v := j.Wait(); v != 9 {
+		t.Fatalf("job after release = %d, want 9", v)
 	}
 }

@@ -16,18 +16,16 @@
 //	futureprof -workload priority -n 32      # Figure 5(a) priority touches
 //	futureprof -workload fib -workers 8 -trials 16
 //	futureprof -workload fib -cachemodel 64,lru   # simulated extra-miss accounting
-//	futureprof -workload fib -topology 2x2   # the topology the header reports
 //	futureprof -workload fib -events         # dump the raw event trace too
 //	futureprof -workload fib -jobs 4         # 4 concurrent jobs (Submit), one verdict each
 //	futureprof -workload fib -o report.txt   # also write the report to a file
 //
 // -discipline sets the runtime-wide default fork discipline. The workers'
 // steal rule is not a flag: a runtime is one steal domain whose thief robs a
-// uniformly random other worker, on any topology; -topology only sets the
-// topology the runtime reports, printed with the run. The report's "spawn
-// disciplines" line shows what was actually recorded per spawn, and its
-// matrix replays the reconstructed DAG through the simulator under each fork
-// discipline.
+// uniformly random other worker. The report's "spawn disciplines" line shows
+// what was actually recorded per spawn, its envelope is granted only when
+// every fork was future-first, and its matrix replays the reconstructed DAG
+// through the simulator under each fork discipline.
 package main
 
 import (
@@ -63,8 +61,6 @@ func main() {
 		events     = flag.Bool("events", false, "also dump the raw event trace")
 		discipline = flag.String("discipline", "parent-first",
 			"default fork discipline for Spawn: future-first | parent-first")
-		topoSpec = flag.String("topology", "",
-			"cache topology the runtime reports — it shapes nothing else, since a runtime is one steal domain: a synthetic DxC spec (e.g. 2x2), or empty for the host hierarchy discovered from sysfs")
 		jobs = flag.Int("jobs", 1,
 			"concurrent copies of the workload to Submit as jobs (>1 profiles the multi-tenant job server and reports one per-job verdict each)")
 		flight = flag.Int("flight", 0,
@@ -83,14 +79,6 @@ func main() {
 		os.Exit(1)
 	}
 	rtOpts := []fl.RuntimeOption{fl.WithWorkers(*workers), fl.WithDiscipline(disc)}
-	if *topoSpec != "" {
-		topo, err := fl.SyntheticTopology(*topoSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "futureprof:", err)
-			os.Exit(1)
-		}
-		rtOpts = append(rtOpts, fl.WithTopology(topo))
-	}
 	if *flight > 0 {
 		rtOpts = append(rtOpts, fl.WithFlightRecorder(*flight))
 	}
@@ -149,8 +137,8 @@ func main() {
 		tr = rt.StopProfile()
 	}
 
-	fmt.Printf("futureprof: workload=%s workers=%d discipline=%s steal=%s topology=%s jobs=%d (%d events traced)\n\n",
-		*workload, *workers, disc, rt.StealPolicy(), rt.Topology().Source, *jobs, tr.Len())
+	fmt.Printf("futureprof: workload=%s workers=%d discipline=%s jobs=%d (%d events traced)\n\n",
+		*workload, *workers, disc, *jobs, tr.Len())
 	if *events {
 		for _, ev := range tr.Events() {
 			fmt.Println("  ", ev)

@@ -22,16 +22,16 @@
 //
 // The three layers:
 //
-//   - Model & analysis (Builder, Classify, Simulate, Analyze): build a
+//   - Model & analysis (Builder, Classify, Analyze, CheckLemma4): build a
 //     computation DAG program-style, classify it against the paper's
 //     definitions, execute it under the Section 3 scheduler model, count
 //     deviations and additional cache misses, and compare against the
 //     theoretical envelopes.
 //
-//   - Paper artifacts (Fig3..Fig8, ForkJoinTree, Fib, Pipeline,
-//     RandomStructured, adversarial scripts): the exact constructions
-//     used in the proofs, parameterized, with the proofs' schedules
-//     replayable via the adversary scripts.
+//   - Paper artifacts (Pipeline here; the Figure 2–8 constructions, the
+//     other workload families and the adversarial scripts behind
+//     cmd/futuresim and cmd/paperbench): the exact constructions used in
+//     the proofs, parameterized, with the proofs' schedules replayable.
 //
 //   - Runtime (NewRuntime, Spawn, SpawnWith, Touch, Join2): a production
 //     work-stealing futures scheduler on goroutines with pointer-
@@ -51,30 +51,23 @@
 //     length after raising that count, and raises it again before every
 //     sleep, which preserves lost-wakeup safety). Victim
 //     selection is an inline xorshift, not a math/rand object. The
-//     scheduler's decision surface has two axes, both vocabulary shared
-//     with the simulator. The Discipline (FutureFirst / ParentFirst) is
-//     configurable on both sides: WithDiscipline sets the runtime-wide
-//     default, SpawnWith overrides it per call, SimConfig.Policy names the
-//     same constants. The StealPolicy has one value, RandomSingle, which
-//     SimConfig.Steal and Runtime.StealPolicy both name: the runtime has one
-//     steal rule and no option to choose another — one task from the top of
+//     Discipline (FutureFirst / ParentFirst) is one vocabulary with the
+//     simulator: WithDiscipline sets the runtime-wide default, SpawnWith
+//     overrides it per call, AnalyzeOptions.Policy names the same
+//     constants. The steal rule is not a choice: one task from the top of
 //     a victim drawn uniformly among all the other workers, the
 //     parsimonious thief the paper's bounds assume. A runtime is one steal
 //     domain on any machine, whose parked workers sleep on their own slots
-//     on one idle stack; following
-//     the machine's LLC domains is the sharded pool's work (below), and
-//     WithTopology only sets the topology a runtime reports. A steal is
-//     counted once, where the stolen task runs: Stats.Steals, the per-job
-//     counts and a whole-run trace's steal events are one number.
-//     Errors and cancellation are first-class:
-//     RunErr and
-//     Future.TouchErr return task panics as errors (*PanicError), and a
-//     runtime closed by Shutdown or a cancelled WithContext context fails
-//     spawns fast with ErrClosed instead of hanging.
+//     on one idle stack; following the machine's LLC domains is the
+//     sharded pool's work (below). A steal is counted once, where the
+//     stolen task runs: Stats.Steals, the per-job counts and a whole-run
+//     trace's steal events are one number. RunErr returns a task's panic
+//     as an error, and a runtime closed by Shutdown fails spawns fast
+//     instead of hanging.
 //
 //   - Job server (Submit, SubmitAll, SubmitWait, Job, WithMaxInFlight):
 //     the runtime as a multi-tenant service. Submit is non-blocking and
-//     returns a typed Job handle (Wait / WaitErr / TryWait / Done) — a
+//     returns a typed Job handle (Wait / WaitErr) — a
 //     value with a generation check, because job roots recycle through
 //     a freelist: a steady-state Submit allocates nothing, nor does a
 //     Wait (a blocked Wait sleeps on a pooled slot); every task a job's computation spawns inherits
@@ -83,20 +76,19 @@
 //     attribution (job IDs are never reused). SubmitAll admits a whole
 //     batch in one visit — one admission CAS, one ID block, one
 //     wakeup decision; all-or-prefix at the cap. WithMaxInFlight adds
-//     admission control: at the cap Submit sheds load with ErrSaturated
-//     while SubmitWait queues; shutdown fails queued jobs fast with
-//     ErrClosed — waiters never hang. Because the paper's deviation bound
+//     admission control: at the cap Submit sheds load with ErrSaturated;
+//     shutdown fails queued jobs fast — waiters never hang. Because the paper's deviation bound
 //     is per computation, AnalyzeProfile splits a multi-tenant trace by
 //     job (Event.Job) and reports one deviation-vs-envelope verdict per
 //     job — each concurrent DAG is checked against its own P·T∞², not a
 //     pooled blur (see Report.Jobs).
 //
-//   - Sharded pool (NewPool, PoolSubmit, PoolSubmitKeyed, WithShards):
+//   - Sharded pool (NewPool, PoolSubmit, PoolSubmitAll, WithShards):
 //     the serve path scaled out — S independent runtimes, each one
 //     admission plane and one steal domain, by default one per LLC locality
-//     domain of the topology (DetectTopology reads the host's sysfs cache
-//     hierarchy, SyntheticTopology builds an injectable DxC layout,
-//     WithPoolTopology installs either) — the one layer that follows the
+//     domain of the topology (the host's sysfs cache hierarchy by default;
+//     SyntheticTopology builds an injectable DxC layout and
+//     WithPoolTopology installs it) — the one layer that follows the
 //     machine's caches — behind a router with the same submit surface.
 //     Placement is least-loaded (one in-flight word per shard), or
 //     consistent-hash on an optional job key (the ring
@@ -110,12 +102,13 @@
 //     outcomes (offered/forwarded/shed) separately; Shutdown drains
 //     shard by shard, rolling.
 //
-//   - Profiler (Runtime.StartProfile, ReconstructProfile, AnalyzeProfile):
+//   - Profiler (Runtime.StartProfile, AnalyzeProfile):
 //     a near-zero-overhead event recorder wired into the runtime's
 //     scheduling paths; its trace reconstructs the computation DAG a real
 //     run performed — including the discipline of every spawn — classifies
 //     it, and compares measured deviations (steals, helped tasks, blocked
-//     touches) against the theorem envelopes, a simulator replay of the
+//     touches) against the theorem envelopes — granted only when every
+//     fork the trace recorded was future-first — a simulator replay of the
 //     same DAG under future-first × random-single, and a replay under each
 //     fork discipline attributing deviation cost to policy choice,
 //     connecting the model layer to live executions

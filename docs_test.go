@@ -47,12 +47,14 @@ var retiredNames = []string{
 	"HierarchicalProbesPeersFirst", "WakeCrossesDomains", "SplitJobs(",
 	"waitRoot", "slotCond", "signalOne", "signalN(", "materialize(", "ReplayLLCSeparateDomains",
 	"WindowEnvelope", "Envelope.Within", "profile.Envelope", "futurelocality.FlightEnvelope",
+	"Runtime.Topology", "topology_source", "StealPolicy()", "SubDomain", "internal/policy",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer
 // has: futureprof's -steal went with the runtime's steal-policy option, its
-// -cache with the in-engine caches a reconstructed DAG never touched.
-var retiredFlag = regexp.MustCompile(`futureprof\b.*\s-(?:steal|cache)\b`)
+// -cache with the in-engine caches a reconstructed DAG never touched, its
+// -topology with the topology a runtime only reported.
+var retiredFlag = regexp.MustCompile(`futureprof\b.*\s-(?:steal|cache|topology)\b`)
 
 // changeNumber matches a reference to a numbered change. DESIGN.md describes
 // the tree as it is; what changed when is git log's and CHANGES.md's.

@@ -78,7 +78,7 @@ func main() {
 		batchSize   = flag.Int("batch", 1, "requests submitted per SubmitAll batch (1 = one Submit per request)")
 		flightSize  = flag.Int("flight", 4096, "flight-recorder window per worker, in events (<= 0: the default)")
 		pace        = flag.Duration("pace", 200*time.Microsecond, "delay between request arrivals")
-		topoSpec    = flag.String("topology", "", "cache topology the pool carves its shards from: a synthetic DxC spec (e.g. 2x2), or empty for the host hierarchy from sysfs")
+		topoSpec    = flag.String("topology", "", "cache topology the pool reads its default shard count from: a synthetic DxC spec (e.g. 2x2), or empty for the host hierarchy from sysfs")
 		shards      = flag.Int("shards", 0, "pool shard count (0: one shard per llc domain of the topology)")
 	)
 	flag.Parse()
@@ -107,8 +107,7 @@ func main() {
 		p.Topology().Source, p.Shards(), p.Workers())
 	for i := 0; i < p.Shards(); i++ {
 		rt := p.Runtime(i)
-		fmt.Printf("  shard %d: %s — %d workers, cap %d\n",
-			i, rt.Topology().Source, rt.Workers(), rt.MaxInFlight())
+		fmt.Printf("  shard %d: %d workers, cap %d\n", i, rt.Workers(), rt.MaxInFlight())
 	}
 
 	if *listen != "" {

@@ -107,7 +107,7 @@ func TestGoldenRandomStructuredStable(t *testing.T) {
 	// the golden surface (update only on a deliberate generator, codec or
 	// simulator change). Seed 4 is a graph that forks — 20 threads — and
 	// whose P = 4 run steals, so every pin below is a non-trivial number.
-	g := fl.RandomStructured(4, fl.RandomConfig{MaxNodes: 120, MaxBlocks: 8})
+	g := graphs.RandomStructured(4, graphs.RandomConfig{MaxNodes: 120, MaxBlocks: 8})
 	if g.Len() != 158 || g.Span() != 81 || g.NumThreads() != 20 || g.NumTouches() != 19 {
 		t.Fatalf("seed-4 graph has %d nodes, span %d, %d threads, %d touches; want 158, 81, 20, 19",
 			g.Len(), g.Span(), g.NumThreads(), g.NumTouches())
@@ -120,15 +120,19 @@ func TestGoldenRandomStructuredStable(t *testing.T) {
 	if sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); sum != wantSum {
 		t.Fatalf("serialized seed-4 graph: %d bytes, sha256 %s, want %s", buf.Len(), sum, wantSum)
 	}
-	seq, err := fl.Sequential(g, fl.FutureFirst, 4, fl.LRU)
+	seq, err := sim.Sequential(g, sim.FutureFirst, 4, cache.LRU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fl.Simulate(g, fl.SimConfig{P: 4, CacheLines: 4, Control: fl.RandomControl(99)})
+	eng, err := sim.New(g, sim.Config{P: 4, CacheLines: 4, Control: sim.NewRandomControl(99)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := fl.Deviations(seq.SeqOrder(), res); res.Steals != 19 || d != 36 || seq.TotalMisses != 63 || res.TotalMisses != 62 {
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := sim.Deviations(seq.SeqOrder(), res); res.Steals != 19 || d != 36 || seq.TotalMisses != 63 || res.TotalMisses != 62 {
 		t.Fatalf("steals %d, deviations %d, misses %d sequential / %d parallel; want 19, 36, 63 / 62",
 			res.Steals, d, seq.TotalMisses, res.TotalMisses)
 	}

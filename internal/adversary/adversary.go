@@ -20,29 +20,29 @@ import (
 	"futurelocality/internal/sim"
 )
 
-// Cond is a monotone predicate over execution state: once true it should
+// cond is a monotone predicate over execution state: once true it should
 // stay true (all helpers below satisfy this), so directive advancement is
 // stable no matter how often it is evaluated.
-type Cond func(*sim.View) bool
+type cond func(*sim.View) bool
 
-// Executed holds once node n has been executed.
-func Executed(n dag.NodeID) Cond {
+// executed holds once node n has been executed.
+func executed(n dag.NodeID) cond {
 	return func(v *sim.View) bool { return v.Executed(n) }
 }
 
-// Holds is true once processor p has node n assigned (typically: has stolen
+// holds is true once processor p has node n assigned (typically: has stolen
 // it and parked). It is monotone as long as p stops acting when the
 // enclosing directive completes — which the Script guarantees, since a
 // parked processor is only reactivated by a later directive.
-func Holds(p sim.ProcID, n dag.NodeID) Cond {
+func holds(p sim.ProcID, n dag.NodeID) cond {
 	return func(v *sim.View) bool { return v.Assigned(p) == n || v.Executed(n) }
 }
 
-// Never keeps a directive active until the engine finishes on its own.
-func Never() Cond { return func(*sim.View) bool { return false } }
+// never keeps a directive active until the engine finishes on its own.
+func never() cond { return func(*sim.View) bool { return false } }
 
-// AllExecuted holds once every listed node has been executed.
-func AllExecuted(ns ...dag.NodeID) Cond {
+// allExecuted holds once every listed node has been executed.
+func allExecuted(ns ...dag.NodeID) cond {
 	return func(v *sim.View) bool {
 		for _, n := range ns {
 			if !v.Executed(n) {
@@ -53,31 +53,31 @@ func AllExecuted(ns ...dag.NodeID) Cond {
 	}
 }
 
-// Directive lets Proc act (alone) until Until holds; when it must steal, it
+// directive lets Proc act (alone) until Until holds; when it must steal, it
 // targets Victim (sim.NoProc disables stealing).
-type Directive struct {
+type directive struct {
 	Proc   sim.ProcID
-	Until  Cond
+	Until  cond
 	Victim sim.ProcID
 	// Note documents the proof step this directive replays.
 	Note string
 }
 
-// D is shorthand for building a Directive.
-func D(p sim.ProcID, until Cond, victim sim.ProcID, note string) Directive {
-	return Directive{Proc: p, Until: until, Victim: victim, Note: note}
+// dir is shorthand for building a directive.
+func dir(p sim.ProcID, until cond, victim sim.ProcID, note string) directive {
+	return directive{Proc: p, Until: until, Victim: victim, Note: note}
 }
 
 // Script is a sim.Control that runs its directives in order, then falls
 // back to a finishing control.
 type Script struct {
-	ds       []Directive
+	ds       []directive
 	cur      int
 	fallback sim.Control
 }
 
-// NewScript builds a Script with the default fallback (AlwaysActive).
-func NewScript(ds ...Directive) *Script {
+// newScript builds a Script with the default fallback (AlwaysActive).
+func newScript(ds ...directive) *Script {
 	return &Script{ds: ds, fallback: sim.AlwaysActive{}}
 }
 
@@ -113,10 +113,10 @@ func (s *Script) Victim(p sim.ProcID, v *sim.View) sim.ProcID {
 // run through the buffer a; p0 wakes and executes w and the s/Z chains.
 // Run with P = 2 and FutureFirst.
 func Fig6a(info *graphs.Fig6aInfo) *Script {
-	return NewScript(
-		D(0, Executed(info.V), sim.NoProc, "p0 executes v, sleeps before w"),
-		D(1, Executed(info.A), 0, "p1 steals u1, solo run through a"),
-		D(0, Executed(info.End), sim.NoProc, "p0 wakes: w, s/Z chains, t"),
+	return newScript(
+		dir(0, executed(info.V), sim.NoProc, "p0 executes v, sleeps before w"),
+		dir(1, executed(info.A), 0, "p1 steals u1, solo run through a"),
+		dir(0, executed(info.End), sim.NoProc, "p0 wakes: w, s/Z chains, t"),
 	)
 }
 
@@ -124,11 +124,11 @@ func Fig6a(info *graphs.Fig6aInfo) *Script {
 // assuming role a has already executed R[0] and Blocks[0].V (and is parked
 // before W). Roles rotate (a,b,c) → (b,c,a) per phase, mirroring the
 // paper's three processors taking turns.
-func fig6bPhases(ds []Directive, info *graphs.Fig6bInfo, a, b, c sim.ProcID) []Directive {
+func fig6bPhases(ds []directive, info *graphs.Fig6bInfo, a, b, c sim.ProcID) []directive {
 	for i := 0; i < info.K; i++ {
 		blk := info.Blocks[i]
 		if i > 0 {
-			ds = append(ds, D(a, Executed(blk.V), sim.NoProc,
+			ds = append(ds, dir(a, executed(blk.V), sim.NoProc,
 				fmt.Sprintf("phase %d: a executes r_%d and v, sleeps before w", i+1, i+1)))
 		}
 		next := info.BNode
@@ -136,22 +136,22 @@ func fig6bPhases(ds []Directive, info *graphs.Fig6bInfo, a, b, c sim.ProcID) []D
 			next = info.R[i+1]
 		}
 		ds = append(ds,
-			D(b, Holds(b, next), a, fmt.Sprintf("phase %d: b steals the next spine node and parks", i+1)),
-			D(c, Executed(blk.A), a, fmt.Sprintf("phase %d: c steals u1, solo run", i+1)),
-			D(a, Executed(blk.End), sim.NoProc, fmt.Sprintf("phase %d: a wakes, finishes chains", i+1)),
+			dir(b, holds(b, next), a, fmt.Sprintf("phase %d: b steals the next spine node and parks", i+1)),
+			dir(c, executed(blk.A), a, fmt.Sprintf("phase %d: c steals u1, solo run", i+1)),
+			dir(a, executed(blk.End), sim.NoProc, fmt.Sprintf("phase %d: a wakes, finishes chains", i+1)),
 		)
 		a, b, c = b, c, a
 	}
-	return append(ds, D(a, Executed(info.Exit), sim.NoProc, "bnode holder executes the tS touches"))
+	return append(ds, dir(a, executed(info.Exit), sim.NoProc, "bnode holder executes the tS touches"))
 }
 
 // Fig6b replays the three-processor Figure 6(b) schedule. Run with P = 3
 // and FutureFirst.
 func Fig6b(info *graphs.Fig6bInfo) *Script {
-	ds := []Directive{
-		D(0, Executed(info.Blocks[0].V), sim.NoProc, "p0 executes r1 and v1, sleeps before w"),
+	ds := []directive{
+		dir(0, executed(info.Blocks[0].V), sim.NoProc, "p0 executes r1 and v1, sleeps before w"),
 	}
-	return NewScript(fig6bPhases(ds, info, 0, 1, 2)...)
+	return newScript(fig6bPhases(ds, info, 0, 1, 2)...)
 }
 
 // Fig6c replays the full Theorem 9 schedule over n leaves. Processor 0
@@ -161,23 +161,23 @@ func Fig6b(info *graphs.Fig6bInfo) *Script {
 // FutureFirst.
 func Fig6c(info *graphs.Fig6cInfo) *Script {
 	n := info.N
-	ds := []Directive{
-		D(0, Executed(info.Leaves[n-1].Blocks[0].V), sim.NoProc,
+	ds := []directive{
+		dir(0, executed(info.Leaves[n-1].Blocks[0].V), sim.NoProc,
 			"p0 descends the spine into the last leaf, sleeps before w"),
 	}
 	for j := 0; j < n-1; j++ {
 		opener := sim.ProcID(3*j + 1)
 		ds = append(ds,
-			D(opener, Holds(opener, info.Leaves[j].R[0]), 0,
+			dir(opener, holds(opener, info.Leaves[j].R[0]), 0,
 				fmt.Sprintf("leaf %d: opener steals the leaf entry", j)),
-			D(opener, Executed(info.Leaves[j].Blocks[0].V), sim.NoProc,
+			dir(opener, executed(info.Leaves[j].Blocks[0].V), sim.NoProc,
 				fmt.Sprintf("leaf %d: opener executes r1 and v1, sleeps before w", j)),
 		)
 		ds = fig6bPhases(ds, info.Leaves[j], opener, sim.ProcID(3*j+2), sim.ProcID(3*j+3))
 	}
 	// Last leaf: processor 0 is already parked at its first v.
 	ds = fig6bPhases(ds, info.Leaves[n-1], 0, sim.ProcID(3*n-2), sim.ProcID(3*n-1))
-	return NewScript(ds...)
+	return newScript(ds...)
 }
 
 // Procs6c returns the processor count Fig6c's script needs.
@@ -191,10 +191,10 @@ func Procs6c(info *graphs.Fig6cInfo) int { return 3 * info.N }
 // sleeps forever; p0 executes everything else. Run with P = 2 and
 // ParentFirst. Works for both Fig7b (r, s_1) and Fig8 (r, s_0).
 func OneSteal(r, s dag.NodeID) *Script {
-	return NewScript(
-		D(0, Executed(r), sim.NoProc, "p0 executes the root fork"),
-		D(1, Executed(s), 0, "p1 steals s, executes it, sleeps forever"),
-		D(0, Never(), sim.NoProc, "p0 executes the rest alone"),
+	return newScript(
+		dir(0, executed(r), sim.NoProc, "p0 executes the root fork"),
+		dir(1, executed(s), 0, "p1 steals s, executes it, sleeps forever"),
+		dir(0, never(), sim.NoProc, "p0 executes the rest alone"),
 	)
 }
 
@@ -204,9 +204,9 @@ func OneSteal(r, s dag.NodeID) *Script {
 // both processors run freely to finish. Run with P = 2 (either policy; the
 // paper draws it future-first).
 func Fig3(info *graphs.Fig3Info) *Script {
-	return NewScript(
-		D(0, Executed(info.Root), sim.NoProc, "p0 executes the root fork, parks"),
-		D(1, AllExecuted(info.PreTouchSteps...), 0,
+	return newScript(
+		dir(0, executed(info.Root), sim.NoProc, "p0 executes the root fork, parks"),
+		dir(1, allExecuted(info.PreTouchSteps...), 0,
 			"p1 steals x, walks every consumer branch to its blocked touch"),
 	)
 }

@@ -234,9 +234,9 @@ func TestScriptVictimFollowsDirective(t *testing.T) {
 
 func TestAllExecutedCondition(t *testing.T) {
 	g, info := graphs.Fig3(3, 2, false)
-	s := NewScript(
-		D(0, Executed(info.Root), sim.NoProc, "root"),
-		D(1, AllExecuted(info.PreTouchSteps...), 0, "walk branches"),
+	s := newScript(
+		dir(0, executed(info.Root), sim.NoProc, "root"),
+		dir(1, allExecuted(info.PreTouchSteps...), 0, "walk branches"),
 	)
 	eng, err := sim.New(g, sim.Config{P: 2, Control: s})
 	if err != nil {
@@ -256,7 +256,7 @@ func TestAllExecutedCondition(t *testing.T) {
 func TestScriptFallbackFinishes(t *testing.T) {
 	// A script that ends early must still let the run finish via fallback.
 	g, _ := graphs.Fig6a(4, 1, false)
-	s := NewScript(D(0, Executed(g.Root), sim.NoProc, "only the root"))
+	s := newScript(dir(0, executed(g.Root), sim.NoProc, "only the root"))
 	eng, err := sim.New(g, sim.Config{P: 2, Control: s})
 	if err != nil {
 		t.Fatal(err)

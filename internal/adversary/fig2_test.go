@@ -15,9 +15,6 @@ import (
 func TestFig2SingleTouchSwing(t *testing.T) {
 	for _, tc := range []struct{ n, C int }{{16, 8}, {32, 8}, {32, 16}} {
 		g, info := graphs.Fig2(tc.n, tc.C, true)
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
-		}
 		res, seq := run(t, g, OneSteal(info.Root, info.Ext), 2, sim.ParentFirst, tc.C)
 		if res.Steals != 1 {
 			t.Fatalf("steals = %d, want 1", res.Steals)

@@ -78,12 +78,12 @@ type Report struct {
 	CacheCost *CacheCost
 }
 
-// BoundApplies reports whether the paper guarantees the O(P·T∞²) envelope
+// boundApplies reports whether the paper guarantees the O(P·T∞²) envelope
 // for this class under this fork policy. The theorems assume the full
 // parsimonious discipline: random single top-steals, the only thief the
 // simulator and the runtime have, AND the future-first fork policy — under
 // parent-first no envelope is granted.
-func BoundApplies(c dag.Class, fork sim.ForkPolicy) bool {
+func boundApplies(c dag.Class, fork sim.ForkPolicy) bool {
 	if fork != sim.FutureFirst {
 		return false
 	}
@@ -98,7 +98,7 @@ type Verdict struct {
 	// set of trials, or a traced run's one measured count.
 	MaxDeviations int64
 	// DeviationBound is the Theorem 8/12/16/18 envelope P·T∞² where it is
-	// granted (BoundApplies), else 0.
+	// granted (boundApplies), else 0.
 	DeviationBound int64
 	// MaxExtraMisses is the worst count of additional cache misses judged.
 	MaxExtraMisses int64
@@ -113,7 +113,7 @@ type Verdict struct {
 // still zero for the caller to fill. It is the one place the envelope is
 // computed.
 func Budget(c dag.Class, fork sim.ForkPolicy, p int, span int64, lines int) Verdict {
-	if !BoundApplies(c, fork) {
+	if !boundApplies(c, fork) {
 		return Verdict{}
 	}
 	v := Verdict{DeviationBound: int64(p) * span * span}

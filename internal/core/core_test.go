@@ -190,17 +190,17 @@ func TestCheckLemma11OnSuperFinal(t *testing.T) {
 
 func TestBoundApplies(t *testing.T) {
 	st := dag.Class{SingleTouch: true}
-	if !BoundApplies(st, sim.FutureFirst) {
+	if !boundApplies(st, sim.FutureFirst) {
 		t.Fatal("single-touch + future-first × random-single must get the bound")
 	}
-	if BoundApplies(st, sim.ParentFirst) {
+	if boundApplies(st, sim.ParentFirst) {
 		t.Fatal("parent-first never gets the bound")
 	}
-	if BoundApplies(dag.Class{}, sim.FutureFirst) {
+	if boundApplies(dag.Class{}, sim.FutureFirst) {
 		t.Fatal("unstructured never gets the bound")
 	}
 	lt := dag.Class{LocalTouch: true}
-	if !BoundApplies(lt, sim.FutureFirst) {
+	if !boundApplies(lt, sim.FutureFirst) {
 		t.Fatal("local-touch + future-first must get the bound (Theorem 12)")
 	}
 }

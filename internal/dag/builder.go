@@ -20,7 +20,7 @@ import (
 //
 // Node IDs are assigned in creation order, and the API only permits edges
 // from already-created nodes to new nodes, so IDs are a topological order by
-// construction (Graph.Validate re-checks this invariant).
+// construction (Graph.validate re-checks this invariant).
 //
 // The builder does not enforce the structure definitions of Section 4 —
 // arbitrary (even unstructured) DAGs can be built, which the worst-case
@@ -174,8 +174,8 @@ func (t *Thread) Steps(n int) NodeID {
 // Access appends one unit task that reads memory block blk.
 func (t *Thread) Access(blk BlockID) NodeID { return t.b.newNode(t, blk) }
 
-// AccessSeq appends one task per block, in order.
-func (t *Thread) AccessSeq(blocks ...BlockID) NodeID {
+// accessSeq appends one task per block, in order.
+func (t *Thread) accessSeq(blocks ...BlockID) NodeID {
 	id := None
 	for _, blk := range blocks {
 		id = t.Access(blk)
@@ -381,7 +381,7 @@ func (b *Builder) build(superFinal bool) (*Graph, error) {
 		Touches:     b.touches,
 		SuperFinal:  superFinal,
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
 	g.span = g.computeSpan()

@@ -57,7 +57,7 @@ func (c Class) String() string {
 }
 
 // Classify evaluates every structure definition on g, which must satisfy
-// Graph.Validate (Builder.Build and the codec both enforce it): the searches
+// Graph.validate (Builder.Build and the codec both enforce it): the searches
 // rely on node IDs being a topological order.
 //
 // Cost: one counting sort of g.Touches by future thread, then per fork a

@@ -125,7 +125,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if len(data) != 0 {
 		return nil, fmt.Errorf("%w: %d bytes after the last node", ErrBadFormat, len(data))
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	if err := g.deriveTables(int(numThreads)); err != nil {
@@ -139,7 +139,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 // deriveTables fills ThreadFirst, ThreadLast, ThreadFork and Touches from
 // the nodes' Thread fields and edges — what a Builder records as it goes,
 // recovered for a graph that arrived as a node list. g must have passed
-// Validate. It fails unless every thread is what Section 2 says a thread is:
+// validate. It fails unless every thread is what Section 2 says a thread is:
 // a non-empty chain of continuation edges, the main thread starting at the
 // root and every other at the future edge of exactly one fork.
 func (g *Graph) deriveTables(numThreads int) error {

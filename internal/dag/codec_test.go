@@ -77,7 +77,7 @@ func TestCodecRoundTripWithJoinsAndBlocks(t *testing.T) {
 	m := b.Main()
 	m.Access(3)
 	f := m.Fork()
-	f.AccessSeq(1, 2)
+	f.accessSeq(1, 2)
 	j := m.Fork()
 	j.Step()
 	m.Step()

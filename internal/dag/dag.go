@@ -249,9 +249,9 @@ func (g *Graph) numberBlocks() {
 	}
 }
 
-// Parents returns the reverse adjacency of the graph: Parents()[v] lists the
+// parents returns the reverse adjacency of the graph: Parents()[v] lists the
 // IDs of v's predecessors. It is computed on demand in O(V+E).
-func (g *Graph) Parents() [][]NodeID {
+func (g *Graph) parents() [][]NodeID {
 	parents := make([][]NodeID, len(g.Nodes))
 	for id := range g.Nodes {
 		for _, e := range g.Nodes[id].OutEdges() {
@@ -261,11 +261,11 @@ func (g *Graph) Parents() [][]NodeID {
 	return parents
 }
 
-// Reaches reports whether there is a directed path from u to v (u == v
+// reaches reports whether there is a directed path from u to v (u == v
 // counts). IDs are topological, so a path can only increase them: the search
 // never leaves the ID interval (u, v), and its cost and its scratch space are
 // bounded by that interval's length, whatever the answer.
-func (g *Graph) Reaches(u, v NodeID) bool {
+func (g *Graph) reaches(u, v NodeID) bool {
 	if u == None || v == None || u > v {
 		return false
 	}
@@ -290,7 +290,7 @@ func (g *Graph) Reaches(u, v NodeID) bool {
 	return false
 }
 
-// Validation errors returned by Graph.Validate.
+// Validation errors returned by Graph.validate.
 var (
 	ErrEmpty        = errors.New("dag: graph has no nodes")
 	ErrNotTopo      = errors.New("dag: node IDs are not a topological order")
@@ -300,7 +300,7 @@ var (
 	ErrDisconnected = errors.New("dag: node unreachable from root")
 )
 
-// Validate checks the structural conventions of Section 2.1:
+// validate checks the structural conventions of Section 2.1:
 //
 //   - node IDs form a topological order (edges strictly increase IDs);
 //   - the root has in-degree 0 and is node 0; the final node has out-degree 0
@@ -309,7 +309,7 @@ var (
 //     node may exceed 2 only when SuperFinal is set);
 //   - both children of a fork have in-degree 1 (so neither is a touch);
 //   - every node is reachable from the root.
-func (g *Graph) Validate() error {
+func (g *Graph) validate() error {
 	if len(g.Nodes) == 0 {
 		return ErrEmpty
 	}

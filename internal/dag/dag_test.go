@@ -44,7 +44,7 @@ func TestChainBasics(t *testing.T) {
 			t.Fatalf("node %d ContChild = %d, want %d", id, got, id+1)
 		}
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestForkTouchStructure(t *testing.T) {
 	if g.NumTouches() != 2 {
 		t.Fatalf("NumTouches = %d, want 2", g.NumTouches())
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	// Fork of thread 1 is node 1; its future child must be thread 1's first
@@ -276,7 +276,7 @@ func TestSuperFinalBuild(t *testing.T) {
 	if g.Nodes[g.Final].NIn != 2 {
 		t.Fatalf("final in-degree = %d, want 2", g.Nodes[g.Final].NIn)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	// The touch recorded for f must target the final node.
@@ -308,7 +308,7 @@ func TestSuperFinalManyThreads(t *testing.T) {
 	if g.Nodes[g.Final].NIn != 3 { // main cont + 2 touch edges
 		t.Fatalf("final in-degree = %d, want 3", g.Nodes[g.Final].NIn)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 }
@@ -335,7 +335,7 @@ func TestPromiseLocalTouch(t *testing.T) {
 	if got := start[2] - start[1]; got != 2 {
 		t.Fatalf("thread 1 touches = %d, want 2", got)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 }
@@ -358,13 +358,13 @@ func TestPromiseDoubleTouchFails(t *testing.T) {
 
 func TestReaches(t *testing.T) {
 	g, _ := buildFig4(t)
-	if !g.Reaches(g.Root, g.Final) {
+	if !g.reaches(g.Root, g.Final) {
 		t.Fatal("root must reach final")
 	}
-	if g.Reaches(g.Final, g.Root) {
+	if g.reaches(g.Final, g.Root) {
 		t.Fatal("final must not reach root")
 	}
-	if !g.Reaches(g.Root, g.Root) {
+	if !g.reaches(g.Root, g.Root) {
 		t.Fatal("Reaches must be reflexive")
 	}
 	// A future thread's first node must not reach its sibling (fork's right
@@ -372,14 +372,14 @@ func TestReaches(t *testing.T) {
 	// touch of f1 and beyond, but not the fork itself.
 	fork := g.ThreadFork[1]
 	first := g.ThreadFirst[1]
-	if g.Reaches(first, fork) {
+	if g.reaches(first, fork) {
 		t.Fatal("future thread must not reach its own fork")
 	}
 }
 
 func TestParents(t *testing.T) {
 	g, _ := buildFig4(t)
-	parents := g.Parents()
+	parents := g.parents()
 	if len(parents[g.Root]) != 0 {
 		t.Fatalf("root has parents %v", parents[g.Root])
 	}
@@ -400,7 +400,7 @@ func TestAccessBlocks(t *testing.T) {
 	b := NewBuilder()
 	m := b.Main()
 	m.Access(7)
-	m.AccessSeq(1, 2, 3)
+	m.accessSeq(1, 2, 3)
 	m.Step()
 	m.Access(1)
 	g := b.MustBuild()
@@ -455,7 +455,7 @@ func TestValidateCatchesNonTopo(t *testing.T) {
 	// Corrupt: make node 2 point back to node 1.
 	g.Nodes[2].Out[0] = Edge{To: 1, Kind: EdgeCont}
 	g.Nodes[2].NOut = 1
-	if err := g.Validate(); err == nil {
+	if err := g.validate(); err == nil {
 		t.Fatal("Validate should reject a backward edge")
 	}
 }

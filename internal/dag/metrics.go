@@ -1,9 +1,9 @@
 package dag
 
-// CriticalPath returns one longest directed path in the graph, root-to-sink
+// criticalPath returns one longest directed path in the graph, root-to-sink
 // order, whose length equals Span(). Useful for diagnosing which chain of
 // forks/touches dominates T∞.
-func (g *Graph) CriticalPath() []NodeID {
+func (g *Graph) criticalPath() []NodeID {
 	if len(g.Nodes) == 0 {
 		return nil
 	}
@@ -36,7 +36,7 @@ func (g *Graph) CriticalPath() []NodeID {
 	return out
 }
 
-// IsForkJoin reports whether the computation is a strict fork-join (Cilk
+// isForkJoin reports whether the computation is a strict fork-join (Cilk
 // spawn/sync) program: every future thread is touched exactly once, by its
 // own parent thread, and within each thread the touch order is the reverse
 // of the fork order among the futures alive at each touch (LIFO, as an
@@ -44,7 +44,7 @@ func (g *Graph) CriticalPath() []NodeID {
 // are exactly such structured single-touch computations; MethodA of
 // Figure 5(a) — touching out of creation order — fails this test while
 // remaining structured single-touch.
-func (g *Graph) IsForkJoin() bool {
+func (g *Graph) isForkJoin() bool {
 	c := Classify(g)
 	if !c.SingleTouch || !c.LocalTouch {
 		return false

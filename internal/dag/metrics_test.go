@@ -9,7 +9,7 @@ func TestCriticalPathChain(t *testing.T) {
 	b := NewBuilder()
 	b.Main().Steps(7)
 	g := b.MustBuild()
-	p := g.CriticalPath()
+	p := g.criticalPath()
 	if int64(len(p)) != g.Span() {
 		t.Fatalf("path len %d != span %d", len(p), g.Span())
 	}
@@ -22,7 +22,7 @@ func TestCriticalPathChain(t *testing.T) {
 
 func TestCriticalPathIsARealPath(t *testing.T) {
 	g, _ := buildFig4(t)
-	p := g.CriticalPath()
+	p := g.criticalPath()
 	if int64(len(p)) != g.Span() {
 		t.Fatalf("path len %d != span %d", len(p), g.Span())
 	}
@@ -57,7 +57,7 @@ func TestIsForkJoinAcceptsCilkStyle(t *testing.T) {
 	m.Touch(f1)
 	m.Step()
 	g := b.MustBuild()
-	if !g.IsForkJoin() {
+	if !g.isForkJoin() {
 		t.Fatal("LIFO touches must classify as fork-join")
 	}
 }
@@ -82,7 +82,7 @@ func TestIsForkJoinRejectsMethodA(t *testing.T) {
 	if !c.SingleTouch {
 		t.Fatalf("should remain single-touch: %v", c.Violations)
 	}
-	if g.IsForkJoin() {
+	if g.isForkJoin() {
 		t.Fatal("FIFO touches must not classify as fork-join")
 	}
 }
@@ -101,7 +101,7 @@ func TestIsForkJoinRejectsPassedFuture(t *testing.T) {
 	m.Step()
 	m.Touch(c)
 	g := b.MustBuild()
-	if g.IsForkJoin() {
+	if g.isForkJoin() {
 		t.Fatal("passed future must not classify as fork-join")
 	}
 }
@@ -126,7 +126,7 @@ func TestIsForkJoinNested(t *testing.T) {
 	build(m, 3)
 	m.Step()
 	g := b.MustBuild()
-	if !g.IsForkJoin() {
+	if !g.isForkJoin() {
 		t.Fatal("nested divide-and-conquer must be fork-join")
 	}
 }
@@ -137,7 +137,7 @@ func TestIsForkJoinNested(t *testing.T) {
 func TestCriticalPathPropertyRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraphForQuick(seed)
-		p := g.CriticalPath()
+		p := g.criticalPath()
 		if int64(len(p)) != g.Span() {
 			return false
 		}

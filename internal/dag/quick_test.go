@@ -62,7 +62,7 @@ func randomGraphForQuick(seed int64) *Graph {
 func TestQuickRandomGraphsValidate(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraphForQuick(seed)
-		if err := g.Validate(); err != nil {
+		if err := g.validate(); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
@@ -100,7 +100,7 @@ func TestQuickTopologicalIDs(t *testing.T) {
 func TestQuickLIFOBuiltGraphsAreForkJoin(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraphForQuick(seed) // LIFO by construction (touch last fork)
-		if !g.IsForkJoin() {
+		if !g.isForkJoin() {
 			return false
 		}
 		c := Classify(g)

@@ -51,26 +51,8 @@ func (d *Seq[T]) StealTop() (v T, ok bool) {
 	return v, true
 }
 
-// PeekBottom returns the bottom item without removing it.
-func (d *Seq[T]) PeekBottom() (v T, ok bool) {
-	if len(d.items) == 0 {
-		return v, false
-	}
-	return d.items[len(d.items)-1], true
-}
-
-// Len returns the number of queued items.
-func (d *Seq[T]) Len() int { return len(d.items) }
-
 // Reset empties the deque, retaining capacity.
 func (d *Seq[T]) Reset() {
 	clear(d.items)
 	d.items = d.items[:0]
-}
-
-// Snapshot returns a copy of the contents, top first. For tests and tracing.
-func (d *Seq[T]) Snapshot() []T {
-	out := make([]T, len(d.items))
-	copy(out, d.items)
-	return out
 }

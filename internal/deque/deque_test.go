@@ -787,3 +787,36 @@ func BenchmarkPtrPushPop(b *testing.B) {
 		d.PopBottom()
 	}
 }
+
+// PeekBottom returns the bottom item without removing it.
+func (d *Seq[T]) PeekBottom() (v T, ok bool) {
+	if len(d.items) == 0 {
+		return v, false
+	}
+	return d.items[len(d.items)-1], true
+}
+
+// Len returns the number of queued items.
+func (d *Seq[T]) Len() int { return len(d.items) }
+
+// Snapshot returns a copy of the contents, top first. For tests and tracing.
+func (d *Seq[T]) Snapshot() []T {
+	out := make([]T, len(d.items))
+	copy(out, d.items)
+	return out
+}
+
+// PopBottom removes and returns the owner-end item.
+func (d *Locked[T]) PopBottom() (v T, ok bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.items) == 0 {
+		return v, false
+	}
+	v = d.items[len(d.items)-1]
+	var zero T
+	d.items[len(d.items)-1] = zero
+	d.items = d.items[:len(d.items)-1]
+	d.size.Store(int64(len(d.items)))
+	return v, true
+}

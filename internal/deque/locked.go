@@ -38,21 +38,6 @@ func (d *Locked[T]) PushBottomN(xs []T) {
 	d.mu.Unlock()
 }
 
-// PopBottom removes and returns the owner-end item.
-func (d *Locked[T]) PopBottom() (v T, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return v, false
-	}
-	v = d.items[len(d.items)-1]
-	var zero T
-	d.items[len(d.items)-1] = zero
-	d.items = d.items[:len(d.items)-1]
-	d.size.Store(int64(len(d.items)))
-	return v, true
-}
-
 // StealTop removes and returns the thief-end item.
 func (d *Locked[T]) StealTop() (v T, ok bool) {
 	d.mu.Lock()

@@ -84,7 +84,7 @@ func randomTrials(g *dag.Graph, p int, pol sim.ForkPolicy, c, trials int, seed i
 // E1 sweeps span (fork-join trees of growing depth) and processors, under
 // random work stealing, and reports the measured deviations against the
 // P·T∞² envelope plus the fitted growth exponent in T∞.
-func E1(scale Scale) Result {
+func e1(scale Scale) Result {
 	depths := []int{4, 5, 6, 7}
 	procs := []int{2, 4, 8}
 	trials := 8
@@ -158,7 +158,7 @@ func E1(scale Scale) Result {
 // E2 replays the adversarial schedules on Fig6a/6b/6c and reports measured
 // deviations against the construction's target, and the cache-annotated
 // variant's additional misses.
-func E2(scale Scale) Result {
+func e2(scale Scale) Result {
 	var eng sim.Engine
 	ks6a := []int{8, 16, 32}
 	ks6b := []int{4, 8}
@@ -238,7 +238,7 @@ func E2(scale Scale) Result {
 
 // E3 measures the single-steal parent-first executions: deviations Ω(t·n),
 // additional misses Ω(C·t·n), sequential misses O(C + t).
-func E3(scale Scale) Result {
+func e3(scale Scale) Result {
 	var eng sim.Engine
 	cfg7b := []struct{ k, n, c int }{{4, 16, 8}, {6, 32, 8}}
 	cfg8 := []struct{ d, n, c int }{{4, 12, 6}}
@@ -282,7 +282,7 @@ func E3(scale Scale) Result {
 // E4 compares the two fork policies on Fig8 (adversarial steal for
 // parent-first, worst-of-seeds random for future-first) and on fork-join
 // trees under random stealing.
-func E4(scale Scale) Result {
+func e4(scale Scale) Result {
 	var eng sim.Engine
 	cfg := []struct{ d, n, c int }{{4, 12, 6}}
 	seeds := int64(6)
@@ -323,7 +323,7 @@ func E4(scale Scale) Result {
 
 // E5 analyzes pipelines (multi-future threads, Definition 3) against the
 // O(P·T∞²) envelope and machine-checks Lemma 11.
-func E5(scale Scale) Result {
+func e5(scale Scale) Result {
 	cfgs := []struct{ stages, items int }{{2, 8}, {4, 8}}
 	trials := 8
 	if scale == Full {
@@ -354,7 +354,7 @@ func E5(scale Scale) Result {
 
 // E6 builds computations with side-effect futures touched only by the super
 // final node, checks Definitions 13/17 grant the bound, and verifies it.
-func E6(scale Scale) Result {
+func e6(scale Scale) Result {
 	sizes := []int{8, 16}
 	trials := 8
 	if scale == Full {
@@ -393,7 +393,7 @@ func E6(scale Scale) Result {
 
 // E7 measures premature touch checks on Figure 3 versus the structural
 // impossibility on structured computations, plus the deviation comparison.
-func E7(scale Scale) Result {
+func e7(scale Scale) Result {
 	var eng sim.Engine
 	ts := []int{4, 8}
 	if scale == Full {
@@ -430,7 +430,7 @@ func E7(scale Scale) Result {
 
 // E8 machine-checks Lemma 4 on random structured single-touch programs and
 // the paper figures, and Lemma 11/14 on local-touch and super-final graphs.
-func E8(scale Scale) Result {
+func e8(scale Scale) Result {
 	seeds := int64(50)
 	if scale == Full {
 		seeds = 500
@@ -478,7 +478,7 @@ func E8(scale Scale) Result {
 // deviation count and therefore hold for all simple cache replacement
 // policies: the Fig6a lower-bound run and a fork-join upper-bound run are
 // repeated under LRU, FIFO, set-associative LRU and direct-mapped caches.
-func E10(scale Scale) Result {
+func e10(scale Scale) Result {
 	var eng sim.Engine
 	k, C := 32, 16
 	trials := 8
@@ -533,7 +533,7 @@ func E10(scale Scale) Result {
 // top. The parsimonious discipline of Section 3 — and every bound in the
 // paper — assumes top-stealing; the ablation quantifies how much of the
 // locality comes from that choice alone.
-func E11(scale Scale) Result {
+func e11(scale Scale) Result {
 	var eng sim.Engine
 	depths := []int{5, 6}
 	trials := 8
@@ -583,7 +583,7 @@ func E11(scale Scale) Result {
 // offline-optimal policy. The paper's model fixes LRU (and footnote 1
 // extends the upper bounds to all simple policies); OPT is the unrealizable
 // floor.
-func E12(scale Scale) Result {
+func e12(scale Scale) Result {
 	var eng sim.Engine
 	tb := stats.NewTable("trace", "C", "LRU misses", "OPT misses", "LRU/OPT")
 	type cfg struct{ k, c int }
@@ -629,7 +629,7 @@ func E12(scale Scale) Result {
 // there are at most as many chains as steals, and no chain is longer than
 // T∞ — giving deviations ≤ steals · (2·T∞ + 1) pointwise, the inequality
 // behind the O(P·T∞²) bound.
-func E13(scale Scale) Result {
+func e13(scale Scale) Result {
 	var eng sim.Engine
 	tb := stats.NewTable("workload", "P", "steals", "chains", "maxChainLen", "T∞",
 		"deviations", "chainSlots", "uncovered")
@@ -692,7 +692,7 @@ func E13(scale Scale) Result {
 // central queue interleaves branches, so even one processor thrashes; the
 // parsimonious scheduler keeps branches depth-first and pays only steal
 // overheads. This is the baseline that motivates the paper's whole setting.
-func E14(scale Scale) Result {
+func e14(scale Scale) Result {
 	var eng sim.Engine
 	branches := []int{8, 16}
 	if scale == Full {
@@ -751,22 +751,13 @@ type Experiment struct {
 	Run func(Scale) Result
 }
 
-// Registry lists every experiment once, in report order; All and
-// cmd/paperbench iterate it. E9 lives in experiments_runtime.go because it
+// Registry lists every experiment once, in report order; cmd/paperbench
+// iterates it. E9 lives in experiments_runtime.go because it
 // measures wall time, E15 and E16 in experiments_profile.go because they run
 // the real runtime under the profiler.
 var Registry = []Experiment{
-	{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5}, {"E6", E6}, {"E7", E7}, {"E8", E8},
-	{"E9", E9}, {"E10", E10}, {"E11", E11}, {"E12", E12}, {"E13", E13}, {"E14", E14}, {"E15", E15}, {"E16", E16},
-}
-
-// All runs every experiment.
-func All(scale Scale) []Result {
-	rs := make([]Result, 0, len(Registry))
-	for _, e := range Registry {
-		rs = append(rs, e.Run(scale))
-	}
-	return rs
+	{"E1", e1}, {"E2", e2}, {"E3", e3}, {"E4", e4}, {"E5", e5}, {"E6", e6}, {"E7", e7}, {"E8", e8},
+	{"E9", e9}, {"E10", e10}, {"E11", e11}, {"E12", e12}, {"E13", e13}, {"E14", e14}, {"E15", e15}, {"E16", e16},
 }
 
 // Render formats results as a markdown document body.

@@ -39,7 +39,7 @@ func profiled(workers int, opts profile.Options, workload func(*runtime.Runtime,
 // the Theorem 8/12 envelope P·T∞², and the same DAG is replayed through the
 // Section 3 simulator for the predicted deviation count — predicted vs.
 // measured from one execution.
-func E15(scale Scale) Result {
+func e15(scale Scale) Result {
 	fibN, items, mapN, jobs, leaf := 14, 32, 32, 12, 20
 	trials := 4
 	if scale == Full {
@@ -54,6 +54,7 @@ func E15(scale Scale) Result {
 	}
 	workloads := []workload{
 		{"fib(spawn, help-first)", func(rt *runtime.Runtime, w *runtime.W) { Fib(rt, w, FibSpawn, fibN, 2, leaf) }},
+		{"fib(spawnwith, future-first)", func(rt *runtime.Runtime, w *runtime.W) { Fib(rt, w, FibDive, fibN, 2, leaf) }},
 		{"fib(join, work-first)", func(rt *runtime.Runtime, w *runtime.W) { Fib(rt, w, FibJoin, fibN, 2, leaf) }},
 		{"matmul-style map", func(rt *runtime.Runtime, w *runtime.W) { MapRows(rt, w, mapN, leaf) }},
 		{"pipeline (stream)", func(rt *runtime.Runtime, w *runtime.W) { Pipeline(rt, w, items, leaf) }},
@@ -77,9 +78,11 @@ func E15(scale Scale) Result {
 		"\nEvery workload is reconstructed from the live event trace of the real "+
 			"work-stealing runtime; the classes match what the source patterns guarantee by "+
 			"construction, and the measured deviation count (steals + helped tasks + blocked "+
-			"touches) sits inside the Theorem 8/12 envelope P·T∞² wherever the classification "+
-			"grants one — the paper's bounds observed on real executions, not just in the "+
-			"simulator. The measured column reflects the parallelism of the host it was "+
+			"touches) sits inside the Theorem 8/12 envelope P·T∞² wherever the run grants one "+
+			"— the paper's bounds observed on real executions, not just in the simulator. A run "+
+			"is granted the envelope only when its class is covered and every fork it recorded "+
+			"was future-first: one parent-first fork (Spawn's default, the branch Join2 and Map "+
+			"push, a Produce producer) withholds it, as Theorem 10 says it must. The measured column reflects the parallelism of the host it was "+
 			"taken on (%d CPUs, GOMAXPROCS=%d, %s): with fewer CPUs than workers the runs "+
 			"partly serialize and measured deviations stay small, while the sim column "+
 			"predicts the random-steal P-processor execution of the same DAG.\n",
@@ -95,7 +98,7 @@ func E15(scale Scale) Result {
 // trials' misses minus the same footprint's misses under that fork
 // discipline's own sequential order. The reconstructed DAG — and so the
 // whole table — is a function of the program, not of the run's schedule.
-func E16(scale Scale) Result {
+func e16(scale Scale) Result {
 	fibN, trials := 17, 4
 	if scale == Full {
 		fibN, trials = 20, 8

@@ -26,7 +26,7 @@ func fibGoroutines(n, cutoff int) int {
 // work-first Join2 vs a goroutine-per-future baseline, across worker
 // counts, reporting wall time and the scheduler counters that proxy the
 // paper's locality story (steals, inline touches, blocked touches).
-func E9(scale Scale) Result {
+func e9(scale Scale) Result {
 	n, cutoff, reps := 28, 16, 3
 	if scale == Full {
 		n, cutoff, reps = 34, 18, 5

@@ -40,14 +40,14 @@ func TestRenderContainsAllSections(t *testing.T) {
 // constant factor of their targets at Quick scale (the hard guarantees are
 // in internal/adversary's tests; this re-checks through the harness path).
 func TestE2TightnessRatios(t *testing.T) {
-	r := E2(Quick)
+	r := e2(Quick)
 	if !strings.Contains(r.Markdown, "Fig6c") {
 		t.Fatalf("E2 missing Fig6c rows:\n%s", r.Markdown)
 	}
 }
 
 func TestE8ReportsZeroViolations(t *testing.T) {
-	r := E8(Quick)
+	r := e8(Quick)
 	if !strings.Contains(r.Markdown, "**0 violations**") {
 		t.Fatalf("E8 should report zero violations:\n%s", r.Markdown)
 	}
@@ -75,14 +75,23 @@ func TestRegistryListsE1ToE16Once(t *testing.T) {
 // future-first × random-single and nowhere else, and the table is a function
 // of the program — two live runs print the same bytes.
 func TestE16StarsOnlyTheTheoremCell(t *testing.T) {
-	r := E16(Quick)
+	r := e16(Quick)
 	if n := strings.Count(r.Markdown, " * |"); n != 1 {
 		t.Fatalf("%d starred cells, want 1:\n%s", n, r.Markdown)
 	}
 	if !strings.Contains(r.Markdown, "| future-first | ") || !strings.Contains(r.Markdown, "within bound: true") {
 		t.Fatalf("E16 lacks its rows or its verdict:\n%s", r.Markdown)
 	}
-	if again := E16(Quick); again.Markdown != r.Markdown {
+	if again := e16(Quick); again.Markdown != r.Markdown {
 		t.Fatalf("E16 differs between two runs:\n%s\n---\n%s", r.Markdown, again.Markdown)
 	}
+}
+
+// All runs every experiment.
+func All(scale Scale) []Result {
+	rs := make([]Result, 0, len(Registry))
+	for _, e := range Registry {
+		rs = append(rs, e.Run(scale))
+	}
+	return rs
 }

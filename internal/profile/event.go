@@ -35,7 +35,7 @@ package profile
 import (
 	"fmt"
 
-	"futurelocality/internal/policy"
+	"futurelocality/internal/dag"
 )
 
 // Kind enumerates the scheduling events the runtime records.
@@ -172,10 +172,10 @@ type Event struct {
 	// that recorded them. This is what lets a multi-tenant trace be split
 	// into one sub-trace — and one deviation verdict — per job.
 	Job uint64
-	// Disc is the fork discipline the spawn used (KindSpawn only) — the
-	// shared policy vocabulary, so reconstruction can attribute deviations
-	// to the policy that scheduled each task.
-	Disc policy.Discipline
+	// Disc is the fork discipline the spawn used (KindSpawn only), so
+	// reconstruction can attribute deviations to the discipline that
+	// scheduled each task.
+	Disc dag.Discipline
 }
 
 // String renders the event compactly (for debugging and tests).

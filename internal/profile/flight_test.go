@@ -1,12 +1,14 @@
 package profile
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"futurelocality/internal/core"
-	"futurelocality/internal/policy"
+	"futurelocality/internal/dag"
 )
 
 // TestFlightWindow: a log with a window of n holds exactly the last n events
@@ -123,7 +125,7 @@ func TestFlightReconstructs(t *testing.T) {
 	// Simulate a worker running a chain of spawn+begin+end triples; only the
 	// tail survives the window.
 	for i := uint64(1); i <= 20; i++ {
-		r.Record(0, Event{Kind: KindSpawn, Task: 0, Other: i, Arg: -1, Disc: policy.ParentFirst})
+		r.Record(0, Event{Kind: KindSpawn, Task: 0, Other: i, Arg: -1, Disc: dag.ParentFirst})
 		r.Record(0, Event{Kind: KindBegin, Task: i, Arg: -1})
 		r.Record(0, Event{Kind: KindEnd, Task: i, Arg: -1})
 	}
@@ -138,17 +140,26 @@ func TestFlightReconstructs(t *testing.T) {
 	if tr.Len() != 16 {
 		t.Errorf("window holds %d events, want 16", tr.Len())
 	}
-	env, err := WindowReading(tr, 2, policy.FutureFirst)
+	env, err := WindowReading(tr, 2)
 	if err != nil {
 		t.Fatalf("WindowReading: %v", err)
 	}
 	if len(env.Recon.Tasks) != len(rec.Tasks) {
 		t.Errorf("window reading has %d tasks, want the reconstruction's %d", len(env.Recon.Tasks), len(rec.Tasks))
 	}
-	if want := core.Budget(env.Class, policy.FutureFirst, 2, env.Span, 0); env.DeviationBound != want.DeviationBound {
+	if want := core.Budget(env.Class, dag.FutureFirst, 2, env.Span, 0); env.DeviationBound != want.DeviationBound {
 		t.Errorf("window budget = %d, want %d for P = 2", env.DeviationBound, want.DeviationBound)
 	}
 	if env.String() == "" {
 		t.Error("empty reading rendering")
 	}
+}
+
+// Task returns the table entry of task id, and whether the trace observed it.
+func (r *Recon) Task(id uint64) (TaskInfo, bool) {
+	i, ok := slices.BinarySearchFunc(r.Tasks, id, func(t TaskInfo, id uint64) int { return cmp.Compare(t.ID, id) })
+	if !ok {
+		return TaskInfo{}, false
+	}
+	return r.Tasks[i], true
 }

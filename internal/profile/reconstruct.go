@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"futurelocality/internal/dag"
-	"futurelocality/internal/policy"
 )
 
 // TaskInfo is what a reconstruction learned of one task the trace observed.
@@ -19,16 +18,16 @@ type TaskInfo struct {
 	// Spawned reports that the task's spawn was traced. Discipline and Job
 	// are that spawn's, and zero without one.
 	Spawned bool
-	// Discipline is the fork discipline the spawn used (the shared policy
-	// vocabulary) — the per-spawn policy attribution the runtime records. The
+	// Discipline is the fork discipline the spawn used — the per-spawn
+	// attribution the runtime records. The
 	// label is mechanical and relative to the reconstructed DAG's own fork
 	// orientation: ParentFirst means the spawned task was pushed for theft
 	// while the spawner continued, FutureFirst that the spawner dived into
-	// it. Join2/JoinN record their pushed branches ParentFirst even though
+	// it. Join2 records its pushed branch ParentFirst even though
 	// the combinator as a whole realizes the future-first fork (the worker
 	// runs the paper's future thread — the inlined first branch — first);
 	// see runtime.Join2.
-	Discipline policy.Discipline
+	Discipline dag.Discipline
 	// Job is the submitted job the task belongs to (runtime.Submit identity,
 	// recorded per event as Event.Job); 0 for job-less tasks (Run roots and
 	// their descendants).
@@ -52,11 +51,15 @@ type Recon struct {
 	// Graph is the reconstructed computation DAG.
 	Graph *dag.Graph
 	// Tasks lists every task the trace observed, the external context
-	// included, sorted by ID; Task looks one up.
+	// included, sorted by ID.
 	Tasks []TaskInfo
 	// FutureFirstSpawns and ParentFirstSpawns count traced spawns by
 	// discipline.
 	FutureFirstSpawns, ParentFirstSpawns int64
+	// ParentFirstForks counts the parent-first spawns a task made: the
+	// forks of the computation the theorems' future-first hypothesis fails
+	// at. A root spawned from outside any task (Run, Submit) forks nothing.
+	ParentFirstForks int64
 	// Jobs lists the distinct job IDs observed in the trace, sorted (empty
 	// for a single-tenant session). Analyze checks each against its own
 	// envelope — see Report.Jobs.
@@ -82,20 +85,11 @@ type Recon struct {
 	Incomplete []string
 }
 
-// Task returns the table entry of task id, and whether the trace observed it.
-func (r *Recon) Task(id uint64) (TaskInfo, bool) {
-	i, ok := slices.BinarySearchFunc(r.Tasks, id, func(t TaskInfo, id uint64) int { return cmp.Compare(t.ID, id) })
-	if !ok {
-		return TaskInfo{}, false
-	}
-	return r.Tasks[i], true
-}
-
-// MeasuredDeviations is the runtime's observable deviation count: steals
+// measuredDeviations is the runtime's observable deviation count: steals
 // plus tasks run out-of-order while helping plus blocked touches — each is
 // a point where a worker's execution order departed from the sequential
 // one, the runtime analogue of Section 4's deviations.
-func (r *Recon) MeasuredDeviations() int64 {
+func (r *Recon) measuredDeviations() int64 {
 	return r.Steals + r.HelpedTasks + r.BlockedWaits
 }
 
@@ -135,7 +129,7 @@ type task struct {
 	end     int32
 	yields  int32 // its yield steps
 	promise int32 // where its promises begin in promises
-	disc    policy.Discipline
+	disc    dag.Discipline
 	bits    uint8
 }
 
@@ -204,10 +198,13 @@ func reconstruct(runs [][]Event) (*Recon, error) {
 			switch ev.Kind {
 			case KindSpawn:
 				spawns++
-				if ev.Disc == policy.FutureFirst {
+				if ev.Disc == dag.FutureFirst {
 					rec.FutureFirstSpawns++
 				} else {
 					rec.ParentFirstSpawns++
+					if ev.Task != 0 {
+						rec.ParentFirstForks++
+					}
 				}
 			case KindTouch:
 				touches++

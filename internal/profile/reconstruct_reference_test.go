@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"futurelocality/internal/dag"
-	"futurelocality/internal/policy"
 	"futurelocality/internal/profile"
 )
 
@@ -27,7 +26,7 @@ type referenceTask struct {
 type referenceRecon struct {
 	profile.Recon
 	TaskThread     map[uint64]dag.ThreadID
-	TaskDiscipline map[uint64]policy.Discipline
+	TaskDiscipline map[uint64]dag.Discipline
 	TaskJob        map[uint64]uint64
 	NumTasks       int
 }
@@ -40,7 +39,7 @@ type referenceRecon struct {
 func reconstructReference(tr *profile.Trace) (*referenceRecon, error) {
 	rec := &referenceRecon{
 		TaskThread:     map[uint64]dag.ThreadID{},
-		TaskDiscipline: map[uint64]policy.Discipline{},
+		TaskDiscipline: map[uint64]dag.Discipline{},
 		TaskJob:        map[uint64]uint64{},
 	}
 	jobsSeen := map[uint64]bool{}
@@ -69,10 +68,13 @@ func reconstructReference(tr *profile.Trace) (*referenceRecon, error) {
 					// the spawner, explicit for Submit roots).
 					rec.TaskJob[ev.Other] = ev.Job
 				}
-				if ev.Disc == policy.FutureFirst {
+				if ev.Disc == dag.FutureFirst {
 					rec.FutureFirstSpawns++
 				} else {
 					rec.ParentFirstSpawns++
+					if ev.Task != 0 {
+						rec.ParentFirstForks++
+					}
 				}
 				t := get(ev.Task)
 				t.prog = append(t.prog, ev)

@@ -96,7 +96,7 @@ func referenceTraces(t *testing.T) []namedTrace {
 				st := runtime.Produce(rt, w, 40, func(_ *runtime.W, i int) int { return i })
 				part := runtime.Produce(rt, w, 10, func(_ *runtime.W, i int) int { return i })
 				acc := part.Get(w, 3) // the rest of part is never consumed
-				for i := 0; i < st.Len(); i++ {
+				for i := 0; i < 40; i++ {
 					acc += st.Get(w, i)
 				}
 				return acc

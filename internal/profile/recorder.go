@@ -183,8 +183,8 @@ func (t *Trace) logs() [][]Event {
 	return append(t.PerWorker[:len(t.PerWorker):len(t.PerWorker)], t.External)
 }
 
-// Workers returns the worker count of the traced runtime.
-func (t *Trace) Workers() int { return len(t.PerWorker) }
+// workers returns the worker count of the traced runtime.
+func (t *Trace) workers() int { return len(t.PerWorker) }
 
 // Events returns all events: each worker's log in order, then the external
 // log. Within one log the order is the recording order; across logs no

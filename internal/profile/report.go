@@ -49,19 +49,26 @@ type Reading struct {
 	// Work, Span, Touches are T1, T∞ and t of the reconstructed DAG.
 	Work, Span int64
 	Touches    int
-	// Verdict judges the measured deviations (Recon.MeasuredDeviations:
+	// Verdict judges the measured deviations (Recon.measuredDeviations:
 	// steals + helped tasks + blocked touches) against the P·T∞² envelope
-	// where the class grants it under the fork discipline the run is judged
-	// under. A traced run has no miss count of its own: its miss budget is 0.
+	// where the class grants it under the fork disciplines the trace
+	// recorded: future-first at every fork (Recon.ParentFirstForks = 0), or
+	// no budget. A traced run has no miss count of its own: its miss budget
+	// is 0.
 	core.Verdict
 }
 
 // read is the reading of rec, whose DAG classifies as class, judged for p
-// processors under fork.
-func read(rec *Recon, class dag.Class, p int, fork sim.ForkPolicy) Reading {
+// processors under the disciplines rec's spawns recorded: the theorems cover
+// future-first forks only, so one parent-first fork withholds the budget.
+func read(rec *Recon, class dag.Class, p int) Reading {
 	g := rec.Graph
+	fork := sim.FutureFirst
+	if rec.ParentFirstForks > 0 {
+		fork = sim.ParentFirst
+	}
 	v := core.Budget(class, fork, p, g.Span(), 0)
-	v.MaxDeviations = rec.MeasuredDeviations()
+	v.MaxDeviations = rec.measuredDeviations()
 	return Reading{Recon: rec, Class: class, Work: g.Work(), Span: g.Span(), Touches: g.NumTouches(), Verdict: v}
 }
 
@@ -71,7 +78,7 @@ func (r Reading) String() string {
 	if r.DeviationBound > 0 {
 		s += fmt.Sprintf(", envelope P·T∞²=%d, within=%v", r.DeviationBound, r.WithinBound())
 	} else {
-		s += fmt.Sprintf(", envelope none (class %q under the recorder's fork discipline)", r.Class)
+		s += ", envelope none: " + r.withheld()
 	}
 	if n := len(r.Recon.Incomplete); n > 0 {
 		s += fmt.Sprintf(" [%d trace gaps]", n)
@@ -79,10 +86,19 @@ func (r Reading) String() string {
 	return s
 }
 
+// withheld says why r grants no budget: a parent-first fork, or a class the
+// theorems do not cover.
+func (r Reading) withheld() string {
+	if n := r.Recon.ParentFirstForks; n > 0 {
+		return fmt.Sprintf("%d parent-first forks", n)
+	}
+	return fmt.Sprintf("class %q grants no future-first bound", r.Class)
+}
+
 // JobReport is one submitted job's own verdict: the job's sub-trace
 // reconstructed in isolation, classified, and its measured deviations
-// checked against the job's own P·T∞² envelope under future-first, the
-// primary replay's discipline. This is the per-computation reading of the
+// checked against the job's own P·T∞² envelope under the disciplines its
+// spawns recorded. This is the per-computation reading of the
 // paper's bound that a pooled multi-tenant report blurs — each concurrent
 // DAG gets the envelope its own structure and span grant, not a share of a
 // global one.
@@ -124,8 +140,8 @@ type MatrixCell struct {
 // classification grants, and the simulator's prediction for the same DAG —
 // predicted vs. measured in one place.
 type Report struct {
-	// Reading is the whole trace's, judged under future-first, the primary
-	// replay's discipline.
+	// Reading is the whole trace's, judged under the disciplines its spawns
+	// recorded.
 	Reading
 	// P is the processor count used for the envelope and sim replay.
 	P int
@@ -152,7 +168,7 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		return nil, err
 	}
 	if opts.P == 0 {
-		opts.P = tr.Workers()
+		opts.P = tr.workers()
 		if opts.P == 0 {
 			opts.P = 1
 		}
@@ -181,7 +197,7 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		if err != nil {
 			return fmt.Errorf("profile: sim replay: %w", err)
 		}
-		r.Reading, r.Sim = read(recon, simRep.Class, opts.P, sim.FutureFirst), simRep
+		r.Reading, r.Sim = read(recon, simRep.Class, opts.P), simRep
 		if !opts.NoMatrix {
 			r.Matrix, err = replayMatrix(recon, simRep, opts)
 			if err != nil {
@@ -248,7 +264,7 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 		} else {
 			class = dag.Classify(rec.Graph)
 		}
-		jr.Reading = read(rec, class, opts.P, sim.FutureFirst)
+		jr.Reading = read(rec, class, opts.P)
 		out[i] = jr
 		return nil
 	})
@@ -352,7 +368,7 @@ func (r *Report) String() string {
 		fmt.Fprintf(&sb, "envelope:           P·T∞² = %d·%d² = %d  → measured within bound: %v\n",
 			r.P, r.Span, r.DeviationBound, r.WithinBound())
 	} else {
-		fmt.Fprintf(&sb, "envelope:           none (class %q grants no future-first bound)\n", r.Class)
+		fmt.Fprintf(&sb, "envelope:           none: %s\n", r.withheld())
 	}
 	d := stats.Summarize(stats.Ints(r.Sim.Deviations))
 	s := stats.Summarize(stats.Ints(r.Sim.Steals))
@@ -399,7 +415,7 @@ func (r *Report) String() string {
 			if jr.DeviationBound > 0 {
 				fmt.Fprintf(&sb, "  envelope P·T∞²=%d within=%v\n", jr.DeviationBound, jr.WithinBound())
 			} else {
-				fmt.Fprintf(&sb, "  envelope none (class %q)\n", jr.Class)
+				fmt.Fprintf(&sb, "  envelope none: %s\n", jr.withheld())
 			}
 		}
 	}

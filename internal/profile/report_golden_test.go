@@ -9,7 +9,7 @@ import (
 
 	"futurelocality/internal/cache"
 	"futurelocality/internal/core"
-	"futurelocality/internal/policy"
+	"futurelocality/internal/dag"
 	"futurelocality/internal/profile"
 )
 
@@ -32,7 +32,7 @@ func jobTreesTrace(depth int) *profile.Trace {
 				next++
 				kids[i] = next
 				r.Record(worker, profile.Event{Kind: profile.KindSpawn, Task: task, Other: kids[i],
-					Arg: -1, Job: job, Disc: policy.ParentFirst})
+					Arg: -1, Job: job, Disc: dag.ParentFirst})
 			}
 			for i, kid := range kids {
 				mode, on := profile.ModeInline, worker
@@ -54,7 +54,7 @@ func jobTreesTrace(depth int) *profile.Trace {
 		next++
 		root := next
 		r.RecordExternal(profile.Event{Kind: profile.KindSpawn, Other: root, Arg: -1, Job: job,
-			Disc: policy.ParentFirst})
+			Disc: dag.ParentFirst})
 		tree(job, 0, root, depth+int(job))
 		r.Record(0, profile.Event{Kind: profile.KindHelp, Task: root, Arg: -1, Job: job})
 		r.RecordExternal(profile.Event{Kind: profile.KindTouch, Mode: profile.ModeExternal,

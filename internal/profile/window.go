@@ -18,26 +18,21 @@ package profile
 // So the gauge scales with the window the operator chose, not with its
 // square.
 
-import (
-	"futurelocality/internal/dag"
-	"futurelocality/internal/sim"
-)
+import "futurelocality/internal/dag"
 
 // WindowReading reconstructs tr (typically a Flight.Collect window) and
 // returns its reading for p processors (p <= 0 defaults to the trace's worker
-// count), built as each job's reading is. The bound is judged under fork,
-// the discipline whoever recorded the window ran under, and the
-// random-single thief the runtime is; the zero value is future-first, the
-// discipline the theorems grant envelopes for and the one Analyze's primary
-// replay runs. A window whose front was overwritten, the steady state of a
-// ring that has wrapped, reads with Recon.Incomplete notes.
-func WindowReading(tr *Trace, p int, fork sim.ForkPolicy) (Reading, error) {
+// count), built as each job's reading is: judged under the fork disciplines
+// its spawns recorded and the random-single thief the runtime is. A window
+// whose front was overwritten, the steady state of a ring that has wrapped,
+// reads with Recon.Incomplete notes.
+func WindowReading(tr *Trace, p int) (Reading, error) {
 	rec, err := Reconstruct(tr)
 	if err != nil {
 		return Reading{}, err
 	}
 	if p <= 0 {
-		p = max(tr.Workers(), 1)
+		p = max(tr.workers(), 1)
 	}
-	return read(rec, dag.Classify(rec.Graph), p, fork), nil
+	return read(rec, dag.Classify(rec.Graph), p), nil
 }

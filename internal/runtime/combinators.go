@@ -9,32 +9,6 @@ package runtime
 // closures and diving into the first branch), so the runtime-wide default
 // set by WithDiscipline does not change their schedule.
 
-// JoinN evaluates fns in parallel and returns their results in order. The
-// calling worker runs the first function itself (future-thread-first) and
-// exposes the rest for theft; each spawned future is touched exactly once.
-// An empty input returns an empty slice.
-func JoinN[T any](rt *Runtime, w *W, fns ...func(*W) T) []T {
-	out := make([]T, len(fns))
-	switch len(fns) {
-	case 0:
-		return out
-	case 1:
-		out[0] = fns[0](w)
-		return out
-	}
-	futs := make([]*Future[T], len(fns)-1)
-	for i := len(fns) - 1; i >= 1; i-- {
-		futs[i-1] = SpawnWith(rt, w, ParentFirst, fns[i]) // the pushed continuations
-	}
-	out[0] = fns[0](w)
-	// Touch in reverse spawn order: the most recently pushed future is the
-	// one most likely still in our own deque (popped back inline).
-	for i := 1; i < len(fns); i++ {
-		out[i] = futs[i-1].wait(w)
-	}
-	return out
-}
-
 // Map applies fn to every element of xs in parallel (divide and conquer
 // with Join2, so the computation is a balanced fork-join tree) and returns
 // the results in order. grain is the sequential cutoff; grain < 1 means 1.
@@ -84,34 +58,4 @@ func ForEach(rt *Runtime, w *W, n, grain int, fn func(*W, int)) {
 	if n > 0 {
 		rec(w, 0, n)
 	}
-}
-
-// Reduce folds xs with an associative combiner in parallel: pairs are
-// combined in a balanced tree, so the result is deterministic for
-// associative op regardless of scheduling. zero is returned for empty
-// input.
-func Reduce[T any](rt *Runtime, w *W, xs []T, grain int, zero T, op func(T, T) T) T {
-	if len(xs) == 0 {
-		return zero
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	var rec func(w *W, lo, hi int) T
-	rec = func(w *W, lo, hi int) T {
-		if hi-lo <= grain {
-			acc := xs[lo]
-			for i := lo + 1; i < hi; i++ {
-				acc = op(acc, xs[i])
-			}
-			return acc
-		}
-		mid := (lo + hi) / 2
-		a, b := Join2(rt, w,
-			func(w *W) T { return rec(w, lo, mid) },
-			func(w *W) T { return rec(w, mid, hi) },
-		)
-		return op(a, b)
-	}
-	return rec(w, 0, len(xs))
 }

@@ -69,7 +69,7 @@ func TestCounterFlushExactAfterWait(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			s0, t0 := rt.Stats(), rt.TelemetrySnapshot()
 			var got int
-			var js JobStats
+			var js jobCounts
 			if r%2 == 0 {
 				got = Run(rt, func(w *W) int { return cutFib(rt, w, n, cutoff) })
 			} else {

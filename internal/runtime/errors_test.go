@@ -24,7 +24,7 @@ func TestSpawnAfterShutdownFailsFast(t *testing.T) {
 	if !f.Done() {
 		t.Fatal("spawn on a closed runtime must complete immediately")
 	}
-	if _, err := f.TouchErr(nil); !errors.Is(err, ErrClosed) {
+	if _, err := f.touchErr(nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("TouchErr = %v, want ErrClosed", err)
 	}
 
@@ -42,8 +42,8 @@ func TestSpawnAfterShutdownFailsFast(t *testing.T) {
 }
 
 func TestConcurrentShutdownWaitsForQuiescence(t *testing.T) {
-	// A Shutdown racing another (e.g. a deferred Shutdown vs the
-	// WithContext watcher) must not return before the runtime quiesced.
+	// A Shutdown racing another must not return before the runtime
+	// quiesced.
 	rt := New(WithWorkers(2))
 	block := make(chan struct{})
 	running := make(chan struct{})
@@ -66,7 +66,7 @@ func TestConcurrentShutdownWaitsForQuiescence(t *testing.T) {
 	close(block)
 	<-first
 	<-second
-	if v, err := f.TouchErr(nil); err != nil || v != 1 {
+	if v, err := f.touchErr(nil); err != nil || v != 1 {
 		t.Fatalf("task result after shutdown: v=%d err=%v", v, err)
 	}
 }
@@ -116,46 +116,13 @@ func TestShutdownCancelsQueuedTasks(t *testing.T) {
 	close(block)
 	<-done
 
-	v, err := busy.TouchErr(nil)
+	v, err := busy.touchErr(nil)
 	if err != nil || v != 1 {
 		t.Fatalf("running task: v=%d err=%v, want 1, nil", v, err)
 	}
-	if _, err := queued.TouchErr(nil); !errors.Is(err, ErrClosed) {
+	if _, err := queued.touchErr(nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("queued task: err=%v, want ErrClosed", err)
 	}
-}
-
-func TestContextCancellationDrains(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	rt := New(WithWorkers(1), WithContext(ctx))
-
-	block := make(chan struct{})
-	running := make(chan struct{})
-	busy := Spawn(rt, nil, func(*W) int { close(running); <-block; return 7 })
-	<-running
-	queued := Spawn(rt, nil, func(*W) int { return 8 })
-
-	cancel()
-	// The watcher shuts the runtime down asynchronously; wait for the close
-	// to be visible, then let the in-flight task finish cooperatively.
-	deadline := time.Now().Add(5 * time.Second)
-	for !rt.Closed() {
-		if time.Now().After(deadline) {
-			t.Fatal("runtime never closed after context cancellation")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(block)
-	if v, err := busy.TouchErr(nil); err != nil || v != 7 {
-		t.Fatalf("in-flight task after cancel: v=%d err=%v", v, err)
-	}
-	if _, err := queued.TouchErr(nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("queued task after cancel: err=%v, want ErrClosed", err)
-	}
-	if _, err := RunErr(rt, func(*W) int { return 0 }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("RunErr after cancel = %v, want ErrClosed", err)
-	}
-	rt.Shutdown() // idempotent with the watcher's shutdown
 }
 
 // ---------------------------------------------------------------------------
@@ -167,7 +134,7 @@ var errBoom = errors.New("boom-sentinel")
 func TestTouchErrReturnsTaskError(t *testing.T) {
 	rt := newRT(t, 2)
 	f := Spawn(rt, nil, func(*W) int { panic(errBoom) })
-	_, err := f.TouchErr(nil)
+	_, err := f.touchErr(nil)
 	if err == nil || !errors.Is(err, errBoom) {
 		t.Fatalf("TouchErr = %v, want wrapped errBoom", err)
 	}
@@ -180,7 +147,7 @@ func TestTouchErrReturnsTaskError(t *testing.T) {
 func TestTouchErrNonErrorPanic(t *testing.T) {
 	rt := newRT(t, 2)
 	f := Spawn(rt, nil, func(*W) int { panic("just a string") })
-	_, err := f.TouchErr(nil)
+	_, err := f.touchErr(nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Value != "just a string" {
 		t.Fatalf("TouchErr = %v, want PanicError{just a string}", err)
@@ -190,10 +157,10 @@ func TestTouchErrNonErrorPanic(t *testing.T) {
 func TestTouchErrDoubleTouch(t *testing.T) {
 	rt := newRT(t, 2)
 	f := Spawn(rt, nil, func(*W) int { return 1 })
-	if _, err := f.TouchErr(nil); err != nil {
+	if _, err := f.touchErr(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.TouchErr(nil); !errors.Is(err, ErrDoubleTouch) {
+	if _, err := f.touchErr(nil); !errors.Is(err, ErrDoubleTouch) {
 		t.Fatalf("second TouchErr = %v, want ErrDoubleTouch", err)
 	}
 }
@@ -208,7 +175,7 @@ func TestPanicTouchedByExternalGoroutine(t *testing.T) {
 		return struct{}{}
 	})
 	f := <-ch
-	if _, err := f.TouchErr(nil); !errors.Is(err, errBoom) {
+	if _, err := f.touchErr(nil); !errors.Is(err, errBoom) {
 		t.Fatalf("external TouchErr = %v, want errBoom", err)
 	}
 }
@@ -262,4 +229,37 @@ func TestTouchStillRepanicsOriginalValue(t *testing.T) {
 		}
 	}()
 	f.Touch(nil)
+}
+
+func TestContextCancellationDrains(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	rt := New(WithWorkers(1), WithContext(ctx))
+
+	block := make(chan struct{})
+	running := make(chan struct{})
+	busy := Spawn(rt, nil, func(*W) int { close(running); <-block; return 7 })
+	<-running
+	queued := Spawn(rt, nil, func(*W) int { return 8 })
+
+	cancel()
+	// The watcher shuts the runtime down asynchronously; wait for the close
+	// to be visible, then let the in-flight task finish cooperatively.
+	deadline := time.Now().Add(5 * time.Second)
+	for !rt.Closed() {
+		if time.Now().After(deadline) {
+			t.Fatal("runtime never closed after context cancellation")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(block)
+	if v, err := busy.touchErr(nil); err != nil || v != 7 {
+		t.Fatalf("in-flight task after cancel: v=%d err=%v", v, err)
+	}
+	if _, err := queued.touchErr(nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("queued task after cancel: err=%v, want ErrClosed", err)
+	}
+	if _, err := RunErr(rt, func(*W) int { return 0 }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("RunErr after cancel = %v, want ErrClosed", err)
+	}
+	rt.Shutdown() // idempotent with the watcher's shutdown
 }

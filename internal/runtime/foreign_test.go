@@ -146,7 +146,7 @@ func TestForeignWorkerTouch(t *testing.T) {
 							}
 							return touched{v: v}
 						}
-						v, err := f.TouchErr(wa)
+						v, err := f.touchErr(wa)
 						return touched{v, err}
 					})
 				}()
@@ -174,7 +174,7 @@ func TestForeignWorkerTouch(t *testing.T) {
 				if inJob {
 					st := j.Stats()
 					st.ID, st.QueueWait, st.Latency = 0, 0, 0
-					if want := (JobStats{TasksRun: 2, InlineTouches: c.inline}); st != want {
+					if want := (jobCounts{TasksRun: 2, InlineTouches: c.inline}); st != want {
 						t.Errorf("B's job stats %+v, want %+v", st, want)
 					}
 				}

@@ -93,7 +93,7 @@ type jobState struct {
 	// steals, inline touches and helped tasks of the job's executed tasks,
 	// and blocked touches of its futures by its own computation. W.publish
 	// is their only writer, adding the same pending counts it adds to the
-	// worker's telemetry row, so Σ JobStats, Stats and a trace agree by
+	// worker's telemetry row, so Σ jobCounts, Stats and a trace agree by
 	// construction: a task stolen during a help is one steal in each, and
 	// steals+helped+blocked never double-charges one displaced execution.
 	counts [numJobColumns]atomic.Int64
@@ -241,8 +241,8 @@ func (js *jobState) finish() {
 // jobStats snapshots the counters (approximate while the job is in flight).
 // Only a handle calls it, and an unconsumed handle's liveness reference
 // keeps the root from being recycled under the read.
-func (js *jobState) jobStats() JobStats {
-	return JobStats{
+func (js *jobState) jobStats() jobCounts {
+	return jobCounts{
 		ID:             js.id.Load(),
 		TasksRun:       js.counts[jobTasks].Load(),
 		Steals:         js.counts[jobSteals].Load(),
@@ -254,11 +254,11 @@ func (js *jobState) jobStats() JobStats {
 	}
 }
 
-// JobStats is a per-job snapshot of scheduler counters and wall-clock
+// jobCounts is a per-job snapshot of scheduler counters and wall-clock
 // capture: the job-scoped analogue of Stats, so one job's deviation proxies
 // (steals, helped, blocked) can be read off without disentangling the
 // pooled runtime counters from its neighbors'.
-type JobStats struct {
+type jobCounts struct {
 	// ID is the job's runtime-assigned identity (dense, starting at 1; it is
 	// the Event.Job value profiling records for the job's events).
 	ID uint64
@@ -300,21 +300,13 @@ type Job[T any] struct {
 	gen uint64
 	// fin holds the final stats, captured by the consuming call; consumed
 	// marks this handle copy as spent.
-	fin      JobStats
+	fin      jobCounts
 	consumed bool
 }
 
 // ID returns the job's runtime-assigned identity — the Event.Job value its
 // profiled events carry.
 func (j *Job[T]) ID() uint64 { return j.id }
-
-// Done reports whether the job has completed (without consuming the result).
-func (j *Job[T]) Done() bool {
-	if j.consumed {
-		return true
-	}
-	return j.f.Done()
-}
 
 // stale reports that the underlying root was consumed through another copy
 // of this handle and has been recycled — this copy must not touch it.
@@ -374,38 +366,12 @@ func (j *Job[T]) WaitErr() (T, error) {
 		var zero T
 		return zero, ErrDoubleTouch
 	}
-	v, err := j.f.TouchErr(nil)
+	v, err := j.f.touchErr(nil)
 	if err != nil && errors.Is(err, ErrDoubleTouch) {
 		return v, err
 	}
 	j.settle()
 	return v, err
-}
-
-// TryWait consumes the result only if the job has already completed; ok
-// reports whether it was taken. An unsuccessful TryWait does not spend the
-// single consume.
-func (j *Job[T]) TryWait() (v T, ok bool) {
-	if j.consumed || j.stale() {
-		panic(ErrDoubleTouch)
-	}
-	v, ok = j.f.TryTouch(nil)
-	if ok {
-		j.settle()
-	}
-	return v, ok
-}
-
-// Stats snapshots the job's scheduler counters and wall-clock capture
-// (approximate while the job is in flight, final once consumed).
-func (j *Job[T]) Stats() JobStats {
-	if j.consumed {
-		return j.fin
-	}
-	if j.stale() {
-		return JobStats{ID: j.id}
-	}
-	return j.js.jobStats()
 }
 
 // Latency returns the job's submit→completion wall time, 0 while it is

@@ -538,17 +538,17 @@ func TestHelpAttributedToHelpedTasksJob(t *testing.T) {
 		t.Fatalf("help attributed to job %d, want the helped task's job %d", helps[0].Job, jB.ID())
 	}
 	if sa, sb := jA.Stats().HelpedTasks, jB.Stats().HelpedTasks; sa != 0 || sb != 1 {
-		t.Fatalf("JobStats helped: A=%d B=%d, want 0 and 1", sa, sb)
+		t.Fatalf("jobCounts helped: A=%d B=%d, want 0 and 1", sa, sb)
 	}
 	recs := jobRecons(t, tr)
 	recA, recB := recs[jA.ID()], recs[jB.ID()]
-	if recA.HelpedTasks != 0 || recA.MeasuredDeviations() != 0 {
+	if recA.HelpedTasks != 0 || (recA.Steals+recA.HelpedTasks+recA.BlockedWaits) != 0 {
 		t.Fatalf("job A recon: helped=%d deviations=%d, want 0/0 — contaminated by job B's displacement",
-			recA.HelpedTasks, recA.MeasuredDeviations())
+			recA.HelpedTasks, (recA.Steals + recA.HelpedTasks + recA.BlockedWaits))
 	}
-	if recB.HelpedTasks != 1 || recB.MeasuredDeviations() != 1 {
+	if recB.HelpedTasks != 1 || (recB.Steals+recB.HelpedTasks+recB.BlockedWaits) != 1 {
 		t.Fatalf("job B recon: helped=%d deviations=%d, want 1/1 — its displaced execution went missing",
-			recB.HelpedTasks, recB.MeasuredDeviations())
+			recB.HelpedTasks, (recB.Steals + recB.HelpedTasks + recB.BlockedWaits))
 	}
 	// A's wait still shows up as a helped-mode touch in A's trace (the N
 	// rider summarizes the wait), without counting as A's deviation.

@@ -11,8 +11,9 @@ import (
 	"errors"
 	"io"
 	"strconv"
+	"strings"
 
-	"futurelocality/internal/policy"
+	"futurelocality/internal/dag"
 	"futurelocality/internal/profile"
 	"futurelocality/internal/stats"
 	"futurelocality/internal/telemetry"
@@ -49,12 +50,10 @@ func (rt *Runtime) DumpFlight() (*profile.Trace, error) {
 
 // FlightEnvelope reconstructs the flight window and returns its reading:
 // measured deviations in the window against the P·T∞² budget its DAG grants
-// under the runtime's default fork discipline and its random-single thief —
-// so a parent-first runtime, the default, reads budget 0, as the report's
-// matrix does for that cell. The pooled and per-job verdicts of FlightReport
-// on the same window do grant the budget: they are judged under
-// future-first, the discipline of the report's primary replay. Cheap enough
-// for a scrape path (no sim replay).
+// under the fork disciplines its spawns recorded — so a window holding a
+// parent-first fork, which a default runtime's Spawn makes, reads budget 0,
+// as do the pooled and per-job verdicts of FlightReport on the same window.
+// Cheap enough for a scrape path (no sim replay).
 func (rt *Runtime) FlightEnvelope() (profile.Reading, error) {
 	r, _, err := rt.flightReading()
 	return r, err
@@ -66,7 +65,7 @@ func (rt *Runtime) flightReading() (profile.Reading, int, error) {
 	if err != nil {
 		return profile.Reading{}, 0, err
 	}
-	r, err := profile.WindowReading(tr, len(rt.workers), rt.discipline)
+	r, err := profile.WindowReading(tr, len(rt.workers))
 	return r, tr.Len(), err
 }
 
@@ -108,17 +107,14 @@ type scrape struct {
 // label (a shard.Pool's). typ is "gauge" or "counter"; a family with a key
 // has one sample per entry, labelled key="<sample.label>"; a histogram
 // family has hist instead of typ and samples and is merged across runtimes;
-// a family with a keyOf has one sample per runtime, labelled key="<keyOf>";
-// a flight family is emitted only for runtimes whose scrape has an envelope,
-// and omitted when none has.
+// a flight family, one whose name begins "flight_", is emitted only for
+// runtimes whose scrape has an envelope, and omitted when none has.
 type family struct {
 	name, typ     string
 	help, helpPer string
 	key           string
-	keyOf         func(*scrape) string
 	samples       []sample
 	hist          func(*Runtime) stats.HistSnapshot
-	flight        bool
 }
 
 type sample struct {
@@ -135,7 +131,7 @@ func total(c telemetry.Counter) func(*scrape) int64 {
 }
 
 // families is the whole /metrics contract, in page order: scheduler counters
-// (steals under the name of the runtime's steal rule, spawns by discipline), job
+// (spawns by discipline), job
 // admission outcomes including sheds, the in-flight gauge, the job latency and
 // queue-wait histograms, and the rolling deviation-vs-envelope gauges of the
 // flight window. A new counter is one row here (internal/shard's
@@ -151,13 +147,12 @@ var families = []family{
 		samples: one(total(telemetry.CTasksRun))},
 	{name: "steal_attempts_total", typ: "counter", help: "Steal probes, successful or dry.", helpPer: "Steal probes per shard, successful or dry.",
 		samples: one(total(telemetry.CStealAttempts))},
-	{name: "steals_total", typ: "counter", help: "Claimed steals by steal policy.", helpPer: "Claimed steals by shard and steal policy.",
-		key: "policy", keyOf: func(s *scrape) string { return s.rt.StealPolicy().String() },
+	{name: "steals_total", typ: "counter", help: "Claimed steals.", helpPer: "Claimed steals per shard.",
 		samples: one(func(s *scrape) int64 { return s.snap.Steals() })},
 	{name: "spawns_total", typ: "counter", help: "Spawns by fork discipline.", helpPer: "Spawns by shard and fork discipline.",
 		key: "discipline", samples: []sample{
-			{policy.FutureFirst.String(), total(telemetry.CSpawnsFutureFirst)},
-			{policy.ParentFirst.String(), total(telemetry.CSpawnsParentFirst)},
+			{dag.FutureFirst.String(), total(telemetry.CSpawnsFutureFirst)},
+			{dag.ParentFirst.String(), total(telemetry.CSpawnsParentFirst)},
 		}},
 	{name: "inline_touches_total", typ: "counter", help: "Touches satisfied by inline-running the task.", helpPer: "Touches satisfied by inline-running the task, per shard.",
 		samples: one(total(telemetry.CInlineTouches))},
@@ -182,13 +177,13 @@ var families = []family{
 	{name: "job_queue_wait_seconds", help: "Submit to first-execution delay per job.", helpPer: "Submit to first-execution delay per job, merged across shards.",
 		hist: (*Runtime).QueueWaitHist},
 	{name: "flight_window_events", typ: "gauge", help: "Events currently held by the flight-recorder window.", helpPer: "Events currently held by each shard's flight-recorder window.",
-		flight: true, samples: one(func(s *scrape) int64 { return int64(s.events) })},
+		samples: one(func(s *scrape) int64 { return int64(s.events) })},
 	{name: "flight_window_deviations", typ: "gauge", help: "Measured deviations (steals+helped+blocked) in the flight window.", helpPer: "Measured deviations in each shard's flight window.",
-		flight: true, samples: one(func(s *scrape) int64 { return s.env.MaxDeviations })},
-	{name: "flight_window_envelope", typ: "gauge", help: "P*Tinf^2 deviation budget of the flight window's DAG (0 = class grants no bound).", helpPer: "P*Tinf^2 deviation budget of each shard's flight window (0 = class grants no bound).",
-		flight: true, samples: one(func(s *scrape) int64 { return s.env.DeviationBound })},
+		samples: one(func(s *scrape) int64 { return s.env.MaxDeviations })},
+	{name: "flight_window_envelope", typ: "gauge", help: "P*Tinf^2 deviation budget of the flight window's DAG (0 = no bound granted).", helpPer: "P*Tinf^2 deviation budget of each shard's flight window (0 = no bound granted).",
+		samples: one(func(s *scrape) int64 { return s.env.DeviationBound })},
 	{name: "flight_window_within_bound", typ: "gauge", help: "1 when the flight window's deviations sit inside its envelope.", helpPer: "1 when a shard's flight-window deviations sit inside its envelope.",
-		flight: true, samples: one(func(s *scrape) int64 {
+		samples: one(func(s *scrape) int64 {
 			if s.env.WithinBound() {
 				return 1
 			}
@@ -226,10 +221,11 @@ func WriteMetricsPage(e *telemetry.Expo, rts []*Runtime, label string) {
 			e.Histogram(metricPrefix+f.name, help, h, 1e9)
 			continue
 		}
+		flight := strings.HasPrefix(f.name, "flight_")
 		var vals []telemetry.LabeledValue
 		for i := range scrapes {
 			s := &scrapes[i]
-			if f.flight && !s.flight {
+			if flight && !s.flight {
 				continue
 			}
 			for _, sm := range f.samples {
@@ -237,15 +233,13 @@ func WriteMetricsPage(e *telemetry.Expo, rts []*Runtime, label string) {
 				if label != "" {
 					labels = append(labels, label, s.id)
 				}
-				if f.keyOf != nil {
-					labels = append(labels, f.key, f.keyOf(s))
-				} else if f.key != "" {
+				if f.key != "" {
 					labels = append(labels, f.key, sm.label)
 				}
 				vals = append(vals, telemetry.LabeledValue{Labels: labels, Value: sm.get(s)})
 			}
 		}
-		if f.flight && len(vals) == 0 {
+		if flight && len(vals) == 0 {
 			continue
 		}
 		if f.typ == "gauge" {
@@ -271,7 +265,6 @@ func (rt *Runtime) WriteMetrics(w io.Writer) error {
 func (rt *Runtime) MetricsMap() map[string]any {
 	m := telemetry.Map(rt.tele.Snapshot())
 	m["workers"] = len(rt.workers)
-	m["topology_source"] = rt.topo.Source
 	m["jobs_in_flight"] = rt.InFlight()
 	m["jobs_max_in_flight"] = rt.MaxInFlight()
 	m["job_latency_ns"] = histMap(rt.latencyHist.Snapshot())

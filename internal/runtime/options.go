@@ -7,36 +7,24 @@ import (
 	"strconv"
 	"time"
 
+	"futurelocality/internal/dag"
 	"futurelocality/internal/deque"
-	"futurelocality/internal/policy"
 	"futurelocality/internal/profile"
 	"futurelocality/internal/telemetry"
-	"futurelocality/internal/topology"
 )
 
 // Discipline is the fork-discipline vocabulary shared with the simulator
-// (internal/policy): which side of a spawn the worker runs first.
-type Discipline = policy.Discipline
+// (dag.Discipline): which side of a spawn the worker runs first.
+type Discipline = dag.Discipline
 
 const (
 	// FutureFirst dives into the spawned future immediately (work-first) —
 	// the Theorem 8 policy. See SpawnWith for the runtime mechanics.
-	FutureFirst = policy.FutureFirst
+	FutureFirst = dag.FutureFirst
 	// ParentFirst makes the spawned future stealable and continues with the
 	// parent (help-first) — the Theorem 10 policy.
-	ParentFirst = policy.ParentFirst
+	ParentFirst = dag.ParentFirst
 )
-
-// StealPolicy is the steal-discipline vocabulary shared with the simulator
-// (internal/policy): whom a thief robs and how much it takes per visit. The
-// runtime has one steal rule (W.stealOnce) and uses the vocabulary only to
-// name it (Runtime.StealPolicy).
-type StealPolicy = policy.StealPolicy
-
-// RandomSingle steals one task from the top of a uniformly random victim —
-// the paper's parsimonious baseline, the only steal policy the Theorem
-// 8/12/16/18 envelopes cover, and the runtime's rule.
-const RandomSingle = policy.RandomSingle
 
 // Option configures a Runtime at construction (see New).
 type Option func(*options)
@@ -45,7 +33,6 @@ type options struct {
 	workers     int
 	seed        int64
 	discipline  Discipline
-	topo        *topology.Topology
 	maxInFlight int
 	flight      int // flight-recorder window per worker (0 = none)
 	ctx         context.Context
@@ -65,7 +52,7 @@ func WithSeed(seed int64) Option {
 // Spawn (and every facade call that does not pick one explicitly). The
 // default is ParentFirst — the historical Spawn behavior, which keeps a
 // lone spawn asynchronous; per-call SpawnWith overrides it. Combinators
-// (Join2, JoinN, Map, ForEach, Reduce) realize the future-first discipline
+// (Join2, Map, ForEach) realize the future-first discipline
 // structurally regardless of this setting, because there the continuation
 // is an explicit closure the runtime can expose for theft.
 func WithDiscipline(d Discipline) Option {
@@ -75,18 +62,6 @@ func WithDiscipline(d Discipline) Option {
 		}
 		o.discipline = d
 	}
-}
-
-// WithTopology sets the machine topology the runtime reports (Topology; see
-// internal/topology). It does not change how the runtime schedules: a
-// runtime is one steal domain, its thief robs any other worker uniformly at
-// random, and its parked workers sleep on one idle stack, whatever the
-// topology. The machine's LLC domains shape a shard.Pool instead, which runs
-// one runtime per domain and hands each its domain's carve-out. The default
-// (nil) is the host topology discovered from sysfs, falling back to a single
-// flat domain when discovery fails.
-func WithTopology(t *topology.Topology) Option {
-	return func(o *options) { o.topo = t }
 }
 
 // WithMaxInFlight caps the number of submitted jobs concurrently in flight
@@ -126,17 +101,11 @@ func WithFlightRecorder(size int) Option {
 	}
 }
 
-// WithContext ties the runtime's lifetime to ctx: when ctx is cancelled
-// the runtime shuts down as if Shutdown were called — workers finish their
-// current task, cooperatively drain, and every task still queued fails its
-// future fast with ErrClosed instead of hanging.
-func WithContext(ctx context.Context) Option {
-	return func(o *options) { o.ctx = ctx }
-}
-
-// New starts a runtime. With no options it uses GOMAXPROCS workers, seed 1,
-// the ParentFirst default spawn discipline, and reports the host's cache
-// topology:
+// New starts a runtime. With no options it uses GOMAXPROCS workers, seed 1
+// and the ParentFirst default spawn discipline. A runtime is one steal
+// domain whatever the machine: its thief robs any other worker uniformly at
+// random, the thief the theorems assume. To follow a machine's LLC domains,
+// run a shard.Pool, one runtime per domain:
 //
 //	rt := runtime.New(runtime.WithWorkers(8), runtime.WithDiscipline(runtime.FutureFirst))
 //	defer rt.Shutdown()
@@ -149,17 +118,9 @@ func New(opts ...Option) *Runtime {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	seed := o.seed
-	if seed == 0 {
-		seed = 1
-	}
-	topo := o.topo
-	if topo == nil {
-		topo = topology.Detect()
-	}
+	seed := cmp.Or(o.seed, 1)
 	rt := &Runtime{
 		discipline: o.discipline,
-		topo:       topo,
 		stop:       make(chan struct{}),
 		term:       make(chan struct{}),
 	}

@@ -128,9 +128,6 @@ func (rt *Runtime) StopProfile() *profile.Trace {
 	return rec.Collect()
 }
 
-// Profiling reports whether a session is active.
-func (rt *Runtime) Profiling() bool { return rt.prof.Load() != nil }
-
 // ProfileReport stops the active session and runs the full analysis:
 // reconstruct the DAG, classify it, count measured deviations, and replay
 // the DAG through the simulator for the predicted numbers. opts.P defaults

@@ -81,13 +81,9 @@ func TestConcurrentStartStopWhileRunning(t *testing.T) {
 					t.Error("session started by us was stopped by nobody else")
 					return
 				}
-				rec, err := profile.Reconstruct(tr)
+				_, err := profile.Reconstruct(tr)
 				if err != nil {
 					t.Errorf("truncated trace failed to reconstruct: %v", err)
-					return
-				}
-				if err := rec.Graph.Validate(); err != nil {
-					t.Errorf("reconstructed DAG invalid: %v", err)
 					return
 				}
 			}
@@ -230,9 +226,6 @@ func TestTaskIDBlocksUniqueAndReconstruct(t *testing.T) {
 	}
 	if len(rec.Incomplete) > 0 {
 		t.Fatalf("reconstruction incomplete: %v", rec.Incomplete)
-	}
-	if err := rec.Graph.Validate(); err != nil {
-		t.Fatalf("reconstructed DAG invalid: %v", err)
 	}
 	if len(rec.Tasks) != len(seen)+1 { // + the external context
 		t.Fatalf("reconstructed %d tasks, want %d", len(rec.Tasks), len(seen)+1)

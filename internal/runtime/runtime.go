@@ -11,7 +11,7 @@
 //     uses the runtime-wide default set by WithDiscipline. ParentFirst
 //     (help-first) makes the child stealable and continues with the parent;
 //     FutureFirst (work-first) dives into the child immediately — the
-//     Join2/JoinN mechanics generalized to a plain future (see SpawnWith
+//     Join2 mechanics generalized to a plain future (see SpawnWith
 //     for the continuation-theft caveat Go imposes).
 //
 // Workers run on dedicated goroutines, each owning a lock-free
@@ -54,11 +54,10 @@
 // DESIGN.md, "hot path anatomy", for the per-operation budget.
 //
 // Errors and cancellation: task panics surface through Touch (re-panicking
-// the original value) or TouchErr/RunErr (returned as errors, wrapping the
-// panic in *PanicError). A runtime that has been Shutdown — explicitly or
-// through WithContext cancellation — fails new spawns fast with ErrClosed
-// and cancels still-queued tasks instead of letting touches hang on a dead
-// queue.
+// the original value) or RunErr (returned as an error, wrapping the panic in
+// *PanicError). A runtime that has been Shutdown fails new spawns fast with
+// ErrClosed and cancels still-queued tasks instead of letting touches hang
+// on a dead queue.
 //
 // Beyond the one-computation Run entry point, the job-server layer (see
 // job.go) makes the pool multi-tenant: Submit accepts concurrent root
@@ -94,7 +93,6 @@ import (
 	"futurelocality/internal/profile"
 	"futurelocality/internal/stats"
 	"futurelocality/internal/telemetry"
-	"futurelocality/internal/topology"
 )
 
 // cacheLine is the padding unit separating fields written by different
@@ -300,7 +298,7 @@ type taskBody interface {
 }
 
 // Runtime is a work-stealing futures scheduler. Create with New, stop with
-// Shutdown (or a cancelled WithContext context). Safe for concurrent use.
+// Shutdown. Safe for concurrent use.
 //
 // Layout: like W and deque.Ptr, the fields every spawn and steal reads but
 // (almost) nobody writes come first, then a cache line of padding, then the
@@ -313,10 +311,6 @@ type Runtime struct {
 	// discipline is the default fork discipline used by Spawn (set by
 	// WithDiscipline, immutable after New).
 	discipline Discipline
-	// topo is the machine topology the runtime reports (Topology: discovered
-	// from sysfs or injected by WithTopology). Nothing schedules by it.
-	// Immutable after New.
-	topo *topology.Topology
 	// closed is written once, by Shutdown.
 	closed atomic.Bool
 	// stop is closed by Shutdown; it releases the WithContext watcher.
@@ -559,25 +553,11 @@ func (rt *Runtime) Workers() int { return len(rt.workers) }
 // snapshot and may be stale by the time the caller acts on it.
 func (rt *Runtime) QueueBacklog() int { return rt.global.Len() }
 
-// Discipline returns the runtime-wide default fork discipline (see
-// WithDiscipline).
-func (rt *Runtime) Discipline() Discipline { return rt.discipline }
-
-// StealPolicy names the runtime's one steal rule (stealOnce) in the shared
-// policy vocabulary: RandomSingle, on every topology.
-func (rt *Runtime) StealPolicy() StealPolicy { return RandomSingle }
-
-// Closed reports whether the runtime has been shut down (explicitly or by
-// context cancellation). Spawns on a closed runtime fail fast: their
-// futures complete with ErrClosed.
-func (rt *Runtime) Closed() bool { return rt.closed.Load() }
-
 // Shutdown stops the workers. Tasks already running complete; tasks still
 // queued are cancelled — their futures fail with ErrClosed, so a pending
-// Touch panics (and TouchErr returns the error) instead of hanging. For
+// Touch panics (and RunErr returns the error) instead of hanging. For
 // the common pattern, touch the computation's results first (Run touches
-// the root future before returning). Idempotent, and every caller —
-// including one racing the WithContext watcher's own shutdown — returns
+// the root future before returning). Idempotent, and every caller returns
 // only after the runtime has fully quiesced.
 func (rt *Runtime) Shutdown() {
 	if rt.closed.Swap(true) {
@@ -768,7 +748,7 @@ const (
 // and an inline touch: one out-of-order execution, one measured deviation. A
 // steal and a help are charged to t's job (Event.Job = t's job), not to
 // whichever job the helping worker was waiting in, so per-job trace
-// splitting and JobStats agree.
+// splitting and jobCounts agree.
 func (w *W) run(t *task, fl execFlags) {
 	js, id := t.job, t.id()
 	prev, prevJob := w.cur, w.curJob
@@ -1302,11 +1282,10 @@ func (rt *Runtime) dequeued() bool {
 var ErrDoubleTouch = errors.New("runtime: future touched twice (single-touch discipline)")
 
 // ErrClosed reports a spawn on (or a task cancelled by) a runtime that has
-// been shut down — explicitly via Shutdown or through WithContext
-// cancellation. Touch panics with it; TouchErr and RunErr return it.
+// been shut down. Touch panics with it; RunErr returns it.
 var ErrClosed = errors.New("runtime: runtime is closed")
 
-// PanicError wraps a task panic surfaced as an error by TouchErr/RunErr.
+// PanicError wraps a task panic surfaced as an error by RunErr or WaitErr.
 // Unwrap exposes the panic value when it is itself an error, so
 // errors.Is/As reach the original.
 type PanicError struct {
@@ -1326,7 +1305,7 @@ func (e *PanicError) Unwrap() error {
 }
 
 // Future is a single-touch future of type T. Create with Spawn or
-// SpawnWith; consume exactly once with Touch (or TouchErr). Futures may be
+// SpawnWith; consume exactly once with Touch. Futures may be
 // handed to other tasks (the Figure 5(b) pattern); whichever task touches
 // first wins, a second touch panics.
 //
@@ -1389,7 +1368,7 @@ func (f *Future[T]) failure() any {
 
 // Spawn creates a future computing fn under the runtime's default fork
 // discipline (ParentFirst unless WithDiscipline says otherwise). w may be
-// nil (external caller). Equivalent to SpawnWith(rt, w, rt.Discipline(), fn).
+// nil (external caller). Equivalent to SpawnWith with the runtime's default.
 func Spawn[T any](rt *Runtime, w *W, fn func(*W) T) *Future[T] {
 	return SpawnWith(rt, w, rt.discipline, fn)
 }
@@ -1409,7 +1388,7 @@ func Spawn[T any](rt *Runtime, w *W, fn func(*W) T) *Future[T] {
 //     the child itself spawns) that is available for theft; the caller's
 //     own continuation resumes on the same worker in exactly the sequential
 //     future-first order — which is the point of the policy. When the
-//     continuation is available as a closure, prefer Join2/JoinN, which
+//     continuation is available as a closure, prefer Join2, which
 //     expose it for theft as well.
 //
 // Cost: one allocation (the Future, which embeds its task) beyond whatever
@@ -1417,7 +1396,7 @@ func Spawn[T any](rt *Runtime, w *W, fn func(*W) T) *Future[T] {
 // locks (see DESIGN.md, "hot path anatomy").
 //
 // On a closed runtime the future completes immediately with ErrClosed
-// (Touch panics with it, TouchErr returns it) — spawns never strand on a
+// (Touch panics with it, RunErr returns it) — spawns never strand on a
 // dead queue. The chosen discipline is recorded in profiling traces per
 // spawn, so reconstruction can attribute deviations to policy choice.
 func SpawnWith[T any](rt *Runtime, w *W, d Discipline, fn func(*W) T) *Future[T] {
@@ -1507,16 +1486,10 @@ func (f *Future[T]) dive(rt *Runtime, w *W) {
 	}
 }
 
-// Done reports whether the future has completed (without touching it).
-func (f *Future[T]) Done() bool {
-	return f.isDone()
-}
-
 // Touch consumes the future, blocking until its value is ready. The second
 // Touch on the same future panics with ErrDoubleTouch. If the future's task
 // panicked, Touch re-panics with the original panic value; if the task was
-// cancelled by shutdown, Touch panics with ErrClosed (use TouchErr for an
-// error-returning variant).
+// cancelled by shutdown, Touch panics with ErrClosed.
 //
 // A worker touching an unfinished future does not sit idle: if the future's
 // task has not started, the worker runs it inline (work-first, exactly the
@@ -1529,36 +1502,17 @@ func (f *Future[T]) Touch(w *W) T {
 	return f.finish()
 }
 
-// TouchErr is Touch with an error surface instead of a panic surface: a
+// touchErr is Touch with an error surface instead of a panic surface: a
 // task panic is returned as a *PanicError wrapping the original value
 // (errors.Is/As reach it via Unwrap when it is an error), a shutdown
 // cancellation as ErrClosed, and a second touch as ErrDoubleTouch. The
 // scheduling behavior (inline, help, block) is identical to Touch.
-func (f *Future[T]) TouchErr(w *W) (T, error) {
+func (f *Future[T]) touchErr(w *W) (T, error) {
 	if !f.await(w, stateTouched) {
 		var zero T
 		return zero, ErrDoubleTouch
 	}
 	return f.finishErr()
-}
-
-// TryTouch consumes the future only if it has already completed; ok
-// reports whether the value was taken. A successful TryTouch counts as the
-// single touch (a later Touch panics); an unsuccessful one does not. This
-// supports opportunistic consumption patterns — e.g. draining whichever
-// futures of a batch are ready before blocking on the rest — while keeping
-// the discipline intact. w is the calling worker (nil for external
-// goroutines) and determines which context the touch is attributed to in
-// profiling traces.
-func (f *Future[T]) TryTouch(w *W) (v T, ok bool) {
-	if !f.isDone() {
-		return v, false
-	}
-	if !f.spendTouch() {
-		panic(ErrDoubleTouch)
-	}
-	f.job.rt.recordTouch(w, &f.task, profile.ModeReady, 0, -1)
-	return f.finish(), true
 }
 
 // wait is Touch without the single-touch bookkeeping (used by Join2 and
@@ -1693,7 +1647,7 @@ func Run[T any](rt *Runtime, fn func(*W) T) T {
 // ErrClosed instead of hanging or panicking.
 func RunErr[T any](rt *Runtime, fn func(*W) T) (T, error) {
 	f := SpawnWith(rt, nil, ParentFirst, fn)
-	return f.TouchErr(nil)
+	return f.touchErr(nil)
 }
 
 // Join2 evaluates fa and fb in parallel and returns both results — the
@@ -1750,7 +1704,7 @@ type WorkerStats struct {
 // Stats is a view over the always-on counter matrix. A steal is counted where
 // the stolen task runs, and an execution is counted once, as a steal, a help or
 // an inline touch (see W.run); the per-task counters reach the rows and the
-// jobs' JobStats in one publication (W.publish), so Stats equals Σ JobStats plus
+// jobs' jobCounts in one publication (W.publish), so Stats equals Σ jobCounts plus
 // the job-less counts (and the blocked touches of another job's futures, which
 // only the rows count). Once a computation whose futures were all touched has
 // been waited for (Run or Job.Wait returned) its tasks are all counted; while
@@ -1789,8 +1743,3 @@ func (s Stats) String() string {
 	return fmt.Sprintf("tasks=%d steals=%d/%d inline=%d helped=%d blocked=%d",
 		s.TasksRun, s.Steals, s.StealAttempts, s.InlineTouches, s.HelpedTasks, s.BlockedTouches)
 }
-
-// Topology returns the machine topology the runtime reports (see
-// WithTopology; defaults to the host topology discovered from sysfs, or a
-// flat fallback).
-func (rt *Runtime) Topology() *topology.Topology { return rt.topo }

@@ -53,7 +53,7 @@ var touchEntries = []touchEntry{
 	{"Touch", true, func(f *Future[int], w *W) (int, error) {
 		return catch(func() int { return f.Touch(w) })
 	}},
-	{"TouchErr", true, func(f *Future[int], w *W) (int, error) { return f.TouchErr(w) }},
+	{"TouchErr", true, func(f *Future[int], w *W) (int, error) { return f.touchErr(w) }},
 	{"TryTouch", false, func(f *Future[int], w *W) (int, error) {
 		return catch(func() int {
 			v, ok := f.TryTouch(w)
@@ -351,7 +351,7 @@ func TestDoubleTouchConcurrent(t *testing.T) {
 				go func() {
 					defer done.Done()
 					start.Wait()
-					v[i], err[i] = f.TouchErr(nil)
+					v[i], err[i] = f.touchErr(nil)
 				}()
 			}
 			start.Done()
@@ -368,7 +368,7 @@ func TestDoubleTouchConcurrent(t *testing.T) {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				v[1], err[1] = (<-hand).TouchErr(nil)
+				v[1], err[1] = (<-hand).touchErr(nil)
 			}()
 			Run(rt, func(w *W) int {
 				f := Spawn(rt, w, func(*W) int { return r })
@@ -376,7 +376,7 @@ func TestDoubleTouchConcurrent(t *testing.T) {
 				for i := r % 64; i > 0; i-- {
 					f.Done() // a few ns per turn: where the two touches meet varies
 				}
-				v[0], err[0] = f.TouchErr(w)
+				v[0], err[0] = f.touchErr(w)
 				return 0
 			})
 			<-done
@@ -439,7 +439,7 @@ func TestStatusWordTouchVsThief(t *testing.T) {
 		go func() {
 			defer done.Done()
 			start.Wait()
-			v, err = f.TouchErr(w0)
+			v, err = f.touchErr(w0)
 		}()
 		id := f.id()
 		go func() {
@@ -455,7 +455,7 @@ func TestStatusWordTouchVsThief(t *testing.T) {
 			t.Fatalf("round %d: touch = %d, %v after %d runs of the body; want %d, nil, 1", r, v, err, runs.Load(), r)
 		}
 		wantWord(t, "touch against thief", &f.task, id, stateDone|stateTouched)
-		if _, err := f.TouchErr(w0); !errors.Is(err, ErrDoubleTouch) {
+		if _, err := f.touchErr(w0); !errors.Is(err, ErrDoubleTouch) {
 			t.Fatalf("round %d: second touch: %v", r, err)
 		}
 	}
@@ -582,7 +582,7 @@ func TestStatusWordKeepsTaskID(t *testing.T) {
 				if f == nil {
 					return
 				}
-				_, outside[r] = f.TouchErr(nil)
+				_, outside[r] = f.touchErr(nil)
 				settled.Add(1)
 			}
 		}()
@@ -596,7 +596,7 @@ func TestStatusWordKeepsTaskID(t *testing.T) {
 			for i := r; i > 0; i-- {
 				f.Done()
 			}
-			_, err := f.TouchErr(w)
+			_, err := f.touchErr(w)
 			// Run what a losing touch left on the deque: the winner may be
 			// asleep on it.
 			for tk, fl := w.find(); tk != nil; tk, fl = w.find() {
@@ -624,7 +624,7 @@ func TestStatusWordKeepsTaskID(t *testing.T) {
 		for i, f := range []*Future[int]{queued, late} {
 			fid := id + uint64(i) // consecutive IDs from the worker's block
 			wantWord(t, "cancelled", &f.task, fid, stateDone)
-			if _, err := f.TouchErr(nil); !errors.Is(err, ErrClosed) {
+			if _, err := f.touchErr(nil); !errors.Is(err, ErrClosed) {
 				t.Fatalf("touch of a cancelled future: %v, want ErrClosed", err)
 			}
 			wantWord(t, "cancelled, then touched", &f.task, fid, stateDone|stateTouched)

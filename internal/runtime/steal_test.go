@@ -2,75 +2,60 @@ package runtime
 
 import (
 	stdruntime "runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"futurelocality/internal/deque"
 	"futurelocality/internal/profile"
 	"futurelocality/internal/telemetry"
-	"futurelocality/internal/topology"
 )
 
 // leafIntFn is a package-level body for hand-scheduled futures (a closure
 // would work too; a named function keeps the deterministic tests readable).
 func leafIntFn(*W) int { return 1 }
 
-// stealTopologies are two machine shapes a four-worker runtime can report:
-// one LLC domain and two. The steal rule is the same on both — a runtime is
-// one steal domain.
-func stealTopologies(t *testing.T) []*topology.Topology {
-	return []*topology.Topology{topology.Flat(4), synth(t, "2x2")}
-}
-
-// TestStealPoliciesComputeCorrectly runs the same fib workload under every
-// (fork discipline × topology) pair on several workers: the result must be
-// identical everywhere — where a thief looks first moves work, it must never
-// change what is computed.
+// TestStealPoliciesComputeCorrectly runs the same fib workload under both
+// fork disciplines on several workers: the result must be identical — where
+// a thief looks first moves work, it must never change what is computed.
 func TestStealPoliciesComputeCorrectly(t *testing.T) {
 	const n = 18
 	ref := -1
 	for _, d := range []Discipline{FutureFirst, ParentFirst} {
-		for _, topo := range stealTopologies(t) {
-			rt := New(WithWorkers(4), WithDiscipline(d), WithTopology(topo), WithSeed(7))
-			got := Run(rt, func(w *W) int { return profFib(rt, w, n) })
-			rt.Shutdown()
-			if ref == -1 {
-				ref = got
-			}
-			if got != ref {
-				t.Fatalf("fib(%d) under %v on %s = %d, want %d", n, d, topo.Source, got, ref)
-			}
+		rt := New(WithWorkers(4), WithDiscipline(d), WithSeed(7))
+		got := Run(rt, func(w *W) int { return profFib(rt, w, n) })
+		rt.Shutdown()
+		if ref == -1 {
+			ref = got
+		}
+		if got != ref {
+			t.Fatalf("fib(%d) under %v = %d, want %d", n, d, got, ref)
 		}
 	}
 }
 
-// TestStealPolicyRecordedPerEvent: on every topology the traced steals are
-// single steals, one per stolen execution: no steal event carries a helped
-// count, and the trace holds as many as the counters read, every one of them
-// intra-domain.
+// TestStealPolicyRecordedPerEvent: the traced steals are single steals, one
+// per stolen execution: no steal event carries a helped count, and the trace
+// holds as many as the counters read, every one of them intra-domain.
 func TestStealPolicyRecordedPerEvent(t *testing.T) {
-	for _, topo := range stealTopologies(t) {
-		rt := New(WithWorkers(4), WithTopology(topo), WithSeed(3))
-		if err := rt.StartProfile(); err != nil {
-			t.Fatal(err)
+	rt := New(WithWorkers(4), WithSeed(3))
+	if err := rt.StartProfile(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		Run(rt, func(w *W) int { return profFib(rt, w, 16) })
+	}
+	tr := rt.StopProfile()
+	st := rt.Stats()
+	rt.Shutdown()
+	evs := stealEvents(tr)
+	for _, ev := range evs {
+		if ev.N != 0 {
+			t.Fatalf("steal event carries N=%d; N counts helped tasks of a touch only", ev.N)
 		}
-		for i := 0; i < 20; i++ {
-			Run(rt, func(w *W) int { return profFib(rt, w, 16) })
-		}
-		tr := rt.StopProfile()
-		st := rt.Stats()
-		rt.Shutdown()
-		evs := stealEvents(tr)
-		for _, ev := range evs {
-			if ev.N != 0 {
-				t.Fatalf("steal event carries N=%d; N counts helped tasks of a touch only", ev.N)
-			}
-		}
-		if n := int64(len(evs)); st.Steals != n || st.IntraSteals != n || st.CrossSteals != 0 {
-			t.Fatalf("%s: %d steal events, Stats steals %d (intra %d, cross %d) — want one number and no cross",
-				topo.Source, n, st.Steals, st.IntraSteals, st.CrossSteals)
-		}
+	}
+	if n := int64(len(evs)); st.Steals != n || st.IntraSteals != n || st.CrossSteals != 0 {
+		t.Fatalf("%d steal events, Stats steals %d (intra %d, cross %d) — want one number and no cross",
+			n, st.Steals, st.IntraSteals, st.CrossSteals)
 	}
 }
 
@@ -81,7 +66,6 @@ func TestStealPolicyRecordedPerEvent(t *testing.T) {
 func bareRuntime(workers int) *Runtime {
 	rt := &Runtime{born: time.Now()}
 	rt.solo.rt = rt
-	rt.topo = topology.Flat(workers)
 	rt.tele = telemetry.NewSet(workers)
 	rt.teleExt = rt.tele.External()
 	for i := 0; i < workers; i++ {
@@ -220,7 +204,7 @@ func passedTree(rt *Runtime, w *W, depth int) int {
 }
 
 // TestStealCountedOnceLive is the counted-once law on the running scheduler,
-// profiling the whole run, on both topologies: Stats.Steals, the trace's
+// profiling the whole run: Stats.Steals, the trace's
 // KindSteal count and the per-job counts plus the job-less steals are one
 // number, and no stolen task has two steal events, or a steal event and an
 // inline touch (a thief that lost the task to its toucher stole nothing), or
@@ -230,85 +214,84 @@ func passedTree(rt *Runtime, w *W, depth int) int {
 // Every worker's steals are intra-domain (a runtime is one steal domain), and
 // the telemetry snapshot reads the same total.
 func TestStealCountedOnceLive(t *testing.T) {
-	for _, topo := range stealTopologies(t) {
-		rt := New(WithWorkers(4), WithTopology(topo), WithSeed(11))
-		if err := rt.StartProfile(); err != nil {
-			t.Fatal(err)
+	rt := New(WithWorkers(4), WithSeed(11))
+	if err := rt.StartProfile(); err != nil {
+		t.Fatal(err)
+	}
+	var jobSteals, jobHelped int64
+	for round := 0; round < 200 && (round < 10 || rt.Stats().Steals == 0); round++ {
+		if got := Run(rt, func(w *W) int { return profFib(rt, w, 16) + passedTree(rt, w, 7) }); got != 987+255 {
+			t.Fatalf("run = %d, want %d", got, 987+255)
 		}
-		var jobSteals, jobHelped int64
-		for round := 0; round < 200 && (round < 10 || rt.Stats().Steals == 0); round++ {
-			if got := Run(rt, func(w *W) int { return profFib(rt, w, 16) + passedTree(rt, w, 7) }); got != 987+255 {
-				t.Fatalf("run = %d, want %d", got, 987+255)
+		var jobs []Job[int]
+		for i := 0; i < 4; i++ {
+			j, err := Submit(rt, func(w *W) int { return profFib(rt, w, 12) + passedTree(rt, w, 5) })
+			if err != nil {
+				t.Fatal(err)
 			}
-			var jobs []Job[int]
-			for i := 0; i < 4; i++ {
-				j, err := Submit(rt, func(w *W) int { return profFib(rt, w, 12) + passedTree(rt, w, 5) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				jobs = append(jobs, j)
-			}
-			for _, j := range jobs {
-				if got := j.Wait(); got != 144+63 {
-					t.Fatalf("job = %d, want %d", got, 144+63)
-				}
-				js := j.Stats()
-				jobSteals += js.Steals
-				jobHelped += js.HelpedTasks
-			}
+			jobs = append(jobs, j)
 		}
-		tr := rt.StopProfile()
-		st := rt.Stats()
-		snapSteals := rt.TelemetrySnapshot().Steals()
-		rt.Shutdown()
-		if st.Steals == 0 {
-			t.Fatalf("%s: no steal in 200 rounds at 4 workers", topo.Source)
+		for _, j := range jobs {
+			if got := j.Wait(); got != 144+63 {
+				t.Fatalf("job = %d, want %d", got, 144+63)
+			}
+			js := j.Stats()
+			jobSteals += js.Steals
+			jobHelped += js.HelpedTasks
 		}
+	}
+	tr := rt.StopProfile()
+	st := rt.Stats()
+	snapSteals := rt.TelemetrySnapshot().Steals()
+	rt.Shutdown()
+	if st.Steals == 0 {
+		t.Fatal("no steal in 200 rounds at 4 workers")
+	}
 
-		stolen := map[uint64]int{}
-		inline := map[uint64]bool{}
-		begun := map[uint64]bool{}
-		var jobless, helped, joblessHelped int64
-		for _, ev := range tr.Events() {
-			switch ev.Kind {
-			case profile.KindHelp:
-				helped++
-				if ev.Job == 0 {
-					joblessHelped++
-				}
-			case profile.KindSteal:
-				stolen[ev.Task]++
-				if ev.Job == 0 {
-					jobless++
-				}
-			case profile.KindTouch:
-				if ev.Mode == profile.ModeInline {
-					inline[ev.Other] = true
-				}
-			case profile.KindBegin:
-				begun[ev.Task] = true
+	stolen := map[uint64]int{}
+	inline := map[uint64]bool{}
+	begun := map[uint64]bool{}
+	var jobless, helped, joblessHelped int64
+	for _, ev := range tr.Events() {
+		switch ev.Kind {
+		case profile.KindHelp:
+			helped++
+			if ev.Job == 0 {
+				joblessHelped++
 			}
-		}
-		for id, n := range stolen {
-			if n != 1 || inline[id] || !begun[id] {
-				t.Errorf("%s: task %d: %d steal events, inline touch %v, began %v — want 1, false, true",
-					topo.Source, id, n, inline[id], begun[id])
+		case profile.KindSteal:
+			stolen[ev.Task]++
+			if ev.Job == 0 {
+				jobless++
 			}
-		}
-		if n := int64(len(stealEvents(tr))); st.Steals != n || st.IntraSteals != n || st.CrossSteals != 0 ||
-			jobSteals+jobless != n || snapSteals != n {
-			t.Fatalf("%s: Stats.Steals %d, intra/cross %d/%d, per-job %d + job-less %d, snapshot %d, trace %d steal events — want one number and no cross",
-				topo.Source, st.Steals, st.IntraSteals, st.CrossSteals, jobSteals, jobless, snapSteals, n)
-		}
-		for _, ws := range st.PerWorker {
-			if ws.IntraSteals != ws.Steals || ws.CrossSteals != 0 {
-				t.Fatalf("%s: worker %d: intra %d, cross %d, steals %d", topo.Source, ws.ID, ws.IntraSteals, ws.CrossSteals, ws.Steals)
+		case profile.KindTouch:
+			if ev.Mode == profile.ModeInline {
+				inline[ev.Other] = true
 			}
+		case profile.KindBegin:
+			begun[ev.Task] = true
 		}
-		if st.HelpedTasks != helped || jobHelped+joblessHelped != helped {
-			t.Fatalf("%s: Stats.HelpedTasks %d, per-job %d + job-less %d, trace %d help events — want one number",
-				topo.Source, st.HelpedTasks, jobHelped, joblessHelped, helped)
+	}
+	for id, n := range stolen {
+		if n != 1 || inline[id] || !begun[id] {
+			t.Errorf("task %d: %d steal events, inline touch %v, began %v — want 1, false, true",
+				id, n, inline[id], begun[id])
 		}
+	}
+	if n := int64(len(stealEvents(tr))); st.Steals != n || st.IntraSteals != n || st.CrossSteals != 0 ||
+		jobSteals+jobless != n || snapSteals != n {
+		t.Fatalf("Stats.Steals %d, intra/cross %d/%d, per-job %d + job-less %d, snapshot %d, trace %d steal events — want one number and no cross",
+			st.Steals, st.IntraSteals, st.CrossSteals, jobSteals, jobless, snapSteals, n)
+	}
+	for _, ws := range st.PerWorker {
+		if ws.IntraSteals != ws.Steals || ws.CrossSteals != 0 {
+			t.Fatalf("worker %d: intra %d, cross %d, steals %d",
+				ws.ID, ws.IntraSteals, ws.CrossSteals, ws.Steals)
+		}
+	}
+	if st.HelpedTasks != helped || jobHelped+joblessHelped != helped {
+		t.Fatalf("Stats.HelpedTasks %d, per-job %d + job-less %d, trace %d help events — want one number",
+			st.HelpedTasks, jobHelped, joblessHelped, helped)
 	}
 }
 
@@ -375,42 +358,6 @@ func TestSingleWorkerDeviationParity(t *testing.T) {
 		if cell.MaxDeviations != 0 {
 			t.Fatalf("%v: sim replay at P=1 predicts %d deviations, want 0 (parity broken)",
 				cell.Fork, cell.MaxDeviations)
-		}
-	}
-}
-
-// TestStealPolicyAccessor: the steal rule's name is RandomSingle on every
-// topology — one domain, a topology whose second domain no worker reaches,
-// and workers spread over two — and the metrics page files the steals under
-// it, with no locality family and no domain gauge.
-func TestStealPolicyAccessor(t *testing.T) {
-	for _, tc := range []struct {
-		workers int
-		topo    *topology.Topology
-	}{
-		{1, topology.Flat(1)},
-		{4, topology.Flat(4)},
-		{2, synth(t, "2x2")},
-		{4, synth(t, "2x2")},
-	} {
-		rt := New(WithWorkers(tc.workers), WithTopology(tc.topo))
-		Run(rt, func(w *W) int { return profFib(rt, w, 14) })
-		if got := rt.StealPolicy(); got != RandomSingle {
-			t.Errorf("%d workers on %s: StealPolicy() = %v, want %v", tc.workers, tc.topo.Source, got, RandomSingle)
-		}
-		var sb strings.Builder
-		if err := rt.WriteMetrics(&sb); err != nil {
-			t.Fatal(err)
-		}
-		rt.Shutdown()
-		page := sb.String()
-		if !strings.Contains(page, `futurelocality_steals_total{policy="random-single"}`) {
-			t.Errorf("%d workers on %s: metrics page lacks the random-single steal count", tc.workers, tc.topo.Source)
-		}
-		for _, gone := range []string{"steals_locality_total", "futurelocality_domains"} {
-			if strings.Contains(page, gone) {
-				t.Errorf("%d workers on %s: metrics page still carries %s", tc.workers, tc.topo.Source, gone)
-			}
 		}
 	}
 }

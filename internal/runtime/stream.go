@@ -172,21 +172,12 @@ func Produce[T any](rt *Runtime, w *W, n int, fn func(*W, int) T) *Stream[T] {
 	return s
 }
 
-// Len returns the stream length.
-func (s *Stream[T]) Len() int { return len(s.vals) }
-
 // checkIndex panics unless i is an item of the stream. It compares with the
 // length and reads no item: vals[i] may be being written by the producer.
 func (s *Stream[T]) checkIndex(i int) {
 	if uint(i) >= uint(len(s.vals)) {
 		panic(fmt.Sprintf("runtime: Stream index %d out of range [0:%d]", i, len(s.vals)))
 	}
-}
-
-// Ready reports whether item i has been produced (without consuming it).
-func (s *Stream[T]) Ready(i int) bool {
-	s.checkIndex(i)
-	return s.readyAt(int32(i))
 }
 
 // Get consumes item i, blocking until it is produced. Each index may be

@@ -323,7 +323,7 @@ func streamConsumers(t *testing.T, rt *Runtime, st *Stream[int], at [5]int) [5]c
 	blockedBefore := rt.Stats().BlockedTouches
 	f := Spawn(rt, nil, func(w *W) int { return st.Get(w, at[4]) })
 	go func() {
-		v, err := f.TouchErr(nil)
+		v, err := f.touchErr(nil)
 		var pe *PanicError
 		if errors.As(err, &pe) {
 			out[4] <- pe.Value
@@ -441,7 +441,7 @@ func TestStreamCancelledWakesBlockedConsumers(t *testing.T) {
 	if r := <-got; !isErr(r, ErrClosed) {
 		t.Fatalf("blocked Get recovered %v, want ErrClosed", r)
 	}
-	if v, err := busy.TouchErr(nil); err != nil || v != 1 {
+	if v, err := busy.touchErr(nil); err != nil || v != 1 {
 		t.Fatalf("busy task: v=%d err=%v", v, err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"futurelocality/internal/telemetry"
-	"futurelocality/internal/topology"
 )
 
 // batchLeaf is a package-level job body so batched-submission tests (which
@@ -177,20 +176,7 @@ func TestSubmitAllCloseMidBatch(t *testing.T) {
 // admission word and the freelist): every admitted job must complete with
 // the right result, no job may ever observe more jobs in flight than the
 // cap, and submitted = completed = admitted with nothing left in flight.
-// The second run is on a two-domain topology, so it is on record that
-// nothing in admission depends on the domain count.
 func TestSubmitMixedStress(t *testing.T) {
-	t.Run("flat", func(t *testing.T) { submitMixedStress(t) })
-	t.Run("2x2", func(t *testing.T) {
-		topo, err := topology.Synthetic("2x2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		submitMixedStress(t, WithTopology(topo))
-	})
-}
-
-func submitMixedStress(t *testing.T, opts ...Option) {
 	const (
 		capJobs    = 24
 		singles    = 4 // goroutines submitting one job at a time, shedding
@@ -199,7 +185,7 @@ func submitMixedStress(t *testing.T, opts ...Option) {
 		iterations = 50
 		batchSize  = 16
 	)
-	rt := New(append(opts, WithWorkers(4), WithMaxInFlight(capJobs))...)
+	rt := New(WithWorkers(4), WithMaxInFlight(capJobs))
 	defer rt.Shutdown()
 	before := rt.TelemetrySnapshot()
 

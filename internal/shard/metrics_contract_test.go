@@ -58,9 +58,7 @@ func metricsContract(t *testing.T) string {
 		t.Fatal(err)
 	}
 
-	// One domain, whatever the host's: the steals_total sample is labelled with
-	// the steal rule the topology yields.
-	rt := runtime.New(runtime.WithWorkers(2), runtime.WithTopology(synth(t, "1x2")), runtime.WithFlightRecorder(0))
+	rt := runtime.New(runtime.WithWorkers(2), runtime.WithFlightRecorder(0))
 	defer rt.Shutdown()
 	for i := 0; i < 3; i++ {
 		j, err := runtime.Submit(rt, forking)

@@ -1,8 +1,7 @@
 // Package shard scales the job-server layer horizontally: a Pool is S
 // independent work-stealing Runtimes — by default one per cache-locality
-// (LLC) domain, each built on a single-domain sub-topology so its workers
-// share one last-level cache — behind a front-end router that exposes the
-// same Submit/SubmitWait/SubmitAll surface as a single runtime.
+// (LLC) domain of the machine topology — behind a front-end router that
+// exposes the same Submit/SubmitWait/SubmitAll surface as a single runtime.
 //
 // The sharding unit is the *job*, never the task. Herlihy & Liu's deviation
 // bound is per-computation and quadratic in the processor count, so
@@ -81,18 +80,16 @@ func WithMaxInFlight(n int) Option {
 	return func(c *config) { c.maxInFlight = n }
 }
 
-// WithTopology injects the machine topology shards are carved from: shard
-// i is built on SubDomain(i mod domains), so with the default shard count
-// every LLC domain hosts exactly one shard and every shard's workers share
-// one LLC. The default (nil) is the host topology from sysfs with a flat
-// fallback.
+// WithTopology injects the machine topology the default shard count is read
+// from: one shard per LLC domain. The default (nil) is the host topology
+// from sysfs with a flat fallback.
 func WithTopology(t *topology.Topology) Option {
 	return func(c *config) { c.topo = t }
 }
 
 // WithRuntimeOptions appends construction options applied to every member
 // runtime (discipline, flight recorder, seed, context...).
-// The pool-managed options — workers, topology, admission cap — are
+// The pool-managed options — workers, admission cap — are
 // applied after these and win.
 func WithRuntimeOptions(opts ...runtime.Option) Option {
 	return func(c *config) { c.rtOpts = append(c.rtOpts, opts...) }
@@ -159,7 +156,6 @@ func NewPool(opts ...Option) *Pool {
 			w++
 		}
 		rtOpts := append(append([]runtime.Option{}, cfg.rtOpts...),
-			runtime.WithTopology(topo.SubDomain(i%topo.NumDomains())),
 			runtime.WithWorkers(w),
 		)
 		if cfg.maxInFlight > 0 {
@@ -240,9 +236,6 @@ type Job[T any] struct {
 	shard int
 }
 
-// Shard returns the index of the shard that admitted (and executes) the job.
-func (j *Job[T]) Shard() int { return j.shard }
-
 // Submit places fn on the least-loaded shard and submits it as a job, never
 // blocking. A saturated home shard triggers the overflow exchange: the whole
 // job is forwarded to the least-loaded other shard, and only when that one
@@ -259,15 +252,6 @@ func Submit[T any](p *Pool, fn func(*runtime.W) T) (Job[T], error) {
 // saturated (stickiness yields to capacity, and the forward is counted).
 func SubmitKeyed[T any](p *Pool, key uint64, fn func(*runtime.W) T) (Job[T], error) {
 	return route(p, p.ringLookup(key), fn, false)
-}
-
-// SubmitWait is Submit with queueing backpressure: a saturated pool first
-// tries the overflow exchange, then blocks on the home shard until a slot
-// frees there. Saturation never sheds here; the only error — and the only
-// path that counts against the pool's shed gauge — is a pool that closes
-// out from under the caller (ErrClosed).
-func SubmitWait[T any](p *Pool, fn func(*runtime.W) T) (Job[T], error) {
-	return route(p, p.leastLoaded(-1), fn, true)
 }
 
 // elsewhere is the router's one decision, asked after shard s refused a job
@@ -395,9 +379,6 @@ func (p *Pool) Shutdown() {
 	}
 	close(p.term)
 }
-
-// Closed reports whether Shutdown has begun.
-func (p *Pool) Closed() bool { return p.closed.Load() }
 
 // TelemetrySnapshots snapshots every shard's always-on counter matrix,
 // indexed by shard. Sum a counter across shards for the pool total, or

@@ -42,7 +42,7 @@ func TestEngineBytesPerNode(t *testing.T) {
 
 // TestResultSeqPredKeepsItsStorage: a sequential result indexes its order on
 // storage the engine keeps, so a reused engine's next baseline builds its
-// SeqPred without allocating, and the table is NewSeqPred's.
+// SeqPred without allocating, and the table is newSeqPred's.
 func TestResultSeqPredKeepsItsStorage(t *testing.T) {
 	g := graphs.Fib(12, 2)
 	var e Engine
@@ -58,7 +58,7 @@ func TestResultSeqPredKeepsItsStorage(t *testing.T) {
 	if n := testing.AllocsPerRun(5, func() { sp = seq.SeqPred() }); n != 0 {
 		t.Fatalf("SeqPred on a reused engine allocated %.0f times", n)
 	}
-	if want := NewSeqPred(seq.SeqOrder(), g.Len()); !slices.Equal(sp.Preds(), want.Preds()) || sp.first != want.first {
-		t.Fatal("the result's SeqPred differs from NewSeqPred's")
+	if want := newSeqPred(seq.SeqOrder(), g.Len()); !slices.Equal(sp.Preds(), want.Preds()) || sp.first != want.first {
+		t.Fatal("the result's SeqPred differs from newSeqPred's")
 	}
 }

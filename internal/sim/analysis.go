@@ -15,10 +15,10 @@ type SeqPred struct {
 	first dag.NodeID   // the order's first node; None when it is empty
 }
 
-// NewSeqPred indexes seqOrder, an order over a graph of n nodes.
-func NewSeqPred(seqOrder []dag.NodeID, n int) SeqPred { return seqPredOn(nil, seqOrder, n) }
+// newSeqPred indexes seqOrder, an order over a graph of n nodes.
+func newSeqPred(seqOrder []dag.NodeID, n int) SeqPred { return seqPredOn(nil, seqOrder, n) }
 
-// seqPredOn is NewSeqPred on buf's storage when it is large enough.
+// seqPredOn is newSeqPred on buf's storage when it is large enough.
 func seqPredOn(buf []dag.NodeID, seqOrder []dag.NodeID, n int) SeqPred {
 	sp := SeqPred{pred: resize(buf, n), first: dag.None}
 	for i := range sp.pred {
@@ -89,13 +89,13 @@ func (sp SeqPred) Deviations(r *Result) int64 {
 // sequential order. A caller with many results against one order builds the
 // SeqPred once.
 func Deviations(seqOrder []dag.NodeID, r *Result) int64 {
-	return NewSeqPred(seqOrder, len(r.When)).Deviations(r)
+	return newSeqPred(seqOrder, len(r.When)).Deviations(r)
 }
 
 // DeviationNodes returns the deviated nodes themselves, in execution order
 // (useful for classifying which structural positions deviate).
 func DeviationNodes(seqOrder []dag.NodeID, r *Result) []dag.NodeID {
-	sp := NewSeqPred(seqOrder, len(r.When))
+	sp := newSeqPred(seqOrder, len(r.When))
 	last := lastRan(nil, r.P)
 	var out []dag.NodeID
 	for _, v := range r.Order {
@@ -124,32 +124,6 @@ func PrematureTouches(g *dag.Graph, r *Result) int {
 		}
 	}
 	return n
-}
-
-// Comparison packages the sequential-vs-parallel cache and deviation account
-// for one parallel execution.
-type Comparison struct {
-	SeqMisses        int64
-	ParMisses        int64
-	AdditionalMisses int64 // ParMisses - SeqMisses (can be negative)
-	Deviations       int64
-	Steals           int64
-	StealAttempts    int64
-}
-
-// Compare computes deviations and additional misses of r against the
-// sequential baseline seq (which must come from Sequential with the same
-// fork policy and cache geometry — the paper always compares like with
-// like).
-func Compare(seq, r *Result) Comparison {
-	return Comparison{
-		SeqMisses:        seq.TotalMisses,
-		ParMisses:        r.TotalMisses,
-		AdditionalMisses: r.TotalMisses - seq.TotalMisses,
-		Deviations:       Deviations(seq.SeqOrder(), r),
-		Steals:           r.Steals,
-		StealAttempts:    r.StealAttempts,
-	}
 }
 
 // BlockTrace extracts processor p's memory access sequence from an

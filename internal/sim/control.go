@@ -23,7 +23,7 @@ type View struct {
 }
 
 // Step returns the current sweep number.
-func (v *View) Step() int64 { return v.e.steps }
+func (v *View) step() int64 { return v.e.steps }
 
 // Executed reports whether node n has been executed.
 func (v *View) Executed(n dag.NodeID) bool { return n != dag.None && v.e.when[n] >= 0 }
@@ -33,10 +33,7 @@ func (v *View) Executed(n dag.NodeID) bool { return n != dag.None && v.e.when[n]
 func (v *View) Assigned(p ProcID) dag.NodeID { return v.e.assigned[p] }
 
 // P returns the processor count.
-func (v *View) P() int { return v.e.cfg.P }
-
-// Graph returns the computation being executed.
-func (v *View) Graph() *dag.Graph { return v.e.g }
+func (v *View) p() int { return v.e.cfg.P }
 
 // AlwaysActive keeps every processor running and steals round-robin
 // starting from the next processor. Deterministic; good default for
@@ -48,11 +45,11 @@ func (AlwaysActive) Active(ProcID, *View) bool { return true }
 
 // Victim rotates over the other processors by sweep parity.
 func (AlwaysActive) Victim(p ProcID, v *View) ProcID {
-	n := v.P()
+	n := v.p()
 	if n == 1 {
 		return NoProc
 	}
-	return ProcID((int(p) + 1 + int(v.Step())%(n-1)) % n)
+	return ProcID((int(p) + 1 + int(v.step())%(n-1)) % n)
 }
 
 // RandomControl keeps every processor active and picks uniformly random
@@ -90,7 +87,7 @@ func (c *RandomControl) Active(ProcID, *View) bool { return true }
 
 // Victim picks a uniformly random other processor.
 func (c *RandomControl) Victim(p ProcID, v *View) ProcID {
-	n := v.P()
+	n := v.p()
 	if n == 1 {
 		return NoProc
 	}

@@ -318,3 +318,21 @@ func TestInvalidStealPolicyRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestStealStringRoundTrip: the one thief has its name.
+func TestStealStringRoundTrip(t *testing.T) {
+	if !RandomSingle.valid() || RandomSingle.String() != "random-single" {
+		t.Fatalf("RandomSingle: Valid = %v, String = %q", RandomSingle.valid(), RandomSingle.String())
+	}
+}
+
+func TestStealInvalid(t *testing.T) {
+	for _, s := range []StealPolicy{1, 2, 3, 9} {
+		if s.valid() {
+			t.Fatalf("StealPolicy(%d) must not be valid", uint8(s))
+		}
+	}
+	if s := StealPolicy(9).String(); s != "stealpolicy(9)" {
+		t.Fatalf("String = %q", s)
+	}
+}

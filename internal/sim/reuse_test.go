@@ -17,7 +17,7 @@ type activeFor struct {
 	RandomControl
 }
 
-func (c *activeFor) Active(_ ProcID, v *View) bool { return v.Step() < c.n }
+func (c *activeFor) Active(_ ProcID, v *View) bool { return v.step() < c.n }
 
 // reuseCase is one run: a graph and what to run it under. The Control is
 // made per engine (controls carry state), by control.
@@ -41,10 +41,10 @@ func (c reuseCase) control() Control {
 // it.
 func engineState(e *Engine) string {
 	p := e.cfg.P
-	s := fmt.Sprint(e.when, len(e.who), len(e.order), e.assigned, len(e.deques), len(e.stolen), e.central.Len(),
+	s := fmt.Sprint(e.when, len(e.who), len(e.order), e.assigned, len(e.deques), len(e.stolen), e.central,
 		e.executed, e.steps, e.stealAtt, e.steals, e.pops)
 	for q := 0; q < p; q++ {
-		s += fmt.Sprint(" ", e.deques[q].Len())
+		s += fmt.Sprint(" ", e.deques[q])
 	}
 	if e.cfg.CacheLines > 0 {
 		s += fmt.Sprint(" replay set serves: ", e.set.Serves(cache.SetConfig{P: p, Kind: e.cfg.CacheKind, Lines: e.cfg.CacheLines}))

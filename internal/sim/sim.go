@@ -12,9 +12,8 @@
 //     if the deque is empty it steals from the top of a victim's deque.
 //
 // The steal side of the discipline is Section 3's parsimonious single
-// top-steal from a victim the Control picks (Config.Steal names it with the
-// shared policy.StealPolicy vocabulary, RandomSingle — the runtime's one
-// steal rule too).
+// top-steal from a victim the Control picks (Config.Steal names it,
+// RandomSingle — the runtime's one steal rule too).
 //
 // Each processor has a private cache (Section 3's model). The engine only
 // schedules: when a run is asked for cache misses and the graph declares
@@ -34,7 +33,6 @@ import (
 	"futurelocality/internal/cache"
 	"futurelocality/internal/dag"
 	"futurelocality/internal/deque"
-	"futurelocality/internal/policy"
 )
 
 // ProcID identifies a simulated processor, 0-based. It is an int32, so that
@@ -45,30 +43,39 @@ type ProcID = int32
 const NoProc ProcID = -1
 
 // ForkPolicy selects which fork child the executing processor continues
-// with; the sibling is pushed onto its deque (Section 3). It is the shared
-// policy.Discipline vocabulary: the same constants configure the real
-// runtime (internal/runtime), so a simulator replay and a live run name
-// their fork discipline with one type.
-type ForkPolicy = policy.Discipline
+// with; the sibling is pushed onto its deque (Section 3). It is
+// dag.Discipline: the same constants configure the real runtime
+// (internal/runtime), so a simulator replay and a live run name their fork
+// discipline with one type.
+type ForkPolicy = dag.Discipline
 
 const (
 	// FutureFirst executes the future thread (left child) and pushes the
 	// parent continuation — the policy Theorem 8 analyzes.
-	FutureFirst = policy.FutureFirst
+	FutureFirst = dag.FutureFirst
 	// ParentFirst executes the parent continuation (right child) and pushes
 	// the future thread — the policy Theorem 10 shows is bad.
-	ParentFirst = policy.ParentFirst
+	ParentFirst = dag.ParentFirst
 )
 
-// StealPolicy selects whom a thief robs; every visit takes one node. It is
-// the shared policy.StealPolicy vocabulary, which the real runtime names its
-// one steal rule with too.
-type StealPolicy = policy.StealPolicy
+// StealPolicy selects whom a thief robs; every visit takes one node.
+type StealPolicy uint8
 
 // RandomSingle steals one node from the top of the victim the Control picks —
-// the parsimonious discipline of Section 3 that every theorem assumes, and
-// the only steal policy.
-const RandomSingle = policy.RandomSingle
+// the parsimonious discipline of Section 3 that every theorem assumes, the
+// runtime's one steal rule, and the only steal policy.
+const RandomSingle StealPolicy = 0
+
+// String names the steal policy.
+func (s StealPolicy) String() string {
+	if s == RandomSingle {
+		return "random-single"
+	}
+	return fmt.Sprintf("stealpolicy(%d)", uint8(s))
+}
+
+// valid reports whether s is the defined steal policy.
+func (s StealPolicy) valid() bool { return s == RandomSingle }
 
 // Config parameterizes a simulation run.
 type Config struct {
@@ -217,7 +224,7 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 	if !cfg.Policy.Valid() {
 		return fmt.Errorf("sim: fork policy %s", cfg.Policy)
 	}
-	if !cfg.Steal.Valid() {
+	if !cfg.Steal.valid() {
 		return fmt.Errorf("sim: steal policy %s", cfg.Steal)
 	}
 	if cfg.Control == nil {
@@ -499,7 +506,7 @@ func (r *Result) SeqOrder() []dag.NodeID {
 	return r.Order
 }
 
-// SeqPred indexes a sequential result's order as NewSeqPred does, on storage
+// SeqPred indexes a sequential result's order as newSeqPred does, on storage
 // the engine keeps from run to run: a reused engine builds it without
 // allocating. It aliases the engine like the result, dead at its next Reset,
 // and rebuilds that storage, so one goroutine at a time may call it.

@@ -494,3 +494,29 @@ func BenchmarkEngineParallel8(b *testing.B) {
 		}
 	}
 }
+
+// Comparison packages the sequential-vs-parallel cache and deviation account
+// for one parallel execution.
+type Comparison struct {
+	SeqMisses        int64
+	ParMisses        int64
+	AdditionalMisses int64 // ParMisses - SeqMisses (can be negative)
+	Deviations       int64
+	Steals           int64
+	StealAttempts    int64
+}
+
+// Compare computes deviations and additional misses of r against the
+// sequential baseline seq (which must come from Sequential with the same
+// fork policy and cache geometry — the paper always compares like with
+// like).
+func Compare(seq, r *Result) Comparison {
+	return Comparison{
+		SeqMisses:        seq.TotalMisses,
+		ParMisses:        r.TotalMisses,
+		AdditionalMisses: r.TotalMisses - seq.TotalMisses,
+		Deviations:       Deviations(seq.SeqOrder(), r),
+		Steals:           r.Steals,
+		StealAttempts:    r.StealAttempts,
+	}
+}

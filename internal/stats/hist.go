@@ -18,16 +18,16 @@ import (
 	"sync/atomic"
 )
 
-// HistBuckets is the bucket count: one underflow bucket (index 0, values
+// histBuckets is the bucket count: one underflow bucket (index 0, values
 // <= 0) plus one bucket per bit length of an int64 magnitude.
-const HistBuckets = 65
+const histBuckets = 65
 
 // Histogram is a concurrent log-bucketed histogram of int64 samples
 // (typically nanoseconds). The zero value is ready to use; writers call
 // Observe from any goroutine, readers take Snapshot. It never allocates
 // after construction and is embeddable by value.
 type Histogram struct {
-	counts [HistBuckets]atomic.Uint64
+	counts [histBuckets]atomic.Uint64
 	sum    atomic.Int64
 }
 
@@ -63,7 +63,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 // (rate windows), plus quantile and mean readers.
 type HistSnapshot struct {
 	// Counts holds per-bucket sample counts (see histBucket for boundaries).
-	Counts [HistBuckets]uint64
+	Counts [histBuckets]uint64
 	// Sum is the running sum of all observed values.
 	Sum int64
 }
@@ -166,7 +166,7 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		}
 		cum += float64(c)
 	}
-	return float64(BucketUpper(HistBuckets - 1)) // unreachable: rank < n
+	return float64(BucketUpper(histBuckets - 1)) // unreachable: rank < n
 }
 
 // Quantiles returns one estimate per requested q — the multi-rank

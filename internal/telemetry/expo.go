@@ -137,14 +137,14 @@ func formatLe(v float64) string {
 func Map(s Snapshot) map[string]any {
 	m := make(map[string]any, int(NumCounters)+1)
 	for c := Counter(0); c < NumCounters; c++ {
-		m[c.Name()] = s.Total(c)
+		m[c.name()] = s.Total(c)
 	}
-	perWorker := make(map[string]any, s.Workers())
-	for i := 0; i < s.Workers(); i++ {
+	perWorker := make(map[string]any, s.workers())
+	for i := 0; i < s.workers(); i++ {
 		row := make(map[string]any, int(NumCounters))
 		for c := Counter(0); c < NumCounters; c++ {
-			if v := s.Worker(i, c); v != 0 {
-				row[c.Name()] = v
+			if v := s.worker(i, c); v != 0 {
+				row[c.name()] = v
 			}
 		}
 		perWorker[fmt.Sprint(i)] = row

@@ -22,7 +22,7 @@ package telemetry
 import (
 	"sync/atomic"
 
-	"futurelocality/internal/policy"
+	"futurelocality/internal/dag"
 )
 
 // Counter enumerates the per-row counters. The set covers the scheduler's
@@ -86,9 +86,9 @@ const (
 // intra-domain.
 const CStealsIntraDomain = CSteals
 
-// Name returns the counter's snake_case metric name (the Prometheus suffix
+// name returns the counter's snake_case metric name (the Prometheus suffix
 // and expvar key).
-func (c Counter) Name() string {
+func (c Counter) name() string {
 	switch c {
 	case CTasksRun:
 		return "tasks_run"
@@ -128,7 +128,7 @@ func (c Counter) Name() string {
 // SpawnCounter maps a fork discipline to its spawn counter. Branch-free for
 // the spawn hot path: the spawn counters are laid out in discipline-value
 // order (FutureFirst=0, ParentFirst=1), pinned by TestPolicyCounterMapping.
-func SpawnCounter(d policy.Discipline) Counter {
+func SpawnCounter(d dag.Discipline) Counter {
 	return CSpawnsFutureFirst + Counter(d)
 }
 
@@ -175,9 +175,6 @@ func NewSet(workers int) *Set {
 	return &Set{rows: make([]Row, workers+1)}
 }
 
-// Workers returns the worker-row count (excluding the external row).
-func (s *Set) Workers() int { return len(s.rows) - 1 }
-
 // Row returns worker i's row.
 func (s *Set) Row(i int) *Row { return &s.rows[i] }
 
@@ -204,8 +201,8 @@ type Snapshot struct {
 	Rows [][NumCounters]int64
 }
 
-// Workers returns the worker-row count (excluding the external row).
-func (s Snapshot) Workers() int {
+// workers returns the worker-row count (excluding the external row).
+func (s Snapshot) workers() int {
 	if len(s.Rows) == 0 {
 		return 0
 	}
@@ -221,11 +218,8 @@ func (s Snapshot) Total(c Counter) int64 {
 	return n
 }
 
-// Worker returns worker i's value of counter c.
-func (s Snapshot) Worker(i int, c Counter) int64 { return s.Rows[i][c] }
-
-// External returns the external row's value of counter c.
-func (s Snapshot) External(c Counter) int64 { return s.Rows[len(s.Rows)-1][c] }
+// worker returns worker i's value of counter c.
+func (s Snapshot) worker(i int, c Counter) int64 { return s.Rows[i][c] }
 
 // Steals returns the steal count across all rows.
 func (s Snapshot) Steals() int64 { return s.Total(CSteals) }

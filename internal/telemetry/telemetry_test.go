@@ -7,7 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
-	"futurelocality/internal/policy"
+	"futurelocality/internal/dag"
 	"futurelocality/internal/stats"
 )
 
@@ -24,7 +24,7 @@ func TestRowPadding(t *testing.T) {
 func TestCounterNames(t *testing.T) {
 	seen := map[string]Counter{}
 	for c := Counter(0); c < NumCounters; c++ {
-		n := c.Name()
+		n := c.name()
 		if n == "unknown" || n == "" {
 			t.Errorf("counter %d has no name", c)
 		}
@@ -41,8 +41,8 @@ func TestPolicyCounterMapping(t *testing.T) {
 	if CStealsIntraDomain != CSteals {
 		t.Fatal("CStealsIntraDomain is not the steal column")
 	}
-	if SpawnCounter(policy.FutureFirst) != CSpawnsFutureFirst ||
-		SpawnCounter(policy.ParentFirst) != CSpawnsParentFirst {
+	if SpawnCounter(dag.FutureFirst) != CSpawnsFutureFirst ||
+		SpawnCounter(dag.ParentFirst) != CSpawnsParentFirst {
 		t.Fatal("SpawnCounter mapping wrong")
 	}
 }
@@ -64,7 +64,7 @@ func TestSnapshotDelta(t *testing.T) {
 	if got := snap.Steals(); got != 4 {
 		t.Fatalf("Steals() = %d, want 4", got)
 	}
-	if got := snap.Worker(1, CTasksRun); got != 4 {
+	if got := snap.worker(1, CTasksRun); got != 4 {
 		t.Fatalf("Worker(1, CTasksRun) = %d, want 4", got)
 	}
 	if got := snap.External(CJobsSubmitted); got != 1 {
@@ -213,3 +213,6 @@ func TestMap(t *testing.T) {
 		t.Fatalf("per_worker[1] = %v, want tasks_run 9", pw["1"])
 	}
 }
+
+// External returns the external row's value of counter c.
+func (s Snapshot) External(c Counter) int64 { return s.Rows[len(s.Rows)-1][c] }

@@ -17,11 +17,11 @@ func TestSpecAllocationIsBounded(t *testing.T) {
 	if _, err := Synthetic("4294967297x4294967297"); err == nil {
 		t.Error("Synthetic accepted a product that overflows")
 	}
-	if _, err := ParseCPUList("0-9999999999"); err == nil {
-		t.Error("ParseCPUList(0-9999999999) accepted")
+	if _, err := parseCPUList("0-9999999999"); err == nil {
+		t.Error("parseCPUList(0-9999999999) accepted")
 	}
-	if _, err := ParseCPUList("0-65535,0-65535"); err == nil {
-		t.Error("ParseCPUList accepted more than maxCPUs entries")
+	if _, err := parseCPUList("0-65535,0-65535"); err == nil {
+		t.Error("parseCPUList accepted more than maxCPUs entries")
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
@@ -32,7 +32,7 @@ func TestSpecAllocationIsBounded(t *testing.T) {
 	}
 }
 
-// FuzzTopologySpec: Synthetic and ParseCPUList either refuse a spec or return
+// FuzzTopologySpec: Synthetic and parseCPUList either refuse a spec or return
 // something consistent with it, and never more than maxCPUs of it.
 func FuzzTopologySpec(f *testing.F) {
 	for _, s := range []string{"2x2", "1x4", "99999x99999", " 2X3 ", "0x1", "x", "0-3", "0-1,4-5",
@@ -49,9 +49,9 @@ func FuzzTopologySpec(f *testing.F) {
 				t.Fatalf("Synthetic(%q): %d CPUs in domains, CPUs = %d", spec, n, topo.CPUs)
 			}
 		}
-		if cpus, err := ParseCPUList(spec); err == nil {
+		if cpus, err := parseCPUList(spec); err == nil {
 			if len(cpus) == 0 || len(cpus) > maxCPUs || !sort.IntsAreSorted(cpus) || cpus[0] < 0 {
-				t.Fatalf("ParseCPUList(%q) = %d cpus starting %v", spec, len(cpus), cpus[:1])
+				t.Fatalf("parseCPUList(%q) = %d cpus starting %v", spec, len(cpus), cpus[:1])
 			}
 		}
 	})

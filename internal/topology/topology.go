@@ -9,8 +9,7 @@
 // warm, while a steal that crosses an LLC boundary pays the full miss cost
 // the theorems budget for. The paper's bounds hold for a uniformly random
 // thief, so a runtime stays one flat steal domain, and the boundary is
-// respected one layer up: shard.Pool runs one runtime per domain
-// (SubDomain), whose steals never cross it. Discover parses the
+// respected one layer up: shard.Pool runs one runtime per domain. discover parses the
 // cache-sharing sets Linux exposes in sysfs
 // (/sys/devices/system/cpu/cpu*/cache/index*/shared_cpu_list) into nested
 // levels, and Synthetic builds injectable "DxC" topologies (D domains of C
@@ -29,7 +28,7 @@ import (
 )
 
 // SysfsRoot is the directory Detect scans on Linux hosts; tests point
-// Discover at testdata trees with the same shape.
+// discover at testdata trees with the same shape.
 const SysfsRoot = "/sys/devices/system/cpu"
 
 // Domain is one last-level-cache sharing group: the set of CPUs whose LLC
@@ -60,10 +59,10 @@ type Topology struct {
 	Source  string
 }
 
-// Flat returns the degenerate single-domain topology over n CPUs — the
+// flat returns the degenerate single-domain topology over n CPUs — the
 // behavior every layer had before domains existed, and the fallback when
 // sysfs is absent or garbled. n < 1 is clamped to 1.
-func Flat(n int) *Topology {
+func flat(n int) *Topology {
 	if n < 1 {
 		n = 1
 	}
@@ -109,7 +108,7 @@ func Synthetic(spec string) (*Topology, error) {
 
 var cpuDirRe = regexp.MustCompile(`^cpu([0-9]+)$`)
 
-// Discover parses a sysfs-shaped tree rooted at root
+// discover parses a sysfs-shaped tree rooted at root
 // (<root>/cpu<N>/cache/index<M>/shared_cpu_list) into a Topology. The
 // highest cache index present on every CPU is taken as the LLC and its
 // sharing groups become the Domains; lower indexes are recorded as
@@ -117,7 +116,7 @@ var cpuDirRe = regexp.MustCompile(`^cpu([0-9]+)$`)
 // directories, a shared list that omits its own CPU, overlapping LLC
 // groups) return an error so the caller can fall back to a synthetic
 // topology rather than schedule on garbage.
-func Discover(root string) (*Topology, error) {
+func discover(root string) (*Topology, error) {
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return nil, fmt.Errorf("topology: %w", err)
@@ -161,7 +160,7 @@ func Discover(root string) (*Topology, error) {
 			if err != nil {
 				return nil, fmt.Errorf("topology: cpu%d/%s: %w", cpu, name, err)
 			}
-			set, err := ParseCPUList(string(raw))
+			set, err := parseCPUList(string(raw))
 			if err != nil {
 				return nil, fmt.Errorf("topology: cpu%d/%s: %w", cpu, name, err)
 			}
@@ -222,14 +221,14 @@ func Discover(root string) (*Topology, error) {
 	return t, nil
 }
 
-// DetectFrom tries Discover(root) and falls back to the flat topology over
+// DetectFrom tries discover(root) and falls back to the flat topology over
 // fallbackCPUs when the tree is absent or garbled — discovery failure must
 // degrade to the pre-topology behavior, never to a broken scheduler.
 func DetectFrom(root string, fallbackCPUs int) *Topology {
-	if t, err := Discover(root); err == nil {
+	if t, err := discover(root); err == nil {
 		return t
 	}
-	return Flat(fallbackCPUs)
+	return flat(fallbackCPUs)
 }
 
 var (
@@ -248,11 +247,11 @@ func Detect() *Topology {
 	return detected
 }
 
-// ParseCPUList parses the sysfs CPU-list syntax: comma-separated entries
+// parseCPUList parses the sysfs CPU-list syntax: comma-separated entries
 // that are either a single CPU ("3") or an inclusive range ("0-3"), e.g.
 // "0-1,4-5". Whitespace is trimmed; empty lists, descending ranges and lists
 // of more than maxCPUs entries are errors.
-func ParseCPUList(s string) ([]int, error) {
+func parseCPUList(s string) ([]int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil, fmt.Errorf("empty cpu list")
@@ -298,28 +297,6 @@ func cpuListKey(set []int) string {
 
 // NumDomains returns the LLC domain count.
 func (t *Topology) NumDomains() int { return len(t.Domains) }
-
-// SubDomain carves out the single-domain topology covering only domain d's CPUs
-// — the shape a sharded pool hands each member runtime so its workers stripe
-// inside one LLC instead of across the whole machine. The result has one domain
-// with ID 0 (domain IDs are positional within a topology), the same CPU list as
-// t.Domains[d], and a Source recording the provenance ("sysfs/domain1"). Cache
-// levels below the LLC are not carried over: they would be dead weight for a
-// runtime, which schedules by none of them. Out-of-range d panics — it is a
-// construction-time programming error, not a runtime condition.
-func (t *Topology) SubDomain(d int) *Topology {
-	if d < 0 || d >= len(t.Domains) {
-		panic(fmt.Sprintf("topology: SubDomain(%d) of %d-domain topology", d, len(t.Domains)))
-	}
-	src := t.Domains[d]
-	cpus := make([]int, len(src.CPUs))
-	copy(cpus, src.CPUs)
-	return &Topology{
-		CPUs:    len(cpus),
-		Domains: []Domain{{ID: 0, CPUs: cpus}},
-		Source:  fmt.Sprintf("%s/domain%d", t.Source, src.ID),
-	}
-}
 
 // String renders the topology as a human-readable dump — the CI artifact
 // format and the jobserver startup log line.

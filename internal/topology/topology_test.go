@@ -9,7 +9,7 @@ import (
 // TestDiscoverDualSocket: two LLC groups become two domains; private
 // lower levels are recorded but do not split the domains further.
 func TestDiscoverDualSocket(t *testing.T) {
-	topo, err := Discover("testdata/dual_socket")
+	topo, err := discover("testdata/dual_socket")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestDiscoverDualSocket(t *testing.T) {
 // chip-wide L3 makes one domain — lower-level sharing must not be mistaken
 // for a domain boundary.
 func TestDiscoverSMTSibling(t *testing.T) {
-	topo, err := Discover("testdata/smt_sibling")
+	topo, err := discover("testdata/smt_sibling")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestDiscoverSMTSibling(t *testing.T) {
 // TestDiscoverSingleLLC: the common laptop shape — one shared L3 — is one
 // domain, so a default pool runs one shard.
 func TestDiscoverSingleLLC(t *testing.T) {
-	topo, err := Discover("testdata/single_llc")
+	topo, err := discover("testdata/single_llc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestDiscoverSingleLLC(t *testing.T) {
 // TestDiscoverGarbled: a shared list omitting its own CPU is an error, not
 // a topology.
 func TestDiscoverGarbled(t *testing.T) {
-	if _, err := Discover("testdata/garbled"); err == nil {
+	if _, err := discover("testdata/garbled"); err == nil {
 		t.Fatal("garbled tree should not parse")
 	}
 }
@@ -74,10 +74,10 @@ func TestDiscoverGarbled(t *testing.T) {
 // TestDiscoverMissing: absent roots and CPUs without cache directories are
 // errors; DetectFrom degrades both to the synthetic flat fallback.
 func TestDiscoverMissing(t *testing.T) {
-	if _, err := Discover("testdata/does_not_exist"); err == nil {
+	if _, err := discover("testdata/does_not_exist"); err == nil {
 		t.Fatal("missing root should not parse")
 	}
-	if _, err := Discover("testdata/missing_cache"); err == nil {
+	if _, err := discover("testdata/missing_cache"); err == nil {
 		t.Fatal("cpu without cache dirs should not parse")
 	}
 	for _, root := range []string{"testdata/does_not_exist", "testdata/missing_cache", "testdata/garbled"} {
@@ -122,56 +122,24 @@ func TestParseCPUList(t *testing.T) {
 		"0-1,4-5": {0, 1, 4, 5},
 		"7\n":     {7},
 	} {
-		got, err := ParseCPUList(s)
+		got, err := parseCPUList(s)
 		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("ParseCPUList(%q) = %v, %v; want %v", s, got, err, want)
+			t.Errorf("parseCPUList(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
 	for _, bad := range []string{"", "3-1", "a", "1,1", "-2", "1,,2"} {
-		if _, err := ParseCPUList(bad); err == nil {
-			t.Errorf("ParseCPUList(%q) should fail", bad)
+		if _, err := parseCPUList(bad); err == nil {
+			t.Errorf("parseCPUList(%q) should fail", bad)
 		}
 	}
-}
-
-// TestSubDomain: the carve-out a sharded pool builds each member runtime
-// on — one domain, the parent's CPU list, provenance in Source, and no
-// aliasing back into the parent.
-func TestSubDomain(t *testing.T) {
-	topo, _ := Synthetic("2x3")
-	sub := topo.SubDomain(1)
-	if sub.CPUs != 3 || len(sub.Domains) != 1 || sub.Domains[0].ID != 0 {
-		t.Fatalf("SubDomain(1) = %+v", sub)
-	}
-	if !reflect.DeepEqual(sub.Domains[0].CPUs, []int{3, 4, 5}) {
-		t.Fatalf("SubDomain(1) cpus = %v, want [3 4 5]", sub.Domains[0].CPUs)
-	}
-	if sub.Source != "synthetic:2x3/domain1" {
-		t.Fatalf("SubDomain(1) source = %q", sub.Source)
-	}
-	// The CPU slice is a copy: mutating the carve-out leaves the parent alone.
-	sub.Domains[0].CPUs[0] = 99
-	if topo.Domains[1].CPUs[0] != 3 {
-		t.Fatal("SubDomain aliases the parent's CPU slice")
-	}
-	// A carve-out of a carve-out is the same single domain.
-	if sub2 := sub.SubDomain(0); len(sub2.Domains) != 1 || !reflect.DeepEqual(sub2.Domains[0].CPUs, sub.Domains[0].CPUs) {
-		t.Fatalf("SubDomain(0) of a carve-out = %+v", sub2)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SubDomain(2) of a 2-domain topology must panic")
-		}
-	}()
-	topo.SubDomain(2)
 }
 
 // TestFlatAndDetect: the fallbacks are well-formed, and Detect never
 // returns nil whatever the host looks like.
 func TestFlatAndDetect(t *testing.T) {
-	f := Flat(0)
+	f := flat(0)
 	if f.CPUs != 1 || len(f.Domains) != 1 {
-		t.Fatalf("Flat(0) = %+v", f)
+		t.Fatalf("flat(0) = %+v", f)
 	}
 	d := Detect()
 	if d == nil || d.CPUs < 1 || len(d.Domains) < 1 {
