@@ -60,20 +60,20 @@
 //     domain on any machine, whose parked workers sleep on their own slots
 //     on one idle stack; following the machine's LLC domains is the
 //     sharded pool's work (below). A steal is counted once, where the
-//     stolen task runs: Stats.Steals, the per-job counts and a whole-run
-//     trace's steal events are one number. RunErr returns a task's panic
+//     stolen task runs: Stats.Steals and a whole-run trace's steal events,
+//     which Event.Job splits per job, are one number. RunErr returns a task's panic
 //     as an error, and a runtime closed by Shutdown fails spawns fast
 //     instead of hanging.
 //
-//   - Job server (Submit, SubmitAll, SubmitWait, Job, WithMaxInFlight):
+//   - Job server (Submit, SubmitAll, Job, WithMaxInFlight):
 //     the runtime as a multi-tenant service. Submit is non-blocking and
 //     returns a typed Job handle (Wait / WaitErr) — a
 //     value with a generation check, because job roots recycle through
 //     a freelist: a steady-state Submit allocates nothing, nor does a
 //     Wait (a blocked Wait sleeps on a pooled slot); every task a job's computation spawns inherits
-//     the job's identity, so each job gets its own Stats (tasks, steals,
-//     touch modes), queue-wait and wall-latency capture, and profiler
-//     attribution (job IDs are never reused). SubmitAll admits a whole
+//     the job's identity, so each job gets its own wall-latency capture and
+//     profiler attribution — its tasks, steals and touch modes are its
+//     events in a trace (job IDs are never reused). SubmitAll admits a whole
 //     batch in one visit — one admission CAS, one ID block, one
 //     wakeup decision; all-or-prefix at the cap. WithMaxInFlight adds
 //     admission control: at the cap Submit sheds load with ErrSaturated;
@@ -89,7 +89,8 @@
 //     domain of the topology (the host's sysfs cache hierarchy by default;
 //     SyntheticTopology builds an injectable DxC layout and
 //     WithPoolTopology installs it) — the one layer that follows the
-//     machine's caches — behind a router with the same submit surface.
+//     machine's caches — behind a router with the same submit surface,
+//     returning the admitting runtime's own Job.
 //     Placement is least-loaded (one in-flight word per shard), or
 //     consistent-hash on an optional job key (the ring
 //     depends only on shard identity, so resizing moves ~1/S of keys and

@@ -48,6 +48,8 @@ var retiredNames = []string{
 	"waitRoot", "slotCond", "signalOne", "signalN(", "materialize(", "ReplayLLCSeparateDomains",
 	"WindowEnvelope", "Envelope.Within", "profile.Envelope", "futurelocality.FlightEnvelope",
 	"Runtime.Topology", "topology_source", "StealPolicy()", "SubDomain", "internal/policy",
+	"job.Stats(", "jobCounts", "WorkerStats", "PoolJob", "TestSnapshotDeltasMatchJobStats",
+	"JobCountsExactAcrossJobs",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

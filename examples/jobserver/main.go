@@ -165,7 +165,7 @@ func main() {
 	// The handler: waits for its own job, like an HTTP handler goroutine
 	// writing the response when the computation finishes. The handle is a
 	// value — copy it into the goroutine, consume it exactly once.
-	handle := func(job fl.PoolJob[int], n int) {
+	handle := func(job fl.Job[int], n int) {
 		defer wg.Done()
 		v, err := job.WaitErr()
 		if err != nil {
@@ -182,7 +182,7 @@ func main() {
 	}
 	fns := make([]func(*fl.W) int, 0, batch)
 	sizes := make([]int, 0, batch)
-	jobs := make([]fl.PoolJob[int], 0, batch)
+	jobs := make([]fl.Job[int], 0, batch)
 accept:
 	for i := 0; *requests == 0 || i < *requests; i += batch {
 		select {

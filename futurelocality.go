@@ -272,9 +272,6 @@ type (
 	Pool = shard.Pool
 	// PoolOption configures NewPool.
 	PoolOption = shard.Option
-	// PoolJob is a pool job handle: the member runtime's Job plus Shard(),
-	// the index of the runtime that admitted and executes it.
-	PoolJob[T any] = shard.Job[T]
 )
 
 // NewPool starts a sharded pool. Defaults: one shard per LLC domain of the
@@ -316,12 +313,12 @@ func WithShardRuntimeOptions(opts ...RuntimeOption) PoolOption {
 // Saturation at the placed shard triggers the overflow exchange — the whole
 // job is forwarded to the least-loaded other shard — and only when that one
 // refuses too does it shed with ErrSaturated. A closed pool returns
-// ErrClosed.
-func PoolSubmit[T any](p *Pool, fn func(*W) T) (PoolJob[T], error) { return shard.Submit(p, fn) }
+// ErrClosed. The handle is the admitting member runtime's Job.
+func PoolSubmit[T any](p *Pool, fn func(*W) T) (Job[T], error) { return shard.Submit(p, fn) }
 
 // PoolSubmitAll batch-submits on one home shard (the single-runtime
 // batching contract), overflowing the remainder batch-wise to the next
 // least-loaded shard on partial admission before shedding the rest.
-func PoolSubmitAll[T any](p *Pool, fns []func(*W) T, dst []PoolJob[T]) ([]PoolJob[T], error) {
+func PoolSubmitAll[T any](p *Pool, fns []func(*W) T, dst []Job[T]) ([]Job[T], error) {
 	return shard.SubmitAll(p, fns, dst)
 }

@@ -2,10 +2,7 @@ package runtime
 
 // Accessors and combinators only the tests use.
 
-import (
-	"context"
-	"futurelocality/internal/profile"
-)
+import "futurelocality/internal/profile"
 
 // Done reports whether the future has completed (without touching it).
 func (f *Future[T]) Done() bool {
@@ -125,24 +122,4 @@ func (j *Job[T]) TryWait() (v T, ok bool) {
 		j.settle()
 	}
 	return v, ok
-}
-
-// Stats snapshots the job's scheduler counters and wall-clock capture
-// (approximate while the job is in flight, final once consumed).
-func (j *Job[T]) Stats() jobCounts {
-	if j.consumed {
-		return j.fin
-	}
-	if j.stale() {
-		return jobCounts{ID: j.id}
-	}
-	return j.js.jobStats()
-}
-
-// WithContext ties the runtime's lifetime to ctx: when ctx is cancelled
-// the runtime shuts down as if Shutdown were called — workers finish their
-// current task, cooperatively drain, and every task still queued fails its
-// future fast with ErrClosed instead of hanging.
-func WithContext(ctx context.Context) Option {
-	return func(o *options) { o.ctx = ctx }
 }

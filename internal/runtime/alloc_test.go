@@ -377,6 +377,15 @@ func TestFutureSize(t *testing.T) {
 	}
 }
 
+// TestJobHandleSize pins the handle a Submit returns by value, and a server
+// that keeps it boxes: two pointers, the ID and generation, the latency the
+// consume captures and the consumed flag — 48 bytes, one size class.
+func TestJobHandleSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Job[int]{}); sz > 48 {
+		t.Fatalf("Job[int] is %d bytes, want at most 48", sz)
+	}
+}
+
 // TestSpawnTouchBytesBudget pins the bytes the allocation count does not
 // see: a ParentFirst spawn+touch of a package-level function on one worker
 // allocates the Future and nothing else, so it costs one 48-byte size class

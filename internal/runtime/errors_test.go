@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -229,37 +228,4 @@ func TestTouchStillRepanicsOriginalValue(t *testing.T) {
 		}
 	}()
 	f.Touch(nil)
-}
-
-func TestContextCancellationDrains(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	rt := New(WithWorkers(1), WithContext(ctx))
-
-	block := make(chan struct{})
-	running := make(chan struct{})
-	busy := Spawn(rt, nil, func(*W) int { close(running); <-block; return 7 })
-	<-running
-	queued := Spawn(rt, nil, func(*W) int { return 8 })
-
-	cancel()
-	// The watcher shuts the runtime down asynchronously; wait for the close
-	// to be visible, then let the in-flight task finish cooperatively.
-	deadline := time.Now().Add(5 * time.Second)
-	for !rt.Closed() {
-		if time.Now().After(deadline) {
-			t.Fatal("runtime never closed after context cancellation")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(block)
-	if v, err := busy.touchErr(nil); err != nil || v != 7 {
-		t.Fatalf("in-flight task after cancel: v=%d err=%v", v, err)
-	}
-	if _, err := queued.touchErr(nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("queued task after cancel: err=%v, want ErrClosed", err)
-	}
-	if _, err := RunErr(rt, func(*W) int { return 0 }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("RunErr after cancel = %v, want ErrClosed", err)
-	}
-	rt.Shutdown() // idempotent with the watcher's shutdown
 }

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"futurelocality/internal/profile"
+	"futurelocality/internal/telemetry"
 )
 
 // Tests for what a task knows about its runtime: nothing but its job. A
@@ -73,14 +74,16 @@ func TestForeignWorkerTouch(t *testing.T) {
 		// touches the modes of its touches there.
 		begins  int
 		touches []profile.TouchMode
-		// inline is the job's inline-touch count: A's inline run, or B's
-		// private wait that runs it.
-		inline int64
+		// rowA and rowB are the tasks run and inline touches A's and B's rows
+		// count: an execution counts in the row of the worker that ran it, so
+		// A's inline run of the future (and of the spawn it makes there) is
+		// A's, B's dive or private wait that runs it B's.
+		rowA, rowB [2]int64
 	}{
-		unstarted: {"unstarted", 0, nil, 1},
-		finished:  {"finished", 1, nil, 0},
-		tried:     {"TryTouch", 1, []profile.TouchMode{profile.ModeReady}, 0},
-		running:   {"running", 1, []profile.TouchMode{profile.ModeInline}, 1},
+		unstarted: {"unstarted", 0, nil, [2]int64{3, 2}, [2]int64{1, 0}},
+		finished:  {"finished", 1, nil, [2]int64{1, 0}, [2]int64{2, 0}},
+		tried:     {"TryTouch", 1, []profile.TouchMode{profile.ModeReady}, [2]int64{1, 0}, [2]int64{2, 0}},
+		running:   {"running", 1, []profile.TouchMode{profile.ModeInline}, [2]int64{1, 0}, [2]int64{2, 1}},
 	}
 	for _, inJob := range []bool{false, true} {
 		for kind, c := range cases {
@@ -171,11 +174,14 @@ func TestForeignWorkerTouch(t *testing.T) {
 				if kind == unstarted && !homedOnA.Load() {
 					t.Error("a job-less spawn by A's worker running B's task was not homed on A")
 				}
-				if inJob {
-					st := j.Stats()
-					st.ID, st.QueueWait, st.Latency = 0, 0, 0
-					if want := (jobCounts{TasksRun: 2, InlineTouches: c.inline}); st != want {
-						t.Errorf("B's job stats %+v, want %+v", st, want)
+				for _, r := range []struct {
+					name string
+					rt   *Runtime
+					want [2]int64
+				}{{"A", a, c.rowA}, {"B", b, c.rowB}} {
+					snap := r.rt.TelemetrySnapshot()
+					if got := [2]int64{snap.Total(telemetry.CTasksRun), snap.Total(telemetry.CInlineTouches)}; got != r.want {
+						t.Errorf("%s's row: %d tasks run, %d inline touches; want %d, %d", r.name, got[0], got[1], r.want[0], r.want[1])
 					}
 				}
 
@@ -205,10 +211,10 @@ func TestForeignWorkerTouch(t *testing.T) {
 }
 
 // TestJobZeroNeverCounted: job-less tasks belong to their runtime's job 0,
-// which nothing refcounts and no steal, help, block or inline touch is
-// credited to — the counters a real job pays for on every task. The first run
-// makes a steal and a blocked touch for certain: the root's child waits at a
-// gate until the other worker has stolen it and the root has blocked on it.
+// which nothing refcounts or writes — not the liveness references a real job
+// pays for on every spawn, nor its wall-clock capture. The first run makes a
+// steal and a blocked touch for certain: the root's child waits at a gate
+// until the other worker has stolen it and the root has blocked on it.
 func TestJobZeroNeverCounted(t *testing.T) {
 	rt := newRT(t, 2)
 	gate := make(chan struct{})
@@ -233,9 +239,7 @@ func TestJobZeroNeverCounted(t *testing.T) {
 	}
 	js := &rt.solo
 	for name, v := range map[string]int64{
-		"refs": js.refs.Load(), "tasksRun": js.counts[jobTasks].Load(), "steals": js.counts[jobSteals].Load(),
-		"inline": js.counts[jobInline].Load(), "helped": js.counts[jobHelped].Load(), "blocked": js.counts[jobBlocked].Load(),
-		"queueWaitNs": js.queueWaitNs.Load(), "latencyNs": js.latencyNs.Load(),
+		"refs": js.refs.Load(), "queueWaitNs": js.queueWaitNs.Load(), "latencyNs": js.latencyNs.Load(),
 		"gen": int64(js.gen.Load()), "id": int64(js.id.Load()), "root": int64(js.root),
 	} {
 		if v != 0 {

@@ -6,10 +6,10 @@ package runtime
 // so many independent computations share the worker pool concurrently, the
 // regime the ROADMAP's "heavy traffic" north star describes. Every task a
 // job's computation spawns inherits the job's identity (threaded through the
-// task struct and into profiler events as Event.Job), so per-job Stats, wall
-// latency, and — via internal/profile's per-job DAG splitting — each job's
-// own deviation count against its own P·T∞² envelope remain attributable
-// even with many DAGs in flight at once.
+// task struct and into profiler events as Event.Job), so a job's wall
+// latency and — via internal/profile's per-job DAG splitting — its tasks,
+// steals, touches and own deviation count against its own P·T∞² envelope
+// remain attributable even with many DAGs in flight at once.
 //
 // Cost discipline (see DESIGN.md, "serve path anatomy"): the steady-state
 // Submit allocates nothing — the root future and the job state live in one
@@ -22,9 +22,9 @@ package runtime
 // of runtimes, which is what the pool is for. A spawn *inside* a job pays
 // exactly the non-job spawn path plus one pointer copy (the inherited job
 // tag) and a liveness reference drawn from the worker's block; its tasks are
-// counted in the worker's pending table like any, and their counts and
-// deferred releases reach the job in the worker's batched publication. A
-// job-less Run is unchanged.
+// counted in the worker's pending table like any, and their deferred
+// releases reach the job in the worker's batched publication. A job-less Run
+// is unchanged.
 //
 // Recycling safety: a pooled root may only be reused once nothing can reach
 // it — not the handle, not the root task, not any still-pending task of the
@@ -54,11 +54,12 @@ import (
 var ErrSaturated = errors.New("runtime: job server saturated (max in-flight jobs reached)")
 
 // jobState is the runtime-side record of one submitted job: identity, the
-// root task it hangs off, wall-clock capture, the per-job counters every
-// worker credits as it executes the job's tasks, and the liveness refcount
-// that gates recycling. The job's handle is the only way to it; once the
-// handle consumes the result its final values survive in the handle (captured
-// at consume time), because the struct itself returns to the freelist.
+// root task it hangs off, wall-clock capture and the liveness refcount that
+// gates recycling. It keeps no scheduler counts: those go to the executing
+// worker's telemetry row, and a profiled trace attributes them per job
+// through Event.Job. The job's handle is the only way to it; once the handle
+// consumes the result the latency survives in the handle (captured at consume
+// time), because the struct itself returns to the freelist.
 type jobState struct {
 	// gen is the handle-validity generation: bumped once each time the
 	// pooled root is recycled, so a stale Job handle copy detects reuse
@@ -88,45 +89,10 @@ type jobState struct {
 	// latencyNs is the submit→completion wall latency, published exactly
 	// once by finish (0 while in flight).
 	latencyNs atomic.Int64
-
-	// counts are the per-job counters, one per job column: tasks run,
-	// steals, inline touches and helped tasks of the job's executed tasks,
-	// and blocked touches of its futures by its own computation. W.publish
-	// is their only writer, adding the same pending counts it adds to the
-	// worker's telemetry row, so Σ jobCounts, Stats and a trace agree by
-	// construction: a task stolen during a help is one steal in each, and
-	// steals+helped+blocked never double-charges one displaced execution.
-	counts [numJobColumns]atomic.Int64
-}
-
-// The job columns: what a job counts of the worker's per-task counters.
-const (
-	jobTasks = iota
-	jobSteals
-	jobInline
-	jobHelped
-	jobBlocked
-	numJobColumns
-)
-
-// jobColumn maps each pending counter to the job column publish also adds it
-// to, or to −1 for the counters only the rows keep: steal attempts and spawns
-// (and the cross-domain steal column, which nothing writes).
-var jobColumn = [len(pending{})]int8{
-	telemetry.CTasksRun:          jobTasks,
-	telemetry.CStealAttempts:     -1,
-	telemetry.CSteals:            jobSteals,
-	telemetry.CStealsCrossDomain: -1,
-	telemetry.CInlineTouches:     jobInline,
-	telemetry.CHelpedTasks:       jobHelped,
-	telemetry.CBlockedTouches:    jobBlocked,
-	telemetry.CSpawnsFutureFirst: -1,
-	telemetry.CSpawnsParentFirst: -1,
 }
 
 // isJob reports whether js is a submitted job rather than its runtime's job
-// 0, which nothing counts into or refcounts. One plain load of a field that
-// never changes.
+// 0, which nothing refcounts. One plain load of a field that never changes.
 func (js *jobState) isJob() bool { return js.owner != nil }
 
 // poolableRoot is the type-erased face of jobRoot[T] the recycling path
@@ -168,9 +134,6 @@ func (r *jobRoot[T]) prepareForReuse() {
 	js.root = 0
 	js.queueWaitNs.Store(0)
 	js.latencyNs.Store(0)
-	for i := range js.counts {
-		js.counts[i].Store(0)
-	}
 }
 
 // release drops n liveness references; the last one retires the composite:
@@ -238,58 +201,18 @@ func (js *jobState) finish() {
 	}
 }
 
-// jobStats snapshots the counters (approximate while the job is in flight).
-// Only a handle calls it, and an unconsumed handle's liveness reference
-// keeps the root from being recycled under the read.
-func (js *jobState) jobStats() jobCounts {
-	return jobCounts{
-		ID:             js.id.Load(),
-		TasksRun:       js.counts[jobTasks].Load(),
-		Steals:         js.counts[jobSteals].Load(),
-		InlineTouches:  js.counts[jobInline].Load(),
-		HelpedTasks:    js.counts[jobHelped].Load(),
-		BlockedTouches: js.counts[jobBlocked].Load(),
-		QueueWait:      time.Duration(js.queueWaitNs.Load()),
-		Latency:        time.Duration(js.latencyNs.Load()),
-	}
-}
-
-// jobCounts is a per-job snapshot of scheduler counters and wall-clock
-// capture: the job-scoped analogue of Stats, so one job's deviation proxies
-// (steals, helped, blocked) can be read off without disentangling the
-// pooled runtime counters from its neighbors'.
-type jobCounts struct {
-	// ID is the job's runtime-assigned identity (dense, starting at 1; it is
-	// the Event.Job value profiling records for the job's events).
-	ID uint64
-	// TasksRun counts executed tasks belonging to this job; Steals the
-	// displaced ones among them that a thief executed.
-	TasksRun, Steals int64
-	// InlineTouches and BlockedTouches count this job's futures' touches by
-	// wait mode. HelpedTasks counts this job's tasks executed out of spawn
-	// order by a helping worker, excluding stolen ones (those are in Steals
-	// — one displaced execution, one counter, matching the profiler's
-	// deviation accounting).
-	InlineTouches, HelpedTasks, BlockedTouches int64
-	// QueueWait is the submit→first-execution delay of the root task (0
-	// while it is still queued).
-	QueueWait time.Duration
-	// Latency is the submit→completion wall time (0 while in flight).
-	Latency time.Duration
-}
-
 // Job is the handle to one submitted root computation: a typed future of the
-// job's result plus the job's identity, per-job stats, and wall-latency
-// capture. Obtain one from Submit, SubmitWait, or SubmitAll; consume the
-// result exactly once with Wait or WaitErr (the single-touch discipline
-// applies to the job's root future like any other).
+// job's result plus the job's identity and wall-latency capture. Obtain one
+// from Submit, SubmitWait, or SubmitAll; consume the result exactly once with
+// Wait or WaitErr (the single-touch discipline applies to the job's root
+// future like any other).
 //
-// The handle is a value: the consuming call captures the job's final stats
-// into the handle before the runtime recycles the underlying structures, so
-// ID, Stats, Latency, and Done keep answering after the consume. Treat a
-// copied handle like a copied single-touch future — exactly one copy may
-// consume (a stale copy's Wait fails with ErrDoubleTouch), and copies must
-// not race the consume from multiple goroutines.
+// The handle is a value: the consuming call captures the job's latency into
+// the handle before the runtime recycles the underlying structures, so ID and
+// Latency keep answering after the consume. Treat a copied handle like a
+// copied single-touch future — exactly one copy may consume (a stale copy's
+// Wait fails with ErrDoubleTouch), and copies must not race the consume from
+// multiple goroutines.
 type Job[T any] struct {
 	f  *Future[T]
 	js *jobState
@@ -298,9 +221,9 @@ type Job[T any] struct {
 	// staleness check.
 	id  uint64
 	gen uint64
-	// fin holds the final stats, captured by the consuming call; consumed
-	// marks this handle copy as spent.
-	fin      jobCounts
+	// latency is the submit→completion time, captured by the consuming call;
+	// consumed marks this handle copy as spent.
+	latency  time.Duration
 	consumed bool
 }
 
@@ -314,16 +237,15 @@ func (j *Job[T]) stale() bool {
 	return j.js == nil || j.js.gen.Load() != j.gen
 }
 
-// settle finalizes a successful consume: capture the job's final stats into
-// the handle (they survive the recycle) and drop the handle's liveness
-// reference, which lets the pooled root be reused.
+// settle finalizes a successful consume: capture the job's latency into the
+// handle (it survives the recycle) and drop the handle's liveness reference,
+// which lets the pooled root be reused.
 func (j *Job[T]) settle() {
 	if j.consumed {
 		return
 	}
 	j.consumed = true
-	j.fin = j.js.jobStats()
-	j.fin.ID = j.id
+	j.latency = time.Duration(j.js.latencyNs.Load())
 	j.js.release(nil, 1)
 }
 
@@ -347,7 +269,7 @@ func (j *Job[T]) Wait() T {
 		if r := recover(); r != nil {
 			if !isDoubleTouch(r) {
 				// The touch was spent (panic or cancellation surfaced through
-				// it): settle so the final stats survive and the root recycles.
+				// it): settle so the latency survives and the root recycles.
 				j.settle()
 			}
 			panic(r)
@@ -378,7 +300,7 @@ func (j *Job[T]) WaitErr() (T, error) {
 // still in flight.
 func (j *Job[T]) Latency() time.Duration {
 	if j.consumed {
-		return j.fin.Latency
+		return j.latency
 	}
 	if j.stale() {
 		return 0
@@ -460,8 +382,8 @@ func (rt *Runtime) MaxInFlight() int { return rt.maxInFlight }
 //
 // The root is pushed help-first onto the global queue like Run's root; every
 // task the job's computation spawns inherits the job's identity for per-job
-// Stats and profiling attribution (Event.Job). In steady state (freelist
-// warm) Submit allocates nothing, and neither does Wait.
+// profiling attribution (Event.Job). In steady state (freelist warm) Submit
+// allocates nothing, and neither does Wait.
 func Submit[T any](rt *Runtime, fn func(*W) T) (Job[T], error) {
 	if rt.closed.Load() {
 		return Job[T]{}, ErrClosed

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +25,9 @@ func jobFib(rt *Runtime, w *W, n int) int {
 func TestSubmitBasic(t *testing.T) {
 	rt := New(WithWorkers(2))
 	defer rt.Shutdown()
+	if err := rt.StartProfile(); err != nil {
+		t.Fatal(err)
+	}
 	j, err := Submit(rt, func(w *W) int { return jobFib(rt, w, 12) })
 	if err != nil {
 		t.Fatal(err)
@@ -31,29 +35,34 @@ func TestSubmitBasic(t *testing.T) {
 	if j.ID() == 0 {
 		t.Fatal("job ID must be nonzero (0 is job-less work)")
 	}
+	// The job's own record, read before the consume recycles it.
+	waitUntil(j.Done)
+	queueWait, latency := time.Duration(j.js.queueWaitNs.Load()), time.Duration(j.js.latencyNs.Load())
 	if got := j.Wait(); got != 144 {
 		t.Fatalf("job result = %d, want 144", got)
 	}
 	if !j.Done() {
 		t.Fatal("Done after Wait must be true")
 	}
-	if j.Latency() <= 0 {
-		t.Fatalf("completed job must have positive latency, got %v", j.Latency())
+	if j.Latency() <= 0 || j.Latency() != latency {
+		t.Fatalf("completed job's latency %v, want the job's positive %v", j.Latency(), latency)
 	}
-	st := j.Stats()
-	if st.ID != j.ID() {
-		t.Fatalf("Stats.ID = %d, want %d", st.ID, j.ID())
+	if queueWait <= 0 || queueWait > latency {
+		t.Fatalf("queue wait %v must be within (0, latency %v]", queueWait, latency)
 	}
 	// fib(12) spawns one future per composite call; every executed task of
-	// the computation — including the root — must be credited to the job.
-	if st.TasksRun < 10 {
-		t.Fatalf("job TasksRun = %d, want the whole computation", st.TasksRun)
+	// the computation — including the root — carries the job's ID.
+	var begun int64
+	for _, ev := range rt.StopProfile().Events() {
+		if ev.Kind == profile.KindBegin {
+			if ev.Job != j.ID() {
+				t.Fatalf("task begun with job %d, want %d: %v", ev.Job, j.ID(), ev)
+			}
+			begun++
+		}
 	}
-	if st.Latency != j.Latency() {
-		t.Fatalf("Stats.Latency = %v, Latency() = %v", st.Latency, j.Latency())
-	}
-	if st.QueueWait <= 0 || st.QueueWait > st.Latency {
-		t.Fatalf("queue wait %v must be within (0, latency %v]", st.QueueWait, st.Latency)
+	if want := cutFibSpawns(12, 2) + 1; begun != want {
+		t.Fatalf("job began %d tasks, want the whole computation's %d", begun, want)
 	}
 	if rt.InFlight() != 0 {
 		t.Fatalf("InFlight after completion = %d, want 0", rt.InFlight())
@@ -111,9 +120,9 @@ func TestSubmitSaturationRejects(t *testing.T) {
 	if _, err := Submit(rt, func(*W) int { return 2 }); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("saturated Submit: %v, want ErrSaturated", err)
 	}
-	// The in-flight job's stats stay readable through its handle.
-	if s := j1.Stats(); s.ID != j1.ID() || s.Latency != 0 {
-		t.Fatalf("in-flight Stats = %+v, want ID %d and no latency yet", s, j1.ID())
+	// The in-flight job has no latency yet.
+	if lat := j1.Latency(); lat != 0 {
+		t.Fatalf("in-flight job's latency = %v, want 0", lat)
 	}
 
 	// SubmitWait queues: it must block now and succeed once j1 finishes.
@@ -441,11 +450,15 @@ func TestJobEventSeparationDeterministic(t *testing.T) {
 	}
 }
 
-// TestPerJobStatsSeparation: two gated jobs running strictly one after the
-// other must account their tasks to their own counters only.
+// TestPerJobStatsSeparation: two jobs running strictly one after the other
+// each begin exactly their own computation's tasks in the trace, and the two
+// together are every task the runtime's rows counted.
 func TestPerJobStatsSeparation(t *testing.T) {
 	rt := New(WithWorkers(2))
 	defer rt.Shutdown()
+	if err := rt.StartProfile(); err != nil {
+		t.Fatal(err)
+	}
 	j1, err := Submit(rt, func(w *W) int { return jobFib(rt, w, 12) })
 	if err != nil {
 		t.Fatal(err)
@@ -460,14 +473,18 @@ func TestPerJobStatsSeparation(t *testing.T) {
 	if got := j2.Wait(); got != 8 {
 		t.Fatalf("j2 = %d", got)
 	}
-	s1, s2 := j1.Stats(), j2.Stats()
-	if s1.TasksRun <= s2.TasksRun {
-		t.Fatalf("fib(12) job ran %d tasks, fib(6) job %d — bigger job must run more",
-			s1.TasksRun, s2.TasksRun)
+	begun := map[uint64]int64{}
+	for _, ev := range rt.StopProfile().Events() {
+		if ev.Kind == profile.KindBegin {
+			begun[ev.Job]++
+		}
 	}
-	total := rt.Stats().TasksRun
-	if s1.TasksRun+s2.TasksRun != total {
-		t.Fatalf("per-job tasks %d+%d != pool total %d", s1.TasksRun, s2.TasksRun, total)
+	want := map[uint64]int64{j1.ID(): cutFibSpawns(12, 2) + 1, j2.ID(): cutFibSpawns(6, 2) + 1}
+	if !maps.Equal(begun, want) {
+		t.Fatalf("tasks begun by job %v, want %v", begun, want)
+	}
+	if total := rt.Stats().TasksRun; begun[j1.ID()]+begun[j2.ID()] != total {
+		t.Fatalf("per-job tasks %v != pool total %d", begun, total)
 	}
 }
 
@@ -537,8 +554,8 @@ func TestHelpAttributedToHelpedTasksJob(t *testing.T) {
 	if helps[0].Job != jB.ID() {
 		t.Fatalf("help attributed to job %d, want the helped task's job %d", helps[0].Job, jB.ID())
 	}
-	if sa, sb := jA.Stats().HelpedTasks, jB.Stats().HelpedTasks; sa != 0 || sb != 1 {
-		t.Fatalf("jobCounts helped: A=%d B=%d, want 0 and 1", sa, sb)
+	if helped := rt.Stats().HelpedTasks; helped != 1 {
+		t.Fatalf("Stats.HelpedTasks = %d, want the one help", helped)
 	}
 	recs := jobRecons(t, tr)
 	recA, recB := recs[jA.ID()], recs[jB.ID()]
@@ -625,6 +642,56 @@ func TestAbandonedFuturesRecycleRootOnce(t *testing.T) {
 	}
 	if got := j.Wait(); got != 2 {
 		t.Fatalf("Wait on the recycled root = %d, want 2", got)
+	}
+}
+
+// TestRootsRecycleOnceAcrossJobs: a worker's pending liveness references are
+// those of the job whose task it is running, and it returns them on entering
+// and on leaving a task of another job (W.publish). So when concurrent jobs'
+// tasks interleave on the same workers — a worker loop going from one job's
+// task to the next job's, a helper running another job's task — no job is
+// handed another's releases: once every worker has parked, each root the jobs
+// used holds no reference and sits pooled exactly once.
+func TestRootsRecycleOnceAcrossJobs(t *testing.T) {
+	const workers, rounds, jobs, n, cutoff = 4, 50, 16, 14, 4
+	fib := cutFib(nil, nil, n, n+1)
+	rt := newRT(t, workers)
+	roots := map[poolableRoot]bool{}
+	handles := make([]Job[int], 0, jobs)
+	for r := 0; r < rounds; r++ {
+		handles = handles[:0]
+		for i := 0; i < jobs; i++ {
+			j, err := Submit(rt, func(w *W) int { return cutFib(rt, w, n, cutoff) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			roots[j.js.owner] = true
+			handles = append(handles, j)
+		}
+		for i := range handles {
+			if got := handles[i].Wait(); got != fib {
+				t.Fatalf("round %d: job %d = %d, want %d", r, handles[i].ID(), got, fib)
+			}
+		}
+	}
+	// A worker publishes before it parks, so with all of them parked every
+	// reference has come back.
+	waitFor(t, "the workers park", func() bool { return rt.parked.Load() == workers })
+	pooled := map[poolableRoot]int{}
+	for _, w := range rt.workers {
+		for _, r := range w.jobFree {
+			pooled[r]++
+		}
+	}
+	rt.freeMu.Lock()
+	for _, r := range rt.free {
+		pooled[r]++
+	}
+	rt.freeMu.Unlock()
+	for r := range roots {
+		if refs := r.(*jobRoot[int]).js.refs.Load(); refs != 0 || pooled[r] != 1 {
+			t.Fatalf("a root of %d holds %d references and is pooled %d times, want 0 and once", len(roots), refs, pooled[r])
+		}
 	}
 }
 

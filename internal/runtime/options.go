@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"cmp"
-	"context"
 	"runtime"
 	"strconv"
 	"time"
@@ -35,7 +34,6 @@ type options struct {
 	discipline  Discipline
 	maxInFlight int
 	flight      int // flight-recorder window per worker (0 = none)
-	ctx         context.Context
 }
 
 // WithWorkers sets the worker count; n <= 0 means GOMAXPROCS.
@@ -121,7 +119,6 @@ func New(opts ...Option) *Runtime {
 	seed := cmp.Or(o.seed, 1)
 	rt := &Runtime{
 		discipline: o.discipline,
-		stop:       make(chan struct{}),
 		term:       make(chan struct{}),
 	}
 	rt.solo.rt = rt
@@ -157,15 +154,6 @@ func New(opts ...Option) *Runtime {
 	rt.wg.Add(n)
 	for _, w := range rt.workers {
 		go w.loop()
-	}
-	if o.ctx != nil && o.ctx.Done() != nil {
-		go func(ctx context.Context) {
-			select {
-			case <-ctx.Done():
-				rt.Shutdown()
-			case <-rt.stop:
-			}
-		}(o.ctx)
 	}
 	return rt
 }

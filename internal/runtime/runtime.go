@@ -7,7 +7,7 @@
 //   - futures may be passed to other tasks and touched there (the
 //     Figure 5(b) pattern) — but still only once;
 //   - both fork disciplines are expressible through one spawn primitive:
-//     SpawnWith(rt, w, d, fn) takes an explicit policy.Discipline, Spawn
+//     SpawnWith(rt, w, d, fn) takes an explicit Discipline, Spawn
 //     uses the runtime-wide default set by WithDiscipline. ParentFirst
 //     (help-first) makes the child stealable and continues with the parent;
 //     FutureFirst (work-first) dives into the child immediately — the
@@ -50,7 +50,7 @@
 // in spawn order, because each worker draws them from the runtime's counter a
 // block at a time, push reads the parked count without writing anything, and
 // the per-task counters are a plain table in the worker, published to its
-// telemetry row and its job before anyone can wait for the result. See
+// telemetry row before anyone can wait for the result. See
 // DESIGN.md, "hot path anatomy", for the per-operation budget.
 //
 // Errors and cancellation: task panics surface through Touch (re-panicking
@@ -61,10 +61,10 @@
 //
 // Beyond the one-computation Run entry point, the job-server layer (see
 // job.go) makes the pool multi-tenant: Submit accepts concurrent root
-// computations as identified jobs with per-job Stats, wall-latency capture,
-// admission control (WithMaxInFlight, ErrSaturated), and per-job profiler
-// attribution (Event.Job), so each in-flight computation's deviations can
-// be checked against its own envelope.
+// computations as identified jobs with wall-latency capture, admission
+// control (WithMaxInFlight, ErrSaturated), and per-job profiler attribution
+// (Event.Job), so each in-flight computation's deviations can be checked
+// against its own envelope.
 //
 // Cache misses cannot be observed portably from Go, and goroutine
 // scheduling is opaque — this is exactly the repro gap the simulator
@@ -313,8 +313,6 @@ type Runtime struct {
 	discipline Discipline
 	// closed is written once, by Shutdown.
 	closed atomic.Bool
-	// stop is closed by Shutdown; it releases the WithContext watcher.
-	stop chan struct{}
 	// term is closed once shutdown has fully quiesced (workers exited,
 	// queues drained); duplicate Shutdown callers wait on it.
 	term chan struct{}
@@ -335,9 +333,8 @@ type Runtime struct {
 	// (W.pollAfter) as a duration since then. Immutable.
 	born time.Time
 	// solo is job 0, the job of every task outside any submitted job: ID 0,
-	// rt set, no owner (see jobState.isJob). Nothing counts into it or
-	// refcounts it, so every spawn and run may read it and nobody writes it
-	// after New.
+	// rt set, no owner (see jobState.isJob). Nothing refcounts it, so every
+	// spawn and run may read it and nobody writes it after New.
 	solo jobState
 
 	_ [cacheLine]byte
@@ -449,20 +446,19 @@ type pending [telemetry.CSpawnsParentFirst + 1]uint16
 const counterLag = 256
 
 // publish moves the pending counters out, one atomic add per counter that
-// moved into the worker's telemetry row and, while the worker runs a job's
-// task, one into the job's column (jobColumn). It is the only writer of a
-// job's counters, so the rows, the jobs and a trace count every fact once and
-// alike. It also settles the worker's liveness references on curJob: the
-// unused rest of its block and the releases it deferred go back in one add,
-// which recycles the job's root if it brings the count to zero. Owner-only.
+// moved into the worker's telemetry row; a job keeps no counts of its own (a
+// trace attributes them through Event.Job). It also settles the worker's
+// liveness references on curJob: the unused rest of its block and the
+// releases it deferred go back in one add, which recycles the job's root if
+// it brings the count to zero. Owner-only.
 //
 // The publication rule. A worker publishes (1) before it makes visible the
 // completion of any task it did not run as that task's own toucher or diving
 // spawner — every task run from the worker loop or while helping, which
 // includes every Run and job root; (2) before it blocks at a touch, and
 // before it parks; (3) on entering or leaving a task of another job, so the
-// pending counts and references are always curJob's and never outlive the
-// running task's liveness reference on it; (4) after counterLag tasks and
+// pending references are always curJob's and never outlive the running
+// task's liveness reference on it; (4) after counterLag tasks and
 // after taskIDBlock spawns. A task run inline or dived into completes inside
 // another task on the same worker, so by (1) its counts are out before that
 // enclosing task's completion is. Hence a goroutine that has waited for a computation whose
@@ -476,19 +472,15 @@ const counterLag = 256
 //
 //go:noinline
 func (w *W) publish() {
-	js := w.curJob
 	for c, n := range w.pend {
 		if n != 0 {
 			w.tele.Add(telemetry.Counter(c), int64(n))
-			if col := jobColumn[c]; col >= 0 && js.isJob() {
-				js.counts[col].Add(int64(n))
-			}
 		}
 	}
 	w.pend = pending{}
 	if n := int64(w.refsHeld) + int64(w.refsDropped); n != 0 {
 		w.refsHeld, w.refsDropped = 0, 0
-		js.release(w, n)
+		w.curJob.release(w, n)
 	}
 }
 
@@ -564,7 +556,6 @@ func (rt *Runtime) Shutdown() {
 		<-rt.term
 		return
 	}
-	close(rt.stop)
 	rt.mu.Lock()
 	// Wake every sleeper: the parked workers exit, and the queued SubmitWait
 	// callers return ErrClosed instead of waiting for admissions on a server
@@ -720,8 +711,8 @@ func (rt *Runtime) teleRow(w *W) *telemetry.Row {
 // execFlags describe the scheduling context of an execution, so run can
 // perform the displacement and touch accounting while it still holds the
 // task's liveness reference on its job — after the release, a pooled job
-// root may be recycled at any moment, so no caller may read the task or
-// credit its job post-run.
+// root may be recycled at any moment, so no caller may read the task or its
+// job post-run.
 type execFlags uint8
 
 const (
@@ -741,14 +732,14 @@ const (
 // pending counts and the profiler events of a steal or a help — happens while
 // w.curJob is t's job, and is published, when the rule at publish calls for
 // it, before retire publishes completion; so whoever waits on t finds it
-// already counted, and t's job receives its counts while t's liveness
-// reference still holds it.
+// already counted, and t's events read t's job while t's liveness reference
+// still holds it.
 //
 // An execution is counted once, as the first that applies of a steal, a help
 // and an inline touch: one out-of-order execution, one measured deviation. A
 // steal and a help are charged to t's job (Event.Job = t's job), not to
 // whichever job the helping worker was waiting in, so per-job trace
-// splitting and jobCounts agree.
+// splitting charges each job its own displaced executions.
 func (w *W) run(t *task, fl execFlags) {
 	js, id := t.job, t.id()
 	prev, prevJob := w.cur, w.curJob
@@ -1425,8 +1416,8 @@ func (rt *Runtime) adopt(w *W, t *task, d Discipline) bool {
 	if local {
 		t.setID(w.nextTaskID())
 		// A spawn from inside a job's computation belongs to that job: the
-		// tag rides the task, so per-job Stats and Event.Job attribution
-		// survive however deep the computation forks. The tag is a liveness
+		// tag rides the task, so Event.Job attribution survives however deep
+		// the computation forks. The tag is a liveness
 		// reference — the job's root cannot be recycled while any of its
 		// tasks is still pending (released by retire) — drawn from the
 		// worker's block (refBlock). A job of another runtime, whose task
@@ -1589,16 +1580,8 @@ func (w *W) helpUntil(t *task, d awaited, arg int32) {
 		if w.pollTouch(d, arg) {
 			continue
 		}
-		// Block until d completes. The blocked touch is pending like any
-		// count of the toucher's own job when the touched task is of that job
-		// (the supported discipline — futures are consumed by the computation
-		// that spawned them); another job may already have retired and
-		// recycled, so its blocked touch counts in the row only.
-		if t.job == w.curJob {
-			w.pend[telemetry.CBlockedTouches]++
-		} else {
-			w.tele.Inc(telemetry.CBlockedTouches)
-		}
+		// Block until d completes, with the blocked touch published first.
+		w.pend[telemetry.CBlockedTouches]++
 		w.publish()
 		d.waitAt(arg, w.slot)
 		w.rt.recordTouch(w, t, profile.ModeBlocked, helps, arg)
@@ -1688,53 +1671,29 @@ type Stats struct {
 	// CrossSteals is 0.
 	IntraSteals int64
 	CrossSteals int64
-	PerWorker   []WorkerStats
 }
 
-// WorkerStats is one worker's counters.
-type WorkerStats struct {
-	ID                              int
-	TasksRun, Steals, StealAttempts int64
-	InlineTouches, HelpedTasks      int64
-	BlockedTouches                  int64
-	IntraSteals, CrossSteals        int64
-}
-
-// Stats snapshots the counters. The values are read off the telemetry rows —
+// Stats snapshots the counters, summed over the workers' telemetry rows —
 // Stats is a view over the always-on counter matrix. A steal is counted where
-// the stolen task runs, and an execution is counted once, as a steal, a help or
-// an inline touch (see W.run); the per-task counters reach the rows and the
-// jobs' jobCounts in one publication (W.publish), so Stats equals Σ jobCounts plus
-// the job-less counts (and the blocked touches of another job's futures, which
-// only the rows count). Once a computation whose futures were all touched has
-// been waited for (Run or Job.Wait returned) its tasks are all counted; while
-// tasks are in flight TasksRun and InlineTouches trail each running worker by at
-// most 256 tasks, on top of the usual skew of reading live counters one after
-// another.
+// the stolen task runs, and an execution is counted once, as a steal, a help
+// or an inline touch (see W.run), so a profiled run's trace holds one KindSteal
+// or KindHelp event per count, each tagged with its task's job (Event.Job):
+// the per-job split of these totals is the trace's. Once a computation whose
+// futures were all touched has been waited for (Run or Job.Wait returned) its
+// tasks are all counted; while tasks are in flight TasksRun and InlineTouches
+// trail each running worker by at most 256 tasks, on top of the usual skew of
+// reading live counters one after another.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
 	for _, w := range rt.workers {
-		steals := w.tele.Load(telemetry.CSteals)
-		ws := WorkerStats{
-			ID:             w.id,
-			TasksRun:       w.tele.Load(telemetry.CTasksRun),
-			Steals:         steals,
-			StealAttempts:  w.tele.Load(telemetry.CStealAttempts),
-			InlineTouches:  w.tele.Load(telemetry.CInlineTouches),
-			HelpedTasks:    w.tele.Load(telemetry.CHelpedTasks),
-			BlockedTouches: w.tele.Load(telemetry.CBlockedTouches),
-			IntraSteals:    steals,
-		}
-		s.TasksRun += ws.TasksRun
-		s.Steals += ws.Steals
-		s.StealAttempts += ws.StealAttempts
-		s.InlineTouches += ws.InlineTouches
-		s.HelpedTasks += ws.HelpedTasks
-		s.BlockedTouches += ws.BlockedTouches
-		s.IntraSteals += ws.IntraSteals
-		s.CrossSteals += ws.CrossSteals
-		s.PerWorker = append(s.PerWorker, ws)
+		s.TasksRun += w.tele.Load(telemetry.CTasksRun)
+		s.Steals += w.tele.Load(telemetry.CSteals)
+		s.StealAttempts += w.tele.Load(telemetry.CStealAttempts)
+		s.InlineTouches += w.tele.Load(telemetry.CInlineTouches)
+		s.HelpedTasks += w.tele.Load(telemetry.CHelpedTasks)
+		s.BlockedTouches += w.tele.Load(telemetry.CBlockedTouches)
 	}
+	s.IntraSteals = s.Steals
 	return s
 }
 

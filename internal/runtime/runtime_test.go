@@ -242,11 +242,11 @@ func TestStatsAccounting(t *testing.T) {
 	rt := newRT(t, 4)
 	Run(rt, func(w *W) int { return fibSpawn(rt, w, 24) })
 	s := rt.Stats()
-	if s.TasksRun == 0 {
-		t.Fatal("no tasks recorded")
+	if want := cutFibSpawns(24, 10) + 1; s.TasksRun != want {
+		t.Fatalf("TasksRun = %d, want the run's %d tasks", s.TasksRun, want)
 	}
-	if len(s.PerWorker) != 4 {
-		t.Fatalf("per-worker entries = %d", len(s.PerWorker))
+	if s.IntraSteals != s.Steals || s.CrossSteals != 0 {
+		t.Fatalf("intra %d, cross %d, steals %d: a runtime is one steal domain", s.IntraSteals, s.CrossSteals, s.Steals)
 	}
 	if s.String() == "" {
 		t.Fatal("empty stats string")

@@ -97,8 +97,8 @@ func stealEvents(tr *profile.Trace) []profile.Event {
 // TestStealCountedOnce drives the counted-once law by hand on two workers: a
 // steal is counted where the stolen task runs, in every place at once — the
 // thief's steal counter (Stats.Steals, which is also IntraSteals; CrossSteals
-// stays 0), the task's job and one KindSteal event — and a thief that loses
-// the task to a toucher between the deque and the claim counts a steal
+// stays 0) and one KindSteal event carrying the task's job — and a thief that
+// loses the task to a toucher between the deque and the claim counts a steal
 // attempt and nothing else.
 func TestStealCountedOnce(t *testing.T) {
 	rt := bareRuntime(2)
@@ -131,11 +131,10 @@ func TestStealCountedOnce(t *testing.T) {
 			t.Fatal("the victim could not run a job's root")
 		}
 	}
-	type counts struct{ attempts, steals, intra, cross, job1, job2 int64 }
+	type counts struct{ attempts, steals, intra, cross int64 }
 	read := func() counts {
 		st := rt.Stats()
-		return counts{thief.tele.Load(telemetry.CStealAttempts), st.Steals,
-			st.IntraSteals, st.CrossSteals, j1.Stats().Steals, j2.Stats().Steals}
+		return counts{thief.tele.Load(telemetry.CStealAttempts), st.Steals, st.IntraSteals, st.CrossSteals}
 	}
 
 	// (a) The thief takes lost off the victim's deque; the victim touches it —
@@ -158,14 +157,14 @@ func TestStealCountedOnce(t *testing.T) {
 	if tk, fl = thief.stealOnce(); tk != &near.task || fl != execStolen || !thief.execCtx(tk, fl) {
 		t.Fatal("the thief did not get to run the victim's second task")
 	}
-	if got, want := read(), (counts{attempts: 2, steals: 1, intra: 1, job1: 1}); got != want {
+	if got, want := read(), (counts{attempts: 2, steals: 1, intra: 1}); got != want {
 		t.Fatalf("after an executed steal: %+v, want %+v", got, want)
 	}
-	// The same for the other job's task, charged to that job.
+	// The same for the other job's task (its event carries that job).
 	if tk, fl = thief.stealOnce(); tk != &far.task || !thief.execCtx(tk, fl) {
 		t.Fatal("the thief did not get to run the victim's third task")
 	}
-	if got, want := read(), (counts{attempts: 3, steals: 2, intra: 2, job1: 1, job2: 1}); got != want {
+	if got, want := read(), (counts{attempts: 3, steals: 2, intra: 2}); got != want {
 		t.Fatalf("after a steal of the other job's task: %+v, want %+v", got, want)
 	}
 
@@ -204,21 +203,19 @@ func passedTree(rt *Runtime, w *W, depth int) int {
 }
 
 // TestStealCountedOnceLive is the counted-once law on the running scheduler,
-// profiling the whole run: Stats.Steals, the trace's
-// KindSteal count and the per-job counts plus the job-less steals are one
-// number, and no stolen task has two steal events, or a steal event and an
-// inline touch (a thief that lost the task to its toucher stole nothing), or
-// a steal event and no execution. Helped tasks obey the same law: a task
-// stolen while its worker helped is a steal only, so Stats.HelpedTasks, the
-// trace's KindHelp count and the per-job plus job-less helps are one number.
-// Every worker's steals are intra-domain (a runtime is one steal domain), and
-// the telemetry snapshot reads the same total.
+// profiling the whole run: Stats.Steals and the trace's KindSteal count are
+// one number, and no stolen task has two steal events, or a steal event and
+// an inline touch (a thief that lost the task to its toucher stole nothing),
+// or a steal event and no execution. Helped tasks obey the same law: a task
+// stolen while its worker helped is a steal only, so Stats.HelpedTasks and
+// the trace's KindHelp count are one number. Every worker's row counts no
+// cross-domain steal (a runtime is one steal domain), and the telemetry
+// snapshot reads the same total.
 func TestStealCountedOnceLive(t *testing.T) {
 	rt := New(WithWorkers(4), WithSeed(11))
 	if err := rt.StartProfile(); err != nil {
 		t.Fatal(err)
 	}
-	var jobSteals, jobHelped int64
 	for round := 0; round < 200 && (round < 10 || rt.Stats().Steals == 0); round++ {
 		if got := Run(rt, func(w *W) int { return profFib(rt, w, 16) + passedTree(rt, w, 7) }); got != 987+255 {
 			t.Fatalf("run = %d, want %d", got, 987+255)
@@ -235,14 +232,11 @@ func TestStealCountedOnceLive(t *testing.T) {
 			if got := j.Wait(); got != 144+63 {
 				t.Fatalf("job = %d, want %d", got, 144+63)
 			}
-			js := j.Stats()
-			jobSteals += js.Steals
-			jobHelped += js.HelpedTasks
 		}
 	}
 	tr := rt.StopProfile()
 	st := rt.Stats()
-	snapSteals := rt.TelemetrySnapshot().Steals()
+	snap := rt.TelemetrySnapshot()
 	rt.Shutdown()
 	if st.Steals == 0 {
 		t.Fatal("no steal in 200 rounds at 4 workers")
@@ -251,19 +245,13 @@ func TestStealCountedOnceLive(t *testing.T) {
 	stolen := map[uint64]int{}
 	inline := map[uint64]bool{}
 	begun := map[uint64]bool{}
-	var jobless, helped, joblessHelped int64
+	var helped int64
 	for _, ev := range tr.Events() {
 		switch ev.Kind {
 		case profile.KindHelp:
 			helped++
-			if ev.Job == 0 {
-				joblessHelped++
-			}
 		case profile.KindSteal:
 			stolen[ev.Task]++
-			if ev.Job == 0 {
-				jobless++
-			}
 		case profile.KindTouch:
 			if ev.Mode == profile.ModeInline {
 				inline[ev.Other] = true
@@ -278,20 +266,17 @@ func TestStealCountedOnceLive(t *testing.T) {
 				id, n, inline[id], begun[id])
 		}
 	}
-	if n := int64(len(stealEvents(tr))); st.Steals != n || st.IntraSteals != n || st.CrossSteals != 0 ||
-		jobSteals+jobless != n || snapSteals != n {
-		t.Fatalf("Stats.Steals %d, intra/cross %d/%d, per-job %d + job-less %d, snapshot %d, trace %d steal events — want one number and no cross",
-			st.Steals, st.IntraSteals, st.CrossSteals, jobSteals, jobless, snapSteals, n)
+	if n := int64(len(stealEvents(tr))); st.Steals != n || st.IntraSteals != n || st.CrossSteals != 0 || snap.Steals() != n {
+		t.Fatalf("Stats.Steals %d, intra/cross %d/%d, snapshot %d, trace %d steal events — want one number and no cross",
+			st.Steals, st.IntraSteals, st.CrossSteals, snap.Steals(), n)
 	}
-	for _, ws := range st.PerWorker {
-		if ws.IntraSteals != ws.Steals || ws.CrossSteals != 0 {
-			t.Fatalf("worker %d: intra %d, cross %d, steals %d",
-				ws.ID, ws.IntraSteals, ws.CrossSteals, ws.Steals)
+	for i, row := range snap.Rows {
+		if cross := row[telemetry.CStealsCrossDomain]; cross != 0 {
+			t.Fatalf("row %d counts %d cross-domain steals", i, cross)
 		}
 	}
-	if st.HelpedTasks != helped || jobHelped+joblessHelped != helped {
-		t.Fatalf("Stats.HelpedTasks %d, per-job %d + job-less %d, trace %d help events — want one number",
-			st.HelpedTasks, jobHelped, joblessHelped, helped)
+	if st.HelpedTasks != helped {
+		t.Fatalf("Stats.HelpedTasks %d, trace %d help events — want one number", st.HelpedTasks, helped)
 	}
 }
 

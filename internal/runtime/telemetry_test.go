@@ -108,62 +108,185 @@ func TestShedCounterAndInFlightGauge(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeltasMatchJobStats is the property test tying the pooled
-// telemetry deltas to the per-job Stats totals: on a runtime where ONLY
-// jobs run, every executed task, steal, inline touch, helped task and
-// blocked touch belongs to some job, and one publication carries each count
-// to the worker's row and to its job, so the snapshot delta equals the sum
-// over jobs exactly, counter by counter.
-func TestSnapshotDeltasMatchJobStats(t *testing.T) {
-	rt := New(WithWorkers(4))
-	defer rt.Shutdown()
-	before := rt.TelemetrySnapshot()
+// stolenTouch spawns a child that holds at a gate until its spawner has
+// blocked on it, waits until a thief has taken the child, and spawns a leaf to
+// help with meanwhile: on two or more workers one steal and one blocked touch
+// for certain, and one help unless another thief takes the leaf first.
+// Returns 2.
+func stolenTouch(rt *Runtime, w *W) int {
+	gate := make(chan struct{})
+	f := Spawn(rt, w, func(*W) int { <-gate; return 1 })
+	waitUntil(func() bool { return !f.unstarted() })
+	g := Spawn(rt, w, leafIntFn)
+	go func() {
+		waitUntil(func() bool { return f.waiter.Load() != nil })
+		close(gate)
+	}()
+	return f.Touch(w) + g.Touch(w)
+}
 
-	const jobs = 40
-	handles := make([]Job[int], jobs)
-	for i := range handles {
-		j, err := Submit(rt, func(w *W) int { return teleFib(rt, w, 10) })
-		if err != nil {
+// TestTraceCountsMatchSnapshotDeltas is the conservation law between the two
+// places a scheduler fact lives: a worker's telemetry row counts it and a
+// profiled trace records it once, tagged with its task's job (Event.Job).
+// Over a mix of concurrent Submit and SubmitAll jobs and a job-less Run (with
+// a stolenTouch on two or more workers, so that every count moves), summed
+// over every job, job 0 included, the trace's tasks begun, KindSteal
+// and KindHelp events and touches in ModeInline and ModeBlocked equal the
+// snapshot deltas of CTasksRun, CSteals, CHelpedTasks, CInlineTouches and
+// CBlockedTouches, at every worker count. Each job's begun tasks are exactly
+// its own computation's, however its tasks interleaved with the other jobs'
+// on the workers. The one exception the law has is not in the mix: an
+// external FutureFirst spawn dives on the calling goroutine, which records
+// the task's begin and end but is no worker, so no row counts the task.
+func TestTraceCountsMatchSnapshotDeltas(t *testing.T) {
+	const submitters, perSubmitter, batch, items = 2, 4, 8, 64
+	body := func(rt *Runtime) func(*W) int {
+		return func(w *W) int { return teleFib(rt, w, 10) + passedTree(rt, w, 4) }
+	}
+	const bodyResult = 55 + 31
+	// teleFib(10) spawns cutFibSpawns(10, 2) futures, passedTree(4) two per
+	// inner node, and the root is one more task.
+	bodyTasks := cutFibSpawns(10, 2) + 2*(1<<4-1) + 1
+	for _, workers := range []int{1, 2, 4} {
+		rt := newRT(t, workers)
+		before := rt.TelemetrySnapshot()
+		if err := rt.StartProfile(); err != nil {
 			t.Fatal(err)
 		}
-		handles[i] = j
-	}
-	var sum jobCounts
-	for _, j := range handles {
-		if got := j.Wait(); got != 55 {
-			t.Fatalf("job result = %d, want 55", got)
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		var ids []uint64
+		check := func(jobs []Job[int]) {
+			for i := range jobs {
+				if got := jobs[i].Wait(); got != bodyResult {
+					t.Errorf("W=%d: job %d = %d, want %d", workers, jobs[i].ID(), got, bodyResult)
+				}
+				mu.Lock()
+				ids = append(ids, jobs[i].ID())
+				mu.Unlock()
+			}
 		}
-		s := j.Stats()
-		sum.TasksRun += s.TasksRun
-		sum.Steals += s.Steals
-		sum.InlineTouches += s.InlineTouches
-		sum.HelpedTasks += s.HelpedTasks
-		sum.BlockedTouches += s.BlockedTouches
-	}
-	d := rt.TelemetrySnapshot().Sub(before)
+		for range submitters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var jobs []Job[int]
+				for range perSubmitter {
+					j, err := Submit(rt, body(rt))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					jobs = append(jobs, j)
+				}
+				check(jobs)
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fns := make([]func(*W) int, batch)
+			for i := range fns {
+				fns[i] = body(rt)
+			}
+			jobs, err := SubmitAll(rt, fns, nil)
+			if err != nil {
+				t.Error(err)
+			}
+			check(jobs)
+		}()
+		got := Run(rt, func(w *W) int {
+			st := Produce(rt, w, items, func(_ *W, i int) int { return i })
+			sum := 0
+			for i := range items {
+				sum += st.Get(w, i)
+			}
+			if workers > 1 {
+				sum += stolenTouch(rt, w) - 2
+			}
+			return sum + passedTree(rt, w, 5)
+		})
+		if want := items*(items-1)/2 + 63; got != want {
+			t.Fatalf("W=%d: Run = %d, want %d", workers, got, want)
+		}
+		wg.Wait()
+		tr := rt.StopProfile()
+		d := rt.TelemetrySnapshot().Sub(before)
+		rt.Shutdown()
 
-	for _, c := range []struct {
-		name        string
-		delta, jobs int64
-	}{
-		{"tasks", d.Total(telemetry.CTasksRun), sum.TasksRun},
-		{"steals", d.Steals(), sum.Steals},
-		{"inline", d.Total(telemetry.CInlineTouches), sum.InlineTouches},
-		{"helped", d.Total(telemetry.CHelpedTasks), sum.HelpedTasks},
-		{"blocked", d.Total(telemetry.CBlockedTouches), sum.BlockedTouches},
-	} {
-		if c.delta != c.jobs {
-			t.Errorf("delta %s %d, Σ job %s %d", c.name, c.delta, c.name, c.jobs)
+		// Per job, then summed over the jobs.
+		type tally struct{ begun, steals, helped, inline, blocked int64 }
+		byJob := map[uint64]*tally{}
+		for _, ev := range tr.Events() {
+			c := byJob[ev.Job]
+			if c == nil {
+				c = &tally{}
+				byJob[ev.Job] = c
+			}
+			switch ev.Kind {
+			case profile.KindBegin:
+				c.begun++
+			case profile.KindSteal:
+				c.steals++
+			case profile.KindHelp:
+				c.helped++
+			case profile.KindTouch:
+				switch ev.Mode {
+				case profile.ModeInline:
+					c.inline++
+				case profile.ModeBlocked:
+					c.blocked++
+				}
+			}
 		}
-	}
-	if got, want := d.Total(telemetry.CJobsSubmitted), int64(jobs); got != want {
-		t.Errorf("delta submitted %d != %d", got, want)
-	}
-	if got, want := d.Total(telemetry.CJobsCompleted), int64(jobs); got != want {
-		t.Errorf("delta completed %d != %d", got, want)
-	}
-	if got := rt.LatencyHist().Count(); got < jobs {
-		t.Errorf("latency histogram count %d < %d jobs", got, jobs)
+		if len(ids) != submitters*perSubmitter+batch {
+			t.Fatalf("W=%d: %d jobs completed, want %d", workers, len(ids), submitters*perSubmitter+batch)
+		}
+		var sum tally
+		for _, id := range append(ids, 0) {
+			c := byJob[id]
+			if c == nil {
+				t.Fatalf("W=%d: job %d has no events", workers, id)
+			}
+			delete(byJob, id)
+			if id != 0 && c.begun != bodyTasks {
+				t.Errorf("W=%d: job %d began %d tasks, want its own %d", workers, id, c.begun, bodyTasks)
+			}
+			sum.begun += c.begun
+			sum.steals += c.steals
+			sum.helped += c.helped
+			sum.inline += c.inline
+			sum.blocked += c.blocked
+		}
+		if len(byJob) != 0 {
+			t.Errorf("W=%d: events of jobs nobody submitted: %v", workers, byJob)
+		}
+		for _, c := range []struct {
+			name         string
+			trace, delta int64
+		}{
+			{"tasks begun / CTasksRun", sum.begun, d.Total(telemetry.CTasksRun)},
+			{"KindSteal / CSteals", sum.steals, d.Total(telemetry.CSteals)},
+			{"KindHelp / CHelpedTasks", sum.helped, d.Total(telemetry.CHelpedTasks)},
+			{"ModeInline / CInlineTouches", sum.inline, d.Total(telemetry.CInlineTouches)},
+			{"ModeBlocked / CBlockedTouches", sum.blocked, d.Total(telemetry.CBlockedTouches)},
+		} {
+			if c.trace != c.delta {
+				t.Errorf("W=%d: %s: trace %d, snapshot delta %d", workers, c.name, c.trace, c.delta)
+			}
+		}
+		jobs := int64(len(ids))
+		if got := d.Total(telemetry.CJobsSubmitted); got != jobs {
+			t.Errorf("W=%d: delta submitted %d, want %d", workers, got, jobs)
+		}
+		if got := d.Total(telemetry.CJobsCompleted); got != jobs {
+			t.Errorf("W=%d: delta completed %d, want %d", workers, got, jobs)
+		}
+		if got := rt.LatencyHist().Count(); got != uint64(jobs) {
+			t.Errorf("W=%d: latency histogram count %d, want %d", workers, got, jobs)
+		}
+		t.Logf("W=%d: %d tasks, %d steals, %d helped, %d inline, %d blocked", workers,
+			sum.begun, sum.steals, sum.helped, sum.inline, sum.blocked)
 	}
 }
 

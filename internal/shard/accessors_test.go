@@ -12,9 +12,6 @@ func (p *Pool) Closed() bool { return p.closed.Load() }
 // frees there. Saturation never sheds here; the only error — and the only
 // path that counts against the pool's shed gauge — is a pool that closes
 // out from under the caller (ErrClosed).
-func SubmitWait[T any](p *Pool, fn func(*runtime.W) T) (Job[T], error) {
+func SubmitWait[T any](p *Pool, fn func(*runtime.W) T) (runtime.Job[T], error) {
 	return route(p, p.leastLoaded(-1), fn, true)
 }
-
-// Shard returns the index of the shard that admitted (and executes) the job.
-func (j *Job[T]) Shard() int { return j.shard }

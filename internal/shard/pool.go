@@ -88,9 +88,8 @@ func WithTopology(t *topology.Topology) Option {
 }
 
 // WithRuntimeOptions appends construction options applied to every member
-// runtime (discipline, flight recorder, seed, context...).
-// The pool-managed options — workers, admission cap — are
-// applied after these and win.
+// runtime (discipline, flight recorder, seed). The pool-managed options —
+// workers, admission cap — are applied after these and win.
 func WithRuntimeOptions(opts ...runtime.Option) Option {
 	return func(c *config) { c.rtOpts = append(c.rtOpts, opts...) }
 }
@@ -227,21 +226,13 @@ func (p *Pool) Forwarded() int64 { return p.forwarded.Load() }
 // was missing everywhere.
 func (p *Pool) Shed() int64 { return p.shed.Load() }
 
-// Job is a pool job handle: the member runtime's Job plus the shard that
-// admitted it. All waiting/inspection methods promote from the embedded
-// handle; Shard says where the job actually ran (its placement home, or
-// the shard the overflow exchange forwarded it to).
-type Job[T any] struct {
-	runtime.Job[T]
-	shard int
-}
-
 // Submit places fn on the least-loaded shard and submits it as a job, never
 // blocking. A saturated home shard triggers the overflow exchange: the whole
 // job is forwarded to the least-loaded other shard, and only when that one
 // refuses too does Submit shed with ErrSaturated. A fully closed pool
-// returns ErrClosed.
-func Submit[T any](p *Pool, fn func(*runtime.W) T) (Job[T], error) {
+// returns ErrClosed. The handle is the admitting member runtime's own Job;
+// which shard that was shows in the shards' submitted-jobs counters.
+func Submit[T any](p *Pool, fn func(*runtime.W) T) (runtime.Job[T], error) {
 	return route(p, p.leastLoaded(-1), fn, false)
 }
 
@@ -250,7 +241,7 @@ func Submit[T any](p *Pool, fn func(*runtime.W) T) (Job[T], error) {
 // change remaps only ~1/S of the keyspace — tenant affinity that survives
 // resizes. The overflow exchange still forwards when the key's shard is
 // saturated (stickiness yields to capacity, and the forward is counted).
-func SubmitKeyed[T any](p *Pool, key uint64, fn func(*runtime.W) T) (Job[T], error) {
+func SubmitKeyed[T any](p *Pool, key uint64, fn func(*runtime.W) T) (runtime.Job[T], error) {
 	return route(p, p.ringLookup(key), fn, false)
 }
 
@@ -268,12 +259,12 @@ func (p *Pool) elsewhere(s int, err error) (next int, forward bool) {
 // drained one (at most once per shard), forward once on saturation, and when
 // the forward is refused too either shed or — for SubmitWait — queue at home
 // like a single runtime would.
-func route[T any](p *Pool, home int, fn func(*runtime.W) T, wait bool) (Job[T], error) {
+func route[T any](p *Pool, home int, fn func(*runtime.W) T, wait bool) (runtime.Job[T], error) {
 	p.offered.Add(1)
 	for tries := 0; home >= 0 && tries < len(p.rts); tries++ {
 		j, err := runtime.Submit(p.rts[home], fn)
 		if err == nil {
-			return Job[T]{Job: j, shard: home}, nil
+			return j, nil
 		}
 		alt, forward := p.elsewhere(home, err)
 		if !forward {
@@ -283,49 +274,46 @@ func route[T any](p *Pool, home int, fn func(*runtime.W) T, wait bool) (Job[T], 
 		if alt >= 0 {
 			if j, err := runtime.Submit(p.rts[alt], fn); err == nil {
 				p.forwarded.Add(1)
-				return Job[T]{Job: j, shard: alt}, nil
+				return j, nil
 			}
 		}
 		if !wait {
 			p.shed.Add(1)
-			return Job[T]{}, runtime.ErrSaturated
+			return runtime.Job[T]{}, runtime.ErrSaturated
 		}
 		if j, err := runtime.SubmitWait(p.rts[home], fn); err == nil {
-			return Job[T]{Job: j, shard: home}, nil
+			return j, nil
 		}
 		// The home shard closed while the job queued: reroute.
 		home = p.leastLoaded(home)
 	}
 	p.shed.Add(1)
-	return Job[T]{}, runtime.ErrClosed
+	return runtime.Job[T]{}, runtime.ErrClosed
 }
 
 // SubmitAll batch-submits every fn, appending the admitted handles to dst
-// (pass a slice with capacity to avoid growth; one scratch slice per call
-// is allocated for the member-runtime handles). The whole batch is placed
+// (pass a slice with capacity to keep the call allocation-free). The whole
+// batch is placed
 // on the least-loaded shard — one admission CAS, one freelist visit, one
 // wakeup decision, exactly the single-runtime batching contract — and on
 // partial admission the *remainder* overflows as a batch to the least-loaded
 // next shard, hop by hop, before the rest is shed with ErrSaturated.
-func SubmitAll[T any](p *Pool, fns []func(*runtime.W) T, dst []Job[T]) ([]Job[T], error) {
+func SubmitAll[T any](p *Pool, fns []func(*runtime.W) T, dst []runtime.Job[T]) ([]runtime.Job[T], error) {
 	if len(fns) == 0 {
 		return dst, nil
 	}
 	p.offered.Add(int64(len(fns)))
 	s := p.leastLoaded(-1)
-	scratch := make([]runtime.Job[T], 0, len(fns))
 	err := runtime.ErrClosed // what a pool with no active shard answers
 	forwarding := false
 	for hop := 0; s >= 0 && hop <= len(p.rts); hop++ {
-		var out []runtime.Job[T]
-		out, err = runtime.SubmitAll(p.rts[s], fns, scratch[:0])
-		for k := range out {
-			dst = append(dst, Job[T]{Job: out[k], shard: s})
-		}
+		before := len(dst)
+		dst, err = runtime.SubmitAll(p.rts[s], fns, dst)
+		admitted := len(dst) - before
 		if forwarding {
-			p.forwarded.Add(int64(len(out)))
+			p.forwarded.Add(int64(admitted))
 		}
-		if fns = fns[len(out):]; len(fns) == 0 {
+		if fns = fns[admitted:]; len(fns) == 0 {
 			return dst, nil
 		}
 		// Partial admission (ErrSaturated) or a drained shard (ErrClosed,

@@ -36,6 +36,44 @@ func keyFor(t *testing.T, p *Pool, want int) uint64 {
 	return 0
 }
 
+// submitted reads every shard's submitted-jobs counter, indexed by shard.
+func submitted(p *Pool) []int64 {
+	out := make([]int64, p.Shards())
+	for i := range out {
+		out[i] = p.Runtime(i).TelemetrySnapshot().Total(telemetry.CJobsSubmitted)
+	}
+	return out
+}
+
+// placed runs submit, which submits jobs to p, and returns how many each
+// shard admitted: its submitted-jobs delta. A pool's handle is the member
+// runtime's own Job, so this counter is where placement shows.
+func placed(p *Pool, submit func()) []int64 {
+	before := submitted(p)
+	submit()
+	d := submitted(p)
+	for i := range d {
+		d[i] -= before[i]
+	}
+	return d
+}
+
+// placedOne is placed for a submit of one job: the shard that admitted it.
+func placedOne(t *testing.T, p *Pool, submit func()) int {
+	t.Helper()
+	d := placed(p, submit)
+	shard, moved := -1, 0
+	for i, n := range d {
+		if n != 0 {
+			shard, moved = i, moved+1
+		}
+	}
+	if moved != 1 || d[shard] != 1 {
+		t.Fatalf("submitted-jobs deltas by shard %v, want one job on one shard", d)
+	}
+	return shard
+}
+
 // TestAutoShardsFromTopology: the default shard count is one per LLC
 // domain, the workers split evenly across the shards.
 func TestAutoShardsFromTopology(t *testing.T) {
@@ -119,12 +157,13 @@ func TestSubmitKeyedSticky(t *testing.T) {
 	defer p.Shutdown()
 	key := keyFor(t, p, 1)
 	for i := 0; i < 8; i++ {
-		j, err := SubmitKeyed(p, key, func(*runtime.W) int { return i })
+		var j runtime.Job[int]
+		var err error
+		if s := placedOne(t, p, func() { j, err = SubmitKeyed(p, key, func(*runtime.W) int { return i }) }); s != 1 {
+			t.Fatalf("submit %d: keyed job ran on shard %d, want 1", i, s)
+		}
 		if err != nil {
 			t.Fatal(err)
-		}
-		if j.Shard() != 1 {
-			t.Fatalf("submit %d: keyed job ran on shard %d, want 1", i, j.Shard())
 		}
 		if v := j.Wait(); v != i {
 			t.Fatalf("submit %d: got %d", i, v)
@@ -143,17 +182,20 @@ func TestOverflowForward(t *testing.T) {
 	defer close(release)
 
 	key := keyFor(t, p, 0)
-	blocker, err := SubmitKeyed(p, key, func(*runtime.W) int { <-release; return 0 })
-	if err != nil || blocker.Shard() != 0 {
-		t.Fatalf("blocker: err=%v shard=%d", err, blocker.Shard())
+	var err error
+	if s := placedOne(t, p, func() {
+		_, err = SubmitKeyed(p, key, func(*runtime.W) int { <-release; return 0 })
+	}); err != nil || s != 0 {
+		t.Fatalf("blocker: err=%v shard=%d", err, s)
 	}
 	// Shard 0's single slot is held. The same key now overflows to shard 1.
-	j, err := SubmitKeyed(p, key, func(*runtime.W) int { return 42 })
+	var j runtime.Job[int]
+	s := placedOne(t, p, func() { j, err = SubmitKeyed(p, key, func(*runtime.W) int { return 42 }) })
 	if err != nil {
 		t.Fatalf("overflow submit: %v", err)
 	}
-	if j.Shard() != 1 {
-		t.Fatalf("forwarded job ran on shard %d, want 1", j.Shard())
+	if s != 1 {
+		t.Fatalf("forwarded job ran on shard %d, want 1", s)
 	}
 	if v := j.Wait(); v != 42 {
 		t.Fatalf("forwarded job = %d, want 42", v)
@@ -203,47 +245,47 @@ func TestLeastLoadedPlacement(t *testing.T) {
 	defer p.Shutdown()
 	release := make(chan struct{})
 	defer close(release)
-	j1, err := Submit(p, func(*runtime.W) int { <-release; return 0 })
+	var err error
+	s1 := placedOne(t, p, func() { _, err = Submit(p, func(*runtime.W) int { <-release; return 0 }) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := Submit(p, func(*runtime.W) int { return 1 })
+	s2 := placedOne(t, p, func() { _, err = Submit(p, func(*runtime.W) int { return 1 }) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.Shard() == j1.Shard() {
-		t.Fatalf("least-loaded placed both jobs on shard %d", j1.Shard())
+	if s2 == s1 {
+		t.Fatalf("least-loaded placed both jobs on shard %d", s1)
 	}
 }
 
 // TestSubmitAllPartialForward: a batch overflows as a batch — the
-// remainder hops to the next shard before the rest sheds, handles name
-// their executing shard.
+// remainder hops to the next shard before the rest sheds, one job admitted
+// by each shard.
 func TestSubmitAllPartialForward(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2), WithMaxInFlight(2))
 	defer p.Shutdown()
 	release := make(chan struct{})
+	defer close(release)
 	fns := make([]func(*runtime.W) int, 3)
 	for i := range fns {
 		i := i
 		fns[i] = func(*runtime.W) int { <-release; return i }
 	}
-	jobs, err := SubmitAll(p, fns, nil)
+	var jobs []runtime.Job[int]
+	var err error
+	d := placed(p, func() { jobs, err = SubmitAll(p, fns, nil) })
 	if !errors.Is(err, runtime.ErrSaturated) {
 		t.Fatalf("err = %v, want ErrSaturated (one of three shed)", err)
 	}
 	if len(jobs) != 2 {
 		t.Fatalf("admitted %d of 3, want 2", len(jobs))
 	}
-	if jobs[0].Shard() == jobs[1].Shard() {
-		t.Fatalf("batch remainder did not hop shards: both on %d", jobs[0].Shard())
+	if d[0] != 1 || d[1] != 1 {
+		t.Fatalf("submitted-jobs deltas by shard %v, want 1 and 1: the batch remainder did not hop shards", d)
 	}
 	if f, s := p.Forwarded(), p.Shed(); f != 1 || s != 1 {
 		t.Fatalf("forwarded=%d shed=%d, want 1/1", f, s)
-	}
-	close(release)
-	for i := range jobs {
-		jobs[i].Wait()
 	}
 }
 
@@ -292,7 +334,7 @@ func TestConservation(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x2")), WithWorkers(4), WithMaxInFlight(8))
 	defer p.Shutdown()
 	const offered = 400
-	var jobs []Job[int]
+	var jobs []runtime.Job[int]
 	waited := 0 // jobs[:waited] have been consumed
 	for i := 0; i < offered; i++ {
 		j, err := Submit(p, func(*runtime.W) int { return i * i })
