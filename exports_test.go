@@ -2,6 +2,7 @@ package futurelocality_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -21,6 +22,7 @@ import (
 // import path without the module prefix ("futurelocality" for the facade).
 var exportAllowlist = map[string]string{
 	"internal/core.ReplayCheckEnv":       "the profile and experiments test mains set the variable it names; a _test.go file cannot export it to them",
+	"internal/dag.MemoKeys":              "core's tests count the facts computed into a graph's memo with it; a _test.go file cannot export it to them",
 	"internal/dag.ErrBadFormat":          "ReadBinary returns this sentinel; callers match it with errors.Is",
 	"internal/dag.ErrDegree":             "Builder.Build returns this sentinel; callers match it with errors.Is",
 	"internal/dag.ErrDisconnected":       "Builder.Build returns this sentinel; callers match it with errors.Is",
@@ -231,8 +233,8 @@ func TestEveryExportHasAUser(t *testing.T) {
 	}
 }
 
-// loadModule parses every package of the module without its test files and
-// type-checks them in dependency order, the facade first in the result.
+// loadModule parses every package of the module without its test files, as
+// the default build selects them, and type-checks them in dependency order, the facade first in the result.
 func loadModule(t *testing.T) (*token.FileSet, []*modulePkg) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -249,6 +251,11 @@ func loadModule(t *testing.T) (*token.FileSet, []*modulePkg) {
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
+		}
+		// The default build's files only: a file for -tags invariants
+		// redeclares what its counterpart declares.
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {

@@ -37,11 +37,67 @@ type run struct {
 // set of configuration c: private LRU caches with no shared tier, over a
 // footprint of more blocks than C. FIFO replacement depends on the miss
 // history, not on the last C blocks; set-associative and direct-mapped caches
-// converge set by set; a shared tier interleaves every worker's stream; and a
-// run over a footprint of at most C blocks never meets C distinct ones, so
-// those keep the full replay.
+// converge set by set; and a shared tier interleaves every worker's stream:
+// those keep the full replay. A footprint of at most C blocks never
+// overflows a cache, so nothing is ever evicted and there is no run head to
+// tell apart: it Fits instead, and takes the counting replay (ReplayFit).
 func (c SetConfig) Converges(fp *Footprint) bool {
 	return c.Kind == LRU && c.LLCLines == 0 && len(fp.raw) > c.Lines
+}
+
+// Fits reports whether ReplayFit may stand for Replay of fp on a set of
+// configuration c: private fully associative caches (LRU or FIFO) with no
+// shared tier, over a footprint of at most C blocks. For LRU it is the
+// complement of Converges.
+func (c SetConfig) Fits(fp *Footprint) bool {
+	return (c.Kind == LRU || c.Kind == FIFO) && c.LLCLines == 0 && len(fp.raw) <= c.Lines
+}
+
+// ReplayFit returns what Replay(fp, order, who) returns, per worker and in
+// total, on a set whose configuration Fits fp, by counting instead of
+// simulating. A fully associative cache of C lines that is never offered more
+// than C distinct blocks never evicts one, whatever its policy, so each
+// worker misses exactly once on each distinct block it accesses: a stamp per
+// worker and block marks the ones it has met in this replay. Its Accesses
+// counts every access of the schedule.
+func (s *Set) ReplayFit(fp *Footprint, order []dag.NodeID, who []int32) ReplayOutcome {
+	if !s.cfg.Fits(fp) {
+		panic(fmt.Sprintf("cache: fit replay on %+v over %d blocks", s.cfg, len(fp.raw)))
+	}
+	// seen[p·blocks + b] == gen once worker p has accessed b in this replay.
+	// The stamps of earlier replays, over any footprint, are all below gen.
+	blocks := len(fp.raw)
+	if n := s.cfg.P * blocks; n > len(s.seen) {
+		s.seen, s.gen = make([]uint32, n), 0
+	}
+	if s.gen++; s.gen == 0 {
+		clear(s.seen)
+		s.gen = 1
+	}
+	clear(s.misses)
+	seen, gen, misses := s.seen, s.gen, s.misses
+	var one [1]dag.BlockID
+	var accesses int64
+	for _, v := range order {
+		p := int32(0)
+		if who != nil {
+			p = who[v]
+		}
+		base := int(p) * blocks
+		bs := fp.of(v, &one)
+		accesses += int64(len(bs))
+		for _, b := range bs {
+			if seen[base+int(b)] != gen {
+				seen[base+int(b)] = gen
+				misses[p]++
+			}
+		}
+	}
+	out := ReplayOutcome{Misses: misses, Accesses: accesses}
+	for _, m := range misses {
+		out.TotalMisses += m
+	}
+	return out
 }
 
 // ReplayRecording is Replay of a one-worker schedule (who = nil) that also

@@ -50,7 +50,7 @@ func FuzzConvergedReplay(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred := seq.SeqPred().Preds()
+			pred := sim.NewSeqPred(seq.SeqOrder(), g.Len()).Preds()
 			seqMiss := make([]int32, g.Len())
 			rec.ReplayRecording(fp, seq.SeqOrder(), seqMiss)
 			for trial := int64(0); trial < 3; trial++ {

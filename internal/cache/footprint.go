@@ -88,6 +88,23 @@ func (f *Footprint) Flatten(order []dag.NodeID) []dag.BlockID {
 	return out
 }
 
+// footprintKey keys a footprint in its graph's memo by its window: 1 for a
+// graph that declares its blocks, whose footprint ignores the window.
+type footprintKey struct{ window int }
+
+// FootprintOf returns DeriveFootprint(g, w), derived once per graph and
+// window and kept with the graph (dag.Memo): every analysis of g, and every
+// simulator run that bills g's declared blocks, replays through that one
+// footprint.
+func FootprintOf(g *dag.Graph, w int) *Footprint {
+	if len(g.RawBlocks) > 0 {
+		w = 1
+	}
+	return dag.Memo(g, footprintKey{w}, func(g *dag.Graph, k footprintKey) *Footprint {
+		return DeriveFootprint(g, k.window)
+	})
+}
+
 // DeriveFootprint builds the footprint of g with working-set window w
 // (w ≥ 1; ignored for graphs that declare their own blocks). It panics on a
 // non-positive window.

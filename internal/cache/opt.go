@@ -22,7 +22,7 @@ import (
 //   - the E12 ablation yardstick: how much of the worst-case thrash on the
 //     paper's adversarial traces is inherent to the access pattern versus
 //     an artifact of LRU;
-//   - the ideal-cache baseline of the cache-cost pipeline: core.NewCacheBaseline
+//   - the ideal-cache baseline of the cache-cost pipeline: core.NewCacheCost
 //     runs OPT over the sequential execution's flattened footprint
 //     (Footprint.Flatten) and reports it beside the LRU baseline, so a
 //     report reader can see how much of the sequential miss bill any

@@ -44,6 +44,10 @@ type Set struct {
 	misses []int64
 	// runs is ReplayConverged's account of each worker's current run.
 	runs []run
+	// seen and gen are ReplayFit's stamps: seen[p·blocks + b] == gen once
+	// worker p has accessed block b in the current replay.
+	seen []uint32
+	gen  uint32
 }
 
 // NewSet builds the cache set.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 
 	"futurelocality/internal/cache"
@@ -103,43 +104,121 @@ func ParseCacheModel(spec string) (*CacheModel, error) {
 	return m, nil
 }
 
-// CacheBaseline is the part of a cache-cost verdict no schedule enters: what
-// the model makes of the graph and of its sequential execution under one
-// fork policy. Every set of schedules measured against that execution
-// shares one.
-type CacheBaseline struct {
-	// Model echoes the cache model.
-	Model CacheModel
+// cacheBaseline is the part of a cache-cost verdict no schedule enters: what
+// a cache model makes of a graph and of its sequential execution under one
+// fork policy. It depends on nothing else, so it is computed once per graph,
+// fork policy and model (baselineKey) and kept in the graph's memo
+// (dag.Memo); every analysis of that graph under that policy and model
+// shares it, and none mutates it.
+type cacheBaseline struct {
 	// Synthetic reports a derived footprint (reconstructed trace) vs the
 	// graph's own declared blocks; Blocks is the distinct block count.
 	Synthetic bool
 	Blocks    int
-	// SeqMisses is the sequential (1-worker) baseline's miss count under
-	// Model.Kind; IdealMisses is Belady OPT over the same sequential trace
-	// (0 when Model.NoIdeal).
-	SeqMisses, IdealMisses int64
+	// SeqMisses is the sequential (1-worker) execution's private-cache miss
+	// count under the model's caches.
+	SeqMisses int64
 
-	fp   *cache.Footprint // what is replayed; see NewCacheBaseline's prev
-	span int64            // the graph's T∞, for the envelope
-	// policy is the fork policy of the sequential execution, whose order
-	// seqMiss follows.
-	policy sim.ForkPolicy
+	g     *dag.Graph
+	fp    *cache.Footprint // what is replayed
+	seq   *sequential      // the sequential execution SeqMisses bills
+	lines int              // C, for the OPT bill
 	// seqMiss[v] is the misses node v took in the sequential replay, the
 	// charge of a converged run (cache.Set.ReplayConverged); nil where the
-	// model and footprint keep the full replay or the engine bills the
-	// trials. 4 bytes a node.
+	// model and footprint do not converge. 4 bytes a node.
 	seqMiss []int32
-	// check replays every schedule the full way too and fails on any
-	// difference (ReplayCheckEnv).
-	check bool
+	// ideal is Belady OPT over the sequential trace, computed when first
+	// asked for (idealMisses): a model that declines it never pays for it.
+	ideal struct {
+		sync.Once
+		misses int64
+	}
+	err error
 }
 
-// ReplayCheckEnv names the environment variable that, when non-empty at
-// NewCacheBaseline, makes the baseline and every schedule charged against it
-// replay the full way as well, and fail the analysis where the two bills
-// differ per worker or in total: a self-check of the converged replay and of
-// bills taken from the engine, which the test suites of the analysis
-// packages run under.
+// baselineKey keys a cacheBaseline in its graph's memo: the fork policy and
+// every field of the model that the bills depend on. The window is 0 for a
+// graph that declares its blocks, whose footprint ignores it, and NoIdeal is
+// left out: OPT is computed on demand.
+type baselineKey struct {
+	policy             sim.ForkPolicy
+	kind               cache.Kind
+	lines, window, llc int
+}
+
+// baselineOf returns g's baseline under model for the sequential execution
+// under policy, computed once per graph and key.
+func baselineOf(g *dag.Graph, model CacheModel, policy sim.ForkPolicy) (*cacheBaseline, error) {
+	if model.Lines < 1 {
+		return nil, fmt.Errorf("core: cache model with C = %d", model.Lines)
+	}
+	k := baselineKey{policy: policy, kind: model.Kind, lines: model.Lines, window: model.window(), llc: model.LLCLines}
+	if len(g.RawBlocks) > 0 {
+		k.window = 0
+	}
+	b := dag.Memo(g, k, newCacheBaseline)
+	return b, b.err
+}
+
+// newCacheBaseline derives g's footprint under k and replays the sequential
+// execution under k's policy through it: recording the misses of every node
+// where the model converges on the footprint, counting them where the
+// footprint fits in a cache, the full way otherwise. The replay has no
+// shared tier: it bills the private caches alone, which a shared tier
+// behind them does not change.
+func newCacheBaseline(g *dag.Graph, k baselineKey) *cacheBaseline {
+	seq, err := sequentialOf(g, k.policy)
+	if err != nil {
+		return &cacheBaseline{err: err}
+	}
+	fp := cache.FootprintOf(g, max(k.window, 1))
+	b := &cacheBaseline{
+		Synthetic: fp.Synthetic,
+		Blocks:    fp.Blocks,
+		g:         g,
+		fp:        fp,
+		seq:       seq,
+		lines:     k.lines,
+	}
+	s := getScratch()
+	defer putScratch(s)
+	cfg := cache.SetConfig{P: 1, Kind: k.kind, Lines: k.lines}
+	set, err := setFor(&s.seq, cfg)
+	if err != nil {
+		return &cacheBaseline{err: err}
+	}
+	s.order = seq.order(g, s.order)
+	switch {
+	case cache.SetConfig{Kind: k.kind, Lines: k.lines, LLCLines: k.llc}.Converges(fp):
+		b.seqMiss = make([]int32, g.Len())
+		b.SeqMisses = set.ReplayRecording(fp, s.order, b.seqMiss).TotalMisses
+	case cfg.Fits(fp):
+		b.SeqMisses = set.ReplayFit(fp, s.order, nil).TotalMisses
+	default:
+		b.SeqMisses = set.Replay(fp, s.order, nil).TotalMisses
+	}
+	return b
+}
+
+// idealMisses is Belady OPT over b's sequential trace, computed on the first
+// call.
+func (b *cacheBaseline) idealMisses() int64 {
+	b.ideal.Do(func() {
+		s := getScratch()
+		defer putScratch(s)
+		s.order = b.seq.order(b.g, s.order)
+		b.ideal.misses = cache.OptimalMisses(b.fp.Flatten(s.order), b.lines)
+	})
+	return b.ideal.misses
+}
+
+// ReplayCheckEnv names the environment variable that, when non-empty where a
+// cache-cost verdict is opened (NewCacheCost), makes the sequential bill and
+// every schedule charged to that verdict replay the full way as well, and
+// fail the analysis where the two bills differ per worker or in total: a
+// self-check of the converged and counting replays and of bills taken from
+// the engine, which the test suites of the analysis packages run under. It
+// is read for each verdict, not kept with the graph's baseline.
 const ReplayCheckEnv = "FUTURELOCALITY_REPLAY_CHECK"
 
 // replayCheck reports whether ReplayCheckEnv is set. It asks syscall, which
@@ -151,13 +230,6 @@ func replayCheck() bool {
 	return v != ""
 }
 
-// engineBilled reports whether r's own miss count is the bill the model
-// would make of r's schedule: declared blocks, the model's caches, no shared
-// tier. Then the engine's replay is the only one.
-func (b *CacheBaseline) engineBilled(r *sim.Result) bool {
-	return !b.Synthetic && b.Model.LLCLines == 0 && r.CacheLines == b.Model.Lines && r.CacheKind == b.Model.Kind
-}
-
 // CacheCost is the cache-cost verdict of one computation: the sequential
 // baseline's simulated miss bill, the per-trial parallel bills of the same
 // footprint under the analyzed schedules, and the miss envelope the theorem
@@ -165,7 +237,12 @@ func (b *CacheBaseline) engineBilled(r *sim.Result) bool {
 // corollary (one cold cache to begin with, plus at most C misses per
 // deviation).
 type CacheCost struct {
-	*CacheBaseline
+	*cacheBaseline
+	// Model echoes the cache model.
+	Model CacheModel
+	// IdealMisses is Belady OPT over the sequential trace (0 when
+	// Model.NoIdeal).
+	IdealMisses int64
 	// P is the worker count of the replays.
 	P int
 	// TotalMisses and ExtraMisses hold one entry per replayed schedule:
@@ -178,6 +255,50 @@ type CacheCost struct {
 	// MissEnvelope is Budget's MissBound for the replayed fork policy:
 	// C·(1 + P·T∞²) where the deviation envelope is granted, else 0.
 	MissEnvelope int64
+
+	// policy is the fork policy of the sequential execution the bills are
+	// measured against, whose order the baseline's seqMiss follows.
+	policy sim.ForkPolicy
+	// check replays every schedule the full way too and fails on any
+	// difference (ReplayCheckEnv).
+	check bool
+}
+
+// NewCacheCost opens a cache-cost verdict on g for n schedules at p workers
+// under model, measured against the sequential execution under policy, every
+// bill still zero: RunTrials fills entry i from trial i. Its baseline is the
+// graph's, computed once per policy and model; its miss envelope is the one
+// Budget grants g's class under policy.
+func NewCacheCost(g *dag.Graph, model CacheModel, policy sim.ForkPolicy, p, n int) (*CacheCost, error) {
+	b, err := baselineOf(g, model, policy)
+	if err != nil {
+		return nil, err
+	}
+	bills := make([]int64, 2*n)
+	cc := &CacheCost{
+		cacheBaseline: b,
+		Model:         model,
+		P:             p,
+		TotalMisses:   bills[:n:n],
+		ExtraMisses:   bills[n:],
+		MissEnvelope:  Budget(g.Class(), policy, p, g.Span(), model.Lines).MissBound,
+		policy:        policy,
+		check:         replayCheck(),
+	}
+	if !model.NoIdeal {
+		cc.IdealMisses = b.idealMisses()
+	}
+	if model.LLCLines > 0 {
+		cc.LLCMisses = make([]int64, n)
+	}
+	return cc, nil
+}
+
+// engineBilled reports whether r's own miss count is the bill cc's model
+// would make of r's schedule: declared blocks, the model's caches, no shared
+// tier. Then the engine's replay is the only one.
+func (cc *CacheCost) engineBilled(r *sim.Result) bool {
+	return !cc.Synthetic && cc.Model.LLCLines == 0 && r.CacheLines == cc.Model.Lines && r.CacheKind == cc.Model.Kind
 }
 
 // MeanExtra and MaxExtra summarize ExtraMisses.
@@ -250,83 +371,28 @@ func (cc *CacheCost) Render(sb *strings.Builder, pair string) {
 	}
 }
 
-// NewCacheBaseline derives g's footprint under model and replays seq through
-// it: the sequential bill and, unless the model declines it, the OPT bill.
-// seq must be the 1-processor execution the schedules will be measured
-// against (same fork policy — the paper compares like with like). prev, when
-// non-nil, is an earlier baseline of the same graph: its footprint is reused
-// if the windows agree, so a caller with several baselines of one graph (the
-// profiler's two fork policies) derives it once.
-func NewCacheBaseline(g *dag.Graph, model CacheModel, prev *CacheBaseline, seq *sim.Result) (*CacheBaseline, error) {
-	if model.Lines < 1 {
-		return nil, fmt.Errorf("core: cache model with C = %d", model.Lines)
-	}
-	var fp *cache.Footprint
-	if prev != nil && prev.Model.window() == model.window() {
-		fp = prev.fp
-	}
-	if fp == nil {
-		fp = cache.DeriveFootprint(g, model.window())
-	}
-	seqOrder := seq.SeqOrder()
+// checkBaseline is the replay check of the sequential bill: the
+// baseline's order replayed the full way must cost SeqMisses.
+func (cc *CacheCost) checkBaseline() error {
 	s := getScratch()
 	defer putScratch(s)
-	seqSet, err := setFor(&s.seq, cache.SetConfig{P: 1, Kind: model.Kind, Lines: model.Lines})
+	set, err := setFor(&s.check, cache.SetConfig{P: 1, Kind: cc.Model.Kind, Lines: cc.Model.Lines})
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("core: cache cost: %w", err)
 	}
-	b := &CacheBaseline{
-		Model:     model,
-		Synthetic: fp.Synthetic,
-		Blocks:    fp.Blocks,
-		fp:        fp,
-		span:      g.Span(),
-		policy:    seq.Policy,
-		check:     replayCheck(),
+	s.order = cc.seq.order(cc.g, s.order)
+	if full := set.Replay(cc.fp, s.order, nil).TotalMisses; full != cc.SeqMisses {
+		return fmt.Errorf("core: replay check: the sequential bill is %d misses, the full replay's %d", cc.SeqMisses, full)
 	}
-	switch {
-	case b.engineBilled(seq):
-		b.SeqMisses = seq.TotalMisses
-		if b.check {
-			if full := seqSet.Replay(fp, seqOrder, nil).TotalMisses; full != b.SeqMisses {
-				return nil, fmt.Errorf("core: replay check: the engine's sequential bill is %d misses, the replay's %d", b.SeqMisses, full)
-			}
-		}
-	case cache.SetConfig{Kind: model.Kind, Lines: model.Lines, LLCLines: model.LLCLines}.Converges(fp):
-		b.seqMiss = make([]int32, g.Len())
-		b.SeqMisses = seqSet.ReplayRecording(fp, seqOrder, b.seqMiss).TotalMisses
-	default:
-		b.SeqMisses = seqSet.Replay(fp, seqOrder, nil).TotalMisses
-	}
-	if !model.NoIdeal {
-		b.IdealMisses = cache.OptimalMisses(fp.Flatten(seqOrder), model.Lines)
-	}
-	return b, nil
-}
-
-// Cost opens a verdict against b for n schedules at p workers, every bill
-// still zero: RunTrials fills entry i from trial i. Its miss envelope is the
-// one Budget grants the graph's class c under the schedules' fork policy.
-func (b *CacheBaseline) Cost(p, n int, c dag.Class, fork sim.ForkPolicy) *CacheCost {
-	cc := &CacheCost{
-		CacheBaseline: b,
-		P:             p,
-		TotalMisses:   make([]int64, n),
-		ExtraMisses:   make([]int64, n),
-		MissEnvelope:  Budget(c, fork, p, b.span, b.Model.Lines).MissBound,
-	}
-	if b.Model.LLCLines > 0 {
-		cc.LLCMisses = make([]int64, n)
-	}
-	return cc
+	return nil
 }
 
 // charge enters trial i's bill: the engine's own where it is the model's
 // (engineBilled), else a replay on s — the scratch of the goroutine that has
 // just simulated the trial — converged where the baseline recorded the
-// sequential misses per node, full otherwise. seqPred indexes the sequential
-// order the baseline replayed.
-func (cc *CacheCost) charge(i int, s *trialScratch, seqPred sim.SeqPred, res *sim.Result) error {
+// sequential misses per node, counted where the footprint fits in a cache,
+// full otherwise.
+func (cc *CacheCost) charge(i int, s *trialScratch, res *sim.Result) error {
 	cfg := cache.SetConfig{P: cc.P, Kind: cc.Model.Kind, Lines: cc.Model.Lines, LLCLines: cc.Model.LLCLines}
 	var out cache.ReplayOutcome
 	if cc.engineBilled(res) {
@@ -336,9 +402,12 @@ func (cc *CacheCost) charge(i int, s *trialScratch, seqPred sim.SeqPred, res *si
 		if err != nil {
 			return fmt.Errorf("core: cache cost: %w", err)
 		}
-		if cc.seqMiss != nil {
-			out = set.ReplayConverged(cc.fp, res.Order, res.Who, seqPred.Preds(), cc.seqMiss)
-		} else {
+		switch {
+		case cc.seqMiss != nil:
+			out = set.ReplayConverged(cc.fp, res.Order, res.Who, cc.seq.pred.Preds(), cc.seqMiss)
+		case cfg.Fits(cc.fp):
+			out = set.ReplayFit(cc.fp, res.Order, res.Who)
+		default:
 			out = set.Replay(cc.fp, res.Order, res.Who)
 		}
 	}

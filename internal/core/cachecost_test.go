@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"futurelocality/internal/cache"
-	"futurelocality/internal/dag"
 	"futurelocality/internal/graphs"
 	"futurelocality/internal/sim"
 )
@@ -190,7 +189,7 @@ func TestDeclaredBillIsTheEnginesOwn(t *testing.T) {
 		t.Fatal(err)
 	}
 	cc := rep.CacheCost
-	if cc.Synthetic || cc.seqMiss != nil || cc.SeqMisses != rep.SeqMisses || !slices.Equal(cc.ExtraMisses, rep.AdditionalMisses) {
+	if cc.Synthetic || cc.SeqMisses != rep.SeqMisses || !slices.Equal(cc.ExtraMisses, rep.AdditionalMisses) {
 		t.Fatalf("engine-billed model: sequential %d against %d, extra %v against additional %v",
 			cc.SeqMisses, rep.SeqMisses, cc.ExtraMisses, rep.AdditionalMisses)
 	}
@@ -204,24 +203,16 @@ func TestDeclaredBillIsTheEnginesOwn(t *testing.T) {
 }
 
 // TestRunTrialsRefusesAnotherPolicysBaseline: a converged replay reads the
-// sequential order of the baseline and of the trials' SeqPred as one, so a
-// cost measured against one fork policy's sequential execution is refused
-// for trials measured against the other's.
+// sequential order of the baseline and of the trials' deviation count as
+// one, so a cost measured against one fork policy's sequential execution is
+// refused for trials measured against the other's.
 func TestRunTrialsRefusesAnotherPolicysBaseline(t *testing.T) {
 	g := graphs.Fib(10, 2)
-	var cost *CacheCost
-	err := WithSequential(g, sim.FutureFirst, 0, cache.LRU, func(seq *sim.Result) error {
-		base, err := NewCacheBaseline(g, CacheModel{Lines: 8, NoIdeal: true}, nil, seq)
-		cost = base.Cost(2, 2, dag.Classify(g), sim.ParentFirst)
-		return err
-	})
+	cost, err := NewCacheCost(g, CacheModel{Lines: 8, NoIdeal: true}, sim.FutureFirst, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = WithSequential(g, sim.ParentFirst, 0, cache.LRU, func(seq *sim.Result) error {
-		_, err := RunTrials(g, sim.Config{P: 2, Policy: sim.ParentFirst}, seq, 2, Seeded(1), cost)
-		return err
-	})
+	_, err = RunTrials(g, sim.Config{P: 2, Policy: sim.ParentFirst}, 2, Seeded(1), cost)
 	if err == nil || !strings.Contains(err.Error(), "future-first") {
 		t.Fatalf("RunTrials against a parent-first execution with a future-first baseline: %v", err)
 	}

@@ -132,8 +132,9 @@ func (v Verdict) WithinBound() bool {
 
 // Trials is the account of a set of executions of one graph under one
 // configuration, entry i for trial i, each measured against the same
-// sequential baseline.
+// sequential baseline, whose miss count is SeqMisses.
 type Trials struct {
+	SeqMisses                            int64
 	Deviations, AdditionalMisses, Steals []int64
 	Premature                            []int
 }
@@ -142,9 +143,9 @@ type Trials struct {
 // trial reseeds, and for a cache-cost replay the cache sets, with their
 // residency tables as long as the largest footprint they have replayed. A
 // trial's schedule is replayed by the goroutine that simulated it, straight
-// away, and never leaves the scratch. A sequential baseline runs on a scratch
-// too (WithSequential), held for as long as its trials are measured against
-// it.
+// away, and never leaves the scratch. The facts a graph's memo keeps — its
+// sequential execution, its cache baselines — are computed on a scratch too,
+// held only while they are.
 type trialScratch struct {
 	eng sim.Engine
 	rc  sim.RandomControl
@@ -153,6 +154,8 @@ type trialScratch struct {
 	// with (ReplayCheckEnv). Each is kept for as long as the next replay asks
 	// for the same configuration (setFor).
 	set, seq, check *cache.Set
+	// order holds a sequential order while a baseline replays it.
+	order []dag.NodeID
 }
 
 // scratches is the process-wide free list of trial scratch, last in first
@@ -181,8 +184,9 @@ func getScratch() *trialScratch {
 }
 
 // putScratch keeps at most two idle scratches per P: ForEach puts at most one
-// trial to work per P, and an analysis that a P runs holds one more for its
-// baseline while its trials run. One beyond that is left to the collector.
+// trial to work per P, and analyses fanned out beside one another (the
+// profiler's jobs beside its pooled replay) each run trials of their own.
+// One beyond that is left to the collector.
 func putScratch(s *trialScratch) {
 	scratches.Lock()
 	defer scratches.Unlock()
@@ -204,18 +208,59 @@ func setFor(slot **cache.Set, cfg cache.SetConfig) (*cache.Set, error) {
 	return *slot, nil
 }
 
-// WithSequential runs the sequential execution of g under policy, with an
-// optional miss count, on the engine of a trial scratch, and calls fn with its
-// result, which is dead once fn returns. It is how a baseline that a set of
-// trials is measured against (RunTrials) is run without an engine of its own.
-func WithSequential(g *dag.Graph, policy sim.ForkPolicy, cacheLines int, kind cache.Kind, fn func(seq *sim.Result) error) error {
-	s := getScratch()
-	defer putScratch(s)
-	seq, err := s.eng.Sequential(g, policy, cacheLines, kind)
-	if err != nil {
-		return fmt.Errorf("core: sequential baseline: %w", err)
+// sequential is the one-worker execution of a graph under one fork policy,
+// as the analyses read it: its order indexed for deviation counting, each
+// node's predecessor in it. Caches count a run's misses and do not steer it,
+// so the order depends on the graph and the policy alone, and it is computed
+// once per graph and policy (sequentialOf). 4 bytes a node.
+type sequential struct {
+	pred sim.SeqPred
+	err  error
+}
+
+// order writes the sequential order into buf, grown to g's length: the
+// predecessors walked back from g's final node, which every node precedes.
+func (seq *sequential) order(g *dag.Graph, buf []dag.NodeID) []dag.NodeID {
+	order := slices.Grow(buf[:0], g.Len())[:g.Len()]
+	pred := seq.pred.Preds()
+	for i, v := len(order)-1, g.Final; i >= 0; i, v = i-1, pred[v] {
+		order[i] = v
 	}
-	return fn(seq)
+	return order
+}
+
+// seqKey keys a graph's sequential execution in its memo.
+type seqKey struct{ policy sim.ForkPolicy }
+
+// sequentialOf returns the sequential execution of g under policy, run once
+// per graph and policy on the engine of a trial scratch.
+func sequentialOf(g *dag.Graph, policy sim.ForkPolicy) (*sequential, error) {
+	seq := dag.Memo(g, seqKey{policy}, func(g *dag.Graph, k seqKey) *sequential {
+		s := getScratch()
+		defer putScratch(s)
+		res, err := s.eng.Sequential(g, k.policy, 0, cache.LRU)
+		if err != nil {
+			return &sequential{err: fmt.Errorf("core: sequential baseline: %w", err)}
+		}
+		return &sequential{pred: sim.NewSeqPred(res.Order, g.Len())}
+	})
+	return seq, seq.err
+}
+
+// seqMissesOf returns the misses the sequential execution of g under policy
+// takes in a private cache of lines lines of kind (0 lines: no cache), over
+// the blocks g declares: the count sim.Sequential returns. It is the
+// sequential bill of the graph's cache baseline under that cache, computed
+// once per graph and key and shared with a cache model of the same cache.
+func seqMissesOf(g *dag.Graph, policy sim.ForkPolicy, lines int, kind cache.Kind) (int64, error) {
+	if lines <= 0 || len(g.RawBlocks) == 0 {
+		return 0, nil
+	}
+	b, err := baselineOf(g, CacheModel{Lines: lines, Kind: kind}, policy)
+	if err != nil {
+		return 0, err
+	}
+	return b.SeqMisses, nil
 }
 
 // Seeded is the control of Analyze's trials: trial i reseeds its own random
@@ -228,37 +273,50 @@ func Seeded(seed int64) func(int, *sim.RandomControl) sim.Control {
 }
 
 // RunTrials executes g n times under cfg, trial i driven by control(i, rc),
-// and measures each run against seq, the sequential execution under cfg's
-// fork policy and cache geometry (the paper compares like with like). rc is
-// the random control the trial's scratch keeps, for control to reseed and
-// return (Seeded) or to ignore. cost, when non-nil, is a verdict prepared for
-// n schedules at cfg.P workers (CacheBaseline.Cost): trial i's schedule is
-// replayed through the cache model and its bill written to entry i. It is the
-// one trial loop: Analyze runs it once, the profiler's fork matrix once for
-// its replayed cell with the cell's own baseline.
+// and measures each run against the sequential execution under cfg's fork
+// policy and cache geometry (the paper compares like with like), which g's
+// memo keeps. rc is the random control the trial's scratch keeps, for control
+// to reseed and return (Seeded) or to ignore. cost, when non-nil, is a
+// verdict opened for n schedules at cfg.P workers against the same fork
+// policy (NewCacheCost): trial i's schedule is replayed through the cache
+// model and its bill written to entry i. It is the one trial loop: Analyze
+// runs it once, the profiler's fork matrix once for its replayed cell.
 //
 // A trial is one unit — simulate, measure, replay — and the units fan out
 // (ForEach), so control must be safe to call from several goroutines at once;
 // the control it returns is used by one. Entry i depends on i alone, whatever
-// ran where. RunTrials indexes seq's order on seq's own storage
-// (sim.Result.SeqPred), so calls against one seq take turns.
-func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control func(i int, rc *sim.RandomControl) sim.Control, cost *CacheCost) (*Trials, error) {
+// ran where, and any number of calls may run at once, on one graph or many.
+func RunTrials(g *dag.Graph, cfg sim.Config, n int, control func(i int, rc *sim.RandomControl) sim.Control, cost *CacheCost) (*Trials, error) {
 	if cost != nil && (len(cost.ExtraMisses) != n || cost.P != cfg.P) {
 		return nil, fmt.Errorf("core: cache cost prepared for %d trials at P=%d, asked for %d at P=%d",
 			len(cost.ExtraMisses), cost.P, n, cfg.P)
 	}
-	if cost != nil && cost.policy != seq.Policy {
+	if cost != nil && cost.policy != cfg.Policy {
 		return nil, fmt.Errorf("core: cache cost measured against a %s sequential execution, trials against a %s one",
-			cost.policy, seq.Policy)
+			cost.policy, cfg.Policy)
 	}
-	seqPred := seq.SeqPred()
+	seq, err := sequentialOf(g, cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	seqMisses, err := seqMissesOf(g, cfg.Policy, cfg.CacheLines, cfg.CacheKind)
+	if err != nil {
+		return nil, err
+	}
+	if cost != nil && cost.check {
+		if err := cost.checkBaseline(); err != nil {
+			return nil, err
+		}
+	}
+	counts := make([]int64, 3*n)
 	tr := &Trials{
-		Deviations:       make([]int64, n),
-		AdditionalMisses: make([]int64, n),
-		Steals:           make([]int64, n),
+		SeqMisses:        seqMisses,
+		Deviations:       counts[:n:n],
+		AdditionalMisses: counts[n : 2*n : 2*n],
+		Steals:           counts[2*n:],
 		Premature:        make([]int, n),
 	}
-	err := ForEach(n, func(i int) error {
+	err = ForEach(n, func(i int) error {
 		s := getScratch()
 		defer putScratch(s)
 
@@ -271,12 +329,12 @@ func RunTrials(g *dag.Graph, cfg sim.Config, seq *sim.Result, n int, control fun
 		if err != nil {
 			return fmt.Errorf("core: trial %d: %w", i, err)
 		}
-		tr.Deviations[i] = seqPred.Deviations(res)
-		tr.AdditionalMisses[i] = res.TotalMisses - seq.TotalMisses
+		tr.Deviations[i] = seq.pred.Deviations(res)
+		tr.AdditionalMisses[i] = res.TotalMisses - seqMisses
 		tr.Steals[i] = res.Steals
 		tr.Premature[i] = sim.PrematureTouches(g, res)
 		if cost != nil {
-			return cost.charge(i, s, seqPred, res)
+			return cost.charge(i, s, res)
 		}
 		return nil
 	})
@@ -301,7 +359,7 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 		return nil, fmt.Errorf("core: custom Control requires Trials == 1 (got %d)", opts.Trials)
 	}
 	rep := &Report{
-		Class:      dag.Classify(g),
+		Class:      g.Class(),
 		Work:       g.Work(),
 		Span:       g.Span(),
 		Touches:    g.NumTouches(),
@@ -315,32 +373,25 @@ func Analyze(g *dag.Graph, opts AnalyzeOptions) (*Report, error) {
 	if opts.Control != nil {
 		control = func(int, *sim.RandomControl) sim.Control { return opts.Control }
 	}
-	err := WithSequential(g, opts.Policy, opts.CacheLines, opts.CacheKind, func(seq *sim.Result) error {
-		rep.SeqMisses = seq.TotalMisses
-		if opts.CacheModel != nil {
-			base, err := NewCacheBaseline(g, *opts.CacheModel, nil, seq)
-			if err != nil {
-				return fmt.Errorf("core: cache cost: %w", err)
-			}
-			rep.CacheCost = base.Cost(opts.P, opts.Trials, rep.Class, opts.Policy)
-		}
-		tr, err := RunTrials(g, sim.Config{
-			P:          opts.P,
-			Policy:     opts.Policy,
-			Steal:      opts.Steal,
-			CacheLines: opts.CacheLines,
-			CacheKind:  opts.CacheKind,
-		}, seq, opts.Trials, control, rep.CacheCost)
+	if opts.CacheModel != nil {
+		cost, err := NewCacheCost(g, *opts.CacheModel, opts.Policy, opts.P, opts.Trials)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("core: cache cost: %w", err)
 		}
-		rep.Deviations, rep.AdditionalMisses, rep.Steals, rep.Premature =
-			tr.Deviations, tr.AdditionalMisses, tr.Steals, tr.Premature
-		return nil
-	})
+		rep.CacheCost = cost
+	}
+	tr, err := RunTrials(g, sim.Config{
+		P:          opts.P,
+		Policy:     opts.Policy,
+		Steal:      opts.Steal,
+		CacheLines: opts.CacheLines,
+		CacheKind:  opts.CacheKind,
+	}, opts.Trials, control, rep.CacheCost)
 	if err != nil {
 		return nil, err
 	}
+	rep.SeqMisses, rep.Deviations, rep.AdditionalMisses, rep.Steals, rep.Premature =
+		tr.SeqMisses, tr.Deviations, tr.AdditionalMisses, tr.Steals, tr.Premature
 	rep.MaxDeviations, rep.MaxExtraMisses = slices.Max(rep.Deviations), slices.Max(rep.AdditionalMisses)
 	return rep, nil
 }

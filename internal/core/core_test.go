@@ -323,15 +323,11 @@ func (s starve) Active(sim.ProcID, *sim.View) bool {
 // when RunTrials returns.
 func TestRunTrialsReturnsLowestStuckTrial(t *testing.T) {
 	g := graphs.Fib(10, 2)
-	seq, err := sim.Sequential(g, sim.FutureFirst, 0, cache.LRU)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, procs := range []int{1, 2, 4} {
 		withProcs(t, procs)
 		before := runtime.NumGoroutine()
 		for round := 0; round < 5; round++ {
-			_, err := RunTrials(g, sim.Config{P: 4, MaxIdleSweeps: 8}, seq, 8, func(i int, _ *sim.RandomControl) sim.Control {
+			_, err := RunTrials(g, sim.Config{P: 4, MaxIdleSweeps: 8}, 8, func(i int, _ *sim.RandomControl) sim.Control {
 				switch i {
 				case 3:
 					return starve{delay: 100 * time.Microsecond}

@@ -27,11 +27,12 @@ func TestMain(m *testing.M) {
 
 // TestConvergedReplayMatchesFull is the named exactness sweep: the
 // benchmark's three inputs, every registered figure with and without its
-// declared blocks and a few seeded random programs, under both fork
-// policies, through LRU models from C = 1 up to the benchmark's 64, with
-// windows below and at the default, each analysed under the replay check.
-// The sweep must take each of the three paths — converged, full and the
-// engine's own bill — somewhere, or it says nothing.
+// declared blocks, a few seeded random programs and a few that declare no
+// more blocks than Figure 6(c)'s five, under both fork policies, through LRU
+// and FIFO models from C = 1 up to the benchmark's 64, with windows below
+// and at the default, each analysed under the replay check. The sweep must
+// take each of the four paths — converged, counted (the footprint fits in a
+// cache), full and the engine's own bill — somewhere, or it says nothing.
 func TestConvergedReplayMatchesFull(t *testing.T) {
 	t.Setenv(ReplayCheckEnv, "1")
 	in := analysisInputs()
@@ -46,37 +47,43 @@ func TestConvergedReplayMatchesFull(t *testing.T) {
 		}
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		inputs = append(inputs, graphs.RandomStructured(seed, graphs.RandomConfig{MaxNodes: 400, MaxDepth: 8}))
+		inputs = append(inputs, graphs.RandomStructured(seed, graphs.RandomConfig{MaxNodes: 400, MaxDepth: 8}),
+			graphs.RandomStructured(seed, graphs.RandomConfig{MaxNodes: 200, MaxDepth: 6, MaxBlocks: 5}))
 	}
-	var converged, full, engine int
+	var converged, fit, full, engine int
 	for i, g := range inputs {
 		for _, lines := range []int{1, 3, 8, 64} {
 			for _, policy := range []sim.ForkPolicy{sim.FutureFirst, sim.ParentFirst} {
-				model := &CacheModel{Lines: lines, Window: 1 + i%lines, NoIdeal: true}
-				if i%2 == 0 {
-					model.Window = 0 // the default, C − 1
-				}
-				opts := AnalyzeOptions{P: 1 + i%4, Policy: policy, Trials: 3, Seed: int64(i), CacheModel: model}
-				if i%3 == 0 {
-					opts.CacheLines = lines // the engine bills declared blocks itself
-				}
-				rep, err := Analyze(g, opts)
-				if err != nil {
-					t.Fatalf("input %d (%d nodes), %s, C=%d: %v", i, g.Len(), policy, lines, err)
-				}
-				switch cc := rep.CacheCost; {
-				case cc.seqMiss != nil:
-					converged++
-				case !cc.Synthetic && opts.CacheLines == lines:
-					engine++
-				default:
-					full++
+				for _, kind := range []cache.Kind{cache.LRU, cache.FIFO} {
+					model := &CacheModel{Lines: lines, Kind: kind, Window: 1 + i%lines, NoIdeal: true}
+					if i%2 == 0 {
+						model.Window = 0 // the default, C − 1
+					}
+					opts := AnalyzeOptions{P: 1 + i%4, Policy: policy, Trials: 3, Seed: int64(i), CacheModel: model}
+					if i%3 == 0 {
+						// The engine bills declared blocks itself.
+						opts.CacheLines, opts.CacheKind = lines, kind
+					}
+					rep, err := Analyze(g, opts)
+					if err != nil {
+						t.Fatalf("input %d (%d nodes), %s, %s C=%d: %v", i, g.Len(), policy, kind, lines, err)
+					}
+					switch cc := rep.CacheCost; {
+					case !cc.Synthetic && opts.CacheLines == lines:
+						engine++
+					case cc.seqMiss != nil:
+						converged++
+					case cache.SetConfig{Kind: kind, Lines: lines}.Fits(cc.fp):
+						fit++
+					default:
+						full++
+					}
 				}
 			}
 		}
 	}
-	if converged == 0 || full == 0 || engine == 0 {
-		t.Fatalf("paths taken: converged %d, full %d, engine %d; want each at least once", converged, full, engine)
+	if converged == 0 || fit == 0 || full == 0 || engine == 0 {
+		t.Fatalf("paths taken: converged %d, fit %d, full %d, engine %d; want each at least once", converged, fit, full, engine)
 	}
 }
 
@@ -86,21 +93,45 @@ func TestConvergedReplayMatchesFull(t *testing.T) {
 func TestReplayCheckCatchesADifference(t *testing.T) {
 	t.Setenv(ReplayCheckEnv, "1")
 	g := graphs.Fib(12, 2)
-	err := WithSequential(g, sim.FutureFirst, 0, cache.LRU, func(seq *sim.Result) error {
-		base, err := NewCacheBaseline(g, CacheModel{Lines: 8, NoIdeal: true}, nil, seq)
-		if err != nil {
-			return err
-		}
-		if base.seqMiss == nil {
-			t.Fatal("Fib(12, 2) at C = 8 takes the full replay")
-		}
-		for v := range base.seqMiss {
-			base.seqMiss[v]++
-		}
-		_, err = RunTrials(g, sim.Config{P: 4}, seq, 4, Seeded(1), base.Cost(4, 4, dag.Classify(g), sim.FutureFirst))
-		return err
-	})
-	if err == nil {
+	cost, err := NewCacheCost(g, CacheModel{Lines: 8, NoIdeal: true}, sim.FutureFirst, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost.seqMiss == nil {
+		t.Fatal("Fib(12, 2) at C = 8 takes the full replay")
+	}
+	for v := range cost.seqMiss {
+		cost.seqMiss[v]++
+	}
+	if _, err := RunTrials(g, sim.Config{P: 4}, 4, Seeded(1), cost); err == nil {
 		t.Fatal("a converged replay charged from a wrong record passed the replay check")
+	}
+}
+
+// TestReplayCheckReadPerAnalysis: the baseline is kept with the graph, the
+// replay check is not. An analysis with the variable unset runs no check, so
+// a wrong record it shares goes unseen; set before the next analysis of the
+// same graph, the variable makes that analysis check, and fail.
+func TestReplayCheckReadPerAnalysis(t *testing.T) {
+	g := graphs.Fib(12, 2)
+	opts := AnalyzeOptions{P: 4, Trials: 4, CacheModel: &CacheModel{Lines: 8, NoIdeal: true}}
+	t.Setenv(ReplayCheckEnv, "")
+	rep, err := Analyze(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := rep.CacheCost
+	if cc.check || cc.seqMiss == nil {
+		t.Fatalf("unset variable: check %v; converged record kept: %v", cc.check, cc.seqMiss != nil)
+	}
+	for v := range cc.seqMiss {
+		cc.seqMiss[v]++
+	}
+	if _, err := Analyze(g, opts); err != nil {
+		t.Fatalf("an unchecked analysis failed: %v", err)
+	}
+	t.Setenv(ReplayCheckEnv, "1")
+	if _, err := Analyze(g, opts); err == nil {
+		t.Fatal("the variable set between two analyses of one graph, the second ran no check")
 	}
 }

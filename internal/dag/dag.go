@@ -17,6 +17,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // NodeID identifies a node in a Graph. IDs are dense, start at 0 (the root),
@@ -178,6 +179,12 @@ type Graph struct {
 	RawBlocks []BlockID
 
 	span int64 // T∞, set once where the graph is made (Builder.build, ReadBinary)
+	// class is Classify's verdict, computed on the first Class call.
+	class struct {
+		sync.Once
+		c Class
+	}
+	memo memo // the analyses' facts of the graph (Memo)
 }
 
 // Len returns the number of nodes.

@@ -63,7 +63,7 @@ func TestDeviationCountMatchesNodes(t *testing.T) {
 				t.Fatal(err)
 			}
 			seqOrder := seq.SeqOrder()
-			shared := seq.SeqPred()
+			shared := sim.NewSeqPred(seqOrder, g.Len())
 			for trial := 0; trial < 2; trial++ {
 				eng, err := sim.New(g, sim.Config{P: 2 + trial, Policy: fork,
 					Control: sim.NewRandomControl(int64(i + trial))})

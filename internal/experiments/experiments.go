@@ -69,8 +69,7 @@ func scripted(eng *sim.Engine, g *dag.Graph, ctrl sim.Control, p int, pol sim.Fo
 // randomTrials runs g with random controls (core.RunTrials, seeds seed+i)
 // and returns the per-trial deviation, additional-miss and steal series.
 func randomTrials(g *dag.Graph, p int, pol sim.ForkPolicy, c, trials int, seed int64) (devs, extra, steals []float64) {
-	tr, err := core.RunTrials(g, sim.Config{P: p, Policy: pol, CacheLines: c}, seqBaseline(g, pol, c), trials,
-		core.Seeded(seed), nil)
+	tr, err := core.RunTrials(g, sim.Config{P: p, Policy: pol, CacheLines: c}, trials, core.Seeded(seed), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -99,7 +98,7 @@ func e1(scale Scale) Result {
 		"dev(mean)", "dev(max)", "P·T∞²", "maxdev/bound", "extraMiss(max)", "C·P·T∞²")
 	for _, d := range depths {
 		g := graphs.ForkJoinTree(d, 6, true)
-		class, span := dag.Classify(g), g.Span()
+		class, span := g.Class(), g.Span()
 		for _, p := range procs {
 			devs, extra, steals := randomTrials(g, p, sim.FutureFirst, C, trials, 1000+int64(d*37+p))
 			ds := stats.Summarize(devs)
@@ -404,7 +403,7 @@ func e7(scale Scale) Result {
 		g, info := graphs.Fig3(t, 4, false)
 		seq := seqBaseline(g, sim.FutureFirst, 0)
 		res := scripted(&eng, g, adversary.Fig3(info), 2, sim.FutureFirst, 0)
-		tb.Add(fmt.Sprintf("Fig3(t=%d)", t), dag.Classify(g).String(), g.NumTouches(),
+		tb.Add(fmt.Sprintf("Fig3(t=%d)", t), g.Class().String(), g.NumTouches(),
 			sim.PrematureTouches(g, res), sim.Deviations(seq.SeqOrder(), res))
 	}
 	// Structured control group: premature touches are impossible.
@@ -495,7 +494,7 @@ func e10(scale Scale) Result {
 		}
 		res := run(&eng, g, sim.Config{P: 2, Policy: sim.FutureFirst, CacheLines: C,
 			CacheKind: kind, Control: adversary.Fig6a(info)})
-		bound := int64(C) * core.Budget(dag.Classify(g), sim.FutureFirst, 2, g.Span(), 0).DeviationBound
+		bound := int64(C) * core.Budget(g.Class(), sim.FutureFirst, 2, g.Span(), 0).DeviationBound
 		tb.Add(fmt.Sprintf("Fig6a(k=%d,C=%d) adversarial", k, C), kind.String(),
 			seq.TotalMisses, res.TotalMisses, res.TotalMisses-seq.TotalMisses, bound)
 	}
@@ -516,7 +515,7 @@ func e10(scale Scale) Result {
 				worstExtra = e
 			}
 		}
-		bound := int64(C) * core.Budget(dag.Classify(g), sim.FutureFirst, 8, g.Span(), 0).DeviationBound
+		bound := int64(C) * core.Budget(g.Class(), sim.FutureFirst, 8, g.Span(), 0).DeviationBound
 		tb.Add("forkjoin(d=6) random", kind.String(), seq.TotalMisses, worstPar, worstExtra, bound)
 	}
 	md := tb.String() + "\nThe additional-miss envelope is policy-independent, as the paper's " +

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"futurelocality/internal/cache"
 	"futurelocality/internal/core"
 	"futurelocality/internal/dag"
 	"futurelocality/internal/sim"
@@ -44,7 +43,7 @@ type Options struct {
 type Reading struct {
 	// Recon is the reconstruction the reading is computed from.
 	Recon *Recon
-	// Class is dag.Classify of the reconstructed DAG.
+	// Class is the reconstructed DAG's class (dag.Graph.Class).
 	Class dag.Class
 	// Work, Span, Touches are T1, T∞ and t of the reconstructed DAG.
 	Work, Span int64
@@ -58,15 +57,16 @@ type Reading struct {
 	core.Verdict
 }
 
-// read is the reading of rec, whose DAG classifies as class, judged for p
-// processors under the disciplines rec's spawns recorded: the theorems cover
-// future-first forks only, so one parent-first fork withholds the budget.
-func read(rec *Recon, class dag.Class, p int) Reading {
+// read is the reading of rec judged for p processors under the disciplines
+// rec's spawns recorded: the theorems cover future-first forks only, so one
+// parent-first fork withholds the budget.
+func read(rec *Recon, p int) Reading {
 	g := rec.Graph
 	fork := sim.FutureFirst
 	if rec.ParentFirstForks > 0 {
 		fork = sim.ParentFirst
 	}
+	class := g.Class()
 	v := core.Budget(class, fork, p, g.Span(), 0)
 	v.MaxDeviations = rec.measuredDeviations()
 	return Reading{Recon: rec, Class: class, Work: g.Work(), Span: g.Span(), Touches: g.NumTouches(), Verdict: v}
@@ -197,7 +197,7 @@ func Analyze(tr *Trace, opts Options) (*Report, error) {
 		if err != nil {
 			return fmt.Errorf("profile: sim replay: %w", err)
 		}
-		r.Reading, r.Sim = read(recon, simRep.Class, opts.P), simRep
+		r.Reading, r.Sim = read(recon, opts.P), simRep
 		if !opts.NoMatrix {
 			r.Matrix, err = replayMatrix(recon, simRep, opts)
 			if err != nil {
@@ -243,12 +243,10 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 			return fmt.Errorf("job %d: %w", id, err)
 		}
 		jr := JobReport{Job: id}
-		var class dag.Class
 		if opts.CacheModel != nil {
 			// The job's own cache bill: sim trials over its isolated DAG,
 			// each replayed through the footprint. The OPT baseline is
-			// skipped per job — the pooled report already carries it. The
-			// analysis classifies the DAG on its way.
+			// skipped per job — the pooled report already carries it.
 			model := *opts.CacheModel
 			model.NoIdeal = true
 			jobSim, err := core.Analyze(rec.Graph, core.AnalyzeOptions{
@@ -260,11 +258,9 @@ func jobReports(tr *Trace, ids []uint64, opts Options) ([]JobReport, error) {
 			if err != nil {
 				return fmt.Errorf("job %d cache cost: %w", id, err)
 			}
-			class, jr.CacheCost = jobSim.Class, jobSim.CacheCost
-		} else {
-			class = dag.Classify(rec.Graph)
+			jr.CacheCost = jobSim.CacheCost
 		}
-		jr.Reading = read(rec, class, opts.P)
+		jr.Reading = read(rec, opts.P)
 		out[i] = jr
 		return nil
 	})
@@ -301,30 +297,23 @@ func replayMatrix(recon *Recon, primary *core.Report, opts Options) ([]MatrixCel
 	// Parent-first has its own sequential order, and so its own bill over
 	// the footprint the primary derived. The OPT baseline is skipped — the
 	// primary carries it once. Trial i is seeded Seed + i, as the primary's.
-	err := core.WithSequential(g, sim.ParentFirst, 0, cache.LRU, func(seq *sim.Result) error {
-		var cost *core.CacheCost
-		if pc := primary.CacheCost; pc != nil {
-			model := *opts.CacheModel
-			model.NoIdeal = true
-			base, err := core.NewCacheBaseline(g, model, pc.CacheBaseline, seq)
-			if err != nil {
-				return err
-			}
-			cost = base.Cost(opts.P, opts.Trials, primary.Class, sim.ParentFirst)
+	var cost *core.CacheCost
+	if primary.CacheCost != nil {
+		model := *opts.CacheModel
+		model.NoIdeal = true
+		var err error
+		if cost, err = core.NewCacheCost(g, model, sim.ParentFirst, opts.P, opts.Trials); err != nil {
+			return nil, err
 		}
-		tr, err := core.RunTrials(g, sim.Config{P: opts.P, Policy: sim.ParentFirst}, seq, opts.Trials,
-			core.Seeded(opts.Seed), cost)
-		if err != nil {
-			return err
-		}
-		pf.summarize(tr.Deviations, tr.Steals)
-		if cost != nil {
-			pf.charge(cost)
-		}
-		return nil
-	})
+	}
+	tr, err := core.RunTrials(g, sim.Config{P: opts.P, Policy: sim.ParentFirst}, opts.Trials,
+		core.Seeded(opts.Seed), cost)
 	if err != nil {
 		return nil, err
+	}
+	pf.summarize(tr.Deviations, tr.Steals)
+	if cost != nil {
+		pf.charge(cost)
 	}
 	return cells, nil
 }

@@ -18,8 +18,6 @@ package profile
 // So the gauge scales with the window the operator chose, not with its
 // square.
 
-import "futurelocality/internal/dag"
-
 // WindowReading reconstructs tr (typically a Flight.Collect window) and
 // returns its reading for p processors (p <= 0 defaults to the trace's worker
 // count), built as each job's reading is: judged under the fork disciplines
@@ -34,5 +32,5 @@ func WindowReading(tr *Trace, p int) (Reading, error) {
 	if p <= 0 {
 		p = max(tr.workers(), 1)
 	}
-	return read(rec, dag.Classify(rec.Graph), p), nil
+	return read(rec, p), nil
 }

@@ -142,7 +142,9 @@ func (r *jobRoot[T]) prepareForReuse() {
 // (flushed to the freelist in one lock visit when full), else straight onto
 // the freelist.
 func (js *jobState) release(w *W, n int64) {
-	if js.refs.Add(-n) != 0 {
+	refs := js.refs.Add(-n)
+	checkRefs(js, refs)
+	if refs != 0 {
 		return
 	}
 	js.gen.Add(1)

@@ -15,12 +15,10 @@ type SeqPred struct {
 	first dag.NodeID   // the order's first node; None when it is empty
 }
 
-// newSeqPred indexes seqOrder, an order over a graph of n nodes.
-func newSeqPred(seqOrder []dag.NodeID, n int) SeqPred { return seqPredOn(nil, seqOrder, n) }
-
-// seqPredOn is newSeqPred on buf's storage when it is large enough.
-func seqPredOn(buf []dag.NodeID, seqOrder []dag.NodeID, n int) SeqPred {
-	sp := SeqPred{pred: resize(buf, n), first: dag.None}
+// NewSeqPred indexes seqOrder, an order over a graph of n nodes. It is
+// immutable once built, so any number of goroutines may read one.
+func NewSeqPred(seqOrder []dag.NodeID, n int) SeqPred {
+	sp := SeqPred{pred: make([]dag.NodeID, n), first: dag.None}
 	for i := range sp.pred {
 		sp.pred[i] = dag.None
 	}
@@ -89,13 +87,13 @@ func (sp SeqPred) Deviations(r *Result) int64 {
 // sequential order. A caller with many results against one order builds the
 // SeqPred once.
 func Deviations(seqOrder []dag.NodeID, r *Result) int64 {
-	return newSeqPred(seqOrder, len(r.When)).Deviations(r)
+	return NewSeqPred(seqOrder, len(r.When)).Deviations(r)
 }
 
 // DeviationNodes returns the deviated nodes themselves, in execution order
 // (useful for classifying which structural positions deviate).
 func DeviationNodes(seqOrder []dag.NodeID, r *Result) []dag.NodeID {
-	sp := newSeqPred(seqOrder, len(r.When))
+	sp := NewSeqPred(seqOrder, len(r.When))
 	last := lastRan(nil, r.P)
 	var out []dag.NodeID
 	for _, v := range r.Order {

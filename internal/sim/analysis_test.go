@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"regexp"
 	"slices"
 	"strconv"
@@ -147,5 +149,91 @@ func TestReplayRejectsCorruptedWho(t *testing.T) {
 		if err := res.Validate(g); err == nil {
 			t.Fatalf("%s: Validate accepted the schedule", c.name)
 		}
+	}
+}
+
+// TestPrematureTouchesSkipsTouchesWithoutBothParents: a touch is premature
+// when its local parent ran before its fork, so a touch that lacks either
+// has nothing to compare and is skipped. A Builder never makes a touch
+// without a local parent (a fork child cannot be a touch, so the touching
+// thread has run a node first, and a super final node follows the main
+// thread's last node), but a decoded graph may make the main thread the
+// touched one, whose fork is dag.None. This one is that graph: the root forks
+// thread 1 and its continuation touches thread 1's last node, the sink.
+func TestPrematureTouchesSkipsTouchesWithoutBothParents(t *testing.T) {
+	var buf []byte
+	put := func(vs ...int64) {
+		for _, v := range vs {
+			buf = binary.AppendVarint(buf, v)
+		}
+	}
+	buf = append(buf, "FLDG"...)
+	put(2, 0, 4, 2) // version, not super final, 4 nodes, 2 threads
+	put(0, 0, 2, int64(dag.EdgeFuture), 1, int64(dag.EdgeCont), 2)
+	put(1, 0, 1, int64(dag.EdgeCont), 3)
+	put(0, 0, 1, int64(dag.EdgeTouch), 3)
+	put(1, 0, 0)
+	g, err := dag.ReadBinary(bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Touches) != 1 || g.Touches[0].LocalParent == dag.None || g.Touches[0].Fork != dag.None {
+		t.Fatalf("touch table %+v: want one touch with a local parent and no fork", g.Touches)
+	}
+	for _, fork := range []ForkPolicy{FutureFirst, ParentFirst} {
+		for _, p := range []int{1, 2} {
+			e, err := New(g, Config{P: p, Policy: fork, Control: NewRandomControl(int64(p))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := PrematureTouches(g, res); n != 0 {
+				t.Fatalf("%s P=%d: %d premature touches of a touch with no fork", fork, p, n)
+			}
+		}
+	}
+}
+
+// TestSeqPredOfEmptyOrder: an empty order has no first node and no
+// predecessors, and a result measured against it deviates nowhere but where
+// a processor runs a second node.
+func TestSeqPredOfEmptyOrder(t *testing.T) {
+	sp := NewSeqPred(nil, 3)
+	if sp.first != dag.None || !slices.Equal(sp.Preds(), []dag.NodeID{dag.None, dag.None, dag.None}) {
+		t.Fatalf("SeqPred of an empty order: first %d, preds %v", sp.first, sp.Preds())
+	}
+	if n := sp.Deviations(&Result{P: 1}); n != 0 {
+		t.Fatalf("an empty result against an empty order has %d deviations", n)
+	}
+}
+
+// TestDeviationsBeyondTheStackBuffer: Deviations keeps each processor's last
+// node in a buffer of 64 on the stack and grows it for more processors. At 80
+// processors every one of them must still be told apart: the count equals the
+// per-processor reference's.
+func TestDeviationsBeyondTheStackBuffer(t *testing.T) {
+	g := graphs.Fib(10, 2)
+	seq, err := Sequential(g, FutureFirst, 0, cache.LRU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(g, Config{P: 80, Control: NewRandomControl(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[ProcID]bool{}
+	for _, p := range res.Who {
+		used[p] = true
+	}
+	want := referenceDeviationNodes(seq.SeqOrder(), res)
+	if got := NewSeqPred(seq.SeqOrder(), g.Len()).Deviations(res); got != int64(len(want)) || len(used) <= 64 {
+		t.Fatalf("P=80 (%d processors ran nodes): %d deviations, reference %d", len(used), got, len(want))
 	}
 }

@@ -140,7 +140,7 @@ func TestScheduleMatchesPerProcessorReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				seqOrder := seq.SeqOrder()
-				sp := newSeqPred(seqOrder, g.Len())
+				sp := NewSeqPred(seqOrder, g.Len())
 				for _, p := range []int{1, 2, 4} {
 					what := fmt.Sprintf("%s central=%v %s P=%d", name, central, fork, p)
 					cfg := Config{P: p, Policy: fork, CentralQueue: central, CacheLines: 8,

@@ -151,9 +151,6 @@ type Result struct {
 	// CacheLines and CacheKind echo the caches Misses was counted with.
 	CacheLines int
 	CacheKind  cache.Kind
-
-	// pred is the storage SeqPred builds on, kept across the engine's runs.
-	pred []dag.NodeID
 }
 
 // ErrStuck is returned when the machine makes no progress for
@@ -306,7 +303,6 @@ func (e *Engine) Run() (*Result, error) {
 		P:             e.cfg.P,
 		CacheLines:    e.cfg.CacheLines,
 		CacheKind:     e.cfg.CacheKind,
-		pred:          e.res.pred,
 	}
 	if e.cfg.CacheLines > 0 {
 		e.misses = resize(e.misses, e.cfg.P)
@@ -314,8 +310,14 @@ func (e *Engine) Run() (*Result, error) {
 		if len(e.g.RawBlocks) > 0 {
 			// The processors' caches are private, have no shared tier and
 			// start empty. The window is ignored: the graph declares its
-			// blocks.
-			out := e.set.Replay(cache.DeriveFootprint(e.g, 1), e.order, e.who)
+			// blocks. Blocks that all fit in one cache are counted.
+			fp := cache.FootprintOf(e.g, 1)
+			var out cache.ReplayOutcome
+			if (cache.SetConfig{P: e.cfg.P, Kind: e.cfg.CacheKind, Lines: e.cfg.CacheLines}).Fits(fp) {
+				out = e.set.ReplayFit(fp, e.order, e.who)
+			} else {
+				out = e.set.Replay(fp, e.order, e.who)
+			}
 			copy(e.misses, out.Misses)
 			e.res.TotalMisses = out.TotalMisses
 		}
@@ -504,14 +506,4 @@ func (r *Result) SeqOrder() []dag.NodeID {
 		panic("sim: SeqOrder on a parallel result")
 	}
 	return r.Order
-}
-
-// SeqPred indexes a sequential result's order as newSeqPred does, on storage
-// the engine keeps from run to run: a reused engine builds it without
-// allocating. It aliases the engine like the result, dead at its next Reset,
-// and rebuilds that storage, so one goroutine at a time may call it.
-func (r *Result) SeqPred() SeqPred {
-	sp := seqPredOn(r.pred, r.SeqOrder(), len(r.When))
-	r.pred = sp.pred
-	return sp
 }
