@@ -50,6 +50,7 @@ var retiredNames = []string{
 	"Runtime.Topology", "topology_source", "StealPolicy()", "SubDomain", "internal/policy",
 	"job.Stats(", "jobCounts", "WorkerStats", "PoolJob", "TestSnapshotDeltasMatchJobStats",
 	"JobCountsExactAcrossJobs",
+	"`SubmitWait`", "SubmitWait(", "admitQ", "awaitAdmission",
 }
 
 // retiredFlag matches a command line that passes a flag the command no longer

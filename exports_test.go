@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -67,8 +68,145 @@ type modulePkg struct {
 // when exportAllowlist gives a reason. Everything else is deleted,
 // unexported or moved into a test file.
 func TestEveryExportHasAUser(t *testing.T) {
-	fset, pkgs := loadModule(t)
+	fset, pkgs := module(t)
+	ex := exportGate(t, pkgs)
 
+	var dead []string
+	for _, obj := range ex.cands {
+		if ex.kept[obj] {
+			continue
+		}
+		pos := fset.Position(obj.Pos())
+		dead = append(dead, filepath.ToSlash(pos.Filename)+": "+ex.key[obj])
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is exported, but no other package's non-test code uses it", d)
+	}
+
+	byKey := map[string]types.Object{}
+	for _, obj := range ex.cands {
+		byKey[ex.key[obj]] = obj
+	}
+	for k, reason := range exportAllowlist {
+		obj, ok := byKey[k]
+		switch {
+		case reason == "":
+			t.Errorf("allowlist entry %s gives no reason", k)
+		case !ok:
+			t.Errorf("allowlist entry %s names no exported identifier", k)
+		case ex.used[obj]:
+			t.Errorf("allowlist entry %s is not needed: another package uses it", k)
+		}
+	}
+}
+
+// TestEveryDeclIsReached fails on a package-level func, method, type, var or
+// const of a non-test file that no chain of non-test code reaches from a
+// root: a name TestEveryExportHasAUser keeps (its allowlist included), a main
+// or an init, a blank var's initializer, or a method that satisfies an
+// interface. A declaration reaches every name its source uses. What only a
+// test reaches belongs in a _test.go file or nowhere.
+func TestEveryDeclIsReached(t *testing.T) {
+	fset, pkgs := module(t)
+	ex := exportGate(t, pkgs)
+	ifaces := interfaces(pkgs)
+
+	refs := map[types.Object][]types.Object{} // the names each declaration uses
+	judged := map[types.Object]string{}       // every declaration, by key
+	var work []types.Object
+	reached := map[types.Object]bool{}
+	reach := func(obj types.Object) {
+		if obj != nil && !reached[obj] {
+			reached[obj] = true
+			work = append(work, obj)
+		}
+	}
+	for obj := range ex.kept {
+		reach(obj)
+	}
+	for _, p := range pkgs {
+		rel := p.rel()
+		uses := func(n ast.Node) []types.Object {
+			var out []types.Object
+			ast.Inspect(n, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && p.info.Uses[id] != nil {
+					out = append(out, origin(p.info.Uses[id]))
+				}
+				return true
+			})
+			return out
+		}
+		declare := func(obj types.Object, key string, n ast.Node, root bool) {
+			refs[obj] = append(refs[obj], uses(n)...)
+			if root || obj.Name() == "_" {
+				reach(obj)
+			} else {
+				judged[obj] = key
+			}
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := p.info.Defs[d.Name].(*types.Func)
+					if d.Recv == nil {
+						declare(fn, rel+"."+fn.Name(), d, fn.Name() == "init" || fn.Name() == "main" && p.types.Name() == "main")
+						continue
+					}
+					recv := fn.Type().(*types.Signature).Recv().Type()
+					if ptr, ok := recv.(*types.Pointer); ok {
+						recv = ptr.Elem()
+					}
+					declare(fn, rel+"."+recv.(*types.Named).Obj().Name()+"."+fn.Name(), d, satisfies(fn, ifaces))
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							declare(p.info.Defs[spec.Name], rel+"."+spec.Name.Name, spec, false)
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								declare(p.info.Defs[id], rel+"."+id.Name, spec, false)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for len(work) > 0 {
+		obj := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, r := range refs[obj] {
+			reach(r)
+		}
+	}
+
+	var dead []string
+	for obj, key := range judged {
+		if !reached[obj] {
+			pos := fset.Position(obj.Pos())
+			dead = append(dead, filepath.ToSlash(pos.Filename)+": "+key)
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is declared, but no non-test code reaches it from a main, an init, a kept export or an interface method", d)
+	}
+}
+
+// exportFacts is what TestEveryExportHasAUser decides: the exported names it
+// judges (cands, with their keys), the ones another package uses, and the
+// ones it keeps.
+type exportFacts struct {
+	cands      []types.Object
+	key        map[types.Object]string
+	used, kept map[types.Object]bool
+}
+
+// exportGate computes the export gate's verdict over the loaded module.
+func exportGate(t *testing.T, pkgs []*modulePkg) exportFacts {
+	t.Helper()
 	used := map[types.Object]bool{}
 	for _, p := range pkgs {
 		for _, obj := range p.info.Uses {
@@ -83,10 +221,8 @@ func TestEveryExportHasAUser(t *testing.T) {
 	key := map[types.Object]string{}
 	consts := map[types.Type][]types.Object{} // the exported constants of each type
 	for _, p := range pkgs {
-		rel := strings.TrimPrefix(strings.TrimPrefix(p.path, modulePath), "/")
-		if rel == "" {
-			rel = modulePath
-		} else if !strings.HasPrefix(rel, "internal/") {
+		rel := p.rel()
+		if rel != modulePath && !strings.HasPrefix(rel, "internal/") {
 			continue
 		}
 		scope := p.types.Scope()
@@ -203,34 +339,25 @@ func TestEveryExportHasAUser(t *testing.T) {
 		mention(obj.Type())
 	}
 
-	var dead []string
-	for _, obj := range cands {
-		if kept[obj] {
-			continue
-		}
-		pos := fset.Position(obj.Pos())
-		dead = append(dead, filepath.ToSlash(pos.Filename)+": "+key[obj])
-	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s is exported, but no other package's non-test code uses it", d)
-	}
+	return exportFacts{cands: cands, key: key, used: used, kept: kept}
+}
 
-	byKey := map[string]types.Object{}
-	for _, obj := range cands {
-		byKey[key[obj]] = obj
+// loaded caches the module's one parse and type-check for every test that
+// reads it.
+var loaded struct {
+	once sync.Once
+	fset *token.FileSet
+	pkgs []*modulePkg
+}
+
+// module returns the loaded module, loading it on the first call.
+func module(t *testing.T) (*token.FileSet, []*modulePkg) {
+	t.Helper()
+	loaded.once.Do(func() { loaded.fset, loaded.pkgs = loadModule(t) })
+	if loaded.pkgs == nil {
+		t.Fatal("the module did not load (see the first test that loaded it)")
 	}
-	for k, reason := range exportAllowlist {
-		obj, ok := byKey[k]
-		switch {
-		case reason == "":
-			t.Errorf("allowlist entry %s gives no reason", k)
-		case !ok:
-			t.Errorf("allowlist entry %s names no exported identifier", k)
-		case used[obj]:
-			t.Errorf("allowlist entry %s is not needed: another package uses it", k)
-		}
-	}
+	return loaded.fset, loaded.pkgs
 }
 
 // loadModule parses every package of the module without its test files, as
@@ -303,7 +430,11 @@ func loadModule(t *testing.T) (*token.FileSet, []*modulePkg) {
 				}
 			}
 		}
-		p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		p.info = &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}
 		conf := types.Config{Importer: imp}
 		tp, err := conf.Check(p.path, fset, p.files, p.info)
 		if err != nil {
@@ -331,6 +462,15 @@ func loadModule(t *testing.T) (*token.FileSet, []*modulePkg) {
 	return fset, out
 }
 
+// rel is the package's key prefix: its import path without the module
+// prefix, or modulePath for the facade.
+func (p *modulePkg) rel() string {
+	if p.path == modulePath {
+		return modulePath
+	}
+	return strings.TrimPrefix(p.path, modulePath+"/")
+}
+
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
@@ -347,15 +487,29 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// interfaces lists every interface type the module declares or writes and
-// every named interface of a package it imports, directly or not, with the
-// predeclared error.
+// interfaces lists every interface type the module declares or writes
+// (a constraint's methods without its type terms) and every named interface
+// of a package it imports, directly or not, with the predeclared error.
 func interfaces(pkgs []*modulePkg) []*types.Interface {
 	var out []*types.Interface
 	add := func(typ types.Type) {
-		if it, ok := typ.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-			out = append(out, it)
+		it, ok := typ.Underlying().(*types.Interface)
+		if !ok || it.NumMethods() == 0 {
+			return
 		}
+		if !it.IsMethodSet() {
+			// A constraint with type terms: a type argument satisfies its
+			// methods, which alone make the interface compared with.
+			ms := make([]*types.Func, it.NumMethods())
+			for i := range ms {
+				m := it.Method(i)
+				sig := m.Type().(*types.Signature)
+				ms[i] = types.NewFunc(m.Pos(), m.Pkg(), m.Name(),
+					types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic()))
+			}
+			it = types.NewInterfaceType(ms, nil).Complete()
+		}
+		out = append(out, it)
 	}
 	add(types.Universe.Lookup("error").Type())
 	seen := map[*types.Package]bool{}

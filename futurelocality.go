@@ -138,7 +138,8 @@ func WithWorkers(n int) RuntimeOption { return runtime.WithWorkers(n) }
 func WithDiscipline(d Discipline) RuntimeOption { return runtime.WithDiscipline(d) }
 
 // WithMaxInFlight caps concurrently in-flight submitted jobs (admission
-// control): at the cap Submit rejects with ErrSaturated, SubmitWait queues.
+// control): at the cap Submit rejects with ErrSaturated, and SubmitAll
+// admits the prefix that fits.
 func WithMaxInFlight(n int) RuntimeOption { return runtime.WithMaxInFlight(n) }
 
 // Spawn creates a future under the runtime's default fork discipline
@@ -265,7 +266,7 @@ func WithFlightRecorder(size int) RuntimeOption { return runtime.WithFlightRecor
 
 type (
 	// Pool is a sharded job server: S independent Runtimes — by default one
-	// per LLC locality domain — behind a router with the Submit/SubmitWait/SubmitAll surface of a single
+	// per LLC locality domain — behind a router with the Submit/SubmitAll surface of a single
 	// runtime, least-loaded placement with a consistent-hash ring for keyed
 	// submits, and an overflow exchange that forwards whole jobs (never
 	// interior tasks) off saturated shards.

@@ -174,15 +174,6 @@ func (t *Thread) Steps(n int) NodeID {
 // Access appends one unit task that reads memory block blk.
 func (t *Thread) Access(blk BlockID) NodeID { return t.b.newNode(t, blk) }
 
-// accessSeq appends one task per block, in order.
-func (t *Thread) accessSeq(blocks ...BlockID) NodeID {
-	id := None
-	for _, blk := range blocks {
-		id = t.Access(blk)
-	}
-	return id
-}
-
 // ID returns the thread's identifier.
 func (t *Thread) ID() ThreadID { return t.id }
 

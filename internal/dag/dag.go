@@ -256,47 +256,6 @@ func (g *Graph) numberBlocks() {
 	}
 }
 
-// parents returns the reverse adjacency of the graph: Parents()[v] lists the
-// IDs of v's predecessors. It is computed on demand in O(V+E).
-func (g *Graph) parents() [][]NodeID {
-	parents := make([][]NodeID, len(g.Nodes))
-	for id := range g.Nodes {
-		for _, e := range g.Nodes[id].OutEdges() {
-			parents[e.To] = append(parents[e.To], NodeID(id))
-		}
-	}
-	return parents
-}
-
-// reaches reports whether there is a directed path from u to v (u == v
-// counts). IDs are topological, so a path can only increase them: the search
-// never leaves the ID interval (u, v), and its cost and its scratch space are
-// bounded by that interval's length, whatever the answer.
-func (g *Graph) reaches(u, v NodeID) bool {
-	if u == None || v == None || u > v {
-		return false
-	}
-	if u == v {
-		return true
-	}
-	seen := make([]bool, v-u) // seen[w-u] for u < w < v
-	stack := []NodeID{u}
-	for len(stack) > 0 {
-		w := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.Nodes[w].OutEdges() {
-			if e.To == v {
-				return true
-			}
-			if e.To < v && !seen[e.To-u] {
-				seen[e.To-u] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return false
-}
-
 // Validation errors returned by Graph.validate.
 var (
 	ErrEmpty        = errors.New("dag: graph has no nodes")

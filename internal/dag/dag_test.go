@@ -356,44 +356,13 @@ func TestPromiseDoubleTouchFails(t *testing.T) {
 	}
 }
 
-func TestReaches(t *testing.T) {
-	g, _ := buildFig4(t)
-	if !g.reaches(g.Root, g.Final) {
-		t.Fatal("root must reach final")
+// accessSeq appends one task per block, in order.
+func (t *Thread) accessSeq(blocks ...BlockID) NodeID {
+	id := None
+	for _, blk := range blocks {
+		id = t.Access(blk)
 	}
-	if g.reaches(g.Final, g.Root) {
-		t.Fatal("final must not reach root")
-	}
-	if !g.reaches(g.Root, g.Root) {
-		t.Fatal("Reaches must be reflexive")
-	}
-	// A future thread's first node must not reach its sibling (fork's right
-	// child) except through the touch; in Fig4 f1's first node reaches the
-	// touch of f1 and beyond, but not the fork itself.
-	fork := g.ThreadFork[1]
-	first := g.ThreadFirst[1]
-	if g.reaches(first, fork) {
-		t.Fatal("future thread must not reach its own fork")
-	}
-}
-
-func TestParents(t *testing.T) {
-	g, _ := buildFig4(t)
-	parents := g.parents()
-	if len(parents[g.Root]) != 0 {
-		t.Fatalf("root has parents %v", parents[g.Root])
-	}
-	for _, ti := range g.Touches {
-		ps := parents[ti.Node]
-		if len(ps) != 2 {
-			t.Fatalf("touch %d has %d parents", ti.Node, len(ps))
-		}
-		seen := map[NodeID]bool{ps[0]: true, ps[1]: true}
-		if !seen[ti.FutureParent] || !seen[ti.LocalParent] {
-			t.Fatalf("touch %d parents %v missing future %d / local %d",
-				ti.Node, ps, ti.FutureParent, ti.LocalParent)
-		}
-	}
+	return id
 }
 
 func TestAccessBlocks(t *testing.T) {

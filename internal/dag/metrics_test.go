@@ -5,6 +5,41 @@ import (
 	"testing/quick"
 )
 
+// criticalPath returns one longest directed path in the graph, root-to-sink
+// order: a second computation of Span, which the tests below hold it to.
+func (g *Graph) criticalPath() []NodeID {
+	if len(g.Nodes) == 0 {
+		return nil
+	}
+	depth := make([]int64, len(g.Nodes))
+	pred := make([]NodeID, len(g.Nodes))
+	for i := range pred {
+		pred[i] = None
+	}
+	best := NodeID(0)
+	for id := range g.Nodes {
+		d := depth[id] + 1
+		for _, e := range g.Nodes[id].OutEdges() {
+			if depth[e.To] < d {
+				depth[e.To] = d
+				pred[e.To] = NodeID(id)
+			}
+		}
+		if depth[id] >= depth[best] {
+			best = NodeID(id)
+		}
+	}
+	var rev []NodeID
+	for v := best; v != None; v = pred[v] {
+		rev = append(rev, v)
+	}
+	out := make([]NodeID, len(rev))
+	for i, v := range rev {
+		out[len(rev)-1-i] = v
+	}
+	return out
+}
+
 func TestCriticalPathChain(t *testing.T) {
 	b := NewBuilder()
 	b.Main().Steps(7)
@@ -39,95 +74,6 @@ func TestCriticalPathIsARealPath(t *testing.T) {
 		if !found {
 			t.Fatalf("no edge %d -> %d", p[i-1], p[i])
 		}
-	}
-}
-
-func TestIsForkJoinAcceptsCilkStyle(t *testing.T) {
-	// spawn; spawn; sync  == touch in LIFO order.
-	b := NewBuilder()
-	m := b.Main()
-	m.Step()
-	f1 := m.Fork()
-	f1.Steps(2)
-	m.Step()
-	f2 := m.Fork()
-	f2.Steps(2)
-	m.Step()
-	m.Touch(f2) // LIFO: last forked touched first
-	m.Touch(f1)
-	m.Step()
-	g := b.MustBuild()
-	if !g.isForkJoin() {
-		t.Fatal("LIFO touches must classify as fork-join")
-	}
-}
-
-func TestIsForkJoinRejectsMethodA(t *testing.T) {
-	// Figure 5(a): touches in FIFO order — structured single-touch but NOT
-	// fork-join (the paper's point about added flexibility).
-	b := NewBuilder()
-	m := b.Main()
-	m.Step()
-	x := m.Fork()
-	x.Steps(2)
-	m.Step()
-	y := m.Fork()
-	y.Steps(2)
-	m.Step()
-	m.Touch(x) // FIFO: first forked touched first
-	m.Touch(y)
-	m.Step()
-	g := b.MustBuild()
-	c := Classify(g)
-	if !c.SingleTouch {
-		t.Fatalf("should remain single-touch: %v", c.Violations)
-	}
-	if g.isForkJoin() {
-		t.Fatal("FIFO touches must not classify as fork-join")
-	}
-}
-
-func TestIsForkJoinRejectsPassedFuture(t *testing.T) {
-	// Figure 5(b): future touched by a sibling — not even local-touch.
-	b := NewBuilder()
-	m := b.Main()
-	m.Step()
-	x := m.Fork()
-	x.Steps(2)
-	m.Step()
-	c := m.Fork()
-	c.Step()
-	c.Touch(x)
-	m.Step()
-	m.Touch(c)
-	g := b.MustBuild()
-	if g.isForkJoin() {
-		t.Fatal("passed future must not classify as fork-join")
-	}
-}
-
-func TestIsForkJoinNested(t *testing.T) {
-	// Nested spawn/sync (divide and conquer) is fork-join.
-	b := NewBuilder()
-	m := b.Main()
-	m.Step()
-	var build func(t *Thread, d int)
-	build = func(t *Thread, d int) {
-		if d == 0 {
-			t.Step()
-			return
-		}
-		f := t.Fork()
-		build(f, d-1)
-		t.Step()
-		build(t, d-1)
-		t.Touch(f)
-	}
-	build(m, 3)
-	m.Step()
-	g := b.MustBuild()
-	if !g.isForkJoin() {
-		t.Fatal("nested divide-and-conquer must be fork-join")
 	}
 }
 

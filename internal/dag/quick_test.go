@@ -96,13 +96,11 @@ func TestQuickTopologicalIDs(t *testing.T) {
 }
 
 // TestQuickLIFOBuiltGraphsAreForkJoin: graphs built with strictly LIFO
-// touches classify as fork-join (and so also single-touch, local-touch).
+// touches, fork-join programs, classify as structured, single-touch and
+// local-touch.
 func TestQuickLIFOBuiltGraphsAreForkJoin(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraphForQuick(seed) // LIFO by construction (touch last fork)
-		if !g.isForkJoin() {
-			return false
-		}
 		c := Classify(g)
 		return c.SingleTouch && c.LocalTouch && c.Structured
 	}

@@ -66,10 +66,14 @@ func scripted(eng *sim.Engine, g *dag.Graph, ctrl sim.Control, p int, pol sim.Fo
 	return run(eng, g, sim.Config{P: p, Policy: pol, CacheLines: c, Control: ctrl})
 }
 
-// randomTrials runs g with random controls (core.RunTrials, seeds seed+i)
-// and returns the per-trial deviation, additional-miss and steal series.
-func randomTrials(g *dag.Graph, p int, pol sim.ForkPolicy, c, trials int, seed int64) (devs, extra, steals []float64) {
-	tr, err := core.RunTrials(g, sim.Config{P: p, Policy: pol, CacheLines: c}, trials, core.Seeded(seed), nil)
+// e1Lines is E1's cache size C.
+const e1Lines = 32
+
+// randomTrials runs g future-first with E1's C under random controls
+// (core.RunTrials, seeds seed+i) and returns the per-trial deviation,
+// additional-miss and steal series.
+func randomTrials(g *dag.Graph, p, trials int, seed int64) (devs, extra, steals []float64) {
+	tr, err := core.RunTrials(g, sim.Config{P: p, Policy: sim.FutureFirst, CacheLines: e1Lines}, trials, core.Seeded(seed), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -92,7 +96,6 @@ func e1(scale Scale) Result {
 		procs = []int{2, 4, 8, 16, 32}
 		trials = 16
 	}
-	const C = 32
 
 	tb := stats.NewTable("family", "P", "T1", "T∞", "t", "steals(mean)",
 		"dev(mean)", "dev(max)", "P·T∞²", "maxdev/bound", "extraMiss(max)", "C·P·T∞²")
@@ -100,13 +103,13 @@ func e1(scale Scale) Result {
 		g := graphs.ForkJoinTree(d, 6, true)
 		class, span := g.Class(), g.Span()
 		for _, p := range procs {
-			devs, extra, steals := randomTrials(g, p, sim.FutureFirst, C, trials, 1000+int64(d*37+p))
+			devs, extra, steals := randomTrials(g, p, trials, 1000+int64(d*37+p))
 			ds := stats.Summarize(devs)
 			es := stats.Summarize(extra)
 			ss := stats.Summarize(steals)
 			bound := core.Budget(class, sim.FutureFirst, p, span, 0).DeviationBound
 			tb.Add(fmt.Sprintf("forkjoin(d=%d)", d), p, g.Work(), span, g.NumTouches(),
-				ss.Mean, ds.Mean, ds.Max, bound, ds.Max/float64(bound), es.Max, C*bound)
+				ss.Mean, ds.Mean, ds.Max, bound, ds.Max/float64(bound), es.Max, e1Lines*bound)
 		}
 	}
 	// Span-scaling shape check: fix the tree shape (so t and the steal
@@ -120,7 +123,7 @@ func e1(scale Scale) Result {
 	}
 	for _, lw := range leafWorks {
 		g := graphs.ForkJoinTree(5, lw, true)
-		devs, _, _ := randomTrials(g, 8, sim.FutureFirst, C, trials, 7000+int64(lw))
+		devs, _, _ := randomTrials(g, 8, trials, 7000+int64(lw))
 		spans = append(spans, float64(g.Span()))
 		maxDevs = append(maxDevs, stats.Summarize(devs).Max)
 	}
@@ -139,7 +142,7 @@ func e1(scale Scale) Result {
 	}
 	for seed := int64(0); seed < nseeds; seed++ {
 		g := graphs.RandomStructured(seed, graphs.RandomConfig{MaxNodes: 600, MaxBlocks: 64})
-		rep, err := core.Analyze(g, core.AnalyzeOptions{P: 8, CacheLines: C, Trials: trials, Seed: seed + 1})
+		rep, err := core.Analyze(g, core.AnalyzeOptions{P: 8, CacheLines: e1Lines, Trials: trials, Seed: seed + 1})
 		if err != nil {
 			panic(err)
 		}

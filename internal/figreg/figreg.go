@@ -1,6 +1,6 @@
 // Package figreg is a registry mapping figure/workload names to built
-// graphs, their adversarial scripts and recommended run parameters — shared
-// by cmd/futuresim and cmd/dagviz so both accept the same -fig names.
+// graphs, their adversarial scripts and recommended run parameters: the
+// names cmd/futuresim's -fig flag accepts.
 package figreg
 
 import (

@@ -15,3 +15,13 @@ func checkRefs(js *jobState, refs int64) {
 			refs, js.gen.Load()))
 	}
 }
+
+// checkInflight panics when the admission word leaves its range after an
+// admit or a finish: below zero (a slot returned twice) or above the cap (an
+// admission the cap did not allow). Uncapped, only the lower bound holds.
+func checkInflight(rt *Runtime, n int64) {
+	if n < 0 || (rt.maxInFlight > 0 && n > int64(rt.maxInFlight)) {
+		panic(fmt.Sprintf("runtime: invariant violated: inflight = %d after an admit or a finish (cap %d, 0 = none)",
+			n, rt.maxInFlight))
+	}
+}

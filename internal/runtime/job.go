@@ -50,7 +50,7 @@ import (
 
 // ErrSaturated reports a Submit rejected by admission control: the runtime
 // already has WithMaxInFlight jobs in flight. Callers shed load (the
-// fail-fast server discipline) or fall back to SubmitWait to queue.
+// fail-fast server discipline) or retry once a job of theirs has finished.
 var ErrSaturated = errors.New("runtime: job server saturated (max in-flight jobs reached)")
 
 // jobState is the runtime-side record of one submitted job: identity, the
@@ -172,10 +172,7 @@ func (rt *Runtime) recycle(roots []poolableRoot) {
 }
 
 // finish publishes the job's completion: wall latency first, then the
-// in-flight decrement that is also the admission's return, and a wakeup for
-// the first queued SubmitWait caller if one is registered — the waiter count
-// keeps the release lock-free when nobody queues, the overwhelming common
-// case.
+// in-flight decrement that is also the admission's return.
 // Called exactly once, by the root task's completion path (normal,
 // panicking, or shutdown-cancelled), and ordered before the root future's
 // completion is published (task.retire) — so a waiter that has observed
@@ -193,19 +190,12 @@ func (js *jobState) finish() {
 		rt.queueWaitHist.Observe(qw)
 	}
 	rt.teleExt.Inc(telemetry.CJobsCompleted)
-	rt.inflight.Add(-1)
-	if rt.admitWaiters.Load() > 0 {
-		rt.mu.Lock()
-		if len(rt.admitQ) > 0 {
-			unlist(&rt.admitQ, 0)
-		}
-		rt.mu.Unlock()
-	}
+	checkInflight(rt, rt.inflight.Add(-1))
 }
 
 // Job is the handle to one submitted root computation: a typed future of the
 // job's result plus the job's identity and wall-latency capture. Obtain one
-// from Submit, SubmitWait, or SubmitAll; consume the result exactly once with
+// from Submit or SubmitAll; consume the result exactly once with
 // Wait or WaitErr (the single-touch discipline applies to the job's root
 // future like any other).
 //
@@ -331,14 +321,6 @@ type jobServer struct {
 	inflight atomic.Int64
 	// maxInFlight is the admission cap (0 = unlimited). Immutable after New.
 	maxInFlight int
-	// admitWaiters gates the SubmitWait slow path: finish takes the runtime
-	// mutex to wake a caller only when one is actually registered — the same
-	// lock-free-when-idle discipline push uses for parked workers.
-	admitWaiters atomic.Int32
-	// admitQ (under the runtime mutex) is the queue of the slots SubmitWait
-	// callers sleep on while the server is saturated, oldest first: finish
-	// wakes the first, Shutdown all of them.
-	admitQ []*slot
 	// free is the recycled-root freelist (type-erased; the pop path
 	// type-checks the top entry, so homogeneous workloads always hit), fed
 	// by the per-worker jobFree stashes.
@@ -362,6 +344,7 @@ func (rt *Runtime) admit(k int) int {
 			return 0
 		}
 		if rt.inflight.CompareAndSwap(n, n+got) {
+			checkInflight(rt, n+got)
 			return int(got)
 		}
 	}
@@ -377,10 +360,10 @@ func (rt *Runtime) MaxInFlight() int { return rt.maxInFlight }
 // Submit submits fn as a new job's root computation and returns its handle
 // without blocking: the fail-fast entry point of the job-server layer.
 // Admission control applies when the runtime was built WithMaxInFlight —
-// a saturated server rejects with ErrSaturated instead of queueing (use
-// SubmitWait to queue). A closed runtime rejects with ErrClosed; a runtime
-// closing concurrently may instead return a job whose Wait observes
-// ErrClosed — either way the waiter's outcome is deterministic.
+// a saturated server rejects with ErrSaturated instead of queueing. A
+// closed runtime rejects with ErrClosed; a runtime closing concurrently may
+// instead return a job whose Wait observes ErrClosed — either way the
+// waiter's outcome is deterministic.
 //
 // The root is pushed help-first onto the global queue like Run's root; every
 // task the job's computation spawns inherits the job's identity for per-job
@@ -395,44 +378,6 @@ func Submit[T any](rt *Runtime, fn func(*W) T) (Job[T], error) {
 		return Job[T]{}, ErrSaturated
 	}
 	return launch(rt, fn), nil
-}
-
-// SubmitWait is Submit with queueing backpressure: on a saturated runtime it
-// blocks until an in-flight job completes and frees a slot — or until the
-// runtime shuts down, in which case it returns ErrClosed instead of waiting
-// on a server that will never drain.
-func SubmitWait[T any](rt *Runtime, fn func(*W) T) (Job[T], error) {
-	if rt.closed.Load() {
-		return Job[T]{}, ErrClosed
-	}
-	if rt.admit(1) == 0 && !rt.awaitAdmission() {
-		return Job[T]{}, ErrClosed
-	}
-	return launch(rt, fn), nil
-}
-
-// awaitAdmission is SubmitWait's slow path: it registers as a waiter and
-// retries until it is admitted (true) or the runtime closes (false), asleep
-// on a borrowed slot on the admission queue in between. The waiter count is
-// incremented under the mutex but read atomically by finish, whose in-flight
-// decrement is sequenced before its load — so either the finish sees us and
-// wakes the queue's first slot under the mutex, which it can only take once
-// we have queued ours, or our retry sees the freed admission. No lost wakeup.
-func (rt *Runtime) awaitAdmission() bool {
-	s := slots.Get().(*slot)
-	rt.mu.Lock()
-	rt.admitWaiters.Add(1)
-	admitted := false
-	for !rt.closed.Load() {
-		if admitted = rt.admit(1) == 1; admitted {
-			break
-		}
-		rt.sleepListed(&rt.admitQ, s)
-	}
-	rt.admitWaiters.Add(-1)
-	rt.mu.Unlock()
-	slots.Put(s)
-	return admitted
 }
 
 // SubmitAll submits every fn as its own job in one batch, appending the

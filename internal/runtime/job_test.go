@@ -102,7 +102,7 @@ func TestSubmitPanicSurfacesAsError(t *testing.T) {
 }
 
 // TestSubmitSaturationRejects: at WithMaxInFlight, Submit fails fast with
-// ErrSaturated and SubmitWait queues until a slot frees.
+// ErrSaturated, and a finished job's slot admits the next Submit.
 func TestSubmitSaturationRejects(t *testing.T) {
 	rt := New(WithWorkers(2), WithMaxInFlight(1))
 	defer rt.Shutdown()
@@ -110,6 +110,15 @@ func TestSubmitSaturationRejects(t *testing.T) {
 		t.Fatalf("MaxInFlight = %d, want 1", got)
 	}
 	gate := make(chan struct{})
+	defer func() {
+		// A failed check must not leave j1 holding the worker, or the
+		// deferred Shutdown waits for it forever.
+		select {
+		case <-gate:
+		default:
+			close(gate)
+		}
+	}()
 	j1, err := Submit(rt, func(*W) int { <-gate; return 1 })
 	if err != nil {
 		t.Fatal(err)
@@ -125,28 +134,17 @@ func TestSubmitSaturationRejects(t *testing.T) {
 		t.Fatalf("in-flight job's latency = %v, want 0", lat)
 	}
 
-	// SubmitWait queues: it must block now and succeed once j1 finishes.
-	admitted := make(chan int, 1)
-	go func() {
-		j3, err := SubmitWait(rt, func(*W) int { return 3 })
-		if err != nil {
-			t.Error(err)
-			admitted <- -1
-			return
-		}
-		admitted <- j3.Wait()
-	}()
-	select {
-	case v := <-admitted:
-		t.Fatalf("SubmitWait admitted (%d) while saturated", v)
-	case <-time.After(20 * time.Millisecond):
-	}
 	close(gate)
 	if got := j1.Wait(); got != 1 {
 		t.Fatalf("j1 = %d", got)
 	}
-	if got := <-admitted; got != 3 {
-		t.Fatalf("queued job = %d, want 3", got)
+	// j1's finish returned its slot, so the next Submit is admitted.
+	j3, err := Submit(rt, func(*W) int { return 3 })
+	if err != nil {
+		t.Fatalf("Submit after j1 finished: %v", err)
+	}
+	if got := j3.Wait(); got != 3 {
+		t.Fatalf("j3 = %d, want 3", got)
 	}
 }
 
@@ -155,9 +153,6 @@ func TestSubmitOnClosedRuntime(t *testing.T) {
 	rt.Shutdown()
 	if _, err := Submit(rt, func(*W) int { return 1 }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit on closed runtime: %v, want ErrClosed", err)
-	}
-	if _, err := SubmitWait(rt, func(*W) int { return 1 }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitWait on closed runtime: %v, want ErrClosed", err)
 	}
 }
 
@@ -202,40 +197,6 @@ func TestShutdownFailsQueuedJobDeterministic(t *testing.T) {
 	}
 }
 
-// TestShutdownReleasesQueuedSubmitWait: a SubmitWait blocked on admission
-// must observe ErrClosed when the runtime shuts down, not wait forever for
-// a slot that will never free.
-func TestShutdownReleasesQueuedSubmitWait(t *testing.T) {
-	rt := New(WithWorkers(1), WithMaxInFlight(1))
-	gate := make(chan struct{})
-	running := make(chan struct{})
-	j0, err := Submit(rt, func(*W) int { close(running); <-gate; return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-running
-	res := make(chan error, 1)
-	go func() {
-		_, err := SubmitWait(rt, func(*W) int { return 2 })
-		res <- err
-	}()
-	select {
-	case err := <-res:
-		t.Fatalf("SubmitWait returned early: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	done := make(chan struct{})
-	go func() { rt.Shutdown(); close(done) }()
-	if err := <-res; !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitWait during shutdown: %v, want ErrClosed", err)
-	}
-	close(gate)
-	if v, err := j0.WaitErr(); err != nil || v != 1 {
-		t.Fatalf("j0 = %d, %v", v, err)
-	}
-	<-done
-}
-
 // TestConcurrentRunSubmitStress exercises many goroutines driving Run and
 // Submit concurrently on one runtime — the multi-tenant regime nothing
 // covered before the job-server layer. Run under -race in CI.
@@ -257,8 +218,12 @@ func TestConcurrentRunSubmitStress(t *testing.T) {
 						t.Errorf("Run fib(10) = %d", got)
 						return
 					}
-				case 1:
-					j, err := Submit(rt, func(w *W) int { return jobFib(rt, w, 11) })
+				default:
+					n, want := 11, 89
+					if (g+i)%3 == 2 {
+						n, want = 9, 34
+					}
+					j, err := Submit(rt, func(w *W) int { return jobFib(rt, w, n) })
 					if err != nil {
 						// Admission may shed under burst; that is correct
 						// behavior, not a failure.
@@ -268,18 +233,8 @@ func TestConcurrentRunSubmitStress(t *testing.T) {
 						}
 						continue
 					}
-					if got := j.Wait(); got != 89 {
-						t.Errorf("job fib(11) = %d", got)
-						return
-					}
-				default:
-					j, err := SubmitWait(rt, func(w *W) int { return jobFib(rt, w, 9) })
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if got := j.Wait(); got != 34 {
-						t.Errorf("job fib(9) = %d", got)
+					if got := j.Wait(); got != want {
+						t.Errorf("job fib(%d) = %d, want %d", n, got, want)
 						return
 					}
 				}

@@ -65,8 +65,8 @@ func WithDiscipline(d Discipline) Option {
 // WithMaxInFlight caps the number of submitted jobs concurrently in flight
 // (admission control for the job-server layer; n <= 0 means unlimited, the
 // default). At the cap, Submit fails fast with ErrSaturated — the
-// load-shedding discipline — while SubmitWait queues until an in-flight job
-// completes. Run roots are not jobs and are never admission-limited.
+// load-shedding discipline — and SubmitAll admits the prefix that fits. Run
+// roots are not jobs and are never admission-limited.
 func WithMaxInFlight(n int) Option {
 	return func(o *options) { o.maxInFlight = n }
 }

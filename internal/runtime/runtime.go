@@ -83,7 +83,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,21 +130,19 @@ const (
 // slot is how a goroutine of the runtime sleeps: a channel with room for one
 // token. Every worker owns one (W.slot); a goroutine that is not a worker
 // borrows one from slots for the length of one wait. A sleeper puts its slot
-// where its waker will look — in the waiter word of the task it waits for, on
-// the idle stack when it parks, on the admission queue when SubmitWait has to
-// wait — and the waker sends the token.
+// where its waker will look — in the waiter word of the task it waits for, or
+// on the idle stack when a worker parks — and the waker sends the token.
 //
 // A token is a hint, not a count. A send never blocks: a token already in
 // the channel is enough. A waker can find the slot of a waiter that re-checked
 // and left without sleeping, and the token it leaves there may end a later
 // sleep on the same slot early. So every sleeper re-checks after it wakes and
 // sleeps again while its condition does not hold: a toucher while the task is
-// unfinished, a listed sleeper while its slot is still listed (sleepListed).
+// unfinished, a parked worker while its slot is still on the idle stack.
 type slot struct {
 	ch chan struct{}
-	// listed is set while the slot is on one of the runtime's lists, the idle
-	// stack or the admission queue, and cleared by whoever takes it off and
-	// wakes it (unlist). Guarded by Runtime.mu.
+	// listed is set while the slot is on the idle stack, and cleared by the
+	// wakeOne that pops it. Guarded by Runtime.mu.
 	listed bool
 }
 
@@ -557,14 +554,9 @@ func (rt *Runtime) Shutdown() {
 		return
 	}
 	rt.mu.Lock()
-	// Wake every sleeper: the parked workers exit, and the queued SubmitWait
-	// callers return ErrClosed instead of waiting for admissions on a server
-	// that will never drain.
+	// Wake every parked worker: each sees closed and exits.
 	for len(rt.idle) > 0 {
 		rt.wakeOne()
-	}
-	for len(rt.admitQ) > 0 {
-		unlist(&rt.admitQ, 0)
 	}
 	rt.mu.Unlock()
 	rt.wg.Wait()
@@ -1188,8 +1180,8 @@ func (w *W) drainCancelled() {
 // signalled yet: the signaller pops a sleeper as it wakes it (wakeOne), so
 // the pushes that follow while the woken worker is on its way pass over it.
 // A worker stops sleeping only once it is off the stack — a token left in its
-// slot by an earlier blocked touch ends a sleep early, and it sleeps again
-// (sleepListed) — so when it finds every queue still empty it counts itself
+// slot by an earlier blocked touch ends a sleep early, and it sleeps again —
+// so when it finds every queue still empty it counts itself
 // back in, before its queue loads, and sleeps again. Shutdown pops every
 // sleeper.
 //
@@ -1216,7 +1208,14 @@ func (w *W) park() {
 			slept = true
 			w.tele.Inc(telemetry.CParks)
 		}
-		rt.sleepListed(&rt.idle, w.slot) // returns counted out (wakeOne)
+		// Sleep until a wakeOne has popped the slot, which counts us out.
+		w.slot.listed = true
+		rt.idle = append(rt.idle, w.slot)
+		for w.slot.listed {
+			rt.mu.Unlock()
+			<-w.slot.ch
+			rt.mu.Lock()
+		}
 	}
 	rt.mu.Unlock()
 }
@@ -1226,29 +1225,11 @@ func (w *W) park() {
 // has seen parked > 0.
 func (rt *Runtime) wakeOne() {
 	rt.parked.Add(-1)
-	unlist(&rt.idle, len(rt.idle)-1)
-}
-
-// unlist takes the i-th slot off list and wakes it. Caller holds mu.
-func unlist(list *[]*slot, i int) {
-	s := (*list)[i]
-	*list = slices.Delete(*list, i, i+1)
+	last := len(rt.idle) - 1
+	s := rt.idle[last]
+	rt.idle = rt.idle[:last]
 	s.listed = false
 	s.wake()
-}
-
-// sleepListed puts s on list, where a waker will find it, and sleeps on s
-// until a waker has taken it off. A token an earlier use of s left behind
-// ends a sleep with s still listed, and the sleeper sleeps again. Caller
-// holds mu, which is released while it sleeps.
-func (rt *Runtime) sleepListed(list *[]*slot, s *slot) {
-	s.listed = true
-	*list = append(*list, s)
-	for s.listed {
-		rt.mu.Unlock()
-		<-s.ch
-		rt.mu.Lock()
-	}
 }
 
 // queued reports whether any queue — the global one or a worker's deque —

@@ -307,7 +307,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 	rt := New(WithWorkers(4), WithMaxInFlight(2), WithFlightRecorder(2048))
 	defer rt.Shutdown()
 	for i := 0; i < 4; i++ {
-		j, err := SubmitWait(rt, func(w *W) int { return teleFib(rt, w, 12) })
+		j, err := Submit(rt, func(w *W) int { return teleFib(rt, w, 12) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 // Package shard scales the job-server layer horizontally: a Pool is S
 // independent work-stealing Runtimes — by default one per cache-locality
 // (LLC) domain of the machine topology — behind a front-end router that
-// exposes the same Submit/SubmitWait/SubmitAll surface as a single runtime.
+// exposes the same Submit/SubmitAll surface as a single runtime.
 //
 // The sharding unit is the *job*, never the task. Herlihy & Liu's deviation
 // bound is per-computation and quadratic in the processor count, so
@@ -96,7 +96,7 @@ func WithRuntimeOptions(opts ...runtime.Option) Option {
 
 // Pool is a sharded job server: S runtimes behind one router. Construct
 // with NewPool, submit through the package-level Submit/SubmitKeyed/
-// SubmitWait/SubmitAll, stop with Shutdown.
+// SubmitAll, stop with Shutdown.
 type Pool struct {
 	rts  []*runtime.Runtime
 	topo *topology.Topology
@@ -233,7 +233,7 @@ func (p *Pool) Shed() int64 { return p.shed.Load() }
 // returns ErrClosed. The handle is the admitting member runtime's own Job;
 // which shard that was shows in the shards' submitted-jobs counters.
 func Submit[T any](p *Pool, fn func(*runtime.W) T) (runtime.Job[T], error) {
-	return route(p, p.leastLoaded(-1), fn, false)
+	return route(p, p.leastLoaded(-1), fn)
 }
 
 // SubmitKeyed is Submit with consistent-hash placement on key: the same key
@@ -242,7 +242,7 @@ func Submit[T any](p *Pool, fn func(*runtime.W) T) (runtime.Job[T], error) {
 // resizes. The overflow exchange still forwards when the key's shard is
 // saturated (stickiness yields to capacity, and the forward is counted).
 func SubmitKeyed[T any](p *Pool, key uint64, fn func(*runtime.W) T) (runtime.Job[T], error) {
-	return route(p, p.ringLookup(key), fn, false)
+	return route(p, p.ringLookup(key), fn)
 }
 
 // elsewhere is the router's one decision, asked after shard s refused a job
@@ -256,10 +256,9 @@ func (p *Pool) elsewhere(s int, err error) (next int, forward bool) {
 }
 
 // route is the single-job submit core: try the home shard, reroute around a
-// drained one (at most once per shard), forward once on saturation, and when
-// the forward is refused too either shed or — for SubmitWait — queue at home
-// like a single runtime would.
-func route[T any](p *Pool, home int, fn func(*runtime.W) T, wait bool) (runtime.Job[T], error) {
+// drained one (at most once per shard), forward once on saturation, and shed
+// when the forward is refused too.
+func route[T any](p *Pool, home int, fn func(*runtime.W) T) (runtime.Job[T], error) {
 	p.offered.Add(1)
 	for tries := 0; home >= 0 && tries < len(p.rts); tries++ {
 		j, err := runtime.Submit(p.rts[home], fn)
@@ -277,15 +276,8 @@ func route[T any](p *Pool, home int, fn func(*runtime.W) T, wait bool) (runtime.
 				return j, nil
 			}
 		}
-		if !wait {
-			p.shed.Add(1)
-			return runtime.Job[T]{}, runtime.ErrSaturated
-		}
-		if j, err := runtime.SubmitWait(p.rts[home], fn); err == nil {
-			return j, nil
-		}
-		// The home shard closed while the job queued: reroute.
-		home = p.leastLoaded(home)
+		p.shed.Add(1)
+		return runtime.Job[T]{}, runtime.ErrSaturated
 	}
 	p.shed.Add(1)
 	return runtime.Job[T]{}, runtime.ErrClosed

@@ -289,41 +289,6 @@ func TestSubmitAllPartialForward(t *testing.T) {
 	}
 }
 
-// TestSubmitWaitQueues: a saturated pool first forwards, then queues at
-// the home shard instead of shedding.
-func TestSubmitWaitQueues(t *testing.T) {
-	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2), WithMaxInFlight(2))
-	defer p.Shutdown()
-	release := make(chan struct{})
-	for i := 0; i < 2; i++ {
-		if _, err := Submit(p, func(*runtime.W) int { <-release; return 0 }); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-	}
-	done := make(chan int, 1)
-	go func() {
-		j, err := SubmitWait(p, func(*runtime.W) int { return 7 })
-		if err != nil {
-			t.Error(err)
-			done <- -1
-			return
-		}
-		done <- j.Wait()
-	}()
-	select {
-	case v := <-done:
-		t.Fatalf("SubmitWait returned %d before a slot freed", v)
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	if v := <-done; v != 7 {
-		t.Fatalf("queued job = %d, want 7", v)
-	}
-	if p.Shed() != 0 {
-		t.Fatalf("SubmitWait shed %d jobs", p.Shed())
-	}
-}
-
 // TestConservation: the bookkeeping identity across shards. Every offered
 // job is either admitted by exactly one shard or counted in the pool's
 // shed gauge, and at quiescence every admitted job has completed:
@@ -446,9 +411,6 @@ func TestRollingDrainUnderStorm(t *testing.T) {
 	// Post-shutdown submits fail fast and uniformly.
 	if _, err := Submit(p, func(*runtime.W) int { return 0 }); !errors.Is(err, runtime.ErrClosed) {
 		t.Fatalf("post-shutdown Submit err = %v, want ErrClosed", err)
-	}
-	if _, err := SubmitWait(p, func(*runtime.W) int { return 0 }); !errors.Is(err, runtime.ErrClosed) {
-		t.Fatalf("post-shutdown SubmitWait err = %v, want ErrClosed", err)
 	}
 	if _, err := SubmitAll(p, []func(*runtime.W) int{func(*runtime.W) int { return 0 }}, nil); !errors.Is(err, runtime.ErrClosed) {
 		t.Fatalf("post-shutdown SubmitAll err = %v, want ErrClosed", err)
