@@ -85,10 +85,18 @@ func TestWakeupsMatchParks(t *testing.T) {
 // worker's next sleep in park early. The worker is still on the idle stack
 // then, so it sleeps again: no second parked increment, no second park and
 // no wakeup, the rule of one signal per sleeper.
+//
+// The test waits for a committed sleep, read under rt.mu: the worker's slot
+// listed on an idle stack of height 1. parked alone does not show one, since
+// park's check raises it for a moment before it backs out to run new work.
 func TestStaleTokenParkedWorkerSleepsAgain(t *testing.T) {
 	rt := newRT(t, 1)
 	w := rt.workers[0]
-	asleep := func() bool { return rt.parked.Load() == 1 }
+	asleep := func() bool {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		return len(rt.idle) == 1 && w.slot.listed
+	}
 	waitFor(t, "the worker sleeps", asleep)
 	count := func(c telemetry.Counter) int64 { return rt.TelemetrySnapshot().Total(c) }
 	parks, wakes := count(telemetry.CParks), count(telemetry.CWakeups)

@@ -42,7 +42,7 @@ func metricsContract(t *testing.T) string {
 
 	p := NewPool(WithTopology(synth(t, "2x2")), WithWorkers(4),
 		WithRuntimeOptions(runtime.WithFlightRecorder(0)))
-	defer p.Shutdown()
+	defer shutdown(t, p)
 	for s := 0; s < p.Shards(); s++ {
 		key := keyFor(t, p, s)
 		for i := 0; i < 3; i++ {
@@ -59,7 +59,7 @@ func metricsContract(t *testing.T) string {
 	}
 
 	rt := runtime.New(runtime.WithWorkers(2), runtime.WithFlightRecorder(0))
-	defer rt.Shutdown()
+	defer shutdown(t, rt)
 	for i := 0; i < 3; i++ {
 		j, err := runtime.Submit(rt, forking)
 		if err != nil {

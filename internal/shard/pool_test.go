@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"io"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,31 @@ import (
 	"futurelocality/internal/telemetry"
 	"futurelocality/internal/topology"
 )
+
+// shutdownDeadline bounds every Shutdown this package's tests make from the
+// test's goroutine. Pool.Shutdown waits, with no deadline, for each shard's
+// admitted jobs to finish; one leaked admission would otherwise hang the
+// package until go test's -timeout, naming no test.
+const shutdownDeadline = 10 * time.Second
+
+// shutdown shuts s down and fails t, naming it, with every goroutine's stack
+// when that takes longer than shutdownDeadline. Tests call or defer it in
+// place of s.Shutdown.
+func shutdown(t *testing.T, s interface{ Shutdown() }) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		s.Shutdown()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(shutdownDeadline):
+		buf := make([]byte, 1<<20)
+		buf = buf[:goruntime.Stack(buf, true)]
+		t.Fatalf("Shutdown did not return in %v; every goroutine:\n%s", shutdownDeadline, buf)
+	}
+}
 
 func synth(t *testing.T, spec string) *topology.Topology {
 	t.Helper()
@@ -78,7 +104,7 @@ func placedOne(t *testing.T, p *Pool, submit func()) int {
 // domain, the workers split evenly across the shards.
 func TestAutoShardsFromTopology(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x2")), WithWorkers(4))
-	defer p.Shutdown()
+	defer shutdown(t, p)
 	if p.Shards() != 2 {
 		t.Fatalf("shards = %d, want 2 (one per domain)", p.Shards())
 	}
@@ -97,7 +123,7 @@ func TestAutoShardsFromTopology(t *testing.T) {
 // the remainder, and every shard keeps at least one worker and one slot.
 func TestWorkerAndCapSplit(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "3x1")), WithWorkers(5), WithMaxInFlight(7))
-	defer p.Shutdown()
+	defer shutdown(t, p)
 	if got := []int{p.Runtime(0).Workers(), p.Runtime(1).Workers(), p.Runtime(2).Workers()}; got[0] != 2 || got[1] != 2 || got[2] != 1 {
 		t.Fatalf("worker split = %v, want [2 2 1]", got)
 	}
@@ -154,7 +180,7 @@ func TestRingStability(t *testing.T) {
 // whatever the unkeyed rule would have picked.
 func TestSubmitKeyedSticky(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x2")), WithWorkers(4))
-	defer p.Shutdown()
+	defer shutdown(t, p)
 	key := keyFor(t, p, 1)
 	for i := 0; i < 8; i++ {
 		var j runtime.Job[int]
@@ -177,7 +203,7 @@ func TestSubmitKeyedSticky(t *testing.T) {
 // own the job.
 func TestOverflowForward(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2), WithMaxInFlight(2))
-	defer p.Shutdown()
+	defer shutdown(t, p)
 	release := make(chan struct{})
 	defer close(release)
 
@@ -219,7 +245,7 @@ func TestOverflowForward(t *testing.T) {
 // the whole pool into sheds.
 func TestShedWhenAllSaturated(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2), WithMaxInFlight(2))
-	defer p.Shutdown()
+	defer shutdown(t, p)
 	release := make(chan struct{})
 	defer close(release)
 	// Skew everything onto shard 0's key: one job fills shard 0, the next
@@ -242,7 +268,7 @@ func TestShedWhenAllSaturated(t *testing.T) {
 // TestLeastLoadedPlacement: unkeyed traffic drifts away from busy shards.
 func TestLeastLoadedPlacement(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2))
-	defer p.Shutdown()
+	defer shutdown(t, p)
 	release := make(chan struct{})
 	defer close(release)
 	var err error
@@ -264,7 +290,7 @@ func TestLeastLoadedPlacement(t *testing.T) {
 // by each shard.
 func TestSubmitAllPartialForward(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2), WithMaxInFlight(2))
-	defer p.Shutdown()
+	defer shutdown(t, p)
 	release := make(chan struct{})
 	defer close(release)
 	fns := make([]func(*runtime.W) int, 3)
@@ -297,7 +323,7 @@ func TestSubmitAllPartialForward(t *testing.T) {
 //	Σ submitted == Σ completed + Σ in_flight  (in_flight = 0 at quiescence)
 func TestConservation(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x2")), WithWorkers(4), WithMaxInFlight(8))
-	defer p.Shutdown()
+	defer shutdown(t, p)
 	const offered = 400
 	var jobs []runtime.Job[int]
 	waited := 0 // jobs[:waited] have been consumed
@@ -399,7 +425,7 @@ func TestRollingDrainUnderStorm(t *testing.T) {
 		}(g)
 	}
 	time.Sleep(30 * time.Millisecond)
-	p.Shutdown() // rolling drain races the storm
+	shutdown(t, p) // rolling drain races the storm
 	stop.Store(true)
 	wg.Wait()
 	if accepted.Load() != finished.Load() {
@@ -444,7 +470,7 @@ func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 func TestPoolMetricsPage(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2), WithMaxInFlight(2),
 		WithRuntimeOptions(runtime.WithFlightRecorder(0)))
-	defer p.Shutdown()
+	defer shutdown(t, p)
 	release := make(chan struct{})
 	key := keyFor(t, p, 0)
 	if _, err := SubmitKeyed(p, key, func(*runtime.W) int { <-release; return 0 }); err != nil {
@@ -497,7 +523,7 @@ func TestPoolMetricsPage(t *testing.T) {
 // worker's own runtime and reports where the child ran.
 func TestInteriorTasksStayHome(t *testing.T) {
 	p := NewPool(WithTopology(synth(t, "2x1")), WithWorkers(2))
-	defer p.Shutdown()
+	defer shutdown(t, p)
 	for i := 0; i < 4; i++ {
 		j, err := Submit(p, func(w *runtime.W) int {
 			rt := w.Runtime()

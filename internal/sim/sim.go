@@ -249,8 +249,10 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 
 	n := g.Len()
 	e.when, e.who, e.order = resize(e.when, n), resize(e.who, n), resize(e.order, n)
-	for i := range e.when {
-		e.when[i] = -1 - g.Nodes[i].NIn
+	nodes := g.Nodes
+	when := e.when[:len(nodes)]
+	for i := range nodes {
+		when[i] = -1 - nodes[i].NIn
 	}
 
 	e.assigned, e.deques = resize(e.assigned, cfg.P), resize(e.deques, cfg.P)
@@ -265,18 +267,137 @@ func (e *Engine) Reset(g *dag.Graph, cfg Config) error {
 
 // Run executes the whole computation and returns the result, which aliases
 // the engine's storage: it is valid until the engine's next Reset.
+//
+// Run is one loop over sweeps and, within a sweep, over processors; each
+// activation executes at most one node. The graph and the schedule's tables
+// live in locals for the run, and so does the executed count, which is
+// stored back before every call into the Control (whose View reads the
+// engine) and on return. Active is asked only of controls that are not one
+// of the package's always-active ones.
 func (e *Engine) Run() (*Result, error) {
-	total := e.g.Len()
+	nodes := e.g.Nodes
+	when, order, who := e.when[:len(nodes)], e.order[:len(nodes)], e.who[:len(nodes)]
+	assigned, deques := e.assigned, e.deques
+	ctrl, view := e.ctrl, &e.view
+	P, total, executed := ProcID(e.cfg.P), len(nodes), e.executed
+	central, bottom := e.cfg.CentralQueue, e.cfg.ThiefStealsBottom
+	futureFirst := e.cfg.Policy == FutureFirst
+	askActive := true
+	switch ctrl.(type) {
+	case *RandomControl, AlwaysActive:
+		askActive = false
+	}
 	idle := 0
-	for e.executed < total {
+	for executed < total {
 		progressed := false
-		for p := ProcID(0); int(p) < e.cfg.P; p++ {
-			if !e.ctrl.Active(p, &e.view) {
+		for p := ProcID(0); p < P; p++ {
+			if askActive {
+				e.executed = executed
+				if !ctrl.Active(p, view) {
+					continue
+				}
+			}
+			v := assigned[p]
+			if v == dag.None {
+				var ok bool
+				if central {
+					// Breadth-first baseline: take the oldest enabled node.
+					if v, ok = e.central.StealTop(); !ok {
+						continue
+					}
+				} else if v, ok = deques[p].PopBottom(); !ok {
+					// Steal one node from the victim the Control picks;
+					// it runs at p's next activation.
+					e.executed = executed
+					victim := ctrl.Victim(p, view)
+					if victim == NoProc || victim == p || victim >= P {
+						continue
+					}
+					e.stealAtt++
+					if bottom {
+						v, ok = deques[victim].PopBottom()
+					} else {
+						v, ok = deques[victim].StealTop()
+					}
+					if ok {
+						e.steals++
+						e.stolen = append(e.stolen, v)
+						assigned[p] = v
+						progressed = true
+					}
+					continue
+				}
+				// A popped node executes in the same activation (owner
+				// pops are cheap; steals cost a full activation).
+				e.pops++
+			}
+
+			// Execute v on p.
+			progressed = true
+			if w := when[v]; w != -1 {
+				panic(fmt.Sprintf("sim: node %d executed when not ready (when = %d)", v, w))
+			}
+			n := &nodes[v]
+			when[v] = int32(executed)
+			order[executed] = v
+			who[v] = p
+			executed++
+
+			// Enable the children whose last parent v was, reading when
+			// afresh for the second edge: a decoded graph may give both
+			// edges one target. When both enable a child, push and next
+			// hold them in edge order.
+			next, push := dag.None, dag.None
+			if n.NOut != 0 {
+				to := n.Out[0].To
+				w := when[to] + 1
+				if w > -1 {
+					panic(fmt.Sprintf("sim: node %d over-enabled", to))
+				}
+				when[to] = w
+				if w == -1 {
+					next = to
+				}
+				if n.NOut == 2 {
+					to := n.Out[1].To
+					w := when[to] + 1
+					if w > -1 {
+						panic(fmt.Sprintf("sim: node %d over-enabled", to))
+					}
+					when[to] = w
+					if w == -1 {
+						next, push = to, next
+					}
+				}
+			}
+			if push != dag.None && !central {
+				// At a fork (one edge is a future) the policy picks; at a
+				// future parent whose touch was already locally enabled, the
+				// processor stays on its own thread (continuation) and
+				// pushes the touch. The two edges' kinds tell which.
+				k0, k1 := n.Out[0].Kind, n.Out[1].Kind
+				fork := k0 == dag.EdgeFuture || k1 == dag.EdgeFuture
+				if fork && (k1 == dag.EdgeFuture) != futureFirst || !fork && k1 != dag.EdgeCont {
+					next, push = push, next
+				}
+			}
+
+			if central {
+				// No continuations: every enabled node joins the global
+				// FIFO, in edge order.
+				if push != dag.None {
+					e.central.PushBottom(push)
+				}
+				if next != dag.None {
+					e.central.PushBottom(next)
+				}
+				assigned[p] = dag.None
 				continue
 			}
-			if e.act(p) {
-				progressed = true
+			if push != dag.None {
+				deques[p].PushBottom(push)
 			}
+			assigned[p] = next
 		}
 		e.steps++
 		if progressed {
@@ -284,11 +405,19 @@ func (e *Engine) Run() (*Result, error) {
 		} else {
 			idle++
 			if idle >= e.cfg.MaxIdleSweeps {
+				e.executed = executed
 				return nil, fmt.Errorf("%w: %d/%d nodes executed after %d sweeps",
-					ErrStuck, e.executed, total, e.steps)
+					ErrStuck, executed, total, e.steps)
 			}
 		}
 	}
+	e.executed = executed
+	return e.result(), nil
+}
+
+// result fills in the Result of a finished run, counting its misses when the
+// configuration asks for them.
+func (e *Engine) result() *Result {
 	e.res = Result{
 		Order:         e.order,
 		When:          e.when,
@@ -323,125 +452,7 @@ func (e *Engine) Run() (*Result, error) {
 		}
 		e.res.Misses = e.misses
 	}
-	return &e.res, nil
-}
-
-// act performs one processor activation; reports whether observable progress
-// happened (a node executed, a pop succeeded, or a steal succeeded).
-func (e *Engine) act(p ProcID) bool {
-	if e.assigned[p] != dag.None {
-		e.execute(p, e.assigned[p])
-		return true
-	}
-	if e.cfg.CentralQueue {
-		// Breadth-first baseline: take the oldest enabled node.
-		if v, ok := e.central.StealTop(); ok {
-			e.pops++
-			e.execute(p, v)
-			return true
-		}
-		return false
-	}
-	// Pop own deque; a popped node executes in the same activation (owner
-	// pops are cheap; steals cost a full activation).
-	if v, ok := e.deques[p].PopBottom(); ok {
-		e.pops++
-		e.execute(p, v)
-		return true
-	}
-	// Steal one node from the victim the Control picks.
-	victim := e.ctrl.Victim(p, &e.view)
-	if victim == NoProc || victim == p || int(victim) >= e.cfg.P {
-		return false
-	}
-	e.stealAtt++
-	var v dag.NodeID
-	var ok bool
-	if e.cfg.ThiefStealsBottom {
-		v, ok = e.deques[victim].PopBottom()
-	} else {
-		v, ok = e.deques[victim].StealTop()
-	}
-	if !ok {
-		return false
-	}
-	e.steals++
-	e.stolen = append(e.stolen, v)
-	e.assigned[p] = v
-	return true
-}
-
-// execute runs node v on processor p and chooses p's next assignment.
-func (e *Engine) execute(p ProcID, v dag.NodeID) {
-	if w := e.when[v]; w != -1 {
-		panic(fmt.Sprintf("sim: node %d executed when not ready (when = %d)", v, w))
-	}
-	n := &e.g.Nodes[v]
-	e.when[v] = int32(e.executed)
-	e.order[e.executed] = v
-	e.who[v] = p
-	e.executed++
-
-	// Enable children.
-	var enabled [2]dag.NodeID
-	var kinds [2]dag.EdgeKind
-	ne := 0
-	for _, edge := range n.OutEdges() {
-		w := e.when[edge.To] + 1
-		if w > -1 {
-			panic(fmt.Sprintf("sim: node %d over-enabled", edge.To))
-		}
-		e.when[edge.To] = w
-		if w == -1 {
-			enabled[ne] = edge.To
-			kinds[ne] = edge.Kind
-			ne++
-		}
-	}
-
-	if e.cfg.CentralQueue {
-		// No continuations: every enabled node joins the global FIFO.
-		for i := 0; i < ne; i++ {
-			e.central.PushBottom(enabled[i])
-		}
-		e.assigned[p] = dag.None
-		return
-	}
-
-	switch ne {
-	case 0:
-		e.assigned[p] = dag.None
-	case 1:
-		e.assigned[p] = enabled[0]
-	default:
-		// Two children enabled. At a fork the policy picks; at a future
-		// parent whose touch was already locally enabled, the processor
-		// stays on its own thread (continuation) and pushes the touch.
-		exec, push := 0, 1
-		if n.IsFork() {
-			futureIdx := 0
-			if kinds[1] == dag.EdgeFuture {
-				futureIdx = 1
-			}
-			if e.cfg.Policy == FutureFirst {
-				exec, push = futureIdx, 1-futureIdx
-			} else {
-				exec, push = 1-futureIdx, futureIdx
-			}
-		} else {
-			contIdx := -1
-			for i := 0; i < ne; i++ {
-				if kinds[i] == dag.EdgeCont {
-					contIdx = i
-				}
-			}
-			if contIdx >= 0 {
-				exec, push = contIdx, 1-contIdx
-			}
-		}
-		e.deques[p].PushBottom(enabled[push])
-		e.assigned[p] = enabled[exec]
-	}
+	return &e.res
 }
 
 // Sequential runs the one-processor parsimonious execution of g under the

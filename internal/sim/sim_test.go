@@ -8,6 +8,7 @@ import (
 
 	"futurelocality/internal/cache"
 	"futurelocality/internal/dag"
+	"futurelocality/internal/graphs"
 )
 
 // forkJoin builds: root, fork f (body steps), parent work, touch, tail.
@@ -492,6 +493,39 @@ func BenchmarkEngineParallel8(b *testing.B) {
 		if _, err := eng.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEngineLoop times Run's sweep alone, as a loop of trials runs it:
+// one Engine reset and one RandomControl reseeded per trial, at P = 4 with
+// no miss count, over the analyze workload's three graphs (a ~3 000-node
+// random structured graph stands for the one the benchmark picks per seed).
+// It reports nanoseconds per executed node.
+func BenchmarkEngineLoop(b *testing.B) {
+	fig6c, _ := graphs.Fig6c(4, 16, 4, true)
+	for _, in := range []struct {
+		name string
+		g    *dag.Graph
+	}{
+		{"fib", graphs.Fib(16, 2)},
+		{"randstruct", graphs.RandomStructured(6, graphs.RandomConfig{MaxNodes: 3000, MaxDepth: 12, MaxBlocks: 256})},
+		{"fig6c", fig6c},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			var e Engine
+			var ctrl RandomControl
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctrl.Reseed(int64(i))
+				if err := e.Reset(in.g, Config{P: 4, Control: &ctrl}); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in.g.Len()), "ns/node")
+		})
 	}
 }
 
